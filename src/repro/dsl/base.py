@@ -221,7 +221,8 @@ class BlockKernel:
                 cache_key = (block.block_id, "addresses", key, addresses.shape)
                 plan = mmat.plan_lookup(cache_key)
             if plan is None:
-                plan = compile_address_plan(env, block, addresses)
+                with global_tracer().span("plan.compile", sites=int(np.prod(sites_shape))):
+                    plan = compile_address_plan(env, block, addresses)
                 if key is not None:
                     mmat.plan_store(cache_key, plan)
                     self._trace.plan_compiles += 1
@@ -331,9 +332,6 @@ class BlockKernel:
         n_elem = block.element_count
         comps = block.components
         out = np.empty((plan.n_sites, comps), dtype=plan.dtype)
-        if plan.const_dst is not None:
-            out[plan.const_dst] = plan.const_vals
-        interior_segs, boundary_segs = plan.split()
 
         # Output elements whose stencil reaches halo data; everything
         # else is computable from the interior gather alone.
@@ -363,11 +361,11 @@ class BlockKernel:
                     result[elems] = np.broadcast_to(vals, (elems.size, comps))
 
         with tracer.span("sweep.interior", sites=int(interior_elems.size)):
-            missing = plan.gather_segments(env, interior_segs, out)
+            plan.gather_interior(env, out)
             apply(interior_elems)        # … while the halo is in flight
         env.complete_pending_halo()      # wait + install the halo pages
         with tracer.span("sweep.boundary", sites=int(boundary_elems.size)):
-            missing += plan.gather_segments(env, boundary_segs, out)
+            missing = plan.gather_boundary(env, out)
             apply(boundary_elems)        # finish the halo-dependent rim
 
         plan.account(env, missing)

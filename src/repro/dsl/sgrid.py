@@ -127,17 +127,19 @@ class SGrid2DTarget(DslTarget):
 
     def _initialise_field(self, blocks: List[DataBlock]) -> None:
         """Fill this rank's Data Blocks with the initial field (both buffers)."""
-        init = self.init_fn or (lambda x, y: 0.0)
+        # The user's ``init`` is a per-point Python callable; frompyfunc
+        # calls it with the Python-int arguments, and in the y-outer
+        # order, of the double loop it replaces, minus the interpreter
+        # overhead of the loop itself.
+        init = np.frompyfunc(self.init_fn or (lambda x, y: 0.0), 2, 1)
         for block in blocks:
             if not block.holds_data or block.kind != "data":
                 continue
             bx0, by0 = block.origin
             sx, sy = block.shape
-            field = np.empty((sx, sy), dtype=np.float64)
-            for j in range(sy):
-                for i in range(sx):
-                    field[i, j] = init(bx0 + i, by0 + j)
-            flat = field.reshape(-1, 1)
+            ys, xs = np.indices((sy, sx))
+            field = init((xs + bx0).astype(object), (ys + by0).astype(object))
+            flat = field.astype(np.float64).T.reshape(-1, 1)
             # Load the same initial data into every buffer generation so the
             # first step reads well-defined values regardless of swap parity.
             for buf in block.buffer.buffers:

@@ -164,38 +164,43 @@ class USGrid2DTarget(DslTarget):
         """Fill values and neighbour tables of this rank's Data Blocks."""
         index_map = self.cell_index_map()
         n = self.region
-        init = self.init_fn or (lambda x, y: 0.0)
+        init = np.frompyfunc(self.init_fn or (lambda x, y: 0.0), 2, 1)
 
-        # Invert the layout: cell index -> (x, y); then per cell compute its
-        # four neighbour addresses (or boundary addresses).
+        # Invert the layout: cell index -> (x, y).
         positions = np.empty((self.cell_count, 2), dtype=np.int64)
         xs, ys = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
         positions[index_map.reshape(-1)] = np.stack(
             [xs.reshape(-1), ys.reshape(-1)], axis=1
         )
 
-        def neighbour_address(x: int, y: int) -> int:
-            if 0 <= x < n and 0 <= y < n:
-                return int(index_map[x, y])
-            return self.boundary_address(x, y)
+        # Neighbour addresses of every cell from four shifted views of the
+        # index map padded with the ring's boundary addresses (the corners
+        # of the padding are never a neighbour).
+        padded = np.zeros((n + 2, n + 2), dtype=np.int64)
+        padded[1:-1, 1:-1] = index_map
+        for k in range(n):
+            padded[k + 1, 0] = self.boundary_address(k, -1)
+            padded[k + 1, -1] = self.boundary_address(k, n)
+            padded[0, k + 1] = self.boundary_address(-1, k)
+            padded[-1, k + 1] = self.boundary_address(n, k)
+        neighbour_of = np.empty((self.cell_count, 4), dtype=np.int64)
+        neighbour_of[index_map.reshape(-1)] = np.stack(
+            [
+                padded[:-2, 1:-1].reshape(-1),  # (x - 1, y)
+                padded[2:, 1:-1].reshape(-1),   # (x + 1, y)
+                padded[1:-1, :-2].reshape(-1),  # (x, y - 1)
+                padded[1:-1, 2:].reshape(-1),   # (x, y + 1)
+            ],
+            axis=1,
+        )
 
         for block in blocks:
             if block.kind != "data":
                 continue
-            start = block.origin[0]
-            count = block.shape[0]
-            values = np.empty((count, 1), dtype=np.float64)
-            neighbours = np.empty((count, 4), dtype=np.int64)
-            for offset in range(count):
-                cell = start + offset
-                x, y = positions[cell]
-                values[offset, 0] = init(int(x), int(y))
-                neighbours[offset] = (
-                    neighbour_address(x - 1, y),
-                    neighbour_address(x + 1, y),
-                    neighbour_address(x, y - 1),
-                    neighbour_address(x, y + 1),
-                )
+            cells = slice(block.origin[0], block.origin[0] + block.shape[0])
+            x, y = positions[cells].T
+            values = init(x.astype(object), y.astype(object)).astype(np.float64).reshape(-1, 1)
+            neighbours = neighbour_of[cells].copy()
             for buf in block.buffer.buffers:
                 buf.load_dense(values)
                 buf.clear_dirty()

@@ -10,8 +10,9 @@ against a single padded scratch field, instead of materialising the
 * the block's own read buffer is *copied once* into the interior of a
   padded field ``P``;
 * only the out-of-block plan sites — the boundary "ring": mirror
-  boundaries, neighbour blocks, halo pages, compile-time constants —
-  are filled through precomputed (deduplicated) gather tables;
+  boundaries, neighbour blocks, halo pages, compile-time constants,
+  which are all an offsets plan's segments hold — are filled through
+  precomputed (deduplicated) gather tables;
 * ``fn`` is applied to one shifted **view** of ``P`` per offset, and
   the result is scattered straight into the write-buffer pages.
 
@@ -127,18 +128,17 @@ class FusedKernel:
             for oi in range(off_arr.shape[0])
         ]
 
-        # -- ring-fill tables (out-of-block plan sites only) -----------
+        # -- ring-fill tables (the plan's segments and constants are ----
+        #    exactly its out-of-block sites)
         interior_segs, boundary_segs = plan.split()
         self.data_groups: List[tuple] = []
         for seg in interior_segs:
-            pos, src = self._ring_entries(seg.dst_idx, seg.src_idx)
-            if pos.size:
-                self.data_groups.append((seg.block, src, pos))
+            pos, first = self._ring_positions(seg.dst_idx)
+            self.data_groups.append((seg.block, seg.src_idx[first], pos))
         self.halo_groups: List[_HaloGroup] = []
         for seg in boundary_segs:
-            pos, src = self._ring_entries(seg.dst_idx, seg.src_idx)
-            if pos.size:
-                self.halo_groups.append(_HaloGroup(seg.block, src, pos))
+            pos, first = self._ring_positions(seg.dst_idx)
+            self.halo_groups.append(_HaloGroup(seg.block, seg.src_idx[first], pos))
         if plan.const_dst is not None:
             pos, first = self._ring_positions(plan.const_dst)
             self.const_pos = pos
@@ -175,45 +175,20 @@ class FusedKernel:
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
-    def _site_coords(self, dst: np.ndarray):
-        """Padded-field coordinates + geometric-inside mask of plan sites."""
-        shape = self.shape
-        nd = len(shape)
-        oi = dst // self.n_elem
-        e = dst - oi * self.n_elem
-        ec = np.unravel_index(e, shape)
-        coords = []
-        inside = np.ones(dst.shape, dtype=bool)
-        for d in range(nd):
-            c = ec[d] + self._off_arr[oi, d]
-            inside &= (c >= 0) & (c < shape[d])
-            coords.append(c + self.pad_lo[d])
-        return coords, inside
-
-    def _ring_entries(self, dst: np.ndarray, src: np.ndarray):
-        """Deduplicated ``(padded positions, source indices)`` ring table.
-
-        Sites that fall geometrically inside the block are covered by the
-        interior copy (they are exactly the in-block bulk gathers) and
-        are dropped; duplicate padded positions (several sites reading
-        one global address) resolve to one entry — the value at a padded
-        cell is pure in the global address it mirrors.
-        """
-        coords, inside = self._site_coords(dst)
-        keep = ~inside
-        if not keep.any():
-            empty = np.empty(0, dtype=np.intp)
-            return empty, empty
-        pos = np.ravel_multi_index(
-            tuple(c[keep] for c in coords), self.pshape
-        ).astype(np.intp)
-        uniq, first = np.unique(pos, return_index=True)
-        return uniq.astype(np.intp), np.ascontiguousarray(src[keep][first])
-
     def _ring_positions(self, dst: np.ndarray):
-        """Deduplicated padded positions of constant sites (always ring)."""
-        coords, _ = self._site_coords(dst)
-        pos = np.ravel_multi_index(tuple(coords), self.pshape).astype(np.intp)
+        """Deduplicated padded-field positions of ring sites ``dst``.
+
+        Returns ``(positions, first)``: several sites reading one global
+        address share a padded cell — the value there is pure in the
+        address it mirrors — so each position keeps the one site
+        ``dst[first[k]]``.
+        """
+        oi = dst // self.n_elem
+        ec = np.unravel_index(dst - oi * self.n_elem, self.shape)
+        coords = tuple(
+            ec[d] + self._off_arr[oi, d] + self.pad_lo[d] for d in range(len(self.shape))
+        )
+        pos = np.ravel_multi_index(coords, self.pshape)
         uniq, first = np.unique(pos, return_index=True)
         return uniq.astype(np.intp), first
 
@@ -483,7 +458,7 @@ def fused_kernel_for(
     """
     mmat = env.mmat
     fn_id = getattr(fn, "__code__", None) or fn
-    key = (plan.version, fn_id, str(plan.dtype), int(temporal))
+    key = (plan.version, fn_id, plan.dtype, int(temporal))
     kern = mmat.fused_lookup(key)
     if kern is not None:
         return None if kern is UNFUSABLE else kern

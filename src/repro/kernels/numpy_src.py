@@ -8,7 +8,7 @@ The emitted module performs one whole-block sweep as
    Blocks) with precomputed gather tables;
 2. ``fill_boundary`` — fill the ring cells served by Buffer-only (halo)
    sources, recording missing pages exactly like
-   :meth:`~repro.memory.mmat.AccessPlan.gather_segments`;
+   :meth:`~repro.memory.mmat.AccessPlan.gather_boundary`;
 3. ``compute`` — call the elementwise ``fn`` on one shifted *view* of
    ``P`` per stencil offset (no per-offset gather arrays are ever
    materialised — this is the fusion);

@@ -131,12 +131,16 @@ class Env:
         #: needs halo data, or drained at the next refresh / finalize.
         self._pending_halo = None
         self._halo_lock = threading.Lock()
+        #: Box tables of :meth:`find_blocks`, one per address
+        #: dimensionality; built lazily, dropped when the tree changes.
+        self._box_tables: Dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     # tree construction (used by DSL layers)
     # ------------------------------------------------------------------
     def _register(self, block: Block) -> Block:
         self.blocks_by_id[block.block_id] = block
+        self._box_tables.clear()
         if isinstance(block, ReferenceBlock):
             block.env = self
         return block
@@ -365,6 +369,67 @@ class Env:
             if found is not None:
                 return found
         return None
+
+    def _box_table(self, ndim: int) -> tuple:
+        """``(blocks, lo, hi, n_joint)`` of the data-holding ``ndim``-D Blocks.
+
+        Blocks are listed in the order a search from the root visits
+        them; the data joint is the root's first child, so its
+        ``n_joint`` Blocks come first.
+        """
+        table = self._box_tables.get(ndim)
+        if table is None:
+            def listed(top: Block) -> List[Block]:
+                return [b for b in top.iter_subtree() if b.holds_data and b.ndim == ndim]
+
+            blocks = listed(self.root)
+            lo = np.array([b.origin for b in blocks], dtype=np.int64).reshape(-1, ndim)
+            hi = lo + np.array([b.shape for b in blocks], dtype=np.int64).reshape(-1, ndim)
+            table = (blocks, lo, hi, len(listed(self.data_joint)))
+            self._box_tables[ndim] = table
+        return table
+
+    def find_blocks(self, addresses, *, start: Optional[Block] = None) -> List[Optional[Block]]:
+        """:meth:`find_block` for an ``(n, ndim)`` array of addresses at once.
+
+        Every address is tested against the box table of all
+        data-holding Blocks with one (chunked) broadcast comparison; the
+        first containing Block in root search order is the answer.  That
+        order is also what a search from ``start`` finds whenever at most
+        one Block of ``start``'s own branch contains the address — a
+        start under the data joint exhausts the joint before any boundary
+        Block.  The remaining addresses (overlapping Blocks under the
+        data joint, or a ``start`` on another branch) go through the
+        scalar search, so the start-relative priority stays exact.
+        Counts one search and one search step per table-resolved address.
+        """
+        addrs = np.asarray(addresses, dtype=np.int64)
+        n, ndim = addrs.shape
+        blocks, lo, hi, n_joint = self._box_table(ndim)
+        node = start
+        while node is not None and node is not self.data_joint:
+            node = node.parent
+        # Matches a search from ``start`` may order differently than one
+        # from the root: those under the joint, or all of them when
+        # ``start`` is neither the root nor under the joint.
+        from_root = start is None or start is self.root
+        contested = n_joint if from_root or node is not None else len(blocks)
+        first = np.full(n, -1, dtype=np.intp)
+        ambiguous = np.zeros(n, dtype=bool)
+        if blocks:
+            chunk = max(1, (1 << 20) // len(blocks))
+            for s in range(0, n, chunk):
+                a = addrs[s : s + chunk, None, :]
+                hit = ((a >= lo) & (a < hi)).all(axis=2)
+                first[s : s + chunk] = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
+                ambiguous[s : s + chunk] = hit[:, :contested].sum(axis=1) > 1
+        found = [blocks[i] if i >= 0 else None for i in first.tolist()]
+        scalar = np.flatnonzero(ambiguous).tolist()
+        for i in scalar:
+            found[i] = self.find_block(tuple(addrs[i].tolist()), start=start)
+        self.stats.searches += n - len(scalar)
+        self.stats.search_steps += n - len(scalar)
+        return found
 
     # ------------------------------------------------------------------
     # page-based interface (used by aspect modules / the simulated network)

@@ -12,12 +12,15 @@ says the memory-access pattern is static across iterations, the second
 and later iterations resolve almost every access from the memo instead
 of searching the Env tree.
 
-Access plans push the same assumption one step further: once every site
-of a whole-block sweep has been resolved, the per-site memo can be
-*compiled* into a handful of NumPy index arrays (one gather per source
-Block plus a precomputed constant table for Arithmetic/Static boundary
-sites), and the whole sweep executes as bulk array operations instead
-of ``size_x * size_y`` scalar ``get`` calls.  Plans are cached on the
+Access plans push the same assumption one step further: the sites of a
+whole-block sweep are resolved *in bulk* (one vectorised
+:meth:`~repro.memory.env.Env.find_blocks` per plan, recorded in the
+memo) and compiled into a handful of NumPy index arrays (one gather per
+source Block plus a precomputed constant table for Arithmetic/Static
+boundary sites); the sites of a stencil offset that stay inside the
+Block are not enumerated at all but kept as one pair of array slices.
+The whole sweep then executes as bulk array operations instead of
+``size_x * size_y`` scalar ``get`` calls.  Plans are cached on the
 :class:`MMAT` instance, so :meth:`MMAT.reset` — called by the warm-up
 macro, or by end users when the access pattern changes — invalidates
 the compiled plans together with the scalar memo.
@@ -32,6 +35,7 @@ macro is called").
 from __future__ import annotations
 
 import itertools
+import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -121,19 +125,18 @@ class AccessPlan:
         "kind",
         "version",
         "offsets",
+        "block",
+        "slices",
         "_split",
         "_halo_sites",
         "_elem_partition",
-        "_scratch",
     )
 
     def __init__(
         self,
         *,
-        shape: Tuple[int, ...],
+        block: DataBlock,
         n_sites: int,
-        components: int,
-        dtype,
         segments: List[PlanSegment],
         const_dst: Optional[np.ndarray],
         const_vals: Optional[np.ndarray],
@@ -142,11 +145,16 @@ class AccessPlan:
         out_of_block_sites: int,
         kind: str = "offsets",
         offsets: Optional[Tuple[Tuple[int, ...], ...]] = None,
+        slices: Tuple[Optional[Tuple[tuple, tuple]], ...] = (),
     ) -> None:
-        self.shape = tuple(shape)
+        #: The Block the plan was compiled for (the start of every access).
+        self.block = block
+        self.shape = block.shape
         self.n_sites = int(n_sites)
-        self.components = int(components)
-        self.dtype = np.dtype(dtype)
+        self.components = block.components
+        self.dtype = np.dtype(block.buffer.read_buffer.dtype)
+        #: Gathers for the sites that leave the Block (an offsets plan's
+        #: ring) or, for address plans, for every site.
         self.segments = segments
         self.const_dst = const_dst
         self.const_vals = const_vals
@@ -168,14 +176,14 @@ class AccessPlan:
         #: address plans); the fusion pass needs them to lay out its
         #: padded scratch field.
         self.offsets = offsets
+        #: The in-block part of an offsets plan in closed form: per
+        #: offset one ``(dst_slices, src_slices)`` pair (None when no
+        #: site of that offset stays inside), copied as array slices of
+        #: the Block's own read buffer.  Empty for address plans.
+        self.slices = slices
         self._split: Optional[Tuple[List[PlanSegment], List[PlanSegment]]] = None
         self._halo_sites: Optional[np.ndarray] = None
         self._elem_partition: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        #: One-element scratch pool for :meth:`execute` (list ``pop``/
-        #: ``append`` is atomic under the GIL, so concurrent hybrid
-        #: threads executing the same plan never alias one buffer — the
-        #: loser of the pop simply allocates a fresh array).
-        self._scratch: List[np.ndarray] = []
 
     # ------------------------------------------------------------------
     def split(self) -> Tuple[List[PlanSegment], List[PlanSegment]]:
@@ -247,40 +255,51 @@ class AccessPlan:
         step is re-executed, exactly as on the scalar path) and filled
         with placeholder zeros.
 
-        The interior segments always run first; when an overlapped halo
+        The interior part always runs first; when an overlapped halo
         exchange is still in flight (``env.has_pending_halo()``), it is
         completed right before the first boundary segment reads halo
         data — so every batched gather transparently overlaps the
         exchange with at least its interior gather work.
 
-        The returned array is recycled: the *next* ``execute`` of this
-        plan reuses it as scratch, so callers must consume (or copy) the
-        result before re-executing the plan — true for every batched
-        kernel, which gathers, applies and scatters within one step.
+        The returned array is scratch of the Env's MMAT, shared by every
+        plan with the same output shape: the calling thread's *next*
+        ``execute`` of such a plan overwrites it, so callers must
+        consume (or copy) the result before that — true for every
+        batched kernel, which gathers, applies and scatters one Block
+        at a time.
         """
-        try:
-            out = self._scratch.pop()
-        except IndexError:
-            out = np.empty((self.n_sites, self.components), dtype=self.dtype)
-        if self.const_dst is not None:
-            out[self.const_dst] = self.const_vals
-        interior, boundary = self.split()
-        missing = self.gather_segments(env, interior, out)
-        if boundary:
+        out = env.mmat.scratch((self.n_sites, self.components), self.dtype)
+        self.gather_interior(env, out)
+        missing = 0
+        if self.has_halo:
             if env.has_pending_halo():
                 env.complete_pending_halo()
-            missing += self.gather_segments(env, boundary, out)
+            missing = self.gather_boundary(env, out)
         self.account(env, missing)
-        self._scratch.append(out)
         return out
 
-    def gather_segments(self, env, segments: List[PlanSegment], out: np.ndarray) -> int:
-        """Gather ``segments`` into ``out``; returns missing-page count."""
+    def gather_interior(self, env, out: np.ndarray) -> None:
+        """Fill the sites of ``out`` that need no halo data: constants,
+        the in-block slice part and the locally-owned segments."""
+        if self.const_dst is not None:
+            out[self.const_dst] = self.const_vals
+        if self.slices:
+            cell = self.shape + (self.components,)
+            src = env.dense_read(self.block).reshape(cell)
+            dst = out.reshape((len(self.slices),) + cell)
+            for oi, pair in enumerate(self.slices):
+                if pair is not None:
+                    dst[oi][pair[0]] = src[pair[1]]
+        for seg in self.split()[0]:
+            out[seg.dst_idx] = env.dense_read(seg.block)[seg.src_idx]
+
+    def gather_boundary(self, env, out: np.ndarray) -> int:
+        """Fill the halo-served sites of ``out``; returns missing-page count."""
         missing = 0
-        for seg in segments:
+        for seg in self.split()[1]:
             block = seg.block
             vals = env.dense_read(block)[seg.src_idx]
-            if seg.check_pages is not None and not block.is_valid:
+            if not block.is_valid:
                 bad = seg.invalid_pages()
                 if bad:
                     block_id = block.block_id
@@ -311,7 +330,8 @@ class AccessPlan:
 
     @property
     def nbytes(self) -> int:
-        """Memory held by the plan's index/constant arrays (Fig. 12 bench)."""
+        """Memory held by the plan's index/constant arrays (Fig. 12 bench);
+        the in-block slice part holds none."""
         total = sum(seg.nbytes for seg in self.segments)
         if self.const_dst is not None:
             total += self.const_dst.nbytes + self.const_vals.nbytes
@@ -322,8 +342,81 @@ class AccessPlan:
 # plan compilation
 # ----------------------------------------------------------------------
 
-def _classify(env, target, addr: Tuple[int, ...], depth: int = 0):
-    """Classify a resolved Block: a gatherable data source or a constant.
+#: Reference blocks followed before a chain counts as too deep.
+_MAX_REFERENCE_DEPTH = 4
+
+
+def _as_tuples(addrs: np.ndarray) -> List[Tuple[int, ...]]:
+    """The rows of an ``(n, ndim)`` address array as tuples of Python ints."""
+    return list(map(tuple, addrs.tolist()))
+
+
+def _group_by_block(targets: list) -> List[np.ndarray]:
+    """Positions of ``targets`` grouped by Block (one index array per Block)."""
+    ids = np.fromiter((t.block_id for t in targets), dtype=np.int64, count=len(targets))
+    order = np.argsort(ids, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(ids[order])) + 1)
+
+
+def _locate(env, start: DataBlock, addrs: np.ndarray) -> list:
+    """The Block serving each distinct address, the way the scalar path
+    would find it from ``start``: the Block itself when it contains the
+    address, else the MMAT memo, else one bulk Env search whose results
+    the memo records."""
+    local = addrs - np.asarray(start.origin, dtype=np.int64)
+    outside = np.flatnonzero(
+        ~np.all((local >= 0) & (local < np.asarray(start.shape)), axis=1)
+    )
+    targets: list = [start] * addrs.shape[0]
+    if not outside.size:
+        return targets
+    mmat = env.mmat
+    relative = _as_tuples(local[outside])
+    known = mmat.lookup_many(start.block_id, relative)
+    missed = [k for k, target in enumerate(known) if target is None]
+    if missed:
+        found = env.find_blocks(addrs[outside[missed]], start=start)
+        if None in found:
+            bad = addrs[outside[missed[found.index(None)]]]
+            raise AddressError(
+                f"no block of Env {env.name!r} contains address {tuple(bad.tolist())}"
+            )
+        mmat.remember_many(start.block_id, [relative[k] for k in missed], found)
+        for k, target in zip(missed, found):
+            known[k] = target
+    for k, target in zip(outside.tolist(), known):
+        targets[k] = target
+    return targets
+
+
+def _follow_reference(env, ref: ReferenceBlock, addrs: np.ndarray):
+    """Map ``addrs`` through a Reference block: ``(mapped addresses, their Blocks)``."""
+    mapped = [tuple(ref.mapper(GlobalAddress(a))) for a in _as_tuples(addrs)]
+    direct = ref.target
+    targets = [
+        direct if direct is not None and direct.contains(m) else None for m in mapped
+    ]
+    rest = [k for k, target in enumerate(targets) if target is None]
+    mapped_arr = np.asarray(mapped, dtype=np.int64).reshape(len(mapped), -1)
+    if rest:
+        found = env.find_blocks(mapped_arr[rest], start=env.root)
+        if None in found:
+            raise AddressError(
+                f"reference block {ref.name!r} cannot resolve mapped address "
+                f"{mapped[rest[found.index(None)]]}"
+            )
+        for k, target in zip(rest, found):
+            targets[k] = target
+    return mapped_arr, targets
+
+
+def _resolve(env, start: DataBlock, addrs: np.ndarray):
+    """Resolve distinct global addresses, as seen from ``start``, in bulk.
+
+    Returns ``(sources, group, src, const_vals)``: address ``k`` is read
+    from element ``src[k]`` of the Data Block ``sources[group[k]]``, or,
+    where ``group[k] == -1``, is the compile-time constant
+    ``const_vals[src[k]]``.  ``sources[0]`` is ``start`` itself.
 
     Reference blocks are followed through their (static) address mapping
     so mirror/Neumann boundaries compile down to gathers on the mapped
@@ -331,116 +424,103 @@ def _classify(env, target, addr: Tuple[int, ...], depth: int = 0):
     compile time (their value is a pure function of the address —
     Assumption II makes the result valid for every later iteration).
     """
-    if isinstance(target, DataBlock):
-        return ("data", target, target.element_index(addr))
-    if isinstance(target, ReferenceBlock):
-        if depth >= 4:
-            raise AddressError(
-                f"reference chain at {addr} too deep to compile into an access plan"
-            )
-        mapped = tuple(target.mapper(GlobalAddress(addr)))
-        if target.target is not None and target.target.contains(mapped):
-            nxt = target.target
-        else:
-            nxt = env.find_block(mapped, start=env.root)
-        if nxt is None:
-            raise AddressError(
-                f"reference block {target.name!r} cannot resolve mapped address {mapped}"
-            )
-        return _classify(env, nxt, mapped, depth + 1)
-    value = np.asarray(target.read(addr), dtype=np.float64).reshape(-1)
-    return ("const", None, value)
+    n = addrs.shape[0]
+    sources: List[DataBlock] = [start]
+    source_index = {start.block_id: 0}
+    group = np.empty(n, dtype=np.intp)
+    src = np.empty(n, dtype=np.intp)
+    const_vals: List[np.ndarray] = []
 
-
-def _resolve_site(env, start, addr: Tuple[int, ...]):
-    """Resolve one out-of-block site the way the scalar path would.
-
-    Consults (and populates) the MMAT memo so compile-time resolution
-    and scalar resolution share the same record, then classifies the
-    target for the plan.
-    """
-    mmat = env.mmat
-    relative = tuple(a - o for a, o in zip(addr, start.origin))
-    target = mmat.lookup(start.block_id, relative)
-    if target is None:
-        if start.holds_data and start.contains(addr):
-            target = start
-        else:
-            target = env.find_block(addr, start=start)
-        if target is None:
-            raise AddressError(
-                f"no block of Env {env.name!r} contains address {tuple(addr)}"
-            )
-        mmat.remember(start.block_id, relative, target)
-    return _classify(env, target, addr)
-
-
-class _PlanBuilder:
-    """Accumulates per-source gather lists while sites are resolved."""
-
-    def __init__(self, block: DataBlock) -> None:
-        self.block = block
-        self.sources: Dict[int, list] = {}
-        self.const_dst: List[int] = []
-        self.const_vals: List[np.ndarray] = []
-        self.in_block_sites = 0
-        self.resolved_sites = 0
-        self.out_of_block_sites = 0
-
-    def add_bulk(self, source: DataBlock, src_idx, dst_idx) -> None:
-        entry = self.sources.setdefault(source.block_id, [source, [], []])
-        entry[1].append(np.asarray(src_idx, dtype=np.intp))
-        entry[2].append(np.asarray(dst_idx, dtype=np.intp))
-
-    def add_site(self, env, addr: Tuple[int, ...], dst: int) -> None:
-        kind, target, payload = _resolve_site(env, self.block, addr)
-        if kind == "const":
-            self.const_dst.append(dst)
-            self.const_vals.append(payload)
-        else:
-            self.add_bulk(target, [payload], [dst])
-            if target is self.block:
-                self.in_block_sites += 1
+    pending = [(np.arange(n), addrs, _locate(env, start, addrs))]
+    depth = 0
+    while pending:
+        pos = np.concatenate([where for where, _, _ in pending])
+        addrs = np.concatenate([mapped for _, mapped, _ in pending])
+        targets = [target for _, _, found in pending for target in found]
+        pending = []
+        for sel in _group_by_block(targets):
+            target = targets[sel[0]]
+            where, at = pos[sel], addrs[sel]
+            if isinstance(target, DataBlock):
+                k = source_index.get(target.block_id)
+                if k is None:
+                    k = source_index[target.block_id] = len(sources)
+                    sources.append(target)
+                group[where] = k
+                src[where] = np.ravel_multi_index(
+                    tuple((at - np.asarray(target.origin, dtype=np.int64)).T), target.shape
+                )
+            elif isinstance(target, ReferenceBlock):
+                if depth >= _MAX_REFERENCE_DEPTH:
+                    raise AddressError(
+                        f"reference chain at {tuple(at[0].tolist())} too deep to "
+                        f"compile into an access plan"
+                    )
+                pending.append((where,) + _follow_reference(env, target, at))
             else:
-                self.out_of_block_sites += 1
-        self.resolved_sites += 1
+                group[where] = -1
+                src[where] = np.arange(len(const_vals), len(const_vals) + len(sel))
+                const_vals.extend(
+                    np.asarray(target.read(a), dtype=np.float64).reshape(-1)
+                    for a in _as_tuples(at)
+                )
+        depth += 1
+    return sources, group, src, const_vals
 
-    def build(
-        self,
-        *,
-        n_sites: int,
-        kind: str = "offsets",
-        offsets: Optional[Tuple[Tuple[int, ...], ...]] = None,
-    ) -> AccessPlan:
-        block = self.block
-        segments = [
-            PlanSegment(source, np.concatenate(srcs), np.concatenate(dsts))
-            for source, srcs, dsts in self.sources.values()
-        ]
-        components = getattr(block, "components", 1)
-        dtype = block.buffer.read_buffer.dtype
-        if self.const_dst:
-            const_dst = np.asarray(self.const_dst, dtype=np.intp)
-            const_vals = np.vstack(
-                [np.broadcast_to(v, (components,)) for v in self.const_vals]
-            ).astype(dtype)
-        else:
-            const_dst = None
-            const_vals = None
-        return AccessPlan(
-            shape=block.shape,
-            n_sites=n_sites,
-            components=components,
-            dtype=dtype,
-            segments=segments,
-            const_dst=const_dst,
-            const_vals=const_vals,
-            in_block_sites=self.in_block_sites,
-            resolved_sites=self.resolved_sites,
-            out_of_block_sites=self.out_of_block_sites,
-            kind=kind,
-            offsets=offsets,
-        )
+
+def _compile(
+    env,
+    block: DataBlock,
+    addrs: np.ndarray,
+    sites: np.ndarray,
+    *,
+    n_sites: int,
+    slice_sites: int = 0,
+    **plan_kw,
+) -> AccessPlan:
+    """Build the plan whose listed ``sites`` read the global ``addrs``.
+
+    Duplicate addresses are resolved once (``np.unique``, kept in the
+    order the sites first use them) and fanned back out through the
+    inverse index, so compilation cost scales with the number of
+    *distinct* addresses, not sites.  ``slice_sites`` in-block sites are
+    covered by the caller's slice part and not listed.
+    """
+    segments: List[PlanSegment] = []
+    const_dst = const_arr = None
+    in_block = out_of_block = 0
+    if sites.size:
+        uniq, first, inv = np.unique(addrs, axis=0, return_index=True, return_inverse=True)
+        by_first_use = np.argsort(first)
+        sources, group, src, const_vals = _resolve(env, block, uniq[by_first_use])
+        inv = np.argsort(by_first_use)[inv.reshape(-1)]
+        site_group, site_src = group[inv], src[inv]
+        order = np.argsort(site_group, kind="stable")
+        bounds = np.searchsorted(site_group[order], np.arange(len(sources) + 1))
+        for k, source in enumerate(sources):
+            sel = order[bounds[k] : bounds[k + 1]]
+            if sel.size:
+                segments.append(PlanSegment(source, site_src[sel], sites[sel]))
+                if source is block:
+                    in_block = int(sel.size)
+                else:
+                    out_of_block += int(sel.size)
+        if const_vals:
+            sel = order[: bounds[0]]
+            const_dst = np.ascontiguousarray(sites[sel], dtype=np.intp)
+            const_arr = np.vstack(
+                [np.broadcast_to(v, (block.components,)) for v in const_vals]
+            ).astype(block.buffer.read_buffer.dtype)[site_src[sel]]
+    return AccessPlan(
+        block=block,
+        n_sites=n_sites,
+        segments=segments,
+        const_dst=const_dst,
+        const_vals=const_arr,
+        in_block_sites=slice_sites + in_block,
+        out_of_block_sites=out_of_block,
+        **plan_kw,
+    )
 
 
 def compile_offsets_plan(env, block: DataBlock, offsets: Sequence[Tuple[int, ...]]) -> AccessPlan:
@@ -450,36 +530,54 @@ def compile_offsets_plan(env, block: DataBlock, offsets: Sequence[Tuple[int, ...
     linear_element_index``), with elements in the block's row-major
     order, so the executed output reshapes directly to
     ``(len(offsets),) + block.shape``.
+
+    Per offset, the sites that stay inside the Block form a box and are
+    kept as one ``(dst_slices, src_slices)`` pair; only the remaining
+    ring of out-of-block sites is enumerated and resolved.
     """
     shape = block.shape
     nd = len(shape)
     n_elem = block.element_count
-    coords = np.indices(shape, dtype=np.int64).reshape(nd, n_elem)
-    shape_col = np.asarray(shape, dtype=np.int64)[:, None]
-    origin = block.origin
-    builder = _PlanBuilder(block)
+    origin = np.asarray(block.origin, dtype=np.int64)
+    offsets = tuple(tuple(int(c) for c in off) for off in offsets)
+    slices: List[Optional[Tuple[tuple, tuple]]] = []
+    ring_sites: List[np.ndarray] = []
+    ring_addrs: List[np.ndarray] = []
+    slice_sites = 0
 
     for oi, off in enumerate(offsets):
         if len(off) != nd:
             raise AddressError(
-                f"offset {tuple(off)} does not match block dimensionality {nd}"
+                f"offset {off} does not match block dimensionality {nd}"
             )
-        shifted = coords + np.asarray(off, dtype=np.int64)[:, None]
-        inside = np.all((shifted >= 0) & (shifted < shape_col), axis=0)
-        base = oi * n_elem
-        in_idx = np.nonzero(inside)[0]
-        if in_idx.size:
-            src_flat = np.ravel_multi_index(
-                tuple(shifted[d, in_idx] for d in range(nd)), shape
-            )
-            builder.add_bulk(block, src_flat, base + in_idx)
-            builder.in_block_sites += int(in_idx.size)
-        for e in np.nonzero(~inside)[0]:
-            addr = tuple(int(origin[d] + shifted[d, e]) for d in range(nd))
-            builder.add_site(env, addr, base + int(e))
-    norm_offsets = tuple(tuple(int(c) for c in off) for off in offsets)
-    return builder.build(
-        n_sites=len(offsets) * n_elem, kind="offsets", offsets=norm_offsets
+        leaves = np.ones(shape, dtype=bool)
+        bounds = [(max(0, -o), min(s, s - o)) for s, o in zip(shape, off)]
+        if all(lo < hi for lo, hi in bounds):
+            dst = tuple(slice(lo, hi) for lo, hi in bounds)
+            src = tuple(slice(lo + o, hi + o) for (lo, hi), o in zip(bounds, off))
+            slices.append((dst, src))
+            leaves[dst] = False
+            slice_sites += int(np.prod([hi - lo for lo, hi in bounds]))
+        else:
+            slices.append(None)
+        elems = np.flatnonzero(leaves)
+        if elems.size:
+            coords = np.stack(np.unravel_index(elems, shape), axis=1)
+            ring_sites.append(oi * n_elem + elems)
+            ring_addrs.append(coords + (origin + np.asarray(off, dtype=np.int64)))
+    sites = np.concatenate(ring_sites) if ring_sites else np.empty(0, dtype=np.intp)
+    addrs = np.concatenate(ring_addrs) if ring_addrs else np.empty((0, nd), dtype=np.int64)
+    return _compile(
+        env,
+        block,
+        addrs,
+        sites,
+        n_sites=len(offsets) * n_elem,
+        slice_sites=slice_sites,
+        resolved_sites=int(sites.size),
+        kind="offsets",
+        offsets=offsets,
+        slices=tuple(slices),
     )
 
 
@@ -488,10 +586,7 @@ def compile_address_plan(env, block: DataBlock, addresses) -> AccessPlan:
 
     ``addresses`` is an integer array; for 1-D address spaces any shape
     is accepted (sites are taken in row-major order), for N-D blocks the
-    last axis must hold the address coordinates.  Duplicate addresses
-    are resolved once (``np.unique``) and fanned back out through the
-    inverse index, so compilation cost scales with the number of
-    *distinct* addresses, not sites.
+    last axis must hold the address coordinates.
     """
     nd = block.ndim
     addr_arr = np.asarray(addresses, dtype=np.int64)
@@ -505,33 +600,17 @@ def compile_address_plan(env, block: DataBlock, addresses) -> AccessPlan:
             )
         flat = addr_arr.reshape(-1, nd)
     n_sites = flat.shape[0]
-    uniq, inv = np.unique(flat, axis=0, return_inverse=True)
-    inv = inv.reshape(-1)
-    builder = _PlanBuilder(block)
-
-    # Resolve each distinct address once, then gather all duplicate
-    # sites of that address with one index expression.
-    for u in range(uniq.shape[0]):
-        addr = tuple(int(c) for c in uniq[u])
-        dst = np.nonzero(inv == u)[0]
-        kind, target, payload = (
-            ("data", block, block.element_index(addr))
-            if block.contains(addr)
-            else _resolve_site(env, block, addr)
-        )
-        if kind == "const":
-            builder.const_dst.extend(int(d) for d in dst)
-            builder.const_vals.extend([payload] * dst.size)
-        else:
-            builder.add_bulk(target, np.full(dst.size, payload, dtype=np.intp), dst)
-            if target is block:
-                builder.in_block_sites += int(dst.size)
-            else:
-                builder.out_of_block_sites += int(dst.size)
     # Indirect accesses carry no static "inside" hint, so the scalar
     # path would resolve *every* site through the memo.
-    builder.resolved_sites = n_sites
-    return builder.build(n_sites=n_sites, kind="addresses")
+    return _compile(
+        env,
+        block,
+        flat,
+        np.arange(n_sites, dtype=np.intp),
+        n_sites=n_sites,
+        resolved_sites=n_sites,
+        kind="addresses",
+    )
 
 
 # ----------------------------------------------------------------------
@@ -546,6 +625,7 @@ class MMAT:
         "_memo",
         "_plans",
         "_fused",
+        "_scratch",
         "hits",
         "misses",
         "resets",
@@ -567,6 +647,12 @@ class MMAT:
         #: generated function), keyed by ``(plan version, fn identity,
         #: dtype, temporal depth)``; cleared together with the plans.
         self._fused: Dict[tuple, object] = {}
+        #: Output arrays of :meth:`AccessPlan.execute`, one per calling
+        #: thread and ``(n_sites, components, dtype)``: plans of the same
+        #: shape share one array instead of each keeping its own for the
+        #: life of the run, and hybrid threads sweeping one Env
+        #: concurrently never see each other's.
+        self._scratch: Dict[tuple, np.ndarray] = {}
         self.hits = 0
         self.misses = 0
         self.resets = 0
@@ -600,6 +686,25 @@ class MMAT:
         if self.enabled:
             self._memo[(start_block_id, relative)] = block
 
+    def lookup_many(self, start_block_id: int, relatives: Sequence[Tuple[int, ...]]) -> list:
+        """:meth:`lookup` for many sites of one start Block (None per miss)."""
+        if not self.enabled:
+            return [None] * len(relatives)
+        memo = self._memo
+        found = [memo.get((start_block_id, relative)) for relative in relatives]
+        missed = found.count(None)
+        self.hits += len(found) - missed
+        self.misses += missed
+        return found
+
+    def remember_many(self, start_block_id: int, relatives, blocks) -> None:
+        """:meth:`remember` for many sites of one start Block."""
+        if self.enabled:
+            self._memo.update(
+                ((start_block_id, relative), block)
+                for relative, block in zip(relatives, blocks)
+            )
+
     # ------------------------------------------------------------------
     # compiled plans
     # ------------------------------------------------------------------
@@ -614,6 +719,14 @@ class MMAT:
         if self.enabled:
             self._plans[key] = plan
             self.plan_compiles += 1
+
+    def scratch(self, shape: Tuple[int, int], dtype) -> np.ndarray:
+        """The calling thread's reusable plan-output array of this shape."""
+        key = (threading.get_ident(), shape, dtype)
+        out = self._scratch.get(key)
+        if out is None:
+            out = self._scratch[key] = np.empty(shape, dtype=dtype)
+        return out
 
     def note_execution(self, plan: AccessPlan) -> None:
         """Account one vectorized plan execution."""
@@ -661,6 +774,7 @@ class MMAT:
         # Fused kernels bake a specific plan's gather tables into
         # generated code, so they die with the plans they wrap.
         self._fused.clear()
+        self._scratch.clear()
         self.resets += 1
 
     def __len__(self) -> int:

@@ -128,6 +128,17 @@ class TestTraceExport:
         with pytest.raises(ValueError):
             run.save_trace(tmp_path / "never.json")
 
+    def test_address_plan_compiles_are_attributed(self):
+        from repro.apps import JacobiUSGrid
+
+        run = Platform.preset(
+            "mpi", ranks=1, backend="serial", mmat=True, tracing=True,
+        ).run(JacobiUSGrid, config=dict(region=8, case="R", block_cells=16, loops=2))
+        compiles = [e for e in run.timeline() if e["ph"] == "X" and e["name"] == "plan.compile"]
+        # gather() and gather_global() each compile one plan per block.
+        assert len(compiles) == run.mmat_stats["plan_compiles"] == 2 * 4
+        assert "plan.compile" in run.phase_report()
+
     def test_phase_report_renders_from_run(self):
         run = _traced_run("threads", 2)
         report = run.phase_report(limit=3)

@@ -1,0 +1,274 @@
+"""Property tests for bulk plan compilation.
+
+Access plans are compiled from one vectorised ``Env.find_blocks`` per
+plan plus a closed-form in-block slice part.  Three promises are checked
+here:
+
+* ``Env.find_blocks`` is the scalar ``Env.find_block`` applied to each
+  address, for any tree shape and any start Block;
+* a bulk-compiled plan is indistinguishable from what a per-site
+  compiler (kept below, in this file only) derives with scalar searches;
+* bulk compilation costs at most one search step per resolved address.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.annotation import Platform
+from repro.apps import JacobiSGrid, JacobiUSGrid, ParticleSimulation
+from repro.apps.particle_sim import NEIGHBOURHOOD
+from repro.aspects import mpi_aspects
+from repro.memory import (
+    ArithmeticBlock,
+    BufferOnlyBlock,
+    DataBlock,
+    Env,
+    GlobalAddress,
+    MemoryPool,
+    PageKey,
+    PoolGroup,
+    ReferenceBlock,
+    compile_address_plan,
+    compile_offsets_plan,
+)
+from repro.runtime import TaskContext, task_scope
+
+
+# ----------------------------------------------------------------------
+# (a) find_blocks == find_block per address
+# ----------------------------------------------------------------------
+
+@st.composite
+def random_trees(draw):
+    """A random Env plus the Blocks a search may start from."""
+    ndim = draw(st.integers(1, 3))
+    grid = [draw(st.integers(1, 3)) for _ in range(ndim)]
+    edge = [draw(st.integers(1, 3)) for _ in range(ndim)]
+    env = Env(allocator=PoolGroup([MemoryPool(1 << 20, name="tree-pool")]), name="tree")
+    parents = [env.data_joint]
+    starts = [None, env.root, env.data_joint]
+
+    def add(origin, shape):
+        cls = BufferOnlyBlock if draw(st.booleans()) else DataBlock
+        if draw(st.integers(0, 3)) == 0:  # an extra joint, possibly nested
+            parents.append(env.add_joint(parent=draw(st.sampled_from(parents))))
+            starts.append(parents[-1])
+        block = cls(origin, shape, components=1, page_elements=4, allocator=env.allocator)
+        starts.append(env.add_data_block(block, parent=draw(st.sampled_from(parents))))
+
+    for cell in itertools.product(*(range(g) for g in grid)):
+        add([c * e for c, e in zip(cell, edge)], edge)
+    if draw(st.booleans()):  # a Block overlapping its neighbours under the joint
+        add([0] * ndim, [e + 1 for e in edge])
+    extent = [g * e for g, e in zip(grid, edge)]
+    ring = ([-1] * ndim, [x + 2 for x in extent])
+    # The rings overlap the whole domain (and each other), as SGrid's do.
+    if draw(st.booleans()):
+        starts.append(env.add_boundary_block(ArithmeticBlock(*ring, lambda addr: 1.0)))
+    if draw(st.booleans()):
+        clamp = lambda addr: GlobalAddress(  # noqa: E731
+            min(max(a, 0), x - 1) for a, x in zip(addr, extent)
+        )
+        starts.append(env.add_boundary_block(ReferenceBlock(*ring, clamp)))
+    addresses = draw(
+        st.lists(
+            st.tuples(*(st.integers(-2, x + 2) for x in extent)), min_size=1, max_size=24
+        )
+    )
+    return env, starts, np.asarray(addresses, dtype=np.int64).reshape(len(addresses), ndim)
+
+
+class TestFindBlocks:
+    @settings(max_examples=150, deadline=None)
+    @given(random_trees(), st.data())
+    def test_matches_scalar_search_from_any_start(self, tree, data):
+        env, starts, addresses = tree
+        start = data.draw(st.sampled_from(starts))
+        found = env.find_blocks(addresses, start=start)
+        expected = [env.find_block(tuple(a), start=start) for a in addresses.tolist()]
+        assert len(found) == len(expected)
+        assert all(f is e for f, e in zip(found, expected))
+
+    def test_counts_one_search_per_address_and_sees_new_blocks(self):
+        env = Env(allocator=PoolGroup([MemoryPool(1 << 20, name="p")]), name="grow")
+        first = env.add_data_block(
+            DataBlock((0,), (4,), components=1, page_elements=4, allocator=env.allocator)
+        )
+        addresses = np.array([[1], [5], [9]])
+        assert env.find_blocks(addresses, start=first) == [first, None, None]
+        assert (env.stats.searches, env.stats.search_steps) == (3, 3)
+        # The box table is rebuilt when the tree grows.
+        second = env.add_data_block(
+            DataBlock((4,), (4,), components=1, page_elements=4, allocator=env.allocator)
+        )
+        assert env.find_blocks(addresses, start=first) == [first, second, None]
+
+
+# ----------------------------------------------------------------------
+# (b) bulk-compiled plans == per-site reference compiler
+# ----------------------------------------------------------------------
+
+def reference_sites(env, block, addresses, ring):
+    """Per-site reference compiler: scalar searches, one site at a time.
+
+    Returns ``(sites, memo)``; a site is ``(source Block, element index)``
+    or ``(None, constant)``.  ``ring[i]`` tells whether site ``i`` needs
+    resolving (an offsets plan's geometrically inside sites do not).
+    """
+    sites, memo = [], {}
+    for addr, resolve in zip(addresses, ring):
+        target = block
+        if resolve and not block.contains(addr):
+            key = (block.block_id, tuple(a - o for a, o in zip(addr, block.origin)))
+            if key not in memo:
+                memo[key] = env.find_block(addr, start=block)
+            target = memo[key]
+        while isinstance(target, ReferenceBlock):
+            addr = tuple(target.mapper(GlobalAddress(addr)))
+            direct = target.target
+            if direct is not None and direct.contains(addr):
+                target = direct
+            else:
+                target = env.find_block(addr, start=env.root)
+        if isinstance(target, DataBlock):
+            sites.append((target, target.element_index(addr)))
+        else:
+            sites.append((None, np.asarray(target.read(addr), dtype=np.float64).reshape(-1)))
+    return sites, memo
+
+
+def assert_plan_matches_reference(env, block, plan, addresses, ring):
+    env.mmat.reset()
+    sites, memo = reference_sites(env, block, addresses, ring)
+    n_elem = block.element_count
+    expected = np.empty((len(sites), block.components))
+    halo = []
+    for i, (source, payload) in enumerate(sites):
+        expected[i] = payload if source is None else env.dense_read(source)[payload]
+        if isinstance(source, BufferOnlyBlock):
+            halo.append((i, PageKey(source.block_id, payload // source.page_elements)))
+
+    plan = plan()
+    assert env.mmat._memo == memo
+    assert plan.n_sites == len(sites)
+    assert np.array_equal(plan.execute(env), expected)
+    assert sorted(plan.remote_pages()) == sorted({key for _, key in halo})
+    halo_sites = np.unique([i for i, _ in halo]).astype(np.intp)
+    assert np.array_equal(plan.halo_sites(), halo_sites)
+    assert plan.in_block_sites == sum(source is block for source, _ in sites)
+    assert plan.out_of_block_sites == sum(
+        source is not None and source is not block for source, _ in sites
+    )
+    assert plan.resolved_sites == sum(ring)
+    if plan.kind == "offsets":
+        interior, boundary = plan.element_partition()
+        assert np.array_equal(boundary, np.unique(halo_sites % n_elem))
+        assert np.array_equal(np.sort(np.concatenate([interior, boundary])), np.arange(n_elem))
+
+
+def rank0_of_2(app_cls, config):
+    """The Env rank 0 of a 2-rank world builds, with every Block filled."""
+    app = app_cls(config)
+    app.bind_platform(Platform(aspects=mpi_aspects(2), mmat=True))
+    with task_scope(TaskContext(mpi_rank=0, mpi_size=2)):
+        app.initialize()
+    env = app.env
+    rng = np.random.default_rng(7)
+    for block in env.data_blocks(include_buffer_only=True):
+        if isinstance(block, BufferOnlyBlock):
+            block.load_dense(rng.random((block.element_count, block.components)))
+            block.is_valid = True
+    return env
+
+
+def offset_sites(block, offsets):
+    """``(addresses, ring flags)`` of an offsets plan in its site order."""
+    addresses, ring = [], []
+    for off in offsets:
+        for local in itertools.product(*(range(s) for s in block.shape)):
+            shifted = tuple(c + o for c, o in zip(local, off))
+            addresses.append(tuple(o + c for o, c in zip(block.origin, shifted)))
+            ring.append(not all(0 <= c < s for c, s in zip(shifted, block.shape)))
+    return addresses, ring
+
+
+NINE_POINT = [(dx, dy) for dx in (0, 1, -1) for dy in (0, 1, -1)]
+SGRID = dict(region=16, block_size=4, page_elements=8, init=lambda x, y: 0.3 * x - 0.7 * y)
+USGRID = dict(region=12, block_cells=16, page_elements=8, init=lambda x, y: 0.3 * x - 0.7 * y)
+
+
+class TestPlansMatchPerSiteReference:
+    @pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
+    def test_sgrid_offsets_plans(self, boundary):
+        env = rank0_of_2(JacobiSGrid, dict(SGRID, boundary=boundary))
+        assert any(isinstance(b, BufferOnlyBlock) for b in env.data_blocks(include_buffer_only=True))
+        for block in env.data_blocks():
+            addresses, ring = offset_sites(block, NINE_POINT)
+            assert_plan_matches_reference(
+                env, block, lambda: compile_offsets_plan(env, block, NINE_POINT), addresses, ring
+            )
+
+    @pytest.mark.parametrize("case", ["C", "R"])
+    def test_usgrid_address_and_offsets_plans(self, case):
+        env = rank0_of_2(JacobiUSGrid, dict(USGRID, case=case))
+        for block in env.data_blocks():
+            table = block.static_fields["neighbors"]
+            addresses = [(int(a),) for a in table.reshape(-1)]
+            assert_plan_matches_reference(
+                env, block, lambda: compile_address_plan(env, block, table),
+                addresses, [True] * len(addresses),
+            )
+            addresses, ring = offset_sites(block, [(0,), (3,), (20,)])
+            assert_plan_matches_reference(
+                env, block, lambda: compile_offsets_plan(env, block, [(0,), (3,), (20,)]),
+                addresses, ring,
+            )
+
+    def test_particle_offsets_plans(self):
+        env = rank0_of_2(
+            ParticleSimulation, dict(particles=128, block_buckets=4, page_elements=4)
+        )
+        for block in env.data_blocks():
+            addresses, ring = offset_sites(block, NEIGHBOURHOOD)
+            assert_plan_matches_reference(
+                env, block, lambda: compile_offsets_plan(env, block, NEIGHBOURHOOD),
+                addresses, ring,
+            )
+
+    def test_invalid_halo_is_recorded_and_zeroed(self):
+        env = rank0_of_2(JacobiSGrid, SGRID)
+        env.invalidate_buffer_only()
+        block = next(
+            b for b in env.data_blocks()
+            if compile_offsets_plan(env, b, NINE_POINT).has_halo
+        )
+        plan = compile_offsets_plan(env, block, NINE_POINT)
+        out = plan.execute(env)
+        assert env.missing_pages == set(plan.remote_pages())
+        assert np.all(out[plan.halo_sites()] == 0.0)
+
+
+# ----------------------------------------------------------------------
+# (c) compile cost: at most one search step per resolved address
+# ----------------------------------------------------------------------
+
+def test_compiling_a_64_block_env_costs_one_step_per_resolved_address():
+    app = JacobiSGrid(dict(region=64, block_size=8, page_elements=16))
+    app.bind_platform(Platform(mmat=True))
+    app.initialize()
+    env = app.env
+    blocks = env.data_blocks()
+    assert len(blocks) == 64
+    five_point = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
+    before = (env.stats.searches, env.stats.search_steps)
+    plans = [compile_offsets_plan(env, block, five_point) for block in blocks]
+    resolved = sum(plan.resolved_sites for plan in plans)
+    assert resolved == 64 * 4 * 8
+    assert env.stats.searches - before[0] == resolved
+    assert env.stats.search_steps - before[1] <= resolved
+    assert env.mmat.misses == len(env.mmat) == resolved

@@ -11,10 +11,15 @@ reset-invalidates-plans semantics the warm-up macro relies on.
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.memory import (
+    AddressError,
     ArithmeticBlock,
     BufferOnlyBlock,
     DataBlock,
@@ -50,6 +55,18 @@ def add_block(env, origin, shape=(4, 4), *, buffer_only=False, fill=None):
     return block
 
 
+def covered_sites(plan):
+    """Flat plan sites each part of ``plan`` fills: ``(slice part, segments, constants)``."""
+    n_off = len(plan.slices)
+    grid = np.arange(plan.n_sites).reshape((n_off,) + plan.shape) if n_off else None
+    sliced = [grid[oi][pair[0]].reshape(-1) for oi, pair in enumerate(plan.slices) if pair]
+    return (
+        np.concatenate(sliced) if sliced else np.empty(0, dtype=np.intp),
+        [seg.dst_idx for seg in plan.segments],
+        plan.const_dst if plan.const_dst is not None else np.empty(0, dtype=np.intp),
+    )
+
+
 def sequential(block):
     """Fill a block with 0..n-1 by linear element index; returns the array."""
     values = np.arange(block.element_count, dtype=np.float64)
@@ -64,8 +81,11 @@ class TestOffsetsPlanCompilation:
         block = add_block(plan_env, (0, 0))
         sequential(block)
         plan = compile_offsets_plan(plan_env, block, [(0, 0)])
-        assert len(plan.segments) == 1
-        assert plan.segments[0].block is block
+        # Every site stays in the block: one slice copy, nothing enumerated.
+        sliced, segments, consts = covered_sites(plan)
+        assert np.array_equal(np.sort(sliced), np.arange(block.element_count))
+        assert segments == [] and consts.size == 0
+        assert np.array_equal(plan.execute(plan_env)[:, 0], np.arange(16.0))
         assert plan.n_sites == block.element_count
         assert plan.in_block_sites == block.element_count
         assert plan.resolved_sites == 0  # all sites statically inside
@@ -112,7 +132,7 @@ class TestOffsetsPlanCompilation:
         plan_env.add_boundary_block(ref)
         plan = compile_offsets_plan(plan_env, block, [(-1, 0)])
         # Mirror sites resolve through the reference onto the block itself:
-        # a single data segment, no constants.
+        # a single data segment (the ring row), no constants.
         assert plan.const_dst is None
         assert len(plan.segments) == 1 and plan.segments[0].block is block
         out = plan.execute(plan_env).reshape(block.shape)
@@ -126,8 +146,52 @@ class TestOffsetsPlanCompilation:
             ArithmeticBlock((-4, -4), (16, 16), lambda addr: 0.0, name="ring")
         )
         plan = compile_offsets_plan(plan_env, a, [(0, 0), (4, 0), (0, 4)])
-        sources = {seg.block.block_id for seg in plan.segments}
-        assert sources == {a.block_id, b.block_id, c.block_id}
+        # One segment per neighbour, each covering exactly its offset's
+        # sites; the block's own offset is the slice part.
+        by_source = {seg.block.block_id: seg for seg in plan.segments}
+        assert set(by_source) == {b.block_id, c.block_id}
+        assert np.array_equal(np.sort(by_source[b.block_id].dst_idx), np.arange(16, 32))
+        assert np.array_equal(np.sort(by_source[c.block_id].dst_idx), np.arange(32, 48))
+        sliced, segments, consts = covered_sites(plan)
+        covered = np.concatenate([sliced, *segments, consts])
+        assert np.array_equal(np.sort(covered), np.arange(plan.n_sites))
+
+
+class TestCompileErrors:
+    def test_first_unresolvable_address_in_site_order_is_named(self, plan_env):
+        block = add_block(plan_env, (0, 0))
+        # Offset (0, 1) leaves the block first (sites 16..31), at (0, 4);
+        # (-1, 0) would leave it at the smaller address (-1, 0).
+        with pytest.raises(AddressError, match=r"contains address \(0, 4\)"):
+            compile_offsets_plan(plan_env, block, [(0, 0), (0, 1), (-1, 0)])
+        with pytest.raises(AddressError, match=r"contains address \(9,\)"):
+            compile_address_plan(
+                plan_env, add_block(plan_env, (20,), shape=(4,)), np.array([21, 9, 3])
+            )
+
+    def test_reference_chain_depth_limit(self, plan_env):
+        block = add_block(plan_env, (0,), shape=(4,))
+        hops = {"n": 0}
+
+        def advance(addr):
+            hops["n"] += 1
+            return GlobalAddress((addr[0] + 1,))
+
+        # Each hop lands one address further along the same reference
+        # block; the block's own data starts 5 hops from address -5.
+        plan_env.add_boundary_block(ReferenceBlock((-8,), (8,), advance, name="chain"))
+        plan = compile_address_plan(plan_env, block, np.array([-4]))
+        assert plan.segments[0].block is block and hops["n"] == 4
+        with pytest.raises(AddressError, match="too deep"):
+            compile_address_plan(plan_env, block, np.array([-5]))
+
+    def test_reference_to_nowhere_is_reported(self, plan_env):
+        block = add_block(plan_env, (0,), shape=(4,))
+        plan_env.add_boundary_block(
+            ReferenceBlock((4,), (4,), lambda addr: GlobalAddress((99,)), name="lost")
+        )
+        with pytest.raises(AddressError, match=r"'lost' cannot resolve mapped address \(99,\)"):
+            compile_offsets_plan(plan_env, block, [(1,)])
 
 
 class TestHaloPlanExecution:
@@ -223,7 +287,59 @@ class TestMMATPlanCache:
         plan = compile_offsets_plan(plan_env, block, [(0, 0), (1, 0)])
         mmat.plan_store(("k",), plan)
         assert mmat.memory_bytes() >= before + plan.nbytes
-        assert plan.nbytes >= plan.n_sites * np.dtype(np.intp).itemsize
+        # nbytes counts what the plan holds: index arrays for the four
+        # ring sites of offset (1, 0) and their constants, nothing for
+        # the 28 sites of the slice part.
+        held = [plan.const_dst, plan.const_vals]
+        for seg in plan.segments:
+            held += [seg.src_idx, seg.dst_idx]
+        assert plan.nbytes == sum(arr.nbytes for arr in held) > 0
+        assert plan.const_dst.size == 4
+
+    def test_plans_of_one_shape_share_one_scratch_array(self, plan_env):
+        a = add_block(plan_env, (0, 0))
+        b = add_block(plan_env, (4, 0))
+        sequential(a)
+        sequential(b)
+        mmat = plan_env.mmat
+        plan_a = compile_offsets_plan(plan_env, a, [(0, 0)])
+        plan_b = compile_offsets_plan(plan_env, b, [(0, 0)])
+        out_a = plan_a.execute(plan_env)
+        assert plan_b.execute(plan_env) is out_a  # same thread, same shape
+        assert compile_offsets_plan(plan_env, a, [(0, 0), (1, 0)]).execute(plan_env) is not out_a
+        assert len(mmat._scratch) == 2
+
+        mmat.reset()
+        assert not mmat._scratch
+        assert plan_a.execute(plan_env) is not out_a
+
+    def test_threads_sweeping_one_env_never_share_scratch(self, plan_env):
+        """Hybrid threads execute same-shaped plans of one Env concurrently;
+        a result must stay intact until its own thread executes again."""
+        blocks = [add_block(plan_env, (4 * k, 0), fill=np.full(16, float(k))) for k in range(8)]
+        plans = [compile_offsets_plan(plan_env, b, [(0, 0)]) for b in blocks]
+        stop = time.monotonic() + 0.5
+        clobbered = []
+
+        def sweep(k):
+            while time.monotonic() < stop and not clobbered:
+                out = plans[k].execute(plan_env)
+                time.sleep(0)  # let another thread execute its plan
+                if not np.all(out == float(k)):
+                    clobbered.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=sweep, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not clobbered
 
     def test_stats_report_hit_rate_and_plan_coverage(self, plan_env):
         block = add_block(plan_env, (0, 0))

@@ -116,6 +116,27 @@ class TestSGridTarget:
         block.refresh_swap()
         assert block.read((1, 2)) == 3.0
 
+    def test_init_sees_python_ints_in_y_outer_order(self):
+        calls = []
+
+        def init(x, y):
+            calls.append((x, y))
+            return 0.5 * x - 0.25 * y + 1e-3 * len(calls)  # order-dependent
+
+        app = self.make_app(region=8, block_size=4, init=init)
+        app.initialize()
+        assert all(type(x) is int and type(y) is int for x, y in calls)
+        expected, seen = {}, 0
+        for block in app.env.data_blocks():
+            (x0, y0), (sx, sy) = block.origin, block.shape
+            for j in range(sy):
+                for i in range(sx):
+                    seen += 1
+                    assert calls[seen - 1] == (x0 + i, y0 + j)
+                    expected[x0 + i, y0 + j] = 0.5 * (x0 + i) - 0.25 * (y0 + j) + 1e-3 * seen
+        field = app.local_field()
+        assert all(field[x, y] == value for (x, y), value in expected.items())
+
     def test_neumann_boundary_option(self):
         app = self.make_app(boundary="neumann")
         app.initialize()
@@ -228,6 +249,25 @@ class TestUSGridTarget:
         assert isinstance(app.env.boundary_blocks[0], StaticDataBlock)
         block = app.env.data_blocks()[0]
         assert block.static_fields["neighbors"].shape == (16, 4)
+
+    @pytest.mark.parametrize("case", ["C", "R"])
+    def test_neighbour_table_follows_the_layout(self, case):
+        app = self.make_app(case)
+        app.initialize()
+        index_map, n = app.cell_index_map(), app.region
+
+        def address(x, y):
+            inside = 0 <= x < n and 0 <= y < n
+            return index_map[x, y] if inside else app.boundary_address(x, y)
+
+        table = np.concatenate(
+            [b.static_fields["neighbors"] for b in app.env.data_blocks()]
+        )
+        for x in range(n):
+            for y in range(n):
+                assert list(table[index_map[x, y]]) == [
+                    address(x - 1, y), address(x + 1, y), address(x, y - 1), address(x, y + 1)
+                ]
 
     def test_local_field_matches_init(self):
         app = self.make_app()

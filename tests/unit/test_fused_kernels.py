@@ -8,8 +8,8 @@ Covers the satellite fixes that ride with the plan-fusion tentpole:
   instead of silently producing a meaningless partition;
 * key-less ``gather_global`` compiles are counted separately
   (``plan_compiles_uncached``) so coverage numbers stay honest;
-* ``AccessPlan.execute`` reuses a per-plan scratch array instead of
-  allocating a fresh output every call;
+* ``AccessPlan.execute`` reuses a scratch array (pooled on the MMAT)
+  instead of allocating a fresh output every call;
 * fused kernels are cached on the MMAT, invalidated by ``reset()``,
   and surfaced through stats, counters and the run summary.
 """
@@ -165,7 +165,7 @@ class TestExecuteScratchReuse:
         out1 = plan.execute(env)
         first = out1.copy()
         out2 = plan.execute(env)
-        assert out1 is out2  # per-plan scratch, not a fresh alloc
+        assert out1 is out2  # pooled scratch, not a fresh alloc
         assert np.array_equal(first, out2)
 
 

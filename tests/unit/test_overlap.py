@@ -156,12 +156,21 @@ class TestAccessPlanSplit:
         env, local, _halo = _two_block_env()
         plan = compile_offsets_plan(env, local, [(0, 0), (1, 0)])
         interior, boundary = plan.split()
-        assert interior and boundary  # the (1, 0) offset crosses into the halo
+        assert boundary  # the (1, 0) offset crosses into the halo
         assert set(interior) | set(boundary) == set(plan.segments)
         assert not (set(interior) & set(boundary))
         assert all(seg.check_pages is None for seg in interior)
         assert all(seg.check_pages is not None for seg in boundary)
         assert plan.has_halo
+        # Interior gather (slice part + local segments) and boundary gather
+        # together write every site exactly once.
+        writes = np.zeros((plan.n_sites, 1))
+        for part in (plan.gather_interior, plan.gather_boundary):
+            out = np.full((plan.n_sites, 1), np.nan)
+            part(env, out)
+            writes += ~np.isnan(out)
+        assert np.all(writes == 1)
+        assert np.array_equal(np.flatnonzero(np.isnan(out)[:, 0]), np.arange(28))
 
     def test_halo_sites_are_the_boundary_destinations(self):
         env, local, _halo = _two_block_env()
