@@ -194,7 +194,7 @@ class PlatformRun:
         Example::
 
             mpi=2,omp=2 tasks=4 elapsed=0.041s steps=8 updates=4096
-            fetched=12pg/3.1KiB collectives=10 plans=16/7680sites vec=100%
+            fetched=12pg/3.1KiB collectives=10 plans=16/7680sites vec=100% asm=4
         """
         layers = ",".join(f"{k}={v}" for k, v in sorted(self.layers.items()))
         if not layers:
@@ -228,6 +228,11 @@ class PlatformRun:
                 line += f" dyn={uncached}"
             if fallback:
                 line += f" fallback={fallback}"
+            if self.env_stats is not None:
+                # Blocks the master rank's Env copied page by page into its
+                # dense read image: flat over the steps when every sweep is
+                # a full-block store, growing with them when not.
+                line += f" asm={self.env_stats.dense_assemblies}"
         fused_calls = sum(c.kernel_fused_calls for c in self.counters.values())
         if fused_calls:
             fusions = sum(c.kernel_fuse for c in self.counters.values())

@@ -255,8 +255,8 @@ class BlockKernel:
             data = data.reshape(block.element_count, block.components)
         except ValueError:
             data = np.broadcast_to(data, (block.element_count, block.components))
-        self.env.discard_full_store(block.block_id)
         block.load_dense(data, into_write=True)
+        self.env.note_full_store(block, data)
         self._trace.updates += self._work * block.element_count
 
     def sweep(self, fn: Callable[..., np.ndarray], offsets: Sequence[Sequence[int]]) -> None:

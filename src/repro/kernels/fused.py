@@ -38,7 +38,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..memory.page import PageKey  # noqa: F401  (exec namespace re-export)
 from ..obs.spans import global_tracer
 from . import CodegenError, resolve_codegen
 
@@ -60,29 +59,6 @@ def _as_field(res, shape, dtype) -> np.ndarray:
     if not (arr.flags.c_contiguous and arr.flags.writeable):
         arr = np.array(arr, dtype=dtype)
     return arr
-
-
-class _HaloGroup:
-    """Ring-fill table against one Buffer-only (halo) source block."""
-
-    __slots__ = ("block", "src", "pos", "entry_pages", "check_pages", "_objs")
-
-    def __init__(self, block, src: np.ndarray, pos: np.ndarray) -> None:
-        self.block = block
-        self.src = src
-        self.pos = pos
-        self.entry_pages = src // block.page_elements
-        self.check_pages = np.unique(self.entry_pages)
-        self._objs = None
-
-    def invalid_pages(self) -> list:
-        """Not-yet-valid halo pages this group reads (lazy page objects)."""
-        objs = self._objs
-        if objs is None:
-            pages = self.block.buffer.read_buffer.pages
-            objs = [(int(p), pages[p]) for p in self.check_pages]
-            self._objs = objs
-        return [index for index, page in objs if not page.valid]
 
 
 class FusedKernel:
@@ -130,15 +106,12 @@ class FusedKernel:
 
         # -- ring-fill tables (the plan's segments and constants are ----
         #    exactly its out-of-block sites)
-        interior_segs, boundary_segs = plan.split()
-        self.data_groups: List[tuple] = []
-        for seg in interior_segs:
-            pos, first = self._ring_positions(seg.dst_idx)
-            self.data_groups.append((seg.block, seg.src_idx[first], pos))
-        self.halo_groups: List[_HaloGroup] = []
-        for seg in boundary_segs:
-            pos, first = self._ring_positions(seg.dst_idx)
-            self.halo_groups.append(_HaloGroup(seg.block, seg.src_idx[first], pos))
+        #: The plan's merged tables re-aimed at the padded field's ring
+        #: cells: ``(owned, halo)``, filled by ``PlanSegment.gather``.
+        self.ring_tables = tuple(
+            [seg.with_sites(*self._ring_positions(seg.dst_idx)) for seg in part]
+            for part in plan.split()
+        )
         if plan.const_dst is not None:
             pos, first = self._ring_positions(plan.const_dst)
             self.const_pos = pos
@@ -161,10 +134,6 @@ class FusedKernel:
         #: threads sweeping concurrently never alias one field).
         self._pool: List[np.ndarray] = []
         self._merge_scratch: List[np.ndarray] = []
-        #: Per-write-buffer store plans: trimmed 1-D page views + pages.
-        #: Pages are only ever refilled in place (never replaced), so the
-        #: views stay valid for the lifetime of the buffer generation.
-        self._store_plans: List[tuple] = []
         #: Per-offset padded-flat indices of the halo-touching elements
         #: (the overlap rim), resolved lazily.
         self._boundary_pidx = None
@@ -217,43 +186,6 @@ class FusedKernel:
     def release(self, P: np.ndarray) -> None:
         """Return a padded field to the pool (constants stay in place)."""
         self._pool.append(P)
-
-    def store_plan(self, env) -> tuple:
-        """Trimmed 1-D views over the current write buffer's pages.
-
-        Runs of pages whose pool chunks are byte-adjacent in the same
-        arena are merged into one view over the arena (the usual case —
-        a buffer's pages are allocated back to back), so the generated
-        ``store`` pays one slice-assignment per contiguous *run*, not
-        per page.  Cached per buffer (double buffering alternates
-        between a fixed set of :class:`BlockBuffer` objects).
-        """
-        buf = self.block.buffer.write_buffer
-        for plan in self._store_plans:
-            if plan[0] is buf:
-                return plan[1], plan[2]
-        itemsize = np.dtype(self.dtype).itemsize
-        views: List[np.ndarray] = []
-        run = None  # (pool, start_byte, end_byte)
-        lo = 0
-        for page in buf.pages:
-            n = min(page.elements, self.n_elem - lo)
-            if n <= 0:
-                break
-            lo += n
-            chunk = page.chunk
-            nbytes = n * itemsize
-            if run is not None and run[0] is chunk.pool and run[2] == chunk.offset:
-                run = (run[0], run[1], chunk.offset + nbytes)
-                continue
-            if run is not None:
-                views.append(run[0]._backing[run[1]:run[2]].view(self.dtype))
-            run = (chunk.pool, chunk.offset, chunk.offset + nbytes)
-        if run is not None:
-            views.append(run[0]._backing[run[1]:run[2]].view(self.dtype))
-        plan = (buf, views, list(buf.pages))
-        self._store_plans.append(plan)
-        return views, plan[2]
 
     # ------------------------------------------------------------------
     # dispatch

@@ -7,8 +7,9 @@ The emitted module performs one whole-block sweep as
    served by locally-owned sources (mirror boundaries, neighbour Data
    Blocks) with precomputed gather tables;
 2. ``fill_boundary`` — fill the ring cells served by Buffer-only (halo)
-   sources, recording missing pages exactly like
-   :meth:`~repro.memory.mmat.AccessPlan.gather_boundary`;
+   sources through the same :meth:`~repro.memory.mmat.PlanSegment.gather`
+   as :meth:`~repro.memory.mmat.AccessPlan.gather_boundary` (missing
+   pages recorded, their cells zeroed);
 3. ``compute`` — call the elementwise ``fn`` on one shifted *view* of
    ``P`` per stencil offset (no per-offset gather arrays are ever
    materialised — this is the fusion);
@@ -24,8 +25,6 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 import numpy as np
-
-from ..memory.page import PageKey
 
 __all__ = ["NumpySourceCodegen"]
 
@@ -65,27 +64,15 @@ def emit_source(signature: Tuple) -> str:
         "",
         "def fill_interior(K, env):",
         "    P = K.alloc()",
-        f"    F = P.reshape({psize})",
         f"    P[{interior}] = env.dense_read(K.block)[:, 0].reshape({shape_r})",
-        "    for blk, src, pos in K.data_groups:",
-        "        F[pos] = env.dense_read(blk)[src, 0]",
-        "    return P, F",
+        f"    ring = P.reshape({psize}, 1)",
+        "    for table in K.ring_tables[0]:",
+        "        table.gather(env, ring)",
+        f"    return P, P.reshape({psize})",
         "",
         "def fill_boundary(K, env, F):",
-        "    missing = 0",
-        "    for g in K.halo_groups:",
-        "        blk = g.block",
-        "        vals = env.dense_read(blk)[g.src, 0]",
-        "        if not blk.is_valid:",
-        "            bad = g.invalid_pages()",
-        "            if bad:",
-        "                bid = blk.block_id",
-        "                for p in bad:",
-        "                    env.missing_pages.add(PageKey(bid, p))",
-        "                missing += len(bad)",
-        "                vals[np.isin(g.entry_pages, bad)] = 0.0",
-        "        F[g.pos] = vals",
-        "    return missing",
+        f"    ring = F.reshape({psize}, 1)",
+        "    return sum(table.gather(env, ring) for table in K.ring_tables[1])",
         "",
         "def compute(P, fn):",
         f"    return fn({', '.join(views)})",
@@ -96,14 +83,7 @@ def emit_source(signature: Tuple) -> str:
         f"        flat = res.reshape({n_elem})",
         "    else:",
         f"        flat = np.broadcast_to(res, {shape_r}).reshape({n_elem})",
-        "    views, pages = K.store_plan(env)",
-        "    s = 0",
-        "    for v in views:",
-        "        e = s + v.shape[0]",
-        "        v[:] = flat[s:e]",
-        "        s = e",
-        "    for p in pages:",
-        "        p.dirty = True",
+        "    K.block.buffer.write_buffer.load_dense(flat)",
         "    env.note_full_store(K.block, flat)",
         "",
         "def fused_sweep(K, env, fn):",
@@ -134,7 +114,7 @@ class NumpySourceCodegen:
             source = emit_source(signature)
             code = builtins_compile(source, signature)
             self._code[signature] = code
-        namespace = {"np": np, "PageKey": PageKey}
+        namespace = {"np": np}
         exec(code, namespace)
         return namespace
 

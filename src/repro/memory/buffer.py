@@ -41,6 +41,7 @@ class BlockBuffer:
         self.components = int(components)
         self.dtype = np.dtype(dtype)
         self.pages: List[Page] = []
+        self._runs: Optional[List[np.ndarray]] = None
         remaining = self.element_count
         index = 0
         while remaining > 0:
@@ -92,27 +93,60 @@ class BlockBuffer:
             )
         return element_index // self.page_elements
 
-    def dense(self) -> np.ndarray:
-        """Assemble a contiguous ``(element_count, components)`` copy.
+    def runs(self) -> List[np.ndarray]:
+        """The buffer's elements as maximal contiguous arena views, in order.
 
-        Provided for vectorised extensions and for tests; the per-point
-        kernel path never calls it.
+        Pages whose pool chunks are byte-adjacent in one arena (the usual
+        case — a buffer's pages are allocated back to back) merge into a
+        single ``(elements, components)`` view over that arena, so bulk
+        copies pay one slice assignment per *run*, not per page.  A chunk
+        padded by the pool alignment, a spill into another pool or a
+        fragmented free list ends a run; the last page is trimmed to the
+        buffer's element count.  Pages are only ever refilled in place,
+        so the views are cached for the life of the buffer.
         """
-        out = np.empty((self.element_count, self.components), dtype=self.dtype)
-        for index in range(self.page_count):
-            start = index * self.page_elements
-            stop = min(start + self.page_elements, self.element_count)
-            out[start:stop] = self.pages[index].array[: stop - start]
+        runs = self._runs
+        if runs is None:
+            row_bytes = self.components * self.dtype.itemsize
+            spans: List[list] = []  # [pool, first byte, end byte]
+            remaining = self.element_count
+            for page in self.pages:
+                chunk = page.chunk
+                live = min(page.elements, remaining)
+                remaining -= live
+                if spans and spans[-1][0] is chunk.pool and spans[-1][2] == chunk.offset:
+                    spans[-1][2] += live * row_bytes
+                else:
+                    spans.append([chunk.pool, chunk.offset, chunk.offset + live * row_bytes])
+            runs = self._runs = [
+                pool._backing[lo:hi].view(self.dtype).reshape(-1, self.components)
+                for pool, lo, hi in spans
+            ]
+        return runs
+
+    def dense(self, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Assemble the buffer as one contiguous ``(element_count, components)``
+        array: into ``out`` when given (the Env's dense read image), else
+        into a fresh copy."""
+        if out is None:
+            out = np.empty((self.element_count, self.components), dtype=self.dtype)
+        start = 0
+        for run in self.runs():
+            stop = start + run.shape[0]
+            out[start:stop] = run
+            start = stop
         return out
 
     def load_dense(self, data: np.ndarray) -> None:
-        """Scatter a contiguous array back into the pages."""
+        """Scatter a contiguous array back into the pages (all marked dirty)."""
         data = np.asarray(data, dtype=self.dtype).reshape(self.element_count, self.components)
-        for index in range(self.page_count):
-            start = index * self.page_elements
-            stop = min(start + self.page_elements, self.element_count)
-            self.pages[index].array[: stop - start] = data[start:stop]
-            self.pages[index].dirty = True
+        start = 0
+        for run in self.runs():
+            stop = start + run.shape[0]
+            run[...] = data[start:stop]
+            start = stop
+        for page in self.pages:
+            page.dirty = True
 
     def clear_dirty(self) -> None:
         for page in self.pages:
@@ -126,6 +160,7 @@ class BlockBuffer:
         for page in self.pages:
             page.release()
         self.pages.clear()
+        self._runs = None
 
     def __iter__(self) -> Iterator[Page]:
         return iter(self.pages)

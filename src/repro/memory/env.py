@@ -46,7 +46,7 @@ from .mmat import MMAT
 from .page import PageKey
 from .pool import MemoryPool, PoolGroup
 
-__all__ = ["Env", "EnvStats"]
+__all__ = ["Env", "EnvStats", "DenseImage"]
 
 
 @dataclass
@@ -69,6 +69,10 @@ class EnvStats:
     refreshes: int = 0
     failed_refreshes: int = 0
     buffer_swaps: int = 0
+    #: Blocks whose pages were copied into the dense read image because
+    #: the image did not hold their current read buffer (0 per step in a
+    #: steady-state full-store sweep).
+    dense_assemblies: int = 0
 
     def as_dict(self) -> dict:
         return dict(self.__dict__)
@@ -78,6 +82,76 @@ class EnvStats:
         for key in self.__dict__:
             setattr(merged, key, getattr(self, key) + getattr(other, key))
         return merged
+
+
+class DenseImage:
+    """The dense read image of one ``(components, dtype)`` class of Blocks.
+
+    Compiled access plans do not read pages: they index one contiguous
+    copy of the read buffers of *all* the Env's Blocks of a class, so a
+    plan is one gather however many Blocks its sites land in.  Layout:
+
+    * ``read`` / ``next`` — ``(local_rows, components)``; every owned
+      Data Block has the rows ``[base, base + element_count)`` of both.
+      ``read`` mirrors the read buffers, ``next`` receives this step's
+      full-block stores (:meth:`Env.note_full_store`); a successful
+      non-warm-up refresh swaps the two together with the buffers.
+    * ``halo`` — ``(halo_rows, components)`` for the Buffer-only Blocks,
+      single-buffered because Buffer-only Blocks never swap: their read
+      buffer is only ever refilled in place by page installs.
+
+    Row bases are handed out once, at ``Env.add_data_block``, and never
+    move, so a compiled plan's row indices stay valid while the tree
+    grows.  The arrays are allocated on first use; growing the tree
+    drops them (they are re-allocated at the new size on the next use).
+
+    **Invariant** (checked by :meth:`Env.check_dense_image`): for every
+    Block in ``fresh`` its image rows equal ``read_buffer.dense()``; for
+    every Block in ``next_fresh`` its ``next`` rows equal
+    ``write_buffer.dense()``.  A Block in neither set says nothing — its
+    rows are assembled from the pages by the next :meth:`Env.dense_read`.
+    """
+
+    __slots__ = (
+        "components", "dtype", "local_rows", "halo_rows",
+        "read", "next", "halo", "fresh", "next_fresh",
+    )
+
+    def __init__(self, components: int, dtype) -> None:
+        self.components = int(components)
+        self.dtype = np.dtype(dtype)
+        self.local_rows = 0
+        self.halo_rows = 0
+        self.read: Optional[np.ndarray] = None
+        self.next: Optional[np.ndarray] = None
+        self.halo: Optional[np.ndarray] = None
+        #: Ids of the Blocks (owned and Buffer-only) whose rows are current.
+        self.fresh: Set[int] = set()
+        #: Ids of the owned Blocks fully stored into ``next`` this step.
+        self.next_fresh: Set[int] = set()
+
+    def reserve(self, block: DataBlock) -> tuple:
+        """Hand ``block`` its rows: ``(self, first row, end row, is halo)``."""
+        halo = isinstance(block, BufferOnlyBlock)
+        count = block.element_count
+        if halo:
+            base, self.halo_rows = self.halo_rows, self.halo_rows + count
+        else:
+            base, self.local_rows = self.local_rows, self.local_rows + count
+        # The arrays are now too short: drop them and what they held.
+        self.read = self.next = self.halo = None
+        self.invalidate()
+        return (self, base, base + count, halo)
+
+    def invalidate(self) -> None:
+        """Trust no row (neither side) until it is assembled or stored again."""
+        self.fresh.clear()
+        self.next_fresh.clear()
+
+    def swap(self) -> None:
+        """The buffers swapped: this step's full stores are now the reads."""
+        self.read, self.next = self.next, self.read
+        self.fresh, self.next_fresh = self.next_fresh, set()
 
 
 class Env:
@@ -106,16 +180,13 @@ class Env:
         }
         self.stats = EnvStats()
         self.mmat = MMAT(enabled=mmat_enabled)
-        #: Per-iteration cache of dense read-buffer copies used by access
-        #: plans; invalidated whenever read buffers can change (refresh
-        #: swap, page install, buffer-only invalidation).
-        self._dense_cache: Dict[int, np.ndarray] = {}
-        #: Full-block results written by fused kernels this step: after a
-        #: successful refresh swap the written buffer becomes the read
-        #: buffer, so the stored copy *is* the next step's dense read and
-        #: is promoted straight into ``_dense_cache`` (no page-assembly
-        #: pass).  Any other write to the block discards its entry.
-        self._stored_dense: Dict[int, np.ndarray] = {}
+        #: The dense read image compiled plans index (see
+        #: :class:`DenseImage`), one per ``(components, dtype)`` class of
+        #: Data Blocks in the tree — one in every stock DSL — and each
+        #: Block's rows in it as ``(image, first row, end row, is halo)``.
+        self._images: Dict[tuple, DenseImage] = {}
+        self._slots: Dict[int, tuple] = {}
+        self._image_lock = threading.Lock()
         #: Pages found missing (non-existent / not-yet-valid) since the
         #: last refresh.  AspectType III advice consumes this list.
         self.missing_pages: Set[PageKey] = set()
@@ -134,6 +205,9 @@ class Env:
         #: Box tables of :meth:`find_blocks`, one per address
         #: dimensionality; built lazily, dropped when the tree changes.
         self._box_tables: Dict[int, tuple] = {}
+        #: ``(owned, owned + Buffer-only)`` Data Blocks in tree order;
+        #: built lazily, dropped when the tree changes.
+        self._data_block_lists: Optional[Tuple[list, list]] = None
 
     # ------------------------------------------------------------------
     # tree construction (used by DSL layers)
@@ -141,6 +215,7 @@ class Env:
     def _register(self, block: Block) -> Block:
         self.blocks_by_id[block.block_id] = block
         self._box_tables.clear()
+        self._data_block_lists = None
         if isinstance(block, ReferenceBlock):
             block.env = self
         return block
@@ -150,6 +225,11 @@ class Env:
         if not isinstance(block, DataBlock):
             raise EnvError("add_data_block expects a DataBlock (or subclass)")
         (parent or self.data_joint).add_child(block)
+        key = (block.components, block.buffer.read_buffer.dtype)
+        image = self._images.get(key)
+        if image is None:
+            image = self._images[key] = DenseImage(*key)
+        self._slots[block.block_id] = image.reserve(block)
         return self._register(block)
 
     def add_boundary_block(self, block: Block) -> Block:
@@ -172,13 +252,12 @@ class Env:
     # ------------------------------------------------------------------
     def data_blocks(self, *, include_buffer_only: bool = False) -> List[DataBlock]:
         """All Data Blocks in Z-order-friendly tree order."""
-        blocks = [
-            b
-            for b in self.data_joint.iter_subtree()
-            if isinstance(b, DataBlock)
-            and (include_buffer_only or not isinstance(b, BufferOnlyBlock))
-        ]
-        return blocks
+        lists = self._data_block_lists
+        if lists is None:
+            every = [b for b in self.data_joint.iter_subtree() if isinstance(b, DataBlock)]
+            owned = [b for b in every if not isinstance(b, BufferOnlyBlock)]
+            lists = self._data_block_lists = (owned, every)
+        return list(lists[include_buffer_only])
 
     def block(self, block_id: int) -> Block:
         try:
@@ -219,25 +298,27 @@ class Env:
         numerical results are discarded.
         """
         self.stats.refreshes += 1
-        self._dense_cache.clear()
         if self.missing_pages:
             self.last_failed_pages = set(self.missing_pages)
             self.missing_pages.clear()
             self.stats.failed_refreshes += 1
             # The step re-executes against the unchanged read buffers, so
             # this step's full-block stores are not (yet) readable data.
-            self._stored_dense.clear()
+            self.invalidate_dense()
             return False
         self.last_failed_pages = set()
-        if not warmup:
-            for block in self.data_blocks():
-                block.refresh_swap()
-                self.stats.buffer_swaps += 1
-            self.step += 1
-            # The buffers just written by fused full-block stores are now
-            # the read buffers: their stored dense copies are valid reads.
-            self._dense_cache.update(self._stored_dense)
-        self._stored_dense.clear()
+        if warmup:
+            self.invalidate_dense()
+            return True
+        owned = self.data_blocks()
+        for block in owned:
+            block.refresh_swap()
+        self.stats.buffer_swaps += len(owned)
+        self.step += 1
+        # The buffers just written by full-block stores are now the read
+        # buffers: the image rows that mirrored them are valid reads.
+        for image in self._images.values():
+            image.swap()
         return True
 
     # ------------------------------------------------------------------
@@ -460,13 +541,13 @@ class Env:
         if not isinstance(block, DataBlock):
             raise EnvError(f"page install requested on non-data block {block.name!r}")
         block.page_fill(key.page_index, data)
-        self._dense_cache.pop(key.block_id, None)
+        self.invalidate_dense((key.block_id,))
 
     def page_install_many(self, items: Iterable[Tuple[PageKey, np.ndarray]]) -> None:
         """Install a batch of fetched pages (one aggregated halo exchange).
 
         Equivalent to :meth:`page_install` per item, but invalidates each
-        touched block's dense-read cache only once per block.
+        touched block's dense image rows only once per block.
         """
         touched: Set[int] = set()
         for key, data in items:
@@ -475,15 +556,17 @@ class Env:
                 raise EnvError(f"page install requested on non-data block {block.name!r}")
             block.page_fill(key.page_index, data)
             touched.add(key.block_id)
-        for block_id in touched:
-            self._dense_cache.pop(block_id, None)
+        self.invalidate_dense(touched)
 
     def invalidate_buffer_only(self) -> None:
         """Mark every Buffer-only Block stale (done at each step boundary)."""
-        for block in self.data_blocks(include_buffer_only=True):
-            if isinstance(block, BufferOnlyBlock):
-                block.invalidate()
-                self._dense_cache.pop(block.block_id, None)
+        stale = [
+            b for b in self.data_blocks(include_buffer_only=True)
+            if isinstance(b, BufferOnlyBlock)
+        ]
+        for block in stale:
+            block.invalidate()
+        self.invalidate_dense(b.block_id for b in stale)
 
     # ------------------------------------------------------------------
     # overlapped halo exchange (used by the distributed-memory aspect)
@@ -531,38 +614,118 @@ class Env:
     # bulk access (used by compiled access plans)
     # ------------------------------------------------------------------
     def dense_read(self, block: DataBlock) -> np.ndarray:
-        """Contiguous ``(elements, components)`` copy of a Block's read buffer.
+        """``(elements, components)`` view of a Block's read buffer in the
+        dense read image (:class:`DenseImage`).
 
-        Cached per iteration so a plan gathering from the same source
-        Block several times (one segment per stencil offset) pays for a
-        single page-assembly pass; the cache is invalidated on refresh,
-        page install and Buffer-only invalidation.
+        The Block's pages are copied into its image rows only when the
+        rows are not fresh — after a refresh that did not promote a full
+        store of the Block, a page install, a Buffer-only invalidation.
+        The view aliases the image: it is current until the next refresh
+        or install, and callers must not write through it.
         """
-        cached = self._dense_cache.get(block.block_id)
-        if cached is None:
-            cached = block.buffer.read_buffer.dense()
-            self._dense_cache[block.block_id] = cached
-        return cached
+        image, lo, hi, halo = self.image_slot(block)
+        array = image.halo if halo else image.read
+        if array is None:
+            array = self._allocate(image, "halo" if halo else "read")
+        rows = array[lo:hi]
+        if block.block_id not in image.fresh:
+            block.buffer.read_buffer.dense(out=rows)
+            image.fresh.add(block.block_id)
+            self.stats.dense_assemblies += 1
+        return rows
+
+    def _allocate(self, image: DenseImage, side: str) -> np.ndarray:
+        """Allocate the ``read`` / ``next`` / ``halo`` array of ``image``
+        on its first use."""
+        # Hybrid threads sweep one Env concurrently: exactly one may
+        # allocate, or a Block assembled into the loser's array would
+        # count as fresh.
+        with self._image_lock:
+            array = getattr(image, side)
+            if array is None:
+                rows = image.halo_rows if side == "halo" else image.local_rows
+                array = np.empty((rows, image.components), dtype=image.dtype)
+                setattr(image, side, array)
+        return array
+
+    def image_slot(self, block: DataBlock) -> tuple:
+        """``(image, first row, end row, is halo)`` of an attached Data Block."""
+        try:
+            return self._slots[block.block_id]
+        except KeyError:
+            raise EnvError(
+                f"block {block.name!r} is not a Data Block of Env {self.name!r}"
+            ) from None
+
+    def image_rows(self, image: DenseImage, sources: Iterable[DataBlock], halo: bool) -> np.ndarray:
+        """The image array a merged plan table indexes — the owned rows,
+        or the Buffer-only rows when ``halo`` — with every Block of
+        ``sources`` fresh."""
+        fresh = image.fresh
+        for block in sources:
+            if block.block_id not in fresh:
+                self.dense_read(block)
+        return image.halo if halo else image.read
 
     def note_full_store(self, block: DataBlock, flat: np.ndarray) -> None:
         """Record that ``flat`` was just written over *every* element of
-        ``block``'s write buffer (a fused full-block store).
+        ``block``'s write buffer (a fused store, a ``scatter``).
 
-        The copy is promoted into the dense-read cache by the next
-        successful refresh (the write buffer becomes the read buffer),
-        so steady-state fused sweeps never re-assemble pages.  Callers
-        that write to the block through any other path must call
-        :meth:`discard_full_store` or the promoted copy would go stale.
+        The values are mirrored into the Block's ``next`` image rows,
+        which the next successful refresh makes its read rows (the write
+        buffer becomes the read buffer), so steady-state full-block
+        sweeps never re-assemble pages.  Callers that write to the block
+        through any other path must call :meth:`discard_full_store` or
+        the mirrored rows would go stale.
         """
-        buf = block.buffer.read_buffer
-        self._stored_dense[block.block_id] = np.array(
-            flat, dtype=buf.dtype, copy=True
-        ).reshape(block.element_count, block.components)
+        image, lo, hi, halo = self.image_slot(block)
+        if halo:
+            return  # Buffer-only Blocks never swap: nothing to promote
+        array = image.next
+        if array is None:
+            array = self._allocate(image, "next")
+        array[lo:hi] = np.asarray(flat).reshape(-1, image.components)
+        image.next_fresh.add(block.block_id)
 
     def discard_full_store(self, block_id: int) -> None:
         """Drop a pending full-block store (the block was written again)."""
-        if self._stored_dense:
-            self._stored_dense.pop(block_id, None)
+        slot = self._slots.get(block_id)
+        if slot is not None:
+            slot[0].next_fresh.discard(block_id)
+
+    def invalidate_dense(self, block_ids: Optional[Iterable[int]] = None) -> None:
+        """Stop trusting the dense image rows of ``block_ids`` (default:
+        of every Block): their buffers were written behind the image's
+        back — a page install, a checkpoint restore, a Buffer-only
+        invalidation.  The next :meth:`dense_read` re-assembles them."""
+        if block_ids is None:
+            for image in self._images.values():
+                image.invalidate()
+            return
+        for block_id in block_ids:
+            slot = self._slots.get(block_id)
+            if slot is not None:
+                slot[0].fresh.discard(block_id)
+                slot[0].next_fresh.discard(block_id)
+
+    def check_dense_image(self) -> None:
+        """Raise :class:`EnvError` unless the :class:`DenseImage` invariant
+        holds: fresh rows equal the read buffer, pending full stores the
+        write buffer (bit for bit)."""
+        for block_id, (image, lo, hi, halo) in self._slots.items():
+            block = self.blocks_by_id[block_id]
+            sides = [("halo" if halo else "read", image.fresh, block.buffer.read_buffer)]
+            if not halo:
+                sides.append(("next", image.next_fresh, block.buffer.write_buffer))
+            for side, fresh, buf in sides:
+                if block_id not in fresh:
+                    continue
+                array = getattr(image, side)
+                if array is None or array[lo:hi].tobytes() != buf.dense().tobytes():
+                    raise EnvError(
+                        f"dense image of Env {self.name!r}: the {side} rows of block "
+                        f"{block.name!r} are marked fresh but differ from its buffer"
+                    )
 
     def plan_page_requirements(self) -> Set[PageKey]:
         """Union of the Buffer-only (halo) pages every compiled plan reads.

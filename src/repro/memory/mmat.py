@@ -15,10 +15,12 @@ of searching the Env tree.
 Access plans push the same assumption one step further: the sites of a
 whole-block sweep are resolved *in bulk* (one vectorised
 :meth:`~repro.memory.env.Env.find_blocks` per plan, recorded in the
-memo) and compiled into a handful of NumPy index arrays (one gather per
-source Block plus a precomputed constant table for Arithmetic/Static
-boundary sites); the sites of a stencil offset that stay inside the
-Block are not enumerated at all but kept as one pair of array slices.
+memo) and compiled into a handful of NumPy index arrays — one merged
+gather table per array of the Env's dense read image, i.e. one for all
+locally-owned source Blocks and one for all Buffer-only ones, plus a
+precomputed constant table for Arithmetic/Static boundary sites; the
+sites of a stencil offset that stay inside the Block are not enumerated
+at all but kept as one pair of array slices.
 The whole sweep then executes as bulk array operations instead of
 ``size_x * size_y`` scalar ``get`` calls.  Plans are cached on the
 :class:`MMAT` instance, so :meth:`MMAT.reset` — called by the warm-up
@@ -41,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .address import GlobalAddress
-from .block import BufferOnlyBlock, DataBlock, ReferenceBlock
+from .block import DataBlock, ReferenceBlock
 from .errors import AddressError
 from .page import PageKey
 
@@ -55,50 +57,79 @@ __all__ = [
 
 
 class PlanSegment:
-    """Gather instructions against one source Block of an :class:`AccessPlan`.
+    """One merged gather table of an :class:`AccessPlan`.
 
-    ``src_idx`` are flat element indices into the source Block's dense
-    read buffer; ``dst_idx`` are the matching flat site indices of the
-    plan output.  For Buffer-only sources the segment also keeps the
-    page indices it touches so the executor can do one bulk validity
-    check per iteration instead of one per element.
+    A table serves every plan site that reads one array of the Env's
+    dense read image (:class:`~repro.memory.env.DenseImage`): the owned
+    rows of an image class, or — ``halo`` — its Buffer-only rows.  A
+    plan therefore holds at most two tables per image class (one class
+    in every stock DSL) however many Blocks (``sources``) its sites land
+    in, and executes each as a single gather.
+
+    ``src_idx`` are image rows; ``dst_idx`` the matching flat site
+    indices of the plan output, or None for a *dense* table that lists
+    a row for every output site in order (address plans: the sites other
+    tables serve read a placeholder row and are patched afterwards).
+    Halo tables also carry, per site, the index into ``pages`` of the
+    Buffer-only page it reads, so one validity pass covers the table.
     """
 
-    __slots__ = ("block", "src_idx", "dst_idx", "src_pages", "check_pages", "_check_objs")
+    __slots__ = ("image", "halo", "sources", "src_idx", "dst_idx", "site_page", "pages")
 
-    def __init__(self, block: DataBlock, src_idx, dst_idx) -> None:
-        self.block = block
+    def __init__(self, image, halo: bool, sources, src_idx, dst_idx, site_page=None, pages=()):
+        self.image = image
+        self.halo = bool(halo)
+        #: The Blocks whose image rows the table reads.
+        self.sources = list(sources)
         self.src_idx = np.ascontiguousarray(src_idx, dtype=np.intp)
-        self.dst_idx = np.ascontiguousarray(dst_idx, dtype=np.intp)
-        if isinstance(block, BufferOnlyBlock):
-            self.src_pages = self.src_idx // block.page_elements
-            self.check_pages = np.unique(self.src_pages)
-        else:
-            self.src_pages = None
-            self.check_pages = None
-        self._check_objs = None
+        self.dst_idx = None if dst_idx is None else np.ascontiguousarray(dst_idx, dtype=np.intp)
+        self.site_page = site_page
+        #: Halo tables: ``(PageKey, Block, Page)`` of every Buffer-only
+        #: page read, indexed by ``site_page``.  Buffer-only Blocks never
+        #: swap buffers, so the page objects are resolved once.
+        self.pages = pages
 
-    def invalid_pages(self) -> list:
-        """Indices of this segment's halo pages that are not valid yet.
+    def with_sites(self, dst_idx, keep) -> "PlanSegment":
+        """The same table restricted to sites ``keep``, written to ``dst_idx``
+        (fused kernels: one padded-field cell per distinct address)."""
+        site_page = None if self.site_page is None else self.site_page[keep]
+        return PlanSegment(
+            self.image, self.halo, self.sources, self.src_idx[keep], dst_idx, site_page, self.pages
+        )
 
-        Buffer-only Blocks never swap buffers, so the page objects can be
-        resolved once and the per-call validity check reduces to reading
-        one flag per touched page (the hot-path version of the old
-        ``pages[p].valid`` indexing loop).
+    def gather(self, env, out: np.ndarray) -> int:
+        """Fill this table's sites of ``out`` from the Env's dense image.
+
+        Returns the number of halo pages found not valid yet: they are
+        recorded in ``env.missing_pages`` (the following refresh fails
+        and the step is re-executed, exactly as on the scalar path) and
+        their sites read placeholder zeros.
         """
-        objs = self._check_objs
-        if objs is None:
-            pages = self.block.buffer.read_buffer.pages
-            objs = [(int(p), pages[p]) for p in self.check_pages]
-            self._check_objs = objs
-        return [index for index, page in objs if not page.valid]
+        rows = env.image_rows(self.image, self.sources, self.halo)
+        if self.dst_idx is None:
+            # mode="clip": indices were range-checked at compile time, and
+            # the default mode would buffer ``out``.
+            np.take(rows, self.src_idx, axis=0, out=out, mode="clip")
+            return 0
+        if not self.halo:
+            out[self.dst_idx] = rows[self.src_idx]
+            return 0
+        vals = rows[self.src_idx]
+        bad = [
+            uid
+            for uid, (_, block, page) in enumerate(self.pages)
+            if not (page.valid or block.is_valid)
+        ]
+        if bad:
+            env.missing_pages.update(self.pages[uid][0] for uid in bad)
+            vals[np.isin(self.site_page, bad)] = 0.0
+        out[self.dst_idx] = vals
+        return len(bad)
 
     @property
     def nbytes(self) -> int:
-        total = self.src_idx.nbytes + self.dst_idx.nbytes
-        if self.src_pages is not None:
-            total += self.src_pages.nbytes + self.check_pages.nbytes
-        return total
+        held = (self.src_idx, self.dst_idx, self.site_page)
+        return sum(arr.nbytes for arr in held if arr is not None)
 
 
 #: Monotonic version numbers handed to every compiled plan: a recompiled
@@ -153,8 +184,9 @@ class AccessPlan:
         self.n_sites = int(n_sites)
         self.components = block.components
         self.dtype = np.dtype(block.buffer.read_buffer.dtype)
-        #: Gathers for the sites that leave the Block (an offsets plan's
-        #: ring) or, for address plans, for every site.
+        #: Merged gather tables (≤ 1 owned + 1 halo per image class) for
+        #: the sites that leave the Block (an offsets plan's ring) or,
+        #: for address plans, for every site.
         self.segments = segments
         self.const_dst = const_dst
         self.const_vals = const_vals
@@ -187,18 +219,18 @@ class AccessPlan:
 
     # ------------------------------------------------------------------
     def split(self) -> Tuple[List[PlanSegment], List[PlanSegment]]:
-        """Partition the segments into ``(interior, boundary)`` sub-plans.
+        """Partition the tables into ``(interior, boundary)`` sub-plans.
 
         The *interior* sub-plan gathers only from locally-owned sources
         (Data Blocks plus the compile-time constants), so it can run
         before a halo exchange completed; the *boundary* sub-plan's
-        segments read Buffer-only (halo) pages and must wait for them.
+        tables read Buffer-only (halo) pages and must wait for them.
         The partition is what lets the overlapped refresh hide the halo
         round-trip behind the interior computation.
         """
         if self._split is None:
-            interior = [seg for seg in self.segments if seg.check_pages is None]
-            boundary = [seg for seg in self.segments if seg.check_pages is not None]
+            interior = [seg for seg in self.segments if not seg.halo]
+            boundary = [seg for seg in self.segments if seg.halo]
             self._split = (interior, boundary)
         return self._split
 
@@ -279,8 +311,12 @@ class AccessPlan:
         return out
 
     def gather_interior(self, env, out: np.ndarray) -> None:
-        """Fill the sites of ``out`` that need no halo data: constants,
-        the in-block slice part and the locally-owned segments."""
+        """Fill the sites of ``out`` that need no halo data: the owned
+        tables, the compile-time constants and the in-block slice part."""
+        # Tables first: a dense one writes a placeholder to every site
+        # the constants (and the halo tables) then overwrite.
+        for seg in self.split()[0]:
+            seg.gather(env, out)
         if self.const_dst is not None:
             out[self.const_dst] = self.const_vals
         if self.slices:
@@ -290,25 +326,10 @@ class AccessPlan:
             for oi, pair in enumerate(self.slices):
                 if pair is not None:
                     dst[oi][pair[0]] = src[pair[1]]
-        for seg in self.split()[0]:
-            out[seg.dst_idx] = env.dense_read(seg.block)[seg.src_idx]
 
     def gather_boundary(self, env, out: np.ndarray) -> int:
         """Fill the halo-served sites of ``out``; returns missing-page count."""
-        missing = 0
-        for seg in self.split()[1]:
-            block = seg.block
-            vals = env.dense_read(block)[seg.src_idx]
-            if not block.is_valid:
-                bad = seg.invalid_pages()
-                if bad:
-                    block_id = block.block_id
-                    for p in bad:
-                        env.missing_pages.add(PageKey(block_id, p))
-                    missing += len(bad)
-                    vals[np.isin(seg.src_pages, bad)] = 0.0
-            out[seg.dst_idx] = vals
-        return missing
+        return sum(seg.gather(env, out) for seg in self.split()[1])
 
     def account(self, env, missing: int) -> None:
         """Credit one full execution of this plan to the Env's counters."""
@@ -321,12 +342,7 @@ class AccessPlan:
     # ------------------------------------------------------------------
     def remote_pages(self) -> List[PageKey]:
         """Page keys of every Buffer-only page this plan reads (halo set)."""
-        keys: List[PageKey] = []
-        for seg in self.segments:
-            if seg.check_pages is not None:
-                block_id = seg.block.block_id
-                keys.extend(PageKey(block_id, int(p)) for p in seg.check_pages)
-        return keys
+        return [key for seg in self.split()[1] for key, _, _ in seg.pages]
 
     @property
     def nbytes(self) -> int:
@@ -468,6 +484,24 @@ def _resolve(env, start: DataBlock, addrs: np.ndarray):
     return sources, group, src, const_vals
 
 
+def _halo_pages(sources: List[DataBlock], site_source: np.ndarray, site_elem: np.ndarray):
+    """``(site_page, pages)`` of a halo table whose site ``i`` reads element
+    ``site_elem[i]`` of the Buffer-only Block ``sources[site_source[i]]``."""
+    page_elements = np.array([b.page_elements for b in sources], dtype=np.intp)
+    stride = max(b.page_count() for b in sources)
+    codes, site_page = np.unique(
+        site_source * stride + site_elem // page_elements[site_source], return_inverse=True
+    )
+    pages = []
+    for code in codes.tolist():
+        block = sources[code // stride]
+        index = code % stride
+        pages.append(
+            (PageKey(block.block_id, index), block, block.buffer.read_buffer.pages[index])
+        )
+    return site_page.reshape(-1), pages
+
+
 def _compile(
     env,
     block: DataBlock,
@@ -476,6 +510,7 @@ def _compile(
     *,
     n_sites: int,
     slice_sites: int = 0,
+    dense: bool = False,
     **plan_kw,
 ) -> AccessPlan:
     """Build the plan whose listed ``sites`` read the global ``addrs``.
@@ -485,6 +520,11 @@ def _compile(
     inverse index, so compilation cost scales with the number of
     *distinct* addresses, not sites.  ``slice_sites`` in-block sites are
     covered by the caller's slice part and not listed.
+
+    The sites of all sources that share one array of the Env's dense
+    read image are merged into one :class:`PlanSegment`; ``dense`` (the
+    ``sites`` are all ``n_sites`` outputs, in order) makes the table on
+    the owned rows of ``block``'s own image class dense.
     """
     segments: List[PlanSegment] = []
     const_dst = const_arr = None
@@ -495,18 +535,40 @@ def _compile(
         sources, group, src, const_vals = _resolve(env, block, uniq[by_first_use])
         inv = np.argsort(by_first_use)[inv.reshape(-1)]
         site_group, site_src = group[inv], src[inv]
-        order = np.argsort(site_group, kind="stable")
-        bounds = np.searchsorted(site_group[order], np.arange(len(sources) + 1))
-        for k, source in enumerate(sources):
-            sel = order[bounds[k] : bounds[k + 1]]
-            if sel.size:
-                segments.append(PlanSegment(source, site_src[sel], sites[sel]))
-                if source is block:
-                    in_block = int(sel.size)
-                else:
-                    out_of_block += int(sel.size)
+        in_block = int(np.count_nonzero(site_group == 0))
+        out_of_block = int(np.count_nonzero(site_group > 0))
+        # Every site as a row of the dense read image; the sources used,
+        # grouped by the image array they live in.  Constants (group -1)
+        # index the extra last entry of ``base`` / ``table_of``.
+        slots = [env.image_slot(source) for source in sources]
+        base = np.array([slot[1] for slot in slots] + [0], dtype=np.intp)
+        site_row = base[site_group] + site_src
+        tables: Dict[tuple, List[int]] = {}
+        for k in np.unique(site_group[site_group >= 0]).tolist():
+            tables.setdefault((id(slots[k][0]), slots[k][3]), []).append(k)
+        table_of = np.full(len(sources) + 1, -1, dtype=np.intp)
+        for t, members in enumerate(tables.values()):
+            table_of[members] = t
+        site_table = table_of[site_group]
+        own_rows = (id(slots[0][0]), False)  # sources[0] is ``block``
+        for t, (key, members) in enumerate(tables.items()):
+            sel = np.flatnonzero(site_table == t)
+            image, halo = slots[members[0]][0], key[1]
+            blocks = [sources[k] for k in members]
+            if dense and key == own_rows:
+                rows = np.full(n_sites, site_row[sel[0]], dtype=np.intp)
+                rows[sites[sel]] = site_row[sel]
+                # A dense table writes every site: it is gathered first.
+                segments.insert(0, PlanSegment(image, halo, blocks, rows, None))
+                continue
+            site_page, pages = None, ()
+            if halo:
+                site_page, pages = _halo_pages(sources, site_group[sel], site_src[sel])
+            segments.append(
+                PlanSegment(image, halo, blocks, site_row[sel], sites[sel], site_page, pages)
+            )
         if const_vals:
-            sel = order[: bounds[0]]
+            sel = np.flatnonzero(site_table == -1)
             const_dst = np.ascontiguousarray(sites[sel], dtype=np.intp)
             const_arr = np.vstack(
                 [np.broadcast_to(v, (block.components,)) for v in const_vals]
@@ -610,6 +672,7 @@ def compile_address_plan(env, block: DataBlock, addresses) -> AccessPlan:
         n_sites=n_sites,
         resolved_sites=n_sites,
         kind="addresses",
+        dense=True,
     )
 
 

@@ -26,7 +26,7 @@ __all__ = ["Page", "PageKey"]
 
 
 class PageKey(tuple):
-    """Hashable identifier of a page: ``(block_id, buffer_index, page_index)``.
+    """Hashable identifier of a page: ``(block_id, page_index)``.
 
     Aspect modules exchange :class:`PageKey` lists when negotiating
     which pages to transfer (the "list of non-existent pages" in

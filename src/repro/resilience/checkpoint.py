@@ -296,7 +296,7 @@ class CheckpointAspect(Aspect):
                     for buf in block.buffer.buffers:
                         buf.pages[page_index].fill_from(data)
                     restored += 1
-            env._dense_cache.clear()
+            env.invalidate_dense()
         trace.restored_pages += restored
 
     # ------------------------------------------------------------------

@@ -132,6 +132,36 @@ class TestKillMatrix:
         assert_matches_reference("sgrid", run.result, serial_references["sgrid"])
 
 
+class ReadBeforeRestore(JacobiUSGrid):
+    """USGrid whose ``initialize`` leaves every Block fresh in the dense
+    read image — the state the checkpoint restore (woven after
+    ``initialize``) then overwrites page by page behind the image."""
+
+    def initialize(self) -> None:
+        super().initialize()
+        for block in self.env.data_blocks():
+            self.env.dense_read(block)
+
+    def processing(self) -> None:
+        # The first gather after the restore, before any refresh could
+        # re-validate the image on its own.
+        for block in self.env.data_blocks():
+            seen = self.kernel_for(block).gather([(0,)])[0]
+            assert np.array_equal(seen, block.dense()[:, 0]), "gather served pre-restore rows"
+        self.env.check_dense_image()
+        super().processing()
+
+
+class TestRestoreInvalidatesDenseImage:
+    @pytest.mark.parametrize("backend", ["threads", "process"])
+    def test_gather_after_restore_reads_the_restored_epoch(self, serial_references, backend):
+        plan = FaultPlan().kill(1, phase="refresh", epoch=3)
+        platform = resilient_platform(backend, 4, plan)
+        run = platform.run(ReadBeforeRestore, config=dict(USGRID_CONFIG))
+        assert run.restarts == 1 and run.recovery_events[0].resume_epoch == 2
+        assert_matches_reference("usgrid", run.result, serial_references["usgrid"])
+
+
 # ---------------------------------------------------------------------------
 # Chaos battery: every DSL app, real forked ranks
 # ---------------------------------------------------------------------------

@@ -200,6 +200,9 @@ def offset_sites(block, offsets):
 NINE_POINT = [(dx, dy) for dx in (0, 1, -1) for dy in (0, 1, -1)]
 SGRID = dict(region=16, block_size=4, page_elements=8, init=lambda x, y: 0.3 * x - 0.7 * y)
 USGRID = dict(region=12, block_cells=16, page_elements=8, init=lambda x, y: 0.3 * x - 0.7 * y)
+#: CaseR over 40 Blocks: a neighbour table lands in most of them, so its
+#: plan merges many sources into its (at most) two tables.
+USGRID_40 = dict(USGRID, region=40, block_cells=40, case="R")
 
 
 class TestPlansMatchPerSiteReference:
@@ -229,6 +232,23 @@ class TestPlansMatchPerSiteReference:
                 addresses, ring,
             )
 
+    def test_many_source_address_plans_merge_into_two_tables(self):
+        env = rank0_of_2(JacobiUSGrid, USGRID_40)
+        assert len(env.data_blocks(include_buffer_only=True)) == 40
+        for block in env.data_blocks()[::4]:
+            table = block.static_fields["neighbors"]
+            addresses = [(int(a),) for a in table.reshape(-1)]
+            assert_plan_matches_reference(
+                env, block, lambda: compile_address_plan(env, block, table),
+                addresses, [True] * len(addresses),
+            )
+            plan = compile_address_plan(env, block, table)
+            owned, halo = plan.split()
+            assert len(owned) == len(halo) == 1
+            assert len(owned[0].sources) > 5 and len(halo[0].sources) > 5
+            assert not any(isinstance(b, BufferOnlyBlock) for b in owned[0].sources)
+            assert all(isinstance(b, BufferOnlyBlock) for b in halo[0].sources)
+
     def test_particle_offsets_plans(self):
         env = rank0_of_2(
             ParticleSimulation, dict(particles=128, block_buckets=4, page_elements=4)
@@ -251,6 +271,31 @@ class TestPlansMatchPerSiteReference:
         out = plan.execute(env)
         assert env.missing_pages == set(plan.remote_pages())
         assert np.all(out[plan.halo_sites()] == 0.0)
+
+    def test_pages_of_two_withheld_halo_blocks_are_recorded_and_zeroed(self):
+        env = rank0_of_2(JacobiUSGrid, USGRID_40)
+        block = env.data_blocks()[0]
+        table = block.static_fields["neighbors"]
+        plan = compile_address_plan(env, block, table)
+        complete = plan.execute(env).copy()
+        withheld = sorted({key.block_id for key in plan.remote_pages()})[1:3]
+        for block_id in withheld:
+            env.block(block_id).invalidate()
+        out = plan.execute(env)
+        # Exactly the withheld Blocks' pages are missing; their sites read
+        # zero, every other site (other halo Blocks included) its value.
+        assert env.missing_pages == {
+            key for key in plan.remote_pages() if key.block_id in withheld
+        }
+        assert env.stats.missing_recorded == len(env.missing_pages)
+        sites, _ = reference_sites(
+            env, block, [(int(a),) for a in table.reshape(-1)], [True] * table.size
+        )
+        lost = np.array(
+            [source is not None and source.block_id in withheld for source, _ in sites]
+        )
+        assert lost.any() and np.all(out[lost] == 0.0) and np.all(complete[lost] != 0.0)
+        assert np.array_equal(out[~lost], complete[~lost])
 
 
 # ----------------------------------------------------------------------

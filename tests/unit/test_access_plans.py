@@ -3,7 +3,7 @@
 The access-plan compiler turns the warm-up's per-site resolutions into
 bulk NumPy gather plans (the vectorized extension of the paper's MMAT,
 §III-B6 under Assumption II).  These tests exercise the compiler and
-executor directly on hand-built Envs: segment grouping, constant
+executor directly on hand-built Envs: merged gather tables, constant
 folding of Arithmetic/Static boundaries, Reference (mirror) chasing,
 Buffer-only (halo) validity handling, plan caching and the
 reset-invalidates-plans semantics the warm-up macro relies on.
@@ -24,6 +24,7 @@ from repro.memory import (
     BufferOnlyBlock,
     DataBlock,
     Env,
+    EnvError,
     GlobalAddress,
     MMAT,
     MemoryPool,
@@ -132,13 +133,14 @@ class TestOffsetsPlanCompilation:
         plan_env.add_boundary_block(ref)
         plan = compile_offsets_plan(plan_env, block, [(-1, 0)])
         # Mirror sites resolve through the reference onto the block itself:
-        # a single data segment (the ring row), no constants.
+        # a single owned table (the ring row), no constants.
         assert plan.const_dst is None
-        assert len(plan.segments) == 1 and plan.segments[0].block is block
+        (table,) = plan.segments
+        assert table.sources == [block] and not table.halo
         out = plan.execute(plan_env).reshape(block.shape)
         assert np.array_equal(out[0], values.reshape(4, 4)[0])  # clamped row
 
-    def test_multi_source_segments_group_by_block(self, plan_env):
+    def test_multi_source_sites_merge_into_one_table(self, plan_env):
         a = add_block(plan_env, (0, 0))
         b = add_block(plan_env, (4, 0))
         c = add_block(plan_env, (0, 4))
@@ -146,12 +148,17 @@ class TestOffsetsPlanCompilation:
             ArithmeticBlock((-4, -4), (16, 16), lambda addr: 0.0, name="ring")
         )
         plan = compile_offsets_plan(plan_env, a, [(0, 0), (4, 0), (0, 4)])
-        # One segment per neighbour, each covering exactly its offset's
-        # sites; the block's own offset is the slice part.
-        by_source = {seg.block.block_id: seg for seg in plan.segments}
-        assert set(by_source) == {b.block_id, c.block_id}
-        assert np.array_equal(np.sort(by_source[b.block_id].dst_idx), np.arange(16, 32))
-        assert np.array_equal(np.sort(by_source[c.block_id].dst_idx), np.arange(32, 48))
+        # Both neighbours are owned: one table serves them, each offset's
+        # sites reading its neighbour's image rows; the block's own offset
+        # is the slice part.
+        (table,) = plan.segments
+        assert {s.block_id for s in table.sources} == {b.block_id, c.block_id}
+        order = np.argsort(table.dst_idx)
+        assert np.array_equal(table.dst_idx[order], np.arange(16, 48))
+        rows = table.src_idx[order]
+        for block, sites in ((b, rows[:16]), (c, rows[16:])):
+            _, lo, hi, halo = plan_env.image_slot(block)
+            assert not halo and np.array_equal(sites, np.arange(lo, hi))
         sliced, segments, consts = covered_sites(plan)
         covered = np.concatenate([sliced, *segments, consts])
         assert np.array_equal(np.sort(covered), np.arange(plan.n_sites))
@@ -181,7 +188,7 @@ class TestCompileErrors:
         # block; the block's own data starts 5 hops from address -5.
         plan_env.add_boundary_block(ReferenceBlock((-8,), (8,), advance, name="chain"))
         plan = compile_address_plan(plan_env, block, np.array([-4]))
-        assert plan.segments[0].block is block and hops["n"] == 4
+        assert plan.segments[0].sources == [block] and hops["n"] == 4
         with pytest.raises(AddressError, match="too deep"):
             compile_address_plan(plan_env, block, np.array([-5]))
 
@@ -362,19 +369,116 @@ class TestMMATPlanCache:
         )
 
 
-class TestDenseReadCache:
+class TestDenseReadImage:
     def test_cache_hit_until_refresh(self, plan_env):
         block = add_block(plan_env, (0, 0))
-        sequential(block)
-        first = plan_env.dense_read(block)
-        assert plan_env.dense_read(block) is first
+        values = sequential(block)
+        stats = plan_env.stats
+        assert np.array_equal(plan_env.dense_read(block)[:, 0], values)
+        assert stats.dense_assemblies == 1
+        plan_env.dense_read(block)
+        assert stats.dense_assemblies == 1  # fresh: pages not copied again
+        # The step writes through the scalar path, so the refresh promotes
+        # nothing: the new read buffer is assembled once, then fresh again.
+        block.write_local((0, 0), -1.0)
         plan_env.refresh()
-        assert plan_env.dense_read(block) is not first
+        assert plan_env.dense_read(block)[0, 0] == -1.0
+        plan_env.dense_read(block)
+        assert stats.dense_assemblies == 2
+        plan_env.check_dense_image()
+
+    def test_full_store_is_promoted_without_reassembly(self, plan_env):
+        block = add_block(plan_env, (0, 0))
+        sequential(block)
+        plan_env.dense_read(block)
+        block.load_dense(np.full((16, 1), 3.0), into_write=True)
+        plan_env.note_full_store(block, np.full(16, 3.0))
+        plan_env.check_dense_image()
+        plan_env.refresh()
+        assert np.all(plan_env.dense_read(block) == 3.0)
+        assert plan_env.stats.dense_assemblies == 1
+        plan_env.check_dense_image()
 
     def test_page_install_invalidates_cache_entry(self, plan_env):
         block = add_block(plan_env, (0, 0), buffer_only=True)
-        stale = plan_env.dense_read(block)
+        plan_env.dense_read(block)
         plan_env.page_install(PageKey(block.block_id, 0), np.full((4, 1), 2.0))
-        fresh = plan_env.dense_read(block)
-        assert fresh is not stale
-        assert np.all(fresh[:4] == 2.0)
+        assert plan_env.stats.dense_assemblies == 1
+        assert np.all(plan_env.dense_read(block)[:4] == 2.0)
+        assert plan_env.stats.dense_assemblies == 2
+
+    def test_check_reports_rows_written_behind_the_image(self, plan_env):
+        block = add_block(plan_env, (0, 0))
+        sequential(block)
+        plan_env.dense_read(block)
+        block.buffer.read_buffer.write(3, -5.0)  # bypasses Env: no invalidation
+        with pytest.raises(EnvError, match="marked fresh but differ"):
+            plan_env.check_dense_image()
+        plan_env.invalidate_dense([block.block_id])
+        plan_env.check_dense_image()
+        assert plan_env.dense_read(block)[3, 0] == -5.0
+
+    def test_rows_survive_a_block_added_after_compile(self, plan_env):
+        a = add_block(plan_env, (0,), shape=(8,))
+        b = add_block(plan_env, (8,), shape=(8,))
+        sequential(a)
+        sequential(b)
+        plan = compile_address_plan(plan_env, a, np.array([9, 1, 15]))
+        assert np.array_equal(plan.execute(plan_env)[:, 0], [1.0, 1.0, 7.0])
+        late = add_block(plan_env, (16,), shape=(8,), fill=np.full(8, 4.0))
+        # Row bases are append-only: the compiled table still reads a and b.
+        assert np.array_equal(plan.execute(plan_env)[:, 0], [1.0, 1.0, 7.0])
+        assert np.all(plan_env.dense_read(late) == 4.0)
+        plan_env.check_dense_image()
+
+    def test_image_classes_keep_dtypes_apart(self, plan_env):
+        wide = add_block(plan_env, (0,), shape=(4,))
+        sequential(wide)
+        narrow = DataBlock(
+            (4,), (4,), components=1, page_elements=4, allocator=plan_env.allocator,
+            dtype=np.float32,
+        )
+        plan_env.add_data_block(narrow)
+        narrow.load_dense(np.array([0.5, 1.5, 2.5, 3.5], dtype=np.float32))
+        plan = compile_address_plan(plan_env, wide, np.array([5, 2, 7, 0]))
+        assert len(plan.segments) == 2  # one owned table per image class
+        assert np.array_equal(plan.execute(plan_env)[:, 0], [1.5, 2.0, 3.5, 0.0])
+        assert plan_env.dense_read(narrow).dtype == np.float32
+
+    def test_threads_first_reading_one_env_share_one_image(self):
+        """Hybrid threads sweep one rank's Env concurrently: whichever
+        reads first allocates the image, and a Block assembled by any of
+        them must be in the array all of them use afterwards."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            stop = time.monotonic() + 0.5
+            while time.monotonic() < stop:
+                pool = PoolGroup([MemoryPool(1 << 16, name="race-pool")])
+                env = Env(allocator=pool, name="race-env", mmat_enabled=True)
+                blocks = [
+                    add_block(env, (4 * k, 0), fill=np.full(16, float(k))) for k in range(8)
+                ]
+                gate = threading.Barrier(len(blocks))
+
+                def read(block):
+                    gate.wait(timeout=10)
+                    env.dense_read(block)
+
+                threads = [threading.Thread(target=read, args=(b,)) for b in blocks]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                env.check_dense_image()
+                assert env.stats.dense_assemblies == len(blocks)
+                for k, block in enumerate(blocks):
+                    assert np.all(env.dense_read(block) == float(k))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_unattached_block_is_refused(self, plan_env):
+        stray = DataBlock((0,), (4,), components=1, page_elements=4, allocator=plan_env.allocator)
+        with pytest.raises(EnvError, match="not a Data Block of Env"):
+            plan_env.dense_read(stray)

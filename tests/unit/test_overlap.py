@@ -159,8 +159,8 @@ class TestAccessPlanSplit:
         assert boundary  # the (1, 0) offset crosses into the halo
         assert set(interior) | set(boundary) == set(plan.segments)
         assert not (set(interior) & set(boundary))
-        assert all(seg.check_pages is None for seg in interior)
-        assert all(seg.check_pages is not None for seg in boundary)
+        assert not any(seg.halo or seg.pages for seg in interior)
+        assert all(seg.halo and seg.pages for seg in boundary)
         assert plan.has_halo
         # Interior gather (slice part + local segments) and boundary gather
         # together write every site exactly once.

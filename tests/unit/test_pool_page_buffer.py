@@ -185,6 +185,73 @@ class TestBlockBuffer:
         assert buf.read(5)[0] == 3.25
 
 
+def per_page_dense(buf: BlockBuffer) -> np.ndarray:
+    """The page-by-page assembly ``BlockBuffer.runs`` replaces."""
+    out = np.empty((buf.element_count, buf.components), dtype=buf.dtype)
+    for page in buf.pages:
+        start = page.index * buf.page_elements
+        stop = min(start + buf.page_elements, buf.element_count)
+        out[start:stop] = page.array[: stop - start]
+    return out
+
+
+def assert_runs_roundtrip(buf: BlockBuffer, n_runs: int) -> None:
+    runs = buf.runs()
+    assert len(runs) == n_runs and buf.runs() is runs  # cached
+    assert sum(run.shape[0] for run in runs) == buf.element_count
+    assert all(run.shape[1] == buf.components and run.dtype == buf.dtype for run in runs)
+    data = np.arange(buf.element_count * buf.components).reshape(-1, buf.components)
+    buf.clear_dirty()
+    buf.load_dense(data)
+    assert all(page.dirty for page in buf.pages)
+    np.testing.assert_array_equal(per_page_dense(buf), data)
+    np.testing.assert_array_equal(buf.dense(), data)
+    into = np.zeros_like(per_page_dense(buf))
+    assert buf.dense(out=into) is into
+    np.testing.assert_array_equal(into, data)
+    # The runs alias the pages: a scalar page write shows up in them.
+    buf.write(buf.element_count - 1, -1)
+    assert buf.dense()[-1, 0] == -1 and per_page_dense(buf)[-1, 0] == -1
+
+
+class TestBlockBufferRuns:
+    def test_back_to_back_pages_are_one_run(self, pool):
+        # 10 elements in pages of 4: the last page is trimmed to 2.
+        assert_runs_roundtrip(BlockBuffer(10, 4, 2, np.float64, PoolGroup([pool])), 1)
+
+    def test_spill_to_a_second_pool_ends_the_run(self):
+        # Pages of 4 float64 = 32 B: three fit the first pool, two spill.
+        group = PoolGroup([MemoryPool(96, name="small"), MemoryPool(1024, name="spill")])
+        buf = BlockBuffer(18, 4, 1, np.float64, group)
+        assert [page.chunk.pool.name for page in buf.pages] == ["small"] * 3 + ["spill"] * 2
+        assert_runs_roundtrip(buf, 2)
+        assert [run.shape[0] for run in buf.runs()] == [12, 6]
+
+    def test_alignment_padding_ends_every_run(self, pool):
+        # 3 float32 = 12 B per page, padded to 16 B chunks: no two pages'
+        # data are byte-adjacent.
+        buf = BlockBuffer(8, 3, 1, np.float32, PoolGroup([pool]))
+        assert buf.pages[0].chunk.size == 16
+        assert_runs_roundtrip(buf, 3)
+
+    def test_fragmented_pool_gives_several_runs(self, pool):
+        # Free every other 32 B chunk: the buffer's pages fill the holes.
+        held = [pool.allocate(32) for _ in range(8)]
+        for chunk in held[::2]:
+            chunk.free()
+        buf = BlockBuffer(24, 4, 1, np.float64, PoolGroup([pool]))
+        offsets = [page.chunk.offset for page in buf.pages]
+        assert offsets[:4] == [0, 64, 128, 192]
+        # Four isolated holes, then two adjacent pages past the held chunks.
+        assert_runs_roundtrip(buf, 5)
+
+    def test_release_drops_the_cached_views(self, pool):
+        buf = BlockBuffer(8, 4, 1, np.float64, PoolGroup([pool]))
+        assert len(buf.runs()) == 1
+        buf.release()
+        assert buf.runs() == []
+
+
 class TestMultiBuffer:
     def test_swap_exchanges_read_and_write(self, pool):
         mb = MultiBuffer(4, 2, 1, np.float64, PoolGroup([pool]), depth=2)
