@@ -3,7 +3,7 @@
 
 Used by the ``perf-gate`` CI job (and locally) to compare a freshly
 generated ``bench_vectorized_kernels.py --json`` /
-``bench_comm_plans.py --json`` document against the checked-in
+``bench_resilience.py --json`` document against the checked-in
 ``BENCH_*.json`` baseline.  Rules:
 
 * **wall-clock keys** (``*_s``, ``elapsed_s``, ``ns_per_read``) fail on
@@ -23,7 +23,7 @@ selected automatically.  Rows inside lists are matched by their
 
 Usage::
 
-    python benchmarks/compare_bench.py BENCH_comm.json fresh_comm.json
+    python benchmarks/compare_bench.py BENCH_kernels.json fresh_kernels.json
 """
 
 from __future__ import annotations

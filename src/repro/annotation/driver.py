@@ -195,6 +195,7 @@ class PlatformRun:
 
             mpi=2,omp=2 tasks=4 elapsed=0.041s steps=8 updates=4096
             fetched=12pg/3.1KiB collectives=10 plans=16/7680sites vec=100% asm=4
+            comm=2ex/12pg agg=6.0x saved=20msg push=6ex/192sites links=2
         """
         layers = ",".join(f"{k}={v}" for k, v in sorted(self.layers.items()))
         if not layers:
@@ -259,26 +260,39 @@ class PlatformRun:
         return part
 
     def _comm_plan_summary(self) -> str:
-        """The ``comm=…`` section of :meth:`summary` (aggregated halo exchange).
+        """The ``comm=…`` section of :meth:`summary` (halo traffic by protocol).
 
         Reports how many aggregated exchanges moved how many halo pages,
         the aggregation ratio (pages per message pair), the number of
         request/reply message pairs saved against the per-page protocol,
-        and the number of directed neighbor links the run exercised.
+        how many halo slots the owners published with how many element
+        rows (``push=``), and the number of directed neighbor links the
+        run exercised.  ``open:`` names why steps of a run that can
+        publish went through the page exchange instead.
         """
         exchanges = sum(c.comm_plan_exchanges for c in self.counters.values())
         pages = sum(c.comm_plan_pages for c in self.counters.values())
-        if not exchanges:
+        pushes = self.network.get("halo_pushes", 0)
+        if not exchanges and not pushes:
             return ""
-        ratio = pages / exchanges
-        saved = 2 * (pages - exchanges)
-        part = f" comm={exchanges}ex/{pages}pg agg={ratio:.1f}x saved={saved}msg"
+        part = " comm="
+        if exchanges:
+            ratio = pages / exchanges
+            saved = 2 * (pages - exchanges)
+            part += f"{exchanges}ex/{pages}pg agg={ratio:.1f}x saved={saved}msg"
+        if pushes:
+            part += f"{' ' if exchanges else ''}push={pushes}ex/{self.network['halo_sites']}sites"
         neighbors = self.comm_neighbor_links()
         if neighbors:
             part += f" links={neighbors}"
         fallback_pages = sum(c.comm_plan_fallback_pages for c in self.counters.values())
         if fallback_pages:
             part += f" perpage={fallback_pages}pg"
+        open_steps = self.network.get("open_steps") or {}
+        if open_steps:
+            part += " open: " + ", ".join(
+                f"{reason} x{count}" for reason, count in sorted(open_steps.items())
+            )
         return part
 
     def _overlap_summary(self) -> str:

@@ -33,6 +33,21 @@ This module weaves the distributed-memory layer into an application:
   the communication round-trip behind computation, with numerically
   identical results.
 
+  Where the world's ranks share memory (``world.control``) that page
+  exchange is only how a run *opens*.  The halo tables of the compiled
+  plans declare exactly which remote element rows a rank reads, so each
+  consumer tells each owner once (:class:`PushPlan`, one collective),
+  and from then on a step is **closed**: the per-step agreement is an
+  AND over shared words, the owner *publishes* the declared rows into a
+  stamped slot right after its swap, and the consumer waits for the
+  stamp — no request, no reply, no barrier.  The agreement carries, next
+  to "my step succeeded", each rank's statement that the pushed rows
+  are all the remote data it reads; one rank that cannot say so (a
+  recompiled plan, a scalar halo read, a key-less ``gather_global``)
+  takes every rank through the page protocol for that step, and a
+  changed plan set is renegotiated after it.  ``docs/protocols.md`` has
+  the state table and the ordering argument.
+
 The module also registers every rank's Env and Blocks in the world's
 :class:`~repro.runtime.simmpi.BlockDirectory` (after ``Initialize``),
 which is what lets page fetches name remote Blocks by logical key.
@@ -47,8 +62,11 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
-from typing import Any, Dict, List, Set, Tuple
+import zlib
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Set, Tuple
+
+import numpy as np
 
 from ..aop.advice import after_returning, around, before
 from ..memory.block import BufferOnlyBlock, DataBlock
@@ -56,14 +74,22 @@ from ..memory.page import PageKey
 from ..obs.metrics import record as metric_record
 from ..obs.spans import global_tracer
 from ..runtime.backends import DEFAULT_BACKEND, get_backend
-from ..runtime.backends.base import CommHandle, ExecutionWorld
+from ..runtime.backends.base import CommHandle, ExecutionWorld, HaloLink
 from ..runtime.errors import NetworkError, PageFetchError
-from ..runtime.shm import validate_page_transport
+from ..runtime.shm import protocol_checks, validate_page_transport
 from ..runtime.task import current_task
 from ..runtime.tracing import global_trace
 from .base import LayerAspect
 
-__all__ = ["CommPlan", "DistributedMemoryAspect", "PendingHalo"]
+__all__ = ["CommPlan", "DistributedMemoryAspect", "PendingHalo", "PendingPush", "PushPlan"]
+
+#: Flags of the per-step agreement (``world.allreduce_bits``).
+_OK = 1        # my step read no missing page
+_CLOSED = 2    # the pushed rows are all the remote data my step reads
+_CURRENT = 4   # my PushPlan was derived from the plans I hold now
+
+#: Why a rank can never publish; reported even if the run never closed.
+_NEVER_CLOSES = ("comm_plans=False", "no shm")
 
 
 @dataclass
@@ -132,20 +158,9 @@ class PendingHalo:
         report distinguishes hidden from merely deferred latency.
         """
         trace = self.trace
-        tracer = global_tracer()
-        wait_start = time.perf_counter_ns()
-        try:
-            with tracer.span("halo.wait", drained=drained):
-                result = self.handle.wait()
-        except PageFetchError:
-            raise
-        except NetworkError as exc:
-            raise PageFetchError(
-                f"overlapped halo exchange of {len(self.plan.requests)} pages "
-                f"failed: {exc}"
-            ) from exc
-        completed = time.perf_counter_ns()
-        tracer.async_end(self.span_token, drained=drained)
+        result, timing = _wait_halo(
+            self, drained, f"overlapped halo exchange of {len(self.plan.requests)} pages"
+        )
         plan = self.plan
         env.page_install_many(
             (plan.key_for(lk, page), data) for lk, page, data in result.pages
@@ -159,17 +174,130 @@ class PendingHalo:
         trace.comm_plan_pages += len(result.pages)
         trace.overlap_exchanges += result.exchanges
         trace.overlap_pages += len(result.pages)
-        if drained:
-            # Drained latency was deferred, not hidden: keep it out of
-            # the wait/flight sums so overlap efficiency only measures
-            # exchanges a sweep actually computed behind.
-            trace.overlap_drained += 1
-        else:
-            trace.overlap_wait_ns += completed - wait_start
-            trace.overlap_flight_ns += completed - self.issued_ns
-            metric_record("halo.wait_ns", completed - wait_start)
-            metric_record("halo.flight_ns", completed - self.issued_ns)
+        _account_wait(self, drained, timing)
         metric_record("exchange.pages", len(result.pages))
+
+
+def _wait_halo(pending, drained: bool, what: str):
+    """Wait ``pending.handle``: ``(result, (ns spent waiting, ns since issue))``."""
+    tracer = global_tracer()
+    wait_start = time.perf_counter_ns()
+    try:
+        with tracer.span("halo.wait", drained=drained):
+            result = pending.handle.wait()
+    except PageFetchError:
+        raise
+    except NetworkError as exc:
+        raise PageFetchError(f"{what} failed: {exc}") from exc
+    completed = time.perf_counter_ns()
+    tracer.async_end(pending.span_token, drained=drained)
+    return result, (completed - wait_start, completed - pending.issued_ns)
+
+
+def _account_wait(pending, drained: bool, timing: Tuple[int, int]) -> None:
+    """Credit a completed halo wait to the ``overlap_*`` timing counters."""
+    trace = pending.trace
+    if drained:
+        # Drained latency was deferred, not hidden: keep it out of
+        # the wait/flight sums so overlap efficiency only measures
+        # exchanges a sweep actually computed behind.
+        trace.overlap_drained += 1
+        return
+    waited_ns, flight_ns = timing
+    trace.overlap_wait_ns += waited_ns
+    trace.overlap_flight_ns += flight_ns
+    metric_record("halo.wait_ns", waited_ns)
+    metric_record("halo.flight_ns", flight_ns)
+
+
+def _slot_rows(link: HaloLink, image, lo: int, hi: int) -> np.ndarray:
+    """Bytes ``[lo, hi)`` of a halo slot as rows of ``image``'s class.
+
+    Built per use, never kept: the world drops ``link.slot`` when it
+    closes, and a surviving view would pin the mapped segment.
+    """
+    return link.slot[lo:hi].view(image.dtype).reshape(-1, image.components)
+
+
+@dataclass
+class PushPlan:
+    """One rank's site-granular communication schedule (publish protocol).
+
+    Derived, at an open step, from the halo tables of every compiled
+    access plan: per owner the sorted distinct element rows this rank
+    reads (``inbound``), and — received from the consumers in the same
+    collective — per consumer the rows of this rank's own read image
+    they read (``outbound``).  Each table is one fancy-index: the owner
+    ``np.take`` s ``idx`` out of its image into the link's slot, the
+    consumer stores the slot into ``rows`` of its ``halo`` array.
+    """
+
+    #: ``Env.plan_generation`` the site sets were derived from.
+    generation: tuple
+    #: Buffer-only pages those plans read; the Dry-run record must stay
+    #: inside it for the pushed rows to be all the rank prefetches.
+    pages: frozenset
+    #: Per owner: ``(link, [(image, halo rows, slot byte lo, hi), …])``.
+    inbound: List[Tuple[HaloLink, list]] = field(default_factory=list)
+    #: Per consumer: ``(link, [(image, read rows, source Blocks, lo, hi), …])``.
+    outbound: List[Tuple[HaloLink, list]] = field(default_factory=list)
+    #: Element rows all inbound tables carry per step.
+    inbound_sites: int = 0
+    #: Whether any agreed step ran closed on this plan yet.
+    closed_once: bool = False
+
+
+class PendingPush:
+    """The owners' pushes of one closed step, awaited but not yet stored.
+
+    The publish-protocol sibling of :class:`PendingHalo`, parked on the
+    Env the same way: the first halo reader of the next sweep (or the
+    next refresh) calls :meth:`complete`, which waits the stamps of
+    exactly the owners this rank reads — through ``CommHandle.wait``, so
+    halo waiting is measured where it always was — and stores each slot
+    into the ``halo`` rows its tables name.
+    """
+
+    __slots__ = ("plan", "handle", "trace", "issued_ns", "span_token", "world", "round", "overlapped")
+
+    def __init__(self, plan: PushPlan, world, rank: int, trace, *, overlapped: bool) -> None:
+        self.plan = plan
+        self.world = world
+        self.round = world.halo_round(rank)
+        self.handle = world.await_halo(rank, [link for link, _ in plan.inbound])
+        self.trace = trace
+        self.issued_ns = time.perf_counter_ns()
+        self.overlapped = overlapped
+        self.span_token = (
+            global_tracer().async_begin("halo.flight", sites=plan.inbound_sites)
+            if overlapped else None
+        )
+
+    def complete(self, env, *, drained: bool = False) -> None:
+        """Wait for the stamps, store the slots, account the traffic."""
+        trace = self.trace
+        plan = self.plan
+        result, timing = _wait_halo(
+            self, drained, f"published halo of {plan.inbound_sites} sites"
+        )
+        env.install_pushed_halo(
+            (image, rows, _slot_rows(link, image, lo, hi))
+            for link, tables in plan.inbound
+            for image, rows, lo, hi in tables
+        )
+        if protocol_checks():
+            for link, tables in plan.inbound:
+                crc = 0
+                for image, rows, _, _ in tables:
+                    crc = zlib.crc32(image.halo[rows].tobytes(), crc)
+                self.world.control.acknowledge(link.owner, link.consumer, self.round, crc)
+        trace.bytes_fetched += result.nbytes
+        trace.messages += result.exchanges
+        trace.halo_pushes += result.exchanges
+        trace.halo_sites += plan.inbound_sites
+        if self.overlapped:
+            _account_wait(self, drained, timing)
+        metric_record("exchange.sites", plan.inbound_sites)
 
 
 class DistributedMemoryAspect(LayerAspect):
@@ -228,6 +356,15 @@ class DistributedMemoryAspect(LayerAspect):
         #: Compiled communication schedules: rank -> CommPlan (a cache —
         #: invalidated whenever the rank's halo requirement set changes).
         self._comm_plans: Dict[int, CommPlan] = {}
+        #: Publish protocol: rank -> PushPlan of the latest negotiation,
+        #: rank -> {owner: HaloLink} of the slots it allocated (reused by
+        #: a renegotiation that fits), and rank -> the Env counters
+        #: ``(uncached plan compiles, scalar Buffer-only reads)`` as of
+        #: its previous refresh — a step that moved them read remote data
+        #: the pushed rows do not cover.
+        self._push_plans: Dict[int, PushPlan] = {}
+        self._inbound_links: Dict[int, Dict[int, HaloLink]] = {}
+        self._uncovered_reads: Dict[int, Tuple[int, int]] = {}
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -251,6 +388,15 @@ class DistributedMemoryAspect(LayerAspect):
             return self.page_transport
         platform_transport = getattr(self.platform, "page_transport", None)
         return platform_transport or "auto"
+
+    def bind_world(self, world: Optional[ExecutionWorld]) -> None:
+        """Adopt ``world`` for the coming run, forgetting every per-world plan."""
+        self.world = world
+        self._dry_run = {rank: set() for rank in range(world.size)} if world else {}
+        self._comm_plans = {}
+        self._push_plans = {}
+        self._inbound_links = {}
+        self._uncovered_reads = {}
 
     # ------------------------------------------------------------------
     # AspectType I — control of the runtime and tasks
@@ -283,9 +429,7 @@ class DistributedMemoryAspect(LayerAspect):
             timeout=self.resolve_timeout(),
             page_transport=self.resolve_page_transport(),
         )
-        self.world = world
-        self._dry_run = {rank: set() for rank in range(world.size)}
-        self._comm_plans = {}
+        self.bind_world(world)
         if platform is not None:
             platform.context["mpi_world"] = world
 
@@ -345,7 +489,7 @@ class DistributedMemoryAspect(LayerAspect):
     # ------------------------------------------------------------------
     @around("tagged('memory.refresh')", order=0)
     def exchange_data(self, jp):
-        """Collective refresh: agree on success, move pages, prefetch dry-run pages."""
+        """Collective refresh: agree on the step, then publish or exchange the halo."""
         world = self.world
         if world is None:
             return jp.proceed()
@@ -353,19 +497,32 @@ class DistributedMemoryAspect(LayerAspect):
         task = current_task()
         rank = task.mpi_rank
         trace = global_trace().for_task()
+        warmup = bool(jp.args[0]) if jp.args else bool(jp.kwargs.get("warmup", False))
 
-        # Finish any overlapped exchange still in flight (e.g. the sweep
-        # never touched halo data this step) before agreeing on the step
-        # outcome: its pages count as delivered, not missing.
+        # Finish any halo refresh still in flight (e.g. the sweep never
+        # touched halo data this step) before agreeing on the step
+        # outcome: its data counts as delivered, not missing.
         env.complete_pending_halo(drained=True)
 
         tracer = global_tracer()
         local_ok = not env.missing_pages
+        push = self._push_plans.get(rank)
+        reason = self._open_reason(env, rank, push, warmup)
+        # A world without slots has nothing to negotiate: its plan is
+        # "current" by definition, so the bit never asks for a negotiation.
+        current = reason in _NEVER_CLOSES or (
+            push is not None and push.generation == env.plan_generation
+        )
+        flags = (_OK if local_ok else 0) | (_CLOSED if reason is None else 0) | (
+            _CURRENT if current else 0
+        )
         with tracer.span("step.allreduce"):
-            global_ok = world.allreduce_and(local_ok)
+            agreed = world.allreduce_bits(flags)
         trace.collectives += 1
+        if protocol_checks():
+            env.check_dense_image()
 
-        if not global_ok:
+        if not agreed & _OK:
             # At least one rank accessed data it does not have: nobody may
             # swap; ranks that failed fetch the missing pages and the step
             # is re-executed (§III-B9).
@@ -386,6 +543,27 @@ class DistributedMemoryAspect(LayerAspect):
 
         # Every rank can finish the step: swap buffers (unless warm-up) …
         result = jp.proceed()
+
+        if agreed & _CLOSED:
+            # … and every rank reads nothing but pushed rows: publish mine
+            # (the stamp orders what the barrier used to), await theirs.
+            push.closed_once = True
+            env.invalidate_buffer_only()
+            if protocol_checks():
+                env.check_pushed_rows()
+            with tracer.span("halo.publish", links=len(push.outbound)):
+                self._publish(env, push)
+            pending = PendingPush(push, world, rank, trace, overlapped=self.overlap)
+            if self.overlap:
+                env.set_pending_halo(pending)
+            else:
+                pending.complete(env)
+            return result
+
+        if reason is not None and not warmup and world.size > 1 and (
+            reason in _NEVER_CLOSES or (push is not None and push.closed_once)
+        ):
+            world.record_open_step(rank, reason)
         with tracer.span("step.barrier"):
             world.barrier()
         trace.collectives += 1
@@ -411,7 +589,41 @@ class DistributedMemoryAspect(LayerAspect):
         else:
             with tracer.span("halo.perpage", pages=len(prefetch)):
                 self._fetch_pages(env, rank, prefetch, trace)
+        if not agreed & _CURRENT:
+            # Some rank's plans changed since the last negotiation (or
+            # there was none): tell the owners what is read now, so the
+            # following steps can run closed.
+            with tracer.span("plan.push_negotiate"):
+                self._negotiate_push(env, rank, plan_pages)
         return result
+
+    def _open_reason(self, env, rank: int, push: Optional[PushPlan], warmup: bool) -> Optional[str]:
+        """Why this rank's step cannot be closed, or ``None`` when it can:
+        the pushed rows are provably all the remote data it reads."""
+        mmat = env.mmat
+        reads = (mmat.plan_compiles_uncached, env.stats.buffer_only_reads)
+        before = self._uncovered_reads.get(rank, reads)
+        self._uncovered_reads[rank] = reads
+        if not self.comm_plans:
+            return "comm_plans=False"
+        if self.world.control is None:
+            return "no shm"
+        if warmup:
+            return "warm-up"
+        if push is None or push.generation != env.plan_generation:
+            return "plan generation changed"
+        if not mmat.enabled:
+            return "MMAT disabled"
+        if env.missing_pages:
+            return "missing page"
+        if reads[0] != before[0]:
+            return "key-less gather_global"
+        if reads[1] != before[1]:
+            return "scalar halo read"
+        with self._lock:
+            if not self._dry_run.get(rank, set()) <= push.pages:
+                return "dry-run pages outside plans"
+        return None
 
     # ------------------------------------------------------------------
     @before("tagged('platform.finalize')", order=0)
@@ -426,6 +638,118 @@ class DistributedMemoryAspect(LayerAspect):
         env = getattr(jp.target, "env", None)
         if env is not None:
             env.complete_pending_halo(drained=True)
+
+    # ------------------------------------------------------------------
+    # publish protocol
+    # ------------------------------------------------------------------
+    def _publish(self, env, push: PushPlan) -> None:
+        """Store the rows each consumer reads into its slot, then stamp it."""
+        world = self.world
+        checks = protocol_checks()
+        for link, tables in push.outbound:
+            if checks:
+                world.control.claim(link.owner, link.consumer)
+            crc = 0 if checks else None
+            sites = 0
+            for image, idx, sources, lo, hi in tables:
+                rows = env.image_rows(image, sources, False)
+                # mode="clip": the indices were range-checked when the plan
+                # was negotiated, and the default mode would buffer the slot.
+                np.take(rows, idx, axis=0, out=_slot_rows(link, image, lo, hi), mode="clip")
+                sites += idx.size
+                if checks:
+                    crc = zlib.crc32(rows[idx].tobytes(), crc)
+            world.publish_halo(link, sites, crc)
+
+    def _negotiate_push(self, env, rank: int, plan_pages: Set[PageKey]) -> None:
+        """Collective: tell every owner which of its rows this rank's plans read.
+
+        Each consumer sizes and allocates one slot per owner and sends,
+        through one allgather, the slot's descriptor with the sorted
+        distinct ``(logical block key, element row)`` set of its halo
+        tables; each owner turns what it receives into index vectors
+        into its own read image.  No per-site Python on either side.
+        """
+        world = self.world
+        directory = world.directory
+        # -- consumer side: halo rows -> per-owner (block key, elements) --
+        pushed = env.plan_halo_rows()
+        wanted: Dict[int, list] = {}  # owner -> [(image, rows, [(key, elements), …]), …]
+        for image, rows in pushed:
+            blocks, which, elements = env.halo_row_blocks(image, rows)
+            owners = np.array(
+                [directory.owner_of(self._logical_key(rank, block)) for block in blocks]
+            )
+            row_owner = owners[which]
+            for owner in np.unique(row_owner).tolist():
+                sel = np.flatnonzero(row_owner == owner)
+                cuts = np.flatnonzero(np.diff(which[sel])) + 1
+                firsts = which[sel][np.concatenate(([0], cuts))]
+                pieces = [
+                    (blocks[b].logical_key, part)
+                    for b, part in zip(firsts.tolist(), np.split(elements[sel], cuts))
+                ]
+                wanted.setdefault(owner, []).append((image, rows[sel], pieces))
+        plan = PushPlan(generation=env.plan_generation, pages=frozenset(plan_pages))
+        previous = self._push_plans.get(rank)
+        plan.closed_once = previous is not None and previous.closed_once
+        links = self._inbound_links.setdefault(rank, {})
+        offer: Dict[int, tuple] = {}
+        for owner, entries in sorted(wanted.items()):
+            tables, classes, offset = [], [], 0
+            for image, rows, pieces in entries:
+                nbytes = rows.size * image.components * image.dtype.itemsize
+                tables.append((image, rows, offset, offset + nbytes))
+                plan.inbound_sites += rows.size
+                classes.append(((image.components, image.dtype.str), pieces))
+                offset += nbytes + (-nbytes) % 8
+            link = links.get(owner)
+            if link is None or link.slot.nbytes < offset:
+                link = links[owner] = world.open_halo_link(owner, rank, nbytes=offset)
+            plan.inbound.append((link, tables))
+            offer[owner] = (link.descriptor, classes)
+        # -- the one collective ---------------------------------------------
+        offers = world.allreduce((rank, offer), list)
+        # -- owner side: (block key, elements) -> rows of my read image -----
+        for consumer, offered in sorted(offers, key=lambda item: item[0]):
+            if rank not in offered:
+                continue
+            descriptor, classes = offered[rank]
+            link = world.open_halo_link(rank, consumer, descriptor=descriptor)
+            tables, offset = [], 0
+            for class_key, pieces in classes:
+                idx, sources, image = [], [], None
+                for logical_key, elements in pieces:
+                    block = env.block(directory.block_id_on(logical_key, rank))
+                    image, lo, hi, halo = env.image_slot(block)
+                    if (
+                        halo
+                        or (image.components, image.dtype.str) != class_key
+                        or (elements.size and int(elements.max()) >= hi - lo)
+                    ):
+                        raise PageFetchError(
+                            f"rank {consumer} asked rank {rank} to publish rows of "
+                            f"block {logical_key!r} that it does not own in that shape"
+                        )
+                    idx.append(lo + elements)
+                    sources.append(block)
+                idx = np.concatenate(idx).astype(np.intp, copy=False)
+                nbytes = idx.size * image.components * image.dtype.itemsize
+                tables.append((image, idx, sources, offset, offset + nbytes))
+                offset += nbytes + (-nbytes) % 8
+            plan.outbound.append((link, tables))
+        env.set_pushed_rows(pushed)
+        self._push_plans[rank] = plan
+
+    @staticmethod
+    def _logical_key(rank: int, block) -> Any:
+        logical_key = getattr(block, "logical_key", None)
+        if logical_key is None:
+            raise PageFetchError(
+                f"rank {rank} cannot plan the halo of block {block.name!r}: it has no "
+                "logical key, so its owning rank is unresolvable"
+            )
+        return logical_key
 
     # ------------------------------------------------------------------
     def _comm_plan_for(self, env, rank: int, keys: Set[PageKey], trace) -> CommPlan:
@@ -545,6 +869,4 @@ class DistributedMemoryAspect(LayerAspect):
     def on_detach(self, platform) -> None:
         """Drop the world and every cached plan when unwoven from a platform."""
         super().on_detach(platform)
-        self.world = None
-        self._dry_run = {}
-        self._comm_plans = {}
+        self.bind_world(None)

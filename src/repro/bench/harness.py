@@ -246,10 +246,8 @@ def configuration_aspects(
 
     ``comm_plans=False`` keeps the distributed layer on the paper
     prototype's one-message-pair-per-page protocol (the scaling figures
-    model that prototype; the aggregated exchange is benchmarked
-    separately in ``benchmarks/bench_comm_plans.py``); ``overlap=False``
-    keeps the aggregated exchange blocking (``benchmarks/bench_overlap.py``
-    measures the difference).
+    model that prototype); ``overlap=False`` makes a rank wait for its
+    halo inside the refresh instead of behind the next interior sweep.
     """
     if label == "serial":
         return None

@@ -73,6 +73,9 @@ class EnvStats:
     #: the image did not hold their current read buffer (0 per step in a
     #: steady-state full-store sweep).
     dense_assemblies: int = 0
+    #: Scalar reads resolved to a Buffer-only Block: remote data the
+    #: compiled plans (and so the pushed halo) do not cover.
+    buffer_only_reads: int = 0
 
     def as_dict(self) -> dict:
         return dict(self.__dict__)
@@ -98,12 +101,16 @@ class DenseImage:
       non-warm-up refresh swaps the two together with the buffers.
     * ``halo`` — ``(halo_rows, components)`` for the Buffer-only Blocks,
       single-buffered because Buffer-only Blocks never swap: their read
-      buffer is only ever refilled in place by page installs.
+      buffer is only ever refilled in place by page installs.  Under the
+      publish protocol the owners' pushes land *here*, not in the pages
+      (:meth:`Env.install_pushed_halo`): the pushed rows are then current
+      although their Blocks are not ``fresh`` and their pages not valid.
 
     Row bases are handed out once, at ``Env.add_data_block``, and never
     move, so a compiled plan's row indices stay valid while the tree
-    grows.  The arrays are allocated on first use; growing the tree
-    drops them (they are re-allocated at the new size on the next use).
+    grows.  The arrays are allocated on first use; a new owned Block
+    drops ``read`` / ``next`` (re-allocated at the new size on the next
+    use), a new Buffer-only Block grows ``halo`` in place.
 
     **Invariant** (checked by :meth:`Env.check_dense_image`): for every
     Block in ``fresh`` its image rows equal ``read_buffer.dense()``; for
@@ -136,10 +143,15 @@ class DenseImage:
         count = block.element_count
         if halo:
             base, self.halo_rows = self.halo_rows, self.halo_rows + count
+            if self.halo is not None:
+                # Pushed rows have no pages to be re-assembled from: grow.
+                grown = np.empty((self.halo_rows, self.components), dtype=self.dtype)
+                grown[:base] = self.halo
+                self.halo = grown
         else:
             base, self.local_rows = self.local_rows, self.local_rows + count
-        # The arrays are now too short: drop them and what they held.
-        self.read = self.next = self.halo = None
+            # The arrays are now too short: drop them and what they held.
+            self.read = self.next = None
         self.invalidate()
         return (self, base, base + count, halo)
 
@@ -202,6 +214,19 @@ class Env:
         #: needs halo data, or drained at the next refresh / finalize.
         self._pending_halo = None
         self._halo_lock = threading.Lock()
+        #: Publish protocol (set by the distributed-memory aspect): per
+        #: image (by id) the mask of halo rows the owners push each closed
+        #: step with the ids of that image's Buffer-only Blocks, an epoch
+        #: bumped whenever the masks change, and whether
+        #: the pushed rows hold the current step's data — from a push's
+        #: completion until the next buffer swap.
+        self._pushed_rows: Dict[int, tuple] = {}
+        self._pushed_epoch = 0
+        self._pushed_current = False
+        #: Whether any Buffer-only page may be valid (pages are born valid,
+        #: installs validate them): lets the per-step invalidation of a
+        #: run whose halo is pushed, not installed, return at once.
+        self._halo_pages_live = True
         #: Box tables of :meth:`find_blocks`, one per address
         #: dimensionality; built lazily, dropped when the tree changes.
         self._box_tables: Dict[int, tuple] = {}
@@ -225,6 +250,7 @@ class Env:
         if not isinstance(block, DataBlock):
             raise EnvError("add_data_block expects a DataBlock (or subclass)")
         (parent or self.data_joint).add_child(block)
+        self._halo_pages_live = True  # a new Buffer-only Block's pages are born valid
         key = (block.components, block.buffer.read_buffer.dtype)
         image = self._images.get(key)
         if image is None:
@@ -315,6 +341,7 @@ class Env:
             block.refresh_swap()
         self.stats.buffer_swaps += len(owned)
         self.step += 1
+        self._pushed_current = False  # every owner's data just moved on
         # The buffers just written by full-block stores are now the read
         # buffers: the image rows that mirrored them are valid reads.
         for image in self._images.values():
@@ -375,6 +402,7 @@ class Env:
     def _read_resolved(self, block: Block, addr: Sequence[int]):
         """Read from an already-resolved block, handling not-yet-valid buffers."""
         if isinstance(block, BufferOnlyBlock):
+            self.stats.buffer_only_reads += 1
             index = block.element_index(addr)
             buf = block.buffer.read_buffer
             page = buf.pages[buf.page_of(index)]
@@ -541,6 +569,7 @@ class Env:
         if not isinstance(block, DataBlock):
             raise EnvError(f"page install requested on non-data block {block.name!r}")
         block.page_fill(key.page_index, data)
+        self._halo_pages_live = True
         self.invalidate_dense((key.block_id,))
 
     def page_install_many(self, items: Iterable[Tuple[PageKey, np.ndarray]]) -> None:
@@ -556,10 +585,14 @@ class Env:
                 raise EnvError(f"page install requested on non-data block {block.name!r}")
             block.page_fill(key.page_index, data)
             touched.add(key.block_id)
+        self._halo_pages_live = True
         self.invalidate_dense(touched)
 
     def invalidate_buffer_only(self) -> None:
         """Mark every Buffer-only Block stale (done at each step boundary)."""
+        if not self._halo_pages_live:
+            return  # nothing was installed since the last call
+        self._halo_pages_live = False
         stale = [
             b for b in self.data_blocks(include_buffer_only=True)
             if isinstance(b, BufferOnlyBlock)
@@ -611,6 +644,74 @@ class Env:
             return True
 
     # ------------------------------------------------------------------
+    # pushed halo (publish protocol of the distributed-memory aspect)
+    # ------------------------------------------------------------------
+    @property
+    def plan_generation(self) -> tuple:
+        """Changes whenever the set of compiled plans may have: what a
+        site-granular communication plan was derived from."""
+        return (self.mmat.resets, self.mmat.plan_compiles)
+
+    def plan_halo_rows(self) -> List[Tuple[DenseImage, np.ndarray]]:
+        """Per image, the sorted distinct ``halo`` rows every compiled
+        plan's halo tables read — the sites an owner must publish."""
+        tables: Dict[int, Tuple[DenseImage, list]] = {}
+        for plan in self.mmat.plans.values():
+            for seg in plan.split()[1]:
+                tables.setdefault(id(seg.image), (seg.image, []))[1].append(seg.src_idx)
+        return [(image, np.unique(np.concatenate(parts))) for image, parts in tables.values()]
+
+    def halo_row_blocks(self, image: DenseImage, rows: np.ndarray):
+        """Resolve sorted ``halo`` rows of ``image`` to their Blocks:
+        ``(blocks, block index per row, element index per row)``."""
+        slots = sorted(
+            (lo, block_id)
+            for block_id, (owner, lo, _hi, halo) in self._slots.items()
+            if halo and owner is image
+        )
+        bases = np.array([lo for lo, _ in slots], dtype=np.intp)
+        which = np.searchsorted(bases, rows, side="right") - 1
+        return [self.blocks_by_id[block_id] for _, block_id in slots], which, rows - bases[which]
+
+    def set_pushed_rows(self, tables: Iterable[Tuple[DenseImage, np.ndarray]]) -> None:
+        """Declare which ``halo`` rows the owners publish from now on."""
+        self._pushed_rows = {}
+        for image, rows in tables:
+            mask = np.zeros(image.halo_rows, dtype=bool)
+            mask[rows] = True
+            blocks = self.halo_row_blocks(image, rows)[0]
+            self._pushed_rows[id(image)] = (mask, {block.block_id for block in blocks})
+        self._pushed_epoch += 1
+        self._pushed_current = False
+
+    def install_pushed_halo(self, tables: Iterable[Tuple[DenseImage, np.ndarray, np.ndarray]]) -> None:
+        """Store this step's pushed ``values`` into ``rows`` of each image's
+        ``halo`` array; from here until the next swap, halo tables covered
+        by :meth:`set_pushed_rows` read them without a page-validity pass."""
+        for image, rows, values in tables:
+            halo = image.halo
+            if halo is None:
+                halo = self._allocate(image, "halo")
+            halo[rows] = values
+            # The rows no longer mirror the Buffer-only pages.
+            image.fresh -= self._pushed_rows[id(image)][1]
+        self._pushed_current = True
+
+    def halo_pushed(self, segment) -> bool:
+        """Whether ``segment`` (a halo :class:`~repro.memory.mmat.PlanSegment`)
+        reads only rows the current step's push delivered."""
+        if not self._pushed_current:
+            return False
+        if segment.push_epoch != self._pushed_epoch:
+            mask = self._pushed_rows.get(id(segment.image), (None,))[0]
+            idx = segment.src_idx
+            segment.push_covered = bool(
+                mask is not None and idx.size and idx.max() < mask.size and mask[idx].all()
+            )
+            segment.push_epoch = self._pushed_epoch
+        return segment.push_covered
+
+    # ------------------------------------------------------------------
     # bulk access (used by compiled access plans)
     # ------------------------------------------------------------------
     def dense_read(self, block: DataBlock) -> np.ndarray:
@@ -629,8 +730,18 @@ class Env:
             array = self._allocate(image, "halo" if halo else "read")
         rows = array[lo:hi]
         if block.block_id not in image.fresh:
-            block.buffer.read_buffer.dense(out=rows)
-            image.fresh.add(block.block_id)
+            if halo and self._pushed_current and not block.is_valid:
+                # Some of these rows were pushed and have no valid page
+                # behind them: copy the pages that did arrive (a repair
+                # fetch), leave the rest, and do not call the Block fresh.
+                for page in block.buffer.read_buffer.pages:
+                    if page.valid:
+                        first = page.index * page.elements
+                        part = rows[first : first + page.elements]
+                        part[...] = page.array[: part.shape[0]]
+            else:
+                block.buffer.read_buffer.dense(out=rows)
+                image.fresh.add(block.block_id)
             self.stats.dense_assemblies += 1
         return rows
 
@@ -726,6 +837,18 @@ class Env:
                         f"dense image of Env {self.name!r}: the {side} rows of block "
                         f"{block.name!r} are marked fresh but differ from its buffer"
                     )
+
+    def check_pushed_rows(self) -> None:
+        """Raise :class:`EnvError` unless the rows declared by
+        :meth:`set_pushed_rows` cover every halo row a compiled plan reads
+        (the communication plan ⊇ the plans' requirements)."""
+        for image, rows in self.plan_halo_rows():
+            mask = self._pushed_rows.get(id(image), (None,))[0]
+            if mask is None or rows[-1] >= mask.size or not mask[rows].all():
+                raise EnvError(
+                    f"Env {self.name!r}: compiled plans read halo rows the owners "
+                    "were never asked to publish"
+                )
 
     def plan_page_requirements(self) -> Set[PageKey]:
         """Union of the Buffer-only (halo) pages every compiled plan reads.

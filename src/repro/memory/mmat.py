@@ -71,10 +71,16 @@ class PlanSegment:
     a row for every output site in order (address plans: the sites other
     tables serve read a placeholder row and are patched afterwards).
     Halo tables also carry, per site, the index into ``pages`` of the
-    Buffer-only page it reads, so one validity pass covers the table.
+    Buffer-only page it reads, so one validity pass covers the table —
+    a pass a table skips while the owners *publish* exactly its rows
+    (:meth:`~repro.memory.env.Env.halo_pushed`: the stamp the consumer
+    waited for is the validity).
     """
 
-    __slots__ = ("image", "halo", "sources", "src_idx", "dst_idx", "site_page", "pages")
+    __slots__ = (
+        "image", "halo", "sources", "src_idx", "dst_idx", "site_page", "pages",
+        "push_epoch", "push_covered",
+    )
 
     def __init__(self, image, halo: bool, sources, src_idx, dst_idx, site_page=None, pages=()):
         self.image = image
@@ -88,6 +94,10 @@ class PlanSegment:
         #: page read, indexed by ``site_page``.  Buffer-only Blocks never
         #: swap buffers, so the page objects are resolved once.
         self.pages = pages
+        #: Memo of ``Env.halo_pushed``: the Env's pushed-rows epoch this
+        #: table was last checked against, and whether they cover it.
+        self.push_epoch = -1
+        self.push_covered = False
 
     def with_sites(self, dst_idx, keep) -> "PlanSegment":
         """The same table restricted to sites ``keep``, written to ``dst_idx``
@@ -105,6 +115,9 @@ class PlanSegment:
         and the step is re-executed, exactly as on the scalar path) and
         their sites read placeholder zeros.
         """
+        if self.halo and env.halo_pushed(self):
+            out[self.dst_idx] = self.image.halo[self.src_idx]
+            return 0
         rows = env.image_rows(self.image, self.sources, self.halo)
         if self.dst_idx is None:
             # mode="clip": indices were range-checked at compile time, and

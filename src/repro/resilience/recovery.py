@@ -217,9 +217,7 @@ class RecoveryManager:
                 if policy.fault_plan is not None:
                     world.install_fault_plan(policy.fault_plan)
                 # Reset the mpi aspect's per-world state for this attempt.
-                aspect.world = world
-                aspect._dry_run = {rank: set() for rank in range(world.size)}
-                aspect._comm_plans = {}
+                aspect.bind_world(world)
                 if platform is not None:
                     platform.context["mpi_world"] = world
                     platform.context["resilience"] = self

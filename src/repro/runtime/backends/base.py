@@ -14,7 +14,12 @@ aspect module needs:
   keys to owning ranks (:meth:`ExecutionWorld.register_block` +
   :meth:`ExecutionWorld.commit_registration`);
 * **page transport** — :meth:`ExecutionWorld.fetch_page_by_logical`
-  moves page snapshots from the owning rank to the requester.
+  moves page snapshots from the owning rank to the requester;
+* **halo slots** (optional) — a world whose ranks can share memory
+  offers :attr:`ExecutionWorld.control` words and
+  :meth:`ExecutionWorld.open_halo_link` slots, over which the
+  distributed-memory aspect *publishes* the steady-state halo instead
+  of serving requests for it.
 
 Implementations shipped with the platform: ``serial`` (inline, world of
 one), ``threads`` (one OS thread per rank — the original simulated
@@ -24,10 +29,14 @@ runtime), ``process`` (one real ``multiprocessing`` process per rank).
 from __future__ import annotations
 
 import abc
+import threading
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import CollectiveError, InjectedFault, NetworkError
+from ..shm import ControlWords
 from ..task import TaskContext
 
 __all__ = [
@@ -37,8 +46,10 @@ __all__ = [
     "CompletedCommHandle",
     "ExecutionBackend",
     "ExecutionWorld",
+    "HaloLink",
     "RankResult",
     "SpmdFailure",
+    "and_bits",
     "group_requests_by_owner",
     "raise_spmd_failures",
 ]
@@ -134,13 +145,49 @@ def group_requests_by_owner(
     return grouped
 
 
-class CommHandle(abc.ABC):
-    """A nonblocking bulk page fetch in flight (overlapped halo exchange).
+def and_bits(values: Sequence[int]) -> int:
+    """Bitwise AND of every rank's flags: the reduction of the step agreement.
 
-    Returned by :meth:`ExecutionWorld.fetch_pages_bulk_async`.  The
-    requester issues the handle, computes its interior sweep while the
-    pages travel, then calls :meth:`wait` to obtain the
-    :class:`BulkFetchResult` before touching halo data.
+    Worlds with :attr:`ExecutionWorld.control` words recognise this very
+    function in :meth:`ExecutionWorld.allreduce` and agree over shared
+    words instead of exchanging messages.
+    """
+    return reduce(and_, values)
+
+
+class HaloLink:
+    """One directed owner → consumer halo slot, as one of its two ranks sees it.
+
+    ``slot`` is a byte view of memory both ranks address (a shared
+    segment, or one array between threads); the world that handed the
+    link out clears it when it closes, so holders keep the link, never
+    the view.  ``descriptor`` is what the consumer — who sizes and
+    allocates the slot — sends the owner to open the same memory with
+    :meth:`ExecutionWorld.open_halo_link`.
+    """
+
+    __slots__ = ("owner", "consumer", "slot", "descriptor")
+
+    def __init__(self, owner: int, consumer: int, slot: Any, descriptor: Any) -> None:
+        self.owner = int(owner)
+        self.consumer = int(consumer)
+        self.slot = slot
+        self.descriptor = descriptor
+
+
+#: Guards the halo accounting of worlds whose ranks share one stats object.
+_ACCOUNT_LOCK = threading.Lock()
+
+
+class CommHandle(abc.ABC):
+    """A halo refresh in flight: a nonblocking bulk page fetch, or the
+    wait for the owners' pushes of this step.
+
+    Returned by :meth:`ExecutionWorld.fetch_pages_bulk_async` and
+    :meth:`ExecutionWorld.await_halo`.  The requester issues the handle,
+    computes its interior sweep while the data travels, then calls
+    :meth:`wait` to obtain the :class:`BulkFetchResult` before touching
+    halo data.
 
     ``wait()`` is **idempotent**: the first call blocks until every
     in-flight exchange completed and memoizes the result (or the
@@ -194,6 +241,31 @@ class CompletedCommHandle(CommHandle):
 
     def _wait(self) -> BulkFetchResult:  # pragma: no cover - never reached
         raise AssertionError("CompletedCommHandle is constructed completed")
+
+
+class _StampHandle(CommHandle):
+    """The wait for the halo stamps of one round (publish protocol)."""
+
+    __slots__ = ("_world", "_consumer", "_links", "_round")
+
+    def __init__(self, world: "ExecutionWorld", consumer: int, links, round: int) -> None:
+        super().__init__()
+        self._world = world
+        self._consumer = consumer
+        self._links = links
+        self._round = round
+
+    def _wait(self) -> BulkFetchResult:
+        world = self._world
+        world.control.await_stamps(
+            self._consumer,
+            [link.owner for link in self._links],
+            self._round,
+            world._halo_wait,
+        )
+        return BulkFetchResult(
+            exchanges=len(self._links), nbytes=sum(link.slot.nbytes for link in self._links)
+        )
 
 
 class ExecutionWorld(abc.ABC):
@@ -293,8 +365,18 @@ class ExecutionWorld(abc.ABC):
         """
 
     def allreduce_and(self, flag: bool) -> bool:
-        """Logical-AND allreduce (used to agree on refresh success)."""
+        """Logical-AND allreduce."""
         return bool(self.allreduce(bool(flag), lambda values: all(values)))
+
+    def allreduce_bits(self, flags: int) -> int:
+        """Bitwise-AND allreduce: the refresh protocol's per-step agreement.
+
+        One collective carries several yes/no statements of a rank (the
+        step succeeded, its halo is covered by the pushed plans, …); every
+        rank receives the AND of each.  Worlds that offer
+        :attr:`control` words serve it from them (see :func:`and_bits`).
+        """
+        return int(self.allreduce(int(flags), and_bits))
 
     def allreduce_sum(self, value: float) -> float:
         """Sum allreduce (used by examples for residual norms)."""
@@ -343,7 +425,68 @@ class ExecutionWorld(abc.ABC):
         """
         return CompletedCommHandle(self.fetch_pages_bulk(requester, requests))
 
+    # -- halo slots (publish protocol) -----------------------------------
+    #: The world's :class:`~repro.runtime.shm.ControlWords` when its ranks
+    #: can address common memory — the world then *offers slots* and the
+    #: refresh protocol publishes the steady-state halo through them;
+    #: ``None`` (a world of one rank, pipe-only processes, a custom
+    #: backend) keeps the page protocol for every step.
+    control: Optional[ControlWords] = None
+    #: Per rank, the round of its latest shared-word agreement.
+    _rounds: List[int]
+
+    def _offer_slots(self, control: ControlWords) -> None:
+        self.control = control
+        self._rounds = [0] * self.size
+
+    def halo_round(self, rank: int) -> int:
+        """Round of ``rank``'s latest shared-word agreement (its step stamp)."""
+        return self._rounds[rank]
+
+    def _agree(self, rank: int, flags: int) -> int:
+        """The shared-word form of :meth:`allreduce_bits` (``control`` set)."""
+        self._rounds[rank] += 1
+        return self.control.agree(rank, self._rounds[rank], flags, self._halo_wait)
+
+    def _halo_wait(self, ready: Callable[[], Any], late: Callable[[], BaseException]) -> Any:
+        """:func:`~repro.runtime.shm.spin_until` with this world's timeout,
+        back-off and dead-peer poll: how its ranks wait on the control words."""
+        raise BackendError(f"the {self.backend_name!r} world offers no halo slots")
+
+    def open_halo_link(
+        self, owner: int, consumer: int, *, nbytes: int = 0, descriptor: Any = None
+    ) -> HaloLink:
+        """The ``owner`` → ``consumer`` slot: allocated with ``nbytes`` by the
+        consumer, opened from the consumer's ``descriptor`` by the owner."""
+        raise BackendError(f"the {self.backend_name!r} world offers no halo slots")
+
+    def publish_halo(self, link: HaloLink, sites: int, crc: Optional[int] = None) -> None:
+        """Stamp ``link``'s slot — its data stored — with the owner's round.
+
+        A push is traffic: one message of the slot's bytes on the
+        owner → consumer link.
+        """
+        self.control.publish(link.owner, link.consumer, self.halo_round(link.owner), crc)
+        with _ACCOUNT_LOCK:
+            self.stats_of(link.owner).record_push(
+                link.owner, link.consumer, sites, link.slot.nbytes
+            )
+
+    def await_halo(self, consumer: int, links: Sequence[HaloLink]) -> CommHandle:
+        """Handle whose ``wait()`` returns once every owner of ``links``
+        stamped its slot with the consumer's current round."""
+        return _StampHandle(self, consumer, list(links), self.halo_round(consumer))
+
     # -- accounting -----------------------------------------------------
+    @abc.abstractmethod
+    def stats_of(self, rank: int) -> Any:
+        """The :class:`~repro.runtime.network.NetworkStats` ``rank`` counts into."""
+
+    def record_open_step(self, rank: int, reason: str) -> None:
+        """Count one step ``rank`` could not take through the publish protocol."""
+        with _ACCOUNT_LOCK:
+            self.stats_of(rank).record_open(reason)
+
     @abc.abstractmethod
     def traffic_summary(self) -> dict:
         """Aggregate traffic counters with :class:`~repro.runtime.network.NetworkStats` keys."""

@@ -11,8 +11,14 @@ Topology and transport
 Rank 0 runs inline in the parent process (so the master application
 instance, its Env and its trace counters stay native objects); ranks
 1..N-1 are forked children.  Every pair of ranks is connected by one
-duplex :func:`multiprocessing.Pipe`; there is no shared memory and no
-coordinator — collectives are allgathers over the pipe mesh.
+duplex :func:`multiprocessing.Pipe`; there is no coordinator —
+collectives are allgathers over the pipe mesh.  With the shm data plane
+(below) the ranks additionally share one segment of *control words*
+(:class:`~repro.runtime.shm.ControlWords`, mapped before the fork):
+the refresh protocol's per-step agreement then runs over those words
+instead of the pipes, and owners publish the steady-state halo into
+stamped slots of shared memory (``docs/protocols.md`` §1) — the message
+protocol below is what runs at warm-up, repair and on pipe-only worlds.
 
 Messages are small tuples:
 
@@ -54,7 +60,9 @@ directly — while ``shm_fetches``/``shm_bytes`` record how much volume
 skipped the pipes.  Segment hygiene: each rank unlinks its own arena
 when its transport closes; :meth:`ProcessWorld.finalize` probe-unlinks
 the deterministically named segments of ranks that died before closing
-(see :func:`~repro.runtime.shm.cleanup_rank_segments`).
+(see :func:`~repro.runtime.shm.cleanup_rank_segments`) and the control
+segment; :meth:`ProcessBackend.create_world` first unlinks what a
+*killed parent* left behind (names carry the creating pid).
 
 The page-serving protocol
 -------------------------
@@ -111,6 +119,7 @@ from ...obs.spans import global_tracer
 from ..errors import CollectiveError, DeadRankError, InjectedFault, NetworkError, TaskError
 from ..network import NetworkStats, _payload_nbytes
 from ..shm import (
+    ControlWords,
     SegmentCache,
     SharedPageArena,
     cleanup_rank_segments,
@@ -118,6 +127,8 @@ from ..shm import (
     new_shm_uid,
     shm_available,
     shm_eligible,
+    spin_until,
+    sweep_stale_segments,
     validate_page_transport,
 )
 from ..simmpi import BlockDirectory
@@ -130,12 +141,19 @@ from .base import (
     CompletedCommHandle,
     ExecutionBackend,
     ExecutionWorld,
+    HaloLink,
     RankResult,
+    and_bits,
     group_requests_by_owner,
     raise_spmd_failures,
 )
 
 __all__ = ["ProcessBackend", "ProcessTransport", "ProcessWorld"]
+
+#: ``sched_yield`` polls of a shared word before a forked rank starts
+#: sleeping between polls (see :func:`~repro.runtime.shm.spin_until`):
+#: about a millisecond, the skew of two sweeps.
+_BUSY_SPINS = 400
 
 #: Collective kinds whose contributions are terminal per rank: once a
 #: peer sent "exit" it will never contribute to red/bar/reg again, so a
@@ -194,7 +212,12 @@ class ProcessTransport:
         self._use_shm = bool(use_shm)
         self._shm_uid = shm_uid
         self._arena: Optional[SharedPageArena] = None
+        #: The receiver thread (page serves) and the main thread (halo
+        #: slots) both create the arena on first use.
+        self._arena_lock = threading.Lock()
         self._segcache = SegmentCache()
+        #: Halo links handed out; their slot views die with the transport.
+        self._links: List[HaloLink] = []
         #: Installed fault plan (reply faults act in ``_post_reply``).
         self.fault_plan = fault_plan
         #: Whether page replies carry an adler32 integrity checksum, so
@@ -392,9 +415,7 @@ class ProcessTransport:
             data, generation = self.endpoint.page_snapshot(key), None
         if not shm_eligible(data):
             return None
-        if self._arena is None:
-            self._arena = SharedPageArena(self._shm_uid, self.rank)
-        segment, offset, nbytes, version = self._arena.publish(key, data, generation)
+        segment, offset, nbytes, version = self._own_arena().publish(key, data, generation)
         return (
             key.block_id,
             key.page_index,
@@ -405,6 +426,42 @@ class ProcessTransport:
             np.asarray(data).dtype.str,
             version,
         )
+
+    def _own_arena(self) -> SharedPageArena:
+        with self._arena_lock:
+            if self._arena is None:
+                self._arena = SharedPageArena(self._shm_uid, self.rank)
+            return self._arena
+
+    def open_halo_link(self, owner: int, consumer: int, nbytes: int, descriptor) -> HaloLink:
+        """Map the ``owner`` → ``consumer`` halo slot (publish protocol).
+
+        The consumer reserves ``nbytes`` in its own arena — the slot then
+        shares the arena's naming and unlink discipline — and both ends
+        map the resulting ``(segment, offset, nbytes)`` descriptor.
+        """
+        if descriptor is None:
+            descriptor = self._own_arena().reserve(nbytes)
+        link = HaloLink(owner, consumer, self._segcache.view(*descriptor), descriptor)
+        self._links.append(link)
+        return link
+
+    def check_peers(self) -> None:
+        """Raise if a peer died or left the program (polled by shared-word waits)."""
+        with self._inbox_cond:
+            if self._dead:
+                peer = min(self._dead)
+                raise DeadRankError(
+                    peer,
+                    f"closed its connection while rank {self.rank} was waiting on "
+                    "the shared control words",
+                )
+            for peer, queue in self._inbox.items():
+                if any(m[0] == "coll" and m[1] == "exit" for m in queue):
+                    raise CollectiveError(
+                        f"rank {peer} exited while rank {self.rank} was waiting on "
+                        "the shared control words"
+                    )
 
     def _post_reply(self, peer: int, reply: tuple) -> None:
         """Enqueue a page reply, via the fault plan / interleaving shim."""
@@ -708,9 +765,13 @@ class ProcessTransport:
                 conn.close()
             except OSError:  # pragma: no cover - teardown best effort
                 pass
-        # Shared-memory hygiene: detach peer segments (their owners
-        # unlink them), then unlink our own arena — the one unlink per
-        # segment that retires its resource-tracker entry.
+        # Shared-memory hygiene: drop the halo slot views (a mapped
+        # segment with a live view cannot be closed), detach peer segments
+        # (their owners unlink them), then unlink our own arena — the one
+        # unlink per segment that retires its resource-tracker entry.
+        for link in self._links:
+            link.slot = None
+        self._links = []
         self._segcache.close_all()
         if self._arena is not None:
             self._arena.close(unlink=True)
@@ -815,6 +876,9 @@ class ProcessWorld(ExecutionWorld):
             # any rank lands in one set, and the single unlink per
             # segment (owner or parent sweep) retires it cleanly.
             ensure_tracker_running()
+            # Ranks that share memory can publish their halo: the control
+            # words are mapped before the fork so every child inherits them.
+            self._offer_slots(ControlWords.shared(self.shm_uid, self.size))
         ctx = multiprocessing.get_context("fork")
         # One duplex pipe per unordered rank pair, created before forking
         # so every process inherits its ends.
@@ -865,6 +929,7 @@ class ProcessWorld(ExecutionWorld):
                 if proc.is_alive():  # pragma: no cover - defensive teardown
                     proc.terminate()
                     proc.join(timeout=5.0)
+            self._close_control()
         raise_spmd_failures(results, note=self._send_notes[0] if self._send_notes else None)
         return results
 
@@ -1046,6 +1111,9 @@ class ProcessWorld(ExecutionWorld):
             self.stats.allreduces += 1
             return op([value])
         transport.stats.allreduces += 1
+        if op is and_bits and self.control is not None:
+            # The per-step agreement: shared words, no messages.
+            return self._agree(transport.rank, value)
         return transport.collective("red", value, op)
 
     def _require_transport(self) -> Optional[ProcessTransport]:
@@ -1130,13 +1198,37 @@ class ProcessWorld(ExecutionWorld):
                 pending.append((owner, items, transport.issue_batch(owner, keyed), None))
         return _ProcessBulkHandle(transport, pending)
 
+    # -- halo slots (publish protocol) -----------------------------------
+    def _halo_wait(self, ready, late):
+        return spin_until(
+            ready,
+            timeout=self.timeout,
+            late=late,
+            poll=self._require_transport().check_peers,
+            busy_spins=_BUSY_SPINS,
+        )
+
+    def open_halo_link(
+        self, owner: int, consumer: int, *, nbytes: int = 0, descriptor: Any = None
+    ) -> HaloLink:
+        return self._require_transport().open_halo_link(owner, consumer, nbytes, descriptor)
+
+    def _close_control(self) -> None:
+        control, self.control = self.control, None
+        if control is not None:
+            control.close(unlink=not self._forked_child)
+
     # -- lifecycle / accounting -----------------------------------------
+    def stats_of(self, rank: int) -> NetworkStats:
+        return self._transport.stats if self._transport is not None else self.stats
+
     def finalize(self) -> None:
         self.rank_envs.clear()
         self._pending_blocks = []
         if self._transport is not None:  # pragma: no cover - defensive
             self._transport.close()
             self._transport = None
+        self._close_control()
         # Dead-child shared-memory sweep: ranks that closed cleanly
         # already unlinked their own arenas (the probe finds nothing);
         # ranks that died mid-run left deterministically named segments
@@ -1203,4 +1295,6 @@ class ProcessBackend(ExecutionBackend):
                 "method (woven applications are inherited by forked ranks, not "
                 "pickled); use the 'threads' backend on this platform"
             )
+        # A parent killed mid-run never unlinked its segments: do it for it.
+        sweep_stale_segments()
         return ProcessWorld(size, timeout=timeout, page_transport=page_transport)

@@ -134,6 +134,9 @@ class SerialWorld(ExecutionWorld):
         return result
 
     # -- accounting -----------------------------------------------------
+    def stats_of(self, rank: int) -> NetworkStats:
+        return self.stats
+
     def traffic_summary(self) -> dict:
         return self.stats.as_dict()
 

@@ -69,6 +69,15 @@ class NetworkStats:
     shm_fetches: int = 0
     shm_bytes: int = 0
     shm_fallbacks: int = 0
+    #: Publish protocol: halo slots an owner stamped (one message of the
+    #: slot's bytes each, also in ``messages``/``bytes_moved``) and the
+    #: element rows those slots carried.
+    halo_pushes: int = 0
+    halo_sites: int = 0
+    #: Steps a rank took through the page protocol although its world
+    #: offers slots or once ran closed, by reason — "why is this run not
+    #: publishing" (``PlatformRun.summary()`` prints them).
+    open_steps: Dict[str, int] = field(default_factory=dict)
     #: Page traffic per directed neighbor pair: "src->dst" ->
     #: {"messages": n, "bytes": n}.  Collectives are not attributed.
     per_neighbor: Dict[str, Dict[str, int]] = field(default_factory=dict)
@@ -78,6 +87,18 @@ class NetworkStats:
         entry = self.per_neighbor.setdefault(f"{src}->{dst}", {"messages": 0, "bytes": 0})
         entry["messages"] += int(messages)
         entry["bytes"] += int(nbytes)
+
+    def record_push(self, owner: int, consumer: int, sites: int, nbytes: int) -> None:
+        """Account one published halo slot (a message of ``nbytes``)."""
+        self.halo_pushes += 1
+        self.halo_sites += int(sites)
+        self.messages += 1
+        self.bytes_moved += int(nbytes)
+        self.record_neighbor(owner, consumer, 1, nbytes)
+
+    def record_open(self, reason: str) -> None:
+        """Count one step kept on the page protocol for ``reason``."""
+        self.open_steps[reason] = self.open_steps.get(reason, 0) + 1
 
     def neighbor_links(self) -> int:
         """Number of directed rank pairs that exchanged page traffic."""
@@ -89,12 +110,16 @@ class NetworkStats:
             if name == "per_neighbor":
                 for link, entry in value.items():
                     self.record_neighbor(*link.split("->"), entry["messages"], entry["bytes"])
+            elif name == "open_steps":
+                for reason, count in value.items():
+                    self.open_steps[reason] = self.open_steps.get(reason, 0) + count
             else:
                 setattr(self, name, getattr(self, name) + value)
 
     def as_dict(self) -> dict:
         out = dict(self.__dict__)
         out["per_neighbor"] = {link: dict(entry) for link, entry in self.per_neighbor.items()}
+        out["open_steps"] = dict(self.open_steps)
         return out
 
 

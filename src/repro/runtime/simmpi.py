@@ -32,12 +32,15 @@ from .backends.base import (
     BulkFetchResult,
     CommHandle,
     ExecutionWorld,
+    HaloLink,
     RankResult,
+    and_bits,
     group_requests_by_owner,
     raise_spmd_failures,
 )
 from .errors import InjectedFault, NetworkError, TaskError
-from .network import SimNetwork
+from .network import NetworkStats, SimNetwork
+from .shm import ControlWords, spin_until
 from .task import TaskContext, current_task, task_scope
 
 __all__ = ["BlockDirectory", "MPIWorld", "RankResult"]
@@ -114,6 +117,10 @@ class MPIWorld(ExecutionWorld):
         #: Env registered by each rank (also the network endpoint).
         self.rank_envs: Dict[int, Any] = {}
         self._finalized = False
+        if size > 1:
+            # Rank threads share one address space: the control words and
+            # the halo slots of the publish protocol are plain arrays.
+            self._offer_slots(ControlWords(size))
 
     # ------------------------------------------------------------------
     def register_env(self, rank: int, env: Any) -> None:
@@ -164,7 +171,33 @@ class MPIWorld(ExecutionWorld):
         self.network.barrier()
 
     def allreduce(self, value: Any, op: Callable[[List[Any]], Any]) -> Any:
+        if op is and_bits and self.control is not None:
+            # The per-step agreement: shared words, no messages.
+            network = self.network
+            network._raise_if_dead()
+            with network._lock:
+                network.stats.allreduces += 1
+            return self._agree(current_task().mpi_rank, value)
         return self.network.allreduce(value, op)
+
+    # ------------------------------------------------------------------
+    # halo slots (publish protocol)
+    # ------------------------------------------------------------------
+    def _halo_wait(self, ready, late):
+        network = self.network
+        timeout = threading.TIMEOUT_MAX if network.timeout is None else network.timeout
+        # No busy spinning: the awaited rank needs the GIL to get there.
+        return spin_until(ready, timeout=timeout, late=late, poll=network._raise_if_dead)
+
+    def open_halo_link(
+        self, owner: int, consumer: int, *, nbytes: int = 0, descriptor: Any = None
+    ) -> HaloLink:
+        # The descriptor of a slot between threads is the slot itself.
+        slot = np.empty(nbytes, dtype=np.uint8) if descriptor is None else descriptor
+        return HaloLink(owner, consumer, slot, slot)
+
+    def stats_of(self, rank: int) -> NetworkStats:
+        return self.network.stats
 
     # ------------------------------------------------------------------
     def fetch_page_by_logical(

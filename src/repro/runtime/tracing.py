@@ -88,6 +88,13 @@ class TaskCounters:
     #: of mid-sweep (no compute overlapped them; drained completions are
     #: excluded from the wait/flight sums).  Overlap efficiency =
     #: ``1 - overlap_wait_ns / overlap_flight_ns``.
+    #: The ``overlap_*`` timings also cover the wait for *published*
+    #: halo slots; ``halo_pushes`` / ``halo_sites`` count the slots this
+    #: task copied out and the element rows they carried (each slot one
+    #: message of its bytes in ``messages`` / ``bytes_fetched``) — over
+    #: the run they equal what the owners' ``NetworkStats`` published.
+    halo_pushes: int = 0
+    halo_sites: int = 0
     overlap_issues: int = 0
     overlap_exchanges: int = 0
     overlap_pages: int = 0
@@ -208,6 +215,8 @@ class TraceRecorder:
             "comm_plan_exchanges": self.total("comm_plan_exchanges"),
             "comm_plan_pages": self.total("comm_plan_pages"),
             "comm_plan_fallback_pages": self.total("comm_plan_fallback_pages"),
+            "halo_pushes": self.total("halo_pushes"),
+            "halo_sites": self.total("halo_sites"),
             "overlap_issues": self.total("overlap_issues"),
             "overlap_exchanges": self.total("overlap_exchanges"),
             "overlap_pages": self.total("overlap_pages"),

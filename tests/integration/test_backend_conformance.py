@@ -530,6 +530,7 @@ class TestNumericalEquivalence:
             "messages", "bytes_moved", "barriers", "allreduces", "page_fetches",
             "bulk_fetches", "bulk_pages", "per_neighbor", "peer_dead",
             "shm_fetches", "shm_bytes", "shm_fallbacks",
+            "halo_pushes", "halo_sites", "open_steps",
         }
         assert run.network["peer_dead"] == 0  # healthy run: no dead peers
         if ranks > 1:

@@ -7,6 +7,11 @@ produce exactly the same Env contents as a run using the original
 one-message-pair-per-page protocol — including when MMAT is disabled
 (no plans exist, per-page fallback everywhere) and when every plan is
 invalidated mid-run (transparent recompilation).
+
+Both protocols are page protocols, so the apps run *kept open*
+(``tests/page_protocol.py``): worlds that share memory would otherwise
+publish the halo and fetch no page after warm-up.  That the published
+halo computes the same results is ``test_property_push_halo.py``.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from repro.annotation import Platform
 from repro.apps import JacobiSGrid, JacobiUSGrid, ParticleSimulation
 from repro.aspects import mpi_aspects
 from repro.memory.block import BufferOnlyBlock, DataBlock
+
+from page_protocol import kept_open
 
 
 def _init(x, y):
@@ -41,7 +48,7 @@ def run_app(app_cls, config, *, backend, ranks, comm_plans, mmat=True):
     platform = Platform(
         aspects=mpi_aspects(ranks, backend=backend, comm_plans=comm_plans), mmat=mmat
     )
-    return platform.run(app_cls, config=dict(config))
+    return platform.run(kept_open(app_cls), config=dict(config))
 
 
 def env_contents(run) -> dict:

@@ -33,6 +33,8 @@ from repro.aspects import mpi_aspects
 from repro.memory import BufferOnlyBlock, PageKey
 from repro.runtime.tracing import global_trace
 
+from page_protocol import kept_open
+
 LOOPS = 6
 
 
@@ -214,8 +216,17 @@ def test_steady_state_step_assembles_no_owned_block(name):
 
 @pytest.mark.parametrize("name", sorted(APPS))
 def test_two_rank_step_assembles_only_installed_halo_blocks(name):
+    config = dict(APPS[name][1], loops=LOOPS)
+    # A published halo is stored straight into the image rows: no
+    # steady-state step copies any Block, owned or Buffer-only.
+    pushed = Platform(aspects=mpi_aspects(2, backend="threads"), mmat=True).run(
+        COUNTING[name], config=config
+    )
+    assert pushed.network["halo_pushes"] and not np.diff(pushed.app.assembled).any()
+    # On the page protocol a step re-assembles exactly the Buffer-only
+    # Blocks it installed pages into.
     run = Platform(aspects=mpi_aspects(2, backend="threads"), mmat=True).run(
-        COUNTING[name], config=dict(APPS[name][1], loops=LOOPS)
+        counting(kept_open(APPS[name][0])), config=config
     )
     env = run.app.env
     installed = {key.block_id for key in env.plan_page_requirements()}

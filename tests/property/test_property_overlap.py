@@ -9,6 +9,11 @@ per-page protocol (``comm_plans=False``) — including when MMAT is
 disabled (no plans, no overlap at all), when every plan is invalidated
 mid-run (transparent fallback and re-aggregation), and across world
 sizes 1, 2 and 4.
+
+All three are page protocols, so the apps run *kept open*
+(``tests/page_protocol.py``): worlds that share memory would otherwise
+publish the halo and fetch no page after warm-up.  Overlapped ≡
+blocking for the published halo is ``test_property_push_halo.py``.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ from repro.annotation import Platform
 from repro.apps import JacobiSGrid, JacobiUSGrid, ParticleSimulation
 from repro.aspects import mpi_aspects
 from repro.memory.block import BufferOnlyBlock
+
+from page_protocol import kept_open
 
 
 def _init(x, y):
@@ -47,7 +54,7 @@ def run_app(app_cls, config, *, backend, ranks, overlap, comm_plans=True, mmat=T
         ),
         mmat=mmat,
     )
-    return platform.run(app_cls, config=dict(config))
+    return platform.run(kept_open(app_cls), config=dict(config))
 
 
 def env_contents(run) -> dict:

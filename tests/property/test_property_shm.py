@@ -6,6 +6,11 @@ whose halo pages travel as shared-memory descriptors must end exactly
 like a run whose pages are packed into the pipe replies — and both
 must match the ``threads`` backend, where pages never serialise at
 all.  The physical split is visible only in the ``shm_*`` counters.
+
+The data plane carries *pages*, so the apps run *kept open*
+(``tests/page_protocol.py``): a world that shares memory would
+otherwise publish its halo and serve no page after warm-up, while the
+pipe world — which offers no slots — kept exchanging them.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from repro.apps import JacobiSGrid, JacobiUSGrid, ParticleSimulation
 from repro.memory.block import BufferOnlyBlock
 from repro.runtime import get_backend
 from repro.runtime.shm import shm_available
+
+from page_protocol import kept_open
 
 pytestmark = pytest.mark.skipif(
     not get_backend("process").available() or not shm_available(),
@@ -44,7 +51,7 @@ def run_app(app_cls, config, *, backend, transport=None, ranks=2):
     builder = Platform.builder().mpi(ranks).mmat().backend(backend)
     if transport is not None:
         builder.page_transport(transport)
-    return builder.build().run(app_cls, config=dict(config))
+    return builder.build().run(kept_open(app_cls), config=dict(config))
 
 
 def env_contents(run) -> dict:
