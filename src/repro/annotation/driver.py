@@ -195,7 +195,7 @@ class PlatformRun:
 
             mpi=2,omp=2 tasks=4 elapsed=0.041s steps=8 updates=4096
             fetched=12pg/3.1KiB collectives=10 plans=16/7680sites vec=100% asm=4
-            comm=2ex/12pg agg=6.0x saved=20msg push=6ex/192sites links=2
+            tiles=2×8(budget) comm=2ex/12pg agg=6.0x saved=20msg push=6ex/192sites links=2
         """
         layers = ",".join(f"{k}={v}" for k, v in sorted(self.layers.items()))
         if not layers:
@@ -238,6 +238,12 @@ class PlatformRun:
         if fused_calls:
             fusions = sum(c.kernel_fuse for c in self.counters.values())
             line += f" fused={fused_calls}calls/{fusions}kern"
+        tiles = self.mmat_stats.get("tiles")
+        if tiles:
+            # The master rank's tiles x Blocks per tile, and why tiles end.
+            why = ", ".join(sorted(self.mmat_stats["tile_splits"]))
+            line += f" tiles={tiles}×{self.mmat_stats['tile_blocks'] / tiles:g}"
+            line += f"({why})" if why else ""
         line += self._comm_plan_summary()
         line += self._overlap_summary()
         line += self._shm_summary()

@@ -19,6 +19,7 @@ from typing import Any, Callable, Optional
 
 from ..aop.registry import (
     TAG_FINALIZE,
+    TAG_FORGET_ACCESSES,
     TAG_INITIALIZE,
     TAG_PROCESSING,
     TAG_TARGET,
@@ -113,15 +114,8 @@ class TargetApplication:
     # step-loop helpers (Listing 1's WarmUp / Run macros)
     # ------------------------------------------------------------------
     def warm_up(self, kernel: KernelFn) -> None:
-        """Dry-run the kernel to gather communication info; clears MMAT first.
-
-        The reset drops both the scalar access memo and every compiled
-        access plan (the paper's "previously collected information at
-        MMAT is cleared when the warm-up macro is called") — plans are
-        recompiled lazily from the warm-up passes' resolutions.
-        """
-        if self.env is not None:
-            self.env.mmat.reset()
+        """Dry-run the kernel to gather communication info; clears MMAT first."""
+        self.forget_accesses()
         for _ in range(self.MAX_WARMUP_PASSES):
             if kernel(True):
                 return
@@ -129,6 +123,17 @@ class TargetApplication:
             "warm-up did not converge: refresh kept failing, which means the "
             "communication advice never satisfied the kernel's remote accesses"
         )
+
+    @annotate(TAG_FORGET_ACCESSES)
+    def forget_accesses(self) -> None:
+        """Reset the Env's MMAT at the start of a warm-up: the scalar access
+        memo and every compiled plan go (the paper's "previously collected
+        information at MMAT is cleared when the warm-up macro is called")
+        and are rebuilt by the warm-up passes.  A join point: a
+        shared-memory team shares one Env and resets it once per team.
+        """
+        if self.env is not None:
+            self.env.mmat.reset()
 
     def run(self, kernel: KernelFn) -> None:
         """Execute one step: re-run the kernel until its refresh succeeds.

@@ -99,6 +99,7 @@ TAG_FINALIZE = "platform.finalize"
 TAG_GET_BLOCKS = "memory.get_blocks"
 TAG_REFRESH = "memory.refresh"
 TAG_KERNEL = "platform.kernel"
+TAG_FORGET_ACCESSES = "platform.forget_accesses"
 
 
 def platform_pointcuts() -> PointcutRegistry:
@@ -118,6 +119,7 @@ def platform_pointcuts() -> PointcutRegistry:
     registry.define("platform.processing", tagged(TAG_PROCESSING))
     registry.define("platform.finalize", tagged(TAG_FINALIZE))
     registry.define("platform.kernel", tagged(TAG_KERNEL))
+    registry.define("platform.forget_accesses", tagged(TAG_FORGET_ACCESSES))
     registry.define("memory.get_blocks", tagged(TAG_GET_BLOCKS))
     registry.define("memory.refresh", tagged(TAG_REFRESH))
     return registry

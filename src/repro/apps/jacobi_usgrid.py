@@ -10,9 +10,9 @@ access".
 
 The default ``"vectorized"`` kernel bulk-reads the neighbour table
 through :meth:`~repro.dsl.base.BlockKernel.gather_global` (compiled
-into a per-block address plan after warm-up — the indirection is
-resolved once, not once per iteration); ``kernel="scalar"`` selects the
-per-cell reference loop.
+into one address plan per *tile* of Blocks after warm-up — the
+indirection is resolved once, not once per iteration);
+``kernel="scalar"`` selects the per-cell reference loop.
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ class JacobiUSGrid(USGrid2DTarget):
         return self.kernel_scalar(warmup)
 
     def kernel_vectorized(self, warmup: bool) -> bool:
-        """Bulk indirect gather: one address plan per Block per table."""
+        """Bulk indirect gather: one address plan per tile per table."""
         alpha, beta = self.alpha, self.beta
-        for _block, k in self.block_kernels(warmup):
+        for k in self.tile_kernels(warmup):
             e = k.gather([(0,)])[0]
             # (cells, 4) neighbour values in west/east/north/south column
             # order; the table is static, so name it for plan caching.

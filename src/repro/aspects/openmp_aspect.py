@@ -15,7 +15,8 @@ Concretely this module provides:
   whose ``ch_tid`` equals the calling thread's global task id.
 * **AspectType III** — intentionally absent (shared memory).  The only
   refresh involvement is making the buffer swap happen exactly once per
-  team step (an OpenMP ``single`` with its implicit barriers).
+  team step (an OpenMP ``single`` with its implicit barriers); the
+  warm-up's MMAT reset of the shared Env is a ``single`` likewise.
 
 Pointcuts are declared in the textual pointcut language
 (``"tagged('platform.processing')"``), the Python analogue of
@@ -99,6 +100,15 @@ class SharedMemoryAspect(LayerAspect):
         proceed = jp.continuation()
         args, kwargs = jp.args, jp.kwargs
         return team.single(lambda: proceed(*args, **kwargs))
+
+    @around("tagged('platform.forget_accesses')", order=0)
+    def forget_accesses_once(self, jp):
+        """Reset the shared Env's MMAT once per team (``single``): a late
+        member would otherwise drop the plans an early one compiled."""
+        team = self.team()
+        if team is None or team.size <= 1:
+            return jp.proceed()
+        return team.single(jp.continuation())
 
     # ------------------------------------------------------------------
     def on_detach(self, platform) -> None:

@@ -19,10 +19,9 @@ machinery, collected here:
 
 from __future__ import annotations
 
-import itertools
 import math
 from operator import add
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,7 +29,9 @@ from ..annotation.target import TargetApplication
 from ..kernels import fused_kernel_for
 from ..memory.block import BufferOnlyBlock, DataBlock
 from ..memory.env import Env
-from ..memory.mmat import compile_address_plan, compile_offsets_plan
+from ..memory.errors import BlockError
+from ..memory.mmat import as_tile, compile_address_plan, compile_offsets_plan
+from ..memory.mmat import site_cuts, stencil_table
 from ..memory.zorder import morton_encode
 from ..obs.spans import global_tracer
 from ..runtime.task import SERIAL_TASK, current_task
@@ -89,24 +90,36 @@ class BlockKernel:
     ``size_x * size_y`` scalar calls.  Without MMAT (or after
     ``MMAT.reset`` until the next compile) the batched calls fall back
     transparently to the scalar path, element by element.
+
+    ``block`` may be a **tile** (:meth:`DslTarget.tile_kernels`): a run
+    of the task's Data Blocks of one image class whose image rows follow
+    each other.  ``gather`` / ``gather_global`` / ``scatter`` /
+    ``static_field`` treat it as one Block of ``sum(element_count)``
+    elements — one access plan, one result, one store — and whatever
+    needs Block geometry (scalar accessors, ``sweep``, ``block``) raises.
+    A one-Block kernel is the tile of one.
     """
 
     __slots__ = (
         "env",
-        "block",
-        "origin",
+        "blocks",
+        "elements",
+        "plan_key",
         "_trace",
         "_work",
         "_fuse",
         "_temporal",
         "_codegen",
         "_warmup",
+        "_reads",
+        "_widest",
+        "_static",
     )
 
     def __init__(
         self,
         env: Env,
-        block: DataBlock,
+        block,
         *,
         work_per_set: int = 1,
         fuse: bool = True,
@@ -115,8 +128,11 @@ class BlockKernel:
         warmup: bool = False,
     ) -> None:
         self.env = env
-        self.block = block
-        self.origin = block.origin
+        #: The Blocks of the tile in image-row order, their elements (the
+        #: leading axis of its tables and results), how its plan keys begin.
+        self.blocks = as_tile(block)
+        self.elements = sum(b.element_count for b in self.blocks)
+        self.plan_key = (self.blocks[0].block_id, len(self.blocks))
         self._trace = global_trace().for_task()
         self._work = max(int(work_per_set), 1)
         #: Whether sweeps may run through fused kernels (plan + fn
@@ -127,12 +143,25 @@ class BlockKernel:
         self._temporal = max(int(temporal_block), 1)
         self._codegen = codegen
         self._warmup = bool(warmup)
+        #: Batched reads of the current kernel body (their scratch index;
+        #: restarted by ``DslTarget``), most sites per element of any.
+        self._reads = 0
+        self._widest = 1
+        self._static: dict = {}
 
     # ------------------------------------------------------------------
+    @property
+    def block(self) -> DataBlock:
+        """The Block of a one-Block kernel; a wider tile has none."""
+        if len(self.blocks) != 1:
+            raise BlockError(f"a tile of {len(self.blocks)} Blocks has no Block geometry")
+        return self.blocks[0]
+
     def get(self, local: Sequence[int], inside: bool = False):
         """Read the element at block-relative coordinates ``local``."""
-        addr = tuple(map(add, self.origin, local))
-        return self.env.read_from(self.block, addr, assume_inside=bool(inside))
+        block = self.block
+        addr = tuple(map(add, block.origin, local))
+        return self.env.read_from(block, addr, assume_inside=bool(inside))
 
     def get_global(self, addr: Sequence[int], inside: bool = False):
         """Read the element at a *global* address (unstructured-grid neighbours)."""
@@ -140,8 +169,9 @@ class BlockKernel:
 
     def get_direct(self, local: Sequence[int]):
         """Read skipping the Env search entirely (the paper's ``GetDD``)."""
-        addr = tuple(map(add, self.origin, local))
-        return self.env.read_from(self.block, addr, assume_inside=True)
+        block = self.block
+        addr = tuple(map(add, block.origin, local))
+        return self.env.read_from(block, addr, assume_inside=True)
 
     def set(self, local: Sequence[int], value) -> None:
         """Write the element at block-relative coordinates ``local``."""
@@ -158,41 +188,65 @@ class BlockKernel:
     # batched (vectorized) API
     # ------------------------------------------------------------------
     def gather(self, offsets: Sequence[Sequence[int]]) -> np.ndarray:
-        """Read every element of the Block at each stencil ``offset``, in bulk.
+        """Read every element of the tile at each stencil ``offset``, in bulk.
 
         Returns ``(len(offsets),) + shape`` for single-component Blocks,
-        ``(len(offsets), element_count, components)`` otherwise.  With
+        ``(len(offsets), elements, components)`` otherwise.  With
         MMAT enabled the offsets are compiled once into an access plan;
         otherwise every site is read through the scalar path.
         """
         offsets = tuple(tuple(int(c) for c in off) for off in offsets)
-        env = self.env
-        block = self.block
-        if not env.mmat.enabled:
-            out = self._gather_offsets_scalar(offsets)
+        n_off = len(offsets)
+        first = self.blocks[0]
+        if self.env.mmat.enabled:
+            out = self._execute(self._offsets_plan(offsets))
         else:
-            plan = self._offsets_plan(offsets)
-            out = plan.execute(env)
-            env.mmat.note_execution(plan)
-            self._trace.plan_gathers += 1
-            self._trace.plan_sites += plan.n_sites
-        if block.components == 1:
-            return out.reshape((len(offsets),) + block.shape)
-        return out.reshape(len(offsets), block.element_count, block.components)
+            out = self._gather_addresses_scalar(stencil_table(self.blocks, offsets))
+        if len(self.blocks) > 1 or not self.env.mmat.enabled:  # element-major
+            out = out.reshape(self.elements, n_off, first.components).transpose(1, 0, 2)
+        if first.components == 1:
+            return out.reshape((n_off,) + self.shape)
+        return out.reshape(n_off, self.elements, first.components)
+
+    def _plan(self, key: Optional[tuple], compile_plan: Callable, sites: int):
+        """Cached-or-compiled plan of this tile (``key`` None: never cached)."""
+        mmat = self.env.mmat
+        plan = None
+        if key is not None:
+            key = self.plan_key + key
+            plan = mmat.plan_lookup(key)
+        if plan is None:
+            with global_tracer().span("plan.compile", sites=sites):
+                plan = compile_plan()
+            if key is not None:
+                mmat.plan_store(key, plan)
+                self._trace.plan_compiles += 1
+            else:
+                # Per-call compiles are by design, not cache misses:
+                # counting them as plan_compiles would make coverage
+                # numbers report near-zero hit rates for apps with
+                # dynamic address tables.
+                mmat.note_uncached_compile()
+                self._trace.plan_compiles_uncached += 1
+        return plan
+
+    def _execute(self, plan) -> np.ndarray:
+        """Run ``plan`` as this kernel body's next batched read."""
+        out = plan.execute(self.env, self._reads)
+        self._reads += 1
+        self._widest = max(self._widest, plan.n_sites // self.elements)
+        self.env.mmat.note_execution(plan)
+        self._trace.plan_gathers += 1
+        self._trace.plan_sites += plan.n_sites
+        return out
 
     def _offsets_plan(self, offsets):
         """Cached-or-compiled access plan for normalized stencil ``offsets``."""
-        env = self.env
-        block = self.block
-        mmat = env.mmat
-        key = (block.block_id, "offsets", offsets)
-        plan = mmat.plan_lookup(key)
-        if plan is None:
-            with global_tracer().span("plan.compile", sites=block.element_count):
-                plan = compile_offsets_plan(env, block, offsets)
-            mmat.plan_store(key, plan)
-            self._trace.plan_compiles += 1
-        return plan
+        return self._plan(
+            ("offsets", offsets),
+            lambda: compile_offsets_plan(self.env, self.blocks, offsets),
+            self.elements,
+        )
 
     def gather_global(self, addresses, *, key: Optional[str] = None) -> np.ndarray:
         """Bulk-read arbitrary *global* addresses (indirect neighbours).
@@ -200,7 +254,8 @@ class BlockKernel:
         ``addresses`` is an integer array (any shape for 1-D address
         spaces; last axis = coordinates otherwise); the result has the
         site shape of ``addresses`` (plus a components axis for
-        multi-component Blocks).  ``key`` names the address table for
+        multi-component Blocks).  On a tile the leading axis lists its
+        elements.  ``key`` names the address table for
         plan caching — pass it whenever the table is static (Assumption
         II), e.g. ``key="neighbors"`` for the USGrid neighbour lists.
         Without a ``key`` the plan is compiled per call and never
@@ -209,55 +264,42 @@ class BlockKernel:
         halo pages would keep being prefetched).
         """
         addresses = np.asarray(addresses, dtype=np.int64)
-        block = self.block
-        sites_shape = addresses.shape if block.ndim == 1 else addresses.shape[:-1]
-        env = self.env
-        mmat = env.mmat
-        if not mmat.enabled:
+        first = self.blocks[0]
+        sites_shape = addresses.shape if first.ndim == 1 else addresses.shape[:-1]
+        if not self.env.mmat.enabled:
             out = self._gather_addresses_scalar(addresses)
         else:
-            plan = None
-            if key is not None:
-                cache_key = (block.block_id, "addresses", key, addresses.shape)
-                plan = mmat.plan_lookup(cache_key)
-            if plan is None:
-                with global_tracer().span("plan.compile", sites=int(np.prod(sites_shape))):
-                    plan = compile_address_plan(env, block, addresses)
-                if key is not None:
-                    mmat.plan_store(cache_key, plan)
-                    self._trace.plan_compiles += 1
-                else:
-                    # Per-call compiles are by design, not cache misses:
-                    # counting them as plan_compiles would make coverage
-                    # numbers report near-zero hit rates for apps with
-                    # dynamic address tables.
-                    mmat.note_uncached_compile()
-                    self._trace.plan_compiles_uncached += 1
-            out = plan.execute(env)
-            mmat.note_execution(plan)
-            self._trace.plan_gathers += 1
-            self._trace.plan_sites += plan.n_sites
-        if block.components == 1:
+            plan = self._plan(
+                None if key is None else ("addresses", key, addresses.shape),
+                lambda: compile_address_plan(self.env, self.blocks, addresses),
+                addresses.size // first.ndim,
+            )
+            out = self._execute(plan)
+        if first.components == 1:
             return out.reshape(sites_shape)
-        return out.reshape(sites_shape + (block.components,))
+        return out.reshape(sites_shape + (first.components,))
 
     def scatter(self, values: np.ndarray) -> None:
-        """Write a whole block of results into the write buffer at once.
+        """Write a whole tile of results into the write buffers at once.
 
-        Accepts ``shape`` (single-component) or ``(element_count,
+        Accepts ``shape`` (single-component) or ``(elements,
         components)`` arrays — or anything broadcastable to them, e.g. a
-        constant scalar; the write-buffer pages are marked dirty exactly
-        as per-element :meth:`set` calls would.
+        constant scalar; one store into the ``next`` image rows, then the
+        write-buffer pages, marked dirty as per-element :meth:`set` would.
         """
-        block = self.block
+        blocks = self.blocks
+        cell = (self.elements, blocks[0].components)
         data = np.asarray(values)
         try:
-            data = data.reshape(block.element_count, block.components)
+            data = data.reshape(cell)
         except ValueError:
-            data = np.broadcast_to(data, (block.element_count, block.components))
-        block.load_dense(data, into_write=True)
-        self.env.note_full_store(block, data)
-        self._trace.updates += self._work * block.element_count
+            data = np.broadcast_to(data, cell)
+        self.env.note_full_store(blocks, data)
+        stop = 0
+        for block in blocks:
+            start, stop = stop, stop + block.element_count
+            block.buffer.write_buffer.load_dense(data[start:stop])
+        self._trace.updates += self._work * self.elements
 
     def sweep(self, fn: Callable[..., np.ndarray], offsets: Sequence[Sequence[int]]) -> None:
         """One full-block update: gather ``offsets``, apply ``fn``, scatter.
@@ -278,11 +320,12 @@ class BlockKernel:
         """
         offsets = tuple(tuple(int(c) for c in off) for off in offsets)
         env = self.env
+        block = self.block
         if self._fuse and not self._warmup and env.mmat.enabled:
             plan = self._offsets_plan(offsets)
             kern = fused_kernel_for(
                 env,
-                self.block,
+                block,
                 plan,
                 fn,
                 temporal=self._temporal,
@@ -374,48 +417,34 @@ class BlockKernel:
         self._trace.plan_sites += plan.n_sites
         self.scatter(result)
 
-    # -- scalar fallbacks (MMAT disabled: no memoization allowed) ----------
-    def _gather_offsets_scalar(self, offsets) -> np.ndarray:
-        env = self.env
-        block = self.block
-        origin = self.origin
-        shape = block.shape
-        n_elem = block.element_count
-        out = np.empty((len(offsets) * n_elem, block.components), dtype=np.float64)
-        locals_iter = list(itertools.product(*(range(s) for s in shape)))
-        for oi, off in enumerate(offsets):
-            base = oi * n_elem
-            for linear, local in enumerate(locals_iter):
-                tgt = tuple(map(add, local, off))
-                inside = all(0 <= t < s for t, s in zip(tgt, shape))
-                addr = tuple(map(add, origin, tgt))
-                out[base + linear] = env.read_from(block, addr, assume_inside=inside)
-        env.mmat.note_fallback(len(offsets) * n_elem)
-        self._trace.plan_fallback_sites += len(offsets) * n_elem
-        return out
-
+    # -- scalar fallback (MMAT disabled: no memoization allowed) -----------
     def _gather_addresses_scalar(self, addresses: np.ndarray) -> np.ndarray:
         env = self.env
-        block = self.block
-        nd = block.ndim
-        flat = addresses.reshape(-1) if nd == 1 else addresses.reshape(-1, nd)
-        n_sites = flat.shape[0]
-        out = np.empty((n_sites, block.components), dtype=np.float64)
-        for site in range(n_sites):
-            addr = (int(flat[site]),) if nd == 1 else tuple(int(c) for c in flat[site])
-            out[site] = env.read_from(block, addr, assume_inside=False)
-        env.mmat.note_fallback(n_sites)
-        self._trace.plan_fallback_sites += n_sites
+        first = self.blocks[0]
+        flat = addresses.reshape(-1, first.ndim).tolist()
+        cuts = site_cuts(self.blocks, len(flat))
+        out = np.empty((len(flat), first.components), dtype=first.buffer.read_buffer.dtype)
+        for block, lo, hi in zip(self.blocks, cuts, cuts[1:]):
+            for site in range(lo, hi):
+                out[site] = env.read_from(block, tuple(flat[site]), assume_inside=False)
+        env.mmat.note_fallback(len(flat))
+        self._trace.plan_fallback_sites += len(flat)
         return out
 
     # ------------------------------------------------------------------
     @property
     def shape(self) -> Tuple[int, ...]:
-        return self.block.shape
+        """The Block's shape; ``(elements,)`` for a wider tile."""
+        return self.blocks[0].shape if len(self.blocks) == 1 else (self.elements,)
 
     def static_field(self, name: str) -> np.ndarray:
-        """Access a static per-element side array registered by the DSL."""
-        return self.block.static_fields[name]
+        """A static per-element side array registered by the DSL (a wider
+        tile's: the Blocks' arrays joined once, in order)."""
+        if len(self.blocks) == 1:
+            return self.blocks[0].static_fields[name]
+        if name not in self._static:
+            self._static[name] = np.concatenate([b.static_fields[name] for b in self.blocks])
+        return self._static[name]
 
 
 class DslTarget(TargetApplication):
@@ -459,6 +488,9 @@ class DslTarget(TargetApplication):
         #: Codegen backend override for fused kernels (config
         #: ``codegen``; None = registry default / env var).
         self.kernel_codegen: Optional[str] = self.config.get("codegen")
+        #: ``(task, tile budget)`` -> the kernels that task last swept with
+        #: and what they were built from (:meth:`_kernels`).
+        self._kernel_cache: dict = {}
 
     @property
     def vectorized(self) -> bool:
@@ -589,8 +621,8 @@ class DslTarget(TargetApplication):
         self.register_access_profile()
         self.build_env()
 
-    def kernel_for(self, block: DataBlock, warmup: bool = False) -> BlockKernel:
-        """Return the kernel accessor for ``block`` (Listing 1's InitKernelMacros)."""
+    def kernel_for(self, block, warmup: bool = False) -> BlockKernel:
+        """Return the kernel accessor for ``block`` or a tile (InitKernelMacros)."""
         assert self.env is not None, "initialize() must build the Env first"
         temporal = self.temporal_block
         if temporal is None:
@@ -605,3 +637,82 @@ class DslTarget(TargetApplication):
             codegen=self.kernel_codegen,
             warmup=warmup,
         )
+
+    def refresh(self, warmup: bool = False) -> bool:
+        """End the step on this task's Env (``Env.refresh``, a join point)."""
+        assert self.env is not None
+        return self.env.refresh(warmup)
+
+    def block_kernels(self, warmup: bool = False) -> Iterator[Tuple[DataBlock, BlockKernel]]:
+        """``(block, kernel)`` per Block of this task, for user code that
+        reads Block geometry (``sweep``, scalar accessors, bucket bounds)."""
+        for kernel in self._kernels(warmup, 0):
+            yield kernel.block, kernel
+
+    def tile_kernels(self, warmup: bool = False) -> List[BlockKernel]:
+        """This task's Blocks as kernels over *tiles* (:class:`BlockKernel`),
+        for user code to which a cell's position in its Block means
+        nothing.  A tile ends where the image class changes, the image
+        rows stop following each other (another task's Blocks between) or
+        a read would gather over :data:`TILE_BYTES` (``run.mmat_stats``)."""
+        return self._kernels(warmup, TILE_BYTES)
+
+    def _kernels(self, warmup: bool, budget: int) -> List[BlockKernel]:
+        """The task's kernels, kept until ``get_blocks`` answers with other
+        Blocks, the MMAT is reset or a table wider than sized for was read."""
+        env = self.env
+        blocks = env.get_blocks(warmup)
+        key = (current_task().global_task_id, budget)
+        state, swept, kernels = self._kernel_cache.get(key, (None, None, None))
+        if kernels is None:  # nothing read yet: the tables the DSL registered on a Block
+            first = blocks[:1]
+            widths = [t.size // b.element_count for b in first for t in b.static_fields.values()]
+        else:
+            widths = [k._widest for k in kernels]
+        width = max(widths, default=1) if budget else 1
+        if state != (env.mmat.resets, width) or swept != blocks:
+            tiles, splits = _split_tiles(env, blocks, width, budget)
+            stale = {k.plan_key for k in kernels or ()}
+            kernels = [self.kernel_for(tile) for tile in tiles]
+            for kernel in kernels:
+                kernel._widest = width
+            env.mmat.plan_discard(stale - {k.plan_key for k in kernels})
+            if budget:
+                env.mmat.note_tiles(key[0], len(tiles), len(blocks), splits)
+            self._kernel_cache[key] = ((env.mmat.resets, width), blocks, kernels)
+        for kernel in kernels:
+            kernel._reads = 0
+            kernel._warmup = bool(warmup)
+        return kernels
+
+
+#: Most bytes one batched read of a tile may gather (elements x sites per
+#: element of the widest table read so far x item size): a memory bound,
+#: not a tuning knob — see the curve in docs/architecture.md, *Tiles*.
+TILE_BYTES = 4 << 20
+
+
+def _split_tiles(env: Env, blocks: Sequence[DataBlock], width: int, budget: int):
+    """Cut ``blocks`` into tiles of at most ``budget`` gathered bytes:
+    ``(tiles, {reason: boundaries})``."""
+    tiles: List[List[DataBlock]] = []
+    splits: dict = {}
+    last_image, end, held = None, 0, 0
+    for block in blocks:
+        image, lo, hi, _ = env.image_slot(block)
+        nbytes = (hi - lo) * width * image.components * image.dtype.itemsize
+        if image is not last_image:
+            reason = "image class"
+        elif lo != end:
+            reason = "ownership"
+        else:
+            reason = "budget" if held + nbytes > budget else None
+        if reason is None:
+            tiles[-1].append(block)
+        else:
+            if tiles:
+                splits[reason] = splits.get(reason, 0) + 1
+            tiles.append([block])
+            held = 0
+        last_image, end, held = image, hi, held + nbytes
+    return tiles, splits

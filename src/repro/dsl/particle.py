@@ -19,13 +19,13 @@ escape, so the limitation is explicit rather than silent).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from ..memory.block import ArithmeticBlock, DataBlock
 from ..memory.env import Env
-from .base import BlockKernel, BlockSpec, DslTarget
+from .base import BlockSpec, DslTarget
 
 __all__ = ["ParticleTarget", "BucketView", "PARTICLE_FIELDS"]
 
@@ -254,15 +254,6 @@ class ParticleTarget(DslTarget):
     # ------------------------------------------------------------------
     # kernel-side sugar
     # ------------------------------------------------------------------
-    def block_kernels(self, warmup: bool = False) -> Iterator[Tuple[DataBlock, BlockKernel]]:
-        assert self.env is not None
-        for block in self.env.get_blocks(warmup):
-            yield block, self.kernel_for(block, warmup)
-
-    def refresh(self, warmup: bool = False) -> bool:
-        assert self.env is not None
-        return self.env.refresh(warmup)
-
     def bucket_view(self, raw) -> BucketView:
         return BucketView(raw, self.bucket_capacity)
 

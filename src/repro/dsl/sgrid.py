@@ -21,13 +21,13 @@ End users subclass :class:`SGrid2DTarget` and implement
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from ..memory.block import ArithmeticBlock, DataBlock, ReferenceBlock
 from ..memory.env import Env
-from .base import BlockKernel, BlockSpec, DslTarget
+from .base import BlockSpec, DslTarget
 
 __all__ = ["SGrid2DTarget"]
 
@@ -145,19 +145,6 @@ class SGrid2DTarget(DslTarget):
             for buf in block.buffer.buffers:
                 buf.load_dense(flat)
                 buf.clear_dirty()
-
-    # ------------------------------------------------------------------
-    # kernel-side sugar
-    # ------------------------------------------------------------------
-    def block_kernels(self, warmup: bool = False) -> Iterator[Tuple[DataBlock, BlockKernel]]:
-        """Yield ``(block, kernel accessor)`` for each Block of the calling task."""
-        assert self.env is not None
-        for block in self.env.get_blocks(warmup):
-            yield block, self.kernel_for(block, warmup)
-
-    def refresh(self, warmup: bool = False) -> bool:
-        assert self.env is not None
-        return self.env.refresh(warmup)
 
     # ------------------------------------------------------------------
     # result gathering (post-processing helpers, serial-friendly)

@@ -17,17 +17,23 @@ arithmetic but different memory behaviour:
 Cells outside the computational domain live at dedicated addresses
 served by a :class:`~repro.memory.block.StaticDataBlock` (Dirichlet
 data), exactly as described in the paper.
+
+A cell's position in its Block carries no meaning here (Blocks only cut
+the 1-D index space so that pages can travel and tasks share the work),
+so batched kernels iterate :meth:`~repro.dsl.base.DslTarget.tile_kernels`
+— one kernel per run of consecutive Blocks — and only the per-cell
+reference loop, which addresses ``(Block, offset)``, ``block_kernels``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from ..memory.block import DataBlock, StaticDataBlock
 from ..memory.env import Env
-from .base import BlockKernel, BlockSpec, DslTarget
+from .base import BlockSpec, DslTarget
 
 __all__ = ["USGrid2DTarget"]
 
@@ -205,18 +211,6 @@ class USGrid2DTarget(DslTarget):
                 buf.load_dense(values)
                 buf.clear_dirty()
             block.static_fields["neighbors"] = neighbours
-
-    # ------------------------------------------------------------------
-    # kernel-side sugar
-    # ------------------------------------------------------------------
-    def block_kernels(self, warmup: bool = False) -> Iterator[Tuple[DataBlock, BlockKernel]]:
-        assert self.env is not None
-        for block in self.env.get_blocks(warmup):
-            yield block, self.kernel_for(block, warmup)
-
-    def refresh(self, warmup: bool = False) -> bool:
-        assert self.env is not None
-        return self.env.refresh(warmup)
 
     # ------------------------------------------------------------------
     def local_field(self) -> np.ndarray:

@@ -42,7 +42,7 @@ from .block import (
     StaticDataBlock,
 )
 from .errors import AddressError, EnvError
-from .mmat import MMAT
+from .mmat import MMAT, as_tile
 from .page import PageKey
 from .pool import MemoryPool, PoolGroup
 
@@ -778,7 +778,7 @@ class Env:
                 self.dense_read(block)
         return image.halo if halo else image.read
 
-    def note_full_store(self, block: DataBlock, flat: np.ndarray) -> None:
+    def note_full_store(self, block, flat: np.ndarray) -> None:
         """Record that ``flat`` was just written over *every* element of
         ``block``'s write buffer (a fused store, a ``scatter``).
 
@@ -788,15 +788,19 @@ class Env:
         sweeps never re-assemble pages.  Callers that write to the block
         through any other path must call :meth:`discard_full_store` or
         the mirrored rows would go stale.
+        ``block`` may be a tile (owned Blocks whose image rows follow
+        each other): one slice assignment stores it.
         """
-        image, lo, hi, halo = self.image_slot(block)
+        blocks = as_tile(block)
+        image, lo, _, halo = self.image_slot(blocks[0])
         if halo:
             return  # Buffer-only Blocks never swap: nothing to promote
         array = image.next
         if array is None:
             array = self._allocate(image, "next")
+        hi = self._slots[blocks[-1].block_id][2]
         array[lo:hi] = np.asarray(flat).reshape(-1, image.components)
-        image.next_fresh.add(block.block_id)
+        image.next_fresh.update(b.block_id for b in blocks)
 
     def discard_full_store(self, block_id: int) -> None:
         """Drop a pending full-block store (the block was written again)."""

@@ -53,6 +53,9 @@ __all__ = [
     "PlanSegment",
     "compile_offsets_plan",
     "compile_address_plan",
+    "as_tile",
+    "site_cuts",
+    "stencil_table",
 ]
 
 
@@ -191,7 +194,8 @@ class AccessPlan:
         offsets: Optional[Tuple[Tuple[int, ...], ...]] = None,
         slices: Tuple[Optional[Tuple[tuple, tuple]], ...] = (),
     ) -> None:
-        #: The Block the plan was compiled for (the start of every access).
+        #: The Block the plan was compiled for (the start of every access;
+        #: the first Block of a tile plan).
         self.block = block
         self.shape = block.shape
         self.n_sites = int(n_sites)
@@ -291,7 +295,7 @@ class AccessPlan:
         return self._elem_partition
 
     # ------------------------------------------------------------------
-    def execute(self, env) -> np.ndarray:
+    def execute(self, env, read: int = 0) -> np.ndarray:
         """Run the plan against the Env's current read buffers.
 
         Returns a ``(n_sites, components)`` array in plan site order.
@@ -306,14 +310,14 @@ class AccessPlan:
         data — so every batched gather transparently overlaps the
         exchange with at least its interior gather work.
 
-        The returned array is scratch of the Env's MMAT, shared by every
-        plan with the same output shape: the calling thread's *next*
-        ``execute`` of such a plan overwrites it, so callers must
-        consume (or copy) the result before that — true for every
-        batched kernel, which gathers, applies and scatters one Block
-        at a time.
+        The returned array is scratch of the Env's MMAT, one per calling
+        thread, ``read`` and output shape.  A kernel passes how many
+        batched reads its body made before this one, so the results of
+        one body never alias while the next body (its count starts over)
+        reuses the arrays; a bare ``execute(env)`` is read 0, overwritten
+        by the thread's next bare execute of a plan of this shape.
         """
-        out = env.mmat.scratch((self.n_sites, self.components), self.dtype)
+        out = env.mmat.scratch(read, (self.n_sites, self.components), self.dtype)
         self.gather_interior(env, out)
         missing = 0
         if self.has_halo:
@@ -387,6 +391,30 @@ def _group_by_block(targets: list) -> List[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(ids[order])) + 1)
 
 
+def site_cuts(blocks: Sequence[DataBlock], n_sites: int) -> List[int]:
+    """Where a tile's table of ``n_sites`` changes start Block: the sites
+    ``cuts[b]:cuts[b + 1]`` start from ``blocks[b]``.  The table is
+    element-major — equally many sites for every element, Block after
+    Block — so a one-Block table may hold any number of sites."""
+    total = sum(block.element_count for block in blocks)
+    if n_sites % total and len(blocks) > 1:
+        raise AddressError(
+            f"a table of {n_sites} sites does not list the {total} elements of "
+            f"a tile of {len(blocks)} Blocks evenly"
+        )
+    cuts = [0]
+    for block in blocks:
+        cuts.append(cuts[-1] + block.element_count * n_sites // total)
+    return cuts
+
+
+def stencil_table(blocks: Sequence[DataBlock], offsets) -> np.ndarray:
+    """``(elements, len(offsets), ndim)`` addresses: every element of
+    ``blocks``, Block after Block in row-major order, at each offset."""
+    cells = [np.indices(b.shape).reshape(b.ndim, -1).T + np.array(b.origin) for b in blocks]
+    return np.concatenate(cells)[:, None, :] + np.array(offsets, dtype=np.int64)
+
+
 def _locate(env, start: DataBlock, addrs: np.ndarray) -> list:
     """The Block serving each distinct address, the way the scalar path
     would find it from ``start``: the Block itself when it contains the
@@ -439,13 +467,15 @@ def _follow_reference(env, ref: ReferenceBlock, addrs: np.ndarray):
     return mapped_arr, targets
 
 
-def _resolve(env, start: DataBlock, addrs: np.ndarray):
+def _resolve(env, start: DataBlock, addrs: np.ndarray, sources: list, const_vals: list):
     """Resolve distinct global addresses, as seen from ``start``, in bulk.
 
-    Returns ``(sources, group, src, const_vals)``: address ``k`` is read
-    from element ``src[k]`` of the Data Block ``sources[group[k]]``, or,
-    where ``group[k] == -1``, is the compile-time constant
-    ``const_vals[src[k]]``.  ``sources[0]`` is ``start`` itself.
+    Returns ``(group, src)``: address ``k`` is read from element
+    ``src[k]`` of the Data Block ``sources[group[k]]``, or, where
+    ``group[k] == -1``, is the compile-time constant
+    ``const_vals[src[k]]``.  Blocks and constants met for the first time
+    are appended to ``sources`` / ``const_vals``, which one plan's
+    resolutions share.
 
     Reference blocks are followed through their (static) address mapping
     so mirror/Neumann boundaries compile down to gathers on the mapped
@@ -454,11 +484,9 @@ def _resolve(env, start: DataBlock, addrs: np.ndarray):
     Assumption II makes the result valid for every later iteration).
     """
     n = addrs.shape[0]
-    sources: List[DataBlock] = [start]
-    source_index = {start.block_id: 0}
+    source_index = {block.block_id: k for k, block in enumerate(sources)}
     group = np.empty(n, dtype=np.intp)
     src = np.empty(n, dtype=np.intp)
-    const_vals: List[np.ndarray] = []
 
     pending = [(np.arange(n), addrs, _locate(env, start, addrs))]
     depth = 0
@@ -494,7 +522,7 @@ def _resolve(env, start: DataBlock, addrs: np.ndarray):
                     for a in _as_tuples(at)
                 )
         depth += 1
-    return sources, group, src, const_vals
+    return group, src
 
 
 def _halo_pages(sources: List[DataBlock], site_source: np.ndarray, site_elem: np.ndarray):
@@ -517,75 +545,85 @@ def _halo_pages(sources: List[DataBlock], site_source: np.ndarray, site_elem: np
 
 def _compile(
     env,
-    block: DataBlock,
+    blocks: Sequence[DataBlock],
+    cuts: Sequence[int],
     addrs: np.ndarray,
-    sites: np.ndarray,
+    sites: Optional[np.ndarray],
     *,
     n_sites: int,
     slice_sites: int = 0,
-    dense: bool = False,
     **plan_kw,
 ) -> AccessPlan:
-    """Build the plan whose listed ``sites`` read the global ``addrs``.
+    """Build the plan whose listed ``sites`` read the global ``addrs``,
+    those in ``cuts[b]:cuts[b + 1]`` starting from ``blocks[b]`` of a tile.
 
-    Duplicate addresses are resolved once (``np.unique``, kept in the
-    order the sites first use them) and fanned back out through the
-    inverse index, so compilation cost scales with the number of
-    *distinct* addresses, not sites.  ``slice_sites`` in-block sites are
-    covered by the caller's slice part and not listed.
+    Sites are resolved one start Block at a time (a compile's working
+    set is a Block's however wide the tile); a Block's duplicate
+    addresses are resolved once (``np.unique``, in first-use order) and
+    fanned back out through the inverse index, so compilation cost
+    scales with *distinct* addresses, not sites.  ``slice_sites``
+    in-block sites are covered by the caller's slice part and not listed.
 
     The sites of all sources that share one array of the Env's dense
-    read image are merged into one :class:`PlanSegment`; ``dense`` (the
-    ``sites`` are all ``n_sites`` outputs, in order) makes the table on
-    the owned rows of ``block``'s own image class dense.
+    read image are merged into one :class:`PlanSegment`; ``sites`` None
+    (the addresses are those of all ``n_sites`` outputs, in order) makes
+    the table on the owned rows of the tile's own image class dense.
     """
+    block = blocks[0]
     segments: List[PlanSegment] = []
     const_dst = const_arr = None
     in_block = out_of_block = 0
-    if sites.size:
-        uniq, first, inv = np.unique(addrs, axis=0, return_index=True, return_inverse=True)
-        by_first_use = np.argsort(first)
-        sources, group, src, const_vals = _resolve(env, block, uniq[by_first_use])
-        inv = np.argsort(by_first_use)[inv.reshape(-1)]
-        site_group, site_src = group[inv], src[inv]
-        in_block = int(np.count_nonzero(site_group == 0))
-        out_of_block = int(np.count_nonzero(site_group > 0))
-        # Every site as a row of the dense read image; the sources used,
-        # grouped by the image array they live in.  Constants (group -1)
-        # index the extra last entry of ``base`` / ``table_of``.
-        slots = [env.image_slot(source) for source in sources]
-        base = np.array([slot[1] for slot in slots] + [0], dtype=np.intp)
-        site_row = base[site_group] + site_src
-        tables: Dict[tuple, List[int]] = {}
-        for k in np.unique(site_group[site_group >= 0]).tolist():
-            tables.setdefault((id(slots[k][0]), slots[k][3]), []).append(k)
-        table_of = np.full(len(sources) + 1, -1, dtype=np.intp)
-        for t, members in enumerate(tables.values()):
-            table_of[members] = t
-        site_table = table_of[site_group]
-        own_rows = (id(slots[0][0]), False)  # sources[0] is ``block``
-        for t, (key, members) in enumerate(tables.items()):
-            sel = np.flatnonzero(site_table == t)
-            image, halo = slots[members[0]][0], key[1]
-            blocks = [sources[k] for k in members]
-            if dense and key == own_rows:
-                rows = np.full(n_sites, site_row[sel[0]], dtype=np.intp)
-                rows[sites[sel]] = site_row[sel]
-                # A dense table writes every site: it is gathered first.
-                segments.insert(0, PlanSegment(image, halo, blocks, rows, None))
-                continue
-            site_page, pages = None, ()
-            if halo:
-                site_page, pages = _halo_pages(sources, site_group[sel], site_src[sel])
-            segments.append(
-                PlanSegment(image, halo, blocks, site_row[sel], sites[sel], site_page, pages)
+    if addrs.shape[0]:
+        sources: List[DataBlock] = list(blocks)
+        const_vals: List[np.ndarray] = []
+        read: set = set()  # indices of the sources some site reads
+        # (image id, is halo) -> table number; 0 is the tile's own rows.
+        tables: Dict[tuple, int] = {}
+        # Every site as a row of its table's image array (constants, in
+        # table -1: as an index into ``const_vals``).
+        site_row = np.empty(addrs.shape[0], dtype=np.intp)
+        site_table = np.empty(addrs.shape[0], dtype=np.int8)
+        for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            uniq, first, inv = np.unique(
+                addrs[lo:hi], axis=0, return_index=True, return_inverse=True
             )
-        if const_vals:
-            sel = np.flatnonzero(site_table == -1)
-            const_dst = np.ascontiguousarray(sites[sel], dtype=np.intp)
+            by_first_use = np.argsort(first)
+            group, src = _resolve(env, blocks[k], uniq[by_first_use], sources, const_vals)
+            read.update(np.unique(group).tolist())
+            slots = [env.image_slot(source) for source in sources]
+            table_of = [tables.setdefault((id(slot[0]), slot[3]), len(tables)) for slot in slots]
+            inv = np.argsort(by_first_use)[inv.reshape(-1)]
+            in_block += int(np.count_nonzero(group[inv] == k))
+            site_row[lo:hi] = (np.array([slot[1] for slot in slots] + [0])[group] + src)[inv]
+            site_table[lo:hi] = np.array(table_of + [-1], dtype=np.int8)[group][inv]
+        sel = np.flatnonzero(site_table == -1)
+        out_of_block = site_row.size - sel.size - in_block
+        if sel.size:
+            const_dst = sel if sites is None else np.ascontiguousarray(sites[sel], dtype=np.intp)
             const_arr = np.vstack(
                 [np.broadcast_to(v, (block.components,)) for v in const_vals]
-            ).astype(block.buffer.read_buffer.dtype)[site_src[sel]]
+            ).astype(block.buffer.read_buffer.dtype)[site_row[sel]]
+        # Address plans (``sites`` None) read the tile's own rows densely:
+        # that table, made last, is ``site_row`` itself, the sites of other
+        # tables reading a placeholder row; it writes every site, so it is
+        # gathered first.
+        own = tables.get((id(slots[0][0]), False)) if sites is None else None
+        for (_, halo), t in sorted(tables.items(), key=lambda item: item[1] == own):
+            members = [sources[k] for k in sorted(read) if k >= 0 and table_of[k] == t]
+            if not members:
+                continue
+            image, first_row = env.image_slot(members[0])[:2]
+            if t == own:
+                site_row[site_table != own] = first_row
+                segments.insert(0, PlanSegment(image, False, members, site_row, None))
+                continue
+            sel = np.flatnonzero(site_table == t)
+            rows = site_row[sel]
+            site_page, pages = None, ()
+            if halo:
+                site_page, pages = _halo_pages(*env.halo_row_blocks(image, rows))
+            dst = sel if sites is None else sites[sel]
+            segments.append(PlanSegment(image, halo, members, rows, dst, site_page, pages))
     return AccessPlan(
         block=block,
         n_sites=n_sites,
@@ -598,7 +636,12 @@ def _compile(
     )
 
 
-def compile_offsets_plan(env, block: DataBlock, offsets: Sequence[Tuple[int, ...]]) -> AccessPlan:
+def as_tile(block) -> Tuple[DataBlock, ...]:
+    """A Block, or a tile (a sequence of Blocks), as a tuple of Blocks."""
+    return tuple(block) if isinstance(block, (tuple, list)) else (block,)
+
+
+def compile_offsets_plan(env, block, offsets: Sequence[Tuple[int, ...]]) -> AccessPlan:
     """Compile a stencil sweep: every element of ``block``, per offset.
 
     Site order is offset-major (``site = offset_index * element_count +
@@ -609,12 +652,20 @@ def compile_offsets_plan(env, block: DataBlock, offsets: Sequence[Tuple[int, ...
     Per offset, the sites that stay inside the Block form a box and are
     kept as one ``(dst_slices, src_slices)`` pair; only the remaining
     ring of out-of-block sites is enumerated and resolved.
+
+    A *tile* of several Blocks has no Block-shaped interior to slice: its
+    sweep compiles as the element-major :func:`stencil_table` (an
+    ``"addresses"`` plan, ``site = element * len(offsets) + offset_index``).
     """
+    blocks = as_tile(block)
+    offsets = tuple(tuple(int(c) for c in off) for off in offsets)
+    if len(blocks) > 1:
+        return _compile_table(env, blocks, stencil_table(blocks, offsets))
+    block = blocks[0]
     shape = block.shape
     nd = len(shape)
     n_elem = block.element_count
     origin = np.asarray(block.origin, dtype=np.int64)
-    offsets = tuple(tuple(int(c) for c in off) for off in offsets)
     slices: List[Optional[Tuple[tuple, tuple]]] = []
     ring_sites: List[np.ndarray] = []
     ring_addrs: List[np.ndarray] = []
@@ -644,7 +695,8 @@ def compile_offsets_plan(env, block: DataBlock, offsets: Sequence[Tuple[int, ...
     addrs = np.concatenate(ring_addrs) if ring_addrs else np.empty((0, nd), dtype=np.int64)
     return _compile(
         env,
-        block,
+        (block,),
+        (0, sites.size),
         addrs,
         sites,
         n_sites=len(offsets) * n_elem,
@@ -656,14 +708,21 @@ def compile_offsets_plan(env, block: DataBlock, offsets: Sequence[Tuple[int, ...
     )
 
 
-def compile_address_plan(env, block: DataBlock, addresses) -> AccessPlan:
+def compile_address_plan(env, block, addresses) -> AccessPlan:
     """Compile an indirect sweep: arbitrary global addresses per site.
 
     ``addresses`` is an integer array; for 1-D address spaces any shape
     is accepted (sites are taken in row-major order), for N-D blocks the
-    last axis must hold the address coordinates.
+    last axis must hold the address coordinates.  ``block`` is the start
+    Block of every site, or a *tile* — a sequence of Data Blocks of one
+    image class — whose element-major table (:func:`site_cuts`) is
+    compiled into one plan, each site resolved from its own Block.
     """
-    nd = block.ndim
+    return _compile_table(env, as_tile(block), addresses)
+
+
+def _compile_table(env, blocks: Tuple[DataBlock, ...], addresses) -> AccessPlan:
+    nd = blocks[0].ndim
     addr_arr = np.asarray(addresses, dtype=np.int64)
     if nd == 1:
         flat = addr_arr.reshape(-1, 1)
@@ -679,13 +738,13 @@ def compile_address_plan(env, block: DataBlock, addresses) -> AccessPlan:
     # path would resolve *every* site through the memo.
     return _compile(
         env,
-        block,
+        blocks,
+        site_cuts(blocks, n_sites),
         flat,
-        np.arange(n_sites, dtype=np.intp),
+        None,
         n_sites=n_sites,
         resolved_sites=n_sites,
         kind="addresses",
-        dense=True,
     )
 
 
@@ -702,6 +761,7 @@ class MMAT:
         "_plans",
         "_fused",
         "_scratch",
+        "_tiles",
         "hits",
         "misses",
         "resets",
@@ -724,11 +784,13 @@ class MMAT:
         #: dtype, temporal depth)``; cleared together with the plans.
         self._fused: Dict[tuple, object] = {}
         #: Output arrays of :meth:`AccessPlan.execute`, one per calling
-        #: thread and ``(n_sites, components, dtype)``: plans of the same
-        #: shape share one array instead of each keeping its own for the
-        #: life of the run, and hybrid threads sweeping one Env
-        #: concurrently never see each other's.
+        #: thread, n-th batched read of a kernel body and ``(n_sites,
+        #: components, dtype)``: congruent Blocks share one array per
+        #: read, two reads of one body never do, nor do hybrid threads
+        #: sweeping one Env concurrently.
         self._scratch: Dict[tuple, np.ndarray] = {}
+        #: Per task: ``(tiles swept, Blocks covered, {boundary reason: n})``.
+        self._tiles: Dict[int, Tuple[int, int, Dict[str, int]]] = {}
         self.hits = 0
         self.misses = 0
         self.resets = 0
@@ -796,13 +858,26 @@ class MMAT:
             self._plans[key] = plan
             self.plan_compiles += 1
 
-    def scratch(self, shape: Tuple[int, int], dtype) -> np.ndarray:
-        """The calling thread's reusable plan-output array of this shape."""
-        key = (threading.get_ident(), shape, dtype)
+    def plan_discard(self, tiles) -> None:
+        """Forget the plans of ``tiles`` — ``(first block id, Blocks)``, how
+        their keys begin — that are no longer swept as such."""
+        for key in list(self._plans):  # hybrid threads may be storing theirs
+            if key[:2] in tiles:
+                del self._plans[key]
+
+    def scratch(self, read: int, shape: Tuple[int, int], dtype) -> np.ndarray:
+        """The calling thread's reusable output array for the ``read``-th
+        batched read of a kernel body, of this shape."""
+        key = (threading.get_ident(), read, shape, dtype)
         out = self._scratch.get(key)
         if out is None:
             out = self._scratch[key] = np.empty(shape, dtype=dtype)
         return out
+
+    def note_tiles(self, task_id: int, tiles: int, blocks: int, splits: Dict[str, int]) -> None:
+        """Task ``task_id`` now sweeps ``blocks`` Blocks as ``tiles`` tiles
+        whose boundaries have the reasons ``splits``."""
+        self._tiles[task_id] = (tiles, blocks, splits)
 
     def note_execution(self, plan: AccessPlan) -> None:
         """Account one vectorized plan execution."""
@@ -870,6 +945,14 @@ class MMAT:
         lookups = self.hits + self.misses
         plan_sites = sum(plan.n_sites for plan in self._plans.values())
         vector_total = self.plan_exec_sites + self.fallback_sites
+        tiles = sum(entry[0] for entry in self._tiles.values())
+        tile_blocks = sum(entry[1] for entry in self._tiles.values())
+        splits: Dict[str, int] = {}
+        for _, _, reasons in self._tiles.values():
+            splits.update({why: splits.get(why, 0) + n for why, n in reasons.items()})
+        if not self.enabled and tile_blocks > tiles:
+            # Without plans a tile reads Block by Block on the scalar path.
+            splits["mmat off"] = tile_blocks - tiles
         return {
             "enabled": self.enabled,
             "entries": len(self._memo),
@@ -887,6 +970,10 @@ class MMAT:
             "plan_executions": self.plan_executions,
             "plan_exec_sites": self.plan_exec_sites,
             "fallback_sites": self.fallback_sites,
+            #: Tiles swept, Blocks they cover, why tiles end (reason -> n).
+            "tiles": tiles,
+            "tile_blocks": tile_blocks,
+            "tile_splits": splits,
             #: Fraction of batched accesses actually served by compiled
             #: plans (1.0 = fully vectorized, 0.0 = all scalar fallback).
             "vectorized_fraction": (

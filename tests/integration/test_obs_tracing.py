@@ -135,8 +135,9 @@ class TestTraceExport:
             "mpi", ranks=1, backend="serial", mmat=True, tracing=True,
         ).run(JacobiUSGrid, config=dict(region=8, case="R", block_cells=16, loops=2))
         compiles = [e for e in run.timeline() if e["ph"] == "X" and e["name"] == "plan.compile"]
-        # gather() and gather_global() each compile one plan per block.
-        assert len(compiles) == run.mmat_stats["plan_compiles"] == 2 * 4
+        # gather() and gather_global() each compile one plan per tile.
+        assert run.mmat_stats["tile_blocks"] == 4
+        assert len(compiles) == run.mmat_stats["plan_compiles"] == 2 * run.mmat_stats["tiles"] == 2
         assert "plan.compile" in run.phase_report()
 
     def test_phase_report_renders_from_run(self):

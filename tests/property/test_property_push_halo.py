@@ -189,13 +189,10 @@ def test_closed_from_the_first_step(name, backend, ranks):
 def test_blocking_and_hybrid_runs_publish_too(name, backend, overlap, omp):
     run = run_scripted(name, backend, 2, overlap=overlap, omp=omp)
     assert_matches_reference(name, run)
-    # Every member of a hybrid team runs ``warm_up`` and so resets the
-    # MMAT: a late member can drop the plans an early one had compiled,
-    # their pages are then not prefetched, and step 0 repairs, recompiles
-    # and — the plan generation having moved — renegotiates.
-    opened = open_steps(run)
-    assert opened == [] or (omp > 1 and opened == [0])
-    assert_pushes_add_up(run, LOOPS - len(opened))
+    # A hybrid team resets the MMAT once per warm-up (a ``single``), so no
+    # member drops the plans another compiled and step 0 is closed too.
+    assert open_steps(run) == []
+    assert_pushes_add_up(run, LOOPS)
     waited = sum(c.overlap_wait_ns + c.overlap_drained for c in run.counters.values())
     assert bool(waited) == overlap  # a blocking refresh hides nothing and says so
 
