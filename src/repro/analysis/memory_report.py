@@ -9,7 +9,10 @@ configuration split into *unused memory pool*, *used memory pool* and
   allocator (the pools are fixed-size, exactly as in the paper);
 * **working memory** is everything that is not the pool: the Env tree
   structure, the MMAT memo, block static fields, plus (for the
-  handwritten baselines) the arrays the baseline allocates.
+  handwritten baselines) the arrays the baseline allocates;
+* **image / scratch** is what the dense image and the kernels hold
+  outside the pool — halo mirrors, MMAT scratch, padded fields, ring
+  tables (the owned dense image is the page memory: *used pool*).
 """
 
 from __future__ import annotations
@@ -30,10 +33,11 @@ class MemoryBreakdown:
     unused_pool: int = 0
     used_pool: int = 0
     working: int = 0
+    image_scratch: int = 0
 
     @property
     def total(self) -> int:
-        return self.unused_pool + self.used_pool + self.working
+        return self.unused_pool + self.used_pool + self.working + self.image_scratch
 
     def as_row(self) -> dict:
         return {
@@ -41,6 +45,7 @@ class MemoryBreakdown:
             "unused_pool_MB": self.unused_pool / 1e6,
             "used_pool_MB": self.used_pool / 1e6,
             "working_MB": self.working / 1e6,
+            "image_scratch_MB": self.image_scratch / 1e6,
             "total_MB": self.total / 1e6,
         }
 
@@ -62,6 +67,7 @@ def measure_env(env: Env, *, label: str) -> MemoryBreakdown:
         unused_pool=env.allocator.free_bytes,
         used_pool=env.allocator.used_bytes,
         working=working,
+        image_scratch=env.image_scratch_bytes(),
     )
 
 

@@ -194,7 +194,7 @@ class PlatformRun:
         Example::
 
             mpi=2,omp=2 tasks=4 elapsed=0.041s steps=8 updates=4096
-            fetched=12pg/3.1KiB collectives=10 plans=16/7680sites vec=100% asm=4
+            fetched=12pg/3.1KiB collectives=10 plans=16/7680sites vec=100% img=pool asm=4
             tiles=2×8(budget) comm=2ex/12pg agg=6.0x saved=20msg push=6ex/192sites links=2
         """
         layers = ",".join(f"{k}={v}" for k, v in sorted(self.layers.items()))
@@ -230,10 +230,15 @@ class PlatformRun:
             if fallback:
                 line += f" fallback={fallback}"
             if self.env_stats is not None:
-                # Blocks the master rank's Env copied page by page into its
-                # dense read image: flat over the steps when every sweep is
-                # a full-block store, growing with them when not.
-                line += f" asm={self.env_stats.dense_assemblies}"
+                # The master rank's owned image is the page memory (anything
+                # but ``pool`` is a bug), how often and why its rows moved,
+                # Buffer-only Blocks copied into the halo mirror.
+                stats = self.env_stats
+                line += " img=" + ("DETACHED" if self.memory.get("image_error") else "pool")
+                if stats.image_rehomes:
+                    line += f" rehomes={stats.image_rehomes}(late block {stats.rehomes_late_block},"
+                    line += f" class grew {stats.rehomes_class_grew})"
+                line += f" asm={stats.dense_assemblies}"
         fused_calls = sum(c.kernel_fused_calls for c in self.counters.values())
         if fused_calls:
             fusions = sum(c.kernel_fuse for c in self.counters.values())

@@ -239,7 +239,7 @@ class PushPlan:
     pages: frozenset
     #: Per owner: ``(link, [(image, halo rows, slot byte lo, hi), …])``.
     inbound: List[Tuple[HaloLink, list]] = field(default_factory=list)
-    #: Per consumer: ``(link, [(image, read rows, source Blocks, lo, hi), …])``.
+    #: Per consumer: ``(link, [(image, read rows, lo, hi), …])``.
     outbound: List[Tuple[HaloLink, list]] = field(default_factory=list)
     #: Element rows all inbound tables carry per step.
     inbound_sites: int = 0
@@ -651,8 +651,8 @@ class DistributedMemoryAspect(LayerAspect):
                 world.control.claim(link.owner, link.consumer)
             crc = 0 if checks else None
             sites = 0
-            for image, idx, sources, lo, hi in tables:
-                rows = env.image_rows(image, sources, False)
+            for image, idx, lo, hi in tables:
+                rows = image.read  # the owned Blocks' read buffers themselves
                 # mode="clip": the indices were range-checked when the plan
                 # was negotiated, and the default mode would buffer the slot.
                 np.take(rows, idx, axis=0, out=_slot_rows(link, image, lo, hi), mode="clip")
@@ -718,7 +718,7 @@ class DistributedMemoryAspect(LayerAspect):
             link = world.open_halo_link(rank, consumer, descriptor=descriptor)
             tables, offset = [], 0
             for class_key, pieces in classes:
-                idx, sources, image = [], [], None
+                idx, image = [], None
                 for logical_key, elements in pieces:
                     block = env.block(directory.block_id_on(logical_key, rank))
                     image, lo, hi, halo = env.image_slot(block)
@@ -732,10 +732,9 @@ class DistributedMemoryAspect(LayerAspect):
                             f"block {logical_key!r} that it does not own in that shape"
                         )
                     idx.append(lo + elements)
-                    sources.append(block)
                 idx = np.concatenate(idx).astype(np.intp, copy=False)
                 nbytes = idx.size * image.components * image.dtype.itemsize
-                tables.append((image, idx, sources, offset, offset + nbytes))
+                tables.append((image, idx, offset, offset + nbytes))
                 offset += nbytes + (-nbytes) % 8
             plan.outbound.append((link, tables))
         env.set_pushed_rows(pushed)

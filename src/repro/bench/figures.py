@@ -334,7 +334,8 @@ def fig12_memory_usage(
     pool_bytes: int = 8 * 1024 * 1024,
     configurations: Sequence[str] = ("serial", "nop", "omp", "mpi", "hybrid"),
 ) -> List[dict]:
-    """Memory usage split into unused pool / used pool / working memory."""
+    """Memory usage split into unused pool / used pool / working memory /
+    image and kernel scratch held outside the pool."""
     works = {
         "SGrid": sgrid_workload(region, block_size=8),
         "USGrid CaseC": usgrid_workload(region, case="C", block_cells=64),

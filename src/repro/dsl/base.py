@@ -34,6 +34,7 @@ from ..memory.mmat import as_tile, compile_address_plan, compile_offsets_plan
 from ..memory.mmat import site_cuts, stencil_table
 from ..memory.zorder import morton_encode
 from ..obs.spans import global_tracer
+from ..runtime.shm import protocol_checks
 from ..runtime.task import SERIAL_TASK, current_task
 from ..runtime.tracing import global_trace
 
@@ -175,12 +176,10 @@ class BlockKernel:
 
     def set(self, local: Sequence[int], value) -> None:
         """Write the element at block-relative coordinates ``local``."""
-        self.env.discard_full_store(self.block.block_id)
         self.block.write_local(tuple(local), value)
         self._trace.updates += self._work
 
     def set_global(self, addr: Sequence[int], value) -> None:
-        self.env.discard_full_store(self.block.block_id)
         self.block.write(tuple(addr), value)
         self._trace.updates += self._work
 
@@ -193,7 +192,8 @@ class BlockKernel:
         Returns ``(len(offsets),) + shape`` for single-component Blocks,
         ``(len(offsets), elements, components)`` otherwise.  With
         MMAT enabled the offsets are compiled once into an access plan;
-        otherwise every site is read through the scalar path.
+        otherwise every site is read through the scalar path.  A tile's
+        own elements (``[(0,)]``) are a read-only view of the dense image.
         """
         offsets = tuple(tuple(int(c) for c in off) for off in offsets)
         n_off = len(offsets)
@@ -284,21 +284,16 @@ class BlockKernel:
 
         Accepts ``shape`` (single-component) or ``(elements,
         components)`` arrays — or anything broadcastable to them, e.g. a
-        constant scalar; one store into the ``next`` image rows, then the
-        write-buffer pages, marked dirty as per-element :meth:`set` would.
+        constant scalar; one store into the tile's ``next`` image rows (the
+        write-buffer pages), marked dirty as per-element :meth:`set` would.
         """
-        blocks = self.blocks
-        cell = (self.elements, blocks[0].components)
+        cell = (self.elements, self.blocks[0].components)
         data = np.asarray(values)
         try:
             data = data.reshape(cell)
         except ValueError:
             data = np.broadcast_to(data, cell)
-        self.env.note_full_store(blocks, data)
-        stop = 0
-        for block in blocks:
-            start, stop = stop, stop + block.element_count
-            block.buffer.write_buffer.load_dense(data[start:stop])
+        self.env.store_rows(self.blocks, data)
         self._trace.updates += self._work * self.elements
 
     def sweep(self, fn: Callable[..., np.ndarray], offsets: Sequence[Sequence[int]]) -> None:
@@ -486,7 +481,7 @@ class DslTarget(TargetApplication):
         tb = self.config.get("temporal_block")
         self.temporal_block: Optional[int] = None if tb is None else max(int(tb), 1)
         #: Codegen backend override for fused kernels (config
-        #: ``codegen``; None = registry default / env var).
+        #: ``codegen``; None = registry default).
         self.kernel_codegen: Optional[str] = self.config.get("codegen")
         #: ``(task, tile budget)`` -> the kernels that task last swept with
         #: and what they were built from (:meth:`_kernels`).
@@ -570,20 +565,23 @@ class DslTarget(TargetApplication):
         or serial runs every Block is a Data Block.
         """
         task = current_task()
-        my_rank = task.mpi_rank
         omp = self.omp_threads()
+        assignment = self.assign_tasks(specs)
+        mine = [tid // omp == task.mpi_rank or task.mpi_size == 1 for _, tid in assignment]
+        # Owned Blocks live in the Env's dense image: size its slabs once
+        # for all of them, so none is ever moved to make room.
+        owned = (math.prod(spec.shape) for (spec, _), own in zip(assignment, mine) if own)
+        env.reserve_image(components, dtype, sum(owned))
         created: List[DataBlock] = []
-        for spec, task_id in self.assign_tasks(specs):
+        for (spec, task_id), own in zip(assignment, mine):
             owner_rank = task_id // omp
-            master_tid = owner_rank * omp
-            if owner_rank == my_rank or task.mpi_size == 1:
+            if own:
                 block = DataBlock(
                     spec.origin,
                     spec.shape,
                     components=components,
                     page_elements=page_elements,
-                    allocator=env.allocator,
-                    dtype=dtype,
+                    dtype=dtype,  # no allocator: its pages are rows of the image
                     name=f"data{spec.logical_key}",
                 )
             else:
@@ -598,7 +596,7 @@ class DslTarget(TargetApplication):
                     name=f"remote{spec.logical_key}",
                 )
             block.logical_key = spec.logical_key
-            block.dm_tid = master_tid
+            block.dm_tid = owner_rank * omp
             block.ch_tid = task_id
             env.add_data_block(block)
             created.append(block)
@@ -641,7 +639,10 @@ class DslTarget(TargetApplication):
     def refresh(self, warmup: bool = False) -> bool:
         """End the step on this task's Env (``Env.refresh``, a join point)."""
         assert self.env is not None
-        return self.env.refresh(warmup)
+        done = self.env.refresh(warmup)
+        if protocol_checks():
+            self.env.check_dense_image()
+        return done
 
     def block_kernels(self, warmup: bool = False) -> Iterator[Tuple[DataBlock, BlockKernel]]:
         """``(block, kernel)`` per Block of this task, for user code that

@@ -263,8 +263,7 @@ class ParticleTarget(DslTarget):
         assert self.env is not None
         rows = []
         for block in self.env.data_blocks():
-            dense = block.dense().reshape(block.element_count, self.components)
-            for element in dense:
+            for element in self.env.dense_read(block):
                 view = BucketView(element, self.bucket_capacity)
                 for p in range(view.count):
                     rec = view.particle(p)

@@ -156,7 +156,7 @@ class SGrid2DTarget(DslTarget):
         for block in self.env.data_blocks():
             x0, y0 = block.origin
             sx, sy = block.shape
-            field[x0 : x0 + sx, y0 : y0 + sy] = block.dense()[..., 0]
+            field[x0 : x0 + sx, y0 : y0 + sy] = self.env.dense_read(block).reshape(sx, sy)
         return field
 
     def finalize(self) -> None:

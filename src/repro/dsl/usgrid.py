@@ -222,7 +222,7 @@ class USGrid2DTarget(DslTarget):
         for block in self.env.data_blocks():
             start = block.origin[0]
             count = block.shape[0]
-            flat[start : start + count] = block.dense()[..., 0].reshape(-1)
+            flat[start : start + count] = self.env.dense_read(block)[:, 0]
         field[...] = flat[index_map]
         return field
 

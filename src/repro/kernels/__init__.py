@@ -16,28 +16,17 @@ registry (:mod:`repro.runtime.backends`)::
         def compile(self, signature): ...
     register_codegen(MyCodegen())
 
-The two built-in codegens:
-
-=============  ========================================================
-``numpy_src``  emits NumPy source specialised to the plan's shape and
-               stencil and ``exec``-compiles it (the default; no
-               dependencies beyond NumPy)
-``numba``      same generated source, plus a ``numba.njit`` of the
-               elementwise ``fn`` with transparent fallback; only
-               available when numba is importable (import-guarded)
-=============  ========================================================
+The built-in codegen, ``numpy_src``, emits NumPy source specialised to
+the plan's shape and stencil and ``exec``-compiles it (no dependencies
+beyond NumPy).
 
 A codegen's ``compile(signature)`` returns a namespace (dict) holding
 the generated functions ``fill_interior`` / ``fill_boundary`` /
-``compute`` / ``store`` / ``fused_sweep``; its constructor may raise
-:class:`CodegenError` when its dependencies are unavailable —
-:func:`resolve_codegen` then falls back to the default.
+``compute`` / ``store`` / ``fused_sweep``.
 """
 
 from __future__ import annotations
 
-import importlib
-import os
 from typing import Dict, List, Optional
 
 __all__ = [
@@ -60,20 +49,7 @@ class CodegenError(RuntimeError):
 #: Codegen used when none is named: generated-and-``exec``'d NumPy source.
 DEFAULT_CODEGEN = "numpy_src"
 
-#: Environment variable overriding the codegen choice for a whole process.
-CODEGEN_ENV_VAR = "REPRO_KERNEL_CODEGEN"
-
-#: Built-in codegens, resolved lazily: name -> (module, factory attribute).
-_BUILTIN = {
-    "numpy_src": ("repro.kernels.numpy_src", "NumpySourceCodegen"),
-    "numba": ("repro.kernels.numba_src", "NumbaCodegen"),
-}
-
 _REGISTRY: Dict[str, object] = {}
-
-#: Built-ins whose instantiation already failed (e.g. numba missing);
-#: cached so every fusion attempt does not retry the import.
-_FAILED: Dict[str, str] = {}
 
 
 def register_codegen(codegen, *, replace: bool = False):
@@ -85,59 +61,38 @@ def register_codegen(codegen, *, replace: bool = False):
     name = getattr(codegen, "name", None)
     if not name or not isinstance(name, str):
         raise CodegenError(f"codegen {codegen!r} has no usable 'name'")
-    if not replace and (name in _REGISTRY or name in _BUILTIN):
+    if not replace and name in available_codegens():
         raise CodegenError(f"codegen {name!r} is already registered")
     _REGISTRY[name] = codegen
-    _FAILED.pop(name, None)
     return codegen
 
 
 def get_codegen(name: str):
-    """Resolve a codegen by name (instantiating built-ins on first use)."""
+    """Resolve a codegen by name (instantiating the built-in on first use)."""
     codegen = _REGISTRY.get(name)
-    if codegen is not None:
-        return codegen
-    failed = _FAILED.get(name)
-    if failed is not None:
-        raise CodegenError(failed)
-    builtin = _BUILTIN.get(name)
-    if builtin is None:
-        raise CodegenError(
-            f"unknown kernel codegen {name!r} "
-            f"(available: {', '.join(available_codegens())})"
-        )
-    module_name, attr = builtin
-    codegen_cls = getattr(importlib.import_module(module_name), attr)
-    try:
-        codegen = codegen_cls()
-    except CodegenError as exc:
-        _FAILED[name] = str(exc)
-        raise
-    _REGISTRY[name] = codegen
+    if codegen is None:
+        if name != DEFAULT_CODEGEN:
+            raise CodegenError(
+                f"unknown kernel codegen {name!r} "
+                f"(available: {', '.join(available_codegens())})"
+            )
+        from .numpy_src import NumpySourceCodegen
+
+        codegen = _REGISTRY[name] = NumpySourceCodegen()
     return codegen
 
 
 def available_codegens() -> List[str]:
-    """Sorted names of every registered (or registerable built-in) codegen."""
-    return sorted(set(_BUILTIN) | set(_REGISTRY))
+    """Sorted names of every registered codegen and the built-in one."""
+    return sorted({DEFAULT_CODEGEN, *_REGISTRY})
 
 
 def resolve_codegen(name: Optional[str] = None):
-    """Resolve the preferred codegen, falling back to the default.
-
-    Preference order: explicit ``name`` argument, the
-    ``REPRO_KERNEL_CODEGEN`` environment variable, then
-    :data:`DEFAULT_CODEGEN`.  A named backend whose dependencies are
-    missing (``numba`` without numba installed) silently falls back to
-    the default — fusion degrades, it never breaks a run.
-    """
-    if name is None:
-        name = os.environ.get(CODEGEN_ENV_VAR) or DEFAULT_CODEGEN
+    """The codegen called ``name``; the default when ``name`` is None or
+    not registered — fusion degrades, it never breaks a run."""
     try:
-        return get_codegen(name)
+        return get_codegen(name or DEFAULT_CODEGEN)
     except CodegenError:
-        if name == DEFAULT_CODEGEN:
-            raise
         return get_codegen(DEFAULT_CODEGEN)
 
 

@@ -8,13 +8,14 @@ against a single padded scratch field, instead of materialising the
 ``(n_offsets, n_elem)`` gather tensor and re-indexing it per offset:
 
 * the block's own read buffer is *copied once* into the interior of a
-  padded field ``P``;
+  padded field ``P`` — MMAT scratch, one per thread, padded shape and
+  dtype, so a sweep over many Blocks keeps one field in cache;
 * only the out-of-block plan sites — the boundary "ring": mirror
   boundaries, neighbour blocks, halo pages, compile-time constants,
   which are all an offsets plan's segments hold — are filled through
   precomputed (deduplicated) gather tables;
 * ``fn`` is applied to one shifted **view** of ``P`` per offset, and
-  the result is scattered straight into the write-buffer pages.
+  the result is copied once into the write buffer (dense-image rows).
 
 The kernel preserves the overlapped-sweep structure of
 ``BlockKernel.sweep_segment`` (interior first, halo wait, boundary
@@ -123,17 +124,13 @@ class FusedKernel:
             self.const_vals = None
 
         # -- generated code --------------------------------------------
-        module = codegen.compile(self._signature())
+        module = codegen.compile((shape, pad_lo, self.pshape, plan.offsets))
         self._fill_interior = module["fill_interior"]
         self._fill_boundary = module["fill_boundary"]
         self._compute = module["compute"]
         self._store = module["store"]
         self._fused_sweep = module["fused_sweep"]
 
-        #: Padded-field pool (list pop/append is GIL-atomic, so hybrid
-        #: threads sweeping concurrently never alias one field).
-        self._pool: List[np.ndarray] = []
-        self._merge_scratch: List[np.ndarray] = []
         #: Per-offset padded-flat indices of the halo-touching elements
         #: (the overlap rim), resolved lazily.
         self._boundary_pidx = None
@@ -161,31 +158,23 @@ class FusedKernel:
         uniq, first = np.unique(pos, return_index=True)
         return uniq.astype(np.intp), first
 
-    def _signature(self):
-        return (
-            self.shape,
-            self.pad_lo,
-            self.pshape,
-            self.plan.offsets,
-            int(self.block.page_elements),
-        )
+    def padded(self, env) -> np.ndarray:
+        """The calling thread's padded field (called from the generated
+        code), this kernel's constant ring cells stamped: all kernels of a
+        padded shape and dtype compute in it, one after the other.  Per
+        *thread*: hybrid threads sweep one signature concurrently."""
+        P = env.mmat.scratch("padded", self.pshape, self.dtype)
+        if self.const_pos is not None:
+            P.reshape(-1)[self.const_pos] = self.const_vals
+        return P
 
-    # ------------------------------------------------------------------
-    # scratch management (called from the generated code)
-    # ------------------------------------------------------------------
-    def alloc(self) -> np.ndarray:
-        """Pop (or create) a padded scratch field, constants pre-filled."""
-        try:
-            return self._pool.pop()
-        except IndexError:
-            P = np.zeros(self.pshape, dtype=self.dtype)
-            if self.const_pos is not None:
-                P.reshape(-1)[self.const_pos] = self.const_vals
-            return P
-
-    def release(self, P: np.ndarray) -> None:
-        """Return a padded field to the pool (constants stay in place)."""
-        self._pool.append(P)
+    @property
+    def nbytes(self) -> int:
+        """Memory held by the ring tables (Fig. 12 bench)."""
+        total = sum(seg.nbytes for part in self.ring_tables for seg in part)
+        if self.const_pos is not None:
+            total += self.const_pos.nbytes + self.const_vals.nbytes
+        return total
 
     # ------------------------------------------------------------------
     # dispatch
@@ -260,7 +249,6 @@ class FusedKernel:
                     fn, F, bpidx, int(boundary_elems.size)
                 )
         self._store(self, env, res)
-        self.release(P)
         return missing
 
     # ------------------------------------------------------------------
@@ -326,7 +314,6 @@ class FusedKernel:
                 missing = self._fill_boundary(self, env, F)
                 res = _as_field(self._compute(P, fn), self.shape, self.dtype)
         self._store(self, env, res)
-        self.release(P)
 
         # Lookahead: advance the eroding interior up to temporal-1 extra
         # steps from data this block just computed itself.  A re-executed
@@ -356,16 +343,11 @@ class FusedKernel:
         with tracer.span("sweep", temporal=level):
             P, F = self._fill_interior(self, env)
             missing = self._fill_boundary(self, env, F)
-            try:
-                out = self._merge_scratch.pop()
-            except IndexError:
-                out = np.empty(self.n_elem, dtype=self.dtype)
+            out = env.mmat.scratch("merged", (self.n_elem,), self.dtype)
             out[idx] = vals
             if rim.size:
                 out[rim] = self._apply_at(fn, F, rimp, int(rim.size))
             self._store(self, env, out.reshape(self.shape))
-            self._merge_scratch.append(out)
-            self.release(P)
         return missing
 
 

@@ -2,10 +2,11 @@
 
 The emitted module performs one whole-block sweep as
 
-1. ``fill_interior`` — copy the block's own read buffer into the
-   interior of a padded scratch field ``P`` and fill the ring cells
-   served by locally-owned sources (mirror boundaries, neighbour Data
-   Blocks) with precomputed gather tables;
+1. ``fill_interior`` — copy the block's own read buffer (a slice of
+   the dense image) into the interior of the thread's padded scratch
+   field ``P`` and fill the ring cells served by locally-owned sources
+   (mirror boundaries, neighbour Data Blocks) with precomputed gather
+   tables;
 2. ``fill_boundary`` — fill the ring cells served by Buffer-only (halo)
    sources through the same :meth:`~repro.memory.mmat.PlanSegment.gather`
    as :meth:`~repro.memory.mmat.AccessPlan.gather_boundary` (missing
@@ -13,11 +14,12 @@ The emitted module performs one whole-block sweep as
 3. ``compute`` — call the elementwise ``fn`` on one shifted *view* of
    ``P`` per stencil offset (no per-offset gather arrays are ever
    materialised — this is the fusion);
-4. ``store`` — scatter the result straight into the write-buffer pages.
+4. ``store`` — copy the result, once, into the block's write buffer:
+   its rows of the image's ``next`` slab.
 
-Shapes, pads, view slices and the page layout are baked into the source
-as literals; the compiled code object is cached per structural
-signature, so every block of the same shape/stencil shares it.
+Shapes, pads and view slices are baked into the source as literals; the
+compiled code object is cached per structural signature, so every block
+of the same shape/stencil shares it.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ def _index(bounds) -> str:
 
 def emit_source(signature: Tuple) -> str:
     """Emit the fused-sweep module source for one structural signature."""
-    shape, pad_lo, pshape, offsets, page_elements = signature
+    shape, pad_lo, pshape, offsets = signature
     nd = len(shape)
     n_elem = 1
     for s in shape:
@@ -63,7 +65,7 @@ def emit_source(signature: Tuple) -> str:
         f"# fused sweep: shape={shape_r} pad={tuple(pad_lo)!r} offsets={offsets!r}",
         "",
         "def fill_interior(K, env):",
-        "    P = K.alloc()",
+        "    P = K.padded(env)",
         f"    P[{interior}] = env.dense_read(K.block)[:, 0].reshape({shape_r})",
         f"    ring = P.reshape({psize}, 1)",
         "    for table in K.ring_tables[0]:",
@@ -80,17 +82,15 @@ def emit_source(signature: Tuple) -> str:
         "def store(K, env, res):",
         "    res = np.asarray(res)",
         f"    if res.size == {n_elem}:",
-        f"        flat = res.reshape({n_elem})",
-        "    else:",
-        f"        flat = np.broadcast_to(res, {shape_r}).reshape({n_elem})",
-        "    K.block.buffer.write_buffer.load_dense(flat)",
-        "    env.note_full_store(K.block, flat)",
+        f"        res = res.reshape({shape_r})",
+        "    buf = K.block.buffer.write_buffer",
+        f"    np.copyto(buf.runs()[0].reshape({shape_r}), res, casting='unsafe')",
+        "    buf.mark_dirty()",
         "",
         "def fused_sweep(K, env, fn):",
         "    P, F = fill_interior(K, env)",
         "    missing = fill_boundary(K, env, F)",
         "    store(K, env, compute(P, fn))",
-        "    K.release(P)",
         "    return missing",
         "",
     ]
@@ -104,23 +104,16 @@ class NumpySourceCodegen:
 
     def __init__(self) -> None:
         #: Compiled code objects keyed by structural signature; every
-        #: block with the same shape/stencil/page layout shares one.
+        #: block with the same shape/stencil shares one.
         self._code: Dict[Tuple, object] = {}
 
     def compile(self, signature: Tuple) -> dict:
         """Return a fresh namespace holding the generated functions."""
         code = self._code.get(signature)
         if code is None:
-            source = emit_source(signature)
-            code = builtins_compile(source, signature)
+            label = "x".join(str(int(s)) for s in signature[0])
+            code = compile(emit_source(signature), f"<fused-kernel {label}>", "exec")
             self._code[signature] = code
         namespace = {"np": np}
         exec(code, namespace)
         return namespace
-
-
-def builtins_compile(source: str, signature: Tuple):
-    """Compile the emitted source with a descriptive pseudo-filename."""
-    shape = signature[0]
-    label = "x".join(str(int(s)) for s in shape)
-    return compile(source, f"<fused-kernel {label}>", "exec")

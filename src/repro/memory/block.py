@@ -193,7 +193,8 @@ class DataBlock(Block):
     page_elements:
         Elements per page (the platform's communication granularity).
     allocator:
-        Pool (group) the buffers draw chunks from.
+        Pool (group) the buffers draw chunks from; None for a Block whose
+        pages will be the image rows :meth:`Env.add_data_block` gives it.
     dtype:
         Element dtype, float64 by default.
     depth:
@@ -209,7 +210,7 @@ class DataBlock(Block):
         *,
         components: int,
         page_elements: int,
-        allocator: PoolGroup,
+        allocator: Optional[PoolGroup] = None,
         dtype=np.float64,
         depth: int = 2,
         name: str = "",

@@ -3,9 +3,11 @@
 Every Data Block "has a multi-buffering to store the data" (§III-B3):
 kernels read step *n-1* data from the **read buffer** while writing
 step *n* results into the **write buffer**; a successful ``refresh``
-swaps the two.  Each buffer is a collection of pages, each page backed
-by a chunk from a memory pool (possibly different pools, see
-:class:`repro.memory.pool.PoolGroup`).
+swaps the two.  Each buffer is a collection of pages, each backed by a
+chunk from a memory pool (possibly different pools, see
+:class:`repro.memory.pool.PoolGroup`) — or, the buffers of a Data Block
+an Env owns, *homed*: generation ``g`` is the Block's rows of slab ``g``
+of the Env's dense image (:class:`~repro.memory.env.DenseImage`).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ class BlockBuffer:
         page_elements: int,
         components: int,
         dtype,
-        allocator: PoolGroup,
+        allocator: Optional[PoolGroup] = None,
     ) -> None:
         if element_count <= 0:
             raise BlockError("buffer must hold a positive number of elements")
@@ -41,21 +43,12 @@ class BlockBuffer:
         self.components = int(components)
         self.dtype = np.dtype(dtype)
         self.pages: List[Page] = []
+        # Page ``i`` holds the elements from ``i * page_elements`` on, the
+        # last one only those left: consecutive Blocks' rows follow each other.
+        for index, start in enumerate(range(0, self.element_count, self.page_elements)):
+            live = min(self.page_elements, self.element_count - start)
+            self.pages.append(Page(index, live, self.components, self.dtype, allocator))
         self._runs: Optional[List[np.ndarray]] = None
-        remaining = self.element_count
-        index = 0
-        while remaining > 0:
-            in_page = min(self.page_elements, remaining)
-            # Pages are uniformly sized (page_elements) so page index maps
-            # directly to element ranges; the final partial page still
-            # reserves a full page worth of elements, mirroring the fixed
-            # page granularity of the C++ prototype.
-            page = Page(index, self.page_elements, self.components, self.dtype, allocator)
-            if in_page < self.page_elements:
-                page.array[in_page:, :] = 0
-            self.pages.append(page)
-            remaining -= in_page
-            index += 1
 
     # ------------------------------------------------------------------
     @property
@@ -87,37 +80,27 @@ class BlockBuffer:
 
     def page_of(self, element_index: int) -> int:
         """Return the page index containing ``element_index``."""
-        if element_index < 0 or element_index >= self.element_count:
-            raise BlockError(
-                f"element index {element_index} outside buffer of {self.element_count}"
-            )
-        return element_index // self.page_elements
+        return self.locate(element_index)[0].index
 
     def runs(self) -> List[np.ndarray]:
-        """The buffer's elements as maximal contiguous arena views, in order.
-
-        Pages whose pool chunks are byte-adjacent in one arena (the usual
-        case — a buffer's pages are allocated back to back) merge into a
-        single ``(elements, components)`` view over that arena, so bulk
-        copies pay one slice assignment per *run*, not per page.  A chunk
-        padded by the pool alignment, a spill into another pool or a
-        fragmented free list ends a run; the last page is trimmed to the
-        buffer's element count.  Pages are only ever refilled in place,
-        so the views are cached for the life of the buffer.
-        """
+        """The buffer's elements as maximal contiguous views, in order,
+        cached: a homed buffer's one run of image rows; else pages whose
+        chunks are byte-adjacent in one arena (allocated back to back)
+        merge, so bulk copies pay one slice assignment per *run*, not per
+        page.  Alignment padding, a spill into another pool or a
+        fragmented free list ends a run."""
         runs = self._runs
         if runs is None:
-            row_bytes = self.components * self.dtype.itemsize
             spans: List[list] = []  # [pool, first byte, end byte]
-            remaining = self.element_count
             for page in self.pages:
                 chunk = page.chunk
-                live = min(page.elements, remaining)
-                remaining -= live
+                if chunk is None:  # made without an allocator, not homed yet
+                    return []
+                live = page.elements * self.components * self.dtype.itemsize
                 if spans and spans[-1][0] is chunk.pool and spans[-1][2] == chunk.offset:
-                    spans[-1][2] += live * row_bytes
+                    spans[-1][2] += live
                 else:
-                    spans.append([chunk.pool, chunk.offset, chunk.offset + live * row_bytes])
+                    spans.append([chunk.pool, chunk.offset, chunk.offset + live])
             runs = self._runs = [
                 pool._backing[lo:hi].view(self.dtype).reshape(-1, self.components)
                 for pool, lo, hi in spans
@@ -145,6 +128,17 @@ class BlockBuffer:
             stop = start + run.shape[0]
             run[...] = data[start:stop]
             start = stop
+        self.mark_dirty()
+
+    def rehome(self, rows: np.ndarray) -> None:
+        """Move the pages into ``rows`` (``(element_count, components)``
+        of a dense-image slab); the caller moves the contents."""
+        for page in self.pages:
+            start = page.index * self.page_elements
+            page.rehome(rows[start : start + page.elements])
+        self._runs = [rows]
+
+    def mark_dirty(self) -> None:
         for page in self.pages:
             page.dirty = True
 
@@ -180,7 +174,7 @@ class MultiBuffer:
         page_elements: int,
         components: int,
         dtype,
-        allocator: PoolGroup,
+        allocator: Optional[PoolGroup] = None,
         depth: int = 2,
     ) -> None:
         if depth < 1:
@@ -190,19 +184,20 @@ class MultiBuffer:
             BlockBuffer(element_count, page_elements, components, dtype, allocator)
             for _ in range(depth)
         ]
-        self._read_index = 0
+        #: Which of :attr:`buffers` is the read buffer.
+        self.read_index = 0
         self.swaps = 0
 
     # ------------------------------------------------------------------
     @property
     def read_buffer(self) -> BlockBuffer:
-        return self.buffers[self._read_index]
+        return self.buffers[self.read_index]
 
     @property
     def write_buffer(self) -> BlockBuffer:
         if self.depth == 1:
             return self.buffers[0]
-        return self.buffers[(self._read_index + 1) % self.depth]
+        return self.buffers[(self.read_index + 1) % self.depth]
 
     @property
     def nbytes(self) -> int:
@@ -211,13 +206,34 @@ class MultiBuffer:
     def swap(self) -> None:
         """Make the current write buffer the new read buffer."""
         if self.depth > 1:
-            self._read_index = (self._read_index + 1) % self.depth
+            self.read_index = (self.read_index + 1) % self.depth
         self.swaps += 1
         self.write_buffer.clear_dirty()
+
+    def vacate(self) -> List[np.ndarray]:
+        """Copies of the generations, the read buffer's first (none if made
+        without an allocator); the pages' own chunks go back to their pools."""
+        if self.buffers[0].pages[0].array is None:
+            return []
+        saved = [
+            self.buffers[(self.read_index + ahead) % self.depth].dense()
+            for ahead in range(self.depth)
+        ]
+        for buf in self.buffers:
+            for page in buf.pages:
+                page.release()
+        return saved
+
+    def rehome(self, rows: List[np.ndarray], read_index: int) -> None:
+        """Move generation ``g`` into ``rows[g]`` and read from generation
+        ``read_index`` on, like every Block of the image the rows are of."""
+        for buf, generation in zip(self.buffers, rows):
+            buf.rehome(generation)
+        self.read_index = int(read_index)
 
     def release(self) -> None:
         for buf in self.buffers:
             buf.release()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"MultiBuffer(depth={self.depth}, read={self._read_index}, swaps={self.swaps})"
+        return f"MultiBuffer(depth={self.depth}, read={self.read_index}, swaps={self.swaps})"

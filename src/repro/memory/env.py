@@ -41,10 +41,10 @@ from .block import (
     ReferenceBlock,
     StaticDataBlock,
 )
-from .errors import AddressError, EnvError
-from .mmat import MMAT, as_tile
+from .errors import AddressError, EnvError, PoolExhaustedError
+from .mmat import MMAT
 from .page import PageKey
-from .pool import MemoryPool, PoolGroup
+from .pool import Chunk, MemoryPool, PoolGroup
 
 __all__ = ["Env", "EnvStats", "DenseImage"]
 
@@ -69,16 +69,23 @@ class EnvStats:
     refreshes: int = 0
     failed_refreshes: int = 0
     buffer_swaps: int = 0
-    #: Blocks whose pages were copied into the dense read image because
-    #: the image did not hold their current read buffer (0 per step in a
-    #: steady-state full-store sweep).
+    #: Buffer-only Blocks copied into the image's ``halo`` mirror (owned
+    #: Blocks' pages *are* image rows).
     dense_assemblies: int = 0
+    #: Times owned rows of the dense image moved, by reason: a Block added
+    #: with pages of its own, a class outgrowing its slabs.  Set-up only.
+    rehomes_late_block: int = 0
+    rehomes_class_grew: int = 0
     #: Scalar reads resolved to a Buffer-only Block: remote data the
     #: compiled plans (and so the pushed halo) do not cover.
     buffer_only_reads: int = 0
 
+    @property
+    def image_rehomes(self) -> int:
+        return self.rehomes_late_block + self.rehomes_class_grew
+
     def as_dict(self) -> dict:
-        return dict(self.__dict__)
+        return dict(self.__dict__, image_rehomes=self.image_rehomes)
 
     def merged_with(self, other: "EnvStats") -> "EnvStats":
         merged = EnvStats()
@@ -88,54 +95,81 @@ class EnvStats:
 
 
 class DenseImage:
-    """The dense read image of one ``(components, dtype)`` class of Blocks.
+    """The dense image of one ``(components, dtype, depth)`` class of Blocks
+    (docs/architecture.md, *Dense read image*, has the drawing).
 
     Compiled access plans do not read pages: they index one contiguous
-    copy of the read buffers of *all* the Env's Blocks of a class, so a
-    plan is one gather however many Blocks its sites land in.  Layout:
+    array of the read buffers of *all* the Env's Blocks of a class, so a
+    plan is one gather however many Blocks its sites land in.
 
-    * ``read`` / ``next`` — ``(local_rows, components)``; every owned
-      Data Block has the rows ``[base, base + element_count)`` of both.
-      ``read`` mirrors the read buffers, ``next`` receives this step's
-      full-block stores (:meth:`Env.note_full_store`); a successful
-      non-warm-up refresh swaps the two together with the buffers.
+    * ``slabs`` — for the Blocks the Env owns that array is not a copy,
+      it **is** the page memory: ``depth`` arrays of ``(rows,
+      components)``, each one pool chunk the image holds.  Every owned
+      Block has the rows ``[base, base + element_count)`` of all of them;
+      the pages of its buffer generation ``g`` are views of those rows of
+      slab ``g``.  ``read`` / ``next`` are the slabs of the current read /
+      write generation; :meth:`swap` — ``Env.refresh``, nothing else —
+      swaps the Blocks' buffers and moves the two on together.
     * ``halo`` — ``(halo_rows, components)`` for the Buffer-only Blocks,
-      single-buffered because Buffer-only Blocks never swap: their read
-      buffer is only ever refilled in place by page installs.  Under the
-      publish protocol the owners' pushes land *here*, not in the pages
-      (:meth:`Env.install_pushed_halo`): the pushed rows are then current
-      although their Blocks are not ``fresh`` and their pages not valid.
+      outside the pool and single-buffered (they never swap): a *mirror*
+      of their pages, assembled on demand (``fresh``: the Blocks whose
+      rows are current).  Under the publish protocol the owners' pushes
+      land *here*, not in the pages (:meth:`Env.install_pushed_halo`):
+      pushed rows are current although their Blocks are not ``fresh``.
 
     Row bases are handed out once, at ``Env.add_data_block``, and never
-    move, so a compiled plan's row indices stay valid while the tree
-    grows.  The arrays are allocated on first use; a new owned Block
-    drops ``read`` / ``next`` (re-allocated at the new size on the next
-    use), a new Buffer-only Block grows ``halo`` in place.
-
-    **Invariant** (checked by :meth:`Env.check_dense_image`): for every
-    Block in ``fresh`` its image rows equal ``read_buffer.dense()``; for
-    every Block in ``next_fresh`` its ``next`` rows equal
-    ``write_buffer.dense()``.  A Block in neither set says nothing — its
-    rows are assembled from the pages by the next :meth:`Env.dense_read`.
+    move, so compiled row indices stay valid while the tree grows; slabs
+    are re-allocated when a class outgrows them, ``halo`` grows in place.
     """
 
     __slots__ = (
-        "components", "dtype", "local_rows", "halo_rows",
-        "read", "next", "halo", "fresh", "next_fresh",
+        "components", "dtype", "depth", "local_rows", "halo_rows",
+        "chunks", "slabs", "owned", "read_index", "halo", "fresh",
     )
 
-    def __init__(self, components: int, dtype) -> None:
+    def __init__(self, components: int, dtype, depth: int = 2) -> None:
         self.components = int(components)
         self.dtype = np.dtype(dtype)
+        self.depth = int(depth)
         self.local_rows = 0
         self.halo_rows = 0
-        self.read: Optional[np.ndarray] = None
-        self.next: Optional[np.ndarray] = None
+        self.chunks: List[Chunk] = []
+        self.slabs: List[np.ndarray] = []
+        #: The Blocks whose pages are rows of the slabs, in row order.
+        self.owned: List[DataBlock] = []
+        self.read_index = 0
         self.halo: Optional[np.ndarray] = None
-        #: Ids of the Blocks (owned and Buffer-only) whose rows are current.
+        #: Ids of the Buffer-only Blocks whose ``halo`` rows are current.
         self.fresh: Set[int] = set()
-        #: Ids of the owned Blocks fully stored into ``next`` this step.
-        self.next_fresh: Set[int] = set()
+
+    @property
+    def read(self) -> Optional[np.ndarray]:
+        return self.slabs[self.read_index] if self.slabs else None
+
+    @property
+    def next(self) -> Optional[np.ndarray]:
+        return self.slabs[(self.read_index + 1) % self.depth] if self.slabs else None
+
+    def allocate(self, allocator, capacity: int, owner: str) -> None:
+        """Give the old slabs back and take ``depth`` of ``capacity`` rows
+        (their contents are the caller's to move)."""
+        for chunk in self.chunks:
+            chunk.free()
+        self.chunks, self.slabs = [], []
+        nbytes = capacity * self.components * self.dtype.itemsize
+        for generation in range(self.depth if capacity else 0):
+            try:
+                chunk = allocator.allocate(nbytes)
+            except PoolExhaustedError as exc:
+                self.allocate(allocator, 0, owner)
+                raise PoolExhaustedError(
+                    f"Env {owner!r}: no pool holds slab {generation} of {self.depth} of "
+                    f"its dense image ({capacity} rows x {self.components} of "
+                    f"{self.dtype}, {nbytes} bytes): {exc}"
+                ) from exc
+            self.chunks.append(chunk)
+            cells = chunk.as_array(self.dtype, capacity * self.components)
+            self.slabs.append(cells.reshape(capacity, self.components))
 
     def reserve(self, block: DataBlock) -> tuple:
         """Hand ``block`` its rows: ``(self, first row, end row, is halo)``."""
@@ -148,22 +182,19 @@ class DenseImage:
                 grown = np.empty((self.halo_rows, self.components), dtype=self.dtype)
                 grown[:base] = self.halo
                 self.halo = grown
+            self.fresh.clear()
         else:
             base, self.local_rows = self.local_rows, self.local_rows + count
-            # The arrays are now too short: drop them and what they held.
-            self.read = self.next = None
-        self.invalidate()
+            self.owned.append(block)
         return (self, base, base + count, halo)
 
-    def invalidate(self) -> None:
-        """Trust no row (neither side) until it is assembled or stored again."""
-        self.fresh.clear()
-        self.next_fresh.clear()
-
-    def swap(self) -> None:
-        """The buffers swapped: this step's full stores are now the reads."""
-        self.read, self.next = self.next, self.read
-        self.fresh, self.next_fresh = self.next_fresh, set()
+    def swap(self) -> int:
+        """Swap the buffers of every owned Block and, with them, ``read``
+        and ``next``; returns how many Blocks swapped."""
+        for block in self.owned:
+            block.refresh_swap()
+        self.read_index = (self.read_index + 1) % self.depth
+        return len(self.owned)
 
 
 class Env:
@@ -192,10 +223,10 @@ class Env:
         }
         self.stats = EnvStats()
         self.mmat = MMAT(enabled=mmat_enabled)
-        #: The dense read image compiled plans index (see
-        #: :class:`DenseImage`), one per ``(components, dtype)`` class of
-        #: Data Blocks in the tree — one in every stock DSL — and each
-        #: Block's rows in it as ``(image, first row, end row, is halo)``.
+        #: The dense image compiled plans index and owned Blocks live in
+        #: (see :class:`DenseImage`), one per ``(components, dtype, depth)``
+        #: class of Data Blocks in the tree — one in every stock DSL — and
+        #: each Block's rows in it as ``(image, first row, end row, is halo)``.
         self._images: Dict[tuple, DenseImage] = {}
         self._slots: Dict[int, tuple] = {}
         self._image_lock = threading.Lock()
@@ -245,16 +276,62 @@ class Env:
             block.env = self
         return block
 
+    def _image_of(self, components: int, dtype, depth: int) -> DenseImage:
+        key = (int(components), np.dtype(dtype), int(depth))
+        return self._images.setdefault(key, DenseImage(*key))
+
+    def reserve_image(self, components: int, dtype, rows: int, depth: int = 2) -> None:
+        """Make room, once, for ``rows`` more owned rows of a class: a DSL
+        target sizes the slabs before it adds its first Block, so none moves."""
+        image = self._image_of(components, dtype, depth)
+        self.stats.rehomes_class_grew += self._resize(image, image.local_rows + int(rows))
+
+    def _resize(self, image: DenseImage, capacity: int) -> bool:
+        """Slabs of ``capacity`` rows for ``image``: snapshot, free, allocate,
+        restore — the pool (often full) never holds two layouts at once — and
+        every owned page re-pointed.  Returns whether rows with data moved."""
+        held, before = image.local_rows, len(image.slabs[0]) if image.slabs else 0
+        if capacity <= before:
+            return False
+        saved = [slab[:held].copy() for slab in image.slabs]
+        try:
+            image.allocate(self.allocator, capacity, self.name)
+        except PoolExhaustedError:
+            image.allocate(self.allocator, before, self.name)  # what fitted before
+            raise
+        finally:
+            for slab, rows in zip(image.slabs, saved):
+                slab[:held] = rows
+            for block in image.owned:
+                _, lo, hi, _ = self._slots[block.block_id]
+                block.buffer.rehome([slab[lo:hi] for slab in image.slabs], image.read_index)
+        return held > 0
+
     def add_data_block(self, block: DataBlock, *, parent: Optional[Block] = None) -> DataBlock:
-        """Attach a Data (or Buffer-only) Block under the data joint."""
+        """Attach a Data (or Buffer-only) Block under the data joint.
+
+        A Buffer-only Block keeps its pages.  An owned Block gets the next
+        free rows of its class's dense-image slabs as its pages (the slabs
+        grow by exactly that much unless :meth:`reserve_image` made room);
+        one made with an allocator is *re-homed*: its generations copied
+        in, its own chunks returned first — a pool that cannot hold the
+        grown slabs raises with the Env as it was, but the Block emptied.
+        """
         if not isinstance(block, DataBlock):
             raise EnvError("add_data_block expects a DataBlock (or subclass)")
+        buf = block.buffer
+        image = self._image_of(block.components, buf.read_buffer.dtype, buf.depth)
+        if not isinstance(block, BufferOnlyBlock):
+            lo, hi = image.local_rows, image.local_rows + block.element_count
+            saved = buf.vacate()
+            moved = self._resize(image, hi)
+            buf.rehome([slab[lo:hi] for slab in image.slabs], image.read_index)
+            for ahead, rows in enumerate(saved):
+                image.slabs[(image.read_index + ahead) % image.depth][lo:hi] = rows
+            self.stats.rehomes_late_block += bool(saved)
+            self.stats.rehomes_class_grew += moved and not saved
         (parent or self.data_joint).add_child(block)
         self._halo_pages_live = True  # a new Buffer-only Block's pages are born valid
-        key = (block.components, block.buffer.read_buffer.dtype)
-        image = self._images.get(key)
-        if image is None:
-            image = self._images[key] = DenseImage(*key)
         self._slots[block.block_id] = image.reserve(block)
         return self._register(block)
 
@@ -328,24 +405,16 @@ class Env:
             self.last_failed_pages = set(self.missing_pages)
             self.missing_pages.clear()
             self.stats.failed_refreshes += 1
-            # The step re-executes against the unchanged read buffers, so
-            # this step's full-block stores are not (yet) readable data.
-            self.invalidate_dense()
             return False
         self.last_failed_pages = set()
         if warmup:
-            self.invalidate_dense()
             return True
-        owned = self.data_blocks()
-        for block in owned:
-            block.refresh_swap()
-        self.stats.buffer_swaps += len(owned)
+        # The one place buffers swap: every owned Block's and, with them,
+        # the slabs they are rows of.
+        for image in self._images.values():
+            self.stats.buffer_swaps += image.swap()
         self.step += 1
         self._pushed_current = False  # every owner's data just moved on
-        # The buffers just written by full-block stores are now the read
-        # buffers: the image rows that mirrored them are valid reads.
-        for image in self._images.values():
-            image.swap()
         return True
 
     # ------------------------------------------------------------------
@@ -426,7 +495,6 @@ class Env:
         """Write ``value`` at global address ``addr``; out-of-block writes search the Env."""
         self.stats.writes += 1
         if start.contains(addr):
-            self.discard_full_store(start.block_id)
             start.write(addr, value)
             return
         target = self.find_block(addr, start=start)
@@ -434,7 +502,6 @@ class Env:
             raise AddressError(
                 f"no block of Env {self.name!r} contains address {tuple(addr)} for writing"
             )
-        self.discard_full_store(target.block_id)
         target.write(addr, value)
 
     def read(self, addr: Sequence[int]):
@@ -689,10 +756,7 @@ class Env:
         ``halo`` array; from here until the next swap, halo tables covered
         by :meth:`set_pushed_rows` read them without a page-validity pass."""
         for image, rows, values in tables:
-            halo = image.halo
-            if halo is None:
-                halo = self._allocate(image, "halo")
-            halo[rows] = values
+            self._halo_array(image)[rows] = values
             # The rows no longer mirror the Buffer-only pages.
             image.fresh -= self._pushed_rows[id(image)][1]
         self._pushed_current = True
@@ -716,48 +780,43 @@ class Env:
     # ------------------------------------------------------------------
     def dense_read(self, block: DataBlock) -> np.ndarray:
         """``(elements, components)`` view of a Block's read buffer in the
-        dense read image (:class:`DenseImage`).
+        dense image (:class:`DenseImage`).
 
-        The Block's pages are copied into its image rows only when the
-        rows are not fresh — after a refresh that did not promote a full
-        store of the Block, a page install, a Buffer-only invalidation.
-        The view aliases the image: it is current until the next refresh
-        or install, and callers must not write through it.
+        An owned Block's *is* its read buffer: a slice.  A Buffer-only
+        Block's pages are copied into its ``halo`` rows when those are not
+        fresh (a page install, an invalidation).  The view aliases the
+        image: current until the next refresh or install, never to be
+        written through.
         """
         image, lo, hi, halo = self.image_slot(block)
-        array = image.halo if halo else image.read
-        if array is None:
-            array = self._allocate(image, "halo" if halo else "read")
-        rows = array[lo:hi]
+        if not halo:
+            return image.read[lo:hi]
+        rows = self._halo_array(image)[lo:hi]
         if block.block_id not in image.fresh:
-            if halo and self._pushed_current and not block.is_valid:
+            if self._pushed_current and not block.is_valid:
                 # Some of these rows were pushed and have no valid page
                 # behind them: copy the pages that did arrive (a repair
                 # fetch), leave the rest, and do not call the Block fresh.
-                for page in block.buffer.read_buffer.pages:
+                buf = block.buffer.read_buffer
+                for page in buf.pages:
                     if page.valid:
-                        first = page.index * page.elements
-                        part = rows[first : first + page.elements]
-                        part[...] = page.array[: part.shape[0]]
+                        first = page.index * buf.page_elements
+                        rows[first : first + page.elements] = page.array
             else:
                 block.buffer.read_buffer.dense(out=rows)
                 image.fresh.add(block.block_id)
             self.stats.dense_assemblies += 1
         return rows
 
-    def _allocate(self, image: DenseImage, side: str) -> np.ndarray:
-        """Allocate the ``read`` / ``next`` / ``halo`` array of ``image``
-        on its first use."""
-        # Hybrid threads sweep one Env concurrently: exactly one may
-        # allocate, or a Block assembled into the loser's array would
-        # count as fresh.
-        with self._image_lock:
-            array = getattr(image, side)
-            if array is None:
-                rows = image.halo_rows if side == "halo" else image.local_rows
-                array = np.empty((rows, image.components), dtype=image.dtype)
-                setattr(image, side, array)
-        return array
+    def _halo_array(self, image: DenseImage) -> np.ndarray:
+        """The ``halo`` array of ``image``, allocated on its first use."""
+        # Hybrid threads sweep one Env concurrently: exactly one may allocate,
+        # or a Block assembled into the loser's array would count as fresh.
+        if image.halo is None:
+            with self._image_lock:
+                if image.halo is None:
+                    image.halo = np.empty((image.halo_rows, image.components), dtype=image.dtype)
+        return image.halo
 
     def image_slot(self, block: DataBlock) -> tuple:
         """``(image, first row, end row, is halo)`` of an attached Data Block."""
@@ -768,79 +827,66 @@ class Env:
                 f"block {block.name!r} is not a Data Block of Env {self.name!r}"
             ) from None
 
-    def image_rows(self, image: DenseImage, sources: Iterable[DataBlock], halo: bool) -> np.ndarray:
-        """The image array a merged plan table indexes — the owned rows,
-        or the Buffer-only rows when ``halo`` — with every Block of
-        ``sources`` fresh."""
-        fresh = image.fresh
+    def fresh_halo(self, image: DenseImage, sources: Iterable[DataBlock]) -> np.ndarray:
+        """The ``halo`` array a plan's halo table indexes, with every
+        Block of ``sources`` fresh."""
         for block in sources:
-            if block.block_id not in fresh:
+            if block.block_id not in image.fresh:
                 self.dense_read(block)
-        return image.halo if halo else image.read
+        return image.halo
 
-    def note_full_store(self, block, flat: np.ndarray) -> None:
-        """Record that ``flat`` was just written over *every* element of
-        ``block``'s write buffer (a fused store, a ``scatter``).
+    def store_rows(self, blocks: Sequence[DataBlock], values: np.ndarray) -> None:
+        """Write ``values`` over *every* element of a tile (owned Blocks
+        whose image rows follow each other): one slice store into ``next``
+        — their write buffers — and the pages marked dirty."""
+        image, lo, _, _ = self.image_slot(blocks[0])
+        image.next[lo : self._slots[blocks[-1].block_id][2]] = values
+        for block in blocks:
+            block.buffer.write_buffer.mark_dirty()
 
-        The values are mirrored into the Block's ``next`` image rows,
-        which the next successful refresh makes its read rows (the write
-        buffer becomes the read buffer), so steady-state full-block
-        sweeps never re-assemble pages.  Callers that write to the block
-        through any other path must call :meth:`discard_full_store` or
-        the mirrored rows would go stale.
-        ``block`` may be a tile (owned Blocks whose image rows follow
-        each other): one slice assignment stores it.
-        """
-        blocks = as_tile(block)
-        image, lo, _, halo = self.image_slot(blocks[0])
-        if halo:
-            return  # Buffer-only Blocks never swap: nothing to promote
-        array = image.next
-        if array is None:
-            array = self._allocate(image, "next")
-        hi = self._slots[blocks[-1].block_id][2]
-        array[lo:hi] = np.asarray(flat).reshape(-1, image.components)
-        image.next_fresh.update(b.block_id for b in blocks)
-
-    def discard_full_store(self, block_id: int) -> None:
-        """Drop a pending full-block store (the block was written again)."""
-        slot = self._slots.get(block_id)
-        if slot is not None:
-            slot[0].next_fresh.discard(block_id)
-
-    def invalidate_dense(self, block_ids: Optional[Iterable[int]] = None) -> None:
-        """Stop trusting the dense image rows of ``block_ids`` (default:
-        of every Block): their buffers were written behind the image's
-        back — a page install, a checkpoint restore, a Buffer-only
-        invalidation.  The next :meth:`dense_read` re-assembles them."""
-        if block_ids is None:
-            for image in self._images.values():
-                image.invalidate()
-            return
+    def invalidate_dense(self, block_ids: Iterable[int]) -> None:
+        """Stop trusting the ``halo`` rows of the Buffer-only Blocks
+        ``block_ids`` (installed into, invalidated): the next
+        :meth:`dense_read` re-assembles them.  Owned Blocks have no mirror."""
         for block_id in block_ids:
             slot = self._slots.get(block_id)
             if slot is not None:
                 slot[0].fresh.discard(block_id)
-                slot[0].next_fresh.discard(block_id)
 
     def check_dense_image(self) -> None:
         """Raise :class:`EnvError` unless the :class:`DenseImage` invariant
-        holds: fresh rows equal the read buffer, pending full stores the
-        write buffer (bit for bit)."""
+        holds: owned pages are their image rows (by address), every owned
+        Block reads the image's read generation, slabs overlap neither each
+        other nor kernel scratch (a fused store never lands in the field it
+        was computed from), fresh ``halo`` rows equal their buffer's bytes."""
+        def fail(what: str):
+            raise EnvError(f"dense image of Env {self.name!r}: {what}")
+
+        for image in self._images.values():
+            slabs = image.slabs
+            apart = slabs + list(self.mmat._scratch.values())  # padded fields among them
+            if any(np.may_share_memory(a, b) for k, a in enumerate(slabs) for b in apart[k + 1:]):
+                fail(f"slabs of class {(image.components, image.dtype)} overlap "
+                     "each other or kernel scratch")
         for block_id, (image, lo, hi, halo) in self._slots.items():
             block = self.blocks_by_id[block_id]
-            sides = [("halo" if halo else "read", image.fresh, block.buffer.read_buffer)]
-            if not halo:
-                sides.append(("next", image.next_fresh, block.buffer.write_buffer))
-            for side, fresh, buf in sides:
-                if block_id not in fresh:
-                    continue
-                array = getattr(image, side)
-                if array is None or array[lo:hi].tobytes() != buf.dense().tobytes():
-                    raise EnvError(
-                        f"dense image of Env {self.name!r}: the {side} rows of block "
-                        f"{block.name!r} are marked fresh but differ from its buffer"
-                    )
+            buf = block.buffer
+            if halo:
+                if block_id in image.fresh and (
+                    image.halo[lo:hi].tobytes() != buf.read_buffer.dense().tobytes()
+                ):
+                    fail(f"the halo rows of block {block.name!r} are marked fresh "
+                         "but differ from its buffer")
+            elif buf.read_index != image.read_index:
+                fail(f"block {block.name!r} reads generation {buf.read_index}, "
+                     f"its image generation {image.read_index}")
+            else:
+                for generation, slab in zip(buf.buffers, image.slabs):
+                    for page in generation.pages:
+                        first = lo + page.index * generation.page_elements
+                        if page.array.ctypes.data != slab[first:].ctypes.data:
+                            fail(f"page {page.index} of block {block.name!r} is not "
+                                 f"rows {first}.. of its slab")
 
     def check_pushed_rows(self) -> None:
         """Raise :class:`EnvError` unless the rows declared by
@@ -874,6 +920,12 @@ class Env:
         """Bytes of pool memory held by block buffers."""
         return sum(b.nbytes for b in self.data_blocks(include_buffer_only=True))
 
+    def image_scratch_bytes(self) -> int:
+        """What image and kernels keep *outside* the pool: ``halo`` mirrors,
+        MMAT read scratch and padded fields, the fused kernels' tables."""
+        halo = sum(img.halo.nbytes for img in self._images.values() if img.halo is not None)
+        return halo + self.mmat.scratch_bytes()
+
     def structure_bytes(self) -> int:
         """Rough footprint of the Env structure itself (tree + MMAT memo)."""
         import sys
@@ -882,17 +934,25 @@ class Env:
         for block in self.blocks_by_id.values():
             total += sys.getsizeof(block)
             total += sys.getsizeof(block.children)
-        total += self.mmat.memory_bytes()
+        total += self.mmat.memory_bytes() - self.mmat.scratch_bytes()
         return total
 
     def memory_report(self) -> dict:
         """Decomposition used by the Fig. 12 benchmark."""
         pool_stats = self.allocator.stats() if isinstance(self.allocator, PoolGroup) else {}
+        try:
+            self.check_dense_image()
+            image_error = None
+        except EnvError as exc:
+            image_error = str(exc)
         return {
             "pool_capacity": self.allocator.capacity_bytes,
             "pool_used": self.allocator.used_bytes,
             "pool_unused": self.allocator.free_bytes,
             "env_structure": self.structure_bytes(),
+            "image_scratch": self.image_scratch_bytes(),
+            #: What :meth:`check_dense_image` found wrong; None: nothing.
+            "image_error": image_error,
             "pools": {name: stats.__dict__ for name, stats in pool_stats.items()},
         }
 

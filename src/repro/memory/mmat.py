@@ -121,7 +121,7 @@ class PlanSegment:
         if self.halo and env.halo_pushed(self):
             out[self.dst_idx] = self.image.halo[self.src_idx]
             return 0
-        rows = env.image_rows(self.image, self.sources, self.halo)
+        rows = env.fresh_halo(self.image, self.sources) if self.halo else self.image.read
         if self.dst_idx is None:
             # mode="clip": indices were range-checked at compile time, and
             # the default mode would buffer ``out``.
@@ -174,6 +174,7 @@ class AccessPlan:
         "offsets",
         "block",
         "slices",
+        "own_rows",
         "_split",
         "_halo_sites",
         "_elem_partition",
@@ -230,6 +231,16 @@ class AccessPlan:
         #: site of that offset stays inside), copied as array slices of
         #: the Block's own read buffer.  Empty for address plans.
         self.slices = slices
+        #: The owned image rows, as a slice, of a plan that is nothing but
+        #: consecutive rows in order (a tile reading its own elements):
+        #: executing it is that slice, not a gather.  Not for a single-
+        #: buffered class, whose stores land in the rows it reads.
+        self.own_rows: Optional[slice] = None
+        if len(segments) == 1 and const_dst is None and segments[0].dst_idx is None:
+            rows = segments[0].src_idx  # a dense table: owned rows, one per site
+            double = segments[0].image.depth > 1
+            if rows.size and double and np.array_equal(rows, rows[0] + np.arange(rows.size)):
+                self.own_rows = slice(int(rows[0]), int(rows[0]) + rows.size)
         self._split: Optional[Tuple[List[PlanSegment], List[PlanSegment]]] = None
         self._halo_sites: Optional[np.ndarray] = None
         self._elem_partition: Optional[Tuple[np.ndarray, np.ndarray]] = None
@@ -315,8 +326,16 @@ class AccessPlan:
         batched reads its body made before this one, so the results of
         one body never alias while the next body (its count starts over)
         reuses the arrays; a bare ``execute(env)`` is read 0, overwritten
-        by the thread's next bare execute of a plan of this shape.
+        by the thread's next bare execute of a plan of this shape.  A
+        plan that is one run of owned rows (``own_rows``) returns those
+        rows of the read generation themselves as a *read-only* view: a
+        caller that would update the result in place takes its ``.copy()``.
         """
+        if self.own_rows is not None:
+            out = self.segments[0].image.read[self.own_rows]
+            out.flags.writeable = False
+            self.account(env, 0)
+            return out
         out = env.mmat.scratch(read, (self.n_sites, self.components), self.dtype)
         self.gather_interior(env, out)
         missing = 0
@@ -787,7 +806,9 @@ class MMAT:
         #: thread, n-th batched read of a kernel body and ``(n_sites,
         #: components, dtype)``: congruent Blocks share one array per
         #: read, two reads of one body never do, nor do hybrid threads
-        #: sweeping one Env concurrently.
+        #: sweeping one Env concurrently.  The fused kernels' padded
+        #: fields live here too (read ``"padded"``): one per thread,
+        #: padded shape and dtype, whatever the number of Blocks.
         self._scratch: Dict[tuple, np.ndarray] = {}
         #: Per task: ``(tiles swept, Blocks covered, {boundary reason: n})``.
         self._tiles: Dict[int, Tuple[int, int, Dict[str, int]]] = {}
@@ -865,13 +886,13 @@ class MMAT:
             if key[:2] in tiles:
                 del self._plans[key]
 
-    def scratch(self, read: int, shape: Tuple[int, int], dtype) -> np.ndarray:
-        """The calling thread's reusable output array for the ``read``-th
-        batched read of a kernel body, of this shape."""
+    def scratch(self, read, shape: Tuple[int, ...], dtype) -> np.ndarray:
+        """The calling thread's reusable array for the ``read``-th batched
+        read of a kernel body, of this shape (zeros when first handed out)."""
         key = (threading.get_ident(), read, shape, dtype)
         out = self._scratch.get(key)
         if out is None:
-            out = self._scratch[key] = np.empty(shape, dtype=dtype)
+            out = self._scratch[key] = np.zeros(shape, dtype=dtype)
         return out
 
     def note_tiles(self, task_id: int, tiles: int, blocks: int, splits: Dict[str, int]) -> None:
@@ -931,14 +952,19 @@ class MMAT:
     def __len__(self) -> int:
         return len(self._memo)
 
+    def scratch_bytes(self) -> int:
+        """Bytes of the per-thread scratch arrays (batched reads, padded
+        fields) and of the fused kernels' ring tables."""
+        total = sum(arr.nbytes for arr in list(self._scratch.values()))  # threads may add
+        return total + sum(getattr(kern, "nbytes", 0) for kern in self._fused.values())
+
     def memory_bytes(self) -> int:
-        """Rough footprint of the memo table and the compiled plan arrays
-        (reported in the Fig. 12 bench)."""
+        """Rough footprint of the memo table, the compiled plan arrays and
+        the scratch (reported in the Fig. 12 bench)."""
         # Key: 2 small ints + tuple overhead; value: pointer.  A compact
         # estimate is sufficient for the memory-usage decomposition.
-        total = 120 * len(self._memo)
-        total += sum(plan.nbytes for plan in self._plans.values())
-        return total
+        total = 120 * len(self._memo) + self.scratch_bytes()
+        return total + sum(plan.nbytes for plan in self._plans.values())
 
     def stats(self) -> dict:
         """Memo and plan statistics (hit-rate, compiled plans, vectorized %)."""
@@ -970,6 +996,7 @@ class MMAT:
             "plan_executions": self.plan_executions,
             "plan_exec_sites": self.plan_exec_sites,
             "fallback_sites": self.fallback_sites,
+            "scratch_bytes": self.scratch_bytes(),
             #: Tiles swept, Blocks they cover, why tiles end (reason -> n).
             "tiles": tiles,
             "tile_blocks": tile_blocks,

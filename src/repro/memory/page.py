@@ -8,9 +8,11 @@ The Memory Library exposes two interfaces (§III-B6):
   validity/dirtiness and to communicate data between tasks
   page-by-page rather than block-by-block.
 
-A :class:`Page` owns one chunk from a memory pool holding a fixed
-number of *elements* (an element being whatever the DSL defines: one
-grid point value, one unstructured cell record, one particle bucket).
+A :class:`Page` is a fixed number of *elements* (an element being
+whatever the DSL defines: one grid point value, one unstructured cell
+record, one particle bucket) of pool memory: a chunk of its own, or — the
+pages of a Data Block an Env owns — rows of a slab of the Env's dense
+image (:class:`~repro.memory.env.DenseImage`), which holds the chunk.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ class PageKey(tuple):
 
 
 class Page:
-    """A fixed-size run of elements backed by one memory-pool chunk."""
+    """A fixed-size run of elements of pool memory: its own chunk from
+    ``allocator``, or — without one — whatever :meth:`rehome` gives it."""
 
     __slots__ = ("index", "elements", "components", "dtype", "chunk", "_view", "valid", "dirty")
 
@@ -61,7 +64,7 @@ class Page:
         elements: int,
         components: int,
         dtype,
-        allocator: PoolGroup,
+        allocator: Optional[PoolGroup] = None,
     ) -> None:
         if elements <= 0 or components <= 0:
             raise BlockError("page must hold a positive number of elements/components")
@@ -69,10 +72,13 @@ class Page:
         self.elements = int(elements)
         self.components = int(components)
         self.dtype = np.dtype(dtype)
-        nbytes = self.elements * self.components * self.dtype.itemsize
-        self.chunk: Chunk = allocator.allocate(nbytes)
-        view = self.chunk.as_array(self.dtype, self.elements * self.components)
-        self._view = view.reshape(self.elements, self.components)
+        #: The chunk the page owns; None for rows of a dense-image slab.
+        self.chunk: Optional[Chunk] = None
+        self._view: Optional[np.ndarray] = None
+        if allocator is not None:
+            self.chunk = allocator.allocate(self.nbytes)
+            view = self.chunk.as_array(self.dtype, self.elements * self.components)
+            self._view = view.reshape(self.elements, self.components)
         #: Whether the page currently holds meaningful data (Buffer-only
         #: Blocks start with every page invalid until communication fills it).
         self.valid: bool = True
@@ -88,7 +94,16 @@ class Page:
 
     @property
     def nbytes(self) -> int:
+        if self.chunk is None:
+            return self.elements * self.components * self.dtype.itemsize
         return self.chunk.size
+
+    def rehome(self, view: np.ndarray) -> None:
+        """Make ``view`` — ``(elements, components)`` of ``dtype`` — the
+        page's memory (the caller moves the contents); a chunk of its own
+        goes back to its pool."""
+        self.release()
+        self.chunk, self._view = None, view
 
     def read(self, slot: int) -> np.ndarray:
         """Return the component vector of element ``slot`` (no copy)."""
@@ -111,8 +126,8 @@ class Page:
         return self._view.copy()
 
     def release(self) -> None:
-        """Return the backing chunk to its pool."""
-        if not self.chunk.freed:
+        """Return the page's own chunk, if it has one, to its pool."""
+        if self.chunk is not None and not self.chunk.freed:
             self.chunk.free()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -296,7 +296,6 @@ class CheckpointAspect(Aspect):
                     for buf in block.buffer.buffers:
                         buf.pages[page_index].fill_from(data)
                     restored += 1
-            env.invalidate_dense()
         trace.restored_pages += restored
 
     # ------------------------------------------------------------------

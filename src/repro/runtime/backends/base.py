@@ -448,9 +448,10 @@ class ExecutionWorld(abc.ABC):
         self._rounds[rank] += 1
         return self.control.agree(rank, self._rounds[rank], flags, self._halo_wait)
 
-    def _halo_wait(self, ready: Callable[[], Any], late: Callable[[], BaseException]) -> Any:
+    def _halo_wait(self, ready: Callable[[], Any], late: Callable[[], BaseException], behind):
         """:func:`~repro.runtime.shm.spin_until` with this world's timeout,
-        back-off and dead-peer poll: how its ranks wait on the control words."""
+        back-off and dead-peer poll (of the ranks ``behind()`` still
+        misses): how its ranks wait on the control words."""
         raise BackendError(f"the {self.backend_name!r} world offers no halo slots")
 
     def open_halo_link(

@@ -446,18 +446,19 @@ class ProcessTransport:
         self._links.append(link)
         return link
 
-    def check_peers(self) -> None:
-        """Raise if a peer died or left the program (polled by shared-word waits)."""
+    def check_peers(self, awaited) -> None:
+        """Raise if one of the ``awaited`` peers — the ranks a shared-word
+        wait still misses — died or left the program.  A peer that stored
+        its word and then finished cleanly fails nobody."""
         with self._inbox_cond:
-            if self._dead:
-                peer = min(self._dead)
-                raise DeadRankError(
-                    peer,
-                    f"closed its connection while rank {self.rank} was waiting on "
-                    "the shared control words",
-                )
-            for peer, queue in self._inbox.items():
-                if any(m[0] == "coll" and m[1] == "exit" for m in queue):
+            for peer in sorted(awaited):
+                if peer in self._dead:
+                    raise DeadRankError(
+                        peer,
+                        f"closed its connection while rank {self.rank} was waiting on "
+                        "the shared control words",
+                    )
+                if any(m[0] == "coll" and m[1] == "exit" for m in self._inbox.get(peer, ())):
                     raise CollectiveError(
                         f"rank {peer} exited while rank {self.rank} was waiting on "
                         "the shared control words"
@@ -1199,12 +1200,13 @@ class ProcessWorld(ExecutionWorld):
         return _ProcessBulkHandle(transport, pending)
 
     # -- halo slots (publish protocol) -----------------------------------
-    def _halo_wait(self, ready, late):
+    def _halo_wait(self, ready, late, behind):
+        transport = self._require_transport()
         return spin_until(
             ready,
             timeout=self.timeout,
             late=late,
-            poll=self._require_transport().check_peers,
+            poll=lambda: transport.check_peers(behind()),
             busy_spins=_BUSY_SPINS,
         )
 

@@ -544,6 +544,10 @@ _FLAG_BITS = 8
 _FLAG_MASK = (1 << _FLAG_BITS) - 1
 
 
+def _rounds_behind(behind: Dict[int, int]) -> str:
+    return ", ".join(f"rank {rank} is {late} round(s) behind" for rank, late in behind.items())
+
+
 class ControlWords:
     """Agreement words and halo-slot stamps of one world's publish protocol.
 
@@ -619,8 +623,10 @@ class ControlWords:
     def agree(self, rank: int, round: int, flags: int, wait: Callable[..., Any]) -> int:
         """Post ``flags`` for ``round`` and return the AND over every rank's.
 
-        ``wait(ready, late)`` is the caller's :func:`spin_until` with its
-        timeout and liveness poll bound.
+        ``wait(ready, late, behind)`` is the caller's :func:`spin_until`
+        with its timeout bound and a liveness poll of the ranks
+        ``behind()`` — those whose word is still missing; a peer the wait
+        is not missing may have left the program long ago.
         """
         parity = round & 1
         if _protocol_checks and int(self._agree[rank, parity]) >> _FLAG_BITS >= round:
@@ -644,17 +650,20 @@ class ControlWords:
                 agreed &= word
             return agreed
 
-        def late() -> CollectiveError:
-            behind = ", ".join(
-                f"rank {peer} is {round - (word >> _FLAG_BITS)} round(s) behind"
+        def behind() -> Dict[int, int]:
+            return {
+                peer: round - (word >> _FLAG_BITS)
                 for peer, word in enumerate(self._agree[:, parity].tolist())
                 if word >> _FLAG_BITS < round
-            )
+            }
+
+        def late() -> CollectiveError:
             return CollectiveError(
-                f"rank {rank} timed out in the step agreement of round {round}: {behind}"
+                f"rank {rank} timed out in the step agreement of round {round}: "
+                + _rounds_behind(behind())
             )
 
-        return wait(ready, late)
+        return wait(ready, late, behind)
 
     # -- halo slots ---------------------------------------------------------
     def claim(self, owner: int, consumer: int) -> None:
@@ -695,18 +704,20 @@ class ControlWords:
                     )
             return True
 
-        def late() -> PageFetchError:
-            behind = ", ".join(
-                f"rank {owner} is {round - int(self.stamp[owner, consumer])} round(s) behind"
+        def behind() -> Dict[int, int]:
+            return {
+                owner: round - int(self.stamp[owner, consumer])
                 for owner in owners
                 if int(self.stamp[owner, consumer]) < round
-            )
+            }
+
+        def late() -> PageFetchError:
             return PageFetchError(
                 f"rank {consumer} timed out waiting for the halo stamps of round "
-                f"{round}: {behind}"
+                f"{round}: " + _rounds_behind(behind())
             )
 
-        wait(ready, late)
+        wait(ready, late, behind)
 
     def acknowledge(self, owner: int, consumer: int, round: int, crc: int) -> None:
         """REPRO_CHECK: the copy taken for ``round`` is what the owner stored."""

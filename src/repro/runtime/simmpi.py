@@ -183,7 +183,7 @@ class MPIWorld(ExecutionWorld):
     # ------------------------------------------------------------------
     # halo slots (publish protocol)
     # ------------------------------------------------------------------
-    def _halo_wait(self, ready, late):
+    def _halo_wait(self, ready, late, behind):
         network = self.network
         timeout = threading.TIMEOUT_MAX if network.timeout is None else network.timeout
         # No busy spinning: the awaited rank needs the GIL to get there.

@@ -58,6 +58,27 @@ class TestMemoryUsageRelationships:
         assert platform_breakdown.used_pool > 0
         assert platform_breakdown.unused_pool > 0
 
+    def test_image_and_kernel_scratch_are_counted_beside_the_pool(self):
+        """Regression: the dense image and the kernels' scratch were in no
+        row at all (8.9 MB reported with 101 MB outside the pool at 2048^2)."""
+        work = sgrid_workload(32, block_size=8, loops=2)
+        run = run_platform(work, mmat=True, pool_bytes=1 << 20)
+        env = run.app.env
+        breakdown = measure_env(env, label="platform")
+        # The owned image is the page memory: used pool, exactly the field twice.
+        assert breakdown.used_pool == 2 * 32 * 32 * 8
+        env.check_dense_image()
+        # Outside the pool: one padded field for all 16 Blocks, the ring tables.
+        padded = (8 + 2) * (8 + 2) * 8
+        tables = sum(kern.nbytes for kern in env.mmat._fused.values())
+        assert breakdown.image_scratch == env.image_scratch_bytes() >= padded + tables > padded
+        assert breakdown.image_scratch < 16 * padded + tables  # not a field per kernel
+        assert breakdown.total == (
+            breakdown.unused_pool + breakdown.used_pool + breakdown.working + breakdown.image_scratch
+        )
+        assert breakdown.as_row()["image_scratch_MB"] == breakdown.image_scratch / 1e6
+        assert run.memory["image_scratch"] == breakdown.image_scratch
+
     def test_fig12_rows_cover_all_configurations(self):
         rows = fig12_memory_usage(region=16, particles=64,
                                   configurations=("serial", "omp"))
@@ -65,6 +86,9 @@ class TestMemoryUsageRelationships:
         assert any("/ H" in label for label in labels)
         assert any("Platform OMP" in label for label in labels)
         assert all(row["total_MB"] > 0 for row in rows)
+        assert all(
+            (row["image_scratch_MB"] > 0) == ("/ H" not in row["label"]) for row in rows
+        )
 
 
 class TestProgramSizeRelationships:

@@ -133,9 +133,10 @@ class TestKillMatrix:
 
 
 class ReadBeforeRestore(JacobiUSGrid):
-    """USGrid whose ``initialize`` leaves every Block fresh in the dense
-    read image — the state the checkpoint restore (woven after
-    ``initialize``) then overwrites page by page behind the image."""
+    """USGrid whose ``initialize`` reads every Block through the dense
+    image before the checkpoint restore (woven after ``initialize``)
+    overwrites the pages: they are the image rows, so the first gather
+    must already see the restored epoch."""
 
     def initialize(self) -> None:
         super().initialize()
@@ -143,16 +144,16 @@ class ReadBeforeRestore(JacobiUSGrid):
             self.env.dense_read(block)
 
     def processing(self) -> None:
-        # The first gather after the restore, before any refresh could
-        # re-validate the image on its own.
+        # The first gather after the restore, before any refresh.
         for block in self.env.data_blocks():
             seen = self.kernel_for(block).gather([(0,)])[0]
             assert np.array_equal(seen, block.dense()[:, 0]), "gather served pre-restore rows"
         self.env.check_dense_image()
+        assert self.env.stats.dense_assemblies == 0
         super().processing()
 
 
-class TestRestoreInvalidatesDenseImage:
+class TestRestoreWritesTheDenseImage:
     @pytest.mark.parametrize("backend", ["threads", "process"])
     def test_gather_after_restore_reads_the_restored_epoch(self, serial_references, backend):
         plan = FaultPlan().kill(1, phase="refresh", epoch=3)

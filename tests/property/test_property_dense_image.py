@@ -1,25 +1,31 @@
-"""Property tests: the dense read image never shows a plan stale data.
+"""Property tests: the dense image is the page memory, through every hazard.
 
-Compiled plans read one rank-wide copy of the read buffers
-(:class:`repro.memory.env.DenseImage`) instead of the pages, and
-full-block stores are mirrored into it so steady-state steps never
-re-assemble a Block.  That is only sound while every writer that goes
-*around* the mirror drops the rows it touched.  Each app below runs with
-all of those writers injected mid-run:
+Compiled plans read one rank-wide array per image class
+(:class:`repro.memory.env.DenseImage`).  For the Blocks a rank owns that
+array is not a copy of the read buffers but the pool memory their pages
+are views of, so no writer can go *around* it; for Buffer-only Blocks it
+is a mirror that every install must invalidate.  Each app below runs
+with everything that ever made the old mirror stale injected mid-run:
 
 * ``MMAT.reset()`` (every plan and fused kernel recompiled);
 * a halo page withheld, so a refresh fails and the step is recomputed;
 * a whole-block ``scatter`` followed by scalar ``set`` calls in the same
-  step (the mirrored store must be discarded, not promoted);
-* a ``page_install`` on a Block whose rows are fresh;
-* a Block added to the Env after the plans were compiled (the image is
-  re-allocated, compiled row indices must stay valid).
+  step;
+* a ``page_install`` on an owned Block (written straight into its rows);
+* a Buffer-only Block and an *owned* Block added to the Env after the
+  plans were compiled (the owned one is re-homed into the slabs, which
+  are re-allocated: data and compiled row indices must survive).
 
-``Env.check_dense_image()`` must hold after every refresh, and the
-result must equal, bit for bit, an undisturbed serial reference.
+The apps include classes whose Blocks end in a short page
+(``element_count % page_elements != 0``).  ``Env.check_dense_image()`` —
+aliasing by address, one read generation per class, disjoint slabs,
+halo rows equal to their pages — must hold after every refresh with
+``REPRO_CHECK`` on, and the result must equal, bit for bit, an
+undisturbed serial reference.
 
-A count-based guard pins what the image is for: an undisturbed
-steady-state step copies no owned Block out of its pages.
+Count guards pin what the layout is for: no owned Block is ever
+assembled, slabs move only when a Block arrives late, and a thread has
+one padded field per kernel signature.
 """
 
 from __future__ import annotations
@@ -30,12 +36,21 @@ import pytest
 from repro.annotation import Platform
 from repro.apps import JacobiSGrid, JacobiUSGrid, ParticleSimulation
 from repro.aspects import mpi_aspects
-from repro.memory import BufferOnlyBlock, PageKey
+from repro.memory import BufferOnlyBlock, DataBlock, PageKey
+from repro.runtime import shm
 from repro.runtime.tracing import global_trace
 
 from page_protocol import kept_open
 
 LOOPS = 6
+
+
+@pytest.fixture
+def checks():
+    """``REPRO_CHECK`` on (set before a process world forks its ranks)."""
+    previous = shm.set_protocol_checks(True)
+    yield
+    shm.set_protocol_checks(previous)
 
 
 def _init(x, y):
@@ -59,7 +74,7 @@ def disturbed(app_cls):
                 elif step == 3:
                     self.scatter_then_set = True
                 elif step == 4:
-                    self.install_on_a_fresh_block()
+                    self.install_on_an_owned_block()
                     self.grow_the_env()
                 self.run(self.kernel)
 
@@ -97,34 +112,59 @@ def disturbed(app_cls):
             for index, local in enumerate(np.ndindex(*block.shape)):
                 k.set(local, swept[index] if block.components > 1 else swept[index, 0])
 
-        def install_on_a_fresh_block(self) -> None:
+        def install_on_an_owned_block(self) -> None:
             env = self.env
             block = env.get_blocks(False)[0]
             key = PageKey(block.block_id, 0)
             page = env.page_snapshot(key)
-            env.dense_read(block)  # fresh from here on
-            assembled = env.stats.dense_assemblies
             env.page_install(key, np.full_like(page, -3.0))
             assert np.all(env.dense_read(block)[: block.page_elements] == -3.0)
             env.page_install(key, page)
             assert np.array_equal(env.dense_read(block)[: block.page_elements], page)
-            assert env.stats.dense_assemblies == assembled + 2
+            assert np.shares_memory(env.dense_read(block), env.page_export(key)[0])
             env.check_dense_image()
 
         def grow_the_env(self) -> None:
             env = self.env
             like = env.get_blocks(False)[0]
+            image = env.image_slot(like)[0]
+            sizes = dict(components=like.components, page_elements=like.page_elements,
+                         allocator=env.allocator)
             late = BufferOnlyBlock(
-                tuple(10**6 for _ in like.shape),
-                like.shape,
-                components=like.components,
-                page_elements=like.page_elements,
-                allocator=env.allocator,
-                name="late-arrival",
+                tuple(10**6 for _ in like.shape), like.shape, name="late-arrival", **sizes
             )
             late.load_dense(np.full((late.element_count, late.components), 9.0))
             env.add_data_block(late)
             assert np.all(env.dense_read(late) == 9.0)
+            # An owned Block with pages of its own, off the data joint so
+            # that no task sweeps it: the slabs are re-allocated one Block
+            # larger and every owned page re-pointed.
+            before = (env.allocator.used_bytes, image.read.copy(), image.next.copy())
+            mine = DataBlock(
+                tuple(2 * 10**6 for _ in like.shape), like.shape, name="late-owned", **sizes
+            )
+            mine.load_dense(np.full((mine.element_count, mine.components), 5.0))
+            mine.load_dense(np.full((mine.element_count, mine.components), 6.0), into_write=True)
+            mine.refresh_swap()  # arrives reading its generation 1
+            env.add_data_block(mine, parent=env.root)
+            self.late_owned = mine
+            rows = mine.element_count
+            assert env.stats.rehomes_late_block == 1 and len(image.read) == image.local_rows
+            assert np.array_equal(image.read[:-rows], before[1])
+            assert np.array_equal(image.next[:-rows], before[2])
+            assert np.all(image.read[-rows:] == 6.0) and np.all(image.next[-rows:] == 5.0)
+            # Its own pages went back to the pool: the class grew by exactly
+            # its rows, the Buffer-only Block's pages stay where they are.
+            assert env.allocator.used_bytes == before[0] + mine.buffer.nbytes
+            env.check_dense_image()
+
+        def finalize(self) -> None:
+            # The late Block swapped with its class ever since.
+            env, mine = self.env, self.late_owned
+            env.check_dense_image()
+            value = 6.0 if (self.loops - 4) % 2 == 0 else 5.0
+            assert np.all(env.dense_read(mine) == value)
+            super().finalize()
 
     Disturbed.__name__ = f"Disturbed{app_cls.__name__}"
     return Disturbed
@@ -142,6 +182,12 @@ APPS = {
         dict(region=16, block_cells=32, page_elements=8, init=_init, case="R"),
     ),
     "particle": (ParticleSimulation, dict(particles=128, block_buckets=2, page_elements=2)),
+    # Blocks that end in a short page: 16 cells in pages of 6, 32 in pages of 5.
+    "sgrid-ragged": (JacobiSGrid, dict(region=16, block_size=4, page_elements=6, init=_init)),
+    "usgrid-r-ragged": (
+        JacobiUSGrid,
+        dict(region=16, block_cells=32, page_elements=5, init=_init, case="R"),
+    ),
 }
 DISTURBED = {name: disturbed(app_cls) for name, (app_cls, _) in APPS.items()}
 WORLDS = [("serial", 1), ("threads", 1), ("threads", 2), ("threads", 4),
@@ -174,7 +220,7 @@ def owned_part(name: str, result: np.ndarray, expected: np.ndarray):
 
 @pytest.mark.parametrize("backend,ranks", WORLDS)
 @pytest.mark.parametrize("name", sorted(APPS))
-def test_image_holds_through_every_hazard(name, backend, ranks):
+def test_image_holds_through_every_hazard(name, backend, ranks, checks):
     aspects = None if backend == "serial" else mpi_aspects(ranks, backend=backend)
     run = Platform(aspects=aspects, mmat=True).run(
         DISTURBED[name], config=dict(APPS[name][1], loops=LOOPS)
@@ -184,6 +230,10 @@ def test_image_holds_through_every_hazard(name, backend, ranks):
     assert np.array_equal(result, expected)
     assert run.env_stats.failed_refreshes == (1 if ranks > 1 else 0)
     assert sum(c.plan_fallback_sites for c in run.counters.values()) == 0
+    assert " img=pool rehomes=1(late block 1, class grew 0) asm=" in run.summary()
+    if ranks == 1:
+        # Nothing but the late Buffer-only Block was ever assembled.
+        assert run.env_stats.dense_assemblies == 1
 
 
 def counting(app_cls):
@@ -205,13 +255,39 @@ COUNTING = {name: counting(app_cls) for name, (app_cls, _) in APPS.items()}
 
 
 @pytest.mark.parametrize("name", sorted(APPS))
-def test_steady_state_step_assembles_no_owned_block(name):
+def test_no_owned_block_is_ever_assembled_and_none_moves(name):
     run = Platform(mmat=True).run(COUNTING[name], config=dict(APPS[name][1], loops=LOOPS))
-    per_step = np.diff(run.app.assembled)
-    # The first step reads what the warm-up left (nothing is promoted
-    # from a warm-up); from then on every Block was fully stored.
-    assert not per_step.any(), per_step
-    assert f" asm={run.app.assembled[-1]}" in run.summary()
+    env = run.app.env
+    assert run.app.assembled == [0] * LOOPS
+    assert env.stats.image_rehomes == 0  # born in slabs sized once for all of them
+    env.check_dense_image()
+    assert run.memory["image_error"] is None
+    assert " img=pool asm=0" in run.summary()
+    for block in env.data_blocks():
+        image, lo, hi, _ = env.image_slot(block)
+        assert np.shares_memory(block.buffer.read_buffer.pages[-1].array, image.read[lo:hi])
+        assert np.shares_memory(block.buffer.write_buffer.pages[0].array, image.next[lo:hi])
+    # The pool holds the slabs and nothing else: what the pages took before.
+    assert env.allocator.used_bytes == sum(b.buffer.nbytes for b in env.data_blocks())
+    if APPS[name][0] is JacobiUSGrid:
+        # Short last pages do not break the run of rows a tile needs.
+        assert run.mmat_stats["tiles"] < run.mmat_stats["tile_blocks"]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_thread_has_one_padded_field_per_signature(threads, checks):
+    name = "sgrid"
+    config = dict(APPS[name][1], loops=LOOPS)
+    platform = Platform.preset("omp", threads=threads, mmat=True) if threads > 1 else Platform(mmat=True)
+    run = platform.run(APPS[name][0], config=config)
+    assert np.array_equal(np.asarray(run.result, dtype=np.float64), reference(name))
+    mmat = run.app.env.mmat
+    padded = [key for key in mmat._scratch if key[1] == "padded"]
+    signatures = {key[2:] for key in padded}
+    assert len(signatures) == 1  # 16 fused kernels of congruent Blocks
+    assert 1 <= len(padded) <= threads * len(signatures)
+    assert run.mmat_stats["fused_kernels"] == 16
+    assert run.mmat_stats["scratch_bytes"] >= sum(mmat._scratch[key].nbytes for key in padded)
 
 
 @pytest.mark.parametrize("name", sorted(APPS))

@@ -6,8 +6,8 @@ the same elementwise ``fn`` to the same IEEE values in the same
 per-element order, only gathered through a padded scratch field instead
 of the ``(n_offsets, n_elem)`` tensor.  These tests check that promise
 for every DSL app, every execution backend and every temporal-blocking
-depth, including plan invalidation mid-run (``MMAT.reset()``) and the
-numba-absent codegen fallback.
+depth, including plan invalidation mid-run (``MMAT.reset()``) and an
+unknown codegen name falling back to the default.
 
 Apps whose sweeps cannot be fused (address plans — USGrid; multi-
 component buckets — Particle) must degrade transparently to the
@@ -22,7 +22,6 @@ import pytest
 from repro.annotation import Platform
 from repro.apps import JacobiSGrid, JacobiUSGrid, ParticleSimulation
 from repro.aspects import mpi_aspects
-from repro.kernels import resolve_codegen
 
 
 def _init(x, y):
@@ -132,20 +131,6 @@ class TestMidRunReset:
 
 
 class TestCodegenFallback:
-    def test_numba_absent_falls_back_to_numpy_src(self):
-        """codegen="numba" must degrade to the default generator when the
-        numba import is unavailable — same results, still fused."""
-        config = dict(SGRID_CONFIG, kernel="vectorized")
-        vec = run_app(JacobiSGrid, dict(config, fuse=False))
-        fused = run_app(JacobiSGrid, dict(config, codegen="numba"))
-        assert_bit_identical(vec, fused)
-        try:
-            import numba  # noqa: F401
-        except ImportError:
-            # Fallback took the numpy_src path and still fused everything.
-            assert resolve_codegen("numba").name == "numpy_src"
-        assert fused_calls(fused) > 0
-
     def test_unknown_codegen_falls_back(self):
         config = dict(SGRID_CONFIG, kernel="vectorized", codegen="no-such-codegen")
         vec = run_app(JacobiSGrid, dict(SGRID_CONFIG, fuse=False, kernel="vectorized"))

@@ -370,33 +370,32 @@ class TestMMATPlanCache:
 
 
 class TestDenseReadImage:
-    def test_cache_hit_until_refresh(self, plan_env):
+    def test_owned_rows_are_the_pages_never_a_copy(self, plan_env):
         block = add_block(plan_env, (0, 0))
         values = sequential(block)
         stats = plan_env.stats
-        assert np.array_equal(plan_env.dense_read(block)[:, 0], values)
-        assert stats.dense_assemblies == 1
-        plan_env.dense_read(block)
-        assert stats.dense_assemblies == 1  # fresh: pages not copied again
-        # The step writes through the scalar path, so the refresh promotes
-        # nothing: the new read buffer is assembled once, then fresh again.
+        rows = plan_env.dense_read(block)
+        assert np.array_equal(rows[:, 0], values)
+        assert np.shares_memory(rows, block.buffer.read_buffer.pages[0].array)
+        # The scalar path writes page memory, which is the ``next`` rows:
+        # the refresh has nothing to promote and nothing to assemble.
         block.write_local((0, 0), -1.0)
+        assert plan_env.image_slot(block)[0].next[0, 0] == -1.0
         plan_env.refresh()
         assert plan_env.dense_read(block)[0, 0] == -1.0
-        plan_env.dense_read(block)
-        assert stats.dense_assemblies == 2
+        assert stats.dense_assemblies == 0
         plan_env.check_dense_image()
 
-    def test_full_store_is_promoted_without_reassembly(self, plan_env):
+    def test_a_store_is_read_after_the_refresh(self, plan_env):
         block = add_block(plan_env, (0, 0))
         sequential(block)
-        plan_env.dense_read(block)
-        block.load_dense(np.full((16, 1), 3.0), into_write=True)
-        plan_env.note_full_store(block, np.full(16, 3.0))
-        plan_env.check_dense_image()
+        plan_env.store_rows((block,), np.full((16, 1), 3.0))
+        assert all(page.dirty for page in block.buffer.write_buffer.pages)
+        assert np.array_equal(block.buffer.write_buffer.dense(), np.full((16, 1), 3.0))
+        assert plan_env.dense_read(block)[5, 0] == 5.0  # not before the swap
         plan_env.refresh()
         assert np.all(plan_env.dense_read(block) == 3.0)
-        assert plan_env.stats.dense_assemblies == 1
+        assert plan_env.stats.dense_assemblies == 0
         plan_env.check_dense_image()
 
     def test_page_install_invalidates_cache_entry(self, plan_env):
@@ -407,8 +406,8 @@ class TestDenseReadImage:
         assert np.all(plan_env.dense_read(block)[:4] == 2.0)
         assert plan_env.stats.dense_assemblies == 2
 
-    def test_check_reports_rows_written_behind_the_image(self, plan_env):
-        block = add_block(plan_env, (0, 0))
+    def test_check_reports_rows_written_behind_the_halo_mirror(self, plan_env):
+        block = add_block(plan_env, (0, 0), buffer_only=True)
         sequential(block)
         plan_env.dense_read(block)
         block.buffer.read_buffer.write(3, -5.0)  # bypasses Env: no invalidation
@@ -417,6 +416,33 @@ class TestDenseReadImage:
         plan_env.invalidate_dense([block.block_id])
         plan_env.check_dense_image()
         assert plan_env.dense_read(block)[3, 0] == -5.0
+
+    def test_check_reports_lost_aliasing(self, plan_env):
+        a = add_block(plan_env, (0, 0))
+        b = add_block(plan_env, (4, 0))
+        plan_env.check_dense_image()
+        assert plan_env.memory_report()["image_error"] is None
+        b.refresh_swap()  # behind the Env's back: out of step with its class
+        with pytest.raises(EnvError, match="reads generation 1"):
+            plan_env.check_dense_image()
+        b.refresh_swap()
+        page = a.buffer.read_buffer.pages[1]
+        page.rehome(np.zeros_like(page.array))  # a private copy
+        with pytest.raises(EnvError, match="page 1 of block .* is not rows 4"):
+            plan_env.check_dense_image()
+        assert "is not rows 4" in plan_env.memory_report()["image_error"]
+
+    def test_check_reports_kernel_scratch_inside_a_slab(self, plan_env):
+        """A fused store must not land in the padded field it was computed in."""
+        block = add_block(plan_env, (0, 0))
+        padded = plan_env.mmat.scratch("padded", (6, 6), np.float64)
+        plan_env.check_dense_image()
+        key = next(iter(plan_env.mmat._scratch))
+        plan_env.mmat._scratch[key] = plan_env.image_slot(block)[0].next[:4]
+        with pytest.raises(EnvError, match="overlap each other or kernel scratch"):
+            plan_env.check_dense_image()
+        plan_env.mmat._scratch[key] = padded
+        plan_env.check_dense_image()
 
     def test_rows_survive_a_block_added_after_compile(self, plan_env):
         a = add_block(plan_env, (0,), shape=(8,))
@@ -447,8 +473,8 @@ class TestDenseReadImage:
 
     def test_threads_first_reading_one_env_share_one_image(self):
         """Hybrid threads sweep one rank's Env concurrently: whichever
-        reads first allocates the image, and a Block assembled by any of
-        them must be in the array all of them use afterwards."""
+        reads first allocates the halo mirror, and a Block assembled by
+        any of them must be in the array all of them use afterwards."""
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -457,7 +483,8 @@ class TestDenseReadImage:
                 pool = PoolGroup([MemoryPool(1 << 16, name="race-pool")])
                 env = Env(allocator=pool, name="race-env", mmat_enabled=True)
                 blocks = [
-                    add_block(env, (4 * k, 0), fill=np.full(16, float(k))) for k in range(8)
+                    add_block(env, (4 * k, 0), fill=np.full(16, float(k)), buffer_only=True)
+                    for k in range(8)
                 ]
                 gate = threading.Barrier(len(blocks))
 

@@ -13,7 +13,10 @@ from repro.memory import (
     Env,
     EnvError,
     MMAT,
+    MemoryPool,
     PageKey,
+    PoolExhaustedError,
+    PoolGroup,
     StaticDataBlock,
 )
 
@@ -270,3 +273,132 @@ class TestEnvAccounting:
     def test_data_bytes(self, env):
         block = add_block(env, (0, 0))
         assert env.data_bytes() == block.nbytes
+
+
+# ----------------------------------------------------------------------
+# the owned dense image is pool memory
+# ----------------------------------------------------------------------
+def pooled_env(*sizes, name="slab-env"):
+    pools = [MemoryPool(nbytes, name=f"{name}.pool{k}") for k, nbytes in enumerate(sizes)]
+    return Env(allocator=PoolGroup(pools), name=name, mmat_enabled=True), pools
+
+
+def born(env, origin, shape, **sizes):
+    """A Data Block made for ``env``: no allocator, its pages are image rows."""
+    return env.add_data_block(DataBlock(origin, shape, **sizes))
+
+
+class TestImageIsThePool:
+    @pytest.mark.parametrize("dtype,components", [(np.float64, 1), (np.float32, 3)])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("page_elements", [4, 5])  # 10 cells: pages of 4+4+2 / 5+5
+    def test_blocks_are_born_in_generation_major_slabs(self, dtype, components, depth, page_elements):
+        env, (pool,) = pooled_env(1 << 14)
+        sizes = dict(components=components, page_elements=page_elements, dtype=dtype, depth=depth)
+        env.reserve_image(components, dtype, rows=30, depth=depth)
+        blocks = [born(env, (10 * k,), (10,), **sizes) for k in range(3)]
+        image = env.image_slot(blocks[0])[0]
+        assert env.stats.image_rehomes == 0 and pool.live_chunk_count() == depth
+        assert pool.used_bytes == depth * 30 * components * np.dtype(dtype).itemsize
+        assert [env.image_slot(b)[1:3] for b in blocks] == [(0, 10), (10, 20), (20, 30)]
+        last_page = blocks[1].buffer.read_buffer.pages[-1]
+        assert last_page.elements == (10 % page_elements or page_elements)  # trimmed, not padded
+        # Generation g of every Block is one run of rows of slab g.
+        for g, slab in enumerate(image.slabs):
+            for k, block in enumerate(blocks):
+                (run,) = block.buffer.buffers[g].runs()
+                assert run.shape == (10, components)
+                assert np.shares_memory(run, slab[10 * k : 10 * k + 10])
+        env.check_dense_image()
+        # A store is what the next refresh makes readable, the slabs
+        # rotating under read / next.
+        for step in range(1, 2 * depth + 1):
+            env.store_rows(blocks, np.full((30, components), float(step)))
+            assert env.refresh()
+            env.check_dense_image()
+            assert image.read is image.slabs[step % depth]
+            assert np.all(env.dense_read(blocks[1]) == float(step))
+            assert all(b.buffer.read_index == image.read_index for b in blocks)
+        assert env.stats.dense_assemblies == 0 and env.stats.buffer_swaps == 3 * 2 * depth
+        pool.check_invariants()
+
+    def test_a_late_block_moves_in_and_gives_its_own_chunks_back(self):
+        env, (pool,) = pooled_env(1 << 12)
+        first = DataBlock((0,), (6,), components=1, page_elements=4, allocator=env.allocator)
+        assert pool.live_chunk_count() == 4  # 2 generations x 2 pages of its own
+        first.load_dense(np.arange(6.0))
+        env.add_data_block(first)
+        assert pool.live_chunk_count() == 2 and pool.used_bytes == 2 * 6 * 8
+        assert np.array_equal(env.dense_read(first)[:, 0], np.arange(6.0))
+        second = DataBlock((6,), (6,), components=1, page_elements=4, allocator=env.allocator)
+        second.load_dense(np.arange(6.0) + 10)
+        env.add_data_block(second)  # the class grows: the first Block moves with it
+        assert pool.live_chunk_count() == 2 and pool.used_bytes == 2 * 12 * 8
+        assert env.stats.rehomes_late_block == 2 and env.stats.rehomes_class_grew == 0
+        assert np.array_equal(env.dense_read(first)[:, 0], np.arange(6.0))
+        assert np.array_equal(env.dense_read(second)[:, 0], np.arange(6.0) + 10)
+        env.check_dense_image()
+        pool.check_invariants()
+        # A homed Block's release frees nothing: the chunks are the image's.
+        first.buffer.release()
+        first.buffer.release()
+        assert pool.live_chunk_count() == 2
+        pool.check_invariants()
+
+    def test_reserving_again_counts_as_the_class_growing(self):
+        env, _ = pooled_env(1 << 12)
+        env.reserve_image(1, np.float64, rows=4)
+        a = born(env, (0,), (4,), components=1, page_elements=4)
+        a.load_dense(np.arange(4.0))
+        assert env.stats.image_rehomes == 0
+        b = born(env, (4,), (4,), components=1, page_elements=4)  # not reserved for
+        assert env.stats.rehomes_class_grew == 1 and env.stats.as_dict()["image_rehomes"] == 1
+        assert np.array_equal(env.dense_read(a)[:, 0], np.arange(4.0))
+        assert env.image_slot(b)[1:3] == (4, 8)
+        env.check_dense_image()
+
+    def test_a_full_pool_is_enough_for_a_late_block(self):
+        """Snapshot, free, allocate, restore: the old and the new layout are
+        never in the pool together."""
+        env, (pool,) = pooled_env(2 * 12 * 8)  # exactly two Blocks of 6 cells, twice
+        env.reserve_image(1, np.float64, rows=6)
+        a = born(env, (0,), (6,), components=1, page_elements=6)
+        a.load_dense(np.arange(6.0))
+        late = DataBlock((6,), (6,), components=1, page_elements=6, allocator=env.allocator)
+        late.load_dense(np.arange(6.0) + 10)
+        assert pool.free_bytes == 0
+        env.add_data_block(late)
+        assert pool.free_bytes == 0 and pool.live_chunk_count() == 2
+        assert np.array_equal(env.image_slot(a)[0].read[:, 0], [0, 1, 2, 3, 4, 5, 10, 11, 12, 13, 14, 15])
+        env.check_dense_image()
+
+    def test_a_slab_spills_to_the_next_pool_or_raises_by_name(self):
+        env, (small, large) = pooled_env(100, 1 << 12)
+        env.reserve_image(1, np.float64, rows=20)  # 160 bytes a slab: not in pool0
+        block = born(env, (0,), (20,), components=1, page_elements=8)
+        assert small.used_bytes == 0 and large.live_chunk_count() == 2
+        env.check_dense_image()
+        # One slab fits nowhere: an error that names it, the layout as it was.
+        block.load_dense(np.arange(20.0))
+        with pytest.raises(PoolExhaustedError, match=r"slab 0 of 2 of its dense image \(600 rows"):
+            env.reserve_image(1, np.float64, rows=580)
+        assert large.live_chunk_count() == 2 and large.used_bytes == 2 * 160
+        assert np.array_equal(env.dense_read(block)[:, 0], np.arange(20.0))
+        env.check_dense_image()
+        for pool in (small, large):
+            pool.check_invariants()
+
+    def test_memory_report_counts_the_image_in_the_pool_and_scratch_beside_it(self):
+        env, (pool,) = pooled_env(1 << 12)
+        env.reserve_image(1, np.float64, rows=8)
+        born(env, (0,), (8,), components=1, page_elements=4)
+        remote = add_block(env, (8, 0), buffer_only=True)
+        report = env.memory_report()
+        assert report["image_error"] is None and report["image_scratch"] == 0
+        assert report["pool_used"] == 2 * 8 * 8 + remote.buffer.nbytes
+        assert len(remote.buffer.read_buffer.runs()) == 1  # 4 pages, one copy to assemble
+        env.dense_read(remote)                      # the halo mirror
+        env.mmat.scratch(0, (8, 1), np.float64)     # a batched read's output
+        assert env.memory_report()["image_scratch"] == 16 * 8 + 8 * 8
+        assert env.mmat.stats()["scratch_bytes"] == 8 * 8
+        assert env.mmat.memory_bytes() >= 8 * 8  # the scratch is part of the MMAT's footprint

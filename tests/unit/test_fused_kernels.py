@@ -250,7 +250,3 @@ class TestCodegenRegistry:
             assert register_codegen(Fake(), replace=True).name == "numpy_src"
         finally:
             register_codegen(original, replace=True)
-
-    def test_env_var_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_CODEGEN", "numpy_src")
-        assert resolve_codegen().name == "numpy_src"

@@ -245,11 +245,32 @@ class TestBlockBufferRuns:
         # Four isolated holes, then two adjacent pages past the held chunks.
         assert_runs_roundtrip(buf, 5)
 
+    @pytest.mark.parametrize("dtype,components", [(np.float64, 2), (np.float32, 1)])
+    def test_a_homed_buffer_is_the_one_run_it_was_given(self, pool, dtype, components):
+        buf = BlockBuffer(10, 4, components, dtype, PoolGroup([pool]))
+        buf.load_dense(np.arange(10 * components).reshape(10, components))
+        kept = buf.dense()
+        slab = np.zeros((16, components), dtype=dtype)
+        buf.rehome(slab[3:13])
+        assert pool.live_chunk_count() == 0  # its own chunks went back
+        slab[3:13] = kept                    # the contents are the caller's to move
+        assert all(page.chunk is None for page in buf.pages)
+        assert buf.runs()[0].base is slab and np.shares_memory(buf.pages[2].array, slab[11:13])
+        assert_runs_roundtrip(buf, 1)
+        assert np.all(slab[:3] == 0) and np.all(slab[13:] == 0)
+
+    def test_a_buffer_made_without_an_allocator_has_no_memory_until_homed(self):
+        buf = BlockBuffer(6, 4, 1, np.float64)
+        assert [page.elements for page in buf.pages] == [4, 2] and buf.pages[0].array is None
+        assert buf.nbytes == 6 * 8 and buf.runs() == []
+        buf.rehome(np.zeros((6, 1)))
+        assert_runs_roundtrip(buf, 1)
+
     def test_release_drops_the_cached_views(self, pool):
         buf = BlockBuffer(8, 4, 1, np.float64, PoolGroup([pool]))
         assert len(buf.runs()) == 1
         buf.release()
-        assert buf.runs() == []
+        assert buf.runs() == [] and pool.live_chunk_count() == 0
 
 
 class TestMultiBuffer:

@@ -48,7 +48,14 @@ def checks(request):
 
 
 def waiter(timeout=5.0, poll=None):
-    return lambda ready, late: spin_until(ready, timeout=timeout, late=late, poll=poll)
+    """A world's ``_halo_wait``; ``poll`` is handed the ranks still behind."""
+    return lambda ready, late, behind: spin_until(
+        ready, timeout=timeout, late=late, poll=poll and (lambda: poll(behind()))
+    )
+
+
+def posted(ready, late, behind):
+    """Post the word and do not wait for anybody."""
 
 
 # ----------------------------------------------------------------------
@@ -132,7 +139,7 @@ class TestAgreement:
     def test_timeout_names_the_ranks_behind_and_by_how_much(self):
         control = ControlWords(3)
         agree_on_threads(control, lambda *_: 1, rounds=2)  # everyone reached round 2
-        control.agree(1, 3, 1, lambda ready, late: None)  # rank 1 posts round 3, does not wait
+        control.agree(1, 3, 1, posted)  # rank 1 posts round 3, does not wait
         with pytest.raises(CollectiveError) as failure:
             control.agree(0, 4, 1, waiter(timeout=0.05))
         message = str(failure.value)
@@ -142,17 +149,29 @@ class TestAgreement:
 
     def test_a_rank_found_ahead_is_an_error_not_an_agreement(self):
         control = ControlWords(2)
-        control.agree(1, 3, 1, lambda ready, late: None)
+        control.agree(1, 3, 1, posted)
         with pytest.raises(CollectiveError, match="found rank 1 at round 3"):
             control.agree(0, 1, 1, waiter(timeout=1.0))
 
     def test_words_are_two_deep_by_parity(self):
         control = ControlWords(2)
         # Rank 1 is already at round 2 while rank 0 still reads round 1.
-        control.agree(1, 1, 0b11, lambda ready, late: None)
-        control.agree(1, 2, 0b01, lambda ready, late: None)
+        control.agree(1, 1, 0b11, posted)
+        control.agree(1, 2, 0b01, posted)
         assert control.agree(0, 1, 0b11, waiter()) == 0b11
         assert control.agree(0, 2, 0b11, waiter()) == 0b01
+
+    def test_the_liveness_poll_is_asked_about_the_ranks_behind_only(self):
+        control = ControlWords(3)
+        control.agree(1, 1, 1, posted)
+        asked = []
+
+        def poll(behind):
+            asked.append(sorted(behind))
+            control.agree(2, 1, 1, posted)  # the last word arrives
+
+        assert control.agree(0, 1, 1, waiter(poll=poll)) == 1
+        assert asked == [[2]]  # rank 1 stored its word: whether it left is nobody's business
 
     def test_checks_reject_a_word_that_does_not_advance(self, checks):
         control = ControlWords(1)
@@ -296,6 +315,29 @@ class TestWorldAgreement:
         assert time.monotonic() - started < 10.0
         error = failure.value.results[0].error
         assert isinstance(error, DeadRankError) and error.rank == 1
+
+    @needs_process
+    def test_a_rank_that_finished_cleanly_fails_nobody(self):
+        """Regression: the poll raised for *any* peer whose exit was queued,
+        so a rank that stored its last word and left failed the ranks
+        still waiting for somebody else's."""
+        world = get_backend("process").create_world(3, timeout=30.0)
+
+        def body(ctx):
+            world.allreduce_bits(1)
+            # Rank 0 is done and gone while rank 1 waits for rank 2's stamp.
+            if ctx.mpi_rank == 1:
+                world.control.await_stamps(1, [2], 1, world._halo_wait)
+            elif ctx.mpi_rank == 2:
+                time.sleep(0.4)
+                world.control.publish(2, 1, 1, None)
+            return ctx.mpi_rank
+
+        try:
+            results = world.run_spmd(body)
+        finally:
+            world.finalize()
+        assert [r.value for r in results] == [0, 1, 2]
 
     @pytest.mark.parametrize("backend", WORLDS)
     def test_a_stuck_peer_times_the_wait_out_by_name(self, backend):

@@ -31,7 +31,7 @@ from repro.memory import (
 )
 
 
-def make_env(*, mmat=True, dtype=np.float64, blocks=3, cells=8, seed=7):
+def make_env(*, mmat=True, dtype=np.float64, blocks=3, cells=8, seed=7, depth=2):
     """``blocks`` 1-D Data Blocks of ``cells`` cells, a Buffer-only one
     after them and an arithmetic boundary around; returns ``(env, owned)``."""
     pool = PoolGroup([MemoryPool(1 << 20, name="tile-pool")])
@@ -41,7 +41,7 @@ def make_env(*, mmat=True, dtype=np.float64, blocks=3, cells=8, seed=7):
     for k in range(blocks + 1):
         cls = DataBlock if k < blocks else BufferOnlyBlock
         block = cls((k * cells,), (cells,), components=1, page_elements=4,
-                    allocator=pool, dtype=dtype)
+                    allocator=pool, dtype=dtype, depth=depth)
         env.add_data_block(block)
         data = rng.uniform(-10, 10, size=(cells, 1))
         for buf in block.buffer.buffers:
@@ -83,6 +83,41 @@ class TestScratchPerRead:
         assert len(env.mmat._scratch) == 2
 
 
+class TestOwnElementsAreAView:
+    """``gather([(0,)])`` on a tile is its rows of ``image.read``: nothing is
+    copied, so the result is read-only — the batched reads' other results
+    are private scratch a body may update in place, this one is not."""
+
+    def test_the_result_is_the_read_rows_and_refuses_writes(self):
+        env, owned = make_env()
+        tile = BlockKernel(env, owned)
+        image, lo, _, _ = env.image_slot(owned[0])
+        e = tile.gather([(0,)])[0]
+        assert np.shares_memory(e, image.read) and not e.flags.writeable
+        assert np.array_equal(e, image.read[lo : lo + 24, 0])
+        assert env.mmat._scratch == {}  # no output array was made for it
+        with pytest.raises(ValueError, match="read-only"):
+            e *= 2.0
+        mine = e.copy()  # what a body that wants to update in place does
+        mine *= 2.0
+        # Stores land in ``next``: the result does not change under its caller.
+        tile.scatter(mine)
+        assert np.array_equal(2.0 * e, mine) and np.array_equal(image.next[lo : lo + 24, 0], mine)
+        assert image.read.flags.writeable  # only the view handed out is locked
+
+    def test_a_single_buffered_class_gets_a_copy(self):
+        """Depth 1: ``read`` is ``next``, a view would change at ``scatter``."""
+        env, owned = make_env(depth=1)
+        tile = BlockKernel(env, owned)
+        image = env.image_slot(owned[0])[0]
+        assert image.read is image.next
+        e = tile.gather([(0,)])[0]
+        before = e.copy()
+        assert not np.shares_memory(e, image.read) and e.flags.writeable
+        tile.scatter(-before)
+        assert np.array_equal(e, before)
+
+
 class TestTileEqualsBlocks:
     @pytest.mark.parametrize("mmat", [True, False])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -116,7 +151,8 @@ class TestTileEqualsBlocks:
                     (p.dirty, p.valid) for p in twin_buf.pages
                 ]
         image, twin_image = env.image_slot(owned[0])[0], twin.image_slot(twin_owned[0])[0]
-        assert len(image.next_fresh) == len(twin_image.next_fresh) == 3
+        assert np.array_equal(image.next, twin_image.next)
+        assert np.shares_memory(image.next, owned[2].buffer.write_buffer.pages[1].array)
         env.check_dense_image()
         assert env.refresh() and twin.refresh()
         env.check_dense_image()
