@@ -401,7 +401,6 @@ class PlatformBuilder:
         self._tracing: Optional[bool] = None
         self._resilience: Any = None
         self._comm_timeout: Optional[float] = None
-        self._temporal_block: Optional[int] = None
 
     # -- layers ---------------------------------------------------------
     def _factories(self) -> List[Any]:
@@ -515,22 +514,6 @@ class PlatformBuilder:
         self._resilience = policy
         return self
 
-    def temporal_block(self, steps: int) -> "PlatformBuilder":
-        """Temporal blocking depth of the fused sweep kernels.
-
-        With ``steps=N > 1`` a fused stencil sweep advances each block's
-        interior ``N`` steps per full gather (the halo-independent
-        lookahead is cached and merged with a recomputed rim on the
-        following steps).  ``1`` (the default) disables the lookahead.
-        Requires MMAT (fused kernels only exist on compiled plans);
-        results stay bit-identical by construction.
-        """
-        steps = int(steps)
-        if steps < 1:
-            raise ValueError(f"temporal_block must be >= 1, got {steps}")
-        self._temporal_block = steps
-        return self
-
     def comm_timeout(self, seconds: float) -> "PlatformBuilder":
         """Communication timeout of the distributed layer's world.
 
@@ -565,8 +548,6 @@ class PlatformBuilder:
             kwargs["resilience"] = self._resilience
         if self._comm_timeout is not None:
             kwargs["comm_timeout"] = self._comm_timeout
-        if self._temporal_block is not None:
-            kwargs["temporal_block"] = self._temporal_block
         aspects = None
         if self._aspect_factories is not None:
             aspects = [factory() for factory in self._aspect_factories]
@@ -668,7 +649,6 @@ class Platform:
         tracing: Optional[bool] = None,
         resilience: Any = None,
         comm_timeout: Optional[float] = None,
-        temporal_block: int = 1,
     ) -> None:
         if transcompile is None:
             transcompile = aspects is not None
@@ -713,13 +693,6 @@ class Platform:
             self.resilience = RecoveryManager(policy)
             self.aspects.append(CheckpointAspect(self.resilience))
         self.mmat_enabled = bool(mmat)
-        #: Temporal blocking depth of the fused sweep kernels: how many
-        #: steps a block's interior is advanced per full gather (1 = no
-        #: lookahead).  Read by the DSL layer when it hands out kernels.
-        temporal_block = int(temporal_block)
-        if temporal_block < 1:
-            raise ValueError(f"temporal_block must be >= 1, got {temporal_block}")
-        self.temporal_block = temporal_block
         self.env_pool_bytes = int(env_pool_bytes)
         self.machine = machine
         #: Shared scratch space aspect modules use to exchange run-level
@@ -761,7 +734,6 @@ class Platform:
         mpi: Optional[int] = None,
         omp: Optional[int] = None,
         tracing: Optional[bool] = None,
-        temporal_block: Optional[int] = None,
     ) -> "Platform":
         """Build one of the paper's named configurations (Fig. 3).
 
@@ -799,8 +771,6 @@ class Platform:
             builder.page_transport(page_transport)
         if tracing is not None:
             builder.tracing(tracing)
-        if temporal_block is not None:
-            builder.temporal_block(temporal_block)
         configure(builder, int(ranks), int(threads))
         return builder.build()
 

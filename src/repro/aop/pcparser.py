@@ -42,7 +42,9 @@ metacharacters.  The primitives compile 1:1 onto the combinators in
 ===================  ====================================================
 
 Syntax errors raise :class:`~repro.aop.errors.PointcutSyntaxError`
-carrying the source text and the exact 0-based offset of the problem.
+carrying the source text and the exact 0-based offset of the problem —
+so does nesting ``(`` groups and ``!`` prefixes deeper than
+:data:`MAX_NESTING`.
 """
 
 from __future__ import annotations
@@ -55,6 +57,11 @@ from . import pointcut as _pc
 from .pointcut import Pointcut
 
 __all__ = ["parse_pointcut", "as_pointcut", "PRIMITIVES"]
+
+#: Deepest nesting of ``(`` groups and ``!`` prefixes an expression may
+#: have.  Each level costs the recursive-descent parser a few stack
+#: frames, so past this a text is a syntax error, not a RecursionError.
+MAX_NESTING = 100
 
 
 # ----------------------------------------------------------------------
@@ -198,6 +205,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0
 
     # -- token helpers --------------------------------------------------
     @property
@@ -213,6 +221,12 @@ class _Parser:
         if self.current.kind != kind:
             self.fail(f"expected {what}")
         return self.advance()
+
+    def descend(self) -> None:
+        """Enter one ``(`` group or ``!`` prefix (the current token)."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"expression nested deeper than {MAX_NESTING} levels")
 
     def fail(self, message: str, pos: Optional[int] = None) -> None:
         position = self.current.pos if pos is None else pos
@@ -243,15 +257,20 @@ class _Parser:
 
     def parse_unary(self) -> Pointcut:
         if self.current.kind == "NOT":
+            self.descend()
             self.advance()
-            return ~self.parse_unary()
+            result = ~self.parse_unary()
+            self.depth -= 1
+            return result
         return self.parse_atom()
 
     def parse_atom(self) -> Pointcut:
         if self.current.kind == "LPAREN":
+            self.descend()
             self.advance()
             inner = self.parse_or()
             self.expect("RPAREN", "')'")
+            self.depth -= 1
             return inner
         if self.current.kind == "WORD":
             return self.parse_primitive()

@@ -130,8 +130,8 @@ class PendingHalo:
     ``breq`` manifests are already on the wire / the background fetches
     running) and attached to the rank's Env via
     :meth:`~repro.memory.env.Env.set_pending_halo`.  The first reader
-    that needs halo data — the boundary phase of
-    :meth:`~repro.dsl.base.BlockKernel.sweep_segment`, a boundary plan
+    that needs halo data — the boundary phase of a fused
+    :meth:`~repro.dsl.base.BlockKernel.sweep`, a boundary plan
     segment, a scalar Buffer-only access, or the next refresh — calls
     :meth:`complete`, which waits the :class:`CommHandle`, bulk-installs
     the pages through the CommPlan's manifest and accounts the traffic

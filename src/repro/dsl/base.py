@@ -108,10 +108,6 @@ class BlockKernel:
         "plan_key",
         "_trace",
         "_work",
-        "_fuse",
-        "_temporal",
-        "_codegen",
-        "_warmup",
         "_reads",
         "_widest",
         "_static",
@@ -123,10 +119,6 @@ class BlockKernel:
         block,
         *,
         work_per_set: int = 1,
-        fuse: bool = True,
-        temporal_block: int = 1,
-        codegen: Optional[str] = None,
-        warmup: bool = False,
     ) -> None:
         self.env = env
         #: The Blocks of the tile in image-row order, their elements (the
@@ -136,14 +128,6 @@ class BlockKernel:
         self.plan_key = (self.blocks[0].block_id, len(self.blocks))
         self._trace = global_trace().for_task()
         self._work = max(int(work_per_set), 1)
-        #: Whether sweeps may run through fused kernels (plan + fn
-        #: compiled into one generated function); warm-up sweeps always
-        #: use the legacy path — their results are discarded and the
-        #: step counter (the temporal-cache key) does not advance.
-        self._fuse = bool(fuse)
-        self._temporal = max(int(temporal_block), 1)
-        self._codegen = codegen
-        self._warmup = bool(warmup)
         #: Batched reads of the current kernel body (their scratch index;
         #: restarted by ``DslTarget``), most sites per element of any.
         self._reads = 0
@@ -301,116 +285,29 @@ class BlockKernel:
 
         ``fn`` receives one array per offset (each shaped like the
         Block) and must return the new field, shaped like the Block (or
-        anything broadcastable to it).  When an overlapped halo exchange
-        is in flight the sweep runs interior sites first, waits for the
-        halo, then finishes the boundary rim — see :meth:`sweep_segment`
-        for the elementwise ``fn`` contract, which every stencil update
-        satisfies by construction.
+        anything broadcastable to it).  ``fn`` must be *elementwise over
+        sites* — each output site depends only on the per-offset values
+        at that site, true for every stencil update — and must not assume
+        the Block's shape: it is also applied to 1-D site subsets.
 
-        With MMAT enabled the compiled access plan and ``fn`` are fused
-        into one generated kernel (:mod:`repro.kernels`) that applies
-        ``fn`` to shifted views of a padded scratch field instead of
-        materialising the per-offset gather tensor; unfusable cases and
-        warm-up sweeps fall back to :meth:`sweep_segment` transparently.
+        With MMAT on, a single-component Block's sweep runs through the
+        fused kernel (:mod:`repro.kernels`), warm-up passes included: the
+        compiled plan and ``fn`` in one generated function that applies
+        ``fn`` to shifted views of a padded scratch field; while a halo
+        exchange is in flight it computes the interior first and hides
+        the wait behind it.  Any other sweep (MMAT off, multi-component
+        Blocks) is ``scatter(fn(*gather(offsets)))``.
         """
         offsets = tuple(tuple(int(c) for c in off) for off in offsets)
         env = self.env
         block = self.block
-        if self._fuse and not self._warmup and env.mmat.enabled:
+        if env.mmat.enabled and block.components == 1:
             plan = self._offsets_plan(offsets)
-            kern = fused_kernel_for(
-                env,
-                block,
-                plan,
-                fn,
-                temporal=self._temporal,
-                codegen=self._codegen,
-                trace=self._trace,
-            )
-            if kern is not None:
-                kern(env, fn, self._trace, self._work)
-                return
-        self.sweep_segment(fn, offsets)
-
-    def sweep_segment(
-        self, fn: Callable[..., np.ndarray], offsets: Sequence[Sequence[int]]
-    ) -> None:
-        """Overlap-aware sweep: compute the interior while the halo travels.
-
-        The compiled access plan is split into its interior and boundary
-        sub-plans (:meth:`~repro.memory.mmat.AccessPlan.split`).  Sites
-        whose stencil touches only locally-owned data are gathered *and
-        updated* first; only then is the in-flight halo exchange
-        completed (``Env.complete_pending_halo``) and the halo-dependent
-        boundary sites finished — so the whole communication round-trip
-        hides behind the interior computation.  Without a pending
-        exchange, a compiled plan, or any halo dependence, this is
-        exactly :meth:`gather` + ``fn`` + :meth:`scatter`.
-
-        ``fn`` must be *elementwise over sites*: each output site may
-        depend only on the per-offset values gathered **at that site**
-        (true for every stencil update — the per-offset arrays exist
-        precisely so ``fn`` needs no internal shifting).  ``fn`` is
-        applied to 1-D site slices here, so it must not assume the
-        block's 2-D/3-D shape.
-        """
-        offsets = tuple(tuple(int(c) for c in off) for off in offsets)
-        env = self.env
-        block = self.block
-        tracer = global_tracer()
-        plan = self._offsets_plan(offsets) if env.mmat.enabled else None
-        if plan is None or not plan.has_halo or not env.has_pending_halo():
-            # No overlap opportunity: the plain gather path (which itself
-            # completes a pending exchange before its boundary segments).
-            with tracer.span("sweep"):
-                self.scatter(fn(*self.gather(offsets)))
+            kern = fused_kernel_for(env, block, plan, fn, trace=self._trace)
+            kern(env, fn, self._trace, self._work)
             return
-
-        n_off = len(offsets)
-        n_elem = block.element_count
-        comps = block.components
-        out = np.empty((plan.n_sites, comps), dtype=plan.dtype)
-
-        # Output elements whose stencil reaches halo data; everything
-        # else is computable from the interior gather alone.
-        interior_elems, boundary_elems = plan.element_partition()
-        per_offset = out.reshape(n_off, n_elem, comps)
-        result = np.empty((n_elem, comps), dtype=plan.dtype)
-
-        def apply(elems: np.ndarray) -> None:
-            if not elems.size:
-                return
-            # fn may return a broadcastable constant (legal on the
-            # non-overlap gather+scatter path): broadcast instead of
-            # reshaping so it does not crash mid-overlap.
-            if comps == 1:
-                args = [per_offset[oi, elems, 0] for oi in range(n_off)]
-                vals = np.asarray(fn(*args))
-                if vals.size == elems.size:
-                    result[elems, 0] = vals.reshape(elems.size)
-                else:
-                    result[elems, 0] = np.broadcast_to(vals, (elems.size,))
-            else:
-                args = [per_offset[oi, elems] for oi in range(n_off)]
-                vals = np.asarray(fn(*args))
-                if vals.size == elems.size * comps:
-                    result[elems] = vals.reshape(elems.size, comps)
-                else:
-                    result[elems] = np.broadcast_to(vals, (elems.size, comps))
-
-        with tracer.span("sweep.interior", sites=int(interior_elems.size)):
-            plan.gather_interior(env, out)
-            apply(interior_elems)        # … while the halo is in flight
-        env.complete_pending_halo()      # wait + install the halo pages
-        with tracer.span("sweep.boundary", sites=int(boundary_elems.size)):
-            missing = plan.gather_boundary(env, out)
-            apply(boundary_elems)        # finish the halo-dependent rim
-
-        plan.account(env, missing)
-        env.mmat.note_execution(plan)
-        self._trace.plan_gathers += 1
-        self._trace.plan_sites += plan.n_sites
-        self.scatter(result)
+        with global_tracer().span("sweep"):
+            self.scatter(fn(*self.gather(offsets)))
 
     # -- scalar fallback (MMAT disabled: no memoization allowed) -----------
     def _gather_addresses_scalar(self, addresses: np.ndarray) -> np.ndarray:
@@ -473,16 +370,6 @@ class DslTarget(TargetApplication):
             raise ValueError(
                 f"kernel must be 'vectorized' or 'scalar', got {self.kernel_mode!r}"
             )
-        #: Whether sweeps may compile plan+fn into fused kernels
-        #: (config ``fuse``, default on; only effective with MMAT).
-        self.fuse_kernels: bool = bool(self.config.get("fuse", True))
-        #: Temporal blocking depth override (config ``temporal_block``);
-        #: None defers to the platform's ``temporal_block`` attribute.
-        tb = self.config.get("temporal_block")
-        self.temporal_block: Optional[int] = None if tb is None else max(int(tb), 1)
-        #: Codegen backend override for fused kernels (config
-        #: ``codegen``; None = registry default).
-        self.kernel_codegen: Optional[str] = self.config.get("codegen")
         #: ``(task, tile budget)`` -> the kernels that task last swept with
         #: and what they were built from (:meth:`_kernels`).
         self._kernel_cache: dict = {}
@@ -619,22 +506,10 @@ class DslTarget(TargetApplication):
         self.register_access_profile()
         self.build_env()
 
-    def kernel_for(self, block, warmup: bool = False) -> BlockKernel:
+    def kernel_for(self, block) -> BlockKernel:
         """Return the kernel accessor for ``block`` or a tile (InitKernelMacros)."""
         assert self.env is not None, "initialize() must build the Env first"
-        temporal = self.temporal_block
-        if temporal is None:
-            platform = getattr(self, "platform", None)
-            temporal = getattr(platform, "temporal_block", 1) if platform else 1
-        return BlockKernel(
-            self.env,
-            block,
-            work_per_set=self.WORK_PER_UPDATE,
-            fuse=self.fuse_kernels,
-            temporal_block=temporal,
-            codegen=self.kernel_codegen,
-            warmup=warmup,
-        )
+        return BlockKernel(self.env, block, work_per_set=self.WORK_PER_UPDATE)
 
     def refresh(self, warmup: bool = False) -> bool:
         """End the step on this task's Env (``Env.refresh``, a join point)."""
@@ -683,7 +558,6 @@ class DslTarget(TargetApplication):
             self._kernel_cache[key] = ((env.mmat.resets, width), blocks, kernels)
         for kernel in kernels:
             kernel._reads = 0
-            kernel._warmup = bool(warmup)
         return kernels
 
 

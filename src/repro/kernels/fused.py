@@ -17,36 +17,28 @@ against a single padded scratch field, instead of materialising the
 * ``fn`` is applied to one shifted **view** of ``P`` per offset, and
   the result is copied once into the write buffer (dense-image rows).
 
-The kernel preserves the overlapped-sweep structure of
-``BlockKernel.sweep_segment`` (interior first, halo wait, boundary
-rim), and adds multi-step **temporal blocking**: with
-``temporal_block=N`` the halo-independent interior is advanced up to
-``N`` steps per full gather; the lookahead levels are cached per
-absolute step and merged with a recomputed rim on the following steps.
-The erosion-based lookahead only ever reads values it computed itself,
-so results stay bit-identical to the step-by-step path (``fn`` must be
-elementwise and step-invariant — true for every stencil update).
+While an overlapped halo exchange is in flight the kernel computes the
+whole field first, waits for the halo, then recomputes only the
+boundary rim (:meth:`FusedKernel._overlap_step`), so the wait hides
+behind the interior.  ``fn`` must therefore be elementwise over sites —
+true for every stencil update.
 
 Fused kernels are cached on the :class:`~repro.memory.mmat.MMAT`
-keyed ``(plan version, fn identity, dtype, temporal depth)``;
-``MMAT.reset()`` clears them together with the plans, and a recompiled
-plan's fresh version implicitly invalidates its old fusions.
+keyed ``(plan version, fn identity, dtype)``; ``MMAT.reset()`` clears
+them together with the plans, and a recompiled plan's fresh version
+implicitly invalidates its old fusions.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from ..obs.spans import global_tracer
-from . import CodegenError, resolve_codegen
+from .numpy_src import compile_module
 
-__all__ = ["FusedKernel", "UNFUSABLE", "fused_kernel_for"]
-
-#: Cache sentinel: this (plan, fn, dtype, temporal) combination cannot be
-#: fused — stored so the dispatch does not retry the codegen every sweep.
-UNFUSABLE = "unfusable"
+__all__ = ["FusedKernel", "fused_kernel_for"]
 
 
 def _as_field(res, shape, dtype) -> np.ndarray:
@@ -65,45 +57,25 @@ def _as_field(res, shape, dtype) -> np.ndarray:
 class FusedKernel:
     """One plan + fn fused into generated gather/apply/scatter code."""
 
-    def __init__(self, block, plan, temporal: int, codegen) -> None:
-        if plan.kind != "offsets" or plan.offsets is None:
-            raise CodegenError(
-                f"only offsets plans can be fused (got {plan.kind!r})"
-            )
-        if plan.components != 1:
-            raise CodegenError(
-                f"fusion supports single-component blocks "
-                f"(got components={plan.components})"
+    def __init__(self, block, plan) -> None:
+        if plan.kind != "offsets" or plan.components != 1:
+            raise ValueError(
+                f"only single-component offsets plans fuse "
+                f"(got {plan.kind!r}, components={plan.components})"
             )
         self.block = block
         self.plan = plan
-        self.temporal = max(int(temporal), 1)
         shape = plan.shape
         nd = len(shape)
         self.shape = shape
-        self.n_elem = n_elem = int(np.prod(shape))
+        self.n_elem = int(np.prod(shape))
         self.dtype = plan.dtype
-        off_arr = np.asarray(plan.offsets, dtype=np.int64)
-        if off_arr.ndim != 2 or off_arr.shape[1] != nd:
-            raise CodegenError(f"malformed offsets {plan.offsets!r}")
+        off_arr = np.asarray(plan.offsets, dtype=np.int64).reshape(-1, nd)
         self._off_arr = off_arr
         pad_lo = tuple(int(max(0, -int(off_arr[:, d].min()))) for d in range(nd))
         pad_hi = tuple(int(max(0, int(off_arr[:, d].max()))) for d in range(nd))
         self.pad_lo = pad_lo
         self.pshape = tuple(shape[d] + pad_lo[d] + pad_hi[d] for d in range(nd))
-        self._interior_slices = tuple(
-            slice(pad_lo[d], pad_lo[d] + shape[d]) for d in range(nd)
-        )
-        self._view_slices = [
-            tuple(
-                slice(
-                    pad_lo[d] + int(off_arr[oi, d]),
-                    pad_lo[d] + int(off_arr[oi, d]) + shape[d],
-                )
-                for d in range(nd)
-            )
-            for oi in range(off_arr.shape[0])
-        ]
 
         # -- ring-fill tables (the plan's segments and constants are ----
         #    exactly its out-of-block sites)
@@ -124,7 +96,7 @@ class FusedKernel:
             self.const_vals = None
 
         # -- generated code --------------------------------------------
-        module = codegen.compile((shape, pad_lo, self.pshape, plan.offsets))
+        module = compile_module((shape, pad_lo, self.pshape, plan.offsets))
         self._fill_interior = module["fill_interior"]
         self._fill_boundary = module["fill_boundary"]
         self._compute = module["compute"]
@@ -134,9 +106,6 @@ class FusedKernel:
         #: Per-offset padded-flat indices of the halo-touching elements
         #: (the overlap rim), resolved lazily.
         self._boundary_pidx = None
-        #: Temporal lookahead tables + the per-absolute-step value cache.
-        self._temporal_tables = None
-        self._cache: dict = {}
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -180,12 +149,10 @@ class FusedKernel:
     # dispatch
     # ------------------------------------------------------------------
     def __call__(self, env, fn, trace, work: int) -> None:
-        """One fused whole-block sweep with full legacy side effects."""
+        """One fused whole-block sweep, accounted as a plan execution."""
         plan = self.plan
         tracer = global_tracer()
-        if self.temporal > 1:
-            missing = self._temporal_step(env, fn, tracer)
-        elif plan.has_halo and env.has_pending_halo():
+        if plan.has_halo and env.has_pending_halo():
             missing = self._overlap_step(env, fn, tracer)
         else:
             # No halo dependence (or no exchange in flight): leave any
@@ -233,7 +200,8 @@ class FusedKernel:
         return vals
 
     def _overlap_step(self, env, fn, tracer) -> int:
-        """Fused equivalent of ``sweep_segment``'s overlapped path."""
+        """Compute the field while the halo travels, wait for it, then
+        recompute the halo-dependent rim."""
         boundary_elems, bpidx = self._boundary_indices()
         interior = self.n_elem - int(boundary_elems.size)
         with tracer.span("sweep.interior", sites=interior):
@@ -251,105 +219,6 @@ class FusedKernel:
         self._store(self, env, res)
         return missing
 
-    # ------------------------------------------------------------------
-    # temporal blocking (interior advanced N steps per full gather)
-    # ------------------------------------------------------------------
-    def _tables(self):
-        t = self._temporal_tables
-        if t is None:
-            shape = self.shape
-            nd = len(shape)
-            n_off = self._off_arr.shape[0]
-            strides = [1] * nd
-            for d in range(nd - 2, -1, -1):
-                strides[d] = strides[d + 1] * shape[d + 1]
-            doff = [
-                int(sum(int(self._off_arr[oi, d]) * strides[d] for d in range(nd)))
-                for oi in range(n_off)
-            ]
-            # Erode the computable set one stencil radius per lookahead
-            # level: an element is in level l+1 iff every offset lands
-            # geometrically in-block *and* inside level l.
-            mask = np.ones(shape, dtype=bool)
-            levels = {}
-            for level in range(2, self.temporal + 1):
-                padded = np.zeros(self.pshape, dtype=bool)
-                padded[self._interior_slices] = mask
-                nxt = np.ones(shape, dtype=bool)
-                for oi in range(n_off):
-                    nxt &= padded[self._view_slices[oi]]
-                mask = nxt
-                idx = np.flatnonzero(mask.reshape(-1)).astype(np.intp)
-                rim = np.flatnonzero(~mask.reshape(-1)).astype(np.intp)
-                levels[level] = (idx, rim, self._pidx_for(rim))
-            t = (doff, levels)
-            self._temporal_tables = t
-        return t
-
-    def _temporal_step(self, env, fn, tracer) -> int:
-        step = env.step
-        entry = self._cache.get(step)
-        if entry is not None:
-            return self._temporal_hit(env, fn, tracer, entry)
-        return self._temporal_miss(env, fn, tracer, step)
-
-    def _temporal_miss(self, env, fn, tracer, step: int) -> int:
-        plan = self.plan
-        if plan.has_halo and env.has_pending_halo():
-            boundary_elems, bpidx = self._boundary_indices()
-            interior = self.n_elem - int(boundary_elems.size)
-            with tracer.span("sweep.interior", sites=interior):
-                P, F = self._fill_interior(self, env)
-                res = _as_field(self._compute(P, fn), self.shape, self.dtype)
-            env.complete_pending_halo()
-            with tracer.span("sweep.boundary", sites=int(boundary_elems.size)):
-                missing = self._fill_boundary(self, env, F)
-                if boundary_elems.size:
-                    res.reshape(-1)[boundary_elems] = self._apply_at(
-                        fn, F, bpidx, int(boundary_elems.size)
-                    )
-        else:
-            with tracer.span("sweep"):
-                P, F = self._fill_interior(self, env)
-                missing = self._fill_boundary(self, env, F)
-                res = _as_field(self._compute(P, fn), self.shape, self.dtype)
-        self._store(self, env, res)
-
-        # Lookahead: advance the eroding interior up to temporal-1 extra
-        # steps from data this block just computed itself.  A re-executed
-        # step (failed refresh) misses again — ``step`` did not advance —
-        # and overwrites any stale entries.
-        doff, levels = self._tables()
-        self._cache.clear()
-        cur = res.reshape(-1)
-        for level in range(2, self.temporal + 1):
-            idx, _rim, _rimp = levels[level]
-            if not idx.size:
-                break
-            vals = np.asarray(fn(*[cur[idx + d] for d in doff]), dtype=self.dtype)
-            if vals.shape != idx.shape:
-                vals = np.ascontiguousarray(np.broadcast_to(vals, idx.shape))
-            self._cache[step + level - 1] = (level, vals)
-            if level < self.temporal:
-                cur[idx] = vals
-        return missing
-
-    def _temporal_hit(self, env, fn, tracer, entry) -> int:
-        level, vals = entry
-        if self.plan.has_halo and env.has_pending_halo():
-            env.complete_pending_halo()
-        _doff, levels = self._tables()
-        idx, rim, rimp = levels[level]
-        with tracer.span("sweep", temporal=level):
-            P, F = self._fill_interior(self, env)
-            missing = self._fill_boundary(self, env, F)
-            out = env.mmat.scratch("merged", (self.n_elem,), self.dtype)
-            out[idx] = vals
-            if rim.size:
-                out[rim] = self._apply_at(fn, F, rimp, int(rim.size))
-            self._store(self, env, out.reshape(self.shape))
-        return missing
-
 
 def fused_kernel_for(
     env,
@@ -357,32 +226,23 @@ def fused_kernel_for(
     plan,
     fn,
     *,
-    temporal: int = 1,
-    codegen: Optional[str] = None,
     trace=None,
-) -> Optional[FusedKernel]:
-    """Cached-or-compiled fused kernel for ``(plan, fn)``, or None.
+) -> FusedKernel:
+    """Cached-or-compiled fused kernel for ``(plan, fn)``.
 
-    Returns None when the combination cannot be fused (address plans,
-    multi-component blocks, codegen failure) — the caller falls back to
-    the gather/apply/scatter path.  Failures are cached as
-    :data:`UNFUSABLE` under the same key, so the fallback costs one dict
-    lookup per sweep.  The key includes ``plan.version``: a plan
-    recompiled after ``MMAT.reset`` can never resurrect a stale kernel.
+    ``plan`` is a single-component offsets plan (the caller routes every
+    other sweep to gather/apply/scatter).  The cache key includes
+    ``plan.version``: a plan recompiled after ``MMAT.reset`` can never
+    resurrect a stale kernel.
     """
     mmat = env.mmat
     fn_id = getattr(fn, "__code__", None) or fn
-    key = (plan.version, fn_id, plan.dtype, int(temporal))
+    key = (plan.version, fn_id, plan.dtype)
     kern = mmat.fused_lookup(key)
     if kern is not None:
-        return None if kern is UNFUSABLE else kern
-    try:
-        chosen = resolve_codegen(codegen)
-        with global_tracer().span("kernel.fuse", sites=plan.n_sites):
-            kern = FusedKernel(block, plan, temporal, chosen)
-    except CodegenError:
-        mmat.fused_store(key, UNFUSABLE)
-        return None
+        return kern
+    with global_tracer().span("kernel.fuse", sites=plan.n_sites):
+        kern = FusedKernel(block, plan)
     mmat.fused_store(key, kern)
     if trace is not None:
         trace.kernel_fuse += 1

@@ -1,4 +1,4 @@
-"""Default codegen: specialised NumPy source, ``exec``-compiled.
+"""Fused-kernel source: specialised NumPy, ``exec``-compiled.
 
 The emitted module performs one whole-block sweep as
 
@@ -28,7 +28,11 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-__all__ = ["NumpySourceCodegen"]
+__all__ = ["compile_module"]
+
+#: Compiled code objects keyed by structural signature; every block with
+#: the same shape/stencil shares one.
+_CODE: Dict[Tuple, object] = {}
 
 
 def _index(bounds) -> str:
@@ -97,23 +101,16 @@ def emit_source(signature: Tuple) -> str:
     return "\n".join(lines)
 
 
-class NumpySourceCodegen:
-    """Generated-NumPy-source codegen (the default backend)."""
-
-    name = "numpy_src"
-
-    def __init__(self) -> None:
-        #: Compiled code objects keyed by structural signature; every
-        #: block with the same shape/stencil shares one.
-        self._code: Dict[Tuple, object] = {}
-
-    def compile(self, signature: Tuple) -> dict:
-        """Return a fresh namespace holding the generated functions."""
-        code = self._code.get(signature)
-        if code is None:
-            label = "x".join(str(int(s)) for s in signature[0])
-            code = compile(emit_source(signature), f"<fused-kernel {label}>", "exec")
-            self._code[signature] = code
-        namespace = {"np": np}
-        exec(code, namespace)
-        return namespace
+def compile_module(signature: Tuple) -> dict:
+    """A fresh namespace holding the generated functions of ``signature``
+    (``fill_interior`` / ``fill_boundary`` / ``compute`` / ``store`` /
+    ``fused_sweep``)."""
+    code = _CODE.get(signature)
+    if code is None:
+        label = "x".join(str(int(s)) for s in signature[0])
+        code = _CODE[signature] = compile(
+            emit_source(signature), f"<fused-kernel {label}>", "exec"
+        )
+    namespace = {"np": np}
+    exec(code, namespace)
+    return namespace

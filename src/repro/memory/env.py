@@ -278,7 +278,10 @@ class Env:
 
     def _image_of(self, components: int, dtype, depth: int) -> DenseImage:
         key = (int(components), np.dtype(dtype), int(depth))
-        return self._images.setdefault(key, DenseImage(*key))
+        image = self._images.get(key)
+        if image is None:  # only a miss builds one
+            image = self._images.setdefault(key, DenseImage(*key))
+        return image
 
     def reserve_image(self, components: int, dtype, rows: int, depth: int = 2) -> None:
         """Make room, once, for ``rows`` more owned rows of a class: a DSL

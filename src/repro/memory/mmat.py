@@ -800,7 +800,7 @@ class MMAT:
         self._plans: Dict[tuple, AccessPlan] = {}
         #: Fused kernels (plan + elementwise fn compiled into one
         #: generated function), keyed by ``(plan version, fn identity,
-        #: dtype, temporal depth)``; cleared together with the plans.
+        #: dtype)``; cleared together with the plans.
         self._fused: Dict[tuple, object] = {}
         #: Output arrays of :meth:`AccessPlan.execute`, one per calling
         #: thread, n-th batched read of a kernel body and ``(n_sites,
@@ -990,9 +990,7 @@ class MMAT:
             "plan_sites": plan_sites,
             "plan_compiles": self.plan_compiles,
             "plan_compiles_uncached": self.plan_compiles_uncached,
-            "fused_kernels": sum(
-                1 for k in self._fused.values() if k is not None and k != "unfusable"
-            ),
+            "fused_kernels": len(self._fused),
             "plan_executions": self.plan_executions,
             "plan_exec_sites": self.plan_exec_sites,
             "fallback_sites": self.fallback_sites,

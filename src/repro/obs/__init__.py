@@ -9,7 +9,7 @@ or a plain-text phase report.
 Off by default; enabled per run via ``Platform(tracing=True)``,
 ``Platform.builder().tracing()``, ``preset(..., tracing=True)`` or the
 ``REPRO_TRACE=1`` environment variable.  The disabled path is a single
-flag check per instrumentation site (gated by ``benchmarks/bench_obs.py``).
+flag check per instrumentation site.
 """
 
 from .aspect import MonitoringAspect

@@ -14,8 +14,8 @@ Two consumers, two formats:
   viewer at hand.
 
 :func:`validate_chrome_trace` checks a document against the subset of
-the trace-event schema we rely on; both the test-suite and the CI
-perf-gate run it on freshly produced traces.
+the trace-event schema we rely on; the test-suite runs it on freshly
+produced traces of every backend.
 """
 
 from __future__ import annotations

@@ -8,8 +8,7 @@ missing dimension: **spans** — named, timestamped intervals, one ring
 buffer per task (rank, thread) — cheap enough to leave compiled in
 everywhere, and off by default.
 
-Design constraints (mirrored by the tracing-overhead gate in
-``benchmarks/bench_obs.py``):
+Design constraints:
 
 * **Disabled path is one flag check.**  :meth:`Tracer.span` returns a
   shared no-op context manager when tracing is off; no buffer lookup,

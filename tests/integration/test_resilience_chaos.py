@@ -98,6 +98,13 @@ class TestKillMatrix:
         assert event.old_size == 4 and event.new_size == 3
         assert_matches_reference("sgrid", run.result, serial_references["sgrid"])
 
+    @pytest.mark.parametrize("backend", ["threads", "process"])
+    def test_checkpoints_without_a_kill_change_nothing(self, serial_references, backend):
+        run = resilient_platform(backend, 4, None).run(JacobiSGrid, config=dict(SGRID_CONFIG))
+        assert run.restarts == 0
+        assert sum(c.checkpoints for c in run.counters.values()) > 0
+        assert_matches_reference("sgrid", run.result, serial_references["sgrid"])
+
     @pytest.mark.parametrize("phase", PHASES)
     def test_serial_backend_death_is_unrecoverable_but_clean(self, phase):
         # The serial world has one rank; killing it leaves no survivors,

@@ -1,17 +1,13 @@
-"""Property tests: fused kernels ≡ vectorized kernels ≡ scalar kernels.
+"""Property tests: fused kernels ≡ the scalar serial reference, bit for bit.
 
-The plan-fusion layer (:mod:`repro.kernels`) promises *bit-identical*
-results to the vectorized access-plan path: the generated kernel applies
-the same elementwise ``fn`` to the same IEEE values in the same
-per-element order, only gathered through a padded scratch field instead
-of the ``(n_offsets, n_elem)`` tensor.  These tests check that promise
-for every DSL app, every execution backend and every temporal-blocking
-depth, including plan invalidation mid-run (``MMAT.reset()``) and an
-unknown codegen name falling back to the default.
-
-Apps whose sweeps cannot be fused (address plans — USGrid; multi-
-component buckets — Particle) must degrade transparently to the
-vectorized path and still match exactly.
+The plan-fusion layer (:mod:`repro.kernels`) applies the user's
+elementwise ``fn`` to the same IEEE values in the same per-element order
+as the paper's per-element Listing 1 kernel, only read through a padded
+scratch field.  So a fused SGrid run — Dirichlet or Neumann boundary, on
+every execution backend and Block geometry, with or without a mid-run
+``MMAT.reset()`` — must equal the scalar kernel run serially, with
+``np.array_equal``; and it must equal the same run with MMAT off, where
+every sweep takes the ``gather``·``fn``·``scatter`` route.
 """
 
 from __future__ import annotations
@@ -20,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.annotation import Platform
-from repro.apps import JacobiSGrid, JacobiUSGrid, ParticleSimulation
+from repro.apps import JacobiSGrid
 from repro.aspects import mpi_aspects
 
 
@@ -28,76 +24,65 @@ def _init(x, y):
     return 0.03 * x - 0.05 * y + 2.0
 
 
-SGRID_CONFIG = dict(region=16, block_size=4, page_elements=8, loops=3, init=_init)
-USGRID_CONFIG = dict(region=16, block_cells=32, page_elements=8, loops=3, init=_init)
-PARTICLE_CONFIG = dict(particles=128, block_buckets=4, page_elements=4, loops=2)
-
-APPS = [
-    ("sgrid", JacobiSGrid, SGRID_CONFIG, True),
-    ("sgrid-neumann", JacobiSGrid, dict(SGRID_CONFIG, boundary="neumann"), True),
-    ("usgrid-c", JacobiUSGrid, USGRID_CONFIG, False),
-    ("usgrid-r", JacobiUSGrid, dict(USGRID_CONFIG, case="R"), False),
-    ("particle", ParticleSimulation, PARTICLE_CONFIG, False),
+SGRID_CONFIG = dict(region=16, block_size=4, page_elements=8, loops=4, init=_init)
+BOUNDARIES = ["dirichlet", "neumann"]
+BACKENDS = [("serial", 1), ("threads", 2), ("process", 2), ("threads", 4), ("process", 4)]
+#: Block side × page size: two pages a Block, one, and four.
+GEOMETRIES = [
+    pytest.param(4, 8, id="b4-p8"),
+    pytest.param(2, 4, id="b2-p4"),
+    pytest.param(8, 16, id="b8-p16"),
 ]
 
-BACKENDS = [("serial", 1), ("threads", 2), ("process", 2)]
-TEMPORAL = [1, 2, 4]
+
+def sgrid_config(boundary, block_size=4, page_elements=8):
+    return dict(SGRID_CONFIG, boundary=boundary, block_size=block_size,
+                page_elements=page_elements)
 
 
-def run_app(app_cls, config, *, backend="serial", ranks=1, temporal=1, **platform_kw):
+def n_blocks(config) -> int:
+    return (config["region"] // config["block_size"]) ** 2
+
+
+def run_app(app_cls, config, *, backend="serial", ranks=1, mmat=True):
     aspects = mpi_aspects(ranks, backend=backend)
-    platform = Platform(aspects=aspects, mmat=True, temporal_block=temporal,
-                        **platform_kw)
-    return platform.run(app_cls, config=dict(config))
+    return Platform(aspects=aspects, mmat=mmat).run(app_cls, config=dict(config))
 
 
-def fused_calls(run) -> int:
-    return sum(c.kernel_fused_calls for c in run.counters.values())
+def counter(run, name) -> int:
+    return sum(getattr(c, name) for c in run.counters.values())
 
 
-def assert_bit_identical(run_a, run_b):
-    a = np.asarray(run_a.result, dtype=np.float64)
-    b = np.asarray(run_b.result, dtype=np.float64)
-    assert a.shape == b.shape
+@pytest.fixture(scope="module")
+def scalar_reference():
+    """The scalar kernel's serial field for a config, computed once each."""
+    fields = {}
+
+    def reference(config):
+        key = (config["boundary"], config["block_size"], config["page_elements"])
+        if key not in fields:
+            run = run_app(JacobiSGrid, dict(config, kernel="scalar"))
+            fields[key] = np.asarray(run.result, dtype=np.float64)
+        return fields[key]
+
+    return reference
+
+
+def assert_equals_reference(run, reference):
+    field = np.asarray(run.result, dtype=np.float64)
+    assert field.shape == reference.shape
     # Ranks other than 0 leave NaN holes in the assembled field.
-    assert np.array_equal(a, b, equal_nan=True)
+    mine = ~np.isnan(field)
+    assert mine.any()
+    assert np.array_equal(field[mine], reference[mine])
 
 
-class TestFusedEquivalence:
-    @pytest.mark.parametrize("temporal", TEMPORAL)
-    @pytest.mark.parametrize("backend,ranks", BACKENDS)
-    @pytest.mark.parametrize("name,app_cls,config,fusable", APPS)
-    def test_fused_bit_identical_to_vectorized(
-        self, name, app_cls, config, fusable, backend, ranks, temporal
-    ):
-        vec = run_app(app_cls, dict(config, fuse=False, kernel="vectorized"),
-                      backend=backend, ranks=ranks)
-        fused = run_app(app_cls, dict(config, kernel="vectorized"),
-                        backend=backend, ranks=ranks, temporal=temporal)
-        assert_bit_identical(vec, fused)
-        if fusable:
-            assert fused_calls(fused) > 0
-        else:
-            # Unfusable sweeps degrade to the vectorized path transparently.
-            assert fused_calls(fused) == 0
-        assert fused_calls(vec) == 0
-
-    @pytest.mark.parametrize("backend,ranks", BACKENDS)
-    @pytest.mark.parametrize(
-        "name,app_cls,config",
-        [(n, a, c) for (n, a, c, _f) in APPS],
-    )
-    def test_fused_matches_scalar(self, name, app_cls, config, backend, ranks):
-        scalar = run_app(app_cls, dict(config, kernel="scalar"),
-                         backend=backend, ranks=ranks)
-        fused = run_app(app_cls, dict(config, kernel="vectorized"),
-                        backend=backend, ranks=ranks)
-        a = np.asarray(scalar.result, dtype=np.float64)
-        b = np.asarray(fused.result, dtype=np.float64)
-        assert a.shape == b.shape
-        np.testing.assert_allclose(
-            np.nan_to_num(a, nan=-1.0), np.nan_to_num(b, nan=-1.0), atol=1e-10
-        )
+def assert_every_sweep_fused(run, config, ranks):
+    # Every sweep, warm-up included, ran fused: a sweep on the gather
+    # route would count its updates without a fused call.
+    calls = counter(run, "kernel_fused_calls")
+    assert calls >= n_blocks(config) // ranks * (config["loops"] + 1)
+    assert counter(run, "updates") == calls * config["block_size"] ** 2
 
 
 class MidRunResetJacobi(JacobiSGrid):
@@ -113,27 +98,43 @@ class MidRunResetJacobi(JacobiSGrid):
             self.run(self.kernel)  # transparently recompiles + refuses
 
 
-class TestMidRunReset:
-    @pytest.mark.parametrize("temporal", TEMPORAL)
+class TestFusedEqualsScalar:
+    @pytest.mark.parametrize("block_size,page_elements", GEOMETRIES)
     @pytest.mark.parametrize("backend,ranks", BACKENDS)
-    def test_reset_recompiles_and_stays_identical(self, backend, ranks, temporal):
-        config = dict(SGRID_CONFIG, loops=4, kernel="vectorized")
-        vec = run_app(JacobiSGrid, dict(config, fuse=False),
-                      backend=backend, ranks=ranks)
-        fused = run_app(MidRunResetJacobi, config,
-                        backend=backend, ranks=ranks, temporal=temporal)
-        assert_bit_identical(vec, fused)
-        counters = fused.counters.values()
-        assert sum(c.kernel_fused_calls for c in counters) > 0
+    @pytest.mark.parametrize("boundary", BOUNDARIES)
+    def test_fused_bit_identical_to_scalar_serial(
+        self, scalar_reference, boundary, backend, ranks, block_size, page_elements
+    ):
+        config = sgrid_config(boundary, block_size, page_elements)
+        fused = run_app(JacobiSGrid, config, backend=backend, ranks=ranks)
+        assert_equals_reference(fused, scalar_reference(config))
+        assert_every_sweep_fused(fused, config, ranks)
+
+    @pytest.mark.parametrize("block_size,page_elements", GEOMETRIES)
+    @pytest.mark.parametrize("backend,ranks", BACKENDS)
+    @pytest.mark.parametrize("boundary", BOUNDARIES)
+    def test_mid_run_reset_recompiles_and_stays_identical(
+        self, scalar_reference, boundary, backend, ranks, block_size, page_elements
+    ):
+        config = sgrid_config(boundary, block_size, page_elements)
+        fused = run_app(MidRunResetJacobi, config, backend=backend, ranks=ranks)
+        assert_equals_reference(fused, scalar_reference(config))
         # The mid-run reset forces a second fusion pass per kernel.
-        n_blocks = (SGRID_CONFIG["region"] // SGRID_CONFIG["block_size"]) ** 2
-        assert sum(c.kernel_fuse for c in counters) >= 2 * n_blocks / max(ranks, 1)
+        assert counter(fused, "kernel_fuse") >= 2 * n_blocks(config) // ranks
 
 
-class TestCodegenFallback:
-    def test_unknown_codegen_falls_back(self):
-        config = dict(SGRID_CONFIG, kernel="vectorized", codegen="no-such-codegen")
-        vec = run_app(JacobiSGrid, dict(SGRID_CONFIG, fuse=False, kernel="vectorized"))
-        fused = run_app(JacobiSGrid, config)
-        assert_bit_identical(vec, fused)
-        assert fused_calls(fused) > 0
+class TestFusedEqualsGatherRoute:
+    @pytest.mark.parametrize("backend,ranks", BACKENDS)
+    @pytest.mark.parametrize("boundary", BOUNDARIES)
+    def test_fused_route_bit_identical_to_gather_route(self, boundary, backend, ranks):
+        """MMAT off sends every sweep through ``scatter(fn(*gather(...)))``;
+        the same run with MMAT on must store the same bits, fused."""
+        config = sgrid_config(boundary)
+        gathered = run_app(JacobiSGrid, config, backend=backend, ranks=ranks, mmat=False)
+        fused = run_app(JacobiSGrid, config, backend=backend, ranks=ranks)
+        a = np.asarray(gathered.result, dtype=np.float64)
+        b = np.asarray(fused.result, dtype=np.float64)
+        assert a.shape == b.shape
+        assert np.array_equal(a, b, equal_nan=True)
+        assert counter(gathered, "kernel_fused_calls") == 0
+        assert_every_sweep_fused(fused, config, ranks)

@@ -3,7 +3,7 @@
 Covers the satellite fixes that ride with the plan-fusion tentpole:
 
 * broadcastable / constant ``fn`` returns no longer crash the
-  overlapped ``sweep_segment`` apply (or ``scatter``) on any rank count;
+  overlapped fused sweep (or ``scatter``) on any rank count;
 * ``element_partition`` refuses address plans with a clear error
   instead of silently producing a meaningless partition;
 * key-less ``gather_global`` compiles are counted separately
@@ -11,7 +11,9 @@ Covers the satellite fixes that ride with the plan-fusion tentpole:
 * ``AccessPlan.execute`` reuses a scratch array (pooled on the MMAT)
   instead of allocating a fresh output every call;
 * fused kernels are cached on the MMAT, invalidated by ``reset()``,
-  and surfaced through stats, counters and the run summary.
+  and surfaced through stats, counters and the run summary;
+* ``sweep`` has two routes — the fused kernel (MMAT on, one component)
+  and ``scatter(fn(*gather(offsets)))`` (everything else).
 """
 
 from __future__ import annotations
@@ -23,13 +25,9 @@ from repro.annotation import Platform
 from repro.apps import JacobiSGrid, JacobiUSGrid
 from repro.apps.jacobi_sgrid import STENCIL
 from repro.aspects import mpi_aspects
-from repro.kernels import (
-    CodegenError,
-    get_codegen,
-    register_codegen,
-    resolve_codegen,
-)
+from repro.dsl.base import BlockKernel
 from repro.memory import (
+    ArithmeticBlock,
     DataBlock,
     Env,
     MemoryPool,
@@ -74,14 +72,14 @@ class ConstantSweepJacobi(JacobiSGrid):
 
 class TestBroadcastableSweepReturns:
     @pytest.mark.parametrize("ranks", [1, 4])
-    @pytest.mark.parametrize("fuse", [True, False])
-    def test_constant_fn_sweeps_on_all_ranks(self, ranks, fuse):
+    @pytest.mark.parametrize("mmat", [True, False])
+    def test_constant_fn_sweeps_on_all_ranks(self, ranks, mmat):
         """Regression: the overlapped apply() reshaped scalar returns and
-        crashed; it must broadcast, on the fused and the legacy path."""
+        crashed; it must broadcast, on the fused and the gather route."""
         aspects = mpi_aspects(ranks, backend="threads")
-        run = Platform(aspects=aspects, mmat=True).run(
+        run = Platform(aspects=aspects, mmat=mmat).run(
             ConstantSweepJacobi,
-            config=dict(CONFIG, kernel="vectorized", fuse=fuse),
+            config=dict(CONFIG, kernel="vectorized"),
         )
         field = np.asarray(run.result)
         assert np.array_equal(field[~np.isnan(field)],
@@ -170,7 +168,7 @@ class TestExecuteScratchReuse:
 
 
 # ----------------------------------------------------------------------
-# fused-kernel cache, counters, knobs, registry
+# fused-kernel cache and counters; the two sweep routes
 # ----------------------------------------------------------------------
 class TestFusedCacheAndCounters:
     def test_fused_kernels_cached_and_reset_invalidates(self):
@@ -181,19 +179,11 @@ class TestFusedCacheAndCounters:
         assert run.mmat_stats["fused_kernels"] == 16  # one per block
         counters = list(run.counters.values())
         assert sum(c.kernel_fuse for c in counters) == 16
-        # 16 blocks x 3 loops fused calls (warm-up never fuses).
-        assert sum(c.kernel_fused_calls for c in counters) == 48
-        assert "fused=48calls/16kern" in run.summary()
+        # 16 blocks x (1 warm-up pass + 3 loops): warm-up fuses too.
+        assert sum(c.kernel_fused_calls for c in counters) == 64
+        assert "fused=64calls/16kern" in run.summary()
         mmat.reset()
         assert mmat.stats()["fused_kernels"] == 0
-
-    def test_fuse_opt_out(self):
-        run = Platform(mmat=True).run(
-            JacobiSGrid, config=dict(CONFIG, kernel="vectorized", fuse=False)
-        )
-        assert sum(c.kernel_fused_calls for c in run.counters.values()) == 0
-        assert run.mmat_stats["fused_kernels"] == 0
-        assert "fused=" not in run.summary()
 
     def test_no_fusion_without_mmat(self):
         run = Platform(mmat=False).run(
@@ -202,51 +192,79 @@ class TestFusedCacheAndCounters:
         assert sum(c.kernel_fused_calls for c in run.counters.values()) == 0
 
 
-class TestTemporalBlockKnob:
-    def test_platform_knob_validates(self):
-        with pytest.raises(ValueError):
-            Platform(temporal_block=0)
-        assert Platform(temporal_block=3).temporal_block == 3
+def _component_env(components=2, mmat=True):
+    """Two 1-D Data Blocks of ``components`` components and a boundary around them."""
+    pool = PoolGroup([MemoryPool(1 << 20, name="pair-pool")])
+    env = Env(allocator=pool, name="pair-env", mmat_enabled=mmat)
+    rng = np.random.default_rng(11)
+    blocks = []
+    for k in range(2):
+        block = DataBlock((8 * k,), (8,), components=components, page_elements=4,
+                          allocator=pool)
+        env.add_data_block(block)
+        data = rng.uniform(-5, 5, size=(8, components))
+        for buf in block.buffer.buffers:
+            buf.load_dense(data)
+            buf.clear_dirty()
+        blocks.append(block)
+    env.add_boundary_block(ArithmeticBlock(
+        (-16,), (48,),
+        lambda addr: np.array([0.5 * addr[0], -addr[0], 2.0 + addr[0]][:components]),
+        components=components, name="outside",
+    ))
+    return env, blocks
 
-    def test_builder_and_preset_plumb_through(self):
-        assert Platform.preset("serial", temporal_block=2).temporal_block == 2
-        builder = Platform.builder().temporal_block(4)
-        assert builder.build().temporal_block == 4
-        with pytest.raises(ValueError):
-            Platform.builder().temporal_block(0)
 
-    def test_config_overrides_platform(self):
-        run = Platform(mmat=True, temporal_block=4).run(
-            JacobiSGrid,
-            config=dict(CONFIG, kernel="vectorized", temporal_block=1),
-        )
-        vec = Platform(mmat=True).run(
-            JacobiSGrid, config=dict(CONFIG, kernel="vectorized", fuse=False)
-        )
-        assert np.array_equal(np.asarray(run.result), np.asarray(vec.result))
+class TestSweepRoutes:
+    def test_two_component_sweep_with_mmat_is_gather_fn_scatter(self):
+        """The route no stock app takes: MMAT on, more than one component."""
+        offsets = [(0,), (-1,), (1,)]
 
+        def fn(e, e_w, e_e):
+            return 0.5 * e - 0.25 * (e_w + e_e)
 
-class TestCodegenRegistry:
-    def test_unknown_codegen_raises(self):
-        with pytest.raises(CodegenError, match="unknown kernel codegen"):
-            get_codegen("no-such-codegen")
+        stored = []
+        for use_sweep in (True, False):
+            env, blocks = _component_env()
+            for block in blocks:
+                k = BlockKernel(env, block)
+                if use_sweep:
+                    k.sweep(fn, offsets)
+                else:
+                    k.scatter(fn(*k.gather(offsets)))
+            image, lo, _, _ = env.image_slot(blocks[0])
+            stored.append(image.next[lo : lo + 16].copy())
+            assert env.mmat.stats()["fused_kernels"] == 0
+            assert env.mmat.stats()["plan_executions"] == 2
+        assert np.array_equal(*stored)
+        assert not np.array_equal(stored[0], image.read[lo : lo + 16])
 
-    def test_resolve_falls_back_to_default(self):
-        assert resolve_codegen("no-such-codegen").name == "numpy_src"
-        assert resolve_codegen().name == "numpy_src"
+    @pytest.mark.parametrize(
+        "components,mmat",
+        [(1, True), (1, False), (2, False), (3, True)],
+        ids=["1c-mmat", "1c-nommat", "2c-nommat", "3c-mmat"],
+    )
+    def test_sweep_equals_gather_fn_scatter_on_every_route(self, components, mmat):
+        """Only a one-component Block with MMAT on takes the fused route;
+        whichever route a sweep takes, it stores what the gather route does."""
+        offsets = [(0,), (-1,), (1,)]
+        fused = mmat and components == 1
 
-    def test_register_rejects_duplicates(self):
-        class Fake:
-            name = "numpy_src"
+        def fn(e, e_w, e_e):
+            return 0.5 * e - 0.25 * (e_w + e_e)
 
-            def compile(self, signature):  # pragma: no cover
-                raise NotImplementedError
-
-        with pytest.raises(CodegenError, match="already registered"):
-            register_codegen(Fake())
-        # Shadowing is allowed explicitly; restore the built-in after.
-        original = get_codegen("numpy_src")
-        try:
-            assert register_codegen(Fake(), replace=True).name == "numpy_src"
-        finally:
-            register_codegen(original, replace=True)
+        stored = []
+        for use_sweep in (True, False):
+            env, blocks = _component_env(components, mmat)
+            for block in blocks:
+                k = BlockKernel(env, block)
+                if use_sweep:
+                    k.sweep(fn, offsets)
+                else:
+                    k.scatter(fn(*k.gather(offsets)))
+            image, lo, _, _ = env.image_slot(blocks[0])
+            stored.append(image.next[lo : lo + 16].copy())
+            expected = len(blocks) if use_sweep and fused else 0
+            assert env.mmat.stats()["fused_kernels"] == expected
+        assert np.array_equal(*stored)
+        assert not np.array_equal(stored[0], image.read[lo : lo + 16])

@@ -1,13 +1,15 @@
 """Unit tests for the textual pointcut language (tokenizer + parser).
 
 Covers grammar round-trips, operator precedence (`!` > `&&` > `||`),
-glob matching in named(), and syntax-error positions reported by
-PointcutSyntaxError.
+glob matching in named(), syntax-error positions reported by
+PointcutSyntaxError, the nesting cap, and a fuzz over the grammar's
+tokens: any such text parses or raises PointcutSyntaxError, nothing else.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.aop import (
     Aspect,
@@ -21,6 +23,7 @@ from repro.aop import (
     tagged,
 )
 from repro.aop.joinpoint import JoinPointShadow
+from repro.aop.pcparser import MAX_NESTING, PRIMITIVES
 
 
 def make_shadow(
@@ -245,6 +248,45 @@ class TestSyntaxErrors:
     def test_non_string_input(self):
         with pytest.raises(PointcutSyntaxError):
             parse_pointcut(42)
+
+    def test_nesting_past_the_cap_is_a_syntax_error_at_the_token_past_it(self):
+        # Regression: these raised RecursionError.
+        deep = "(" * 250 + "execution()" + ")" * 250
+        self.assert_error_at(deep, MAX_NESTING, "nested deeper")
+        self.assert_error_at("!" * 1000 + "execution()", MAX_NESTING, "nested deeper")
+        self.assert_error_at("!(" * 60 + "any()" + ")" * 60, MAX_NESTING, "nested deeper")
+
+    def test_nesting_up_to_the_cap_parses(self):
+        inner = "execution(Env.refresh)"
+        pc = parse_pointcut("(" * MAX_NESTING + inner + ")" * MAX_NESTING)
+        assert pc.matches(make_shadow())
+        even = parse_pointcut("!" * MAX_NESTING + inner)
+        assert even.matches(make_shadow())
+        half = MAX_NESTING // 2
+        assert parse_pointcut("!(" * half + inner + ")" * half).matches(make_shadow())
+
+
+#: Fragments of the grammar: every token, every primitive name, patterns,
+#: broken forms, and runs long enough to cross the nesting cap.
+FRAGMENTS = [
+    "(", ")", ",", "!", "&&", "||", "&", "|", "'", '"', " ", "\t",
+    "'kernel'", '"Env.refresh"', "Env.refresh", "Env.", "*", "?", "[", "x.y.z",
+    *PRIMITIVES, "frobnicate",
+    "(" * (MAX_NESTING + 1), ")" * (MAX_NESTING + 1), "!" * (MAX_NESTING + 1),
+]
+
+
+class TestFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(FRAGMENTS), max_size=30))
+    def test_token_text_parses_or_raises_syntax_error(self, parts):
+        text = "".join(parts)
+        try:
+            pc = parse_pointcut(text)
+        except PointcutSyntaxError as error:
+            assert error.text == text and 0 <= error.position <= len(text)
+        else:
+            assert pc.description
 
 
 class TestCoercion:

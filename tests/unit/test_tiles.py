@@ -209,7 +209,6 @@ class TestBlockGeometryIsRefused:
             lambda: tile.set((0,), 1.0),
             lambda: tile.set_global((3,), 1.0),
             lambda: tile.sweep(lambda a: a, [(0,)]),
-            lambda: tile.sweep_segment(lambda a: a, [(0,)]),
             lambda: tile.block,
         ):
             with pytest.raises(BlockError, match="tile of 2 Blocks"):
