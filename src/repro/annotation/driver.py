@@ -41,7 +41,6 @@ from ..obs import (
     widest_spans,
 )
 from ..runtime.machine import OAKBRIDGE_CX_LIKE, MachineSpec
-from ..runtime.shm import validate_page_transport
 from ..runtime.tracing import TaskCounters, global_trace
 from .target import TargetApplication
 
@@ -397,7 +396,6 @@ class PlatformBuilder:
         self._machine: Optional[MachineSpec] = None
         self._transcompile: Optional[bool] = None
         self._backend: Optional[str] = None
-        self._page_transport: Optional[str] = None
         self._tracing: Optional[bool] = None
         self._resilience: Any = None
         self._comm_timeout: Optional[float] = None
@@ -475,21 +473,6 @@ class PlatformBuilder:
         self._backend = str(name)
         return self
 
-    def page_transport(self, name: str) -> "PlatformBuilder":
-        """Bulk page-fetch data plane of the process backend.
-
-        ``"shm"`` moves page bytes through named shared-memory segments
-        (only slot descriptors travel over the pipes), ``"pipe"`` packs
-        the bytes into the reply message (the escape hatch, and the
-        automatic fallback wherever shm cannot apply), and ``"auto"``
-        (the default) picks shm whenever the platform supports it.
-        Backends other than ``"process"`` ignore the knob.  Validated
-        immediately; the resulting Platform forwards it to
-        ``create_world(page_transport=)``.
-        """
-        self._page_transport = validate_page_transport(name)
-        return self
-
     def tracing(self, enabled: bool = True) -> "PlatformBuilder":
         """Record a span timeline + metrics for every run of the platform.
 
@@ -540,8 +523,6 @@ class PlatformBuilder:
             kwargs["transcompile"] = self._transcompile
         if self._backend is not None:
             kwargs["backend"] = self._backend
-        if self._page_transport is not None:
-            kwargs["page_transport"] = self._page_transport
         if self._tracing is not None:
             kwargs["tracing"] = self._tracing
         if self._resilience is not None:
@@ -622,13 +603,6 @@ class Platform:
         (``"serial"`` | ``"threads"`` | ``"process"`` | a registered
         custom backend).  ``None`` lets each layer aspect decide (the
         default is the ``threads`` simulation).
-    page_transport:
-        Bulk page-fetch data plane of the process backend (``"auto"`` |
-        ``"shm"`` | ``"pipe"``).  ``"shm"`` serves pages through named
-        shared-memory segments so only descriptors travel over the
-        pipes; ``"pipe"`` packs page bytes into the reply message;
-        ``"auto"`` (and ``None``) picks shm whenever the platform
-        supports it.  Ignored by the other backends.
     tracing:
         Record a span timeline and metrics for every run
         (:mod:`repro.obs`); adds a :class:`~repro.obs.MonitoringAspect`
@@ -645,7 +619,6 @@ class Platform:
         machine: MachineSpec = OAKBRIDGE_CX_LIKE,
         transcompile: Optional[bool] = None,
         backend: Optional[str] = None,
-        page_transport: Optional[str] = None,
         tracing: Optional[bool] = None,
         resilience: Any = None,
         comm_timeout: Optional[float] = None,
@@ -663,13 +636,6 @@ class Platform:
             except BackendError as exc:
                 raise ValueError(str(exc)) from None
         self.backend = backend
-        #: Bulk page-fetch data plane of the process backend (``"auto"``
-        #: | ``"shm"`` | ``"pipe"``); ``None`` keeps ``"auto"`` (shared
-        #: memory whenever the platform supports it).  Other backends
-        #: accept and ignore the knob.
-        self.page_transport = (
-            None if page_transport is None else validate_page_transport(page_transport)
-        )
         self.transcompile = transcompile
         #: Communication timeout (seconds) forwarded to the distributed
         #: layer's ``create_world(timeout=)``; None keeps the 60s default.
@@ -730,7 +696,6 @@ class Platform:
         pool_bytes: Optional[int] = None,
         machine: Optional[MachineSpec] = None,
         backend: Optional[str] = None,
-        page_transport: Optional[str] = None,
         mpi: Optional[int] = None,
         omp: Optional[int] = None,
         tracing: Optional[bool] = None,
@@ -767,8 +732,6 @@ class Platform:
             builder.machine(machine)
         if backend is not None:
             builder.backend(backend)
-        if page_transport is not None:
-            builder.page_transport(page_transport)
         if tracing is not None:
             builder.tracing(tracing)
         configure(builder, int(ranks), int(threads))

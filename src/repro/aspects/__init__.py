@@ -7,15 +7,15 @@ application classes by the :mod:`repro.aop` weaver:
   I/II/III).  Runs on any registered execution backend
   (``serial``/``threads``/``process`` — see
   :mod:`repro.runtime.backends`), compiles :class:`CommPlan` aggregated
-  halo exchanges from the MMAT's access plans, overlaps them behind
-  interior computation (:class:`PendingHalo`), and on the process
-  backend selects the page data plane via ``page_transport``
-  (zero-copy shared memory or the packed-pipe path).
+  halo exchanges from the MMAT's access plans and overlaps them behind
+  interior computation (:class:`PendingHalo`); each world picks its own
+  page data plane (zero-copy shared memory where its ranks can map it,
+  the packed-pipe path otherwise).
 * :class:`SharedMemoryAspect` — the "OpenMP" layer (AspectType I/II):
   thread teams, worksharing and ``single`` regions per rank.
 * :func:`hybrid_aspects` / :func:`mpi_aspects` / :func:`openmp_aspects`
   — the standard layer combinations used by the evaluation, all
-  accepting ``backend=`` / ``page_transport=`` overrides.
+  accepting a ``backend=`` override.
 * :class:`PhaseTraceAspect` — diagnostic example aspect.
 
 Cross-cutting platform services are aspect modules too:

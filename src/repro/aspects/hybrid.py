@@ -24,30 +24,16 @@ def mpi_aspects(
     processes: int,
     *,
     backend: Optional[str] = None,
-    page_transport: Optional[str] = None,
     comm_plans: bool = True,
-    overlap: bool = True,
 ) -> List[LayerAspect]:
     """Aspect stack for a distributed-memory-only run ("Platform MPI").
 
     ``backend`` picks the execution backend of the layer ("serial" |
     "threads" | "process"); None defers to the Platform's choice.
-    ``page_transport`` picks the process backend's bulk page data plane
-    ("auto" | "shm" | "pipe"); None defers to the Platform's choice.
     ``comm_plans=False`` disables the aggregated per-neighbor halo
-    exchange and keeps the per-page protocol (benchmark reference);
-    ``overlap=False`` keeps the aggregated exchange blocking instead of
-    hiding it behind the next sweep's interior computation.
+    exchange and keeps the per-page protocol (benchmark reference).
     """
-    return [
-        DistributedMemoryAspect(
-            processes=processes,
-            backend=backend,
-            page_transport=page_transport,
-            comm_plans=comm_plans,
-            overlap=overlap,
-        )
-    ]
+    return [DistributedMemoryAspect(processes=processes, backend=backend, comm_plans=comm_plans)]
 
 
 def openmp_aspects(threads: int) -> List[LayerAspect]:
@@ -60,28 +46,19 @@ def hybrid_aspects(
     threads: int,
     *,
     backend: Optional[str] = None,
-    page_transport: Optional[str] = None,
     comm_plans: bool = True,
-    overlap: bool = True,
 ) -> List[LayerAspect]:
     """Aspect stack for a hybrid run ("Platform MPI+OMP").
 
     Order matters only through each aspect's ``order`` attribute (the
     shared-memory module is woven *outside* the distributed-memory one);
     the list order is purely cosmetic.  ``backend`` selects the
-    execution backend of the distributed-memory layer, ``comm_plans``
-    toggles its aggregated halo exchange and ``overlap`` whether that
-    exchange hides behind the next sweep's interior computation.
+    execution backend of the distributed-memory layer and ``comm_plans``
+    toggles its aggregated halo exchange.
     """
     return [
         SharedMemoryAspect(threads=threads),
-        DistributedMemoryAspect(
-            processes=processes,
-            backend=backend,
-            page_transport=page_transport,
-            comm_plans=comm_plans,
-            overlap=overlap,
-        ),
+        DistributedMemoryAspect(processes=processes, backend=backend, comm_plans=comm_plans),
     ]
 
 

@@ -22,10 +22,9 @@ This module weaves the distributed-memory layer into an application:
   pages this rank is known to need so later steps do not fail at all.
   When MMAT warm-up has compiled access plans, the steady-state halo is
   statically known and the prefetch is compiled into a :class:`CommPlan`
-  executed as **one aggregated message pair per neighbor rank**
-  (:meth:`ExecutionWorld.fetch_pages_bulk`); without plans the original
-  per-page protocol runs unchanged.  In the default **overlapped** mode
-  (``overlap=True``) the planned exchange is issued *nonblocking*
+  executed as **one aggregated message pair per neighbor rank**; without
+  plans the original per-page protocol runs unchanged.  The planned
+  exchange is issued *nonblocking*
   (:meth:`ExecutionWorld.fetch_pages_bulk_async`) right after the step
   barrier and parked on the Env as a :class:`PendingHalo`; the next
   sweep computes its interior segment while the pages travel and
@@ -76,7 +75,7 @@ from ..obs.spans import global_tracer
 from ..runtime.backends import DEFAULT_BACKEND, get_backend
 from ..runtime.backends.base import CommHandle, ExecutionWorld, HaloLink
 from ..runtime.errors import NetworkError, PageFetchError
-from ..runtime.shm import protocol_checks, validate_page_transport
+from ..runtime.shm import protocol_checks
 from ..runtime.task import current_task
 from ..runtime.tracing import global_trace
 from .base import LayerAspect
@@ -101,9 +100,9 @@ class CommPlan:
     with the Dry-run record).  A CommPlan freezes that set into a
     transport manifest — ``(local PageKey, logical block key, page
     index)`` per page — so every subsequent refresh can hand the whole
-    halo to :meth:`ExecutionWorld.fetch_pages_bulk` in one call and the
-    world moves **one aggregated message pair per neighbor rank**
-    instead of one pair per page.  The plan is a pure cache keyed by its
+    halo to :meth:`ExecutionWorld.fetch_pages_bulk_async` in one call
+    and the world moves **one aggregated message pair per neighbor
+    rank** instead of one pair per page.  The plan is a pure cache keyed by its
     page set: when the requirement set changes (MMAT reset, new plans
     compiled, dry-run growth) the aspect transparently recompiles it.
     """
@@ -127,8 +126,8 @@ class PendingHalo:
     """One rank's overlapped halo exchange, issued but not yet installed.
 
     Created by the refresh advice right after the step barrier (the
-    ``breq`` manifests are already on the wire / the background fetches
-    running) and attached to the rank's Env via
+    ``breq`` manifests already on the wire, or the batch already served
+    where the world serves at issue) and attached to the rank's Env via
     :meth:`~repro.memory.env.Env.set_pending_halo`.  The first reader
     that needs halo data — the boundary phase of a fused
     :meth:`~repro.dsl.base.BlockKernel.sweep`, a boundary plan
@@ -258,20 +257,16 @@ class PendingPush:
     into the ``halo`` rows its tables name.
     """
 
-    __slots__ = ("plan", "handle", "trace", "issued_ns", "span_token", "world", "round", "overlapped")
+    __slots__ = ("plan", "handle", "trace", "issued_ns", "span_token", "world", "round")
 
-    def __init__(self, plan: PushPlan, world, rank: int, trace, *, overlapped: bool) -> None:
+    def __init__(self, plan: PushPlan, world, rank: int, trace) -> None:
         self.plan = plan
         self.world = world
         self.round = world.halo_round(rank)
         self.handle = world.await_halo(rank, [link for link, _ in plan.inbound])
         self.trace = trace
         self.issued_ns = time.perf_counter_ns()
-        self.overlapped = overlapped
-        self.span_token = (
-            global_tracer().async_begin("halo.flight", sites=plan.inbound_sites)
-            if overlapped else None
-        )
+        self.span_token = global_tracer().async_begin("halo.flight", sites=plan.inbound_sites)
 
     def complete(self, env, *, drained: bool = False) -> None:
         """Wait for the stamps, store the slots, account the traffic."""
@@ -295,8 +290,7 @@ class PendingPush:
         trace.messages += result.exchanges
         trace.halo_pushes += result.exchanges
         trace.halo_sites += plan.inbound_sites
-        if self.overlapped:
-            _account_wait(self, drained, timing)
+        _account_wait(self, drained, timing)
         metric_record("exchange.sites", plan.inbound_sites)
 
 
@@ -322,33 +316,17 @@ class DistributedMemoryAspect(LayerAspect):
         *,
         timeout: float | None = None,
         backend: str | None = None,
-        page_transport: str | None = None,
         comm_plans: bool = True,
-        overlap: bool = True,
     ) -> None:
         super().__init__(parallelism=processes)
         #: Communication timeout override; ``None`` defers to the
         #: Platform's ``comm_timeout`` and finally to 60 seconds.
         self.timeout = timeout
         self.backend_name = backend
-        #: Bulk page-fetch data plane override (``"auto"``/``"shm"``/
-        #: ``"pipe"``); ``None`` defers to the Platform's
-        #: ``page_transport`` and finally to ``"auto"``.  Only the
-        #: process backend distinguishes them.
-        self.page_transport = (
-            validate_page_transport(page_transport) if page_transport is not None else None
-        )
         #: Whether to compile CommPlans (aggregated per-neighbor halo
         #: exchange) from warmed-up access plans; False keeps the
         #: original one-message-pair-per-page protocol everywhere.
         self.comm_plans = bool(comm_plans)
-        #: Whether the planned halo refresh runs *overlapped*: issued
-        #: nonblocking right after the step barrier and completed only
-        #: when the next sweep first touches halo data, hiding the
-        #: communication latency behind the interior computation.
-        #: False keeps the blocking aggregated exchange; either way the
-        #: per-page protocol remains the fallback when no plans exist.
-        self.overlap = bool(overlap)
         self.world: ExecutionWorld | None = None
         #: Dry-run record: rank -> set of local PageKeys that had to be
         #: fetched at least once; prefetched after every successful refresh.
@@ -382,13 +360,6 @@ class DistributedMemoryAspect(LayerAspect):
         platform_timeout = getattr(self.platform, "comm_timeout", None)
         return float(platform_timeout) if platform_timeout is not None else 60.0
 
-    def resolve_page_transport(self) -> str:
-        """The page data plane: own setting, Platform's ``page_transport``, auto."""
-        if self.page_transport is not None:
-            return self.page_transport
-        platform_transport = getattr(self.platform, "page_transport", None)
-        return platform_transport or "auto"
-
     def bind_world(self, world: Optional[ExecutionWorld]) -> None:
         """Adopt ``world`` for the coming run, forgetting every per-world plan."""
         self.world = world
@@ -421,14 +392,9 @@ class DistributedMemoryAspect(LayerAspect):
                 entry,
                 omp_threads=omp_threads,
                 timeout=self.resolve_timeout(),
-                page_transport=self.resolve_page_transport(),
             )
 
-        world = backend.create_world(
-            self.parallelism,
-            timeout=self.resolve_timeout(),
-            page_transport=self.resolve_page_transport(),
-        )
+        world = backend.create_world(self.parallelism, timeout=self.resolve_timeout())
         self.bind_world(world)
         if platform is not None:
             platform.context["mpi_world"] = world
@@ -553,11 +519,7 @@ class DistributedMemoryAspect(LayerAspect):
                 env.check_pushed_rows()
             with tracer.span("halo.publish", links=len(push.outbound)):
                 self._publish(env, push)
-            pending = PendingPush(push, world, rank, trace, overlapped=self.overlap)
-            if self.overlap:
-                env.set_pending_halo(pending)
-            else:
-                pending.complete(env)
+            env.set_pending_halo(PendingPush(push, world, rank, trace))
             return result
 
         if reason is not None and not warmup and world.size > 1 and (
@@ -572,7 +534,8 @@ class DistributedMemoryAspect(LayerAspect):
         # that were observed missing) united with the halo pages of every
         # compiled access plan.  Once access plans exist the full halo is
         # statically known, so it moves through a compiled CommPlan — one
-        # aggregated message pair per neighbor rank; without plans (MMAT
+        # aggregated message pair per neighbor rank, issued now and
+        # awaited behind the next interior sweep; without plans (MMAT
         # off, plan invalidated, scalar kernels) the original per-page
         # protocol is used transparently.
         env.invalidate_buffer_only()
@@ -581,11 +544,7 @@ class DistributedMemoryAspect(LayerAspect):
         plan_pages = env.plan_page_requirements()
         prefetch |= plan_pages
         if self.comm_plans and plan_pages:
-            if self.overlap:
-                self._exchange_planned_async(env, rank, prefetch, trace)
-            else:
-                with tracer.span("halo.exchange", pages=len(prefetch)):
-                    self._exchange_planned(env, rank, prefetch, trace)
+            self._exchange_planned_async(env, rank, prefetch, trace)
         else:
             with tracer.span("halo.perpage", pages=len(prefetch)):
                 self._fetch_pages(env, rank, prefetch, trace)
@@ -631,9 +590,8 @@ class DistributedMemoryAspect(LayerAspect):
         """Complete a halo exchange still in flight when the program ends.
 
         The last step's refresh issues an exchange no sweep will ever
-        consume; draining it here keeps the traffic accounting identical
-        to the blocking path and leaves no reply in flight when the
-        world tears down.
+        consume; draining it here accounts its traffic and leaves no
+        reply in flight when the world tears down.
         """
         env = getattr(jp.target, "env", None)
         if env is not None:
@@ -776,42 +734,15 @@ class DistributedMemoryAspect(LayerAspect):
         trace.comm_plan_compiles += 1
         return plan
 
-    def _exchange_planned(self, env, rank: int, keys: Set[PageKey], trace) -> None:
-        """Refresh the halo through the compiled CommPlan (batched transport)."""
-        if not keys:
-            return
-        world = self.world
-        assert world is not None
-        plan = self._comm_plan_for(env, rank, keys, trace)
-        try:
-            result = world.fetch_pages_bulk(
-                rank, [(lk, page) for _, lk, page in plan.requests]
-            )
-        except PageFetchError:
-            raise
-        except NetworkError as exc:
-            raise PageFetchError(
-                f"rank {rank} failed the aggregated halo exchange of "
-                f"{len(plan.requests)} pages: {exc}"
-            ) from exc
-        env.page_install_many(
-            (plan.key_for(lk, page), data) for lk, page, data in result.pages
-        )
-        trace.pages_fetched += len(result.pages)
-        trace.bytes_fetched += result.nbytes
-        trace.messages += 2 * result.exchanges
-        trace.comm_plan_exchanges += result.exchanges
-        trace.comm_plan_pages += len(result.pages)
-
     def _exchange_planned_async(self, env, rank: int, keys: Set[PageKey], trace) -> None:
-        """Issue the planned halo refresh nonblocking (overlapped mode).
+        """Issue the planned halo refresh nonblocking.
 
         The aggregated per-neighbor requests leave immediately
         (:meth:`ExecutionWorld.fetch_pages_bulk_async`); the resulting
         :class:`PendingHalo` is parked on the Env and completed by the
         first halo reader of the next sweep — everything computed until
         then overlaps the exchange.  Owner-resolution failures surface
-        here, at issue time, exactly as on the blocking path.
+        here, at issue time.
         """
         if not keys:
             return

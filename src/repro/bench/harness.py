@@ -240,27 +240,23 @@ def configuration_aspects(
     omp: int = 1,
     backend: Optional[str] = None,
     comm_plans: bool = True,
-    overlap: bool = True,
 ):
     """Aspect stack for a configuration label ('serial'|'nop'|'mpi'|'omp'|'hybrid').
 
     ``comm_plans=False`` keeps the distributed layer on the paper
     prototype's one-message-pair-per-page protocol (the scaling figures
-    model that prototype); ``overlap=False`` makes a rank wait for its
-    halo inside the refresh instead of behind the next interior sweep.
+    model that prototype).
     """
     if label == "serial":
         return None
     if label == "nop":
         return []
     if label == "mpi":
-        return mpi_aspects(mpi, backend=backend, comm_plans=comm_plans, overlap=overlap)
+        return mpi_aspects(mpi, backend=backend, comm_plans=comm_plans)
     if label == "omp":
         return openmp_aspects(omp)
     if label == "hybrid":
-        return hybrid_aspects(
-            mpi, omp, backend=backend, comm_plans=comm_plans, overlap=overlap
-        )
+        return hybrid_aspects(mpi, omp, backend=backend, comm_plans=comm_plans)
     raise ValueError(f"unknown configuration {label!r}")
 
 

@@ -412,6 +412,15 @@ class Env:
         self.last_failed_pages = set()
         if warmup:
             return True
+        if self._pending_halo is not None:
+            # A parked exchange would land its rows on the swapped images.
+            from ..runtime.shm import protocol_checks  # memory sits below runtime
+
+            if protocol_checks():
+                raise EnvError(
+                    f"Env {self.name!r} swaps with a halo exchange still parked "
+                    "(every PendingHalo must complete before a swap)"
+                )
         # The one place buffers swap: every owned Block's and, with them,
         # the slabs they are rows of.
         for image in self._images.values():

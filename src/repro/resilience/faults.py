@@ -107,8 +107,8 @@ class FaultPlan:
         """Flip payload bits in ``count`` replies of ``rank``; chainable.
 
         Installing any corrupt fault makes the world attach adler32
-        checksums to page replies (and pins ``page_transport="auto"``
-        to the packed-pipe path) so the corruption is *detected*.
+        checksums to page replies (a process world then picks the
+        packed-pipe plane) so the corruption is *detected*.
         """
         self.faults.append(Fault(CORRUPT_REPLY, rank, peer=peer, count=count))
         return self

@@ -194,7 +194,6 @@ class RecoveryManager:
         *,
         omp_threads: int = 1,
         timeout: float = 60.0,
-        page_transport: str = "auto",
     ) -> Any:
         """Run ``entry`` SPMD with failure diagnosis, rebalance and resume."""
         policy = self.policy
@@ -209,9 +208,7 @@ class RecoveryManager:
         try:
             while True:
                 self.attempt += 1
-                world = backend.create_world(
-                    self.size, timeout=timeout, page_transport=page_transport
-                )
+                world = backend.create_world(self.size, timeout=timeout)
                 self.world = world
                 self._begin_attempt()
                 if policy.fault_plan is not None:

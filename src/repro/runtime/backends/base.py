@@ -52,6 +52,7 @@ __all__ = [
     "and_bits",
     "group_requests_by_owner",
     "raise_spmd_failures",
+    "serve_bulk_locally",
 ]
 
 
@@ -107,7 +108,7 @@ def raise_spmd_failures(results: List[RankResult], *, note: Optional[str] = None
 
 @dataclass
 class BulkFetchResult:
-    """Outcome of one batched page exchange (:meth:`ExecutionWorld.fetch_pages_bulk`).
+    """Outcome of one batched page exchange (:meth:`ExecutionWorld.fetch_pages_bulk_async`).
 
     ``pages`` holds ``(logical_key, page_index, data)`` triples in
     request order per owner; ``exchanges`` is the number of aggregated
@@ -143,6 +144,37 @@ def group_requests_by_owner(
         owner, block_id = resolved
         grouped.setdefault(owner, []).append((logical_key, page_index, block_id))
     return grouped
+
+
+def serve_bulk_locally(world: "ExecutionWorld", requester: int, requests) -> "CommHandle":
+    """A batched fetch whose owners are all in this address space.
+
+    For the single-rank worlds (``serial``, a ``process`` world of one):
+    one accounted exchange per owner, read straight out of the owner's
+    Env, returned as an already-completed handle.
+    """
+    from ...memory.page import PageKey  # local import to avoid a cycle
+
+    stats = world.stats
+    result = BulkFetchResult()
+    for owner, items in sorted(group_requests_by_owner(world.directory, requests).items()):
+        env = world.env_of(owner)
+        payload_bytes = 0
+        for logical_key, page_index, block_id in items:
+            data = env.page_snapshot(PageKey(block_id, page_index))
+            result.pages.append((logical_key, page_index, data))
+            payload_bytes += int(data.nbytes)
+        manifest_bytes = 32 + 16 * len(items)
+        stats.page_fetches += len(items)
+        stats.bulk_fetches += 1
+        stats.bulk_pages += len(items)
+        stats.messages += 2
+        stats.bytes_moved += payload_bytes + manifest_bytes
+        stats.record_neighbor(requester, owner, 1, manifest_bytes)
+        stats.record_neighbor(owner, requester, 1, payload_bytes)
+        result.exchanges += 1
+        result.nbytes += payload_bytes
+    return CompletedCommHandle(result)
 
 
 def and_bits(values: Sequence[int]) -> int:
@@ -387,18 +419,23 @@ class ExecutionWorld(abc.ABC):
     def fetch_page_by_logical(self, requester: int, logical_key: Any, page_index: int):
         """Fetch a page of the Block identified by ``logical_key`` from its owner."""
 
-    def fetch_pages_bulk(
+    def fetch_pages_bulk_async(
         self, requester: int, requests: Sequence[Tuple[Any, int]]
-    ) -> BulkFetchResult:
-        """Fetch many pages at once, aggregated per owning rank.
+    ) -> CommHandle:
+        """Start fetching many pages at once; returns a :class:`CommHandle`.
 
         ``requests`` is a sequence of ``(logical_key, page_index)``
         pairs.  Batching backends move **one request/reply message pair
         per distinct owning rank** (a page-key manifest out, a packed
-        payload back) instead of one pair per page; this default
-        implementation is the behavioural fallback for custom backends
-        and simply loops over :meth:`fetch_page_by_logical`, costing one
-        exchange per page.
+        payload back) instead of one pair per page.  The refresh
+        protocol issues this right after the step barrier and waits the
+        handle only once the interior sweep is done, so a reply that
+        travels while the rank computes is hidden behind it.  Owner
+        resolution failures surface at *issue* time.
+
+        This default — the behavioural fallback for custom backends —
+        loops over :meth:`fetch_page_by_logical` (one exchange per page)
+        and returns an already-completed handle.
         """
         result = BulkFetchResult()
         for logical_key, page_index in requests:
@@ -406,31 +443,15 @@ class ExecutionWorld(abc.ABC):
             result.pages.append((logical_key, page_index, data))
             result.exchanges += 1
             result.nbytes += int(data.nbytes)
-        return result
-
-    def fetch_pages_bulk_async(
-        self, requester: int, requests: Sequence[Tuple[Any, int]]
-    ) -> CommHandle:
-        """Start fetching many pages without blocking; returns a :class:`CommHandle`.
-
-        The overlapped-refresh protocol issues this right after the step
-        barrier and waits the handle only once the interior sweep is
-        done, hiding the halo round-trip behind computation.  Owner
-        resolution failures surface at *issue* time (same exceptions as
-        :meth:`fetch_pages_bulk`).  This default implementation — used
-        by the ``serial`` backend and any custom backend that does not
-        override it — performs the exchange synchronously and returns an
-        immediate-completion handle, which is behaviourally identical to
-        the blocking path.
-        """
-        return CompletedCommHandle(self.fetch_pages_bulk(requester, requests))
+        return CompletedCommHandle(result)
 
     # -- halo slots (publish protocol) -----------------------------------
     #: The world's :class:`~repro.runtime.shm.ControlWords` when its ranks
     #: can address common memory — the world then *offers slots* and the
     #: refresh protocol publishes the steady-state halo through them;
-    #: ``None`` (a world of one rank, pipe-only processes, a custom
-    #: backend) keeps the page protocol for every step.
+    #: ``None`` (a world of one rank, processes without shm or under
+    #: checksum faults, a custom backend) keeps the page protocol for
+    #: every step.
     control: Optional[ControlWords] = None
     #: Per rank, the round of its latest shared-word agreement.
     _rounds: List[int]
@@ -500,17 +521,11 @@ class ExecutionBackend(abc.ABC):
     name: str = "?"
 
     @abc.abstractmethod
-    def create_world(
-        self, size: int, *, timeout: float = 60.0, page_transport: str = "auto"
-    ) -> ExecutionWorld:
+    def create_world(self, size: int, *, timeout: float = 60.0) -> ExecutionWorld:
         """Create a world of ``size`` ranks.
 
-        ``page_transport`` selects the bulk page-fetch data plane
-        (``"auto"``/``"shm"``/``"pipe"``).  Only the process backend moves
-        pages between address spaces, so the other backends accept and
-        ignore the knob — a platform configured with
-        ``page_transport="shm"`` keeps working when the backend is swapped
-        for ``threads`` or ``serial``.
+        The world picks its own page data plane from what it can observe
+        (see :class:`~repro.runtime.backends.process.ProcessWorld`).
         """
 
     def available(self) -> bool:

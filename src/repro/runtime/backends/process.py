@@ -46,12 +46,13 @@ Messages are small tuples:
 The shared-memory data plane
 ----------------------------
 
-With ``page_transport="shm"`` (the ``auto`` default resolves to it on
-multi-rank worlds when :mod:`multiprocessing.shared_memory` is usable
-and no integrity checksums are requested) every rank lazily creates a
-:class:`~repro.runtime.shm.SharedPageArena` — named segments holding
-one seqlock-stamped slot per served page — and bulk replies carry
-descriptors instead of packed bytes.  Pages whose arrays cannot be
+A world picks this plane itself (:meth:`ProcessWorld.uses_shm`): when
+it has more than one rank, :mod:`multiprocessing.shared_memory` is
+usable and the fault plan wants no reply checksums.  Every rank then
+lazily creates a :class:`~repro.runtime.shm.SharedPageArena` — named
+segments holding one seqlock-stamped slot per served page — and bulk
+replies carry descriptors instead of packed bytes.  The pipe plane is
+what runs everywhere else.  Pages whose arrays cannot be
 flat-mapped (object dtype, zero-byte) transparently fall back to the
 packed path *per page*, counted in ``shm_fallbacks``.  Logical traffic
 accounting (``messages``/``bytes_moved``/``per_neighbor``) is identical
@@ -83,10 +84,9 @@ its requests are served.
 Serving from the receiver thread is safe for the same reason the
 one-sided fetches of the ``threads`` backend are: owners never mutate
 their *read* buffers between the synchronisation points of the refresh
-protocol, and every fetch — blocking or overlapped — completes before
-the collective that precedes the owner's next buffer swap (the refresh
-advice drains any in-flight exchange before entering the success
-allreduce).  After the program body finishes (or raises), every rank
+protocol, and every fetch completes before the collective that precedes
+the owner's next buffer swap (the refresh advice drains any in-flight
+exchange before entering the success allreduce).  After the program body finishes (or raises), every rank
 enters a final ``exit`` drain barrier so late prefetch requests of
 slower peers are still served before the process tears down.
 
@@ -129,7 +129,6 @@ from ..shm import (
     shm_eligible,
     spin_until,
     sweep_stale_segments,
-    validate_page_transport,
 )
 from ..simmpi import BlockDirectory
 from ..task import TaskContext, task_scope
@@ -138,7 +137,6 @@ from .base import (
     BackendError,
     BulkFetchResult,
     CommHandle,
-    CompletedCommHandle,
     ExecutionBackend,
     ExecutionWorld,
     HaloLink,
@@ -146,6 +144,7 @@ from .base import (
     and_bits,
     group_requests_by_owner,
     raise_spmd_failures,
+    serve_bulk_locally,
 )
 
 __all__ = ["ProcessBackend", "ProcessTransport", "ProcessWorld"]
@@ -631,19 +630,6 @@ class ProcessTransport:
         self.stats.bytes_moved += int(data.nbytes) + 32
         return data
 
-    def fetch_pages_batch(self, owner: int, items: List[Tuple[int, int]]) -> List[Any]:
-        """Fetch a batch of pages from one owner in a single message pair.
-
-        ``items`` holds ``(owner-local block id, page index)`` pairs; the
-        reply is one packed byte payload plus an unpacking manifest, so
-        the whole batch costs one request and one reply regardless of
-        page count.
-        """
-        if owner == self.rank:
-            return self._local_batch(items)
-        req_id = self.issue_batch(owner, items)
-        return self.await_batch(owner, req_id, items)
-
     def _local_batch(self, items: List[Tuple[int, int]]) -> List[Any]:
         """Serve a batch out of the rank's own Env (no messages, counted as bulk)."""
         from ...memory.page import PageKey  # local import to avoid a cycle
@@ -660,11 +646,12 @@ class ProcessTransport:
     def issue_batch(self, owner: int, items: List[Tuple[int, int]]) -> int:
         """Send the batched page request *now*; returns the request id.
 
-        The nonblocking half of the overlapped exchange: the ``breq``
-        leaves immediately (the owner serves it next time it pumps,
-        i.e. inside whatever collective or fetch wait it blocks on
-        while this rank computes) and :meth:`await_batch` drains the
-        reply later.
+        ``items`` holds ``(owner-local block id, page index)`` pairs; the
+        reply is one packed byte payload plus an unpacking manifest, so
+        the whole batch costs one request and one reply regardless of
+        page count.  The ``breq`` leaves immediately (the owner's
+        receiver thread serves it while this rank computes) and
+        :meth:`await_batch` drains the reply later.
         """
         self._next_req += 1
         req_id = self._next_req
@@ -784,19 +771,11 @@ class ProcessWorld(ExecutionWorld):
 
     backend_name = "process"
 
-    def __init__(
-        self, size: int, *, timeout: float = 60.0, page_transport: str = "auto"
-    ) -> None:
+    def __init__(self, size: int, *, timeout: float = 60.0) -> None:
         if size < 1:
             raise TaskError("MPI world size must be >= 1")
         self.size = size
         self.timeout = timeout
-        #: Requested page transport (``"auto"`` | ``"shm"`` | ``"pipe"``);
-        #: the effective choice is resolved at launch, see
-        #: :meth:`resolve_page_transport`.
-        self.page_transport = validate_page_transport(page_transport)
-        #: Effective transport of the most recent launch (None before).
-        self.page_transport_resolved: Optional[str] = None
         #: Namespace of this world's shared-memory segment names —
         #: created pre-fork so the parent can probe-unlink any segment a
         #: dead child leaked (deterministic names, contiguous sequence).
@@ -819,36 +798,19 @@ class ProcessWorld(ExecutionWorld):
         #: :meth:`run_spmd` so forked children inherit it).
         self._use_shm = False
 
-    # -- page-transport resolution ---------------------------------------
-    def resolve_page_transport(self) -> str:
-        """The effective page transport: ``"shm"`` or ``"pipe"``.
+    # -- data-plane choice -------------------------------------------------
+    def uses_shm(self) -> bool:
+        """Whether a launch of this world runs on the shared-memory plane.
 
-        ``"pipe"`` is always honoured.  ``"shm"`` requires working named
-        shared memory (:class:`~repro.runtime.backends.base.BackendError`
-        otherwise) but still yields to ``"pipe"`` when the installed
-        fault plan wants reply checksums — corrupt-reply detection needs
-        a packed payload to checksum, and a descriptor-only reply has
-        none.  ``"auto"`` picks ``"shm"`` on multi-rank worlds whenever
-        both conditions hold, ``"pipe"`` otherwise.
+        Yes when the world has more than one rank, named shared memory
+        works here and the installed fault plan wants no reply
+        checksums (corrupt-reply detection needs a packed payload to
+        checksum; a descriptor-only reply has none).  Otherwise the
+        world runs on the pipe plane: packed replies, no control words,
+        the page protocol at every step.
         """
-        mode = self.page_transport
-        if mode == "pipe":
-            return "pipe"
-        wants_checksums = bool(
-            self.fault_plan is not None and self.fault_plan.wants_checksums()
-        )
-        if mode == "shm":
-            if not shm_available():
-                raise BackendError(
-                    "page_transport='shm' needs multiprocessing.shared_memory, "
-                    "which is unavailable on this platform; use 'pipe' or 'auto'"
-                )
-            return "pipe" if wants_checksums else "shm"
-        return (
-            "shm"
-            if self.size > 1 and shm_available() and not wants_checksums
-            else "pipe"
-        )
+        wants_checksums = self.fault_plan is not None and self.fault_plan.wants_checksums()
+        return self.size > 1 and shm_available() and not wants_checksums
 
     # -- failure injection ----------------------------------------------
     def _execute_kill(self, fault: Any, rank: int) -> None:
@@ -864,13 +826,12 @@ class ProcessWorld(ExecutionWorld):
         self, body: Callable[[TaskContext], Any], *, omp_threads: int = 1
     ) -> List[RankResult]:
         results = [RankResult(rank=r) for r in range(self.size)]
-        self.page_transport_resolved = self.resolve_page_transport()
         if self.size == 1:
             self._run_rank_inline(results[0], body, omp_threads)
             raise_spmd_failures(results)
             return results
 
-        self._use_shm = use_shm = self.page_transport_resolved == "shm"
+        self._use_shm = use_shm = self.uses_shm()
         if use_shm:
             # Fork the resource tracker *now* so every child inherits it:
             # one shared tracker means segment register/unregister from
@@ -1139,56 +1100,20 @@ class ProcessWorld(ExecutionWorld):
         self.stats.bytes_moved += int(data.nbytes) + 32
         return data
 
-    def fetch_pages_bulk(
-        self, requester: int, requests: Sequence[Tuple[Any, int]]
-    ) -> BulkFetchResult:
-        """Batched fetch: one packed pipe exchange per owning rank."""
-        result = BulkFetchResult()
-        transport = self._transport
-        from ...memory.page import PageKey  # local import to avoid a cycle
-
-        for owner, items in sorted(group_requests_by_owner(self.directory, requests).items()):
-            if transport is not None:
-                datas = transport.fetch_pages_batch(
-                    owner, [(block_id, page) for _, page, block_id in items]
-                )
-            else:  # single-rank world: serve locally, keep the accounting shape
-                env = self.env_of(owner)
-                datas = [
-                    env.page_snapshot(PageKey(block_id, page))
-                    for _, page, block_id in items
-                ]
-                payload_bytes = sum(int(d.nbytes) for d in datas)
-                manifest_bytes = 32 + 16 * len(datas)
-                self.stats.page_fetches += len(datas)
-                self.stats.bulk_fetches += 1
-                self.stats.bulk_pages += len(datas)
-                self.stats.messages += 2
-                self.stats.bytes_moved += payload_bytes + manifest_bytes
-                self.stats.record_neighbor(requester, owner, 1, manifest_bytes)
-                self.stats.record_neighbor(owner, requester, 1, payload_bytes)
-            result.pages.extend(
-                (logical_key, page, data)
-                for (logical_key, page, _), data in zip(items, datas)
-            )
-            result.exchanges += 1
-            result.nbytes += sum(int(d.nbytes) for d in datas)
-        return result
-
     def fetch_pages_bulk_async(
         self, requester: int, requests: Sequence[Tuple[Any, int]]
     ) -> CommHandle:
         """Nonblocking batched fetch: every ``breq`` leaves immediately.
 
         One aggregated request per owning rank is sent right away (pages
-        owned by this rank are snapshotted inline, matching the blocking
-        path's timing); the returned handle drains the packed replies —
-        pumping and serving peer requests meanwhile — only when waited.
-        Owner resolution failures raise here, at issue time.
+        owned by this rank are snapshotted inline); the returned handle
+        drains the replies — the receiver thread serves peers meanwhile —
+        only when waited.  Owner resolution failures raise here, at
+        issue time.
         """
         transport = self._transport
         if transport is None:  # single-rank world: synchronous local serve
-            return CompletedCommHandle(self.fetch_pages_bulk(requester, requests))
+            return serve_bulk_locally(self, requester, requests)
         grouped = sorted(group_requests_by_owner(self.directory, requests).items())
         pending: List[Tuple[int, list, Optional[int], Optional[List[Any]]]] = []
         for owner, items in grouped:
@@ -1236,7 +1161,7 @@ class ProcessWorld(ExecutionWorld):
         # ranks that died mid-run left deterministically named segments
         # the parent can still unlink — keeping /dev/shm and the
         # resource tracker free of leaks no matter how the run ended.
-        if self.page_transport != "pipe" and shm_available():
+        if shm_available():
             for rank in range(self.size):
                 cleanup_rank_segments(self.shm_uid, rank)
         self._finalized = True
@@ -1288,9 +1213,7 @@ class ProcessBackend(ExecutionBackend):
     def available(self) -> bool:
         return "fork" in multiprocessing.get_all_start_methods()
 
-    def create_world(
-        self, size: int, *, timeout: float = 60.0, page_transport: str = "auto"
-    ) -> ProcessWorld:
+    def create_world(self, size: int, *, timeout: float = 60.0) -> ProcessWorld:
         if not self.available():
             raise BackendError(
                 "the 'process' backend needs the 'fork' multiprocessing start "
@@ -1299,4 +1222,4 @@ class ProcessBackend(ExecutionBackend):
             )
         # A parent killed mid-run never unlinked its segments: do it for it.
         sweep_stale_segments()
-        return ProcessWorld(size, timeout=timeout, page_transport=page_transport)
+        return ProcessWorld(size, timeout=timeout)

@@ -17,12 +17,12 @@ from ..network import NetworkStats
 from ..simmpi import BlockDirectory
 from ..task import TaskContext, task_scope
 from .base import (
-    BulkFetchResult,
+    CommHandle,
     ExecutionBackend,
     ExecutionWorld,
     RankResult,
-    group_requests_by_owner,
     raise_spmd_failures,
+    serve_bulk_locally,
 )
 
 __all__ = ["SerialBackend", "SerialWorld"]
@@ -106,32 +106,12 @@ class SerialWorld(ExecutionWorld):
         self.stats.record_neighbor(owner, requester, 1, int(data.nbytes))
         return data
 
-    def fetch_pages_bulk(
+    def fetch_pages_bulk_async(
         self, requester: int, requests: Sequence[Tuple[Any, int]]
-    ) -> BulkFetchResult:
+    ) -> CommHandle:
         """Batched fetch: one accounted exchange per owner (always rank 0 here)."""
         self._check_rank(requester)
-        from ...memory.page import PageKey  # local import to avoid a cycle
-
-        result = BulkFetchResult()
-        for owner, items in sorted(group_requests_by_owner(self.directory, requests).items()):
-            env = self.env_of(owner)
-            payload_bytes = 0
-            for logical_key, page_index, block_id in items:
-                data = env.page_snapshot(PageKey(block_id, page_index))
-                result.pages.append((logical_key, page_index, data))
-                payload_bytes += int(data.nbytes)
-            manifest_bytes = 32 + 16 * len(items)
-            self.stats.page_fetches += len(items)
-            self.stats.bulk_fetches += 1
-            self.stats.bulk_pages += len(items)
-            self.stats.messages += 2
-            self.stats.bytes_moved += payload_bytes + manifest_bytes
-            self.stats.record_neighbor(requester, owner, 1, manifest_bytes)
-            self.stats.record_neighbor(owner, requester, 1, payload_bytes)
-            result.exchanges += 1
-            result.nbytes += payload_bytes
-        return result
+        return serve_bulk_locally(self, requester, requests)
 
     # -- accounting -----------------------------------------------------
     def stats_of(self, rank: int) -> NetworkStats:
@@ -154,11 +134,7 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    def create_world(
-        self, size: int, *, timeout: float = 60.0, page_transport: str = "auto"
-    ) -> SerialWorld:
-        # page_transport is accepted for signature compatibility; a single
-        # rank never moves pages between address spaces.
+    def create_world(self, size: int, *, timeout: float = 60.0) -> SerialWorld:
         if size != 1:
             raise TaskError(
                 f"the 'serial' backend runs exactly one rank (requested {size}); "

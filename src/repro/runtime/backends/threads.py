@@ -22,9 +22,5 @@ class ThreadsBackend(ExecutionBackend):
 
     name = "threads"
 
-    def create_world(
-        self, size: int, *, timeout: float = 60.0, page_transport: str = "auto"
-    ) -> MPIWorld:
-        # page_transport is accepted for signature compatibility; threads
-        # share one address space, so pages are never serialised at all.
+    def create_world(self, size: int, *, timeout: float = 60.0) -> MPIWorld:
         return MPIWorld(size, timeout=timeout)

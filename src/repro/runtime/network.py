@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import CollectiveError, DeadRankError, NetworkError
 
-__all__ = ["SimNetwork", "NetworkStats", "AsyncBatchFetch"]
+__all__ = ["SimNetwork", "NetworkStats"]
 
 
 @dataclass
@@ -58,8 +58,8 @@ class NetworkStats:
     #: Replies that could not be delivered because the peer was already
     #: dead (process backend: broken pipe in the sender thread).
     peer_dead: int = 0
-    #: Shared-memory data-plane activity (process backend with
-    #: ``page_transport="shm"``): pages whose bytes travelled as
+    #: Shared-memory data-plane activity (process worlds on the shm
+    #: plane): pages whose bytes travelled as
     #: mapped-segment descriptors instead of packed pickled payloads,
     #: the page bytes those descriptors covered (a subset of
     #: ``bytes_moved``, which stays *logical* and transport-agnostic so
@@ -381,22 +381,6 @@ class SimNetwork:
             self.stats.record_neighbor(owner, requester, 1, payload_bytes)
         return datas
 
-    def fetch_pages_async(
-        self, requester: int, owner: int, pages: List[Tuple[int, int]]
-    ) -> "AsyncBatchFetch":
-        """Start a batched fetch from one owner on a background thread.
-
-        The returned :class:`AsyncBatchFetch` completes the same
-        :meth:`fetch_pages` exchange (identical accounting: one message
-        pair per batch, counted exactly once when the transfer runs, no
-        matter how often the result is joined) while the requester keeps
-        computing.  Rank checks run at *issue* time so misuse fails
-        before any thread is spawned.
-        """
-        self._check_rank(requester)
-        self._check_rank(owner)
-        return AsyncBatchFetch(self, requester, owner, pages)
-
     # ------------------------------------------------------------------
     def _apply_reply_fault(self, owner: int, requester: int) -> None:
         """Consume one scheduled reply fault on the owner→requester reply.
@@ -431,52 +415,3 @@ class SimNetwork:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimNetwork(size={self.size}, stats={self.stats.as_dict()})"
-
-
-class AsyncBatchFetch:
-    """One in-flight :meth:`SimNetwork.fetch_pages` batch (threads backend).
-
-    Reading the owner's page snapshots on a background thread is safe
-    for the same reason the one-sided blocking fetch is: owners never
-    mutate their *read* buffers between the synchronisation points of
-    the refresh protocol, and the overlapped window (step barrier to
-    the requester's next refresh) lies strictly inside one such
-    interval.  Traffic is accounted by ``fetch_pages`` itself, on the
-    background thread, exactly once.
-    """
-
-    __slots__ = ("owner", "pages", "_thread", "_datas", "_error")
-
-    def __init__(
-        self, network: "SimNetwork", requester: int, owner: int, pages: List[Tuple[int, int]]
-    ) -> None:
-        self.owner = owner
-        self.pages = list(pages)
-        self._datas: Optional[List[np.ndarray]] = None
-        self._error: Optional[BaseException] = None
-
-        def fetch() -> None:
-            # Background-thread serve: recorded on the owner's "recv"
-            # track, mirroring the process backend's receiver thread.
-            from ..obs.spans import global_tracer  # local import to avoid a cycle
-
-            try:
-                with global_tracer().span_at(
-                    "recv.serve_batch", owner, "recv", pages=len(self.pages)
-                ):
-                    self._datas = network.fetch_pages(requester, owner, self.pages)
-            except BaseException as exc:  # noqa: BLE001 - re-raised in join()
-                self._error = exc
-
-        self._thread = threading.Thread(
-            target=fetch, name=f"sim-net-fetch-{requester}-from-{owner}", daemon=True
-        )
-        self._thread.start()
-
-    def join(self) -> List[np.ndarray]:
-        """Block until the batch arrived; returns the page snapshots."""
-        self._thread.join()
-        if self._error is not None:
-            raise self._error
-        assert self._datas is not None
-        return self._datas

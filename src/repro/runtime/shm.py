@@ -73,7 +73,6 @@ except ImportError:  # pragma: no cover - platforms without POSIX shm
 __all__ = [
     "CHECK_ENV_VAR",
     "ControlWords",
-    "PAGE_TRANSPORTS",
     "SegmentCache",
     "SharedPageArena",
     "ShmVersionError",
@@ -88,11 +87,7 @@ __all__ = [
     "shm_eligible",
     "spin_until",
     "sweep_stale_segments",
-    "validate_page_transport",
 ]
-
-#: Valid values of ``Platform(page_transport=)`` / ``create_world(page_transport=)``.
-PAGE_TRANSPORTS = ("auto", "shm", "pipe")
 
 #: Bytes of the per-slot seqlock version header (one little-endian uint64).
 _HEADER = 8
@@ -141,21 +136,6 @@ class ShmVersionError(NetworkError):
 def shm_available() -> bool:
     """Whether named shared memory is usable on this interpreter/OS."""
     return SharedMemory is not None
-
-
-def validate_page_transport(value: str) -> str:
-    """Validate and normalise a ``page_transport`` setting.
-
-    Accepts one of :data:`PAGE_TRANSPORTS`; raises :class:`ValueError`
-    otherwise (mirrors how backend names are validated by the registry).
-    """
-    name = str(value).strip().lower()
-    if name not in PAGE_TRANSPORTS:
-        raise ValueError(
-            f"unknown page transport {value!r} "
-            f"(expected one of: {', '.join(PAGE_TRANSPORTS)})"
-        )
-    return name
 
 
 def new_shm_uid() -> str:

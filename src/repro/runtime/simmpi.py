@@ -31,6 +31,7 @@ import numpy as np
 from .backends.base import (
     BulkFetchResult,
     CommHandle,
+    CompletedCommHandle,
     ExecutionWorld,
     HaloLink,
     RankResult,
@@ -208,10 +209,15 @@ class MPIWorld(ExecutionWorld):
         owner_block_id = self.directory.block_id_on(logical_key, owner)
         return self.network.fetch_page(requester, owner, owner_block_id, page_index)
 
-    def fetch_pages_bulk(
+    def fetch_pages_bulk_async(
         self, requester: int, requests: Sequence[Tuple[Any, int]]
-    ) -> BulkFetchResult:
-        """Batched fetch: one aggregated network exchange per owning rank."""
+    ) -> CommHandle:
+        """Batched fetch, served at issue: one network exchange per owning rank.
+
+        Rank threads share the GIL, so a background transfer would hide
+        nothing; the one-sided reads happen here, after the step barrier
+        that orders them, and the handle returned is already complete.
+        """
         result = BulkFetchResult()
         for owner, items in sorted(group_requests_by_owner(self.directory, requests).items()):
             datas = self.network.fetch_pages(
@@ -223,30 +229,7 @@ class MPIWorld(ExecutionWorld):
             )
             result.exchanges += 1
             result.nbytes += sum(int(d.nbytes) for d in datas)
-        return result
-
-    def fetch_pages_bulk_async(
-        self, requester: int, requests: Sequence[Tuple[Any, int]]
-    ) -> CommHandle:
-        """Nonblocking batched fetch: one background transfer per owner.
-
-        Owner resolution happens at issue time (unknown keys raise
-        immediately, as on the blocking path); the per-owner transfers
-        then run on background threads of the simulated network and the
-        returned handle assembles them — in owner order, so the result
-        is deterministic and identical to :meth:`fetch_pages_bulk`.
-        """
-        grouped = sorted(group_requests_by_owner(self.directory, requests).items())
-        batches = [
-            (
-                items,
-                self.network.fetch_pages_async(
-                    requester, owner, [(block_id, page) for _, page, block_id in items]
-                ),
-            )
-            for owner, items in grouped
-        ]
-        return _ThreadedBulkHandle(batches)
+        return CompletedCommHandle(result)
 
     # ------------------------------------------------------------------
     def run_spmd(
@@ -314,26 +297,3 @@ class MPIWorld(ExecutionWorld):
     def traffic_summary(self) -> dict:
         """Network counters, consumed by the scaling benchmarks."""
         return self.network.stats.as_dict()
-
-
-class _ThreadedBulkHandle(CommHandle):
-    """Aggregates the per-owner background transfers of one async bulk fetch."""
-
-    __slots__ = ("_batches",)
-
-    def __init__(self, batches) -> None:
-        super().__init__()
-        #: ``(manifest items, AsyncBatchFetch)`` per owner, in owner order.
-        self._batches = batches
-
-    def _wait(self) -> BulkFetchResult:
-        result = BulkFetchResult()
-        for items, batch in self._batches:
-            datas = batch.join()
-            result.pages.extend(
-                (logical_key, page, data)
-                for (logical_key, page, _), data in zip(items, datas)
-            )
-            result.exchanges += 1
-            result.nbytes += sum(int(d.nbytes) for d in datas)
-        return result

@@ -111,8 +111,8 @@ class TaskCounters:
     restored_pages: int = 0
     replayed_steps: int = 0
     peer_dead: int = 0
-    #: Shared-memory data-plane activity (process backend,
-    #: ``page_transport="shm"``): pages received as mapped-segment
+    #: Shared-memory data-plane activity (process worlds on the shm
+    #: plane): pages received as mapped-segment
     #: descriptors, the page bytes that never crossed a pipe because of
     #: it, and pages that fell back to the packed pickled path while in
     #: shm mode (object dtype / zero-byte / non-array payloads).

@@ -129,11 +129,11 @@ class TestShuffledReplySchedules:
             init=lambda x, y: 0.04 * x - 0.03 * y + 1.5,
         )
         shimmed = Platform(
-            aspects=mpi_aspects(2, backend="process", overlap=True), mmat=True
+            aspects=mpi_aspects(2, backend="process"), mmat=True
         ).run(JacobiSGrid, config=dict(config))
         ProcessTransport.reply_shim = None  # reference run: no shim
         reference = Platform(
-            aspects=mpi_aspects(2, backend="process", overlap=True), mmat=True
+            aspects=mpi_aspects(2, backend="process"), mmat=True
         ).run(JacobiSGrid, config=dict(config))
         a = np.asarray(shimmed.result, dtype=np.float64)
         b = np.asarray(reference.result, dtype=np.float64)

@@ -1,20 +1,31 @@
-"""Test helper: a multi-rank run that stays on the page protocol.
+"""Test helpers: a multi-rank run that stays on the page protocol, and
+the process world's pipe plane.
 
 Where ranks share memory the refresh protocol *publishes* the halo once
 the compiled plans are negotiated, and from then on moves no page.  The
 suites that pin the page protocol itself — aggregated ≡ per-page,
-overlapped ≡ blocking, shm ≡ pipe, with page counts and the Buffer-only
+overlapped ≡ per-page, shm ≡ pipe, with page counts and the Buffer-only
 pages left behind — therefore run an app that is observably open: one
 scalar read of a remote element per step is remote data the pushed rows
 do not cover, so every rank agrees to take that step through the page
 exchange (``open: scalar halo read`` in ``PlatformRun.summary()``).  The
 element is one the plans prefetch anyway, so the read adds no traffic
 and never fails.
+
+A process world picks its data plane from what it observes
+(:meth:`~repro.runtime.backends.process.ProcessWorld.uses_shm`);
+:func:`pipe_plane` reaches the packed-pipe plane the way a host without
+named shared memory does.
 """
 
 from __future__ import annotations
 
+import contextlib
+from unittest import mock
+
 import numpy as np
+
+from repro.runtime.backends import process
 
 
 def read_remote_scalar(env) -> None:
@@ -39,3 +50,21 @@ def kept_open(app_cls):
 
     KeptOpen.__name__ = f"KeptOpen{app_cls.__name__}"
     return KeptOpen
+
+
+@contextlib.contextmanager
+def pipe_plane():
+    """Process worlds launched inside see no named shared memory: packed
+    replies, no control words, the page protocol at every step."""
+    with mock.patch.object(process, "shm_available", lambda: False):
+        yield
+
+
+@contextlib.contextmanager
+def plane(name: str):
+    """Run on the ``"shm"`` plane (what the rule picks here) or the ``"pipe"`` one."""
+    if name == "pipe":
+        with pipe_plane():
+            yield
+    else:
+        yield

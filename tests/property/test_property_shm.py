@@ -7,10 +7,13 @@ like a run whose pages are packed into the pipe replies — and both
 must match the ``threads`` backend, where pages never serialise at
 all.  The physical split is visible only in the ``shm_*`` counters.
 
-The data plane carries *pages*, so the apps run *kept open*
-(``tests/page_protocol.py``): a world that shares memory would
-otherwise publish its halo and serve no page after warm-up, while the
-pipe world — which offers no slots — kept exchanging them.
+A world picks its plane itself (``ProcessWorld.uses_shm``): shm here,
+pipe where named shared memory is missing — which is how these tests
+reach it (``page_protocol.pipe_plane``).  The data plane carries
+*pages*, so the apps run *kept open* (``tests/page_protocol.py``): a
+world that shares memory would otherwise publish its halo and serve no
+page after warm-up, while the pipe world — which offers no slots — kept
+exchanging them.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from repro.memory.block import BufferOnlyBlock
 from repro.runtime import get_backend
 from repro.runtime.shm import shm_available
 
-from page_protocol import kept_open
+from page_protocol import kept_open, plane
 
 pytestmark = pytest.mark.skipif(
     not get_backend("process").available() or not shm_available(),
@@ -47,11 +50,10 @@ APPS = [
 ]
 
 
-def run_app(app_cls, config, *, backend, transport=None, ranks=2):
-    builder = Platform.builder().mpi(ranks).mmat().backend(backend)
-    if transport is not None:
-        builder.page_transport(transport)
-    return builder.build().run(kept_open(app_cls), config=dict(config))
+def run_app(app_cls, config, *, backend, transport="shm", ranks=2):
+    platform = Platform.builder().mpi(ranks).mmat().backend(backend).build()
+    with plane(transport):
+        return platform.run(kept_open(app_cls), config=dict(config))
 
 
 def env_contents(run) -> dict:
@@ -97,13 +99,13 @@ class TestTransportEquivalence:
     @pytest.mark.parametrize("name,app_cls,config", APPS)
     def test_shm_matches_threads(self, name, app_cls, config):
         threads = run_app(app_cls, config, backend="threads")
-        shm = run_app(app_cls, config, backend="process", transport="shm")
+        shm = run_app(app_cls, config, backend="process")
         assert_same_result(threads, shm)
 
     @pytest.mark.parametrize("name,app_cls,config", APPS)
-    def test_auto_resolves_to_shm_here(self, name, app_cls, config):
-        auto = run_app(app_cls, config, backend="process", transport="auto")
-        assert sum(c.shm_fetches for c in auto.counters.values()) > 0
+    def test_the_rule_picks_shm_here(self, name, app_cls, config):
+        run = run_app(app_cls, config, backend="process")
+        assert sum(c.shm_fetches for c in run.counters.values()) > 0
 
     def test_summary_reports_the_shm_section(self):
         shm = run_app(JacobiSGrid, SGRID_CONFIG, backend="process", transport="shm")

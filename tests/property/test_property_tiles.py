@@ -5,7 +5,8 @@ the scalar kernel did — over the configuration lattice.
 plan per table, one user expression, one store).  One hypothesis
 strategy draws the layout (CaseC / CaseR), the Block size, the world
 (ranks x backend, with or without a shared-memory team), MMAT on or off,
-overlapped or blocking refresh, the page transport, and what disturbs
+the data plane a process world picks (shm here, pipe where shared
+memory is missing — ``page_protocol.plane``), and what disturbs
 the run: a mid-run ``MMAT.reset()``, a Block of another image class
 added after the tiles were built, Blocks dealt round-robin so that a
 task's image rows do not follow each other, a byte budget small enough
@@ -31,6 +32,8 @@ from repro.memory import DataBlock
 from repro.runtime import get_backend
 from repro.runtime.shm import set_protocol_checks
 from repro.runtime.task import current_task
+
+from page_protocol import plane
 
 LOOPS = 5
 REGION = 16
@@ -131,7 +134,6 @@ def lattice(draw):
         block_cells=draw(st.sampled_from([8, 16, 32])),
         backend=backend, ranks=ranks, omp=omp,
         mmat=draw(st.booleans()),
-        overlap=draw(st.booleans()),
         transport=draw(st.sampled_from(["shm", "pipe"])),
         reset_at=draw(st.sampled_from([None, 1, 3])),
         # Growing an Env its team is sweeping is not something apps may do.
@@ -147,16 +149,14 @@ def run_point(point: dict):
                   init=_init, case=point["case"], loops=LOOPS,
                   reset_at=point["reset_at"], grow_at=point["grow_at"],
                   interleave=point["interleave"])
-    builder = Platform.builder().mpi(
-        point["ranks"], backend=point["backend"], overlap=point["overlap"],
-        page_transport=point["transport"],
-    ).mmat(point["mmat"]).comm_timeout(30.0)
+    builder = Platform.builder().mpi(point["ranks"], backend=point["backend"])
+    builder.mmat(point["mmat"]).comm_timeout(30.0)
     if point["omp"] > 1:
         builder.omp(point["omp"])
     budget = base.TILE_BYTES
     if point["budget"] is not None:
         budget = point["budget"] * point["block_cells"] * 4 * 8
-    with mock.patch.object(base, "TILE_BYTES", budget):
+    with mock.patch.object(base, "TILE_BYTES", budget), plane(point["transport"]):
         return builder.run(Disturbed, config=config)
 
 
@@ -189,7 +189,7 @@ def test_tile_equals_block_equals_scalar(point):
 def test_why_a_tile_ends(ranks, omp):
     """The run reports its tiles and each boundary's reason."""
     point = dict(case="R", block_cells=16, backend="threads" if ranks > 1 else "serial",
-                 ranks=ranks, omp=omp, mmat=True, overlap=True, transport="shm",
+                 ranks=ranks, omp=omp, mmat=True, transport="shm",
                  reset_at=None, grow_at=None, interleave=False, budget=None)
     whole = run_point(point)
     mine = 16 // (ranks * omp)

@@ -174,7 +174,9 @@ class TestDefaultBulkFetch:
 
         world.register_env(0, _Endpoint())
         world.register_block(("blk",), 0, 5, owner=True)
-        result = ExecutionWorld.fetch_pages_bulk(world, 0, [(("blk",), 0), (("blk",), 3)])
+        handle = ExecutionWorld.fetch_pages_bulk_async(world, 0, [(("blk",), 0), (("blk",), 3)])
+        assert handle.done  # the default serves at issue
+        result = handle.wait()
         assert result.exchanges == 2  # no aggregation in the default impl
         assert [page for _, page, _ in result.pages] == [0, 3]
         np.testing.assert_allclose(result.pages[1][2], np.full(4, 3.0))

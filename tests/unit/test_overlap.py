@@ -9,6 +9,8 @@ accounting/error wrapping and the aspect's issue-time diagnostics.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,10 @@ from repro.aspects import DistributedMemoryAspect, PendingHalo
 from repro.aspects.mpi_aspect import CommPlan
 from repro.memory import DataBlock, Env, MemoryPool, PoolGroup
 from repro.memory.block import BufferOnlyBlock
+from repro.memory.errors import EnvError
 from repro.memory.mmat import compile_offsets_plan
 from repro.memory.page import PageKey
+from repro.resilience import FaultPlan
 from repro.runtime import (
     BulkFetchResult,
     CommHandle,
@@ -27,6 +31,7 @@ from repro.runtime import (
     PageFetchError,
     get_backend,
 )
+from repro.runtime.shm import set_protocol_checks
 from repro.runtime.tracing import TaskCounters
 
 
@@ -286,6 +291,24 @@ class TestPendingHalo:
             env.complete_pending_halo()
         assert not env.has_pending_halo()  # no repeated error on later syncs
 
+    def test_refresh_refuses_to_swap_past_a_parked_exchange(self):
+        env, _local, halo = _two_block_env()
+        pending = _pending(TaskCounters())
+        pending.plan = CommPlan(
+            keys=frozenset({PageKey(halo.block_id, 0)}),
+            requests=[(PageKey(halo.block_id, 0), ("blk", 1), 0)],
+        )
+        env.set_pending_halo(pending)
+        previous = set_protocol_checks(True)
+        try:
+            with pytest.raises(EnvError, match="parked"):
+                env.refresh()
+            assert env.step == 0  # nothing swapped
+            env.complete_pending_halo()
+            assert env.refresh() and env.step == 1
+        finally:
+            set_protocol_checks(previous)
+
 
 # ----------------------------------------------------------------------
 # aspect issue-time diagnostics
@@ -294,8 +317,8 @@ class TestPendingHalo:
 
 class TestAsyncIssueErrors:
     def test_unresolvable_owner_raises_page_fetch_error(self):
-        """The overlapped issue wraps transport errors like the blocking path."""
-        aspect = DistributedMemoryAspect(processes=1, overlap=True)
+        """The overlapped issue wraps transport errors as PageFetchError."""
+        aspect = DistributedMemoryAspect(processes=1)
         aspect.world = get_backend("serial").create_world(1)
 
         class _Keyed:
@@ -311,6 +334,34 @@ class TestAsyncIssueErrors:
                 _StubEnv(), 0, {PageKey(3, 0)}, TaskCounters()
             )
 
-    def test_overlap_flag_defaults_on_and_is_configurable(self):
-        assert DistributedMemoryAspect().overlap is True
-        assert DistributedMemoryAspect(overlap=False).overlap is False
+    @pytest.mark.parametrize("fault", ["drop_reply", "corrupt_reply"])
+    def test_threads_reply_fault_raises_at_issue(self, fault):
+        """The threads world serves a batch when it is issued, so a faulty
+        reply fails the issue itself, not a later wait."""
+        world = get_backend("threads").create_world(2, timeout=10.0)
+        world.install_fault_plan(getattr(FaultPlan(), fault)(1, peer=0))
+
+        class Endpoint:
+            def page_snapshot(self, key):
+                return np.zeros(4)
+
+        def body(ctx):
+            rank = ctx.mpi_rank
+            world.register_env(rank, Endpoint())
+            world.register_block(("blk", rank), rank, 100 + rank, owner=True)
+            world.commit_registration()
+            try:
+                if rank == 0:
+                    world.fetch_pages_bulk_async(0, [(("blk", 1), 0)])
+                return None
+            except NetworkError as exc:
+                return str(exc)
+            finally:
+                world.barrier()
+
+        results = world.run_spmd(body)
+        assert "reply 1->0" in results[0].value and results[1].value is None
+
+    def test_overlap_is_the_only_behaviour_not_a_knob(self):
+        assert not hasattr(DistributedMemoryAspect(), "overlap")
+        assert "overlap" not in inspect.signature(DistributedMemoryAspect).parameters

@@ -8,6 +8,8 @@ running alongside the platform's layer modules.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,15 @@ from repro.annotation import PRESETS, TargetApplication
 from repro.aop import Aspect, annotate, before
 from repro.aop.registry import TAG_KERNEL
 from repro.apps import JacobiSGrid
-from repro.aspects import DistributedMemoryAspect, SharedMemoryAspect, mpi_aspects
+from repro.aspects import (
+    DistributedMemoryAspect,
+    SharedMemoryAspect,
+    hybrid_aspects,
+    mpi_aspects,
+)
+from repro.bench.harness import configuration_aspects
+from repro.resilience import RecoveryManager, ResiliencePolicy
+from repro.runtime import get_backend
 
 
 CONFIG = dict(
@@ -138,6 +148,34 @@ class TestPresets:
         assert np.allclose(hybrid.result[mask], serial.result[mask], atol=1e-10)
         assert hybrid.layers == {"mpi": 2, "omp": 2}
         assert len(hybrid.counters) == 4
+
+
+#: Every place a data-plane or overlap setting used to be passed: each
+#: world picks its plane from what it observes, and overlap is the only
+#: behaviour, so none of them takes either any more.
+KNOB_HOMES = {
+    "Platform": Platform,
+    "Platform.preset": Platform.preset,
+    "DistributedMemoryAspect": DistributedMemoryAspect,
+    "mpi_aspects": mpi_aspects,
+    "hybrid_aspects": hybrid_aspects,
+    "configuration_aspects": configuration_aspects,
+    "RecoveryManager.execute": RecoveryManager.execute,
+    **{
+        f"{name}.create_world": type(get_backend(name)).create_world
+        for name in ("serial", "threads", "process")
+    },
+}
+
+
+@pytest.mark.parametrize("home", list(KNOB_HOMES))
+def test_no_data_plane_or_overlap_parameter(home):
+    parameters = inspect.signature(KNOB_HOMES[home]).parameters
+    assert not [name for name in parameters if "transport" in name or "overlap" in name]
+
+
+def test_builder_has_no_data_plane_method():
+    assert not [name for name in dir(PlatformBuilder) if "transport" in name]
 
 
 class CountingKernelApp(TargetApplication):

@@ -32,6 +32,8 @@ from repro.runtime import (
 from repro.runtime import shm
 from repro.runtime.shm import ControlWords, spin_until
 
+from page_protocol import pipe_plane
+
 SRC = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
 needs_process = pytest.mark.skipif(
@@ -270,11 +272,12 @@ class TestWorldAgreement:
 
     @needs_process
     def test_pipe_only_processes_offer_no_slots(self):
-        world = get_backend("process").create_world(2, timeout=10.0, page_transport="pipe")
+        world = get_backend("process").create_world(2, timeout=10.0)
         try:
-            results = world.run_spmd(
-                lambda ctx: (world.control is None, world.allreduce_bits(3 - ctx.mpi_rank))
-            )
+            with pipe_plane():
+                results = world.run_spmd(
+                    lambda ctx: (world.control is None, world.allreduce_bits(3 - ctx.mpi_rank))
+                )
         finally:
             world.finalize()
         assert [r.value for r in results] == [(True, 2), (True, 2)]

@@ -25,7 +25,6 @@ from repro.runtime.shm import (
     segment_name,
     shm_available,
     shm_eligible,
-    validate_page_transport,
 )
 
 pytestmark = pytest.mark.skipif(
@@ -44,17 +43,6 @@ def uid():
     # Safety net: never leak segments out of a test, even on failure.
     for rank in range(8):
         cleanup_rank_segments(value, rank)
-
-
-class TestValidation:
-    @pytest.mark.parametrize("name", ["auto", "shm", "pipe", "SHM", " Pipe "])
-    def test_known_transports_normalise(self, name):
-        assert validate_page_transport(name) == name.strip().lower()
-
-    @pytest.mark.parametrize("name", ["tcp", "", "shared", None, 3])
-    def test_unknown_transports_raise(self, name):
-        with pytest.raises((ValueError, AttributeError)):
-            validate_page_transport(name)
 
 
 class TestEligibility:
