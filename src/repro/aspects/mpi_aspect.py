@@ -63,6 +63,7 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -213,7 +214,9 @@ def _slot_rows(link: HaloLink, image, lo: int, hi: int) -> np.ndarray:
     """Bytes ``[lo, hi)`` of a halo slot as rows of ``image``'s class.
 
     Built per use, never kept: the world drops ``link.slot`` when it
-    closes, and a surviving view would pin the mapped segment.
+    closes, and a surviving view would pin the mapped segment.  So the
+    consumer's Env is handed this function, not views, and calls it per
+    halo gather.
     """
     return link.slot[lo:hi].view(image.dtype).reshape(-1, image.components)
 
@@ -227,8 +230,9 @@ class PushPlan:
     reads (``inbound``), and — received from the consumers in the same
     collective — per consumer the rows of this rank's own read image
     they read (``outbound``).  Each table is one fancy-index: the owner
-    ``np.take`` s ``idx`` out of its image into the link's slot, the
-    consumer stores the slot into ``rows`` of its ``halo`` array.
+    ``np.take`` s ``idx`` out of its image into the link's slot, and the
+    consumer's halo tables read the slot in place of its ``halo`` rows
+    ``rows``.
     """
 
     #: ``Env.plan_generation`` the site sets were derived from.
@@ -247,14 +251,14 @@ class PushPlan:
 
 
 class PendingPush:
-    """The owners' pushes of one closed step, awaited but not yet stored.
+    """The owners' pushes of one closed step, awaited but not yet read.
 
     The publish-protocol sibling of :class:`PendingHalo`, parked on the
     Env the same way: the first halo reader of the next sweep (or the
     next refresh) calls :meth:`complete`, which waits the stamps of
     exactly the owners this rank reads — through ``CommHandle.wait``, so
-    halo waiting is measured where it always was — and stores each slot
-    into the ``halo`` rows its tables name.
+    halo waiting is measured where it always was — and hands the Env the
+    slots, which its halo tables then read in place until the next swap.
     """
 
     __slots__ = ("plan", "handle", "trace", "issued_ns", "span_token", "world", "round")
@@ -269,29 +273,32 @@ class PendingPush:
         self.span_token = global_tracer().async_begin("halo.flight", sites=plan.inbound_sites)
 
     def complete(self, env, *, drained: bool = False) -> None:
-        """Wait for the stamps, store the slots, account the traffic."""
+        """Wait for the stamps, hand the Env the slots, account the traffic."""
         trace = self.trace
         plan = self.plan
         result, timing = _wait_halo(
             self, drained, f"published halo of {plan.inbound_sites} sites"
         )
-        env.install_pushed_halo(
-            (image, rows, _slot_rows(link, image, lo, hi))
+        env.set_pushed_slots([
+            partial(_slot_rows, link, image, lo, hi)
             for link, tables in plan.inbound
-            for image, rows, lo, hi in tables
-        )
-        if protocol_checks():
-            for link, tables in plan.inbound:
-                crc = 0
-                for image, rows, _, _ in tables:
-                    crc = zlib.crc32(image.halo[rows].tobytes(), crc)
-                self.world.control.acknowledge(link.owner, link.consumer, self.round, crc)
+            for image, _, lo, hi in tables
+        ])
         trace.bytes_fetched += result.nbytes
         trace.messages += result.exchanges
         trace.halo_pushes += result.exchanges
         trace.halo_sites += plan.inbound_sites
         _account_wait(self, drained, timing)
         metric_record("exchange.sites", plan.inbound_sites)
+
+    def acknowledge(self) -> None:
+        """REPRO_CHECK, at the consumer's next refresh — its sweep read the
+        slots throughout: they still hold, per owner, what it stored."""
+        for link, tables in self.plan.inbound:
+            crc = 0
+            for _, _, lo, hi in tables:
+                crc = zlib.crc32(link.slot[lo:hi], crc)
+            self.world.control.acknowledge(link.owner, link.consumer, self.round, crc)
 
 
 class DistributedMemoryAspect(LayerAspect):
@@ -343,6 +350,9 @@ class DistributedMemoryAspect(LayerAspect):
         self._push_plans: Dict[int, PushPlan] = {}
         self._inbound_links: Dict[int, Dict[int, HaloLink]] = {}
         self._uncovered_reads: Dict[int, Tuple[int, int]] = {}
+        #: REPRO_CHECK: rank -> the PendingPush its current sweep reads,
+        #: acknowledged at the rank's next refresh.
+        self._reading: Dict[int, PendingPush] = {}
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -368,6 +378,7 @@ class DistributedMemoryAspect(LayerAspect):
         self._push_plans = {}
         self._inbound_links = {}
         self._uncovered_reads = {}
+        self._reading = {}
 
     # ------------------------------------------------------------------
     # AspectType I — control of the runtime and tasks
@@ -469,6 +480,8 @@ class DistributedMemoryAspect(LayerAspect):
         # touched halo data this step) before agreeing on the step
         # outcome: its data counts as delivered, not missing.
         env.complete_pending_halo(drained=True)
+        if rank in self._reading:  # its sweep is done reading the slots
+            self._reading.pop(rank).acknowledge()
 
         tracer = global_tracer()
         local_ok = not env.missing_pages
@@ -519,7 +532,10 @@ class DistributedMemoryAspect(LayerAspect):
                 env.check_pushed_rows()
             with tracer.span("halo.publish", links=len(push.outbound)):
                 self._publish(env, push)
-            env.set_pending_halo(PendingPush(push, world, rank, trace))
+            pending = PendingPush(push, world, rank, trace)
+            if protocol_checks():
+                self._reading[rank] = pending
+            env.set_pending_halo(pending)
             return result
 
         if reason is not None and not warmup and world.size > 1 and (
@@ -695,7 +711,9 @@ class DistributedMemoryAspect(LayerAspect):
                 tables.append((image, idx, offset, offset + nbytes))
                 offset += nbytes + (-nbytes) % 8
             plan.outbound.append((link, tables))
-        env.set_pushed_rows(pushed)
+        env.set_pushed_rows(
+            (image, rows) for _, tables in plan.inbound for image, rows, _, _ in tables
+        )
         self._push_plans[rank] = plan
 
     @staticmethod

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -113,13 +113,13 @@ class DenseImage:
     * ``halo`` — ``(halo_rows, components)`` for the Buffer-only Blocks,
       outside the pool and single-buffered (they never swap): a *mirror*
       of their pages, assembled on demand (``fresh``: the Blocks whose
-      rows are current).  Under the publish protocol the owners' pushes
-      land *here*, not in the pages (:meth:`Env.install_pushed_halo`):
-      pushed rows are current although their Blocks are not ``fresh``.
+      rows are current).  Only open steps read it: on a closed step the
+      owners' pushes are read where they land, in the slots
+      (:meth:`Env.pushed_slots`).
 
     Row bases are handed out once, at ``Env.add_data_block``, and never
     move, so compiled row indices stay valid while the tree grows; slabs
-    are re-allocated when a class outgrows them, ``halo`` grows in place.
+    are re-allocated when a class outgrows them, ``halo`` is re-assembled.
     """
 
     __slots__ = (
@@ -177,11 +177,7 @@ class DenseImage:
         count = block.element_count
         if halo:
             base, self.halo_rows = self.halo_rows, self.halo_rows + count
-            if self.halo is not None:
-                # Pushed rows have no pages to be re-assembled from: grow.
-                grown = np.empty((self.halo_rows, self.components), dtype=self.dtype)
-                grown[:base] = self.halo
-                self.halo = grown
+            self.halo = None  # a mirror: the next read assembles it at its new size
             self.fresh.clear()
         else:
             base, self.local_rows = self.local_rows, self.local_rows + count
@@ -246,14 +242,12 @@ class Env:
         self._pending_halo = None
         self._halo_lock = threading.Lock()
         #: Publish protocol (set by the distributed-memory aspect): per
-        #: image (by id) the mask of halo rows the owners push each closed
-        #: step with the ids of that image's Buffer-only Blocks, an epoch
-        #: bumped whenever the masks change, and whether
-        #: the pushed rows hold the current step's data — from a push's
-        #: completion until the next buffer swap.
-        self._pushed_rows: Dict[int, tuple] = {}
-        self._pushed_epoch = 0
-        self._pushed_current = False
+        #: slot table the ``(image, sorted halo rows)`` the owners push
+        #: into it, numbered by negotiation, and, from a push's completion
+        #: until the next buffer swap, the slots (as functions viewing them).
+        self._pushed_rows: List[Tuple[DenseImage, np.ndarray]] = []
+        self._negotiation = 0
+        self._pushed_slots: Optional[Sequence[Callable[[], np.ndarray]]] = None
         #: Whether any Buffer-only page may be valid (pages are born valid,
         #: installs validate them): lets the per-step invalidation of a
         #: run whose halo is pushed, not installed, return at once.
@@ -426,7 +420,7 @@ class Env:
         for image in self._images.values():
             self.stats.buffer_swaps += image.swap()
         self.step += 1
-        self._pushed_current = False  # every owner's data just moved on
+        self._pushed_slots = None  # every owner's data just moved on
         return True
 
     # ------------------------------------------------------------------
@@ -753,39 +747,43 @@ class Env:
         return [self.blocks_by_id[block_id] for _, block_id in slots], which, rows - bases[which]
 
     def set_pushed_rows(self, tables: Iterable[Tuple[DenseImage, np.ndarray]]) -> None:
-        """Declare which ``halo`` rows the owners publish from now on."""
-        self._pushed_rows = {}
-        for image, rows in tables:
-            mask = np.zeros(image.halo_rows, dtype=bool)
-            mask[rows] = True
-            blocks = self.halo_row_blocks(image, rows)[0]
-            self._pushed_rows[id(image)] = (mask, {block.block_id for block in blocks})
-        self._pushed_epoch += 1
-        self._pushed_current = False
+        """Declare where the owners publish ``halo`` rows from now on: one
+        ``(image, sorted rows)`` per slot table, in the order
+        :meth:`set_pushed_slots` hands the slots over."""
+        self._pushed_rows = list(tables)
+        self._negotiation += 1
+        self._pushed_slots = None
 
-    def install_pushed_halo(self, tables: Iterable[Tuple[DenseImage, np.ndarray, np.ndarray]]) -> None:
-        """Store this step's pushed ``values`` into ``rows`` of each image's
-        ``halo`` array; from here until the next swap, halo tables covered
-        by :meth:`set_pushed_rows` read them without a page-validity pass."""
-        for image, rows, values in tables:
-            self._halo_array(image)[rows] = values
-            # The rows no longer mirror the Buffer-only pages.
-            image.fresh -= self._pushed_rows[id(image)][1]
-        self._pushed_current = True
+    def set_pushed_slots(self, slots: Sequence[Callable[[], np.ndarray]]) -> None:
+        """Hand over this step's pushes until the next swap: per slot table
+        :meth:`set_pushed_rows` declared, in its order, a function viewing it
+        as ``(rows, components)`` — a view kept would pin shared memory."""
+        self._pushed_slots = slots
 
-    def halo_pushed(self, segment) -> bool:
-        """Whether ``segment`` (a halo :class:`~repro.memory.mmat.PlanSegment`)
-        reads only rows the current step's push delivered."""
-        if not self._pushed_current:
-            return False
-        if segment.push_epoch != self._pushed_epoch:
-            mask = self._pushed_rows.get(id(segment.image), (None,))[0]
-            idx = segment.src_idx
-            segment.push_covered = bool(
-                mask is not None and idx.size and idx.max() < mask.size and mask[idx].all()
-            )
-            segment.push_epoch = self._pushed_epoch
-        return segment.push_covered
+    def pushed_slots(self, segment) -> Optional[list]:
+        """``[(slot, its row per site, sites), …]``, one per owner, of a halo
+        :class:`~repro.memory.mmat.PlanSegment` whose every row this step's
+        pushes hold; None when it reads pages."""
+        slots = self._pushed_slots
+        if slots is None:
+            return None
+        negotiation, aimed = segment.aimed
+        if negotiation != self._negotiation:
+            aimed, src, dst = [], segment.src_idx, segment.dst_idx
+            unread = np.ones(src.size, dtype=bool)
+            for k, (image, rows) in enumerate(self._pushed_rows):
+                if image is not segment.image:
+                    continue
+                at = np.searchsorted(rows, src).clip(max=rows.size - 1)
+                hit = rows[at] == src
+                if hit.all():  # one owner's table: no copy of the sites
+                    aimed.append((k, at, dst))
+                elif hit.any():
+                    aimed.append((k, at[hit], dst[hit]))
+                unread &= ~hit
+            aimed = None if unread.any() else aimed
+            segment.aimed = (self._negotiation, aimed)
+        return None if aimed is None else [(slots[k](), rows, sites) for k, rows, sites in aimed]
 
     # ------------------------------------------------------------------
     # bulk access (used by compiled access plans)
@@ -805,18 +803,8 @@ class Env:
             return image.read[lo:hi]
         rows = self._halo_array(image)[lo:hi]
         if block.block_id not in image.fresh:
-            if self._pushed_current and not block.is_valid:
-                # Some of these rows were pushed and have no valid page
-                # behind them: copy the pages that did arrive (a repair
-                # fetch), leave the rest, and do not call the Block fresh.
-                buf = block.buffer.read_buffer
-                for page in buf.pages:
-                    if page.valid:
-                        first = page.index * buf.page_elements
-                        rows[first : first + page.elements] = page.array
-            else:
-                block.buffer.read_buffer.dense(out=rows)
-                image.fresh.add(block.block_id)
+            block.buffer.read_buffer.dense(out=rows)
+            image.fresh.add(block.block_id)
             self.stats.dense_assemblies += 1
         return rows
 
@@ -905,8 +893,8 @@ class Env:
         :meth:`set_pushed_rows` cover every halo row a compiled plan reads
         (the communication plan ⊇ the plans' requirements)."""
         for image, rows in self.plan_halo_rows():
-            mask = self._pushed_rows.get(id(image), (None,))[0]
-            if mask is None or rows[-1] >= mask.size or not mask[rows].all():
+            pushed = [table for owner, table in self._pushed_rows if owner is image]
+            if not np.isin(rows, np.concatenate(pushed) if pushed else []).all():
                 raise EnvError(
                     f"Env {self.name!r}: compiled plans read halo rows the owners "
                     "were never asked to publish"

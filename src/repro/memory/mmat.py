@@ -59,6 +59,24 @@ __all__ = [
 ]
 
 
+def _gather_rows(env, out: np.ndarray, sites, rows: np.ndarray, idx, zero=None) -> None:
+    """``out[sites] = rows[idx]``, the sites of mask ``zero`` reading 0, as one
+    ``np.take`` into the thread's MMAT scratch and one store through 1-D
+    views whose items are whole rows: fancy get and set on ``(n,
+    components)`` arrays cost about twice as much.  Every table with
+    ``dst_idx`` runs this."""
+    vals = env.mmat.scratch("rows", (idx.size, rows.shape[1]), rows.dtype)
+    np.take(rows, idx, axis=0, out=vals, mode="clip")  # idx range-checked when built
+    if zero is not None:
+        vals[zero] = 0
+    if vals.dtype == out.dtype:  # else a casting store (a table of another class)
+        if out.shape[1] > 1:  # a row as one item
+            row = np.dtype((np.void, out.dtype.itemsize * out.shape[1]))
+            out, vals = out.view(row), vals.view(row)
+        out, vals = out.reshape(-1), vals.reshape(-1)
+    out[sites] = vals
+
+
 class PlanSegment:
     """One merged gather table of an :class:`AccessPlan`.
 
@@ -74,15 +92,16 @@ class PlanSegment:
     a row for every output site in order (address plans: the sites other
     tables serve read a placeholder row and are patched afterwards).
     Halo tables also carry, per site, the index into ``pages`` of the
-    Buffer-only page it reads, so one validity pass covers the table —
-    a pass a table skips while the owners *publish* exactly its rows
-    (:meth:`~repro.memory.env.Env.halo_pushed`: the stamp the consumer
-    waited for is the validity).
+    Buffer-only page it reads, so one validity pass covers the table.
+    On a closed step of the publish protocol a halo table whose rows the
+    owners push reads their slots in place instead, no page touched
+    (:meth:`~repro.memory.env.Env.pushed_slots`: re-aimed once per
+    negotiation at each owner's slot, memoised in ``aimed``; the stamp
+    the consumer waited for is the validity).
     """
 
     __slots__ = (
-        "image", "halo", "sources", "src_idx", "dst_idx", "site_page", "pages",
-        "push_epoch", "push_covered",
+        "image", "halo", "sources", "src_idx", "dst_idx", "site_page", "pages", "aimed",
     )
 
     def __init__(self, image, halo: bool, sources, src_idx, dst_idx, site_page=None, pages=()):
@@ -97,10 +116,9 @@ class PlanSegment:
         #: page read, indexed by ``site_page``.  Buffer-only Blocks never
         #: swap buffers, so the page objects are resolved once.
         self.pages = pages
-        #: Memo of ``Env.halo_pushed``: the Env's pushed-rows epoch this
-        #: table was last checked against, and whether they cover it.
-        self.push_epoch = -1
-        self.push_covered = False
+        #: Memo of ``Env.pushed_slots``: ``(negotiation, [(slot table, its
+        #: row per site, sites), …])``, None where the pushes miss a row.
+        self.aimed: tuple = (-1, None)
 
     def with_sites(self, dst_idx, keep) -> "PlanSegment":
         """The same table restricted to sites ``keep``, written to ``dst_idx``
@@ -118,28 +136,30 @@ class PlanSegment:
         and the step is re-executed, exactly as on the scalar path) and
         their sites read placeholder zeros.
         """
-        if self.halo and env.halo_pushed(self):
-            out[self.dst_idx] = self.image.halo[self.src_idx]
-            return 0
-        rows = env.fresh_halo(self.image, self.sources) if self.halo else self.image.read
         if self.dst_idx is None:
             # mode="clip": indices were range-checked at compile time, and
             # the default mode would buffer ``out``.
-            np.take(rows, self.src_idx, axis=0, out=out, mode="clip")
+            np.take(self.image.read, self.src_idx, axis=0, out=out, mode="clip")
             return 0
         if not self.halo:
-            out[self.dst_idx] = rows[self.src_idx]
+            _gather_rows(env, out, self.dst_idx, self.image.read, self.src_idx)
             return 0
-        vals = rows[self.src_idx]
+        pushed = env.pushed_slots(self)
+        if pushed is not None:
+            for slot, rows, sites in pushed:
+                _gather_rows(env, out, sites, slot, rows)
+            return 0
         bad = [
             uid
             for uid, (_, block, page) in enumerate(self.pages)
             if not (page.valid or block.is_valid)
         ]
+        zero = None
         if bad:
             env.missing_pages.update(self.pages[uid][0] for uid in bad)
-            vals[np.isin(self.site_page, bad)] = 0.0
-        out[self.dst_idx] = vals
+            zero = np.isin(self.site_page, bad)
+        rows = env.fresh_halo(self.image, self.sources)
+        _gather_rows(env, out, self.dst_idx, rows, self.src_idx, zero)
         return len(bad)
 
     @property
@@ -808,7 +828,8 @@ class MMAT:
         #: read, two reads of one body never do, nor do hybrid threads
         #: sweeping one Env concurrently.  The fused kernels' padded
         #: fields live here too (read ``"padded"``): one per thread,
-        #: padded shape and dtype, whatever the number of Blocks.
+        #: padded shape and dtype, whatever the number of Blocks; so do
+        #: the rows a gather table takes (read ``"rows"``).
         self._scratch: Dict[tuple, np.ndarray] = {}
         #: Per task: ``(tiles swept, Blocks covered, {boundary reason: n})``.
         self._tiles: Dict[int, Tuple[int, int, Dict[str, int]]] = {}

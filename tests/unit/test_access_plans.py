@@ -35,6 +35,7 @@ from repro.memory import (
     compile_address_plan,
     compile_offsets_plan,
 )
+from repro.memory.mmat import PlanSegment
 
 
 @pytest.fixture
@@ -239,6 +240,73 @@ class TestHaloPlanExecution:
         assert plan_env.plan_page_requirements() == set(keys)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("components", [1, 3])
+class TestOneGatherForm:
+    """Every indexed table — owned, halo on pages, halo on the owners'
+    slots — runs as one ``np.take`` into scratch and one row store: it
+    must equal ``out[dst] = rows[src]``, and leave every other site be."""
+
+    @staticmethod
+    def build(components, dtype):
+        env = Env(allocator=PoolGroup([MemoryPool(1 << 20)]), mmat_enabled=True, name="gather")
+        kw = dict(components=components, page_elements=4, allocator=env.allocator, dtype=dtype)
+        owned = [env.add_data_block(DataBlock((8 * k,), (8,), **kw)) for k in range(2)]
+        remote = env.add_data_block(BufferOnlyBlock((16,), (8,), **kw))
+        rng = np.random.default_rng(components)
+        for block in owned + [remote]:
+            block.load_dense(rng.random((8, components)))
+        src = rng.integers(0, 8, size=20)  # duplicates: several sites read a row
+        dst = rng.permutation(40)[:20]
+        out = rng.random((40, components)).astype(dtype)
+        return env, owned, remote, src, dst, out
+
+    @staticmethod
+    def assert_gathers(segment, env, out, dst, rows):
+        expected = out.copy()
+        expected[dst] = rows
+        missing = segment.gather(env, out)
+        assert out.dtype == expected.dtype and np.array_equal(out, expected)
+        return missing
+
+    def test_owned_indexed_table(self, components, dtype):
+        env, owned, _remote, src, dst, out = self.build(components, dtype)
+        image = env.image_slot(owned[0])[0]
+        rows = 8 + src  # owned[1]'s rows
+        segment = PlanSegment(image, False, owned[1:], rows, dst)
+        assert self.assert_gathers(segment, env, out, dst, image.read[rows]) == 0
+
+    def test_halo_table_on_pages_zeroes_and_records_a_missing_page(self, components, dtype):
+        env, _owned, remote, src, dst, out = self.build(components, dtype)
+        image, lo, _, _ = env.image_slot(remote)
+        pages = [
+            (PageKey(remote.block_id, k), remote, remote.buffer.read_buffer.pages[k])
+            for k in range(2)
+        ]
+        remote.invalidate()
+        env.page_install(pages[0][0], np.full((4, components), 2.5))
+        segment = PlanSegment(image, True, [remote], lo + src, dst, src // 4, pages)
+        expected = np.where((src < 4)[:, None], 2.5, 0.0)
+        assert self.assert_gathers(segment, env, out, dst, expected) == 1
+        assert env.missing_pages == {pages[1][0]}
+
+    def test_halo_table_on_the_owners_slots(self, components, dtype):
+        env, _owned, remote, src, dst, out = self.build(components, dtype)
+        image, lo, _, _ = env.image_slot(remote)
+        rng = np.random.default_rng(7)
+        by_slot = [np.array([0, 2, 4, 6]) + lo, np.array([1, 3, 5, 7]) + lo]
+        slots = [rng.random((4, components)).astype(dtype) for _ in by_slot]
+        env.set_pushed_rows([(image, rows) for rows in by_slot])
+        env.set_pushed_slots([lambda slot=slot: slot for slot in slots])
+        pushed = np.empty((8, components), dtype=dtype)
+        for rows, slot in zip(by_slot, slots):
+            pushed[rows - lo] = slot
+        segment = PlanSegment(image, True, [remote], lo + src, dst, src // 4, ())
+        assert len(env.pushed_slots(segment)) == 2  # one take per owner
+        assert self.assert_gathers(segment, env, out, dst, pushed[src]) == 0
+        assert image.halo is None and not env.missing_pages
+
+
 class TestAddressPlans:
     def test_duplicate_addresses_resolve_once(self, plan_env):
         block = add_block(plan_env, (0,), shape=(8,))
@@ -314,7 +382,8 @@ class TestMMATPlanCache:
         out_a = plan_a.execute(plan_env)
         assert plan_b.execute(plan_env) is out_a  # same thread, same shape
         assert compile_offsets_plan(plan_env, a, [(0, 0), (1, 0)]).execute(plan_env) is not out_a
-        assert len(mmat._scratch) == 2
+        # Two outputs, and the rows the wider plan's ring table took.
+        assert {key[1:3] for key in mmat._scratch} == {(0, (16, 1)), (0, (32, 1)), ("rows", (4, 1))}
 
         mmat.reset()
         assert not mmat._scratch

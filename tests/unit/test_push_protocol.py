@@ -18,6 +18,9 @@ import time
 import numpy as np
 import pytest
 
+from repro import Platform
+from repro.apps import JacobiSGrid
+from repro.aspects.mpi_aspect import PendingPush, PushPlan
 from repro.memory import BufferOnlyBlock, DataBlock, Env, MemoryPool, PoolGroup
 from repro.memory.mmat import compile_offsets_plan
 from repro.memory.page import PageKey
@@ -31,6 +34,7 @@ from repro.runtime import (
 )
 from repro.runtime import shm
 from repro.runtime.shm import ControlWords, spin_until
+from repro.runtime.tracing import TaskCounters
 
 from page_protocol import pipe_plane
 
@@ -230,6 +234,29 @@ class TestStamps:
             control.acknowledge(1, 0, 1, crc=7)
         with pytest.raises(CollectiveError, match="not monotone"):
             control.publish(1, 0, 2, crc=7)
+
+    def test_checks_catch_an_owner_restamping_inside_the_consumers_sweep(self, checks):
+        """The consumer reads the slot in place throughout its sweep, so it
+        acknowledges the round at its next refresh, not when the wait
+        completes: an owner that would rewrite the slot in between fails."""
+        caught = []
+
+        class Probe(JacobiSGrid):
+            def kernel(self, warmup: bool) -> bool:
+                if not warmup and self.env.step == 2 and self.task.mpi_rank == 1:
+                    self.env.complete_pending_halo()  # the sweep's first halo read
+                    try:
+                        self.platform.context["mpi_world"].control.claim(0, 1)
+                    except CollectiveError as exc:
+                        caught.append(exc)
+                return super().kernel(warmup)
+
+        config = dict(region=16, block_size=4, page_elements=8, loops=4, init=lambda x, y: x + y)
+        run = Platform.builder().mpi(2, backend="threads").mmat().comm_timeout(30.0).run(
+            Probe, config=config
+        )
+        assert len(caught) == 1 and "only acknowledged round" in str(caught[0])
+        assert run.network["halo_pushes"] > 0 and run.network["open_steps"] == {}
 
     def test_repro_check_is_read_from_the_environment_at_import(self):
         for value, expected in (("1", "True"), ("", "False")):
@@ -492,6 +519,11 @@ def halo_env():
     return env, owned, remote, plan
 
 
+def viewed(*slots):
+    """What a completed push hands the Env: a function viewing each slot."""
+    return [lambda slot=slot: slot for slot in slots]
+
+
 class TestPushedRows:
     def test_plan_halo_rows_are_the_distinct_remote_rows_by_block(self):
         env, _owned, remote, _plan = halo_env()
@@ -501,67 +533,91 @@ class TestPushedRows:
         assert blocks == [remote] and which.tolist() == [0] * 4
         assert elements.tolist() == [0, 1, 2, 3]
 
-    def test_covered_tables_read_pushed_rows_without_touching_pages(self):
+    def test_covered_tables_read_the_slot_without_touching_pages(self):
         env, _owned, remote, plan = halo_env()
         env.invalidate_buffer_only()
         tables = env.plan_halo_rows()
         env.set_pushed_rows(tables)
         (segment,) = plan.split()[1]
-        assert not env.halo_pushed(segment)  # declared, not delivered yet
-        image, rows = tables[0]
-        env.install_pushed_halo([(image, rows, np.full((4, 1), 7.0))])
-        assert env.halo_pushed(segment)
+        assert env.pushed_slots(segment) is None  # declared, not delivered yet
+        image, _rows = tables[0]
+        env.set_pushed_slots(viewed(np.full((4, 1), 7.0)))
+        ((slot, rows, sites),) = env.pushed_slots(segment)
+        assert rows.tolist() == [0, 1, 2, 3] and np.array_equal(sites, segment.dst_idx)
         out = plan.execute(env).reshape(2, 4, 4)
         assert np.all(out[1][3] == 7.0) and not env.missing_pages
-        assert remote.block_id not in image.fresh
+        assert image.halo is None  # no page was assembled
         env.check_dense_image()
         env.check_pushed_rows()
 
-    def test_a_swap_ends_the_pushed_rows_validity(self):
+    def test_a_swap_ends_the_slots_validity(self):
         env, _owned, _remote, plan = halo_env()
         env.invalidate_buffer_only()
-        tables = env.plan_halo_rows()
-        env.set_pushed_rows(tables)
-        env.install_pushed_halo([(tables[0][0], tables[0][1], np.zeros((4, 1)))])
-        assert env.refresh(warmup=True) and env.halo_pushed(plan.split()[1][0])
-        assert env.refresh() and not env.halo_pushed(plan.split()[1][0])
+        env.set_pushed_rows(env.plan_halo_rows())
+        env.set_pushed_slots(viewed(np.zeros((4, 1))))
+        assert env.refresh(warmup=True) and env.pushed_slots(plan.split()[1][0])
+        assert env.refresh() and env.pushed_slots(plan.split()[1][0]) is None
         plan.execute(env)
         assert env.missing_pages  # back on the pages, which are invalid
 
-    def test_an_uncovered_table_falls_back_and_spares_the_pushed_rows(self):
+    def test_an_uncovered_table_falls_back_to_the_pages(self):
         env, owned, remote, plan = halo_env()
         env.invalidate_buffer_only()
-        tables = env.plan_halo_rows()
-        env.set_pushed_rows(tables)
-        image, rows = tables[0]
-        env.install_pushed_halo([(image, rows, np.full((4, 1), 7.0))])
+        env.set_pushed_rows(env.plan_halo_rows())
+        env.set_pushed_slots(viewed(np.full((4, 1), 7.0)))
         wider = compile_offsets_plan(env, owned, ((2, 0),))  # also reads the second remote row
         (segment,) = wider.split()[1]
-        assert not env.halo_pushed(segment)
+        assert env.pushed_slots(segment) is None
         wider.execute(env)
         assert env.missing_pages == {PageKey(remote.block_id, 0), PageKey(remote.block_id, 1)}
-        # A repair installs one of the pages; assembling it must not bury
-        # the pushed rows that sit on the page still missing.
+        # A repair installs one of the pages: the uncovered table reads it
+        # and zeros for the page still missing; the covered one, the slot.
         env.missing_pages.clear()
         env.page_install(PageKey(remote.block_id, 1), np.full((4, 1), 5.0))
-        wider.execute(env)
+        out = wider.execute(env).reshape(4, 4)
         assert env.missing_pages == {PageKey(remote.block_id, 0)}
-        assert image.halo[:8, 0].tolist() == [7.0] * 4 + [5.0] * 4
+        assert out[2].tolist() == [0.0] * 4 and out[3].tolist() == [5.0] * 4
+        env.missing_pages.clear()
+        assert np.all(plan.execute(env).reshape(2, 4, 4)[1][3] == 7.0) and not env.missing_pages
 
-    def test_a_late_buffer_only_block_grows_the_halo_array_in_place(self):
+    def test_a_late_buffer_only_block_keeps_the_tables_on_the_slot(self):
         env, _owned, _remote, plan = halo_env()
         env.invalidate_buffer_only()
-        tables = env.plan_halo_rows()
-        env.set_pushed_rows(tables)
-        image, rows = tables[0]
-        env.install_pushed_halo([(image, rows, np.full((4, 1), 7.0))])
-        env.add_data_block(
-            BufferOnlyBlock(
-                (100, 100), (4, 4), components=1, page_elements=4, allocator=env.allocator
-            )
+        env.set_pushed_rows(env.plan_halo_rows())
+        env.set_pushed_slots(viewed(np.full((4, 1), 7.0)))
+        late = BufferOnlyBlock(
+            (100, 100), (4, 4), components=1, page_elements=4, allocator=env.allocator
         )
-        assert image.halo.shape[0] == 32 and image.halo[:4, 0].tolist() == [7.0] * 4
-        assert env.halo_pushed(plan.split()[1][0])
+        late.load_dense(np.full((16, 1), 9.0))
+        env.add_data_block(late)
+        assert np.all(plan.execute(env).reshape(2, 4, 4)[1][3] == 7.0) and not env.missing_pages
+        assert np.all(env.dense_read(late) == 9.0) and env.dense_read(late).shape == (16, 1)
+
+    def test_a_completed_push_is_read_in_place_and_leaves_the_halo_mirror_alone(self):
+        env, _owned, remote, plan = halo_env()
+        for page in range(remote.page_count()):  # an open step's pages
+            env.page_install(PageKey(remote.block_id, page), np.full((4, 1), 3.0))
+        plan.execute(env)
+        image, rows = env.plan_halo_rows()[0]
+        mirror = image.halo.tobytes()
+        env.invalidate_buffer_only()
+        # The closed step: the owner (rank 1) stores its rows and stamps.
+        world = get_backend("threads").create_world(2)
+        link = world.open_halo_link(1, 0, nbytes=32)
+        push = PushPlan(generation=env.plan_generation, pages=frozenset())
+        push.inbound.append((link, [(image, rows, 0, 32)]))
+        env.set_pushed_rows([(image, rows)])
+        slot = link.slot.view(np.float64).reshape(4, 1)
+        slot[:] = 7.0
+        world.control.publish(1, 0, world.halo_round(0), None)
+        env.set_pending_halo(PendingPush(push, world, 0, TaskCounters()))
+        assert np.all(plan.execute(env).reshape(2, 4, 4)[1][3] == 7.0)
+        assert not env.has_pending_halo() and image.halo.tobytes() == mirror
+        slot[:] = 42.0  # what the table reads is the slot itself
+        assert np.all(plan.execute(env).reshape(2, 4, 4)[1][3] == 42.0)
+        assert image.halo.tobytes() == mirror and not env.missing_pages
+        env.refresh()
+        world.finalize()
 
     def test_check_pushed_rows_rejects_plans_the_push_does_not_cover(self):
         env, owned, _remote, _plan = halo_env()

@@ -80,7 +80,8 @@ class TestScratchPerRead:
             k = BlockKernel(env, block)
             k.gather([(0,), (1,)])
             k.gather_global(table(8, width=2), key="pairs")
-        assert len(env.mmat._scratch) == 2
+        outputs = [key for key in env.mmat._scratch if key[1] != "rows"]  # not what tables took
+        assert len(outputs) == 2
 
 
 class TestOwnElementsAreAView:
