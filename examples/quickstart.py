@@ -111,9 +111,9 @@ def main() -> None:
     print(f"OpenMP x4 fused kernels: {omp.mmat_stats['fused_kernels']} compiled, "
           f"{sum(c.kernel_fused_calls for c in omp.counters.values())} fused sweeps")
 
-    # The MPI run moved its halo through compiled communication plans:
-    # one aggregated message pair per neighbor rank instead of one per
-    # page (the `comm=… agg=…` section of summary() above).
+    # The MPI run moved its warm-up halo pages in bulk: one message pair
+    # per owner rank instead of one per page (the `comm=… agg=…` section
+    # of summary() above), and published the halo after that.
     print(f"MPI x4 halo aggregation: {mpi.comm_aggregation_ratio():.1f} pages "
           f"per exchange across {mpi.comm_neighbor_links()} neighbor links")
 

@@ -272,9 +272,9 @@ class PlatformRun:
     def _comm_plan_summary(self) -> str:
         """The ``comm=…`` section of :meth:`summary` (halo traffic by protocol).
 
-        Reports how many aggregated exchanges moved how many halo pages,
+        Reports how many bulk page exchanges moved how many halo pages,
         the aggregation ratio (pages per message pair), the number of
-        request/reply message pairs saved against the per-page protocol,
+        request/reply message pairs saved against one pair per page,
         how many halo slots the owners published with how many element
         rows (``push=``), and the number of directed neighbor links the
         run exercised.  ``open:`` names why steps of a run that can
@@ -295,9 +295,6 @@ class PlatformRun:
         neighbors = self.comm_neighbor_links()
         if neighbors:
             part += f" links={neighbors}"
-        fallback_pages = sum(c.comm_plan_fallback_pages for c in self.counters.values())
-        if fallback_pages:
-            part += f" perpage={fallback_pages}pg"
         open_steps = self.network.get("open_steps") or {}
         if open_steps:
             part += " open: " + ", ".join(
@@ -308,13 +305,13 @@ class PlatformRun:
     def _overlap_summary(self) -> str:
         """The ``overlap=…`` section of :meth:`summary` (hidden halo latency).
 
-        Reports how many exchanges ran overlapped, the overlap
-        efficiency (the fraction of the halo flight time that hid behind
-        interior computation, ``1 - wait/flight``), and how many
-        exchanges were merely drained at a synchronisation point (no
-        compute overlapped them).
+        Reports how many page exchanges ran, the overlap efficiency (the
+        fraction of the halo flight time that hid behind interior
+        computation, ``1 - wait/flight``), and how many exchanges were
+        merely drained at a synchronisation point (no compute overlapped
+        them).
         """
-        exchanges = sum(c.overlap_exchanges for c in self.counters.values())
+        exchanges = sum(c.comm_plan_exchanges for c in self.counters.values())
         if not exchanges:
             return ""
         part = f" overlap={exchanges}ex eff={self.overlap_efficiency():.0%}"
@@ -360,7 +357,7 @@ class PlatformRun:
         return len(per_neighbor)
 
     def comm_aggregation_ratio(self) -> float:
-        """Average pages moved per aggregated exchange (0.0 without comm plans)."""
+        """Average pages moved per bulk page exchange (0.0 when none ran)."""
         exchanges = sum(c.comm_plan_exchanges for c in self.counters.values())
         pages = sum(c.comm_plan_pages for c in self.counters.values())
         return pages / exchanges if exchanges else 0.0

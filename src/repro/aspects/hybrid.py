@@ -24,16 +24,13 @@ def mpi_aspects(
     processes: int,
     *,
     backend: Optional[str] = None,
-    comm_plans: bool = True,
 ) -> List[LayerAspect]:
     """Aspect stack for a distributed-memory-only run ("Platform MPI").
 
     ``backend`` picks the execution backend of the layer ("serial" |
     "threads" | "process"); None defers to the Platform's choice.
-    ``comm_plans=False`` disables the aggregated per-neighbor halo
-    exchange and keeps the per-page protocol (benchmark reference).
     """
-    return [DistributedMemoryAspect(processes=processes, backend=backend, comm_plans=comm_plans)]
+    return [DistributedMemoryAspect(processes=processes, backend=backend)]
 
 
 def openmp_aspects(threads: int) -> List[LayerAspect]:
@@ -46,19 +43,17 @@ def hybrid_aspects(
     threads: int,
     *,
     backend: Optional[str] = None,
-    comm_plans: bool = True,
 ) -> List[LayerAspect]:
     """Aspect stack for a hybrid run ("Platform MPI+OMP").
 
     Order matters only through each aspect's ``order`` attribute (the
     shared-memory module is woven *outside* the distributed-memory one);
     the list order is purely cosmetic.  ``backend`` selects the
-    execution backend of the distributed-memory layer and ``comm_plans``
-    toggles its aggregated halo exchange.
+    execution backend of the distributed-memory layer.
     """
     return [
         SharedMemoryAspect(threads=threads),
-        DistributedMemoryAspect(processes=processes, backend=backend, comm_plans=comm_plans),
+        DistributedMemoryAspect(processes=processes, backend=backend),
     ]
 
 

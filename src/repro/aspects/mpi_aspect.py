@@ -19,18 +19,16 @@ This module weaves the distributed-memory layer into an application:
   whether every rank's step succeeded, fetch the pages recorded as
   non-existent from their owners when it did not, and — via the
   **Dry-run** record — prefetch, after every successful refresh, the
-  pages this rank is known to need so later steps do not fail at all.
-  When MMAT warm-up has compiled access plans, the steady-state halo is
-  statically known and the prefetch is compiled into a :class:`CommPlan`
-  executed as **one aggregated message pair per neighbor rank**; without
-  plans the original per-page protocol runs unchanged.  The planned
-  exchange is issued *nonblocking*
-  (:meth:`ExecutionWorld.fetch_pages_bulk_async`) right after the step
-  barrier and parked on the Env as a :class:`PendingHalo`; the next
-  sweep computes its interior segment while the pages travel and
-  completes the exchange only when it first touches halo data — hiding
-  the communication round-trip behind computation, with numerically
-  identical results.
+  pages this rank is known to need so later steps do not fail at all
+  (the Dry-run record united with the halo pages of every compiled
+  access plan).  Pages move one way only: **one bulk request/reply pair
+  per owning rank** (:meth:`ExecutionWorld.fetch_pages_bulk_async`).
+  The repair is issued and completed before the step barrier; the
+  prefetch is issued right after it and parked on the Env as a
+  :class:`PendingHalo`, so the next sweep computes its interior while
+  the pages travel and completes the exchange only when it first
+  touches halo data — numerically identical, with the round-trip
+  hidden behind computation.
 
   Where the world's ranks share memory (``world.control``) that page
   exchange is only how a run *opens*.  The halo tables of the compiled
@@ -75,13 +73,13 @@ from ..obs.metrics import record as metric_record
 from ..obs.spans import global_tracer
 from ..runtime.backends import DEFAULT_BACKEND, get_backend
 from ..runtime.backends.base import CommHandle, ExecutionWorld, HaloLink
-from ..runtime.errors import NetworkError, PageFetchError
+from ..runtime.errors import CollectiveError, NetworkError, PageFetchError
 from ..runtime.shm import protocol_checks
 from ..runtime.task import current_task
 from ..runtime.tracing import global_trace
 from .base import LayerAspect
 
-__all__ = ["CommPlan", "DistributedMemoryAspect", "PendingHalo", "PendingPush", "PushPlan"]
+__all__ = ["DistributedMemoryAspect", "PendingHalo", "PendingPush", "PushPlan"]
 
 #: Flags of the per-step agreement (``world.allreduce_bits``).
 _OK = 1        # my step read no missing page
@@ -89,97 +87,86 @@ _CLOSED = 2    # the pushed rows are all the remote data my step reads
 _CURRENT = 4   # my PushPlan was derived from the plans I hold now
 
 #: Why a rank can never publish; reported even if the run never closed.
-_NEVER_CLOSES = ("comm_plans=False", "no shm")
+_NEVER_CLOSES = "no shm"
 
 
-@dataclass
-class CommPlan:
-    """A compiled communication schedule for one rank's steady-state halo.
+def _named(keys) -> str:
+    """``keys`` for an error message: the first eight pages, and how many more."""
+    keys = sorted(keys)
+    more = f" (+{len(keys) - 8} more)" if len(keys) > 8 else ""
+    return "pages " + ", ".join(map(repr, keys[:8])) + more
 
-    Once MMAT warm-up has compiled access plans, the rank's full remote
-    page set is statically known (``Env.plan_page_requirements`` united
-    with the Dry-run record).  A CommPlan freezes that set into a
-    transport manifest — ``(local PageKey, logical block key, page
-    index)`` per page — so every subsequent refresh can hand the whole
-    halo to :meth:`ExecutionWorld.fetch_pages_bulk_async` in one call
-    and the world moves **one aggregated message pair per neighbor
-    rank** instead of one pair per page.  The plan is a pure cache keyed by its
-    page set: when the requirement set changes (MMAT reset, new plans
-    compiled, dry-run growth) the aspect transparently recompiles it.
-    """
 
-    #: The halo page set this plan covers (cache key).
-    keys: frozenset
-    #: Transport manifest, sorted by local page key.
-    requests: List[Tuple[PageKey, Any, int]]
-
-    def __post_init__(self) -> None:
-        self._index: Dict[Tuple[Any, int], PageKey] = {
-            (lk, page): key for key, lk, page in self.requests
-        }
-
-    def key_for(self, logical_key: Any, page_index: int) -> PageKey:
-        """Map a transport result back to the local page it fills."""
-        return self._index[(logical_key, page_index)]
+def _page_bytes(env, keys) -> int:
+    """Payload bytes of the pages ``keys``: what their owners' snapshots hold."""
+    total = 0
+    for key in keys:
+        page = env.block(key.block_id).buffer.read_buffer.pages[key.page_index]
+        total += page.elements * page.components * page.dtype.itemsize
+    return total
 
 
 class PendingHalo:
-    """One rank's overlapped halo exchange, issued but not yet installed.
+    """One rank's bulk page exchange, issued but not yet installed.
 
-    Created by the refresh advice right after the step barrier (the
-    ``breq`` manifests already on the wire, or the batch already served
-    where the world serves at issue) and attached to the rank's Env via
-    :meth:`~repro.memory.env.Env.set_pending_halo`.  The first reader
+    Created by the refresh advice (the ``breq`` manifests already on the
+    wire, or the batch already served where the world serves at issue)
+    with the manifest it issued — ``(logical block key, page index) →
+    local PageKey``.  A repair completes it at once; a prefetch is
+    attached to the rank's Env via
+    :meth:`~repro.memory.env.Env.set_pending_halo`, and the first reader
     that needs halo data — the boundary phase of a fused
-    :meth:`~repro.dsl.base.BlockKernel.sweep`, a boundary plan
-    segment, a scalar Buffer-only access, or the next refresh — calls
+    :meth:`~repro.dsl.base.BlockKernel.sweep`, a boundary plan segment, a
+    scalar Buffer-only access, or the next refresh — calls
     :meth:`complete`, which waits the :class:`CommHandle`, bulk-installs
-    the pages through the CommPlan's manifest and accounts the traffic
-    plus the ``overlap_*`` timing counters.  Everything between issue
-    and completion is computation the exchange latency hid behind.
+    the pages and accounts the traffic plus the ``overlap_*`` timing
+    counters.  Everything between issue and completion is computation
+    the exchange latency hid behind.
     """
 
-    __slots__ = ("plan", "handle", "trace", "issued_ns", "span_token")
+    __slots__ = ("manifest", "handle", "trace", "issued_ns", "span_token")
 
-    def __init__(self, plan: CommPlan, handle: CommHandle, trace, span_token=None) -> None:
-        self.plan = plan
+    def __init__(
+        self, manifest: Dict[Tuple[Any, int], PageKey], handle: CommHandle, trace, span_token=None
+    ) -> None:
+        self.manifest = manifest
         self.handle = handle
         self.trace = trace
         self.issued_ns = time.perf_counter_ns()
         #: Async span token of the issue→complete flight (None untraced).
         self.span_token = span_token
 
+    def describe(self) -> str:
+        return f"halo exchange of {_named(self.manifest.values())}"
+
     def complete(self, env, *, drained: bool = False) -> None:
         """Wait for the exchange, install its pages, account the traffic.
 
         ``drained=True`` marks a completion at a synchronisation point
-        (refresh entry, finalize, re-issue) where no interior compute
-        ran in between — counted separately so the overlap-efficiency
-        report distinguishes hidden from merely deferred latency.
+        (a repair, refresh entry, finalize, re-issue) where no interior
+        compute ran in between — counted separately so the
+        overlap-efficiency report distinguishes hidden from merely
+        deferred latency.
         """
         trace = self.trace
-        result, timing = _wait_halo(
-            self, drained, f"overlapped halo exchange of {len(self.plan.requests)} pages"
-        )
-        plan = self.plan
-        env.page_install_many(
-            (plan.key_for(lk, page), data) for lk, page, data in result.pages
-        )
+        result, timing = _wait_halo(self, drained)
+        manifest = self.manifest
+        env.page_install_many((manifest[lk, page], data) for lk, page, data in result.pages)
         trace.pages_fetched += len(result.pages)
         trace.bytes_fetched += result.nbytes
         trace.messages += 2 * result.exchanges
-        # The exchange is still a comm-plan exchange (aggregated per
-        # neighbor); the overlap_* counters add the async dimension.
         trace.comm_plan_exchanges += result.exchanges
         trace.comm_plan_pages += len(result.pages)
-        trace.overlap_exchanges += result.exchanges
-        trace.overlap_pages += len(result.pages)
         _account_wait(self, drained, timing)
         metric_record("exchange.pages", len(result.pages))
 
 
-def _wait_halo(pending, drained: bool, what: str):
-    """Wait ``pending.handle``: ``(result, (ns spent waiting, ns since issue))``."""
+def _wait_halo(pending, drained: bool):
+    """Wait ``pending.handle``: ``(result, (ns spent waiting, ns since issue))``.
+
+    A wait that fails — a dropped or corrupt reply, a timeout, a dead
+    owner — raises :class:`PageFetchError` naming what was outstanding.
+    """
     tracer = global_tracer()
     wait_start = time.perf_counter_ns()
     try:
@@ -187,8 +174,8 @@ def _wait_halo(pending, drained: bool, what: str):
             result = pending.handle.wait()
     except PageFetchError:
         raise
-    except NetworkError as exc:
-        raise PageFetchError(f"{what} failed: {exc}") from exc
+    except (NetworkError, CollectiveError) as exc:
+        raise PageFetchError(f"{pending.describe()} failed: {exc}") from exc
     completed = time.perf_counter_ns()
     tracer.async_end(pending.span_token, drained=drained)
     return result, (completed - wait_start, completed - pending.issued_ns)
@@ -240,6 +227,8 @@ class PushPlan:
     #: Buffer-only pages those plans read; the Dry-run record must stay
     #: inside it for the pushed rows to be all the rank prefetches.
     pages: frozenset
+    #: Payload bytes of ``pages``: what the paper's prototype moves a step.
+    page_bytes: int = 0
     #: Per owner: ``(link, [(image, halo rows, slot byte lo, hi), …])``.
     inbound: List[Tuple[HaloLink, list]] = field(default_factory=list)
     #: Per consumer: ``(link, [(image, read rows, lo, hi), …])``.
@@ -272,13 +261,14 @@ class PendingPush:
         self.issued_ns = time.perf_counter_ns()
         self.span_token = global_tracer().async_begin("halo.flight", sites=plan.inbound_sites)
 
+    def describe(self) -> str:
+        return f"published halo of {self.plan.inbound_sites} sites"
+
     def complete(self, env, *, drained: bool = False) -> None:
         """Wait for the stamps, hand the Env the slots, account the traffic."""
         trace = self.trace
         plan = self.plan
-        result, timing = _wait_halo(
-            self, drained, f"published halo of {plan.inbound_sites} sites"
-        )
+        result, timing = _wait_halo(self, drained)
         env.set_pushed_slots([
             partial(_slot_rows, link, image, lo, hi)
             for link, tables in plan.inbound
@@ -323,24 +313,16 @@ class DistributedMemoryAspect(LayerAspect):
         *,
         timeout: float | None = None,
         backend: str | None = None,
-        comm_plans: bool = True,
     ) -> None:
         super().__init__(parallelism=processes)
         #: Communication timeout override; ``None`` defers to the
         #: Platform's ``comm_timeout`` and finally to 60 seconds.
         self.timeout = timeout
         self.backend_name = backend
-        #: Whether to compile CommPlans (aggregated per-neighbor halo
-        #: exchange) from warmed-up access plans; False keeps the
-        #: original one-message-pair-per-page protocol everywhere.
-        self.comm_plans = bool(comm_plans)
         self.world: ExecutionWorld | None = None
         #: Dry-run record: rank -> set of local PageKeys that had to be
         #: fetched at least once; prefetched after every successful refresh.
         self._dry_run: Dict[int, Set[PageKey]] = {}
-        #: Compiled communication schedules: rank -> CommPlan (a cache —
-        #: invalidated whenever the rank's halo requirement set changes).
-        self._comm_plans: Dict[int, CommPlan] = {}
         #: Publish protocol: rank -> PushPlan of the latest negotiation,
         #: rank -> {owner: HaloLink} of the slots it allocated (reused by
         #: a renegotiation that fits), and rank -> the Env counters
@@ -374,7 +356,6 @@ class DistributedMemoryAspect(LayerAspect):
         """Adopt ``world`` for the coming run, forgetting every per-world plan."""
         self.world = world
         self._dry_run = {rank: set() for rank in range(world.size)} if world else {}
-        self._comm_plans = {}
         self._push_plans = {}
         self._inbound_links = {}
         self._uncovered_reads = {}
@@ -489,7 +470,7 @@ class DistributedMemoryAspect(LayerAspect):
         reason = self._open_reason(env, rank, push, warmup)
         # A world without slots has nothing to negotiate: its plan is
         # "current" by definition, so the bit never asks for a negotiation.
-        current = reason in _NEVER_CLOSES or (
+        current = reason == _NEVER_CLOSES or (
             push is not None and push.generation == env.plan_generation
         )
         flags = (_OK if local_ok else 0) | (_CLOSED if reason is None else 0) | (
@@ -511,10 +492,8 @@ class DistributedMemoryAspect(LayerAspect):
             else:
                 result = jp.proceed()  # records last_failed_pages, no swap
                 needed = set(env.last_failed_pages)
-            with self._lock:
-                self._dry_run.setdefault(rank, set()).update(needed)
             with tracer.span("halo.repair", pages=len(needed)):
-                self._fetch_pages(env, rank, needed, trace)
+                self._repair(env, rank, needed, trace)
             with tracer.span("step.barrier"):
                 world.barrier()
             trace.collectives += 1
@@ -527,6 +506,10 @@ class DistributedMemoryAspect(LayerAspect):
             # … and every rank reads nothing but pushed rows: publish mine
             # (the stamp orders what the barrier used to), await theirs.
             push.closed_once = True
+            # The Dry-run record lies inside ``push.pages`` (else the step
+            # were open): those are the pages the paper's prototype fetches.
+            trace.paper_pages += len(push.pages)
+            trace.paper_bytes += push.page_bytes
             env.invalidate_buffer_only()
             if protocol_checks():
                 env.check_pushed_rows()
@@ -539,7 +522,7 @@ class DistributedMemoryAspect(LayerAspect):
             return result
 
         if reason is not None and not warmup and world.size > 1 and (
-            reason in _NEVER_CLOSES or (push is not None and push.closed_once)
+            reason == _NEVER_CLOSES or (push is not None and push.closed_once)
         ):
             world.record_open_step(rank, reason)
         with tracer.span("step.barrier"):
@@ -548,22 +531,20 @@ class DistributedMemoryAspect(LayerAspect):
         # … then prefetch, with the owners' new data, every page this rank
         # is known to need for the next step: the Dry-run record (pages
         # that were observed missing) united with the halo pages of every
-        # compiled access plan.  Once access plans exist the full halo is
-        # statically known, so it moves through a compiled CommPlan — one
-        # aggregated message pair per neighbor rank, issued now and
-        # awaited behind the next interior sweep; without plans (MMAT
-        # off, plan invalidated, scalar kernels) the original per-page
-        # protocol is used transparently.
+        # compiled access plan — one bulk exchange per owner, issued now
+        # and awaited behind the next interior sweep.
         env.invalidate_buffer_only()
         with self._lock:
             prefetch = set(self._dry_run.get(rank, ()))
         plan_pages = env.plan_page_requirements()
         prefetch |= plan_pages
-        if self.comm_plans and plan_pages:
-            self._exchange_planned_async(env, rank, prefetch, trace)
-        else:
-            with tracer.span("halo.perpage", pages=len(prefetch)):
-                self._fetch_pages(env, rank, prefetch, trace)
+        if not warmup:
+            trace.paper_pages += len(prefetch)
+            trace.paper_bytes += _page_bytes(env, prefetch)
+        pending = self._issue_halo(env, rank, prefetch, trace)
+        if pending is not None:
+            trace.overlap_issues += 1
+            env.set_pending_halo(pending)
         if not agreed & _CURRENT:
             # Some rank's plans changed since the last negotiation (or
             # there was none): tell the owners what is read now, so the
@@ -579,10 +560,8 @@ class DistributedMemoryAspect(LayerAspect):
         reads = (mmat.plan_compiles_uncached, env.stats.buffer_only_reads)
         before = self._uncovered_reads.get(rank, reads)
         self._uncovered_reads[rank] = reads
-        if not self.comm_plans:
-            return "comm_plans=False"
         if self.world.control is None:
-            return "no shm"
+            return _NEVER_CLOSES
         if warmup:
             return "warm-up"
         if push is None or push.generation != env.plan_generation:
@@ -664,7 +643,11 @@ class DistributedMemoryAspect(LayerAspect):
                     for b, part in zip(firsts.tolist(), np.split(elements[sel], cuts))
                 ]
                 wanted.setdefault(owner, []).append((image, rows[sel], pieces))
-        plan = PushPlan(generation=env.plan_generation, pages=frozenset(plan_pages))
+        plan = PushPlan(
+            generation=env.plan_generation,
+            pages=frozenset(plan_pages),
+            page_bytes=_page_bytes(env, plan_pages),
+        )
         previous = self._push_plans.get(rank)
         plan.closed_once = previous is not None and previous.closed_once
         links = self._inbound_links.setdefault(rank, {})
@@ -717,101 +700,52 @@ class DistributedMemoryAspect(LayerAspect):
         self._push_plans[rank] = plan
 
     @staticmethod
-    def _logical_key(rank: int, block) -> Any:
+    def _logical_key(rank: int, block, what: str = "the halo") -> Any:
         logical_key = getattr(block, "logical_key", None)
         if logical_key is None:
             raise PageFetchError(
-                f"rank {rank} cannot plan the halo of block {block.name!r}: it has no "
+                f"rank {rank} cannot fetch {what} of block {block.name!r}: it has no "
                 "logical key, so its owning rank is unresolvable"
             )
         return logical_key
 
     # ------------------------------------------------------------------
-    def _comm_plan_for(self, env, rank: int, keys: Set[PageKey], trace) -> CommPlan:
-        """Return the rank's cached CommPlan, recompiling if the halo changed."""
-        frozen = frozenset(keys)
+    def _repair(self, env, rank: int, keys: Set[PageKey], trace) -> None:
+        """Fetch the pages ``keys`` a failed step missed into the Dry-run
+        record and the Env: one bulk exchange per owner, completed at once."""
         with self._lock:
-            plan = self._comm_plans.get(rank)
-        if plan is not None and plan.keys == frozen:
-            return plan
-        with global_tracer().span("plan.comm_compile", pages=len(keys)):
-            requests: List[Tuple[PageKey, Any, int]] = []
-            for key in sorted(keys):
-                block = env.block(key.block_id)
-                logical_key = getattr(block, "logical_key", None)
-                if logical_key is None:
-                    raise PageFetchError(
-                        f"rank {rank} cannot plan a fetch for page {key}: block "
-                        f"{block.name!r} has no logical key, so its owning rank "
-                        "is unresolvable"
-                    )
-                requests.append((key, logical_key, key.page_index))
-            plan = CommPlan(keys=frozen, requests=requests)
-        with self._lock:
-            self._comm_plans[rank] = plan
-        trace.comm_plan_compiles += 1
-        return plan
+            self._dry_run.setdefault(rank, set()).update(keys)
+        pending = self._issue_halo(env, rank, keys, trace)
+        if pending is not None:
+            pending.complete(env, drained=True)
 
-    def _exchange_planned_async(self, env, rank: int, keys: Set[PageKey], trace) -> None:
-        """Issue the planned halo refresh nonblocking.
+    def _issue_halo(self, env, rank: int, keys: Set[PageKey], trace) -> Optional[PendingHalo]:
+        """Start moving the pages ``keys`` here: one bulk request/reply pair
+        per owning rank (:meth:`ExecutionWorld.fetch_pages_bulk_async`).
 
-        The aggregated per-neighbor requests leave immediately
-        (:meth:`ExecutionWorld.fetch_pages_bulk_async`); the resulting
-        :class:`PendingHalo` is parked on the Env and completed by the
-        first halo reader of the next sweep — everything computed until
-        then overlaps the exchange.  Owner-resolution failures surface
-        here, at issue time.
+        Returns the exchange in flight (``None`` for no pages); the
+        caller completes it at once (a repair) or parks it on the Env (a
+        prefetch).  Owner-resolution failures surface here, at issue time.
         """
         if not keys:
-            return
-        world = self.world
-        assert world is not None
-        plan = self._comm_plan_for(env, rank, keys, trace)
+            return None
+        manifest = {
+            (self._logical_key(rank, env.block(key.block_id), repr(key)), key.page_index): key
+            for key in sorted(keys)
+        }
         # The flight span opens at issue time and is closed by whichever
         # reader completes the PendingHalo — Perfetto draws the b/e pair
         # as an arrow across everything computed in between.
-        token = global_tracer().async_begin("halo.flight", pages=len(plan.requests))
+        token = global_tracer().async_begin("halo.flight", pages=len(manifest))
         try:
-            handle = world.fetch_pages_bulk_async(
-                rank, [(lk, page) for _, lk, page in plan.requests]
-            )
+            handle = self.world.fetch_pages_bulk_async(rank, list(manifest))
         except PageFetchError:
             raise
         except NetworkError as exc:
             raise PageFetchError(
-                f"rank {rank} failed to issue the overlapped halo exchange of "
-                f"{len(plan.requests)} pages: {exc}"
+                f"rank {rank} failed to issue the halo exchange of {_named(keys)}: {exc}"
             ) from exc
-        trace.overlap_issues += 1
-        env.set_pending_halo(PendingHalo(plan, handle, trace, span_token=token))
-
-    # ------------------------------------------------------------------
-    def _fetch_pages(self, env, rank: int, keys: Set[PageKey], trace) -> None:
-        """Pull each page in ``keys`` from its owning rank, one message pair each."""
-        world = self.world
-        assert world is not None
-        for key in sorted(keys):
-            block = env.block(key.block_id)
-            logical_key = getattr(block, "logical_key", None)
-            if logical_key is None:
-                raise PageFetchError(
-                    f"rank {rank} cannot fetch page {key}: block {block.name!r} "
-                    "has no logical key, so its owning rank is unresolvable"
-                )
-            try:
-                data = world.fetch_page_by_logical(rank, logical_key, key.page_index)
-            except PageFetchError:
-                raise
-            except NetworkError as exc:
-                raise PageFetchError(
-                    f"rank {rank} failed to fetch page {key.page_index} of "
-                    f"block {logical_key!r}: {exc}"
-                ) from exc
-            env.page_install(key, data)
-            trace.pages_fetched += 1
-            trace.bytes_fetched += int(data.nbytes)
-            trace.messages += 2
-            trace.comm_plan_fallback_pages += 1
+        return PendingHalo(manifest, handle, trace, span_token=token)
 
     # ------------------------------------------------------------------
     def on_detach(self, platform) -> None:

@@ -168,13 +168,13 @@ def _scaling_rows(
         baseline_total: Optional[float] = None
         for count in counts:
             work = _resize_for_weak(base_work, count) if weak else base_work
-            if layer == "mpi":
-                # The paper's prototype exchanges one message pair per
-                # page; Figs. 7/8 reproduce that protocol, so the
-                # aggregated comm-plan exchange is disabled here.
-                aspects = configuration_aspects("mpi", mpi=count, comm_plans=False)
-            else:
-                aspects = configuration_aspects("omp", omp=count)
+            # An MPI run counts the pages the paper's prototype would move
+            # (one message pair each) and the cost model charges those.
+            aspects = (
+                configuration_aspects("mpi", mpi=count)
+                if layer == "mpi"
+                else configuration_aspects("omp", omp=count)
+            )
             run = run_platform(work, aspects=aspects, mmat=True)
             breakdown = modelled_time(run, work, machine=machine)
             if baseline_total is None:
@@ -189,7 +189,7 @@ def _scaling_rows(
                     "compute_s": breakdown.compute,
                     "contention_s": breakdown.contention,
                     "communication_s": breakdown.communication,
-                    "pages_fetched": sum(c.pages_fetched for c in run.counters.values()),
+                    "pages_fetched": sum(c.paper_pages for c in run.counters.values()),
                 }
             )
     return rows
@@ -303,10 +303,7 @@ def fig11_hybrid(
         base_run = run_platform(work, aspects=configuration_aspects("serial"), mmat=True)
         base_time = modelled_time(base_run, work, machine=machine).total
         for processes, threads in combinations:
-            # Same protocol as Figs. 7/8: model the paper's per-page exchange.
-            aspects = configuration_aspects(
-                "hybrid", mpi=processes, omp=threads, comm_plans=False
-            )
+            aspects = configuration_aspects("hybrid", mpi=processes, omp=threads)
             run = run_platform(work, aspects=aspects, mmat=True)
             breakdown = modelled_time(run, work, machine=machine)
             rows.append(

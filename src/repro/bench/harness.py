@@ -239,24 +239,18 @@ def configuration_aspects(
     mpi: int = 1,
     omp: int = 1,
     backend: Optional[str] = None,
-    comm_plans: bool = True,
 ):
-    """Aspect stack for a configuration label ('serial'|'nop'|'mpi'|'omp'|'hybrid').
-
-    ``comm_plans=False`` keeps the distributed layer on the paper
-    prototype's one-message-pair-per-page protocol (the scaling figures
-    model that prototype).
-    """
+    """Aspect stack for a configuration label ('serial'|'nop'|'mpi'|'omp'|'hybrid')."""
     if label == "serial":
         return None
     if label == "nop":
         return []
     if label == "mpi":
-        return mpi_aspects(mpi, backend=backend, comm_plans=comm_plans)
+        return mpi_aspects(mpi, backend=backend)
     if label == "omp":
         return openmp_aspects(omp)
     if label == "hybrid":
-        return hybrid_aspects(mpi, omp, backend=backend, comm_plans=comm_plans)
+        return hybrid_aspects(mpi, omp, backend=backend)
     raise ValueError(f"unknown configuration {label!r}")
 
 
@@ -281,6 +275,8 @@ def scale_counters(counters: TaskCounters, linear_scale: float) -> TaskCounters:
     scaled.productive_pages = int(counters.productive_pages * linear_scale)
     scaled.productive_bytes = int(counters.productive_bytes * linear_scale)
     scaled.productive_messages = int(counters.productive_messages * linear_scale)
+    scaled.paper_pages = int(counters.paper_pages * linear_scale)
+    scaled.paper_bytes = int(counters.paper_bytes * linear_scale)
     return scaled
 
 
@@ -298,6 +294,8 @@ def amplify_steps(counters: TaskCounters, factor: float) -> TaskCounters:
     scaled.productive_pages = int(counters.productive_pages * factor)
     scaled.productive_bytes = int(counters.productive_bytes * factor)
     scaled.productive_messages = int(counters.productive_messages * factor)
+    scaled.paper_pages = int(counters.paper_pages * factor)
+    scaled.paper_bytes = int(counters.paper_bytes * factor)
     scaled.collectives = int(counters.collectives * factor)
     return scaled
 

@@ -13,8 +13,9 @@ aspect module needs:
 * **block registration** — a cross-rank directory mapping logical block
   keys to owning ranks (:meth:`ExecutionWorld.register_block` +
   :meth:`ExecutionWorld.commit_registration`);
-* **page transport** — :meth:`ExecutionWorld.fetch_page_by_logical`
-  moves page snapshots from the owning rank to the requester;
+* **page transport** — :meth:`ExecutionWorld.fetch_pages_bulk_async`
+  moves page snapshots from their owning ranks to the requester, one
+  request/reply pair per owner;
 * **halo slots** (optional) — a world whose ranks can share memory
   offers :attr:`ExecutionWorld.control` words and
   :meth:`ExecutionWorld.open_halo_link` slots, over which the
@@ -112,9 +113,8 @@ class BulkFetchResult:
 
     ``pages`` holds ``(logical_key, page_index, data)`` triples in
     request order per owner; ``exchanges`` is the number of aggregated
-    request/reply pairs the batch cost (one per distinct owning rank on
-    batching backends, one per page on the per-page fallback) and
-    ``nbytes`` the page payload volume moved.
+    request/reply pairs the batch cost (one per distinct owning rank)
+    and ``nbytes`` the page payload volume moved.
     """
 
     pages: List[Tuple[Any, int, Any]] = field(default_factory=list)
@@ -416,34 +416,20 @@ class ExecutionWorld(abc.ABC):
 
     # -- page transport -------------------------------------------------
     @abc.abstractmethod
-    def fetch_page_by_logical(self, requester: int, logical_key: Any, page_index: int):
-        """Fetch a page of the Block identified by ``logical_key`` from its owner."""
-
     def fetch_pages_bulk_async(
         self, requester: int, requests: Sequence[Tuple[Any, int]]
     ) -> CommHandle:
         """Start fetching many pages at once; returns a :class:`CommHandle`.
 
         ``requests`` is a sequence of ``(logical_key, page_index)``
-        pairs.  Batching backends move **one request/reply message pair
-        per distinct owning rank** (a page-key manifest out, a packed
-        payload back) instead of one pair per page.  The refresh
-        protocol issues this right after the step barrier and waits the
-        handle only once the interior sweep is done, so a reply that
-        travels while the rank computes is hidden behind it.  Owner
-        resolution failures surface at *issue* time.
-
-        This default — the behavioural fallback for custom backends —
-        loops over :meth:`fetch_page_by_logical` (one exchange per page)
-        and returns an already-completed handle.
+        pairs.  The world moves **one request/reply message pair per
+        distinct owning rank** (a page-key manifest out, a packed payload
+        back).  The refresh protocol issues its prefetch right after the
+        step barrier and waits the handle only once the interior sweep is
+        done, so a reply that travels while the rank computes is hidden
+        behind it; a repair waits at once.  Owner resolution failures
+        surface at *issue* time.  This is the platform's only page op.
         """
-        result = BulkFetchResult()
-        for logical_key, page_index in requests:
-            data = self.fetch_page_by_logical(requester, logical_key, page_index)
-            result.pages.append((logical_key, page_index, data))
-            result.exchanges += 1
-            result.nbytes += int(data.nbytes)
-        return CompletedCommHandle(result)
 
     # -- halo slots (publish protocol) -----------------------------------
     #: The world's :class:`~repro.runtime.shm.ControlWords` when its ranks

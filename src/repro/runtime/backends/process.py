@@ -27,14 +27,13 @@ Messages are small tuples:
     ``"red"`` (allreduce), ``"bar"`` (barrier), ``"reg"`` (directory
     allgather) or ``"exit"`` (end-of-program drain barrier); ``gen`` is
     a per-kind generation counter that detects protocol corruption.
-``("preq", req_id, block_id, page_index)`` / ``("prep", req_id, data)``
-    Page request/reply ("perr" carries a failure message instead).
 ``("breq", req_id, [(block_id, page_index), …])`` / ``("brep", req_id, payload, manifest)``
-    Batched page request/reply used by compiled communication plans:
-    the request carries a page-key manifest, the reply one packed byte
-    payload holding every requested page plus the unpacking manifest —
-    a whole neighbor's halo moves in a single message pair.  Manifest
-    entries come in two shapes, distinguished by tuple length (see
+    Batched page request/reply, the one way a page moves ("perr"
+    carries a failure message instead of the reply): the request
+    carries a page-key manifest, the reply one packed byte payload
+    holding every requested page plus the unpacking manifest — every
+    page a rank needs from one owner moves in a single message pair.
+    Manifest entries come in two shapes, distinguished by tuple length (see
     ``docs/protocols.md`` for the full wire spec): a **6-tuple**
     ``(block_id, page_index, offset, nbytes, shape, dtype_str)``
     locates the page inside the packed payload, an **8-tuple**
@@ -69,7 +68,7 @@ The page-serving protocol
 -------------------------
 
 Each rank runs a dedicated **receiver thread** that continuously pumps
-every connection: incoming page requests (``preq``/``breq``) are served
+every connection: incoming page requests (``breq``) are served
 immediately out of the rank's registered Env snapshot — even while the
 rank's main thread is deep in kernel computation — and everything else
 is buffered into per-peer inboxes that the main thread's blocking waits
@@ -316,46 +315,19 @@ class ProcessTransport:
                         self._dead.add(peer)
                         self._inbox_cond.notify_all()
                     continue
-                if msg[0] == "preq":
-                    self._serve_page(peer, msg)
-                elif msg[0] == "breq":
+                if msg[0] == "breq":
                     self._serve_page_batch(peer, msg)
                 else:
                     with self._inbox_cond:
                         self._inbox[peer].append(msg)
                         self._inbox_cond.notify_all()
 
-    def _serve_page(self, peer: int, msg: tuple) -> None:
-        """Answer a peer's page request from the local Env snapshot."""
-        _, req_id, block_id, page_index = msg
-        # The receiver thread has no task context: serve spans go on the
-        # rank's explicit "recv" track (Perfetto shows them as their own
-        # thread lane under the rank's process).
-        with global_tracer().span_at("recv.serve", self.rank, "recv", peer=peer):
-            self._serve_page_inner(peer, req_id, block_id, page_index)
-
-    def _serve_page_inner(self, peer: int, req_id, block_id, page_index) -> None:
-        try:
-            if self.endpoint is None:
-                raise NetworkError(f"rank {self.rank} has no registered Env")
-            from ...memory.page import PageKey  # local import to avoid a cycle
-
-            data = self.endpoint.page_snapshot(PageKey(block_id, page_index))
-            if self._checksums:
-                checksum = zlib.adler32(np.ascontiguousarray(data).tobytes())
-                reply = ("prep", req_id, data, checksum)
-            else:
-                reply = ("prep", req_id, data)
-        except Exception as exc:  # noqa: BLE001 - shipped to the requester
-            reply = ("perr", req_id, f"rank {self.rank} could not serve page "
-                                     f"({block_id}, {page_index}): {exc!r}")
-        # Uncounted send: the requester accounts the fetch traffic (one
-        # request plus one reply), mirroring SimNetwork.fetch_page.
-        self._post_reply(peer, reply)
-
     def _serve_page_batch(self, peer: int, msg: tuple) -> None:
         """Answer a batched page request with one packed payload + manifest."""
         _, req_id, items = msg
+        # The receiver thread has no task context: serve spans go on the
+        # rank's explicit "recv" track (Perfetto shows them as their own
+        # thread lane under the rank's process).
         with global_tracer().span_at(
             "recv.serve_batch", self.rank, "recv", peer=peer, pages=len(items)
         ):
@@ -392,7 +364,8 @@ class ProcessTransport:
         except Exception as exc:  # noqa: BLE001 - shipped to the requester
             reply = ("perr", req_id, f"rank {self.rank} could not serve page batch "
                                      f"of {len(items)} pages: {exc!r}")
-        # Uncounted send, as for single pages: the requester accounts it.
+        # Uncounted send: the requester accounts the exchange (one request
+        # plus one reply), mirroring SimNetwork.fetch_pages.
         self._post_reply(peer, reply)
 
     def _publish_page(self, key) -> Optional[tuple]:
@@ -466,7 +439,7 @@ class ProcessTransport:
     def _post_reply(self, peer: int, reply: tuple) -> None:
         """Enqueue a page reply, via the fault plan / interleaving shim."""
         plan = self.fault_plan
-        if plan is not None and reply[0] in ("prep", "brep"):
+        if plan is not None and reply[0] == "brep":
             fault = plan.take_reply(self.rank, peer)
             if fault is not None:
                 if fault.kind == "drop_reply":
@@ -498,16 +471,10 @@ class ProcessTransport:
     @staticmethod
     def _corrupt_reply(reply: tuple) -> tuple:
         """Return ``reply`` with its page payload perturbed (injected fault)."""
-        if reply[0] == "brep":
-            payload = bytearray(reply[2])
-            if payload:
-                payload[0] ^= 0xFF
-            return (reply[0], reply[1], bytes(payload)) + tuple(reply[3:])
-        data = np.array(reply[2], copy=True)
-        flat = data.reshape(-1)
-        if flat.size:
-            flat.flat[0] = flat.flat[0] + 1
-        return (reply[0], reply[1], data) + tuple(reply[3:])
+        payload = bytearray(reply[2])
+        if payload:
+            payload[0] ^= 0xFF
+        return (reply[0], reply[1], bytes(payload)) + tuple(reply[3:])
 
     def _await(self, peer: int, match: Callable[[tuple], bool], what: str,
                *, fail_on_exit: bool = False) -> tuple:
@@ -590,46 +557,6 @@ class ProcessTransport:
         self.collective("exit", None, lambda values: None)
 
     # -- page transport -------------------------------------------------
-    def fetch_page(self, owner: int, block_id: int, page_index: int):
-        """Fetch one page snapshot from ``owner`` (request/reply protocol)."""
-        if owner == self.rank:
-            if self.endpoint is None:
-                raise NetworkError(f"rank {self.rank} has no registered Env")
-            from ...memory.page import PageKey  # local import to avoid a cycle
-
-            data = self.endpoint.page_snapshot(PageKey(block_id, page_index))
-        else:
-            self._next_req += 1
-            req_id = self._next_req
-            self._outstanding[(owner, req_id)] = (
-                f"page {page_index} of block {block_id} from rank {owner} (req {req_id})"
-            )
-            try:
-                self._send(owner, ("preq", req_id, block_id, page_index))
-                msg = self._await(
-                    owner,
-                    lambda m: m[0] in ("prep", "perr") and m[1] == req_id,
-                    f"page reply {req_id} for block {block_id} page {page_index}",
-                )
-            finally:
-                self._outstanding.pop((owner, req_id), None)
-            if msg[0] == "perr":
-                raise NetworkError(msg[2])
-            data = msg[2]
-            if len(msg) > 3 and msg[3] is not None:
-                actual = zlib.adler32(np.ascontiguousarray(data).tobytes())
-                if actual != msg[3]:
-                    raise NetworkError(
-                        f"page reply {req_id} from rank {owner} failed its "
-                        f"integrity check (adler32 {actual:#010x} != {msg[3]:#010x})"
-                    )
-            self.stats.messages += 1  # the reply (the request was counted by _send)
-            self.stats.record_neighbor(self.rank, owner, 1, 32)
-            self.stats.record_neighbor(owner, self.rank, 1, int(data.nbytes))
-        self.stats.page_fetches += 1
-        self.stats.bytes_moved += int(data.nbytes) + 32
-        return data
-
     def _local_batch(self, items: List[Tuple[int, int]]) -> List[Any]:
         """Serve a batch out of the rank's own Env (no messages, counted as bulk)."""
         from ...memory.page import PageKey  # local import to avoid a cycle
@@ -1086,20 +1013,6 @@ class ProcessWorld(ExecutionWorld):
         return self._transport
 
     # -- page transport -------------------------------------------------
-    def fetch_page_by_logical(self, requester: int, logical_key: Any, page_index: int):
-        owner = self.directory.owner_of(logical_key)
-        block_id = self.directory.block_id_on(logical_key, owner)
-        transport = self._transport
-        if transport is not None:
-            return transport.fetch_page(owner, block_id, page_index)
-        from ...memory.page import PageKey  # local import to avoid a cycle
-
-        data = self.env_of(owner).page_snapshot(PageKey(block_id, page_index))
-        self.stats.page_fetches += 1
-        self.stats.messages += 2
-        self.stats.bytes_moved += int(data.nbytes) + 32
-        return data
-
     def fetch_pages_bulk_async(
         self, requester: int, requests: Sequence[Tuple[Any, int]]
     ) -> CommHandle:

@@ -92,20 +92,6 @@ class SerialWorld(ExecutionWorld):
         return op([value])
 
     # -- page transport -------------------------------------------------
-    def fetch_page_by_logical(self, requester: int, logical_key: Any, page_index: int):
-        self._check_rank(requester)
-        owner = self.directory.owner_of(logical_key)
-        block_id = self.directory.block_id_on(logical_key, owner)
-        from ...memory.page import PageKey  # local import to avoid a cycle
-
-        data = self.env_of(owner).page_snapshot(PageKey(block_id, page_index))
-        self.stats.page_fetches += 1
-        self.stats.messages += 2
-        self.stats.bytes_moved += int(data.nbytes) + 32
-        self.stats.record_neighbor(requester, owner, 1, 32)
-        self.stats.record_neighbor(owner, requester, 1, int(data.nbytes))
-        return data
-
     def fetch_pages_bulk_async(
         self, requester: int, requests: Sequence[Tuple[Any, int]]
     ) -> CommHandle:

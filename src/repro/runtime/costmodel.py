@@ -17,7 +17,10 @@ The model is intentionally simple and is documented term by term:
                        divided by its *share* of the node memory bandwidth,
                        plus a per-thread cache-thrash term (Fig. 10's effect)
 * ``communication``  = messages × latency + bytes ÷ network bandwidth
-                       (only the distributed layer moves bytes)
+                       (only the distributed layer moves bytes); where the
+                       run counted the pages the paper's per-page protocol
+                       would move (``paper_pages``), 2 × those pages ×
+                       latency + their bytes ÷ bandwidth
 * ``synchronisation``= collective entries × barrier cost × participants
 
 and the run's modelled time is ``max`` over tasks plus the one-off layer
@@ -87,9 +90,13 @@ class CostModel:
         # paper's measurements are dominated by the long step loop, not by the
         # warm-up pass or by re-executed failed steps.
         updates = counters.productive_updates or counters.updates
-        pages = counters.productive_pages or counters.pages_fetched
         bytes_fetched = counters.productive_bytes or counters.bytes_fetched
         messages = counters.productive_messages or counters.messages
+        if counters.paper_pages:
+            # The halo the paper's prototype moves: a request/reply pair
+            # per page, whatever protocol this run moved it by.
+            messages = 2 * counters.paper_pages
+            bytes_fetched = counters.paper_bytes
 
         # -- compute -----------------------------------------------------
         per_update = machine.update_cost(counters.access_pattern)

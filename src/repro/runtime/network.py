@@ -12,12 +12,12 @@ network
   wall-clock) are what the cost model converts into the modelled
   communication time of the scaling figures.
 
-Page transfers use a one-sided ``fetch_page`` operation: the requester
-reads a page snapshot directly out of the owner rank's Env (safe,
-because owners never mutate their *read* buffers between the
+Page transfers use a one-sided ``fetch_pages`` operation: the requester
+reads a batch of page snapshots directly out of one owner rank's Env
+(safe, because owners never mutate their *read* buffers between the
 synchronisation points established by the refresh protocol) while the
-network records the traffic as a message pair.  This mirrors MPI RMA
-``Get`` and keeps the threaded simulation deadlock-free.
+network records the traffic as one request/reply message pair.  This
+mirrors MPI RMA ``Get`` and keeps the threaded simulation deadlock-free.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ __all__ = ["SimNetwork", "NetworkStats"]
 class NetworkStats:
     """Aggregate traffic counters of a simulated network.
 
-    ``bulk_fetches``/``bulk_pages`` count the aggregated per-neighbor
-    exchanges of compiled communication plans (one request/reply pair
-    moving many pages), ``per_neighbor`` resolves page traffic by
+    ``bulk_fetches``/``bulk_pages`` count the per-owner page exchanges
+    (one request/reply pair moving many pages), ``per_neighbor``
+    resolves page traffic by
     directed ``"src->dst"`` rank pair so reports can show how many
     neighbor links a run actually exercised.
     """
@@ -51,8 +51,8 @@ class NetworkStats:
     barriers: int = 0
     allreduces: int = 0
     page_fetches: int = 0
-    #: Aggregated (comm-plan) exchanges: request/reply pairs that moved
-    #: a whole batch of pages, and how many pages those batches carried.
+    #: Bulk page exchanges: request/reply pairs that moved a whole batch
+    #: of pages, and how many pages those batches carried.
     bulk_fetches: int = 0
     bulk_pages: int = 0
     #: Replies that could not be delivered because the peer was already
@@ -320,31 +320,6 @@ class SimNetwork:
     # ------------------------------------------------------------------
     # one-sided page access
     # ------------------------------------------------------------------
-    def fetch_page(self, requester: int, owner: int, block_id: int, page_index: int) -> np.ndarray:
-        """Fetch a page snapshot from ``owner``'s registered Env.
-
-        The traffic is accounted as one request message plus one reply
-        carrying the page payload, matching what a two-sided exchange
-        would cost on a real network.
-        """
-        self._check_rank(requester)
-        self._check_rank(owner)
-        with self._lock:
-            if owner in self._dead:
-                raise DeadRankError(owner, f"page fetch by rank {requester}")
-        self._apply_reply_fault(owner, requester)
-        endpoint = self.endpoint(owner)
-        from ..memory.page import PageKey  # local import to avoid a cycle
-
-        data = endpoint.page_snapshot(PageKey(block_id, page_index))
-        with self._lock:
-            self.stats.page_fetches += 1
-            self.stats.messages += 2
-            self.stats.bytes_moved += int(data.nbytes) + 32
-            self.stats.record_neighbor(requester, owner, 1, 32)
-            self.stats.record_neighbor(owner, requester, 1, int(data.nbytes))
-        return data
-
     def fetch_pages(
         self, requester: int, owner: int, pages: List[Tuple[int, int]]
     ) -> List[np.ndarray]:

@@ -201,14 +201,6 @@ class MPIWorld(ExecutionWorld):
         return self.network.stats
 
     # ------------------------------------------------------------------
-    def fetch_page_by_logical(
-        self, requester: int, logical_key: Any, page_index: int
-    ) -> np.ndarray:
-        """Fetch a page of the Block identified by ``logical_key`` from its owner."""
-        owner = self.directory.owner_of(logical_key)
-        owner_block_id = self.directory.block_id_on(logical_key, owner)
-        return self.network.fetch_page(requester, owner, owner_block_id, page_index)
-
     def fetch_pages_bulk_async(
         self, requester: int, requests: Sequence[Tuple[Any, int]]
     ) -> CommHandle:

@@ -49,6 +49,13 @@ class TaskCounters:
     productive_pages: int = 0
     productive_bytes: int = 0
     productive_messages: int = 0
+    #: The halo pages the paper's prototype would fetch — one request/reply
+    #: pair each — at the successful non-warm-up refreshes, and their
+    #: payload bytes: the Dry-run record united with the compiled plans'
+    #: halo pages.  The scaling figures model this traffic, whatever
+    #: protocol moved the halo.
+    paper_pages: int = 0
+    paper_bytes: int = 0
     env_reads: int = 0
     env_searches: int = 0
     env_search_steps: int = 0
@@ -71,23 +78,19 @@ class TaskCounters:
     #: through a fused kernel instead of the gather/apply/scatter path.
     kernel_fuse: int = 0
     kernel_fused_calls: int = 0
-    #: Communication-plan activity (aggregated per-neighbor halo
-    #: exchange): how many comm plans were compiled, how many aggregated
-    #: request/reply exchanges ran, how many pages those exchanges moved,
-    #: and how many pages still went through the per-page fallback path
-    #: (MMAT off, plan invalidated, or a failed-refresh repair fetch).
-    comm_plan_compiles: int = 0
+    #: Page-exchange activity: how many bulk request/reply exchanges (one
+    #: per owning rank) ran — prefetches and repairs alike — and how many
+    #: pages they moved.
     comm_plan_exchanges: int = 0
     comm_plan_pages: int = 0
-    comm_plan_fallback_pages: int = 0
-    #: Overlapped halo-exchange activity: how many async refreshes were
-    #: issued, the aggregated exchanges/pages they moved, the time spent
-    #: blocked in ``CommHandle.wait`` (the *un-hidden* part of the halo
-    #: latency, ns), the total issue→completion flight time (ns), and
-    #: how many exchanges were drained at a synchronisation point instead
-    #: of mid-sweep (no compute overlapped them; drained completions are
-    #: excluded from the wait/flight sums).  Overlap efficiency =
-    #: ``1 - overlap_wait_ns / overlap_flight_ns``.
+    #: Overlapped halo-exchange activity: how many prefetches were issued
+    #: to complete behind the next sweep, the time spent blocked in
+    #: ``CommHandle.wait`` (the *un-hidden* part of the halo latency, ns),
+    #: the total issue→completion flight time (ns), and how many
+    #: exchanges were drained at a synchronisation point instead of
+    #: mid-sweep (a repair, or no compute overlapped them; drained
+    #: completions are excluded from the wait/flight sums).  Overlap
+    #: efficiency = ``1 - overlap_wait_ns / overlap_flight_ns``.
     #: The ``overlap_*`` timings also cover the wait for *published*
     #: halo slots; ``halo_pushes`` / ``halo_sites`` count the slots this
     #: task copied out and the element rows they carried (each slot one
@@ -96,8 +99,6 @@ class TaskCounters:
     halo_pushes: int = 0
     halo_sites: int = 0
     overlap_issues: int = 0
-    overlap_exchanges: int = 0
-    overlap_pages: int = 0
     overlap_wait_ns: int = 0
     overlap_flight_ns: int = 0
     overlap_drained: int = 0
@@ -214,12 +215,10 @@ class TraceRecorder:
             "kernel_fused_calls": self.total("kernel_fused_calls"),
             "comm_plan_exchanges": self.total("comm_plan_exchanges"),
             "comm_plan_pages": self.total("comm_plan_pages"),
-            "comm_plan_fallback_pages": self.total("comm_plan_fallback_pages"),
+            "paper_pages": self.total("paper_pages"),
             "halo_pushes": self.total("halo_pushes"),
             "halo_sites": self.total("halo_sites"),
             "overlap_issues": self.total("overlap_issues"),
-            "overlap_exchanges": self.total("overlap_exchanges"),
-            "overlap_pages": self.total("overlap_pages"),
             "overlap_wait_ns": self.total("overlap_wait_ns"),
             "overlap_flight_ns": self.total("overlap_flight_ns"),
             "overlap_drained": self.total("overlap_drained"),

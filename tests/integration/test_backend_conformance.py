@@ -137,16 +137,19 @@ class TestPageFetch:
             world.register_block(("blk", rank), rank, 7 + rank, owner=True)
             world.commit_registration()
             owner = (rank + 1) % size
-            data = world.fetch_page_by_logical(rank, ("blk", owner), 3)
+            fetched = world.fetch_pages_bulk_async(rank, [(("blk", owner), 3)]).wait()
             world.barrier()  # keep every rank serving until all fetched
-            return list(data)
+            ((key, page, data),) = fetched.pages
+            return key, page, fetched.exchanges, list(data)
 
         results = world.run_spmd(body)
         for rank, result in enumerate(results):
             owner = (rank + 1) % size
             expected = np.arange(4) + 1000.0 * owner + 10.0 * (7 + owner) + 3
-            np.testing.assert_allclose(result.value, expected)
-        assert world.traffic_summary()["page_fetches"] == size
+            assert result.value[:3] == (("blk", owner), 3, 1)
+            np.testing.assert_allclose(result.value[3], expected)
+        summary = world.traffic_summary()
+        assert summary["page_fetches"] == summary["bulk_fetches"] == size
 
     @pytest.mark.parametrize("backend,size", CASES)
     def test_directory_is_globally_consistent_after_commit(self, backend, size):

@@ -1,7 +1,7 @@
 """Seeded interleaving stress for the process backend's overlapped exchange.
 
 The pipe-mesh transport promises that reply *ordering* never matters:
-every ``brep``/``prep`` is matched to its request id, every blocking
+every ``brep`` is matched to its request id, every blocking
 wait only consumes buffered messages (the receiver thread does all the
 pumping), and an overlapped exchange completed late must still observe
 the owner's data from the step it was issued in — never a later step's.
@@ -38,7 +38,7 @@ def _delay_for(seed: int, rank: int, peer: int, req_id: int) -> float:
 
 
 def _shim(rank: int, peer: int, reply: tuple) -> float:
-    # reply = ("brep"|"prep"|"perr", req_id, ...): delay keyed by req id,
+    # reply = ("brep"|"perr", req_id, ...): delay keyed by req id,
     # so consecutive requests from one peer complete out of order.
     return _delay_for(SEED, rank, peer, reply[1])
 

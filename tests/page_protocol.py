@@ -3,9 +3,9 @@ the process world's pipe plane.
 
 Where ranks share memory the refresh protocol *publishes* the halo once
 the compiled plans are negotiated, and from then on moves no page.  The
-suites that pin the page protocol itself — aggregated ≡ per-page,
-overlapped ≡ per-page, shm ≡ pipe, with page counts and the Buffer-only
-pages left behind — therefore run an app that is observably open: one
+suites that pin the page protocol itself — page exchange ≡ scalar
+serial, shm ≡ pipe, with page counts and the Buffer-only pages left
+behind — therefore run an app that is observably open: one
 scalar read of a remote element per step is remote data the pushed rows
 do not cover, so every rank agrees to take that step through the page
 exchange (``open: scalar halo read`` in ``PlatformRun.summary()``).  The

@@ -117,10 +117,10 @@ class TestTransportEquivalence:
 class MidRunResetJacobi(JacobiSGrid):
     """Vectorized Jacobi that drops every compiled plan halfway through.
 
-    The MMAT reset invalidates the aspect's CommPlans, so the refresh
-    protocol transitions shm through all of its serving regimes:
-    aggregated exchanges with generation-memoized slots, recompilation,
-    and the per-page repair path once MMAT is disabled entirely.  The
+    The MMAT reset changes the page set the refresh protocol prefetches,
+    so shm goes through all of its serving regimes: bulk exchanges with
+    generation-memoized slots, recompilation, and a repair of the pages
+    the plans no longer prefetch once MMAT is disabled entirely.  The
     shm plane must stay invisible across every transition.
     """
 
@@ -129,12 +129,12 @@ class MidRunResetJacobi(JacobiSGrid):
         half = max(self.loops // 2, 1)
         for _ in range(half):
             self.run(self.kernel)
-        self.env.mmat.reset()           # drop plans -> CommPlan invalidated
-        self.run(self.kernel)           # recompiles + re-aggregates
+        self.env.mmat.reset()           # drop plans: recompiled next sweep
+        self.run(self.kernel)
         self.env.mmat.enabled = False   # stop compiling plans …
         self.env.mmat.reset()           # … and drop the cached ones:
         for _ in range(self.loops - half - 1):
-            self.run(self.kernel)       # per-page fallback from here on
+            self.run(self.kernel)       # repaired, then pages from here on
 
 
 class TestMidRunInvalidation:

@@ -33,6 +33,7 @@ from repro.bench import (
     particle_workload,
     workload,
 )
+from repro.bench.harness import amplify_steps
 from repro.runtime.tracing import TaskCounters
 
 
@@ -195,6 +196,38 @@ class TestBenchHarness:
         assert scaled.pages_fetched == 40      # perimeter
         assert scaled.productive_updates == 800
         assert scaled.productive_bytes == 2000
+
+    def test_paper_pages_scale_like_productive_pages(self):
+        counters = TaskCounters(
+            productive_pages=5, productive_bytes=500, paper_pages=6, paper_bytes=600
+        )
+        scaled = scale_counters(counters, 4.0)  # perimeter
+        assert (scaled.paper_pages, scaled.paper_bytes) == (24, 2400)
+        amplified = amplify_steps(scaled, 50.0)  # step count
+        assert (amplified.paper_pages, amplified.paper_bytes) == (1200, 120000)
+        assert amplified.productive_pages == 20 * 50
+
+    @pytest.mark.parametrize("label", ["serial", "omp"])
+    def test_runs_without_a_distributed_layer_count_no_paper_pages(self, label):
+        """Serial, OpenMP and Fig. 6 rows model exactly their own counters."""
+        work = sgrid_workload(16, loops=2)
+        run = run_platform(work, aspects=configuration_aspects(label, omp=2), mmat=True)
+        assert sum(c.paper_pages + c.paper_bytes for c in run.counters.values()) == 0
+        assert modelled_time(run, work).communication == 0
+
+    def test_mpi_runs_count_the_paper_pages_of_every_step(self):
+        work = sgrid_workload(16, block_size=4, loops=2)
+        run = run_platform(work, aspects=configuration_aspects("mpi", mpi=2), mmat=True)
+        env = run.app.env
+        pages = env.plan_page_requirements()
+        page_bytes = sum(
+            env.block(key.block_id).buffer.read_buffer.pages[key.page_index].nbytes
+            for key in pages
+        )
+        master = run.counters[(0, 0)]
+        assert master.paper_pages == 2 * len(pages) and pages  # one count per step
+        assert master.paper_bytes == 2 * page_bytes
+        assert run.network["halo_pushes"] > 0  # counted, not run: the steps were closed
 
     def test_modelled_time_positive_and_monotone_in_scale(self):
         work = sgrid_workload(16, loops=2)

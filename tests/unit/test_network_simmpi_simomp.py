@@ -116,15 +116,15 @@ class TestPageFetch:
         net = SimNetwork(2)
         env, block = self.make_env_with_block(3.0)
         net.register_endpoint(1, env)
-        data = net.fetch_page(0, 1, block.block_id, 0)
-        assert data[0, 0] == 3.0
-        assert net.stats.page_fetches == 1
-        assert net.stats.messages == 2
+        first, second = net.fetch_pages(0, 1, [(block.block_id, 0), (block.block_id, 1)])
+        assert first[0, 0] == 3.0 and second.shape == first.shape
+        assert net.stats.page_fetches == 2
+        assert net.stats.messages == 2  # one request/reply pair for the batch
 
     def test_fetch_without_endpoint_raises(self):
         net = SimNetwork(2)
         with pytest.raises(NetworkError):
-            net.fetch_page(0, 1, 1, 0)
+            net.fetch_pages(0, 1, [(1, 0)])
 
 
 class TestBlockDirectory:
@@ -189,8 +189,10 @@ class TestMPIWorld:
         env.refresh()
         world.register_env(1, env)
         world.directory.register(("b", 0), rank=1, block_id=block.block_id, owner=True)
-        data = world.fetch_page_by_logical(0, ("b", 0), 0)
-        assert data[0, 0] == 4.5
+        handle = world.fetch_pages_bulk_async(0, [(("b", 0), 0)])
+        assert handle.done  # rank threads share the GIL: served at issue
+        ((key, page, data),) = handle.wait().pages
+        assert (key, page) == (("b", 0), 0) and data[0, 0] == 4.5
 
     def test_env_of_unknown_rank(self):
         with pytest.raises(NetworkError):

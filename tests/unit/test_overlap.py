@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.aspects import DistributedMemoryAspect, PendingHalo
-from repro.aspects.mpi_aspect import CommPlan
 from repro.memory import DataBlock, Env, MemoryPool, PoolGroup
 from repro.memory.block import BufferOnlyBlock
 from repro.memory.errors import EnvError
@@ -198,9 +197,8 @@ class TestAccessPlanSplit:
 # ----------------------------------------------------------------------
 
 
-def _pending(trace, *, pages=None, fail=False) -> PendingHalo:
-    key = PageKey(7, 0)
-    plan = CommPlan(keys=frozenset({key}), requests=[(key, ("blk", 1), 0)])
+def _pending(trace, *, pages=None, fail=False, key=PageKey(7, 0)) -> PendingHalo:
+    manifest = {(("blk", 1), 0): key}
     if fail:
         handle: CommHandle = _CountingHandle(fail=True)
     else:
@@ -210,7 +208,7 @@ def _pending(trace, *, pages=None, fail=False) -> PendingHalo:
             nbytes=32,
         )
         handle = CompletedCommHandle(result)
-    return PendingHalo(plan, handle, trace)
+    return PendingHalo(manifest, handle, trace)
 
 
 class _InstallEnv:
@@ -229,10 +227,9 @@ class TestPendingHalo:
         env = _InstallEnv()
         _pending(trace).complete(env)
         assert [key for key, _ in env.installed] == [PageKey(7, 0)]
-        assert trace.pages_fetched == 1
+        assert trace.pages_fetched == trace.comm_plan_pages == 1
         assert trace.comm_plan_exchanges == 1
-        assert trace.overlap_exchanges == 1
-        assert trace.overlap_pages == 1
+        assert trace.messages == 2
         assert trace.overlap_flight_ns >= trace.overlap_wait_ns >= 0
         assert trace.overlap_drained == 0
 
@@ -240,27 +237,23 @@ class TestPendingHalo:
         trace = TaskCounters()
         _pending(trace).complete(_InstallEnv(), drained=True)
         assert trace.overlap_drained == 1
-        assert trace.overlap_exchanges == 1  # the traffic still counts …
+        assert trace.comm_plan_exchanges == 1  # the traffic still counts …
         # … but deferred latency must not inflate overlap efficiency.
         assert trace.overlap_wait_ns == 0
         assert trace.overlap_flight_ns == 0
 
     def test_network_error_becomes_page_fetch_error(self):
         trace = TaskCounters()
-        with pytest.raises(PageFetchError, match="overlapped halo exchange"):
+        with pytest.raises(PageFetchError, match=r"halo exchange of pages PageKey\(block=7"):
             _pending(trace, fail=True).complete(_InstallEnv())
-        assert trace.overlap_exchanges == 0  # nothing accounted on failure
+        assert trace.comm_plan_exchanges == 0  # nothing accounted on failure
 
     def test_env_slot_completes_once_and_clears(self):
         env, _local, halo = _two_block_env()
         trace = TaskCounters()
         data = np.full(4, 3.25)
         pending = _pending(
-            trace, pages=[(("blk", 1), 0, data)]
-        )
-        pending.plan = CommPlan(
-            keys=frozenset({PageKey(halo.block_id, 0)}),
-            requests=[(PageKey(halo.block_id, 0), ("blk", 1), 0)],
+            trace, pages=[(("blk", 1), 0, data)], key=PageKey(halo.block_id, 0)
         )
         env.set_pending_halo(pending)
         assert env.has_pending_halo()
@@ -272,17 +265,13 @@ class TestPendingHalo:
     def test_set_pending_halo_drains_the_previous_exchange(self):
         env, _local, halo = _two_block_env()
         trace = TaskCounters()
-        first = _pending(trace)
-        first.plan = CommPlan(
-            keys=frozenset({PageKey(halo.block_id, 0)}),
-            requests=[(PageKey(halo.block_id, 0), ("blk", 1), 0)],
-        )
+        first = _pending(trace, key=PageKey(halo.block_id, 0))
         env.set_pending_halo(first)
         env.set_pending_halo(_pending(trace))
         # The first exchange was drained (completed) before the second
         # was installed: its pages are in, and it counted as drained.
         assert trace.overlap_drained == 1
-        assert trace.overlap_exchanges == 1
+        assert trace.comm_plan_exchanges == 1
 
     def test_failed_completion_clears_the_slot(self):
         env, _local, _halo = _two_block_env()
@@ -293,11 +282,7 @@ class TestPendingHalo:
 
     def test_refresh_refuses_to_swap_past_a_parked_exchange(self):
         env, _local, halo = _two_block_env()
-        pending = _pending(TaskCounters())
-        pending.plan = CommPlan(
-            keys=frozenset({PageKey(halo.block_id, 0)}),
-            requests=[(PageKey(halo.block_id, 0), ("blk", 1), 0)],
-        )
+        pending = _pending(TaskCounters(), key=PageKey(halo.block_id, 0))
         env.set_pending_halo(pending)
         previous = set_protocol_checks(True)
         try:
@@ -317,7 +302,7 @@ class TestPendingHalo:
 
 class TestAsyncIssueErrors:
     def test_unresolvable_owner_raises_page_fetch_error(self):
-        """The overlapped issue wraps transport errors as PageFetchError."""
+        """The issue wraps transport errors as PageFetchError."""
         aspect = DistributedMemoryAspect(processes=1)
         aspect.world = get_backend("serial").create_world(1)
 
@@ -330,9 +315,7 @@ class TestAsyncIssueErrors:
                 return _Keyed()
 
         with pytest.raises(PageFetchError, match="ghost"):
-            aspect._exchange_planned_async(
-                _StubEnv(), 0, {PageKey(3, 0)}, TaskCounters()
-            )
+            aspect._issue_halo(_StubEnv(), 0, {PageKey(3, 0)}, TaskCounters())
 
     @pytest.mark.parametrize("fault", ["drop_reply", "corrupt_reply"])
     def test_threads_reply_fault_raises_at_issue(self, fault):

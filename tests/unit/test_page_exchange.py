@@ -1,9 +1,8 @@
-"""Unit tests for the communication-plan layer.
+"""Unit tests for the page exchange below the integration/property suites.
 
-Covers the pieces below the integration/property suites: the
-``PageFetchError`` diagnostics of the refresh protocol, the CommPlan
-manifest cache, per-neighbor ``NetworkStats`` accounting, the
-owner-grouping helper and the bulk page install on the Env.
+Covers the ``PageFetchError`` diagnostics of the Dry-run repair,
+per-neighbor ``NetworkStats`` accounting, the owner-grouping helper and
+the bulk page install on the Env.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.aspects import CommPlan, DistributedMemoryAspect
+from repro.aspects import DistributedMemoryAspect
 from repro.memory import DataBlock, Env, MemoryPool, PoolGroup
 from repro.memory.page import PageKey
 from repro.runtime import NetworkStats, PageFetchError, get_backend
@@ -35,8 +34,8 @@ class _StubEnv:
     def block(self, block_id):
         return self._block
 
-    def page_install(self, key, data):
-        self.installed.append((key, data))
+    def page_install_many(self, items):
+        self.installed.extend(items)
 
 
 def _aspect_with_world(size=1):
@@ -46,67 +45,39 @@ def _aspect_with_world(size=1):
 
 
 class TestPageFetchError:
-    def test_fetch_pages_raises_on_missing_logical_key(self):
+    def test_repair_raises_on_missing_logical_key(self):
         """A page whose owner cannot be resolved must fail loudly, not skip."""
         aspect = _aspect_with_world()
         env = _StubEnv(_KeylessBlock())
         with pytest.raises(PageFetchError) as excinfo:
-            aspect._fetch_pages(env, 0, {PageKey(7, 3)}, TaskCounters())
+            aspect._repair(env, 0, {PageKey(7, 3)}, TaskCounters())
         message = str(excinfo.value)
         assert "rank 0" in message
         assert "PageKey(block=7, page=3)" in message
         assert "orphan" in message
         assert env.installed == []  # nothing was partially installed
 
-    def test_fetch_pages_wraps_unregistered_owner(self):
-        """An owner missing from the directory surfaces as PageFetchError."""
+    def test_repair_wraps_unregistered_owner(self):
+        """An owner missing from the directory surfaces as PageFetchError
+        naming the page and the block."""
 
         class _Keyed(_KeylessBlock):
             logical_key = ("ghost", 1)
 
         aspect = _aspect_with_world()
-        with pytest.raises(PageFetchError, match=r"ghost"):
-            aspect._fetch_pages(_StubEnv(_Keyed()), 0, {PageKey(7, 0)}, TaskCounters())
-
-    def test_comm_plan_compile_raises_on_missing_logical_key(self):
-        aspect = _aspect_with_world()
-        with pytest.raises(PageFetchError, match="rank 0 cannot plan"):
-            aspect._comm_plan_for(
-                _StubEnv(_KeylessBlock()), 0, {PageKey(7, 0)}, TaskCounters()
-            )
+        with pytest.raises(PageFetchError, match=r"PageKey\(block=7, page=0\).*ghost"):
+            aspect._repair(_StubEnv(_Keyed()), 0, {PageKey(7, 0)}, TaskCounters())
 
     def test_page_fetch_error_is_a_network_error(self):
         from repro.runtime import NetworkError
 
         assert issubclass(PageFetchError, NetworkError)
 
-
-class TestCommPlan:
-    def test_key_for_maps_transport_results_back(self):
-        keys = [PageKey(1, 0), PageKey(1, 1), PageKey(2, 0)]
-        requests = [(k, ("blk", k.block_id), k.page_index) for k in keys]
-        plan = CommPlan(keys=frozenset(keys), requests=requests)
-        assert plan.key_for(("blk", 1), 1) == PageKey(1, 1)
-        assert plan.key_for(("blk", 2), 0) == PageKey(2, 0)
-
-    def test_plan_cache_recompiles_only_when_halo_changes(self):
-        pool = PoolGroup([MemoryPool(1 << 20, name="cp-pool")])
-        env = Env(allocator=pool, name="cp-env")
-        block = env.add_data_block(
-            DataBlock((0, 0), (4, 4), components=1, page_elements=8, allocator=pool)
-        )
-        block.logical_key = ("blk", 0)
-        aspect = _aspect_with_world()
-        trace = TaskCounters()
-        keys = {PageKey(block.block_id, 0)}
-        first = aspect._comm_plan_for(env, 0, keys, trace)
-        again = aspect._comm_plan_for(env, 0, set(keys), trace)
-        assert again is first  # unchanged halo -> cache hit
-        assert trace.comm_plan_compiles == 1
-        grown = keys | {PageKey(block.block_id, 1)}
-        recompiled = aspect._comm_plan_for(env, 0, grown, trace)
-        assert recompiled is not first
-        assert trace.comm_plan_compiles == 2
+    def test_the_bulk_op_is_the_one_page_op_every_world_implements(self):
+        assert ExecutionWorld.fetch_pages_bulk_async.__isabstractmethod__
+        assert [name for name in dir(ExecutionWorld) if "fetch" in name] == [
+            "fetch_pages_bulk_async"
+        ]
 
 
 class TestNetworkStatsNeighbors:
@@ -161,25 +132,6 @@ class TestGroupRequestsByOwner:
 
         with pytest.raises(NetworkError, match="no owner registered"):
             group_requests_by_owner(self._directory(), [(("nope",), 0)])
-
-
-class TestDefaultBulkFetch:
-    def test_base_class_fallback_loops_per_page(self):
-        """Custom backends inherit a per-page bulk fetch (one exchange/page)."""
-        world = get_backend("serial").create_world(1)
-
-        class _Endpoint:
-            def page_snapshot(self, key):
-                return np.full(4, float(key.page_index))
-
-        world.register_env(0, _Endpoint())
-        world.register_block(("blk",), 0, 5, owner=True)
-        handle = ExecutionWorld.fetch_pages_bulk_async(world, 0, [(("blk",), 0), (("blk",), 3)])
-        assert handle.done  # the default serves at issue
-        result = handle.wait()
-        assert result.exchanges == 2  # no aggregation in the default impl
-        assert [page for _, page, _ in result.pages] == [0, 3]
-        np.testing.assert_allclose(result.pages[1][2], np.full(4, 3.0))
 
 
 class TestPageInstallMany:

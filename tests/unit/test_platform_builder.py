@@ -150,9 +150,10 @@ class TestPresets:
         assert len(hybrid.counters) == 4
 
 
-#: Every place a data-plane or overlap setting used to be passed: each
-#: world picks its plane from what it observes, and overlap is the only
-#: behaviour, so none of them takes either any more.
+#: Every place a data-plane, overlap or page-protocol setting used to be
+#: passed: each world picks its plane from what it observes, overlap is
+#: the only behaviour and pages move only in bulk, so none of them takes
+#: any of these any more.
 KNOB_HOMES = {
     "Platform": Platform,
     "Platform.preset": Platform.preset,
@@ -171,7 +172,10 @@ KNOB_HOMES = {
 @pytest.mark.parametrize("home", list(KNOB_HOMES))
 def test_no_data_plane_or_overlap_parameter(home):
     parameters = inspect.signature(KNOB_HOMES[home]).parameters
-    assert not [name for name in parameters if "transport" in name or "overlap" in name]
+    # ``plans`` catches the knob that kept the per-page request/reply.
+    assert not [
+        name for name in parameters if any(k in name for k in ("transport", "overlap", "plans"))
+    ]
 
 
 def test_builder_has_no_data_plane_method():

@@ -166,6 +166,33 @@ class TestCostModel:
         )
         assert contiguous.contention / contiguous.compute > random.contention / random.compute
 
+    def test_paper_pages_are_one_request_reply_pair_each(self):
+        """The pages the paper's prototype would move replace whatever
+        traffic the run's own protocol counted."""
+        machine = OAKBRIDGE_CX_LIKE
+        counters = self.make_counters(
+            messages=3, bytes_fetched=70, productive_messages=5, productive_bytes=110,
+            paper_pages=40, paper_bytes=40 * 512,
+        )
+        breakdown = CostModel(machine).task_time(counters, mpi_size=4, omp_threads=1)
+        assert breakdown.communication == pytest.approx(
+            2 * 40 * machine.network_latency + 40 * 512 / machine.network_bandwidth
+        )
+
+    @pytest.mark.parametrize("productive", [True, False])
+    def test_without_paper_pages_the_run_models_its_own_traffic(self, productive):
+        machine = OAKBRIDGE_CX_LIKE
+        counters = self.make_counters(messages=30, bytes_fetched=7000, collectives=9)
+        if productive:
+            counters.productive_messages, counters.productive_bytes = 6, 1400
+        messages = counters.productive_messages or counters.messages
+        nbytes = counters.productive_bytes or counters.bytes_fetched
+        breakdown = CostModel(machine).task_time(counters, mpi_size=2, omp_threads=2)
+        assert breakdown.communication == pytest.approx(
+            messages * machine.network_latency + nbytes / machine.network_bandwidth
+        )
+        assert breakdown.synchronisation == pytest.approx(9 * machine.barrier_cost * 2.0)
+
     def test_productive_counters_preferred(self):
         model = CostModel()
         counters = self.make_counters(updates=10_000, productive_updates=1_000)
