@@ -38,7 +38,33 @@ from ..runtime.shm import protocol_checks
 from ..runtime.task import SERIAL_TASK, current_task
 from ..runtime.tracing import global_trace
 
-__all__ = ["DslTarget", "BlockKernel", "BlockSpec"]
+__all__ = ["DslTarget", "BlockKernel", "BlockSpec", "evaluate_init"]
+
+
+def evaluate_init(
+    init: Optional[Callable[[Any, Any], Any]], xs: np.ndarray, ys: np.ndarray
+) -> np.ndarray:
+    """The initial field ``init(x, y)`` at the sites ``(xs, ys)``, as float64.
+
+    ``init`` is a pure function of ``(x, y)``.  It is tried once on the
+    int64 coordinate arrays, under ``np.errstate(all="raise")``, and its
+    result kept when it is a bool/int/float array of the sites' shape or
+    a scalar (broadcast); integer arithmetic then wraps as NumPy's does.
+    An ``init`` that raises on arrays or returns anything else is called
+    once per site with Python ints, in the arrays' C order.  ``None`` is
+    the zero field.
+    """
+    if init is None:
+        return np.zeros(xs.shape)
+    try:
+        with np.errstate(all="raise"):
+            values = np.asarray(init(xs, ys))
+        if values.dtype.kind in "biuf" and values.shape in (xs.shape, ()):
+            return np.broadcast_to(values, xs.shape).astype(np.float64)
+    except Exception:  # not elementwise over arrays: evaluate per site
+        pass
+    per_site = np.frompyfunc(init, 2, 1)
+    return per_site(xs.astype(object), ys.astype(object)).astype(np.float64)
 
 
 class BlockSpec:

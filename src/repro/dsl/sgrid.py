@@ -21,13 +21,13 @@ End users subclass :class:`SGrid2DTarget` and implement
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Any, Callable, List, Optional
 
 import numpy as np
 
 from ..memory.block import ArithmeticBlock, DataBlock, ReferenceBlock
 from ..memory.env import Env
-from .base import BlockSpec, DslTarget
+from .base import BlockSpec, DslTarget, evaluate_init
 
 __all__ = ["SGrid2DTarget"]
 
@@ -51,7 +51,13 @@ class SGrid2DTarget(DslTarget):
     ``loops``
         Number of time steps to run (default 4).
     ``init``
-        Optional callable ``(x, y) -> float`` providing the initial field.
+        Optional pure function ``(x, y) -> float`` providing the initial
+        field (zero without one).  It is tried once per Block on the
+        Block's int64 coordinate arrays, where integer arithmetic wraps
+        as NumPy's does; an ``init`` that raises on arrays (a conditional,
+        ``float(...)``) or returns anything but a bool/int/float array of
+        the Block's shape or a scalar is called per point with Python
+        ints instead (see :func:`~repro.dsl.base.evaluate_init`).
     """
 
     ACCESS_PATTERN = "contiguous"
@@ -64,7 +70,8 @@ class SGrid2DTarget(DslTarget):
         self.page_elements: int = int(self.config.get("page_elements", 256))
         self.boundary_value: float = float(self.config.get("boundary_value", 0.0))
         self.boundary_kind: str = str(self.config.get("boundary", "dirichlet"))
-        self.init_fn: Optional[Callable[[int, int], float]] = self.config.get("init")
+        #: Pure ``(x, y) -> float``; tried on int64 arrays, else per point.
+        self.init_fn: Optional[Callable[[Any, Any], Any]] = self.config.get("init")
         if self.region % self.block_size != 0:
             raise ValueError(
                 f"region {self.region} must be a multiple of block_size {self.block_size}"
@@ -127,19 +134,13 @@ class SGrid2DTarget(DslTarget):
 
     def _initialise_field(self, blocks: List[DataBlock]) -> None:
         """Fill this rank's Data Blocks with the initial field (both buffers)."""
-        # The user's ``init`` is a per-point Python callable; frompyfunc
-        # calls it with the Python-int arguments, and in the y-outer
-        # order, of the double loop it replaces, minus the interpreter
-        # overhead of the loop itself.
-        init = np.frompyfunc(self.init_fn or (lambda x, y: 0.0), 2, 1)
         for block in blocks:
             if not block.holds_data or block.kind != "data":
                 continue
-            bx0, by0 = block.origin
-            sx, sy = block.shape
-            ys, xs = np.indices((sy, sx))
-            field = init((xs + bx0).astype(object), (ys + by0).astype(object))
-            flat = field.astype(np.float64).T.reshape(-1, 1)
+            (bx0, by0), (sx, sy) = block.origin, block.shape
+            ys, xs = np.indices((sy, sx), dtype=np.int64)
+            field = evaluate_init(self.init_fn, xs + bx0, ys + by0)
+            flat = field.T.reshape(-1, 1)
             # Load the same initial data into every buffer generation so the
             # first step reads well-defined values regardless of swap parity.
             for buf in block.buffer.buffers:

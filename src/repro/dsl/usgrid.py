@@ -33,7 +33,7 @@ import numpy as np
 
 from ..memory.block import DataBlock, StaticDataBlock
 from ..memory.env import Env
-from .base import BlockSpec, DslTarget
+from .base import BlockSpec, DslTarget, evaluate_init
 
 __all__ = ["USGrid2DTarget"]
 
@@ -63,7 +63,11 @@ class USGrid2DTarget(DslTarget):
     ``layout_seed``
         Seed of the CaseR permutation (default 20220329).
     ``init``
-        Optional callable ``(x, y) -> float`` for the initial field.
+        Optional pure function ``(x, y) -> float`` for the initial field,
+        under the same contract as :class:`~repro.dsl.sgrid.SGrid2DTarget`'s:
+        tried once per Block on the int64 coordinates of its cells
+        (integer arithmetic wraps as NumPy's does), called per point with
+        Python ints when it cannot take arrays.
     """
 
     ACCESS_PATTERN = "contiguous"  # overridden to "random" for CaseR
@@ -170,7 +174,6 @@ class USGrid2DTarget(DslTarget):
         """Fill values and neighbour tables of this rank's Data Blocks."""
         index_map = self.cell_index_map()
         n = self.region
-        init = np.frompyfunc(self.init_fn or (lambda x, y: 0.0), 2, 1)
 
         # Invert the layout: cell index -> (x, y).
         positions = np.empty((self.cell_count, 2), dtype=np.int64)
@@ -205,7 +208,7 @@ class USGrid2DTarget(DslTarget):
                 continue
             cells = slice(block.origin[0], block.origin[0] + block.shape[0])
             x, y = positions[cells].T
-            values = init(x.astype(object), y.astype(object)).astype(np.float64).reshape(-1, 1)
+            values = evaluate_init(self.init_fn, x, y).reshape(-1, 1)
             neighbours = neighbour_of[cells].copy()
             for buf in block.buffer.buffers:
                 buf.load_dense(values)

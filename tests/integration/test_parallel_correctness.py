@@ -27,6 +27,10 @@ def _init(x, y):
     return 0.05 * x - 0.02 * y + 1.0
 
 
+def _init_per_point(x, y):
+    return float(_init(x, y))  # float() of an array raises: runs per site
+
+
 SGRID_CONFIG = dict(region=16, block_size=4, page_elements=8, loops=3, init=_init)
 USGRID_CONFIG = dict(region=16, block_cells=32, page_elements=8, loops=3, init=_init)
 PARTICLE_CONFIG = dict(particles=128, block_buckets=4, page_elements=4, loops=2)
@@ -77,6 +81,34 @@ class TestUSGridConfigurations:
         platform = Platform(aspects=ASPECT_STACKS[stack](), mmat=True)
         run = platform.run(JacobiUSGrid, config=dict(USGRID_CONFIG, case=case))
         assert_matches_reference(run.result, references[key])
+
+
+class TestInitPaths:
+    """The same ``init`` formula taken per Block on arrays and per site
+    through a wrapper gives bit-identical whole runs."""
+
+    @pytest.mark.parametrize(
+        "app_cls,config,key",
+        [
+            (JacobiSGrid, SGRID_CONFIG, "sgrid"),
+            (JacobiUSGrid, dict(USGRID_CONFIG, case="R"), "usgrid_r"),
+        ],
+        ids=["sgrid", "usgrid_r"],
+    )
+    @pytest.mark.parametrize("backend,ranks", [("serial", 1), ("process", 2)])
+    def test_array_and_per_point_init_agree_exactly(
+        self, references, app_cls, config, key, backend, ranks
+    ):
+        results = [
+            np.asarray(
+                Platform.preset("mpi", mpi=ranks, backend=backend, mmat=True)
+                .run(app_cls, config=dict(config, init=init))
+                .result
+            )
+            for init in (_init, _init_per_point)
+        ]
+        assert np.array_equal(results[0], results[1], equal_nan=True)
+        assert_matches_reference(results[0], references[key])
 
 
 class TestParticleConfigurations:

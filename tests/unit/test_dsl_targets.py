@@ -88,6 +88,48 @@ class TestBlockSpecAndAssignment:
         assert keys == sorted(keys)
 
 
+_A, _B, _C = np.random.default_rng(7).uniform(0.5, 1.5, 3)
+
+#: Initial fields under the ``init`` contract: the first four take the
+#: per-Block array path, the last two raise on arrays and run per site.
+CONTRACT_INITS = {
+    "affine-mod17": lambda x, y: _A * x + _B * y + _C * ((x * y) % 17),
+    "sin": lambda x, y: np.sin(0.3 * x) + 0.1 * y,
+    "bool": lambda x, y: x < y,
+    "scalar": lambda x, y: 1.0,
+    "float-cast": lambda x, y: float(x + y),
+    "hot-corner": lambda x, y: 100.0 if (x < 8 and y < 8) else 0.0,
+}
+
+#: What an ``init`` returns on the coordinate arrays that the DSL must not keep.
+UNFIT_ARRAY_RESULTS = {
+    "misshapen": lambda x, y: np.ravel(x + y)[:-1],
+    "object": lambda x, y: (x + y).astype(object),
+}
+
+
+def per_site_field(init, region):
+    """``init`` evaluated site by site on Python ints, as a dense field."""
+    return np.array(
+        [[float(init(x, y)) for y in range(region)] for x in range(region)]
+    )
+
+
+def counting_init(on_arrays):
+    """An init returning ``on_arrays(x, y)`` for arrays and ``float(x + y)``
+    per site, with a tally of both kinds of call."""
+    calls = {"array": 0, "site": 0}
+
+    def init(x, y):
+        if isinstance(x, np.ndarray):
+            calls["array"] += 1
+            return on_arrays(x, y)
+        calls["site"] += 1
+        return float(x + y)
+
+    return init, calls
+
+
 class TestSGridTarget:
     def make_app(self, **overrides):
         config = dict(region=16, block_size=8, page_elements=16, loops=1,
@@ -117,25 +159,68 @@ class TestSGridTarget:
         assert block.read((1, 2)) == 3.0
 
     def test_init_sees_python_ints_in_y_outer_order(self):
+        # An init that branches on its arguments cannot take the per-Block
+        # arrays, so it runs per point: Python ints, y-outer in each Block.
         calls = []
 
         def init(x, y):
+            value = 0.5 * x if x < 5 else -0.25 * y  # raises on arrays
             calls.append((x, y))
-            return 0.5 * x - 0.25 * y + 1e-3 * len(calls)  # order-dependent
+            return value
 
         app = self.make_app(region=8, block_size=4, init=init)
         app.initialize()
         assert all(type(x) is int and type(y) is int for x, y in calls)
-        expected, seen = {}, 0
+        expected = []
         for block in app.env.data_blocks():
             (x0, y0), (sx, sy) = block.origin, block.shape
-            for j in range(sy):
-                for i in range(sx):
-                    seen += 1
-                    assert calls[seen - 1] == (x0 + i, y0 + j)
-                    expected[x0 + i, y0 + j] = 0.5 * (x0 + i) - 0.25 * (y0 + j) + 1e-3 * seen
+            expected += [(x0 + i, y0 + j) for j in range(sy) for i in range(sx)]
+        assert calls == expected
         field = app.local_field()
-        assert all(field[x, y] == value for (x, y), value in expected.items())
+        assert all(field[x, y] == (0.5 * x if x < 5 else -0.25 * y) for x, y in calls)
+
+    def test_elementwise_init_called_once_per_block_on_int64_arrays(self):
+        calls = []
+
+        def init(x, y):
+            calls.append((x.copy(), y.copy()))
+            return 0.5 * x - 0.25 * y
+
+        app = self.make_app(init=init)
+        app.initialize()
+        blocks = app.env.data_blocks()
+        assert len(calls) == len(blocks)
+        for (xs, ys), block in zip(calls, blocks):
+            (x0, y0), (sx, sy) = block.origin, block.shape
+            assert xs.dtype == ys.dtype == np.int64
+            ys_ref, xs_ref = np.indices((sy, sx))
+            assert np.array_equal(xs, xs_ref + x0) and np.array_equal(ys, ys_ref + y0)
+
+    @pytest.mark.parametrize("name", list(CONTRACT_INITS))
+    def test_loaded_field_is_bit_identical_to_per_site_init(self, name):
+        init = CONTRACT_INITS[name]
+        app = self.make_app(init=init)
+        app.initialize()
+        assert np.array_equal(app.local_field(), per_site_field(init, app.region))
+
+    @pytest.mark.parametrize("name", list(UNFIT_ARRAY_RESULTS))
+    def test_unfit_array_result_falls_back_to_per_site_calls(self, name):
+        init, calls = counting_init(UNFIT_ARRAY_RESULTS[name])
+        app = self.make_app(init=init)
+        app.initialize()
+        blocks = len(app.env.data_blocks())
+        assert calls == {"array": blocks, "site": app.region * app.region}
+        assert np.array_equal(app.local_field(), per_site_field(init, app.region))
+
+    def test_division_by_zero_still_raises(self):
+        app = self.make_app(init=lambda x, y: 1.0 / (x - 3))
+        with pytest.raises(ZeroDivisionError):
+            app.initialize()
+
+    def test_no_init_loads_zeros(self):
+        app = self.make_app(init=None)
+        app.initialize()
+        assert np.array_equal(app.local_field(), np.zeros((16, 16)))
 
     def test_neumann_boundary_option(self):
         app = self.make_app(boundary="neumann")
@@ -275,6 +360,49 @@ class TestUSGridTarget:
         field = app.local_field()
         assert field.shape == (8, 8)
         np.testing.assert_allclose(field[3, :], 3.0)
+
+    def test_elementwise_init_called_once_per_block_on_int64_arrays(self):
+        calls = []
+
+        def init(x, y):
+            calls.append((x.copy(), y.copy()))
+            return 0.5 * x - 0.25 * y
+
+        app = self.make_app("R", init=init)
+        app.initialize()
+        index_map = app.cell_index_map()
+        blocks = app.env.data_blocks()
+        assert len(calls) == len(blocks)
+        for (xs, ys), block in zip(calls, blocks):
+            assert xs.dtype == ys.dtype == np.int64
+            cells = np.arange(block.origin[0], block.origin[0] + block.shape[0])
+            assert np.array_equal(index_map[xs, ys], cells)
+
+    @pytest.mark.parametrize("name", list(CONTRACT_INITS))
+    def test_loaded_field_is_bit_identical_to_per_site_init(self, name):
+        init = CONTRACT_INITS[name]
+        app = self.make_app("R", region=16, block_cells=32, init=init)
+        app.initialize()
+        assert np.array_equal(app.local_field(), per_site_field(init, app.region))
+
+    @pytest.mark.parametrize("name", list(UNFIT_ARRAY_RESULTS))
+    def test_unfit_array_result_falls_back_to_per_site_calls(self, name):
+        init, calls = counting_init(UNFIT_ARRAY_RESULTS[name])
+        app = self.make_app("R", init=init)
+        app.initialize()
+        blocks = len(app.env.data_blocks())
+        assert calls == {"array": blocks, "site": app.cell_count}
+        assert np.array_equal(app.local_field(), per_site_field(init, app.region))
+
+    def test_division_by_zero_still_raises(self):
+        app = self.make_app("R", init=lambda x, y: 1.0 / (x - 3))
+        with pytest.raises(ZeroDivisionError):
+            app.initialize()
+
+    def test_no_init_loads_zeros(self):
+        app = self.make_app("R", init=None)
+        app.initialize()
+        assert np.array_equal(app.local_field(), np.zeros((8, 8)))
 
 
 class TestParticleTarget:
