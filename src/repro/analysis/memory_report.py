@@ -8,8 +8,9 @@ configuration split into *unused memory pool*, *used memory pool* and
   :class:`~repro.memory.pool.MemoryPool` accounting of the Env's
   allocator (the pools are fixed-size, exactly as in the paper);
 * **working memory** is everything that is not the pool: the Env tree
-  structure, the MMAT memo, block static fields, plus (for the
-  handwritten baselines) the arrays the baseline allocates;
+  structure (Blocks, each buffer's page list and Page descriptors), the
+  MMAT memo and plans, block static fields, plus (for the handwritten
+  baselines) the arrays the baseline allocates;
 * **image / scratch** is what the dense image and the kernels hold
   outside the pool — halo mirrors, MMAT scratch, padded fields, ring
   tables (the owned dense image is the page memory: *used pool*).

@@ -252,7 +252,7 @@ class Env:
         #: installs validate them): lets the per-step invalidation of a
         #: run whose halo is pushed, not installed, return at once.
         self._halo_pages_live = True
-        #: Box tables of :meth:`find_blocks`, one per address
+        #: Box tables of :meth:`locate_blocks`, one per address
         #: dimensionality; built lazily, dropped when the tree changes.
         self._box_tables: Dict[int, tuple] = {}
         #: ``(owned, owned + Buffer-only)`` Data Blocks in tree order;
@@ -552,8 +552,20 @@ class Env:
                 return found
         return None
 
+    def box_blocks(self, ndim: int) -> List[Block]:
+        """The data-holding ``ndim``-D Blocks in root search order, which
+        the positions :meth:`locate_blocks` returns index."""
+        return self._box_table(ndim)[0]
+
+    def box_position(self, block: Block) -> int:
+        """The position of data-holding ``block`` in :meth:`box_blocks`."""
+        position = self._box_table(block.ndim)[4].get(block.block_id)
+        if position is None:
+            raise EnvError(f"block {block.name!r} is not a data-holding Block of Env {self.name!r}")
+        return position
+
     def _box_table(self, ndim: int) -> tuple:
-        """``(blocks, lo, hi, n_joint)`` of the data-holding ``ndim``-D Blocks.
+        """``(blocks, lo, hi, n_joint, {block id: position})`` of the ``ndim``-D data Blocks.
 
         Blocks are listed in the order a search from the root visits
         them; the data joint is the root's first child, so its
@@ -567,12 +579,14 @@ class Env:
             blocks = listed(self.root)
             lo = np.array([b.origin for b in blocks], dtype=np.int64).reshape(-1, ndim)
             hi = lo + np.array([b.shape for b in blocks], dtype=np.int64).reshape(-1, ndim)
-            table = (blocks, lo, hi, len(listed(self.data_joint)))
+            position = {b.block_id: k for k, b in enumerate(blocks)}
+            table = (blocks, lo, hi, len(listed(self.data_joint)), position)
             self._box_tables[ndim] = table
         return table
 
-    def find_blocks(self, addresses, *, start: Optional[Block] = None) -> List[Optional[Block]]:
-        """:meth:`find_block` for an ``(n, ndim)`` array of addresses at once.
+    def locate_blocks(self, addresses, *, start: Optional[Block] = None) -> np.ndarray:
+        """:meth:`find_block` for an ``(n, ndim)`` array of addresses at
+        once, as positions into :meth:`box_blocks` (-1: no Block).
 
         Every address is tested against the box table of all
         data-holding Blocks with one (chunked) broadcast comparison; the
@@ -587,7 +601,7 @@ class Env:
         """
         addrs = np.asarray(addresses, dtype=np.int64)
         n, ndim = addrs.shape
-        blocks, lo, hi, n_joint = self._box_table(ndim)
+        blocks, lo, hi, n_joint, position = self._box_table(ndim)
         node = start
         while node is not None and node is not self.data_joint:
             node = node.parent
@@ -605,13 +619,19 @@ class Env:
                 hit = ((a >= lo) & (a < hi)).all(axis=2)
                 first[s : s + chunk] = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
                 ambiguous[s : s + chunk] = hit[:, :contested].sum(axis=1) > 1
-        found = [blocks[i] if i >= 0 else None for i in first.tolist()]
-        scalar = np.flatnonzero(ambiguous).tolist()
-        for i in scalar:
-            found[i] = self.find_block(tuple(addrs[i].tolist()), start=start)
-        self.stats.searches += n - len(scalar)
-        self.stats.search_steps += n - len(scalar)
-        return found
+        scalar = np.flatnonzero(ambiguous)
+        for i in scalar.tolist():
+            found = self.find_block(tuple(addrs[i].tolist()), start=start)
+            first[i] = -1 if found is None else position[found.block_id]
+        self.stats.searches += n - scalar.size
+        self.stats.search_steps += n - scalar.size
+        return first
+
+    def find_blocks(self, addresses, *, start: Optional[Block] = None) -> List[Optional[Block]]:
+        """:meth:`locate_blocks` as Blocks (None: no Block)."""
+        blocks = self.box_blocks(np.shape(addresses)[1])
+        found = self.locate_blocks(addresses, start=start).tolist()
+        return [blocks[i] if i >= 0 else None for i in found]
 
     # ------------------------------------------------------------------
     # page-based interface (used by aspect modules / the simulated network)
@@ -927,13 +947,16 @@ class Env:
         return halo + self.mmat.scratch_bytes()
 
     def structure_bytes(self) -> int:
-        """Rough footprint of the Env structure itself (tree + MMAT memo)."""
+        """Rough footprint of the Env structure itself: the tree, each
+        buffer's page list and Page descriptors, the MMAT memo and plans."""
         import sys
 
         total = 0
         for block in self.blocks_by_id.values():
             total += sys.getsizeof(block)
             total += sys.getsizeof(block.children)
+            for buf in block.buffer.buffers if isinstance(block, DataBlock) else ():
+                total += sys.getsizeof(buf.pages) + sum(map(sys.getsizeof, buf.pages))
         total += self.mmat.memory_bytes() - self.mmat.scratch_bytes()
         return total
 

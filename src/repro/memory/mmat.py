@@ -14,13 +14,16 @@ of searching the Env tree.
 
 Access plans push the same assumption one step further: the sites of a
 whole-block sweep are resolved *in bulk* (one vectorised
-:meth:`~repro.memory.env.Env.find_blocks` per plan, recorded in the
-memo) and compiled into a handful of NumPy index arrays — one merged
-gather table per array of the Env's dense read image, i.e. one for all
-locally-owned source Blocks and one for all Buffer-only ones, plus a
-precomputed constant table for Arithmetic/Static boundary sites; the
-sites of a stencil offset that stay inside the Block are not enumerated
-at all but kept as one pair of array slices.
+:meth:`~repro.memory.env.Env.locate_blocks` per start Block) and
+compiled into a handful of NumPy index arrays.  The plan *is* the
+memorization of its sites: a compile neither reads nor fills the scalar
+memo, which only scalar ``read_from`` calls fill, on first use.  A plan
+holds one merged gather table per array of the Env's dense read image,
+i.e. one for all locally-owned source Blocks and one for all
+Buffer-only ones, plus a precomputed constant table for
+Arithmetic/Static boundary sites; the sites of a stencil offset that
+stay inside the Block are not enumerated at all but kept as one pair of
+array slices.
 The whole sweep then executes as bulk array operations instead of
 ``size_x * size_y`` scalar ``get`` calls.  Plans are cached on the
 :class:`MMAT` instance, so :meth:`MMAT.reset` — called by the warm-up
@@ -423,13 +426,6 @@ def _as_tuples(addrs: np.ndarray) -> List[Tuple[int, ...]]:
     return list(map(tuple, addrs.tolist()))
 
 
-def _group_by_block(targets: list) -> List[np.ndarray]:
-    """Positions of ``targets`` grouped by Block (one index array per Block)."""
-    ids = np.fromiter((t.block_id for t in targets), dtype=np.int64, count=len(targets))
-    order = np.argsort(ids, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(ids[order])) + 1)
-
-
 def site_cuts(blocks: Sequence[DataBlock], n_sites: int) -> List[int]:
     """Where a tile's table of ``n_sites`` changes start Block: the sites
     ``cuts[b]:cuts[b + 1]`` start from ``blocks[b]``.  The table is
@@ -454,56 +450,45 @@ def stencil_table(blocks: Sequence[DataBlock], offsets) -> np.ndarray:
     return np.concatenate(cells)[:, None, :] + np.array(offsets, dtype=np.int64)
 
 
-def _locate(env, start: DataBlock, addrs: np.ndarray) -> list:
-    """The Block serving each distinct address, the way the scalar path
-    would find it from ``start``: the Block itself when it contains the
-    address, else the MMAT memo, else one bulk Env search whose results
-    the memo records."""
+def _locate(env, start: DataBlock, addrs: np.ndarray) -> np.ndarray:
+    """The Block serving each distinct address, as its position in
+    ``env.box_blocks``, the way the scalar path would find it from
+    ``start``: the Block itself when it contains the address, else one
+    bulk Env search."""
     local = addrs - np.asarray(start.origin, dtype=np.int64)
     outside = np.flatnonzero(
         ~np.all((local >= 0) & (local < np.asarray(start.shape)), axis=1)
     )
-    targets: list = [start] * addrs.shape[0]
-    if not outside.size:
-        return targets
-    mmat = env.mmat
-    relative = _as_tuples(local[outside])
-    known = mmat.lookup_many(start.block_id, relative)
-    missed = [k for k, target in enumerate(known) if target is None]
-    if missed:
-        found = env.find_blocks(addrs[outside[missed]], start=start)
-        if None in found:
-            bad = addrs[outside[missed[found.index(None)]]]
+    found = np.full(addrs.shape[0], env.box_position(start), dtype=np.intp)
+    if outside.size:
+        found[outside] = env.locate_blocks(addrs[outside], start=start)
+        bad = np.flatnonzero(found < 0)
+        if bad.size:
             raise AddressError(
-                f"no block of Env {env.name!r} contains address {tuple(bad.tolist())}"
+                f"no block of Env {env.name!r} contains address {tuple(addrs[bad[0]].tolist())}"
             )
-        mmat.remember_many(start.block_id, [relative[k] for k in missed], found)
-        for k, target in zip(missed, found):
-            known[k] = target
-    for k, target in zip(outside.tolist(), known):
-        targets[k] = target
-    return targets
+    return found
 
 
 def _follow_reference(env, ref: ReferenceBlock, addrs: np.ndarray):
-    """Map ``addrs`` through a Reference block: ``(mapped addresses, their Blocks)``."""
+    """Map ``addrs`` through a Reference block: ``(mapped addresses, the
+    positions of their Blocks in env.box_blocks)``."""
     mapped = [tuple(ref.mapper(GlobalAddress(a))) for a in _as_tuples(addrs)]
-    direct = ref.target
-    targets = [
-        direct if direct is not None and direct.contains(m) else None for m in mapped
-    ]
-    rest = [k for k, target in enumerate(targets) if target is None]
     mapped_arr = np.asarray(mapped, dtype=np.int64).reshape(len(mapped), -1)
-    if rest:
-        found = env.find_blocks(mapped_arr[rest], start=env.root)
-        if None in found:
+    found = np.full(len(mapped), -1, dtype=np.intp)
+    direct = ref.target
+    if direct is not None:
+        inside = np.fromiter(map(direct.contains, mapped), dtype=bool, count=len(mapped))
+        found[inside] = env.box_position(direct)
+    rest = np.flatnonzero(found < 0)
+    if rest.size:
+        found[rest] = env.locate_blocks(mapped_arr[rest], start=env.root)
+        bad = rest[found[rest] < 0]
+        if bad.size:
             raise AddressError(
-                f"reference block {ref.name!r} cannot resolve mapped address "
-                f"{mapped[rest[found.index(None)]]}"
+                f"reference block {ref.name!r} cannot resolve mapped address {mapped[bad[0]]}"
             )
-        for k, target in zip(rest, found):
-            targets[k] = target
-    return mapped_arr, targets
+    return mapped_arr, found
 
 
 def _resolve(env, start: DataBlock, addrs: np.ndarray, sources: list, const_vals: list):
@@ -523,6 +508,7 @@ def _resolve(env, start: DataBlock, addrs: np.ndarray, sources: list, const_vals
     Assumption II makes the result valid for every later iteration).
     """
     n = addrs.shape[0]
+    blocks = env.box_blocks(addrs.shape[1])
     source_index = {block.block_id: k for k, block in enumerate(sources)}
     group = np.empty(n, dtype=np.intp)
     src = np.empty(n, dtype=np.intp)
@@ -532,10 +518,13 @@ def _resolve(env, start: DataBlock, addrs: np.ndarray, sources: list, const_vals
     while pending:
         pos = np.concatenate([where for where, _, _ in pending])
         addrs = np.concatenate([mapped for _, mapped, _ in pending])
-        targets = [target for _, _, found in pending for target in found]
+        found = np.concatenate([at for _, _, at in pending])
         pending = []
-        for sel in _group_by_block(targets):
-            target = targets[sel[0]]
+        order = np.argsort(found, kind="stable")
+        groups = np.split(order, np.flatnonzero(np.diff(found[order])) + 1)
+        # Block by Block in id order, the order ``sources`` grows in.
+        for sel in sorted(groups, key=lambda sel: blocks[found[sel[0]]].block_id):
+            target = blocks[found[sel[0]]]
             where, at = pos[sel], addrs[sel]
             if isinstance(target, DataBlock):
                 k = source_index.get(target.block_id)
@@ -562,6 +551,20 @@ def _resolve(env, start: DataBlock, addrs: np.ndarray, sources: list, const_vals
                 )
         depth += 1
     return group, src
+
+
+def _first_uses(addrs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(first, inv)`` of an ``(n, ndim)`` address array: each distinct
+    address's first row, in first-use order, and per row the index of its
+    address in ``first``, told apart by flat index in the bounding box."""
+    lo = addrs.min(axis=0)
+    try:
+        keys = np.ravel_multi_index(tuple((addrs - lo).T), tuple(addrs.max(axis=0) - lo + 1))
+    except ValueError:  # a box of more than intp elements: sort whole rows
+        keys = np.unique(addrs, axis=0, return_inverse=True)[1].reshape(-1)
+    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    by_first_use = np.argsort(first)
+    return first[by_first_use], np.argsort(by_first_use)[inv]
 
 
 def _halo_pages(sources: List[DataBlock], site_source: np.ndarray, site_elem: np.ndarray):
@@ -598,7 +601,7 @@ def _compile(
 
     Sites are resolved one start Block at a time (a compile's working
     set is a Block's however wide the tile); a Block's duplicate
-    addresses are resolved once (``np.unique``, in first-use order) and
+    addresses are resolved once (:func:`_first_uses`, in first-use order) and
     fanned back out through the inverse index, so compilation cost
     scales with *distinct* addresses, not sites.  ``slice_sites``
     in-block sites are covered by the caller's slice part and not listed.
@@ -623,15 +626,11 @@ def _compile(
         site_row = np.empty(addrs.shape[0], dtype=np.intp)
         site_table = np.empty(addrs.shape[0], dtype=np.int8)
         for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
-            uniq, first, inv = np.unique(
-                addrs[lo:hi], axis=0, return_index=True, return_inverse=True
-            )
-            by_first_use = np.argsort(first)
-            group, src = _resolve(env, blocks[k], uniq[by_first_use], sources, const_vals)
+            first, inv = _first_uses(addrs[lo:hi])
+            group, src = _resolve(env, blocks[k], addrs[lo:hi][first], sources, const_vals)
             read.update(np.unique(group).tolist())
             slots = [env.image_slot(source) for source in sources]
             table_of = [tables.setdefault((id(slot[0]), slot[3]), len(tables)) for slot in slots]
-            inv = np.argsort(by_first_use)[inv.reshape(-1)]
             in_block += int(np.count_nonzero(group[inv] == k))
             site_row[lo:hi] = (np.array([slot[1] for slot in slots] + [0])[group] + src)[inv]
             site_table[lo:hi] = np.array(table_of + [-1], dtype=np.int8)[group][inv]
@@ -846,10 +845,6 @@ class MMAT:
         self.fallback_sites = 0
 
     # ------------------------------------------------------------------
-    def key(self, start_block_id: int, relative: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...]]:
-        """The memo key of one access site: ``(origin block, relative offset)``."""
-        return (start_block_id, relative)
-
     def lookup(self, start_block_id: int, relative: Tuple[int, ...]):
         """Return the memorized target block, or None on a miss."""
         if not self.enabled:
@@ -865,25 +860,6 @@ class MMAT:
         """Memorize that accesses at this site resolve to ``block``."""
         if self.enabled:
             self._memo[(start_block_id, relative)] = block
-
-    def lookup_many(self, start_block_id: int, relatives: Sequence[Tuple[int, ...]]) -> list:
-        """:meth:`lookup` for many sites of one start Block (None per miss)."""
-        if not self.enabled:
-            return [None] * len(relatives)
-        memo = self._memo
-        found = [memo.get((start_block_id, relative)) for relative in relatives]
-        missed = found.count(None)
-        self.hits += len(found) - missed
-        self.misses += missed
-        return found
-
-    def remember_many(self, start_block_id: int, relatives, blocks) -> None:
-        """:meth:`remember` for many sites of one start Block."""
-        if self.enabled:
-            self._memo.update(
-                ((start_block_id, relative), block)
-                for relative, block in zip(relatives, blocks)
-            )
 
     # ------------------------------------------------------------------
     # compiled plans

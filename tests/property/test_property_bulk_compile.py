@@ -144,7 +144,7 @@ def reference_sites(env, block, addresses, ring):
 
 def assert_plan_matches_reference(env, block, plan, addresses, ring):
     env.mmat.reset()
-    sites, memo = reference_sites(env, block, addresses, ring)
+    sites, _ = reference_sites(env, block, addresses, ring)
     n_elem = block.element_count
     expected = np.empty((len(sites), block.components))
     halo = []
@@ -154,7 +154,7 @@ def assert_plan_matches_reference(env, block, plan, addresses, ring):
             halo.append((i, PageKey(source.block_id, payload // source.page_elements)))
 
     plan = plan()
-    assert env.mmat._memo == memo
+    assert len(env.mmat) == env.mmat.hits == env.mmat.misses == 0  # the plan is the memo
     assert plan.n_sites == len(sites)
     assert np.array_equal(plan.execute(env), expected)
     assert sorted(plan.remote_pages()) == sorted({key for _, key in halo})
@@ -316,4 +316,4 @@ def test_compiling_a_64_block_env_costs_one_step_per_resolved_address():
     assert resolved == 64 * 4 * 8
     assert env.stats.searches - before[0] == resolved
     assert env.stats.search_steps - before[1] <= resolved
-    assert env.mmat.misses == len(env.mmat) == resolved
+    assert env.mmat.hits == env.mmat.misses == len(env.mmat) == 0

@@ -18,6 +18,8 @@ import time
 import numpy as np
 import pytest
 
+from repro.annotation import Platform
+from repro.apps import JacobiSGrid, JacobiUSGrid
 from repro.memory import (
     AddressError,
     ArithmeticBlock,
@@ -201,6 +203,12 @@ class TestCompileErrors:
         with pytest.raises(AddressError, match=r"'lost' cannot resolve mapped address \(99,\)"):
             compile_offsets_plan(plan_env, block, [(1,)])
 
+    def test_unattached_start_block_is_refused(self, plan_env):
+        add_block(plan_env, (0, 0))
+        stray = DataBlock((4, 0), (4, 4), components=1, page_elements=4, allocator=plan_env.allocator)
+        with pytest.raises(EnvError, match="is not a"):
+            compile_offsets_plan(plan_env, stray, [(0, 0), (-1, 0)])
+
 
 class TestHaloPlanExecution:
     def test_invalid_halo_pages_are_recorded_and_zeroed(self, plan_env):
@@ -329,6 +337,14 @@ class TestAddressPlans:
         out = plan.execute(plan_env).reshape(addrs.shape)
         assert np.array_equal(out, addrs.astype(np.float64))
 
+    def test_blocks_too_far_apart_for_one_flat_index(self, plan_env):
+        near = add_block(plan_env, (0, 0), fill=np.arange(16))
+        far = 2**40  # the two Blocks' bounding box has more than 2**63 elements
+        add_block(plan_env, (far, far), fill=100 + np.arange(16))
+        addrs = np.array([[1, 1], [far + 2, far + 3], [1, 1], [far, far]])
+        plan = compile_address_plan(plan_env, near, addrs)
+        assert plan.execute(plan_env).reshape(-1).tolist() == [5.0, 111.0, 5.0, 100.0]
+
 
 class TestMMATPlanCache:
     def test_reset_invalidates_plans_and_memo(self, plan_env):
@@ -436,6 +452,58 @@ class TestMMATPlanCache:
         assert stats["vectorized_fraction"] == pytest.approx(
             plan.n_sites / (plan.n_sites + 4)
         )
+
+
+def initialized_env(app_cls, config) -> Env:
+    app = app_cls(config)
+    app.bind_platform(Platform(mmat=True))
+    app.initialize()
+    return app.env
+
+
+class TestScalarReadsAfterACompile:
+    """A compile leaves the scalar memo empty: scalar reads of the plan's
+    sites fill it themselves, one miss per distinct site, then hit."""
+
+    def assert_reads_fill_the_memo(self, env, block, plan, sites, addresses):
+        mmat = env.mmat
+        expected = plan.execute(env).copy()
+        assert len(mmat) == mmat.hits == mmat.misses == 0
+        distinct = len(set(addresses))
+        for passes in (1, 2):
+            for site, addr in zip(sites, addresses):
+                value = np.asarray(env.read_from(block, addr), dtype=np.float64)
+                assert np.array_equal(value.reshape(-1), expected[site])
+            assert mmat.misses == len(mmat) == distinct
+            assert mmat.hits == passes * len(addresses) - distinct
+
+    def test_sgrid_offsets_plan_ring(self):
+        env = initialized_env(
+            JacobiSGrid, dict(region=16, block_size=8, page_elements=16, boundary="dirichlet")
+        )
+        block = env.data_blocks()[0]
+        offsets = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]
+        plan = compile_offsets_plan(env, block, offsets)
+        sites, addresses = [], []
+        for oi, off in enumerate(offsets):
+            for elem, local in enumerate(np.ndindex(*block.shape)):
+                shifted = [c + o for c, o in zip(local, off)]
+                if not all(0 <= c < n for c, n in zip(shifted, block.shape)):
+                    sites.append(oi * block.element_count + elem)
+                    addresses.append(tuple(o + c for o, c in zip(block.origin, shifted)))
+        assert plan.resolved_sites == len(sites) > len(set(addresses))  # shared corners
+        self.assert_reads_fill_the_memo(env, block, plan, sites, addresses)
+
+    def test_usgrid_case_r_address_plan(self):
+        env = initialized_env(
+            JacobiUSGrid, dict(region=12, block_cells=16, page_elements=8, case="R")
+        )
+        block = env.data_blocks()[0]
+        table = block.static_fields["neighbors"]
+        plan = compile_address_plan(env, block, table)
+        addresses = [(int(a),) for a in table.reshape(-1)]
+        assert plan.resolved_sites == len(addresses) > len(set(addresses))
+        self.assert_reads_fill_the_memo(env, block, plan, range(len(addresses)), addresses)
 
 
 class TestDenseReadImage:

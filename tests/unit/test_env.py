@@ -264,6 +264,25 @@ class TestEnvAccounting:
         assert report["pool_capacity"] == report["pool_used"] + report["pool_unused"]
         assert report["env_structure"] > 0
 
+    def test_structure_counts_each_buffers_page_list_and_pages(self, env):
+        import sys
+
+        blocks = [add_block(env, (0, 0)), add_block(env, (4, 0), buffer_only=True, owner=1)]
+        buffers = [buf for block in blocks for buf in block.buffer.buffers]
+        # Two buffer generations of 16 elements in pages of 4, per Block.
+        assert len(buffers) == 4 and all(len(buf.pages) == 4 for buf in buffers)
+        pages = sum(
+            sys.getsizeof(buf.pages) + sum(sys.getsizeof(page) for page in buf.pages)
+            for buf in buffers
+        )
+        tree = sum(
+            sys.getsizeof(block) + sys.getsizeof(block.children)
+            for block in env.blocks_by_id.values()
+        )
+        assert pages > 16 * sys.getsizeof(buffers[0].pages[0])  # 16 Pages and 4 lists
+        assert len(env.mmat) == 0 and not env.mmat.plans
+        assert env.structure_bytes() == tree + pages
+
     def test_stats_merge(self, env):
         env.stats.reads = 3
         other = Env(pool_bytes=1 << 16)
