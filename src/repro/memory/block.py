@@ -62,6 +62,20 @@ __all__ = [
 _block_id_counter = itertools.count(1)
 
 
+def _inside(block: "Block", addrs) -> np.ndarray:
+    """``addrs`` as an ``(n, ndim)`` int64 array, checked in one test to
+    lie inside ``block``'s extent (:class:`AddressError` names the first
+    address outside)."""
+    addrs = np.asarray(addrs, dtype=np.int64).reshape(-1, block.ndim)
+    lo = np.asarray(block.origin, dtype=np.int64)
+    outside = np.flatnonzero(~((addrs >= lo) & (addrs < lo + block.shape)).all(axis=1))
+    if outside.size:
+        raise AddressError(
+            f"{tuple(addrs[outside[0]].tolist())} outside {block.kind} block {block.name!r}"
+        )
+    return addrs
+
+
 class Block:
     """Base class of all Block kinds."""
 
@@ -397,6 +411,12 @@ class StaticDataBlock(Block):
             return np.full(self.components, self._value[0])
         return self._value.copy()
 
+    def read_many(self, addrs) -> np.ndarray:
+        """:meth:`read` of every row of an ``(n, ndim)`` address array, as
+        a read-only ``(n, components)`` float64 broadcast of the value."""
+        n = _inside(self, addrs).shape[0]
+        return np.broadcast_to(self._value, (n, self.components))
+
 
 class ArithmeticBlock(Block):
     """Block generating data from an arithmetic expression of the address.
@@ -429,7 +449,40 @@ class ArithmeticBlock(Block):
     def read(self, addr: Sequence[int]) -> np.ndarray:
         if not self.contains(addr):
             raise AddressError(f"{addr} outside arithmetic block {self.name!r}")
-        return self.expression(GlobalAddress(addr))
+        value = self.expression(GlobalAddress(addr))
+        if np.size(value) not in (1, self.components):
+            self._wrong_count(addr, value)
+        return value
+
+    def read_many(self, addrs) -> np.ndarray:
+        """:meth:`read` of every row of an ``(n, ndim)`` address array, as
+        a read-only ``(n, components)`` float64 array: one ``expression``
+        call per address, the results stacked once and a 1-value result
+        broadcast to ``components``."""
+        addrs = _inside(self, addrs)
+        n, expression = addrs.shape[0], self.expression
+        if not n:
+            return np.empty((0, self.components))
+        values = [expression(GlobalAddress(a)) for a in addrs.tolist()]
+        try:
+            stacked = np.asarray(values, dtype=np.float64).reshape(n, -1)
+        except ValueError:  # results of different sizes
+            stacked = None
+        if stacked is None or stacked.shape[1] not in (1, self.components):
+            for a, value in zip(addrs.tolist(), values):
+                if np.size(value) not in (1, self.components):
+                    self._wrong_count(a, value)
+            stacked = np.array(
+                [np.broadcast_to(np.ravel(v), (self.components,)) for v in values],
+                dtype=np.float64,
+            )
+        return np.broadcast_to(stacked, (n, self.components))
+
+    def _wrong_count(self, addr, value):
+        raise BlockError(
+            f"arithmetic block {self.name!r} gave {np.size(value)} values at "
+            f"{tuple(addr)}, expected 1 or {self.components}"
+        )
 
 
 class ReferenceBlock(Block):

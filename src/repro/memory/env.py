@@ -588,20 +588,27 @@ class Env:
         """:meth:`find_block` for an ``(n, ndim)`` array of addresses at
         once, as positions into :meth:`box_blocks` (-1: no Block).
 
-        Every address is tested against the box table of all
-        data-holding Blocks with one (chunked) broadcast comparison; the
-        first containing Block in root search order is the answer.  That
-        order is also what a search from ``start`` finds whenever at most
-        one Block of ``start``'s own branch contains the address — a
-        start under the data joint exhausts the joint before any boundary
-        Block.  The remaining addresses (overlapping Blocks under the
-        data joint, or a ``start`` on another branch) go through the
-        scalar search, so the start-relative priority stays exact.
-        Counts one search and one search step per table-resolved address.
+        Every address is tested against the box table of the
+        data-holding Blocks whose box meets the addresses' bounding box
+        (no other Block can hold one) with one (chunked) broadcast
+        comparison; the first containing Block in root search order is
+        the answer.  The kept Blocks stay in that order, so dropping the
+        others changes no answer.  That order is also what a search from
+        ``start`` finds whenever at most one Block of ``start``'s own
+        branch contains the address — a start under the data joint
+        exhausts the joint before any boundary Block.  The remaining
+        addresses (overlapping Blocks under the data joint, or a
+        ``start`` on another branch) go through the scalar search, so
+        the start-relative priority stays exact.  Counts one search and
+        one search step per table-resolved address.
         """
         addrs = np.asarray(addresses, dtype=np.int64)
         n, ndim = addrs.shape
         blocks, lo, hi, n_joint, position = self._box_table(ndim)
+        kept = np.empty(0, dtype=np.intp)
+        if n and blocks:
+            meets = (lo <= addrs.max(axis=0)) & (hi > addrs.min(axis=0))
+            kept = np.flatnonzero(meets.all(axis=1))
         node = start
         while node is not None and node is not self.data_joint:
             node = node.parent
@@ -609,15 +616,19 @@ class Env:
         # from the root: those under the joint, or all of them when
         # ``start`` is neither the root nor under the joint.
         from_root = start is None or start is self.root
-        contested = n_joint if from_root or node is not None else len(blocks)
+        if from_root or node is not None:
+            contested = int(np.searchsorted(kept, n_joint))
+        else:
+            contested = kept.size
         first = np.full(n, -1, dtype=np.intp)
         ambiguous = np.zeros(n, dtype=bool)
-        if blocks:
-            chunk = max(1, (1 << 20) // len(blocks))
+        if kept.size:
+            lo, hi = lo[kept], hi[kept]
+            chunk = max(1, (1 << 20) // kept.size)
             for s in range(0, n, chunk):
                 a = addrs[s : s + chunk, None, :]
                 hit = ((a >= lo) & (a < hi)).all(axis=2)
-                first[s : s + chunk] = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
+                first[s : s + chunk] = np.where(hit.any(axis=1), kept[hit.argmax(axis=1)], -1)
                 ambiguous[s : s + chunk] = hit[:, :contested].sum(axis=1) > 1
         scalar = np.flatnonzero(ambiguous)
         for i in scalar.tolist():

@@ -496,20 +496,23 @@ def _resolve(env, start: DataBlock, addrs: np.ndarray, sources: list, const_vals
 
     Returns ``(group, src)``: address ``k`` is read from element
     ``src[k]`` of the Data Block ``sources[group[k]]``, or, where
-    ``group[k] == -1``, is the compile-time constant
-    ``const_vals[src[k]]``.  Blocks and constants met for the first time
-    are appended to ``sources`` / ``const_vals``, which one plan's
-    resolutions share.
+    ``group[k] == -1``, is the compile-time constant in row ``src[k]`` of
+    ``np.concatenate(const_vals)``.  Blocks met for the first time are
+    appended to ``sources``, and each group of constants to
+    ``const_vals`` as one ``(m, start.components)`` array; one plan's
+    resolutions share both lists.
 
     Reference blocks are followed through their (static) address mapping
     so mirror/Neumann boundaries compile down to gathers on the mapped
     interior Block; Arithmetic and Static blocks are evaluated once at
-    compile time (their value is a pure function of the address —
-    Assumption II makes the result valid for every later iteration).
+    compile time, each group of their addresses with one ``read_many``
+    (their value is a pure function of the address — Assumption II
+    makes the result valid for every later iteration).
     """
     n = addrs.shape[0]
     blocks = env.box_blocks(addrs.shape[1])
     source_index = {block.block_id: k for k, block in enumerate(sources)}
+    n_const = sum(len(vals) for vals in const_vals)
     group = np.empty(n, dtype=np.intp)
     src = np.empty(n, dtype=np.intp)
 
@@ -544,10 +547,10 @@ def _resolve(env, start: DataBlock, addrs: np.ndarray, sources: list, const_vals
                 pending.append((where,) + _follow_reference(env, target, at))
             else:
                 group[where] = -1
-                src[where] = np.arange(len(const_vals), len(const_vals) + len(sel))
-                const_vals.extend(
-                    np.asarray(target.read(a), dtype=np.float64).reshape(-1)
-                    for a in _as_tuples(at)
+                src[where] = np.arange(n_const, n_const + len(sel))
+                n_const += len(sel)
+                const_vals.append(
+                    np.broadcast_to(target.read_many(at), (len(sel), start.components))
                 )
         depth += 1
     return group, src
@@ -638,9 +641,9 @@ def _compile(
         out_of_block = site_row.size - sel.size - in_block
         if sel.size:
             const_dst = sel if sites is None else np.ascontiguousarray(sites[sel], dtype=np.intp)
-            const_arr = np.vstack(
-                [np.broadcast_to(v, (block.components,)) for v in const_vals]
-            ).astype(block.buffer.read_buffer.dtype)[site_row[sel]]
+            const_arr = np.concatenate(const_vals).astype(block.buffer.read_buffer.dtype)[
+                site_row[sel]
+            ]
         # Address plans (``sites`` None) read the tile's own rows densely:
         # that table, made last, is ``site_row`` itself, the sites of other
         # tables reading a placeholder row; it writes every site, so it is

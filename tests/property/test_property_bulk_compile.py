@@ -109,6 +109,79 @@ class TestFindBlocks:
         assert env.find_blocks(addresses, start=first) == [first, second, None]
 
 
+class TestLocatePrefilter:
+    """The bulk locate tests only the Blocks whose box meets the
+    addresses' bounding box; answers and counts stay per-address
+    ``find_block``'s."""
+
+    @staticmethod
+    def env_1d(*boxes):
+        env = Env(allocator=PoolGroup([MemoryPool(1 << 20, name="p")]), name="line")
+        for origin, size in boxes:
+            env.add_data_block(
+                DataBlock((origin,), (size,), components=1, page_elements=4, allocator=env.allocator)
+            )
+        return env
+
+    @staticmethod
+    def locate(env, addresses, start):
+        """``(blocks found, addresses sent to the scalar fallback)``."""
+        expected = [env.find_block(tuple(a), start=start) for a in addresses.tolist()]
+        scalar = []
+        search = env.find_block
+
+        def counted(addr, *, start=None):
+            scalar.append(addr)
+            return search(addr, start=start)
+
+        env.find_block = counted
+        try:
+            found = env.find_blocks(addresses, start=start)
+        finally:
+            del env.find_block
+        assert all(f is e for f, e in zip(found, expected))
+        return found, scalar
+
+    def test_no_block_met_is_all_misses_still_counted(self):
+        env = self.env_1d((0, 4), (4, 4))
+        addresses = np.array([[20], [31], [25]])
+        found, scalar = self.locate(env, addresses, env.data_blocks()[0])
+        assert found == [None] * 3 and scalar == []
+        before = (env.stats.searches, env.stats.search_steps)
+        assert env.locate_blocks(addresses).tolist() == [-1] * 3
+        assert (env.stats.searches - before[0], env.stats.search_steps - before[1]) == (3, 3)
+
+    def test_overlap_outside_the_box_takes_no_fallback(self):
+        env = self.env_1d((0, 4), (4, 4), (6, 4))  # the last two overlap at 6, 7
+        found, scalar = self.locate(env, np.array([[1], [3], [2]]), env.root)
+        assert found == [env.data_blocks()[0]] * 3 and scalar == []
+
+    def test_overlap_inside_the_box_takes_the_fallback(self):
+        env = self.env_1d((0, 4), (4, 4), (6, 4))
+        _, scalar = self.locate(env, np.array([[1], [7], [9]]), env.root)
+        assert scalar == [(7,)]
+
+    def test_boundary_start_contests_every_kept_block(self):
+        env = Env(allocator=PoolGroup([MemoryPool(1 << 20, name="p")]), name="rings")
+        for origin in itertools.product((0, 4, 8), repeat=2):
+            env.add_data_block(
+                DataBlock(origin, (4, 4), components=1, page_elements=4, allocator=env.allocator)
+            )
+        inner = env.add_boundary_block(ArithmeticBlock((-1, -1), (14, 14), lambda a: 1.0))
+        env.add_boundary_block(ArithmeticBlock((-2, -2), (16, 16), lambda a: 2.0))
+        # Near one corner: four Data Blocks and both rings meet the box.
+        addresses = np.array([[-2, 0], [-1, 3], [5, 5], [-2, -2], [2, 6]])
+        blocks = env.box_blocks(2)
+        assert sum(
+            bool(np.all((addresses.min(0) < np.add(b.origin, b.shape)) & (addresses.max(0) >= b.origin)))
+            for b in blocks
+        ) == 6 < len(blocks)
+        _, scalar = self.locate(env, addresses, inner)
+        # Every address held by two kept Blocks goes to the scalar search:
+        # all but (-2, 0) and (-2, -2), which only the outer ring holds.
+        assert scalar == [(-1, 3), (5, 5), (2, 6)]
+
+
 # ----------------------------------------------------------------------
 # (b) bulk-compiled plans == per-site reference compiler
 # ----------------------------------------------------------------------

@@ -23,6 +23,8 @@ from repro.apps import JacobiSGrid, JacobiUSGrid
 from repro.memory import (
     AddressError,
     ArithmeticBlock,
+    Block,
+    BlockError,
     BufferOnlyBlock,
     DataBlock,
     Env,
@@ -167,6 +169,44 @@ class TestOffsetsPlanCompilation:
         assert np.array_equal(np.sort(covered), np.arange(plan.n_sites))
 
 
+class TestConstantsReadInBulk:
+    def test_one_expression_call_per_distinct_constant_and_no_scalar_access(
+        self, monkeypatch
+    ):
+        env = initialized_env(
+            JacobiSGrid, dict(region=16, block_size=8, page_elements=16, boundary_value=0.25)
+        )
+        ring = next(b for b in env.root.iter_subtree() if isinstance(b, ArithmeticBlock))
+        calls = []
+        expression = ring.expression
+        ring.expression = lambda addr: calls.append(tuple(addr)) or expression(addr)
+        scalar = []
+
+        def counted(name, method):
+            def call(self, *args, **kwargs):
+                scalar.append(name)
+                return method(self, *args, **kwargs)
+            return call
+
+        for cls in {Block, *Block.__subclasses__(), *DataBlock.__subclasses__()}:
+            for name in ("read", "contains"):
+                if name in vars(cls):
+                    monkeypatch.setattr(cls, name, counted(name, vars(cls)[name]))
+        block = env.data_blocks()[0]
+        offsets = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1), (1, 1)]
+        plan = compile_offsets_plan(env, block, offsets)
+        outside = {
+            (x + dx, y + dy)
+            for dx, dy in offsets
+            for x in range(block.origin[0], block.origin[0] + block.shape[0])
+            for y in range(block.origin[1], block.origin[1] + block.shape[1])
+            if not (0 <= x + dx < 16 and 0 <= y + dy < 16)
+        }
+        assert sorted(calls) == sorted(outside) and scalar == []
+        assert plan.const_dst.size > len(outside)  # some are read by two offsets
+        assert np.all(plan.const_vals == 0.25)
+
+
 class TestCompileErrors:
     def test_first_unresolvable_address_in_site_order_is_named(self, plan_env):
         block = add_block(plan_env, (0, 0))
@@ -208,6 +248,18 @@ class TestCompileErrors:
         stray = DataBlock((4, 0), (4, 4), components=1, page_elements=4, allocator=plan_env.allocator)
         with pytest.raises(EnvError, match="is not a"):
             compile_offsets_plan(plan_env, stray, [(0, 0), (-1, 0)])
+
+    def test_constant_of_the_wrong_width_names_its_block(self, plan_env):
+        block = DataBlock((0,), (4,), components=3, page_elements=4, allocator=plan_env.allocator)
+        plan_env.add_data_block(block)
+        plan_env.add_boundary_block(
+            ArithmeticBlock((-2,), (8,), lambda addr: (1.0, 2.0), components=3, name="wide")
+        )
+        match = r"'wide' gave 2 values at \(4,\), expected 1 or 3"
+        with pytest.raises(BlockError, match=match):
+            compile_offsets_plan(plan_env, block, [(0,), (1,)])
+        with pytest.raises(BlockError, match=match):
+            plan_env.read_from(block, (4,))
 
 
 class TestHaloPlanExecution:

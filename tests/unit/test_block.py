@@ -213,3 +213,93 @@ class TestVirtualBlocks:
             block.read((0,))
         with pytest.raises(BlockError):
             block.write((0,), 1.0)
+
+
+def wall_buckets():
+    """The Particle DSL's wall-bucket ArithmeticBlock."""
+    from repro.annotation import Platform
+    from repro.apps import ParticleSimulation
+
+    app = ParticleSimulation(dict(particles=64, block_buckets=2, page_elements=4))
+    app.bind_platform(Platform(mmat=True))
+    app.initialize()
+    return next(b for b in app.env.root.iter_subtree() if isinstance(b, ArithmeticBlock))
+
+
+def three_components(a):
+    return np.array([0.5 * a[0], -a[0], 2.0 + a[0]])
+
+
+class TestReadMany:
+    """``read_many`` is ``read`` of every address, stacked and broadcast
+    to the Block's components."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ArithmeticBlock((-1, -1), (6, 6), lambda a: 0.25),
+            lambda: ArithmeticBlock((-1, -1), (6, 6), lambda a: float(a[0] - a[1])),
+            lambda: ArithmeticBlock((-16,), (48,), three_components, components=3),
+            lambda: ArithmeticBlock((-2,), (8,), lambda a: 1.5, components=3),
+            wall_buckets,
+            lambda: StaticDataBlock((3, 0), (4, 5), 3.5),
+            lambda: StaticDataBlock((3, 0), (4, 5), 2.0, components=3),
+            lambda: StaticDataBlock((3, 0), (4, 5), (1.0, -2.0, 0.5), components=3),
+        ],
+    )
+    def test_equals_stacked_reads(self, make):
+        block = make()
+        addrs = np.stack(np.unravel_index(np.arange(block.element_count), block.shape), axis=1)
+        addrs = (addrs + block.origin)[::3]
+        expected = np.stack([
+            np.broadcast_to(np.asarray(block.read(tuple(a)), dtype=np.float64).reshape(-1),
+                            (block.components,))
+            for a in addrs.tolist()
+        ])
+        got = block.read_many(addrs)
+        assert got.dtype == np.float64 and got.shape == (len(addrs), block.components)
+        assert np.array_equal(got, expected)
+        assert block.read_many(addrs[:0]).shape == (0, block.components)
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            ArithmeticBlock((-1, -1), (4, 4), lambda a: 1.0, name="ring"),
+            StaticDataBlock((-1, -1), (4, 4), 1.0, name="ring"),
+        ],
+    )
+    def test_address_outside_is_named(self, block):
+        with pytest.raises(AddressError, match=r"\(3, 0\) outside .* 'ring'"):
+            block.read_many(np.array([[0, 0], [3, 0], [9, 9]]))
+
+    def test_mixed_result_sizes_broadcast_per_address(self):
+        block = ArithmeticBlock(
+            (0,), (4,), lambda a: 7.0 if a[0] % 2 else np.array([1.0, 2.0]), components=2
+        )
+        got = block.read_many(np.arange(4).reshape(-1, 1))
+        assert np.array_equal(got, [[1.0, 2.0], [7.0, 7.0], [1.0, 2.0], [7.0, 7.0]])
+
+
+class TestValueCount:
+    """An ArithmeticBlock's expression gives 1 or ``components`` values,
+    the rule a StaticDataBlock's value obeys."""
+
+    def bad(self):
+        return ArithmeticBlock(
+            (-1,), (4,), lambda a: (1.0, 2.0) if a[0] == 1 else 0.5, components=3, name="wide"
+        )
+
+    def test_read_names_block_address_and_count(self):
+        block = self.bad()
+        assert block.read((0,)) == 0.5
+        with pytest.raises(BlockError, match=r"'wide' gave 2 values at \(1,\), expected 1 or 3"):
+            block.read((1,))
+
+    def test_read_many_names_block_address_and_count(self):
+        with pytest.raises(BlockError, match=r"'wide' gave 2 values at \(1,\), expected 1 or 3"):
+            self.bad().read_many(np.array([[0], [1], [2]]))
+
+    def test_uniform_wrong_width_is_reported(self):
+        block = ArithmeticBlock((0,), (4,), lambda a: (1.0, 2.0), components=3, name="wide")
+        with pytest.raises(BlockError, match=r"'wide' gave 2 values at \(0,\)"):
+            block.read_many(np.array([[0], [1]]))
