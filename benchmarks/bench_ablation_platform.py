@@ -16,7 +16,6 @@ from __future__ import annotations
 from conftest import emit, run_once
 
 from repro.bench import run_platform, sgrid_workload, usgrid_workload
-from repro.bench.harness import configuration_aspects
 
 
 def _mmat_ablation():
@@ -54,7 +53,7 @@ def _dry_run_ablation():
     work = sgrid_workload(32, loops=4)
     rows = []
     for processes in (2, 4):
-        run = run_platform(work, aspects=configuration_aspects("mpi", mpi=processes), mmat=True)
+        run = run_platform(work, "mpi", ranks=processes, mmat=True)
         recomputed = sum(c.recomputed_steps for c in run.counters.values())
         steps = sum(c.steps for c in run.counters.values())
         rows.append(
@@ -104,9 +103,8 @@ def _zorder_ablation():
     rows = []
     for label, app_cls in (("z-order", JacobiSGrid), ("shuffled", ShuffledAssignment)):
         from repro.annotation import Platform
-        from repro.aspects import mpi_aspects
 
-        platform = Platform(aspects=mpi_aspects(4), mmat=True)
+        platform = Platform.preset("mpi", ranks=4, mmat=True)
         run = platform.run(app_cls, config=dict(work.config))
         rows.append(
             {

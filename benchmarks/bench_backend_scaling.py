@@ -33,7 +33,6 @@ _SRC = os.path.join(_ROOT, "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.aspects import mpi_aspects  # noqa: E402
 from repro.bench.harness import format_table, run_platform, sgrid_workload  # noqa: E402
 
 
@@ -61,7 +60,7 @@ def measure_backends(
         best = None
         last_run = None
         for _ in range(max(repeats, 1)):
-            run = run_platform(work, aspects=mpi_aspects(n, backend=backend), mmat=True)
+            run = run_platform(work, "mpi", ranks=n, backend=backend, mmat=True)
             if best is None or run.elapsed < best:
                 best = run.elapsed
             last_run = run

@@ -52,7 +52,7 @@ def main() -> None:
 
     # Reference: the same world, no faults, no resilience layer at all.
     reference = (
-        Platform.builder().mpi(4).mmat().backend("process").build()
+        Platform.builder().mpi(4, backend="process").mmat().build()
         .run(JacobiSGrid, config=dict(CONFIG))
     )
 
@@ -64,9 +64,8 @@ def main() -> None:
 
     chaos = (
         Platform.builder()
-        .mpi(4)
+        .mpi(4, backend="process")
         .mmat()
-        .backend("process")
         .resilience(ResiliencePolicy(fault_plan=plan))
         .comm_timeout(20.0)
         .build()

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import Platform, openmp_aspects
+from repro import Platform
 from repro.apps import ParticleSimulation
 
 CONFIG = dict(
@@ -53,7 +53,7 @@ def render(counts: np.ndarray) -> str:
 
 def main() -> None:
     serial = Platform(mmat=True).run(ParticleSimulation, config=CONFIG)
-    parallel = Platform(aspects=openmp_aspects(4), mmat=True).run(
+    parallel = Platform.preset("omp", threads=4, mmat=True).run(
         ParticleSimulation, config=CONFIG
     )
 

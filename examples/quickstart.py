@@ -77,7 +77,7 @@ def main() -> None:
     # 5. Same MPI configuration on the "process" execution backend: each
     #    rank is a real forked OS process (true parallelism, measured
     #    wall-clock), selected without touching the application at all.
-    procs = Platform.preset("mpi", mpi=2, backend="process", mmat=True).run(
+    procs = Platform.preset("mpi", ranks=2, backend="process", mmat=True).run(
         JacobiSGrid, config=CONFIG)
     describe("MPI x2 (processes)", procs)
 
@@ -111,21 +111,14 @@ def main() -> None:
     print(f"OpenMP x4 fused kernels: {omp.mmat_stats['fused_kernels']} compiled, "
           f"{sum(c.kernel_fused_calls for c in omp.counters.values())} fused sweeps")
 
-    # The MPI run moved its warm-up halo pages in bulk: one message pair
-    # per owner rank instead of one per page (the `comm=… agg=…` section
-    # of summary() above), and published the halo after that.
-    print(f"MPI x4 halo aggregation: {mpi.comm_aggregation_ratio():.1f} pages "
-          f"per exchange across {mpi.comm_neighbor_links()} neighbor links")
-
-    # Those exchanges ran *overlapped*: issued nonblocking right after
-    # each step barrier and completed mid-sweep, once the interior sites
-    # were updated.  Overlap efficiency is the fraction of the halo
-    # round-trip that hid behind that interior computation (the
-    # `overlap=… eff=…` section of summary() above).
-    print(f"MPI x4 overlap efficiency: {mpi.overlap_efficiency():.0%} of the "
-          f"halo latency hidden behind interior compute")
-    print(f"MPI x2 (processes) overlap efficiency: "
-          f"{procs.overlap_efficiency():.0%}")
+    # The MPI runs moved their warm-up halo pages in one bulk exchange
+    # per owner rank (the `comm=…ex/…pg` section of summary() above) and
+    # from then on each owner *published* the halo rows its neighbours
+    # read, every step (`push=…`); `open:` would name why a step fell
+    # back to the page exchange instead.
+    for label, run in (("MPI x4", mpi), ("MPI x2 (processes)", procs)):
+        print(f"{label} halo: {run.network['halo_pushes']} publishes of "
+              f"{run.network['halo_sites']} sites after the warm-up exchange")
 
     # 6. Observability: the same run with tracing on records a span
     #    timeline (Perfetto-exportable via run.save_trace(path)); the

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import Platform, mpi_aspects
+from repro import Platform
 from repro.apps import HandwrittenUSGrid, JacobiUSGrid
 
 
@@ -56,7 +56,7 @@ def serial_study() -> None:
 def distributed_study() -> None:
     print("=== 4 ranks: communication volume, CaseC vs CaseR ===")
     for case in ("C", "R"):
-        run = Platform(aspects=mpi_aspects(4), mmat=True).run(
+        run = Platform.preset("mpi", ranks=4, mmat=True).run(
             JacobiUSGrid, config=dict(BASE, case=case)
         )
         pages = sum(c.pages_fetched for c in run.counters.values())

@@ -20,13 +20,7 @@ Top-level layout (see DESIGN.md for the full inventory):
 
 from .annotation import Platform, PlatformBuilder, PlatformRun, TargetApplication
 from .aop import Aspect, Weaver, parse_pointcut
-from .aspects import (
-    DistributedMemoryAspect,
-    SharedMemoryAspect,
-    hybrid_aspects,
-    mpi_aspects,
-    openmp_aspects,
-)
+from .aspects import DistributedMemoryAspect, SharedMemoryAspect
 from .memory import Env
 from .obs import (
     MonitoringAspect,
@@ -57,9 +51,6 @@ __all__ = [
     "Env",
     "DistributedMemoryAspect",
     "SharedMemoryAspect",
-    "hybrid_aspects",
-    "mpi_aspects",
-    "openmp_aspects",
     "MonitoringAspect",
     "global_tracer",
     "global_metrics",

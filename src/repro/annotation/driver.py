@@ -2,7 +2,7 @@
 
 This module plays the role of the paper's build/run pipeline (Fig. 3):
 
-* "Platform" (direct C++ compile)           → ``Platform(transcompile=False)``
+* "Platform" (direct C++ compile)           → ``Platform()``
 * "Platform NOP" (AC++ weave, no aspects)   → ``Platform(aspects=[])``
 * "Platform MPI" / "Platform OMP" / hybrid  → ``Platform(aspects=[...])``
 
@@ -13,19 +13,21 @@ Env class, wraps its own execution entry point (the ``main`` join
 point, AspectType I's pointcut), and then runs Initialize → Processing
 → Finalize.
 
-Three equivalent ways to obtain a configured Platform:
+Every run option is one keyword of ``Platform.__init__``, with its one
+default there.  Two constructors forward to it:
 
-* the original constructor — ``Platform(aspects=hybrid_aspects(4, 2))``;
-* the fluent builder — ``Platform.builder().mpi(4).omp(2).mmat().build()``;
+* the fluent builder —
+  ``Platform.builder().mpi(4, backend="process").omp(2).mmat().build()``;
 * a named preset reproducing one of Fig. 3's configurations —
-  ``Platform.preset("hybrid", ranks=4, threads=2)``.
+  ``Platform.preset("hybrid", ranks=4, threads=2, backend="process")``.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Type
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from ..aop.aspect import Aspect
 from ..aop.registry import TAG_ENTRY
@@ -40,7 +42,7 @@ from ..obs import (
     save_chrome_trace,
     widest_spans,
 )
-from ..runtime.machine import OAKBRIDGE_CX_LIKE, MachineSpec
+from ..runtime.backends import DEFAULT_TIMEOUT, BackendError, get_backend
 from ..runtime.tracing import TaskCounters, global_trace
 from .target import TargetApplication
 
@@ -194,7 +196,7 @@ class PlatformRun:
 
             mpi=2,omp=2 tasks=4 elapsed=0.041s steps=8 updates=4096
             fetched=12pg/3.1KiB collectives=10 plans=16/7680sites vec=100% img=pool asm=4
-            tiles=2×8(budget) comm=2ex/12pg agg=6.0x saved=20msg push=6ex/192sites links=2
+            tiles=2×8(budget) comm=2ex/12pg push=6ex/192sites
         """
         layers = ",".join(f"{k}={v}" for k, v in sorted(self.layers.items()))
         if not layers:
@@ -249,7 +251,6 @@ class PlatformRun:
             line += f" tiles={tiles}×{self.mmat_stats['tile_blocks'] / tiles:g}"
             line += f"({why})" if why else ""
         line += self._comm_plan_summary()
-        line += self._overlap_summary()
         line += self._shm_summary()
         line += self._imbalance_summary()
         return line
@@ -272,13 +273,10 @@ class PlatformRun:
     def _comm_plan_summary(self) -> str:
         """The ``comm=…`` section of :meth:`summary` (halo traffic by protocol).
 
-        Reports how many bulk page exchanges moved how many halo pages,
-        the aggregation ratio (pages per message pair), the number of
-        request/reply message pairs saved against one pair per page,
-        how many halo slots the owners published with how many element
-        rows (``push=``), and the number of directed neighbor links the
-        run exercised.  ``open:`` names why steps of a run that can
-        publish went through the page exchange instead.
+        Reports how many bulk page exchanges moved how many halo pages
+        and how many halo slots the owners published with how many
+        element rows (``push=``).  ``open:`` names why steps of a run
+        that can publish went through the page exchange instead.
         """
         exchanges = sum(c.comm_plan_exchanges for c in self.counters.values())
         pages = sum(c.comm_plan_pages for c in self.counters.values())
@@ -287,37 +285,14 @@ class PlatformRun:
             return ""
         part = " comm="
         if exchanges:
-            ratio = pages / exchanges
-            saved = 2 * (pages - exchanges)
-            part += f"{exchanges}ex/{pages}pg agg={ratio:.1f}x saved={saved}msg"
+            part += f"{exchanges}ex/{pages}pg"
         if pushes:
             part += f"{' ' if exchanges else ''}push={pushes}ex/{self.network['halo_sites']}sites"
-        neighbors = self.comm_neighbor_links()
-        if neighbors:
-            part += f" links={neighbors}"
         open_steps = self.network.get("open_steps") or {}
         if open_steps:
             part += " open: " + ", ".join(
                 f"{reason} x{count}" for reason, count in sorted(open_steps.items())
             )
-        return part
-
-    def _overlap_summary(self) -> str:
-        """The ``overlap=…`` section of :meth:`summary` (hidden halo latency).
-
-        Reports how many page exchanges ran, the overlap efficiency (the
-        fraction of the halo flight time that hid behind interior
-        computation, ``1 - wait/flight``), and how many exchanges were
-        merely drained at a synchronisation point (no compute overlapped
-        them).
-        """
-        exchanges = sum(c.comm_plan_exchanges for c in self.counters.values())
-        if not exchanges:
-            return ""
-        part = f" overlap={exchanges}ex eff={self.overlap_efficiency():.0%}"
-        drained = sum(c.overlap_drained for c in self.counters.values())
-        if drained:
-            part += f" drained={drained}"
         return part
 
     def _shm_summary(self) -> str:
@@ -339,29 +314,6 @@ class PlatformRun:
             part += f" fallback={fallbacks}pg"
         return part
 
-    def overlap_efficiency(self) -> float:
-        """Fraction of the overlapped halo flight time hidden behind compute.
-
-        ``1.0`` means every exchange had fully completed by the time a
-        sweep waited on it (the whole round-trip hid behind interior
-        computation); ``0.0`` means every wait blocked for the full
-        flight time — or that no overlapped exchange ran at all.
-        """
-        wait = sum(c.overlap_wait_ns for c in self.counters.values())
-        flight = sum(c.overlap_flight_ns for c in self.counters.values())
-        return 1.0 - wait / flight if flight else 0.0
-
-    def comm_neighbor_links(self) -> int:
-        """Directed rank pairs that exchanged page traffic (0 when untracked)."""
-        per_neighbor = self.network.get("per_neighbor") or {}
-        return len(per_neighbor)
-
-    def comm_aggregation_ratio(self) -> float:
-        """Average pages moved per bulk page exchange (0.0 when none ran)."""
-        exchanges = sum(c.comm_plan_exchanges for c in self.counters.values())
-        pages = sum(c.comm_plan_pages for c in self.counters.values())
-        return pages / exchanges if exchanges else 0.0
-
 
 class PlatformBuilder:
     """Fluent builder for :class:`Platform` configurations.
@@ -370,11 +322,15 @@ class PlatformBuilder:
     one chain::
 
         platform = (Platform.builder()
-                    .mpi(4).omp(2)
+                    .mpi(4, backend="process").omp(2)
                     .mmat()
                     .pool_bytes(32 * 1024 * 1024)
                     .aspect(StepTimerAspect())
                     .build())
+
+    Each option method records one ``Platform`` keyword, and
+    :meth:`build` passes exactly the recorded ones: an option left unset
+    keeps ``Platform.__init__``'s default, the only one it has.
 
     ``build()`` may be called repeatedly; each call produces a fresh
     Platform.  Layer aspects added via :meth:`mpi`/:meth:`omp` are
@@ -385,20 +341,18 @@ class PlatformBuilder:
     """
 
     def __init__(self) -> None:
-        #: Factories producing the aspect stack; None means "no
-        #: transcompilation requested", [] means "Platform NOP".
-        self._aspect_factories: Optional[List[Any]] = None
-        self._mmat = False
-        self._pool_bytes: Optional[int] = None
-        self._machine: Optional[MachineSpec] = None
-        self._transcompile: Optional[bool] = None
-        self._backend: Optional[str] = None
-        self._tracing: Optional[bool] = None
-        self._resilience: Any = None
-        self._comm_timeout: Optional[float] = None
+        #: Factories producing the aspect stack; None means "do not
+        #: transcompile", [] means "Platform NOP".
+        self._aspect_factories: Optional[List[Callable[[], Aspect]]] = None
+        #: The ``Platform`` keywords set so far.
+        self._options: Dict[str, Any] = {}
+
+    def _set(self, **options: Any) -> "PlatformBuilder":
+        self._options.update(options)
+        return self
 
     # -- layers ---------------------------------------------------------
-    def _factories(self) -> List[Any]:
+    def _factories(self) -> List[Callable[[], Aspect]]:
         if self._aspect_factories is None:
             self._aspect_factories = []
         return self._aspect_factories
@@ -416,20 +370,22 @@ class PlatformBuilder:
             self.aspect(aspect)
         return self
 
-    def mpi(self, ranks: int, **kwargs: Any) -> "PlatformBuilder":
-        """Attach the distributed-memory layer with ``ranks`` processes."""
+    def mpi(self, ranks: int, *, backend: Optional[str] = None) -> "PlatformBuilder":
+        """Attach the distributed-memory layer with ``ranks`` processes.
+
+        ``backend`` sets ``Platform(backend=)``, the execution backend
+        the layer runs on.
+        """
         from ..aspects.mpi_aspect import DistributedMemoryAspect
 
-        self._factories().append(
-            lambda: DistributedMemoryAspect(processes=ranks, **kwargs)
-        )
-        return self
+        self._factories().append(lambda: DistributedMemoryAspect(processes=ranks))
+        return self if backend is None else self._set(backend=backend)
 
-    def omp(self, threads: int, **kwargs: Any) -> "PlatformBuilder":
+    def omp(self, threads: int) -> "PlatformBuilder":
         """Attach the shared-memory layer with ``threads`` threads."""
         from ..aspects.openmp_aspect import SharedMemoryAspect
 
-        self._factories().append(lambda: SharedMemoryAspect(threads=threads, **kwargs))
+        self._factories().append(lambda: SharedMemoryAspect(threads=threads))
         return self
 
     def nop(self) -> "PlatformBuilder":
@@ -437,38 +393,14 @@ class PlatformBuilder:
         self._factories()
         return self
 
-    # -- knobs ----------------------------------------------------------
+    # -- options --------------------------------------------------------
     def mmat(self, enabled: bool = True) -> "PlatformBuilder":
         """Enable (or disable) MMAT on every Env the application builds."""
-        self._mmat = bool(enabled)
-        return self
+        return self._set(mmat=enabled)
 
     def pool_bytes(self, nbytes: int) -> "PlatformBuilder":
         """Size of the memory pool backing each Env."""
-        self._pool_bytes = int(nbytes)
-        return self
-
-    def machine(self, spec: MachineSpec) -> "PlatformBuilder":
-        """Machine description used by the benchmarks' cost model."""
-        self._machine = spec
-        return self
-
-    def transcompile(self, enabled: bool = True) -> "PlatformBuilder":
-        """Force the transcompile decision instead of inferring it."""
-        self._transcompile = bool(enabled)
-        return self
-
-    def backend(self, name: str) -> "PlatformBuilder":
-        """Execution backend for the distributed-memory layer.
-
-        ``"serial"`` runs inline, ``"threads"`` is the simulated runtime
-        (default), ``"process"`` forks one real process per rank; custom
-        backends registered via
-        :func:`repro.runtime.backends.register_backend` are accepted by
-        name.  The name is validated at :meth:`build` time.
-        """
-        self._backend = str(name)
-        return self
+        return self._set(pool_bytes=nbytes)
 
     def tracing(self, enabled: bool = True) -> "PlatformBuilder":
         """Record a span timeline + metrics for every run of the platform.
@@ -477,8 +409,7 @@ class PlatformBuilder:
         ``run.save_trace(path)``; overhead on untraced paths is a
         single flag check per instrumentation site.
         """
-        self._tracing = bool(enabled)
-        return self
+        return self._set(tracing=enabled)
 
     def resilience(self, policy: Any = True) -> "PlatformBuilder":
         """Make runs elastic under rank failure (checkpoints + recovery).
@@ -491,45 +422,22 @@ class PlatformBuilder:
         the world and resumes from the last checkpoint epoch after a
         diagnosed rank death.
         """
-        self._resilience = policy
-        return self
+        return self._set(resilience=policy)
 
     def comm_timeout(self, seconds: float) -> "PlatformBuilder":
-        """Communication timeout of the distributed layer's world.
-
-        Forwarded to ``create_world(timeout=)`` for every backend;
-        bounds how long collectives and page waits may block — and
-        therefore how long a dead rank can go undetected.
+        """Bound (seconds) on every wait of both layers: the distributed
+        world's collectives and page waits, and the thread team's
+        barriers — and therefore how long a dead rank can go undetected.
         """
-        self._comm_timeout = float(seconds)
-        return self
+        return self._set(comm_timeout=seconds)
 
     # -- terminal -------------------------------------------------------
     def build(self) -> "Platform":
-        """Materialise the configured :class:`Platform` (weaves Env).
-
-        Only knobs that were explicitly set are forwarded, so builder
-        output always tracks ``Platform.__init__``'s own defaults.
-        """
-        kwargs: Dict[str, Any] = {"mmat": self._mmat}
-        if self._pool_bytes is not None:
-            kwargs["env_pool_bytes"] = self._pool_bytes
-        if self._machine is not None:
-            kwargs["machine"] = self._machine
-        if self._transcompile is not None:
-            kwargs["transcompile"] = self._transcompile
-        if self._backend is not None:
-            kwargs["backend"] = self._backend
-        if self._tracing is not None:
-            kwargs["tracing"] = self._tracing
-        if self._resilience is not None:
-            kwargs["resilience"] = self._resilience
-        if self._comm_timeout is not None:
-            kwargs["comm_timeout"] = self._comm_timeout
+        """Materialise the configured :class:`Platform` (weaves Env)."""
         aspects = None
         if self._aspect_factories is not None:
             aspects = [factory() for factory in self._aspect_factories]
-        return Platform(aspects=aspects, **kwargs)
+        return Platform(aspects=aspects, **self._options)
 
     def run(
         self, app_cls: Type[TargetApplication], *, config: Optional[dict] = None
@@ -538,47 +446,24 @@ class PlatformBuilder:
         return self.build().run(app_cls, config=config)
 
 
-def _preset_serial(builder: PlatformBuilder, ranks: int, threads: int) -> None:
-    if ranks != 1 or threads != 1:
-        raise ValueError("the 'serial' preset runs exactly one task")
-
-
-def _preset_nop(builder: PlatformBuilder, ranks: int, threads: int) -> None:
-    if ranks != 1 or threads != 1:
-        raise ValueError("the 'nop' preset runs exactly one task")
-    builder.nop()
-
-
-def _preset_mpi(builder: PlatformBuilder, ranks: int, threads: int) -> None:
-    if threads != 1:
-        raise ValueError("the 'mpi' preset takes only ranks; use 'hybrid' for threads")
-    builder.mpi(ranks)
-
-
-def _preset_omp(builder: PlatformBuilder, ranks: int, threads: int) -> None:
-    if ranks != 1:
-        raise ValueError("the 'omp' preset takes only threads; use 'hybrid' for ranks")
-    builder.omp(threads)
-
-
-def _preset_hybrid(builder: PlatformBuilder, ranks: int, threads: int) -> None:
-    # List order is cosmetic; nesting is fixed by each aspect's `order`
-    # (shared-memory outside distributed-memory, see aspects/hybrid.py).
-    builder.omp(threads).mpi(ranks)
-
-
-#: Named presets reproducing the paper's Fig. 3 build configurations.
-PRESETS = {
-    "serial": _preset_serial,
-    "nop": _preset_nop,
-    "mpi": _preset_mpi,
-    "omp": _preset_omp,
-    "hybrid": _preset_hybrid,
+#: The paper's Fig. 3 build configurations — the one table from a
+#: configuration label to the layers it weaves (None: not transcompiled).
+#: Layers nest by each aspect's ``order``, not by their order here.
+PRESETS: Dict[str, Optional[Tuple[str, ...]]] = {
+    "serial": None,
+    "nop": (),
+    "mpi": ("mpi",),
+    "omp": ("omp",),
+    "hybrid": ("omp", "mpi"),
 }
 
 
 class Platform:
     """Builds (weaves) and executes platform applications.
+
+    Every run option has its one home and its one default here; the
+    builder and :meth:`preset` only forward keywords to it.  A bad value
+    raises here, naming the option.
 
     Parameters
     ----------
@@ -590,21 +475,26 @@ class Platform:
         "transcompile with no aspect modules" ("Platform NOP").
     mmat:
         Enable MMAT on every Env the application builds.
-    env_pool_bytes:
+    pool_bytes:
         Size of the memory pool backing each Env.
-    machine:
-        Machine description used by benchmarks' cost model (not used for
-        functional execution).
     backend:
-        Execution backend the distributed-memory layer should use
-        (``"serial"`` | ``"threads"`` | ``"process"`` | a registered
-        custom backend).  ``None`` lets each layer aspect decide (the
-        default is the ``threads`` simulation).
+        Execution backend of the distributed-memory layer (``"serial"``
+        | ``"threads"`` | ``"process"`` | a backend registered via
+        :func:`repro.runtime.backends.register_backend`).  ``None``
+        runs the default ``threads`` simulation; naming one requires a
+        distributed-memory (``layer == "mpi"``) aspect.
     tracing:
         Record a span timeline and metrics for every run
         (:mod:`repro.obs`); adds a :class:`~repro.obs.MonitoringAspect`
         to transcompiled stacks.  ``None`` (default) defers to the
         ``REPRO_TRACE`` environment variable; tracing is otherwise off.
+    resilience:
+        A :class:`repro.resilience.ResiliencePolicy` (or ``True`` for
+        the defaults) making runs elastic under rank failure.
+    comm_timeout:
+        Bound (seconds) on every wait of both layers: the distributed
+        world's collectives and page waits, and the thread team's
+        barriers.
     """
 
     def __init__(
@@ -612,40 +502,45 @@ class Platform:
         aspects: Optional[Sequence[Aspect]] = None,
         *,
         mmat: bool = False,
-        env_pool_bytes: int = 64 * 1024 * 1024,
-        machine: MachineSpec = OAKBRIDGE_CX_LIKE,
-        transcompile: Optional[bool] = None,
+        pool_bytes: int = 64 * 1024 * 1024,
         backend: Optional[str] = None,
         tracing: Optional[bool] = None,
         resilience: Any = None,
-        comm_timeout: Optional[float] = None,
+        comm_timeout: float = DEFAULT_TIMEOUT,
     ) -> None:
-        if transcompile is None:
-            transcompile = aspects is not None
-        if tracing is None:
-            tracing = env_tracing_default()
-        self.tracing = bool(tracing)
+        if not (isinstance(comm_timeout, (int, float)) and 0 < comm_timeout < math.inf):
+            raise ValueError(
+                f"comm_timeout must be a positive, finite number of seconds, got {comm_timeout!r}"
+            )
+        if int(pool_bytes) <= 0:
+            raise ValueError(f"pool_bytes must be positive, got {pool_bytes!r}")
         if backend is not None:
-            from ..runtime.backends import BackendError, get_backend
-
             try:
                 get_backend(backend)
             except BackendError as exc:
                 raise ValueError(str(exc)) from None
+            if not any(getattr(a, "layer", None) == "mpi" for a in aspects or ()):
+                raise ValueError(
+                    f"backend={backend!r} needs a distributed-memory layer to run on "
+                    "(add .mpi(n) or use the 'mpi' / 'hybrid' preset)"
+                )
+        if tracing is None:
+            tracing = env_tracing_default()
+        transcompile = aspects is not None
+        self.mmat = bool(mmat)
+        self.pool_bytes = int(pool_bytes)
         self.backend = backend
-        self.transcompile = transcompile
-        #: Communication timeout (seconds) forwarded to the distributed
-        #: layer's ``create_world(timeout=)``; None keeps the 60s default.
-        self.comm_timeout = None if comm_timeout is None else float(comm_timeout)
+        self.tracing = bool(tracing)
+        self.comm_timeout = float(comm_timeout)
         self.aspects: List[Aspect] = list(aspects or [])
-        if self.tracing and self.transcompile:
+        if self.tracing and transcompile:
             # Dogfood the AOP core: phase spans come from an ordinary
             # aspect woven with the stack (lowest order ⇒ outermost).
             self.aspects.append(MonitoringAspect())
         #: Recovery manager of a resilient platform (None otherwise).
         self.resilience = None
         if resilience is not None and resilience is not False:
-            if not self.transcompile:
+            if not transcompile:
                 raise ValueError(
                     "resilience requires a transcompiled platform "
                     "(checkpoints are woven as an aspect module)"
@@ -655,24 +550,15 @@ class Platform:
             policy = ResiliencePolicy() if resilience is True else resilience
             self.resilience = RecoveryManager(policy)
             self.aspects.append(CheckpointAspect(self.resilience))
-        self.mmat_enabled = bool(mmat)
-        self.env_pool_bytes = int(env_pool_bytes)
-        self.machine = machine
         #: Shared scratch space aspect modules use to exchange run-level
         #: objects (e.g. the MPI world), keyed by aspect-defined names.
         self.context: Dict[str, Any] = {}
 
-        if self.transcompile:
-            self.weaver: Optional[Weaver] = Weaver(self.aspects)
-            self.env_class: Type[Env] = self.weaver.weave_class(Env)
-        else:
-            if self.aspects:
-                raise ValueError(
-                    "aspect modules require transcompilation; "
-                    "pass transcompile=True (or leave it unset)"
-                )
-            self.weaver = None
-            self.env_class = Env
+        self.weaver: Optional[Weaver] = None
+        self.env_class: Type[Env] = Env
+        if transcompile:
+            self.weaver = Weaver(self.aspects)
+            self.env_class = self.weaver.weave_class(Env)
 
     # ------------------------------------------------------------------
     # construction sugar
@@ -683,20 +569,7 @@ class Platform:
         return PlatformBuilder()
 
     @classmethod
-    def preset(
-        cls,
-        name: str,
-        *,
-        ranks: int = 1,
-        threads: int = 1,
-        mmat: bool = False,
-        pool_bytes: Optional[int] = None,
-        machine: Optional[MachineSpec] = None,
-        backend: Optional[str] = None,
-        mpi: Optional[int] = None,
-        omp: Optional[int] = None,
-        tracing: Optional[bool] = None,
-    ) -> "Platform":
+    def preset(cls, name: str, *, ranks: int = 1, threads: int = 1, **options: Any) -> "Platform":
         """Build one of the paper's named configurations (Fig. 3).
 
         ===========  ====================================================
@@ -707,34 +580,31 @@ class Platform:
         ``hybrid``   both layers, ``ranks`` × ``threads`` tasks
         ===========  ====================================================
 
-        ``mpi``/``omp`` are layer-named aliases of ``ranks``/``threads``
-        (``Platform.preset("mpi", mpi=2)``), and ``backend`` selects the
-        execution backend of the distributed layer
-        (``Platform.preset("mpi", mpi=2, backend="process")``).
+        ``options`` are ``Platform`` keywords, forwarded unchanged
+        (``Platform.preset("mpi", ranks=2, backend="process", mmat=True)``).
         """
-        configure = PRESETS.get(name)
-        if configure is None:
+        if name not in PRESETS:
             raise ValueError(
                 f"unknown platform preset {name!r} "
                 f"(expected one of: {', '.join(sorted(PRESETS))})"
             )
-        if mpi is not None:
-            ranks = mpi
-        if omp is not None:
-            threads = omp
-        builder = cls.builder().mmat(mmat)
-        if pool_bytes is not None:
-            builder.pool_bytes(pool_bytes)
-        if machine is not None:
-            builder.machine(machine)
-        if backend is not None:
-            builder.backend(backend)
-        if tracing is not None:
-            builder.tracing(tracing)
-        configure(builder, int(ranks), int(threads))
-        return builder.build()
+        layers = PRESETS[name]
+        builder = cls.builder()
+        if layers is not None:
+            builder.nop()
+        for layer, tasks, count in (("omp", "threads", threads), ("mpi", "ranks", ranks)):
+            if layer in (layers or ()):
+                getattr(builder, layer)(int(count))
+            elif count != 1:
+                raise ValueError(f"the {name!r} preset weaves no {layer} layer; {tasks} must be 1")
+        return builder._set(**options).build()
 
     # ------------------------------------------------------------------
+    @property
+    def transcompile(self) -> bool:
+        """Whether the platform weaves (every configuration but "Platform")."""
+        return self.weaver is not None
+
     @property
     def total_tasks(self) -> int:
         """Total task count: the product of every layer's parallelism."""

@@ -73,8 +73,8 @@ class TargetApplication:
         env_class = Env if self.platform is None else self.platform.env_class
         defaults = {}
         if self.platform is not None:
-            defaults["pool_bytes"] = self.platform.env_pool_bytes
-            defaults["mmat_enabled"] = self.platform.mmat_enabled
+            defaults["pool_bytes"] = self.platform.pool_bytes
+            defaults["mmat_enabled"] = self.platform.mmat
         defaults.update(kwargs)
         env = env_class(**defaults)
         self.env = env

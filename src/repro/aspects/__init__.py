@@ -13,10 +13,12 @@ application classes by the :mod:`repro.aop` weaver:
   where its ranks can map it, the packed-pipe path otherwise).
 * :class:`SharedMemoryAspect` — the "OpenMP" layer (AspectType I/II):
   thread teams, worksharing and ``single`` regions per rank.
-* :func:`hybrid_aspects` / :func:`mpi_aspects` / :func:`openmp_aspects`
-  — the standard layer combinations used by the evaluation, all
-  accepting a ``backend=`` override.
 * :class:`PhaseTraceAspect` — diagnostic example aspect.
+
+Both layer modules read their run options (backend, ``comm_timeout``)
+from the Platform they are attached to; the evaluation's layer
+combinations are the Platform presets (:data:`repro.annotation.PRESETS`,
+``Platform.preset("hybrid", ranks=4, threads=2)``).
 
 Cross-cutting platform services are aspect modules too:
 :class:`repro.obs.MonitoringAspect` (phase spans) and
@@ -25,7 +27,7 @@ the same way and compose freely with the layer aspects.
 """
 
 from .base import LayerAspect
-from .hybrid import PhaseTraceAspect, hybrid_aspects, mpi_aspects, openmp_aspects
+from .hybrid import PhaseTraceAspect
 from .mpi_aspect import DistributedMemoryAspect, PendingHalo
 from .openmp_aspect import SharedMemoryAspect
 
@@ -35,7 +37,4 @@ __all__ = [
     "PendingHalo",
     "SharedMemoryAspect",
     "PhaseTraceAspect",
-    "hybrid_aspects",
-    "mpi_aspects",
-    "openmp_aspects",
 ]

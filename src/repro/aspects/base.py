@@ -12,12 +12,14 @@ Each aspect module is composed of three main functions:
 the two attributes the Platform driver and the DSL layers need from a
 layer module — which layer it manages (``layer``) and how many tasks it
 creates (``parallelism``) — plus shared helpers for accessing the
-current task's trace counters.
+current task's trace counters and the run options of the Platform the
+module is attached to.
 """
 
 from __future__ import annotations
 
 from ..aop.aspect import Aspect
+from ..runtime.backends import DEFAULT_TIMEOUT
 from ..runtime.task import TaskContext, current_task
 from ..runtime.tracing import TaskCounters, global_trace
 
@@ -55,6 +57,10 @@ class LayerAspect(Aspect):
     @staticmethod
     def trace() -> TaskCounters:
         return global_trace().for_task()
+
+    def comm_timeout(self) -> float:
+        """Bound (seconds) on this layer's waits: the Platform's ``comm_timeout``."""
+        return DEFAULT_TIMEOUT if self.platform is None else self.platform.comm_timeout
 
     def describe(self) -> str:
         return f"{self.name}(layer={self.layer!r}, parallelism={self.parallelism})"

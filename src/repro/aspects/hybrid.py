@@ -1,60 +1,21 @@
-"""Helpers for composing layer aspect modules (MPI + OpenMP, tracing, …).
+"""A diagnostic aspect woven beside the layer modules.
 
-The whole point of the paper's platform is that aspect modules are
-*combinable*: "developers can build DSL processing systems for specific
-HPC systems by combining AOP modules corresponding to the target HPC
-system hierarchy."  This module provides the standard combinations used
-by the benchmarks plus a diagnostic tracing aspect.
+The paper's platform makes aspect modules *combinable*: "developers can
+build DSL processing systems for specific HPC systems by combining AOP
+modules corresponding to the target HPC system hierarchy."  The
+standard combinations of the evaluation (Fig. 3) are
+:data:`repro.annotation.PRESETS`; this module holds
+:class:`PhaseTraceAspect`, which composes with any of them.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ..aop.advice import after_returning, before
 from ..aop.aspect import Aspect
-from .base import LayerAspect
-from .mpi_aspect import DistributedMemoryAspect
-from .openmp_aspect import SharedMemoryAspect
 
-__all__ = ["hybrid_aspects", "mpi_aspects", "openmp_aspects", "PhaseTraceAspect"]
-
-
-def mpi_aspects(
-    processes: int,
-    *,
-    backend: Optional[str] = None,
-) -> List[LayerAspect]:
-    """Aspect stack for a distributed-memory-only run ("Platform MPI").
-
-    ``backend`` picks the execution backend of the layer ("serial" |
-    "threads" | "process"); None defers to the Platform's choice.
-    """
-    return [DistributedMemoryAspect(processes=processes, backend=backend)]
-
-
-def openmp_aspects(threads: int) -> List[LayerAspect]:
-    """Aspect stack for a shared-memory-only run ("Platform OMP")."""
-    return [SharedMemoryAspect(threads=threads)]
-
-
-def hybrid_aspects(
-    processes: int,
-    threads: int,
-    *,
-    backend: Optional[str] = None,
-) -> List[LayerAspect]:
-    """Aspect stack for a hybrid run ("Platform MPI+OMP").
-
-    Order matters only through each aspect's ``order`` attribute (the
-    shared-memory module is woven *outside* the distributed-memory one);
-    the list order is purely cosmetic.  ``backend`` selects the
-    execution backend of the distributed-memory layer.
-    """
-    return [
-        SharedMemoryAspect(threads=threads),
-        DistributedMemoryAspect(processes=processes, backend=backend),
-    ]
+__all__ = ["PhaseTraceAspect"]
 
 
 class PhaseTraceAspect(Aspect):

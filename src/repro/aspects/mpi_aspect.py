@@ -294,11 +294,10 @@ class PendingPush:
 class DistributedMemoryAspect(LayerAspect):
     """Aspect module managing the distributed-memory (MPI-like) layer.
 
-    The runtime itself is pluggable: ``backend`` selects an execution
-    backend from :mod:`repro.runtime.backends` (``serial`` | ``threads``
-    | ``process`` | any registered custom backend).  When left unset the
-    aspect falls back to the Platform's configured backend and finally
-    to the default ``threads`` simulation.
+    The runtime itself is pluggable: the Platform's ``backend`` selects
+    an execution backend from :mod:`repro.runtime.backends` (``serial``
+    | ``threads`` | ``process`` | any registered custom backend), and
+    its ``comm_timeout`` bounds every wait of the world.
     """
 
     layer = "mpi"
@@ -307,18 +306,8 @@ class DistributedMemoryAspect(LayerAspect):
     #: collective refresh protocol.
     order = 20
 
-    def __init__(
-        self,
-        processes: int = 1,
-        *,
-        timeout: float | None = None,
-        backend: str | None = None,
-    ) -> None:
+    def __init__(self, processes: int = 1) -> None:
         super().__init__(parallelism=processes)
-        #: Communication timeout override; ``None`` defers to the
-        #: Platform's ``comm_timeout`` and finally to 60 seconds.
-        self.timeout = timeout
-        self.backend_name = backend
         self.world: ExecutionWorld | None = None
         #: Dry-run record: rank -> set of local PageKeys that had to be
         #: fetched at least once; prefetched after every successful refresh.
@@ -338,20 +327,6 @@ class DistributedMemoryAspect(LayerAspect):
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    def resolve_backend_name(self) -> str:
-        """The backend this aspect will use: own setting, Platform's, default."""
-        if self.backend_name:
-            return self.backend_name
-        platform_backend = getattr(self.platform, "backend", None)
-        return platform_backend or DEFAULT_BACKEND
-
-    def resolve_timeout(self) -> float:
-        """The communication timeout: own setting, Platform's ``comm_timeout``, 60s."""
-        if self.timeout is not None:
-            return self.timeout
-        platform_timeout = getattr(self.platform, "comm_timeout", None)
-        return float(platform_timeout) if platform_timeout is not None else 60.0
-
     def bind_world(self, world: Optional[ExecutionWorld]) -> None:
         """Adopt ``world`` for the coming run, forgetting every per-world plan."""
         self.world = world
@@ -368,7 +343,7 @@ class DistributedMemoryAspect(LayerAspect):
     def manage_runtime(self, jp):
         """Initialise the distributed runtime, run the program per rank, finalise."""
         platform = self.platform
-        backend = get_backend(self.resolve_backend_name())
+        backend = get_backend(getattr(platform, "backend", None) or DEFAULT_BACKEND)
         omp_threads = platform.parallelism_of("omp") if platform is not None else 1
         entry = jp.continuation()
 
@@ -383,10 +358,10 @@ class DistributedMemoryAspect(LayerAspect):
                 self,
                 entry,
                 omp_threads=omp_threads,
-                timeout=self.resolve_timeout(),
+                timeout=self.comm_timeout(),
             )
 
-        world = backend.create_world(self.parallelism, timeout=self.resolve_timeout())
+        world = backend.create_world(self.parallelism, timeout=self.comm_timeout())
         self.bind_world(world)
         if platform is not None:
             platform.context["mpi_world"] = world

@@ -45,9 +45,8 @@ class SharedMemoryAspect(LayerAspect):
     #: collective protocol runs (exactly one participant per rank).
     order = 10
 
-    def __init__(self, threads: int = 1, *, timeout: float = 60.0) -> None:
+    def __init__(self, threads: int = 1) -> None:
         super().__init__(parallelism=threads)
-        self.timeout = timeout
         #: One team per rank; keyed by mpi rank because in hybrid runs the
         #: same aspect instance serves every rank's threads.
         self._teams: dict[int, ThreadTeam] = {}
@@ -64,7 +63,7 @@ class SharedMemoryAspect(LayerAspect):
     def start_tasks(self, jp):
         """Spawn the shared-memory task team and run Processing on every member."""
         rank = current_task().mpi_rank
-        team = ThreadTeam(self.parallelism, timeout=self.timeout)
+        team = ThreadTeam(self.parallelism, timeout=self.comm_timeout())
         self._teams[rank] = team
         processing = jp.continuation()
         try:

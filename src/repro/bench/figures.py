@@ -27,7 +27,6 @@ from ..annotation.driver import Platform
 from ..runtime.machine import OAKBRIDGE_CX_LIKE, MachineSpec
 from .harness import (
     Workload,
-    configuration_aspects,
     format_table,
     modelled_time,
     particle_workload,
@@ -127,8 +126,7 @@ def fig6_overhead(
         mmat_options = (False, True) if include_mmat else (False,)
         for label in configurations:
             for mmat in mmat_options:
-                aspects = configuration_aspects(label, mpi=1, omp=1)
-                run = run_platform(work, aspects=aspects, mmat=mmat)
+                run = run_platform(work, label, mmat=mmat)
                 rows.append(
                     {
                         "benchmark": work.name,
@@ -170,12 +168,8 @@ def _scaling_rows(
             work = _resize_for_weak(base_work, count) if weak else base_work
             # An MPI run counts the pages the paper's prototype would move
             # (one message pair each) and the cost model charges those.
-            aspects = (
-                configuration_aspects("mpi", mpi=count)
-                if layer == "mpi"
-                else configuration_aspects("omp", omp=count)
-            )
-            run = run_platform(work, aspects=aspects, mmat=True)
+            tasks = {"ranks": count} if layer == "mpi" else {"threads": count}
+            run = run_platform(work, layer, mmat=True, **tasks)
             breakdown = modelled_time(run, work, machine=machine)
             if baseline_total is None:
                 baseline_total = breakdown.total
@@ -300,11 +294,10 @@ def fig11_hybrid(
     """Performance of MPI×OpenMP combinations, normalised to a 1×1 run."""
     rows: List[dict] = []
     for series_name, work in (series or default_scaling_workloads()).items():
-        base_run = run_platform(work, aspects=configuration_aspects("serial"), mmat=True)
+        base_run = run_platform(work, "serial", mmat=True)
         base_time = modelled_time(base_run, work, machine=machine).total
         for processes, threads in combinations:
-            aspects = configuration_aspects("hybrid", mpi=processes, omp=threads)
-            run = run_platform(work, aspects=aspects, mmat=True)
+            run = run_platform(work, "hybrid", ranks=processes, threads=threads, mmat=True)
             breakdown = modelled_time(run, work, machine=machine)
             rows.append(
                 {
@@ -346,8 +339,7 @@ def fig12_memory_usage(
         for label in configurations:
             # The paper measures Fig. 12 with a single MPI process and a
             # single OpenMP thread even for the MPI / OMP / hybrid builds.
-            aspects = configuration_aspects(label, mpi=1, omp=1)
-            run = run_platform(work, aspects=aspects, mmat=True, pool_bytes=pool_bytes)
+            run = run_platform(work, label, mmat=True, pool_bytes=pool_bytes)
             breakdown = measure_env(run.app.env, label=f"{bench_name} / {_config_name(label)}")
             rows.append(breakdown.as_row())
     return rows
@@ -411,13 +403,13 @@ def table1_binary_size() -> List[dict]:
                     modules += _ASPECT_MODULES["omp"]
                 if configuration in ("P MPI", "P MPI+OMP"):
                     modules += _ASPECT_MODULES["mpi"]
-                aspects = {
-                    "P NOP": configuration_aspects("nop"),
-                    "P OMP": configuration_aspects("omp", omp=2),
-                    "P MPI": configuration_aspects("mpi", mpi=2),
-                    "P MPI+OMP": configuration_aspects("hybrid", mpi=2, omp=2),
+                label, ranks, threads = {
+                    "P NOP": ("nop", 1, 1),
+                    "P OMP": ("omp", 1, 2),
+                    "P MPI": ("mpi", 2, 1),
+                    "P MPI+OMP": ("hybrid", 2, 2),
                 }[configuration]
-                platform = Platform(aspects=aspects)
+                platform = Platform.preset(label, ranks=ranks, threads=threads)
                 classes.append(platform.build(app_cls))
                 classes.append(platform.env_class)
             total = sum(module_code_bytes(m) for m in set(modules))

@@ -1,10 +1,11 @@
 """Shared benchmark harness.
 
 Defines the benchmark *workloads* (the paper's SGrid / USGrid CaseC /
-USGrid CaseR / Particle), the *configurations* (Handwritten, Platform,
+USGrid CaseR / Particle) and helpers to execute them under the
+*configurations* (Handwritten, and the Platform presets — Platform,
 Platform NOP, Platform OMP, Platform MPI, Platform MPI+OMP, each with or
-without MMAT) and helpers to execute them and convert executions into
-modelled times for the scaling figures.
+without MMAT) and to convert executions into modelled times for the
+scaling figures.
 
 Scaled problem sizes
 --------------------
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -36,7 +37,6 @@ from ..apps.handwritten_usgrid import HandwrittenUSGrid
 from ..apps.jacobi_sgrid import JacobiSGrid
 from ..apps.jacobi_usgrid import JacobiUSGrid
 from ..apps.particle_sim import ParticleSimulation
-from ..aspects import hybrid_aspects, mpi_aspects, openmp_aspects
 from ..runtime.costmodel import CostBreakdown, CostModel
 from ..runtime.machine import OAKBRIDGE_CX_LIKE, MachineSpec
 from ..runtime.tracing import TaskCounters
@@ -204,54 +204,17 @@ def run_handwritten(work: Workload) -> Tuple[float, object, int]:
 
 
 def run_platform(
-    work: Workload,
-    *,
-    aspects: Optional[Sequence] = None,
-    mmat: bool = False,
-    transcompile: Optional[bool] = None,
-    pool_bytes: int = 32 * 1024 * 1024,
-    machine: MachineSpec = OAKBRIDGE_CX_LIKE,
-    backend: Optional[str] = None,
-    tracing: Optional[bool] = None,
+    work: Workload, label: str = "serial", *, ranks: int = 1, threads: int = 1, **options
 ) -> PlatformRun:
-    """Run a workload on the platform under one configuration.
+    """Run a workload under one of Fig. 3's configurations.
 
-    ``backend`` selects the execution backend of the distributed-memory
-    layer (None keeps each aspect's own choice / the default);
-    ``tracing`` turns the span tracer on/off for the run (None keeps the
-    ``REPRO_TRACE`` environment default).
+    ``label`` names a :data:`~repro.annotation.PRESETS` entry
+    (``"serial"`` | ``"nop"`` | ``"mpi"`` | ``"omp"`` | ``"hybrid"``);
+    ``options`` are ``Platform`` keywords (``mmat``, ``pool_bytes``,
+    ``backend``, ``tracing``, …), forwarded unchanged.
     """
-    builder = Platform.builder().mmat(mmat).pool_bytes(pool_bytes).machine(machine)
-    if aspects is not None:
-        builder.nop().aspects(aspects)
-    if transcompile is not None:
-        builder.transcompile(transcompile)
-    if backend is not None:
-        builder.backend(backend)
-    if tracing is not None:
-        builder.tracing(tracing)
-    return builder.run(work.app_cls, config=dict(work.config))
-
-
-def configuration_aspects(
-    label: str,
-    *,
-    mpi: int = 1,
-    omp: int = 1,
-    backend: Optional[str] = None,
-):
-    """Aspect stack for a configuration label ('serial'|'nop'|'mpi'|'omp'|'hybrid')."""
-    if label == "serial":
-        return None
-    if label == "nop":
-        return []
-    if label == "mpi":
-        return mpi_aspects(mpi, backend=backend)
-    if label == "omp":
-        return openmp_aspects(omp)
-    if label == "hybrid":
-        return hybrid_aspects(mpi, omp, backend=backend)
-    raise ValueError(f"unknown configuration {label!r}")
+    platform = Platform.preset(label, ranks=ranks, threads=threads, **options)
+    return platform.run(work.app_cls, config=dict(work.config))
 
 
 # ----------------------------------------------------------------------

@@ -231,7 +231,6 @@ class RecoveryManager:
                         failure,
                         world,
                         elapsed=time.perf_counter() - started,
-                        machine=getattr(platform, "machine", None),
                         omp_threads=omp_threads,
                     )
                 finally:
@@ -266,7 +265,6 @@ class RecoveryManager:
         world: Any,
         *,
         elapsed: float,
-        machine: Any,
         omp_threads: int,
     ) -> None:
         """Diagnose ``failure``; set up the next attempt or re-raise."""
@@ -320,7 +318,6 @@ class RecoveryManager:
                 new_size,
                 old_owner=old_owner if policy.rebalance else None,
                 counters=global_trace().all_counters() if policy.rebalance else None,
-                machine=machine,
                 omp_threads=omp_threads,
             )
             rebalanced = policy.rebalance

@@ -47,6 +47,7 @@ __all__ = [
     "CommHandle",
     "CompletedCommHandle",
     "DEFAULT_BACKEND",
+    "DEFAULT_TIMEOUT",
     "ExecutionBackend",
     "ExecutionWorld",
     "RankResult",
@@ -57,9 +58,14 @@ __all__ = [
     "register_backend",
 ]
 
-#: Backend used when neither the aspect nor the Platform names one —
-#: the behaviour-preserving threaded simulation.
+#: Backend used when the Platform names none — the behaviour-preserving
+#: threaded simulation.
 DEFAULT_BACKEND = "threads"
+
+#: Default bound (seconds) on every wait of a run: ``Platform``'s
+#: ``comm_timeout`` default, and what a layer aspect used without a
+#: Platform waits.
+DEFAULT_TIMEOUT = 60.0
 
 #: Built-in backends, resolved lazily: name -> (module, factory attribute).
 _BUILTIN = {

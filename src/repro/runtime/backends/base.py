@@ -503,7 +503,7 @@ class ExecutionWorld(abc.ABC):
 class ExecutionBackend(abc.ABC):
     """Factory for :class:`ExecutionWorld` instances of one execution strategy."""
 
-    #: Registry name (``Platform.builder().backend(name)`` selects it).
+    #: Registry name (``Platform(backend=name)`` selects it).
     name: str = "?"
 
     @abc.abstractmethod

@@ -405,7 +405,7 @@ class TestNumericalEquivalence:
     def test_backend_matches_serial_reference(self, serial_references, backend, app_name):
         app_cls, config = APPS[app_name]
         ranks = 1 if backend == "serial" else 2
-        run = Platform.preset("mpi", mpi=ranks, backend=backend, mmat=True).run(
+        run = Platform.preset("mpi", ranks=ranks, backend=backend, mmat=True).run(
             app_cls, config=dict(config)
         )
         assert run.backend == backend
@@ -427,7 +427,7 @@ class TestNumericalEquivalence:
     def test_process_and_threads_agree_exactly(self, app_name):
         app_cls, config = APPS[app_name]
         runs = {
-            backend: Platform.preset("mpi", mpi=2, backend=backend, mmat=True).run(
+            backend: Platform.preset("mpi", ranks=2, backend=backend, mmat=True).run(
                 app_cls, config=dict(config)
             )
             for backend in ("threads", "process")
@@ -439,7 +439,7 @@ class TestNumericalEquivalence:
         np.testing.assert_allclose(a[mask], b[mask], atol=0.0)
 
     def test_hybrid_process_matches_serial(self, serial_references):
-        run = Platform.preset("hybrid", mpi=2, omp=2, backend="process").run(
+        run = Platform.preset("hybrid", ranks=2, threads=2, backend="process").run(
             JacobiSGrid, config=dict(SGRID_CONFIG)
         )
         result = np.asarray(run.result)
@@ -452,7 +452,7 @@ class TestNumericalEquivalence:
     @pytest.mark.parametrize("backend", ["serial", "threads", "process"])
     def test_traffic_counters_are_uniform_across_backends(self, backend):
         ranks = 1 if backend == "serial" else 2
-        run = Platform.preset("mpi", mpi=ranks, backend=backend).run(
+        run = Platform.preset("mpi", ranks=ranks, backend=backend).run(
             JacobiSGrid, config=dict(SGRID_CONFIG)
         )
         assert set(run.network) == {

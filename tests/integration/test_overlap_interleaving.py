@@ -22,7 +22,6 @@ import pytest
 
 from repro.annotation import Platform
 from repro.apps import JacobiSGrid
-from repro.aspects import mpi_aspects
 from repro.runtime import get_backend
 from repro.runtime.backends.process import ProcessTransport
 
@@ -128,13 +127,9 @@ class TestShuffledReplySchedules:
             region=16, block_size=4, page_elements=8, loops=3,
             init=lambda x, y: 0.04 * x - 0.03 * y + 1.5,
         )
-        shimmed = Platform(
-            aspects=mpi_aspects(2, backend="process"), mmat=True
-        ).run(JacobiSGrid, config=dict(config))
+        shimmed = Platform.preset("mpi", ranks=2, backend="process", mmat=True).run(JacobiSGrid, config=dict(config))
         ProcessTransport.reply_shim = None  # reference run: no shim
-        reference = Platform(
-            aspects=mpi_aspects(2, backend="process"), mmat=True
-        ).run(JacobiSGrid, config=dict(config))
+        reference = Platform.preset("mpi", ranks=2, backend="process", mmat=True).run(JacobiSGrid, config=dict(config))
         a = np.asarray(shimmed.result, dtype=np.float64)
         b = np.asarray(reference.result, dtype=np.float64)
         np.testing.assert_array_equal(np.isnan(a), np.isnan(b))

@@ -20,7 +20,6 @@ from repro.apps import (
     JacobiUSGrid,
     ParticleSimulation,
 )
-from repro.aspects import hybrid_aspects, mpi_aspects, openmp_aspects
 
 
 def _init(x, y):
@@ -54,22 +53,28 @@ def assert_matches_reference(result, reference):
     np.testing.assert_allclose(result[mask], np.asarray(reference)[mask], atol=1e-10)
 
 
-ASPECT_STACKS = {
-    "serial": lambda: None,
-    "nop": lambda: [],
-    "omp2": lambda: openmp_aspects(2),
-    "omp4": lambda: openmp_aspects(4),
-    "mpi2": lambda: mpi_aspects(2),
-    "mpi4": lambda: mpi_aspects(4),
-    "hybrid2x2": lambda: hybrid_aspects(2, 2),
+#: The Fig. 3 configurations under test: id -> (preset, ranks, threads).
+STACKS = {
+    "serial": ("serial", 1, 1),
+    "nop": ("nop", 1, 1),
+    "omp2": ("omp", 1, 2),
+    "omp4": ("omp", 1, 4),
+    "mpi2": ("mpi", 2, 1),
+    "mpi4": ("mpi", 4, 1),
+    "hybrid2x2": ("hybrid", 2, 2),
 }
 
 
+def platform_of(stack, **options):
+    label, ranks, threads = STACKS[stack]
+    return Platform.preset(label, ranks=ranks, threads=threads, **options)
+
+
 class TestSGridConfigurations:
-    @pytest.mark.parametrize("stack", list(ASPECT_STACKS))
+    @pytest.mark.parametrize("stack", list(STACKS))
     @pytest.mark.parametrize("mmat", [False, True])
     def test_matches_handwritten(self, references, stack, mmat):
-        platform = Platform(aspects=ASPECT_STACKS[stack](), mmat=mmat)
+        platform = platform_of(stack, mmat=mmat)
         run = platform.run(JacobiSGrid, config=dict(SGRID_CONFIG))
         assert_matches_reference(run.result, references["sgrid"])
 
@@ -78,7 +83,7 @@ class TestUSGridConfigurations:
     @pytest.mark.parametrize("case,key", [("C", "usgrid_c"), ("R", "usgrid_r")])
     @pytest.mark.parametrize("stack", ["serial", "omp2", "mpi2", "hybrid2x2"])
     def test_matches_handwritten(self, references, case, key, stack):
-        platform = Platform(aspects=ASPECT_STACKS[stack](), mmat=True)
+        platform = platform_of(stack, mmat=True)
         run = platform.run(JacobiUSGrid, config=dict(USGRID_CONFIG, case=case))
         assert_matches_reference(run.result, references[key])
 
@@ -101,7 +106,7 @@ class TestInitPaths:
     ):
         results = [
             np.asarray(
-                Platform.preset("mpi", mpi=ranks, backend=backend, mmat=True)
+                Platform.preset("mpi", ranks=ranks, backend=backend, mmat=True)
                 .run(app_cls, config=dict(config, init=init))
                 .result
             )
@@ -114,7 +119,7 @@ class TestInitPaths:
 class TestParticleConfigurations:
     @pytest.mark.parametrize("stack", ["serial", "nop", "omp2", "mpi2"])
     def test_matches_handwritten(self, references, stack):
-        platform = Platform(aspects=ASPECT_STACKS[stack](), mmat=True)
+        platform = platform_of(stack, mmat=True)
         run = platform.run(ParticleSimulation, config=dict(PARTICLE_CONFIG))
         result = run.result
         reference = references["particle"]
@@ -128,20 +133,20 @@ class TestParticleConfigurations:
 
 class TestCommunicationBehaviour:
     def test_mpi_run_moves_pages(self, references):
-        platform = Platform(aspects=mpi_aspects(4), mmat=True)
+        platform = Platform.preset("mpi", ranks=4, mmat=True)
         run = platform.run(JacobiSGrid, config=dict(SGRID_CONFIG))
         assert run.network["page_fetches"] > 0
         assert run.network["bytes_moved"] > 0
         assert sum(c.pages_fetched for c in run.counters.values()) > 0
 
     def test_omp_run_moves_no_pages(self, references):
-        platform = Platform(aspects=openmp_aspects(4), mmat=True)
+        platform = Platform.preset("omp", threads=4, mmat=True)
         run = platform.run(JacobiSGrid, config=dict(SGRID_CONFIG))
         assert run.network == {}
         assert sum(c.pages_fetched for c in run.counters.values()) == 0
 
     def test_dry_run_avoids_recomputation_after_first_step(self, references):
-        platform = Platform(aspects=mpi_aspects(2), mmat=True)
+        platform = Platform.preset("mpi", ranks=2, mmat=True)
         run = platform.run(JacobiSGrid, config=dict(SGRID_CONFIG))
         # With the Dry-run prefetch, at most the first step per rank fails;
         # later steps must succeed on their first attempt.
@@ -149,17 +154,17 @@ class TestCommunicationBehaviour:
             assert counters.recomputed_steps <= 1
 
     def test_every_task_contributes_updates(self):
-        platform = Platform(aspects=hybrid_aspects(2, 2), mmat=True)
+        platform = Platform.preset("hybrid", ranks=2, threads=2, mmat=True)
         run = platform.run(JacobiSGrid, config=dict(SGRID_CONFIG))
         assert len(run.counters) == 4
         assert all(c.updates > 0 for c in run.counters.values())
 
     def test_case_r_fetches_more_pages_than_case_c(self):
         config = dict(USGRID_CONFIG, loops=2)
-        run_c = Platform(aspects=mpi_aspects(2), mmat=True).run(
+        run_c = Platform.preset("mpi", ranks=2, mmat=True).run(
             JacobiUSGrid, config=dict(config, case="C")
         )
-        run_r = Platform(aspects=mpi_aspects(2), mmat=True).run(
+        run_r = Platform.preset("mpi", ranks=2, mmat=True).run(
             JacobiUSGrid, config=dict(config, case="R")
         )
         pages_c = sum(c.pages_fetched for c in run_c.counters.values())

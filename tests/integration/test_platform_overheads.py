@@ -14,7 +14,6 @@ import pytest
 from repro.analysis import class_code_bytes, measure_env, measure_handwritten
 from repro.annotation import Platform
 from repro.apps import HandwrittenSGrid, JacobiSGrid
-from repro.aspects import hybrid_aspects, mpi_aspects, openmp_aspects
 from repro.bench import (
     fig12_memory_usage,
     sgrid_workload,
@@ -37,12 +36,12 @@ class TestWeavingOverheadStructure:
         assert info.advised_sites == 0
 
     def test_aspect_weave_advises_platform_joinpoints(self):
-        woven = Platform(aspects=mpi_aspects(2)).build(JacobiSGrid)
+        woven = Platform.preset("mpi", ranks=2).build(JacobiSGrid)
         info = woven.__aop_woven__
         assert info.advised_sites > 0
 
     def test_env_class_is_woven_once_per_platform(self):
-        platform = Platform(aspects=openmp_aspects(2))
+        platform = Platform.preset("omp", threads=2)
         assert platform.env_class is not None
         assert platform.env_class.__aop_woven__.wrapped_sites >= 2  # get_blocks, refresh
 
@@ -94,16 +93,16 @@ class TestMemoryUsageRelationships:
 class TestProgramSizeRelationships:
     def test_woven_configurations_are_monotonically_larger(self):
         sizes = {}
-        for label, aspects in (
-            ("plain", None),
-            ("nop", []),
-            ("omp", openmp_aspects(2)),
-            ("mpi", mpi_aspects(2)),
-            ("hybrid", hybrid_aspects(2, 2)),
+        for label, ranks, threads in (
+            ("serial", 1, 1),
+            ("nop", 1, 1),
+            ("omp", 1, 2),
+            ("mpi", 2, 1),
+            ("hybrid", 2, 2),
         ):
-            platform = Platform(aspects=aspects)
+            platform = Platform.preset(label, ranks=ranks, threads=threads)
             sizes[label] = class_code_bytes(platform.build(JacobiSGrid))
-        assert sizes["plain"] < sizes["nop"] <= sizes["omp"]
+        assert sizes["serial"] < sizes["nop"] <= sizes["omp"]
 
     def test_table1_ordering(self):
         rows = table1_binary_size()

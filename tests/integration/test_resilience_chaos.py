@@ -64,9 +64,8 @@ def resilient_platform(backend, ranks, plan, **policy_kwargs):
     policy = ResiliencePolicy(fault_plan=plan, **policy_kwargs)
     return (
         Platform.builder()
-        .mpi(ranks)
+        .mpi(ranks, backend=backend)
         .mmat()
-        .backend(backend)
         .resilience(policy)
         .comm_timeout(20.0)
         .build()
@@ -215,7 +214,7 @@ class TestReplyFaults:
         plan = FaultPlan().corrupt_reply(1, count=1)
         policy = ResiliencePolicy(fault_plan=plan)
         platform = (
-            Platform.builder().mpi(2).mmat().backend("process")
+            Platform.builder().mpi(2, backend="process").mmat()
             .resilience(policy).comm_timeout(5.0).build()
         )
         with pytest.raises(SpmdFailure) as excinfo:
@@ -230,7 +229,7 @@ class TestReplyFaults:
         plan = FaultPlan().drop_reply(1, count=1)
         policy = ResiliencePolicy(fault_plan=plan)
         platform = (
-            Platform.builder().mpi(2).mmat().backend("process")
+            Platform.builder().mpi(2, backend="process").mmat()
             .resilience(policy).comm_timeout(3.0).build()
         )
         with pytest.raises(SpmdFailure) as excinfo:

@@ -233,7 +233,7 @@ APPS = {
 
 def run_app(name, ranks):
     app_cls, config = APPS[name]
-    platform = Platform.builder().mpi(ranks).mmat().backend("process").build()
+    platform = Platform.builder().mpi(ranks, backend="process").mmat().build()
     return platform.run(app_cls, config=dict(config))
 
 
@@ -363,9 +363,8 @@ class TestSegmentHygiene:
         policy = ResiliencePolicy(fault_plan=plan)
         platform = (
             Platform.builder()
-            .mpi(4)
+            .mpi(4, backend="process")
             .mmat()
-            .backend("process")
             .resilience(policy)
             .comm_timeout(20.0)
             .build()

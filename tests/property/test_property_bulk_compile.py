@@ -22,7 +22,6 @@ from hypothesis import given, settings, strategies as st
 from repro.annotation import Platform
 from repro.apps import JacobiSGrid, JacobiUSGrid, ParticleSimulation
 from repro.apps.particle_sim import NEIGHBOURHOOD
-from repro.aspects import mpi_aspects
 from repro.memory import (
     ArithmeticBlock,
     BufferOnlyBlock,
@@ -247,7 +246,7 @@ def assert_plan_matches_reference(env, block, plan, addresses, ring):
 def rank0_of_2(app_cls, config):
     """The Env rank 0 of a 2-rank world builds, with every Block filled."""
     app = app_cls(config)
-    app.bind_platform(Platform(aspects=mpi_aspects(2), mmat=True))
+    app.bind_platform(Platform.preset("mpi", ranks=2, mmat=True))
     with task_scope(TaskContext(mpi_rank=0, mpi_size=2)):
         app.initialize()
     env = app.env

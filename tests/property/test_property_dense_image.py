@@ -35,7 +35,6 @@ import pytest
 
 from repro.annotation import Platform
 from repro.apps import JacobiSGrid, JacobiUSGrid, ParticleSimulation
-from repro.aspects import mpi_aspects
 from repro.memory import BufferOnlyBlock, DataBlock, PageKey
 from repro.runtime import shm
 from repro.runtime.tracing import global_trace
@@ -221,8 +220,11 @@ def owned_part(name: str, result: np.ndarray, expected: np.ndarray):
 @pytest.mark.parametrize("backend,ranks", WORLDS)
 @pytest.mark.parametrize("name", sorted(APPS))
 def test_image_holds_through_every_hazard(name, backend, ranks, checks):
-    aspects = None if backend == "serial" else mpi_aspects(ranks, backend=backend)
-    run = Platform(aspects=aspects, mmat=True).run(
+    if backend == "serial":
+        platform = Platform(mmat=True)
+    else:
+        platform = Platform.preset("mpi", ranks=ranks, backend=backend, mmat=True)
+    run = platform.run(
         DISTURBED[name], config=dict(APPS[name][1], loops=LOOPS)
     )
     result, expected = owned_part(name, np.asarray(run.result, dtype=np.float64), reference(name))
@@ -295,13 +297,13 @@ def test_two_rank_step_assembles_only_installed_halo_blocks(name):
     config = dict(APPS[name][1], loops=LOOPS)
     # A published halo is stored straight into the image rows: no
     # steady-state step copies any Block, owned or Buffer-only.
-    pushed = Platform(aspects=mpi_aspects(2, backend="threads"), mmat=True).run(
+    pushed = Platform.preset("mpi", ranks=2, backend="threads", mmat=True).run(
         COUNTING[name], config=config
     )
     assert pushed.network["halo_pushes"] and not np.diff(pushed.app.assembled).any()
     # On the page protocol a step re-assembles exactly the Buffer-only
     # Blocks it installed pages into.
-    run = Platform(aspects=mpi_aspects(2, backend="threads"), mmat=True).run(
+    run = Platform.preset("mpi", ranks=2, backend="threads", mmat=True).run(
         counting(kept_open(APPS[name][0])), config=config
     )
     env = run.app.env

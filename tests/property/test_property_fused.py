@@ -17,7 +17,6 @@ import pytest
 
 from repro.annotation import Platform
 from repro.apps import JacobiSGrid
-from repro.aspects import mpi_aspects
 
 
 def _init(x, y):
@@ -45,8 +44,8 @@ def n_blocks(config) -> int:
 
 
 def run_app(app_cls, config, *, backend="serial", ranks=1, mmat=True):
-    aspects = mpi_aspects(ranks, backend=backend)
-    return Platform(aspects=aspects, mmat=mmat).run(app_cls, config=dict(config))
+    platform = Platform.preset("mpi", ranks=ranks, backend=backend, mmat=mmat)
+    return platform.run(app_cls, config=dict(config))
 
 
 def counter(run, name) -> int:

@@ -25,7 +25,6 @@ import pytest
 
 from repro.annotation import Platform
 from repro.apps import JacobiSGrid, JacobiUSGrid, ParticleSimulation
-from repro.aspects import mpi_aspects
 
 from page_protocol import kept_open, plane
 
@@ -82,7 +81,7 @@ def assert_matches_reference(name: str, run, loops=None) -> None:
 
 
 def run_app(app_cls, config, *, backend, ranks, data_plane="shm", mmat=True):
-    platform = Platform(aspects=mpi_aspects(ranks, backend=backend), mmat=mmat)
+    platform = Platform.preset("mpi", ranks=ranks, backend=backend, mmat=mmat)
     with plane(data_plane):
         return platform.run(app_cls, config=dict(config))
 

@@ -40,9 +40,8 @@ def test_seeded_kill_recovers_bit_identical(serial_reference, seed):
     plan = FaultPlan.seeded(seed, ranks=4, epochs=CONFIG["loops"], spare_rank0=True)
     platform = (
         Platform.builder()
-        .mpi(4)
+        .mpi(4, backend="threads")
         .mmat()
-        .backend("threads")
         .resilience(ResiliencePolicy(fault_plan=plan))
         .comm_timeout(20.0)
         .build()

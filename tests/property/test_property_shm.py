@@ -51,7 +51,7 @@ APPS = [
 
 
 def run_app(app_cls, config, *, backend, transport="shm", ranks=2):
-    platform = Platform.builder().mpi(ranks).mmat().backend(backend).build()
+    platform = Platform.builder().mpi(ranks, backend=backend).mmat().build()
     with plane(transport):
         return platform.run(kept_open(app_cls), config=dict(config))
 

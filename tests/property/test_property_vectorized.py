@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.annotation import Platform
 from repro.apps import JacobiSGrid, JacobiUSGrid, ParticleSimulation
-from repro.aspects import mpi_aspects
 from repro.memory import ArithmeticBlock, DataBlock, Env, MemoryPool, PoolGroup
 
 
@@ -42,8 +41,10 @@ BACKENDS = [("serial", 1), ("threads", 2), ("process", 2)]
 def run_pair(app_cls, config, *, backend=None, ranks=1, mmat=True):
     """Run the app with scalar and vectorized kernels; return both results."""
     def one(kernel):
-        aspects = None if backend is None else mpi_aspects(ranks, backend=backend)
-        platform = Platform(aspects=aspects, mmat=mmat)
+        if backend is None:
+            platform = Platform(mmat=mmat)
+        else:
+            platform = Platform.preset("mpi", ranks=ranks, backend=backend, mmat=mmat)
         return platform.run(app_cls, config=dict(config, kernel=kernel))
 
     return one("scalar"), one("vectorized")
@@ -100,11 +101,9 @@ class TestMidRunInvalidation:
     @pytest.mark.parametrize("backend,ranks", BACKENDS)
     def test_reset_then_fallback_still_matches_scalar(self, backend, ranks):
         config = dict(SGRID_CONFIG, loops=4)
-        aspects = mpi_aspects(ranks, backend=backend)
-        scalar_run = Platform(aspects=aspects, mmat=True).run(
-            JacobiSGrid, config=dict(config, kernel="scalar")
-        )
-        vector_run = Platform(aspects=aspects, mmat=True).run(
+        platform = Platform.preset("mpi", ranks=ranks, backend=backend, mmat=True)
+        scalar_run = platform.run(JacobiSGrid, config=dict(config, kernel="scalar"))
+        vector_run = platform.run(
             MidRunResetJacobi, config=dict(config, kernel="vectorized")
         )
         assert_equivalent(scalar_run, vector_run)

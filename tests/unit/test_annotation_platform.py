@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro.annotation import Platform, TargetApplication
 from repro.aop import Aspect, before, tagged
-from repro.aspects import PhaseTraceAspect, openmp_aspects
+from repro.aspects import PhaseTraceAspect
 from repro.memory import Env
 
 
@@ -95,8 +97,10 @@ class TestPlatformDriver:
             def x(self, jp):
                 pass
 
-        with pytest.raises(ValueError):
-            Platform(aspects=[Dummy()], transcompile=False)
+        # Transcompilation is the fact "aspects were given", not a knob.
+        platform = Platform(aspects=[Dummy()])
+        assert platform.transcompile and platform.weaver is not None
+        assert "transcompile" not in inspect.signature(Platform).parameters
 
     def test_build_rejects_non_target(self):
         class NotAnApp:
@@ -123,7 +127,7 @@ class TestPlatformDriver:
         assert phases[-1] == "finalize"
 
     def test_total_tasks_reflects_aspect_parallelism(self):
-        platform = Platform(aspects=openmp_aspects(3))
+        platform = Platform.preset("omp", threads=3)
         assert platform.total_tasks == 3
         assert platform.layer_parallelism() == {"omp": 3}
         assert platform.parallelism_of("omp") == 3

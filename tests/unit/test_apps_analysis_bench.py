@@ -22,7 +22,6 @@ from repro.apps import (
 )
 from repro.bench import (
     WORKLOADS,
-    configuration_aspects,
     format_table,
     modelled_time,
     run_handwritten,
@@ -172,13 +171,6 @@ class TestBenchHarness:
         assert modified.config["loops"] == 9
         assert base.config["loops"] != 9
 
-    def test_configuration_aspects(self):
-        assert configuration_aspects("serial") is None
-        assert configuration_aspects("nop") == []
-        assert len(configuration_aspects("hybrid", mpi=2, omp=2)) == 2
-        with pytest.raises(ValueError):
-            configuration_aspects("gpu")
-
     def test_run_handwritten_and_platform_agree(self):
         work = sgrid_workload(16, loops=2)
         _elapsed, hw_result, _bytes = run_handwritten(work)
@@ -211,13 +203,13 @@ class TestBenchHarness:
     def test_runs_without_a_distributed_layer_count_no_paper_pages(self, label):
         """Serial, OpenMP and Fig. 6 rows model exactly their own counters."""
         work = sgrid_workload(16, loops=2)
-        run = run_platform(work, aspects=configuration_aspects(label, omp=2), mmat=True)
+        run = run_platform(work, label, threads=2 if label == "omp" else 1, mmat=True)
         assert sum(c.paper_pages + c.paper_bytes for c in run.counters.values()) == 0
         assert modelled_time(run, work).communication == 0
 
     def test_mpi_runs_count_the_paper_pages_of_every_step(self):
         work = sgrid_workload(16, block_size=4, loops=2)
-        run = run_platform(work, aspects=configuration_aspects("mpi", mpi=2), mmat=True)
+        run = run_platform(work, "mpi", ranks=2, mmat=True)
         env = run.app.env
         pages = env.plan_page_requirements()
         page_bytes = sum(

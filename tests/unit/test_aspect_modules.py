@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.annotation import Platform
 from repro.aop import AdviceKind, Weaver
 from repro.aop.joinpoint import JoinPointShadow, JoinPointKind
 from repro.aspects import (
@@ -11,9 +12,6 @@ from repro.aspects import (
     LayerAspect,
     PhaseTraceAspect,
     SharedMemoryAspect,
-    hybrid_aspects,
-    mpi_aspects,
-    openmp_aspects,
 )
 
 
@@ -91,24 +89,25 @@ class TestAdviceCoverage:
 
 
 class TestAspectStacks:
+    """The Fig. 3 stacks, as the Platform presets weave them."""
+
     def test_mpi_stack(self):
-        stack = mpi_aspects(4)
+        stack = Platform.preset("mpi", ranks=4).aspects
         assert len(stack) == 1 and stack[0].parallelism == 4
 
     def test_omp_stack(self):
-        stack = openmp_aspects(8)
+        stack = Platform.preset("omp", threads=8).aspects
         assert stack[0].layer == "omp"
 
     def test_hybrid_stack_contains_both_layers(self):
-        stack = hybrid_aspects(2, 4)
+        stack = Platform.preset("hybrid", ranks=2, threads=4).aspects
         layers = {aspect.layer: aspect.parallelism for aspect in stack}
         assert layers == {"mpi": 2, "omp": 4}
 
     def test_stacks_weave_cleanly(self):
-        # Building a Weaver from each standard stack must not raise.
-        for stack in (mpi_aspects(2), openmp_aspects(2), hybrid_aspects(2, 2)):
-            weaver = Weaver(stack)
-            assert weaver.advices
+        for label, ranks, threads in (("mpi", 2, 1), ("omp", 1, 2), ("hybrid", 2, 2)):
+            platform = Platform.preset(label, ranks=ranks, threads=threads)
+            assert platform.weaver.advices
 
     def test_phase_trace_aspect_records_to_sink(self):
         sink = []

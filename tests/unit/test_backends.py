@@ -223,7 +223,7 @@ class TestProcessWorld:
         assert stats["bytes_moved"] > 0
 
     def test_backend_name_on_platform_run(self):
-        run = Platform.preset("mpi", mpi=2, backend="process").run(
+        run = Platform.preset("mpi", ranks=2, backend="process").run(
             JacobiSGrid, config=dict(CONFIG)
         )
         assert run.backend == "process"
@@ -236,35 +236,15 @@ class TestPlatformBackendSelection:
             Platform(backend="quantum")
 
     def test_builder_backend_round_trip(self):
-        platform = Platform.builder().backend("serial").mpi(1).build()
+        platform = Platform.builder().mpi(1, backend="serial").build()
         assert platform.backend == "serial"
-
-    def test_preset_layer_aliases(self):
-        platform = Platform.preset("hybrid", mpi=2, omp=2)
-        assert platform.layer_parallelism() == {"mpi": 2, "omp": 2}
-
-    def test_aspect_backend_overrides_platform(self):
-        from repro.aspects import DistributedMemoryAspect
-
-        aspect = DistributedMemoryAspect(processes=1, backend="serial")
-        platform = Platform(aspects=[aspect], backend="threads")
-        aspect.on_attach(platform)
-        try:
-            assert aspect.resolve_backend_name() == "serial"
-        finally:
-            aspect.on_detach(platform)
 
     def test_aspect_falls_back_to_platform_then_default(self):
         from repro.aspects import DistributedMemoryAspect
 
-        aspect = DistributedMemoryAspect(processes=1)
-        assert aspect.resolve_backend_name() == DEFAULT_BACKEND
-        platform = Platform(aspects=[aspect], backend="serial")
-        aspect.on_attach(platform)
-        try:
-            assert aspect.resolve_backend_name() == "serial"
-        finally:
-            aspect.on_detach(platform)
+        for backend, ran in ((None, DEFAULT_BACKEND), ("serial", "serial")):
+            platform = Platform(aspects=[DistributedMemoryAspect(processes=1)], backend=backend)
+            assert platform.run(JacobiSGrid, config=dict(CONFIG)).backend == ran
 
     def test_run_without_mpi_layer_has_no_backend(self):
         run = Platform.preset("omp", threads=2).run(JacobiSGrid, config=dict(CONFIG))

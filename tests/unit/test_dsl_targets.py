@@ -43,9 +43,7 @@ class TestBlockSpecAndAssignment:
         assignment = app.assign_tasks(app.block_specs())
         # With total_tasks == 1 everything is task 0; re-run with 4 tasks by
         # constructing the platform with a shared-memory aspect instead.
-        from repro.aspects import openmp_aspects
-
-        platform4 = Platform(aspects=openmp_aspects(4))
+        platform4 = Platform.preset("omp", threads=4)
         app4 = SGrid2DTarget({"region": 32, "block_size": 8})
         app4.bind_platform(platform4)
         assignment4 = app4.assign_tasks(app4.block_specs())
@@ -56,9 +54,7 @@ class TestBlockSpecAndAssignment:
         assert all(count == 4 for count in counts.values())
 
     def test_contiguous_zorder_runs_share_tasks(self):
-        from repro.aspects import openmp_aspects
-
-        platform = Platform(aspects=openmp_aspects(4))
+        platform = Platform.preset("omp", threads=4)
         app = SGrid2DTarget({"region": 32, "block_size": 8})
         app.bind_platform(platform)
         assignment = app.assign_tasks(app.block_specs())
@@ -267,10 +263,8 @@ class TestSGridTarget:
         app.bind_platform(platform)
         with task_scope(TaskContext(mpi_rank=0, mpi_size=2)):
             # Pretend a 2-rank world: half the blocks become Buffer-only.
-            from repro.aspects import mpi_aspects
-
             app2 = JacobiSGrid(dict(region=16, block_size=8, page_elements=16, loops=1))
-            app2.bind_platform(Platform(aspects=mpi_aspects(2)))
+            app2.bind_platform(Platform.preset("mpi", ranks=2))
             app2.initialize()
             kinds = [type(b).__name__ for b in app2.env.data_blocks(include_buffer_only=True)]
             assert "BufferOnlyBlock" in kinds and "DataBlock" in kinds

@@ -24,7 +24,6 @@ import pytest
 from repro.annotation import Platform
 from repro.apps import JacobiSGrid, JacobiUSGrid
 from repro.apps.jacobi_sgrid import STENCIL
-from repro.aspects import mpi_aspects
 from repro.dsl.base import BlockKernel
 from repro.memory import (
     ArithmeticBlock,
@@ -76,8 +75,7 @@ class TestBroadcastableSweepReturns:
     def test_constant_fn_sweeps_on_all_ranks(self, ranks, mmat):
         """Regression: the overlapped apply() reshaped scalar returns and
         crashed; it must broadcast, on the fused and the gather route."""
-        aspects = mpi_aspects(ranks, backend="threads")
-        run = Platform(aspects=aspects, mmat=mmat).run(
+        run = Platform.preset("mpi", ranks=ranks, backend="threads", mmat=mmat).run(
             ConstantSweepJacobi,
             config=dict(CONFIG, kernel="vectorized"),
         )

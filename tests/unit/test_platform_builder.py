@@ -18,13 +18,7 @@ from repro.annotation import PRESETS, TargetApplication
 from repro.aop import Aspect, annotate, before
 from repro.aop.registry import TAG_KERNEL
 from repro.apps import JacobiSGrid
-from repro.aspects import (
-    DistributedMemoryAspect,
-    SharedMemoryAspect,
-    hybrid_aspects,
-    mpi_aspects,
-)
-from repro.bench.harness import configuration_aspects
+from repro.aspects import DistributedMemoryAspect, SharedMemoryAspect
 from repro.resilience import RecoveryManager, ResiliencePolicy
 from repro.runtime import get_backend
 
@@ -63,26 +57,21 @@ class TestBuilder:
 
     def test_knobs_propagate(self):
         platform = Platform.builder().mmat().pool_bytes(1 << 20).nop().build()
-        assert platform.mmat_enabled
-        assert platform.env_pool_bytes == 1 << 20
+        assert platform.mmat
+        assert platform.pool_bytes == 1 << 20
 
     def test_aspect_accepts_instances_only(self):
         with pytest.raises(TypeError):
             Platform.builder().aspect(DistributedMemoryAspect)
 
     def test_aspects_bulk_attach(self):
-        platform = Platform.builder().aspects(mpi_aspects(2)).build()
+        platform = Platform.builder().aspects([DistributedMemoryAspect(processes=2)]).build()
         assert platform.layer_parallelism() == {"mpi": 2}
 
     def test_builder_run_shorthand(self):
         run = Platform.builder().omp(2).mmat().run(JacobiSGrid, config=dict(CONFIG))
         assert run.layers == {"omp": 2}
         assert run.result is not None
-
-    def test_transcompile_override(self):
-        platform = Platform.builder().transcompile(True).build()
-        assert platform.transcompile
-        assert platform.weaver is not None
 
     def test_rebuild_gets_fresh_layer_aspect_instances(self):
         # Layer modules are stateful: two platforms from one builder must
@@ -94,8 +83,12 @@ class TestBuilder:
     def test_unset_knobs_track_platform_defaults(self):
         built = Platform.builder().nop().build()
         legacy = Platform(aspects=[])
-        assert built.env_pool_bytes == legacy.env_pool_bytes
-        assert built.machine is legacy.machine
+        assert built.pool_bytes == legacy.pool_bytes
+        assert built.comm_timeout == legacy.comm_timeout
+
+    def test_mpi_backend_sets_the_platform_backend(self):
+        platform = Platform.builder().mpi(2, backend="serial").build()
+        assert platform.backend == "serial"
 
 
 class TestPresets:
@@ -125,7 +118,7 @@ class TestPresets:
     def test_omp_preset(self):
         platform = Platform.preset("omp", threads=3, mmat=True)
         assert platform.layer_parallelism() == {"omp": 3}
-        assert platform.mmat_enabled
+        assert platform.mmat
 
     def test_hybrid_preset(self):
         platform = Platform.preset("hybrid", ranks=4, threads=2)
@@ -138,6 +131,13 @@ class TestPresets:
             Platform.preset("mpi", threads=2)
         with pytest.raises(ValueError):
             Platform.preset("omp", ranks=2)
+
+    def test_preset_takes_no_layer_aliases(self):
+        # ``mpi=`` once silently overrode ``ranks=``.
+        with pytest.raises(TypeError, match="mpi"):
+            Platform.preset("mpi", ranks=2, mpi=4)
+        with pytest.raises(TypeError, match="omp"):
+            Platform.preset("omp", threads=2, omp=4)
 
     def test_hybrid_preset_runs_end_to_end(self):
         serial = Platform.preset("serial").run(JacobiSGrid, config=dict(CONFIG))
@@ -158,9 +158,7 @@ KNOB_HOMES = {
     "Platform": Platform,
     "Platform.preset": Platform.preset,
     "DistributedMemoryAspect": DistributedMemoryAspect,
-    "mpi_aspects": mpi_aspects,
-    "hybrid_aspects": hybrid_aspects,
-    "configuration_aspects": configuration_aspects,
+    "SharedMemoryAspect": SharedMemoryAspect,
     "RecoveryManager.execute": RecoveryManager.execute,
     **{
         f"{name}.create_world": type(get_backend(name)).create_world
@@ -180,6 +178,114 @@ def test_no_data_plane_or_overlap_parameter(home):
 
 def test_builder_has_no_data_plane_method():
     assert not [name for name in dir(PlatformBuilder) if "transport" in name]
+
+
+#: Every run option has one home, a keyword of ``Platform.__init__``.
+#: These names were a second home of one (the preset's ``mpi`` / ``omp``,
+#: the aspects' ``backend`` / ``timeout``), or an option no run needed
+#: (``transcompile`` is ``aspects is not None``; ``machine`` was never
+#: read while running).  The pool size has one name, ``pool_bytes``.
+@pytest.mark.parametrize(
+    "home", ["Platform", "Platform.preset", "DistributedMemoryAspect", "SharedMemoryAspect"]
+)
+def test_deleted_option_homes_stay_deleted(home):
+    parameters = set(inspect.signature(KNOB_HOMES[home]).parameters)
+    deleted = {"transcompile", "machine", "mpi", "omp", "timeout"}
+    if home.endswith("Aspect"):
+        deleted.add("backend")
+    assert not deleted & parameters
+    assert {name for name in parameters if "pool" in name} <= {"pool_bytes"}
+
+
+def test_builder_has_no_second_option_home():
+    assert not {"backend", "machine", "transcompile"} & set(dir(PlatformBuilder))
+
+
+def test_no_aspect_stack_helpers_are_exported():
+    # PRESETS is the one table from a Fig. 3 label to its aspect stack.
+    import repro
+    import repro.aspects
+    import repro.bench
+
+    for module in (repro, repro.aspects, repro.bench):
+        assert not [name for name in dir(module) if name.endswith("_aspects")]
+
+
+#: Every ``Platform`` keyword but the aspect stack.
+OPTIONS = [name for name in inspect.signature(Platform).parameters if name != "aspects"]
+
+
+@pytest.mark.parametrize("option", OPTIONS)
+def test_every_option_has_one_default(option):
+    values = [
+        getattr(platform, option)
+        for platform in (Platform(), Platform.builder().build(), Platform.preset("serial"))
+    ]
+    assert values[0] == values[1] == values[2]
+
+
+def test_builder_and_preset_forward_only_what_was_set(monkeypatch):
+    forwarded = []
+    init = Platform.__init__
+
+    def spy(self, aspects=None, **options):
+        forwarded.append(options)
+        init(self, aspects, **options)
+
+    monkeypatch.setattr(Platform, "__init__", spy)
+    Platform.builder().build()
+    Platform.builder().mpi(2).omp(2).build()
+    Platform.preset("serial")
+    Platform.preset("hybrid", ranks=2, threads=2)
+    assert forwarded == [{}, {}, {}, {}]
+    forwarded.clear()
+    Platform.builder().mpi(2, backend="serial").comm_timeout(5).build()
+    Platform.preset("mpi", ranks=2, backend="serial", comm_timeout=5)
+    assert forwarded == [{"backend": "serial", "comm_timeout": 5}] * 2
+    assert not set(OPTIONS) & set(inspect.signature(Platform.preset).parameters)
+
+
+class TeamTimeoutApp(TargetApplication):
+    """Reports the barrier timeout of the thread team running Processing."""
+
+    def initialize(self):
+        self.make_env(pool_bytes=1 << 16)
+
+    def processing(self):
+        (omp,) = [a for a in self.platform.aspects if getattr(a, "layer", "") == "omp"]
+        self.result = omp.team().timeout
+
+    def finalize(self):
+        pass
+
+
+class TestOptionChecks:
+    @pytest.mark.parametrize("mpi", [0, 2])
+    def test_comm_timeout_bounds_the_thread_team(self, mpi):
+        builder = Platform.builder().omp(2).comm_timeout(0.5)
+        if mpi:
+            builder.mpi(mpi)
+        assert builder.run(TeamTimeoutApp).result == 0.5
+
+    @pytest.mark.parametrize("seconds", [0, -1.0, float("inf"), float("nan"), "5"])
+    def test_bad_comm_timeout_is_rejected_where_it_is_set(self, seconds):
+        with pytest.raises(ValueError, match="comm_timeout"):
+            Platform.builder().mpi(2).comm_timeout(seconds).build()
+        with pytest.raises(ValueError, match="comm_timeout"):
+            Platform.preset("mpi", ranks=2, comm_timeout=seconds)
+
+    @pytest.mark.parametrize("nbytes", [0, -4096])
+    def test_bad_pool_bytes_is_rejected_where_it_is_set(self, nbytes):
+        with pytest.raises(ValueError, match="pool_bytes"):
+            Platform.builder().pool_bytes(nbytes).build()
+        with pytest.raises(ValueError, match="pool_bytes"):
+            Platform(pool_bytes=nbytes)
+
+    @pytest.mark.parametrize("label", ["serial", "nop", "omp"])
+    def test_backend_needs_a_distributed_memory_layer(self, label):
+        # It once ran serially and reported ``run.backend is None``.
+        with pytest.raises(ValueError, match="backend='process'"):
+            Platform.preset(label, backend="process")
 
 
 class CountingKernelApp(TargetApplication):

@@ -208,7 +208,7 @@ class TestRecoveryManager:
 
     def test_platform_requires_transcompile_for_resilience(self):
         with pytest.raises(ValueError, match="transcompile"):
-            Platform(transcompile=False, resilience=True)
+            Platform(resilience=True)
 
     def test_resilience_weaves_checkpoint_aspect(self):
         platform = Platform.builder().mpi(2).resilience().build()
@@ -292,17 +292,11 @@ class TestCommTimeoutPlumbing:
     def test_builder_method_reaches_aspect(self):
         platform = Platform.builder().mpi(2).comm_timeout(3.25).build()
         assert platform.comm_timeout == 3.25
-        assert self._mpi_aspect(platform).resolve_timeout() == 3.25
-
-    def test_aspect_timeout_overrides_platform(self):
-        platform = Platform.builder().mpi(2).comm_timeout(9.0).build()
-        aspect = self._mpi_aspect(platform)
-        aspect.timeout = 2.0
-        assert aspect.resolve_timeout() == 2.0
+        assert self._mpi_aspect(platform).comm_timeout() == 3.25
 
     def test_default_without_any_setting(self):
         platform = Platform.builder().mpi(2).build()
-        assert self._mpi_aspect(platform).resolve_timeout() == 60.0
+        assert self._mpi_aspect(platform).comm_timeout() == 60.0
 
     def test_timeout_reaches_created_world(self):
         from repro.runtime.backends import get_backend
