@@ -208,11 +208,10 @@ class BlockKernel:
         offsets = tuple(tuple(int(c) for c in off) for off in offsets)
         n_off = len(offsets)
         first = self.blocks[0]
-        if self.env.mmat.enabled:
+        if self.env.mmat.enabled:  # offset-major
             out = self._execute(self._offsets_plan(offsets))
-        else:
+        else:  # element-major
             out = self._gather_addresses_scalar(stencil_table(self.blocks, offsets))
-        if len(self.blocks) > 1 or not self.env.mmat.enabled:  # element-major
             out = out.reshape(self.elements, n_off, first.components).transpose(1, 0, 2)
         if first.components == 1:
             return out.reshape((n_off,) + self.shape)
@@ -265,7 +264,8 @@ class BlockKernel:
         spaces; last axis = coordinates otherwise); the result has the
         site shape of ``addresses`` (plus a components axis for
         multi-component Blocks).  On a tile the leading axis lists its
-        elements.  ``key`` names the address table for
+        elements; with MMAT on each column ``[:, j]`` of a 2-D table's
+        result is contiguous.  ``key`` names the address table for
         plan caching — pass it whenever the table is static (Assumption
         II), e.g. ``key="neighbors"`` for the USGrid neighbour lists.
         Without a ``key`` the plan is compiled per call and never
@@ -276,26 +276,26 @@ class BlockKernel:
         addresses = np.asarray(addresses, dtype=np.int64)
         first = self.blocks[0]
         sites_shape = addresses.shape if first.ndim == 1 else addresses.shape[:-1]
+        cell = () if first.components == 1 else (first.components,)
         if not self.env.mmat.enabled:
-            out = self._gather_addresses_scalar(addresses)
-        else:
-            plan = self._plan(
-                None if key is None else ("addresses", key, addresses.shape),
-                lambda: compile_address_plan(self.env, self.blocks, addresses),
-                addresses.size // first.ndim,
-            )
-            out = self._execute(plan)
-        if first.components == 1:
-            return out.reshape(sites_shape)
-        return out.reshape(sites_shape + (first.components,))
+            return self._gather_addresses_scalar(addresses).reshape(sites_shape + cell)
+        plan = self._plan(
+            None if key is None else ("addresses", key, addresses.shape),
+            lambda: compile_address_plan(self.env, self.blocks, addresses),
+            addresses.size // first.ndim,
+        )
+        out = self._execute(plan)
+        if len(sites_shape) == 2:  # column-major: (k, elements) transposed
+            return out.reshape(sites_shape[::-1] + cell).swapaxes(0, 1)
+        return out.reshape(sites_shape + cell)
 
     def scatter(self, values: np.ndarray) -> None:
         """Write a whole tile of results into the write buffers at once.
 
         Accepts ``shape`` (single-component) or ``(elements,
         components)`` arrays — or anything broadcastable to them, e.g. a
-        constant scalar; one store into the tile's ``next`` image rows (the
-        write-buffer pages), marked dirty as per-element :meth:`set` would.
+        constant scalar; one store into the tile's ``next`` image rows: the
+        write-buffer pages per-element :meth:`set` writes.
         """
         cell = (self.elements, self.blocks[0].components)
         data = np.asarray(values)

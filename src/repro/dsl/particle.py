@@ -249,7 +249,6 @@ class ParticleTarget(DslTarget):
                     dense[linear] = bucket_record(x0 + i, y0 + j)
             for buf in block.buffer.buffers:
                 buf.load_dense(dense)
-                buf.clear_dirty()
 
     # ------------------------------------------------------------------
     # kernel-side sugar

@@ -145,7 +145,6 @@ class SGrid2DTarget(DslTarget):
             # first step reads well-defined values regardless of swap parity.
             for buf in block.buffer.buffers:
                 buf.load_dense(flat)
-                buf.clear_dirty()
 
     # ------------------------------------------------------------------
     # result gathering (post-processing helpers, serial-friendly)

@@ -212,7 +212,6 @@ class USGrid2DTarget(DslTarget):
             neighbours = neighbour_of[cells].copy()
             for buf in block.buffer.buffers:
                 buf.load_dense(values)
-                buf.clear_dirty()
             block.static_fields["neighbors"] = neighbours
 
     # ------------------------------------------------------------------

@@ -87,9 +87,8 @@ def emit_source(signature: Tuple) -> str:
         "    res = np.asarray(res)",
         f"    if res.size == {n_elem}:",
         f"        res = res.reshape({shape_r})",
-        "    buf = K.block.buffer.write_buffer",
-        f"    np.copyto(buf.runs()[0].reshape({shape_r}), res, casting='unsafe')",
-        "    buf.mark_dirty()",
+        "    rows = K.block.buffer.write_buffer.runs()[0]",
+        f"    np.copyto(rows.reshape({shape_r}), res, casting='unsafe')",
         "",
         "def fused_sweep(K, env, fn):",
         "    P, F = fill_interior(K, env)",

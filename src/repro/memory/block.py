@@ -301,21 +301,19 @@ class DataBlock(Block):
 
     @property
     def content_generation(self) -> int:
-        """Monotonic stamp of the read buffer's content (the swap count).
+        """Monotonic stamp of the read buffer's content: how often the
+        Block's image class swapped (0 before an Env homes the Block).
 
-        Owned blocks' read buffers change only at a refresh swap, so an
-        unchanged generation means every page still holds the bytes of
-        the previous export — the shared-memory arena uses this to serve
-        repeat fetches from the same slot without rewriting it.
+        Owned blocks' read buffers change only at a refresh swap (a class
+        re-home moves rows, not bytes), so an unchanged generation means
+        every page still holds the bytes of the previous export — the
+        shared-memory arena serves repeat fetches from the same slot.
         """
-        return self.buffer.swaps
+        return self.buffer.content_generation
 
     def page_fill(self, page_index: int, data: np.ndarray) -> None:
         """Overwrite a read-buffer page (what a receiving task installs)."""
         self.buffer.read_buffer.pages[page_index].fill_from(data)
-
-    def dirty_pages(self) -> List[int]:
-        return [p.index for p in self.buffer.read_buffer.pages if p.dirty]
 
     # -- bulk access --------------------------------------------------------
     def dense(self) -> np.ndarray:
@@ -327,10 +325,6 @@ class DataBlock(Block):
         """Load a contiguous array into the read (or write) buffer."""
         target = self.buffer.write_buffer if into_write else self.buffer.read_buffer
         target.load_dense(np.asarray(data).reshape(self.element_count, self.components))
-
-    def refresh_swap(self) -> None:
-        """Swap read/write buffers (performed by ``Env.refresh`` on success)."""
-        self.buffer.swap()
 
     @property
     def nbytes(self) -> int:

@@ -7,7 +7,8 @@ swaps the two.  Each buffer is a collection of pages, each backed by a
 chunk from a memory pool (possibly different pools, see
 :class:`repro.memory.pool.PoolGroup`) — or, the buffers of a Data Block
 an Env owns, *homed*: generation ``g`` is the Block's rows of slab ``g``
-of the Env's dense image (:class:`~repro.memory.env.DenseImage`).
+of the Env's dense image (:class:`~repro.memory.env.DenseImage`), whose
+swap — once for all of its Blocks — says which generation is read.
 """
 
 from __future__ import annotations
@@ -121,14 +122,13 @@ class BlockBuffer:
         return out
 
     def load_dense(self, data: np.ndarray) -> None:
-        """Scatter a contiguous array back into the pages (all marked dirty)."""
+        """Scatter a contiguous array back into the pages."""
         data = np.asarray(data, dtype=self.dtype).reshape(self.element_count, self.components)
         start = 0
         for run in self.runs():
             stop = start + run.shape[0]
             run[...] = data[start:stop]
             start = stop
-        self.mark_dirty()
 
     def rehome(self, rows: np.ndarray) -> None:
         """Move the pages into ``rows`` (``(element_count, components)``
@@ -137,14 +137,6 @@ class BlockBuffer:
             start = page.index * self.page_elements
             page.rehome(rows[start : start + page.elements])
         self._runs = [rows]
-
-    def mark_dirty(self) -> None:
-        for page in self.pages:
-            page.dirty = True
-
-    def clear_dirty(self) -> None:
-        for page in self.pages:
-            page.dirty = False
 
     def set_valid(self, valid: bool) -> None:
         for page in self.pages:
@@ -164,8 +156,8 @@ class MultiBuffer:
     """Read/write buffer pair (double buffering by default).
 
     ``depth`` larger than 2 is supported for pipelined schemes (the
-    paper only needs 2); ``swap`` rotates which generation is the read
-    buffer.
+    paper only needs 2); the ``home`` image's swap rotates which
+    generation is the read buffer (generation 0 while not homed).
     """
 
     def __init__(
@@ -184,31 +176,32 @@ class MultiBuffer:
             BlockBuffer(element_count, page_elements, components, dtype, allocator)
             for _ in range(depth)
         ]
-        #: Which of :attr:`buffers` is the read buffer.
-        self.read_index = 0
-        self.swaps = 0
+        #: The :class:`~repro.memory.env.DenseImage` whose slab rows the
+        #: generations are; None until an Env homes the buffer.
+        self.home = None
 
     # ------------------------------------------------------------------
+    @property
+    def read_index(self) -> int:
+        """Which of :attr:`buffers` is the read buffer."""
+        return 0 if self.home is None else self.home.generation % self.depth
+
+    @property
+    def content_generation(self) -> int:
+        """How often the home image swapped (0 while not homed)."""
+        return 0 if self.home is None else self.home.generation
+
     @property
     def read_buffer(self) -> BlockBuffer:
         return self.buffers[self.read_index]
 
     @property
     def write_buffer(self) -> BlockBuffer:
-        if self.depth == 1:
-            return self.buffers[0]
         return self.buffers[(self.read_index + 1) % self.depth]
 
     @property
     def nbytes(self) -> int:
         return sum(buf.nbytes for buf in self.buffers)
-
-    def swap(self) -> None:
-        """Make the current write buffer the new read buffer."""
-        if self.depth > 1:
-            self.read_index = (self.read_index + 1) % self.depth
-        self.swaps += 1
-        self.write_buffer.clear_dirty()
 
     def vacate(self) -> List[np.ndarray]:
         """Copies of the generations, the read buffer's first (none if made
@@ -224,16 +217,19 @@ class MultiBuffer:
                 page.release()
         return saved
 
-    def rehome(self, rows: List[np.ndarray], read_index: int) -> None:
-        """Move generation ``g`` into ``rows[g]`` and read from generation
-        ``read_index`` on, like every Block of the image the rows are of."""
+    def rehome(self, rows: List[np.ndarray], image) -> None:
+        """Move generation ``g`` into ``rows[g]``, rows of a slab of
+        ``image``, and read the generation ``image`` reads from now on."""
         for buf, generation in zip(self.buffers, rows):
             buf.rehome(generation)
-        self.read_index = int(read_index)
+        self.home = image
 
     def release(self) -> None:
         for buf in self.buffers:
             buf.release()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"MultiBuffer(depth={self.depth}, read={self.read_index}, swaps={self.swaps})"
+        return (
+            f"MultiBuffer(depth={self.depth}, read={self.read_index}, "
+            f"generation={self.content_generation})"
+        )

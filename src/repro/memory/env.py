@@ -108,8 +108,9 @@ class DenseImage:
       Block has the rows ``[base, base + element_count)`` of all of them;
       the pages of its buffer generation ``g`` are views of those rows of
       slab ``g``.  ``read`` / ``next`` are the slabs of the current read /
-      write generation; :meth:`swap` — ``Env.refresh``, nothing else —
-      swaps the Blocks' buffers and moves the two on together.
+      write generation.  The Blocks' buffers read ``generation`` from
+      here, so :meth:`swap` — ``Env.refresh``, nothing else — swaps all
+      of them by counting it on.
     * ``halo`` — ``(halo_rows, components)`` for the Buffer-only Blocks,
       outside the pool and single-buffered (they never swap): a *mirror*
       of their pages, assembled on demand (``fresh``: the Blocks whose
@@ -124,7 +125,7 @@ class DenseImage:
 
     __slots__ = (
         "components", "dtype", "depth", "local_rows", "halo_rows",
-        "chunks", "slabs", "owned", "read_index", "halo", "fresh",
+        "chunks", "slabs", "owned", "generation", "halo", "fresh",
     )
 
     def __init__(self, components: int, dtype, depth: int = 2) -> None:
@@ -137,18 +138,19 @@ class DenseImage:
         self.slabs: List[np.ndarray] = []
         #: The Blocks whose pages are rows of the slabs, in row order.
         self.owned: List[DataBlock] = []
-        self.read_index = 0
+        #: Swaps so far: the owned Blocks' content generation.
+        self.generation = 0
         self.halo: Optional[np.ndarray] = None
         #: Ids of the Buffer-only Blocks whose ``halo`` rows are current.
         self.fresh: Set[int] = set()
 
     @property
     def read(self) -> Optional[np.ndarray]:
-        return self.slabs[self.read_index] if self.slabs else None
+        return self.slabs[self.generation % self.depth] if self.slabs else None
 
     @property
     def next(self) -> Optional[np.ndarray]:
-        return self.slabs[(self.read_index + 1) % self.depth] if self.slabs else None
+        return self.slabs[(self.generation + 1) % self.depth] if self.slabs else None
 
     def allocate(self, allocator, capacity: int, owner: str) -> None:
         """Give the old slabs back and take ``depth`` of ``capacity`` rows
@@ -185,11 +187,9 @@ class DenseImage:
         return (self, base, base + count, halo)
 
     def swap(self) -> int:
-        """Swap the buffers of every owned Block and, with them, ``read``
-        and ``next``; returns how many Blocks swapped."""
-        for block in self.owned:
-            block.refresh_swap()
-        self.read_index = (self.read_index + 1) % self.depth
+        """Swap ``read`` and ``next`` and, with them, the buffers of every
+        owned Block; returns how many Blocks swapped."""
+        self.generation += 1
         return len(self.owned)
 
 
@@ -301,7 +301,7 @@ class Env:
                 slab[:held] = rows
             for block in image.owned:
                 _, lo, hi, _ = self._slots[block.block_id]
-                block.buffer.rehome([slab[lo:hi] for slab in image.slabs], image.read_index)
+                block.buffer.rehome([slab[lo:hi] for slab in image.slabs], image)
         return held > 0
 
     def add_data_block(self, block: DataBlock, *, parent: Optional[Block] = None) -> DataBlock:
@@ -322,9 +322,9 @@ class Env:
             lo, hi = image.local_rows, image.local_rows + block.element_count
             saved = buf.vacate()
             moved = self._resize(image, hi)
-            buf.rehome([slab[lo:hi] for slab in image.slabs], image.read_index)
+            buf.rehome([slab[lo:hi] for slab in image.slabs], image)
             for ahead, rows in enumerate(saved):
-                image.slabs[(image.read_index + ahead) % image.depth][lo:hi] = rows
+                image.slabs[(image.generation + ahead) % image.depth][lo:hi] = rows
             self.stats.rehomes_late_block += bool(saved)
             self.stats.rehomes_class_grew += moved and not saved
         (parent or self.data_joint).add_child(block)
@@ -658,7 +658,7 @@ class Env:
 
         The shared-memory transport copies the view's bytes into its
         arena itself, so no intermediate snapshot is allocated; the
-        generation (the block's buffer-swap count) lets it reuse the
+        generation (its image class's swap count) lets it reuse the
         published slot untouched while the read buffer hasn't swapped.
         The view aliases live pool memory — callers must copy before the
         next refresh and never write through it.
@@ -869,11 +869,9 @@ class Env:
     def store_rows(self, blocks: Sequence[DataBlock], values: np.ndarray) -> None:
         """Write ``values`` over *every* element of a tile (owned Blocks
         whose image rows follow each other): one slice store into ``next``
-        — their write buffers — and the pages marked dirty."""
+        — their write buffers."""
         image, lo, _, _ = self.image_slot(blocks[0])
         image.next[lo : self._slots[blocks[-1].block_id][2]] = values
-        for block in blocks:
-            block.buffer.write_buffer.mark_dirty()
 
     def invalidate_dense(self, block_ids: Iterable[int]) -> None:
         """Stop trusting the ``halo`` rows of the Buffer-only Blocks
@@ -887,9 +885,10 @@ class Env:
     def check_dense_image(self) -> None:
         """Raise :class:`EnvError` unless the :class:`DenseImage` invariant
         holds: owned pages are their image rows (by address), every owned
-        Block reads the image's read generation, slabs overlap neither each
-        other nor kernel scratch (a fused store never lands in the field it
-        was computed from), fresh ``halo`` rows equal their buffer's bytes."""
+        buffer is bound to its own image (so reads its read generation),
+        slabs overlap neither each other nor kernel scratch (a fused store
+        never lands in the field it was computed from), fresh ``halo`` rows
+        equal their buffer's bytes."""
         def fail(what: str):
             raise EnvError(f"dense image of Env {self.name!r}: {what}")
 
@@ -908,9 +907,8 @@ class Env:
                 ):
                     fail(f"the halo rows of block {block.name!r} are marked fresh "
                          "but differ from its buffer")
-            elif buf.read_index != image.read_index:
-                fail(f"block {block.name!r} reads generation {buf.read_index}, "
-                     f"its image generation {image.read_index}")
+            elif buf.home is not image:
+                fail(f"the buffers of block {block.name!r} are not bound to its image")
             else:
                 for generation, slab in zip(buf.buffers, image.slabs):
                     for page in generation.pages:

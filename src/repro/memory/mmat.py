@@ -240,7 +240,8 @@ class AccessPlan:
         self.out_of_block_sites = int(out_of_block_sites)
         #: How the plan was compiled: ``"offsets"`` (site order is
         #: offset-major over the block's elements) or ``"addresses"``
-        #: (arbitrary site order from an indirect address table).
+        #: (the sites of an indirect address table, a 2-D one's column by
+        #: column — :func:`compile_address_plan`).
         self.kind = str(kind)
         #: Monotonic compile version; caches keyed by it (fused kernels)
         #: are implicitly invalidated when the plan is recompiled.
@@ -444,10 +445,12 @@ def site_cuts(blocks: Sequence[DataBlock], n_sites: int) -> List[int]:
 
 
 def stencil_table(blocks: Sequence[DataBlock], offsets) -> np.ndarray:
-    """``(elements, len(offsets), ndim)`` addresses: every element of
-    ``blocks``, Block after Block in row-major order, at each offset."""
+    """The ``(elements, len(offsets))`` table of addresses (coordinates on
+    a last axis, for N-D Blocks): every element of ``blocks``, Block
+    after Block in row-major order, at each offset."""
     cells = [np.indices(b.shape).reshape(b.ndim, -1).T + np.array(b.origin) for b in blocks]
-    return np.concatenate(cells)[:, None, :] + np.array(offsets, dtype=np.int64)
+    table = np.concatenate(cells)[:, None, :] + np.array(offsets, dtype=np.int64)
+    return table[..., 0] if blocks[0].ndim == 1 else table
 
 
 def _locate(env, start: DataBlock, addrs: np.ndarray) -> np.ndarray:
@@ -597,10 +600,12 @@ def _compile(
     *,
     n_sites: int,
     slice_sites: int = 0,
+    columns: Optional[Tuple[int, int]] = None,
     **plan_kw,
 ) -> AccessPlan:
     """Build the plan whose listed ``sites`` read the global ``addrs``,
     those in ``cuts[b]:cuts[b + 1]`` starting from ``blocks[b]`` of a tile.
+    ``columns`` ``(elements, k)`` lays the table out column-major.
 
     Sites are resolved one start Block at a time (a compile's working
     set is a Block's however wide the tile); a Block's duplicate
@@ -637,6 +642,9 @@ def _compile(
             in_block += int(np.count_nonzero(group[inv] == k))
             site_row[lo:hi] = (np.array([slot[1] for slot in slots] + [0])[group] + src)[inv]
             site_table[lo:hi] = np.array(table_of + [-1], dtype=np.int8)[group][inv]
+        if columns is not None:  # resolved element-major, laid out column-major
+            site_row = site_row.reshape(columns).T.ravel()
+            site_table = site_table.reshape(columns).T.ravel()
         sel = np.flatnonzero(site_table == -1)
         out_of_block = site_row.size - sel.size - in_block
         if sel.size:
@@ -695,13 +703,13 @@ def compile_offsets_plan(env, block, offsets: Sequence[Tuple[int, ...]]) -> Acce
     ring of out-of-block sites is enumerated and resolved.
 
     A *tile* of several Blocks has no Block-shaped interior to slice: its
-    sweep compiles as the element-major :func:`stencil_table` (an
-    ``"addresses"`` plan, ``site = element * len(offsets) + offset_index``).
+    sweep compiles as the address table :func:`stencil_table` (an
+    ``"addresses"`` plan), whose column-major output is offset-major too.
     """
     blocks = as_tile(block)
     offsets = tuple(tuple(int(c) for c in off) for off in offsets)
     if len(blocks) > 1:
-        return _compile_table(env, blocks, stencil_table(blocks, offsets))
+        return compile_address_plan(env, blocks, stencil_table(blocks, offsets))
     block = blocks[0]
     shape = block.shape
     nd = len(shape)
@@ -753,16 +761,15 @@ def compile_address_plan(env, block, addresses) -> AccessPlan:
     """Compile an indirect sweep: arbitrary global addresses per site.
 
     ``addresses`` is an integer array; for 1-D address spaces any shape
-    is accepted (sites are taken in row-major order), for N-D blocks the
-    last axis must hold the address coordinates.  ``block`` is the start
+    is accepted, for N-D blocks the last axis must hold the address
+    coordinates.  Sites are output in the table's row-major order, a 2-D
+    table's — ``(elements, k)`` — column-major (site ``(e, j)`` at ``j *
+    elements + e``: each column contiguous).  ``block`` is the start
     Block of every site, or a *tile* — a sequence of Data Blocks of one
     image class — whose element-major table (:func:`site_cuts`) is
     compiled into one plan, each site resolved from its own Block.
     """
-    return _compile_table(env, as_tile(block), addresses)
-
-
-def _compile_table(env, blocks: Tuple[DataBlock, ...], addresses) -> AccessPlan:
+    blocks = as_tile(block)
     nd = blocks[0].ndim
     addr_arr = np.asarray(addresses, dtype=np.int64)
     if nd == 1:
@@ -775,6 +782,7 @@ def _compile_table(env, blocks: Tuple[DataBlock, ...], addresses) -> AccessPlan:
             )
         flat = addr_arr.reshape(-1, nd)
     n_sites = flat.shape[0]
+    table = addr_arr.shape if nd == 1 else addr_arr.shape[:-1]
     # Indirect accesses carry no static "inside" hint, so the scalar
     # path would resolve *every* site through the memo.
     return _compile(
@@ -785,6 +793,7 @@ def _compile_table(env, blocks: Tuple[DataBlock, ...], addresses) -> AccessPlan:
         None,
         n_sites=n_sites,
         resolved_sites=n_sites,
+        columns=table if len(table) == 2 else None,
         kind="addresses",
     )
 

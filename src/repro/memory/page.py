@@ -5,8 +5,8 @@ The Memory Library exposes two interfaces (§III-B6):
 * the **Block-based interface** used by end-user kernels (Global/Local
   address get/set), and
 * the **Page-based interface** used by the aspect modules to manage
-  validity/dirtiness and to communicate data between tasks
-  page-by-page rather than block-by-block.
+  validity and to communicate data between tasks page-by-page rather
+  than block-by-block.
 
 A :class:`Page` is a fixed number of *elements* (an element being
 whatever the DSL defines: one grid point value, one unstructured cell
@@ -56,7 +56,7 @@ class Page:
     """A fixed-size run of elements of pool memory: its own chunk from
     ``allocator``, or — without one — whatever :meth:`rehome` gives it."""
 
-    __slots__ = ("index", "elements", "components", "dtype", "chunk", "_view", "valid", "dirty")
+    __slots__ = ("index", "elements", "components", "dtype", "chunk", "_view", "valid")
 
     def __init__(
         self,
@@ -82,9 +82,6 @@ class Page:
         #: Whether the page currently holds meaningful data (Buffer-only
         #: Blocks start with every page invalid until communication fills it).
         self.valid: bool = True
-        #: Whether the page has been written since the last buffer swap;
-        #: aspect modules only transfer dirty pages.
-        self.dirty: bool = False
 
     # ------------------------------------------------------------------
     @property
@@ -110,16 +107,14 @@ class Page:
         return self._view[slot]
 
     def write(self, slot: int, value) -> None:
-        """Store ``value`` into element ``slot`` and mark the page dirty."""
+        """Store ``value`` into element ``slot``."""
         self._view[slot] = value
-        self.dirty = True
 
     def fill_from(self, data: np.ndarray, *, valid: bool = True) -> None:
         """Overwrite the whole page (used by the communication advice)."""
         data = np.asarray(data, dtype=self.dtype).reshape(self.elements, self.components)
         self._view[...] = data
         self.valid = valid
-        self.dirty = False
 
     def snapshot(self) -> np.ndarray:
         """Return a copy of the page contents (what gets sent over the network)."""
@@ -131,7 +126,4 @@ class Page:
             self.chunk.free()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Page(index={self.index}, elements={self.elements}, "
-            f"valid={self.valid}, dirty={self.dirty})"
-        )
+        return f"Page(index={self.index}, elements={self.elements}, valid={self.valid})"

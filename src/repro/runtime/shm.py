@@ -250,8 +250,8 @@ class SharedPageArena:
     one or more named segments created on demand — pages of a steady
     halo allocate once and then only rewrite.
 
-    ``generation`` is the owner's cheap change stamp (the block's buffer
-    swap count): publishing the same key at an unchanged generation
+    ``generation`` is the owner's cheap change stamp (the swap count of
+    the block's image class): publishing the same key at an unchanged generation
     returns the existing descriptor without touching the slot, so
     duplicate serves within one step cost nothing and version stamps
     stay deterministic.  Without a generation (endpoints exposing only

@@ -293,7 +293,7 @@ class TestPlansMatchPerSiteReference:
         env = rank0_of_2(JacobiUSGrid, dict(USGRID, case=case))
         for block in env.data_blocks():
             table = block.static_fields["neighbors"]
-            addresses = [(int(a),) for a in table.reshape(-1)]
+            addresses = [(int(a),) for a in table.T.reshape(-1)]  # column-major sites
             assert_plan_matches_reference(
                 env, block, lambda: compile_address_plan(env, block, table),
                 addresses, [True] * len(addresses),
@@ -309,7 +309,7 @@ class TestPlansMatchPerSiteReference:
         assert len(env.data_blocks(include_buffer_only=True)) == 40
         for block in env.data_blocks()[::4]:
             table = block.static_fields["neighbors"]
-            addresses = [(int(a),) for a in table.reshape(-1)]
+            addresses = [(int(a),) for a in table.T.reshape(-1)]  # column-major sites
             assert_plan_matches_reference(
                 env, block, lambda: compile_address_plan(env, block, table),
                 addresses, [True] * len(addresses),
@@ -361,7 +361,7 @@ class TestPlansMatchPerSiteReference:
         }
         assert env.stats.missing_recorded == len(env.missing_pages)
         sites, _ = reference_sites(
-            env, block, [(int(a),) for a in table.reshape(-1)], [True] * table.size
+            env, block, [(int(a),) for a in table.T.reshape(-1)], [True] * table.size
         )
         lost = np.array(
             [source is not None and source.block_id in withheld for source, _ in sites]

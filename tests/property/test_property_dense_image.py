@@ -142,9 +142,8 @@ def disturbed(app_cls):
             mine = DataBlock(
                 tuple(2 * 10**6 for _ in like.shape), like.shape, name="late-owned", **sizes
             )
-            mine.load_dense(np.full((mine.element_count, mine.components), 5.0))
-            mine.load_dense(np.full((mine.element_count, mine.components), 6.0), into_write=True)
-            mine.refresh_swap()  # arrives reading its generation 1
+            mine.load_dense(np.full((mine.element_count, mine.components), 6.0))
+            mine.load_dense(np.full((mine.element_count, mine.components), 5.0), into_write=True)
             env.add_data_block(mine, parent=env.root)
             self.late_owned = mine
             rows = mine.element_count

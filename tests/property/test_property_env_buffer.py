@@ -62,20 +62,28 @@ class TestBufferProperties:
         buffer = MultiBuffer(elements, page_elements, components, np.float64, pool)
         data = np.random.default_rng(0).random((elements, components))
         buffer.write_buffer.load_dense(data)
-        buffer.swap()
-        np.testing.assert_allclose(buffer.read_buffer.dense(), data)
+        np.testing.assert_allclose(buffer.buffers[1].dense(), data)
+        env = Env(allocator=pool)
+        block = DataBlock((0,), (elements,), components=components,
+                          page_elements=page_elements)
+        env.add_data_block(block)
+        block.buffer.write_buffer.load_dense(data)
+        assert env.refresh()
+        np.testing.assert_allclose(block.buffer.read_buffer.dense(), data)
 
     @given(st.integers(min_value=2, max_value=5), st.integers(min_value=1, max_value=10))
     @settings(max_examples=30, deadline=None)
     def test_swap_cycles_through_depth(self, depth, swaps):
-        pool = PoolGroup([MemoryPool(1 << 18)])
-        buffer = MultiBuffer(4, 2, 1, np.float64, pool, depth=depth)
+        env = Env(allocator=PoolGroup([MemoryPool(1 << 18)]))
+        block = DataBlock((0,), (4,), components=1, page_elements=2, depth=depth)
+        env.add_data_block(block)
+        buffer = block.buffer
         start = buffer.read_buffer
         for _ in range(swaps):
-            buffer.swap()
+            assert env.refresh()
         if swaps % depth == 0:
             assert buffer.read_buffer is start
-        assert buffer.swaps == swaps
+        assert buffer.content_generation == block.content_generation == swaps
 
 
 @st.composite

@@ -101,7 +101,6 @@ class Disturbed(JacobiUSGrid):
         ) % 8
         for buf in late.buffer.buffers:
             buf.load_dense(np.arange(8.0))
-            buf.clear_dirty()
         env.add_data_block(late)
 
     def local_field(self) -> np.ndarray:

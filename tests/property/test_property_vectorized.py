@@ -129,7 +129,6 @@ class TestGatherProperties:
             data = rng.uniform(-10, 10, size=(16, 1))
             for buf in block.buffer.buffers:
                 buf.load_dense(data)
-                buf.clear_dirty()
         env.add_boundary_block(
             ArithmeticBlock((-4, -4), (16, 16),
                             lambda addr: float(addr[0] - addr[1]), name="ring")
@@ -175,7 +174,6 @@ class TestGatherProperties:
             data = rng.uniform(-10, 10, size=(8, 1))
             for buf in block.buffer.buffers:
                 buf.load_dense(data)
-                buf.clear_dirty()
         block = env.data_blocks()[0]
         kernel = BlockKernel(env, block)
         gathered = kernel.gather_global(np.asarray(addrs))

@@ -57,7 +57,6 @@ def add_block(env, origin, shape=(4, 4), *, buffer_only=False, fill=None):
         data = np.asarray(fill, dtype=np.float64).reshape(count, 1)
         for buf in block.buffer.buffers:
             buf.load_dense(data)
-            buf.clear_dirty()
     return block
 
 
@@ -78,7 +77,6 @@ def sequential(block):
     values = np.arange(block.element_count, dtype=np.float64)
     for buf in block.buffer.buffers:
         buf.load_dense(values.reshape(-1, 1))
-        buf.clear_dirty()
     return values
 
 
@@ -378,16 +376,26 @@ class TestAddressPlans:
         plan = compile_address_plan(plan_env, block, addrs)
         # One resolution for address 9 despite four sites using it.
         assert plan_env.stats.searches == searches_before + 1
-        out = plan.execute(plan_env).reshape(addrs.shape)
+        out = plan.execute(plan_env).reshape(addrs.T.shape).T  # column-major
         assert np.all(out == np.array([[1, 1], [1, 1], [0, 1]]))
 
-    def test_site_order_is_row_major(self, plan_env):
+    def test_a_2d_table_is_output_column_major_any_other_row_major(self, plan_env):
+        """Site ``(e, j)`` of a 2-D table, of 1-D or 2-D addresses, is output
+        row ``j * elements + e``; a 1-D or 3-D table is output in order."""
         block = add_block(plan_env, (0,), shape=(8,))
         sequential(block)
-        addrs = np.array([[3, 1], [7, 5]])
-        plan = compile_address_plan(plan_env, block, addrs)
-        out = plan.execute(plan_env).reshape(addrs.shape)
-        assert np.array_equal(out, addrs.astype(np.float64))
+        grid = add_block(plan_env, (0, 8), shape=(4, 4), fill=np.arange(16))
+        for start, addrs, order in (
+            (block, np.array([[3, 1, 2], [7, 5, 6]]), "F"),
+            (block, np.array([3, 1, 7, 5]), "C"),
+            (block, np.arange(8).reshape(2, 2, 2)[:, ::-1], "C"),
+            (grid, np.array([[[0, 9], [1, 8], [3, 11]], [[2, 10], [0, 8], [1, 9]]]), "F"),
+        ):
+            plan = compile_address_plan(plan_env, start, addrs)
+            values = addrs.astype(np.float64) if start is block else (
+                4.0 * addrs[..., 0] + addrs[..., 1] - 8.0  # grid's element values
+            )
+            assert np.array_equal(plan.execute(plan_env)[:, 0], values.reshape(-1, order=order))
 
     def test_blocks_too_far_apart_for_one_flat_index(self, plan_env):
         near = add_block(plan_env, (0, 0), fill=np.arange(16))
@@ -548,12 +556,13 @@ class TestScalarReadsAfterACompile:
 
     def test_usgrid_case_r_address_plan(self):
         env = initialized_env(
-            JacobiUSGrid, dict(region=12, block_cells=16, page_elements=8, case="R")
+            JacobiUSGrid, dict(region=12, block_cells=16, page_elements=8, case="R",
+                               init=lambda x, y: 0.03 * x - 0.05 * y + 2.0)
         )
         block = env.data_blocks()[0]
         table = block.static_fields["neighbors"]
         plan = compile_address_plan(env, block, table)
-        addresses = [(int(a),) for a in table.reshape(-1)]
+        addresses = [(int(a),) for a in table.T.reshape(-1)]  # the plan's column-major sites
         assert plan.resolved_sites == len(addresses) > len(set(addresses))
         self.assert_reads_fill_the_memo(env, block, plan, range(len(addresses)), addresses)
 
@@ -579,7 +588,6 @@ class TestDenseReadImage:
         block = add_block(plan_env, (0, 0))
         sequential(block)
         plan_env.store_rows((block,), np.full((16, 1), 3.0))
-        assert all(page.dirty for page in block.buffer.write_buffer.pages)
         assert np.array_equal(block.buffer.write_buffer.dense(), np.full((16, 1), 3.0))
         assert plan_env.dense_read(block)[5, 0] == 5.0  # not before the swap
         plan_env.refresh()
@@ -611,15 +619,48 @@ class TestDenseReadImage:
         b = add_block(plan_env, (4, 0))
         plan_env.check_dense_image()
         assert plan_env.memory_report()["image_error"] is None
-        b.refresh_swap()  # behind the Env's back: out of step with its class
-        with pytest.raises(EnvError, match="reads generation 1"):
+        image = b.buffer.home
+        b.buffer.home = None  # behind the Env's back: b would read generation 0 for good
+        with pytest.raises(EnvError, match="of block .* are not bound to its image"):
             plan_env.check_dense_image()
-        b.refresh_swap()
+        b.buffer.home = image
         page = a.buffer.read_buffer.pages[1]
         page.rehome(np.zeros_like(page.array))  # a private copy
         with pytest.raises(EnvError, match="page 1 of block .* is not rows 4"):
             plan_env.check_dense_image()
         assert "is not rows 4" in plan_env.memory_report()["image_error"]
+
+    def test_owned_generations_rise_at_every_refresh(self, plan_env):
+        """The shm arena serves a page again from its slot while its owner's
+        content generation stands still, so every owned Block's must rise at
+        every refresh: across its class moving into larger slabs, and for a
+        Block added after steps ran, too."""
+        history = {}
+
+        def refresh(times):
+            for _ in range(times):
+                assert plan_env.refresh()
+                for block in plan_env.data_blocks():
+                    history.setdefault(block.block_id, []).append(block.content_generation)
+
+        first = add_block(plan_env, (0,), shape=(8,))
+        image = plan_env.image_slot(first)[0]
+        refresh(2)
+        before = first.content_generation
+        # No pages of its own: the class outgrows its slabs, every row moves.
+        plan_env.add_data_block(DataBlock((8,), (8,), components=1, page_elements=4))
+        assert plan_env.stats.rehomes_class_grew == 1 and len(image.read) == 16
+        late = add_block(plan_env, (16,), shape=(8,))  # pages of its own, copied in
+        assert plan_env.stats.rehomes_late_block == 2  # the first Block's too
+        assert first.content_generation == late.content_generation == before == 2
+        refresh(3)
+        assert len(history) == 3 and len(history[first.block_id]) == 5
+        for generations in history.values():
+            assert all(a < b for a, b in zip(generations, generations[1:]))
+        assert history[late.block_id][0] > before
+        key = PageKey(late.block_id, 1)
+        assert plan_env.page_export(key)[1] == late.content_generation == 5
+        plan_env.check_dense_image()
 
     def test_check_reports_kernel_scratch_inside_a_slab(self, plan_env):
         """A fused store must not land in the padded field it was computed in."""

@@ -12,6 +12,7 @@ from repro.memory import (
     BufferOnlyBlock,
     DataBlock,
     EmptyBlock,
+    Env,
     GlobalAddress,
     PoolGroup,
     ReferenceBlock,
@@ -28,6 +29,14 @@ def make_data_block(allocator, origin=(0, 0), shape=(4, 4), components=1):
     return DataBlock(
         origin, shape, components=components, page_elements=4, allocator=allocator
     )
+
+
+def swap(block, allocator):
+    """Swap ``block``'s buffers the one way there is: it joins an Env,
+    whose refresh swaps its image class."""
+    env = Env(allocator=allocator)
+    env.add_data_block(block)
+    assert env.refresh()
 
 
 class TestBlockTree:
@@ -69,13 +78,13 @@ class TestDataBlock:
     def test_read_write_roundtrip_via_swap(self, allocator):
         block = make_data_block(allocator)
         block.write((1, 2), 5.5)
-        block.refresh_swap()
+        swap(block, allocator)
         assert block.read((1, 2)) == 5.5
 
     def test_local_access(self, allocator):
         block = make_data_block(allocator, origin=(8, 8))
         block.write_local((0, 1), 2.0)
-        block.refresh_swap()
+        swap(block, allocator)
         assert block.read_local((0, 1)) == 2.0
         assert block.read((8, 9)) == 2.0
 
@@ -94,7 +103,7 @@ class TestDataBlock:
     def test_components(self, allocator):
         block = make_data_block(allocator, components=3)
         block.write((0, 0), (1.0, 2.0, 3.0))
-        block.refresh_swap()
+        swap(block, allocator)
         np.testing.assert_array_equal(block.read((0, 0)), [1.0, 2.0, 3.0])
 
     def test_page_interface(self, allocator):
@@ -105,13 +114,6 @@ class TestDataBlock:
         assert snapshot.shape == (4, 1)
         block.page_fill(key.page_index, np.ones((4, 1)))
         assert block.read((0, 0)) == 1.0
-
-    def test_dirty_pages_after_write_and_swap(self, allocator):
-        block = make_data_block(allocator)
-        block.write((0, 0), 1.0)
-        assert block.dirty_pages() == []  # write buffer dirty, read buffer clean
-        block.refresh_swap()
-        assert 0 in block.dirty_pages()
 
     def test_dense_roundtrip(self, allocator):
         block = make_data_block(allocator, shape=(2, 3))
@@ -192,7 +194,7 @@ class TestVirtualBlocks:
     def test_reference_block_with_target(self, allocator):
         data = make_data_block(allocator)
         data.write((0, 0), 7.0)
-        data.refresh_swap()
+        swap(data, allocator)
         mirror = ReferenceBlock(
             (-1, -1),
             (6, 6),

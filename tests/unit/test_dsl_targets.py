@@ -151,7 +151,8 @@ class TestSGridTarget:
         app.initialize()
         block = app.env.data_blocks()[0]
         assert block.read((1, 2)) == 3.0
-        block.refresh_swap()
+        assert app.env.refresh()
+        assert block.content_generation == 1
         assert block.read((1, 2)) == 3.0
 
     def test_init_sees_python_ints_in_y_outer_order(self):

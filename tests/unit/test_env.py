@@ -337,7 +337,8 @@ class TestImageIsThePool:
             env.check_dense_image()
             assert image.read is image.slabs[step % depth]
             assert np.all(env.dense_read(blocks[1]) == float(step))
-            assert all(b.buffer.read_index == image.read_index for b in blocks)
+            assert all(b.buffer.read_index == step % depth for b in blocks)
+            assert all(b.content_generation == step for b in blocks)
         assert env.stats.dense_assemblies == 0 and env.stats.buffer_swaps == 3 * 2 * depth
         pool.check_invariants()
 

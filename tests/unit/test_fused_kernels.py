@@ -53,7 +53,6 @@ def _plan_env():
     values = np.arange(block.element_count, dtype=np.float64)
     for buf in block.buffer.buffers:
         buf.load_dense(values.reshape(-1, 1))
-        buf.clear_dirty()
     return env, block
 
 
@@ -203,7 +202,6 @@ def _component_env(components=2, mmat=True):
         data = rng.uniform(-5, 5, size=(8, components))
         for buf in block.buffer.buffers:
             buf.load_dense(data)
-            buf.clear_dirty()
         blocks.append(block)
     env.add_boundary_block(ArithmeticBlock(
         (-16,), (48,),

@@ -7,6 +7,8 @@ import pytest
 
 from repro.memory import (
     BlockBuffer,
+    DataBlock,
+    Env,
     MemoryPool,
     MultiBuffer,
     Page,
@@ -131,11 +133,9 @@ class TestPoolGroup:
 
 
 class TestPage:
-    def test_read_write_and_dirty_flag(self, pool):
+    def test_read_write(self, pool):
         page = Page(0, elements=8, components=2, dtype=np.float64, allocator=PoolGroup([pool]))
-        assert not page.dirty
         page.write(3, (1.0, 2.0))
-        assert page.dirty
         assert tuple(page.read(3)) == (1.0, 2.0)
 
     def test_fill_from_and_snapshot(self, pool):
@@ -143,7 +143,6 @@ class TestPage:
         data = np.arange(4.0).reshape(4, 1)
         page.fill_from(data)
         assert page.valid
-        assert not page.dirty
         np.testing.assert_array_equal(page.snapshot(), data)
 
     def test_positive_sizes_required(self, pool):
@@ -201,9 +200,7 @@ def assert_runs_roundtrip(buf: BlockBuffer, n_runs: int) -> None:
     assert sum(run.shape[0] for run in runs) == buf.element_count
     assert all(run.shape[1] == buf.components and run.dtype == buf.dtype for run in runs)
     data = np.arange(buf.element_count * buf.components).reshape(-1, buf.components)
-    buf.clear_dirty()
     buf.load_dense(data)
-    assert all(page.dirty for page in buf.pages)
     np.testing.assert_array_equal(per_page_dense(buf), data)
     np.testing.assert_array_equal(buf.dense(), data)
     into = np.zeros_like(per_page_dense(buf))
@@ -273,14 +270,22 @@ class TestBlockBufferRuns:
         assert buf.runs() == [] and pool.live_chunk_count() == 0
 
 
+def homed(pool, elements: int, depth: int):
+    """The multi-buffer of a Block an Env owns, and that Env: its image swaps it."""
+    env = Env(allocator=PoolGroup([pool]))
+    block = DataBlock((0,), (elements,), components=1, page_elements=2, depth=depth)
+    env.add_data_block(block)
+    return env, block.buffer
+
+
 class TestMultiBuffer:
     def test_swap_exchanges_read_and_write(self, pool):
-        mb = MultiBuffer(4, 2, 1, np.float64, PoolGroup([pool]), depth=2)
+        env, mb = homed(pool, 4, depth=2)
         mb.write_buffer.write(0, 42.0)
         assert mb.read_buffer.read(0)[0] != 42.0
-        mb.swap()
+        assert env.refresh()
         assert mb.read_buffer.read(0)[0] == 42.0
-        assert mb.swaps == 1
+        assert mb.content_generation == 1
 
     def test_depth_one_reads_own_writes(self, pool):
         mb = MultiBuffer(4, 2, 1, np.float64, PoolGroup([pool]), depth=1)
@@ -288,10 +293,10 @@ class TestMultiBuffer:
         assert mb.read_buffer.read(1)[0] == 7.0
 
     def test_depth_three_rotation(self, pool):
-        mb = MultiBuffer(2, 2, 1, np.float64, PoolGroup([pool]), depth=3)
+        env, mb = homed(pool, 2, depth=3)
         for step in range(3):
             mb.write_buffer.write(0, float(step))
-            mb.swap()
+            assert env.refresh()
             assert mb.read_buffer.read(0)[0] == float(step)
 
     def test_invalid_depth(self, pool):

@@ -46,7 +46,6 @@ def make_env(*, mmat=True, dtype=np.float64, blocks=3, cells=8, seed=7, depth=2)
         data = rng.uniform(-10, 10, size=(cells, 1))
         for buf in block.buffer.buffers:
             buf.load_dense(data)
-            buf.clear_dirty()
         if k < blocks:
             owned.append(block)
     env.add_boundary_block(
@@ -144,13 +143,11 @@ class TestTileEqualsBlocks:
         assert np.array_equal(got_offsets, np.concatenate(per_offsets, axis=1))
         assert np.array_equal(got_table, np.concatenate(per_table))
 
-        # Pages, dirty / valid flags and the image see what 3 scatters left.
+        # Pages, valid flags and the image see what 3 scatters left.
         for block, other in zip(owned, twin_owned):
             for buf, twin_buf in zip(block.buffer.buffers, other.buffer.buffers):
                 assert np.array_equal(buf.dense(), twin_buf.dense())
-                assert [(p.dirty, p.valid) for p in buf.pages] == [
-                    (p.dirty, p.valid) for p in twin_buf.pages
-                ]
+                assert [p.valid for p in buf.pages] == [p.valid for p in twin_buf.pages]
         image, twin_image = env.image_slot(owned[0])[0], twin.image_slot(twin_owned[0])[0]
         assert np.array_equal(image.next, twin_image.next)
         assert np.shares_memory(image.next, owned[2].buffer.write_buffer.pages[1].array)
@@ -158,6 +155,27 @@ class TestTileEqualsBlocks:
         assert env.refresh() and twin.refresh()
         env.check_dense_image()
         assert np.array_equal(env.dense_read(owned[1]), twin.dense_read(twin_owned[1]))
+
+    @pytest.mark.parametrize("sites", [(4,), (1,), (2, 2)], ids=["columns", "one", "3-d"])
+    @pytest.mark.parametrize("blocks", [1, 3], ids=["block", "tile"])
+    def test_table_columns_are_contiguous_and_equal_mmat_off(self, blocks, sites):
+        """A 2-D table's result is the transpose of its plan's column-major
+        output: every column contiguous, whatever table — owned rows, halo
+        rows, constants — serves its sites.  A table of one column or of
+        more than two axes keeps the row-major layout."""
+        on, on_owned = make_env()
+        off, off_owned = make_env(mmat=False)
+        cells = 8 * blocks
+        shape = (cells,) + sites
+        neighbours = table(cells, width=int(np.prod(sites))).reshape(shape)
+        got = BlockKernel(on, on_owned[:blocks]).gather_global(neighbours, key="n")
+        want = BlockKernel(off, off_owned[:blocks]).gather_global(neighbours, key="n")
+        assert got.shape == want.shape == shape and np.array_equal(got, want)
+        if len(shape) == 2:
+            assert all(got[:, j].flags.c_contiguous for j in range(sites[0]))
+        assert got.flags.c_contiguous == (sites != (4,))
+        (plan,) = on.mmat.plans.values()
+        assert plan.has_halo and plan.const_dst is not None
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_mmat_off_reads_in_the_blocks_dtype(self, dtype):
