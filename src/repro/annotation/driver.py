@@ -648,7 +648,12 @@ class Platform:
     def run(
         self, app_cls: Type[TargetApplication], *, config: Optional[dict] = None
     ) -> PlatformRun:
-        """Weave and execute an application; return the run record."""
+        """Weave and execute an application; return the run record.
+
+        Raises :class:`~repro.aop.errors.WeaveError`, before any aspect is
+        attached, when an advice matches no join point of the run (a
+        misspelt tag).
+        """
         trace = global_trace()
         trace.reset()
         self.context.clear()
@@ -666,9 +671,6 @@ class Platform:
             with tracer.span("platform.weave"):
                 woven_cls = self.build(app_cls)
 
-            for aspect in self.aspects:
-                aspect.on_attach(self)
-
             def execute() -> TargetApplication:
                 """The program entry point — AspectType I's outermost join point."""
                 app = woven_cls(config)
@@ -681,8 +683,13 @@ class Platform:
             if self.transcompile:
                 assert self.weaver is not None
                 entry = self.weaver.weave_function(execute, tags=(TAG_ENTRY,))
+                # An advice no shadow of the run selects would never fire.
+                self.weaver.require_matched(self.env_class, woven_cls, entry)
             else:
                 entry = execute
+
+            for aspect in self.aspects:
+                aspect.on_attach(self)
 
             start = time.perf_counter()
             try:

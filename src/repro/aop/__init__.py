@@ -2,34 +2,25 @@
 
 This package is the Python counterpart of the paper's use of AspectC++:
 it implements the JoinPoint Model — pointcuts selecting join point
-shadows, advice (before/after/around) executed at those join points,
-aspects grouping advice, and a weaver that produces woven classes and
-functions.
+shadows, advice (before/after_returning/around) executed at those join
+points, aspects grouping advice, and a weaver that produces woven
+classes and functions.
 
 Public API
 ----------
 
-* pointcuts: :func:`execution`, :func:`call`, :func:`named`,
-  :func:`within`, :func:`tagged`, :func:`subtype_of`,
-  :func:`any_joinpoint`
+* pointcuts: :func:`execution`, :func:`tagged`, combined with
+  ``& | ~``
 * the textual pointcut language: :func:`parse_pointcut` /
-  :func:`as_pointcut` (``"execution() && tagged('kernel')"``)
-* advice decorators: :func:`before`, :func:`after`,
-  :func:`after_returning`, :func:`after_throwing`, :func:`around` —
-  each accepting a :class:`Pointcut` or a pointcut expression string
+  :func:`as_pointcut` (``"execution() && tagged('processing')"``)
+* advice decorators: :func:`before`, :func:`after_returning`,
+  :func:`around` — each accepting a :class:`Pointcut` or a pointcut
+  expression string
 * :class:`Aspect`, :class:`Weaver`, :class:`WeavePlan`, :class:`JoinPoint`
-* annotations: :func:`annotate`, :func:`platform_pointcuts`
+* annotations: :func:`annotate` and the ``TAG_*`` constants
 """
 
-from .advice import (
-    Advice,
-    AdviceKind,
-    after,
-    after_returning,
-    after_throwing,
-    around,
-    before,
-)
+from .advice import Advice, AdviceKind, after_returning, around, before
 from .aspect import Aspect
 from .errors import (
     AdviceSignatureError,
@@ -39,23 +30,9 @@ from .errors import (
     WeaveError,
     WeaveWarning,
 )
-from .joinpoint import JoinPoint, JoinPointKind, JoinPointShadow, shadow_of
+from .joinpoint import JoinPoint, JoinPointShadow, shadow_of
 from .pcparser import as_pointcut, parse_pointcut
-from .pointcut import (
-    Pointcut,
-    any_call,
-    any_execution,
-    any_joinpoint,
-    call,
-    execution,
-    named,
-    no_joinpoint,
-    subtype_named,
-    subtype_of,
-    tagged,
-    tagged_like,
-    within,
-)
+from .pointcut import Pointcut, execution, tagged
 from .registry import (
     TAG_ENTRY,
     TAG_FINALIZE,
@@ -65,26 +42,20 @@ from .registry import (
     TAG_PROCESSING,
     TAG_REFRESH,
     TAG_TARGET,
-    PointcutRegistry,
     annotate,
-    platform_pointcuts,
-    tags_of,
 )
-from .weaver import PlanEntry, WeavePlan, Weaver, WovenInfo, is_woven
+from .weaver import PlanEntry, WeavePlan, Weaver, is_woven
 
 __all__ = [
     "Advice",
     "AdviceKind",
     "Aspect",
     "JoinPoint",
-    "JoinPointKind",
     "JoinPointShadow",
     "Pointcut",
-    "PointcutRegistry",
     "Weaver",
     "WeavePlan",
     "PlanEntry",
-    "WovenInfo",
     "AopError",
     "PointcutSyntaxError",
     "WeaveError",
@@ -92,28 +63,14 @@ __all__ = [
     "AdviceSignatureError",
     "AspectDefinitionError",
     "annotate",
-    "tags_of",
-    "platform_pointcuts",
     "shadow_of",
     "is_woven",
     "parse_pointcut",
     "as_pointcut",
     "execution",
-    "call",
-    "any_execution",
-    "any_call",
-    "named",
-    "within",
     "tagged",
-    "tagged_like",
-    "subtype_of",
-    "subtype_named",
-    "any_joinpoint",
-    "no_joinpoint",
     "before",
-    "after",
     "after_returning",
-    "after_throwing",
     "around",
     "TAG_ENTRY",
     "TAG_TARGET",

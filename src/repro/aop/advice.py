@@ -6,22 +6,21 @@ several ways to insert Advice: before, after, or replacing the entire
 process"):
 
 * ``before``          — runs before the intercepted body;
-* ``after``           — runs after the body, whether it returned or raised;
-* ``after_returning`` — runs only after a normal return;
-* ``after_throwing``  — runs only when the body raised;
+* ``after_returning`` — runs after a normal return (an exception from the
+  body propagates without running it);
 * ``around``          — replaces the body; the advice decides whether and
   how often to call :meth:`JoinPoint.proceed`.
 
 Advice bodies are plain callables receiving the :class:`JoinPoint`.
 Inside an :class:`~repro.aop.aspect.Aspect` subclass they are declared
-with the :func:`before` / :func:`after` / :func:`around` decorators and
-receive ``(self, jp)``.
+with the :func:`before` / :func:`after_returning` / :func:`around`
+decorators and receive ``(self, jp)``.
 
 Each decorator (and :class:`Advice` itself) accepts either a
 :class:`~repro.aop.pointcut.Pointcut` object or a *textual pointcut
 expression* compiled by :func:`repro.aop.pcparser.parse_pointcut`::
 
-    @before("execution() && tagged('kernel')")
+    @before("execution() && tagged('processing')")
     def count(self, jp): ...
 """
 
@@ -38,24 +37,14 @@ from .joinpoint import JoinPoint
 from .pcparser import as_pointcut
 from .pointcut import Pointcut
 
-__all__ = [
-    "AdviceKind",
-    "Advice",
-    "before",
-    "after",
-    "after_returning",
-    "after_throwing",
-    "around",
-]
+__all__ = ["AdviceKind", "Advice", "before", "after_returning", "around"]
 
 
 class AdviceKind(enum.Enum):
     """Insertion position of an advice relative to the join point body."""
 
     BEFORE = "before"
-    AFTER = "after"
     AFTER_RETURNING = "after_returning"
-    AFTER_THROWING = "after_throwing"
     AROUND = "around"
 
 
@@ -64,9 +53,11 @@ class Advice:
     """A single advice: *what* to run (``body``), *where* (``pointcut``),
     *when* (``kind``) and in what relative ``order``.
 
-    ``order`` follows AspectJ-style precedence: lower numbers are
-    "outer".  For ``before``/``around`` advice lower order runs first;
-    for ``after*`` advice lower order runs last (it wraps the others).
+    Lower ``order`` runs first for every kind: ``before`` advice runs
+    in ascending order, ``around`` advice nests with the lowest order
+    outermost, and ``after_returning`` advice also runs in ascending
+    order (lower order first), unlike AspectJ, where the outer
+    advice's after runs last.
     """
 
     kind: AdviceKind
@@ -149,7 +140,5 @@ def _make_decorator(kind: AdviceKind):
 
 
 before = _make_decorator(AdviceKind.BEFORE)
-after = _make_decorator(AdviceKind.AFTER)
 after_returning = _make_decorator(AdviceKind.AFTER_RETURNING)
-after_throwing = _make_decorator(AdviceKind.AFTER_THROWING)
 around = _make_decorator(AdviceKind.AROUND)

@@ -89,7 +89,7 @@ class Aspect:
         if not advices:
             raise AspectDefinitionError(
                 f"aspect {type(self).__name__} declares no advice; "
-                "did you forget the @before/@after/@around decorators?"
+                "did you forget the @before/@after_returning/@around decorators?"
             )
         return advices
 

@@ -24,11 +24,11 @@ class PointcutSyntaxError(AopError):
     caret diagnostic::
 
         unknown pointcut primitive 'exeuction'
-          exeuction(Env.refresh) && tagged('kernel')
+          exeuction() && tagged('processing')
           ^
 
-    Errors raised by the pointcut *combinators* (bad pattern strings)
-    have ``text``/``position`` set to ``None``.
+    Errors raised by the pointcut *combinators* (``tagged()`` without a
+    pattern) have ``text``/``position`` set to ``None``.
     """
 
     def __init__(
@@ -52,7 +52,8 @@ class PointcutSyntaxError(AopError):
 
 
 class WeaveError(AopError):
-    """A weave operation could not be completed."""
+    """A weave operation could not be completed, or an advice of a
+    platform run matched no join point shadow (a misspelt tag)."""
 
 
 class WeaveWarning(UserWarning):

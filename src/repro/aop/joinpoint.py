@@ -17,28 +17,17 @@ In this Python reproduction:
   ``around`` advice it also exposes :meth:`JoinPoint.proceed`, which
   invokes the next advice in the chain (or the original body).
 
-AspectC++ distinguishes ``call`` and ``execution`` join points.  Both
-are supported here through :class:`JoinPointKind`; because Python has
-no separate call sites after weaving, ``call`` join points are realised
-by weaving wrapper *proxies* around references obtained through the
-platform registry, while ``execution`` join points wrap the function
-body itself.  The platform's own aspect modules only need ``execution``
-join points (entry point, ``Initialize``/``Processing``/``Finalize``,
-``Env.get_blocks``, ``Env.refresh``).
+Of AspectC++'s ``call`` and ``execution`` join points only the latter
+exists here: a woven wrapper replaces the function body itself, which
+is all the platform's aspect modules need (entry point,
+``Initialize``/``Processing``/``Finalize``, ``Env.get_blocks``,
+``Env.refresh``).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Tuple
-
-
-class JoinPointKind(enum.Enum):
-    """Kind of join point, mirroring AspectC++'s ``call``/``execution``."""
-
-    CALL = "call"
-    EXECUTION = "execution"
 
 
 @dataclass(frozen=True)
@@ -47,8 +36,6 @@ class JoinPointShadow:
 
     Attributes
     ----------
-    kind:
-        ``CALL`` or ``EXECUTION``.
     module:
         Dotted module name in which the callable is defined.
     cls:
@@ -64,7 +51,6 @@ class JoinPointShadow:
         Human-readable signature used in diagnostics.
     """
 
-    kind: JoinPointKind
     module: str
     cls: Optional[str]
     name: str
@@ -83,17 +69,6 @@ class JoinPointShadow:
         """Return ``module.Class.method`` (or ``module.function``)."""
         return f"{self.module}.{self.qualname}"
 
-    def with_kind(self, kind: JoinPointKind) -> "JoinPointShadow":
-        """Return a copy of this shadow with a different kind."""
-        return JoinPointShadow(
-            kind=kind,
-            module=self.module,
-            cls=self.cls,
-            name=self.name,
-            tags=self.tags,
-            signature=self.signature,
-        )
-
 
 class JoinPoint:
     """Dynamic join point handed to advice bodies.
@@ -101,8 +76,7 @@ class JoinPoint:
     A :class:`JoinPoint` wraps one activation of a woven callable.  It
     carries the target object (``self`` for methods, ``None`` for free
     functions), the positional and keyword arguments, and — once the
-    wrapped body or an ``around`` advice has run — the result or the
-    exception raised.
+    wrapped body or an ``around`` advice has run — the result.
 
     ``around`` advice receives a join point whose :meth:`proceed`
     method continues the advice chain.  Calling :meth:`proceed` more
@@ -118,7 +92,6 @@ class JoinPoint:
         "args",
         "kwargs",
         "result",
-        "exception",
         "_proceed",
         "context",
     )
@@ -136,7 +109,6 @@ class JoinPoint:
         self.args = args
         self.kwargs = kwargs
         self.result: Any = None
-        self.exception: Optional[BaseException] = None
         self._proceed = proceed
         #: Scratch dict shared by all advice applied to one activation.
         #: Aspect modules use it to pass data between their before/after
@@ -181,7 +153,7 @@ class JoinPoint:
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"JoinPoint({self.shadow.kind.value} {self.shadow.full_name}, "
+            f"JoinPoint({self.shadow.full_name}, "
             f"args={self.args!r}, kwargs={self.kwargs!r})"
         )
 
@@ -189,7 +161,6 @@ class JoinPoint:
 def shadow_of(
     func: Callable,
     *,
-    kind: JoinPointKind = JoinPointKind.EXECUTION,
     cls: Optional[type] = None,
     extra_tags: Tuple[str, ...] = (),
 ) -> JoinPointShadow:
@@ -220,7 +191,6 @@ def shadow_of(
     except (TypeError, ValueError):  # pragma: no cover - builtins
         signature = "(...)"
     return JoinPointShadow(
-        kind=kind,
         module=module,
         cls=cls_name,
         name=func.__name__,

@@ -1,14 +1,14 @@
 """Textual pointcut language: tokenizer, parser and compiler.
 
 The paper's platform writes its pointcuts as AspectC++ *match
-expressions* — strings such as ``execution("% Env::refresh(...)") &&
-within("memory")`` — which is precisely what makes the aspect language
-separable from the host language and approachable for non-expert HPC
-users (the ANTAREX DSL makes the same argument).  This module gives the
-Python reproduction the same string-level surface:
+expressions* — strings such as ``execution("% Env::refresh(...)")`` —
+which is precisely what makes the aspect language separable from the
+host language and approachable for non-expert HPC users (the ANTAREX
+DSL makes the same argument).  This module gives the Python
+reproduction the same string-level surface:
 
     >>> from repro.aop import parse_pointcut
-    >>> pc = parse_pointcut("execution(Env.refresh) && tagged('kernel')")
+    >>> pc = parse_pointcut("execution() && tagged('processing')")
 
 Grammar (``!`` binds tighter than ``&&``, which binds tighter than
 ``||``; parentheses group)::
@@ -22,23 +22,15 @@ Grammar (``!`` binds tighter than ``&&``, which binds tighter than
     arg       := STRING | BAREWORD
 
 Arguments may be quoted (``'…'`` or ``"…"``) or bare words
-(``execution(Env.refresh)``); bare words may contain the usual glob
+(``tagged(processing)``); bare words may contain the usual glob
 metacharacters.  The primitives compile 1:1 onto the combinators in
 :mod:`repro.aop.pointcut`:
 
 ===================  ====================================================
-``execution()``      any *execution* join point (``execution(pat)`` with
-                     a pattern restricts by qualified name)
-``call()``           any *call* join point (pattern form as above)
-``named(pat)``       either kind, qualified name matches ``pat``
-``within(pat)``      defining module matches ``pat``
+``execution()``      every join point (the weaver builds only execution
+                     shadows)
 ``tagged(p, …)``     every pattern matches some annotation tag (full tag
                      or its last dotted component, globs allowed)
-``subtype_of(Name)`` target class inherits a class named ``Name``
-``ref(name)``        a named platform pointcut from
-                     :func:`repro.aop.registry.platform_pointcuts`
-``any()``            every join point
-``none()``           no join point
 ===================  ====================================================
 
 Syntax errors raise :class:`~repro.aop.errors.PointcutSyntaxError`
@@ -50,9 +42,9 @@ so does nesting ``(`` groups and ``!`` prefixes deeper than
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Union
+from typing import List, Optional, Union
 
-from .errors import AopError, PointcutSyntaxError
+from .errors import PointcutSyntaxError
 from . import pointcut as _pc
 from .pointcut import Pointcut
 
@@ -132,67 +124,15 @@ def _tokenize(text: str) -> List[Token]:
 # ----------------------------------------------------------------------
 
 def _compile_execution(args: List[str]) -> Pointcut:
-    if not args:
-        return _pc.any_execution()
-    if len(args) == 1:
-        return _pc.execution(args[0])
-    raise ValueError("execution() takes at most one pattern")
-
-
-def _compile_call(args: List[str]) -> Pointcut:
-    if not args:
-        return _pc.any_call()
-    if len(args) == 1:
-        return _pc.call(args[0])
-    raise ValueError("call() takes at most one pattern")
-
-
-def _one_arg(fn: Callable[[str], Pointcut], name: str) -> Callable[[List[str]], Pointcut]:
-    def compile_(args: List[str]) -> Pointcut:
-        if len(args) != 1:
-            raise ValueError(f"{name}() takes exactly one argument")
-        return fn(args[0])
-
-    return compile_
-
-
-def _no_arg(fn: Callable[[], Pointcut], name: str) -> Callable[[List[str]], Pointcut]:
-    def compile_(args: List[str]) -> Pointcut:
-        if args:
-            raise ValueError(f"{name}() takes no arguments")
-        return fn()
-
-    return compile_
-
-
-_REGISTRY = None
-
-
-def _compile_ref(args: List[str]) -> Pointcut:
-    if len(args) != 1:
-        raise ValueError("ref() takes exactly one pointcut name")
-    global _REGISTRY
-    if _REGISTRY is None:
-        from .registry import platform_pointcuts
-
-        _REGISTRY = platform_pointcuts()
-    try:
-        return _REGISTRY.get(args[0])
-    except AopError as exc:
-        raise ValueError(str(exc)) from None
+    if args:
+        raise ValueError("execution() takes no arguments")
+    return _pc.execution()
 
 
 #: Primitive name → compiler taking the (string) argument list.
 PRIMITIVES = {
     "execution": _compile_execution,
-    "call": _compile_call,
-    "named": _one_arg(_pc.named, "named"),
-    "within": _one_arg(_pc.within, "within"),
-    "tagged": lambda args: _pc.tagged_like(*args),
-    "subtype_of": _one_arg(_pc.subtype_named, "subtype_of"),
-    "ref": _compile_ref,
-    "any": _no_arg(_pc.any_joinpoint, "any"),
-    "none": _no_arg(_pc.no_joinpoint, "none"),
+    "tagged": lambda args: _pc.tagged(*args),
 }
 
 

@@ -2,44 +2,28 @@
 
 A *pointcut* is a predicate over :class:`~repro.aop.joinpoint.JoinPointShadow`
 objects.  Pointcuts form a small boolean algebra (``&``, ``|``, ``~``) so
-aspect modules can compose platform-provided named pointcuts, as the
+aspect modules can compose the platform's annotation tags, as the
 paper's Aspect Module Library does for its three advice groups
 (AspectType I/II/III, §III-B7).
 
-Two families of primitive pointcuts are provided:
+Two primitives are provided, the ones the platform's aspects use:
 
-* **structural** — :func:`execution`, :func:`call`, :func:`within`,
-  :func:`named`: match the module/class/function name with shell-style
-  wildcards (AspectC++ uses a very similar match expression syntax,
-  e.g. ``"% …::Processing(...)"``).
-* **semantic** — :func:`tagged`, :func:`subtype_of`: match the
-  annotation tags the platform libraries attach to their classes, which
-  is how the platform avoids unintended join points in end-user code.
+* :func:`execution` matches every join point shadow (the weaver only
+  builds execution shadows, AspectC++'s ``execution("% ...::%(...)")``);
+* :func:`tagged` matches the annotation tags the platform libraries
+  attach to their classes, which is how the platform avoids unintended
+  join points in end-user code.
 """
 
 from __future__ import annotations
 
 import fnmatch
-from typing import Callable, Iterable
+from typing import Callable
 
 from .errors import PointcutSyntaxError
-from .joinpoint import JoinPointKind, JoinPointShadow
+from .joinpoint import JoinPointShadow
 
-__all__ = [
-    "Pointcut",
-    "execution",
-    "call",
-    "any_execution",
-    "any_call",
-    "within",
-    "named",
-    "tagged",
-    "tagged_like",
-    "subtype_of",
-    "subtype_named",
-    "any_joinpoint",
-    "no_joinpoint",
-]
+__all__ = ["Pointcut", "execution", "tagged"]
 
 
 class Pointcut:
@@ -77,120 +61,30 @@ class Pointcut:
 
 
 # ----------------------------------------------------------------------
-# helpers
-# ----------------------------------------------------------------------
-
-def _parse_pattern(pattern: str) -> tuple[str, str]:
-    """Split ``"Class.method"`` / ``"method"`` patterns.
-
-    Returns ``(class_pattern, name_pattern)`` where either component may
-    be a wildcard.  An empty pattern is a syntax error — AspectC++ also
-    rejects empty match expressions.
-    """
-    if not isinstance(pattern, str) or not pattern.strip():
-        raise PointcutSyntaxError(f"empty or non-string pointcut pattern: {pattern!r}")
-    pattern = pattern.strip()
-    if "." in pattern:
-        cls_pat, _, name_pat = pattern.rpartition(".")
-    else:
-        cls_pat, name_pat = "*", pattern
-    if not name_pat:
-        raise PointcutSyntaxError(f"pattern has empty member name: {pattern!r}")
-    return cls_pat or "*", name_pat
-
-
-def _match_qualname(shadow: JoinPointShadow, cls_pat: str, name_pat: str) -> bool:
-    cls_name = shadow.cls if shadow.cls is not None else ""
-    return fnmatch.fnmatchcase(cls_name, cls_pat) and fnmatch.fnmatchcase(
-        shadow.name, name_pat
-    ) or (cls_pat == "*" and fnmatch.fnmatchcase(shadow.name, name_pat))
-
-
-# ----------------------------------------------------------------------
 # primitive pointcuts
 # ----------------------------------------------------------------------
 
-def execution(pattern: str) -> Pointcut:
-    """Match *execution* join points whose qualified name matches ``pattern``.
+def execution() -> Pointcut:
+    """Match every join point shadow.
 
-    ``pattern`` is ``"ClassName.method"`` with shell wildcards in either
-    component, or a bare ``"function"`` name (class part treated as
-    ``*``).
+    The weaver only builds *execution* shadows (the wrapped function
+    body), so this is AspectC++'s ``execution("% ...::%(...)")``: the
+    neutral operand of ``&&``, as in ``execution() && tagged('processing')``.
     """
-    cls_pat, name_pat = _parse_pattern(pattern)
-    return Pointcut(
-        lambda s: s.kind is JoinPointKind.EXECUTION and _match_qualname(s, cls_pat, name_pat),
-        f"execution({pattern})",
-    )
+    return Pointcut(lambda s: True, "execution()")
 
 
-def call(pattern: str) -> Pointcut:
-    """Match *call* join points whose qualified name matches ``pattern``."""
-    cls_pat, name_pat = _parse_pattern(pattern)
-    return Pointcut(
-        lambda s: s.kind is JoinPointKind.CALL and _match_qualname(s, cls_pat, name_pat),
-        f"call({pattern})",
-    )
-
-
-def any_execution() -> Pointcut:
-    """Match every *execution* join point, regardless of name.
-
-    This is what a bare ``execution()`` in the textual pointcut language
-    compiles to (AspectC++'s ``execution("% ...::%(...)")``).
-    """
-    return Pointcut(lambda s: s.kind is JoinPointKind.EXECUTION, "execution()")
-
-
-def any_call() -> Pointcut:
-    """Match every *call* join point, regardless of name."""
-    return Pointcut(lambda s: s.kind is JoinPointKind.CALL, "call()")
-
-
-def named(pattern: str) -> Pointcut:
-    """Match join points of *either* kind whose qualified name matches."""
-    cls_pat, name_pat = _parse_pattern(pattern)
-    return Pointcut(
-        lambda s: _match_qualname(s, cls_pat, name_pat),
-        f"named({pattern})",
-    )
-
-
-def within(module_pattern: str) -> Pointcut:
-    """Match join points defined inside modules matching ``module_pattern``."""
-    if not module_pattern:
-        raise PointcutSyntaxError("within() requires a non-empty module pattern")
-    return Pointcut(
-        lambda s: fnmatch.fnmatchcase(s.module, module_pattern),
-        f"within({module_pattern})",
-    )
-
-
-def tagged(*tags: str) -> Pointcut:
-    """Match join points carrying *all* of the given annotation tags.
+def tagged(*patterns: str) -> Pointcut:
+    """Match join points where every pattern matches *some* annotation tag.
 
     Annotation tags are attached by the platform's annotation/memory
     libraries via :func:`repro.aop.registry.annotate`; this is the main
     mechanism the paper uses to ensure aspects only apply to
-    platform-defined join points (§III-B5).
-    """
-    if not tags:
-        raise PointcutSyntaxError("tagged() requires at least one tag")
-    tagset = frozenset(tags)
-    return Pointcut(
-        lambda s: tagset.issubset(s.tags),
-        f"tagged({', '.join(sorted(tagset))})",
-    )
-
-
-def tagged_like(*patterns: str) -> Pointcut:
-    """Match join points where every pattern matches *some* annotation tag.
-
-    Unlike :func:`tagged` (exact tag membership), each pattern here is
-    matched with shell-style wildcards against the full tag **or** its
-    last dotted component, so the textual pointcut language can write
-    ``tagged('kernel')`` for the platform tag ``platform.kernel`` the
-    way AspectC++ match expressions elide namespaces.
+    platform-defined join points (§III-B5).  Each pattern is matched
+    with shell-style wildcards against the full tag **or** its last
+    dotted component, so ``tagged('kernel')`` selects the platform tag
+    ``platform.kernel`` the way AspectC++ match expressions elide
+    namespaces.
     """
     if not patterns:
         raise PointcutSyntaxError("tagged() requires at least one tag pattern")
@@ -207,53 +101,3 @@ def tagged_like(*patterns: str) -> Pointcut:
         lambda s: all(tag_hit(p, s.tags) for p in patterns),
         f"tagged({', '.join(patterns)})",
     )
-
-
-def subtype_named(class_pattern: str) -> Pointcut:
-    """Match join points on classes whose MRO contains a class matching
-    ``class_pattern`` (by name, shell wildcards allowed).
-
-    The name-based counterpart of :func:`subtype_of` used by the textual
-    pointcut language (``subtype_of("DslTarget")``), matching the
-    ``class:<Name>`` tags the weaver derives from the target's MRO.
-    """
-    if not class_pattern:
-        raise PointcutSyntaxError("subtype_of() requires a non-empty class name")
-    return Pointcut(
-        lambda s: any(
-            tag.startswith("class:")
-            and fnmatch.fnmatchcase(tag[len("class:"):], class_pattern)
-            for tag in s.tags
-        ),
-        f"subtype_of({class_pattern})",
-    )
-
-
-def subtype_of(base: type) -> Pointcut:
-    """Match join points on classes that inherit from ``base``.
-
-    The match is by class *name chain*, recorded as tags of the form
-    ``class:<Name>`` added by the weaver when it inspects the target's
-    MRO — this keeps shadows picklable and keeps the pointcut a pure
-    function of the shadow.
-    """
-    tag = f"class:{base.__name__}"
-    return Pointcut(lambda s: tag in s.tags, f"subtype_of({base.__name__})")
-
-
-def any_joinpoint() -> Pointcut:
-    """Pointcut matching every join point (useful for tracing aspects)."""
-    return Pointcut(lambda s: True, "any")
-
-
-def no_joinpoint() -> Pointcut:
-    """Pointcut matching nothing (identity for ``|``)."""
-    return Pointcut(lambda s: False, "none")
-
-
-def union(pointcuts: Iterable[Pointcut]) -> Pointcut:
-    """Return the union of an iterable of pointcuts."""
-    result = no_joinpoint()
-    for pc in pointcuts:
-        result = result | pc
-    return result

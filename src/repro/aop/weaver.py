@@ -9,16 +9,19 @@ class-object level, split into two phases that mirror AspectC++'s
 
 * :meth:`Weaver.plan_class` performs the *match* phase: it scans the
   class for join point shadows and resolves which advice applies to
-  each, producing an inspectable :class:`WeavePlan`.  Plans are pure
-  functions of the ``(class, weaver)`` pair, so they are computed once
-  and cached on the weaver.
+  each, producing an inspectable :class:`WeavePlan`.
 * :meth:`Weaver.weave_class` performs the *transform* phase: it
   executes the plan, returning a **new subclass** whose matched methods
   are replaced with wrappers that drive the advice chain.  The original
   class is left untouched (it corresponds to the paper's "Platform"
-  configuration, compiled directly by the C++ compiler).
+  configuration, compiled directly by the C++ compiler).  The woven
+  class is cached per class, so repeated builds of the same application
+  reuse it.
 * :meth:`Weaver.weave_function` does the same for a free function
   (used for the program entry point, the ``main`` of C++ programs).
+
+Every woven class or function carries the plan it executed as
+``__aop_woven__``; a woven function's plan has one entry.
 
 Weaving with an empty aspect list is permitted and still produces the
 wrapper shell around every *taggable* method — this reproduces the
@@ -37,8 +40,8 @@ For one join point activation the wrapper executes, in order:
 2. the ``around`` chain: matching ``around`` advice sorted by ascending
    ``order`` nests outermost-first; the innermost ``proceed`` runs the
    original body;
-3. ``after_returning`` or ``after_throwing`` advice;
-4. ``after`` advice (always).
+3. ``after_returning`` advice (ascending ``order``), once the chain
+   returned; an exception propagates without running it.
 """
 
 from __future__ import annotations
@@ -46,14 +49,14 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .advice import Advice, AdviceKind
 from .aspect import Aspect
 from .errors import WeaveError, WeaveWarning
-from .joinpoint import JoinPoint, JoinPointKind, JoinPointShadow, shadow_of
+from .joinpoint import JoinPoint, JoinPointShadow, shadow_of
 
-__all__ = ["Weaver", "WeavePlan", "PlanEntry", "WovenInfo", "is_woven"]
+__all__ = ["Weaver", "WeavePlan", "PlanEntry", "is_woven"]
 
 
 @dataclass(frozen=True)
@@ -75,66 +78,41 @@ class PlanEntry:
 
 @dataclass(frozen=True)
 class WeavePlan:
-    """The match-phase result for one class: shadow → matched advice.
+    """The match-phase result for one class or function: shadow → matched advice.
 
     Plans are immutable and inspectable — benchmarks and tests can ask a
-    platform what it *would* weave without actually weaving — and are
-    cached per ``(class, weaver)`` pair so repeated builds of the same
-    application skip the MRO scan and pointcut evaluation entirely.
+    platform what it *would* weave without actually weaving — and every
+    woven class or function carries the plan it executed as
+    ``__aop_woven__``.  ``target`` is the class or function the plan
+    weaves.
     """
 
-    cls: type
+    target: Any
     entries: Tuple[PlanEntry, ...]
 
     @property
     def wrapped_sites(self) -> int:
+        """Number of join point shadows the weave wraps."""
         return len(self.entries)
 
     @property
     def advised_sites(self) -> int:
+        """Number of wrapped shadows that at least one advice matched."""
         return sum(1 for entry in self.entries if entry.advised)
 
     def describe(self) -> str:
         """Multi-line human-readable description of the plan."""
         header = (
-            f"WeavePlan for {self.cls.__name__}: "
+            f"WeavePlan for {self.target.__name__}: "
             f"{self.wrapped_sites} shadow(s), {self.advised_sites} advised"
         )
         return "\n".join([header] + [f"  {entry.describe()}" for entry in self.entries])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"WeavePlan({self.cls.__name__}, wrapped={self.wrapped_sites}, "
+            f"WeavePlan({self.target.__name__}, wrapped={self.wrapped_sites}, "
             f"advised={self.advised_sites})"
         )
-
-
-class WovenInfo:
-    """Weave metadata stored on woven classes/functions (for tests & reports)."""
-
-    def __init__(self) -> None:
-        self.joinpoints: List[Tuple[JoinPointShadow, Tuple[str, ...]]] = []
-
-    def record(self, shadow: JoinPointShadow, advice: Sequence[Advice]) -> None:
-        self.joinpoints.append((shadow, tuple(a.name for a in advice)))
-
-    @classmethod
-    def from_plan(cls, plan: WeavePlan) -> "WovenInfo":
-        info = cls()
-        for entry in plan.entries:
-            info.record(entry.shadow, entry.advice)
-        return info
-
-    @property
-    def advised_sites(self) -> int:
-        return sum(1 for _, names in self.joinpoints if names)
-
-    @property
-    def wrapped_sites(self) -> int:
-        return len(self.joinpoints)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"WovenInfo(wrapped={self.wrapped_sites}, advised={self.advised_sites})"
 
 
 def is_woven(obj) -> bool:
@@ -158,56 +136,58 @@ class Weaver:
             self._advices.extend(aspect.advices())
         # Stable overall ordering by (order, declaration position).
         self._advices.sort(key=lambda a: a.order)
-        #: (class, extra methods) → WeavePlan; the match phase is a pure
-        #: function of the class and this weaver's advice, so one plan
-        #: serves every weave of the same class.
-        self._plans: Dict[Tuple[type, Tuple[str, ...]], WeavePlan] = {}
-        #: (class, extra methods, name) → woven class, so repeated builds
-        #: (e.g. a Platform building the same app twice) return the same
-        #: transformed class instead of re-synthesising it.
-        self._woven: Dict[Tuple[type, Tuple[str, ...], Optional[str]], type] = {}
+        #: class → woven class, so repeated builds (e.g. a Platform
+        #: building the same app twice) return the same transformed class
+        #: instead of re-synthesising it.
+        self._woven: Dict[type, type] = {}
 
     # ------------------------------------------------------------------
     @property
     def advices(self) -> List[Advice]:
+        """Every advice of this weaver's aspects, in ascending ``order``."""
         return list(self._advices)
 
     def matching_advice(self, shadow: JoinPointShadow) -> List[Advice]:
         """Return the advice (already ordered) applying to ``shadow``."""
         return [a for a in self._advices if a.applies_to(shadow)]
 
+    def require_matched(self, *woven: Any) -> None:
+        """Raise :class:`WeaveError` naming every advice that matched no
+        shadow of the ``woven`` classes and functions.
+
+        Weaving an advice whose pointcut selects nothing is legal, but on
+        a platform run it is a mistake — usually a misspelt tag, such as
+        ``tagged('platform.procesing')`` — that would otherwise leave the
+        advice silently unfired.
+        """
+        plans = [obj.__aop_woven__ for obj in woven]
+        matched = {id(a) for plan in plans for entry in plan.entries for a in entry.advice}
+        idle = [a.name for a in self._advices if id(a) not in matched]
+        if idle:
+            targets = ", ".join(plan.target.__name__ for plan in plans)
+            raise WeaveError(
+                f"advice matched no join point shadow of {targets}: "
+                f"{', '.join(idle)} (is a tag misspelt?)"
+            )
+
     # ------------------------------------------------------------------
     # match phase
     # ------------------------------------------------------------------
-    def plan_class(
-        self, cls: type, *, methods: Optional[Sequence[str]] = None
-    ) -> WeavePlan:
-        """Compute (or fetch from cache) the :class:`WeavePlan` for ``cls``.
+    def plan_class(self, cls: type) -> WeavePlan:
+        """Compute the :class:`WeavePlan` for ``cls``.
 
         Every method reachable on the class (own or inherited) that
-        either carries platform annotation tags or is explicitly listed
-        in ``methods`` becomes a join point shadow; the plan records the
-        advice each shadow attracts.
+        carries platform annotation tags becomes a join point shadow;
+        the plan records the advice each shadow attracts.
         """
         if not isinstance(cls, type):
             raise WeaveError(f"weave_class() expects a class, got {cls!r}")
-        wanted = tuple(sorted(set(methods or ())))
-        cached = self._plans.get((cls, wanted))
-        if cached is not None:
-            return cached
-        plan = self._compute_plan(cls, wanted)
-        self._plans[(cls, wanted)] = plan
-        return plan
-
-    def _compute_plan(self, cls: type, wanted: Tuple[str, ...]) -> WeavePlan:
-        mro_tags = tuple(f"class:{base.__name__}" for base in cls.__mro__)
 
         # Collect candidate method names across the whole MRO: a method is a
         # join point shadow if *any* definition of that name in the class
         # hierarchy carries annotation tags (so an end-user override of the
-        # platform's tagged ``Processing`` is still woven), or if it was
-        # explicitly requested via ``methods``.
-        candidates: set = set(wanted)
+        # platform's tagged ``Processing`` is still woven).
+        candidates: set = set()
         for klass in cls.__mro__:
             if klass is object:
                 continue
@@ -217,27 +197,15 @@ class Weaver:
                 if callable(attr) and getattr(attr, "__aop_tags__", ()):
                     candidates.add(attr_name)
 
-        missing = [name for name in wanted if not callable(getattr(cls, name, None))]
-        if missing:
-            raise WeaveError(
-                f"none of the requested methods {sorted(missing)} exist on {cls.__name__}"
-            )
-
         entries: List[PlanEntry] = []
         for attr_name in sorted(candidates):
             func = getattr(cls, attr_name, None)
             if func is None or not callable(func):
                 continue
-            shadow = shadow_of(
-                func,
-                kind=JoinPointKind.EXECUTION,
-                cls=cls,
-                extra_tags=mro_tags,
-            )
+            shadow = shadow_of(func, cls=cls)
             advice = tuple(self.matching_advice(shadow))
             entries.append(PlanEntry(attr_name=attr_name, shadow=shadow, advice=advice))
 
-        plan = WeavePlan(cls=cls, entries=tuple(entries))
         if not entries and self._advices:
             # Aspects were supplied but the class exposes no join point
             # shadow at all (no tagged method anywhere in its MRO).  That is
@@ -248,130 +216,93 @@ class Weaver:
             warnings.warn(
                 f"weaving {cls.__name__} with {len(self._advices)} advice(s) "
                 f"found no join point shadow: {cls.__name__} has no "
-                "annotated (tagged) method and none was requested explicitly",
+                "annotated (tagged) method",
                 WeaveWarning,
                 stacklevel=3,
             )
-        return plan
+        return WeavePlan(target=cls, entries=tuple(entries))
 
     # ------------------------------------------------------------------
     # transform phase
     # ------------------------------------------------------------------
-    def weave_class(
-        self,
-        cls: type,
-        *,
-        methods: Optional[Sequence[str]] = None,
-        name: Optional[str] = None,
-    ) -> type:
+    def weave_class(self, cls: type) -> type:
         """Return a woven subclass of ``cls`` executing this weaver's plan.
 
-        Parameters
-        ----------
-        cls:
-            Class to weave (see :meth:`plan_class` for shadow selection).
-        methods:
-            Explicit method names to wrap in addition to tagged ones.
-        name:
-            Name of the generated class; defaults to ``cls.__name__ +
-            "__woven"``.
+        The subclass is named ``cls.__name__ + "__woven"`` and cached per
+        class (see :meth:`plan_class` for shadow selection).
         """
-        plan = self.plan_class(cls, methods=methods)
-        wanted = tuple(sorted(set(methods or ())))
-        cache_key = (cls, wanted, name)
-        cached = self._woven.get(cache_key)
+        cached = self._woven.get(cls)
         if cached is not None:
             return cached
-
+        plan = self.plan_class(cls)
         overrides: dict = {
-            entry.attr_name: self._make_method_wrapper(
-                getattr(cls, entry.attr_name), entry.shadow, entry.advice
+            entry.attr_name: _make_wrapper(
+                getattr(cls, entry.attr_name), entry.shadow, entry.advice, is_method=True
             )
             for entry in plan.entries
         }
-        woven_name = name or f"{cls.__name__}__woven"
-        woven = type(woven_name, (cls,), overrides)
-        woven.__aop_woven__ = WovenInfo.from_plan(plan)
-        woven.__aop_plan__ = plan
-        woven.__aop_weaver__ = self
+        woven = type(f"{cls.__name__}__woven", (cls,), overrides)
+        woven.__aop_woven__ = plan
         woven.__module__ = cls.__module__
         woven.__doc__ = cls.__doc__
-        self._woven[cache_key] = woven
+        self._woven[cls] = woven
         return woven
 
-    # ------------------------------------------------------------------
     def weave_function(self, func: Callable, *, tags: Tuple[str, ...] = ()) -> Callable:
         """Return a woven wrapper around a free function (e.g. ``main``)."""
-        shadow = shadow_of(func, kind=JoinPointKind.EXECUTION, extra_tags=tags)
-        advice = self.matching_advice(shadow)
-        wrapper = self._make_function_wrapper(func, shadow, advice)
-        info = WovenInfo()
-        info.record(shadow, advice)
-        wrapper.__aop_woven__ = info
-        wrapper.__aop_weaver__ = self
+        shadow = shadow_of(func, extra_tags=tags)
+        advice = tuple(self.matching_advice(shadow))
+        wrapper = _make_wrapper(func, shadow, advice, is_method=False)
+        wrapper.__aop_woven__ = WeavePlan(
+            target=func, entries=(PlanEntry(func.__name__, shadow, advice),)
+        )
         return wrapper
 
-    # ------------------------------------------------------------------
-    # wrapper construction
-    # ------------------------------------------------------------------
-    def _make_method_wrapper(
-        self, func: Callable, shadow: JoinPointShadow, advice: Sequence[Advice]
-    ) -> Callable:
-        if not advice:
-            wrapper = _make_nop_wrapper(func, is_method=True)
-        else:
-            dispatch = _build_dispatch(func, shadow, advice, is_method=True)
+
+# ----------------------------------------------------------------------
+# wrapper construction and advice dispatch
+# ----------------------------------------------------------------------
+
+def _make_wrapper(
+    func: Callable, shadow: JoinPointShadow, advice: Sequence[Advice], *, is_method: bool
+) -> Callable:
+    """Wrap ``func`` so a call runs the advice chain of ``shadow``.
+
+    A shadow with no advice gets a minimal pass-through shell: the fast
+    path behind the paper's "Platform NOP" numbers.  The wrapper exists
+    (the site *was* transcompiled) but no join point object or advice
+    chain is materialised, so the residual overhead is one extra Python
+    call frame.
+    """
+    if not advice:
+        if is_method:
 
             @functools.wraps(func)
             def wrapper(self, *args: Any, **kwargs: Any) -> Any:
-                return dispatch(self, args, kwargs)
+                return func(self, *args, **kwargs)
 
-        wrapper.__aop_shadow__ = shadow
-        wrapper.__aop_advice_names__ = tuple(a.name for a in advice)
-        return wrapper
-
-    def _make_function_wrapper(
-        self, func: Callable, shadow: JoinPointShadow, advice: Sequence[Advice]
-    ) -> Callable:
-        if not advice:
-            wrapper = _make_nop_wrapper(func, is_method=False)
         else:
-            dispatch = _build_dispatch(func, shadow, advice, is_method=False)
 
             @functools.wraps(func)
             def wrapper(*args: Any, **kwargs: Any) -> Any:
-                return dispatch(None, args, kwargs)
+                return func(*args, **kwargs)
 
-        wrapper.__aop_shadow__ = shadow
-        wrapper.__aop_advice_names__ = tuple(a.name for a in advice)
+        wrapper.__aop_fastpath__ = True
         return wrapper
 
-
-# ----------------------------------------------------------------------
-# dispatch machinery shared by method and function wrappers
-# ----------------------------------------------------------------------
-
-def _make_nop_wrapper(func: Callable, *, is_method: bool) -> Callable:
-    """Minimal pass-through shell for shadows with no matching advice.
-
-    This is the fast path behind the paper's "Platform NOP" numbers: the
-    wrapper exists (the site *was* transcompiled) but no join point
-    object or advice chain is materialised, so the residual overhead is
-    one extra Python call frame.
-    """
+    dispatch = _build_dispatch(func, shadow, advice, is_method=is_method)
     if is_method:
 
         @functools.wraps(func)
         def wrapper(self, *args: Any, **kwargs: Any) -> Any:
-            return func(self, *args, **kwargs)
+            return dispatch(self, args, kwargs)
 
     else:
 
         @functools.wraps(func)
         def wrapper(*args: Any, **kwargs: Any) -> Any:
-            return func(*args, **kwargs)
+            return dispatch(None, args, kwargs)
 
-    wrapper.__aop_fastpath__ = True
     return wrapper
 
 
@@ -386,8 +317,6 @@ def _build_dispatch(
     befores = [a for a in advice if a.kind is AdviceKind.BEFORE]
     arounds = [a for a in advice if a.kind is AdviceKind.AROUND]
     after_ret = [a for a in advice if a.kind is AdviceKind.AFTER_RETURNING]
-    after_throw = [a for a in advice if a.kind is AdviceKind.AFTER_THROWING]
-    afters = [a for a in advice if a.kind is AdviceKind.AFTER]
 
     def dispatch(target: Any, args: tuple, kwargs: dict) -> Any:
         jp = JoinPoint(shadow, target, args, kwargs)
@@ -404,20 +333,9 @@ def _build_dispatch(
 
         for adv in befores:
             adv.invoke(jp)
-        try:
-            jp._proceed = proceed
-            result = proceed(*jp.args, **jp.kwargs)
-            jp.result = result
-        except BaseException as exc:
-            jp.exception = exc
-            for adv in after_throw:
-                adv.invoke(jp)
-            for adv in afters:
-                adv.invoke(jp)
-            raise
+        jp._proceed = proceed
+        jp.result = proceed(*jp.args, **jp.kwargs)
         for adv in after_ret:
-            adv.invoke(jp)
-        for adv in afters:
             adv.invoke(jp)
         return jp.result
 
@@ -430,7 +348,7 @@ def _wrap_around(adv: Advice, jp: JoinPoint, inner: Callable) -> Callable:
     Argument rebinding semantics (pinned by ``tests/unit/test_weaver.py``):
     calling ``proceed(new_args)`` rebinds ``jp.args``/``jp.kwargs`` for
     the remainder of the activation, so inner around advice and the
-    ``after*`` advice observe the rebound arguments — matching
+    ``after_returning`` advice observe the rebound arguments — matching
     AspectC++, where mutating ``tjp->arg<i>()`` changes the arguments
     the join point reports from then on.  Advice that must not perturb
     the shared join point state should use ``jp.continuation()``.

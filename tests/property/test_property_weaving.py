@@ -11,11 +11,10 @@ from repro.aop import (
     annotate,
     around,
     before,
-    after,
-    execution,
+    after_returning,
     tagged,
 )
-from repro.aop.joinpoint import JoinPointKind, JoinPointShadow
+from repro.aop.joinpoint import JoinPointShadow
 
 
 shadow_names = st.sampled_from(["refresh", "get_blocks", "processing", "main", "step"])
@@ -26,7 +25,6 @@ tag_sets = st.sets(st.sampled_from(["a", "b", "c", "memory.refresh"]), max_size=
 @st.composite
 def shadows(draw):
     return JoinPointShadow(
-        kind=draw(st.sampled_from(list(JoinPointKind))),
         module=draw(st.sampled_from(["m1", "m2.sub"])),
         cls=draw(shadow_classes),
         name=draw(shadow_names),
@@ -44,14 +42,14 @@ class TestPointcutAlgebraProperties:
 
     @given(shadows())
     def test_and_or_consistency(self, shadow):
-        a = execution("Env.*")
+        a = tagged("a")
         b = tagged("memory.refresh")
         assert (a & b).matches(shadow) == (a.matches(shadow) and b.matches(shadow))
         assert (a | b).matches(shadow) == (a.matches(shadow) or b.matches(shadow))
 
     @given(shadows())
     def test_double_negation(self, shadow):
-        pc = execution("*.refresh")
+        pc = tagged("*.refresh")
         assert (~~pc).matches(shadow) == pc.matches(shadow)
 
 
@@ -75,7 +73,7 @@ class Observer(Aspect):
     def observe(self, jp):
         self.seen.append(jp.shadow.name)
 
-    @after(tagged("prop.op"))
+    @after_returning(tagged("prop.op"))
     def observe_after(self, jp):
         self.seen.append("after:" + jp.shadow.name)
 

@@ -1,4 +1,4 @@
-"""Unit tests for advice declarations, aspects, annotations and the registry."""
+"""Unit tests for advice declarations, aspects and annotations."""
 
 from __future__ import annotations
 
@@ -10,33 +10,30 @@ from repro.aop import (
     AdviceSignatureError,
     AopError,
     Aspect,
-    PointcutRegistry,
     annotate,
-    any_joinpoint,
     before,
-    after,
+    after_returning,
     around,
-    platform_pointcuts,
+    execution,
     tagged,
-    tags_of,
 )
-from repro.aop.joinpoint import JoinPointKind, shadow_of
+from repro.aop.joinpoint import shadow_of
 
 
 class TestAdvice:
     def test_requires_callable_body(self):
         with pytest.raises(AdviceSignatureError):
-            Advice(kind=AdviceKind.BEFORE, pointcut=any_joinpoint(), body="not callable")
+            Advice(kind=AdviceKind.BEFORE, pointcut=execution(), body="not callable")
 
     def test_requires_parameter(self):
         with pytest.raises(AdviceSignatureError):
-            Advice(kind=AdviceKind.BEFORE, pointcut=any_joinpoint(), body=lambda: None)
+            Advice(kind=AdviceKind.BEFORE, pointcut=execution(), body=lambda: None)
 
     def test_name_defaults_to_function_name(self):
         def my_advice(jp):
             return None
 
-        advice = Advice(kind=AdviceKind.BEFORE, pointcut=any_joinpoint(), body=my_advice)
+        advice = Advice(kind=AdviceKind.BEFORE, pointcut=execution(), body=my_advice)
         assert advice.name == "my_advice"
 
     def test_decorator_requires_pointcut(self):
@@ -67,12 +64,24 @@ class TestAdvice:
 
     def test_decorator_stacks_declarations(self):
         @before(tagged("a"))
-        @after(tagged("b"))
+        @after_returning(tagged("b"))
         def advice(self, jp):
             return None
 
         kinds = {k for k, _pc, _o in advice.__aop_advice__}
-        assert kinds == {AdviceKind.BEFORE, AdviceKind.AFTER}
+        assert kinds == {AdviceKind.BEFORE, AdviceKind.AFTER_RETURNING}
+
+    def test_three_advice_kinds(self):
+        # AspectType I-III are all before / after_returning / around advice.
+        assert [k.value for k in AdviceKind] == ["before", "after_returning", "around"]
+
+    @pytest.mark.parametrize("decorator", [before, after_returning, around])
+    def test_each_decorator_records_its_kind(self, decorator):
+        func = decorator("tagged('a')", order=3)(lambda self, jp: None)
+        ((kind, pointcut, order),) = func.__aop_advice__
+        assert kind.value == decorator.__name__
+        assert order == 3
+        assert pointcut.description == tagged("a").description
 
 
 class TestAspectCollection:
@@ -82,7 +91,7 @@ class TestAspectCollection:
                 super().__init__()
                 self.count = 0
 
-            @before(any_joinpoint())
+            @before(execution())
             def tick(self, jp):
                 self.count += 1
 
@@ -97,12 +106,12 @@ class TestAspectCollection:
 
     def test_inherited_advice_collected(self):
         class BaseAspect(Aspect):
-            @before(any_joinpoint())
+            @before(execution())
             def base_advice(self, jp):
                 pass
 
         class Derived(BaseAspect):
-            @after(any_joinpoint())
+            @after_returning(execution())
             def extra(self, jp):
                 pass
 
@@ -114,14 +123,14 @@ class TestAspectCollection:
         class Low(Aspect):
             order = 1
 
-            @before(any_joinpoint())
+            @before(execution())
             def a(self, jp):
                 pass
 
         class High(Aspect):
             order = 2
 
-            @before(any_joinpoint())
+            @before(execution())
             def a(self, jp):
                 pass
 
@@ -131,7 +140,7 @@ class TestAspectCollection:
         class Something(Aspect):
             order = 7
 
-            @before(any_joinpoint())
+            @before(execution())
             def a(self, jp):
                 pass
 
@@ -146,7 +155,7 @@ class TestAnnotations:
             def method(self):
                 pass
 
-        assert {"tag.one", "tag.two"}.issubset(tags_of(Thing))
+        assert {"tag.one", "tag.two"}.issubset(Thing.__aop_tags__)
         assert "tag.method" in Thing.method.__aop_tags__
 
     def test_annotate_requires_tags(self):
@@ -156,12 +165,13 @@ class TestAnnotations:
     def test_tags_inherited_through_mro(self):
         @annotate("base.tag")
         class Base:
-            pass
+            def method(self):
+                pass
 
         class Child(Base):
             pass
 
-        assert "base.tag" in tags_of(Child)
+        assert "base.tag" in shadow_of(Child.method, cls=Child).tags
 
     def test_shadow_collects_method_tags_from_bases(self):
         class Base:
@@ -180,38 +190,7 @@ class TestAnnotations:
         def func():
             pass
 
-        shadow = shadow_of(func, kind=JoinPointKind.CALL)
-        assert shadow.kind is JoinPointKind.CALL
+        shadow = shadow_of(func)
         assert shadow.qualname == "func"
         assert shadow.full_name.endswith(".func")
 
-
-class TestPointcutRegistry:
-    def test_platform_registry_names(self):
-        registry = platform_pointcuts()
-        for name in (
-            "platform.entry",
-            "platform.initialize",
-            "platform.processing",
-            "platform.finalize",
-            "memory.get_blocks",
-            "memory.refresh",
-        ):
-            assert name in registry
-
-    def test_duplicate_definition_rejected(self):
-        registry = PointcutRegistry()
-        registry.define("x", any_joinpoint())
-        with pytest.raises(AopError):
-            registry.define("x", any_joinpoint())
-        registry.define("x", any_joinpoint(), override=True)
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(AopError):
-            PointcutRegistry().get("nope")
-
-    def test_names_sorted(self):
-        registry = PointcutRegistry()
-        registry.define("b", any_joinpoint())
-        registry.define("a", any_joinpoint())
-        assert list(registry.names()) == ["a", "b"]

@@ -7,7 +7,7 @@ import inspect
 import pytest
 
 from repro.annotation import Platform, TargetApplication
-from repro.aop import Aspect, before, tagged
+from repro.aop import Aspect, WeaveError, after_returning, around, before, tagged
 from repro.aspects import PhaseTraceAspect
 from repro.memory import Env
 
@@ -101,6 +101,45 @@ class TestPlatformDriver:
         platform = Platform(aspects=[Dummy()])
         assert platform.transcompile and platform.weaver is not None
         assert "transcompile" not in inspect.signature(Platform).parameters
+
+    def test_run_rejects_advice_on_a_misspelt_tag(self):
+        calls = []
+
+        class Misspelt(Aspect):
+            @before("tagged('platform.procesing')")
+            def count(self, jp):
+                calls.append(jp)
+
+        with pytest.raises(WeaveError, match=r"Misspelt\.count") as excinfo:
+            Platform(aspects=[PhaseTraceAspect([]), Misspelt()]).run(CountingApp)
+        assert "PhaseTraceAspect" not in str(excinfo.value)  # its advice all matched
+        assert calls == []
+
+    @pytest.mark.parametrize("decorator", [before, after_returning, around])
+    def test_run_rejects_idle_advice_of_every_kind(self, decorator):
+        class Idle(Aspect):
+            @decorator("tagged('kernal')")
+            def advice(self, jp):
+                return jp.proceed() if decorator is around else None
+
+        with pytest.raises(WeaveError, match=r"Idle\.advice"):
+            Platform(aspects=[Idle()]).run(CountingApp)
+
+    def test_run_accepts_advice_on_a_platform_tag(self):
+        calls = []
+
+        class Counter(Aspect):
+            @before("tagged('processing')")
+            def count(self, jp):
+                calls.append(jp)
+
+            @before("tagged('memory.refresh')")
+            def refreshes(self, jp):
+                calls.append("refresh")
+
+        Platform(aspects=[Counter()]).run(CountingApp, config={"loops": 2})
+        assert len(calls) == 1 + calls.count("refresh")
+        assert calls.count("refresh") >= 2
 
     def test_build_rejects_non_target(self):
         class NotAnApp:

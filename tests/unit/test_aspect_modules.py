@@ -6,7 +6,7 @@ import pytest
 
 from repro.annotation import Platform
 from repro.aop import AdviceKind, Weaver
-from repro.aop.joinpoint import JoinPointShadow, JoinPointKind
+from repro.aop.joinpoint import JoinPointShadow
 from repro.aspects import (
     DistributedMemoryAspect,
     LayerAspect,
@@ -17,7 +17,6 @@ from repro.aspects import (
 
 def shadow_with_tag(tag: str) -> JoinPointShadow:
     return JoinPointShadow(
-        kind=JoinPointKind.EXECUTION,
         module="x",
         cls="Env",
         name="method",

@@ -1,7 +1,7 @@
 """Unit tests for the textual pointcut language (tokenizer + parser).
 
 Covers grammar round-trips, operator precedence (`!` > `&&` > `||`),
-glob matching in named(), syntax-error positions reported by
+glob matching in tagged(), syntax-error positions reported by
 PointcutSyntaxError, the nesting cap, and a fuzz over the grammar's
 tokens: any such text parses or raises PointcutSyntaxError, nothing else.
 """
@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.aop import (
     Aspect,
-    JoinPointKind,
     PointcutSyntaxError,
     Weaver,
     annotate,
@@ -26,57 +25,15 @@ from repro.aop.joinpoint import JoinPointShadow
 from repro.aop.pcparser import MAX_NESTING, PRIMITIVES
 
 
-def make_shadow(
-    name="refresh",
-    cls="Env",
-    module="repro.memory.env",
-    kind=JoinPointKind.EXECUTION,
-    tags=(),
-):
-    return JoinPointShadow(kind=kind, module=module, cls=cls, name=name, tags=frozenset(tags))
+def make_shadow(name="refresh", cls="Env", module="repro.memory.env", tags=()):
+    return JoinPointShadow(module=module, cls=cls, name=name, tags=frozenset(tags))
 
 
 class TestPrimitives:
-    def test_execution_with_pattern(self):
-        pc = parse_pointcut("execution(Env.refresh)")
-        assert pc.matches(make_shadow())
-        assert not pc.matches(make_shadow(name="get_blocks"))
-
-    def test_execution_quoted_pattern(self):
-        assert parse_pointcut("execution('Env.refresh')").matches(make_shadow())
-        assert parse_pointcut('execution("Env.refresh")').matches(make_shadow())
-
     def test_bare_execution_matches_any_execution(self):
         pc = parse_pointcut("execution()")
         assert pc.matches(make_shadow())
         assert pc.matches(make_shadow(name="anything", cls="Other"))
-        assert not pc.matches(make_shadow(kind=JoinPointKind.CALL))
-
-    def test_bare_call_matches_any_call(self):
-        pc = parse_pointcut("call()")
-        assert pc.matches(make_shadow(kind=JoinPointKind.CALL))
-        assert not pc.matches(make_shadow())
-
-    def test_call_with_pattern_filters_kind(self):
-        pc = parse_pointcut("call(Env.refresh)")
-        assert pc.matches(make_shadow(kind=JoinPointKind.CALL))
-        assert not pc.matches(make_shadow())
-
-    def test_named_glob(self):
-        pc = parse_pointcut("named('Proc*')")
-        assert pc.matches(make_shadow(name="Processing", cls=None))
-        assert pc.matches(make_shadow(name="ProcessData"))
-        assert not pc.matches(make_shadow(name="Initialize"))
-
-    def test_named_class_glob(self):
-        pc = parse_pointcut("named('*Env.refresh')")
-        assert pc.matches(make_shadow(cls="MyEnv"))
-        assert not pc.matches(make_shadow(cls="Other"))
-
-    def test_within(self):
-        pc = parse_pointcut("within('repro.memory.*')")
-        assert pc.matches(make_shadow())
-        assert not pc.matches(make_shadow(module="repro.apps.jacobi"))
 
     def test_tagged_exact(self):
         pc = parse_pointcut("tagged('memory.refresh')")
@@ -95,23 +52,43 @@ class TestPrimitives:
         assert pc.matches(make_shadow(tags={"a", "b"}))
         assert not pc.matches(make_shadow(tags={"a"}))
 
-    def test_subtype_of_by_name(self):
-        pc = parse_pointcut("subtype_of(DslTarget)")
-        assert pc.matches(make_shadow(tags={"class:DslTarget", "class:JacobiSGrid"}))
-        assert not pc.matches(make_shadow(tags={"class:Unrelated"}))
-
-    def test_ref_resolves_platform_pointcut(self):
-        pc = parse_pointcut("ref('platform.entry')")
-        assert pc.matches(make_shadow(tags={"platform.entry"}))
-        assert not pc.matches(make_shadow(tags={"platform.finalize"}))
-
-    def test_any_and_none(self):
-        assert parse_pointcut("any()").matches(make_shadow())
-        assert not parse_pointcut("none()").matches(make_shadow())
-
     def test_whitespace_is_insignificant(self):
-        pc = parse_pointcut("  execution( Env.refresh )   &&\n tagged( 'memory.refresh' ) ")
+        pc = parse_pointcut("  execution(  )   &&\n tagged( 'memory.refresh' ) ")
         assert pc.matches(make_shadow(tags={"memory.refresh"}))
+
+    def test_only_execution_and_tagged_are_primitives(self):
+        assert sorted(PRIMITIVES) == ["execution", "tagged"]
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            "kernel",
+            "platform.kernel",
+            "platform.*",
+            "*.refresh",
+            "ker*",
+            "k?rnel",
+            "[kp]ernel",
+            "*",
+            "platform",
+            "memory",
+            "memory.refresh",
+            "Kernel",
+        ],
+    )
+    def test_textual_tagged_is_the_python_tagged(self, pattern):
+        shadows = [
+            make_shadow(),
+            make_shadow(tags={"platform.kernel"}),
+            make_shadow(tags={"memory.refresh"}),
+            make_shadow(tags={"platform.memory.refresh"}),
+            make_shadow(tags={"a", "b"}),
+        ]
+        text_pc = parse_pointcut(f"tagged('{pattern}')")
+        python_pc = tagged(pattern)
+        assert text_pc.description == python_pc.description
+        for shadow in shadows:
+            assert text_pc.matches(shadow) == python_pc.matches(shadow), shadow
 
 
 class TestPrecedence:
@@ -152,10 +129,9 @@ class TestRoundTrips:
 
     SHADOWS = [
         make_shadow(),
-        make_shadow(kind=JoinPointKind.CALL),
         make_shadow(name="Processing", cls="JacobiSGrid", module="repro.apps.jacobi"),
         make_shadow(tags={"platform.kernel"}),
-        make_shadow(tags={"memory.refresh", "class:DslTarget"}),
+        make_shadow(tags={"memory.refresh"}),
         make_shadow(tags={"a", "b"}),
     ]
 
@@ -163,16 +139,16 @@ class TestRoundTrips:
         "text",
         [
             "execution()",
-            "execution(Env.refresh)",
-            "call()",
-            "named(Proc*)",
-            "within(repro.memory.*)",
             "tagged(kernel)",
             "tagged(a, b)",
-            "subtype_of(DslTarget)",
             "execution() && tagged('kernel')",
-            "!tagged('a') && (named('Proc*') || within('repro.apps*'))",
-            "execution(Env.*) || call(Env.*)",
+            "!tagged('a') && (tagged('kernel') || tagged('memory.*'))",
+            "!execution()",
+            "tagged('memory.*')",
+            'tagged("platform.kernel")',
+            "!!tagged(a)",
+            "tagged(a) || tagged(b) && tagged(kernel)",
+            "(tagged('a') || tagged('kernel')) && !tagged('b')",
         ],
     )
     def test_description_round_trips(self, text):
@@ -203,6 +179,10 @@ class TestSyntaxErrors:
 
     def test_unknown_primitive_position(self):
         self.assert_error_at("tagged('a') && frobnicate('b')", 15, "unknown pointcut primitive")
+        # Primitives the language no longer has fail at their first character.
+        for text in ("call()", "within(x)", "named(x)", "subtype_of(X)", "ref(x)", "any()", "none()"):
+            name = text.partition("(")[0]
+            self.assert_error_at(text, 0, f"unknown pointcut primitive {name!r}")
 
     def test_single_ampersand(self):
         self.assert_error_at("tagged('a') & tagged('b')", 12, "use '&&'")
@@ -229,14 +209,10 @@ class TestSyntaxErrors:
         self.assert_error_at("execution", 9, "expected '('")
 
     def test_wrong_arity_reports_primitive_position(self):
-        self.assert_error_at("within()", 0, "exactly one argument")
-        self.assert_error_at("execution(a, b)", 0, "at most one pattern")
-        self.assert_error_at("any('x')", 0, "takes no arguments")
-
-    def test_bad_pattern_inside_primitive(self):
+        self.assert_error_at("execution(a, b)", 0, "takes no arguments")
+        self.assert_error_at("tagged('a') && execution('Env.refresh')", 15, "takes no arguments")
         # The combinator-level error is re-raised with position info.
-        error = self.assert_error_at("execution('Env.')", 0)
-        assert "empty member name" in str(error)
+        self.assert_error_at("tagged()", 0, "at least one tag")
 
     def test_caret_rendering(self):
         with pytest.raises(PointcutSyntaxError) as excinfo:
@@ -254,16 +230,17 @@ class TestSyntaxErrors:
         deep = "(" * 250 + "execution()" + ")" * 250
         self.assert_error_at(deep, MAX_NESTING, "nested deeper")
         self.assert_error_at("!" * 1000 + "execution()", MAX_NESTING, "nested deeper")
-        self.assert_error_at("!(" * 60 + "any()" + ")" * 60, MAX_NESTING, "nested deeper")
+        self.assert_error_at("!(" * 60 + "execution()" + ")" * 60, MAX_NESTING, "nested deeper")
 
     def test_nesting_up_to_the_cap_parses(self):
-        inner = "execution(Env.refresh)"
+        inner = "tagged('memory.refresh')"
+        shadow = make_shadow(tags={"memory.refresh"})
         pc = parse_pointcut("(" * MAX_NESTING + inner + ")" * MAX_NESTING)
-        assert pc.matches(make_shadow())
+        assert pc.matches(shadow)
         even = parse_pointcut("!" * MAX_NESTING + inner)
-        assert even.matches(make_shadow())
+        assert even.matches(shadow)
         half = MAX_NESTING // 2
-        assert parse_pointcut("!(" * half + inner + ")" * half).matches(make_shadow())
+        assert parse_pointcut("!(" * half + inner + ")" * half).matches(shadow)
 
 
 #: Fragments of the grammar: every token, every primitive name, patterns,

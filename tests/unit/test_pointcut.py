@@ -4,71 +4,43 @@ from __future__ import annotations
 
 import pytest
 
-from repro.aop import (
-    JoinPointKind,
-    PointcutSyntaxError,
-    any_joinpoint,
-    call,
-    execution,
-    named,
-    no_joinpoint,
-    subtype_of,
-    tagged,
-    within,
-)
+from repro.aop import PointcutSyntaxError, execution, tagged
 from repro.aop.joinpoint import JoinPointShadow
 
 
-def make_shadow(
-    name="refresh",
-    cls="Env",
-    module="repro.memory.env",
-    kind=JoinPointKind.EXECUTION,
-    tags=(),
-):
-    return JoinPointShadow(kind=kind, module=module, cls=cls, name=name, tags=frozenset(tags))
+def make_shadow(name="refresh", cls="Env", module="repro.memory.env", tags=()):
+    return JoinPointShadow(module=module, cls=cls, name=name, tags=frozenset(tags))
 
 
-class TestExecutionPointcut:
-    def test_exact_match(self):
-        assert execution("Env.refresh").matches(make_shadow())
+SHADOWS = [
+    make_shadow(),
+    make_shadow(name="Processing", cls="JacobiSGrid", module="repro.apps.jacobi"),
+    make_shadow(tags={"platform.kernel"}),
+    make_shadow(tags={"a", "b"}),
+    make_shadow(name="main", cls=None, module="repro.annotation.driver", tags={"platform.entry"}),
+]
 
-    def test_wildcard_method(self):
-        assert execution("Env.*").matches(make_shadow(name="get_blocks"))
-
-    def test_wildcard_class(self):
-        assert execution("*.refresh").matches(make_shadow(cls="OtherEnv"))
-
-    def test_bare_function_pattern_matches_any_class(self):
-        assert execution("refresh").matches(make_shadow(cls="Whatever"))
-
-    def test_mismatched_name(self):
-        assert not execution("Env.refresh").matches(make_shadow(name="initialize"))
-
-    def test_kind_filter(self):
-        shadow = make_shadow(kind=JoinPointKind.CALL)
-        assert not execution("Env.refresh").matches(shadow)
-        assert call("Env.refresh").matches(shadow)
-
-    def test_named_matches_both_kinds(self):
-        assert named("Env.refresh").matches(make_shadow(kind=JoinPointKind.CALL))
-        assert named("Env.refresh").matches(make_shadow(kind=JoinPointKind.EXECUTION))
-
-    @pytest.mark.parametrize("bad", ["", "   ", "Env.", None])
-    def test_bad_patterns_raise(self, bad):
-        with pytest.raises((PointcutSyntaxError, AttributeError)):
-            execution(bad)
+#: (pattern, tags of the shadow, selected?): ``tagged`` globs each pattern
+#: against a whole tag or its last dotted component, and nothing else.
+TAG_GLOB_CASES = [
+    ("platform.kernel", {"platform.kernel"}, True),
+    ("kernel", {"platform.kernel"}, True),
+    ("platform.*", {"platform.kernel"}, True),
+    ("*.kernel", {"platform.kernel"}, True),
+    ("ker*", {"platform.kernel"}, True),
+    ("k?rnel", {"platform.kernel"}, True),
+    ("[kp]ernel", {"platform.kernel"}, True),
+    ("*", {"platform.kernel"}, True),
+    ("refresh", {"platform.kernel", "memory.refresh"}, True),
+    ("platform", {"platform.kernel"}, False),
+    ("memory", {"platform.memory.refresh"}, False),
+    ("memory.refresh", {"platform.memory.refresh"}, False),
+    ("Kernel", {"platform.kernel"}, False),
+    ("*", set(), False),
+]
 
 
 class TestSemanticPointcuts:
-    def test_within_module(self):
-        assert within("repro.memory.*").matches(make_shadow())
-        assert not within("repro.runtime.*").matches(make_shadow())
-
-    def test_within_requires_pattern(self):
-        with pytest.raises(PointcutSyntaxError):
-            within("")
-
     def test_tagged_single(self):
         shadow = make_shadow(tags={"memory.refresh"})
         assert tagged("memory.refresh").matches(shadow)
@@ -83,48 +55,84 @@ class TestSemanticPointcuts:
         with pytest.raises(PointcutSyntaxError):
             tagged()
 
-    def test_subtype_of_uses_class_chain_tags(self):
-        class Base:
-            pass
+    def test_tagged_globs_the_full_tag_or_its_last_component(self):
+        shadow = make_shadow(tags={"platform.kernel"})
+        assert tagged("kernel").matches(shadow)
+        assert tagged("platform.*").matches(shadow)
+        assert tagged("ker*").matches(shadow)
+        assert not tagged("platform").matches(shadow)
+        assert not tagged("memory.*").matches(shadow)
 
-        shadow = make_shadow(tags={"class:Base", "class:Derived"})
-        assert subtype_of(Base).matches(shadow)
+    @pytest.mark.parametrize(
+        "pattern, tags, selected",
+        TAG_GLOB_CASES,
+        ids=[
+            f"{pattern}-{'+'.join(sorted(tags)) or 'untagged'}-{'hit' if hit else 'miss'}"
+            for pattern, tags, hit in TAG_GLOB_CASES
+        ],
+    )
+    def test_tag_glob_table(self, pattern, tags, selected):
+        assert tagged(pattern).matches(make_shadow(tags=tags)) is selected
 
-    def test_subtype_of_negative(self):
-        class Unrelated:
-            pass
+    def test_execution_matches_every_shadow(self):
+        pc = execution()
+        assert all(pc.matches(shadow) for shadow in SHADOWS)
 
-        shadow = make_shadow(tags={"class:Base"})
-        assert not subtype_of(Unrelated).matches(shadow)
+
+#: Pointcuts the ``execution()`` identities are checked against.
+OPERANDS = {
+    "tagged": tagged("kernel"),
+    "not-tagged": ~tagged("a"),
+    "or": tagged("a") | tagged("memory.*"),
+}
+
+
+class TestExecutionPointcut:
+    @pytest.mark.parametrize("operand", OPERANDS.values(), ids=OPERANDS.keys())
+    def test_is_the_identity_of_and(self, operand):
+        pc = execution() & operand
+        for shadow in SHADOWS:
+            assert pc.matches(shadow) == operand.matches(shadow), shadow
+
+    @pytest.mark.parametrize("operand", OPERANDS.values(), ids=OPERANDS.keys())
+    def test_absorbs_or(self, operand):
+        pc = operand | execution()
+        assert all(pc.matches(shadow) for shadow in SHADOWS)
+
+    def test_complement_matches_no_shadow(self):
+        pc = ~execution()
+        assert not any(pc.matches(shadow) for shadow in SHADOWS)
+        assert pc.description == "!execution()"
+
+    def test_takes_no_pattern(self):
+        # The execution(pattern) form is gone: tags select join points.
+        with pytest.raises(TypeError):
+            execution("Env.refresh")
 
 
 class TestPointcutAlgebra:
     def test_and(self):
-        pc = execution("Env.*") & tagged("memory.refresh")
+        pc = execution() & tagged("memory.refresh")
         assert pc.matches(make_shadow(tags={"memory.refresh"}))
         assert not pc.matches(make_shadow())
 
     def test_or(self):
-        pc = execution("Env.refresh") | execution("Env.get_blocks")
-        assert pc.matches(make_shadow(name="get_blocks"))
-        assert not pc.matches(make_shadow(name="initialize"))
+        pc = tagged("memory.refresh") | tagged("memory.get_blocks")
+        assert pc.matches(make_shadow(tags={"memory.get_blocks"}))
+        assert not pc.matches(make_shadow(tags={"platform.initialize"}))
 
     def test_not(self):
-        pc = ~execution("Env.refresh")
-        assert not pc.matches(make_shadow())
-        assert pc.matches(make_shadow(name="other"))
-
-    def test_any_and_none(self):
-        assert any_joinpoint().matches(make_shadow())
-        assert not no_joinpoint().matches(make_shadow())
+        pc = ~tagged("memory.refresh")
+        assert not pc.matches(make_shadow(tags={"memory.refresh"}))
+        assert pc.matches(make_shadow(tags={"other"}))
 
     def test_de_morgan_like_composition(self):
-        a = execution("Env.refresh")
+        a = tagged("memory.refresh")
         b = tagged("x")
         shadow = make_shadow(tags={"x"})
         assert (~(a & b)).matches(shadow) == (not (a & b).matches(shadow))
 
     def test_description_strings(self):
-        pc = execution("Env.refresh") & ~tagged("x")
-        assert "execution(Env.refresh)" in pc.description
+        pc = execution() & ~tagged("x")
+        assert "execution()" in pc.description
         assert "tagged(x)" in pc.description

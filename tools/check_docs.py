@@ -46,6 +46,9 @@ PUBLIC_SURFACE = {
     "repro.aspects.mpi_aspect": ["DistributedMemoryAspect"],
     "repro.aspects.openmp_aspect": ["SharedMemoryAspect"],
     "repro.runtime.shm": ["SharedPageArena", "SegmentCache"],
+    "repro.aop.aspect": ["Aspect"],
+    "repro.aop.weaver": ["Weaver", "WeavePlan"],
+    "repro.aop.joinpoint": ["JoinPoint"],
 }
 
 _LINK = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
