@@ -300,19 +300,13 @@ class PlatformRun:
 
         Reports how many pages arrived as shared-memory descriptors and
         how many bytes therefore never crossed a pipe; present only when
-        the process backend ran with the shm page transport.  A
-        ``fallback=…`` tail counts pages that had to take the packed
-        pipe path while in shm mode (object dtype or empty pages).
+        a multi-rank process world fetched pages.
         """
         fetches = sum(c.shm_fetches for c in self.counters.values())
         if not fetches:
             return ""
         nbytes = sum(c.shm_bytes for c in self.counters.values())
-        part = f" shm={fetches}pg/{nbytes / 1024:.1f}KiB"
-        fallbacks = sum(c.shm_fallbacks for c in self.counters.values())
-        if fallbacks:
-            part += f" fallback={fallbacks}pg"
-        return part
+        return f" shm={fetches}pg/{nbytes / 1024:.1f}KiB"
 
 
 class PlatformBuilder:

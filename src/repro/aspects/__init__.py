@@ -9,8 +9,8 @@ application classes by the :mod:`repro.aop` weaver:
   :mod:`repro.runtime.backends`), publishes the steady-state halo where
   ranks share memory and otherwise moves pages in one bulk exchange per
   owner, overlapped behind interior computation (:class:`PendingHalo`);
-  each world picks its own page data plane (zero-copy shared memory
-  where its ranks can map it, the packed-pipe path otherwise).
+  a multi-rank process world moves those pages through zero-copy
+  shared memory.
 * :class:`SharedMemoryAspect` — the "OpenMP" layer (AspectType I/II):
   thread teams, worksharing and ``single`` regions per rank.
 * :class:`PhaseTraceAspect` — diagnostic example aspect.

@@ -87,7 +87,7 @@ _CLOSED = 2    # the pushed rows are all the remote data my step reads
 _CURRENT = 4   # my PushPlan was derived from the plans I hold now
 
 #: Why a rank can never publish; reported even if the run never closed.
-_NEVER_CLOSES = "no shm"
+_NEVER_CLOSES = "no slots"
 
 
 def _named(keys) -> str:

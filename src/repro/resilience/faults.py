@@ -5,17 +5,16 @@ A :class:`FaultPlan` is a small declarative schedule of failures —
 sends to rank 0" — installed on a world via
 :meth:`~repro.runtime.backends.base.ExecutionWorld.install_fault_plan`
 *before* ``run_spmd``.  The runtime substrate consumes the plan through
-three duck-typed entry points (no import of this package):
+two duck-typed entry points (no import of this package):
 
 * ``take_kill(rank, phase, epoch)`` — called from the world's fault
   points (``"register"`` at commit time, ``"refresh"`` at refresh
   entry, ``"epoch"`` right after a successful refresh, i.e. while
   overlapped halo prefetches are in flight);
 * ``take_reply(owner, requester)`` — called by the page-serving
-  transports just before posting a reply (delay / drop / corrupt);
-* ``wants_checksums()`` — whether reply payloads should carry an
-  integrity checksum so ``corrupt_reply`` faults are *detected* rather
-  than silently poisoning the numerics.
+  transports just before posting a reply (delay / drop / corrupt).  A
+  corrupted reply names a slot version its page does not carry, so the
+  requester's seqlock check *detects* it rather than computing on it.
 
 Plans are deterministic: every fault fires at an explicitly scheduled
 (rank, phase, epoch) point, and :func:`FaultPlan.seeded` derives such a
@@ -104,11 +103,10 @@ class FaultPlan:
         return self
 
     def corrupt_reply(self, rank: int, *, peer: Optional[int] = None, count: int = 1) -> "FaultPlan":
-        """Flip payload bits in ``count`` replies of ``rank``; chainable.
+        """Corrupt ``count`` page replies of ``rank``; chainable.
 
-        Installing any corrupt fault makes the world attach adler32
-        checksums to page replies (a process world then picks the
-        packed-pipe plane) so the corruption is *detected*.
+        The reply's first descriptor names the wrong slot version, so
+        the requester's seqlock check fails the fetch.
         """
         self.faults.append(Fault(CORRUPT_REPLY, rank, peer=peer, count=count))
         return self
@@ -170,10 +168,6 @@ class FaultPlan:
                 fault.fired += 1
                 return fault
         return None
-
-    def wants_checksums(self) -> bool:
-        """Whether any corrupt-reply fault is scheduled (enable checksums)."""
-        return any(f.kind == CORRUPT_REPLY for f in self.faults)
 
     def retire_rank(self, rank: int) -> None:
         """Mark every kill targeting ``rank`` as fired.

@@ -423,7 +423,7 @@ class ExecutionWorld(abc.ABC):
 
         ``requests`` is a sequence of ``(logical_key, page_index)``
         pairs.  The world moves **one request/reply message pair per
-        distinct owning rank** (a page-key manifest out, a packed payload
+        distinct owning rank** (a page-key manifest out, the pages
         back).  The refresh protocol issues its prefetch right after the
         step barrier and waits the handle only once the interior sweep is
         done, so a reply that travels while the rank computes is hidden
@@ -435,9 +435,8 @@ class ExecutionWorld(abc.ABC):
     #: The world's :class:`~repro.runtime.shm.ControlWords` when its ranks
     #: can address common memory — the world then *offers slots* and the
     #: refresh protocol publishes the steady-state halo through them;
-    #: ``None`` (a world of one rank, processes without shm or under
-    #: checksum faults, a custom backend) keeps the page protocol for
-    #: every step.
+    #: ``None`` (a world of one rank, a custom backend) keeps the page
+    #: protocol for every step.
     control: Optional[ControlWords] = None
     #: Per rank, the round of its latest shared-word agreement.
     _rounds: List[int]

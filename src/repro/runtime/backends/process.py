@@ -12,13 +12,13 @@ Rank 0 runs inline in the parent process (so the master application
 instance, its Env and its trace counters stay native objects); ranks
 1..N-1 are forked children.  Every pair of ranks is connected by one
 duplex :func:`multiprocessing.Pipe`; there is no coordinator —
-collectives are allgathers over the pipe mesh.  With the shm data plane
-(below) the ranks additionally share one segment of *control words*
-(:class:`~repro.runtime.shm.ControlWords`, mapped before the fork):
-the refresh protocol's per-step agreement then runs over those words
-instead of the pipes, and owners publish the steady-state halo into
-stamped slots of shared memory (``docs/protocols.md`` §1) — the message
-protocol below is what runs at warm-up, repair and on pipe-only worlds.
+collectives are allgathers over the pipe mesh.  The ranks additionally
+share one segment of *control words*
+(:class:`~repro.runtime.shm.ControlWords`, mapped before the fork): the
+refresh protocol's per-step agreement runs over those words instead of
+the pipes, and owners publish the steady-state halo into stamped slots
+of shared memory (``docs/protocols.md`` §1) — the message protocol
+below is what runs at warm-up and repair.
 
 Messages are small tuples:
 
@@ -27,37 +27,27 @@ Messages are small tuples:
     ``"red"`` (allreduce), ``"bar"`` (barrier), ``"reg"`` (directory
     allgather) or ``"exit"`` (end-of-program drain barrier); ``gen`` is
     a per-kind generation counter that detects protocol corruption.
-``("breq", req_id, [(block_id, page_index), …])`` / ``("brep", req_id, payload, manifest)``
+``("breq", req_id, [(block_id, page_index), …])`` / ``("brep", req_id, manifest)``
     Batched page request/reply, the one way a page moves ("perr"
-    carries a failure message instead of the reply): the request
-    carries a page-key manifest, the reply one packed byte payload
-    holding every requested page plus the unpacking manifest — every
-    page a rank needs from one owner moves in a single message pair.
-    Manifest entries come in two shapes, distinguished by tuple length (see
-    ``docs/protocols.md`` for the full wire spec): a **6-tuple**
-    ``(block_id, page_index, offset, nbytes, shape, dtype_str)``
-    locates the page inside the packed payload, an **8-tuple**
-    ``(block_id, page_index, segment, offset, nbytes, shape,
-    dtype_str, version)`` is a zero-copy shared-memory descriptor —
-    the requester maps the named segment and copies the page out
-    directly, so only the few-dozen-byte manifest crosses the pipe.
+    carries a failure message instead of the reply): every page a rank
+    needs from one owner moves in a single message pair.  The reply's
+    manifest holds one shared-memory descriptor per requested page,
+    ``(block_id, page_index, segment, offset, nbytes, shape, dtype_str,
+    version)`` (``docs/protocols.md`` §2 has the wire spec): the
+    requester maps the named segment and copies the page out directly,
+    so only the few-dozen-byte manifest crosses the pipe.
 
 The shared-memory data plane
 ----------------------------
 
-A world picks this plane itself (:meth:`ProcessWorld.uses_shm`): when
-it has more than one rank, :mod:`multiprocessing.shared_memory` is
-usable and the fault plan wants no reply checksums.  Every rank then
+A world of more than one rank needs :mod:`multiprocessing.shared_memory`
+(:meth:`ProcessBackend.create_world` refuses it otherwise).  Every rank
 lazily creates a :class:`~repro.runtime.shm.SharedPageArena` — named
-segments holding one seqlock-stamped slot per served page — and bulk
-replies carry descriptors instead of packed bytes.  The pipe plane is
-what runs everywhere else.  Pages whose arrays cannot be
-flat-mapped (object dtype, zero-byte) transparently fall back to the
-packed path *per page*, counted in ``shm_fallbacks``.  Logical traffic
-accounting (``messages``/``bytes_moved``/``per_neighbor``) is identical
-between the two transports by design — equivalence suites compare them
-directly — while ``shm_fetches``/``shm_bytes`` record how much volume
-skipped the pipes.  Segment hygiene: each rank unlinks its own arena
+segments holding one seqlock-stamped slot per served page — on its
+first serve.  An object-dtype page has no bytes to share: its owner
+answers the request with a ``perr`` naming the page and the dtype.
+``shm_fetches``/``shm_bytes`` record the pages and bytes that arrived
+as descriptors.  Segment hygiene: each rank unlinks its own arena
 when its transport closes; :meth:`ProcessWorld.finalize` probe-unlinks
 the deterministically named segments of ranks that died before closing
 (see :func:`~repro.runtime.shm.cleanup_rank_segments`) and the control
@@ -106,7 +96,6 @@ import queue
 import threading
 import time
 import warnings
-import zlib
 from collections import deque
 from multiprocessing.connection import wait as connection_wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -121,6 +110,7 @@ from ..shm import (
     ControlWords,
     SegmentCache,
     SharedPageArena,
+    ShmVersionError,
     cleanup_rank_segments,
     ensure_tracker_running,
     new_shm_uid,
@@ -192,7 +182,6 @@ class ProcessTransport:
         timeout: float,
         *,
         fault_plan: Any = None,
-        use_shm: bool = False,
         shm_uid: str = "",
     ) -> None:
         self.rank = rank
@@ -202,12 +191,10 @@ class ProcessTransport:
         self.stats = NetworkStats()
         #: The rank's Env replica, served to peers (set by register_env).
         self.endpoint: Any = None
-        #: Whether bulk replies publish pages into a shared-memory arena
-        #: and ship descriptors (the zero-copy data plane) instead of
-        #: packed pickled bytes.  The arena is created lazily on the
-        #: first eligible serve, so worlds that never bulk-fetch create
-        #: no segments at all.
-        self._use_shm = bool(use_shm)
+        #: Bulk replies publish pages into this rank's shared-memory
+        #: arena and ship descriptors.  The arena is created lazily on
+        #: the first serve, so worlds that never bulk-fetch create no
+        #: page segments at all.
         self._shm_uid = shm_uid
         self._arena: Optional[SharedPageArena] = None
         #: The receiver thread (page serves) and the main thread (halo
@@ -218,10 +205,6 @@ class ProcessTransport:
         self._links: List[HaloLink] = []
         #: Installed fault plan (reply faults act in ``_post_reply``).
         self.fault_plan = fault_plan
-        #: Whether page replies carry an adler32 integrity checksum, so
-        #: corrupt-reply faults are *detected* (rejected by the
-        #: requester) instead of silently poisoning the numerics.
-        self._checksums = bool(fault_plan is not None and fault_plan.wants_checksums())
         #: First outbound send that failed because the peer's pipe was
         #: already dead — surfaced in the error raised at collect time so
         #: the failure is diagnosable instead of silently swallowed.
@@ -323,7 +306,7 @@ class ProcessTransport:
                         self._inbox_cond.notify_all()
 
     def _serve_page_batch(self, peer: int, msg: tuple) -> None:
-        """Answer a batched page request with one packed payload + manifest."""
+        """Answer a batched page request with one descriptor per page."""
         _, req_id, items = msg
         # The receiver thread has no task context: serve spans go on the
         # rank's explicit "recv" track (Perfetto shows them as their own
@@ -339,28 +322,11 @@ class ProcessTransport:
                 raise NetworkError(f"rank {self.rank} has no registered Env")
             from ...memory.page import PageKey  # local import to avoid a cycle
 
-            chunks: List[bytes] = []
-            manifest: List[tuple] = []
-            offset = 0
-            for block_id, page_index in items:
-                key = PageKey(block_id, page_index)
-                if self._use_shm:
-                    descriptor = self._publish_page(key)
-                    if descriptor is not None:
-                        manifest.append(descriptor)
-                        continue
-                data = np.ascontiguousarray(self.endpoint.page_snapshot(key))
-                raw = data.tobytes()
-                manifest.append(
-                    (block_id, page_index, offset, len(raw), data.shape, data.dtype.str)
-                )
-                chunks.append(raw)
-                offset += len(raw)
-            payload = b"".join(chunks)
-            if self._checksums:
-                reply = ("brep", req_id, payload, manifest, zlib.adler32(payload))
-            else:
-                reply = ("brep", req_id, payload, manifest)
+            manifest = [
+                self._publish_page(PageKey(block_id, page_index))
+                for block_id, page_index in items
+            ]
+            reply = ("brep", req_id, manifest)
         except Exception as exc:  # noqa: BLE001 - shipped to the requester
             reply = ("perr", req_id, f"rank {self.rank} could not serve page batch "
                                      f"of {len(items)} pages: {exc!r}")
@@ -368,25 +334,26 @@ class ProcessTransport:
         # plus one reply), mirroring SimNetwork.fetch_pages.
         self._post_reply(peer, reply)
 
-    def _publish_page(self, key) -> Optional[tuple]:
-        """Publish one page into the shm arena; descriptor 8-tuple or None.
+    def _publish_page(self, key) -> tuple:
+        """Publish one page into the shm arena; return its descriptor 8-tuple.
 
-        ``None`` means "pack it into the payload instead": the page's
-        array is not flat-mappable (object dtype, zero bytes) or the
-        endpoint is a bare stub without the zero-copy export hook.  The
-        endpoint's :meth:`~repro.memory.env.Env.page_export` supplies a
-        no-copy view plus the content generation used to reuse the
-        published slot across repeat serves of an unchanged buffer;
-        endpoints exposing only ``page_snapshot`` publish the snapshot
-        with no generation, forcing a seqlock rewrite per serve.
+        The endpoint's :meth:`~repro.memory.env.Env.page_export`
+        supplies a no-copy view plus the content generation used to
+        reuse the published slot across repeat serves of an unchanged
+        buffer; endpoints exposing only ``page_snapshot`` publish the
+        snapshot with no generation, forcing a fresh slot per serve.
         """
         exporter = getattr(self.endpoint, "page_export", None)
         if exporter is not None:
             data, generation = exporter(key)
         else:
             data, generation = self.endpoint.page_snapshot(key), None
+        data = np.asarray(data)
         if not shm_eligible(data):
-            return None
+            raise NetworkError(
+                f"page {key} has dtype {data.dtype}: an object array has no bytes "
+                "to share with another process"
+            )
         segment, offset, nbytes, version = self._own_arena().publish(key, data, generation)
         return (
             key.block_id,
@@ -394,8 +361,8 @@ class ProcessTransport:
             segment,
             offset,
             nbytes,
-            tuple(np.shape(data)),
-            np.asarray(data).dtype.str,
+            data.shape,
+            data.dtype.str,
             version,
         )
 
@@ -447,9 +414,8 @@ class ProcessTransport:
                     # its deadline and reports the outstanding request.
                     return
                 if fault.kind == "corrupt_reply":
-                    # Flip payload bytes *after* the checksum was computed
-                    # over the pristine data, so the requester's integrity
-                    # check rejects the reply.
+                    # Perturb the version the first descriptor names, so
+                    # the requester's seqlock check rejects the reply.
                     reply = self._corrupt_reply(reply)
                 elif fault.kind == "delay_reply":
                     timer = threading.Timer(
@@ -470,11 +436,11 @@ class ProcessTransport:
 
     @staticmethod
     def _corrupt_reply(reply: tuple) -> tuple:
-        """Return ``reply`` with its page payload perturbed (injected fault)."""
-        payload = bytearray(reply[2])
-        if payload:
-            payload[0] ^= 0xFF
-        return (reply[0], reply[1], bytes(payload)) + tuple(reply[3:])
+        """Return ``reply`` with its first descriptor's version perturbed."""
+        manifest = list(reply[2])
+        if manifest:
+            manifest[0] = manifest[0][:7] + (manifest[0][7] ^ 1,)
+        return (reply[0], reply[1], manifest)
 
     def _await(self, peer: int, match: Callable[[tuple], bool], what: str,
                *, fail_on_exit: bool = False) -> tuple:
@@ -574,11 +540,11 @@ class ProcessTransport:
         """Send the batched page request *now*; returns the request id.
 
         ``items`` holds ``(owner-local block id, page index)`` pairs; the
-        reply is one packed byte payload plus an unpacking manifest, so
-        the whole batch costs one request and one reply regardless of
-        page count.  The ``breq`` leaves immediately (the owner's
-        receiver thread serves it while this rank computes) and
-        :meth:`await_batch` drains the reply later.
+        reply is one manifest of shared-memory descriptors, so the whole
+        batch costs one request and one reply regardless of page count.
+        The ``breq`` leaves immediately (the owner's receiver thread
+        serves it while this rank computes) and :meth:`await_batch`
+        drains the reply later.
         """
         self._next_req += 1
         req_id = self._next_req
@@ -589,7 +555,8 @@ class ProcessTransport:
         return req_id
 
     def await_batch(self, owner: int, req_id: int, items: List[Tuple[int, int]]) -> List[Any]:
-        """Block until the ``brep`` for ``req_id`` arrived; unpack and account it."""
+        """Block until the ``brep`` for ``req_id`` arrived; copy its pages out
+        of the owner's segments and account them."""
         try:
             msg = self._await(
                 owner,
@@ -600,50 +567,28 @@ class ProcessTransport:
             self._outstanding.pop((owner, req_id), None)
         if msg[0] == "perr":
             raise NetworkError(msg[2])
-        payload, manifest = msg[2], msg[3]
-        if len(msg) > 4 and msg[4] is not None:
-            actual = zlib.adler32(payload)
-            if actual != msg[4]:
-                raise NetworkError(
-                    f"bulk page reply {req_id} from rank {owner} failed its "
-                    f"integrity check (adler32 {actual:#010x} != {msg[4]:#010x})"
-                )
-        datas: List[Any] = []
-        shm_pages = 0
-        shm_payload = 0
-        fallback_pages = 0
-        for entry in manifest:
-            if len(entry) == 8:  # shm descriptor: map the segment, copy directly
-                _bid, _pidx, segment, offset, nbytes, shape, dtype_str, version = entry
-                data = self._segcache.read(segment, offset, nbytes, version, shape, dtype_str)
-                shm_pages += 1
-                shm_payload += int(data.nbytes)
-            else:  # packed in the pipe payload
-                _bid, _pidx, offset, nbytes, shape, dtype_str = entry
-                dt = np.dtype(dtype_str)
-                data = np.frombuffer(
-                    payload, dtype=dt, count=nbytes // dt.itemsize, offset=offset
-                ).reshape(shape)
-                if self._use_shm:
-                    fallback_pages += 1
-            datas.append(data)
+        try:
+            datas = [
+                self._segcache.read(segment, offset, nbytes, version, shape, dtype_str)
+                for _, _, segment, offset, nbytes, shape, dtype_str, version in msg[2]
+            ]
+        except ShmVersionError as exc:
+            raise ShmVersionError(
+                f"bulk page reply {req_id} from rank {owner} failed its integrity check: {exc}"
+            ) from None
         payload_bytes = sum(int(d.nbytes) for d in datas)
-        # Logical accounting — identical whether the page bytes crossed
-        # the pipe or a mapped segment, so shm and pipe runs stay
-        # message-for-message and byte-for-byte comparable; the shm_*
-        # counters record the transport split on top.
+        # Logical accounting, the same shape as the threads backend's; the
+        # shm_* counters record that the page bytes crossed mapped segments.
         self.stats.messages += 1  # the reply (the request was counted by _send)
         self.stats.record_neighbor(self.rank, owner, 1, 32 + 16 * len(items))
         self.stats.record_neighbor(owner, self.rank, 1, payload_bytes)
         self._account_batch(datas)
-        if shm_pages or fallback_pages:
-            self.stats.shm_fetches += shm_pages
-            self.stats.shm_bytes += shm_payload
-            self.stats.shm_fallbacks += fallback_pages
+        if datas:
+            self.stats.shm_fetches += len(datas)
+            self.stats.shm_bytes += payload_bytes
             trace = global_trace().for_task()
-            trace.shm_fetches += shm_pages
-            trace.shm_bytes += shm_payload
-            trace.shm_fallbacks += fallback_pages
+            trace.shm_fetches += len(datas)
+            trace.shm_bytes += payload_bytes
         return datas
 
     def _account_batch(self, datas: List[Any]) -> None:
@@ -721,23 +666,6 @@ class ProcessWorld(ExecutionWorld):
         #: First undeliverable send observed by any rank's transport,
         #: surfaced in the failure raised after collection.
         self._send_notes: List[str] = []
-        #: Effective shm decision of the current launch (set pre-fork in
-        #: :meth:`run_spmd` so forked children inherit it).
-        self._use_shm = False
-
-    # -- data-plane choice -------------------------------------------------
-    def uses_shm(self) -> bool:
-        """Whether a launch of this world runs on the shared-memory plane.
-
-        Yes when the world has more than one rank, named shared memory
-        works here and the installed fault plan wants no reply
-        checksums (corrupt-reply detection needs a packed payload to
-        checksum; a descriptor-only reply has none).  Otherwise the
-        world runs on the pipe plane: packed replies, no control words,
-        the page protocol at every step.
-        """
-        wants_checksums = self.fault_plan is not None and self.fault_plan.wants_checksums()
-        return self.size > 1 and shm_available() and not wants_checksums
 
     # -- failure injection ----------------------------------------------
     def _execute_kill(self, fault: Any, rank: int) -> None:
@@ -758,16 +686,14 @@ class ProcessWorld(ExecutionWorld):
             raise_spmd_failures(results)
             return results
 
-        self._use_shm = use_shm = self.uses_shm()
-        if use_shm:
-            # Fork the resource tracker *now* so every child inherits it:
-            # one shared tracker means segment register/unregister from
-            # any rank lands in one set, and the single unlink per
-            # segment (owner or parent sweep) retires it cleanly.
-            ensure_tracker_running()
-            # Ranks that share memory can publish their halo: the control
-            # words are mapped before the fork so every child inherits them.
-            self._offer_slots(ControlWords.shared(self.shm_uid, self.size))
+        # Fork the resource tracker *now* so every child inherits it: one
+        # shared tracker means segment register/unregister from any rank
+        # lands in one set, and the single unlink per segment (owner or
+        # parent sweep) retires it cleanly.
+        ensure_tracker_running()
+        # The control words are mapped before the fork so every child
+        # inherits them.
+        self._offer_slots(ControlWords.shared(self.shm_uid, self.size))
         ctx = multiprocessing.get_context("fork")
         # One duplex pipe per unordered rank pair, created before forking
         # so every process inherits its ends.
@@ -801,7 +727,6 @@ class ProcessWorld(ExecutionWorld):
             conns_of[0],
             self.timeout,
             fault_plan=self.fault_plan,
-            use_shm=self._use_shm,
             shm_uid=self.shm_uid,
         )
         try:
@@ -867,7 +792,6 @@ class ProcessWorld(ExecutionWorld):
             conns_of[rank],
             self.timeout,
             fault_plan=self.fault_plan,
-            use_shm=self._use_shm,
             shm_uid=self.shm_uid,
         )
         # The child's fork-copied trace may contain pre-fork counters;
@@ -1074,7 +998,7 @@ class ProcessWorld(ExecutionWorld):
         # ranks that died mid-run left deterministically named segments
         # the parent can still unlink — keeping /dev/shm and the
         # resource tracker free of leaks no matter how the run ended.
-        if shm_available():
+        if self.size > 1:
             for rank in range(self.size):
                 cleanup_rank_segments(self.shm_uid, rank)
         self._finalized = True
@@ -1132,6 +1056,12 @@ class ProcessBackend(ExecutionBackend):
                 "the 'process' backend needs the 'fork' multiprocessing start "
                 "method (woven applications are inherited by forked ranks, not "
                 "pickled); use the 'threads' backend on this platform"
+            )
+        if size > 1 and not shm_available():
+            raise BackendError(
+                f"a 'process' world of {size} ranks moves its pages through named "
+                "shared memory, and multiprocessing.shared_memory cannot be "
+                "imported on this interpreter; use the 'threads' backend or one rank"
             )
         # A parent killed mid-run never unlinked its segments: do it for it.
         sweep_stale_segments()

@@ -58,16 +58,13 @@ class NetworkStats:
     #: Replies that could not be delivered because the peer was already
     #: dead (process backend: broken pipe in the sender thread).
     peer_dead: int = 0
-    #: Shared-memory data-plane activity (process worlds on the shm
-    #: plane): pages whose bytes travelled as
-    #: mapped-segment descriptors instead of packed pickled payloads,
-    #: the page bytes those descriptors covered (a subset of
-    #: ``bytes_moved``, which stays *logical* and transport-agnostic so
-    #: shm and pipe runs account identically), and pages that fell back
-    #: to the packed path in shm mode (object dtype, zero-byte or
-    #: non-array payloads).
+    #: Shared-memory data-plane activity (multi-rank process worlds):
+    #: pages whose bytes travelled as mapped-segment descriptors, and the
+    #: page bytes those descriptors covered (a subset of ``bytes_moved``,
+    #: which stays *logical*, the same shape on every backend).
     shm_fetches: int = 0
     shm_bytes: int = 0
+    #: Always 0 (no page leaves shared memory); ``benchmarks/e2e/workloads.py`` reads it.
     shm_fallbacks: int = 0
     #: Publish protocol: halo slots an owner stamped (one message of the
     #: slot's bytes each, also in ``messages``/``bytes_moved``) and the
@@ -327,8 +324,8 @@ class SimNetwork:
 
         ``pages`` is a list of ``(owner-local block id, page index)``
         pairs.  The whole batch is accounted as a *single* request/reply
-        message pair — a manifest-sized request and one packed reply
-        carrying every page — which is what an aggregated halo exchange
+        message pair — a manifest-sized request and one reply carrying
+        every page — which is what an aggregated halo exchange
         costs on a real network.
         """
         self._check_rank(requester)
@@ -362,8 +359,8 @@ class SimNetwork:
 
         The simulated network is one-sided (no real wire), so a dropped
         reply surfaces as the timeout the requester would eventually hit
-        and a corrupted reply as the checksum rejection the transport
-        layer would perform — both as :class:`NetworkError`, immediately.
+        and a corrupted reply as the integrity-check rejection the
+        process transport performs — both as :class:`NetworkError`, immediately.
         """
         plan = self.fault_plan
         if plan is None:

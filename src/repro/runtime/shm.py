@@ -1,14 +1,11 @@
 """Zero-copy shared-memory page transport for the process backend.
 
-Pipe-mesh bulk fetches (``breq``/``brep``) normally move pages as one
-packed pickled byte payload — every halo refresh pays
-serialize → pipe copy → deserialize on the full halo volume.  This
-module provides the alternative data plane: each rank *publishes* its
-served pages into a named ``multiprocessing.shared_memory`` arena and
-the ``brep`` reply carries only **descriptors** — ``(segment, offset,
-nbytes, version)`` slots — that the requester maps and copies from
-directly.  The payload crossing the pipe shrinks from the halo bytes to
-a few dozen bytes of manifest, independent of page size.
+The one data plane of a multi-rank process world: each rank *publishes*
+its served pages into a named ``multiprocessing.shared_memory`` arena
+and the ``brep`` reply carries only **descriptors** — ``(segment,
+offset, nbytes, version)`` slots — that the requester maps and copies
+from directly.  The payload crossing the pipe is a few dozen bytes of
+manifest per page, independent of page size.
 
 Concurrency is handled with a seqlock-style version stamp per slot:
 
@@ -22,8 +19,8 @@ Concurrency is handled with a seqlock-style version stamp per slot:
 Under the refresh protocol's synchronisation guarantees (owners never
 mutate read buffers between sync points; every fetch completes before
 the owner's next buffer swap) a mismatch can only mean protocol
-corruption — the same severity as a failed adler32 check on the packed
-path.
+corruption or a corrupted reply: the requester fails the fetch as a
+failed integrity check, it never retries.
 
 Segment hygiene: segment names are deterministic
 (``repro_shm_{uid}_{rank}_{seq}`` with a monotonically increasing
@@ -213,17 +210,10 @@ def ensure_tracker_running() -> None:
 
 
 def shm_eligible(data: np.ndarray) -> bool:
-    """Whether a page array can travel as a shared-memory descriptor.
-
-    Object-dtype pages have no flat byte representation and zero-byte
-    pages have nothing to map; both fall back to the packed-bytes path
-    (as does any non-array payload a custom endpoint might serve).
-    """
-    return (
-        isinstance(data, np.ndarray)
-        and not data.dtype.hasobject
-        and data.nbytes > 0
-    )
+    """Whether a page array can travel as a shared-memory descriptor:
+    anything but an object array, whose elements are pointers into the
+    owner's heap.  A zero-byte page publishes a header-only slot."""
+    return not data.dtype.hasobject
 
 
 class _Segment:
@@ -287,7 +277,13 @@ class SharedPageArena:
         if seg is None or seg.cursor + need > seg.capacity:
             capacity = max(self.segment_bytes, need)
             name = segment_name(self.uid, self.rank, len(self._segments))
-            shm = SharedMemory(name=name, create=True, size=capacity)
+            try:
+                shm = SharedMemory(name=name, create=True, size=capacity)
+            except OSError as exc:
+                raise NetworkError(
+                    f"rank {self.rank} could not create shared segment {name!r} of "
+                    f"{capacity} bytes in /dev/shm: {exc}"
+                ) from exc
             seg = _Segment(shm, name, capacity)
             self._segments.append(seg)
         offset = seg.cursor
@@ -301,13 +297,12 @@ class SharedPageArena:
         """Export a page; return its descriptor ``(segment, offset, nbytes, version)``.
 
         ``data`` must be :func:`shm_eligible`; non-contiguous views are
-        compacted here (the one copy the transport pays — into shared
-        memory instead of a pickle buffer).  ``generation=None`` (an
-        endpoint with no change stamp) publishes into a fresh slot every
-        call; otherwise the slot is rewritten in place only when
-        ``generation`` differs from the published one — safe because the
-        refresh protocol completes every fetch before the owner's next
-        buffer swap can advance the generation.
+        compacted here (the one copy the owner pays, into shared memory).
+        ``generation=None`` (an endpoint with no change stamp) publishes
+        into a fresh slot every call; otherwise the slot is rewritten in
+        place only when ``generation`` differs from the published one —
+        safe because the refresh protocol completes every fetch before
+        the owner's next buffer swap can advance the generation.
         """
         if self._closed:
             raise NetworkError(f"rank {self.rank} published a page after arena close")

@@ -112,14 +112,10 @@ class TaskCounters:
     restored_pages: int = 0
     replayed_steps: int = 0
     peer_dead: int = 0
-    #: Shared-memory data-plane activity (process worlds on the shm
-    #: plane): pages received as mapped-segment
-    #: descriptors, the page bytes that never crossed a pipe because of
-    #: it, and pages that fell back to the packed pickled path while in
-    #: shm mode (object dtype / zero-byte / non-array payloads).
+    #: Shared-memory data-plane activity (multi-rank process worlds):
+    #: pages received as mapped-segment descriptors and their bytes.
     shm_fetches: int = 0
     shm_bytes: int = 0
-    shm_fallbacks: int = 0
     #: Qualitative access pattern of the workload ('contiguous'|'random'|'bucketed')
     #: recorded by the DSL layer, consumed by the shared-memory contention model.
     access_pattern: str = "contiguous"
@@ -229,7 +225,6 @@ class TraceRecorder:
             "peer_dead": self.total("peer_dead"),
             "shm_fetches": self.total("shm_fetches"),
             "shm_bytes": self.total("shm_bytes"),
-            "shm_fallbacks": self.total("shm_fallbacks"),
         }
 
 

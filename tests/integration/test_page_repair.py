@@ -5,10 +5,9 @@ A step that read a halo page which had not arrived fails on every rank
 request/reply pair per owning rank, issued and completed before the
 step barrier — and add them to their Dry-run record, and every rank
 re-executes the step.  Here rank 0 marks, before step 0, every halo
-page it reads from two of its owners as not arrived, on the threads
-world, a process world on the shm plane and one on the pipe plane.  The
-repair must cost two messages per owner, not two per page, and the
-recomputed run must equal scalar serial bit for bit.  A reply dropped
+page it reads from two of its owners as not arrived, on a threads world
+and a process world.  The repair must cost two messages per owner, not
+two per page, and the recomputed run must equal scalar serial bit for bit.  A reply dropped
 on the way must fail the repair with a ``PageFetchError`` naming the
 pages it was waiting for.
 """
@@ -28,12 +27,10 @@ from repro.resilience import FaultPlan
 from repro.runtime import PageFetchError, get_backend
 from repro.runtime.tracing import TaskCounters, global_trace
 
-from page_protocol import plane
-
 CONFIG = dict(
     region=16, block_size=4, page_elements=8, loops=3, init=lambda x, y: 0.03 * x - 0.05 * y
 )
-WORLDS = [("threads", "shm"), ("process", "shm"), ("process", "pipe")]
+WORLDS = ["threads", "process"]
 
 
 class WithheldSGrid(JacobiSGrid):
@@ -77,11 +74,10 @@ def scalar_serial(loops: int) -> np.ndarray:
     return np.asarray(run.result, dtype=np.float64)
 
 
-@pytest.mark.parametrize("backend,data_plane", WORLDS)
-def test_repair_moves_one_pair_per_owner(backend, data_plane):
+@pytest.mark.parametrize("backend", WORLDS)
+def test_repair_moves_one_pair_per_owner(backend):
     platform = Platform.builder().mpi(4, backend=backend).mmat().comm_timeout(30.0).build()
-    with plane(data_plane):
-        run = platform.run(WithheldSGrid, config=dict(CONFIG))
+    run = platform.run(WithheldSGrid, config=dict(CONFIG))
     app = run.app
     assert len(app.owners) == 2 and len(app.pages) > len(app.owners)
     # One failed refresh on rank 0: two messages per owner, every page.
@@ -110,8 +106,8 @@ class _Env:
         raise AssertionError("a dropped repair installed pages")
 
 
-@pytest.mark.parametrize("backend,data_plane", WORLDS)
-def test_a_dropped_repair_reply_names_the_outstanding_pages(backend, data_plane):
+@pytest.mark.parametrize("backend", WORLDS)
+def test_a_dropped_repair_reply_names_the_outstanding_pages(backend):
     timeout = 1.0
     world = get_backend(backend).create_world(2, timeout=timeout)
     world.install_fault_plan(FaultPlan().drop_reply(1, peer=0))
@@ -135,11 +131,10 @@ def test_a_dropped_repair_reply_names_the_outstanding_pages(backend, data_plane)
             return str(exc)
         return None
 
-    with plane(data_plane):
-        try:
-            results = world.run_spmd(body)
-        finally:
-            world.finalize()
+    try:
+        results = world.run_spmd(body)
+    finally:
+        world.finalize()
     message = results[0].value
     assert message is not None
     assert "PageKey(block=5, page=0), PageKey(block=5, page=1)" in message

@@ -1,34 +1,35 @@
-"""Transport-conformance suite: the shm data plane honours the pipe contract.
+"""Transport-conformance suite: the shm data plane's bulk-fetch contract.
 
-The process backend's shared-memory page transport promises to be an
-invisible substitution for the packed-pipe path: identical page data,
-identical *logical* traffic accounting (messages, bytes moved,
-per-neighbor links) and identical error behaviour — only the physical
-route of the page bytes changes, recorded separately in the ``shm_*``
-counters.  A world picks its plane itself (``ProcessWorld.uses_shm``);
-this suite reaches the pipe plane the way a host without shm does
-(``page_protocol.pipe_plane``), runs the bulk-fetch contract cases on
-both planes side by side, checks every branch of the rule
-(``TestDataPlaneRule``), the fallback path for pages shared memory
-cannot carry, and pins the segment-hygiene guarantees (clean finalize,
-dead-rank sweep; the mid-run kill regression for leaked ``/dev/shm``
-entries lives in ``TestSegmentHygiene``).
+A multi-rank process world moves every remote page as a shared-memory
+descriptor: the owner publishes the page into a seqlock-stamped slot of
+its arena and the reply names the slot.  This suite pins the contract
+of that one plane — the pages are the owner's, every remote page counts
+as one descriptor fetch, zero-byte pages travel as header-only slots,
+an object-dtype page is refused by name and a full ``/dev/shm`` names
+the bytes it could not get — checks the rule that every multi-rank
+process world maps shared memory (``TestDataPlaneRule``; without it
+``create_world`` refuses) and pins the segment-hygiene guarantees
+(clean finalize, dead-rank sweep; the mid-run kill regression for
+leaked ``/dev/shm`` entries lives in ``TestSegmentHygiene``).
 """
 
 from __future__ import annotations
 
 import glob
+import multiprocessing
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro import Platform
-from repro.apps import JacobiSGrid, JacobiUSGrid, ParticleSimulation
+from repro.apps import JacobiSGrid
 from repro.resilience import FaultPlan, ResiliencePolicy
-from repro.runtime import NetworkError, get_backend
+from repro.runtime import BackendError, NetworkError, get_backend, shm
+from repro.runtime.backends import process
 from repro.runtime.shm import shm_available
 
-from page_protocol import pipe_plane, plane
+from page_protocol import no_space, slotless
 
 pytestmark = pytest.mark.skipif(
     not get_backend("process").available() or not shm_available(),
@@ -36,27 +37,16 @@ pytestmark = pytest.mark.skipif(
 )
 
 TIMEOUT = 15.0
-TRANSPORTS = ["pipe", "shm"]
 SIZES = [2, 3]
-CASES = [
-    pytest.param(transport, size, id=f"{transport}-{size}")
-    for transport in TRANSPORTS
-    for size in SIZES
-]
-
-#: traffic_summary keys that must be *identical* between transports.
-LOGICAL_KEYS = (
-    "messages",
-    "bytes_moved",
-    "page_fetches",
-    "bulk_fetches",
-    "bulk_pages",
-    "per_neighbor",
-)
 
 
 def make_world(size: int):
     return get_backend("process").create_world(size, timeout=TIMEOUT)
+
+
+def page_values(rank: int, block_id: int, page_index: int) -> list:
+    """What :class:`PageEndpoint` serves for one page."""
+    return (np.arange(4, dtype=np.float64) + 1000.0 * rank + 10.0 * block_id + page_index).tolist()
 
 
 class PageEndpoint:
@@ -66,54 +56,61 @@ class PageEndpoint:
         self.rank = rank
 
     def page_snapshot(self, key):
-        base = 1000.0 * self.rank + 10.0 * key.block_id + key.page_index
-        return np.arange(4, dtype=np.float64) + base
+        return np.asarray(page_values(self.rank, key.block_id, key.page_index))
 
 
 class EmptyPageEndpoint(PageEndpoint):
-    """Odd pages are zero-length — ineligible for shared memory.
-
-    (Object-dtype pages are the other ineligible class, but those are
-    unservable by the packed path too — ``tobytes`` of pointers does not
-    survive a process hop — so the conformance case uses the ineligible
-    shape both transports can actually carry.)
-    """
+    """Odd pages are zero-length: they publish header-only slots."""
 
     def page_snapshot(self, key):
-        if key.page_index % 2:
-            return np.array([], dtype=np.float64)
-        return super().page_snapshot(key)
+        return np.array([]) if key.page_index % 2 else super().page_snapshot(key)
 
 
-def run_fetch(size, transport, *, endpoint_cls=PageEndpoint, page_indices=(0, 2)):
+class ObjectPageEndpoint(PageEndpoint):
+    """Odd pages hold Python objects: no bytes another process could map."""
+
+    def page_snapshot(self, key):
+        return np.array([object()] * 4) if key.page_index % 2 else super().page_snapshot(key)
+
+
+def register(world, rank: int, endpoint_cls=PageEndpoint) -> None:
+    """Serve ``endpoint_cls(rank)``'s pages as Block ``("blk", rank)`` (id 7 + rank)."""
+    world.register_env(rank, endpoint_cls(rank))
+    world.register_block(("blk", rank), rank, 7 + rank, owner=True)
+    world.commit_registration()
+
+
+def fetch(world, rank: int, requests):
+    """``(result, None)`` of one bulk fetch, or ``(None, error message)``."""
+    try:
+        return world.fetch_pages_bulk_async(rank, requests).wait(), None
+    except NetworkError as exc:
+        return None, str(exc)
+
+
+def spmd(world, body) -> list:
+    """Every rank's value of ``body``; the world is finalized after."""
+    try:
+        return [r.value for r in world.run_spmd(body)]
+    finally:
+        world.finalize()
+
+
+def run_fetch(size, *, endpoint_cls=PageEndpoint, page_indices=(0, 2)):
     """One bulk fetch per rank from every peer; returns (world, rank dicts)."""
     world = make_world(size)
 
     def body(ctx):
         rank = ctx.mpi_rank
-        world.register_env(rank, endpoint_cls(rank))
-        world.register_block(("blk", rank), rank, 7 + rank, owner=True)
-        world.commit_registration()
-        requests = [
-            (("blk", owner), index)
-            for owner in range(size)
-            if owner != rank
-            for index in page_indices
-        ]
-        result = world.fetch_pages_bulk_async(rank, requests).wait()
+        register(world, rank, endpoint_cls)
+        owners = [owner for owner in range(size) if owner != rank]
+        result, error = fetch(world, rank, [(("blk", o), i) for o in owners for i in page_indices])
         world.barrier()
-        return {
-            "rank": rank,
-            "pages": {key: np.asarray(data).tolist() for key, _, data in result.pages},
-            "exchanges": result.exchanges,
-        }
+        pages = {(key, page): data.tolist() for key, page, data in result.pages} if result else {}
+        return {"rank": rank, "pages": pages, "exchanges": result and result.exchanges,
+                "error": error}
 
-    try:
-        with plane(transport):
-            results = world.run_spmd(body)
-        return world, [r.value for r in results]
-    finally:
-        world.finalize()
+    return world, spmd(world, body)
 
 
 def leftover_segments(pattern: str = "repro_shm_*") -> list:
@@ -121,120 +118,97 @@ def leftover_segments(pattern: str = "repro_shm_*") -> list:
 
 
 # ----------------------------------------------------------------------
-# contract cases, transport x size
+# contract cases, by world size
 # ----------------------------------------------------------------------
 
 
 class TestBulkFetchContract:
-    @pytest.mark.parametrize("transport,size", CASES)
-    def test_empty_request_set(self, transport, size):
+    @pytest.mark.parametrize("size", SIZES)
+    def test_empty_request_set(self, size):
         world = make_world(size)
 
         def body(ctx):
-            rank = ctx.mpi_rank
-            world.register_env(rank, PageEndpoint(rank))
-            world.register_block(("blk", rank), rank, 7 + rank, owner=True)
-            world.commit_registration()
-            result = world.fetch_pages_bulk_async(rank, []).wait()
+            register(world, ctx.mpi_rank)
+            result = world.fetch_pages_bulk_async(ctx.mpi_rank, []).wait()
             world.barrier()
             return (len(result.pages), result.exchanges, result.nbytes)
 
-        try:
-            with plane(transport):
-                results = world.run_spmd(body)
-        finally:
-            world.finalize()
-        assert [r.value for r in results] == [(0, 0, 0)] * size
+        assert spmd(world, body) == [(0, 0, 0)] * size
         assert world.traffic_summary()["shm_fetches"] == 0
 
-    @pytest.mark.parametrize("transport,size", CASES)
-    def test_self_rank_request_never_uses_segments(self, transport, size):
+    @pytest.mark.parametrize("size", SIZES)
+    def test_self_rank_request_never_uses_segments(self, size):
         world = make_world(size)
 
         def body(ctx):
             rank = ctx.mpi_rank
-            world.register_env(rank, PageEndpoint(rank))
-            world.register_block(("blk", rank), rank, 7 + rank, owner=True)
-            world.commit_registration()
-            handle = world.fetch_pages_bulk_async(rank, [(("blk", rank), 0), (("blk", rank), 2)])
-            result = handle.wait()
+            register(world, rank)
+            result, _ = fetch(world, rank, [(("blk", rank), 0), (("blk", rank), 2)])
             world.barrier()
-            return [np.asarray(data).tolist() for _, _, data in result.pages]
+            return [data.tolist() for _, _, data in result.pages]
 
-        try:
-            with plane(transport):
-                results = world.run_spmd(body)
-        finally:
-            world.finalize()
-        for rank, result in enumerate(results):
-            base = 1000.0 * rank + 10.0 * (7 + rank)
-            np.testing.assert_allclose(result.value[0], np.arange(4) + base + 0)
-            np.testing.assert_allclose(result.value[1], np.arange(4) + base + 2)
-        # Local pages never travel, so neither transport touches segments.
+        for rank, value in enumerate(spmd(world, body)):
+            assert value == [page_values(rank, 7 + rank, 0), page_values(rank, 7 + rank, 2)]
+        # Local pages never travel, so no segment is read.
         assert world.traffic_summary()["shm_fetches"] == 0
 
     @pytest.mark.parametrize("size", SIZES)
-    def test_mixed_owner_pages_are_identical_across_transports(self, size):
-        _, pipe_results = run_fetch(size, "pipe")
-        _, shm_results = run_fetch(size, "shm")
-        for pipe_rank, shm_rank in zip(pipe_results, shm_results):
-            assert pipe_rank["pages"] == shm_rank["pages"]
-            assert pipe_rank["exchanges"] == shm_rank["exchanges"]
+    def test_mixed_owner_pages_are_the_owners_pages(self, size):
+        _, results = run_fetch(size)
+        for result in results:
+            owners = [owner for owner in range(size) if owner != result["rank"]]
+            assert result["error"] is None and result["exchanges"] == len(owners)
+            assert result["pages"] == {
+                (("blk", owner), index): page_values(owner, 7 + owner, index)
+                for owner in owners
+                for index in (0, 2)
+            }
 
     @pytest.mark.parametrize("size", SIZES)
-    def test_logical_accounting_is_transport_invariant(self, size):
-        pipe_world, _ = run_fetch(size, "pipe")
-        shm_world, _ = run_fetch(size, "shm")
-        pipe_stats = pipe_world.traffic_summary()
-        shm_stats = shm_world.traffic_summary()
-        for key in LOGICAL_KEYS:
-            assert pipe_stats[key] == shm_stats[key], key
-        # The physical split is recorded on top: every remote page came
-        # through a descriptor in shm mode, none in pipe mode.
+    def test_every_remote_page_arrives_as_a_descriptor(self, size):
+        world, _ = run_fetch(size)
+        stats = world.traffic_summary()
         remote_pages = 2 * size * (size - 1)
-        assert pipe_stats["shm_fetches"] == 0
-        assert pipe_stats["shm_bytes"] == 0
-        assert shm_stats["shm_fetches"] == remote_pages
-        assert shm_stats["shm_bytes"] == remote_pages * 32
-        assert shm_stats["shm_fallbacks"] == 0
+        assert stats["page_fetches"] == stats["bulk_pages"] == stats["shm_fetches"] == remote_pages
+        assert stats["bulk_fetches"] == size * (size - 1)
+        assert stats["shm_bytes"] == remote_pages * 32 and stats["shm_fallbacks"] == 0
+        # Each directed link carries one request (32 + 16 bytes per page)
+        # and one reply (the two pages' bytes).
+        assert stats["per_neighbor"] == {
+            f"{a}->{b}": {"messages": 2, "bytes": 64 + 64}
+            for a in range(size)
+            for b in range(size)
+            if a != b
+        }
 
     @pytest.mark.parametrize("size", SIZES)
-    def test_ineligible_pages_fall_back_to_the_pipe(self, size):
-        _, pipe_results = run_fetch(
-            size, "pipe", endpoint_cls=EmptyPageEndpoint, page_indices=(0, 1)
-        )
-        shm_world, shm_results = run_fetch(
-            size, "shm", endpoint_cls=EmptyPageEndpoint, page_indices=(0, 1)
-        )
-        for pipe_rank, shm_rank in zip(pipe_results, shm_results):
-            assert pipe_rank["pages"] == shm_rank["pages"]
-        stats = shm_world.traffic_summary()
-        # Page 0 of each pair is eligible, page 1 (zero-length) is not.
-        per_transport = size * (size - 1)
-        assert stats["shm_fetches"] == per_transport
-        assert stats["shm_fallbacks"] == per_transport
+    def test_zero_byte_pages_publish_header_only_slots(self, size):
+        world, results = run_fetch(size, endpoint_cls=EmptyPageEndpoint, page_indices=(0, 1))
+        assert [result["error"] for result in results] == [None] * size
+        assert all(result["pages"][key] == [] for result in results for key in result["pages"]
+                   if key[1] == 1)
+        stats = world.traffic_summary()
+        per_page = size * (size - 1)  # of page 0 (four floats) and of page 1 (empty)
+        assert stats["shm_fetches"] == 2 * per_page and stats["shm_bytes"] == 32 * per_page
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_an_object_dtype_page_is_refused_by_name(self, size):
+        """The owner answers with a ``perr`` naming the page and the dtype;
+        numpy's "cannot create an OBJECT array" never reaches the requester."""
+        _, results = run_fetch(size, endpoint_cls=ObjectPageEndpoint, page_indices=(0, 1))
+        for result in results:
+            owner = min(o for o in range(size) if o != result["rank"])
+            assert "could not serve page batch" in result["error"]
+            assert f"page PageKey(block={7 + owner}, page=1) has dtype object" in result["error"]
+            assert "OBJECT array" not in result["error"]
 
 
 # ----------------------------------------------------------------------
-# the data-plane rule: each world picks its plane from what it observes
+# the data-plane rule: a multi-rank process world maps shared memory
 # ----------------------------------------------------------------------
 
 
-def _init(x, y):
-    return 0.05 * x - 0.04 * y + 1.25
-
-
-APPS = {
-    "sgrid": (JacobiSGrid, dict(region=16, block_size=4, page_elements=8, loops=4, init=_init)),
-    "usgrid": (JacobiUSGrid, dict(region=16, block_cells=32, page_elements=8, loops=3, init=_init)),
-    "particle": (ParticleSimulation, dict(particles=128, block_buckets=4, page_elements=4, loops=2)),
-}
-
-
-def run_app(name, ranks):
-    app_cls, config = APPS[name]
-    platform = Platform.builder().mpi(ranks, backend="process").mmat().build()
-    return platform.run(app_cls, config=dict(config))
+SGRID = dict(region=16, block_size=4, page_elements=8, loops=4, init=lambda x, y: x - 0.5 * y)
 
 
 def probe(world, owner_of):
@@ -243,100 +217,113 @@ def probe(world, owner_of):
     world's segments that exist mid-run."""
 
     def body(ctx):
-        rank = ctx.mpi_rank
-        world.register_env(rank, PageEndpoint(rank))
-        world.register_block(("blk", rank), rank, 7 + rank, owner=True)
-        world.commit_registration()
-        try:
-            world.fetch_pages_bulk_async(rank, [(("blk", owner_of(rank)), 0)]).wait()
-            error = None
-        except NetworkError as exc:
-            error = str(exc)
+        register(world, ctx.mpi_rank)
+        _, error = fetch(world, ctx.mpi_rank, [(("blk", owner_of(ctx.mpi_rank)), 0)])
         segments = leftover_segments(f"repro_shm_{world.shm_uid}*")
         world.barrier()
         return world.control is not None, error, segments
 
-    try:
-        return [r.value for r in world.run_spmd(body)]
-    finally:
-        world.finalize()
+    return spmd(world, body)
 
 
 class TestDataPlaneRule:
     @pytest.mark.parametrize(
-        "size,fault,shm_here,expected",
-        [
-            (1, None, True, False),
-            (2, None, True, True),
-            (4, None, True, True),
-            (2, None, False, False),
-            (2, "corrupt_reply", True, False),
-            (2, "drop_reply", True, True),
-            (2, "delay_reply", True, True),
-            (2, "kill", True, True),
-        ],
+        "size,fault",
+        [(1, None), (2, None), (4, None), (2, "corrupt_reply"), (3, "corrupt_reply"),
+         (2, "drop_reply"), (2, "delay_reply"), (2, "kill")],
     )
-    def test_rule(self, size, fault, shm_here, expected):
-        """shm exactly when there are several ranks, shm works here and the
-        fault plan wants no reply checksums (only corruption does)."""
-        with plane("shm" if shm_here else "pipe"):
-            world = make_world(size)
-            if fault is not None:
-                world.install_fault_plan(getattr(FaultPlan(), fault)(1))
-            assert world.uses_shm() is expected
+    def test_rule(self, size, fault):
+        """Control words exactly when there are several ranks, whatever
+        the fault plan."""
+        world = make_world(size)
+        if fault is not None:
+            world.install_fault_plan(getattr(FaultPlan(), fault)(1))
+        assert spmd(world, lambda ctx: world.control is not None) == [size > 1] * size
+
+    @pytest.mark.parametrize("size", [2, 3, 4])
+    def test_without_shm_a_multi_rank_world_is_refused(self, size):
+        children = len(multiprocessing.active_children())
+        with mock.patch.object(process, "shm_available", lambda: False):
+            with pytest.raises(BackendError, match=f"of {size} ranks .*shared_memory cannot"):
+                make_world(size)
+            one = make_world(1)  # one rank needs no shared memory
+        assert spmd(one, lambda ctx: one.control) == [None]
+        assert len(multiprocessing.active_children()) == children  # nothing forked
 
     def test_two_rank_world_shares_memory(self):
         world = make_world(2)
-        assert world.uses_shm()
         values = probe(world, lambda rank: 1 - rank)
         assert [(control, error) for control, error, _ in values] == [(True, None)] * 2
         assert values[0][2]  # the control words and the arenas are named segments
         assert world.traffic_summary()["shm_fetches"] == 2  # replies were descriptors
 
-    def test_without_shm_the_world_packs_its_replies(self):
-        with pipe_plane():
-            world = make_world(2)
-            assert not world.uses_shm()
-            values = probe(world, lambda rank: 1 - rank)
-        assert values == [(False, None, [])] * 2
-        stats = world.traffic_summary()
-        assert stats["shm_fetches"] == 0
-        assert stats["bulk_fetches"] == 2
+    def test_a_slotless_world_stays_bit_identical_and_says_why(self):
+        serial = np.asarray(Platform().run(JacobiSGrid, config=dict(SGRID)).result)
+        run = Platform.builder().mpi(2, backend=slotless()).mmat().run(
+            JacobiSGrid, config=dict(SGRID)
+        )
+        result = np.asarray(run.result)
+        mine = ~np.isnan(result)
+        assert mine.any() and np.array_equal(result[mine], serial[mine])
+        assert run.network["halo_pushes"] == 0 and run.network["bulk_fetches"] > 0
+        assert "open: no slots" in run.summary()
 
-    def test_without_shm_a_run_stays_bit_identical_and_says_why(self):
-        with pipe_plane():
-            pipe = run_app("sgrid", 2)
-        shm = run_app("sgrid", 2)
-        np.testing.assert_array_equal(np.asarray(pipe.result), np.asarray(shm.result))
-        assert pipe.network["halo_pushes"] == 0 and pipe.network["shm_fetches"] == 0
-        assert pipe.network["bulk_fetches"] > 0
-        assert shm.network["halo_pushes"] > 0
-        assert "open: no shm" in pipe.summary()
-        assert "open:" not in shm.summary()
-
-    def test_checksum_faults_send_the_world_to_the_pipe(self):
+    def test_a_corrupt_reply_fails_the_seqlock_check(self):
         world = make_world(2)
         world.install_fault_plan(FaultPlan().corrupt_reply(1, peer=0))
-        assert not world.uses_shm()
-        values = probe(world, lambda rank: 1)
-        assert values[0][0] is False and values[0][2] == []
-        assert "integrity check" in values[0][1]  # rank 0's reply from rank 1
-        assert values[1] == (False, None, [])  # rank 1 served itself
+        (control, error, segments), served_itself = probe(world, lambda rank: 1)
+        assert control and segments  # the reply came over shared memory …
+        assert "bulk page reply 1 from rank 1 failed its integrity check: slot " in error
+        assert "descriptor promised" in error  # … and named a version its slot lacks
+        assert served_itself[:2] == (True, None)
+        assert leftover_segments(f"repro_shm_{world.shm_uid}*") == []
 
     def test_one_rank_world_creates_no_segment(self):
         world = make_world(1)
-        assert not world.uses_shm()
         assert probe(world, lambda rank: rank) == [(False, None, [])]
         assert leftover_segments(f"repro_shm_{world.shm_uid}*") == []
 
-    @pytest.mark.parametrize("ranks", [2, 4])
-    @pytest.mark.parametrize("name", list(APPS))
-    def test_pipe_plane_matches_shm_plane(self, name, ranks):
-        with pipe_plane():
-            pipe = run_app(name, ranks)
-        shm = run_app(name, ranks)
-        np.testing.assert_array_equal(np.asarray(pipe.result), np.asarray(shm.result))
-        assert pipe.network["shm_fetches"] == pipe.network["halo_pushes"] == 0
+
+# ----------------------------------------------------------------------
+# a full /dev/shm
+# ----------------------------------------------------------------------
+
+
+class TestExhaustedShm:
+    def test_a_page_serve_names_the_bytes(self):
+        """Rank 1 cannot create its arena: rank 0's fetch fails with an
+        error naming the segment, its bytes and /dev/shm."""
+        world = make_world(2)
+
+        def body(ctx):
+            if ctx.mpi_rank == 1:
+                with mock.patch.object(shm, "SharedMemory", no_space):
+                    register(world, 1)
+                    world.barrier()
+                return None
+            register(world, 0)
+            _, error = fetch(world, 0, [(("blk", 1), 0)])
+            world.barrier()
+            return error
+
+        error = spmd(world, body)[0]
+        assert "rank 1 could not serve page batch" in error and "No space left" in error
+        assert f"'repro_shm_{world.shm_uid}_1_0' of {1 << 22} bytes in /dev/shm" in error
+
+    def test_a_halo_slot_names_the_bytes(self):
+        world = make_world(2)
+
+        def body(ctx):
+            if ctx.mpi_rank == 0:
+                with mock.patch.object(shm, "SharedMemory", no_space), pytest.raises(
+                    NetworkError, match=f"'repro_shm_{world.shm_uid}_0_0' of {1 << 22} bytes "
+                    "in /dev/shm"
+                ):
+                    world.open_halo_link(1, 0, nbytes=4096)
+            world.barrier()
+
+        spmd(world, body)
+        assert leftover_segments(f"repro_shm_{world.shm_uid}*") == []
 
 
 # ----------------------------------------------------------------------
@@ -346,7 +333,7 @@ class TestDataPlaneRule:
 
 class TestSegmentHygiene:
     def test_finalize_leaves_no_segments(self):
-        world, _ = run_fetch(3, "shm")
+        world, _ = run_fetch(3)
         assert leftover_segments(f"repro_shm_{world.shm_uid}*") == []
 
     def test_killed_rank_leaves_no_segments(self):

@@ -1,31 +1,27 @@
-"""Test helpers: a multi-rank run that stays on the page protocol, and
-the process world's pipe plane.
+"""Test helpers: runs that stay on the page protocol, a world without
+halo slots, and a full ``/dev/shm``.
 
 Where ranks share memory the refresh protocol *publishes* the halo once
 the compiled plans are negotiated, and from then on moves no page.  The
 suites that pin the page protocol itself — page exchange ≡ scalar
-serial, shm ≡ pipe, with page counts and the Buffer-only pages left
-behind — therefore run an app that is observably open: one
+serial, with page counts and the Buffer-only pages left behind —
+therefore run an app that is observably open: one
 scalar read of a remote element per step is remote data the pushed rows
 do not cover, so every rank agrees to take that step through the page
 exchange (``open: scalar halo read`` in ``PlatformRun.summary()``).  The
 element is one the plans prefetch anyway, so the read adds no traffic
 and never fails.
-
-A process world picks its data plane from what it observes
-(:meth:`~repro.runtime.backends.process.ProcessWorld.uses_shm`);
-:func:`pipe_plane` reaches the packed-pipe plane the way a host without
-named shared memory does.
 """
 
 from __future__ import annotations
 
-import contextlib
-from unittest import mock
+import errno
 
 import numpy as np
 
-from repro.runtime.backends import process
+from repro.apps import JacobiSGrid
+from repro.runtime import register_backend, shm
+from repro.runtime.backends.threads import ThreadsBackend
 
 
 def read_remote_scalar(env) -> None:
@@ -52,19 +48,47 @@ def kept_open(app_cls):
     return KeptOpen
 
 
-@contextlib.contextmanager
-def pipe_plane():
-    """Process worlds launched inside see no named shared memory: packed
-    replies, no control words, the page protocol at every step."""
-    with mock.patch.object(process, "shm_available", lambda: False):
-        yield
+class MidRunResetJacobi(JacobiSGrid):
+    """Vectorized Jacobi that drops every compiled plan halfway through.
+
+    The reset forces a recompile and a renegotiation; MMAT is then
+    disabled entirely, so the next step's scalar reads find the halo
+    pages invalid (a repair and a recomputed step) and every later step
+    prefetches the Dry-run record the repair left.
+    """
+
+    def processing(self) -> None:
+        self.warm_up(self.kernel)
+        half = max(self.loops // 2, 1)
+        for _ in range(half):
+            self.run(self.kernel)
+        self.env.mmat.reset()           # drop plans: recompiled next sweep
+        self.run(self.kernel)
+        self.env.mmat.enabled = False   # stop compiling plans …
+        self.env.mmat.reset()           # … and drop the cached ones:
+        for _ in range(self.loops - half - 1):
+            self.run(self.kernel)       # repaired, then pages from here on
 
 
-@contextlib.contextmanager
-def plane(name: str):
-    """Run on the ``"shm"`` plane (what the rule picks here) or the ``"pipe"`` one."""
-    if name == "pipe":
-        with pipe_plane():
-            yield
-    else:
-        yield
+class SlotlessBackend(ThreadsBackend):
+    """Threaded worlds whose ranks agree and exchange pages over messages
+    only, as a custom backend without shared words would."""
+
+    name = "slotless"
+
+    def create_world(self, size: int, *, timeout: float = 60.0):
+        world = super().create_world(size, timeout=timeout)
+        world.control = None
+        return world
+
+
+def slotless() -> str:
+    """Register :class:`SlotlessBackend`; returns its name."""
+    return register_backend(SlotlessBackend(), replace=True).name
+
+
+def no_space(*args, _shared_memory=shm.SharedMemory, **kwargs):
+    """``SharedMemory`` on a full ``/dev/shm``: attaching works, creating fails."""
+    if kwargs.get("create"):
+        raise OSError(errno.ENOSPC, "No space left on device")
+    return _shared_memory(*args, **kwargs)

@@ -6,7 +6,7 @@ the Dry-run record united with the halo pages of every compiled plan —
 is issued after the step barrier and completed behind the next sweep; a
 repair is issued and completed before the barrier of a failed step.
 For every DSL app and world the result must equal, bit for bit, the
-scalar serial reference: on the shm plane and the pipe plane, at 2 and 4
+scalar serial reference: on threads and process worlds, at 2 and 4
 ranks, with MMAT off (no plans: the Dry-run record is prefetched in
 bulk) and through a mid-run ``MMAT.reset()`` followed by MMAT switched
 off (a repair, then pages only).
@@ -26,7 +26,7 @@ import pytest
 from repro.annotation import Platform
 from repro.apps import JacobiSGrid, JacobiUSGrid, ParticleSimulation
 
-from page_protocol import kept_open, plane
+from page_protocol import MidRunResetJacobi, kept_open
 
 
 def _init(x, y):
@@ -39,16 +39,8 @@ APPS = {
     "particle": (ParticleSimulation, dict(particles=256, block_buckets=4, page_elements=4, loops=2)),
 }
 
-#: (backend, ranks, data plane): ranks 1, 2 and 4, both planes of a process world.
-WORLDS = [
-    ("serial", 1, "shm"),
-    ("threads", 2, "shm"),
-    ("threads", 4, "shm"),
-    ("process", 2, "shm"),
-    ("process", 4, "shm"),
-    ("process", 2, "pipe"),
-    ("process", 4, "pipe"),
-]
+#: (backend, ranks): ranks 1, 2 and 4.
+WORLDS = [("serial", 1), ("threads", 2), ("threads", 4), ("process", 2), ("process", 4)]
 
 _references: dict = {}
 
@@ -80,10 +72,9 @@ def assert_matches_reference(name: str, run, loops=None) -> None:
     assert np.array_equal(result, expected)
 
 
-def run_app(app_cls, config, *, backend, ranks, data_plane="shm", mmat=True):
+def run_app(app_cls, config, *, backend, ranks, mmat=True):
     platform = Platform.preset("mpi", ranks=ranks, backend=backend, mmat=mmat)
-    with plane(data_plane):
-        return platform.run(app_cls, config=dict(config))
+    return platform.run(app_cls, config=dict(config))
 
 
 def assert_pages_moved_in_bulk(run) -> None:
@@ -95,59 +86,35 @@ def assert_pages_moved_in_bulk(run) -> None:
     assert sum(c.messages for c in counters) == 2 * exchanges
 
 
-@pytest.mark.parametrize("backend,ranks,data_plane", WORLDS)
+@pytest.mark.parametrize("backend,ranks", WORLDS)
 @pytest.mark.parametrize("name", sorted(APPS))
-def test_page_exchange_matches_scalar_serial(name, backend, ranks, data_plane):
+def test_page_exchange_matches_scalar_serial(name, backend, ranks):
     app_cls, config = APPS[name]
-    run = run_app(kept_open(app_cls), config, backend=backend, ranks=ranks, data_plane=data_plane)
+    run = run_app(kept_open(app_cls), config, backend=backend, ranks=ranks)
     assert_matches_reference(name, run)
     if ranks > 1:
         assert_pages_moved_in_bulk(run)
         assert run.network["halo_pushes"] == 0  # every step ran on pages
 
 
-@pytest.mark.parametrize("backend,data_plane", [("threads", "shm"), ("process", "pipe")])
+@pytest.mark.parametrize("backend", ["threads", "process"])
 @pytest.mark.parametrize("name", sorted(APPS))
-def test_mmat_off_prefetches_the_dry_run_record_in_bulk(name, backend, data_plane):
+def test_mmat_off_prefetches_the_dry_run_record_in_bulk(name, backend):
     """No plans: warm-up repairs record the halo pages, and every later
     refresh prefetches that Dry-run record in one exchange per owner."""
     app_cls, config = APPS[name]
     run = run_app(
-        kept_open(app_cls), config, backend=backend, ranks=2, data_plane=data_plane, mmat=False
+        kept_open(app_cls), config, backend=backend, ranks=2, mmat=False
     )
     assert_matches_reference(name, run)
     assert_pages_moved_in_bulk(run)
     assert sum(c.plan_compiles for c in run.counters.values()) == 0
 
 
-class MidRunResetJacobi(JacobiSGrid):
-    """Vectorized Jacobi that drops every compiled plan halfway through.
-
-    The reset forces a recompile and a renegotiation; MMAT is then
-    disabled entirely, so the next step's scalar reads find the halo
-    pages invalid (a repair and a recomputed step) and every later step
-    prefetches the Dry-run record the repair left.
-    """
-
-    def processing(self) -> None:
-        self.warm_up(self.kernel)
-        half = max(self.loops // 2, 1)
-        for _ in range(half):
-            self.run(self.kernel)
-        self.env.mmat.reset()           # drop plans: recompiled next sweep
-        self.run(self.kernel)
-        self.env.mmat.enabled = False   # stop compiling plans …
-        self.env.mmat.reset()           # … and drop the cached ones:
-        for _ in range(self.loops - half - 1):
-            self.run(self.kernel)       # repaired, then pages from here on
-
-
-@pytest.mark.parametrize(
-    "backend,data_plane", [("threads", "shm"), ("process", "shm"), ("process", "pipe")]
-)
-def test_mid_run_reset_then_mmat_off(backend, data_plane):
+@pytest.mark.parametrize("backend", ["threads", "process"])
+def test_mid_run_reset_then_mmat_off(backend):
     config = dict(APPS["sgrid"][1], loops=5)
-    run = run_app(MidRunResetJacobi, config, backend=backend, ranks=2, data_plane=data_plane)
+    run = run_app(MidRunResetJacobi, config, backend=backend, ranks=2)
     assert_matches_reference("sgrid", run, loops=5)
     counters = run.counters.values()
     assert sum(c.recomputed_steps for c in counters) > 0  # the repair ran

@@ -3,17 +3,12 @@
 The zero-copy data plane promises bit-identical results and identical
 *logical* traffic accounting: for every DSL app, a process-backend run
 whose halo pages travel as shared-memory descriptors must end exactly
-like a run whose pages are packed into the pipe replies — and both
-must match the ``threads`` backend, where pages never serialise at
-all.  The physical split is visible only in the ``shm_*`` counters.
+like a ``threads`` run, where pages never leave one address space.  The
+physical route is visible only in the ``shm_*`` counters.
 
-A world picks its plane itself (``ProcessWorld.uses_shm``): shm here,
-pipe where named shared memory is missing — which is how these tests
-reach it (``page_protocol.pipe_plane``).  The data plane carries
-*pages*, so the apps run *kept open* (``tests/page_protocol.py``): a
-world that shares memory would otherwise publish its halo and serve no
-page after warm-up, while the pipe world — which offers no slots — kept
-exchanging them.
+The data plane carries *pages*, so the apps run *kept open*
+(``tests/page_protocol.py``): a world that shares memory would
+otherwise publish its halo and serve no page after warm-up.
 """
 
 from __future__ import annotations
@@ -27,7 +22,7 @@ from repro.memory.block import BufferOnlyBlock
 from repro.runtime import get_backend
 from repro.runtime.shm import shm_available
 
-from page_protocol import kept_open, plane
+from page_protocol import MidRunResetJacobi, kept_open
 
 pytestmark = pytest.mark.skipif(
     not get_backend("process").available() or not shm_available(),
@@ -50,10 +45,9 @@ APPS = [
 ]
 
 
-def run_app(app_cls, config, *, backend, transport="shm", ranks=2):
+def run_app(app_cls, config, *, backend, ranks=2):
     platform = Platform.builder().mpi(ranks, backend=backend).mmat().build()
-    with plane(transport):
-        return platform.run(kept_open(app_cls), config=dict(config))
+    return platform.run(kept_open(app_cls), config=dict(config))
 
 
 def env_contents(run) -> dict:
@@ -87,61 +81,27 @@ def logical_traffic(run) -> dict:
 
 class TestTransportEquivalence:
     @pytest.mark.parametrize("name,app_cls,config", APPS)
-    def test_shm_matches_pipe_bit_identical(self, name, app_cls, config):
-        pipe = run_app(app_cls, config, backend="process", transport="pipe")
-        shm = run_app(app_cls, config, backend="process", transport="shm")
-        assert_same_result(pipe, shm)
-        # Logically the same exchange — the pipes just carried less.
-        assert logical_traffic(pipe) == logical_traffic(shm)
-        assert sum(c.shm_fetches for c in pipe.counters.values()) == 0
-        assert sum(c.shm_fetches for c in shm.counters.values()) > 0
-
-    @pytest.mark.parametrize("name,app_cls,config", APPS)
     def test_shm_matches_threads(self, name, app_cls, config):
         threads = run_app(app_cls, config, backend="threads")
         shm = run_app(app_cls, config, backend="process")
         assert_same_result(threads, shm)
-
-    @pytest.mark.parametrize("name,app_cls,config", APPS)
-    def test_the_rule_picks_shm_here(self, name, app_cls, config):
-        run = run_app(app_cls, config, backend="process")
-        assert sum(c.shm_fetches for c in run.counters.values()) > 0
+        # Logically the same exchange — the pages just crossed segments.
+        assert logical_traffic(threads) == logical_traffic(shm)
+        assert sum(c.shm_fetches for c in threads.counters.values()) == 0
+        assert sum(c.shm_fetches for c in shm.counters.values()) > 0
 
     def test_summary_reports_the_shm_section(self):
-        shm = run_app(JacobiSGrid, SGRID_CONFIG, backend="process", transport="shm")
-        pipe = run_app(JacobiSGrid, SGRID_CONFIG, backend="process", transport="pipe")
-        assert " shm=" in shm.summary()
-        assert " shm=" not in pipe.summary()
-
-
-class MidRunResetJacobi(JacobiSGrid):
-    """Vectorized Jacobi that drops every compiled plan halfway through.
-
-    The MMAT reset changes the page set the refresh protocol prefetches,
-    so shm goes through all of its serving regimes: bulk exchanges with
-    generation-memoized slots, recompilation, and a repair of the pages
-    the plans no longer prefetch once MMAT is disabled entirely.  The
-    shm plane must stay invisible across every transition.
-    """
-
-    def processing(self) -> None:
-        self.warm_up(self.kernel)
-        half = max(self.loops // 2, 1)
-        for _ in range(half):
-            self.run(self.kernel)
-        self.env.mmat.reset()           # drop plans: recompiled next sweep
-        self.run(self.kernel)
-        self.env.mmat.enabled = False   # stop compiling plans …
-        self.env.mmat.reset()           # … and drop the cached ones:
-        for _ in range(self.loops - half - 1):
-            self.run(self.kernel)       # repaired, then pages from here on
+        shm = run_app(JacobiSGrid, SGRID_CONFIG, backend="process")
+        threads = run_app(JacobiSGrid, SGRID_CONFIG, backend="threads")
+        assert " shm=" in shm.summary() and "fallback=" not in shm.summary()
+        assert " shm=" not in threads.summary()
 
 
 class TestMidRunInvalidation:
     def test_mmat_reset_mid_run_stays_equivalent(self):
         config = dict(SGRID_CONFIG, loops=5)
-        pipe = run_app(MidRunResetJacobi, config, backend="process", transport="pipe")
-        shm = run_app(MidRunResetJacobi, config, backend="process", transport="shm")
-        assert_same_result(pipe, shm)
-        assert logical_traffic(pipe) == logical_traffic(shm)
+        threads = run_app(MidRunResetJacobi, config, backend="threads")
+        shm = run_app(MidRunResetJacobi, config, backend="process")
+        assert_same_result(threads, shm)
+        assert logical_traffic(threads) == logical_traffic(shm)
         assert sum(c.shm_fetches for c in shm.counters.values()) > 0

@@ -5,9 +5,7 @@ the scalar kernel did — over the configuration lattice.
 plan per table, one user expression, one store).  One hypothesis
 strategy draws the layout (CaseC / CaseR), the Block size, the world
 (ranks x backend, with or without a shared-memory team), MMAT on or off,
-the data plane a process world picks (shm here, pipe where shared
-memory is missing — ``page_protocol.plane``), and what disturbs
-the run: a mid-run ``MMAT.reset()``, a Block of another image class
+and what disturbs the run: a mid-run ``MMAT.reset()``, a Block of another image class
 added after the tiles were built, Blocks dealt round-robin so that a
 task's image rows do not follow each other, a byte budget small enough
 to cut every rank's run of Blocks into several tiles.
@@ -32,8 +30,6 @@ from repro.memory import DataBlock
 from repro.runtime import get_backend
 from repro.runtime.shm import set_protocol_checks
 from repro.runtime.task import current_task
-
-from page_protocol import plane
 
 LOOPS = 5
 REGION = 16
@@ -133,7 +129,6 @@ def lattice(draw):
         block_cells=draw(st.sampled_from([8, 16, 32])),
         backend=backend, ranks=ranks, omp=omp,
         mmat=draw(st.booleans()),
-        transport=draw(st.sampled_from(["shm", "pipe"])),
         reset_at=draw(st.sampled_from([None, 1, 3])),
         # Growing an Env its team is sweeping is not something apps may do.
         grow_at=draw(st.sampled_from([None, 2])) if omp == 1 else None,
@@ -155,7 +150,7 @@ def run_point(point: dict):
     budget = base.TILE_BYTES
     if point["budget"] is not None:
         budget = point["budget"] * point["block_cells"] * 4 * 8
-    with mock.patch.object(base, "TILE_BYTES", budget), plane(point["transport"]):
+    with mock.patch.object(base, "TILE_BYTES", budget):
         return builder.run(Disturbed, config=config)
 
 

@@ -36,7 +36,7 @@ from repro.runtime import shm
 from repro.runtime.shm import ControlWords, spin_until
 from repro.runtime.tracing import TaskCounters
 
-from page_protocol import pipe_plane
+from page_protocol import slotless
 
 SRC = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
@@ -297,18 +297,20 @@ class TestWorldAgreement:
         assert world.run_spmd(lambda ctx: world.allreduce_bits(0b101))[0].value == 0b101
         assert world.traffic_summary()["allreduces"] == 1
 
-    @needs_process
-    def test_pipe_only_processes_offer_no_slots(self):
-        world = get_backend("process").create_world(2, timeout=10.0)
-        try:
-            with pipe_plane():
-                results = world.run_spmd(
-                    lambda ctx: (world.control is None, world.allreduce_bits(3 - ctx.mpi_rank))
-                )
-        finally:
-            world.finalize()
-        assert [r.value for r in results] == [(True, 2), (True, 2)]
-        assert world.traffic_summary()["messages"] > 0
+    def test_slotless_worlds_offer_no_slots(self):
+        """A registered world without control words agrees over messages,
+        computes what serial does and says why it never published."""
+        world = get_backend(slotless()).create_world(2, timeout=10.0)
+        bits = world.run_spmd(lambda ctx: (world.control, world.allreduce_bits(3 - ctx.mpi_rank)))
+        world.finalize()
+        assert [r.value for r in bits] == [(None, 2), (None, 2)]
+        config = dict(region=16, block_size=4, page_elements=8, loops=3, init=lambda x, y: x - y)
+        serial = np.asarray(Platform().run(JacobiSGrid, config=dict(config)).result)
+        run = Platform.builder().mpi(2, backend=slotless()).mmat().run(JacobiSGrid, config=config)
+        result = np.asarray(run.result)
+        mine = ~np.isnan(result)
+        assert mine.any() and np.array_equal(result[mine], serial[mine])
+        assert "open: no slots x" in run.summary()
 
     def test_threads_survivor_sees_the_dead_rank_not_the_timeout(self):
         world = get_backend("threads").create_world(2, timeout=30.0)

@@ -62,11 +62,6 @@ class TestFaultPlan:
         assert plan.take_reply(1, 0) is not None
         assert plan.take_reply(1, 0) is None  # budget exhausted
 
-    def test_checksums_enabled_only_for_corruption(self):
-        assert not FaultPlan().kill(1).wants_checksums()
-        assert not FaultPlan().drop_reply(1).wants_checksums()
-        assert FaultPlan().corrupt_reply(1).wants_checksums()
-
     def test_retire_rank_disarms_pending_kills(self):
         plan = FaultPlan().kill(1, epoch=2).kill(2, epoch=3)
         plan.retire_rank(1)
@@ -235,6 +230,13 @@ def transport_pair():
 
 
 class TestTransportSatellites:
+    def test_corrupt_reply_perturbs_the_first_descriptors_version(self):
+        first = (7, 0, "repro_shm_x_1_0", 0, 32, (4,), "<f8", 2)
+        second = (7, 1, "repro_shm_x_1_0", 40, 32, (4,), "<f8", 2)
+        corrupted = ProcessTransport._corrupt_reply(("brep", 3, [first, second]))
+        assert corrupted == ("brep", 3, [first[:7] + (3,), second])
+        assert ProcessTransport._corrupt_reply(("brep", 4, [])) == ("brep", 4, [])
+
     def test_timeout_message_lists_outstanding_requests(self, transport_pair):
         t0, _t1 = transport_pair
         t0._outstanding[(1, 7)] = "page 3 of block 9 from rank 1"

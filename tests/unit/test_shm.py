@@ -3,13 +3,15 @@
 Covers the pieces :mod:`repro.runtime.shm` promises independently of
 the process backend: descriptor round-trips through an arena, seqlock
 version checking on the reader side, generation memoization, bump
-allocation across segments, eligibility gating, segment hygiene
-(close/unlink/idempotency) and the orphan probe-sweep.
+allocation across segments, eligibility gating, the error a full
+``/dev/shm`` raises, segment hygiene (close/unlink/idempotency) and the
+orphan probe-sweep.
 """
 
 from __future__ import annotations
 
 import glob
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from repro.runtime.shm import (
     shm_available,
     shm_eligible,
 )
+
+from page_protocol import no_space
 
 pytestmark = pytest.mark.skipif(
     not shm_available(), reason="multiprocessing.shared_memory unavailable"
@@ -45,22 +49,14 @@ def uid():
         cleanup_rank_segments(value, rank)
 
 
-class TestEligibility:
-    def test_contiguous_float_array_is_eligible(self):
-        assert shm_eligible(np.arange(6, dtype=np.float64))
-
-    def test_non_contiguous_view_is_still_eligible(self):
-        # publish() compacts; strided views must not force the pipe path.
-        assert shm_eligible(np.arange(10, dtype=np.float64)[::2])
-
-    def test_object_dtype_is_not_eligible(self):
-        assert not shm_eligible(np.array([object(), object()]))
-
-    def test_empty_array_is_not_eligible(self):
-        assert not shm_eligible(np.array([], dtype=np.float64))
-
-    def test_non_array_is_not_eligible(self):
-        assert not shm_eligible([1.0, 2.0])
+@pytest.mark.parametrize(
+    "data,eligible",
+    [(np.arange(6.0), True), (np.arange(10.0)[::2], True), (np.array([]), True),
+     (np.array([object(), object()]), False)],
+    ids=["contiguous", "strided", "empty", "object"],
+)
+def test_only_object_arrays_are_ineligible(data, eligible):
+    assert shm_eligible(data) is eligible
 
 
 class TestArenaRoundTrip:
@@ -80,6 +76,16 @@ class TestArenaRoundTrip:
             cache.close_all()
             arena.close(unlink=True)
         assert leftover_segments(uid) == []
+
+    def test_zero_byte_page_is_a_header_only_slot(self, uid):
+        arena, cache = SharedPageArena(uid, 0), SegmentCache()
+        name, offset, nbytes, version = arena.publish(("blk", 0), np.zeros((0, 3), "f4"), 1)
+        assert (nbytes, version) == (0, 2)
+        assert arena.publish(("blk", 1), np.arange(2.0), 1)[1] == offset + 8  # header only
+        out = cache.read(name, offset, nbytes, version, (0, 3), "<f4")
+        assert out.shape == (0, 3) and out.dtype == np.float32
+        cache.close_all()
+        arena.close(unlink=True)
 
     def test_non_contiguous_pages_are_compacted(self, uid):
         arena = SharedPageArena(uid, 0)
@@ -202,6 +208,21 @@ class TestSeqlockChecks:
         cache = SegmentCache()
         with pytest.raises(NetworkError):
             cache.read(segment_name(uid, 3, 0), 0, 64, 2, (8,), "<f8")
+
+
+@pytest.mark.parametrize(
+    "allocate,nbytes",
+    [(lambda arena: arena.publish(("blk", 0), np.zeros(1024)), 8200),
+     (lambda arena: arena.reserve(100), 4096)],
+    ids=["publish", "reserve"],
+)
+def test_a_full_dev_shm_names_the_segment_and_the_bytes(uid, allocate, nbytes):
+    arena = SharedPageArena(uid, 3, segment_bytes=4096)
+    with mock.patch.object(shm_mod, "SharedMemory", no_space), pytest.raises(NetworkError) as info:
+        allocate(arena)
+    assert f"{segment_name(uid, 3, 0)!r} of {nbytes} bytes in /dev/shm" in str(info.value)
+    assert arena.segment_count == 0
+    arena.close(unlink=True)
 
 
 class TestHygiene:

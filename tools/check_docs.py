@@ -5,7 +5,7 @@ Run by the ``docs`` CI job (and locally)::
 
     PYTHONPATH=src python tools/check_docs.py
 
-Two checks, both must pass:
+Three checks, all must pass:
 
 1. **Link check** — every relative markdown link in ``README.md`` and
    ``docs/*.md`` must point at an existing file (and, for ``#anchor``
@@ -17,11 +17,19 @@ Two checks, both must pass:
    module docstring, and the public surface a ``pydoc repro`` reader
    would land on (Platform, the builder, runs, worlds, plans, fault
    plans, the shm plane) needs class *and* public-method docstrings.
+
+3. **Member references** — every backticked ``Class.member`` in
+   ``README.md`` and ``docs/*.md`` whose ``Class`` is defined under
+   ``src/repro`` must name an attribute the class has: a method,
+   property or class attribute, a dataclass field or annotation, or an
+   attribute its methods assign on ``self``.  Fenced code blocks are
+   not inspected.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import importlib
 import inspect
 import pathlib
@@ -130,11 +138,77 @@ def check_api_docstrings() -> list:
     return problems
 
 
+_FENCE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
+_CODE_SPAN = re.compile(r"`([^`\n]+)`")
+_MEMBER_REF = re.compile(r"(?<![\w.])([A-Z]\w*)\.([A-Za-z_]\w*)")
+
+
+@functools.lru_cache(maxsize=None)
+def _self_attributes() -> dict:
+    """``(module, class name) -> names`` its methods assign on ``self``, for
+    every top-level class under ``src/repro``."""
+    index = {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                index[module, node.name] = {
+                    target.attr
+                    for target in ast.walk(node)
+                    if isinstance(target, ast.Attribute)
+                    and isinstance(target.ctx, ast.Store)
+                    and isinstance(target.value, ast.Name)
+                    and target.value.id == "self"
+                }
+    return index
+
+
+def _has_member(cls, member: str, assigned: dict) -> bool:
+    if hasattr(cls, member):
+        return True
+    return any(
+        member in getattr(klass, "__dataclass_fields__", {})
+        or member in vars(klass).get("__annotations__", {})
+        or member in assigned.get((klass.__module__, klass.__name__), ())
+        for klass in cls.__mro__
+    )
+
+
+def member_problems(text: str) -> list:
+    """``(span, class, member)`` for every backticked ``Class.member`` in
+    markdown ``text`` whose class under ``src/repro`` lacks the member."""
+    assigned = _self_attributes()
+    modules_of = {}
+    for module, name in assigned:
+        modules_of.setdefault(name, []).append(module)
+    problems = []
+    for span in _CODE_SPAN.findall(_FENCE.sub("", text)):
+        for class_name, member in _MEMBER_REF.findall(span):
+            classes = [
+                getattr(importlib.import_module(module), class_name)
+                for module in modules_of.get(class_name, ())
+            ]
+            if classes and not any(_has_member(c, member, assigned) for c in classes):
+                problems.append((span, class_name, member))
+    return problems
+
+
+def check_member_references() -> list:
+    return [
+        f"{md.relative_to(ROOT)}: `{span}` names no attribute {member!r} of {class_name}"
+        for md in MARKDOWN_FILES
+        if md.exists()  # a missing file is reported by the link check
+        for span, class_name, member in member_problems(md.read_text())
+    ]
+
+
 def main() -> int:
     checks = [
         ("markdown links", check_links),
         ("module docstrings", check_module_docstrings),
         ("public-API docstrings", check_api_docstrings),
+        ("member references", check_member_references),
     ]
     failed = False
     for title, check in checks:
