@@ -603,40 +603,56 @@ class Env:
         one search step per table-resolved address.
         """
         addrs = np.asarray(addresses, dtype=np.int64)
-        n, ndim = addrs.shape
-        blocks, lo, hi, n_joint, position = self._box_table(ndim)
+        first, ambiguous = self.locate_boxes(addrs, starts=(start,))
+        position = self._box_table(addrs.shape[1])[4]
+        for i in np.flatnonzero(ambiguous).tolist():
+            found = self.find_block(tuple(addrs[i].tolist()), start=start)
+            first[i] = -1 if found is None else position[found.block_id]
+        return first
+
+    def locate_boxes(
+        self, addresses: np.ndarray, *, starts: Sequence[Optional[Block]]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The box-table half of :meth:`locate_blocks`, for a search from
+        any of ``starts``: ``(positions, ambiguous)``.  An ambiguous
+        address is one a search from some start may find in another
+        Block than the root order does; its position is left for the
+        caller's scalar search.  Counts one search and one search step
+        per other address."""
+        n, ndim = addresses.shape
+        blocks, lo, hi, n_joint, _ = self._box_table(ndim)
         kept = np.empty(0, dtype=np.intp)
         if n and blocks:
-            meets = (lo <= addrs.max(axis=0)) & (hi > addrs.min(axis=0))
+            meets = (lo <= addresses.max(axis=0)) & (hi > addresses.min(axis=0))
             kept = np.flatnonzero(meets.all(axis=1))
-        node = start
-        while node is not None and node is not self.data_joint:
-            node = node.parent
-        # Matches a search from ``start`` may order differently than one
-        # from the root: those under the joint, or all of them when
-        # ``start`` is neither the root nor under the joint.
-        from_root = start is None or start is self.root
-        if from_root or node is not None:
-            contested = int(np.searchsorted(kept, n_joint))
-        else:
-            contested = kept.size
+        # Matches a search from a start may order differently than one
+        # from the root: those under the joint, or all of them when some
+        # start is neither the root nor under the joint.
+        contested = int(np.searchsorted(kept, n_joint))
+        for start in starts:
+            node = start
+            while node is not None and node is not self.data_joint:
+                node = node.parent
+            if node is None and start is not None and start is not self.root:
+                contested = kept.size
+                break
         first = np.full(n, -1, dtype=np.intp)
         ambiguous = np.zeros(n, dtype=bool)
         if kept.size:
             lo, hi = lo[kept], hi[kept]
-            chunk = max(1, (1 << 20) // kept.size)
+            # At most 64k (address, Block) pairs a chunk: a tile's table
+            # locates tens of thousands of addresses at once, and the
+            # broadcast's temporaries are this size.
+            chunk = max(1, (1 << 16) // kept.size)
             for s in range(0, n, chunk):
-                a = addrs[s : s + chunk, None, :]
+                a = addresses[s : s + chunk, None, :]
                 hit = ((a >= lo) & (a < hi)).all(axis=2)
                 first[s : s + chunk] = np.where(hit.any(axis=1), kept[hit.argmax(axis=1)], -1)
                 ambiguous[s : s + chunk] = hit[:, :contested].sum(axis=1) > 1
-        scalar = np.flatnonzero(ambiguous)
-        for i in scalar.tolist():
-            found = self.find_block(tuple(addrs[i].tolist()), start=start)
-            first[i] = -1 if found is None else position[found.block_id]
-        self.stats.searches += n - scalar.size
-        self.stats.search_steps += n - scalar.size
-        return first
+        located = n - int(np.count_nonzero(ambiguous))
+        self.stats.searches += located
+        self.stats.search_steps += located
+        return first, ambiguous
 
     def find_blocks(self, addresses, *, start: Optional[Block] = None) -> List[Optional[Block]]:
         """:meth:`locate_blocks` as Blocks (None: no Block)."""

@@ -13,14 +13,15 @@ and later iterations resolve almost every access from the memo instead
 of searching the Env tree.
 
 Access plans push the same assumption one step further: the sites of a
-whole-block sweep are resolved *in bulk* (one vectorised
-:meth:`~repro.memory.env.Env.locate_blocks` per start Block) and
-compiled into a handful of NumPy index arrays.  The plan *is* the
-memorization of its sites: a compile neither reads nor fills the scalar
-memo, which only scalar ``read_from`` calls fill, on first use.  A plan
-holds one merged gather table per array of the Env's dense read image,
-i.e. one for all locally-owned source Blocks and one for all
-Buffer-only ones, plus a precomputed constant table for
+whole-block sweep — or of a tile of Blocks — are resolved *in bulk*
+(their distinct addresses located with one vectorised
+:meth:`~repro.memory.env.Env.locate_boxes` per plan, however many start
+Blocks the tile has) and compiled into a handful of NumPy index arrays.
+The plan *is* the memorization of its sites: a compile neither reads nor
+fills the scalar memo, which only scalar ``read_from`` calls fill, on
+first use.  A plan holds one merged gather table per array of the Env's
+dense read image, i.e. one for all locally-owned source Blocks and one
+for all Buffer-only ones, plus a precomputed constant table for
 Arithmetic/Static boundary sites; the sites of a stencil offset that
 stay inside the Block are not enumerated at all but kept as one pair of
 array slices.
@@ -40,6 +41,7 @@ macro is called").
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -453,24 +455,47 @@ def stencil_table(blocks: Sequence[DataBlock], offsets) -> np.ndarray:
     return table[..., 0] if blocks[0].ndim == 1 else table
 
 
-def _locate(env, start: DataBlock, addrs: np.ndarray) -> np.ndarray:
-    """The Block serving each distinct address, as its position in
-    ``env.box_blocks``, the way the scalar path would find it from
-    ``start``: the Block itself when it contains the address, else one
-    bulk Env search."""
-    local = addrs - np.asarray(start.origin, dtype=np.int64)
-    outside = np.flatnonzero(
-        ~np.all((local >= 0) & (local < np.asarray(start.shape)), axis=1)
-    )
-    found = np.full(addrs.shape[0], env.box_position(start), dtype=np.intp)
-    if outside.size:
-        found[outside] = env.locate_blocks(addrs[outside], start=start)
-        bad = np.flatnonzero(found < 0)
-        if bad.size:
-            raise AddressError(
-                f"no block of Env {env.name!r} contains address {tuple(addrs[bad[0]].tolist())}"
-            )
-    return found
+def _locate(env, blocks, cuts, distinct: np.ndarray, site_key: np.ndarray, away: np.ndarray):
+    """The Block serving each distinct address that the sites of mask
+    ``away`` read from outside their own start Block, as its position in
+    ``env.box_blocks``: one bulk Env search for the whole tile.  A site's
+    address is ``distinct[site_key[site]]``.
+
+    An address that overlapping Blocks hold (ambiguous) is searched from
+    the start Block of every site that reads it, as the scalar path
+    would; sites whose start finds another Block than the first one's
+    get a key of their own, appended to ``distinct`` (``site_key`` is
+    updated).  Returns ``(distinct, found)``."""
+    found, ambiguous = env.locate_boxes(distinct, starts=blocks)
+    keys = np.flatnonzero(ambiguous)
+    if keys.size:
+        sites = np.flatnonzero(away)
+        inv = site_key[sites]
+        reads = np.flatnonzero(np.isin(inv, keys))
+        start = np.searchsorted(cuts, sites[reads], side="right") - 1
+        pairs, pair_of = np.unique(inv[reads] * len(blocks) + start, return_inverse=True)
+        searched: set = set()
+        extra: List[Tuple[int, int]] = []
+        for j, code in enumerate(pairs.tolist()):
+            key, k = divmod(code, len(blocks))
+            hit = env.find_block(tuple(distinct[key].tolist()), start=blocks[k])
+            at = -1 if hit is None else env.box_position(hit)
+            if key not in searched:
+                searched.add(key)
+                found[key] = at
+            elif at != found[key]:
+                site_key[sites[reads[pair_of.reshape(-1) == j]]] = distinct.shape[0] + len(extra)
+                extra.append((key, at))
+        if extra:
+            distinct = np.concatenate([distinct, distinct[[key for key, _ in extra]]])
+            found = np.concatenate([found, np.array([at for _, at in extra], dtype=np.intp)])
+    if (found < 0).any():  # name the first such address in site order
+        inv = site_key[away]
+        key = inv[np.flatnonzero(found[inv] < 0)[0]]
+        raise AddressError(
+            f"no block of Env {env.name!r} contains address {tuple(distinct[key].tolist())}"
+        )
+    return distinct, found
 
 
 def _follow_reference(env, ref: ReferenceBlock, addrs: np.ndarray):
@@ -494,16 +519,16 @@ def _follow_reference(env, ref: ReferenceBlock, addrs: np.ndarray):
     return mapped_arr, found
 
 
-def _resolve(env, start: DataBlock, addrs: np.ndarray, sources: list, const_vals: list):
-    """Resolve distinct global addresses, as seen from ``start``, in bulk.
+def _resolve(env, components: int, addrs: np.ndarray, found: np.ndarray, sources: list):
+    """Resolve distinct global addresses, located in the Blocks ``found``
+    (positions in ``env.box_blocks``), in bulk.
 
-    Returns ``(group, src)``: address ``k`` is read from element
-    ``src[k]`` of the Data Block ``sources[group[k]]``, or, where
+    Returns ``(group, src, const_vals)``: address ``k`` is read from
+    element ``src[k]`` of the Data Block ``sources[group[k]]``, or, where
     ``group[k] == -1``, is the compile-time constant in row ``src[k]`` of
-    ``np.concatenate(const_vals)``.  Blocks met for the first time are
-    appended to ``sources``, and each group of constants to
-    ``const_vals`` as one ``(m, start.components)`` array; one plan's
-    resolutions share both lists.
+    ``np.concatenate(const_vals)``, a list of ``(m, components)`` arrays.
+    Blocks met for the first time are appended to ``sources``, in Block
+    id order.
 
     Reference blocks are followed through their (static) address mapping
     so mirror/Neumann boundaries compile down to gathers on the mapped
@@ -515,17 +540,17 @@ def _resolve(env, start: DataBlock, addrs: np.ndarray, sources: list, const_vals
     n = addrs.shape[0]
     blocks = env.box_blocks(addrs.shape[1])
     source_index = {block.block_id: k for k, block in enumerate(sources)}
-    n_const = sum(len(vals) for vals in const_vals)
+    const_vals: List[np.ndarray] = []
+    n_const = 0
     group = np.empty(n, dtype=np.intp)
     src = np.empty(n, dtype=np.intp)
 
-    pending = [(np.arange(n), addrs, _locate(env, start, addrs))]
+    pending = [(np.arange(n), addrs, found)]
     depth = 0
     while pending:
-        pos = np.concatenate([where for where, _, _ in pending])
-        addrs = np.concatenate([mapped for _, mapped, _ in pending])
-        found = np.concatenate([at for _, _, at in pending])
-        pending = []
+        if len(pending) > 1:
+            pending = [tuple(np.concatenate(part) for part in zip(*pending))]
+        (pos, addrs, found), pending = pending[0], []
         order = np.argsort(found, kind="stable")
         groups = np.split(order, np.flatnonzero(np.diff(found[order])) + 1)
         # Block by Block in id order, the order ``sources`` grows in.
@@ -553,24 +578,93 @@ def _resolve(env, start: DataBlock, addrs: np.ndarray, sources: list, const_vals
                 src[where] = np.arange(n_const, n_const + len(sel))
                 n_const += len(sel)
                 const_vals.append(
-                    np.broadcast_to(target.read_many(at), (len(sel), start.components))
+                    np.broadcast_to(target.read_many(at), (len(sel), components))
                 )
         depth += 1
-    return group, src
+    return group, src, const_vals
 
 
-def _first_uses(addrs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``(first, inv)`` of an ``(n, ndim)`` address array: each distinct
-    address's first row, in first-use order, and per row the index of its
-    address in ``first``, told apart by flat index in the bounding box."""
+#: Widest bounding box, per listed address, whose distinct addresses are
+#: told apart by a table over the box rather than by sorting.
+_TABLE_SPREAD = 4
+
+
+def _distinct(addrs: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(distinct, inv)`` of the addresses ``addrs[rows]`` (``rows``: a
+    mask) of an ``(n, ndim)`` array: the distinct ones, and per masked row
+    the index of its address in ``distinct``.  Addresses are told apart by
+    flat index in the bounding box of ``addrs``: through a table over the
+    box, in O(n), where the box is at most :data:`_TABLE_SPREAD` times as
+    wide as the masked rows are many, else by sorting."""
     lo = addrs.min(axis=0)
-    try:
-        keys = np.ravel_multi_index(tuple((addrs - lo).T), tuple(addrs.max(axis=0) - lo + 1))
-    except ValueError:  # a box of more than intp elements: sort whole rows
-        keys = np.unique(addrs, axis=0, return_inverse=True)[1].reshape(-1)
-    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
-    by_first_use = np.argsort(first)
-    return first[by_first_use], np.argsort(by_first_use)[inv]
+    dims = (addrs.max(axis=0) - lo + 1).tolist()
+    width = math.prod(dims)
+    if width >= 1 << 62:  # flat indices would overflow: sort whole rows
+        distinct, inv = np.unique(addrs[rows], axis=0, return_inverse=True)
+        return distinct, inv.reshape(-1)
+    keys = addrs[:, 0][rows]  # a copy: a masked read
+    keys -= lo[0]
+    for d in range(1, len(dims)):
+        keys *= dims[d]
+        keys += addrs[:, d][rows]
+        keys -= lo[d]
+    if width > _TABLE_SPREAD * keys.size:
+        codes, inv = np.unique(keys, return_inverse=True)
+        inv = inv.reshape(-1)
+    else:
+        seen = np.zeros(width, dtype=bool)
+        seen[keys] = True
+        codes = np.flatnonzero(seen)
+        del seen
+        rank = np.empty(width, dtype=np.intp)
+        rank[codes] = np.arange(codes.size)
+        for s in range(0, keys.size, 1 << 16):  # the keys become ``inv`` in place
+            keys[s : s + (1 << 16)] = rank[keys[s : s + (1 << 16)]]
+        inv = keys
+    return np.stack(np.unravel_index(codes, dims), axis=1) + lo, inv
+
+
+def _resolve_away(env, blocks, cuts, addrs: np.ndarray, home: np.ndarray, sources: list,
+                  site_row: np.ndarray):
+    """Resolve the sites of a tile that do not read their own start Block
+    (``home`` False): the distinct addresses they read (:func:`_distinct`)
+    are located with one bulk Env search (:func:`_locate`) and resolved
+    once (:func:`_resolve`).  Each such site's entry of ``site_row`` is set
+    to the index of its address; returns ``((group, src), const_vals)``
+    of :func:`_resolve`, indexed by it."""
+    away = ~home
+    distinct, site_row[away] = _distinct(addrs, away)
+    distinct, found = _locate(env, blocks, cuts, distinct, site_row, away)
+    group, src, const_vals = _resolve(env, blocks[0].components, distinct, found, sources)
+    return (group, src), const_vals
+
+
+def _fill_sites(addrs, blocks, cuts, home, slots, table_of, keys, site_row, site_table) -> int:
+    """Turn ``site_row`` into the image row every site reads and fill
+    ``site_table`` with the number of that row's table (-1: a constant),
+    a start Block at a time; returns how many sites read their own start
+    Block.  A ``home`` site reads its start Block ``blocks[b]``; every
+    other site holds the index of its address into ``keys`` of
+    :func:`_resolve_away`.  ``slots`` and ``table_of`` are the image
+    slots and table numbers of the sources."""
+    if keys is not None:
+        group, src = keys
+        key_row = np.array([slot[1] for slot in slots] + [0])[group] + src
+        key_table = np.array(table_of + [-1], dtype=np.int8)[group]
+    in_block = 0
+    for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+        inside, rows, tabs = home[lo:hi], site_row[lo:hi], site_table[lo:hi]
+        (_, first, end, _), table = slots[k], table_of[k]
+        local = addrs[lo:hi][inside] - np.asarray(blocks[k].origin, dtype=np.int64)
+        rows[inside] = first + np.ravel_multi_index(tuple(local.T), blocks[k].shape)
+        tabs[inside] = table
+        if local.shape[0] < hi - lo:
+            away = rows[~inside]
+            rows[~inside] = key_row[away]
+            tabs[~inside] = key_table[away]
+        # Own rows: the home sites, and any a Reference maps back home.
+        in_block += int(np.count_nonzero((tabs == table) & (rows >= first) & (rows < end)))
+    return in_block
 
 
 def _halo_pages(sources: List[DataBlock], site_source: np.ndarray, site_elem: np.ndarray):
@@ -607,11 +701,13 @@ def _compile(
     those in ``cuts[b]:cuts[b + 1]`` starting from ``blocks[b]`` of a tile.
     ``columns`` ``(elements, k)`` lays the table out column-major.
 
-    Sites are resolved one start Block at a time (a compile's working
-    set is a Block's however wide the tile); a Block's duplicate
-    addresses are resolved once (:func:`_first_uses`, in first-use order) and
-    fanned back out through the inverse index, so compilation cost
-    scales with *distinct* addresses, not sites.  ``slice_sites``
+    The whole tile compiles in one pass.  A site whose address lies in
+    its own start Block reads it without a search (checked a Block at a
+    time, as one comparison).  The addresses of the other sites are made
+    distinct (:func:`_distinct`), located with one bulk Env search
+    (:func:`_locate`), resolved once (:func:`_resolve`) and fanned back
+    out through the inverse index, so compilation cost scales with
+    *distinct* addresses, not sites or start Blocks.  ``slice_sites``
     in-block sites are covered by the caller's slice part and not listed.
 
     The sites of all sources that share one array of the Env's dense
@@ -625,23 +721,32 @@ def _compile(
     in_block = out_of_block = 0
     if addrs.shape[0]:
         sources: List[DataBlock] = list(blocks)
-        const_vals: List[np.ndarray] = []
-        read: set = set()  # indices of the sources some site reads
         # (image id, is halo) -> table number; 0 is the tile's own rows.
         tables: Dict[tuple, int] = {}
+        # Sites whose address lies in their own start Block (``home``) read
+        # it without a search; the distinct addresses of the others are
+        # resolved once for the whole tile.
+        home = np.empty(addrs.shape[0], dtype=bool)
+        read = set()  # indices of the sources some site reads
+        for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            local = addrs[lo:hi] - np.asarray(blocks[k].origin, dtype=np.int64)
+            home[lo:hi] = np.all((local >= 0) & (local < np.asarray(blocks[k].shape)), axis=1)
+            if home[lo:hi].any():
+                read.add(k)
         # Every site as a row of its table's image array (constants, in
         # table -1: as an index into ``const_vals``).
         site_row = np.empty(addrs.shape[0], dtype=np.intp)
         site_table = np.empty(addrs.shape[0], dtype=np.int8)
-        for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
-            first, inv = _first_uses(addrs[lo:hi])
-            group, src = _resolve(env, blocks[k], addrs[lo:hi][first], sources, const_vals)
-            read.update(np.unique(group).tolist())
-            slots = [env.image_slot(source) for source in sources]
-            table_of = [tables.setdefault((id(slot[0]), slot[3]), len(tables)) for slot in slots]
-            in_block += int(np.count_nonzero(group[inv] == k))
-            site_row[lo:hi] = (np.array([slot[1] for slot in slots] + [0])[group] + src)[inv]
-            site_table[lo:hi] = np.array(table_of + [-1], dtype=np.int8)[group][inv]
+        keys, const_vals = None, []
+        if not home.all():
+            keys, const_vals = _resolve_away(env, blocks, cuts, addrs, home, sources, site_row)
+            read.update(np.unique(keys[0]).tolist())
+        slots = [env.image_slot(source) for source in sources]
+        table_of = [tables.setdefault((id(slot[0]), slot[3]), len(tables)) for slot in slots]
+        in_block = _fill_sites(
+            addrs, blocks, cuts, home, slots, table_of, keys, site_row, site_table
+        )
+        del home, keys
         if columns is not None:  # resolved element-major, laid out column-major
             site_row = site_row.reshape(columns).T.ravel()
             site_table = site_table.reshape(columns).T.ravel()

@@ -79,6 +79,12 @@ exchange before entering the success allreduce).  After the program body finishe
 enters a final ``exit`` drain barrier so late prefetch requests of
 slower peers are still served before the process tears down.
 
+The receiver blocks, without a timeout, on the peers' pipes and on a
+*wake pipe* of its own.  :meth:`ProcessTransport.close` flushes the
+sender thread, then writes to the wake pipe: the receiver returns at
+once, and a run's teardown waits for no poll interval.  ``close`` is
+idempotent.
+
 Every rank counts its own traffic in a local
 :class:`~repro.runtime.network.NetworkStats`; children ship their
 counters (and their per-task trace counters) back to the parent over a
@@ -238,8 +244,10 @@ class ProcessTransport:
         # All inbound traffic goes through a dedicated receiver thread:
         # page requests are served the moment they arrive (even while the
         # main thread computes — the key to overlapped halo exchange),
-        # everything else lands in the per-peer inboxes above.
-        self._recv_stop = False
+        # everything else lands in the per-peer inboxes above.  It waits
+        # on the peers' pipes and on a wake pipe that close() writes to.
+        self._wake_recv, self._wake_send = multiprocessing.Pipe(duplex=False)
+        self._closed = False
         self._receiver = threading.Thread(
             target=self._receiver_main, name=f"proc-mpi-recv-{rank}", daemon=True
         )
@@ -283,13 +291,14 @@ class ProcessTransport:
 
     # -- receiving ------------------------------------------------------
     def _receiver_main(self) -> None:
-        """Pump every connection until closed, serving page requests eagerly."""
-        while not self._recv_stop:
+        """Pump every connection until close() wakes it, serving page
+        requests eagerly."""
+        while True:
             conns = [conn for peer, conn in self.conns.items() if peer not in self._dead]
-            if not conns:
-                time.sleep(0.01)
-                continue
-            for conn in connection_wait(conns, timeout=0.1):
+            ready = connection_wait(conns + [self._wake_recv])
+            for conn in ready:
+                if conn is self._wake_recv:
+                    continue
                 peer = self._peer_of[id(conn)]
                 try:
                     msg = conn.recv()
@@ -304,6 +313,8 @@ class ProcessTransport:
                     with self._inbox_cond:
                         self._inbox[peer].append(msg)
                         self._inbox_cond.notify_all()
+            if self._wake_recv in ready:
+                return
 
     def _serve_page_batch(self, peer: int, msg: tuple) -> None:
         """Answer a batched page request with one descriptor per page."""
@@ -600,13 +611,18 @@ class ProcessTransport:
         self.stats.bytes_moved += sum(int(d.nbytes) for d in datas) + 32 + 16 * len(datas)
 
     def close(self) -> None:
+        """Flush the sender, wake and stop the receiver, close the pipes
+        and unlink this rank's arena.  A second call does nothing."""
+        if self._closed:
+            return
+        self._closed = True
         # The sentinel queues behind any pending messages, so joining the
         # sender flushes everything (e.g. the exit-barrier contribution
         # a slower peer is still waiting for) before the pipes close.
         self._outbox.put(None)
         self._sender.join(timeout=5.0)
         # Stop the receiver before closing the pipes out from under it.
-        self._recv_stop = True
+        self._wake_send.send_bytes(b"")
         self._receiver.join(timeout=5.0)
         # A transport thread still alive after its join timeout is stuck
         # in a blocking pipe operation; warn so CI hangs are diagnosable
@@ -620,7 +636,7 @@ class ProcessTransport:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        for conn in self.conns.values():
+        for conn in (*self.conns.values(), self._wake_recv, self._wake_send):
             try:
                 conn.close()
             except OSError:  # pragma: no cover - teardown best effort

@@ -35,6 +35,7 @@ from repro.memory import (
     compile_address_plan,
     compile_offsets_plan,
 )
+from repro.memory.mmat import stencil_table
 from repro.runtime import TaskContext, task_scope
 
 
@@ -185,20 +186,21 @@ class TestLocatePrefilter:
 # (b) bulk-compiled plans == per-site reference compiler
 # ----------------------------------------------------------------------
 
-def reference_sites(env, block, addresses, ring):
+def reference_sites(env, block, addresses, ring, starts=None):
     """Per-site reference compiler: scalar searches, one site at a time.
 
     Returns ``(sites, memo)``; a site is ``(source Block, element index)``
     or ``(None, constant)``.  ``ring[i]`` tells whether site ``i`` needs
-    resolving (an offsets plan's geometrically inside sites do not).
+    resolving (an offsets plan's geometrically inside sites do not);
+    ``starts[i]`` is the Block it starts from (default: ``block``).
     """
     sites, memo = [], {}
-    for addr, resolve in zip(addresses, ring):
-        target = block
-        if resolve and not block.contains(addr):
-            key = (block.block_id, tuple(a - o for a, o in zip(addr, block.origin)))
+    for addr, resolve, start in zip(addresses, ring, starts or [block] * len(addresses)):
+        target = start
+        if resolve and not start.contains(addr):
+            key = (start.block_id, tuple(a - o for a, o in zip(addr, start.origin)))
             if key not in memo:
-                memo[key] = env.find_block(addr, start=block)
+                memo[key] = env.find_block(addr, start=start)
             target = memo[key]
         while isinstance(target, ReferenceBlock):
             addr = tuple(target.mapper(GlobalAddress(addr)))
@@ -214,30 +216,63 @@ def reference_sites(env, block, addresses, ring):
     return sites, memo
 
 
-def assert_plan_matches_reference(env, block, plan, addresses, ring):
+def located(env, addresses, starts):
+    """How many addresses a tile-wide compile locates at most: each
+    distinct one a site reads from outside its start Block (once per start
+    Block reading it, where two Blocks under the data joint hold it), plus
+    every hop of a Reference block whose mapped address leaves its target."""
+    joint = [b for b in env.data_joint.iter_subtree() if b.holds_data]
+    keys = {}
+    for addr, start in zip(addresses, starts):
+        if not start.contains(addr):
+            held = sum(b.contains(addr) for b in joint)
+            keys[addr if held < 2 else (start.block_id, addr)] = (addr, start)
+    count = len(keys)
+    for addr, start in keys.values():
+        target = env.find_block(addr, start=start)
+        while isinstance(target, ReferenceBlock):
+            addr = tuple(target.mapper(GlobalAddress(addr)))
+            if target.target is not None and target.target.contains(addr):
+                target = target.target
+            else:
+                count += 1
+                target = env.find_block(addr, start=env.root)
+    return count
+
+
+def assert_plan_matches_reference(env, block, plan, addresses, ring, starts=None):
+    """``plan()`` compiles ``block`` (a Block or a tile) into what the per-site
+    reference derives for its ``addresses`` in site order, site ``i`` read
+    from ``starts[i]`` (default: ``block``), with at most one Env search per
+    address :func:`located` counts."""
     env.mmat.reset()
-    sites, _ = reference_sites(env, block, addresses, ring)
-    n_elem = block.element_count
-    expected = np.empty((len(sites), block.components))
+    starts = starts or [block] * len(addresses)
+    sites, _ = reference_sites(env, block, addresses, ring, starts)
+    resolved = [(addr, start) for addr, start, r in zip(addresses, starts, ring) if r]
+    bound = located(env, [addr for addr, _ in resolved], [start for _, start in resolved])
+    expected = np.empty((len(sites), starts[0].components))
     halo = []
     for i, (source, payload) in enumerate(sites):
         expected[i] = payload if source is None else env.dense_read(source)[payload]
         if isinstance(source, BufferOnlyBlock):
             halo.append((i, PageKey(source.block_id, payload // source.page_elements)))
 
+    searches = env.stats.searches
     plan = plan()
+    assert env.stats.searches - searches <= bound
     assert len(env.mmat) == env.mmat.hits == env.mmat.misses == 0  # the plan is the memo
     assert plan.n_sites == len(sites)
     assert np.array_equal(plan.execute(env), expected)
     assert sorted(plan.remote_pages()) == sorted({key for _, key in halo})
     halo_sites = np.unique([i for i, _ in halo]).astype(np.intp)
     assert np.array_equal(plan.halo_sites(), halo_sites)
-    assert plan.in_block_sites == sum(source is block for source, _ in sites)
+    assert plan.in_block_sites == sum(source is start for (source, _), start in zip(sites, starts))
     assert plan.out_of_block_sites == sum(
-        source is not None and source is not block for source, _ in sites
+        source is not None and source is not start for (source, _), start in zip(sites, starts)
     )
     assert plan.resolved_sites == sum(ring)
     if plan.kind == "offsets":
+        n_elem = block.element_count
         interior, boundary = plan.element_partition()
         assert np.array_equal(boundary, np.unique(halo_sites % n_elem))
         assert np.array_equal(np.sort(np.concatenate([interior, boundary])), np.arange(n_elem))
@@ -256,6 +291,21 @@ def rank0_of_2(app_cls, config):
             block.load_dense(rng.random((block.element_count, block.components)))
             block.is_valid = True
     return env
+
+
+def tile_sites(tile, table):
+    """``(addresses, starts)`` of a tile's ``(elements, k[, ndim])`` address
+    table in plan site order: column by column, each element read from its
+    own Block."""
+    starts = [block for block in tile for _ in range(block.element_count)]
+    columns = np.asarray(table).reshape(len(starts), -1, tile[0].ndim).swapaxes(0, 1)
+    return [tuple(map(int, addr)) for column in columns for addr in column], starts * len(columns)
+
+
+def tiles_of(env):
+    """Tiles of 2, 5 and all of the Env's owned Blocks, in image-row order."""
+    blocks = sorted(env.data_blocks(), key=lambda b: env.image_slot(b)[1])
+    return [tuple(blocks[:n]) for n in (2, 5, len(blocks))]
 
 
 def offset_sites(block, offsets):
@@ -320,6 +370,64 @@ class TestPlansMatchPerSiteReference:
             assert len(owned[0].sources) > 5 and len(halo[0].sources) > 5
             assert not any(isinstance(b, BufferOnlyBlock) for b in owned[0].sources)
             assert all(isinstance(b, BufferOnlyBlock) for b in halo[0].sources)
+
+    @pytest.mark.parametrize(
+        "config", [dict(USGRID, case="C"), dict(USGRID, case="R"), USGRID_40], ids=["C", "R", "R40"]
+    )
+    def test_usgrid_tile_plans(self, config):
+        env = rank0_of_2(JacobiUSGrid, config)
+        offsets = [(0,), (3,), (20,)]
+        for tile in tiles_of(env):
+            table = np.concatenate([b.static_fields["neighbors"] for b in tile])
+            addresses, starts = tile_sites(tile, table)
+            assert_plan_matches_reference(
+                env, tile, lambda: compile_address_plan(env, tile, table),
+                addresses, [True] * len(addresses), starts,
+            )
+            addresses, starts = tile_sites(tile, stencil_table(tile, offsets))
+            assert_plan_matches_reference(
+                env, tile, lambda: compile_offsets_plan(env, tile, offsets),
+                addresses, [True] * len(addresses), starts,
+            )
+
+    def test_sgrid_tile_plans_follow_the_neumann_reference(self):
+        env = rank0_of_2(JacobiSGrid, dict(SGRID, boundary="neumann"))
+        assert any(isinstance(b, ReferenceBlock) for b in env.root.iter_subtree())
+        for tile in tiles_of(env):
+            addresses, starts = tile_sites(tile, stencil_table(tile, NINE_POINT))
+            assert_plan_matches_reference(
+                env, tile, lambda: compile_offsets_plan(env, tile, NINE_POINT),
+                addresses, [True] * len(addresses), starts,
+            )
+
+    def test_tile_reading_overlapping_blocks_searches_from_each_start(self):
+        """Address 5 lies in two Blocks under the data joint: ``x`` beside
+        ``a`` and ``b`` beside ``e``.  Read from ``a`` it is ``x``'s, from
+        ``e`` it is ``b``'s — the same address, two sources, one plan."""
+        env = Env(
+            allocator=PoolGroup([MemoryPool(1 << 20, name="p")]), name="overlap", mmat_enabled=True
+        )
+        left, right = (env.add_joint(parent=env.data_joint) for _ in range(2))
+        blocks = {}
+        layout = (("a", 0, left), ("x", 4, left), ("b", 4, right), ("e", 8, right))
+        for name, origin, parent in layout:  # a: 10..13, x: 20..23, b: 30..33, e: 40..43
+            block = DataBlock((origin,), (4,), components=1, page_elements=4, allocator=env.allocator)
+            blocks[name] = env.add_data_block(block, parent=parent)
+            for buf in block.buffer.buffers:
+                buf.load_dense(np.arange(4.0).reshape(4, 1) + 10 * len(blocks))
+        tile = (blocks["a"], blocks["e"])
+        table = np.array([[5, 1], [5, 9], [2, 5], [3, 6], [5, 9], [5, 4], [11, 5], [6, 0]])
+        addresses, starts = tile_sites(tile, table)
+        assert_plan_matches_reference(
+            env, tile, lambda: compile_address_plan(env, tile, table),
+            addresses, [True] * len(addresses), starts,
+        )
+        plan = compile_address_plan(env, tile, table)
+        values = plan.execute(env)[:, 0]
+        assert values[0] == 21.0 and values[4] == 31.0  # x[1] from a, b[1] from e
+        assert {b.block_id for seg in plan.segments for b in seg.sources} == {
+            blocks[n].block_id for n in "axbe"
+        }
 
     def test_particle_offsets_plans(self):
         env = rank0_of_2(

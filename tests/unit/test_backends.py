@@ -9,6 +9,9 @@ equivalence lives in tests/integration/test_backend_conformance.py.
 
 from __future__ import annotations
 
+import time
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,7 +27,7 @@ from repro.runtime import (
     get_backend,
     register_backend,
 )
-from repro.runtime.backends import _REGISTRY
+from repro.runtime.backends import _REGISTRY, process
 from repro.runtime.backends.base import ExecutionBackend, ExecutionWorld
 from repro.runtime.backends.process import ProcessWorld
 from repro.runtime.backends.serial import SerialWorld
@@ -203,6 +206,25 @@ class TestProcessWorld:
         results = world.run_spmd(lambda ctx: lambda: ctx.mpi_rank)  # lambdas don't pickle
         assert callable(results[0].value)  # rank 0 lives in the parent
         assert results[1].value is None
+
+    def test_teardown_wakes_the_receivers_without_a_poll(self, monkeypatch):
+        # Every receiver wait blocks for good: only the wake pipe that
+        # close() writes to can end it (the forked rank inherits the patch).
+        real_wait = process.connection_wait
+
+        def blocking(object_list, timeout=None):
+            return real_wait(object_list, timeout=None)
+
+        monkeypatch.setattr(process, "connection_wait", blocking)
+        world = get_backend("process").create_world(2, timeout=15.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            start = time.monotonic()
+            results = world.run_spmd(lambda ctx: world.allreduce_sum(float(ctx.mpi_rank)))
+            elapsed = time.monotonic() - start
+        assert [r.value for r in results] == [1.0, 1.0]
+        assert elapsed < 2.0
+        assert not [w for w in caught if "leaked thread" in str(w.message)]
 
     def test_collective_outside_run_spmd_is_an_error(self):
         world = ProcessWorld(2)
