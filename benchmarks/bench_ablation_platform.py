@@ -1,6 +1,6 @@
 """Ablation benches beyond the paper's figures.
 
-DESIGN.md calls out three design choices whose effect is worth isolating:
+Three design choices of the platform have an effect worth isolating:
 
 * **MMAT** (the paper only reports it bundled into Fig. 6): how many Env
   searches does it actually remove per configuration?

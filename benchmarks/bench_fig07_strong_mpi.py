@@ -3,7 +3,8 @@
 Paper: "the benchmark scaled almost linearly" for 1–16 processes.
 The platform is executed on the simulated runtime for each process
 count; the measured per-task work/traffic is converted to modelled
-cluster time with the shared cost model (see DESIGN.md §2).
+cluster time with the shared cost model (``repro.runtime.costmodel``;
+README.md, *The page exchange*, says which traffic it charges).
 """
 
 from __future__ import annotations

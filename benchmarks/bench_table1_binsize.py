@@ -6,8 +6,7 @@ equivalent measured here is the marshalled size of the code objects
 making up each configuration (see ``repro.analysis.codesize``); the
 ordering H < P < P NOP < P OMP < P MPI < P MPI+OMP is the property to
 reproduce (the absolute ratios are larger because Python modules are
-not dead-code-stripped the way a linked C++ binary is — see
-EXPERIMENTS.md).
+not dead-code-stripped the way a linked C++ binary is).
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Reproduces Ishimura & Yoshimoto, "Aspect-Oriented Programming based
 building block platform to construct Domain-Specific Language for HPC
 application" (IPPS 2022, arXiv:2203.13431) as a pure-Python library.
 
-Top-level layout (see DESIGN.md for the full inventory):
+Top-level layout (README.md, *Layer map of ``src/repro/``*, has the table):
 
 * :mod:`repro.aop` — the weaving engine (JoinPoint Model);
 * :mod:`repro.memory` — Memory Library (pools, pages, Blocks, Env, MMAT);
@@ -27,7 +27,6 @@ from .obs import (
     global_metrics,
     global_tracer,
     phase_report,
-    validate_chrome_trace,
 )
 from .runtime import (
     CostModel,
@@ -55,7 +54,6 @@ __all__ = [
     "global_tracer",
     "global_metrics",
     "phase_report",
-    "validate_chrome_trace",
     "CostModel",
     "MachineSpec",
     "OAKBRIDGE_CX_LIKE",

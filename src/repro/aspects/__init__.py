@@ -13,7 +13,6 @@ application classes by the :mod:`repro.aop` weaver:
   shared memory.
 * :class:`SharedMemoryAspect` — the "OpenMP" layer (AspectType I/II):
   thread teams, worksharing and ``single`` regions per rank.
-* :class:`PhaseTraceAspect` — diagnostic example aspect.
 
 Both layer modules read their run options (backend, ``comm_timeout``)
 from the Platform they are attached to; the evaluation's layer
@@ -27,7 +26,6 @@ the same way and compose freely with the layer aspects.
 """
 
 from .base import LayerAspect
-from .hybrid import PhaseTraceAspect
 from .mpi_aspect import DistributedMemoryAspect, PendingHalo
 from .openmp_aspect import SharedMemoryAspect
 
@@ -36,5 +34,4 @@ __all__ = [
     "DistributedMemoryAspect",
     "PendingHalo",
     "SharedMemoryAspect",
-    "PhaseTraceAspect",
 ]

@@ -3,14 +3,14 @@
 Every public function regenerates the data behind one figure or table of
 the paper's evaluation section (§V) and returns it as a list of plain
 dict rows; the ``benchmarks/`` suite prints them with
-:func:`repro.bench.harness.format_table`, and EXPERIMENTS.md records a
-captured run.
+:func:`repro.bench.harness.format_table`.
 
 Wall-clock figures (Fig. 6) are measured directly; scaling figures
 (Figs. 7–11) are produced by executing the platform on the simulated
 runtime and converting the measured per-task work/traffic counters to
-time with the shared cost model (see DESIGN.md §2 and
-``harness.scale_counters``).
+time with the shared cost model (:mod:`repro.runtime.costmodel` and
+``harness.scale_counters``; README.md, *The page exchange*, says which
+traffic the MPI rows model).
 """
 
 from __future__ import annotations

@@ -18,8 +18,7 @@ size (what is actually executed) and its *paper* size; the
 traffic to the paper size using the natural scaling laws (area for
 element updates, perimeter for halo traffic) before the cost model
 converts them to time.  This preserves the compute/communication ratios
-that give the paper's scaling figures their shape.  EXPERIMENTS.md
-documents this substitution.
+that give the paper's scaling figures their shape.
 """
 
 from __future__ import annotations

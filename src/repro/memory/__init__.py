@@ -8,7 +8,7 @@ a Page-based interface used by the aspect modules for validity
 management and inter-task communication.
 """
 
-from .address import GlobalAddress, LocalAddress, offset_in_box, to_global, to_local
+from .address import GlobalAddress, LocalAddress, offset_in_box, to_local
 from .block import (
     ArithmeticBlock,
     Block,
@@ -31,22 +31,11 @@ from .errors import (
 from .mmat import MMAT, AccessPlan, PlanSegment, compile_address_plan, compile_offsets_plan
 from .page import Page, PageKey
 from .pool import Chunk, MemoryPool, PoolGroup, PoolStats
-from .zorder import (
-    morton_decode,
-    morton_decode_2d,
-    morton_decode_3d,
-    morton_encode,
-    morton_encode_2d,
-    morton_encode_3d,
-    pdep,
-    pext,
-    zorder_sorted,
-)
+from .zorder import morton_encode, pdep
 
 __all__ = [
     "GlobalAddress",
     "LocalAddress",
-    "to_global",
     "to_local",
     "offset_in_box",
     "Block",
@@ -78,12 +67,5 @@ __all__ = [
     "BlockError",
     "EnvError",
     "pdep",
-    "pext",
     "morton_encode",
-    "morton_decode",
-    "morton_encode_2d",
-    "morton_decode_2d",
-    "morton_encode_3d",
-    "morton_decode_3d",
-    "zorder_sorted",
 ]

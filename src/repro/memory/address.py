@@ -17,7 +17,7 @@ from typing import Iterable, Sequence, Tuple
 
 from .errors import AddressError
 
-__all__ = ["GlobalAddress", "LocalAddress", "to_global", "to_local", "offset_in_box"]
+__all__ = ["GlobalAddress", "LocalAddress", "to_local", "offset_in_box"]
 
 
 class GlobalAddress(tuple):
@@ -38,14 +38,6 @@ class GlobalAddress(tuple):
     @property
     def ndim(self) -> int:
         return len(self)
-
-    def shifted(self, delta: Sequence[int]) -> "GlobalAddress":
-        """Return the address displaced by ``delta`` (same dimensionality)."""
-        if len(delta) != len(self):
-            raise AddressError(
-                f"shift dimensionality mismatch: {len(delta)} vs {len(self)}"
-            )
-        return GlobalAddress(c + d for c, d in zip(self, delta))
 
     def __repr__(self) -> str:
         return f"GA{tuple(self)!r}"
@@ -68,15 +60,6 @@ class LocalAddress(tuple):
 
     def __repr__(self) -> str:
         return f"LA{tuple(self)!r}"
-
-
-def to_global(origin: Sequence[int], local: Sequence[int]) -> GlobalAddress:
-    """Convert a block-relative address to a global address."""
-    if len(origin) != len(local):
-        raise AddressError(
-            f"origin/local dimensionality mismatch: {len(origin)} vs {len(local)}"
-        )
-    return GlobalAddress(o + l for o, l in zip(origin, local))
 
 
 def to_local(origin: Sequence[int], global_addr: Sequence[int]) -> LocalAddress:

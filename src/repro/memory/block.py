@@ -40,14 +40,11 @@ from .address import (
     LocalAddress,
     box_contains,
     offset_in_box,
-    to_global,
     to_local,
 )
 from .buffer import MultiBuffer
 from .errors import AddressError, BlockError
-from .page import PageKey
 from .pool import PoolGroup
-from .zorder import morton_encode
 
 __all__ = [
     "Block",
@@ -120,11 +117,6 @@ class Block:
         for child in self.children:
             yield from child.iter_subtree()
 
-    def siblings(self) -> List["Block"]:
-        if self.parent is None:
-            return []
-        return [c for c in self.parent.children if c is not self]
-
     # -- spatial queries -------------------------------------------------
     @property
     def ndim(self) -> int:
@@ -140,14 +132,6 @@ class Block:
     def contains(self, addr: Sequence[int]) -> bool:
         """True when ``addr`` lies inside this block's own extent."""
         return box_contains(self.origin, self.shape, addr)
-
-    def zorder_index(self) -> int:
-        """Morton index of this block's origin (used for task assignment)."""
-        # Normalise to block-grid coordinates so indices are small.
-        coords = tuple(
-            o // s if s > 0 else o for o, s in zip(self.origin, self.shape)
-        )
-        return morton_encode(tuple(max(c, 0) for c in coords))
 
     # -- data access (overridden by concrete kinds) ----------------------
     @property
@@ -263,12 +247,6 @@ class DataBlock(Block):
             return value[0]
         return value
 
-    def read_local(self, local: Sequence[int]):
-        value = self.buffer.read_buffer.read(self.local_element_index(local))
-        if self.components == 1:
-            return value[0]
-        return value
-
     def write(self, addr: Sequence[int], value) -> None:
         """Write the element at global address ``addr`` into the write buffer."""
         self.buffer.write_buffer.write(self.element_index(addr), value)
@@ -279,10 +257,6 @@ class DataBlock(Block):
     # -- page interface (used by aspect modules) ---------------------------
     def page_count(self) -> int:
         return self.buffer.read_buffer.page_count
-
-    def page_key_of(self, addr: Sequence[int]) -> PageKey:
-        """Page key of the page containing global address ``addr``."""
-        return PageKey(self.block_id, self.buffer.read_buffer.page_of(self.element_index(addr)))
 
     def page_snapshot(self, page_index: int) -> np.ndarray:
         """Copy of a read-buffer page (what the owning task sends)."""

@@ -17,9 +17,8 @@ The Env implements the Memory Library's Block-based interface
 * :meth:`Env.refresh` — tries to finish the step: fails if any access to
   non-existent data happened, otherwise swaps the multi-buffers
   (AspectType III advises this join point to move pages between tasks);
-* :meth:`Env.read_from` / :meth:`Env.write_from` — Global/Local address
-  access starting from a Block, with the optional "surely inside" flag
-  and MMAT support.
+* :meth:`Env.read_from` — Global/Local address access starting from a
+  Block, with the optional "surely inside" flag and MMAT support.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ class EnvStats:
     """
 
     reads: int = 0
-    writes: int = 0
     in_block_reads: int = 0
     out_of_block_reads: int = 0
     searches: int = 0
@@ -86,12 +84,6 @@ class EnvStats:
 
     def as_dict(self) -> dict:
         return dict(self.__dict__, image_rehomes=self.image_rehomes)
-
-    def merged_with(self, other: "EnvStats") -> "EnvStats":
-        merged = EnvStats()
-        for key in self.__dict__:
-            setattr(merged, key, getattr(self, key) + getattr(other, key))
-        return merged
 
 
 class DenseImage:
@@ -365,10 +357,6 @@ class Env:
         except KeyError:
             raise EnvError(f"unknown block id {block_id}") from None
 
-    def owned_blocks(self, task_id: int) -> List[DataBlock]:
-        """Data Blocks whose calc-handle task id equals ``task_id``."""
-        return [b for b in self.data_blocks() if b.ch_tid == task_id]
-
     # ------------------------------------------------------------------
     # Block-based interface — the join points advised by aspect modules
     # ------------------------------------------------------------------
@@ -496,19 +484,6 @@ class Env:
                 # placeholder value is acceptable here.
                 return 0.0 if block.components == 1 else np.zeros(block.components)
         return block.read(addr)
-
-    def write_from(self, start: Block, addr: Sequence[int], value) -> None:
-        """Write ``value`` at global address ``addr``; out-of-block writes search the Env."""
-        self.stats.writes += 1
-        if start.contains(addr):
-            start.write(addr, value)
-            return
-        target = self.find_block(addr, start=start)
-        if target is None:
-            raise AddressError(
-                f"no block of Env {self.name!r} contains address {tuple(addr)} for writing"
-            )
-        target.write(addr, value)
 
     def read(self, addr: Sequence[int]):
         """Read starting the search at the root (used by Reference blocks)."""
@@ -653,12 +628,6 @@ class Env:
         self.stats.searches += located
         self.stats.search_steps += located
         return first, ambiguous
-
-    def find_blocks(self, addresses, *, start: Optional[Block] = None) -> List[Optional[Block]]:
-        """:meth:`locate_blocks` as Blocks (None: no Block)."""
-        blocks = self.box_blocks(np.shape(addresses)[1])
-        found = self.locate_blocks(addresses, start=start).tolist()
-        return [blocks[i] if i >= 0 else None for i in found]
 
     # ------------------------------------------------------------------
     # page-based interface (used by aspect modules / the simulated network)
@@ -961,10 +930,6 @@ class Env:
     # ------------------------------------------------------------------
     # accounting (Fig. 12)
     # ------------------------------------------------------------------
-    def data_bytes(self) -> int:
-        """Bytes of pool memory held by block buffers."""
-        return sum(b.nbytes for b in self.data_blocks(include_buffer_only=True))
-
     def image_scratch_bytes(self) -> int:
         """What image and kernels keep *outside* the pool: ``halo`` mirrors,
         MMAT read scratch and padded fields, the fused kernels' tables."""

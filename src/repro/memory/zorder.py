@@ -6,11 +6,10 @@ tasks according to that index, which preserves spatial locality across
 the task partition.  This module provides a portable, pure-Python
 equivalent:
 
-* :func:`pdep` / :func:`pext` — software emulation of the x86 BMI2
-  parallel bit deposit/extract instructions;
-* :func:`morton_encode` / :func:`morton_decode` — dimension-generic bit
-  interleaving built on top of them;
-* convenience 2-D/3-D wrappers used by the DSL layers.
+* :func:`pdep` — software emulation of the x86 BMI2 parallel bit
+  deposit instruction;
+* :func:`morton_encode` — dimension-generic bit interleaving built on
+  it, the key ``BlockSpec.zorder`` and the recovery rebalance sort by.
 """
 
 from __future__ import annotations
@@ -18,17 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence, Tuple
 
-__all__ = [
-    "pdep",
-    "pext",
-    "morton_encode",
-    "morton_decode",
-    "morton_encode_2d",
-    "morton_decode_2d",
-    "morton_encode_3d",
-    "morton_decode_3d",
-    "zorder_sorted",
-]
+__all__ = ["pdep", "morton_encode"]
 
 
 def pdep(value: int, mask: int) -> int:
@@ -46,22 +35,6 @@ def pdep(value: int, mask: int) -> int:
         lowest = m & -m
         if (value >> bit) & 1:
             result |= lowest
-        m &= m - 1
-        bit += 1
-    return result
-
-
-def pext(value: int, mask: int) -> int:
-    """Parallel bit extract: gather the bits of ``value`` selected by ``mask``."""
-    if value < 0 or mask < 0:
-        raise ValueError("pext operands must be non-negative")
-    result = 0
-    bit = 0
-    m = mask
-    while m:
-        lowest = m & -m
-        if value & lowest:
-            result |= 1 << bit
         m &= m - 1
         bit += 1
     return result
@@ -106,45 +79,3 @@ def morton_encode(coords: Sequence[int], nbits: int = 21) -> int:
             raise ValueError(f"coordinate {coord} does not fit in {nbits} bits")
         code |= pdep(coord, masks[dim])
     return code
-
-
-def morton_decode(code: int, ndim: int, nbits: int = 21) -> Tuple[int, ...]:
-    """Inverse of :func:`morton_encode`."""
-    if ndim <= 0:
-        raise ValueError("ndim must be positive")
-    if code < 0:
-        raise ValueError("Morton code must be non-negative")
-    masks = _dimension_masks(ndim, nbits)
-    return tuple(pext(code, masks[dim]) for dim in range(ndim))
-
-
-def morton_encode_2d(x: int, y: int, nbits: int = 21) -> int:
-    """Morton index of a 2-D coordinate."""
-    return morton_encode((x, y), nbits=nbits)
-
-
-def morton_decode_2d(code: int, nbits: int = 21) -> Tuple[int, int]:
-    """Inverse of :func:`morton_encode_2d`."""
-    x, y = morton_decode(code, 2, nbits=nbits)
-    return x, y
-
-
-def morton_encode_3d(x: int, y: int, z: int, nbits: int = 21) -> int:
-    """Morton index of a 3-D coordinate."""
-    return morton_encode((x, y, z), nbits=nbits)
-
-
-def morton_decode_3d(code: int, nbits: int = 21) -> Tuple[int, int, int]:
-    """Inverse of :func:`morton_encode_3d`."""
-    x, y, z = morton_decode(code, 3, nbits=nbits)
-    return x, y, z
-
-
-def zorder_sorted(items, key):
-    """Sort ``items`` by the Morton index of ``key(item)`` (a coordinate tuple).
-
-    This is the ordering the DSL layers use when assigning Blocks to
-    tasks (paper §IV-C): contiguous runs of the Z-order sequence go to
-    the same task, preserving spatial locality.
-    """
-    return sorted(items, key=lambda item: morton_encode(key(item)))

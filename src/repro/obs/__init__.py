@@ -18,7 +18,6 @@ from .export import (
     format_ns,
     phase_report,
     save_chrome_trace,
-    validate_chrome_trace,
     widest_spans,
 )
 from .metrics import Histogram, MetricsRegistry, global_metrics
@@ -47,7 +46,6 @@ __all__ = [
     "env_tracing_default",
     "chrome_trace_document",
     "save_chrome_trace",
-    "validate_chrome_trace",
     "phase_report",
     "widest_spans",
     "format_ns",

@@ -13,9 +13,8 @@ Two consumers, two formats:
   aggregates spans by their call path, for terminals without a trace
   viewer at hand.
 
-:func:`validate_chrome_trace` checks a document against the subset of
-the trace-event schema we rely on; the test-suite runs it on freshly
-produced traces of every backend.
+The test suite checks every backend's document against the subset of
+the trace-event schema these exporters rely on (``tests/chrome_trace.py``).
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from typing import Dict, List, Optional, Tuple, Union
 __all__ = [
     "chrome_trace_document",
     "save_chrome_trace",
-    "validate_chrome_trace",
     "phase_report",
     "widest_spans",
     "format_ns",
@@ -131,73 +129,6 @@ def save_chrome_trace(path: str, events: List[dict], *, metadata: Optional[dict]
     with open(path, "w") as fh:
         json.dump(doc, fh)
     return path
-
-
-def validate_chrome_trace(doc: dict) -> List[str]:
-    """Check ``doc`` against the trace-event schema subset we emit.
-
-    Returns a list of problems (empty ⇒ valid): every event needs
-    ``ph``/``pid``/``tid``; complete events need numeric non-negative
-    ``ts``/``dur``; async events need ``id`` + ``cat`` and must pair a
-    begin with an end (same cat/id/pid) with ``end.ts >= begin.ts``.
-    """
-    problems: List[str] = []
-    events = doc.get("traceEvents")
-    if not isinstance(events, list):
-        return ["traceEvents missing or not a list"]
-    async_begins: Dict[tuple, float] = {}
-    async_ends: Dict[tuple, float] = {}
-    for i, event in enumerate(events):
-        where = "event %d" % i
-        if not isinstance(event, dict):
-            problems.append("%s: not an object" % where)
-            continue
-        ph = event.get("ph")
-        if ph not in ("X", "b", "e", "M"):
-            problems.append("%s: unsupported ph %r" % (where, ph))
-            continue
-        for field in ("pid", "tid"):
-            if not isinstance(event.get(field), int):
-                problems.append("%s (%s): %s not an int" % (where, ph, field))
-        if ph == "M":
-            continue
-        ts = event.get("ts")
-        if not isinstance(ts, (int, float)):
-            problems.append("%s (%s %r): ts not numeric" % (where, ph, event.get("name")))
-            continue
-        if ts < 0:
-            problems.append("%s (%s %r): negative ts" % (where, ph, event.get("name")))
-        if ph == "X":
-            dur = event.get("dur")
-            if not isinstance(dur, (int, float)):
-                problems.append("%s (X %r): dur not numeric" % (where, event.get("name")))
-            elif dur < 0:
-                problems.append("%s (X %r): negative dur" % (where, event.get("name")))
-        else:
-            if "id" not in event:
-                problems.append("%s (%s %r): async event without id" % (where, ph, event.get("name")))
-                continue
-            if "cat" not in event:
-                problems.append("%s (%s %r): async event without cat" % (where, ph, event.get("name")))
-                continue
-            key = (event["cat"], event["id"], event["pid"])
-            if ph == "b":
-                if key in async_begins:
-                    problems.append("%s: duplicate async begin %r" % (where, key))
-                async_begins[key] = ts
-            else:
-                if key in async_ends:
-                    problems.append("%s: duplicate async end %r" % (where, key))
-                async_ends[key] = ts
-    for key, ts in async_begins.items():
-        if key not in async_ends:
-            problems.append("async begin %r has no matching end" % (key,))
-        elif async_ends[key] < ts:
-            problems.append("async span %r ends before it begins" % (key,))
-    for key in async_ends:
-        if key not in async_begins:
-            problems.append("async end %r has no matching begin" % (key,))
-    return problems
 
 
 def format_ns(ns: float) -> str:

@@ -246,13 +246,6 @@ class Tracer:
         buffer = self.buffer_for(rank, None)
         buffer.append(("e", name, span_id, time.perf_counter_ns(), attrs or None))
 
-    def instant(self, name: str, **attrs: Any) -> None:
-        """Record a zero-duration marker event on the current task."""
-        if not self.enabled:
-            return
-        buffer = self.buffer_for()
-        buffer.append(("X", name, name, time.perf_counter_ns(), 0, attrs or None))
-
     # -- snapshot / merge -----------------------------------------------
     def snapshot(self) -> List[dict]:
         """Every recorded event as an epoch-aligned dict (pickle-safe).

@@ -1,8 +1,8 @@
 """Runtime substrate: simulated MPI/OpenMP layers, machine model, tracing.
 
 The paper's prototype runs on a real cluster; this package provides the
-simulated equivalents the aspect modules manage (see DESIGN.md §2 for
-the substitution rationale):
+simulated equivalents the aspect modules manage (README.md, *Execution
+backends*, says which world to run when):
 
 * :mod:`repro.runtime.backends` — pluggable execution backends for the
   distributed layer (``serial`` inline, ``threads`` simulated,

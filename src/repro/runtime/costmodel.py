@@ -31,7 +31,7 @@ every figure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Iterable, Mapping, Optional, Tuple
 
 from .machine import MachineSpec, OAKBRIDGE_CX_LIKE
 from .tracing import TaskCounters
@@ -160,22 +160,3 @@ class CostModel:
             if omp_threads > 1:
                 slowest.runtime_init += machine.thread_spawn_cost
         return slowest
-
-    # ------------------------------------------------------------------
-    def relative_to_baseline(
-        self,
-        runs: Dict[str, CostBreakdown],
-        baseline: str,
-    ) -> Dict[str, float]:
-        """Express each run's total as a fraction of ``runs[baseline]``.
-
-        Matches how the paper normalises its scaling graphs ("execution
-        times are normalised so that the time by one task becomes
-        unity" / "100 %").
-        """
-        if baseline not in runs:
-            raise MachineModelError(f"baseline run {baseline!r} missing")
-        base = runs[baseline].total
-        if base <= 0:
-            raise MachineModelError("baseline run has non-positive modelled time")
-        return {name: breakdown.total / base for name, breakdown in runs.items()}

@@ -9,7 +9,8 @@ machine description defined here.
 
 All rates are deliberately order-of-magnitude realistic rather than
 tuned per figure; a single :class:`MachineSpec` instance is shared by
-every scaling benchmark (see DESIGN.md §5).
+every scaling benchmark (README.md, *The page exchange*, says which
+traffic the scaling figures charge to it).
 """
 
 from __future__ import annotations

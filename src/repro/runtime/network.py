@@ -5,7 +5,6 @@ single Python process, so the distributed-memory layer runs every rank
 as a thread and moves data through this in-memory network object.  The
 network
 
-* provides point-to-point ``send``/``recv`` mailboxes,
 * provides the collectives the aspect modules need (``barrier``,
   ``allreduce``), and
 * **counts every message and byte**, because those counts (not Python
@@ -24,7 +23,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -97,10 +95,6 @@ class NetworkStats:
         """Count one step kept on the page protocol for ``reason``."""
         self.open_steps[reason] = self.open_steps.get(reason, 0) + 1
 
-    def neighbor_links(self) -> int:
-        """Number of directed rank pairs that exchanged page traffic."""
-        return len(self.per_neighbor)
-
     def merge(self, other: "NetworkStats") -> None:
         """Fold another rank's counters into this one (process backend)."""
         for name, value in other.__dict__.items():
@@ -147,8 +141,6 @@ class SimNetwork:
         self.timeout = timeout
         self.stats = NetworkStats()
         self._lock = threading.Lock()
-        self._mail_cond = threading.Condition(self._lock)
-        self._mailboxes: Dict[Tuple[int, Any], deque] = defaultdict(deque)
         # Reusable barrier / allreduce state.
         self._barrier = threading.Barrier(size)
         self._allreduce_values: List[Any] = []
@@ -173,10 +165,10 @@ class SimNetwork:
         """Declare ``rank`` dead and wake every blocked waiter.
 
         The barrier is aborted (everyone inside or arriving later gets a
-        ``BrokenBarrierError`` converted below) and both condition
-        variables are notified so allreduce/recv waiters re-check and
-        fail fast — peers detect the death immediately instead of
-        burning the full communication timeout.
+        ``BrokenBarrierError`` converted below) and the allreduce
+        condition is notified so its waiters re-check and fail fast —
+        peers detect the death immediately instead of burning the full
+        communication timeout.
         """
         self._check_rank(rank)
         with self._lock:
@@ -184,8 +176,6 @@ class SimNetwork:
         self._barrier.abort()
         with self._allreduce_cond:
             self._allreduce_cond.notify_all()
-        with self._mail_cond:
-            self._mail_cond.notify_all()
 
     def dead_ranks(self) -> Dict[int, str]:
         with self._lock:
@@ -226,41 +216,6 @@ class SimNetwork:
         """
         with self._lock:
             self._endpoints.clear()
-
-    # ------------------------------------------------------------------
-    # point to point
-    # ------------------------------------------------------------------
-    def send(self, src: int, dst: int, tag: Any, payload: Any) -> None:
-        """Deposit ``payload`` in the (dst, tag) mailbox and count the traffic."""
-        self._check_rank(src)
-        self._check_rank(dst)
-        nbytes = _payload_nbytes(payload)
-        with self._mail_cond:
-            self._mailboxes[(dst, tag)].append((src, payload))
-            self.stats.messages += 1
-            self.stats.bytes_moved += nbytes
-            self._mail_cond.notify_all()
-
-    def recv(self, dst: int, tag: Any, *, src: Optional[int] = None) -> Any:
-        """Blocking receive from the (dst, tag) mailbox (optionally by source)."""
-        self._check_rank(dst)
-        deadline = threading.TIMEOUT_MAX if self.timeout is None else None
-        with self._mail_cond:
-            while True:
-                queue = self._mailboxes.get((dst, tag))
-                if queue:
-                    if src is None:
-                        return queue.popleft()[1]
-                    for index, (sender, payload) in enumerate(queue):
-                        if sender == src:
-                            del queue[index]
-                            return payload
-                if src is not None and src in self._dead:
-                    raise DeadRankError(src, f"recv on rank {dst} tag {tag!r}")
-                if not self._mail_cond.wait(timeout=self.timeout):
-                    raise NetworkError(
-                        f"recv timed out on rank {dst} tag {tag!r} (src={src})"
-                    )
 
     # ------------------------------------------------------------------
     # collectives

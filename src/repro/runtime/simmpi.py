@@ -14,7 +14,7 @@ needs a runtime that can
 :class:`~repro.runtime.network.SimNetwork`.  Each rank executes on its
 own OS thread; the GIL prevents real speed-up, which is irrelevant
 because scaling numbers come from the cost model, not wall-clock
-(DESIGN.md §2).
+(:mod:`repro.runtime.costmodel`; README.md, *Execution backends*).
 
 MPIWorld is the ``threads`` implementation of the execution-backend
 interface (:mod:`repro.runtime.backends`); the ``process`` backend

@@ -62,11 +62,6 @@ class TaskContext:
     def total_tasks(self) -> int:
         return self.mpi_size * self.omp_threads
 
-    @property
-    def is_rank_master(self) -> bool:
-        """True for the thread that represents its rank in collectives."""
-        return self.omp_thread == 0
-
     def with_omp(self, thread: int, threads: int) -> "TaskContext":
         """Derive the context of a shared-memory subtask of this task."""
         return TaskContext(
@@ -74,16 +69,6 @@ class TaskContext:
             mpi_size=self.mpi_size,
             omp_thread=thread,
             omp_threads=threads,
-            labels=self.labels,
-        )
-
-    def with_mpi(self, rank: int, size: int) -> "TaskContext":
-        """Derive the context of a distributed-memory subtask."""
-        return TaskContext(
-            mpi_rank=rank,
-            mpi_size=size,
-            omp_thread=self.omp_thread,
-            omp_threads=self.omp_threads,
             labels=self.labels,
         )
 

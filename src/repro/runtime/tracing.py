@@ -7,9 +7,10 @@ that determine performance on such a cluster:
 * how many element updates the task performed,
 * how many pages/bytes it pulled from other tasks (and how many
   messages that corresponds to),
-* how many Env searches it performed and how often MMAT short-circuited
-  them,
 * how many refresh rounds failed (forcing recomputation).
+
+Env searches and MMAT hits are counted per Env, by
+:class:`repro.memory.EnvStats`.
 
 The :class:`repro.runtime.costmodel.CostModel` converts these counters
 into modelled wall-clock times for the scaling figures, and the
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .task import TaskContext, current_task
 
@@ -56,10 +57,6 @@ class TaskCounters:
     #: protocol moved the halo.
     paper_pages: int = 0
     paper_bytes: int = 0
-    env_reads: int = 0
-    env_searches: int = 0
-    env_search_steps: int = 0
-    mmat_hits: int = 0
     #: Access-plan activity (MMAT §III-B6 pushed into compiled bulk
     #: gathers): how many batched gathers executed a compiled plan, how
     #: many element accesses those plans served, how many plans were
@@ -178,54 +175,6 @@ class TraceRecorder:
                             setattr(mine, attr, value)
                     else:
                         setattr(mine, attr, getattr(mine, attr) + value)
-
-    # ------------------------------------------------------------------
-    def total(self, attr: str) -> int:
-        return sum(getattr(c, attr) for c in self.all_counters().values())
-
-    def per_task(self, attr: str) -> List[int]:
-        return [getattr(c, attr) for c in self.all_counters().values()]
-
-    def max_task(self, attr: str) -> int:
-        values = self.per_task(attr)
-        return max(values) if values else 0
-
-    def summary(self) -> dict:
-        """Aggregate view used by the benchmark harness."""
-        counters = self.all_counters()
-        return {
-            "tasks": len(counters),
-            "total_updates": self.total("updates"),
-            "max_updates": self.max_task("updates"),
-            "total_pages_fetched": self.total("pages_fetched"),
-            "total_bytes_fetched": self.total("bytes_fetched"),
-            "total_messages": self.total("messages"),
-            "recomputed_steps": self.total("recomputed_steps"),
-            "mmat_hits": self.total("mmat_hits"),
-            "env_searches": self.total("env_searches"),
-            "plan_gathers": self.total("plan_gathers"),
-            "plan_sites": self.total("plan_sites"),
-            "plan_compiles_uncached": self.total("plan_compiles_uncached"),
-            "plan_fallback_sites": self.total("plan_fallback_sites"),
-            "kernel_fuse": self.total("kernel_fuse"),
-            "kernel_fused_calls": self.total("kernel_fused_calls"),
-            "comm_plan_exchanges": self.total("comm_plan_exchanges"),
-            "comm_plan_pages": self.total("comm_plan_pages"),
-            "paper_pages": self.total("paper_pages"),
-            "halo_pushes": self.total("halo_pushes"),
-            "halo_sites": self.total("halo_sites"),
-            "overlap_issues": self.total("overlap_issues"),
-            "overlap_wait_ns": self.total("overlap_wait_ns"),
-            "overlap_flight_ns": self.total("overlap_flight_ns"),
-            "overlap_drained": self.total("overlap_drained"),
-            "checkpoints": self.total("checkpoints"),
-            "checkpoint_pages": self.total("checkpoint_pages"),
-            "restored_pages": self.total("restored_pages"),
-            "replayed_steps": self.total("replayed_steps"),
-            "peer_dead": self.total("peer_dead"),
-            "shm_fetches": self.total("shm_fetches"),
-            "shm_bytes": self.total("shm_bytes"),
-        }
 
 
 #: Process-wide recorder.  The Platform driver resets it at the start of

@@ -7,7 +7,7 @@ proof that the overlap machinery hides communication behind computation.
 
 These tests run a traced Jacobi on the serial, threads and process
 backends, save the trace, and check the exported document against
-:func:`repro.obs.validate_chrome_trace` plus the structural properties
+``chrome_trace.validate_chrome_trace`` plus the structural properties
 the exporter promises (one track per (rank, thread), paired async
 begin/end events, non-negative durations).
 """
@@ -20,7 +20,8 @@ import pytest
 
 from repro.annotation import Platform
 from repro.apps import JacobiSGrid
-from repro.obs import validate_chrome_trace
+
+from chrome_trace import validate_chrome_trace
 
 CONFIG = dict(
     region=24, block_size=4, page_elements=8, loops=3,

@@ -1,11 +1,12 @@
 """Property tests for bulk plan compilation.
 
-Access plans are compiled from one vectorised ``Env.find_blocks`` per
+Access plans are compiled from one vectorised ``Env.locate_boxes`` per
 plan plus a closed-form in-block slice part.  Three promises are checked
 here:
 
-* ``Env.find_blocks`` is the scalar ``Env.find_block`` applied to each
-  address, for any tree shape and any start Block;
+* ``Env.locate_blocks``, read through ``Env.box_blocks``, is the scalar
+  ``Env.find_block`` applied to each address, for any tree shape and any
+  start Block;
 * a bulk-compiled plan is indistinguishable from what a per-site
   compiler (kept below, in this file only) derives with scalar searches;
 * bulk compilation costs at most one search step per resolved address.
@@ -40,8 +41,14 @@ from repro.runtime import TaskContext, task_scope
 
 
 # ----------------------------------------------------------------------
-# (a) find_blocks == find_block per address
+# (a) locate_blocks == find_block per address
 # ----------------------------------------------------------------------
+
+def located_blocks(env, addresses, start):
+    """``env.locate_blocks`` as Blocks (None: no Block)."""
+    blocks = env.box_blocks(addresses.shape[1])
+    return [blocks[i] if i >= 0 else None for i in env.locate_blocks(addresses, start=start).tolist()]
+
 
 @st.composite
 def random_trees(draw):
@@ -83,13 +90,13 @@ def random_trees(draw):
     return env, starts, np.asarray(addresses, dtype=np.int64).reshape(len(addresses), ndim)
 
 
-class TestFindBlocks:
+class TestLocateBlocks:
     @settings(max_examples=150, deadline=None)
     @given(random_trees(), st.data())
     def test_matches_scalar_search_from_any_start(self, tree, data):
         env, starts, addresses = tree
         start = data.draw(st.sampled_from(starts))
-        found = env.find_blocks(addresses, start=start)
+        found = located_blocks(env, addresses, start)
         expected = [env.find_block(tuple(a), start=start) for a in addresses.tolist()]
         assert len(found) == len(expected)
         assert all(f is e for f, e in zip(found, expected))
@@ -100,13 +107,13 @@ class TestFindBlocks:
             DataBlock((0,), (4,), components=1, page_elements=4, allocator=env.allocator)
         )
         addresses = np.array([[1], [5], [9]])
-        assert env.find_blocks(addresses, start=first) == [first, None, None]
+        assert located_blocks(env, addresses, first) == [first, None, None]
         assert (env.stats.searches, env.stats.search_steps) == (3, 3)
         # The box table is rebuilt when the tree grows.
         second = env.add_data_block(
             DataBlock((4,), (4,), components=1, page_elements=4, allocator=env.allocator)
         )
-        assert env.find_blocks(addresses, start=first) == [first, second, None]
+        assert located_blocks(env, addresses, first) == [first, second, None]
 
 
 class TestLocatePrefilter:
@@ -136,7 +143,7 @@ class TestLocatePrefilter:
 
         env.find_block = counted
         try:
-            found = env.find_blocks(addresses, start=start)
+            found = located_blocks(env, addresses, start)
         finally:
             del env.find_block
         assert all(f is e for f, e in zip(found, expected))

@@ -8,8 +8,9 @@ import pytest
 
 from repro.annotation import Platform, TargetApplication
 from repro.aop import Aspect, WeaveError, after_returning, around, before, tagged
-from repro.aspects import PhaseTraceAspect
 from repro.memory import Env
+
+from phase_trace import PhaseTraceAspect
 
 
 class CountingApp(TargetApplication):

@@ -7,12 +7,9 @@ import pytest
 from repro.annotation import Platform
 from repro.aop import AdviceKind, Weaver
 from repro.aop.joinpoint import JoinPointShadow
-from repro.aspects import (
-    DistributedMemoryAspect,
-    LayerAspect,
-    PhaseTraceAspect,
-    SharedMemoryAspect,
-)
+from repro.aspects import DistributedMemoryAspect, LayerAspect, SharedMemoryAspect
+
+from phase_trace import PhaseTraceAspect
 
 
 def shadow_with_tag(tag: str) -> JoinPointShadow:

@@ -44,3 +44,24 @@ def test_fenced_code_is_not_inspected():
 
 def test_the_repository_docs_pass():
     assert check_docs.check_member_references() == []
+
+
+def test_named_md_files_must_exist(tmp_path):
+    (tmp_path / "NOTES.md").write_text("# notes\n")
+    module = tmp_path / "module.py"
+    module.write_text(
+        '"""See docs/architecture.md, *Tiles*, and NOTES.md beside this file.\n'
+        '\n'
+        'DESIGN.md is gone; ``docs/*.md`` is a pattern, not a name.\n'
+        '"""\n'
+        '\n'
+        '\n'
+        'def f():\n'
+        '    """Cites docs/gone.md."""\n'
+        '    return "EXPERIMENTS.md"  # a string, not a docstring\n'
+    )
+    assert check_docs.missing_md_names(module) == [(3, "DESIGN.md"), (8, "docs/gone.md")]
+
+
+def test_the_repository_docstrings_name_existing_files():
+    assert check_docs.check_named_files() == []

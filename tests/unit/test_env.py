@@ -64,13 +64,6 @@ class TestEnvConstruction:
         assert block.parent is joint
         assert block in env.data_blocks()
 
-    def test_owned_blocks_filter(self, env):
-        a = add_block(env, (0, 0))
-        b = add_block(env, (4, 0))
-        a.ch_tid, b.ch_tid = 0, 1
-        assert env.owned_blocks(0) == [a]
-        assert env.owned_blocks(1) == [b]
-
     def test_buffer_only_excluded_by_default(self, env):
         add_block(env, (0, 0))
         add_block(env, (4, 0), buffer_only=True)
@@ -135,18 +128,6 @@ class TestEnvReadWrite:
         a = add_block(env, (0, 0))
         with pytest.raises(AddressError):
             env.read_from(a, (50, 50))
-
-    def test_write_from_other_block(self, env):
-        a = add_block(env, (0, 0))
-        b = add_block(env, (4, 0))
-        env.write_from(a, (4, 1), 6.0)
-        env.refresh()
-        assert b.read((4, 1)) == 6.0
-
-    def test_write_unmapped_raises(self, env):
-        a = add_block(env, (0, 0))
-        with pytest.raises(AddressError):
-            env.write_from(a, (99, 99), 1.0)
 
     def test_root_read(self, env):
         a = add_block(env, (0, 0))
@@ -282,16 +263,6 @@ class TestEnvAccounting:
         assert pages > 16 * sys.getsizeof(buffers[0].pages[0])  # 16 Pages and 4 lists
         assert len(env.mmat) == 0 and not env.mmat.plans
         assert env.structure_bytes() == tree + pages
-
-    def test_stats_merge(self, env):
-        env.stats.reads = 3
-        other = Env(pool_bytes=1 << 16)
-        other.stats.reads = 4
-        assert env.stats.merged_with(other.stats).reads == 7
-
-    def test_data_bytes(self, env):
-        block = add_block(env, (0, 0))
-        assert env.data_bytes() == block.nbytes
 
 
 # ----------------------------------------------------------------------

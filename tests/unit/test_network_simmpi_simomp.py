@@ -17,45 +17,89 @@ from repro.runtime import (
     current_task,
     task_scope,
 )
-from repro.runtime.errors import CollectiveError, NetworkError, TaskError
+from repro.runtime.errors import CollectiveError, DeadRankError, NetworkError, TaskError
+from repro.runtime.network import _payload_nbytes
 
 
-class TestSimNetworkPointToPoint:
-    def test_send_recv(self):
-        net = SimNetwork(2)
-        net.send(0, 1, "tag", {"x": 1})
-        assert net.recv(1, "tag") == {"x": 1}
-        assert net.stats.messages == 1
-        assert net.stats.bytes_moved > 0
-
-    def test_recv_by_source(self):
-        net = SimNetwork(3)
-        net.send(0, 2, "t", "from0")
-        net.send(1, 2, "t", "from1")
-        assert net.recv(2, "t", src=1) == "from1"
-        assert net.recv(2, "t", src=0) == "from0"
-
+class TestSimNetwork:
     def test_numpy_payload_counts_bytes(self):
-        net = SimNetwork(2)
         payload = np.zeros(100, dtype=np.float64)
-        net.send(0, 1, 0, payload)
-        assert net.stats.bytes_moved >= payload.nbytes
+        assert _payload_nbytes(payload) == payload.nbytes
+        assert _payload_nbytes(("page", payload)) >= payload.nbytes
 
     def test_bad_rank_rejected(self):
         net = SimNetwork(2)
         with pytest.raises(NetworkError):
-            net.send(0, 5, "t", 1)
+            net.register_endpoint(5, object())
         with pytest.raises(NetworkError):
-            net.recv(-1, "t")
-
-    def test_recv_timeout(self):
-        net = SimNetwork(2, timeout=0.05)
-        with pytest.raises(NetworkError):
-            net.recv(0, "never")
+            net.mark_dead(-1)
 
     def test_size_must_be_positive(self):
         with pytest.raises(NetworkError):
             SimNetwork(0)
+
+    @pytest.mark.parametrize(
+        "payload,nbytes",
+        [(b"abcd", 4), (bytearray(3), 3), (memoryview(b"xy"), 2), (7, 8), (2.5, 8), (None, 8),
+         ([1, 2.0], 16 + 8 + 8), ({"k": None}, 16 + 64 + 8), (object(), 64)],
+    )
+    def test_payload_size_by_kind(self, payload, nbytes):
+        assert _payload_nbytes(payload) == nbytes
+
+    def test_endpoint_registry_and_release(self):
+        net = SimNetwork(2)
+        env = object()
+        net.register_endpoint(1, env)
+        assert net.endpoint(1) is env
+        with pytest.raises(NetworkError, match="rank 0 has no registered endpoint"):
+            net.endpoint(0)
+        net.release_endpoints()
+        with pytest.raises(NetworkError):
+            net.endpoint(1)
+
+
+class TestSimNetworkDeadRanks:
+    def test_mark_dead_records_the_reason(self):
+        net = SimNetwork(3)
+        assert net.dead_ranks() == {}
+        net.mark_dead(2, "exit 9")
+        net.mark_dead(1)
+        assert net.dead_ranks() == {1: "marked dead", 2: "exit 9"}
+
+    def test_collectives_fail_fast_naming_the_lowest_dead_rank(self):
+        net = SimNetwork(3, timeout=30.0)
+        net.mark_dead(2)
+        net.mark_dead(1)
+        with pytest.raises(DeadRankError) as barrier_err:
+            net.barrier()
+        assert barrier_err.value.rank == 1
+        with pytest.raises(DeadRankError):
+            net.allreduce_sum(1.0)
+
+    def test_mark_dead_wakes_a_blocked_barrier_waiter(self):
+        net = SimNetwork(2, timeout=30.0)
+        caught = []
+
+        def waiter():
+            try:
+                net.barrier()
+            except DeadRankError as exc:
+                caught.append(exc.rank)
+
+        thread = threading.Thread(target=waiter)
+        thread.start()
+        net.mark_dead(1, "killed")
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert caught == [1]
+
+    def test_a_dead_owner_serves_no_pages(self):
+        net = SimNetwork(2)
+        net.register_endpoint(1, object())
+        net.mark_dead(1)
+        with pytest.raises(DeadRankError, match="rank 1 is dead"):
+            net.fetch_pages(0, 1, [(1, 0)])
+        assert net.stats.page_fetches == 0 and net.stats.messages == 0
 
 
 class TestSimNetworkCollectives:

@@ -12,10 +12,11 @@ from repro.obs import (
     Tracer,
     chrome_trace_document,
     phase_report,
-    validate_chrome_trace,
     widest_spans,
 )
 from repro.runtime import TaskContext, TaskCounters, TraceRecorder, task_scope
+
+from chrome_trace import validate_chrome_trace
 
 
 class TestTracer:

@@ -87,7 +87,7 @@ class TestNetworkStatsNeighbors:
         stats.record_neighbor(0, 1, 2, 50)
         stats.record_neighbor(1, 0, 1, 8)
         assert stats.per_neighbor["0->1"] == {"messages": 3, "bytes": 150}
-        assert stats.neighbor_links() == 2
+        assert len(stats.per_neighbor) == 2
 
     def test_merge_adds_counters_and_neighbor_maps(self):
         a = NetworkStats(messages=2, bulk_fetches=1, bulk_pages=4)

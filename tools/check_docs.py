@@ -5,7 +5,7 @@ Run by the ``docs`` CI job (and locally)::
 
     PYTHONPATH=src python tools/check_docs.py
 
-Three checks, all must pass:
+Four checks, all must pass:
 
 1. **Link check** — every relative markdown link in ``README.md`` and
    ``docs/*.md`` must point at an existing file (and, for ``#anchor``
@@ -24,6 +24,11 @@ Three checks, all must pass:
    property or class attribute, a dataclass field or annotation, or an
    attribute its methods assign on ``self``.  Fenced code blocks are
    not inspected.
+
+4. **Named files** — every ``*.md`` file a docstring under ``src/``,
+   ``benchmarks/*.py`` or ``tools/`` names (``docs/protocols.md``,
+   ``README.md``) must exist, relative to the repository root or to the
+   file's own directory.
 """
 
 from __future__ import annotations
@@ -203,12 +208,48 @@ def check_member_references() -> list:
     ]
 
 
+_MD_NAME = re.compile(r"(?<![\w/.*-])((?:[\w.-]+/)*[\w-][\w.-]*\.md)\b")
+
+#: Python files whose docstrings may name markdown files.
+DOCSTRING_FILES = [
+    *sorted(SRC.rglob("*.py")),
+    *sorted((ROOT / "benchmarks").glob("*.py")),
+    *sorted((ROOT / "tools").rglob("*.py")),
+]
+
+
+def missing_md_names(path: pathlib.Path) -> list:
+    """``(line, name)`` of every ``*.md`` file a docstring of ``path``
+    names that exists neither under the repository root nor beside it."""
+    missing = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        doc = ast.get_docstring(node, clean=False)
+        if not doc:
+            continue
+        for match in _MD_NAME.finditer(doc):
+            name = match.group(1)
+            if not ((ROOT / name).exists() or (path.parent / name).exists()):
+                missing.append((node.body[0].lineno + doc.count("\n", 0, match.start()), name))
+    return sorted(missing)
+
+
+def check_named_files() -> list:
+    return [
+        f"{path.relative_to(ROOT)}:{line}: docstring names {name}, which does not exist"
+        for path in DOCSTRING_FILES
+        for line, name in missing_md_names(path)
+    ]
+
+
 def main() -> int:
     checks = [
         ("markdown links", check_links),
         ("module docstrings", check_module_docstrings),
         ("public-API docstrings", check_api_docstrings),
         ("member references", check_member_references),
+        ("named files", check_named_files),
     ]
     failed = False
     for title, check in checks:
