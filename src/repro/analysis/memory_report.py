@@ -12,8 +12,8 @@ configuration split into *unused memory pool*, *used memory pool* and
   MMAT memo and plans, block static fields, plus (for the handwritten
   baselines) the arrays the baseline allocates;
 * **image / scratch** is what the dense image and the kernels hold
-  outside the pool — halo mirrors, MMAT scratch, padded fields, ring
-  tables (the owned dense image is the page memory: *used pool*).
+  outside the pool — MMAT scratch, padded fields, ring tables (the
+  dense image, ghost tail included, is in the pool: *used pool*).
 """
 
 from __future__ import annotations

@@ -233,7 +233,7 @@ class PlatformRun:
             if self.env_stats is not None:
                 # The master rank's owned image is the page memory (anything
                 # but ``pool`` is a bug), how often and why its rows moved,
-                # Buffer-only Blocks copied into the halo mirror.
+                # Buffer-only Blocks copied into the ghost tail from pages.
                 stats = self.env_stats
                 line += " img=" + ("DETACHED" if self.memory.get("image_error") else "pool")
                 if stats.image_rehomes:

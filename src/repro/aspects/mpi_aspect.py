@@ -61,7 +61,6 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -201,9 +200,7 @@ def _slot_rows(link: HaloLink, image, lo: int, hi: int) -> np.ndarray:
     """Bytes ``[lo, hi)`` of a halo slot as rows of ``image``'s class.
 
     Built per use, never kept: the world drops ``link.slot`` when it
-    closes, and a surviving view would pin the mapped segment.  So the
-    consumer's Env is handed this function, not views, and calls it per
-    halo gather.
+    closes, and a surviving view would pin the mapped segment.
     """
     return link.slot[lo:hi].view(image.dtype).reshape(-1, image.components)
 
@@ -218,8 +215,9 @@ class PushPlan:
     collective — per consumer the rows of this rank's own read image
     they read (``outbound``).  Each table is one fancy-index: the owner
     ``np.take`` s ``idx`` out of its image into the link's slot, and the
-    consumer's halo tables read the slot in place of its ``halo`` rows
-    ``rows``.
+    consumer copies the slot into the run of its ghost tail that holds
+    the halo rows ``rows`` (:meth:`~repro.memory.env.Env.set_pushed_rows`
+    numbers them, owner-major in this order).
     """
 
     #: ``Env.plan_generation`` the site sets were derived from.
@@ -246,8 +244,10 @@ class PendingPush:
     Env the same way: the first halo reader of the next sweep (or the
     next refresh) calls :meth:`complete`, which waits the stamps of
     exactly the owners this rank reads — through ``CommHandle.wait``, so
-    halo waiting is measured where it always was — and hands the Env the
-    slots, which its halo tables then read in place until the next swap.
+    halo waiting is measured where it always was — and copies each
+    owner's slot, one contiguous copy, into its run of the ghost tail
+    (:meth:`~repro.memory.env.Env.copy_pushes`), which the plans then
+    read until the next swap.
     """
 
     __slots__ = ("plan", "handle", "trace", "issued_ns", "span_token", "world", "round")
@@ -265,15 +265,15 @@ class PendingPush:
         return f"published halo of {self.plan.inbound_sites} sites"
 
     def complete(self, env, *, drained: bool = False) -> None:
-        """Wait for the stamps, hand the Env the slots, account the traffic."""
+        """Wait for the stamps, copy the slots into the tail, account the traffic."""
         trace = self.trace
         plan = self.plan
         result, timing = _wait_halo(self, drained)
-        env.set_pushed_slots([
-            partial(_slot_rows, link, image, lo, hi)
-            for link, tables in plan.inbound
-            for image, _, lo, hi in tables
-        ])
+        slots = [_slot_rows(link, image, lo, hi) for link, tables in plan.inbound
+                 for image, _, lo, hi in tables]
+        env.copy_pushes(slots, check=protocol_checks())
+        if protocol_checks():
+            self.acknowledge()
         trace.bytes_fetched += result.nbytes
         trace.messages += result.exchanges
         trace.halo_pushes += result.exchanges
@@ -282,8 +282,8 @@ class PendingPush:
         metric_record("exchange.sites", plan.inbound_sites)
 
     def acknowledge(self) -> None:
-        """REPRO_CHECK, at the consumer's next refresh — its sweep read the
-        slots throughout: they still hold, per owner, what it stored."""
+        """REPRO_CHECK, once the slots are copied: they hold, per owner,
+        what it stored — nothing rewrote them before this rank's copy."""
         for link, tables in self.plan.inbound:
             crc = 0
             for _, _, lo, hi in tables:
@@ -321,9 +321,6 @@ class DistributedMemoryAspect(LayerAspect):
         self._push_plans: Dict[int, PushPlan] = {}
         self._inbound_links: Dict[int, Dict[int, HaloLink]] = {}
         self._uncovered_reads: Dict[int, Tuple[int, int]] = {}
-        #: REPRO_CHECK: rank -> the PendingPush its current sweep reads,
-        #: acknowledged at the rank's next refresh.
-        self._reading: Dict[int, PendingPush] = {}
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -334,7 +331,6 @@ class DistributedMemoryAspect(LayerAspect):
         self._push_plans = {}
         self._inbound_links = {}
         self._uncovered_reads = {}
-        self._reading = {}
 
     # ------------------------------------------------------------------
     # AspectType I — control of the runtime and tasks
@@ -436,8 +432,6 @@ class DistributedMemoryAspect(LayerAspect):
         # touched halo data this step) before agreeing on the step
         # outcome: its data counts as delivered, not missing.
         env.complete_pending_halo(drained=True)
-        if rank in self._reading:  # its sweep is done reading the slots
-            self._reading.pop(rank).acknowledge()
 
         tracer = global_tracer()
         local_ok = not env.missing_pages
@@ -490,10 +484,7 @@ class DistributedMemoryAspect(LayerAspect):
                 env.check_pushed_rows()
             with tracer.span("halo.publish", links=len(push.outbound)):
                 self._publish(env, push)
-            pending = PendingPush(push, world, rank, trace)
-            if protocol_checks():
-                self._reading[rank] = pending
-            env.set_pending_halo(pending)
+            env.set_pending_halo(PendingPush(push, world, rank, trace))
             return result
 
         if reason is not None and not warmup and world.size > 1 and (

@@ -481,10 +481,11 @@ class DslTarget(TargetApplication):
         omp = self.omp_threads()
         assignment = self.assign_tasks(specs)
         mine = [tid // omp == task.mpi_rank or task.mpi_size == 1 for _, tid in assignment]
-        # Owned Blocks live in the Env's dense image: size its slabs once
-        # for all of them, so none is ever moved to make room.
-        owned = (math.prod(spec.shape) for (spec, _), own in zip(assignment, mine) if own)
-        env.reserve_image(components, dtype, sum(owned))
+        # Owned Blocks live in the Env's dense image, the others' rows in its
+        # ghost tail: size its slabs once for all of them, so none ever moves.
+        cells = [math.prod(spec.shape) for spec, _ in assignment]
+        owned = sum(n for n, own in zip(cells, mine) if own)
+        env.reserve_image(components, dtype, owned, ghosts=sum(cells) - owned)
         created: List[DataBlock] = []
         for (spec, task_id), own in zip(assignment, mine):
             owner_rank = task_id // omp
@@ -503,8 +504,7 @@ class DslTarget(TargetApplication):
                     spec.shape,
                     components=components,
                     page_elements=page_elements,
-                    allocator=env.allocator,
-                    dtype=dtype,
+                    dtype=dtype,  # no allocator: its pages are rows of the ghost tail
                     owner_tid=owner_rank,
                     name=f"remote{spec.logical_key}",
                 )

@@ -80,7 +80,9 @@ class FusedKernel:
         # -- ring-fill tables (the plan's segments and constants are ----
         #    exactly its out-of-block sites)
         #: The plan's merged tables re-aimed at the padded field's ring
-        #: cells: ``(owned, halo)``, filled by ``PlanSegment.gather``.
+        #: cells: ``(owned, ghost)``, both over the image's ``owned ∥
+        #: ghost`` array, filled by ``PlanSegment.gather``; the ghost ones
+        #: after the halo wait.
         self.ring_tables = tuple(
             [seg.with_sites(*self._ring_positions(seg.dst_idx)) for seg in part]
             for part in plan.split()

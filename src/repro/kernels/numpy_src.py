@@ -7,10 +7,9 @@ The emitted module performs one whole-block sweep as
    field ``P`` and fill the ring cells served by locally-owned sources
    (mirror boundaries, neighbour Data Blocks) with precomputed gather
    tables;
-2. ``fill_boundary`` — fill the ring cells served by Buffer-only (halo)
-   sources through the same :meth:`~repro.memory.mmat.PlanSegment.gather`
-   as :meth:`~repro.memory.mmat.AccessPlan.gather_boundary` (missing
-   pages recorded, their cells zeroed);
+2. ``fill_boundary`` — after :meth:`~repro.memory.env.Env.fill_ghosts`
+   (the halo wait), fill the ring cells served by Buffer-only (halo)
+   sources from the same image array through the ghost ring table;
 3. ``compute`` — call the elementwise ``fn`` on one shifted *view* of
    ``P`` per stencil offset (no per-offset gather arrays are ever
    materialised — this is the fusion);
@@ -77,8 +76,11 @@ def emit_source(signature: Tuple) -> str:
         f"    return P, P.reshape({psize})",
         "",
         "def fill_boundary(K, env, F):",
+        "    missing = env.fill_ghosts(K.plan)",
         f"    ring = F.reshape({psize}, 1)",
-        "    return sum(table.gather(env, ring) for table in K.ring_tables[1])",
+        "    for table in K.ring_tables[1]:",
+        "        table.gather(env, ring)",
+        "    return missing",
         "",
         "def compute(P, fn):",
         f"    return fn({', '.join(views)})",

@@ -108,12 +108,9 @@ class BlockBuffer:
             ]
         return runs
 
-    def dense(self, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Assemble the buffer as one contiguous ``(element_count, components)``
-        array: into ``out`` when given (the Env's dense read image), else
-        into a fresh copy."""
-        if out is None:
-            out = np.empty((self.element_count, self.components), dtype=self.dtype)
+    def dense(self) -> np.ndarray:
+        """The buffer as a fresh contiguous ``(element_count, components)`` array."""
+        out = np.empty((self.element_count, self.components), dtype=self.dtype)
         start = 0
         for run in self.runs():
             stop = start + run.shape[0]

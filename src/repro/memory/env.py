@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -67,8 +67,8 @@ class EnvStats:
     refreshes: int = 0
     failed_refreshes: int = 0
     buffer_swaps: int = 0
-    #: Buffer-only Blocks copied into the image's ``halo`` mirror (owned
-    #: Blocks' pages *are* image rows).
+    #: Buffer-only Blocks' valid pages copied into the image's ghost tail
+    #: (open steps; owned Blocks' pages *are* image rows).
     dense_assemblies: int = 0
     #: Times owned rows of the dense image moved, by reason: a Block added
     #: with pages of its own, a class outgrowing its slabs.  Set-up only.
@@ -91,33 +91,33 @@ class DenseImage:
     (docs/architecture.md, *Dense read image*, has the drawing).
 
     Compiled access plans do not read pages: they index one contiguous
-    array of the read buffers of *all* the Env's Blocks of a class, so a
-    plan is one gather however many Blocks its sites land in.
+    array per buffer generation, the rows of *all* the Env's Blocks of a
+    class, so a plan is one gather per class however many Blocks its
+    sites land in.  ``slabs`` are ``depth`` such arrays, each one pool
+    chunk; ``read`` / ``next`` are those of the current read / write
+    generation, and :meth:`swap` — ``Env.refresh``, nothing else — swaps
+    every Block by counting ``generation`` on.
 
-    * ``slabs`` — for the Blocks the Env owns that array is not a copy,
-      it **is** the page memory: ``depth`` arrays of ``(rows,
-      components)``, each one pool chunk the image holds.  Every owned
-      Block has the rows ``[base, base + element_count)`` of all of them;
-      the pages of its buffer generation ``g`` are views of those rows of
-      slab ``g``.  ``read`` / ``next`` are the slabs of the current read /
-      write generation.  The Blocks' buffers read ``generation`` from
-      here, so :meth:`swap` — ``Env.refresh``, nothing else — swaps all
-      of them by counting it on.
-    * ``halo`` — ``(halo_rows, components)`` for the Buffer-only Blocks,
-      outside the pool and single-buffered (they never swap): a *mirror*
-      of their pages, assembled on demand (``fresh``: the Blocks whose
-      rows are current).  Only open steps read it: on a closed step the
-      owners' pushes are read where they land, in the slots
-      (:meth:`Env.pushed_slots`).
+    * Rows ``[0, ghost_base)`` **are** the page memory of the owned
+      Blocks: each has rows ``[base, base + element_count)`` of every
+      slab, and its buffer generation ``g``'s pages are views of slab ``g``.
+    * The **ghost tail** behind them has a row per element of the
+      Buffer-only Blocks (its *halo row*).  In the ``next`` slab's tail, in
+      halo-row order, they are those Blocks' pages (generation ``g`` in
+      slab ``g + 1``).  In the ``read`` slab's, placed by :meth:`ghost_index`,
+      they are what this step's plans read, written only between its halo
+      wait and the next swap: slots copied in (:meth:`Env.copy_pushes`), or
+      valid pages (:meth:`Env.fill_ghosts`; ``fresh``: the Blocks copied).
 
-    Row bases are handed out once, at ``Env.add_data_block``, and never
-    move, so compiled row indices stay valid while the tree grows; slabs
-    are re-allocated when a class outgrows them, ``halo`` is re-assembled.
+    Row bases and halo rows never move; outgrowing the slabs moves
+    ``ghost_base``.  That and every renumbering (:meth:`number`) count
+    ``layout`` on: compiled tables re-aim their ghost sites once per layout.
     """
 
     __slots__ = (
-        "components", "dtype", "depth", "local_rows", "halo_rows",
-        "chunks", "slabs", "owned", "generation", "halo", "fresh",
+        "components", "dtype", "depth", "local_rows", "halo_rows", "chunks", "slabs", "owned",
+        "remote", "generation", "ghost_base", "ghost_keys", "ghost_vals", "pushed", "layout",
+        "fresh",
     )
 
     def __init__(self, components: int, dtype, depth: int = 2) -> None:
@@ -128,12 +128,21 @@ class DenseImage:
         self.halo_rows = 0
         self.chunks: List[Chunk] = []
         self.slabs: List[np.ndarray] = []
-        #: The Blocks whose pages are rows of the slabs, in row order.
+        #: The owned / Buffer-only Blocks whose pages are rows of the slabs.
         self.owned: List[DataBlock] = []
+        self.remote: List[DataBlock] = []
         #: Swaps so far: the owned Blocks' content generation.
         self.generation = 0
-        self.halo: Optional[np.ndarray] = None
-        #: Ids of the Buffer-only Blocks whose ``halo`` rows are current.
+        #: The first ghost row of every slab: its owned-row capacity.
+        self.ghost_base = 0
+        #: The halo rows a numbering moved (sorted) and their places; the
+        #: others sit at their own row (None: all of them).
+        self.ghost_keys: Optional[np.ndarray] = None
+        self.ghost_vals: Optional[np.ndarray] = None
+        #: Tail rows, from its start, that the owners' pushes fill.
+        self.pushed = 0
+        self.layout = 0
+        #: Ids of the Buffer-only Blocks whose valid pages the tail holds.
         self.fresh: Set[int] = set()
 
     @property
@@ -144,26 +153,50 @@ class DenseImage:
     def next(self) -> Optional[np.ndarray]:
         return self.slabs[(self.generation + 1) % self.depth] if self.slabs else None
 
-    def allocate(self, allocator, capacity: int, owner: str) -> None:
-        """Give the old slabs back and take ``depth`` of ``capacity`` rows
-        (their contents are the caller's to move)."""
+    @property
+    def tail(self) -> int:
+        """Ghost rows each slab holds."""
+        return len(self.slabs[0]) - self.ghost_base if self.slabs else 0
+
+    def ghost_index(self, halo: np.ndarray) -> np.ndarray:
+        """The rows of the read slab that hold the halo rows ``halo``."""
+        keys = self.ghost_keys
+        if keys is None:
+            return self.ghost_base + halo
+        at = np.searchsorted(keys, halo).clip(max=keys.size - 1)
+        return self.ghost_base + np.where(keys[at] == halo, self.ghost_vals[at], halo)
+
+    def rows_of(self, slot: tuple) -> List[np.ndarray]:
+        """Per buffer generation, the rows holding the pages of a Block's slot."""
+        _, lo, hi, halo = slot
+        if not halo:
+            return [slab[lo:hi] for slab in self.slabs]
+        base = self.ghost_base
+        return [self.slabs[(g + 1) % self.depth][base + lo : base + hi] for g in range(self.depth)]
+
+    def allocate(self, allocator, capacity: int, tail: int, owner: str) -> None:
+        """Give the old slabs back and take ``depth`` of ``capacity`` owned
+        rows and ``tail`` ghost rows (their contents are the caller's to move)."""
         for chunk in self.chunks:
             chunk.free()
         self.chunks, self.slabs = [], []
-        nbytes = capacity * self.components * self.dtype.itemsize
-        for generation in range(self.depth if capacity else 0):
+        self.ghost_base = capacity
+        self.layout += 1
+        rows = capacity + tail
+        nbytes = rows * self.components * self.dtype.itemsize
+        for generation in range(self.depth if rows else 0):
             try:
                 chunk = allocator.allocate(nbytes)
             except PoolExhaustedError as exc:
-                self.allocate(allocator, 0, owner)
+                self.allocate(allocator, 0, 0, owner)
                 raise PoolExhaustedError(
                     f"Env {owner!r}: no pool holds slab {generation} of {self.depth} of "
-                    f"its dense image ({capacity} rows x {self.components} of "
+                    f"its dense image ({rows} rows x {self.components} of "
                     f"{self.dtype}, {nbytes} bytes): {exc}"
                 ) from exc
             self.chunks.append(chunk)
-            cells = chunk.as_array(self.dtype, capacity * self.components)
-            self.slabs.append(cells.reshape(capacity, self.components))
+            cells = chunk.as_array(self.dtype, rows * self.components)
+            self.slabs.append(cells.reshape(rows, self.components))
 
     def reserve(self, block: DataBlock) -> tuple:
         """Hand ``block`` its rows: ``(self, first row, end row, is halo)``."""
@@ -171,17 +204,30 @@ class DenseImage:
         count = block.element_count
         if halo:
             base, self.halo_rows = self.halo_rows, self.halo_rows + count
-            self.halo = None  # a mirror: the next read assembles it at its new size
-            self.fresh.clear()
         else:
             base, self.local_rows = self.local_rows, self.local_rows + count
-            self.owned.append(block)
+        (self.remote if halo else self.owned).append(block)
         return (self, base, base + count, halo)
 
+    def number(self, runs: Sequence[np.ndarray]) -> None:
+        """Place the halo rows ``runs`` (sorted, disjoint) at the tail's
+        start, one after the other; the rows they displace there move to
+        the places they left, every other row stays at its own."""
+        pushed = np.concatenate([np.empty(0, dtype=np.intp), *runs])
+        self.pushed, self.layout = pushed.size, self.layout + 1
+        self.fresh.clear()
+        kept = np.zeros(pushed.size, dtype=bool)
+        kept[pushed[pushed < pushed.size]] = True
+        keys = np.concatenate([pushed, np.flatnonzero(~kept)])
+        places = np.concatenate([np.arange(pushed.size), np.sort(pushed[pushed >= pushed.size])])
+        order = np.argsort(keys)
+        self.ghost_keys, self.ghost_vals = (keys[order], places[order]) if keys.size else (None, None)
+
     def swap(self) -> int:
-        """Swap ``read`` and ``next`` and, with them, the buffers of every
-        owned Block; returns how many Blocks swapped."""
+        """Swap ``read`` and ``next`` (the new one's tail empty) and, with
+        them, every owned Block's buffers; returns how many Blocks swapped."""
         self.generation += 1
+        self.fresh.clear()
         return len(self.owned)
 
 
@@ -217,7 +263,6 @@ class Env:
         #: each Block's rows in it as ``(image, first row, end row, is halo)``.
         self._images: Dict[tuple, DenseImage] = {}
         self._slots: Dict[int, tuple] = {}
-        self._image_lock = threading.Lock()
         #: Pages found missing (non-existent / not-yet-valid) since the
         #: last refresh.  AspectType III advice consumes this list.
         self.missing_pages: Set[PageKey] = set()
@@ -234,12 +279,11 @@ class Env:
         self._pending_halo = None
         self._halo_lock = threading.Lock()
         #: Publish protocol (set by the distributed-memory aspect): per
-        #: slot table the ``(image, sorted halo rows)`` the owners push
-        #: into it, numbered by negotiation, and, from a push's completion
-        #: until the next buffer swap, the slots (as functions viewing them).
-        self._pushed_rows: List[Tuple[DenseImage, np.ndarray]] = []
-        self._negotiation = 0
-        self._pushed_slots: Optional[Sequence[Callable[[], np.ndarray]]] = None
+        #: slot table the ``(image, sorted halo rows, first tail row)`` the
+        #: owners push into it, and whether the read slabs' tails hold this
+        #: step's pushes (from a push's completion until the next swap).
+        self._pushed_rows: List[Tuple[DenseImage, np.ndarray, int]] = []
+        self._pushes_in = False
         #: Whether any Buffer-only page may be valid (pages are born valid,
         #: installs validate them): lets the per-step invalidation of a
         #: run whose halo is pushed, not installed, return at once.
@@ -269,59 +313,70 @@ class Env:
             image = self._images.setdefault(key, DenseImage(*key))
         return image
 
-    def reserve_image(self, components: int, dtype, rows: int, depth: int = 2) -> None:
-        """Make room, once, for ``rows`` more owned rows of a class: a DSL
-        target sizes the slabs before it adds its first Block, so none moves."""
+    def reserve_image(self, components: int, dtype, rows: int, depth: int = 2, *,
+                      ghosts: int = 0) -> None:
+        """Make room, once, for ``rows`` more owned rows and ``ghosts`` more
+        Buffer-only rows of a class: a DSL target sizes the slabs before it
+        adds its first Block, so none moves."""
         image = self._image_of(components, dtype, depth)
-        self.stats.rehomes_class_grew += self._resize(image, image.local_rows + int(rows))
+        self.stats.rehomes_class_grew += self._resize(
+            image, image.local_rows + int(rows), image.halo_rows + int(ghosts)
+        )
 
-    def _resize(self, image: DenseImage, capacity: int) -> bool:
-        """Slabs of ``capacity`` rows for ``image``: snapshot, free, allocate,
-        restore — the pool (often full) never holds two layouts at once — and
-        every owned page re-pointed.  Returns whether rows with data moved."""
-        held, before = image.local_rows, len(image.slabs[0]) if image.slabs else 0
-        if capacity <= before:
+    def _resize(self, image: DenseImage, capacity: int, tail: int = 0) -> bool:
+        """Slabs of at least ``capacity`` owned and ``tail`` ghost rows for
+        ``image``: snapshot, free, allocate, restore — the pool (often full)
+        never holds two layouts at once — and every page re-pointed.
+        Returns whether owned rows with data moved."""
+        held, before, ghosts = image.local_rows, image.ghost_base, image.tail
+        if capacity <= before and tail <= ghosts:
             return False
-        saved = [slab[:held].copy() for slab in image.slabs]
+        saved = [(slab[:held].copy(), slab[before:].copy()) for slab in image.slabs]
         try:
-            image.allocate(self.allocator, capacity, self.name)
+            image.allocate(self.allocator, max(capacity, before), max(tail, ghosts), self.name)
         except PoolExhaustedError:
-            image.allocate(self.allocator, before, self.name)  # what fitted before
+            image.allocate(self.allocator, before, ghosts, self.name)  # what fitted before
             raise
         finally:
-            for slab, rows in zip(image.slabs, saved):
+            base = image.ghost_base
+            for slab, (rows, tail_rows) in zip(image.slabs, saved):
                 slab[:held] = rows
-            for block in image.owned:
-                _, lo, hi, _ = self._slots[block.block_id]
-                block.buffer.rehome([slab[lo:hi] for slab in image.slabs], image)
+                slab[base : base + len(tail_rows)] = tail_rows
+            for block in image.owned + image.remote:
+                if block.buffer.home is image:
+                    block.buffer.rehome(image.rows_of(self._slots[block.block_id]), image)
         return held > 0
 
     def add_data_block(self, block: DataBlock, *, parent: Optional[Block] = None) -> DataBlock:
         """Attach a Data (or Buffer-only) Block under the data joint.
 
-        A Buffer-only Block keeps its pages.  An owned Block gets the next
-        free rows of its class's dense-image slabs as its pages (the slabs
-        grow by exactly that much unless :meth:`reserve_image` made room);
-        one made with an allocator is *re-homed*: its generations copied
-        in, its own chunks returned first — a pool that cannot hold the
-        grown slabs raises with the Env as it was, but the Block emptied.
+        The Block gets the next free rows of its class's dense-image slabs
+        as its pages — owned rows, or a Buffer-only Block's tail rows (the
+        slabs grow by exactly that much unless :meth:`reserve_image` made
+        room); one made with an allocator is *re-homed*: its generations
+        copied in, its own chunks returned first — a pool that cannot hold
+        the grown slabs raises with the Env as it was, but the Block emptied.
         """
         if not isinstance(block, DataBlock):
             raise EnvError("add_data_block expects a DataBlock (or subclass)")
         buf = block.buffer
         image = self._image_of(block.components, buf.read_buffer.dtype, buf.depth)
-        if not isinstance(block, BufferOnlyBlock):
-            lo, hi = image.local_rows, image.local_rows + block.element_count
-            saved = buf.vacate()
-            moved = self._resize(image, hi)
-            buf.rehome([slab[lo:hi] for slab in image.slabs], image)
-            for ahead, rows in enumerate(saved):
-                image.slabs[(image.generation + ahead) % image.depth][lo:hi] = rows
-            self.stats.rehomes_late_block += bool(saved)
-            self.stats.rehomes_class_grew += moved and not saved
+        halo = isinstance(block, BufferOnlyBlock)
+        # A single-buffered class has no next slab: its remote pages stay apart.
+        homed = not halo or image.depth > 1
+        saved, count = buf.vacate() if homed else [], block.element_count
+        moved = self._resize(image, image.local_rows + count * (not halo),
+                             image.halo_rows + count * halo)
+        late = bool(saved) and not halo  # an owned Block with pages of its own moved in
+        self.stats.rehomes_late_block += late
+        self.stats.rehomes_class_grew += moved and not late
         (parent or self.data_joint).add_child(block)
         self._halo_pages_live = True  # a new Buffer-only Block's pages are born valid
-        self._slots[block.block_id] = image.reserve(block)
+        slot = self._slots[block.block_id] = image.reserve(block)
+        if homed:
+            buf.rehome(image.rows_of(slot), image)
+        for ahead, rows in enumerate(saved):
+            buf.buffers[(buf.read_index + ahead) % buf.depth].load_dense(rows)
         return self._register(block)
 
     def add_boundary_block(self, block: Block) -> Block:
@@ -408,7 +463,7 @@ class Env:
         for image in self._images.values():
             self.stats.buffer_swaps += image.swap()
         self.step += 1
-        self._pushed_slots = None  # every owner's data just moved on
+        self._pushes_in = False  # every owner's data just moved on
         return True
 
     # ------------------------------------------------------------------
@@ -654,19 +709,11 @@ class Env:
         return block.page_view(key.page_index), block.content_generation
 
     def page_install(self, key: PageKey, data: np.ndarray) -> None:
-        block = self.block(key.block_id)
-        if not isinstance(block, DataBlock):
-            raise EnvError(f"page install requested on non-data block {block.name!r}")
-        block.page_fill(key.page_index, data)
-        self._halo_pages_live = True
-        self.invalidate_dense((key.block_id,))
+        self.page_install_many([(key, data)])
 
     def page_install_many(self, items: Iterable[Tuple[PageKey, np.ndarray]]) -> None:
-        """Install a batch of fetched pages (one aggregated halo exchange).
-
-        Equivalent to :meth:`page_install` per item, but invalidates each
-        touched block's dense image rows only once per block.
-        """
+        """Install a batch of fetched pages (one aggregated halo exchange),
+        each touched Block's ghost rows dropped from ``fresh`` once."""
         touched: Set[int] = set()
         for key, data in items:
             block = self.block(key.block_id)
@@ -682,10 +729,7 @@ class Env:
         if not self._halo_pages_live:
             return  # nothing was installed since the last call
         self._halo_pages_live = False
-        stale = [
-            b for b in self.data_blocks(include_buffer_only=True)
-            if isinstance(b, BufferOnlyBlock)
-        ]
+        stale = [block for image in self._images.values() for block in image.remote]
         for block in stale:
             block.invalidate()
         self.invalidate_dense(b.block_id for b in stale)
@@ -742,97 +786,101 @@ class Env:
         return (self.mmat.resets, self.mmat.plan_compiles)
 
     def plan_halo_rows(self) -> List[Tuple[DenseImage, np.ndarray]]:
-        """Per image, the sorted distinct ``halo`` rows every compiled
-        plan's halo tables read — the sites an owner must publish."""
+        """Per image, the sorted distinct halo rows the ghost sites of every
+        compiled plan read — the sites an owner must publish."""
         tables: Dict[int, Tuple[DenseImage, list]] = {}
         for plan in self.mmat.plans.values():
             for seg in plan.split()[1]:
-                tables.setdefault(id(seg.image), (seg.image, []))[1].append(seg.src_idx)
+                tables.setdefault(id(seg.image), (seg.image, []))[1].append(seg.ghost_halo)
         return [(image, np.unique(np.concatenate(parts))) for image, parts in tables.values()]
 
     def halo_row_blocks(self, image: DenseImage, rows: np.ndarray):
-        """Resolve sorted ``halo`` rows of ``image`` to their Blocks:
-        ``(blocks, block index per row, element index per row)``."""
-        slots = sorted(
-            (lo, block_id)
-            for block_id, (owner, lo, _hi, halo) in self._slots.items()
-            if halo and owner is image
-        )
-        bases = np.array([lo for lo, _ in slots], dtype=np.intp)
+        """Resolve halo rows of ``image`` to their Blocks: ``(blocks, block
+        index per row, element index per row)``."""
+        bases = np.array([self._slots[b.block_id][1] for b in image.remote], dtype=np.intp)
         which = np.searchsorted(bases, rows, side="right") - 1
-        return [self.blocks_by_id[block_id] for _, block_id in slots], which, rows - bases[which]
+        return list(image.remote), which, rows - bases[which]
 
     def set_pushed_rows(self, tables: Iterable[Tuple[DenseImage, np.ndarray]]) -> None:
-        """Declare where the owners publish ``halo`` rows from now on: one
-        ``(image, sorted rows)`` per slot table, in the order
-        :meth:`set_pushed_slots` hands the slots over."""
-        self._pushed_rows = list(tables)
-        self._negotiation += 1
-        self._pushed_slots = None
+        """Declare the halo rows the owners publish from now on, one
+        ``(image, sorted halo rows)`` per slot table in the order
+        :meth:`copy_pushes` hands the slots over, and number every image's
+        tail to match (:meth:`DenseImage.number`): owner-major runs."""
+        self._pushed_rows, runs = [], {}
+        for image, rows in tables:
+            first = sum(run.size for run in runs.setdefault(id(image), []))
+            runs[id(image)].append(rows)
+            self._pushed_rows.append((image, rows, first))
+        for image in self._images.values():
+            image.number(runs.get(id(image), ()))
+        self._pushes_in = False
 
-    def set_pushed_slots(self, slots: Sequence[Callable[[], np.ndarray]]) -> None:
-        """Hand over this step's pushes until the next swap: per slot table
-        :meth:`set_pushed_rows` declared, in its order, a function viewing it
-        as ``(rows, components)`` — a view kept would pin shared memory."""
-        self._pushed_slots = slots
+    def copy_pushes(self, slots: Sequence[np.ndarray], *, check: bool = False) -> None:
+        """Copy each slot (``(rows, components)``, in :meth:`set_pushed_rows`
+        order) into its run of the read slab's tail, read until the next
+        swap; ``check`` (``REPRO_CHECK``) asserts every run equals its slot."""
+        for (image, _rows, first), slot in zip(self._pushed_rows, slots):
+            base = image.ghost_base + first
+            image.read[base : base + len(slot)] = slot
+            image.fresh.clear()
+            if check and image.read[base : base + len(slot)].tobytes() != slot.tobytes():
+                raise EnvError(f"Env {self.name!r}: a ghost run differs from its slot")
+        self._pushes_in = True
 
-    def pushed_slots(self, segment) -> Optional[list]:
-        """``[(slot, its row per site, sites), …]``, one per owner, of a halo
-        :class:`~repro.memory.mmat.PlanSegment` whose every row this step's
-        pushes hold; None when it reads pages."""
-        slots = self._pushed_slots
-        if slots is None:
-            return None
-        negotiation, aimed = segment.aimed
-        if negotiation != self._negotiation:
-            aimed, src, dst = [], segment.src_idx, segment.dst_idx
-            unread = np.ones(src.size, dtype=bool)
-            for k, (image, rows) in enumerate(self._pushed_rows):
-                if image is not segment.image:
-                    continue
-                at = np.searchsorted(rows, src).clip(max=rows.size - 1)
-                hit = rows[at] == src
-                if hit.all():  # one owner's table: no copy of the sites
-                    aimed.append((k, at, dst))
-                elif hit.any():
-                    aimed.append((k, at[hit], dst[hit]))
-                unread &= ~hit
-            aimed = None if unread.any() else aimed
-            segment.aimed = (self._negotiation, aimed)
-        return None if aimed is None else [(slots[k](), rows, sites) for k, rows, sites in aimed]
+    def fill_ghosts(self, plan) -> int:
+        """Make the ghost rows ``plan`` reads current — the pending halo
+        completed, then, unless the pushes are in and cover the plan, its
+        pages checked once: valid ones of Blocks not ``fresh`` copied in,
+        invalid ones recorded missing (the step is re-executed) and counted."""
+        if not plan.has_halo:  # a plan of owned rows leaves the halo in flight
+            return 0
+        if self._pending_halo is not None:
+            self.complete_pending_halo()
+        pushed = self._pushes_in and plan.covered()
+        missing = 0
+        for key, block in () if pushed else plan.pages:
+            if not (block.buffer.read_buffer.pages[key.page_index].valid or block.is_valid):
+                self.missing_pages.add(key)
+                missing += 1
+            image = self._slots[block.block_id][0]
+            if block.block_id not in image.fresh:
+                self._fill_ghosts(image, block)
+        from ..runtime.shm import protocol_checks  # memory sits below runtime
+        for seg in plan.split()[1] if protocol_checks() else ():
+            filled = seg.image.pushed if pushed else seg.image.halo_rows
+            if seg.rows()[0].max() >= seg.image.ghost_base + filled:
+                raise EnvError(f"Env {self.name!r}: a compiled table reads past the filled tail")
+        return missing
+
+    def _ghost_rows(self, block: DataBlock) -> Tuple[np.ndarray, np.ndarray]:
+        """``(halo rows, elements)`` of the valid pages of Buffer-only ``block``."""
+        _, lo, hi, _ = self._slots[block.block_id]
+        pages = block.buffer.read_buffer.pages
+        valid = np.repeat([block.is_valid or p.valid for p in pages], [p.elements for p in pages])
+        return np.arange(lo, hi)[valid], np.flatnonzero(valid)
+
+    def _fill_ghosts(self, image: DenseImage, block: DataBlock) -> None:
+        """Copy the valid pages of Buffer-only ``block`` into its ghost rows
+        of the read slab."""
+        rows, elements = self._ghost_rows(block)
+        image.read[image.ghost_index(rows)] = block.buffer.read_buffer.dense()[elements]
+        image.fresh.add(block.block_id)
+        self.stats.dense_assemblies += 1
 
     # ------------------------------------------------------------------
     # bulk access (used by compiled access plans)
     # ------------------------------------------------------------------
     def dense_read(self, block: DataBlock) -> np.ndarray:
-        """``(elements, components)`` view of a Block's read buffer in the
-        dense image (:class:`DenseImage`).
-
-        An owned Block's *is* its read buffer: a slice.  A Buffer-only
-        Block's pages are copied into its ``halo`` rows when those are not
-        fresh (a page install, an invalidation).  The view aliases the
-        image: current until the next refresh or install, never to be
-        written through.
-        """
+        """``(elements, components)`` of a Block's read buffer in the dense
+        image (:class:`DenseImage`): an owned Block's *is* its read buffer,
+        a slice aliasing the image until the next refresh, never to be
+        written through; a Buffer-only Block's ghost rows, a copy."""
         image, lo, hi, halo = self.image_slot(block)
         if not halo:
             return image.read[lo:hi]
-        rows = self._halo_array(image)[lo:hi]
         if block.block_id not in image.fresh:
-            block.buffer.read_buffer.dense(out=rows)
-            image.fresh.add(block.block_id)
-            self.stats.dense_assemblies += 1
-        return rows
-
-    def _halo_array(self, image: DenseImage) -> np.ndarray:
-        """The ``halo`` array of ``image``, allocated on its first use."""
-        # Hybrid threads sweep one Env concurrently: exactly one may allocate,
-        # or a Block assembled into the loser's array would count as fresh.
-        if image.halo is None:
-            with self._image_lock:
-                if image.halo is None:
-                    image.halo = np.empty((image.halo_rows, image.components), dtype=image.dtype)
-        return image.halo
+            self._fill_ghosts(image, block)
+        return image.read[image.ghost_index(np.arange(lo, hi))]
 
     def image_slot(self, block: DataBlock) -> tuple:
         """``(image, first row, end row, is halo)`` of an attached Data Block."""
@@ -843,25 +891,20 @@ class Env:
                 f"block {block.name!r} is not a Data Block of Env {self.name!r}"
             ) from None
 
-    def fresh_halo(self, image: DenseImage, sources: Iterable[DataBlock]) -> np.ndarray:
-        """The ``halo`` array a plan's halo table indexes, with every
-        Block of ``sources`` fresh."""
-        for block in sources:
-            if block.block_id not in image.fresh:
-                self.dense_read(block)
-        return image.halo
-
     def store_rows(self, blocks: Sequence[DataBlock], values: np.ndarray) -> None:
         """Write ``values`` over *every* element of a tile (owned Blocks
         whose image rows follow each other): one slice store into ``next``
-        — their write buffers."""
+        — their write buffers, never its ghost tail."""
         image, lo, _, _ = self.image_slot(blocks[0])
-        image.next[lo : self._slots[blocks[-1].block_id][2]] = values
+        hi = self._slots[blocks[-1].block_id][2]
+        if hi > image.ghost_base:
+            raise EnvError(f"Env {self.name!r}: a store of rows {lo}..{hi} reaches the ghost tail")
+        image.next[lo:hi] = values
 
     def invalidate_dense(self, block_ids: Iterable[int]) -> None:
-        """Stop trusting the ``halo`` rows of the Buffer-only Blocks
-        ``block_ids`` (installed into, invalidated): the next
-        :meth:`dense_read` re-assembles them.  Owned Blocks have no mirror."""
+        """Stop trusting the ghost rows of the Buffer-only Blocks
+        ``block_ids`` (installed into, invalidated): the next open read
+        copies their pages again.  Owned Blocks have no copy."""
         for block_id in block_ids:
             slot = self._slots.get(block_id)
             if slot is not None:
@@ -869,11 +912,12 @@ class Env:
 
     def check_dense_image(self) -> None:
         """Raise :class:`EnvError` unless the :class:`DenseImage` invariant
-        holds: owned pages are their image rows (by address), every owned
-        buffer is bound to its own image (so reads its read generation),
-        slabs overlap neither each other nor kernel scratch (a fused store
-        never lands in the field it was computed from), fresh ``halo`` rows
-        equal their buffer's bytes."""
+        holds: every page is its rows of the slabs (by address) — owned ones
+        ahead of the ghost tail, Buffer-only ones in the next generation's
+        tail; every buffer is bound to its own image (so reads its read
+        generation); slabs overlap neither each other nor kernel scratch (a
+        fused store never lands in the field it was computed from); the
+        ghost rows of a fresh Buffer-only Block equal its valid pages."""
         def fail(what: str):
             raise EnvError(f"dense image of Env {self.name!r}: {what}")
 
@@ -883,36 +927,36 @@ class Env:
             if any(np.may_share_memory(a, b) for k, a in enumerate(slabs) for b in apart[k + 1:]):
                 fail(f"slabs of class {(image.components, image.dtype)} overlap "
                      "each other or kernel scratch")
-        for block_id, (image, lo, hi, halo) in self._slots.items():
-            block = self.blocks_by_id[block_id]
+            if image.local_rows > image.ghost_base or image.halo_rows > image.tail:
+                fail(f"class {(image.components, image.dtype)} holds more rows than its slabs")
+        for block_id, slot in self._slots.items():
+            image, halo, block = slot[0], slot[3], self.blocks_by_id[block_id]
             buf = block.buffer
-            if halo:
-                if block_id in image.fresh and (
-                    image.halo[lo:hi].tobytes() != buf.read_buffer.dense().tobytes()
-                ):
-                    fail(f"the halo rows of block {block.name!r} are marked fresh "
-                         "but differ from its buffer")
-            elif buf.home is not image:
+            if buf.home is not image and (not halo or image.depth > 1):
                 fail(f"the buffers of block {block.name!r} are not bound to its image")
-            else:
-                for generation, slab in zip(buf.buffers, image.slabs):
-                    for page in generation.pages:
-                        first = lo + page.index * generation.page_elements
-                        if page.array.ctypes.data != slab[first:].ctypes.data:
-                            fail(f"page {page.index} of block {block.name!r} is not "
-                                 f"rows {first}.. of its slab")
+            start = slot[1] + (image.ghost_base if halo else 0)
+            for generation, rows in zip(buf.buffers, image.rows_of(slot) if buf.home else ()):
+                for page in generation.pages:
+                    first = page.index * generation.page_elements
+                    if page.array.ctypes.data != rows[first:].ctypes.data:
+                        fail(f"page {page.index} of block {block.name!r} is not "
+                             f"rows {start + first}.. of its slab")
+            if halo and block_id in image.fresh:
+                rows, elements = self._ghost_rows(block)
+                if not np.array_equal(image.read[image.ghost_index(rows)],
+                                      buf.read_buffer.dense()[elements]):
+                    fail(f"the ghost rows of block {block.name!r} are marked fresh "
+                         "but differ from its pages")
 
     def check_pushed_rows(self) -> None:
         """Raise :class:`EnvError` unless the rows declared by
         :meth:`set_pushed_rows` cover every halo row a compiled plan reads
         (the communication plan ⊇ the plans' requirements)."""
-        for image, rows in self.plan_halo_rows():
-            pushed = [table for owner, table in self._pushed_rows if owner is image]
-            if not np.isin(rows, np.concatenate(pushed) if pushed else []).all():
-                raise EnvError(
-                    f"Env {self.name!r}: compiled plans read halo rows the owners "
-                    "were never asked to publish"
-                )
+        if not all(plan.covered() for plan in self.mmat.plans.values()):
+            raise EnvError(
+                f"Env {self.name!r}: compiled plans read halo rows the owners "
+                "were never asked to publish"
+            )
 
     def plan_page_requirements(self) -> Set[PageKey]:
         """Union of the Buffer-only (halo) pages every compiled plan reads.
@@ -931,10 +975,9 @@ class Env:
     # accounting (Fig. 12)
     # ------------------------------------------------------------------
     def image_scratch_bytes(self) -> int:
-        """What image and kernels keep *outside* the pool: ``halo`` mirrors,
-        MMAT read scratch and padded fields, the fused kernels' tables."""
-        halo = sum(img.halo.nbytes for img in self._images.values() if img.halo is not None)
-        return halo + self.mmat.scratch_bytes()
+        """What image and kernels keep *outside* the pool: MMAT read scratch
+        and padded fields, the fused kernels' tables."""
+        return self.mmat.scratch_bytes()
 
     def structure_bytes(self) -> int:
         """Rough footprint of the Env structure itself: the tree, each

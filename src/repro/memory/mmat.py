@@ -64,16 +64,13 @@ __all__ = [
 ]
 
 
-def _gather_rows(env, out: np.ndarray, sites, rows: np.ndarray, idx, zero=None) -> None:
-    """``out[sites] = rows[idx]``, the sites of mask ``zero`` reading 0, as one
-    ``np.take`` into the thread's MMAT scratch and one store through 1-D
-    views whose items are whole rows: fancy get and set on ``(n,
-    components)`` arrays cost about twice as much.  Every table with
-    ``dst_idx`` runs this."""
+def _gather_rows(env, out: np.ndarray, sites, rows: np.ndarray, idx) -> None:
+    """``out[sites] = rows[idx]`` as one ``np.take`` into the thread's MMAT
+    scratch and one store through 1-D views whose items are whole rows:
+    fancy get and set on ``(n, components)`` arrays cost about twice as
+    much.  Every table with ``dst_idx`` runs this."""
     vals = env.mmat.scratch("rows", (idx.size, rows.shape[1]), rows.dtype)
     np.take(rows, idx, axis=0, out=vals, mode="clip")  # idx range-checked when built
-    if zero is not None:
-        vals[zero] = 0
     if vals.dtype == out.dtype:  # else a casting store (a table of another class)
         if out.shape[1] > 1:  # a row as one item
             row = np.dtype((np.void, out.dtype.itemsize * out.shape[1]))
@@ -83,94 +80,77 @@ def _gather_rows(env, out: np.ndarray, sites, rows: np.ndarray, idx, zero=None) 
 
 
 class PlanSegment:
-    """One merged gather table of an :class:`AccessPlan`.
+    """One merged gather table of an :class:`AccessPlan`: sites that read
+    one image class of the dense read image
+    (:class:`~repro.memory.env.DenseImage`) — owned rows and ghost rows
+    alike — however many Blocks (``sources``) they land in.  An offsets
+    plan keeps its ghost sites in a table of their own, which a fused
+    kernel fills after the halo wait.
 
-    A table serves every plan site that reads one array of the Env's
-    dense read image (:class:`~repro.memory.env.DenseImage`): the owned
-    rows of an image class, or — ``halo`` — its Buffer-only rows.  A
-    plan therefore holds at most two tables per image class (one class
-    in every stock DSL) however many Blocks (``sources``) its sites land
-    in, and executes each as a single gather.
-
-    ``src_idx`` are image rows; ``dst_idx`` the matching flat site
-    indices of the plan output, or None for a *dense* table that lists
-    a row for every output site in order (address plans: the sites other
-    tables serve read a placeholder row and are patched afterwards).
-    Halo tables also carry, per site, the index into ``pages`` of the
-    Buffer-only page it reads, so one validity pass covers the table.
-    On a closed step of the publish protocol a halo table whose rows the
-    owners push reads their slots in place instead, no page touched
-    (:meth:`~repro.memory.env.Env.pushed_slots`: re-aimed once per
-    negotiation at each owner's slot, memoised in ``aimed``; the stamp
-    the consumer waited for is the validity).
+    ``src_idx`` is, per site, an owned image row, or a Buffer-only halo
+    row ``h`` as ``-1 - h``: :meth:`rows` aims these ``ghost_sites`` at
+    the tail once per image ``layout``.  ``dst_idx`` are the matching
+    flat output sites, or None for a *dense* table, a row per output site
+    in order (address plans: constants' and other classes' sites read a
+    placeholder row, patched afterwards).
     """
 
-    __slots__ = (
-        "image", "halo", "sources", "src_idx", "dst_idx", "site_page", "pages", "aimed",
-    )
+    __slots__ = ("image", "sources", "src_idx", "dst_idx", "ghost_sites", "_aim")
 
-    def __init__(self, image, halo: bool, sources, src_idx, dst_idx, site_page=None, pages=()):
+    def __init__(self, image, sources, src_idx, dst_idx=None):
         self.image = image
-        self.halo = bool(halo)
         #: The Blocks whose image rows the table reads.
         self.sources = list(sources)
         self.src_idx = np.ascontiguousarray(src_idx, dtype=np.intp)
         self.dst_idx = None if dst_idx is None else np.ascontiguousarray(dst_idx, dtype=np.intp)
-        self.site_page = site_page
-        #: Halo tables: ``(PageKey, Block, Page)`` of every Buffer-only
-        #: page read, indexed by ``site_page``.  Buffer-only Blocks never
-        #: swap buffers, so the page objects are resolved once.
-        self.pages = pages
-        #: Memo of ``Env.pushed_slots``: ``(negotiation, [(slot table, its
-        #: row per site, sites), …])``, None where the pushes miss a row.
-        self.aimed: tuple = (-1, None)
+        self.ghost_sites = np.flatnonzero(self.src_idx < 0)
+        #: ``(image layout, rows, covered)`` of :meth:`rows`.
+        self._aim: tuple = (None, self.src_idx, False)
+
+    @property
+    def halo(self) -> bool:
+        """Whether any site reads a Buffer-only Block's ghost row."""
+        return bool(self.ghost_sites.size)
+
+    @property
+    def ghost_halo(self) -> np.ndarray:
+        """The halo rows the ghost sites read."""
+        return -1 - self.src_idx[self.ghost_sites]
+
+    def rows(self) -> Tuple[np.ndarray, bool]:
+        """``(slab row per site, covered)`` under the image's current ghost
+        numbering; covered: every ghost row is in the tail's pushed part."""
+        image, aim = self.image, self._aim
+        if aim[0] != image.layout:
+            rows, covered = self.src_idx, True
+            if self.ghost_sites.size:
+                ghosts = image.ghost_index(self.ghost_halo)
+                rows = rows.copy()
+                rows[self.ghost_sites] = ghosts
+                covered = int(ghosts.max()) < image.ghost_base + image.pushed
+            aim = self._aim = (image.layout, rows, covered)
+        return aim[1], aim[2]
 
     def with_sites(self, dst_idx, keep) -> "PlanSegment":
         """The same table restricted to sites ``keep``, written to ``dst_idx``
         (fused kernels: one padded-field cell per distinct address)."""
-        site_page = None if self.site_page is None else self.site_page[keep]
-        return PlanSegment(
-            self.image, self.halo, self.sources, self.src_idx[keep], dst_idx, site_page, self.pages
-        )
+        return PlanSegment(self.image, self.sources, self.src_idx[keep], dst_idx)
 
-    def gather(self, env, out: np.ndarray) -> int:
-        """Fill this table's sites of ``out`` from the Env's dense image.
-
-        Returns the number of halo pages found not valid yet: they are
-        recorded in ``env.missing_pages`` (the following refresh fails
-        and the step is re-executed, exactly as on the scalar path) and
-        their sites read placeholder zeros.
-        """
+    def gather(self, env, out: np.ndarray) -> None:
+        """Fill this table's sites of ``out`` from its image's read slab,
+        ghost tail included (:meth:`Env.fill_ghosts` made that current)."""
+        rows = self.rows()[0]
         if self.dst_idx is None:
             # mode="clip": indices were range-checked at compile time, and
             # the default mode would buffer ``out``.
-            np.take(self.image.read, self.src_idx, axis=0, out=out, mode="clip")
-            return 0
-        if not self.halo:
-            _gather_rows(env, out, self.dst_idx, self.image.read, self.src_idx)
-            return 0
-        pushed = env.pushed_slots(self)
-        if pushed is not None:
-            for slot, rows, sites in pushed:
-                _gather_rows(env, out, sites, slot, rows)
-            return 0
-        bad = [
-            uid
-            for uid, (_, block, page) in enumerate(self.pages)
-            if not (page.valid or block.is_valid)
-        ]
-        zero = None
-        if bad:
-            env.missing_pages.update(self.pages[uid][0] for uid in bad)
-            zero = np.isin(self.site_page, bad)
-        rows = env.fresh_halo(self.image, self.sources)
-        _gather_rows(env, out, self.dst_idx, rows, self.src_idx, zero)
-        return len(bad)
+            np.take(self.image.read, rows, axis=0, out=out, mode="clip")
+        else:
+            _gather_rows(env, out, self.dst_idx, self.image.read, rows)
 
     @property
     def nbytes(self) -> int:
-        held = (self.src_idx, self.dst_idx, self.site_page)
-        return sum(arr.nbytes for arr in held if arr is not None)
+        held = (self.src_idx, self._aim[1], self.dst_idx, self.ghost_sites)
+        return sum({id(arr): arr.nbytes for arr in held if arr is not None}.values())
 
 
 #: Monotonic version numbers handed to every compiled plan: a recompiled
@@ -200,6 +180,7 @@ class AccessPlan:
         "block",
         "slices",
         "own_rows",
+        "pages",
         "_split",
         "_halo_sites",
         "_elem_partition",
@@ -219,6 +200,7 @@ class AccessPlan:
         kind: str = "offsets",
         offsets: Optional[Tuple[Tuple[int, ...], ...]] = None,
         slices: Tuple[Optional[Tuple[tuple, tuple]], ...] = (),
+        pages: list = (),
     ) -> None:
         #: The Block the plan was compiled for (the start of every access;
         #: the first Block of a tile plan).
@@ -227,10 +209,12 @@ class AccessPlan:
         self.n_sites = int(n_sites)
         self.components = block.components
         self.dtype = np.dtype(block.buffer.read_buffer.dtype)
-        #: Merged gather tables (≤ 1 owned + 1 halo per image class) for
-        #: the sites that leave the Block (an offsets plan's ring) or,
-        #: for address plans, for every site.
+        #: Merged gather tables — one per image class; an offsets plan's
+        #: ghost sites in one more — for the sites that leave the Block
+        #: (an offsets plan's ring) or, for address plans, for every site.
         self.segments = segments
+        #: ``(PageKey, Block)`` of every Buffer-only page the ghost sites read.
+        self.pages = list(pages)
         self.const_dst = const_dst
         self.const_vals = const_vals
         #: Sites served by the start Block itself (the scalar path's
@@ -263,7 +247,7 @@ class AccessPlan:
         #: buffered class, whose stores land in the rows it reads.
         self.own_rows: Optional[slice] = None
         if len(segments) == 1 and const_dst is None and segments[0].dst_idx is None:
-            rows = segments[0].src_idx  # a dense table: owned rows, one per site
+            rows = segments[0].src_idx  # a dense table: image rows, one per site
             double = segments[0].image.depth > 1
             if rows.size and double and np.array_equal(rows, rows[0] + np.arange(rows.size)):
                 self.own_rows = slice(int(rows[0]), int(rows[0]) + rows.size)
@@ -273,15 +257,10 @@ class AccessPlan:
 
     # ------------------------------------------------------------------
     def split(self) -> Tuple[List[PlanSegment], List[PlanSegment]]:
-        """Partition the tables into ``(interior, boundary)`` sub-plans.
-
-        The *interior* sub-plan gathers only from locally-owned sources
-        (Data Blocks plus the compile-time constants), so it can run
-        before a halo exchange completed; the *boundary* sub-plan's
-        tables read Buffer-only (halo) pages and must wait for them.
-        The partition is what lets the overlapped refresh hide the halo
-        round-trip behind the interior computation.
-        """
+        """Partition the tables into ``(interior, boundary)``: those reading
+        only owned rows, which may run before a halo exchange completed, and
+        those reading ghost rows, which must wait (an offsets plan keeps its
+        ghost sites apart: the fused kernel hides the wait behind the rest)."""
         if self._split is None:
             interior = [seg for seg in self.segments if not seg.halo]
             boundary = [seg for seg in self.segments if seg.halo]
@@ -293,16 +272,18 @@ class AccessPlan:
         """Whether any segment gathers from a Buffer-only (halo) source."""
         return bool(self.split()[1])
 
+    def covered(self) -> bool:
+        """Whether every ghost row the plan reads is a pushed one."""
+        return all(seg.rows()[1] for seg in self.split()[1])
+
     def halo_sites(self) -> np.ndarray:
-        """Flat output sites served by the boundary (halo) segments, sorted."""
+        """Flat output sites that read ghost rows, sorted."""
         if self._halo_sites is None:
-            boundary = self.split()[1]
-            if boundary:
-                self._halo_sites = np.unique(
-                    np.concatenate([seg.dst_idx for seg in boundary])
-                )
-            else:
-                self._halo_sites = np.empty(0, dtype=np.intp)
+            sites = [
+                seg.ghost_sites if seg.dst_idx is None else seg.dst_idx[seg.ghost_sites]
+                for seg in self.split()[1]
+            ]
+            self._halo_sites = np.unique(np.concatenate(sites)) if sites else np.empty(0, np.intp)
         return self._halo_sites
 
     def element_partition(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -335,17 +316,13 @@ class AccessPlan:
     def execute(self, env, read: int = 0) -> np.ndarray:
         """Run the plan against the Env's current read buffers.
 
-        Returns a ``(n_sites, components)`` array in plan site order.
-        Buffer-only sites whose pages have not arrived yet are recorded
-        in ``env.missing_pages`` (the following refresh fails and the
-        step is re-executed, exactly as on the scalar path) and filled
-        with placeholder zeros.
-
-        The interior part always runs first; when an overlapped halo
-        exchange is still in flight (``env.has_pending_halo()``), it is
-        completed right before the first boundary segment reads halo
-        data — so every batched gather transparently overlaps the
-        exchange with at least its interior gather work.
+        Returns a ``(n_sites, components)`` array in plan site order: one
+        ``np.take`` per table — per image class, ghost rows included —
+        then the constants and the in-block slice part.  The ghost rows
+        are made current first (:meth:`~repro.memory.env.Env.fill_ghosts`:
+        a halo exchange in flight completes before the take; pages not
+        valid yet are recorded in ``env.missing_pages``, and the step is
+        re-executed, exactly as on the scalar path).
 
         The returned array is scratch of the Env's MMAT, one per calling
         thread, ``read`` and output shape.  A kernel passes how many
@@ -363,21 +340,10 @@ class AccessPlan:
             self.account(env, 0)
             return out
         out = env.mmat.scratch(read, (self.n_sites, self.components), self.dtype)
-        self.gather_interior(env, out)
-        missing = 0
-        if self.has_halo:
-            if env.has_pending_halo():
-                env.complete_pending_halo()
-            missing = self.gather_boundary(env, out)
-        self.account(env, missing)
-        return out
-
-    def gather_interior(self, env, out: np.ndarray) -> None:
-        """Fill the sites of ``out`` that need no halo data: the owned
-        tables, the compile-time constants and the in-block slice part."""
-        # Tables first: a dense one writes a placeholder to every site
-        # the constants (and the halo tables) then overwrite.
-        for seg in self.split()[0]:
+        missing = env.fill_ghosts(self)
+        # A dense table (first) writes every site; the constants and the
+        # other tables then overwrite theirs.
+        for seg in self.segments:
             seg.gather(env, out)
         if self.const_dst is not None:
             out[self.const_dst] = self.const_vals
@@ -388,10 +354,8 @@ class AccessPlan:
             for oi, pair in enumerate(self.slices):
                 if pair is not None:
                     dst[oi][pair[0]] = src[pair[1]]
-
-    def gather_boundary(self, env, out: np.ndarray) -> int:
-        """Fill the halo-served sites of ``out``; returns missing-page count."""
-        return sum(seg.gather(env, out) for seg in self.split()[1])
+        self.account(env, missing)
+        return out
 
     def account(self, env, missing: int) -> None:
         """Credit one full execution of this plan to the Env's counters."""
@@ -404,7 +368,7 @@ class AccessPlan:
     # ------------------------------------------------------------------
     def remote_pages(self) -> List[PageKey]:
         """Page keys of every Buffer-only page this plan reads (halo set)."""
-        return [key for seg in self.split()[1] for key, _, _ in seg.pages]
+        return [key for key, _ in self.pages]
 
     @property
     def nbytes(self) -> int:
@@ -640,16 +604,19 @@ def _resolve_away(env, blocks, cuts, addrs: np.ndarray, home: np.ndarray, source
 
 
 def _fill_sites(addrs, blocks, cuts, home, slots, table_of, keys, site_row, site_table) -> int:
-    """Turn ``site_row`` into the image row every site reads and fill
-    ``site_table`` with the number of that row's table (-1: a constant),
-    a start Block at a time; returns how many sites read their own start
-    Block.  A ``home`` site reads its start Block ``blocks[b]``; every
-    other site holds the index of its address into ``keys`` of
+    """Turn ``site_row`` into the image row every site reads (a Buffer-only
+    element's halo row ``h`` as ``-1 - h``: see :class:`PlanSegment`) and
+    fill ``site_table`` with the number of that row's table (-1: a
+    constant), a start Block at a time; returns how many sites read their
+    own start Block.  A ``home`` site reads its start Block ``blocks[b]``;
+    every other site holds the index of its address into ``keys`` of
     :func:`_resolve_away`.  ``slots`` and ``table_of`` are the image
     slots and table numbers of the sources."""
     if keys is not None:
         group, src = keys
-        key_row = np.array([slot[1] for slot in slots] + [0])[group] + src
+        sign = np.array([-1 if slot[3] else 1 for slot in slots] + [1])[group]
+        key_row = np.array([-1 - slot[1] if slot[3] else slot[1] for slot in slots] + [0])[group]
+        key_row += sign * src
         key_table = np.array(table_of + [-1], dtype=np.int8)[group]
     in_block = 0
     for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
@@ -657,6 +624,8 @@ def _fill_sites(addrs, blocks, cuts, home, slots, table_of, keys, site_row, site
         (_, first, end, _), table = slots[k], table_of[k]
         local = addrs[lo:hi][inside] - np.asarray(blocks[k].origin, dtype=np.int64)
         rows[inside] = first + np.ravel_multi_index(tuple(local.T), blocks[k].shape)
+        if slots[k][3]:  # a Buffer-only start Block
+            rows[inside] = -1 - rows[inside]
         tabs[inside] = table
         if local.shape[0] < hi - lo:
             away = rows[~inside]
@@ -667,22 +636,18 @@ def _fill_sites(addrs, blocks, cuts, home, slots, table_of, keys, site_row, site
     return in_block
 
 
-def _halo_pages(sources: List[DataBlock], site_source: np.ndarray, site_elem: np.ndarray):
-    """``(site_page, pages)`` of a halo table whose site ``i`` reads element
-    ``site_elem[i]`` of the Buffer-only Block ``sources[site_source[i]]``."""
-    page_elements = np.array([b.page_elements for b in sources], dtype=np.intp)
-    stride = max(b.page_count() for b in sources)
-    codes, site_page = np.unique(
-        site_source * stride + site_elem // page_elements[site_source], return_inverse=True
-    )
+def _ghost_pages(env, segments: List[PlanSegment]) -> list:
+    """``(PageKey, Block)`` of every Buffer-only page the ghost sites of
+    ``segments`` read."""
     pages = []
-    for code in codes.tolist():
-        block = sources[code // stride]
-        index = code % stride
-        pages.append(
-            (PageKey(block.block_id, index), block, block.buffer.read_buffer.pages[index])
-        )
-    return site_page.reshape(-1), pages
+    for seg in (seg for seg in segments if seg.halo):
+        blocks, which, elements = env.halo_row_blocks(seg.image, seg.ghost_halo)
+        page_elements = np.array([b.page_elements for b in blocks], dtype=np.intp)
+        stride = max(b.page_count() for b in blocks)
+        for code in np.unique(which * stride + elements // page_elements[which]).tolist():
+            block = blocks[code // stride]
+            pages.append((PageKey(block.block_id, code % stride), block))
+    return pages
 
 
 def _compile(
@@ -710,10 +675,12 @@ def _compile(
     *distinct* addresses, not sites or start Blocks.  ``slice_sites``
     in-block sites are covered by the caller's slice part and not listed.
 
-    The sites of all sources that share one array of the Env's dense
-    read image are merged into one :class:`PlanSegment`; ``sites`` None
-    (the addresses are those of all ``n_sites`` outputs, in order) makes
-    the table on the owned rows of the tile's own image class dense.
+    The sites of all sources of one image class — owned and Buffer-only,
+    which read its ``owned ∥ ghost`` array — are merged into one
+    :class:`PlanSegment`; listed ``sites`` (an offsets plan's ring) keep
+    the ghost sites in a table of their own.  ``sites`` None (the
+    addresses are those of all ``n_sites`` outputs, in order) makes the
+    table of the tile's own image class dense.
     """
     block = blocks[0]
     segments: List[PlanSegment] = []
@@ -721,7 +688,7 @@ def _compile(
     in_block = out_of_block = 0
     if addrs.shape[0]:
         sources: List[DataBlock] = list(blocks)
-        # (image id, is halo) -> table number; 0 is the tile's own rows.
+        # (image id, ghost table) -> table number; 0 is the tile's own rows.
         tables: Dict[tuple, int] = {}
         # Sites whose address lies in their own start Block (``home``) read
         # it without a search; the distinct addresses of the others are
@@ -742,7 +709,8 @@ def _compile(
             keys, const_vals = _resolve_away(env, blocks, cuts, addrs, home, sources, site_row)
             read.update(np.unique(keys[0]).tolist())
         slots = [env.image_slot(source) for source in sources]
-        table_of = [tables.setdefault((id(slot[0]), slot[3]), len(tables)) for slot in slots]
+        ring = sites is not None  # an offsets plan: its ghost sites get a table of their own
+        table_of = [tables.setdefault((id(s[0]), ring and s[3]), len(tables)) for s in slots]
         in_block = _fill_sites(
             addrs, blocks, cuts, home, slots, table_of, keys, site_row, site_table
         )
@@ -757,27 +725,23 @@ def _compile(
             const_arr = np.concatenate(const_vals).astype(block.buffer.read_buffer.dtype)[
                 site_row[sel]
             ]
-        # Address plans (``sites`` None) read the tile's own rows densely:
-        # that table, made last, is ``site_row`` itself, the sites of other
-        # tables reading a placeholder row; it writes every site, so it is
-        # gathered first.
+        # Address plans (``sites`` None) read the tile's own class densely:
+        # that table, made last, is ``site_row`` itself, the sites of
+        # constants and other classes reading a placeholder row; it writes
+        # every site, so it is gathered first.
         own = tables.get((id(slots[0][0]), False)) if sites is None else None
-        for (_, halo), t in sorted(tables.items(), key=lambda item: item[1] == own):
+        for t in sorted(tables.values(), key=lambda t: t == own):
             members = [sources[k] for k in sorted(read) if k >= 0 and table_of[k] == t]
             if not members:
                 continue
-            image, first_row = env.image_slot(members[0])[:2]
+            image = env.image_slot(members[0])[0]
             if t == own:
-                site_row[site_table != own] = first_row
-                segments.insert(0, PlanSegment(image, False, members, site_row, None))
+                site_row[site_table != own] = 0
+                segments.insert(0, PlanSegment(image, members, site_row))
                 continue
             sel = np.flatnonzero(site_table == t)
-            rows = site_row[sel]
-            site_page, pages = None, ()
-            if halo:
-                site_page, pages = _halo_pages(*env.halo_row_blocks(image, rows))
             dst = sel if sites is None else sites[sel]
-            segments.append(PlanSegment(image, halo, members, rows, dst, site_page, pages))
+            segments.append(PlanSegment(image, members, site_row[sel], dst))
     return AccessPlan(
         block=block,
         n_sites=n_sites,
@@ -786,6 +750,7 @@ def _compile(
         const_vals=const_arr,
         in_block_sites=slice_sites + in_block,
         out_of_block_sites=out_of_block,
+        pages=_ghost_pages(env, segments),
         **plan_kw,
     )
 

@@ -361,7 +361,7 @@ class TestPlansMatchPerSiteReference:
                 addresses, ring,
             )
 
-    def test_many_source_address_plans_merge_into_two_tables(self):
+    def test_many_source_address_plans_merge_into_one_table(self):
         env = rank0_of_2(JacobiUSGrid, USGRID_40)
         assert len(env.data_blocks(include_buffer_only=True)) == 40
         for block in env.data_blocks()[::4]:
@@ -372,11 +372,15 @@ class TestPlansMatchPerSiteReference:
                 addresses, [True] * len(addresses),
             )
             plan = compile_address_plan(env, block, table)
-            owned, halo = plan.split()
-            assert len(owned) == len(halo) == 1
-            assert len(owned[0].sources) > 5 and len(halo[0].sources) > 5
-            assert not any(isinstance(b, BufferOnlyBlock) for b in owned[0].sources)
-            assert all(isinstance(b, BufferOnlyBlock) for b in halo[0].sources)
+            # One dense table over the class's owned ∥ ghost rows.
+            (segment,) = plan.segments
+            assert plan.split() == ([], [segment]) and segment.dst_idx is None
+            remote = [b for b in segment.sources if isinstance(b, BufferOnlyBlock)]
+            assert len(segment.sources) - len(remote) > 5 and len(remote) > 5
+            rows = segment.rows()[0]
+            image = segment.image
+            assert np.all((rows[segment.ghost_sites] >= image.ghost_base)
+                          & (rows[segment.ghost_sites] < image.ghost_base + image.halo_rows))
 
     @pytest.mark.parametrize(
         "config", [dict(USGRID, case="C"), dict(USGRID, case="R"), USGRID_40], ids=["C", "R", "R40"]
@@ -459,7 +463,7 @@ class TestPlansMatchPerSiteReference:
         assert env.missing_pages == set(plan.remote_pages())
         assert np.all(out[plan.halo_sites()] == 0.0)
 
-    def test_pages_of_two_withheld_halo_blocks_are_recorded_and_zeroed(self):
+    def test_pages_of_two_withheld_halo_blocks_are_recorded(self):
         env = rank0_of_2(JacobiUSGrid, USGRID_40)
         block = env.data_blocks()[0]
         table = block.static_fields["neighbors"]
@@ -469,8 +473,8 @@ class TestPlansMatchPerSiteReference:
         for block_id in withheld:
             env.block(block_id).invalidate()
         out = plan.execute(env)
-        # Exactly the withheld Blocks' pages are missing; their sites read
-        # zero, every other site (other halo Blocks included) its value.
+        # Exactly the withheld Blocks' pages are missing; every other site
+        # (other halo Blocks included) reads its value.
         assert env.missing_pages == {
             key for key in plan.remote_pages() if key.block_id in withheld
         }
@@ -481,8 +485,7 @@ class TestPlansMatchPerSiteReference:
         lost = np.array(
             [source is not None and source.block_id in withheld for source, _ in sites]
         )
-        assert lost.any() and np.all(out[lost] == 0.0) and np.all(complete[lost] != 0.0)
-        assert np.array_equal(out[~lost], complete[~lost])
+        assert lost.any() and np.array_equal(out[~lost], complete[~lost])
 
 
 # ----------------------------------------------------------------------

@@ -134,11 +134,15 @@ def disturbed(app_cls):
             )
             late.load_dense(np.full((late.element_count, late.components), 9.0))
             env.add_data_block(late)
+            # Its rows outgrow the ghost tail the DSL reserved: the slabs
+            # are re-allocated (a class re-home), the owned rows kept.
+            assert env.stats.rehomes_class_grew == 1 and image.tail >= image.halo_rows
             assert np.all(env.dense_read(late) == 9.0)
             # An owned Block with pages of its own, off the data joint so
             # that no task sweeps it: the slabs are re-allocated one Block
             # larger and every owned page re-pointed.
-            before = (env.allocator.used_bytes, image.read.copy(), image.next.copy())
+            held = image.local_rows
+            before = (env.allocator.used_bytes, image.read[:held].copy(), image.next[:held].copy())
             mine = DataBlock(
                 tuple(2 * 10**6 for _ in like.shape), like.shape, name="late-owned", **sizes
             )
@@ -147,10 +151,12 @@ def disturbed(app_cls):
             env.add_data_block(mine, parent=env.root)
             self.late_owned = mine
             rows = mine.element_count
-            assert env.stats.rehomes_late_block == 1 and len(image.read) == image.local_rows
-            assert np.array_equal(image.read[:-rows], before[1])
-            assert np.array_equal(image.next[:-rows], before[2])
-            assert np.all(image.read[-rows:] == 6.0) and np.all(image.next[-rows:] == 5.0)
+            assert env.stats.rehomes_late_block == 1
+            assert image.ghost_base == image.local_rows == held + rows
+            assert np.array_equal(image.read[:held], before[1])
+            assert np.array_equal(image.next[:held], before[2])
+            mine_rows = slice(held, held + rows)
+            assert np.all(image.read[mine_rows] == 6.0) and np.all(image.next[mine_rows] == 5.0)
             # Its own pages went back to the pool: the class grew by exactly
             # its rows, the Buffer-only Block's pages stay where they are.
             assert env.allocator.used_bytes == before[0] + mine.buffer.nbytes
@@ -231,7 +237,7 @@ def test_image_holds_through_every_hazard(name, backend, ranks, checks):
     assert np.array_equal(result, expected)
     assert run.env_stats.failed_refreshes == (1 if ranks > 1 else 0)
     assert sum(c.plan_fallback_sites for c in run.counters.values()) == 0
-    assert " img=pool rehomes=1(late block 1, class grew 0) asm=" in run.summary()
+    assert " img=pool rehomes=2(late block 1, class grew 1) asm=" in run.summary()
     if ranks == 1:
         # Nothing but the late Buffer-only Block was ever assembled.
         assert run.env_stats.dense_assemblies == 1

@@ -301,9 +301,11 @@ class TestHaloPlanExecution:
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("components", [1, 3])
 class TestOneGatherForm:
-    """Every indexed table — owned, halo on pages, halo on the owners'
-    slots — runs as one ``np.take`` into scratch and one row store: it
-    must equal ``out[dst] = rows[src]``, and leave every other site be."""
+    """Every indexed table — owned rows, ghost rows filled from pages,
+    ghost rows filled from the owners' slots — runs as one ``np.take``
+    over the class's ``owned ∥ ghost`` array into scratch and one row
+    store: it must equal ``out[dst] = rows[src]``, and leave every other
+    site be."""
 
     @staticmethod
     def build(components, dtype):
@@ -323,46 +325,49 @@ class TestOneGatherForm:
     def assert_gathers(segment, env, out, dst, rows):
         expected = out.copy()
         expected[dst] = rows
-        missing = segment.gather(env, out)
+        segment.gather(env, out)
         assert out.dtype == expected.dtype and np.array_equal(out, expected)
-        return missing
 
     def test_owned_indexed_table(self, components, dtype):
         env, owned, _remote, src, dst, out = self.build(components, dtype)
         image = env.image_slot(owned[0])[0]
         rows = 8 + src  # owned[1]'s rows
-        segment = PlanSegment(image, False, owned[1:], rows, dst)
-        assert self.assert_gathers(segment, env, out, dst, image.read[rows]) == 0
+        segment = PlanSegment(image, owned[1:], rows, dst)
+        rows_read, covered = segment.rows()
+        assert not segment.halo and covered and np.array_equal(rows_read, rows)
+        self.assert_gathers(segment, env, out, dst, image.read[rows])
 
-    def test_halo_table_on_pages_zeroes_and_records_a_missing_page(self, components, dtype):
+    def test_halo_table_on_pages_reads_the_filled_tail(self, components, dtype):
         env, _owned, remote, src, dst, out = self.build(components, dtype)
         image, lo, _, _ = env.image_slot(remote)
-        pages = [
-            (PageKey(remote.block_id, k), remote, remote.buffer.read_buffer.pages[k])
-            for k in range(2)
-        ]
-        remote.invalidate()
-        env.page_install(pages[0][0], np.full((4, components), 2.5))
-        segment = PlanSegment(image, True, [remote], lo + src, dst, src // 4, pages)
-        expected = np.where((src < 4)[:, None], 2.5, 0.0)
-        assert self.assert_gathers(segment, env, out, dst, expected) == 1
-        assert env.missing_pages == {pages[1][0]}
+        segment = PlanSegment(image, [remote], -1 - (lo + src), dst)
+        assert segment.halo and np.array_equal(segment.ghost_halo, lo + src)
+        values = env.dense_read(remote)  # an open read copies the pages into the tail
+        assert remote.block_id in image.fresh and image.ghost_base == image.local_rows == 16
+        rows, covered = segment.rows()
+        assert np.array_equal(rows, 16 + lo + src) and not covered  # nothing is pushed
+        self.assert_gathers(segment, env, out, dst, values[src])
 
     def test_halo_table_on_the_owners_slots(self, components, dtype):
         env, _owned, remote, src, dst, out = self.build(components, dtype)
         image, lo, _, _ = env.image_slot(remote)
         rng = np.random.default_rng(7)
+        # Two owners whose rows interleave: owner-major is not row order.
         by_slot = [np.array([0, 2, 4, 6]) + lo, np.array([1, 3, 5, 7]) + lo]
         slots = [rng.random((4, components)).astype(dtype) for _ in by_slot]
         env.set_pushed_rows([(image, rows) for rows in by_slot])
-        env.set_pushed_slots([lambda slot=slot: slot for slot in slots])
+        assert image.pushed == 8 and image.ghost_base == 16
+        assert image.ghost_index(by_slot[0]).tolist() == [16, 17, 18, 19]
+        assert image.ghost_index(by_slot[1]).tolist() == [20, 21, 22, 23]
+        env.copy_pushes(slots, check=True)  # one contiguous copy per slot
+        assert np.array_equal(image.read[16:24], np.concatenate(slots))
         pushed = np.empty((8, components), dtype=dtype)
         for rows, slot in zip(by_slot, slots):
             pushed[rows - lo] = slot
-        segment = PlanSegment(image, True, [remote], lo + src, dst, src // 4, ())
-        assert len(env.pushed_slots(segment)) == 2  # one take per owner
-        assert self.assert_gathers(segment, env, out, dst, pushed[src]) == 0
-        assert image.halo is None and not env.missing_pages
+        segment = PlanSegment(image, [remote], -1 - (lo + src), dst)
+        assert segment.rows()[1]  # covered: every row it reads is pushed
+        self.assert_gathers(segment, env, out, dst, pushed[src])
+        assert not image.fresh and not env.missing_pages  # no page was read
 
 
 class TestAddressPlans:
@@ -702,9 +707,9 @@ class TestDenseReadImage:
         assert plan_env.dense_read(narrow).dtype == np.float32
 
     def test_threads_first_reading_one_env_share_one_image(self):
-        """Hybrid threads sweep one rank's Env concurrently: whichever
-        reads first allocates the halo mirror, and a Block assembled by
-        any of them must be in the array all of them use afterwards."""
+        """Hybrid threads sweep one rank's Env concurrently: a Block any
+        of them copied into the ghost tail must be in the array all of
+        them use afterwards."""
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

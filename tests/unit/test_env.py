@@ -386,10 +386,13 @@ class TestImageIsThePool:
         remote = add_block(env, (8, 0), buffer_only=True)
         report = env.memory_report()
         assert report["image_error"] is None and report["image_scratch"] == 0
-        assert report["pool_used"] == 2 * 8 * 8 + remote.buffer.nbytes
+        # Two slabs of 8 owned rows and a ghost tail of the remote's 16: its
+        # pages are rows of the tails, its own chunks went back to the pool.
+        assert report["pool_used"] == 2 * (8 + 16) * 8
+        assert np.shares_memory(remote.buffer.read_buffer.pages[0].array, env.image_slot(remote)[0].next)
         assert len(remote.buffer.read_buffer.runs()) == 1  # 4 pages, one copy to assemble
-        env.dense_read(remote)                      # the halo mirror
+        env.dense_read(remote)                      # into the ghost tail, in the pool
         env.mmat.scratch(0, (8, 1), np.float64)     # a batched read's output
-        assert env.memory_report()["image_scratch"] == 16 * 8 + 8 * 8
+        assert env.memory_report()["image_scratch"] == 8 * 8
         assert env.mmat.stats()["scratch_bytes"] == 8 * 8
         assert env.mmat.memory_bytes() >= 8 * 8  # the scratch is part of the MMAT's footprint

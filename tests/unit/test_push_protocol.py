@@ -14,6 +14,7 @@ import subprocess
 import sys
 import threading
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -235,20 +236,27 @@ class TestStamps:
         with pytest.raises(CollectiveError, match="not monotone"):
             control.publish(1, 0, 2, crc=7)
 
-    def test_checks_catch_an_owner_restamping_inside_the_consumers_sweep(self, checks):
-        """The consumer reads the slot in place throughout its sweep, so it
-        acknowledges the round at its next refresh, not when the wait
-        completes: an owner that would rewrite the slot in between fails."""
-        caught = []
+    def test_checks_catch_an_owner_restamping_before_the_consumer_copied(self, checks):
+        """The consumer copies the slots into its ghost tail when the wait
+        completes, and acknowledges the round then: an owner that would
+        rewrite a slot before the copy fails, one after it may."""
+        caught, passed = [], []
 
         class Probe(JacobiSGrid):
             def kernel(self, warmup: bool) -> bool:
                 if not warmup and self.env.step == 2 and self.task.mpi_rank == 1:
-                    self.env.complete_pending_halo()  # the sweep's first halo read
+                    control = self.platform.context["mpi_world"].control
+                    deadline = time.monotonic() + 10.0
+                    while control.stamp[0, 1] == control.ack[0, 1]:  # the owner's stamp
+                        assert time.monotonic() < deadline
+                        time.sleep(0.001)
                     try:
-                        self.platform.context["mpi_world"].control.claim(0, 1)
+                        control.claim(0, 1)
                     except CollectiveError as exc:
                         caught.append(exc)
+                    self.env.complete_pending_halo()  # the sweep's first halo read
+                    control.claim(0, 1)
+                    passed.append(True)
                 return super().kernel(warmup)
 
         config = dict(region=16, block_size=4, page_elements=8, loops=4, init=lambda x, y: x + y)
@@ -256,6 +264,7 @@ class TestStamps:
             Probe, config=config
         )
         assert len(caught) == 1 and "only acknowledged round" in str(caught[0])
+        assert passed == [True]
         assert run.network["halo_pushes"] > 0 and run.network["open_steps"] == {}
 
     def test_repro_check_is_read_from_the_environment_at_import(self):
@@ -521,11 +530,6 @@ def halo_env():
     return env, owned, remote, plan
 
 
-def viewed(*slots):
-    """What a completed push hands the Env: a function viewing each slot."""
-    return [lambda slot=slot: slot for slot in slots]
-
-
 class TestPushedRows:
     def test_plan_halo_rows_are_the_distinct_remote_rows_by_block(self):
         env, _owned, remote, _plan = halo_env()
@@ -535,30 +539,33 @@ class TestPushedRows:
         assert blocks == [remote] and which.tolist() == [0] * 4
         assert elements.tolist() == [0, 1, 2, 3]
 
-    def test_covered_tables_read_the_slot_without_touching_pages(self):
+    def test_covered_tables_read_the_copied_slot_without_touching_pages(self):
         env, _owned, remote, plan = halo_env()
         env.invalidate_buffer_only()
         tables = env.plan_halo_rows()
         env.set_pushed_rows(tables)
-        (segment,) = plan.split()[1]
-        assert env.pushed_slots(segment) is None  # declared, not delivered yet
+        assert plan.covered()  # every row it reads is pushed ...
         image, _rows = tables[0]
-        env.set_pushed_slots(viewed(np.full((4, 1), 7.0)))
-        ((slot, rows, sites),) = env.pushed_slots(segment)
-        assert rows.tolist() == [0, 1, 2, 3] and np.array_equal(sites, segment.dst_idx)
+        assert image.pushed == 4 and image.ghost_index(np.arange(4)).tolist() == [16, 17, 18, 19]
+        plan.execute(env)  # ... but nothing arrived yet: the page path, pages invalid
+        assert env.missing_pages == {PageKey(remote.block_id, 0)}
+        env.missing_pages.clear()
+        env.copy_pushes([np.full((4, 1), 7.0)], check=True)
         out = plan.execute(env).reshape(2, 4, 4)
         assert np.all(out[1][3] == 7.0) and not env.missing_pages
-        assert image.halo is None  # no page was assembled
+        assert not image.fresh  # no page was copied
         env.check_dense_image()
         env.check_pushed_rows()
 
-    def test_a_swap_ends_the_slots_validity(self):
+    def test_a_swap_ends_the_pushes(self):
         env, _owned, _remote, plan = halo_env()
         env.invalidate_buffer_only()
         env.set_pushed_rows(env.plan_halo_rows())
-        env.set_pushed_slots(viewed(np.zeros((4, 1))))
-        assert env.refresh(warmup=True) and env.pushed_slots(plan.split()[1][0])
-        assert env.refresh() and env.pushed_slots(plan.split()[1][0]) is None
+        env.copy_pushes([np.zeros((4, 1))])
+        assert env.refresh(warmup=True)  # no swap: the pushes stay
+        plan.execute(env)
+        assert not env.missing_pages
+        assert env.refresh()
         plan.execute(env)
         assert env.missing_pages  # back on the pages, which are invalid
 
@@ -566,42 +573,46 @@ class TestPushedRows:
         env, owned, remote, plan = halo_env()
         env.invalidate_buffer_only()
         env.set_pushed_rows(env.plan_halo_rows())
-        env.set_pushed_slots(viewed(np.full((4, 1), 7.0)))
+        env.copy_pushes([np.full((4, 1), 7.0)])
         wider = compile_offsets_plan(env, owned, ((2, 0),))  # also reads the second remote row
-        (segment,) = wider.split()[1]
-        assert env.pushed_slots(segment) is None
+        assert not wider.covered()
         wider.execute(env)
         assert env.missing_pages == {PageKey(remote.block_id, 0), PageKey(remote.block_id, 1)}
-        # A repair installs one of the pages: the uncovered table reads it
-        # and zeros for the page still missing; the covered one, the slot.
+        # A repair installs one of the pages: the uncovered table reads it,
+        # and the page still missing leaves the pushed rows as they were —
+        # the covered table reads them.
         env.missing_pages.clear()
         env.page_install(PageKey(remote.block_id, 1), np.full((4, 1), 5.0))
         out = wider.execute(env).reshape(4, 4)
         assert env.missing_pages == {PageKey(remote.block_id, 0)}
-        assert out[2].tolist() == [0.0] * 4 and out[3].tolist() == [5.0] * 4
+        assert out[3].tolist() == [5.0] * 4
         env.missing_pages.clear()
         assert np.all(plan.execute(env).reshape(2, 4, 4)[1][3] == 7.0) and not env.missing_pages
 
-    def test_a_late_buffer_only_block_keeps_the_tables_on_the_slot(self):
+    def test_a_late_buffer_only_block_keeps_the_tables_on_the_pushes(self):
         env, _owned, _remote, plan = halo_env()
         env.invalidate_buffer_only()
         env.set_pushed_rows(env.plan_halo_rows())
-        env.set_pushed_slots(viewed(np.full((4, 1), 7.0)))
+        env.copy_pushes([np.full((4, 1), 7.0)])
         late = BufferOnlyBlock(
             (100, 100), (4, 4), components=1, page_elements=4, allocator=env.allocator
         )
         late.load_dense(np.full((16, 1), 9.0))
-        env.add_data_block(late)
+        image = env.plan_halo_rows()[0][0]
+        tail, grew = image.tail, env.stats.rehomes_class_grew
+        env.add_data_block(late)  # the tail grows: the slabs move, its rows with them
+        assert image.tail == tail + 16 and env.stats.rehomes_class_grew == grew + 1
         assert np.all(plan.execute(env).reshape(2, 4, 4)[1][3] == 7.0) and not env.missing_pages
         assert np.all(env.dense_read(late) == 9.0) and env.dense_read(late).shape == (16, 1)
+        assert np.all(plan.execute(env).reshape(2, 4, 4)[1][3] == 7.0)
 
-    def test_a_completed_push_is_read_in_place_and_leaves_the_halo_mirror_alone(self):
+    def test_a_completed_push_is_copied_into_the_tail_once(self):
         env, _owned, remote, plan = halo_env()
         for page in range(remote.page_count()):  # an open step's pages
             env.page_install(PageKey(remote.block_id, page), np.full((4, 1), 3.0))
-        plan.execute(env)
+        assert np.all(plan.execute(env).reshape(2, 4, 4)[1][3] == 3.0)
         image, rows = env.plan_halo_rows()[0]
-        mirror = image.halo.tobytes()
+        assert image.fresh == {remote.block_id}
         env.invalidate_buffer_only()
         # The closed step: the owner (rank 1) stores its rows and stamps.
         world = get_backend("threads").create_world(2)
@@ -611,13 +622,14 @@ class TestPushedRows:
         env.set_pushed_rows([(image, rows)])
         slot = link.slot.view(np.float64).reshape(4, 1)
         slot[:] = 7.0
-        world.control.publish(1, 0, world.halo_round(0), None)
+        world._rounds[0] = world._rounds[1] = 1  # both ranks agreed round 1
+        world.control.publish(1, 0, 1, zlib.crc32(link.slot[:32]))
         env.set_pending_halo(PendingPush(push, world, 0, TaskCounters()))
         assert np.all(plan.execute(env).reshape(2, 4, 4)[1][3] == 7.0)
-        assert not env.has_pending_halo() and image.halo.tobytes() == mirror
-        slot[:] = 42.0  # what the table reads is the slot itself
-        assert np.all(plan.execute(env).reshape(2, 4, 4)[1][3] == 42.0)
-        assert image.halo.tobytes() == mirror and not env.missing_pages
+        assert not env.has_pending_halo() and not image.fresh
+        slot[:] = 42.0  # the slot was copied when the wait completed
+        assert np.all(plan.execute(env).reshape(2, 4, 4)[1][3] == 7.0)
+        assert not env.missing_pages
         env.refresh()
         world.finalize()
 
