@@ -314,15 +314,18 @@ class BlockKernel:
         anything broadcastable to it).  ``fn`` must be *elementwise over
         sites* — each output site depends only on the per-offset values
         at that site, true for every stencil update — and must not assume
-        the Block's shape: it is also applied to 1-D site subsets.
+        the Block's shape: it is also applied to 1-D arrays, and may be
+        evaluated on extra lanes whose inputs are field values and whose
+        results are dropped.
 
         With MMAT on, a single-component Block's sweep runs through the
         fused kernel (:mod:`repro.kernels`), warm-up passes included: the
-        compiled plan and ``fn`` in one generated function that applies
-        ``fn`` to shifted views of a padded scratch field; while a halo
-        exchange is in flight it computes the interior first and hides
-        the wait behind it.  Any other sweep (MMAT off, multi-component
-        Blocks) is ``scatter(fn(*gather(offsets)))``.
+        compiled plan fills a padded scratch field and ``fn`` runs once,
+        on one contiguous 1-D slice of it per offset (the pad columns'
+        lanes are the dropped ones); while a halo exchange is in flight
+        it computes the interior first and hides the wait behind it.  Any
+        other sweep (MMAT off, multi-component Blocks) is
+        ``scatter(fn(*gather(offsets)))``, ``fn`` on Block-shaped arrays.
         """
         offsets = tuple(tuple(int(c) for c in off) for off in offsets)
         env = self.env

@@ -2,10 +2,9 @@
 
 A :class:`FusedKernel` wires a compiled offsets plan
 (:func:`~repro.memory.mmat.compile_offsets_plan`) and the user's
-elementwise sweep ``fn`` into a generated function (see
-:mod:`repro.kernels.numpy_src`) that performs gather + apply + scatter
-against a single padded scratch field, instead of materialising the
-``(n_offsets, n_elem)`` gather tensor and re-indexing it per offset:
+elementwise sweep ``fn`` into gather + apply + scatter against a single
+padded scratch field, instead of materialising the ``(n_offsets,
+n_elem)`` gather tensor and re-indexing it per offset:
 
 * the block's own read buffer is *copied once* into the interior of a
   padded field ``P`` — MMAT scratch, one per thread, padded shape and
@@ -13,15 +12,22 @@ against a single padded scratch field, instead of materialising the
 * only the out-of-block plan sites — the boundary "ring": mirror
   boundaries, neighbour blocks, halo pages, compile-time constants,
   which are all an offsets plan's segments hold — are filled through
-  precomputed (deduplicated) gather tables;
-* ``fn`` is applied to one shifted **view** of ``P`` per offset, and
-  the result is copied once into the write buffer (dense-image rows).
+  precomputed (deduplicated) gather tables (the generated fills of
+  :mod:`repro.kernels.numpy_src`);
+* ``fn`` is applied once, to one contiguous 1-D slice of ``P``'s flat
+  buffer per offset: each slice starts at the first interior cell
+  shifted by the offset's flat distance and covers whole padded rows of
+  axis 0, so NumPy runs one inner loop per operand instead of one per
+  Block row.  The lanes that fall on pad columns compute on field
+  values too (cells this call filled, or *stamps* copied from an
+  interior cell) and are dropped: one strided ``np.copyto`` stores the
+  kept lanes into the write buffer (dense-image rows).
 
 While an overlapped halo exchange is in flight the kernel computes the
 whole field first, waits for the halo, then recomputes only the
-boundary rim (:meth:`FusedKernel._overlap_step`), so the wait hides
-behind the interior.  ``fn`` must therefore be elementwise over sites —
-true for every stencil update.
+boundary rim into the same flat result (:meth:`FusedKernel._overlap_step`),
+so the wait hides behind the interior.  ``fn`` must therefore be
+elementwise over sites — true for every stencil update.
 
 Fused kernels are cached on the :class:`~repro.memory.mmat.MMAT`
 keyed ``(plan version, fn identity, dtype)``; ``MMAT.reset()`` clears
@@ -31,8 +37,6 @@ implicitly invalidates its old fusions.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from ..obs.spans import global_tracer
@@ -41,21 +45,8 @@ from .numpy_src import compile_module
 __all__ = ["FusedKernel", "fused_kernel_for"]
 
 
-def _as_field(res, shape, dtype) -> np.ndarray:
-    """Normalise an ``fn`` result to a writable, contiguous block field."""
-    arr = np.asarray(res)
-    if arr.shape != shape:
-        if arr.size == int(np.prod(shape)):
-            arr = arr.reshape(shape)
-        else:
-            arr = np.broadcast_to(arr, shape)
-    if not (arr.flags.c_contiguous and arr.flags.writeable):
-        arr = np.array(arr, dtype=dtype)
-    return arr
-
-
 class FusedKernel:
-    """One plan + fn fused into generated gather/apply/scatter code."""
+    """One plan + fn fused into generated fills, one flat compute and one store."""
 
     def __init__(self, block, plan) -> None:
         if plan.kind != "offsets" or plan.components != 1:
@@ -77,6 +68,21 @@ class FusedKernel:
         self.pad_lo = pad_lo
         self.pshape = tuple(shape[d] + pad_lo[d] + pad_hi[d] for d in range(nd))
 
+        # -- flat layout: element e is lane sum(e[d] * pstride[d]) of the
+        #    result, read at that lane + start + the offset's flat shift
+        pstride = np.cumprod((1,) + self.pshape[:0:-1])[::-1]
+        shifts = off_arr @ pstride
+        start = int(np.dot(pad_lo, pstride))
+        #: Lanes of the flat result: whole padded rows of axis 0.
+        self._span = shape[0] * int(pstride[0])
+        self._slices = [slice(start + k, start + k + self._span) for k in shifts.tolist()]
+        #: The kept lanes: ``result.reshape(_rows)[_keep]`` is Block-shaped.
+        self._rows = (shape[0],) + self.pshape[1:]
+        self._keep = (slice(None),) + tuple(slice(0, n) for n in shape[1:])
+        #: The flat buffer's length: the padded field and one padded row of
+        #: trailing margin, which the last row's shifted reads may reach.
+        self._flat = int(np.prod(self.pshape)) + int(pstride[0])
+
         # -- ring-fill tables (the plan's segments and constants are ----
         #    exactly its out-of-block sites)
         #: The plan's merged tables re-aimed at the padded field's ring
@@ -96,18 +102,19 @@ class FusedKernel:
         else:
             self.const_pos = None
             self.const_vals = None
+        #: Cells to stamp before the compute: ``(plain, overlapped)``.
+        self._stamps = self._stamp_positions()
 
         # -- generated code --------------------------------------------
-        module = compile_module((shape, pad_lo, self.pshape, plan.offsets))
+        module = compile_module(
+            (shape, pad_lo, self.pshape, plan.offsets, self._flat, start)
+        )
         self._fill_interior = module["fill_interior"]
         self._fill_boundary = module["fill_boundary"]
-        self._compute = module["compute"]
-        self._store = module["store"]
-        self._fused_sweep = module["fused_sweep"]
 
-        #: Per-offset padded-flat indices of the halo-touching elements
-        #: (the overlap rim), resolved lazily.
-        self._boundary_pidx = None
+        #: ``(lanes, per-offset reads)`` of the halo-touching elements (the
+        #: overlap rim), resolved lazily.
+        self._rim = None
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -129,15 +136,33 @@ class FusedKernel:
         uniq, first = np.unique(pos, return_index=True)
         return uniq.astype(np.intp), first
 
+    def _stamp_positions(self):
+        """The cells the flat slices read that no fill writes — pad corners
+        and margin cells, read only by dropped lanes — and, for a compute
+        before the halo wait, those plus the ghost ring cells.  Each sweep
+        copies an interior value into them, so every lane computes on field
+        values, never on what another kernel left in the shared field."""
+        unfilled = np.zeros(self._flat, dtype=bool)
+        for sl in self._slices:
+            unfilled[sl] = True
+        interior = tuple(slice(a, a + n) for a, n in zip(self.pad_lo, self.shape))
+        unfilled[: int(np.prod(self.pshape))].reshape(self.pshape)[interior] = False
+        for seg in self.ring_tables[0] + self.ring_tables[1]:
+            unfilled[seg.dst_idx] = False
+        if self.const_pos is not None:
+            unfilled[self.const_pos] = False
+        stamp = np.flatnonzero(unfilled)
+        return stamp, np.concatenate([stamp] + [seg.dst_idx for seg in self.ring_tables[1]])
+
     def padded(self, env) -> np.ndarray:
-        """The calling thread's padded field (called from the generated
+        """The calling thread's flat padded field (called from the generated
         code), this kernel's constant ring cells stamped: all kernels of a
         padded shape and dtype compute in it, one after the other.  Per
         *thread*: hybrid threads sweep one signature concurrently."""
-        P = env.mmat.scratch("padded", self.pshape, self.dtype)
+        F = env.mmat.scratch("padded", (self._flat,), self.dtype)
         if self.const_pos is not None:
-            P.reshape(-1)[self.const_pos] = self.const_vals
-        return P
+            F[self.const_pos] = self.const_vals
+        return F
 
     @property
     def nbytes(self) -> int:
@@ -161,7 +186,9 @@ class FusedKernel:
             # pending exchange alone — another block's boundary sweep is
             # the one meant to hide behind it.
             with tracer.span("sweep"):
-                missing = self._fused_sweep(self, env, fn)
+                F = self._fill_interior(self, env, self._stamps[0])
+                missing = self._fill_boundary(self, env, F)
+                self._store(self._compute(F, fn))
         plan.account(env, missing)
         env.mmat.note_execution(plan)
         trace.plan_gathers += 1
@@ -169,56 +196,47 @@ class FusedKernel:
         trace.kernel_fused_calls += 1
         trace.updates += work * self.n_elem
 
+    def _compute(self, F: np.ndarray, fn) -> np.ndarray:
+        """``fn`` over one contiguous slice of ``F`` per offset: the flat
+        result, dropped lanes included (or what ``fn`` broadcasts)."""
+        return np.asarray(fn(*[F[sl] for sl in self._slices]))
+
+    def _store(self, res: np.ndarray) -> None:
+        """Copy the kept lanes into the write buffer: its image rows."""
+        if res.shape == (self._span,):
+            res = res.reshape(self._rows)[self._keep]
+        rows = self.block.buffer.write_buffer.runs()[0]
+        np.copyto(rows.reshape(self.shape), res, casting="unsafe")
+
     # ------------------------------------------------------------------
     # overlapped sweep (interior-first / halo-wait / boundary-rim)
     # ------------------------------------------------------------------
-    def _boundary_indices(self):
-        bp = self._boundary_pidx
-        if bp is None:
+    def _rim_lanes(self):
+        """The rim's lanes of the flat result and, per offset, the cells
+        of ``F`` they read (computed once per kernel)."""
+        if self._rim is None:
             _, boundary = self.plan.element_partition()
-            bp = (boundary, self._pidx_for(boundary))
-            self._boundary_pidx = bp
-        return bp
-
-    def _pidx_for(self, elems: np.ndarray) -> List[np.ndarray]:
-        """Per-offset padded-flat read indices for an element subset."""
-        shape = self.shape
-        nd = len(shape)
-        ec = np.unravel_index(elems, shape)
-        out = []
-        for oi in range(self._off_arr.shape[0]):
-            coords = tuple(
-                ec[d] + int(self._off_arr[oi, d]) + self.pad_lo[d]
-                for d in range(nd)
-            )
-            out.append(np.ravel_multi_index(coords, self.pshape).astype(np.intp))
-        return out
-
-    def _apply_at(self, fn, F: np.ndarray, pidx: List[np.ndarray], count: int):
-        """Apply ``fn`` to per-offset 1-D gathers of an element subset."""
-        vals = np.asarray(fn(*[F[p] for p in pidx]))
-        if vals.shape != (count,):
-            vals = np.broadcast_to(vals, (count,))
-        return vals
+            lanes = np.ravel_multi_index(np.unravel_index(boundary, self.shape), self.pshape)
+            self._rim = (lanes, [lanes + sl.start for sl in self._slices])
+        return self._rim
 
     def _overlap_step(self, env, fn, tracer) -> int:
         """Compute the field while the halo travels, wait for it, then
-        recompute the halo-dependent rim."""
-        boundary_elems, bpidx = self._boundary_indices()
-        interior = self.n_elem - int(boundary_elems.size)
-        with tracer.span("sweep.interior", sites=interior):
-            P, F = self._fill_interior(self, env)
-            # Full-field compute while the halo is in flight: rim values
-            # read unfilled ring cells and are recomputed below.
-            res = _as_field(self._compute(P, fn), self.shape, self.dtype)
+        recompute the halo-dependent rim into the same flat result."""
+        lanes, reads = self._rim_lanes()
+        with tracer.span("sweep.interior", sites=self.n_elem - int(lanes.size)):
+            F = self._fill_interior(self, env, self._stamps[1])
+            # Full-field compute while the halo is in flight: rim lanes
+            # read the stamped ghost ring and are recomputed below.
+            res = self._compute(F, fn)
         env.complete_pending_halo()
-        with tracer.span("sweep.boundary", sites=int(boundary_elems.size)):
+        with tracer.span("sweep.boundary", sites=int(lanes.size)):
             missing = self._fill_boundary(self, env, F)
-            if boundary_elems.size:
-                res.reshape(-1)[boundary_elems] = self._apply_at(
-                    fn, F, bpidx, int(boundary_elems.size)
-                )
-        self._store(self, env, res)
+            if lanes.size:
+                if res.shape != (self._span,) or not res.flags.writeable:
+                    res = np.broadcast_to(res, (self._span,)).copy()
+                res[lanes] = fn(*[F[p] for p in reads])
+        self._store(res)
         return missing
 
 
