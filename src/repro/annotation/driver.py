@@ -24,6 +24,7 @@ default there.  Two constructors forward to it:
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -65,8 +66,6 @@ class PlatformRun:
     network: dict = field(default_factory=dict)
     #: Parallelism of the run, e.g. {"mpi": 4, "omp": 2}.
     layers: Dict[str, int] = field(default_factory=dict)
-    #: Memory report of the master task's Env (Fig. 12).
-    memory: dict = field(default_factory=dict)
     #: Whether the run went through the weaver ("Platform NOP" and up);
     #: False for the plain "Platform" (serial) configuration.
     transcompiled: bool = False
@@ -94,6 +93,15 @@ class PlatformRun:
     def result(self) -> Any:
         """The application's declared result (``app.result``)."""
         return self.app.result
+
+    @functools.cached_property
+    def memory(self) -> dict:
+        """Memory report of the master task's Env (Fig. 12,
+        :meth:`~repro.memory.env.Env.memory_report`), dense-image check
+        included: taken when first read, so a run whose caller never reads
+        it does not pay for its page-by-page check."""
+        env = self.app.env
+        return env.memory_report() if env is not None else {}
 
     @property
     def restarts(self) -> int:
@@ -698,7 +706,6 @@ class Platform:
                 tracer.set_enabled(was_tracing)
 
         env_stats = app.env.stats if app.env is not None else None
-        memory = app.env.memory_report() if app.env is not None else {}
         mmat_stats = app.env.mmat.stats() if app.env is not None else {}
         network = {}
         backend_name = None
@@ -715,7 +722,6 @@ class Platform:
             env_stats=env_stats,
             network=network,
             layers=self.layer_parallelism(),
-            memory=memory,
             transcompiled=self.transcompile,
             backend=backend_name,
             mmat_stats=mmat_stats,

@@ -26,6 +26,7 @@ expression* compiled by :func:`repro.aop.pcparser.parse_pointcut`::
 
 from __future__ import annotations
 
+import copy
 import enum
 import functools
 import inspect
@@ -93,13 +94,11 @@ class Advice:
         """
         bound = functools.partial(self.body, instance)
         functools.update_wrapper(bound, self.body)
-        return Advice(
-            kind=self.kind,
-            pointcut=self.pointcut,
-            body=bound,
-            order=self.order,
-            name=self.name,
-        )
+        # The declaration was checked when this advice was made; binding
+        # only fills ``self`` (no second ``inspect.signature``).
+        bound_advice = copy.copy(self)
+        bound_advice.body = bound
+        return bound_advice
 
     def applies_to(self, shadow) -> bool:
         """Return True when this advice's pointcut selects ``shadow``."""

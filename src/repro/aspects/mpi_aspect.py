@@ -67,6 +67,7 @@ import numpy as np
 
 from ..aop.advice import after_returning, around, before
 from ..memory.block import BufferOnlyBlock, DataBlock
+from ..memory.mmat import sorted_unique
 from ..memory.page import PageKey
 from ..obs.metrics import record as metric_record
 from ..obs.spans import global_tracer
@@ -600,7 +601,7 @@ class DistributedMemoryAspect(LayerAspect):
                 [directory.owner_of(self._logical_key(rank, block)) for block in blocks]
             )
             row_owner = owners[which]
-            for owner in np.unique(row_owner).tolist():
+            for owner in sorted_unique(row_owner).tolist():
                 sel = np.flatnonzero(row_owner == owner)
                 cuts = np.flatnonzero(np.diff(which[sel])) + 1
                 firsts = which[sel][np.concatenate(([0], cuts))]

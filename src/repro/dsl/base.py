@@ -137,6 +137,7 @@ class BlockKernel:
         "_reads",
         "_widest",
         "_static",
+        "_siblings",
     )
 
     def __init__(
@@ -159,6 +160,9 @@ class BlockKernel:
         self._reads = 0
         self._widest = 1
         self._static: dict = {}
+        #: The Blocks of the task's one-Block kernels (``DslTarget``): this
+        #: kernel's first miss of a stencil compiles theirs in its pass.
+        self._siblings: Sequence[DataBlock] = ()
 
     # ------------------------------------------------------------------
     @property
@@ -217,26 +221,31 @@ class BlockKernel:
             return out.reshape((n_off,) + self.shape)
         return out.reshape(n_off, self.elements, first.components)
 
-    def _plan(self, key: Optional[tuple], compile_plan: Callable, sites: int):
-        """Cached-or-compiled plan of this tile (``key`` None: never cached)."""
+    def _plan(self, key: Optional[tuple], compile_plan: Callable, sites: int,
+              staged: Optional[Callable] = None):
+        """Cached, staged (``staged()``: a plan another kernel's compile
+        pass made for this tile, or None) or compiled plan of this tile
+        (``key`` None: never cached); a staged plan enters the cache as a
+        compile of its own would."""
         mmat = self.env.mmat
-        plan = None
-        if key is not None:
-            key = self.plan_key + key
-            plan = mmat.plan_lookup(key)
-        if plan is None:
+        if key is None:
             with global_tracer().span("plan.compile", sites=sites):
                 plan = compile_plan()
-            if key is not None:
-                mmat.plan_store(key, plan)
-                self._trace.plan_compiles += 1
-            else:
-                # Per-call compiles are by design, not cache misses:
-                # counting them as plan_compiles would make coverage
-                # numbers report near-zero hit rates for apps with
-                # dynamic address tables.
-                mmat.note_uncached_compile()
-                self._trace.plan_compiles_uncached += 1
+            # Per-call compiles are by design, not cache misses: counting
+            # them as plan_compiles would make coverage numbers report
+            # near-zero hit rates for apps with dynamic address tables.
+            mmat.note_uncached_compile()
+            self._trace.plan_compiles_uncached += 1
+            return plan
+        key = self.plan_key + key
+        plan = mmat.plan_lookup(key)
+        if plan is None:
+            plan = staged() if staged is not None else None
+            if plan is None:
+                with global_tracer().span("plan.compile", sites=sites):
+                    plan = compile_plan()
+            mmat.plan_store(key, plan)
+            self._trace.plan_compiles += 1
         return plan
 
     def _execute(self, plan) -> np.ndarray:
@@ -250,12 +259,36 @@ class BlockKernel:
         return out
 
     def _offsets_plan(self, offsets):
-        """Cached-or-compiled access plan for normalized stencil ``offsets``."""
+        """Cached-or-compiled access plan for normalized stencil ``offsets``.
+
+        A one-Block kernel's miss takes the plan a sibling's pass staged
+        for its Block or, failing that, compiles one pass for its Block and
+        every sibling Block of its image class without a plan of
+        ``offsets`` (:func:`compile_offsets_plan`'s ``siblings``)."""
+        key = ("offsets", offsets)
+        plan = self.env.mmat.plan_lookup(self.plan_key + key)
+        if plan is not None:
+            return plan
+        env, blocks = self.env, self.blocks
+        if len(blocks) > 1:
+            return self._plan(key, lambda: compile_offsets_plan(env, blocks, offsets), self.elements)
         return self._plan(
-            ("offsets", offsets),
-            lambda: compile_offsets_plan(self.env, self.blocks, offsets),
+            key,
+            lambda: compile_offsets_plan(env, blocks[0], offsets, siblings=self._unplanned(key)),
             self.elements,
+            staged=lambda: env.mmat.take_staged(blocks[0].block_id, offsets),
         )
+
+    def _unplanned(self, key: tuple) -> List[DataBlock]:
+        """The other sibling Blocks of this Block's image class that have
+        no plan of ``key`` yet."""
+        env, block = self.env, self.blocks[0]
+        image = env.image_slot(block)[0]
+        return [
+            b for b in self._siblings
+            if b is not block and env.image_slot(b)[0] is image
+            and env.mmat.plan_lookup((b.block_id, 1) + key) is None
+        ]
 
     def gather_global(self, addresses, *, key: Optional[str] = None) -> np.ndarray:
         """Bulk-read arbitrary *global* addresses (indirect neighbours).
@@ -579,8 +612,10 @@ class DslTarget(TargetApplication):
             tiles, splits = _split_tiles(env, blocks, width, budget)
             stale = {k.plan_key for k in kernels or ()}
             kernels = [self.kernel_for(tile) for tile in tiles]
+            singles = [k.blocks[0] for k in kernels if len(k.blocks) == 1]
             for kernel in kernels:
                 kernel._widest = width
+                kernel._siblings = singles
             env.mmat.plan_discard(stale - {k.plan_key for k in kernels})
             if budget:
                 env.mmat.note_tiles(key[0], len(tiles), len(blocks), splits)

@@ -13,11 +13,12 @@ structs do in the paper's Listing 1.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from itertools import repeat
+from typing import Iterable, List, Sequence, Tuple
 
 from .errors import AddressError
 
-__all__ = ["GlobalAddress", "LocalAddress", "to_local", "offset_in_box"]
+__all__ = ["GlobalAddress", "LocalAddress", "to_local", "offset_in_box", "global_addresses"]
 
 
 class GlobalAddress(tuple):
@@ -41,6 +42,14 @@ class GlobalAddress(tuple):
 
     def __repr__(self) -> str:
         return f"GA{tuple(self)!r}"
+
+
+def global_addresses(addrs) -> List[GlobalAddress]:
+    """The rows of an ``(n, ndim)`` integer array as GlobalAddresses, built
+    straight from the rows' Python ints (no coordinate converted one by
+    one, as ``GlobalAddress(row)`` would: a compile hands thousands of
+    boundary addresses to Arithmetic and Reference Blocks)."""
+    return list(map(tuple.__new__, repeat(GlobalAddress), zip(*addrs.T.tolist())))
 
 
 class LocalAddress(tuple):

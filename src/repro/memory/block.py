@@ -39,6 +39,7 @@ from .address import (
     GlobalAddress,
     LocalAddress,
     box_contains,
+    global_addresses,
     offset_in_box,
     to_local,
 )
@@ -431,7 +432,7 @@ class ArithmeticBlock(Block):
         n, expression = addrs.shape[0], self.expression
         if not n:
             return np.empty((0, self.components))
-        values = [expression(GlobalAddress(a)) for a in addrs.tolist()]
+        values = [expression(a) for a in global_addresses(addrs)]
         try:
             stacked = np.asarray(values, dtype=np.float64).reshape(n, -1)
         except ValueError:  # results of different sizes

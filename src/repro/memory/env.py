@@ -31,6 +31,7 @@ import numpy as np
 
 from ..aop.registry import TAG_GET_BLOCKS, TAG_REFRESH, annotate
 from .address import GlobalAddress, to_local
+from .boxes import BoxGrid
 from .block import (
     ArithmeticBlock,
     Block,
@@ -41,7 +42,7 @@ from .block import (
     StaticDataBlock,
 )
 from .errors import AddressError, EnvError, PoolExhaustedError
-from .mmat import MMAT
+from .mmat import MMAT, sorted_unique
 from .page import PageKey
 from .pool import Chunk, MemoryPool, PoolGroup
 
@@ -231,6 +232,11 @@ class DenseImage:
         return len(self.owned)
 
 
+def _address(array: np.ndarray) -> int:
+    """The address of ``array``'s first element."""
+    return array.__array_interface__["data"][0]
+
+
 class Env:
     """Tree of Blocks plus the Memory Library's Block-based interface."""
 
@@ -288,6 +294,11 @@ class Env:
         #: installs validate them): lets the per-step invalidation of a
         #: run whose halo is pushed, not installed, return at once.
         self._halo_pages_live = True
+        #: Buffer-only Blocks made without data whose pages, valid by
+        #: birth, still hold what their rows held: a field value
+        #: (:meth:`_placeholder`) goes in at their first read or install,
+        #: until the first invalidation.
+        self._unfilled: Set[int] = set()
         #: Box tables of :meth:`locate_blocks`, one per address
         #: dimensionality; built lazily, dropped when the tree changes.
         self._box_tables: Dict[int, tuple] = {}
@@ -301,6 +312,7 @@ class Env:
     def _register(self, block: Block) -> Block:
         self.blocks_by_id[block.block_id] = block
         self._box_tables.clear()
+        self.mmat.drop_staged()  # resolved against the tree as it was
         self._data_block_lists = None
         if isinstance(block, ReferenceBlock):
             block.env = self
@@ -372,6 +384,8 @@ class Env:
         self.stats.rehomes_class_grew += moved and not late
         (parent or self.data_joint).add_child(block)
         self._halo_pages_live = True  # a new Buffer-only Block's pages are born valid
+        if halo and homed and not saved:  # made without data of its own
+            self._unfilled.add(block.block_id)
         slot = self._slots[block.block_id] = image.reserve(block)
         if homed:
             buf.rehome(image.rows_of(slot), image)
@@ -535,9 +549,11 @@ class Env:
                 key = PageKey(block.block_id, page.index)
                 self.missing_pages.add(key)
                 self.stats.missing_recorded += 1
-                # The step's results will be discarded (refresh fails), so a
-                # placeholder value is acceptable here.
-                return 0.0 if block.components == 1 else np.zeros(block.components)
+                # The step's results will be discarded (refresh fails): a
+                # field value stands in, so ``fn`` never sees a made-up zero.
+                value = self._placeholder(self._slots[block.block_id][0])
+                return value[0] if block.components == 1 else value.copy()
+            self._fill_unfilled(block)
         return block.read(addr)
 
     def read(self, addr: Sequence[int]):
@@ -589,17 +605,18 @@ class Env:
 
     def box_position(self, block: Block) -> int:
         """The position of data-holding ``block`` in :meth:`box_blocks`."""
-        position = self._box_table(block.ndim)[4].get(block.block_id)
+        position = self._box_table(block.ndim)[1].get(block.block_id)
         if position is None:
             raise EnvError(f"block {block.name!r} is not a data-holding Block of Env {self.name!r}")
         return position
 
     def _box_table(self, ndim: int) -> tuple:
-        """``(blocks, lo, hi, n_joint, {block id: position})`` of the ``ndim``-D data Blocks.
+        """``(blocks, {block id: position}, grid)`` of the ``ndim``-D data
+        Blocks (``grid``: their :class:`~repro.memory.boxes.BoxGrid`).
 
         Blocks are listed in the order a search from the root visits
-        them; the data joint is the root's first child, so its
-        ``n_joint`` Blocks come first.
+        them; the data joint is the root's first child, so its Blocks
+        come first.
         """
         table = self._box_tables.get(ndim)
         if table is None:
@@ -610,7 +627,9 @@ class Env:
             lo = np.array([b.origin for b in blocks], dtype=np.int64).reshape(-1, ndim)
             hi = lo + np.array([b.shape for b in blocks], dtype=np.int64).reshape(-1, ndim)
             position = {b.block_id: k for k, b in enumerate(blocks)}
-            table = (blocks, lo, hi, len(listed(self.data_joint)), position)
+            n_joint = len(listed(self.data_joint))
+            grid = BoxGrid(lo, hi, n_joint) if blocks else None
+            table = (blocks, position, grid)
             self._box_tables[ndim] = table
         return table
 
@@ -618,13 +637,11 @@ class Env:
         """:meth:`find_block` for an ``(n, ndim)`` array of addresses at
         once, as positions into :meth:`box_blocks` (-1: no Block).
 
-        Every address is tested against the box table of the
-        data-holding Blocks whose box meets the addresses' bounding box
-        (no other Block can hold one) with one (chunked) broadcast
-        comparison; the first containing Block in root search order is
-        the answer.  The kept Blocks stay in that order, so dropping the
-        others changes no answer.  That order is also what a search from
-        ``start`` finds whenever at most one Block of ``start``'s own
+        Every address is looked up in its cell of the box table's
+        :class:`~repro.memory.boxes.BoxGrid` (no Block the cell does not
+        list can hold it); the first containing Block in root search
+        order is the answer.  That order is also what a search
+        from ``start`` finds whenever at most one Block of ``start``'s own
         branch contains the address — a start under the data joint
         exhausts the joint before any boundary Block.  The remaining
         addresses (overlapping Blocks under the data joint, or a
@@ -634,7 +651,7 @@ class Env:
         """
         addrs = np.asarray(addresses, dtype=np.int64)
         first, ambiguous = self.locate_boxes(addrs, starts=(start,))
-        position = self._box_table(addrs.shape[1])[4]
+        position = self._box_table(addrs.shape[1])[1]
         for i in np.flatnonzero(ambiguous).tolist():
             found = self.find_block(tuple(addrs[i].tolist()), start=start)
             first[i] = -1 if found is None else position[found.block_id]
@@ -648,37 +665,25 @@ class Env:
         address is one a search from some start may find in another
         Block than the root order does; its position is left for the
         caller's scalar search.  Counts one search and one search step
-        per other address."""
+        per other address.  Costs O(1) per address and listed Block of
+        its grid cell, not O(Blocks)."""
         n, ndim = addresses.shape
-        blocks, lo, hi, n_joint, _ = self._box_table(ndim)
-        kept = np.empty(0, dtype=np.intp)
-        if n and blocks:
-            meets = (lo <= addresses.max(axis=0)) & (hi > addresses.min(axis=0))
-            kept = np.flatnonzero(meets.all(axis=1))
+        blocks, _, grid = self._box_table(ndim)
         # Matches a search from a start may order differently than one
         # from the root: those under the joint, or all of them when some
         # start is neither the root nor under the joint.
-        contested = int(np.searchsorted(kept, n_joint))
+        contest_all = False
         for start in starts:
             node = start
             while node is not None and node is not self.data_joint:
                 node = node.parent
             if node is None and start is not None and start is not self.root:
-                contested = kept.size
+                contest_all = True
                 break
-        first = np.full(n, -1, dtype=np.intp)
-        ambiguous = np.zeros(n, dtype=bool)
-        if kept.size:
-            lo, hi = lo[kept], hi[kept]
-            # At most 64k (address, Block) pairs a chunk: a tile's table
-            # locates tens of thousands of addresses at once, and the
-            # broadcast's temporaries are this size.
-            chunk = max(1, (1 << 16) // kept.size)
-            for s in range(0, n, chunk):
-                a = addresses[s : s + chunk, None, :]
-                hit = ((a >= lo) & (a < hi)).all(axis=2)
-                first[s : s + chunk] = np.where(hit.any(axis=1), kept[hit.argmax(axis=1)], -1)
-                ambiguous[s : s + chunk] = hit[:, :contested].sum(axis=1) > 1
+        if n and blocks:
+            first, ambiguous = grid.locate(addresses, contest_all)
+        else:
+            first, ambiguous = np.full(n, -1, dtype=np.intp), np.zeros(n, dtype=bool)
         located = n - int(np.count_nonzero(ambiguous))
         self.stats.searches += located
         self.stats.search_steps += located
@@ -719,6 +724,7 @@ class Env:
             block = self.block(key.block_id)
             if not isinstance(block, DataBlock):
                 raise EnvError(f"page install requested on non-data block {block.name!r}")
+            self._fill_unfilled(block)
             block.page_fill(key.page_index, data)
             touched.add(key.block_id)
         self._halo_pages_live = True
@@ -729,6 +735,7 @@ class Env:
         if not self._halo_pages_live:
             return  # nothing was installed since the last call
         self._halo_pages_live = False
+        self._unfilled.clear()
         stale = [block for image in self._images.values() for block in image.remote]
         for block in stale:
             block.invalidate()
@@ -792,7 +799,7 @@ class Env:
         for plan in self.mmat.plans.values():
             for seg in plan.split()[1]:
                 tables.setdefault(id(seg.image), (seg.image, []))[1].append(seg.ghost_halo)
-        return [(image, np.unique(np.concatenate(parts))) for image, parts in tables.values()]
+        return [(image, sorted_unique(np.concatenate(parts))) for image, parts in tables.values()]
 
     def halo_row_blocks(self, image: DenseImage, rows: np.ndarray):
         """Resolve halo rows of ``image`` to their Blocks: ``(blocks, block
@@ -853,19 +860,48 @@ class Env:
         return missing
 
     def _ghost_rows(self, block: DataBlock) -> Tuple[np.ndarray, np.ndarray]:
-        """``(halo rows, elements)`` of the valid pages of Buffer-only ``block``."""
-        _, lo, hi, _ = self._slots[block.block_id]
+        """``(read-slab rows, valid)`` of Buffer-only ``block``'s ghost rows:
+        per element, its row and whether its page is valid."""
+        image, lo, hi, _ = self._slots[block.block_id]
         pages = block.buffer.read_buffer.pages
         valid = np.repeat([block.is_valid or p.valid for p in pages], [p.elements for p in pages])
-        return np.arange(lo, hi)[valid], np.flatnonzero(valid)
+        return image.ghost_index(np.arange(lo, hi)), valid
 
     def _fill_ghosts(self, image: DenseImage, block: DataBlock) -> None:
         """Copy the valid pages of Buffer-only ``block`` into its ghost rows
-        of the read slab."""
-        rows, elements = self._ghost_rows(block)
-        image.read[image.ghost_index(rows)] = block.buffer.read_buffer.dense()[elements]
+        of the read slab, and a field value (:meth:`_placeholder`) into
+        those of its pages not valid yet that no push of this step filled:
+        the step that reads them is re-executed, but its ``fn`` never
+        computes on what the tail held."""
+        self._fill_unfilled(block)
+        rows, valid = self._ghost_rows(block)
+        image.read[rows[valid]] = block.buffer.read_buffer.dense()[valid]
+        if not valid.all():
+            stale = rows[~valid]
+            if self._pushes_in:  # rows this step's pushes filled stay
+                stale = stale[stale >= image.ghost_base + image.pushed]
+            image.read[stale] = self._placeholder(image)
         image.fresh.add(block.block_id)
         self.stats.dense_assemblies += 1
+
+    def _fill_unfilled(self, block: DataBlock) -> None:
+        """Give a Buffer-only Block's pages, if valid by birth and never
+        read or installed into, a field value in every generation: a
+        warm-up reads them before any data arrived."""
+        if block.block_id in self._unfilled:
+            self._unfilled.discard(block.block_id)
+            value = self._placeholder(self._slots[block.block_id][0])
+            for buf in block.buffer.buffers:
+                buf.load_dense(np.broadcast_to(value, (block.element_count, block.components)))
+
+    @staticmethod
+    def _placeholder(image: DenseImage) -> np.ndarray:
+        """What a read of a page not valid yet returns: the first owned row
+        of the read slab, a value the field holds (zeros while the class
+        owns no row)."""
+        if image.local_rows:
+            return image.read[0]
+        return np.zeros(image.components, dtype=image.dtype)
 
     # ------------------------------------------------------------------
     # bulk access (used by compiled access plans)
@@ -936,15 +972,16 @@ class Env:
                 fail(f"the buffers of block {block.name!r} are not bound to its image")
             start = slot[1] + (image.ghost_base if halo else 0)
             for generation, rows in zip(buf.buffers, image.rows_of(slot) if buf.home else ()):
+                # One address per page; its rows' is the slab rows' plus an offset.
+                base, step = _address(rows), rows.strides[0] * generation.page_elements
                 for page in generation.pages:
-                    first = page.index * generation.page_elements
-                    if page.array.ctypes.data != rows[first:].ctypes.data:
+                    if _address(page.array) != base + page.index * step:
+                        first = page.index * generation.page_elements
                         fail(f"page {page.index} of block {block.name!r} is not "
                              f"rows {start + first}.. of its slab")
             if halo and block_id in image.fresh:
-                rows, elements = self._ghost_rows(block)
-                if not np.array_equal(image.read[image.ghost_index(rows)],
-                                      buf.read_buffer.dense()[elements]):
+                rows, valid = self._ghost_rows(block)
+                if not np.array_equal(image.read[rows[valid]], buf.read_buffer.dense()[valid]):
                     fail(f"the ghost rows of block {block.name!r} are marked fresh "
                          "but differ from its pages")
 

@@ -13,10 +13,14 @@ and later iterations resolve almost every access from the memo instead
 of searching the Env tree.
 
 Access plans push the same assumption one step further: the sites of a
-whole-block sweep — or of a tile of Blocks — are resolved *in bulk*
-(their distinct addresses located with one vectorised
-:meth:`~repro.memory.env.Env.locate_boxes` per plan, however many start
-Blocks the tile has) and compiled into a handful of NumPy index arrays.
+whole-block sweep — or of a tile of Blocks — are resolved *in bulk* and
+compiled into a handful of NumPy index arrays.  A compile is a *pass*:
+the distinct addresses of all its sites are located with one
+:meth:`~repro.memory.env.Env.locate_boxes` (O(1) per address) and
+resolved once, however many start Blocks a tile has — and a task's
+one-Block kernels sweeping one stencil compile all their plans in one
+pass (:func:`compile_offsets_plan`'s ``siblings``), each Block's plan
+entering the MMAT when that Block first asks (:meth:`MMAT.stage`).
 The plan *is* the memorization of its sites: a compile neither reads nor
 fills the scalar memo, which only scalar ``read_from`` calls fill, on
 first use.  A plan holds one merged gather table per array of the Env's
@@ -47,7 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .address import GlobalAddress
+from .address import global_addresses
 from .block import DataBlock, ReferenceBlock
 from .errors import AddressError
 from .page import PageKey
@@ -61,6 +65,7 @@ __all__ = [
     "as_tile",
     "site_cuts",
     "stencil_table",
+    "sorted_unique",
 ]
 
 
@@ -283,7 +288,7 @@ class AccessPlan:
                 seg.ghost_sites if seg.dst_idx is None else seg.dst_idx[seg.ghost_sites]
                 for seg in self.split()[1]
             ]
-            self._halo_sites = np.unique(np.concatenate(sites)) if sites else np.empty(0, np.intp)
+            self._halo_sites = sorted_unique(np.concatenate(sites)) if sites else np.empty(0, np.intp)
         return self._halo_sites
 
     def element_partition(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -307,9 +312,9 @@ class AccessPlan:
             )
         if self._elem_partition is None:
             n_elem = int(np.prod(self.shape))
-            boundary = np.unique(self.halo_sites() % n_elem)
-            interior = np.setdiff1d(np.arange(n_elem), boundary, assume_unique=True)
-            self._elem_partition = (interior, boundary)
+            rim = np.zeros(n_elem, dtype=bool)
+            rim[self.halo_sites() % n_elem] = True
+            self._elem_partition = (np.flatnonzero(~rim), np.flatnonzero(rim))
         return self._elem_partition
 
     # ------------------------------------------------------------------
@@ -388,9 +393,27 @@ class AccessPlan:
 _MAX_REFERENCE_DEPTH = 4
 
 
-def _as_tuples(addrs: np.ndarray) -> List[Tuple[int, ...]]:
-    """The rows of an ``(n, ndim)`` address array as tuples of Python ints."""
-    return list(map(tuple, addrs.tolist()))
+def sorted_unique(values: np.ndarray, *, inverse: bool = False):
+    """The sorted distinct items of ``values`` — integers, or the rows of
+    a 2-D array — and, with ``inverse``, the index of each item's value in
+    them: one sort and one comparison of neighbours.  The platform's every
+    "distinct" goes through here: plain ``np.unique(x)`` and its ``axis=``
+    form import ``numpy.ma`` on first use (NumPy 2.4: ≈16 ms a process)."""
+    rows = values.ndim == 2
+    if rows or inverse:
+        order = np.lexsort(values.T[::-1]) if rows else np.argsort(values)
+        ordered = values[order]
+    else:
+        ordered = np.sort(values)
+    step = np.empty(len(values), dtype=bool)
+    step[:1] = True
+    differ = ordered[1:] != ordered[:-1]
+    step[1:] = differ.any(axis=1) if rows else differ
+    if not inverse:
+        return ordered[step]
+    inv = np.empty(len(values), dtype=np.intp)
+    inv[order] = np.cumsum(step) - 1
+    return ordered[step], inv
 
 
 def site_cuts(blocks: Sequence[DataBlock], n_sites: int) -> List[int]:
@@ -422,7 +445,7 @@ def stencil_table(blocks: Sequence[DataBlock], offsets) -> np.ndarray:
 def _locate(env, blocks, cuts, distinct: np.ndarray, site_key: np.ndarray, away: np.ndarray):
     """The Block serving each distinct address that the sites of mask
     ``away`` read from outside their own start Block, as its position in
-    ``env.box_blocks``: one bulk Env search for the whole tile.  A site's
+    ``env.box_blocks``: one bulk Env search for the whole pass.  A site's
     address is ``distinct[site_key[site]]``.
 
     An address that overlapping Blocks hold (ambiguous) is searched from
@@ -431,13 +454,12 @@ def _locate(env, blocks, cuts, distinct: np.ndarray, site_key: np.ndarray, away:
     get a key of their own, appended to ``distinct`` (``site_key`` is
     updated).  Returns ``(distinct, found)``."""
     found, ambiguous = env.locate_boxes(distinct, starts=blocks)
-    keys = np.flatnonzero(ambiguous)
-    if keys.size:
+    if ambiguous.any():
         sites = np.flatnonzero(away)
         inv = site_key[sites]
-        reads = np.flatnonzero(np.isin(inv, keys))
+        reads = np.flatnonzero(ambiguous[inv])
         start = np.searchsorted(cuts, sites[reads], side="right") - 1
-        pairs, pair_of = np.unique(inv[reads] * len(blocks) + start, return_inverse=True)
+        pairs, pair_of = sorted_unique(inv[reads] * len(blocks) + start, inverse=True)
         searched: set = set()
         extra: List[Tuple[int, int]] = []
         for j, code in enumerate(pairs.tolist()):
@@ -448,7 +470,7 @@ def _locate(env, blocks, cuts, distinct: np.ndarray, site_key: np.ndarray, away:
                 searched.add(key)
                 found[key] = at
             elif at != found[key]:
-                site_key[sites[reads[pair_of.reshape(-1) == j]]] = distinct.shape[0] + len(extra)
+                site_key[sites[reads[pair_of == j]]] = distinct.shape[0] + len(extra)
                 extra.append((key, at))
         if extra:
             distinct = np.concatenate([distinct, distinct[[key for key, _ in extra]]])
@@ -465,7 +487,7 @@ def _locate(env, blocks, cuts, distinct: np.ndarray, site_key: np.ndarray, away:
 def _follow_reference(env, ref: ReferenceBlock, addrs: np.ndarray):
     """Map ``addrs`` through a Reference block: ``(mapped addresses, the
     positions of their Blocks in env.box_blocks)``."""
-    mapped = [tuple(ref.mapper(GlobalAddress(a))) for a in _as_tuples(addrs)]
+    mapped = [tuple(ref.mapper(a)) for a in global_addresses(addrs)]
     mapped_arr = np.asarray(mapped, dtype=np.int64).reshape(len(mapped), -1)
     found = np.full(len(mapped), -1, dtype=np.intp)
     direct = ref.target
@@ -560,12 +582,13 @@ def _distinct(addrs: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarr
     flat index in the bounding box of ``addrs``: through a table over the
     box, in O(n), where the box is at most :data:`_TABLE_SPREAD` times as
     wide as the masked rows are many, else by sorting."""
-    lo = addrs.min(axis=0)
-    dims = (addrs.max(axis=0) - lo + 1).tolist()
+    # Column by column: a reduction over axis 0 of an (n, 2) array runs
+    # n inner loops of two.
+    lo = np.array([addrs[:, d].min() for d in range(addrs.shape[1])])
+    dims = [int(addrs[:, d].max() - lo[d] + 1) for d in range(addrs.shape[1])]
     width = math.prod(dims)
     if width >= 1 << 62:  # flat indices would overflow: sort whole rows
-        distinct, inv = np.unique(addrs[rows], axis=0, return_inverse=True)
-        return distinct, inv.reshape(-1)
+        return sorted_unique(addrs[rows], inverse=True)
     keys = addrs[:, 0][rows]  # a copy: a masked read
     keys -= lo[0]
     for d in range(1, len(dims)):
@@ -573,8 +596,7 @@ def _distinct(addrs: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarr
         keys += addrs[:, d][rows]
         keys -= lo[d]
     if width > _TABLE_SPREAD * keys.size:
-        codes, inv = np.unique(keys, return_inverse=True)
-        inv = inv.reshape(-1)
+        codes, inv = sorted_unique(keys, inverse=True)
     else:
         seen = np.zeros(width, dtype=bool)
         seen[keys] = True
@@ -588,54 +610,6 @@ def _distinct(addrs: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarr
     return np.stack(np.unravel_index(codes, dims), axis=1) + lo, inv
 
 
-def _resolve_away(env, blocks, cuts, addrs: np.ndarray, home: np.ndarray, sources: list,
-                  site_row: np.ndarray):
-    """Resolve the sites of a tile that do not read their own start Block
-    (``home`` False): the distinct addresses they read (:func:`_distinct`)
-    are located with one bulk Env search (:func:`_locate`) and resolved
-    once (:func:`_resolve`).  Each such site's entry of ``site_row`` is set
-    to the index of its address; returns ``((group, src), const_vals)``
-    of :func:`_resolve`, indexed by it."""
-    away = ~home
-    distinct, site_row[away] = _distinct(addrs, away)
-    distinct, found = _locate(env, blocks, cuts, distinct, site_row, away)
-    group, src, const_vals = _resolve(env, blocks[0].components, distinct, found, sources)
-    return (group, src), const_vals
-
-
-def _fill_sites(addrs, blocks, cuts, home, slots, table_of, keys, site_row, site_table) -> int:
-    """Turn ``site_row`` into the image row every site reads (a Buffer-only
-    element's halo row ``h`` as ``-1 - h``: see :class:`PlanSegment`) and
-    fill ``site_table`` with the number of that row's table (-1: a
-    constant), a start Block at a time; returns how many sites read their
-    own start Block.  A ``home`` site reads its start Block ``blocks[b]``;
-    every other site holds the index of its address into ``keys`` of
-    :func:`_resolve_away`.  ``slots`` and ``table_of`` are the image
-    slots and table numbers of the sources."""
-    if keys is not None:
-        group, src = keys
-        sign = np.array([-1 if slot[3] else 1 for slot in slots] + [1])[group]
-        key_row = np.array([-1 - slot[1] if slot[3] else slot[1] for slot in slots] + [0])[group]
-        key_row += sign * src
-        key_table = np.array(table_of + [-1], dtype=np.int8)[group]
-    in_block = 0
-    for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
-        inside, rows, tabs = home[lo:hi], site_row[lo:hi], site_table[lo:hi]
-        (_, first, end, _), table = slots[k], table_of[k]
-        local = addrs[lo:hi][inside] - np.asarray(blocks[k].origin, dtype=np.int64)
-        rows[inside] = first + np.ravel_multi_index(tuple(local.T), blocks[k].shape)
-        if slots[k][3]:  # a Buffer-only start Block
-            rows[inside] = -1 - rows[inside]
-        tabs[inside] = table
-        if local.shape[0] < hi - lo:
-            away = rows[~inside]
-            rows[~inside] = key_row[away]
-            tabs[~inside] = key_table[away]
-        # Own rows: the home sites, and any a Reference maps back home.
-        in_block += int(np.count_nonzero((tabs == table) & (rows >= first) & (rows < end)))
-    return in_block
-
-
 def _ghost_pages(env, segments: List[PlanSegment]) -> list:
     """``(PageKey, Block)`` of every Buffer-only page the ghost sites of
     ``segments`` read."""
@@ -644,115 +618,146 @@ def _ghost_pages(env, segments: List[PlanSegment]) -> list:
         blocks, which, elements = env.halo_row_blocks(seg.image, seg.ghost_halo)
         page_elements = np.array([b.page_elements for b in blocks], dtype=np.intp)
         stride = max(b.page_count() for b in blocks)
-        for code in np.unique(which * stride + elements // page_elements[which]).tolist():
+        for code in sorted_unique(which * stride + elements // page_elements[which]).tolist():
             block = blocks[code // stride]
             pages.append((PageKey(block.block_id, code % stride), block))
     return pages
 
 
-def _compile(
-    env,
-    blocks: Sequence[DataBlock],
-    cuts: Sequence[int],
-    addrs: np.ndarray,
-    sites: Optional[np.ndarray],
-    *,
-    n_sites: int,
-    slice_sites: int = 0,
-    columns: Optional[Tuple[int, int]] = None,
-    **plan_kw,
-) -> AccessPlan:
-    """Build the plan whose listed ``sites`` read the global ``addrs``,
-    those in ``cuts[b]:cuts[b + 1]`` starting from ``blocks[b]`` of a tile.
-    ``columns`` ``(elements, k)`` lays the table out column-major.
+def _compile(env, starts, cuts, plans, addrs: np.ndarray, sites: Optional[np.ndarray], *,
+             columns: Optional[Tuple[int, int]] = None) -> List[dict]:
+    """Compile, in one pass, the plans ``plans`` — each the run ``(first,
+    end)`` of the start Blocks ``starts`` its sites start from: the listed
+    ``sites`` (None: every output, in order) read the global ``addrs``,
+    those in ``cuts[b]:cuts[b + 1]`` from ``starts[b]``.  Returns per plan
+    the :class:`AccessPlan` keywords of its tables, ``in_block`` the sites
+    that read their own start Block.  ``columns`` ``(elements, k)`` lays a
+    one-plan pass's table out column-major.
 
-    The whole tile compiles in one pass.  A site whose address lies in
-    its own start Block reads it without a search (checked a Block at a
-    time, as one comparison).  The addresses of the other sites are made
-    distinct (:func:`_distinct`), located with one bulk Env search
-    (:func:`_locate`), resolved once (:func:`_resolve`) and fanned back
-    out through the inverse index, so compilation cost scales with
-    *distinct* addresses, not sites or start Blocks.  ``slice_sites``
-    in-block sites are covered by the caller's slice part and not listed.
+    A site whose address lies in its own start Block reads it without a
+    search (checked a Block at a time, as one comparison).  The addresses
+    of all the other sites of the pass are made distinct
+    (:func:`_distinct`), located with one bulk Env search (:func:`_locate`)
+    and resolved once (:func:`_resolve`), then fanned back out to each
+    plan's sites, so the cost scales with the pass's *distinct* addresses,
+    not with its sites, start Blocks or plans.  Every plan gets the tables
+    a pass of its own would give it.
 
-    The sites of all sources of one image class — owned and Buffer-only,
-    which read its ``owned ∥ ghost`` array — are merged into one
-    :class:`PlanSegment`; listed ``sites`` (an offsets plan's ring) keep
-    the ghost sites in a table of their own.  ``sites`` None (the
-    addresses are those of all ``n_sites`` outputs, in order) makes the
-    table of the tile's own image class dense.
+    A plan's sites of all sources of one image class — owned and
+    Buffer-only, which read its ``owned ∥ ghost`` array — are merged into
+    one :class:`PlanSegment`; listed ``sites`` (an offsets plan's ring)
+    keep the ghost sites in a table of their own.  ``sites`` None makes
+    the table of the tile's own image class dense.
     """
-    block = blocks[0]
-    segments: List[PlanSegment] = []
-    const_dst = const_arr = None
-    in_block = out_of_block = 0
-    if addrs.shape[0]:
-        sources: List[DataBlock] = list(blocks)
-        # (image id, ghost table) -> table number; 0 is the tile's own rows.
-        tables: Dict[tuple, int] = {}
-        # Sites whose address lies in their own start Block (``home``) read
-        # it without a search; the distinct addresses of the others are
-        # resolved once for the whole tile.
-        home = np.empty(addrs.shape[0], dtype=bool)
-        read = set()  # indices of the sources some site reads
-        for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
-            local = addrs[lo:hi] - np.asarray(blocks[k].origin, dtype=np.int64)
-            home[lo:hi] = np.all((local >= 0) & (local < np.asarray(blocks[k].shape)), axis=1)
-            if home[lo:hi].any():
+    n = addrs.shape[0]
+    # An offsets plan's listed ring reads outside its start Block.
+    home = np.zeros(n, dtype=bool)
+    for k, (lo, hi) in enumerate(zip(cuts, cuts[1:]) if sites is None else ()):
+        local = addrs[lo:hi] - np.asarray(starts[k].origin, dtype=np.int64)
+        home[lo:hi] = np.all((local >= 0) & (local < np.asarray(starts[k].shape)), axis=1)
+    # Every site as a row of its table's image array (a Buffer-only
+    # element's halo row ``h`` as ``-1 - h``, see PlanSegment; constants, in
+    # table -1: as a row of ``const_all``).  Until a plan fills them in, the
+    # sites read from away hold the index of their distinct address.
+    site_row = np.empty(n, dtype=np.intp)
+    site_table = np.empty(n, dtype=np.int8)
+    found: List[DataBlock] = []  # the Data Blocks the away addresses resolve to
+    resolved = not home.all()
+    if resolved:
+        away = ~home
+        distinct, site_row[away] = _distinct(addrs, away)
+        distinct, boxes = _locate(env, starts, cuts, distinct, site_row, away)
+        group, src, const_vals = _resolve(env, starts[0].components, distinct, boxes, found)
+        del away, distinct, boxes
+        # Each distinct address's row: its Block's first row plus its
+        # element (minus, for a halo row), or its row of ``const_all``.
+        slots = [env.image_slot(block) for block in found]
+        base = np.array([-1 - s[1] if s[3] else s[1] for s in slots] + [0], dtype=np.intp)
+        sign = np.array([-1 if s[3] else 1 for s in slots] + [1], dtype=np.intp)
+        key_row = base[group] + sign[group] * src
+        const_all = np.concatenate(const_vals) if const_vals else None
+    ring = sites is not None  # offsets plans: their ghost sites get a table of their own
+    compiled = []
+    for first, end in plans:
+        tile, lo, hi = starts[first:end], cuts[first], cuts[end]
+        spans = list(zip(cuts[first:end], cuts[first + 1 : end + 1]))  # per start Block
+        # The plan's sources: its own Blocks, then those its away sites
+        # read, in the order the resolve met them.  A start Block at a
+        # time: the temporaries are one Block's sites, not the tile's.
+        sources, read, met = list(tile), set(), {}
+        if resolved:
+            reached = np.zeros(len(found) + 1, dtype=bool)  # last: the constants
+            for a, b in spans:
+                reached[group[site_row[a:b][~home[a:b]]]] = True
+            position = {block.block_id: k for k, block in enumerate(tile)}
+            for g in np.flatnonzero(reached[:-1]).tolist():
+                k = position.get(found[g].block_id)
+                if k is None:
+                    k = len(sources)
+                    sources.append(found[g])
+                met[g] = k
                 read.add(k)
-        # Every site as a row of its table's image array (constants, in
-        # table -1: as an index into ``const_vals``).
-        site_row = np.empty(addrs.shape[0], dtype=np.intp)
-        site_table = np.empty(addrs.shape[0], dtype=np.int8)
-        keys, const_vals = None, []
-        if not home.all():
-            keys, const_vals = _resolve_away(env, blocks, cuts, addrs, home, sources, site_row)
-            read.update(np.unique(keys[0]).tolist())
         slots = [env.image_slot(source) for source in sources]
-        ring = sites is not None  # an offsets plan: its ghost sites get a table of their own
+        tables: Dict[tuple, int] = {}  # (image id, ghost table) -> table number
         table_of = [tables.setdefault((id(s[0]), ring and s[3]), len(tables)) for s in slots]
-        in_block = _fill_sites(
-            addrs, blocks, cuts, home, slots, table_of, keys, site_row, site_table
-        )
-        del home, keys
+        if resolved:
+            table = np.full(len(found) + 1, -1, dtype=np.int8)
+            for g, k in met.items():
+                table[g] = table_of[k]
+        in_block = 0
+        for k, (block, (a, b)) in enumerate(zip(tile, spans)):
+            here, rows, tabs = home[a:b], site_row[a:b], site_table[a:b]
+            if resolved:
+                away = ~here
+                keys = rows[away]
+                tabs[away] = table[group[keys]]
+                rows[away] = key_row[keys]
+            (_, row0, row1, halo), mine = slots[k], table_of[k]
+            cells = addrs[a:b][here] - np.asarray(block.origin, dtype=np.int64)
+            home_rows = row0 + np.ravel_multi_index(tuple(cells.T), block.shape)
+            rows[here] = -1 - home_rows if halo else home_rows
+            tabs[here] = mine
+            if home_rows.size:
+                read.add(k)
+            # Own rows: the home sites, and any a Reference maps back home.
+            in_block += int(np.count_nonzero((tabs == mine) & (rows >= row0) & (rows < row1)))
+        rows, tabs = site_row[lo:hi], site_table[lo:hi]
         if columns is not None:  # resolved element-major, laid out column-major
-            site_row = site_row.reshape(columns).T.ravel()
-            site_table = site_table.reshape(columns).T.ravel()
-        sel = np.flatnonzero(site_table == -1)
-        out_of_block = site_row.size - sel.size - in_block
-        if sel.size:
-            const_dst = sel if sites is None else np.ascontiguousarray(sites[sel], dtype=np.intp)
-            const_arr = np.concatenate(const_vals).astype(block.buffer.read_buffer.dtype)[
-                site_row[sel]
-            ]
+            rows = rows.reshape(columns).T.ravel()
+            tabs = tabs.reshape(columns).T.ravel()
+        out = None if sites is None else sites[lo:hi]
+        sel = np.flatnonzero(tabs == -1)
+        const_dst = const_arr = None
+        n_const = sel.size
+        if n_const:
+            const_dst = sel if out is None else np.ascontiguousarray(out[sel], dtype=np.intp)
+            const_arr = const_all[rows[sel]].astype(tile[0].buffer.read_buffer.dtype)
         # Address plans (``sites`` None) read the tile's own class densely:
-        # that table, made last, is ``site_row`` itself, the sites of
-        # constants and other classes reading a placeholder row; it writes
-        # every site, so it is gathered first.
+        # that table, made last, is ``rows`` itself, the sites of constants
+        # and other classes reading a placeholder row; it writes every
+        # site, so it is gathered first.
         own = tables.get((id(slots[0][0]), False)) if sites is None else None
+        segments: List[PlanSegment] = []
         for t in sorted(tables.values(), key=lambda t: t == own):
-            members = [sources[k] for k in sorted(read) if k >= 0 and table_of[k] == t]
+            members = [k for k in sorted(read) if table_of[k] == t]
             if not members:
                 continue
-            image = env.image_slot(members[0])[0]
+            image, members = slots[members[0]][0], [sources[k] for k in members]
             if t == own:
-                site_row[site_table != own] = 0
-                segments.insert(0, PlanSegment(image, members, site_row))
+                rows[tabs != own] = 0
+                segments.insert(0, PlanSegment(image, members, rows))
                 continue
-            sel = np.flatnonzero(site_table == t)
-            dst = sel if sites is None else sites[sel]
-            segments.append(PlanSegment(image, members, site_row[sel], dst))
-    return AccessPlan(
-        block=block,
-        n_sites=n_sites,
-        segments=segments,
-        const_dst=const_dst,
-        const_vals=const_arr,
-        in_block_sites=slice_sites + in_block,
-        out_of_block_sites=out_of_block,
-        pages=_ghost_pages(env, segments),
-        **plan_kw,
-    )
+            sel = np.flatnonzero(tabs == t)
+            segments.append(PlanSegment(image, members, rows[sel], sel if out is None else out[sel]))
+        compiled.append(dict(
+            segments=segments,
+            const_dst=const_dst,
+            const_vals=const_arr,
+            in_block=in_block,
+            out_of_block_sites=rows.size - n_const - in_block,
+            pages=_ghost_pages(env, segments),
+        ))
+    return compiled
 
 
 def as_tile(block) -> Tuple[DataBlock, ...]:
@@ -760,7 +765,56 @@ def as_tile(block) -> Tuple[DataBlock, ...]:
     return tuple(block) if isinstance(block, (tuple, list)) else (block,)
 
 
-def compile_offsets_plan(env, block, offsets: Sequence[Tuple[int, ...]]) -> AccessPlan:
+def _outside(shape: Sequence[int], bounds: Sequence[Tuple[int, int]]) -> np.ndarray:
+    """The flat row-major indices, ascending, of the elements of a Block of
+    ``shape`` outside the box ``bounds`` (``[lo, hi)`` per axis; an empty
+    box leaves every element outside), enumerated from the box's edges:
+    the rows before and after it whole, the rows across it by the ring of
+    the remaining axes."""
+    n = math.prod(shape)
+    if any(lo >= hi for lo, hi in bounds):
+        return np.arange(n)
+    (lo, hi), inner = bounds[0], n // shape[0]
+    across = np.empty(0, dtype=np.intp)
+    if len(shape) > 1:
+        across = (np.arange(lo, hi)[:, None] * inner + _outside(shape[1:], bounds[1:])).ravel()
+    return np.concatenate([np.arange(lo * inner), across, np.arange(hi * inner, n)])
+
+
+def _ring(shape: Tuple[int, ...], offsets) -> tuple:
+    """``(sites, cells, slices, slice_sites)`` of a stencil sweep over a
+    Block of ``shape``: per offset, the sites that stay inside the Block
+    form a box, kept as one ``(dst_slices, src_slices)`` pair (None: no
+    such site); only the ring of sites outside it is listed, with the
+    addresses they read relative to the Block's origin (``cells``)."""
+    nd, n_elem = len(shape), math.prod(shape)
+    slices: List[Optional[Tuple[tuple, tuple]]] = []
+    ring_sites = [np.empty(0, dtype=np.intp)]
+    ring_cells = [np.empty((0, nd), dtype=np.int64)]
+    slice_sites = 0
+    for oi, off in enumerate(offsets):
+        if len(off) != nd:
+            raise AddressError(
+                f"offset {off} does not match block dimensionality {nd}"
+            )
+        bounds = [(max(0, -o), min(s, s - o)) for s, o in zip(shape, off)]
+        if all(lo < hi for lo, hi in bounds):
+            dst = tuple(slice(lo, hi) for lo, hi in bounds)
+            src = tuple(slice(lo + o, hi + o) for (lo, hi), o in zip(bounds, off))
+            slices.append((dst, src))
+            slice_sites += math.prod(hi - lo for lo, hi in bounds)
+        else:
+            slices.append(None)
+        elems = _outside(shape, bounds)
+        if elems.size:
+            ring_sites.append(oi * n_elem + elems)
+            coords = np.stack(np.unravel_index(elems, shape), axis=1)
+            ring_cells.append(coords + np.asarray(off, dtype=np.int64))
+    return np.concatenate(ring_sites), np.concatenate(ring_cells), tuple(slices), slice_sites
+
+
+def compile_offsets_plan(env, block, offsets: Sequence[Tuple[int, ...]], *,
+                         siblings: Sequence[DataBlock] = ()) -> AccessPlan:
     """Compile a stencil sweep: every element of ``block``, per offset.
 
     Site order is offset-major (``site = offset_index * element_count +
@@ -772,6 +826,12 @@ def compile_offsets_plan(env, block, offsets: Sequence[Tuple[int, ...]]) -> Acce
     kept as one ``(dst_slices, src_slices)`` pair; only the remaining
     ring of out-of-block sites is enumerated and resolved.
 
+    ``siblings`` — more Blocks of ``block``'s image class — compile in the
+    same pass (:func:`_compile`: one distinct, one locate, one resolve for
+    all their rings); each gets the plan a compile of its own would give
+    it, *staged* on ``env.mmat`` (:meth:`MMAT.stage`), not entered:
+    the caller enters a sibling's plan when that Block first asks for it.
+
     A *tile* of several Blocks has no Block-shaped interior to slice: its
     sweep compiles as the address table :func:`stencil_table` (an
     ``"addresses"`` plan), whose column-major output is offset-major too.
@@ -780,51 +840,39 @@ def compile_offsets_plan(env, block, offsets: Sequence[Tuple[int, ...]]) -> Acce
     offsets = tuple(tuple(int(c) for c in off) for off in offsets)
     if len(blocks) > 1:
         return compile_address_plan(env, blocks, stencil_table(blocks, offsets))
-    block = blocks[0]
-    shape = block.shape
-    nd = len(shape)
-    n_elem = block.element_count
-    origin = np.asarray(block.origin, dtype=np.int64)
-    slices: List[Optional[Tuple[tuple, tuple]]] = []
-    ring_sites: List[np.ndarray] = []
-    ring_addrs: List[np.ndarray] = []
-    slice_sites = 0
-
-    for oi, off in enumerate(offsets):
-        if len(off) != nd:
-            raise AddressError(
-                f"offset {off} does not match block dimensionality {nd}"
-            )
-        leaves = np.ones(shape, dtype=bool)
-        bounds = [(max(0, -o), min(s, s - o)) for s, o in zip(shape, off)]
-        if all(lo < hi for lo, hi in bounds):
-            dst = tuple(slice(lo, hi) for lo, hi in bounds)
-            src = tuple(slice(lo + o, hi + o) for (lo, hi), o in zip(bounds, off))
-            slices.append((dst, src))
-            leaves[dst] = False
-            slice_sites += int(np.prod([hi - lo for lo, hi in bounds]))
-        else:
-            slices.append(None)
-        elems = np.flatnonzero(leaves)
-        if elems.size:
-            coords = np.stack(np.unravel_index(elems, shape), axis=1)
-            ring_sites.append(oi * n_elem + elems)
-            ring_addrs.append(coords + (origin + np.asarray(off, dtype=np.int64)))
-    sites = np.concatenate(ring_sites) if ring_sites else np.empty(0, dtype=np.intp)
-    addrs = np.concatenate(ring_addrs) if ring_addrs else np.empty((0, nd), dtype=np.int64)
-    return _compile(
+    starts = [blocks[0], *siblings]
+    shapes: Dict[tuple, tuple] = {}  # Blocks of one shape share their ring
+    for start in starts:
+        if start.shape not in shapes:
+            shapes[start.shape] = _ring(start.shape, offsets)
+    rings = [shapes[start.shape] for start in starts]
+    cuts = np.cumsum([0] + [ring[0].size for ring in rings]).tolist()
+    compiled = _compile(
         env,
-        (block,),
-        (0, sites.size),
-        addrs,
-        sites,
-        n_sites=len(offsets) * n_elem,
-        slice_sites=slice_sites,
-        resolved_sites=int(sites.size),
-        kind="offsets",
-        offsets=offsets,
-        slices=tuple(slices),
+        starts,
+        cuts,
+        [(k, k + 1) for k in range(len(starts))],
+        np.concatenate([
+            ring[1] + np.asarray(start.origin, dtype=np.int64) for start, ring in zip(starts, rings)
+        ]),
+        np.concatenate([ring[0] for ring in rings]),
     )
+    plans = [
+        AccessPlan(
+            block=start,
+            n_sites=len(offsets) * start.element_count,
+            in_block_sites=slice_sites + parts.pop("in_block"),
+            resolved_sites=sites.size,
+            kind="offsets",
+            offsets=offsets,
+            slices=slices,
+            **parts,
+        )
+        for start, (sites, _, slices, slice_sites), parts in zip(starts, rings, compiled)
+    ]
+    for start, plan in zip(siblings, plans[1:]):
+        env.mmat.stage(start.block_id, offsets, plan)
+    return plans[0]
 
 
 def compile_address_plan(env, block, addresses) -> AccessPlan:
@@ -853,20 +901,25 @@ def compile_address_plan(env, block, addresses) -> AccessPlan:
         flat = addr_arr.reshape(-1, nd)
     n_sites = flat.shape[0]
     table = addr_arr.shape if nd == 1 else addr_arr.shape[:-1]
-    # Indirect accesses carry no static "inside" hint, so the scalar
-    # path would resolve *every* site through the memo.
-    return _compile(
+    (parts,) = _compile(
         env,
         blocks,
         site_cuts(blocks, n_sites),
+        [(0, len(blocks))],
         flat,
         None,
-        n_sites=n_sites,
-        resolved_sites=n_sites,
         columns=table if len(table) == 2 else None,
-        kind="addresses",
     )
-
+    # Indirect accesses carry no static "inside" hint, so the scalar
+    # path would resolve *every* site through the memo.
+    return AccessPlan(
+        block=blocks[0],
+        n_sites=n_sites,
+        in_block_sites=parts.pop("in_block"),
+        resolved_sites=n_sites,
+        kind="addresses",
+        **parts,
+    )
 
 # ----------------------------------------------------------------------
 # the memo itself
@@ -879,6 +932,7 @@ class MMAT:
         "enabled",
         "_memo",
         "_plans",
+        "_staged",
         "_fused",
         "_scratch",
         "_tiles",
@@ -899,6 +953,9 @@ class MMAT:
         self._memo: Dict[Tuple[int, Tuple[int, ...]], object] = {}
         #: Compiled access plans, keyed by ``(block_id, kind, signature)``.
         self._plans: Dict[tuple, AccessPlan] = {}
+        #: Offsets plans a sibling's compile pass made, keyed by ``(block
+        #: id, offsets)``: not plans of this MMAT until their Block asks.
+        self._staged: Dict[tuple, AccessPlan] = {}
         #: Fused kernels (plan + elementwise fn compiled into one
         #: generated function), keyed by ``(plan version, fn identity,
         #: dtype)``; cleared together with the plans.
@@ -957,6 +1014,21 @@ class MMAT:
         if self.enabled:
             self._plans[key] = plan
             self.plan_compiles += 1
+
+    def stage(self, block_id: int, offsets: tuple, plan: AccessPlan) -> None:
+        """Keep ``plan``, compiled in another Block's pass, until Block
+        ``block_id`` first sweeps ``offsets`` (no-op while disabled)."""
+        if self.enabled:
+            self._staged[(block_id, offsets)] = plan
+
+    def take_staged(self, block_id: int, offsets: tuple) -> Optional[AccessPlan]:
+        """The staged plan of Block ``block_id`` for ``offsets``, handed over
+        once (None: none staged) — the caller enters it with :meth:`plan_store`."""
+        return self._staged.pop((block_id, offsets), None)
+
+    def drop_staged(self) -> None:
+        """Forget every staged plan (the Env's tree changed under them)."""
+        self._staged.clear()
 
     def plan_discard(self, tiles) -> None:
         """Forget the plans of ``tiles`` — ``(first block id, Blocks)``, how
@@ -1022,6 +1094,7 @@ class MMAT:
         (the access pattern changed)."""
         self._memo.clear()
         self._plans.clear()
+        self._staged.clear()
         # Fused kernels bake a specific plan's gather tables into
         # generated code, so they die with the plans they wrap.
         self._fused.clear()

@@ -1,14 +1,20 @@
 """Property tests for bulk plan compilation.
 
-Access plans are compiled from one vectorised ``Env.locate_boxes`` per
-plan plus a closed-form in-block slice part.  Three promises are checked
-here:
+Access plans are compiled in passes: one ``Env.locate_boxes`` for the
+distinct addresses of a whole pass — a tile, or every one-Block kernel
+of a task sweeping one stencil — plus a closed-form in-block slice part
+per Block.  Four promises are checked here:
 
 * ``Env.locate_blocks``, read through ``Env.box_blocks``, is the scalar
   ``Env.find_block`` applied to each address, for any tree shape and any
-  start Block;
+  start Block; ``Env.locate_boxes`` answers what the broadcast
+  comparison it replaced (kept below, in this file only) answered, and
+  counts the same searches, on Envs of 64 boxes and more;
 * a bulk-compiled plan is indistinguishable from what a per-site
   compiler (kept below, in this file only) derives with scalar searches;
+* a one-pass compile gives every Block the tables a compile of its own
+  gives it, on SGrid Envs of one to three ranks, for one- and two-cell
+  rings and four stencils;
 * bulk compilation costs at most one search step per resolved address.
 """
 
@@ -22,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.annotation import Platform
 from repro.apps import JacobiSGrid, JacobiUSGrid, ParticleSimulation
+from repro.apps.jacobi_sgrid import STENCIL as FIVE_POINT
 from repro.apps.particle_sim import NEIGHBOURHOOD
 from repro.memory import (
     ArithmeticBlock,
@@ -117,9 +124,8 @@ class TestLocateBlocks:
 
 
 class TestLocatePrefilter:
-    """The bulk locate tests only the Blocks whose box meets the
-    addresses' bounding box; answers and counts stay per-address
-    ``find_block``'s."""
+    """The bulk locate tests an address only against the Blocks its grid
+    cell lists; answers and counts stay per-address ``find_block``'s."""
 
     @staticmethod
     def env_1d(*boxes):
@@ -187,6 +193,78 @@ class TestLocatePrefilter:
         # Every address held by two kept Blocks goes to the scalar search:
         # all but (-2, 0) and (-2, -2), which only the outer ring holds.
         assert scalar == [(-1, 3), (5, 5), (2, 6)]
+
+
+def broadcast_locate(env, addresses, starts):
+    """What ``Env.locate_boxes`` answered before its grid (kept here
+    only): every address compared with every box, ``(first box in root
+    order, ambiguous)``; ambiguous is more than one holding box under the
+    data joint, or anywhere when some start is on another branch."""
+    ndim = addresses.shape[1]
+    blocks = env.box_blocks(ndim)
+    lo = np.array([b.origin for b in blocks]).reshape(-1, ndim)
+    hi = lo + np.array([b.shape for b in blocks]).reshape(-1, ndim)
+    hit = ((addresses[:, None, :] >= lo) & (addresses[:, None, :] < hi)).all(axis=2)
+    first = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
+    joint = {b.block_id for b in env.data_joint.iter_subtree()}
+    off_branch = any(
+        s is not None and s is not env.root and s.block_id not in joint for s in starts
+    )
+    contested = len(blocks) if off_branch else sum(b.block_id in joint for b in blocks)
+    return first, hit[:, :contested].sum(axis=1) > 1
+
+
+@st.composite
+def many_box_envs(draw):
+    """An Env of at least 64 2-D boxes: a lattice of equal Blocks, or
+    Blocks of random origins and extents (which may overlap), some under
+    nested joints, inside optional boundary rings; the starts and the
+    addresses to locate."""
+    env = Env(allocator=PoolGroup([MemoryPool(1 << 22, name="many")]), name="many")
+    parents, starts = [env.data_joint], [None, env.root, env.data_joint]
+    if draw(st.booleans()):  # the lattice: 8 x 8 Blocks of 4 x 3
+        boxes = [((4 * i, 3 * j), (4, 3)) for i in range(8) for j in range(8)]
+        extent = (32, 24)
+    else:
+        corner = st.tuples(st.integers(0, 40), st.integers(0, 40))
+        size = st.tuples(st.integers(1, 9), st.integers(1, 9))
+        boxes = draw(st.lists(st.tuples(corner, size), min_size=64, max_size=80))
+        extent = (49, 49)
+    env.reserve_image(1, np.float64, sum(w * h for _, (w, h) in boxes))
+    for origin, shape in boxes:
+        if draw(st.integers(0, 15)) == 0:
+            parents.append(env.add_joint(parent=draw(st.sampled_from(parents))))
+        block = DataBlock(origin, shape, components=1, page_elements=16)
+        starts.append(env.add_data_block(block, parent=draw(st.sampled_from(parents))))
+    for width in draw(st.lists(st.sampled_from([1, 2]), max_size=2, unique=True)):
+        ring = ((-width, -width), (extent[0] + 2 * width, extent[1] + 2 * width))
+        starts.append(env.add_boundary_block(ArithmeticBlock(*ring, lambda addr: 1.0)))
+    addresses = draw(st.lists(
+        st.tuples(st.integers(-3, extent[0] + 3), st.integers(-3, extent[1] + 3)),
+        min_size=1, max_size=60,
+    ))
+    return env, starts, np.asarray(addresses, dtype=np.int64).reshape(-1, 2)
+
+
+class TestLocateOnManyBoxes:
+    @settings(max_examples=60, deadline=None)
+    @given(many_box_envs(), st.data())
+    def test_grid_answers_what_the_broadcast_did(self, tree, data):
+        env, starts, addresses = tree
+        assert len(env.box_blocks(2)) >= 64
+        chosen = data.draw(st.lists(st.sampled_from(starts), min_size=1, max_size=3))
+        expected_first, expected_ambiguous = broadcast_locate(env, addresses, chosen)
+        before = (env.stats.searches, env.stats.search_steps)
+        first, ambiguous = env.locate_boxes(addresses, starts=chosen)
+        assert first.tolist() == expected_first.tolist()
+        assert ambiguous.tolist() == expected_ambiguous.tolist()
+        located = len(addresses) - int(expected_ambiguous.sum())
+        assert (env.stats.searches - before[0], env.stats.search_steps - before[1]) == (
+            located, located
+        )
+        start = chosen[0]
+        found = located_blocks(env, addresses, start)
+        assert found == [env.find_block(tuple(a), start=start) for a in addresses.tolist()]
 
 
 # ----------------------------------------------------------------------
@@ -285,11 +363,11 @@ def assert_plan_matches_reference(env, block, plan, addresses, ring, starts=None
         assert np.array_equal(np.sort(np.concatenate([interior, boundary])), np.arange(n_elem))
 
 
-def rank0_of_2(app_cls, config):
-    """The Env rank 0 of a 2-rank world builds, with every Block filled."""
+def rank0_env(app_cls, config, ranks=2):
+    """The Env rank 0 of a ``ranks``-rank world builds, with every Block filled."""
     app = app_cls(config)
-    app.bind_platform(Platform.preset("mpi", ranks=2, mmat=True))
-    with task_scope(TaskContext(mpi_rank=0, mpi_size=2)):
+    app.bind_platform(Platform.preset("mpi", ranks=ranks, mmat=True))
+    with task_scope(TaskContext(mpi_rank=0, mpi_size=ranks)):
         app.initialize()
     env = app.env
     rng = np.random.default_rng(7)
@@ -337,7 +415,7 @@ USGRID_40 = dict(USGRID, region=40, block_cells=40, case="R")
 class TestPlansMatchPerSiteReference:
     @pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
     def test_sgrid_offsets_plans(self, boundary):
-        env = rank0_of_2(JacobiSGrid, dict(SGRID, boundary=boundary))
+        env = rank0_env(JacobiSGrid, dict(SGRID, boundary=boundary))
         assert any(isinstance(b, BufferOnlyBlock) for b in env.data_blocks(include_buffer_only=True))
         for block in env.data_blocks():
             addresses, ring = offset_sites(block, NINE_POINT)
@@ -347,7 +425,7 @@ class TestPlansMatchPerSiteReference:
 
     @pytest.mark.parametrize("case", ["C", "R"])
     def test_usgrid_address_and_offsets_plans(self, case):
-        env = rank0_of_2(JacobiUSGrid, dict(USGRID, case=case))
+        env = rank0_env(JacobiUSGrid, dict(USGRID, case=case))
         for block in env.data_blocks():
             table = block.static_fields["neighbors"]
             addresses = [(int(a),) for a in table.T.reshape(-1)]  # column-major sites
@@ -362,7 +440,7 @@ class TestPlansMatchPerSiteReference:
             )
 
     def test_many_source_address_plans_merge_into_one_table(self):
-        env = rank0_of_2(JacobiUSGrid, USGRID_40)
+        env = rank0_env(JacobiUSGrid, USGRID_40)
         assert len(env.data_blocks(include_buffer_only=True)) == 40
         for block in env.data_blocks()[::4]:
             table = block.static_fields["neighbors"]
@@ -386,7 +464,7 @@ class TestPlansMatchPerSiteReference:
         "config", [dict(USGRID, case="C"), dict(USGRID, case="R"), USGRID_40], ids=["C", "R", "R40"]
     )
     def test_usgrid_tile_plans(self, config):
-        env = rank0_of_2(JacobiUSGrid, config)
+        env = rank0_env(JacobiUSGrid, config)
         offsets = [(0,), (3,), (20,)]
         for tile in tiles_of(env):
             table = np.concatenate([b.static_fields["neighbors"] for b in tile])
@@ -402,7 +480,7 @@ class TestPlansMatchPerSiteReference:
             )
 
     def test_sgrid_tile_plans_follow_the_neumann_reference(self):
-        env = rank0_of_2(JacobiSGrid, dict(SGRID, boundary="neumann"))
+        env = rank0_env(JacobiSGrid, dict(SGRID, boundary="neumann"))
         assert any(isinstance(b, ReferenceBlock) for b in env.root.iter_subtree())
         for tile in tiles_of(env):
             addresses, starts = tile_sites(tile, stencil_table(tile, NINE_POINT))
@@ -441,7 +519,7 @@ class TestPlansMatchPerSiteReference:
         }
 
     def test_particle_offsets_plans(self):
-        env = rank0_of_2(
+        env = rank0_env(
             ParticleSimulation, dict(particles=128, block_buckets=4, page_elements=4)
         )
         for block in env.data_blocks():
@@ -451,8 +529,10 @@ class TestPlansMatchPerSiteReference:
                 addresses, ring,
             )
 
-    def test_invalid_halo_is_recorded_and_zeroed(self):
-        env = rank0_of_2(JacobiSGrid, SGRID)
+    def test_invalid_halo_is_recorded_and_reads_a_field_value(self):
+        """A page not valid yet reads the first owned row of the read slab:
+        the re-executed step's ``fn`` never computes on a made-up zero."""
+        env = rank0_env(JacobiSGrid, dict(SGRID, init=lambda x, y: 1.0 + 0.3 * x + 0.7 * y))
         env.invalidate_buffer_only()
         block = next(
             b for b in env.data_blocks()
@@ -461,10 +541,17 @@ class TestPlansMatchPerSiteReference:
         plan = compile_offsets_plan(env, block, NINE_POINT)
         out = plan.execute(env)
         assert env.missing_pages == set(plan.remote_pages())
-        assert np.all(out[plan.halo_sites()] == 0.0)
+        field = env.image_slot(env.data_blocks()[0])[0].read[0, 0]
+        assert field != 0.0 and np.all(out[plan.halo_sites()] == field)
+        # The scalar path reads the same value in place of such a page.
+        page = sorted(plan.remote_pages())[0]
+        remote = env.block(page.block_id)
+        first = np.unravel_index(page.page_index * remote.page_elements, remote.shape)
+        addr = tuple(np.add(remote.origin, first).tolist())
+        assert env.read_from(block, addr) == field
 
     def test_pages_of_two_withheld_halo_blocks_are_recorded(self):
-        env = rank0_of_2(JacobiUSGrid, USGRID_40)
+        env = rank0_env(JacobiUSGrid, USGRID_40)
         block = env.data_blocks()[0]
         table = block.static_fields["neighbors"]
         plan = compile_address_plan(env, block, table)
@@ -489,7 +576,90 @@ class TestPlansMatchPerSiteReference:
 
 
 # ----------------------------------------------------------------------
-# (c) compile cost: at most one search step per resolved address
+# (c) one compile pass for every one-Block kernel of a task
+# ----------------------------------------------------------------------
+
+ONE_SIDED = ((0, 0), (0, 1), (0, 2))
+CROSS_R2 = FIVE_POINT + ((-2, 0), (2, 0), (0, -2), (0, 2))
+
+
+class TwoCellRing(JacobiSGrid):
+    """An SGrid Env inside a two-cell ring: ``ring="const"`` a non-zero
+    Arithmetic ring, ``ring="mirror"`` a Neumann mirror."""
+
+    def _attach_boundary(self, env) -> None:
+        n = self.region
+        if self.config["ring"] == "const":
+            ring = ArithmeticBlock((-2, -2), (n + 4, n + 4),
+                                   lambda a: 1.5 + 0.01 * a[0] - 0.02 * a[1], name="ring")
+        else:
+            def mirror(a):
+                return GlobalAddress((min(max(a[0], 0), n - 1), min(max(a[1], 0), n - 1)))
+            ring = ReferenceBlock((-2, -2), (n + 4, n + 4), mirror, name="ring")
+        env.add_boundary_block(ring)
+
+
+RINGS = {
+    "dirichlet": (JacobiSGrid, dict(SGRID, boundary_value=0.25)),
+    "neumann": (JacobiSGrid, dict(SGRID, boundary="neumann")),
+    "two-cell-const": (TwoCellRing, dict(SGRID, ring="const")),
+    "two-cell-mirror": (TwoCellRing, dict(SGRID, ring="mirror")),
+}
+ONE_PASS_CASES = [
+    (ring, name, stencil)
+    for ring in RINGS
+    for name, stencil in (("5-point", FIVE_POINT), ("9-point", tuple(NINE_POINT)),
+                          ("one-sided", ONE_SIDED), ("radius-2", CROSS_R2))
+    if ring.startswith("two-cell") or name in ("5-point", "9-point")
+]
+
+
+def one_pass(env, blocks, offsets):
+    """The plans of one compile pass over ``blocks``: the first Block's
+    returned, every other one's staged on the MMAT."""
+    plans = [compile_offsets_plan(env, blocks[0], offsets, siblings=blocks[1:])]
+    return plans + [env.mmat.take_staged(block.block_id, offsets) for block in blocks[1:]]
+
+
+def assert_same_tables(plan, alone):
+    """``plan`` (of a pass) holds the tables ``alone`` (a one-Block compile
+    of the same Block) holds."""
+    assert plan.block is alone.block and plan.offsets == alone.offsets
+    counts = ("n_sites", "in_block_sites", "resolved_sites", "out_of_block_sites")
+    assert [getattr(plan, c) for c in counts] == [getattr(alone, c) for c in counts]
+    assert plan.slices == alone.slices and plan.remote_pages() == alone.remote_pages()
+    assert len(plan.segments) == len(alone.segments)
+    for seg, ref in zip(plan.segments, alone.segments):
+        assert seg.image is ref.image and seg.sources == ref.sources
+        assert np.array_equal(seg.src_idx, ref.src_idx) and np.array_equal(seg.dst_idx, ref.dst_idx)
+    for name in ("const_dst", "const_vals"):
+        mine, theirs = getattr(plan, name), getattr(alone, name)
+        assert (mine is None) == (theirs is None)
+        assert mine is None or (mine.dtype == theirs.dtype and np.array_equal(mine, theirs))
+
+
+class TestOnePassCompile:
+    @pytest.mark.parametrize("ranks", [1, 2, 3])
+    @pytest.mark.parametrize("ring,name,stencil", ONE_PASS_CASES,
+                             ids=[f"{r}-{n}" for r, n, _ in ONE_PASS_CASES])
+    def test_every_plan_of_a_pass_matches_the_reference(self, ring, name, stencil, ranks):
+        app_cls, config = RINGS[ring]
+        env = rank0_env(app_cls, config, ranks)
+        blocks = env.data_blocks()
+        assert len(blocks) > 1 and (ranks == 1) != any(
+            isinstance(b, BufferOnlyBlock) for b in env.data_blocks(include_buffer_only=True)
+        )
+        plans = one_pass(env, blocks, stencil)
+        assert not env.mmat.plans  # staged, not entered
+        for block, plan in zip(blocks, plans):
+            assert plan.block is block
+            assert_same_tables(plan, compile_offsets_plan(env, block, stencil))
+            addresses, ring_flags = offset_sites(block, stencil)
+            assert_plan_matches_reference(env, block, lambda: plan, addresses, ring_flags)
+
+
+# ----------------------------------------------------------------------
+# (d) compile cost: at most one search step per resolved address
 # ----------------------------------------------------------------------
 
 def test_compiling_a_64_block_env_costs_one_step_per_resolved_address():

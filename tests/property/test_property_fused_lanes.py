@@ -13,10 +13,14 @@ These tests pin what that must not change:
   Block-shaped ones with MMAT off;
 * a dropped lane never computes on a cell no fill of this sweep wrote:
   ``1/x`` of a strictly positive field raises no floating-point error,
-  also after a kernel of another stencil used the shared padded field.
+  also after a kernel of another stencil used the shared padded field;
+* nor does a two-rank warm-up, fused or with MMAT off, on thread or
+  process ranks: a halo page not valid yet reads a field value.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 import pytest
@@ -169,3 +173,19 @@ class TestDroppedLanes:
         assert_same_field(gathered, fused)
         blocks = (CONFIG["region"] // CONFIG["block_size"]) ** 2
         assert fused_calls(fused) == 2 * blocks * (CONFIG["loops"] + 1)
+
+
+class TestWarmupHalo:
+    @pytest.mark.parametrize("backend", ["threads", "process"])
+    def test_two_rank_reciprocal_never_sees_a_placeholder(self, backend):
+        """The warm-up reads halo pages before any is valid; ``1/x`` over
+        them warns unless they read field values.  ``np.errstate`` is
+        per thread, so thread ranks need the warnings filter (a forked
+        rank inherits it)."""
+        case = dict(sweeps=[(reciprocal, STENCIL)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            gathered = run_stencil(case, "const", backend=backend, ranks=2, mmat=False)
+            fused = run_stencil(case, "const", backend=backend, ranks=2)
+        assert_same_field(gathered, fused)
+        assert fused_calls(gathered) == 0 < fused_calls(fused)
