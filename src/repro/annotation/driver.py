@@ -417,12 +417,8 @@ class PlatformBuilder:
         """Make runs elastic under rank failure (checkpoints + recovery).
 
         ``policy`` is a :class:`repro.resilience.ResiliencePolicy` (or
-        ``True`` for the defaults: checkpoint every epoch, up to two
-        restarts, auto-selected store).  Weaves a
-        :class:`~repro.resilience.CheckpointAspect` and delegates the
-        distributed world lifecycle to a recovery manager that shrinks
-        the world and resumes from the last checkpoint epoch after a
-        diagnosed rank death.
+        ``True`` for the defaults); weaves a
+        :class:`~repro.resilience.RecoveryAspect`.
         """
         return self._set(resilience=policy)
 
@@ -547,11 +543,11 @@ class Platform:
                     "resilience requires a transcompiled platform "
                     "(checkpoints are woven as an aspect module)"
                 )
-            from ..resilience import CheckpointAspect, RecoveryManager, ResiliencePolicy
+            from ..resilience import RecoveryAspect, RecoveryManager, ResiliencePolicy
 
             policy = ResiliencePolicy() if resilience is True else resilience
             self.resilience = RecoveryManager(policy)
-            self.aspects.append(CheckpointAspect(self.resilience))
+            self.aspects.append(RecoveryAspect(self.resilience))
         #: Shared scratch space aspect modules use to exchange run-level
         #: objects (e.g. the MPI world), keyed by aspect-defined names.
         self.context: Dict[str, Any] = {}

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from ..aop.registry import (
+    TAG_ASSIGN_BLOCKS,
     TAG_FINALIZE,
     TAG_FORGET_ACCESSES,
     TAG_INITIALIZE,
@@ -109,6 +110,12 @@ class TargetApplication:
     def finalize(self) -> None:
         """Post-process / release resources."""
         # Default: nothing to do.
+
+    @annotate(TAG_ASSIGN_BLOCKS)
+    def assign_tasks(self, specs: list) -> list:
+        """Deal Block specs to tasks as ``(spec, task_id)`` pairs; a DSL
+        layer overrides it (the join point of Block dealing)."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # step-loop helpers (Listing 1's WarmUp / Run macros)

@@ -52,6 +52,8 @@ class Aspect:
     def __init__(self) -> None:
         if not self.name:
             self.name = type(self).__name__
+        #: The Platform this aspect is attached to (set by on_attach).
+        self.platform = None
 
     # ------------------------------------------------------------------
     def advices(self) -> List[Advice]:
@@ -99,9 +101,11 @@ class Aspect:
     # needing an extra join point on the driver itself.
     def on_attach(self, platform) -> None:
         """Called when the aspect is attached to a Platform (before weaving)."""
+        self.platform = platform
 
     def on_detach(self, platform) -> None:
         """Called when the Platform run finishes."""
+        self.platform = None
 
     def describe(self) -> str:
         """Return a one-line description used in benchmark reports."""

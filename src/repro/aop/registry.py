@@ -13,7 +13,7 @@ correspond to the paper's three advice groups (§III-B7):
 
 * AspectType I  — ``platform.entry``, ``platform.initialize``,
   ``platform.processing``, ``platform.finalize``;
-* AspectType II — ``memory.get_blocks``;
+* AspectType II — ``platform.assign_blocks``, ``memory.get_blocks``;
 * AspectType III — ``memory.refresh``.
 """
 
@@ -58,6 +58,7 @@ TAG_TARGET = "platform.target"
 TAG_INITIALIZE = "platform.initialize"
 TAG_PROCESSING = "platform.processing"
 TAG_FINALIZE = "platform.finalize"
+TAG_ASSIGN_BLOCKS = "platform.assign_blocks"
 TAG_GET_BLOCKS = "memory.get_blocks"
 TAG_REFRESH = "memory.refresh"
 TAG_KERNEL = "platform.kernel"

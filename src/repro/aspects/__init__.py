@@ -21,8 +21,12 @@ combinations are the Platform presets (:data:`repro.annotation.PRESETS`,
 
 Cross-cutting platform services are aspect modules too:
 :class:`repro.obs.MonitoringAspect` (phase spans) and
-:class:`repro.resilience.CheckpointAspect` (epoch snapshots) are woven
-the same way and compose freely with the layer aspects.
+:class:`repro.resilience.RecoveryAspect` (epoch snapshots and the
+elastic run loop) are woven the same way and compose freely with the
+layer aspects.  Neither layer module knows about them: the recovery
+loop wraps the distributed-memory aspect's entry advice from outside
+and proceeds into it again, so every world a run uses is created, run
+and finalized by :meth:`DistributedMemoryAspect.manage_runtime`.
 """
 
 from .base import LayerAspect

@@ -39,15 +39,6 @@ class LayerAspect(Aspect):
             raise ValueError(f"{type(self).__name__} parallelism must be >= 1")
         #: Number of tasks this layer splits its parent task into.
         self.parallelism = int(parallelism)
-        #: The Platform this aspect is currently attached to (set by on_attach).
-        self.platform = None
-
-    # ------------------------------------------------------------------
-    def on_attach(self, platform) -> None:
-        self.platform = platform
-
-    def on_detach(self, platform) -> None:
-        self.platform = None
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -338,26 +338,15 @@ class DistributedMemoryAspect(LayerAspect):
     # ------------------------------------------------------------------
     @around("tagged('platform.entry')", order=0)
     def manage_runtime(self, jp):
-        """Initialise the distributed runtime, run the program per rank, finalise."""
+        """Initialise the distributed runtime, run the program per rank, finalise.
+
+        The one code path of a world's life: an outer advice that proceeds
+        again gets a new world, of the size ``parallelism`` says then.
+        """
         platform = self.platform
         backend = get_backend(getattr(platform, "backend", None) or DEFAULT_BACKEND)
         omp_threads = platform.parallelism_of("omp") if platform is not None else 1
         entry = jp.continuation()
-
-        # With a resilience policy configured, the recovery manager owns
-        # the world lifecycle: it re-creates (shrunken) worlds after
-        # diagnosed rank deaths and re-runs the program from the last
-        # complete checkpoint epoch.
-        manager = getattr(platform, "resilience", None) if platform is not None else None
-        if manager is not None:
-            return manager.execute(
-                backend,
-                self,
-                entry,
-                omp_threads=omp_threads,
-                timeout=self.comm_timeout(),
-            )
-
         world = backend.create_world(self.parallelism, timeout=self.comm_timeout())
         self.bind_world(world)
         if platform is not None:

@@ -35,7 +35,7 @@ from ..memory.mmat import site_cuts, stencil_table
 from ..memory.zorder import morton_encode
 from ..obs.spans import global_tracer
 from ..runtime.shm import protocol_checks
-from ..runtime.task import SERIAL_TASK, current_task
+from ..runtime.task import current_task
 from ..runtime.tracing import global_trace
 
 __all__ = ["DslTarget", "BlockKernel", "BlockSpec", "evaluate_init"]
@@ -449,16 +449,10 @@ class DslTarget(TargetApplication):
         Blocks are sorted by the Morton index of their block-grid
         coordinates and dealt out in contiguous runs, so neighbouring
         Blocks tend to share a task (spatial locality across the
-        partition).  Returns ``(spec, task_id)`` pairs in Z-order.
+        partition).  Returns ``(spec, task_id)`` pairs in Z-order; the
+        deal is the virtual class's ``platform.assign_blocks`` join point.
         """
         total = max(self.total_tasks, 1)
-        # An elastically shrunk world (rank recovery) has fewer live
-        # ranks than the platform was built with; the task context
-        # carries the actual world size, so size the deal by it — a
-        # stale total would assign Blocks to ranks that no longer exist.
-        task = current_task()
-        if task is not SERIAL_TASK:
-            total = max(task.mpi_size * self.omp_threads(), 1)
         keys = [spec.zorder() for spec in specs]
         # 1-D DSLs (and pre-sorted spec lists in general) are already in
         # Z-order; skip the re-sort that shows up in warm-up profiles.
@@ -466,28 +460,8 @@ class DslTarget(TargetApplication):
             ordered = list(specs)
         else:
             ordered = [spec for _, spec in sorted(zip(keys, specs), key=lambda kv: kv[0])]
-        # After a rank failure the recovery manager re-partitions the dead
-        # rank's blocks onto the survivors; the resulting logical-key →
-        # rank map overrides the default contiguous deal.
-        override = None
-        if self.platform is not None:
-            override = self.platform.context.get("resilience_ownership")
         per_task = math.ceil(len(ordered) / total)
-        omp = self.omp_threads()
-        per_rank_count: dict = {}
-        assignment: List[Tuple[BlockSpec, int]] = []
-        for position, spec in enumerate(ordered):
-            rank = override.get(spec.logical_key) if override else None
-            if rank is not None:
-                # Deal the rank's blocks round-robin over its omp threads,
-                # mirroring the contiguous deal's task granularity.
-                nth = per_rank_count.get(rank, 0)
-                per_rank_count[rank] = nth + 1
-                task_id = rank * omp + (nth % omp)
-            else:
-                task_id = min(position // per_task, total - 1) if per_task else 0
-            assignment.append((spec, task_id))
-        return assignment
+        return [(spec, min(i // per_task, total - 1)) for i, spec in enumerate(ordered)]
 
     def omp_threads(self) -> int:
         if self.platform is None:
@@ -510,7 +484,8 @@ class DslTarget(TargetApplication):
 
         Blocks assigned to the current rank become Data Blocks; Blocks
         owned by other ranks become Buffer-only Blocks (storage for
-        pages fetched on demand, initially invalid).  In shared-memory
+        their pages, valid from creation with a placeholder value until
+        the first step boundary).  In shared-memory
         or serial runs every Block is a Data Block.
         """
         task = current_task()

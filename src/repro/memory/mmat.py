@@ -52,7 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .address import global_addresses
-from .block import DataBlock, ReferenceBlock
+from .block import DataBlock, ReferenceBlock, inside_box
 from .errors import AddressError
 from .page import PageKey
 
@@ -653,8 +653,7 @@ def _compile(env, starts, cuts, plans, addrs: np.ndarray, sites: Optional[np.nda
     # An offsets plan's listed ring reads outside its start Block.
     home = np.zeros(n, dtype=bool)
     for k, (lo, hi) in enumerate(zip(cuts, cuts[1:]) if sites is None else ()):
-        local = addrs[lo:hi] - np.asarray(starts[k].origin, dtype=np.int64)
-        home[lo:hi] = np.all((local >= 0) & (local < np.asarray(starts[k].shape)), axis=1)
+        home[lo:hi] = inside_box(addrs[lo:hi], starts[k].origin, starts[k].shape)
     # Every site as a row of its table's image array (a Buffer-only
     # element's halo row ``h`` as ``-1 - h``, see PlanSegment; constants, in
     # table -1: as a row of ``const_all``).  Until a plan fills them in, the

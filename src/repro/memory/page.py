@@ -79,8 +79,10 @@ class Page:
             self.chunk = allocator.allocate(self.nbytes)
             view = self.chunk.as_array(self.dtype, self.elements * self.components)
             self._view = view.reshape(self.elements, self.components)
-        #: Whether the page currently holds meaningful data (Buffer-only
-        #: Blocks start with every page invalid until communication fills it).
+        #: Whether a read may be served from the page.  Every page is
+        #: born valid, a Buffer-only Block's too: until the first step
+        #: boundary marks it stale (``Env.invalidate_buffer_only``) it
+        #: holds a placeholder field value (``Env._fill_unfilled``).
         self.valid: bool = True
 
     # ------------------------------------------------------------------

@@ -19,12 +19,11 @@ Stores are pluggable:
   forked children die with their memory but their spool files survive
   for the parent to read post-mortem.
 
-The restore path (:meth:`CheckpointAspect.restore_state`) runs after
-``platform.initialize`` *and* after the distributed-memory aspect's
-block registration (after-advice: lower aspect order runs last), filling
-**every buffer generation** of each owned block with the checkpointed
-page so the fast-forward replay — which skips refreshes and therefore
-never swaps — reads epoch-``E`` data regardless of generation parity.
+The restore (:meth:`CheckpointAspect.restore_state`) runs after
+``platform.initialize``, before the distributed-memory aspect's
+registration commits (after-advice runs in ascending order), and fills
+**every buffer generation** of each owned block: the fast-forward
+replay skips refreshes, never swaps, and so may read any generation.
 """
 
 from __future__ import annotations
@@ -183,6 +182,11 @@ class DiskCheckpointStore(CheckpointStore):
             shutil.rmtree(self.directory, ignore_errors=True)
 
 
+def _warmup(jp) -> bool:
+    """The ``warmup`` argument of a refresh or ``get_blocks`` join point."""
+    return bool(jp.args[0]) if jp.args else bool(jp.kwargs.get("warmup", False))
+
+
 class CheckpointAspect(Aspect):
     """Aspect weaving checkpoint, fault-point and replay logic into refresh.
 
@@ -191,9 +195,8 @@ class CheckpointAspect(Aspect):
     fast-forward replay it returns success **without proceeding**,
     skipping the mpi aspect's allreduce/barrier/prefetch entirely — every
     restarted rank skips the same ``resume_epoch`` refreshes
-    deterministically, with no collective traffic.  For after-advice the
-    same ordering means :meth:`restore_state` runs *after* the mpi
-    aspect's block registration.
+    deterministically, with no collective traffic.  Its advice acts only
+    inside a distributed world (``platform.context["mpi_world"]``).
     """
 
     order = 15
@@ -204,16 +207,17 @@ class CheckpointAspect(Aspect):
         #: The owning :class:`~repro.resilience.recovery.RecoveryManager`.
         self.manager = manager
 
+    def world(self):
+        """The run's distributed world; None outside one."""
+        return None if self.platform is None else self.platform.context.get("mpi_world")
+
     # ------------------------------------------------------------------
     @around("tagged('memory.refresh')", order=0)
     def guard_refresh(self, jp):
         """Fault points, fast-forward replay and the post-refresh snapshot."""
         manager = self.manager
-        world = manager.world
-        if world is None:
-            return jp.proceed()
-        warmup = bool(jp.args[0]) if jp.args else bool(jp.kwargs.get("warmup", False))
-        if warmup:
+        world = self.world()
+        if world is None or _warmup(jp):
             # Warm-up refreshes never swap, never count as epochs and must
             # run even when replaying (they compile the access plans the
             # steady state depends on).
@@ -258,36 +262,23 @@ class CheckpointAspect(Aspect):
     @around("tagged('memory.get_blocks')", order=0)
     def skip_replayed_sweeps(self, jp):
         """Give kernels no work during fast-forward replay sweeps."""
-        manager = self.manager
-        if manager.world is None:
+        if self.world() is None or _warmup(jp):
             return jp.proceed()
-        warmup = bool(jp.args[0]) if jp.args else bool(jp.kwargs.get("warmup", False))
-        if warmup:
-            return jp.proceed()
-        rank = current_task().mpi_rank
-        if manager.replay_remaining(rank) > 0:
-            return []
-        return jp.proceed()
+        return [] if self.manager.replay_remaining(current_task().mpi_rank) else jp.proceed()
 
     # ------------------------------------------------------------------
     @after_returning("tagged('platform.initialize')", order=0)
     def restore_state(self, jp):
-        """Fill owned blocks with the resume checkpoint's pages (post-registration)."""
+        """Fill owned blocks with the resume checkpoint's pages (pre-registration)."""
         manager = self.manager
-        if manager.world is None or not manager.restore_pages:
-            return
         env = getattr(jp.target, "env", None)
-        if env is None:
+        if env is None or self.world() is None or not manager.restore_pages:
             return
-        rank = current_task().mpi_rank
         trace = global_trace().for_task()
         restored = 0
         with global_tracer().span("ckpt.restore", epoch=manager.resume_epoch):
             for block in env.data_blocks():
-                logical_key = getattr(block, "logical_key", None)
-                if logical_key is None:
-                    continue
-                pages = manager.restore_pages.get(logical_key)
+                pages = manager.restore_pages.get(getattr(block, "logical_key", None))
                 if not pages:
                     continue
                 for page_index, data in pages.items():

@@ -2,10 +2,12 @@
 
 A :class:`FaultPlan` is a small declarative schedule of failures —
 "kill rank 2 at refresh epoch 3", "drop the first page reply rank 1
-sends to rank 0" — installed on a world via
+sends to rank 0".  The :class:`~repro.resilience.recovery.RecoveryAspect`
+installs the policy's plan on each rank's world via
 :meth:`~repro.runtime.backends.base.ExecutionWorld.install_fault_plan`
-*before* ``run_spmd``.  The runtime substrate consumes the plan through
-two duck-typed entry points (no import of this package):
+before ``platform.initialize``, ahead of the ``register`` fault point and
+of any page reply.  The runtime substrate consumes the plan through two
+duck-typed entry points (no import of this package):
 
 * ``take_kill(rank, phase, epoch)`` — called from the world's fault
   points (``"register"`` at commit time, ``"refresh"`` at refresh
@@ -23,9 +25,9 @@ schedule reproducibly from an integer seed for the chaos battery.
 Each fault fires at most ``count`` times (kills: once).  Firing is
 tracked *per plan object*: on the process backend each forked rank
 mutates its own copy, so after a real child kill the parent must call
-:meth:`FaultPlan.retire_rank` for the diagnosed-dead rank before
-re-installing the plan on a restarted world — :class:`RecoveryManager`
-does exactly that.
+:meth:`FaultPlan.retire_rank` for the diagnosed-dead rank before the
+plan is installed on a restarted world — the recovery plan
+(:class:`~repro.resilience.recovery.RecoveryManager`) does exactly that.
 """
 
 from __future__ import annotations
@@ -183,7 +185,7 @@ class FaultPlan:
                     fault.fired = fault.count
 
     def pending_kills(self) -> List[Fault]:
-        """Kill faults that have not fired yet (used by the run loop)."""
+        """Kill faults that have not fired yet."""
         with self._lock:
             return [f for f in self.faults if f.kind == KILL and f.fired < f.count]
 

@@ -1,40 +1,40 @@
-"""Rank recovery: diagnose dead ranks, re-partition, resume from checkpoints.
+"""Rank recovery: the elastic run loop, advice of one woven aspect.
 
-The :class:`RecoveryManager` owns the elastic run loop that replaces the
-distributed-memory aspect's one-shot world lifecycle when a
-:class:`ResiliencePolicy` is configured on the Platform:
-
-1. create a world, install the fault plan, run the program SPMD;
-2. on :class:`~repro.runtime.backends.base.SpmdFailure`, diagnose which
-   ranks actually *died* (injected faults, dead pipes / nonzero exit
-   codes) as opposed to merely seeing their peers' collectives fail;
-3. shrink the world, re-partition the dead ranks' blocks onto the
-   survivors (cost-model-driven, :mod:`repro.resilience.rebalance`),
-   load the latest checkpoint epoch every rank completed, and run the
-   program again — the woven :class:`~repro.resilience.checkpoint.
-   CheckpointAspect` restores the pages after registration and
-   fast-forwards the step loop to the resume epoch.
-
-A failure with no diagnosable dead rank (e.g. a detected-but-unrecovered
-corrupt reply) is re-raised unchanged: recovery only elides failures it
-can actually repair.
+:class:`RecoveryAspect` is the resilience aspect module: the checkpoint
+advice it extends plus three advices, so no other module knows that a
+run can recover.  Around ``platform.entry``, outside the
+distributed-memory aspect (which creates, runs and finalizes every
+world), it runs the program; on an
+:class:`~repro.runtime.backends.base.SpmdFailure` it diagnoses which
+ranks actually *died* (injected faults, dead pipes / nonzero exit
+codes, not peers' collateral timeouts), shrinks the distributed layer,
+plans the dead ranks' Blocks onto the survivors
+(:mod:`repro.resilience.rebalance`), loads the newest checkpoint epoch
+that covers every Block and proceeds again.  Around
+``platform.assign_blocks`` the survivors deal their planned Blocks;
+before ``platform.initialize`` each rank installs the fault plan.  A
+failure with no diagnosable dead rank (e.g. a detected corrupt reply)
+is re-raised unchanged.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Set, Tuple
 
+from ..aop.advice import around, before
 from ..memory.zorder import morton_encode
+from ..runtime.backends import DEFAULT_BACKEND
 from ..runtime.backends.base import SpmdFailure
 from ..runtime.errors import DeadRankError, InjectedFault
 from ..runtime.tracing import global_trace
-from .checkpoint import DiskCheckpointStore, MemoryCheckpointStore, RankPages
+from .checkpoint import CheckpointAspect, DiskCheckpointStore, MemoryCheckpointStore, RankPages
 from .rebalance import plan_recovery_ownership
 
 __all__ = [
+    "RecoveryAspect",
     "RecoveryEvent",
     "RecoveryManager",
     "ResiliencePolicy",
@@ -128,19 +128,16 @@ def _zorder_sorted(keys: List[Any]) -> List[Any]:
 
 
 class RecoveryManager:
-    """Owns checkpoints, epochs and the create-run-diagnose-shrink loop.
+    """Checkpoint store, epochs, replay and the recovery plan of a run.
 
     One manager is attached to a Platform (``Platform(resilience=...)``)
-    and shared between the woven :class:`CheckpointAspect` (which calls
-    the epoch/replay bookkeeping from rank context) and the
-    distributed-memory aspect's entry advice (which delegates the world
-    lifecycle to :meth:`execute`).
+    and shared by the advice of its :class:`RecoveryAspect`: the
+    checkpoint advice calls the epoch/replay bookkeeping from rank
+    context, the elastic loop the run bookkeeping around each attempt.
     """
 
     def __init__(self, policy: Optional[ResiliencePolicy] = None) -> None:
         self.policy = policy or ResiliencePolicy()
-        #: The live world of the current attempt (None outside a run).
-        self.world: Any = None
         self.store: Any = None
         self.size: int = 0
         self.attempt: int = 0
@@ -184,89 +181,35 @@ class RecoveryManager:
         return epoch % interval == 0
 
     # ------------------------------------------------------------------
-    # run loop (called from the distributed-memory aspect's entry advice)
+    # run bookkeeping (called by the elastic loop around each attempt)
     # ------------------------------------------------------------------
-    def execute(
-        self,
-        backend: Any,
-        aspect: Any,
-        entry: Callable[[], Any],
-        *,
-        omp_threads: int = 1,
-        timeout: float = 60.0,
-    ) -> Any:
-        """Run ``entry`` SPMD with failure diagnosis, rebalance and resume."""
-        policy = self.policy
-        self.size = int(getattr(aspect, "parallelism", 1))
-        self.attempt = 0
-        self.resume_epoch = 0
-        self.restore_pages = {}
-        self.ownership = None
-        self.events = []
-        self._create_store(backend)
-        platform = getattr(aspect, "platform", None)
-        try:
-            while True:
-                self.attempt += 1
-                world = backend.create_world(self.size, timeout=timeout)
-                self.world = world
-                self._begin_attempt()
-                if policy.fault_plan is not None:
-                    world.install_fault_plan(policy.fault_plan)
-                # Reset the mpi aspect's per-world state for this attempt.
-                aspect.bind_world(world)
-                if platform is not None:
-                    platform.context["mpi_world"] = world
-                    platform.context["resilience"] = self
-                    if self.ownership is not None:
-                        platform.context["resilience_ownership"] = self.ownership
-                started = time.perf_counter()
-                try:
-                    results = world.run_spmd(
-                        lambda _ctx: entry(), omp_threads=omp_threads
-                    )
-                    return results[0].value
-                except SpmdFailure as failure:
-                    self._plan_recovery(
-                        failure,
-                        world,
-                        elapsed=time.perf_counter() - started,
-                        omp_threads=omp_threads,
-                    )
-                finally:
-                    world.finalize()
-        finally:
-            self.world = None
-            if self._owns_store and self.store is not None:
-                self.store.close()
+    def start(self, size: int, backend: str) -> None:
+        """Forget the previous run; open the store for a run of ``size`` ranks."""
+        self.size, self.attempt, self.resume_epoch = size, 0, 0
+        self.restore_pages, self.ownership, self.events = {}, None, []
+        store = self.policy.store
+        if store == "auto":
+            store = "disk" if backend == "process" else "memory"
+        # A store instance the policy names is used as-is, never closed.
+        self._owns_store = store in ("memory", "disk")
+        if self._owns_store:
+            store = MemoryCheckpointStore() if store == "memory" else DiskCheckpointStore()
+        self.store = store
 
-    # ------------------------------------------------------------------
-    def _create_store(self, backend: Any) -> None:
-        choice = self.policy.store
-        self._owns_store = True
-        if choice == "auto":
-            choice = "disk" if getattr(backend, "name", "") == "process" else "memory"
-        if choice == "memory":
-            self.store = MemoryCheckpointStore()
-        elif choice == "disk":
-            self.store = DiskCheckpointStore()
-        else:  # caller-provided store instance: used as-is, never closed
-            self.store = choice
-            self._owns_store = False
+    def close(self) -> None:
+        """Close the run's store, unless the policy passed it in."""
+        if self._owns_store:
+            self.store.close()
 
-    def _begin_attempt(self) -> None:
+    def begin_attempt(self) -> None:
+        """Count the next attempt; its ranks fast-forward to ``resume_epoch``."""
+        self.attempt += 1
         with self._lock:
             self._epochs = {}
             self._replay = {rank: self.resume_epoch for rank in range(self.size)}
 
-    def _plan_recovery(
-        self,
-        failure: SpmdFailure,
-        world: Any,
-        *,
-        elapsed: float,
-        omp_threads: int,
-    ) -> None:
+    def plan_recovery(self, failure: SpmdFailure, world: Any, *, elapsed: float,
+                       omp_threads: int) -> None:
         """Diagnose ``failure``; set up the next attempt or re-raise."""
         policy = self.policy
         dead = diagnose_dead_ranks(failure)
@@ -334,9 +277,76 @@ class RecoveryManager:
         self.events.append(event)
         self.size = new_size
 
+
+class RecoveryAspect(CheckpointAspect):
+    """The resilience aspect module: checkpoint advice and the elastic loop.
+
+    Ordered *outside* the distributed-memory aspect (15 < 20): its entry
+    advice wraps the one code path that creates, runs and finalizes a
+    world, and proceeds into it again after a recovered failure.
+    """
+
+    name = "resilience"
+
     # ------------------------------------------------------------------
-    def report(self) -> str:
-        """Human-readable recovery report (one line per diagnosed failure)."""
-        if not self.events:
-            return "no failures recovered"
-        return "\n".join(event.summary() for event in self.events)
+    @around("tagged('platform.entry')", order=0)
+    def elastic_run(self, jp):
+        """Run the program; after a diagnosed rank death, again on the survivors."""
+        platform = self.platform
+        layer = next((a for a in platform.aspects if getattr(a, "layer", None) == "mpi"), None)
+        if layer is None:
+            return jp.proceed()  # no distributed world: no rank can die
+        manager = self.manager
+        configured = layer.parallelism
+        manager.start(configured, platform.backend or DEFAULT_BACKEND)
+        try:
+            while True:
+                # The distributed-memory aspect sizes its world by its
+                # parallelism; the run record reports the configured one.
+                layer.parallelism = manager.size
+                manager.begin_attempt()
+                started = time.perf_counter()
+                try:
+                    return jp.proceed()
+                except SpmdFailure as failure:
+                    manager.plan_recovery(
+                        failure,
+                        platform.context["mpi_world"],
+                        elapsed=time.perf_counter() - started,
+                        omp_threads=platform.parallelism_of("omp"),
+                    )
+        finally:
+            layer.parallelism = configured
+            manager.close()
+
+    # ------------------------------------------------------------------
+    @before("tagged('platform.initialize')", order=0)
+    def install_fault_plan(self, jp):
+        """Give the rank's world the fault plan before its ``register``
+        fault point; registration commits in a collective, so every plan
+        is in place before any owner posts a page reply."""
+        plan = self.manager.policy.fault_plan
+        world = self.world()
+        if plan is not None and world is not None:
+            world.install_fault_plan(plan)
+
+    # ------------------------------------------------------------------
+    @around("tagged('platform.assign_blocks')", order=0)
+    def deal_survivors(self, jp):
+        """Re-deal the Blocks by the recovery plan: each surviving rank's
+        Blocks round-robin over its omp threads, in the DSL's order."""
+        assignment = jp.proceed()
+        ownership = self.manager.ownership
+        if ownership is None:
+            return assignment
+        omp = self.platform.parallelism_of("omp")
+        dealt: Dict[int, int] = {}
+        redealt = []
+        for spec, task_id in assignment:
+            rank = ownership.get(spec.logical_key)
+            if rank is not None:
+                nth = dealt.get(rank, 0)
+                dealt[rank] = nth + 1
+                task_id = rank * omp + nth % omp
+            redealt.append((spec, task_id))
+        return redealt

@@ -316,9 +316,10 @@ class ExecutionWorld(abc.ABC):
     def install_fault_plan(self, plan: Any) -> None:
         """Install a seeded fault plan honored by this world's fault points.
 
-        Must be called **before** :meth:`run_spmd` — the process backend
-        ships the plan to child ranks over ``fork`` at launch, so a plan
-        installed later is invisible to them.
+        Call it before :meth:`run_spmd` (the process backend ships the
+        plan to child ranks over ``fork``), or from every rank's context
+        before registration commits: then each rank's own copy of the
+        world, and the transport serving its page replies, takes it.
         """
         self.fault_plan = plan
 

@@ -684,6 +684,12 @@ class ProcessWorld(ExecutionWorld):
         self._send_notes: List[str] = []
 
     # -- failure injection ----------------------------------------------
+    def install_fault_plan(self, plan: Any) -> None:
+        super().install_fault_plan(plan)
+        # From rank context: reply faults act in the rank's live transport.
+        if self._transport is not None:
+            self._transport.fault_plan = plan
+
     def _execute_kill(self, fault: Any, rank: int) -> None:
         if self._forked_child:
             # Hard exit: no exit barrier, no result payload, every pipe

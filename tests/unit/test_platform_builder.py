@@ -19,7 +19,7 @@ from repro.aop import Aspect, annotate, before
 from repro.aop.registry import TAG_KERNEL
 from repro.apps import JacobiSGrid
 from repro.aspects import DistributedMemoryAspect, SharedMemoryAspect
-from repro.resilience import RecoveryManager, ResiliencePolicy
+from repro.resilience import RecoveryAspect, ResiliencePolicy
 from repro.runtime import get_backend
 
 
@@ -159,7 +159,7 @@ KNOB_HOMES = {
     "Platform.preset": Platform.preset,
     "DistributedMemoryAspect": DistributedMemoryAspect,
     "SharedMemoryAspect": SharedMemoryAspect,
-    "RecoveryManager.execute": RecoveryManager.execute,
+    "RecoveryAspect.elastic_run": RecoveryAspect.elastic_run,
     **{
         f"{name}.create_world": type(get_backend(name)).create_world
         for name in ("serial", "threads", "process")
