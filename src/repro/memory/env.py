@@ -117,7 +117,7 @@ class DenseImage:
 
     __slots__ = (
         "components", "dtype", "depth", "local_rows", "halo_rows", "chunks", "slabs", "owned",
-        "remote", "generation", "ghost_base", "ghost_keys", "ghost_vals", "pushed", "layout",
+        "remote", "generation", "ghost_base", "ghost_places", "pushed", "layout",
         "fresh",
     )
 
@@ -136,10 +136,9 @@ class DenseImage:
         self.generation = 0
         #: The first ghost row of every slab: its owned-row capacity.
         self.ghost_base = 0
-        #: The halo rows a numbering moved (sorted) and their places; the
-        #: others sit at their own row (None: all of them).
-        self.ghost_keys: Optional[np.ndarray] = None
-        self.ghost_vals: Optional[np.ndarray] = None
+        #: Per halo row, its place in the tail since the last numbering;
+        #: rows past the table (added since) sit at their own (None: all).
+        self.ghost_places: Optional[np.ndarray] = None
         #: Tail rows, from its start, that the owners' pushes fill.
         self.pushed = 0
         self.layout = 0
@@ -161,11 +160,12 @@ class DenseImage:
 
     def ghost_index(self, halo: np.ndarray) -> np.ndarray:
         """The rows of the read slab that hold the halo rows ``halo``."""
-        keys = self.ghost_keys
-        if keys is None:
+        places = self.ghost_places
+        if places is None:
             return self.ghost_base + halo
-        at = np.searchsorted(keys, halo).clip(max=keys.size - 1)
-        return self.ghost_base + np.where(keys[at] == halo, self.ghost_vals[at], halo)
+        if places.size < self.halo_rows:
+            places = self.ghost_places = np.append(places, np.arange(places.size, self.halo_rows))
+        return self.ghost_base + places[halo]
 
     def rows_of(self, slot: tuple) -> List[np.ndarray]:
         """Per buffer generation, the rows holding the pages of a Block's slot."""
@@ -219,10 +219,10 @@ class DenseImage:
         self.fresh.clear()
         kept = np.zeros(pushed.size, dtype=bool)
         kept[pushed[pushed < pushed.size]] = True
-        keys = np.concatenate([pushed, np.flatnonzero(~kept)])
-        places = np.concatenate([np.arange(pushed.size), np.sort(pushed[pushed >= pushed.size])])
-        order = np.argsort(keys)
-        self.ghost_keys, self.ghost_vals = (keys[order], places[order]) if keys.size else (None, None)
+        places = np.arange(self.halo_rows)
+        places[pushed] = np.arange(pushed.size)
+        places[np.flatnonzero(~kept)] = np.sort(pushed[pushed >= pushed.size])
+        self.ghost_places = places if pushed.size else None
 
     def swap(self) -> int:
         """Swap ``read`` and ``next`` (the new one's tail empty) and, with

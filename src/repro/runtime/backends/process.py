@@ -40,7 +40,8 @@ Messages are small tuples:
 The shared-memory data plane
 ----------------------------
 
-A world of more than one rank needs :mod:`multiprocessing.shared_memory`
+A world of more than one rank needs POSIX named shared memory, the
+``_posixshmem`` module :mod:`multiprocessing.shared_memory` is built on
 (:meth:`ProcessBackend.create_world` refuses it otherwise).  Every rank
 lazily creates a :class:`~repro.runtime.shm.SharedPageArena` — named
 segments holding one seqlock-stamped slot per served page — on its
@@ -52,7 +53,8 @@ when its transport closes; :meth:`ProcessWorld.finalize` probe-unlinks
 the deterministically named segments of ranks that died before closing
 (see :func:`~repro.runtime.shm.cleanup_rank_segments`) and the control
 segment; :meth:`ProcessBackend.create_world` first unlinks what a
-*killed parent* left behind (names carry the creating pid).
+*killed parent* left behind (names carry the creating pid).  Those are
+the whole cleanup: no ``multiprocessing`` resource tracker is started.
 
 The page-serving protocol
 -------------------------
@@ -118,7 +120,6 @@ from ..shm import (
     SharedPageArena,
     ShmVersionError,
     cleanup_rank_segments,
-    ensure_tracker_running,
     new_shm_uid,
     shm_available,
     shm_eligible,
@@ -643,8 +644,7 @@ class ProcessTransport:
                 pass
         # Shared-memory hygiene: drop the halo slot views (a mapped
         # segment with a live view cannot be closed), detach peer segments
-        # (their owners unlink them), then unlink our own arena — the one
-        # unlink per segment that retires its resource-tracker entry.
+        # (their owners unlink them), then unlink our own arena.
         for link in self._links:
             link.slot = None
         self._links = []
@@ -708,11 +708,6 @@ class ProcessWorld(ExecutionWorld):
             raise_spmd_failures(results)
             return results
 
-        # Fork the resource tracker *now* so every child inherits it: one
-        # shared tracker means segment register/unregister from any rank
-        # lands in one set, and the single unlink per segment (owner or
-        # parent sweep) retires it cleanly.
-        ensure_tracker_running()
         # The control words are mapped before the fork so every child
         # inherits them.
         self._offer_slots(ControlWords.shared(self.shm_uid, self.size))
@@ -1018,8 +1013,8 @@ class ProcessWorld(ExecutionWorld):
         # Dead-child shared-memory sweep: ranks that closed cleanly
         # already unlinked their own arenas (the probe finds nothing);
         # ranks that died mid-run left deterministically named segments
-        # the parent can still unlink — keeping /dev/shm and the
-        # resource tracker free of leaks no matter how the run ended.
+        # the parent can still unlink — keeping /dev/shm free of leaks
+        # no matter how the run ended.
         if self.size > 1:
             for rank in range(self.size):
                 cleanup_rank_segments(self.shm_uid, rank)

@@ -1,7 +1,7 @@
 """Zero-copy shared-memory page transport for the process backend.
 
 The one data plane of a multi-rank process world: each rank *publishes*
-its served pages into a named ``multiprocessing.shared_memory`` arena
+its served pages into a named POSIX shared-memory arena
 and the ``brep`` reply carries only **descriptors** — ``(segment,
 offset, nbytes, version)`` slots — that the requester maps and copies
 from directly.  The payload crossing the pipe is a few dozen bytes of
@@ -25,17 +25,16 @@ failed integrity check, it never retries.
 Segment hygiene: segment names are deterministic
 (``repro_shm_{uid}_{rank}_{seq}`` with a monotonically increasing
 ``seq``), so the parent process can *probe-unlink* every segment a dead
-child leaked without any bookkeeping channel — attach names in order
+child leaked without any bookkeeping channel — unlink names in order
 until the first ``FileNotFoundError`` (:func:`cleanup_rank_segments`).
 The ``uid`` starts with the creating process id
 (``{pid}x{random}``), so a later world can also recognise and unlink
 what a *killed parent* left behind (:func:`sweep_stale_segments`).
-On this interpreter both creating and attaching register the name with
-the ``multiprocessing`` resource tracker (set semantics when every
-process shares the tracker forked from the parent), so each segment
-must be unlinked **exactly once** — by its owner on close, or by the
-parent's sweep when the owner died — for the tracker to exit clean
-with no leak warnings.
+Those three paths — the owner's unlink on close, the parent's probe
+and the next world's sweep — are the whole cleanup: segments are
+opened with ``shm_open`` and ``mmap`` directly (:class:`SharedMemory`),
+registered with no ``multiprocessing`` resource tracker, so no tracker
+process is started.
 
 The module also holds the **control words** of the publish protocol
 (:class:`ControlWords`): per rank a pair of step-agreement words and per
@@ -47,6 +46,7 @@ layout and the ordering argument.
 
 from __future__ import annotations
 
+import mmap
 import os
 import threading
 import time
@@ -61,11 +61,9 @@ from .errors import CollectiveError, NetworkError, PageFetchError
 _sched_yield = getattr(os, "sched_yield", None)
 
 try:  # pragma: no cover - import guard exercised via shm_available()
-    from multiprocessing import resource_tracker
-    from multiprocessing.shared_memory import SharedMemory
+    import _posixshmem
 except ImportError:  # pragma: no cover - platforms without POSIX shm
-    SharedMemory = None  # type: ignore[assignment]
-    resource_tracker = None  # type: ignore[assignment]
+    _posixshmem = None
 
 __all__ = [
     "CHECK_ENV_VAR",
@@ -75,7 +73,6 @@ __all__ = [
     "ShmVersionError",
     "cleanup_rank_segments",
     "control_segment_name",
-    "ensure_tracker_running",
     "new_shm_uid",
     "protocol_checks",
     "segment_name",
@@ -128,6 +125,50 @@ class ShmVersionError(NetworkError):
     protocol this cannot happen on a healthy run, so callers treat it
     like a failed integrity check rather than retrying.
     """
+
+
+class _NamedSegment:
+    """One named POSIX shared-memory segment, mapped read-write.
+
+    ``shm_open``, ``ftruncate`` and ``mmap``, as
+    ``multiprocessing.shared_memory.SharedMemory`` does, but registered
+    with no resource tracker: the module's own unlink paths are the
+    cleanup.  ``create=True`` fails if the name exists.
+    """
+
+    __slots__ = ("name", "size", "buf", "_mmap")
+
+    def __init__(self, name: str, create: bool = False, size: int = 0) -> None:
+        flags = os.O_RDWR | (os.O_CREAT | os.O_EXCL if create else 0)
+        fd = _posixshmem.shm_open("/" + name, flags, mode=0o600)
+        try:
+            if create:
+                os.ftruncate(fd, size)
+            else:
+                size = os.fstat(fd).st_size
+            self._mmap = mmap.mmap(fd, size)
+        except BaseException:
+            if create:
+                _posixshmem.shm_unlink("/" + name)
+            raise
+        finally:
+            os.close(fd)  # the mapping keeps the segment
+        self.name, self.size = name, size
+        self.buf: Optional[memoryview] = memoryview(self._mmap)
+
+    def close(self) -> None:
+        """Unmap (``BufferError`` while a view of :attr:`buf` is alive)."""
+        if self.buf is not None:
+            self.buf.release()
+            self.buf = None
+            self._mmap.close()
+
+    def unlink(self) -> None:
+        _posixshmem.shm_unlink("/" + self.name)
+
+
+#: What the arenas, the segment caches and the control words open.
+SharedMemory = _NamedSegment if _posixshmem is not None else None
 
 
 def shm_available() -> bool:
@@ -194,19 +235,6 @@ def sweep_stale_segments(directory: str = "/dev/shm") -> int:
         except OSError:  # pragma: no cover - raced another sweeper
             pass
     return removed
-
-
-def ensure_tracker_running() -> None:
-    """Start the multiprocessing resource tracker in this process.
-
-    Must be called **before forking** rank children so they inherit the
-    parent's tracker: with one shared tracker, register/unregister of a
-    segment name from any process lands in one set and a single
-    ``unlink()`` anywhere retires the entry — no spurious leak warnings,
-    no double-unlink races between per-child trackers.
-    """
-    if resource_tracker is not None:
-        resource_tracker.ensure_running()
 
 
 def shm_eligible(data: np.ndarray) -> bool:
@@ -713,14 +741,9 @@ class ControlWords:
 def _unlink_if_present(name: str) -> bool:
     """Unlink the named segment; False when it does not exist (any more)."""
     try:
-        shm = SharedMemory(name=name)
-    except (FileNotFoundError, OSError):  # OSError: permission races at teardown
+        _posixshmem.shm_unlink("/" + name)
+    except FileNotFoundError:
         return False
-    try:
-        shm.close()
-        shm.unlink()
-    except (FileNotFoundError, OSError):  # pragma: no cover - race with owner
-        pass
     return True
 
 

@@ -475,8 +475,8 @@ class TestSegmentHygiene:
         parent = subprocess.Popen(
             [sys.executable, "-c", script],
             env=dict(os.environ, PYTHONPATH=SRC),
-            # stderr: the orphaned resource tracker reports, at its own exit,
-            # the names the sweep below already unlinked.
+            # stderr: nothing of the killed run is under test; its orphaned
+            # rank exits on its own once the parent's pipes close.
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
         )
         try:
