@@ -4,9 +4,8 @@
 Runs the Jacobi heat solver on the process backend (4 real forked rank
 processes) with tracing enabled, saves the merged timeline as a Chrome
 trace-event file — open it at https://ui.perfetto.dev or in
-``chrome://tracing`` to see one track per (rank, thread) with the
-overlapped halo flights drawn as async arrows over the interior sweeps —
-and prints the five widest spans of every rank: the quickest answer to
+``chrome://tracing`` to see one track per (rank, thread), each rank's
+sweeps and, inside its refreshes, the ``halo.wait`` spans — and prints the five widest spans of every rank: the quickest answer to
 "what was this rank doing while the others were done?".
 
 Run with::
@@ -55,8 +54,8 @@ def main() -> None:
             args = f"  {span['args']}" if span.get("args") else ""
             print(f"    {format_ns(span['dur_ns']):>10}  {span['name']}{args}")
 
-    # The halo metrics behind the picture: how long ranks blocked on the
-    # un-hidden part of the halo exchange, and how big the exchanges were.
+    # The halo metrics behind the picture: how long ranks blocked waiting
+    # for the halo, and how big the exchanges were.
     hists = run.metrics().get("histograms", {})
     for name in ("halo.wait_ns", "exchange.pages"):
         stats = hists.get(name, {}).get("all")

@@ -139,7 +139,7 @@ class PlatformRun:
 
         The file loads in Perfetto (https://ui.perfetto.dev) or
         ``chrome://tracing``: one process track per rank, one thread
-        track per (rank, thread), async halo flights as arrows.
+        track per (rank, thread).
         """
         if not self.span_events:
             raise ValueError(
@@ -163,20 +163,15 @@ class PlatformRun:
     def imbalance(self) -> dict:
         """Per-rank load-imbalance summary: max/mean updates and halo wait.
 
-        Updates come from the task counters; wait time prefers the
-        traced ``halo.wait_ns`` histogram (per-rank observations) and
-        falls back to the ``overlap_wait_ns`` counters, so the figure is
-        available with or without tracing.  Ratios are ``max/mean``
-        (1.0 = perfectly balanced).
+        Both come from the task counters (``updates``, ``halo_wait_ns``),
+        so the figure is available with or without tracing.  Ratios are
+        ``max/mean`` (1.0 = perfectly balanced).
         """
         updates: Dict[int, float] = {}
         wait: Dict[int, float] = {}
         for (rank, _thread), counters in self.counters.items():
             updates[rank] = updates.get(rank, 0) + counters.updates
-            wait[rank] = wait.get(rank, 0) + counters.overlap_wait_ns
-        wait_hist = (self.metric_data.get("histograms") or {}).get("halo.wait_ns")
-        if wait_hist:
-            wait = {rank: s["sum"] for rank, s in wait_hist["per_rank"].items()}
+            wait[rank] = wait.get(rank, 0) + counters.halo_wait_ns
 
         def stats(values: Dict[int, float]) -> tuple:
             if not values:

@@ -152,7 +152,6 @@ class TargetApplication:
         """
         trace = global_trace().for_task()
         for attempt in range(self.MAX_STEP_RETRIES):
-            trace.kernel_invocations += 1
             before = (
                 trace.updates,
                 trace.pages_fetched,

@@ -8,9 +8,8 @@ application classes by the :mod:`repro.aop` weaver:
   (``serial``/``threads``/``process`` — see
   :mod:`repro.runtime.backends`), publishes the steady-state halo where
   ranks share memory and otherwise moves pages in one bulk exchange per
-  owner, overlapped behind interior computation (:class:`PendingHalo`);
-  a multi-rank process world moves those pages through zero-copy
-  shared memory.
+  owner, complete when the refresh returns; a multi-rank process world
+  moves those pages through zero-copy shared memory.
 * :class:`SharedMemoryAspect` — the "OpenMP" layer (AspectType I/II):
   thread teams, worksharing and ``single`` regions per rank.
 
@@ -30,12 +29,11 @@ and finalized by :meth:`DistributedMemoryAspect.manage_runtime`.
 """
 
 from .base import LayerAspect
-from .mpi_aspect import DistributedMemoryAspect, PendingHalo
+from .mpi_aspect import DistributedMemoryAspect
 from .openmp_aspect import SharedMemoryAspect
 
 __all__ = [
     "LayerAspect",
     "DistributedMemoryAspect",
-    "PendingHalo",
     "SharedMemoryAspect",
 ]

@@ -22,13 +22,11 @@ This module weaves the distributed-memory layer into an application:
   pages this rank is known to need so later steps do not fail at all
   (the Dry-run record united with the halo pages of every compiled
   access plan).  Pages move one way only: **one bulk request/reply pair
-  per owning rank** (:meth:`ExecutionWorld.fetch_pages_bulk_async`).
-  The repair is issued and completed before the step barrier; the
-  prefetch is issued right after it and parked on the Env as a
-  :class:`PendingHalo`, so the next sweep computes its interior while
-  the pages travel and completes the exchange only when it first
-  touches halo data — numerically identical, with the round-trip
-  hidden behind computation.
+  per owning rank** (:meth:`ExecutionWorld.fetch_pages_bulk_async`),
+  issued to every owner, then waited for and installed.  The repair
+  runs before the step barrier, the prefetch right after it; either
+  way the exchange is complete when the refresh returns, so no halo
+  exchange is ever in flight outside this advice.
 
   Where the world's ranks share memory (``world.control``) that page
   exchange is only how a run *opens*.  The halo tables of the compiled
@@ -37,7 +35,8 @@ This module weaves the distributed-memory layer into an application:
   and from then on a step is **closed**: the per-step agreement is an
   AND over shared words, the owner *publishes* the declared rows into a
   stamped slot right after its swap, and the consumer waits for the
-  stamp — no request, no reply, no barrier.  The agreement carries, next
+  stamps and copies the slots into its ghost tail before the refresh
+  returns — no request, no reply, no barrier.  The agreement carries, next
   to "my step succeeded", each rank's statement that the pushed rows
   are all the remote data it reads; one rank that cannot say so (a
   recompiled plan, a scalar halo read, a key-less ``gather_global``)
@@ -65,7 +64,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..aop.advice import after_returning, around, before
+from ..aop.advice import after_returning, around
 from ..memory.block import BufferOnlyBlock, DataBlock
 from ..memory.mmat import sorted_unique
 from ..memory.page import PageKey
@@ -79,7 +78,7 @@ from ..runtime.task import current_task
 from ..runtime.tracing import global_trace
 from .base import LayerAspect
 
-__all__ = ["DistributedMemoryAspect", "PendingHalo", "PendingPush", "PushPlan"]
+__all__ = ["DistributedMemoryAspect", "PushPlan"]
 
 #: Flags of the per-step agreement (``world.allreduce_bits``).
 _OK = 1        # my step read no missing page
@@ -106,95 +105,66 @@ def _page_bytes(env, keys) -> int:
     return total
 
 
-class PendingHalo:
-    """One rank's bulk page exchange, issued but not yet installed.
-
-    Created by the refresh advice (the ``breq`` manifests already on the
-    wire, or the batch already served where the world serves at issue)
-    with the manifest it issued — ``(logical block key, page index) →
-    local PageKey``.  A repair completes it at once; a prefetch is
-    attached to the rank's Env via
-    :meth:`~repro.memory.env.Env.set_pending_halo`, and the first reader
-    that needs halo data — the boundary phase of a fused
-    :meth:`~repro.dsl.base.BlockKernel.sweep`, a boundary plan segment, a
-    scalar Buffer-only access, or the next refresh — calls
-    :meth:`complete`, which waits the :class:`CommHandle`, bulk-installs
-    the pages and accounts the traffic plus the ``overlap_*`` timing
-    counters.  Everything between issue and completion is computation
-    the exchange latency hid behind.
-    """
-
-    __slots__ = ("manifest", "handle", "trace", "issued_ns", "span_token")
-
-    def __init__(
-        self, manifest: Dict[Tuple[Any, int], PageKey], handle: CommHandle, trace, span_token=None
-    ) -> None:
-        self.manifest = manifest
-        self.handle = handle
-        self.trace = trace
-        self.issued_ns = time.perf_counter_ns()
-        #: Async span token of the issue→complete flight (None untraced).
-        self.span_token = span_token
-
-    def describe(self) -> str:
-        return f"halo exchange of {_named(self.manifest.values())}"
-
-    def complete(self, env, *, drained: bool = False) -> None:
-        """Wait for the exchange, install its pages, account the traffic.
-
-        ``drained=True`` marks a completion at a synchronisation point
-        (a repair, refresh entry, finalize, re-issue) where no interior
-        compute ran in between — counted separately so the
-        overlap-efficiency report distinguishes hidden from merely
-        deferred latency.
-        """
-        trace = self.trace
-        result, timing = _wait_halo(self, drained)
-        manifest = self.manifest
-        env.page_install_many((manifest[lk, page], data) for lk, page, data in result.pages)
-        trace.pages_fetched += len(result.pages)
-        trace.bytes_fetched += result.nbytes
-        trace.messages += 2 * result.exchanges
-        trace.comm_plan_exchanges += result.exchanges
-        trace.comm_plan_pages += len(result.pages)
-        _account_wait(self, drained, timing)
-        metric_record("exchange.pages", len(result.pages))
-
-
-def _wait_halo(pending, drained: bool):
-    """Wait ``pending.handle``: ``(result, (ns spent waiting, ns since issue))``.
+def _wait_halo(handle: CommHandle, what, trace):
+    """Wait ``handle`` under the ``halo.wait`` span and credit the time
+    blocked to ``trace.halo_wait_ns``; returns its :class:`BulkFetchResult`.
 
     A wait that fails — a dropped or corrupt reply, a timeout, a dead
-    owner — raises :class:`PageFetchError` naming what was outstanding.
+    owner — raises :class:`PageFetchError` naming ``what()`` was outstanding.
     """
-    tracer = global_tracer()
     wait_start = time.perf_counter_ns()
     try:
-        with tracer.span("halo.wait", drained=drained):
-            result = pending.handle.wait()
+        with global_tracer().span("halo.wait"):
+            result = handle.wait()
     except PageFetchError:
         raise
     except (NetworkError, CollectiveError) as exc:
-        raise PageFetchError(f"{pending.describe()} failed: {exc}") from exc
-    completed = time.perf_counter_ns()
-    tracer.async_end(pending.span_token, drained=drained)
-    return result, (completed - wait_start, completed - pending.issued_ns)
-
-
-def _account_wait(pending, drained: bool, timing: Tuple[int, int]) -> None:
-    """Credit a completed halo wait to the ``overlap_*`` timing counters."""
-    trace = pending.trace
-    if drained:
-        # Drained latency was deferred, not hidden: keep it out of
-        # the wait/flight sums so overlap efficiency only measures
-        # exchanges a sweep actually computed behind.
-        trace.overlap_drained += 1
-        return
-    waited_ns, flight_ns = timing
-    trace.overlap_wait_ns += waited_ns
-    trace.overlap_flight_ns += flight_ns
+        raise PageFetchError(f"{what()} failed: {exc}") from exc
+    waited_ns = time.perf_counter_ns() - wait_start
+    trace.halo_wait_ns += waited_ns
     metric_record("halo.wait_ns", waited_ns)
-    metric_record("halo.flight_ns", flight_ns)
+    return result
+
+
+def _install_pages(env, manifest: Dict[Tuple[Any, int], PageKey], handle: CommHandle, trace) -> None:
+    """Wait for one rank's bulk page exchange, install its pages, account
+    the traffic.  ``manifest`` maps what was issued — ``(logical block
+    key, page index)`` — to the local :class:`PageKey`."""
+    result = _wait_halo(handle, lambda: f"halo exchange of {_named(manifest.values())}", trace)
+    env.page_install_many((manifest[lk, page], data) for lk, page, data in result.pages)
+    trace.pages_fetched += len(result.pages)
+    trace.bytes_fetched += result.nbytes
+    trace.messages += 2 * result.exchanges
+    trace.comm_plan_exchanges += result.exchanges
+    trace.comm_plan_pages += len(result.pages)
+    metric_record("exchange.pages", len(result.pages))
+
+
+def _copy_pushes(env, plan: PushPlan, world, rank: int, trace) -> None:
+    """Wait for the stamps of exactly the owners ``rank`` reads — through
+    ``CommHandle.wait``, so halo waiting is measured in one place — copy
+    each owner's slot, one contiguous copy, into its run of the ghost tail
+    (:meth:`~repro.memory.env.Env.copy_pushes`), which the plans then read
+    until the next swap, and account the traffic."""
+    round = world.halo_round(rank)
+    handle = world.await_halo(rank, [link for link, _ in plan.inbound])
+    result = _wait_halo(handle, lambda: f"published halo of {plan.inbound_sites} sites", trace)
+    slots = [_slot_rows(link, image, lo, hi) for link, tables in plan.inbound
+             for image, _, lo, hi in tables]
+    env.copy_pushes(slots, check=protocol_checks())
+    if protocol_checks():
+        # REPRO_CHECK: the slots hold, per owner, what it stored — nothing
+        # rewrote them before this rank's copy.
+        for link, tables in plan.inbound:
+            crc = 0
+            for _, _, lo, hi in tables:
+                crc = zlib.crc32(link.slot[lo:hi], crc)
+            world.control.acknowledge(link.owner, link.consumer, round, crc)
+    trace.bytes_fetched += result.nbytes
+    trace.messages += result.exchanges
+    trace.halo_pushes += result.exchanges
+    trace.halo_sites += plan.inbound_sites
+    metric_record("exchange.sites", plan.inbound_sites)
 
 
 def _slot_rows(link: HaloLink, image, lo: int, hi: int) -> np.ndarray:
@@ -236,60 +206,6 @@ class PushPlan:
     inbound_sites: int = 0
     #: Whether any agreed step ran closed on this plan yet.
     closed_once: bool = False
-
-
-class PendingPush:
-    """The owners' pushes of one closed step, awaited but not yet read.
-
-    The publish-protocol sibling of :class:`PendingHalo`, parked on the
-    Env the same way: the first halo reader of the next sweep (or the
-    next refresh) calls :meth:`complete`, which waits the stamps of
-    exactly the owners this rank reads — through ``CommHandle.wait``, so
-    halo waiting is measured where it always was — and copies each
-    owner's slot, one contiguous copy, into its run of the ghost tail
-    (:meth:`~repro.memory.env.Env.copy_pushes`), which the plans then
-    read until the next swap.
-    """
-
-    __slots__ = ("plan", "handle", "trace", "issued_ns", "span_token", "world", "round")
-
-    def __init__(self, plan: PushPlan, world, rank: int, trace) -> None:
-        self.plan = plan
-        self.world = world
-        self.round = world.halo_round(rank)
-        self.handle = world.await_halo(rank, [link for link, _ in plan.inbound])
-        self.trace = trace
-        self.issued_ns = time.perf_counter_ns()
-        self.span_token = global_tracer().async_begin("halo.flight", sites=plan.inbound_sites)
-
-    def describe(self) -> str:
-        return f"published halo of {self.plan.inbound_sites} sites"
-
-    def complete(self, env, *, drained: bool = False) -> None:
-        """Wait for the stamps, copy the slots into the tail, account the traffic."""
-        trace = self.trace
-        plan = self.plan
-        result, timing = _wait_halo(self, drained)
-        slots = [_slot_rows(link, image, lo, hi) for link, tables in plan.inbound
-                 for image, _, lo, hi in tables]
-        env.copy_pushes(slots, check=protocol_checks())
-        if protocol_checks():
-            self.acknowledge()
-        trace.bytes_fetched += result.nbytes
-        trace.messages += result.exchanges
-        trace.halo_pushes += result.exchanges
-        trace.halo_sites += plan.inbound_sites
-        _account_wait(self, drained, timing)
-        metric_record("exchange.sites", plan.inbound_sites)
-
-    def acknowledge(self) -> None:
-        """REPRO_CHECK, once the slots are copied: they hold, per owner,
-        what it stored — nothing rewrote them before this rank's copy."""
-        for link, tables in self.plan.inbound:
-            crc = 0
-            for _, _, lo, hi in tables:
-                crc = zlib.crc32(link.slot[lo:hi], crc)
-            self.world.control.acknowledge(link.owner, link.consumer, self.round, crc)
 
 
 class DistributedMemoryAspect(LayerAspect):
@@ -417,12 +333,6 @@ class DistributedMemoryAspect(LayerAspect):
         rank = task.mpi_rank
         trace = global_trace().for_task()
         warmup = bool(jp.args[0]) if jp.args else bool(jp.kwargs.get("warmup", False))
-
-        # Finish any halo refresh still in flight (e.g. the sweep never
-        # touched halo data this step) before agreeing on the step
-        # outcome: its data counts as delivered, not missing.
-        env.complete_pending_halo(drained=True)
-
         tracer = global_tracer()
         local_ok = not env.missing_pages
         push = self._push_plans.get(rank)
@@ -463,7 +373,7 @@ class DistributedMemoryAspect(LayerAspect):
 
         if agreed & _CLOSED:
             # … and every rank reads nothing but pushed rows: publish mine
-            # (the stamp orders what the barrier used to), await theirs.
+            # (the stamp orders what the barrier used to), copy theirs in.
             push.closed_once = True
             # The Dry-run record lies inside ``push.pages`` (else the step
             # were open): those are the pages the paper's prototype fetches.
@@ -474,7 +384,7 @@ class DistributedMemoryAspect(LayerAspect):
                 env.check_pushed_rows()
             with tracer.span("halo.publish", links=len(push.outbound)):
                 self._publish(env, push)
-            env.set_pending_halo(PendingPush(push, world, rank, trace))
+            _copy_pushes(env, push, world, rank, trace)
             return result
 
         if reason is not None and not warmup and world.size > 1 and (
@@ -487,8 +397,7 @@ class DistributedMemoryAspect(LayerAspect):
         # … then prefetch, with the owners' new data, every page this rank
         # is known to need for the next step: the Dry-run record (pages
         # that were observed missing) united with the halo pages of every
-        # compiled access plan — one bulk exchange per owner, issued now
-        # and awaited behind the next interior sweep.
+        # compiled access plan — one bulk exchange per owner.
         env.invalidate_buffer_only()
         with self._lock:
             prefetch = set(self._dry_run.get(rank, ()))
@@ -497,10 +406,7 @@ class DistributedMemoryAspect(LayerAspect):
         if not warmup:
             trace.paper_pages += len(prefetch)
             trace.paper_bytes += _page_bytes(env, prefetch)
-        pending = self._issue_halo(env, rank, prefetch, trace)
-        if pending is not None:
-            trace.overlap_issues += 1
-            env.set_pending_halo(pending)
+        self._fetch_pages(env, rank, prefetch, trace)
         if not agreed & _CURRENT:
             # Some rank's plans changed since the last negotiation (or
             # there was none): tell the owners what is read now, so the
@@ -534,19 +440,6 @@ class DistributedMemoryAspect(LayerAspect):
             if not self._dry_run.get(rank, set()) <= push.pages:
                 return "dry-run pages outside plans"
         return None
-
-    # ------------------------------------------------------------------
-    @before("tagged('platform.finalize')", order=0)
-    def drain_overlap(self, jp):
-        """Complete a halo exchange still in flight when the program ends.
-
-        The last step's refresh issues an exchange no sweep will ever
-        consume; draining it here accounts its traffic and leaves no
-        reply in flight when the world tears down.
-        """
-        env = getattr(jp.target, "env", None)
-        if env is not None:
-            env.complete_pending_halo(drained=True)
 
     # ------------------------------------------------------------------
     # publish protocol
@@ -668,31 +561,23 @@ class DistributedMemoryAspect(LayerAspect):
     # ------------------------------------------------------------------
     def _repair(self, env, rank: int, keys: Set[PageKey], trace) -> None:
         """Fetch the pages ``keys`` a failed step missed into the Dry-run
-        record and the Env: one bulk exchange per owner, completed at once."""
+        record and the Env: one bulk exchange per owner."""
         with self._lock:
             self._dry_run.setdefault(rank, set()).update(keys)
-        pending = self._issue_halo(env, rank, keys, trace)
-        if pending is not None:
-            pending.complete(env, drained=True)
+        self._fetch_pages(env, rank, keys, trace)
 
-    def _issue_halo(self, env, rank: int, keys: Set[PageKey], trace) -> Optional[PendingHalo]:
-        """Start moving the pages ``keys`` here: one bulk request/reply pair
-        per owning rank (:meth:`ExecutionWorld.fetch_pages_bulk_async`).
-
-        Returns the exchange in flight (``None`` for no pages); the
-        caller completes it at once (a repair) or parks it on the Env (a
-        prefetch).  Owner-resolution failures surface here, at issue time.
+    def _fetch_pages(self, env, rank: int, keys: Set[PageKey], trace) -> None:
+        """Move the pages ``keys`` here: one bulk request/reply pair per
+        owning rank (:meth:`ExecutionWorld.fetch_pages_bulk_async`), issued
+        to every owner, then waited for and installed.  Owner-resolution
+        failures surface at issue time.
         """
         if not keys:
-            return None
+            return
         manifest = {
             (self._logical_key(rank, env.block(key.block_id), repr(key)), key.page_index): key
             for key in sorted(keys)
         }
-        # The flight span opens at issue time and is closed by whichever
-        # reader completes the PendingHalo — Perfetto draws the b/e pair
-        # as an arrow across everything computed in between.
-        token = global_tracer().async_begin("halo.flight", pages=len(manifest))
         try:
             handle = self.world.fetch_pages_bulk_async(rank, list(manifest))
         except PageFetchError:
@@ -701,7 +586,7 @@ class DistributedMemoryAspect(LayerAspect):
             raise PageFetchError(
                 f"rank {rank} failed to issue the halo exchange of {_named(keys)}: {exc}"
             ) from exc
-        return PendingHalo(manifest, handle, trace, span_token=token)
+        _install_pages(env, manifest, handle, trace)
 
     # ------------------------------------------------------------------
     def on_detach(self, platform) -> None:

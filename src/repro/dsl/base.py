@@ -355,9 +355,7 @@ class BlockKernel:
         fused kernel (:mod:`repro.kernels`), warm-up passes included: the
         compiled plan fills a padded scratch field and ``fn`` runs once,
         on one contiguous 1-D slice of it per offset (the pad columns'
-        lanes are the dropped ones); while a halo exchange is in flight
-        it computes the interior first and hides the wait behind it.  Any
-        other sweep (MMAT off, multi-component Blocks) is
+        lanes are the dropped ones).  Any other sweep (MMAT off, multi-component Blocks) is
         ``scatter(fn(*gather(offsets)))``, ``fn`` on Block-shaped arrays.
         """
         offsets = tuple(tuple(int(c) for c in off) for off in offsets)

@@ -12,8 +12,8 @@ n_elem)`` gather tensor and re-indexing it per offset:
 * only the out-of-block plan sites — the boundary "ring": mirror
   boundaries, neighbour blocks, halo pages, compile-time constants,
   which are all an offsets plan's segments hold — are filled through
-  precomputed (deduplicated) gather tables (the generated fills of
-  :mod:`repro.kernels.numpy_src`);
+  precomputed (deduplicated) gather tables, one per image class (the
+  generated fill of :mod:`repro.kernels.numpy_src`);
 * ``fn`` is applied once, to one contiguous 1-D slice of ``P``'s flat
   buffer per offset: each slice starts at the first interior cell
   shifted by the offset's flat distance and covers whole padded rows of
@@ -23,10 +23,8 @@ n_elem)`` gather tensor and re-indexing it per offset:
   interior cell) and are dropped: one strided ``np.copyto`` stores the
   kept lanes into the write buffer (dense-image rows).
 
-While an overlapped halo exchange is in flight the kernel computes the
-whole field first, waits for the halo, then recomputes only the
-boundary rim into the same flat result (:meth:`FusedKernel._overlap_step`),
-so the wait hides behind the interior.  ``fn`` must therefore be
+The halo a kernel reads is complete before the sweep starts: the
+refresh that published or fetched it waited for it.  ``fn`` must be
 elementwise over sites — true for every stencil update.
 
 Fused kernels are cached on the :class:`~repro.memory.mmat.MMAT`
@@ -46,7 +44,7 @@ __all__ = ["FusedKernel", "fused_kernel_for"]
 
 
 class FusedKernel:
-    """One plan + fn fused into generated fills, one flat compute and one store."""
+    """One plan + fn fused into a generated fill, one flat compute and one store."""
 
     def __init__(self, block, plan) -> None:
         if plan.kind != "offsets" or plan.components != 1:
@@ -86,13 +84,11 @@ class FusedKernel:
         # -- ring-fill tables (the plan's segments and constants are ----
         #    exactly its out-of-block sites)
         #: The plan's merged tables re-aimed at the padded field's ring
-        #: cells: ``(owned, ghost)``, both over the image's ``owned ∥
-        #: ghost`` array, filled by ``PlanSegment.gather``; the ghost ones
-        #: after the halo wait.
-        self.ring_tables = tuple(
-            [seg.with_sites(*self._ring_positions(seg.dst_idx)) for seg in part]
-            for part in plan.split()
-        )
+        #: cells, one per image class over its ``owned ∥ ghost`` array,
+        #: filled by ``PlanSegment.gather``.
+        self.ring_tables = [
+            seg.with_sites(*self._ring_positions(seg.dst_idx)) for seg in plan.segments
+        ]
         if plan.const_dst is not None:
             pos, first = self._ring_positions(plan.const_dst)
             self.const_pos = pos
@@ -102,19 +98,14 @@ class FusedKernel:
         else:
             self.const_pos = None
             self.const_vals = None
-        #: Cells to stamp before the compute: ``(plain, overlapped)``.
-        self._stamps = self._stamp_positions()
+        #: Cells to stamp before the compute.
+        self.stamps = self._stamp_positions()
 
         # -- generated code --------------------------------------------
         module = compile_module(
             (shape, pad_lo, self.pshape, plan.offsets, self._flat, start)
         )
-        self._fill_interior = module["fill_interior"]
-        self._fill_boundary = module["fill_boundary"]
-
-        #: ``(lanes, per-offset reads)`` of the halo-touching elements (the
-        #: overlap rim), resolved lazily.
-        self._rim = None
+        self._fill = module["fill"]
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -136,23 +127,21 @@ class FusedKernel:
         uniq, first = np.unique(pos, return_index=True)
         return uniq.astype(np.intp), first
 
-    def _stamp_positions(self):
+    def _stamp_positions(self) -> np.ndarray:
         """The cells the flat slices read that no fill writes — pad corners
-        and margin cells, read only by dropped lanes — and, for a compute
-        before the halo wait, those plus the ghost ring cells.  Each sweep
-        copies an interior value into them, so every lane computes on field
-        values, never on what another kernel left in the shared field."""
+        and margin cells, read only by dropped lanes.  Each sweep copies an
+        interior value into them, so every lane computes on field values,
+        never on what another kernel left in the shared field."""
         unfilled = np.zeros(self._flat, dtype=bool)
         for sl in self._slices:
             unfilled[sl] = True
         interior = tuple(slice(a, a + n) for a, n in zip(self.pad_lo, self.shape))
         unfilled[: int(np.prod(self.pshape))].reshape(self.pshape)[interior] = False
-        for seg in self.ring_tables[0] + self.ring_tables[1]:
+        for seg in self.ring_tables:
             unfilled[seg.dst_idx] = False
         if self.const_pos is not None:
             unfilled[self.const_pos] = False
-        stamp = np.flatnonzero(unfilled)
-        return stamp, np.concatenate([stamp] + [seg.dst_idx for seg in self.ring_tables[1]])
+        return np.flatnonzero(unfilled)
 
     def padded(self, env) -> np.ndarray:
         """The calling thread's flat padded field (called from the generated
@@ -167,7 +156,7 @@ class FusedKernel:
     @property
     def nbytes(self) -> int:
         """Memory held by the ring tables (Fig. 12 bench)."""
-        total = sum(seg.nbytes for part in self.ring_tables for seg in part)
+        total = sum(seg.nbytes for seg in self.ring_tables)
         if self.const_pos is not None:
             total += self.const_pos.nbytes + self.const_vals.nbytes
         return total
@@ -178,17 +167,9 @@ class FusedKernel:
     def __call__(self, env, fn, trace, work: int) -> None:
         """One fused whole-block sweep, accounted as a plan execution."""
         plan = self.plan
-        tracer = global_tracer()
-        if plan.has_halo and env.has_pending_halo():
-            missing = self._overlap_step(env, fn, tracer)
-        else:
-            # No halo dependence (or no exchange in flight): leave any
-            # pending exchange alone — another block's boundary sweep is
-            # the one meant to hide behind it.
-            with tracer.span("sweep"):
-                F = self._fill_interior(self, env, self._stamps[0])
-                missing = self._fill_boundary(self, env, F)
-                self._store(self._compute(F, fn))
+        with global_tracer().span("sweep"):
+            F, missing = self._fill(self, env)
+            self._store(self._compute(F, fn))
         plan.account(env, missing)
         env.mmat.note_execution(plan)
         trace.plan_gathers += 1
@@ -207,37 +188,6 @@ class FusedKernel:
             res = res.reshape(self._rows)[self._keep]
         rows = self.block.buffer.write_buffer.runs()[0]
         np.copyto(rows.reshape(self.shape), res, casting="unsafe")
-
-    # ------------------------------------------------------------------
-    # overlapped sweep (interior-first / halo-wait / boundary-rim)
-    # ------------------------------------------------------------------
-    def _rim_lanes(self):
-        """The rim's lanes of the flat result and, per offset, the cells
-        of ``F`` they read (computed once per kernel)."""
-        if self._rim is None:
-            _, boundary = self.plan.element_partition()
-            lanes = np.ravel_multi_index(np.unravel_index(boundary, self.shape), self.pshape)
-            self._rim = (lanes, [lanes + sl.start for sl in self._slices])
-        return self._rim
-
-    def _overlap_step(self, env, fn, tracer) -> int:
-        """Compute the field while the halo travels, wait for it, then
-        recompute the halo-dependent rim into the same flat result."""
-        lanes, reads = self._rim_lanes()
-        with tracer.span("sweep.interior", sites=self.n_elem - int(lanes.size)):
-            F = self._fill_interior(self, env, self._stamps[1])
-            # Full-field compute while the halo is in flight: rim lanes
-            # read the stamped ghost ring and are recomputed below.
-            res = self._compute(F, fn)
-        env.complete_pending_halo()
-        with tracer.span("sweep.boundary", sites=int(lanes.size)):
-            missing = self._fill_boundary(self, env, F)
-            if lanes.size:
-                if res.shape != (self._span,) or not res.flags.writeable:
-                    res = np.broadcast_to(res, (self._span,)).copy()
-                res[lanes] = fn(*[F[p] for p in reads])
-        self._store(res)
-        return missing
 
 
 def fused_kernel_for(

@@ -2,16 +2,13 @@
 
 A fused sweep (:class:`~repro.kernels.fused.FusedKernel`) fills the
 thread's padded scratch field, then computes and stores.  This module
-emits the two fills, specialised to one structural signature:
-
-1. ``fill_interior`` — copy the block's own read buffer (a slice of
-   the dense image) into the interior of the padded field ``P``, stamp
-   the kernel's unfilled cells with an interior value, and fill the
-   ring cells served by locally-owned sources (mirror boundaries,
-   neighbour Data Blocks) with precomputed gather tables;
-2. ``fill_boundary`` — after :meth:`~repro.memory.env.Env.fill_ghosts`
-   (the halo wait), fill the ring cells served by Buffer-only (halo)
-   sources from the same image array through the ghost ring table.
+emits the fill, specialised to one structural signature: make the
+plan's ghost rows current (:meth:`~repro.memory.env.Env.fill_ghosts`),
+copy the block's own read buffer (a slice of the dense image) into the
+interior of the padded field ``P``, stamp the kernel's unfilled cells
+with an interior value, and fill the ring cells — mirror boundaries,
+neighbour Data Blocks and halo rows alike — through one precomputed
+gather table per image class.
 
 The compute that follows reads ``P`` through its flat buffer ``F``
 (``P`` is ``F``'s head; a trailing margin takes the last padded row's
@@ -36,38 +33,31 @@ _CODE: Dict[Tuple, object] = {}
 
 
 def emit_source(signature: Tuple) -> str:
-    """Emit the fill functions' source for one structural signature."""
+    """Emit the fill function's source for one structural signature."""
     shape, pad_lo, pshape, offsets, flat, start = signature
     psize = int(np.prod(pshape))
     interior = ", ".join(f"{a}:{a + n}" for a, n in zip(pad_lo, shape))
     shape_r = repr(tuple(int(s) for s in shape))
     lines = [
-        f"# fused fills: shape={shape_r} pad={tuple(pad_lo)!r} offsets={offsets!r}",
+        f"# fused fill: shape={shape_r} pad={tuple(pad_lo)!r} offsets={offsets!r}",
         "",
-        "def fill_interior(K, env, stamp):",
+        "def fill(K, env):",
+        "    missing = env.fill_ghosts(K.plan)",
         "    F = K.padded(env)",
         f"    F[:{psize}].reshape({tuple(pshape)!r})[{interior}] = "
         f"env.dense_read(K.block)[:, 0].reshape({shape_r})",
-        f"    F[stamp] = F[{start}]",
+        f"    F[K.stamps] = F[{start}]",
         f"    ring = F.reshape({flat}, 1)",
-        "    for table in K.ring_tables[0]:",
+        "    for table in K.ring_tables:",
         "        table.gather(env, ring)",
-        "    return F",
-        "",
-        "def fill_boundary(K, env, F):",
-        "    missing = env.fill_ghosts(K.plan)",
-        f"    ring = F.reshape({flat}, 1)",
-        "    for table in K.ring_tables[1]:",
-        "        table.gather(env, ring)",
-        "    return missing",
+        "    return F, missing",
         "",
     ]
     return "\n".join(lines)
 
 
 def compile_module(signature: Tuple) -> dict:
-    """A fresh namespace holding the generated ``fill_interior`` and
-    ``fill_boundary`` of ``signature``."""
+    """A fresh namespace holding the generated ``fill`` of ``signature``."""
     code = _CODE.get(signature)
     if code is None:
         label = "x".join(str(int(s)) for s in signature[0])

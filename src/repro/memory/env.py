@@ -23,7 +23,6 @@ The Env implements the Memory Library's Block-based interface
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -278,12 +277,6 @@ class Env:
         self.last_failed_pages: Set[PageKey] = set()
         #: The step counter advanced by successful, non-warm-up refreshes.
         self.step = 0
-        #: In-flight overlapped halo exchange installed by the
-        #: distributed-memory aspect (an object with ``complete(env, *,
-        #: drained=...)``); completed lazily by the first reader that
-        #: needs halo data, or drained at the next refresh / finalize.
-        self._pending_halo = None
-        self._halo_lock = threading.Lock()
         #: Publish protocol (set by the distributed-memory aspect): per
         #: slot table the ``(image, sorted halo rows, first tail row)`` the
         #: owners push into it, and whether the read slabs' tails hold this
@@ -463,15 +456,6 @@ class Env:
         self.last_failed_pages = set()
         if warmup:
             return True
-        if self._pending_halo is not None:
-            # A parked exchange would land its rows on the swapped images.
-            from ..runtime.shm import protocol_checks  # memory sits below runtime
-
-            if protocol_checks():
-                raise EnvError(
-                    f"Env {self.name!r} swaps with a halo exchange still parked "
-                    "(every PendingHalo must complete before a swap)"
-                )
         # The one place buffers swap: every owned Block's and, with them,
         # the slabs they are rows of.
         for image in self._images.values():
@@ -538,13 +522,6 @@ class Env:
             index = block.element_index(addr)
             buf = block.buffer.read_buffer
             page = buf.pages[buf.page_of(index)]
-            if not (block.is_valid or page.valid):
-                # An overlapped halo exchange may still be in flight; its
-                # pages count as present — complete it and re-check before
-                # declaring the page missing (scalar-path overlap hook).
-                if self._pending_halo is not None:
-                    self.complete_pending_halo()
-                    page = buf.pages[buf.page_of(index)]
             if not (block.is_valid or page.valid):
                 key = PageKey(block.block_id, page.index)
                 self.missing_pages.add(key)
@@ -742,48 +719,6 @@ class Env:
         self.invalidate_dense(b.block_id for b in stale)
 
     # ------------------------------------------------------------------
-    # overlapped halo exchange (used by the distributed-memory aspect)
-    # ------------------------------------------------------------------
-    def set_pending_halo(self, pending) -> None:
-        """Install an in-flight overlapped halo exchange on this Env.
-
-        Any exchange still pending from a previous step is completed
-        first (its pages would otherwise overwrite the newer data),
-        then ``pending`` becomes the exchange the next halo reader —
-        a boundary plan segment, a scalar Buffer-only access, or the
-        next refresh — will complete.
-        """
-        self.complete_pending_halo(drained=True)
-        with self._halo_lock:
-            self._pending_halo = pending
-
-    def has_pending_halo(self) -> bool:
-        """Whether an overlapped halo exchange is still in flight."""
-        return self._pending_halo is not None
-
-    def complete_pending_halo(self, *, drained: bool = False) -> bool:
-        """Wait for and install the in-flight halo exchange, if any.
-
-        Thread-safe (hybrid runs: several shared-memory threads sweep
-        one rank's Env concurrently — exactly one completes the
-        exchange, the others block until the pages are installed).
-        ``drained=True`` marks a completion that hid no latency (refresh
-        entry / re-issue), accounted separately by the aspect.  Returns
-        True when an exchange was completed by this call.
-        """
-        if self._pending_halo is None:
-            return False
-        with self._halo_lock:
-            pending = self._pending_halo
-            if pending is None:
-                return False
-            try:
-                pending.complete(self, drained=drained)
-            finally:
-                self._pending_halo = None
-            return True
-
-    # ------------------------------------------------------------------
     # pushed halo (publish protocol of the distributed-memory aspect)
     # ------------------------------------------------------------------
     @property
@@ -797,7 +732,7 @@ class Env:
         compiled plan read — the sites an owner must publish."""
         tables: Dict[int, Tuple[DenseImage, list]] = {}
         for plan in self.mmat.plans.values():
-            for seg in plan.split()[1]:
+            for seg in plan.halo_segments:
                 tables.setdefault(id(seg.image), (seg.image, []))[1].append(seg.ghost_halo)
         return [(image, sorted_unique(np.concatenate(parts))) for image, parts in tables.values()]
 
@@ -835,14 +770,12 @@ class Env:
         self._pushes_in = True
 
     def fill_ghosts(self, plan) -> int:
-        """Make the ghost rows ``plan`` reads current — the pending halo
-        completed, then, unless the pushes are in and cover the plan, its
-        pages checked once: valid ones of Blocks not ``fresh`` copied in,
-        invalid ones recorded missing (the step is re-executed) and counted."""
-        if not plan.has_halo:  # a plan of owned rows leaves the halo in flight
+        """Make the ghost rows ``plan`` reads current: unless the pushes are
+        in and cover the plan, its pages checked once — valid ones of Blocks
+        not ``fresh`` copied in, invalid ones recorded missing (the step is
+        re-executed) and counted."""
+        if not plan.has_halo:
             return 0
-        if self._pending_halo is not None:
-            self.complete_pending_halo()
         pushed = self._pushes_in and plan.covered()
         missing = 0
         for key, block in () if pushed else plan.pages:
@@ -853,7 +786,7 @@ class Env:
             if block.block_id not in image.fresh:
                 self._fill_ghosts(image, block)
         from ..runtime.shm import protocol_checks  # memory sits below runtime
-        for seg in plan.split()[1] if protocol_checks() else ():
+        for seg in plan.halo_segments if protocol_checks() else ():
             filled = seg.image.pushed if pushed else seg.image.halo_rows
             if seg.rows()[0].max() >= seg.image.ghost_base + filled:
                 raise EnvError(f"Env {self.name!r}: a compiled table reads past the filled tail")

@@ -88,9 +88,7 @@ class PlanSegment:
     """One merged gather table of an :class:`AccessPlan`: sites that read
     one image class of the dense read image
     (:class:`~repro.memory.env.DenseImage`) — owned rows and ghost rows
-    alike — however many Blocks (``sources``) they land in.  An offsets
-    plan keeps its ghost sites in a table of their own, which a fused
-    kernel fills after the halo wait.
+    alike — however many Blocks (``sources``) they land in.
 
     ``src_idx`` is, per site, an owned image row, or a Buffer-only halo
     row ``h`` as ``-1 - h``: :meth:`rows` aims these ``ghost_sites`` at
@@ -186,9 +184,7 @@ class AccessPlan:
         "slices",
         "own_rows",
         "pages",
-        "_split",
-        "_halo_sites",
-        "_elem_partition",
+        "halo_segments",
     )
 
     def __init__(
@@ -214,10 +210,12 @@ class AccessPlan:
         self.n_sites = int(n_sites)
         self.components = block.components
         self.dtype = np.dtype(block.buffer.read_buffer.dtype)
-        #: Merged gather tables — one per image class; an offsets plan's
-        #: ghost sites in one more — for the sites that leave the Block
-        #: (an offsets plan's ring) or, for address plans, for every site.
+        #: Merged gather tables — one per image class — for the sites that
+        #: leave the Block (an offsets plan's ring) or, for address plans,
+        #: for every site.
         self.segments = segments
+        #: The tables that read ghost rows.
+        self.halo_segments = [seg for seg in segments if seg.halo]
         #: ``(PageKey, Block)`` of every Buffer-only page the ghost sites read.
         self.pages = list(pages)
         self.const_dst = const_dst
@@ -256,66 +254,16 @@ class AccessPlan:
             double = segments[0].image.depth > 1
             if rows.size and double and np.array_equal(rows, rows[0] + np.arange(rows.size)):
                 self.own_rows = slice(int(rows[0]), int(rows[0]) + rows.size)
-        self._split: Optional[Tuple[List[PlanSegment], List[PlanSegment]]] = None
-        self._halo_sites: Optional[np.ndarray] = None
-        self._elem_partition: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
-    def split(self) -> Tuple[List[PlanSegment], List[PlanSegment]]:
-        """Partition the tables into ``(interior, boundary)``: those reading
-        only owned rows, which may run before a halo exchange completed, and
-        those reading ghost rows, which must wait (an offsets plan keeps its
-        ghost sites apart: the fused kernel hides the wait behind the rest)."""
-        if self._split is None:
-            interior = [seg for seg in self.segments if not seg.halo]
-            boundary = [seg for seg in self.segments if seg.halo]
-            self._split = (interior, boundary)
-        return self._split
-
     @property
     def has_halo(self) -> bool:
         """Whether any segment gathers from a Buffer-only (halo) source."""
-        return bool(self.split()[1])
+        return bool(self.halo_segments)
 
     def covered(self) -> bool:
         """Whether every ghost row the plan reads is a pushed one."""
-        return all(seg.rows()[1] for seg in self.split()[1])
-
-    def halo_sites(self) -> np.ndarray:
-        """Flat output sites that read ghost rows, sorted."""
-        if self._halo_sites is None:
-            sites = [
-                seg.ghost_sites if seg.dst_idx is None else seg.dst_idx[seg.ghost_sites]
-                for seg in self.split()[1]
-            ]
-            self._halo_sites = sorted_unique(np.concatenate(sites)) if sites else np.empty(0, np.intp)
-        return self._halo_sites
-
-    def element_partition(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(interior, boundary)`` output *elements* of an offsets plan.
-
-        Valid for plans whose site order is offset-major over the block's
-        elements (``compile_offsets_plan``): a boundary element is one
-        whose stencil reaches halo data at any offset.  Cached — the
-        partition is pure in the plan, and the overlapped sweep needs it
-        every step.
-
-        Address plans (``gather_global``) have no element-major site
-        order, so the modulo arithmetic below would silently produce a
-        meaningless partition — they raise instead.
-        """
-        if self.kind != "offsets":
-            raise AddressError(
-                f"element_partition is only defined for offsets plans "
-                f"(offset-major site order); this plan was compiled as "
-                f"{self.kind!r}"
-            )
-        if self._elem_partition is None:
-            n_elem = int(np.prod(self.shape))
-            rim = np.zeros(n_elem, dtype=bool)
-            rim[self.halo_sites() % n_elem] = True
-            self._elem_partition = (np.flatnonzero(~rim), np.flatnonzero(rim))
-        return self._elem_partition
+        return all(seg.rows()[1] for seg in self.halo_segments)
 
     # ------------------------------------------------------------------
     def execute(self, env, read: int = 0) -> np.ndarray:
@@ -325,9 +273,8 @@ class AccessPlan:
         ``np.take`` per table — per image class, ghost rows included —
         then the constants and the in-block slice part.  The ghost rows
         are made current first (:meth:`~repro.memory.env.Env.fill_ghosts`:
-        a halo exchange in flight completes before the take; pages not
-        valid yet are recorded in ``env.missing_pages``, and the step is
-        re-executed, exactly as on the scalar path).
+        pages not valid yet are recorded in ``env.missing_pages``, and the
+        step is re-executed, exactly as on the scalar path).
 
         The returned array is scratch of the Env's MMAT, one per calling
         thread, ``read`` and output shape.  A kernel passes how many
@@ -645,9 +592,8 @@ def _compile(env, starts, cuts, plans, addrs: np.ndarray, sites: Optional[np.nda
 
     A plan's sites of all sources of one image class — owned and
     Buffer-only, which read its ``owned ∥ ghost`` array — are merged into
-    one :class:`PlanSegment`; listed ``sites`` (an offsets plan's ring)
-    keep the ghost sites in a table of their own.  ``sites`` None makes
-    the table of the tile's own image class dense.
+    one :class:`PlanSegment`.  ``sites`` None makes the table of the
+    tile's own image class dense.
     """
     n = addrs.shape[0]
     # An offsets plan's listed ring reads outside its start Block.
@@ -675,7 +621,6 @@ def _compile(env, starts, cuts, plans, addrs: np.ndarray, sites: Optional[np.nda
         sign = np.array([-1 if s[3] else 1 for s in slots] + [1], dtype=np.intp)
         key_row = base[group] + sign[group] * src
         const_all = np.concatenate(const_vals) if const_vals else None
-    ring = sites is not None  # offsets plans: their ghost sites get a table of their own
     compiled = []
     for first, end in plans:
         tile, lo, hi = starts[first:end], cuts[first], cuts[end]
@@ -697,8 +642,8 @@ def _compile(env, starts, cuts, plans, addrs: np.ndarray, sites: Optional[np.nda
                 met[g] = k
                 read.add(k)
         slots = [env.image_slot(source) for source in sources]
-        tables: Dict[tuple, int] = {}  # (image id, ghost table) -> table number
-        table_of = [tables.setdefault((id(s[0]), ring and s[3]), len(tables)) for s in slots]
+        tables: Dict[int, int] = {}  # image id -> table number
+        table_of = [tables.setdefault(id(s[0]), len(tables)) for s in slots]
         if resolved:
             table = np.full(len(found) + 1, -1, dtype=np.int8)
             for g, k in met.items():
@@ -735,7 +680,7 @@ def _compile(env, starts, cuts, plans, addrs: np.ndarray, sites: Optional[np.nda
         # that table, made last, is ``rows`` itself, the sites of constants
         # and other classes reading a placeholder row; it writes every
         # site, so it is gathered first.
-        own = tables.get((id(slots[0][0]), False)) if sites is None else None
+        own = tables.get(id(slots[0][0])) if sites is None else None
         segments: List[PlanSegment] = []
         for t in sorted(tables.values(), key=lambda t: t == own):
             members = [k for k in sorted(read) if table_of[k] == t]

@@ -1,8 +1,8 @@
 """Observability subsystem: span tracing, metrics, and trace exporters.
 
 Everything the run-total counters of :mod:`repro.runtime.tracing`
-cannot answer — *when* did each rank wait, how long was each halo
-exchange in flight, which step recomputed — is recorded here as spans
+cannot answer — *when* did each rank wait, how long did each halo
+wait take, which step recomputed — is recorded here as spans
 and metrics, exported as Chrome trace-event JSON (Perfetto-loadable)
 or a plain-text phase report.
 

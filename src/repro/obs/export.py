@@ -5,10 +5,8 @@ Two consumers, two formats:
 * :func:`chrome_trace_document` — the Chrome trace-event JSON format
   (the ``{"traceEvents": [...]}`` object form), loadable in Perfetto
   (https://ui.perfetto.dev) or ``chrome://tracing``.  One process track
-  per rank, one thread track per (rank, thread); synchronous spans are
-  complete (``ph: "X"``) events, asynchronous halo flights are
-  ``"b"``/``"e"`` pairs that Perfetto draws as arrows from issue to
-  completion.
+  per rank, one thread track per (rank, thread); every span is a
+  complete (``ph: "X"``) event.
 * :func:`phase_report` — a plain-text flamegraph-style table that
   aggregates spans by their call path, for terminals without a trace
   viewer at hand.
@@ -107,12 +105,8 @@ def chrome_trace_document(events: List[dict], *, metadata: Optional[dict] = None
         }
         if event["args"]:
             common["args"] = dict(event["args"])
-        if event["ph"] == "X":
-            common["ph"] = "X"
-            common["dur"] = max(event["dur_ns"], 0) / 1000.0
-        else:
-            common["ph"] = event["ph"]
-            common["id"] = event["id"]
+        common["ph"] = "X"
+        common["dur"] = max(event["dur_ns"], 0) / 1000.0
         trace_events.append(common)
 
     doc = {
@@ -151,7 +145,7 @@ def phase_report(events: List[dict], *, limit: Optional[int] = None) -> str:
     traced window, so overlapping ranks legitimately sum past 100%.
     ``limit`` keeps only the first N rows (the quickstart prints 3).
     """
-    spans = [e for e in events if e["ph"] == "X"]
+    spans = events
     if not spans:
         return "phase report: no spans recorded"
     totals: Dict[str, List[float]] = {}
@@ -214,8 +208,7 @@ def widest_spans(events: List[dict], n: int = 5) -> Dict[int, List[dict]]:
     """Top-``n`` longest complete spans per rank (duration descending)."""
     per_rank: Dict[int, List[dict]] = defaultdict(list)
     for event in events:
-        if event["ph"] == "X":
-            per_rank[event["rank"]].append(event)
+        per_rank[event["rank"]].append(event)
     return {
         rank: sorted(spans, key=lambda s: -s["dur_ns"])[:n]
         for rank, spans in sorted(per_rank.items())

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 from ..runtime.task import current_task
 from .spans import global_tracer
 
-__all__ = ["Histogram", "MetricsRegistry", "global_metrics", "record", "count"]
+__all__ = ["Histogram", "MetricsRegistry", "global_metrics", "record"]
 
 #: Samples kept per histogram for percentile estimation.  Smoke runs
 #: stay far below this (percentiles are then exact); long runs degrade
@@ -226,9 +226,3 @@ def record(name: str, value: float, rank: Optional[int] = None) -> None:
     """Record an observation iff tracing is enabled (single flag check)."""
     if global_tracer().enabled:
         _GLOBAL.record(name, value, rank)
-
-
-def count(name: str, delta: float = 1, rank: Optional[int] = None) -> None:
-    """Increment a counter iff tracing is enabled (single flag check)."""
-    if global_tracer().enabled:
-        _GLOBAL.count(name, delta, rank)

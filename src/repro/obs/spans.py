@@ -21,23 +21,14 @@ Design constraints:
   forked rank processes align with the parent's on one timeline (same
   host ⇒ same wall clock) when shipped back over the result channel.
 
-Synchronous phases use the context manager::
+Every phase is timed with the context manager::
 
-    with tracer.span("sweep.interior", block=3):
+    with tracer.span("halo.wait", pages=12):
         ...
-
-Asynchronous phases — e.g. the overlapped halo exchange, issued after
-the step barrier and completed mid-sweep — use the explicit begin/end
-pair, which may fire on different threads of the same rank::
-
-    token = tracer.async_begin("halo.flight", pages=12)
-    ...
-    tracer.async_end(token)
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import threading
 import time
@@ -105,7 +96,7 @@ class SpanBuffer:
         self.events: deque = deque(maxlen=capacity)
         #: Names of the currently-open synchronous spans on this task,
         #: innermost last — recorded into each event as its flamegraph
-        #: path (``"processing;sweep.interior"``).
+        #: path (``"processing;sweep"``).
         self.stack: List[str] = []
         #: Wall-clock anchor: adding this to a ``perf_counter_ns``
         #: reading yields an epoch-based nanosecond timestamp, which is
@@ -145,8 +136,8 @@ class _Span:
 class Tracer:
     """Thread-safe registry of per-task span buffers for one process.
 
-    The tracer is *disabled* by default: every :meth:`span` /
-    :meth:`async_begin` call then reduces to one attribute check.  The
+    The tracer is *disabled* by default: every :meth:`span` call then
+    reduces to one attribute check.  The
     Platform driver enables it for the duration of a traced run and
     snapshots the buffers into the :class:`~repro.annotation.driver.PlatformRun`.
     """
@@ -159,7 +150,6 @@ class Tracer:
         #: Events merged in from other processes (already dict-shaped,
         #: epoch-aligned); appended by :meth:`merge_events`.
         self._merged: List[dict] = []
-        self._async_ids = itertools.count(1)
 
     # -- lifecycle ------------------------------------------------------
     def set_enabled(self, enabled: bool) -> None:
@@ -213,47 +203,13 @@ class Tracer:
             return _NULL_SPAN
         return _Span(self.buffer_for(rank, thread), name, attrs or None)
 
-    def async_begin(
-        self,
-        name: str,
-        *,
-        rank: Optional[int] = None,
-        thread: Optional[ThreadId] = None,
-        **attrs: Any,
-    ) -> Optional[tuple]:
-        """Open an asynchronous span; returns the token :meth:`async_end` takes.
-
-        Returns ``None`` while tracing is disabled, and ``async_end``
-        accepts ``None`` — call sites need no extra flag check.
-        """
-        if not self.enabled:
-            return None
-        buffer = self.buffer_for(rank, thread)
-        span_id = next(self._async_ids)
-        buffer.append(("b", name, span_id, time.perf_counter_ns(), attrs or None))
-        return (name, span_id, buffer.rank)
-
-    def async_end(self, token: Optional[tuple], **attrs: Any) -> None:
-        """Close an asynchronous span (no-op for a ``None`` token).
-
-        The end event is recorded on the *issuing rank's* timeline even
-        when completed from another thread, so begin/end always pair on
-        one process track.
-        """
-        if token is None or not self.enabled:
-            return
-        name, span_id, rank = token
-        buffer = self.buffer_for(rank, None)
-        buffer.append(("e", name, span_id, time.perf_counter_ns(), attrs or None))
-
     # -- snapshot / merge -----------------------------------------------
     def snapshot(self) -> List[dict]:
         """Every recorded event as an epoch-aligned dict (pickle-safe).
 
-        Keys: ``ph`` (``"X"`` complete | ``"b"``/``"e"`` async),
-        ``name``, ``ts_ns`` (epoch ns), ``rank``, ``thread``, ``args``;
-        ``X`` events add ``dur_ns`` and the flamegraph ``path``, async
-        events add the pairing ``id``.
+        Keys: ``ph`` (``"X"``, a complete span), ``name``, ``ts_ns``
+        (epoch ns), ``dur_ns``, the flamegraph ``path``, ``rank``,
+        ``thread``, ``args``.
         """
         with self._lock:
             buffers = list(self._buffers.values())
@@ -262,21 +218,12 @@ class Tracer:
         for buffer in buffers:
             offset = buffer.epoch_offset_ns
             rank, thread = buffer.rank, buffer.thread
-            for event in list(buffer.events):
-                if event[0] == "X":
-                    _, name, path, t0, dur, attrs = event
-                    out.append({
-                        "ph": "X", "name": name, "path": path,
-                        "ts_ns": t0 + offset, "dur_ns": dur,
-                        "rank": rank, "thread": thread, "args": attrs,
-                    })
-                else:
-                    ph, name, span_id, t0, attrs = event
-                    out.append({
-                        "ph": ph, "name": name, "id": span_id,
-                        "ts_ns": t0 + offset,
-                        "rank": rank, "thread": thread, "args": attrs,
-                    })
+            for _, name, path, t0, dur, attrs in list(buffer.events):
+                out.append({
+                    "ph": "X", "name": name, "path": path,
+                    "ts_ns": t0 + offset, "dur_ns": dur,
+                    "rank": rank, "thread": thread, "args": attrs,
+                })
         out.extend(merged)
         out.sort(key=lambda e: e["ts_ns"])
         return out

@@ -238,7 +238,6 @@ class CheckpointAspect(Aspect):
             manager.consume_replay(rank)
             env.step += 1
             manager.note_epoch(rank)
-            trace.replayed_steps += 1
             return True
 
         result = jp.proceed()
@@ -251,10 +250,8 @@ class CheckpointAspect(Aspect):
                 pages = self._snapshot_owned(env)
                 manager.store.save(epoch, rank, pages)
             trace.checkpoints += 1
-            trace.checkpoint_pages += sum(len(p) for p in pages.values())
-        # "epoch" fault point: fires after the snapshot, while the
-        # overlapped prefetch issued by the mpi advice is already in
-        # flight — the kill-during-overlap-flight case.
+        # "epoch" fault point: fires after the snapshot, once the mpi
+        # advice completed the step's halo exchange.
         world.fault_point(rank, "epoch", epoch)
         return result
 
@@ -274,8 +271,6 @@ class CheckpointAspect(Aspect):
         env = getattr(jp.target, "env", None)
         if env is None or self.world() is None or not manager.restore_pages:
             return
-        trace = global_trace().for_task()
-        restored = 0
         with global_tracer().span("ckpt.restore", epoch=manager.resume_epoch):
             for block in env.data_blocks():
                 pages = manager.restore_pages.get(getattr(block, "logical_key", None))
@@ -286,8 +281,6 @@ class CheckpointAspect(Aspect):
                     # skipped (no swap), so any generation may be read.
                     for buf in block.buffer.buffers:
                         buf.pages[page_index].fill_from(data)
-                    restored += 1
-        trace.restored_pages += restored
 
     # ------------------------------------------------------------------
     @staticmethod

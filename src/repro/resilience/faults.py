@@ -11,8 +11,8 @@ duck-typed entry points (no import of this package):
 
 * ``take_kill(rank, phase, epoch)`` — called from the world's fault
   points (``"register"`` at commit time, ``"refresh"`` at refresh
-  entry, ``"epoch"`` right after a successful refresh, i.e. while
-  overlapped halo prefetches are in flight);
+  entry, ``"epoch"`` right after a successful refresh, its halo
+  exchange complete);
 * ``take_reply(owner, requester)`` — called by the page-serving
   transports just before posting a reply (delay / drop / corrupt).  A
   corrupted reply names a slot version its page does not carry, so the

@@ -212,14 +212,14 @@ _ACCOUNT_LOCK = threading.Lock()
 
 
 class CommHandle(abc.ABC):
-    """A halo refresh in flight: a nonblocking bulk page fetch, or the
-    wait for the owners' pushes of this step.
+    """A halo refresh issued but not yet awaited: a bulk page fetch sent
+    to every owner, or the wait for the owners' pushes of this step.
 
     Returned by :meth:`ExecutionWorld.fetch_pages_bulk_async` and
-    :meth:`ExecutionWorld.await_halo`.  The requester issues the handle,
-    computes its interior sweep while the data travels, then calls
-    :meth:`wait` to obtain the :class:`BulkFetchResult` before touching
-    halo data.
+    :meth:`ExecutionWorld.await_halo`.  The requester issues the handle
+    — every owner's request on the wire before it blocks on any reply —
+    then calls :meth:`wait` to obtain the :class:`BulkFetchResult`; the
+    refresh advice does so before it returns.
 
     ``wait()`` is **idempotent**: the first call blocks until every
     in-flight exchange completed and memoizes the result (or the
@@ -426,10 +426,9 @@ class ExecutionWorld(abc.ABC):
         pairs.  The world moves **one request/reply message pair per
         distinct owning rank** (a page-key manifest out, the pages
         back).  The refresh protocol issues its prefetch right after the
-        step barrier and waits the handle only once the interior sweep is
-        done, so a reply that travels while the rank computes is hidden
-        behind it; a repair waits at once.  Owner resolution failures
-        surface at *issue* time.  This is the platform's only page op.
+        step barrier, and its repair before it, and waits the handle before
+        the refresh returns.  Owner resolution failures surface at *issue*
+        time.  This is the platform's only page op.
         """
 
     # -- halo slots (publish protocol) -----------------------------------

@@ -64,20 +64,17 @@ every connection: incoming page requests (``breq``) are served
 immediately out of the rank's registered Env snapshot — even while the
 rank's main thread is deep in kernel computation — and everything else
 is buffered into per-peer inboxes that the main thread's blocking waits
-consume.  Eager serving is what makes the *overlapped* halo exchange
-effective: a ``breq`` issued right after the step barrier is answered
-while its owner computes, so by the time the requester finishes its own
-interior sweep the reply is usually already buffered (the wait costs
-only the unpacking).  It is also what keeps the protocol deadlock-free:
-no rank ever depends on another rank reaching a blocking call before
-its requests are served.
+consume.  Eager serving is what keeps the protocol deadlock-free: every
+rank issues its ``breq`` to each owner and then waits for the replies,
+and no rank ever depends on another rank reaching a blocking call — or
+finishing a sweep — before its requests are served.
 
 Serving from the receiver thread is safe for the same reason the
 one-sided fetches of the ``threads`` backend are: owners never mutate
 their *read* buffers between the synchronisation points of the refresh
 protocol, and every fetch completes before the collective that precedes
-the owner's next buffer swap (the refresh advice drains any in-flight
-exchange before entering the success allreduce).  After the program body finishes (or raises), every rank
+the owner's next buffer swap (the refresh advice that issues an exchange
+waits for it before it returns).  After the program body finishes (or raises), every rank
 enters a final ``exit`` drain barrier so late prefetch requests of
 slower peers are still served before the process tears down.
 
@@ -244,8 +241,8 @@ class ProcessTransport:
         self._sender.start()
         # All inbound traffic goes through a dedicated receiver thread:
         # page requests are served the moment they arrive (even while the
-        # main thread computes — the key to overlapped halo exchange),
-        # everything else lands in the per-peer inboxes above.  It waits
+        # main thread computes or waits — what keeps the exchange
+        # deadlock-free), everything else lands in the per-peer inboxes above.  It waits
         # on the peers' pipes and on a wake pipe that close() writes to.
         self._wake_recv, self._wake_send = multiprocessing.Pipe(duplex=False)
         self._closed = False
@@ -1032,7 +1029,7 @@ class ProcessWorld(ExecutionWorld):
 
 
 class _ProcessBulkHandle(CommHandle):
-    """In-flight ``breq``/``brep`` exchanges of one async bulk fetch."""
+    """The ``breq``/``brep`` exchanges of one bulk fetch, issued to every owner."""
 
     __slots__ = ("_transport", "_pending")
 

@@ -34,7 +34,6 @@ class TaskCounters:
     """Counters of one task (one rank/thread pair) during one run."""
 
     updates: int = 0
-    kernel_invocations: int = 0
     steps: int = 0
     recomputed_steps: int = 0
     pages_fetched: int = 0
@@ -80,34 +79,20 @@ class TaskCounters:
     #: pages they moved.
     comm_plan_exchanges: int = 0
     comm_plan_pages: int = 0
-    #: Overlapped halo-exchange activity: how many prefetches were issued
-    #: to complete behind the next sweep, the time spent blocked in
-    #: ``CommHandle.wait`` (the *un-hidden* part of the halo latency, ns),
-    #: the total issue→completion flight time (ns), and how many
-    #: exchanges were drained at a synchronisation point instead of
-    #: mid-sweep (a repair, or no compute overlapped them; drained
-    #: completions are excluded from the wait/flight sums).  Overlap
-    #: efficiency = ``1 - overlap_wait_ns / overlap_flight_ns``.
-    #: The ``overlap_*`` timings also cover the wait for *published*
-    #: halo slots; ``halo_pushes`` / ``halo_sites`` count the slots this
-    #: task copied out and the element rows they carried (each slot one
-    #: message of its bytes in ``messages`` / ``bytes_fetched``) — over
-    #: the run they equal what the owners' ``NetworkStats`` published.
+    #: Halo completion: the time spent blocked in ``CommHandle.wait`` by
+    #: every halo exchange the refresh advice waited for (ns) — page
+    #: exchanges and published slots alike.  ``halo_pushes`` /
+    #: ``halo_sites`` count the slots this task copied out and the element
+    #: rows they carried (each slot one message of its bytes in
+    #: ``messages`` / ``bytes_fetched``) — over the run they equal what
+    #: the owners' ``NetworkStats`` published.
     halo_pushes: int = 0
     halo_sites: int = 0
-    overlap_issues: int = 0
-    overlap_wait_ns: int = 0
-    overlap_flight_ns: int = 0
-    overlap_drained: int = 0
-    #: Resilience activity: epoch checkpoints saved (and the pages they
-    #: snapshot), pages restored from a checkpoint after a rank failure,
-    #: refreshes skipped by the fast-forward replay of a recovery, and
-    #: page replies the process transport could not deliver because the
-    #: requesting peer's pipe was already dead.
+    halo_wait_ns: int = 0
+    #: Resilience activity: epoch checkpoints saved, and page replies the
+    #: process transport could not deliver because the requesting peer's
+    #: pipe was already dead.
     checkpoints: int = 0
-    checkpoint_pages: int = 0
-    restored_pages: int = 0
-    replayed_steps: int = 0
     peer_dead: int = 0
     #: Shared-memory data-plane activity (multi-rank process worlds):
     #: pages received as mapped-segment descriptors and their bytes.

@@ -171,7 +171,7 @@ class TestPageFetch:
 
 
 # ----------------------------------------------------------------------
-# nonblocking batched transport (overlapped halo exchange)
+# batched transport: issue to every owner, then wait
 # ----------------------------------------------------------------------
 
 

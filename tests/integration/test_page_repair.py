@@ -46,8 +46,7 @@ class WithheldSGrid(JacobiSGrid):
             self.run(self.kernel)
 
     def withhold(self, owners: int):
-        env = self.env
-        env.complete_pending_halo(drained=True)  # the warm-up's prefetch is in
+        env = self.env  # the warm-up's prefetch is in: its refresh waited for it
         directory = self.platform.context["mpi_world"].directory
         by_owner = {}
         for key in sorted(env.plan_page_requirements()):

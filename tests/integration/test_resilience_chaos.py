@@ -2,8 +2,8 @@
 
 The acceptance bar of the resilience subsystem: a seeded fault plan
 kills a rank mid-run (before registration commits, at refresh entry,
-or right after a successful refresh while overlapped prefetches are in
-flight), the surviving world detects the death well inside the
+or right after a successful refresh, its halo exchange complete), the
+surviving world detects the death well inside the
 communication timeout, re-partitions the dead rank's blocks onto the
 survivors, resumes from the last complete checkpoint epoch, and ends
 bit-identical to an unfailed serial run — on every backend and every
@@ -78,7 +78,7 @@ def resilient_platform(backend, ranks, plan, **policy_kwargs):
 class TestKillMatrix:
     """``register`` = before registration commits; ``refresh`` = at
     refresh entry (mid-step); ``epoch`` = right after a successful
-    refresh, i.e. while the overlapped halo prefetch is in flight."""
+    refresh, its halo exchange complete."""
 
     PHASES = ["register", "refresh", "epoch"]
 

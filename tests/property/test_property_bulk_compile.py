@@ -350,17 +350,19 @@ def assert_plan_matches_reference(env, block, plan, addresses, ring, starts=None
     assert np.array_equal(plan.execute(env), expected)
     assert sorted(plan.remote_pages()) == sorted({key for _, key in halo})
     halo_sites = np.unique([i for i, _ in halo]).astype(np.intp)
-    assert np.array_equal(plan.halo_sites(), halo_sites)
+    assert np.array_equal(ghost_sites(plan), halo_sites)
     assert plan.in_block_sites == sum(source is start for (source, _), start in zip(sites, starts))
     assert plan.out_of_block_sites == sum(
         source is not None and source is not start for (source, _), start in zip(sites, starts)
     )
     assert plan.resolved_sites == sum(ring)
-    if plan.kind == "offsets":
-        n_elem = block.element_count
-        interior, boundary = plan.element_partition()
-        assert np.array_equal(boundary, np.unique(halo_sites % n_elem))
-        assert np.array_equal(np.sort(np.concatenate([interior, boundary])), np.arange(n_elem))
+
+
+def ghost_sites(plan) -> np.ndarray:
+    """The flat output sites of ``plan`` that read ghost rows, sorted."""
+    sites = [seg.ghost_sites if seg.dst_idx is None else seg.dst_idx[seg.ghost_sites]
+             for seg in plan.segments]
+    return np.unique(np.concatenate(sites)) if sites else np.empty(0, np.intp)
 
 
 def rank0_env(app_cls, config, ranks=2):
@@ -452,7 +454,7 @@ class TestPlansMatchPerSiteReference:
             plan = compile_address_plan(env, block, table)
             # One dense table over the class's owned ∥ ghost rows.
             (segment,) = plan.segments
-            assert plan.split() == ([], [segment]) and segment.dst_idx is None
+            assert plan.halo_segments == [segment] and segment.dst_idx is None
             remote = [b for b in segment.sources if isinstance(b, BufferOnlyBlock)]
             assert len(segment.sources) - len(remote) > 5 and len(remote) > 5
             rows = segment.rows()[0]
@@ -542,7 +544,7 @@ class TestPlansMatchPerSiteReference:
         out = plan.execute(env)
         assert env.missing_pages == set(plan.remote_pages())
         field = env.image_slot(env.data_blocks()[0])[0].read[0, 0]
-        assert field != 0.0 and np.all(out[plan.halo_sites()] == field)
+        assert field != 0.0 and np.all(out[ghost_sites(plan)] == field)
         # The scalar path reads the same value in place of such a page.
         page = sorted(plan.remote_pages())[0]
         remote = env.block(page.block_id)

@@ -89,7 +89,6 @@ def disturbed(app_cls):
         def withhold_a_halo_page(self) -> None:
             """Run one step with a prefetched halo page marked not arrived."""
             env = self.env
-            env.complete_pending_halo(drained=True)
             needed = sorted(env.plan_page_requirements())
             trace = global_trace().for_task()
             recomputed = trace.recomputed_steps

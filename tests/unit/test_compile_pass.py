@@ -80,7 +80,7 @@ def test_a_block_that_never_sweeps_gets_no_plan_rows_or_pages(pass_calls):
     alone = compile_offsets_plan(env, skipped, STENCIL)
     others = [compile_offsets_plan(env, b, STENCIL) for b in swept]
     only_rows = set(alone.segments[-1].ghost_halo.tolist()) - {
-        row for plan in others for seg in plan.split()[1] for row in seg.ghost_halo.tolist()
+        row for plan in others for seg in plan.halo_segments for row in seg.ghost_halo.tolist()
     }
     only_pages = set(alone.remote_pages()) - {p for plan in others for p in plan.remote_pages()}
     assert only_rows and only_pages

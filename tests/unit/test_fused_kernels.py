@@ -1,11 +1,9 @@
-"""Unit tests for the kernels subsystem and the overlap-sweep bugfixes.
+"""Unit tests for the kernels subsystem and the fused-sweep bugfixes.
 
 Covers the satellite fixes that ride with the plan-fusion tentpole:
 
-* broadcastable / constant ``fn`` returns no longer crash the
-  overlapped fused sweep (or ``scatter``) on any rank count;
-* ``element_partition`` refuses address plans with a clear error
-  instead of silently producing a meaningless partition;
+* broadcastable / constant ``fn`` returns no longer crash the fused
+  sweep (or ``scatter``) on any rank count;
 * key-less ``gather_global`` compiles are counted separately
   (``plan_compiles_uncached``) so coverage numbers stay honest;
 * ``AccessPlan.execute`` reuses a scratch array (pooled on the MMAT)
@@ -25,16 +23,18 @@ from repro.annotation import Platform
 from repro.apps import JacobiSGrid, JacobiUSGrid
 from repro.apps.jacobi_sgrid import STENCIL
 from repro.dsl.base import BlockKernel
+from repro.kernels.fused import FusedKernel
 from repro.memory import (
     ArithmeticBlock,
+    BufferOnlyBlock,
     DataBlock,
     Env,
     MemoryPool,
     PoolGroup,
-    compile_address_plan,
     compile_offsets_plan,
 )
-from repro.memory.errors import AddressError
+from repro.memory.mmat import PlanSegment
+from repro.runtime.tracing import TaskCounters
 
 
 def _init(x, y):
@@ -72,8 +72,8 @@ class TestBroadcastableSweepReturns:
     @pytest.mark.parametrize("ranks", [1, 4])
     @pytest.mark.parametrize("mmat", [True, False])
     def test_constant_fn_sweeps_on_all_ranks(self, ranks, mmat):
-        """Regression: the overlapped apply() reshaped scalar returns and
-        crashed; it must broadcast, on the fused and the gather route."""
+        """Regression: an apply() that reshaped scalar returns crashed;
+        ``fn`` must broadcast, on the fused and the gather route."""
         run = Platform.preset("mpi", ranks=ranks, backend="threads", mmat=mmat).run(
             ConstantSweepJacobi,
             config=dict(CONFIG, kernel="vectorized"),
@@ -89,27 +89,6 @@ class TestBroadcastableSweepReturns:
         k = next(iter(run.app.block_kernels()))[1]
         k.scatter(1.25)  # scalar: must broadcast, not reshape-crash
         k.scatter(np.full(16, 2.5))  # flat block-sized array
-
-
-# ----------------------------------------------------------------------
-# satellite 2: element_partition on address plans
-# ----------------------------------------------------------------------
-class TestElementPartitionKinds:
-    def test_offsets_plan_partitions(self):
-        env, block = _plan_env()
-        plan = compile_offsets_plan(env, block, ((0, 0),))
-        interior, boundary = plan.element_partition()
-        assert interior.size + boundary.size == block.element_count
-        assert plan.kind == "offsets"
-
-    def test_address_plan_refuses_partition(self):
-        env, block = _plan_env()
-        addresses = np.arange(block.element_count, dtype=np.int64).reshape(-1, 1)
-        addresses = np.concatenate([addresses % 4, addresses // 4], axis=1)
-        plan = compile_address_plan(env, block, addresses)
-        assert plan.kind == "addresses"
-        with pytest.raises(AddressError, match="offsets plans"):
-            plan.element_partition()
 
 
 # ----------------------------------------------------------------------
@@ -264,3 +243,66 @@ class TestSweepRoutes:
             assert env.mmat.stats()["fused_kernels"] == expected
         assert np.array_equal(*stored)
         assert not np.array_equal(stored[0], image.read[lo : lo + 16])
+
+
+class CountingJacobi(JacobiSGrid):
+    """Jacobi whose ``fn`` counts its calls on the rank's app instance."""
+
+    fn_calls = 0
+
+    def kernel_vectorized(self, warmup: bool) -> bool:
+        alpha, beta = self.alpha, self.beta
+
+        def fn(e, e_n, e_w, e_e, e_s):
+            self.fn_calls += 1
+            return alpha * e + beta * (e_e + e_w + e_s + e_n)
+
+        for _block, k in self.block_kernels(warmup):
+            k.sweep(fn, STENCIL)
+        return self.refresh(warmup)
+
+
+class TestOneComputePerSweep:
+    @pytest.mark.parametrize("backend", ["threads", "process"])
+    def test_fn_runs_once_per_block_and_sweep_on_two_ranks(self, backend):
+        """A Block that reads the halo is computed once, like any other: the
+        halo is complete before the sweep starts, so no rim is recomputed."""
+        run = Platform.preset("mpi", ranks=2, backend=backend, mmat=True).run(
+            CountingJacobi, config=dict(CONFIG, kernel="vectorized")
+        )
+        app = run.app  # rank 0's, which runs in this process on both backends
+        sweeps = sum(c.kernel_fused_calls for key, c in run.counters.items() if key[0] == 0)
+        owned = len(app.env.data_blocks())
+        assert sweeps >= owned * (CONFIG["loops"] + 1)
+        assert any(plan.has_halo for plan in app.env.mmat.plans.values())
+        assert app.fn_calls == sweeps
+
+    def test_a_halo_plan_fills_its_ring_with_one_gather_per_image_class(self, monkeypatch):
+        """Owned and ghost rows of one image class are one ring table: a
+        sweep over a halo-reading Block gathers once, and stores what the
+        gather route stores."""
+        env = Env(allocator=PoolGroup([MemoryPool(1 << 20)]), mmat_enabled=True)
+        kw = dict(components=1, page_elements=4, allocator=env.allocator)
+        owned = env.add_data_block(DataBlock((0, 0), (4, 4), **kw))
+        remote = env.add_data_block(BufferOnlyBlock((4, 0), (4, 4), **kw))
+        owned.load_dense(np.arange(16.0).reshape(16, 1))
+        remote.load_dense(np.full((16, 1), 3.0))
+        offsets = ((0, 0), (1, 0))
+        plan = compile_offsets_plan(env, owned, offsets)
+        kern = FusedKernel(owned, plan)
+        assert plan.has_halo and len(kern.ring_tables) == len(plan.segments) == 1
+        gathers = []
+        real = PlanSegment.gather
+        monkeypatch.setattr(PlanSegment, "gather", lambda seg, *a: (gathers.append(seg), real(seg, *a)))
+
+        def fn(e, e_e):
+            return 0.5 * e + 0.25 * e_e
+
+        k = BlockKernel(env, owned)
+        expected = fn(*k.gather(offsets)).reshape(-1).copy()
+        gathers.clear()
+        kern(env, fn, TaskCounters(), 1)
+        assert gathers == kern.ring_tables and not env.missing_pages
+        image, lo, _, _ = env.image_slot(owned)
+        assert np.array_equal(image.next[lo : lo + 16, 0], expected)
+

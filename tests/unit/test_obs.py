@@ -25,8 +25,6 @@ class TestTracer:
         assert not tracer.enabled
         with tracer.span("phase"):
             pass
-        assert tracer.async_begin("flight") is None
-        tracer.async_end(None)
         assert tracer.snapshot() == []
 
     def test_disabled_span_is_shared_noop(self):
@@ -61,17 +59,6 @@ class TestTracer:
         (event,) = tracer.snapshot()
         assert event["rank"] == 2
         assert event["thread"] == 1
-
-    def test_async_begin_end_pair(self):
-        tracer = Tracer()
-        tracer.set_enabled(True)
-        token = tracer.async_begin("flight", pages=7)
-        tracer.async_end(token, drained=False)
-        begin, end = tracer.snapshot()
-        assert begin["ph"] == "b" and end["ph"] == "e"
-        assert begin["id"] == end["id"]
-        assert begin["ts_ns"] <= end["ts_ns"]
-        assert begin["args"] == {"pages": 7}
 
     def test_ring_buffer_drops_oldest_and_counts(self):
         tracer = Tracer(capacity=8)
@@ -188,8 +175,8 @@ def _traced_events():
     with tracer.span("processing"):
         with tracer.span("sweep", sites=16):
             pass
-    token = tracer.async_begin("halo.flight", pages=2)
-    tracer.async_end(token)
+    with tracer.span("halo.wait", pages=2):
+        pass
     with task_scope(TaskContext(mpi_rank=1, mpi_size=2)):
         with tracer.span("sweep"):
             pass
@@ -235,15 +222,10 @@ class TestChromeExport:
             {"ph": "X", "name": "s", "cat": "s", "ts": 0, "dur": -5, "pid": 0, "tid": 0}
         ]}
         assert any("negative dur" in p for p in validate_chrome_trace(negative))
-        unpaired = {"traceEvents": [
+        async_begin = {"traceEvents": [
             {"ph": "b", "name": "f", "cat": "f", "id": 1, "ts": 0, "pid": 0, "tid": 0}
         ]}
-        assert any("no matching end" in p for p in validate_chrome_trace(unpaired))
-        backwards = {"traceEvents": [
-            {"ph": "b", "name": "f", "cat": "f", "id": 1, "ts": 10, "pid": 0, "tid": 0},
-            {"ph": "e", "name": "f", "cat": "f", "id": 1, "ts": 5, "pid": 0, "tid": 0},
-        ]}
-        assert any("ends before" in p for p in validate_chrome_trace(backwards))
+        assert any("unsupported ph" in p for p in validate_chrome_trace(async_begin))
 
 
 class TestReports:

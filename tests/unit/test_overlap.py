@@ -1,10 +1,10 @@
-"""Unit tests for the overlapped halo exchange.
+"""Unit tests for the halo exchange the refresh advice issues and awaits.
 
 Covers the pieces below the integration/property suites: the idempotent
-:class:`CommHandle` wait (in-flight fetches counted exactly once, even
-through ``NetworkStats.merge``), interior/boundary access-plan
-splitting, the Env's pending-halo slot, :class:`PendingHalo`'s
-accounting/error wrapping and the aspect's issue-time diagnostics.
+:class:`CommHandle` wait (issued fetches counted exactly once, even
+through ``NetworkStats.merge``), the halo tables of an access plan, the
+page install's accounting/error wrapping and the aspect's issue-time
+diagnostics.
 """
 
 from __future__ import annotations
@@ -14,10 +14,12 @@ import inspect
 import numpy as np
 import pytest
 
-from repro.aspects import DistributedMemoryAspect, PendingHalo
+from repro.annotation import Platform
+from repro.apps import JacobiSGrid
+from repro.aspects import DistributedMemoryAspect
+from repro.aspects.mpi_aspect import _install_pages
 from repro.memory import DataBlock, Env, MemoryPool, PoolGroup
 from repro.memory.block import BufferOnlyBlock
-from repro.memory.errors import EnvError
 from repro.memory.mmat import compile_offsets_plan
 from repro.memory.page import PageKey
 from repro.resilience import FaultPlan
@@ -30,8 +32,9 @@ from repro.runtime import (
     PageFetchError,
     get_backend,
 )
-from repro.runtime.shm import set_protocol_checks
 from repro.runtime.tracing import TaskCounters
+
+from page_protocol import kept_open
 
 
 # ----------------------------------------------------------------------
@@ -82,7 +85,7 @@ class TestCommHandleIdempotence:
 
 
 class TestAsyncStatsCountOnce:
-    """In-flight async fetches hit NetworkStats exactly once."""
+    """Issued bulk fetches hit NetworkStats exactly once."""
 
     def _threads_world_with_fetch(self):
         world = get_backend("threads").create_world(2, timeout=10.0)
@@ -127,7 +130,7 @@ class TestAsyncStatsCountOnce:
 
 
 # ----------------------------------------------------------------------
-# access-plan splitting
+# access-plan halo tables
 # ----------------------------------------------------------------------
 
 
@@ -155,53 +158,41 @@ def _two_block_env() -> tuple:
     return env, local, halo
 
 
-class TestAccessPlanSplit:
-    def test_partition_is_disjoint_and_complete(self):
+class TestAccessPlanHaloTables:
+    def test_one_table_per_image_class_covers_every_site_once(self):
         env, local, _halo = _two_block_env()
         plan = compile_offsets_plan(env, local, [(0, 0), (1, 0)])
-        interior, boundary = plan.split()
-        assert boundary  # the (1, 0) offset crosses into the halo
-        assert set(interior) | set(boundary) == set(plan.segments)
-        assert not (set(interior) & set(boundary))
-        assert not any(seg.halo for seg in interior)
-        assert all(seg.halo for seg in boundary) and plan.pages
-        assert plan.has_halo
-        # The owned tables, the ghost tables and the slice part together
-        # cover every site exactly once; the ghost tables read rows of the
-        # tail, behind the owned rows.
+        # the (1, 0) offset crosses into the halo: owned and ghost rows of
+        # the one image class are one table
+        (table,) = plan.segments
+        assert plan.halo_segments == [table] and plan.pages and plan.has_halo
+        # The table and the slice part together cover every site exactly
+        # once; the ghost sites read rows of the tail, behind the owned rows.
         writes = np.zeros(plan.n_sites, dtype=int)
-        for seg in interior + boundary:
-            np.add.at(writes, seg.dst_idx, 1)
+        np.add.at(writes, table.dst_idx, 1)
         grid = writes.reshape((len(plan.slices),) + plan.shape)
         for oi, pair in enumerate(plan.slices):
             if pair is not None:
                 grid[oi][pair[0]] += 1
         assert np.all(writes == 1)
-        for seg in boundary:
-            assert np.all(seg.rows()[0] >= seg.image.ghost_base)
+        rows = table.rows()[0]
+        assert table.ghost_sites.size
+        assert np.all(rows[table.ghost_sites] >= table.image.ghost_base)
 
-    def test_halo_sites_are_the_boundary_destinations(self):
-        env, local, _halo = _two_block_env()
-        plan = compile_offsets_plan(env, local, [(0, 0), (1, 0)])
-        _interior, boundary = plan.split()
-        expected = np.unique(np.concatenate([seg.dst_idx for seg in boundary]))
-        np.testing.assert_array_equal(plan.halo_sites(), expected)
-
-    def test_local_only_plan_has_no_boundary(self):
+    def test_local_only_plan_has_no_halo_table(self):
         env, local, _halo = _two_block_env()
         plan = compile_offsets_plan(env, local, [(0, 0)])
-        interior, boundary = plan.split()
-        assert boundary == []
+        assert plan.halo_segments == []
         assert not plan.has_halo
-        assert plan.halo_sites().size == 0
 
 
 # ----------------------------------------------------------------------
-# Env pending-halo slot + PendingHalo accounting
+# page install accounting
 # ----------------------------------------------------------------------
 
 
-def _pending(trace, *, pages=None, fail=False, key=PageKey(7, 0)) -> PendingHalo:
+def _exchange(*, pages=None, fail=False, key=PageKey(7, 0)) -> tuple:
+    """``(manifest, handle)`` of one issued bulk exchange."""
     manifest = {(("blk", 1), 0): key}
     if fail:
         handle: CommHandle = _CountingHandle(fail=True)
@@ -212,7 +203,7 @@ def _pending(trace, *, pages=None, fail=False, key=PageKey(7, 0)) -> PendingHalo
             nbytes=32,
         )
         handle = CompletedCommHandle(result)
-    return PendingHalo(manifest, handle, trace)
+    return manifest, handle
 
 
 class _InstallEnv:
@@ -225,78 +216,57 @@ class _InstallEnv:
         self.installed.extend(items)
 
 
-class TestPendingHalo:
-    def test_complete_installs_and_accounts(self):
+class TestInstallPages:
+    def test_install_accounts_and_times_the_wait(self):
         trace = TaskCounters()
         env = _InstallEnv()
-        _pending(trace).complete(env)
+        _install_pages(env, *_exchange(), trace)
         assert [key for key, _ in env.installed] == [PageKey(7, 0)]
         assert trace.pages_fetched == trace.comm_plan_pages == 1
         assert trace.comm_plan_exchanges == 1
         assert trace.messages == 2
-        assert trace.overlap_flight_ns >= trace.overlap_wait_ns >= 0
-        assert trace.overlap_drained == 0
-
-    def test_drained_completion_is_counted_but_not_timed(self):
-        trace = TaskCounters()
-        _pending(trace).complete(_InstallEnv(), drained=True)
-        assert trace.overlap_drained == 1
-        assert trace.comm_plan_exchanges == 1  # the traffic still counts …
-        # … but deferred latency must not inflate overlap efficiency.
-        assert trace.overlap_wait_ns == 0
-        assert trace.overlap_flight_ns == 0
+        assert trace.halo_wait_ns >= 0
 
     def test_network_error_becomes_page_fetch_error(self):
         trace = TaskCounters()
         with pytest.raises(PageFetchError, match=r"halo exchange of pages PageKey\(block=7"):
-            _pending(trace, fail=True).complete(_InstallEnv())
+            _install_pages(_InstallEnv(), *_exchange(fail=True), trace)
         assert trace.comm_plan_exchanges == 0  # nothing accounted on failure
 
-    def test_env_slot_completes_once_and_clears(self):
-        env, _local, halo = _two_block_env()
-        trace = TaskCounters()
-        data = np.full(4, 3.25)
-        pending = _pending(
-            trace, pages=[(("blk", 1), 0, data)], key=PageKey(halo.block_id, 0)
+
+# ----------------------------------------------------------------------
+# the refresh returns with its exchange complete
+# ----------------------------------------------------------------------
+
+
+class PrefetchProbe(kept_open(JacobiSGrid)):
+    """Open steps only; records, after every successful refresh, whether
+    every page the compiled plans read is valid already."""
+
+    installed: tuple = ()
+
+    def refresh(self, warmup: bool = False) -> bool:
+        done = super().refresh(warmup)
+        if done:
+            env = self.env
+            pages = env.plan_page_requirements()
+            self.installed += (bool(pages) and all(
+                env.block(key.block_id).buffer.read_buffer.pages[key.page_index].valid
+                for key in pages
+            ),)
+        return done
+
+
+class TestRefreshCompletesItsExchange:
+    @pytest.mark.parametrize("backend", ["threads", "process"])
+    def test_an_open_refresh_returns_with_its_prefetch_installed(self, backend):
+        config = dict(region=16, block_size=4, page_elements=8, loops=3,
+                      init=lambda x, y: 0.5 * x - 0.25 * y)
+        run = Platform.preset("mpi", ranks=2, backend=backend, mmat=True).run(
+            PrefetchProbe, config=config
         )
-        env.set_pending_halo(pending)
-        assert env.has_pending_halo()
-        assert env.complete_pending_halo() is True
-        assert not env.has_pending_halo()
-        assert env.complete_pending_halo() is False  # idempotent
-        np.testing.assert_array_equal(np.asarray(halo.page_snapshot(0)).reshape(-1), data)
-
-    def test_set_pending_halo_drains_the_previous_exchange(self):
-        env, _local, halo = _two_block_env()
-        trace = TaskCounters()
-        first = _pending(trace, key=PageKey(halo.block_id, 0))
-        env.set_pending_halo(first)
-        env.set_pending_halo(_pending(trace))
-        # The first exchange was drained (completed) before the second
-        # was installed: its pages are in, and it counted as drained.
-        assert trace.overlap_drained == 1
-        assert trace.comm_plan_exchanges == 1
-
-    def test_failed_completion_clears_the_slot(self):
-        env, _local, _halo = _two_block_env()
-        env.set_pending_halo(_pending(TaskCounters(), fail=True))
-        with pytest.raises(PageFetchError):
-            env.complete_pending_halo()
-        assert not env.has_pending_halo()  # no repeated error on later syncs
-
-    def test_refresh_refuses_to_swap_past_a_parked_exchange(self):
-        env, _local, halo = _two_block_env()
-        pending = _pending(TaskCounters(), key=PageKey(halo.block_id, 0))
-        env.set_pending_halo(pending)
-        previous = set_protocol_checks(True)
-        try:
-            with pytest.raises(EnvError, match="parked"):
-                env.refresh()
-            assert env.step == 0  # nothing swapped
-            env.complete_pending_halo()
-            assert env.refresh() and env.step == 1
-        finally:
-            set_protocol_checks(previous)
+        assert run.app.installed == (True,) * (config["loops"] + 1)  # warm-up too
+        assert run.counters[(0, 0)].comm_plan_exchanges > 0
 
 
 # ----------------------------------------------------------------------
@@ -319,7 +289,7 @@ class TestAsyncIssueErrors:
                 return _Keyed()
 
         with pytest.raises(PageFetchError, match="ghost"):
-            aspect._issue_halo(_StubEnv(), 0, {PageKey(3, 0)}, TaskCounters())
+            aspect._fetch_pages(_StubEnv(), 0, {PageKey(3, 0)}, TaskCounters())
 
     @pytest.mark.parametrize("fault", ["drop_reply", "corrupt_reply"])
     def test_threads_reply_fault_raises_at_issue(self, fault):
@@ -349,6 +319,6 @@ class TestAsyncIssueErrors:
         results = world.run_spmd(body)
         assert "reply 1->0" in results[0].value and results[1].value is None
 
-    def test_overlap_is_the_only_behaviour_not_a_knob(self):
+    def test_overlap_is_not_a_knob(self):
         assert not hasattr(DistributedMemoryAspect(), "overlap")
         assert "overlap" not in inspect.signature(DistributedMemoryAspect).parameters

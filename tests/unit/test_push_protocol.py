@@ -21,7 +21,7 @@ import pytest
 
 from repro import Platform
 from repro.apps import JacobiSGrid
-from repro.aspects.mpi_aspect import PendingPush, PushPlan
+from repro.aspects.mpi_aspect import PushPlan, _copy_pushes
 from repro.memory import BufferOnlyBlock, DataBlock, Env, MemoryPool, PoolGroup
 from repro.memory.mmat import compile_offsets_plan
 from repro.memory.page import PageKey
@@ -237,35 +237,17 @@ class TestStamps:
             control.publish(1, 0, 2, crc=7)
 
     def test_checks_catch_an_owner_restamping_before_the_consumer_copied(self, checks):
-        """The consumer copies the slots into its ghost tail when the wait
-        completes, and acknowledges the round then: an owner that would
-        rewrite a slot before the copy fails, one after it may."""
-        caught, passed = [], []
-
-        class Probe(JacobiSGrid):
-            def kernel(self, warmup: bool) -> bool:
-                if not warmup and self.env.step == 2 and self.task.mpi_rank == 1:
-                    control = self.platform.context["mpi_world"].control
-                    deadline = time.monotonic() + 10.0
-                    while control.stamp[0, 1] == control.ack[0, 1]:  # the owner's stamp
-                        assert time.monotonic() < deadline
-                        time.sleep(0.001)
-                    try:
-                        control.claim(0, 1)
-                    except CollectiveError as exc:
-                        caught.append(exc)
-                    self.env.complete_pending_halo()  # the sweep's first halo read
-                    control.claim(0, 1)
-                    passed.append(True)
-                return super().kernel(warmup)
-
-        config = dict(region=16, block_size=4, page_elements=8, loops=4, init=lambda x, y: x + y)
-        run = Platform.builder().mpi(2, backend="threads").mmat().comm_timeout(30.0).run(
-            Probe, config=config
-        )
-        assert len(caught) == 1 and "only acknowledged round" in str(caught[0])
-        assert passed == [True]
-        assert run.network["halo_pushes"] > 0 and run.network["open_steps"] == {}
+        """Round after round, as consecutive refreshes run it: the owner
+        publishes, the consumer copies the slot and acknowledges inside the
+        same refresh, and only then may the owner claim the slot again."""
+        control = ControlWords(2)
+        for round in (1, 2, 3):
+            control.claim(0, 1)
+            control.publish(0, 1, round, crc=round)
+            with pytest.raises(CollectiveError, match=f"only acknowledged round {round - 1}"):
+                control.claim(0, 1)
+            control.acknowledge(0, 1, round, crc=round)
+        control.claim(0, 1)
 
     def test_repro_check_is_read_from_the_environment_at_import(self):
         for value, expected in (("1", "True"), ("", "False")):
@@ -624,13 +606,57 @@ class TestPushedRows:
         slot[:] = 7.0
         world._rounds[0] = world._rounds[1] = 1  # both ranks agreed round 1
         world.control.publish(1, 0, 1, zlib.crc32(link.slot[:32]))
-        env.set_pending_halo(PendingPush(push, world, 0, TaskCounters()))
+        _copy_pushes(env, push, world, 0, TaskCounters())
+        assert not image.fresh
         assert np.all(plan.execute(env).reshape(2, 4, 4)[1][3] == 7.0)
-        assert not env.has_pending_halo() and not image.fresh
         slot[:] = 42.0  # the slot was copied when the wait completed
         assert np.all(plan.execute(env).reshape(2, 4, 4)[1][3] == 7.0)
         assert not env.missing_pages
         env.refresh()
+        world.finalize()
+
+    def _published(self, env, *, stamp: bool = True):
+        """A one-owner push plan of ``env``'s halo rows, its slot filled with
+        7.0 and, with ``stamp``, stamped round 1 by the owner (rank 1)."""
+        image, rows = env.plan_halo_rows()[0]
+        world = get_backend("threads").create_world(2, timeout=0.2)
+        link = world.open_halo_link(1, 0, nbytes=32)
+        push = PushPlan(generation=env.plan_generation, pages=frozenset())
+        push.inbound.append((link, [(image, rows, 0, 32)]))
+        push.inbound_sites = rows.size
+        env.set_pushed_rows([(image, rows)])
+        link.slot.view(np.float64)[:] = 7.0
+        world._rounds[0] = world._rounds[1] = 1  # both ranks agreed round 1
+        if stamp:
+            world.control.publish(1, 0, 1, zlib.crc32(link.slot[:32]))
+        return world, push
+
+    def test_a_copied_push_is_accounted_as_one_message_and_its_wait_timed(self):
+        env, _owned, _remote, _plan = halo_env()
+        world, push = self._published(env)
+        trace = TaskCounters()
+        _copy_pushes(env, push, world, 0, trace)
+        assert (trace.halo_pushes, trace.messages) == (1, 1)
+        assert trace.halo_sites == 4 and trace.bytes_fetched == 32
+        assert trace.halo_wait_ns > 0 and trace.pages_fetched == 0
+        world.finalize()
+
+    def test_checks_acknowledge_the_copied_round(self, checks):
+        env, _owned, _remote, _plan = halo_env()
+        world, push = self._published(env)
+        with pytest.raises(CollectiveError, match="only acknowledged round 0"):
+            world.control.claim(1, 0)  # the owner may not rewrite before the copy
+        _copy_pushes(env, push, world, 0, TaskCounters())
+        world.control.claim(1, 0)  # ... and may once the refresh copied it
+        world.finalize()
+
+    def test_an_owner_that_never_stamps_fails_the_wait_by_name(self):
+        env, _owned, _remote, _plan = halo_env()
+        world, push = self._published(env, stamp=False)
+        trace = TaskCounters()
+        with pytest.raises(PageFetchError, match="halo stamps of round 1"):
+            _copy_pushes(env, push, world, 0, trace)
+        assert trace.halo_pushes == 0  # nothing accounted on failure
         world.finalize()
 
     def test_check_pushed_rows_rejects_plans_the_push_does_not_cover(self):
