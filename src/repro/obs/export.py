@@ -145,17 +145,16 @@ def phase_report(events: List[dict], *, limit: Optional[int] = None) -> str:
     traced window, so overlapping ranks legitimately sum past 100%.
     ``limit`` keeps only the first N rows (the quickstart prints 3).
     """
-    spans = events
-    if not spans:
+    if not events:
         return "phase report: no spans recorded"
     totals: Dict[str, List[float]] = {}
-    for s in spans:
+    for s in events:
         path = s.get("path") or s["name"]
         entry = totals.setdefault(path, [0, 0.0])
         entry[0] += 1
         entry[1] += max(s["dur_ns"], 0)
-    wall_ns = max(e["ts_ns"] + e.get("dur_ns", 0) for e in spans) - min(
-        e["ts_ns"] for e in spans
+    wall_ns = max(e["ts_ns"] + e.get("dur_ns", 0) for e in events) - min(
+        e["ts_ns"] for e in events
     )
     wall_ns = max(wall_ns, 1)
 
