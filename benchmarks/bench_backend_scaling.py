@@ -73,7 +73,7 @@ def measure_backends(
                 "elapsed_s": best,
                 "speedup_vs_serial": (baseline / best) if baseline else float("nan"),
                 "steps": sum(c.steps for c in last_run.counters.values()) // max(n, 1),
-                "pages_fetched": last_run.network.get("page_fetches", 0),
+                "pages_fetched": last_run.network.get("bulk_pages", 0),
                 "bytes_moved": last_run.network.get("bytes_moved", 0),
             }
         )

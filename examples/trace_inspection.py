@@ -8,12 +8,19 @@ trace-event file — open it at https://ui.perfetto.dev or in
 sweeps and, inside its refreshes, the ``halo.wait`` spans — and prints the five widest spans of every rank: the quickest answer to
 "what was this rank doing while the others were done?".
 
+It then prints the halo-wait distributions ``run.metrics()`` reads off
+the spans, and exits non-zero if a rank's ``halo.wait.ns`` count differs
+from its number of ``halo.wait`` spans in the merged timeline.
+
 Run with::
 
     python examples/trace_inspection.py
 """
 
 from __future__ import annotations
+
+import sys
+from collections import Counter
 
 from repro import Platform
 from repro.apps import JacobiSGrid
@@ -37,7 +44,7 @@ CONFIG = dict(
 )
 
 
-def main() -> None:
+def main() -> int:
     run = Platform.preset(
         "mpi", ranks=RANKS, backend="process", mmat=True, tracing=True
     ).run(JacobiSGrid, config=CONFIG)
@@ -54,10 +61,10 @@ def main() -> None:
             args = f"  {span['args']}" if span.get("args") else ""
             print(f"    {format_ns(span['dur_ns']):>10}  {span['name']}{args}")
 
-    # The halo metrics behind the picture: how long ranks blocked waiting
-    # for the halo, and how big the exchanges were.
-    hists = run.metrics().get("histograms", {})
-    for name in ("halo.wait_ns", "exchange.pages"):
+    # The halo metrics behind the picture, read off the same spans: how
+    # long ranks blocked waiting for the halo, and how big the exchanges were.
+    hists = run.metrics()["histograms"]
+    for name in ("halo.wait.ns", "halo.wait.pages"):
         stats = hists.get(name, {}).get("all")
         if stats:
             print(f"\n{name}: count={stats['count']} p50={stats['p50']:.0f} "
@@ -68,6 +75,15 @@ def main() -> None:
           f"halo wait {imbalance['wait_imbalance']:.2f}x (max/mean over "
           f"{imbalance['ranks']} ranks)")
 
+    spans = Counter(e["rank"] for e in run.timeline() if e["name"] == "halo.wait")
+    counted = {rank: stats["count"]
+               for rank, stats in hists["halo.wait.ns"]["per_rank"].items()}
+    if counted != dict(spans) or len(spans) != RANKS:
+        print(f"halo.wait.ns counts {counted} != halo.wait spans {dict(spans)}",
+              file=sys.stderr)
+        return 1
+    return 0
+
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -12,7 +12,7 @@ Top-level layout (README.md, *Layer map of ``src/repro/``*, has the table):
 * :mod:`repro.annotation` — Annotation Library and the Platform driver;
 * :mod:`repro.aspects` — Aspect Module Library (MPI / OpenMP layer modules);
 * :mod:`repro.dsl` — sample DSL processing systems (SGrid / USGrid / Particle);
-* :mod:`repro.obs` — observability (span tracing, metrics, Perfetto export);
+* :mod:`repro.obs` — observability (span tracing, span summaries, Perfetto export);
 * :mod:`repro.apps` — end-user applications and handwritten baselines;
 * :mod:`repro.analysis` — memory / code-size / LoC measurement utilities;
 * :mod:`repro.bench` — benchmark harness shared by the ``benchmarks/`` suite.
@@ -22,12 +22,7 @@ from .annotation import Platform, PlatformBuilder, PlatformRun, TargetApplicatio
 from .aop import Aspect, Weaver, parse_pointcut
 from .aspects import DistributedMemoryAspect, SharedMemoryAspect
 from .memory import Env
-from .obs import (
-    MonitoringAspect,
-    global_metrics,
-    global_tracer,
-    phase_report,
-)
+from .obs import MonitoringAspect, global_tracer, phase_report
 from .runtime import (
     CostModel,
     MachineSpec,
@@ -52,7 +47,6 @@ __all__ = [
     "SharedMemoryAspect",
     "MonitoringAspect",
     "global_tracer",
-    "global_metrics",
     "phase_report",
     "CostModel",
     "MachineSpec",

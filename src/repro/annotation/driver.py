@@ -37,10 +37,10 @@ from ..memory.env import Env, EnvStats
 from ..obs import (
     MonitoringAspect,
     env_tracing_default,
-    global_metrics,
     global_tracer,
     phase_report,
     save_chrome_trace,
+    span_metrics,
     widest_spans,
 )
 from ..runtime.backends import DEFAULT_TIMEOUT, BackendError, get_backend
@@ -81,9 +81,6 @@ class PlatformRun:
     #: Span events captured during a traced run (epoch-aligned dicts,
     #: see :meth:`repro.obs.Tracer.snapshot`); empty when not tracing.
     span_events: List[dict] = field(default_factory=list)
-    #: Metrics snapshot of a traced run (``MetricsRegistry.snapshot()``
-    #: shape: histograms with p50/p95/p99 + counters, per rank and overall).
-    metric_data: dict = field(default_factory=dict)
     #: Recovery events of a resilient run: one entry per diagnosed rank
     #: failure (:class:`repro.resilience.RecoveryEvent`); empty when no
     #: resilience policy was configured or nothing failed.
@@ -118,21 +115,23 @@ class PlatformRun:
     def timeline(self) -> List[dict]:
         """The traced span events, sorted by start time.
 
-        Each event is a dict with ``ph`` (``"X"`` complete span or
-        ``"b"``/``"e"`` async begin/end), ``name``, ``ts_ns``, ``rank``,
-        ``thread`` and (for complete spans) ``dur_ns`` and the
-        flamegraph ``path``.  Empty unless the run was traced.
+        Each event is a complete span: a dict with ``ph`` (``"X"``),
+        ``name``, ``ts_ns``, ``dur_ns``, the flamegraph ``path``,
+        ``rank``, ``thread`` and ``args``.  Empty unless the run was traced.
         """
         return sorted(self.span_events, key=lambda e: e["ts_ns"])
 
     def metrics(self) -> dict:
-        """Metric snapshot of the run: named histograms and counters.
+        """Distributions of the traced spans (:func:`repro.obs.span_metrics`):
+        ``"<span>.ns"`` durations and ``"<span>.<attr>"`` numeric attributes
+        (``halo.wait.ns``, ``halo.wait.pages``, ``refresh.ns``, …), per rank
+        and overall, over the recorded timeline.
 
         Shape: ``{"histograms": {name: {"all": stats, "per_rank":
-        {rank: stats}}}, "counters": ...}`` where stats carry count,
-        sum, mean, min/max and p50/p95/p99.  Empty unless traced.
+        {rank: stats}}}}`` where stats carry count, sum, mean, min/max and
+        p50/p95/p99.  Empty unless traced.
         """
-        return self.metric_data
+        return span_metrics(self.span_events)
 
     def save_trace(self, path: str) -> str:
         """Write the run's Chrome trace-event JSON to ``path``.
@@ -253,7 +252,7 @@ class PlatformRun:
             why = ", ".join(sorted(self.mmat_stats["tile_splits"]))
             line += f" tiles={tiles}×{self.mmat_stats['tile_blocks'] / tiles:g}"
             line += f"({why})" if why else ""
-        line += self._comm_plan_summary()
+        line += self._comm_summary()
         line += self._shm_summary()
         line += self._imbalance_summary()
         return line
@@ -273,7 +272,7 @@ class PlatformRun:
             part += f",wait:{imbalance['wait_imbalance']:.2f}x"
         return part
 
-    def _comm_plan_summary(self) -> str:
+    def _comm_summary(self) -> str:
         """The ``comm=…`` section of :meth:`summary` (halo traffic by protocol).
 
         Reports how many bulk page exchanges moved how many halo pages
@@ -281,14 +280,13 @@ class PlatformRun:
         element rows (``push=``).  ``open:`` names why steps of a run
         that can publish went through the page exchange instead.
         """
-        exchanges = sum(c.comm_plan_exchanges for c in self.counters.values())
-        pages = sum(c.comm_plan_pages for c in self.counters.values())
+        exchanges = self.network.get("bulk_fetches", 0)
         pushes = self.network.get("halo_pushes", 0)
         if not exchanges and not pushes:
             return ""
         part = " comm="
         if exchanges:
-            part += f"{exchanges}ex/{pages}pg"
+            part += f"{exchanges}ex/{self.network['bulk_pages']}pg"
         if pushes:
             part += f"{' ' if exchanges else ''}push={pushes}ex/{self.network['halo_sites']}sites"
         open_steps = self.network.get("open_steps") or {}
@@ -305,11 +303,10 @@ class PlatformRun:
         how many bytes therefore never crossed a pipe; present only when
         a multi-rank process world fetched pages.
         """
-        fetches = sum(c.shm_fetches for c in self.counters.values())
+        fetches = self.network.get("shm_fetches", 0)
         if not fetches:
             return ""
-        nbytes = sum(c.shm_bytes for c in self.counters.values())
-        return f" shm={fetches}pg/{nbytes / 1024:.1f}KiB"
+        return f" shm={fetches}pg/{self.network['shm_bytes'] / 1024:.1f}KiB"
 
 
 class PlatformBuilder:
@@ -400,7 +397,7 @@ class PlatformBuilder:
         return self._set(pool_bytes=nbytes)
 
     def tracing(self, enabled: bool = True) -> "PlatformBuilder":
-        """Record a span timeline + metrics for every run of the platform.
+        """Record a span timeline for every run of the platform.
 
         Traced runs expose ``run.timeline()`` / ``run.metrics()`` /
         ``run.save_trace(path)``; overhead on untraced paths is a
@@ -477,7 +474,7 @@ class Platform:
         runs the default ``threads`` simulation; naming one requires a
         distributed-memory (``layer == "mpi"``) aspect.
     tracing:
-        Record a span timeline and metrics for every run
+        Record a span timeline for every run
         (:mod:`repro.obs`); adds a :class:`~repro.obs.MonitoringAspect`
         to transcompiled stacks.  ``None`` (default) defers to the
         ``REPRO_TRACE`` environment variable; tracing is otherwise off.
@@ -655,7 +652,6 @@ class Platform:
         was_tracing = tracer.enabled
         if self.tracing:
             tracer.reset()
-            global_metrics().reset()
             tracer.set_enabled(True)
 
         try:
@@ -718,6 +714,5 @@ class Platform:
             mmat_stats=mmat_stats,
             tracing=self.tracing,
             span_events=tracer.snapshot() if self.tracing else [],
-            metric_data=global_metrics().snapshot() if self.tracing else {},
             recovery_events=list(self.resilience.events) if self.resilience else [],
         )

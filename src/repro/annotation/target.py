@@ -152,18 +152,12 @@ class TargetApplication:
         """
         trace = global_trace().for_task()
         for attempt in range(self.MAX_STEP_RETRIES):
-            before = (
-                trace.updates,
-                trace.pages_fetched,
-                trace.bytes_fetched,
-                trace.messages,
-            )
+            before = (trace.updates, trace.bytes_fetched, trace.messages)
             if kernel(False):
                 trace.steps += 1
                 trace.productive_updates += trace.updates - before[0]
-                trace.productive_pages += trace.pages_fetched - before[1]
-                trace.productive_bytes += trace.bytes_fetched - before[2]
-                trace.productive_messages += trace.messages - before[3]
+                trace.productive_bytes += trace.bytes_fetched - before[1]
+                trace.productive_messages += trace.messages - before[2]
                 if attempt:
                     trace.recomputed_steps += attempt
                 return

@@ -68,7 +68,6 @@ from ..aop.advice import after_returning, around
 from ..memory.block import BufferOnlyBlock, DataBlock
 from ..memory.mmat import sorted_unique
 from ..memory.page import PageKey
-from ..obs.metrics import record as metric_record
 from ..obs.spans import global_tracer
 from ..runtime.backends import DEFAULT_BACKEND, get_backend
 from ..runtime.backends.base import CommHandle, ExecutionWorld, HaloLink
@@ -105,24 +104,23 @@ def _page_bytes(env, keys) -> int:
     return total
 
 
-def _wait_halo(handle: CommHandle, what, trace):
-    """Wait ``handle`` under the ``halo.wait`` span and credit the time
-    blocked to ``trace.halo_wait_ns``; returns its :class:`BulkFetchResult`.
+def _wait_halo(handle: CommHandle, what, trace, **attrs):
+    """Wait ``handle`` under the ``halo.wait`` span (carrying ``attrs``: the
+    exchange's ``pages`` or ``sites``) and credit the time blocked to
+    ``trace.halo_wait_ns``; returns its :class:`BulkFetchResult`.
 
     A wait that fails — a dropped or corrupt reply, a timeout, a dead
     owner — raises :class:`PageFetchError` naming ``what()`` was outstanding.
     """
     wait_start = time.perf_counter_ns()
     try:
-        with global_tracer().span("halo.wait"):
+        with global_tracer().span("halo.wait", **attrs):
             result = handle.wait()
     except PageFetchError:
         raise
     except (NetworkError, CollectiveError) as exc:
         raise PageFetchError(f"{what()} failed: {exc}") from exc
-    waited_ns = time.perf_counter_ns() - wait_start
-    trace.halo_wait_ns += waited_ns
-    metric_record("halo.wait_ns", waited_ns)
+    trace.halo_wait_ns += time.perf_counter_ns() - wait_start
     return result
 
 
@@ -130,14 +128,12 @@ def _install_pages(env, manifest: Dict[Tuple[Any, int], PageKey], handle: CommHa
     """Wait for one rank's bulk page exchange, install its pages, account
     the traffic.  ``manifest`` maps what was issued — ``(logical block
     key, page index)`` — to the local :class:`PageKey`."""
-    result = _wait_halo(handle, lambda: f"halo exchange of {_named(manifest.values())}", trace)
+    result = _wait_halo(handle, lambda: f"halo exchange of {_named(manifest.values())}", trace,
+                        pages=len(manifest))
     env.page_install_many((manifest[lk, page], data) for lk, page, data in result.pages)
     trace.pages_fetched += len(result.pages)
     trace.bytes_fetched += result.nbytes
     trace.messages += 2 * result.exchanges
-    trace.comm_plan_exchanges += result.exchanges
-    trace.comm_plan_pages += len(result.pages)
-    metric_record("exchange.pages", len(result.pages))
 
 
 def _copy_pushes(env, plan: PushPlan, world, rank: int, trace) -> None:
@@ -148,7 +144,8 @@ def _copy_pushes(env, plan: PushPlan, world, rank: int, trace) -> None:
     until the next swap, and account the traffic."""
     round = world.halo_round(rank)
     handle = world.await_halo(rank, [link for link, _ in plan.inbound])
-    result = _wait_halo(handle, lambda: f"published halo of {plan.inbound_sites} sites", trace)
+    result = _wait_halo(handle, lambda: f"published halo of {plan.inbound_sites} sites", trace,
+                        sites=plan.inbound_sites)
     slots = [_slot_rows(link, image, lo, hi) for link, tables in plan.inbound
              for image, _, lo, hi in tables]
     env.copy_pushes(slots, check=protocol_checks())
@@ -164,7 +161,6 @@ def _copy_pushes(env, plan: PushPlan, world, rank: int, trace) -> None:
     trace.messages += result.exchanges
     trace.halo_pushes += result.exchanges
     trace.halo_sites += plan.inbound_sites
-    metric_record("exchange.sites", plan.inbound_sites)
 
 
 def _slot_rows(link: HaloLink, image, lo: int, hi: int) -> np.ndarray:

@@ -234,7 +234,6 @@ def scale_counters(counters: TaskCounters, linear_scale: float) -> TaskCounters:
     scaled.bytes_fetched = int(counters.bytes_fetched * linear_scale)
     scaled.messages = int(counters.messages * linear_scale)
     scaled.productive_updates = int(counters.productive_updates * area)
-    scaled.productive_pages = int(counters.productive_pages * linear_scale)
     scaled.productive_bytes = int(counters.productive_bytes * linear_scale)
     scaled.productive_messages = int(counters.productive_messages * linear_scale)
     scaled.paper_pages = int(counters.paper_pages * linear_scale)
@@ -253,7 +252,6 @@ def amplify_steps(counters: TaskCounters, factor: float) -> TaskCounters:
     """
     scaled = TaskCounters(**counters.as_dict())
     scaled.productive_updates = int(counters.productive_updates * factor)
-    scaled.productive_pages = int(counters.productive_pages * factor)
     scaled.productive_bytes = int(counters.productive_bytes * factor)
     scaled.productive_messages = int(counters.productive_messages * factor)
     scaled.paper_pages = int(counters.paper_pages * factor)

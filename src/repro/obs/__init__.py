@@ -1,10 +1,11 @@
-"""Observability subsystem: span tracing, metrics, and trace exporters.
+"""Observability subsystem: span tracing and trace exporters.
 
 Everything the run-total counters of :mod:`repro.runtime.tracing`
 cannot answer — *when* did each rank wait, how long did each halo
-wait take, which step recomputed — is recorded here as spans
-and metrics, exported as Chrome trace-event JSON (Perfetto-loadable)
-or a plain-text phase report.
+wait take, which step recomputed — is recorded here as spans,
+exported as Chrome trace-event JSON (Perfetto-loadable), a plain-text
+phase report, or per-rank distributions of span durations and numeric
+attributes (:func:`span_metrics`).
 
 Off by default; enabled per run via ``Platform(tracing=True)``,
 ``Platform.builder().tracing()``, ``preset(..., tracing=True)`` or the
@@ -18,9 +19,9 @@ from .export import (
     format_ns,
     phase_report,
     save_chrome_trace,
+    span_metrics,
     widest_spans,
 )
-from .metrics import Histogram, MetricsRegistry, global_metrics
 from .spans import (
     DEFAULT_CAPACITY,
     SpanBuffer,
@@ -36,10 +37,7 @@ __all__ = [
     "MonitoringAspect",
     "Tracer",
     "SpanBuffer",
-    "Histogram",
-    "MetricsRegistry",
     "global_tracer",
-    "global_metrics",
     "span",
     "tracing_enabled",
     "set_tracing",
@@ -47,6 +45,7 @@ __all__ = [
     "chrome_trace_document",
     "save_chrome_trace",
     "phase_report",
+    "span_metrics",
     "widest_spans",
     "format_ns",
     "DEFAULT_CAPACITY",

@@ -11,17 +11,14 @@ phase spans *contain* everything the layer aspects add: a ``refresh``
 span covers the barrier, the allreduce and the halo exchange the
 distributed-memory module wraps around ``Env.refresh``.  Sites no
 advice can reach (block-kernel sweeps, the comm receiver thread, the
-weaver itself) are instrumented with direct hooks instead; see
-``ISSUE``/README for the inventory.
+weaver itself) are instrumented with direct hooks instead; the
+README's *Observability* section lists them.
 """
 
 from __future__ import annotations
 
-import time
-
 from ..aop.advice import around
 from ..aop.aspect import Aspect
-from .metrics import record
 from .spans import global_tracer
 
 __all__ = ["MonitoringAspect"]
@@ -56,15 +53,8 @@ class MonitoringAspect(Aspect):
         # Warm-up refreshes (MMAT search passes) are a distinct phase in
         # the paper's cost story; apps call ``env.refresh(warmup)``.
         warmup = jp.args[0] if jp.args else jp.kwargs.get("warmup", False)
-        tracer = global_tracer()
-        if not tracer.enabled:
+        with global_tracer().span("refresh.warmup" if warmup else "refresh"):
             return jp.proceed()
-        name = "refresh.warmup" if warmup else "refresh"
-        t0 = time.perf_counter_ns()
-        with tracer.span(name):
-            result = jp.proceed()
-        record(name + ".ns", time.perf_counter_ns() - t0)
-        return result
 
     @around("tagged('memory.get_blocks')")
     def time_get_blocks(self, jp):

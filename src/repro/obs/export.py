@@ -11,6 +11,9 @@ Two consumers, two formats:
   aggregates spans by their call path, for terminals without a trace
   viewer at hand.
 
+:func:`span_metrics` summarises the same events as distributions (span
+durations and numeric span attributes, per rank and overall).
+
 The test suite checks every backend's document against the subset of
 the trace-event schema these exporters rely on (``tests/chrome_trace.py``).
 """
@@ -18,13 +21,17 @@ the trace-event schema these exporters rely on (``tests/chrome_trace.py``).
 from __future__ import annotations
 
 import json
+import numbers
 from collections import defaultdict
 from typing import Dict, List, Optional, Tuple, Union
+
+import numpy as np
 
 __all__ = [
     "chrome_trace_document",
     "save_chrome_trace",
     "phase_report",
+    "span_metrics",
     "widest_spans",
     "format_ns",
 ]
@@ -211,4 +218,52 @@ def widest_spans(events: List[dict], n: int = 5) -> Dict[int, List[dict]]:
     return {
         rank: sorted(spans, key=lambda s: -s["dur_ns"])[:n]
         for rank, spans in sorted(per_rank.items())
+    }
+
+
+def _stats(values: List[float]) -> dict:
+    data = np.asarray(values, dtype=float)
+    p50, p95, p99 = np.percentile(data, (50, 95, 99))
+    return {
+        "count": int(data.size),
+        "sum": float(data.sum()),
+        "mean": float(data.mean()),
+        "min": float(data.min()),
+        "max": float(data.max()),
+        "p50": float(p50),
+        "p95": float(p95),
+        "p99": float(p99),
+    }
+
+
+def span_metrics(events: List[dict]) -> dict:
+    """Distributions of the recorded spans, per rank and overall.
+
+    Each span name ``s`` gives the histogram ``"s.ns"`` of its durations
+    and one ``"s.<attr>"`` per numeric attribute (``halo.wait.pages``);
+    other attributes are skipped.  Stats are count, sum, mean, min, max
+    and the exact p50/p95/p99 (linear interpolation).  They cover the
+    recorded timeline: a task's ring buffer keeps its last 65,536 events
+    (:data:`~repro.obs.spans.DEFAULT_CAPACITY`).
+
+    Shape: ``{"histograms": {name: {"all": stats, "per_rank": {rank:
+    stats}}}}``; ``{}`` when no span was recorded.
+    """
+    samples: Dict[str, Dict[int, List[float]]] = defaultdict(lambda: defaultdict(list))
+    for event in events:
+        name, rank = event["name"], event["rank"]
+        samples[name + ".ns"][rank].append(event["dur_ns"])
+        for attr, value in (event.get("args") or {}).items():
+            if isinstance(value, numbers.Real) and not isinstance(value, bool):
+                samples[f"{name}.{attr}"][rank].append(value)
+    if not samples:
+        return {}
+    return {
+        "histograms": {
+            name: {
+                "all": _stats([v for values in per_rank.values() for v in values]),
+                "per_rank": {rank: _stats(values) for rank, values in sorted(per_rank.items())},
+            }
+            for name, per_rank in samples.items()
+        }
     }

@@ -165,7 +165,6 @@ def serve_bulk_locally(world: "ExecutionWorld", requester: int, requests) -> "Co
             result.pages.append((logical_key, page_index, data))
             payload_bytes += int(data.nbytes)
         manifest_bytes = 32 + 16 * len(items)
-        stats.page_fetches += len(items)
         stats.bulk_fetches += 1
         stats.bulk_pages += len(items)
         stats.messages += 2

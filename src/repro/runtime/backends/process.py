@@ -107,7 +107,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...obs.metrics import global_metrics
 from ...obs.spans import global_tracer
 from ..errors import CollectiveError, DeadRankError, InjectedFault, NetworkError, TaskError
 from ..network import NetworkStats, _payload_nbytes
@@ -266,13 +265,6 @@ class ProcessTransport:
                 # so it surfaces in the error raised at collect time
                 # instead of being silently swallowed here.
                 self.stats.peer_dead += 1
-                # The sender thread has no task scope; attribute the event
-                # to the rank's master task explicitly.
-                global_trace().for_task(
-                    TaskContext(
-                        mpi_rank=self.rank, mpi_size=self.size, omp_thread=0, omp_threads=1
-                    )
-                ).peer_dead += 1
                 if self.first_send_error is None:
                     self.first_send_error = (
                         f"rank {self.rank} could not send {msg[0]!r} to rank "
@@ -592,16 +584,11 @@ class ProcessTransport:
         self.stats.record_neighbor(self.rank, owner, 1, 32 + 16 * len(items))
         self.stats.record_neighbor(owner, self.rank, 1, payload_bytes)
         self._account_batch(datas)
-        if datas:
-            self.stats.shm_fetches += len(datas)
-            self.stats.shm_bytes += payload_bytes
-            trace = global_trace().for_task()
-            trace.shm_fetches += len(datas)
-            trace.shm_bytes += payload_bytes
+        self.stats.shm_fetches += len(datas)
+        self.stats.shm_bytes += payload_bytes
         return datas
 
     def _account_batch(self, datas: List[Any]) -> None:
-        self.stats.page_fetches += len(datas)
         self.stats.bulk_fetches += 1
         self.stats.bulk_pages += len(datas)
         # Payload plus request header plus per-page manifest entries —
@@ -810,13 +797,12 @@ class ProcessWorld(ExecutionWorld):
         )
         # The child's fork-copied trace may contain pre-fork counters;
         # reset so only this rank's tasks are shipped back to the parent.
-        # Likewise for the span/metric buffers: the fork copied rank 0's
+        # Likewise for the span buffers: the fork copied rank 0's
         # pre-fork spans (weave, warm-up) and shipping them back would
         # duplicate them in the merged timeline.
         global_trace().reset()
         tracer = global_tracer()
         tracer.reset()
-        global_metrics().reset()
         result = RankResult(rank=rank)
         self._run_rank_inline(result, body, omp_threads, mpi_size=self.size)
         payload = {
@@ -834,7 +820,6 @@ class ProcessWorld(ExecutionWorld):
             # channel; snapshot timestamps are wall-clock anchored, so
             # the parent's merge lines ranks up on one timeline.
             "spans": tracer.snapshot() if tracer.enabled else [],
-            "metrics": global_metrics().export_state() if tracer.enabled else {},
             "send_error": transport.first_send_error,
         }
         try:
@@ -889,9 +874,6 @@ class ProcessWorld(ExecutionWorld):
             trace.merge_counters(payload["counters"])
             self.stats.merge(payload["stats"])
             global_tracer().merge_events(payload.get("spans", ()))
-            metrics_state = payload.get("metrics")
-            if metrics_state:
-                global_metrics().merge_state(metrics_state)
 
     # -- Env / block registration --------------------------------------
     def register_env(self, rank: int, env: Any) -> None:

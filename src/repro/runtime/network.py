@@ -48,7 +48,6 @@ class NetworkStats:
     bytes_moved: int = 0
     barriers: int = 0
     allreduces: int = 0
-    page_fetches: int = 0
     #: Bulk page exchanges: request/reply pairs that moved a whole batch
     #: of pages, and how many pages those batches carried.
     bulk_fetches: int = 0
@@ -299,7 +298,6 @@ class SimNetwork:
         payload_bytes = sum(int(d.nbytes) for d in datas)
         manifest_bytes = 32 + 16 * len(pages)
         with self._lock:
-            self.stats.page_fetches += len(datas)
             self.stats.bulk_fetches += 1
             self.stats.bulk_pages += len(datas)
             self.stats.messages += 2

@@ -46,7 +46,6 @@ class TaskCounters:
     #: long runs where warm-up is amortised away, so the cost model prefers
     #: these when they are non-zero.
     productive_updates: int = 0
-    productive_pages: int = 0
     productive_bytes: int = 0
     productive_messages: int = 0
     #: The halo pages the paper's prototype would fetch — one request/reply
@@ -74,11 +73,6 @@ class TaskCounters:
     #: through a fused kernel instead of the gather/apply/scatter path.
     kernel_fuse: int = 0
     kernel_fused_calls: int = 0
-    #: Page-exchange activity: how many bulk request/reply exchanges (one
-    #: per owning rank) ran — prefetches and repairs alike — and how many
-    #: pages they moved.
-    comm_plan_exchanges: int = 0
-    comm_plan_pages: int = 0
     #: Halo completion: the time spent blocked in ``CommHandle.wait`` by
     #: every halo exchange the refresh advice waited for (ns) — page
     #: exchanges and published slots alike.  ``halo_pushes`` /
@@ -89,15 +83,8 @@ class TaskCounters:
     halo_pushes: int = 0
     halo_sites: int = 0
     halo_wait_ns: int = 0
-    #: Resilience activity: epoch checkpoints saved, and page replies the
-    #: process transport could not deliver because the requesting peer's
-    #: pipe was already dead.
+    #: Resilience activity: epoch checkpoints saved.
     checkpoints: int = 0
-    peer_dead: int = 0
-    #: Shared-memory data-plane activity (multi-rank process worlds):
-    #: pages received as mapped-segment descriptors and their bytes.
-    shm_fetches: int = 0
-    shm_bytes: int = 0
     #: Qualitative access pattern of the workload ('contiguous'|'random'|'bucketed')
     #: recorded by the DSL layer, consumed by the shared-memory contention model.
     access_pattern: str = "contiguous"

@@ -149,7 +149,7 @@ class TestPageFetch:
             assert result.value[:3] == (("blk", owner), 3, 1)
             np.testing.assert_allclose(result.value[3], expected)
         summary = world.traffic_summary()
-        assert summary["page_fetches"] == summary["bulk_fetches"] == size
+        assert summary["bulk_pages"] == summary["bulk_fetches"] == size
 
     @pytest.mark.parametrize("backend,size", CASES)
     def test_directory_is_globally_consistent_after_commit(self, backend, size):
@@ -255,7 +255,6 @@ class TestAsyncBulkFetch:
                 expected = np.arange(4) + 1000.0 * owner + 10.0 * (7 + owner) + 1
                 np.testing.assert_allclose(values, expected)
         stats = world.traffic_summary()
-        assert stats["page_fetches"] == size * size
         assert stats["bulk_fetches"] == size * size  # size exchanges per rank
         assert stats["bulk_pages"] == size * size
 
@@ -314,7 +313,6 @@ class TestAsyncBulkFetch:
         assert [r.value for r in results] == [(True, True)] * size
         stats = world.traffic_summary()
         # Counted once per rank's batch despite the double wait.
-        assert stats["page_fetches"] == size * size
         assert stats["bulk_pages"] == size * size
 
     @pytest.mark.parametrize("backend,size", CASES)
@@ -456,16 +454,16 @@ class TestNumericalEquivalence:
             JacobiSGrid, config=dict(SGRID_CONFIG)
         )
         assert set(run.network) == {
-            "messages", "bytes_moved", "barriers", "allreduces", "page_fetches",
+            "messages", "bytes_moved", "barriers", "allreduces",
             "bulk_fetches", "bulk_pages", "per_neighbor", "peer_dead",
             "shm_fetches", "shm_bytes", "shm_fallbacks",
             "halo_pushes", "halo_sites", "open_steps",
         }
         assert run.network["peer_dead"] == 0  # healthy run: no dead peers
         if ranks > 1:
-            assert run.network["page_fetches"] > 0
+            assert run.network["bulk_pages"] > 0
             assert run.network["bytes_moved"] > 0
         # Per-task trace counters agree with the transport counters.
         assert sum(c.pages_fetched for c in run.counters.values()) == (
-            run.network["page_fetches"]
+            run.network["bulk_pages"]
         )

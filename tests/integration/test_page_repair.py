@@ -60,10 +60,10 @@ class WithheldSGrid(JacobiSGrid):
 
     def refresh(self, warmup: bool = False) -> bool:
         trace = global_trace().for_task()
-        before = (trace.messages, trace.pages_fetched, trace.comm_plan_exchanges)
+        before = (trace.messages, trace.pages_fetched)
         done = super().refresh(warmup)
         if not done and not warmup:
-            after = (trace.messages, trace.pages_fetched, trace.comm_plan_exchanges)
+            after = (trace.messages, trace.pages_fetched)
             self.repairs.append(tuple(b - a for a, b in zip(before, after)))
         return done
 
@@ -79,8 +79,8 @@ def test_repair_moves_one_pair_per_owner(backend):
     run = platform.run(WithheldSGrid, config=dict(CONFIG))
     app = run.app
     assert len(app.owners) == 2 and len(app.pages) > len(app.owners)
-    # One failed refresh on rank 0: two messages per owner, every page.
-    assert app.repairs == [(2 * len(app.owners), len(app.pages), len(app.owners))]
+    # One failed refresh on rank 0: one request/reply pair per owner, every page.
+    assert app.repairs == [(2 * len(app.owners), len(app.pages))]
     assert run.counters[(0, 0)].recomputed_steps == 1
     result = np.asarray(run.result, dtype=np.float64)
     mine = ~np.isnan(result)

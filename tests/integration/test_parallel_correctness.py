@@ -135,7 +135,7 @@ class TestCommunicationBehaviour:
     def test_mpi_run_moves_pages(self, references):
         platform = Platform.preset("mpi", ranks=4, mmat=True)
         run = platform.run(JacobiSGrid, config=dict(SGRID_CONFIG))
-        assert run.network["page_fetches"] > 0
+        assert run.network["bulk_pages"] > 0
         assert run.network["bytes_moved"] > 0
         assert sum(c.pages_fetched for c in run.counters.values()) > 0
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import glob
 import multiprocessing
+import os
 from unittest import mock
 
 import numpy as np
@@ -169,7 +170,7 @@ class TestBulkFetchContract:
         world, _ = run_fetch(size)
         stats = world.traffic_summary()
         remote_pages = 2 * size * (size - 1)
-        assert stats["page_fetches"] == stats["bulk_pages"] == stats["shm_fetches"] == remote_pages
+        assert stats["bulk_pages"] == stats["shm_fetches"] == remote_pages
         assert stats["bulk_fetches"] == size * (size - 1)
         assert stats["shm_bytes"] == remote_pages * 32 and stats["shm_fallbacks"] == 0
         # Each directed link carries one request (32 + 16 bytes per page)
@@ -341,11 +342,13 @@ class TestSegmentHygiene:
 
         The dead child never runs its transport close, so its named
         segments survive it — until the parent's ``finalize()`` probe
-        sweep unlinks them.  A leak here would surface as
-        ``resource_tracker`` warnings at interpreter shutdown and stale
-        ``/dev/shm`` entries accumulating across recoveries.
+        sweep unlinks them.  A leak here would leave stale ``/dev/shm``
+        entries accumulating across recoveries.  Only this process's
+        worlds are compared (segment names carry the creating pid), so
+        a process world running concurrently elsewhere cannot fail it.
         """
-        before = set(leftover_segments())
+        mine = f"repro_shm_{os.getpid()}x*"
+        before = set(leftover_segments(mine))
         plan = FaultPlan().kill(1, phase="refresh", epoch=2)
         policy = ResiliencePolicy(fault_plan=plan)
         platform = (
@@ -368,5 +371,5 @@ class TestSegmentHygiene:
         )
         assert np.isfinite(np.asarray(run.result)[~np.isnan(np.asarray(run.result))]).all()
         # The shm plane actually carried pages before/after the kill.
-        assert sum(c.shm_fetches for c in run.counters.values()) > 0
-        assert set(leftover_segments()) == before
+        assert run.network["shm_fetches"] > 0
+        assert set(leftover_segments(mine)) == before

@@ -180,7 +180,7 @@ class TestBenchHarness:
     def test_scale_counters_scaling_laws(self):
         counters = TaskCounters(
             updates=100, pages_fetched=10, bytes_fetched=1000, messages=20,
-            productive_updates=50, productive_pages=5, productive_bytes=500,
+            productive_updates=50, productive_bytes=500,
             productive_messages=10,
         )
         scaled = scale_counters(counters, 4.0)
@@ -189,15 +189,13 @@ class TestBenchHarness:
         assert scaled.productive_updates == 800
         assert scaled.productive_bytes == 2000
 
-    def test_paper_pages_scale_like_productive_pages(self):
-        counters = TaskCounters(
-            productive_pages=5, productive_bytes=500, paper_pages=6, paper_bytes=600
-        )
+    def test_paper_pages_scale_like_productive_bytes(self):
+        counters = TaskCounters(productive_bytes=500, paper_pages=6, paper_bytes=600)
         scaled = scale_counters(counters, 4.0)  # perimeter
         assert (scaled.paper_pages, scaled.paper_bytes) == (24, 2400)
         amplified = amplify_steps(scaled, 50.0)  # step count
         assert (amplified.paper_pages, amplified.paper_bytes) == (1200, 120000)
-        assert amplified.productive_pages == 20 * 50
+        assert amplified.productive_bytes == 2000 * 50
 
     @pytest.mark.parametrize("label", ["serial", "omp"])
     def test_runs_without_a_distributed_layer_count_no_paper_pages(self, label):

@@ -99,7 +99,7 @@ class TestSimNetworkDeadRanks:
         net.mark_dead(1)
         with pytest.raises(DeadRankError, match="rank 1 is dead"):
             net.fetch_pages(0, 1, [(1, 0)])
-        assert net.stats.page_fetches == 0 and net.stats.messages == 0
+        assert net.stats.bulk_pages == 0 and net.stats.messages == 0
 
 
 class TestSimNetworkCollectives:
@@ -162,7 +162,7 @@ class TestPageFetch:
         net.register_endpoint(1, env)
         first, second = net.fetch_pages(0, 1, [(block.block_id, 0), (block.block_id, 1)])
         assert first[0, 0] == 3.0 and second.shape == first.shape
-        assert net.stats.page_fetches == 2
+        assert net.stats.bulk_pages == 2
         assert net.stats.messages == 2  # one request/reply pair for the batch
 
     def test_fetch_without_endpoint_raises(self):

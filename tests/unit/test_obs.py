@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.obs import (
-    Histogram,
-    MetricsRegistry,
     Tracer,
     chrome_trace_document,
     phase_report,
+    span_metrics,
     widest_spans,
 )
 from repro.runtime import TaskContext, TaskCounters, TraceRecorder, task_scope
@@ -107,66 +107,51 @@ class TestTracer:
         assert event["thread"] == "recv"
 
 
-class TestHistogram:
-    def test_stats_exact_below_reservoir(self):
-        hist = Histogram()
-        for v in range(1, 101):
-            hist.record(float(v))
-        stats = hist.stats()
-        assert stats["count"] == 100
-        assert stats["sum"] == pytest.approx(5050.0)
-        assert stats["min"] == 1.0 and stats["max"] == 100.0
-        assert stats["p50"] == pytest.approx(50.5)
-        assert stats["p95"] == pytest.approx(95.05)
-        assert stats["p99"] == pytest.approx(99.01)
+class TestSpanMetrics:
+    @staticmethod
+    def _event(name, rank, dur_ns, **args):
+        return {"ph": "X", "name": name, "path": name, "ts_ns": 0, "dur_ns": dur_ns,
+                "rank": rank, "thread": 0, "args": args or None}
 
-    def test_merge_combines_moments(self):
-        a, b = Histogram(), Histogram()
-        for v in (1.0, 2.0):
-            a.record(v)
-        for v in (10.0, 20.0):
-            b.record(v)
-        a.merge(b)
-        stats = a.stats()
-        assert stats["count"] == 4
-        assert stats["sum"] == pytest.approx(33.0)
-        assert stats["min"] == 1.0 and stats["max"] == 20.0
+    def test_percentiles_are_exact(self):
+        durations = [7, 1, 100, 42, 3, 18, 55, 2, 9]
+        events = [self._event("halo.wait", 0, d) for d in durations]
+        stats = span_metrics(events)["histograms"]["halo.wait.ns"]["all"]
+        assert stats["count"] == len(durations)
+        assert stats["sum"] == sum(durations)
+        assert stats["min"] == 1 and stats["max"] == 100
+        for q in (50, 95, 99):
+            assert stats[f"p{q}"] == np.percentile(durations, q)
 
-    def test_empty_histogram_percentile(self):
-        assert Histogram().percentile(99) == 0.0
+    def test_one_entry_per_rank_merged_child_events_included(self):
+        tracer = Tracer()
+        tracer.set_enabled(True)
+        with tracer.span("halo.wait"):
+            pass
+        child = Tracer()
+        child.set_enabled(True)
+        with task_scope(TaskContext(mpi_rank=1, mpi_size=2)):
+            for _ in range(3):
+                with child.span("halo.wait"):
+                    pass
+        tracer.merge_events(child.snapshot())
+        hist = span_metrics(tracer.snapshot())["histograms"]["halo.wait.ns"]
+        assert {rank: s["count"] for rank, s in hist["per_rank"].items()} == {0: 1, 1: 3}
+        assert hist["all"]["count"] == 4
 
+    def test_numeric_attributes_summarised_others_skipped(self):
+        events = [
+            self._event("halo.wait", 0, 10, pages=4, label="owner"),
+            self._event("halo.wait", 0, 20, pages=6, ok=True),
+            self._event("ckpt.save", 1, 5, epoch=np.int64(2)),
+        ]
+        hists = span_metrics(events)["histograms"]
+        assert set(hists) == {"halo.wait.ns", "halo.wait.pages", "ckpt.save.ns", "ckpt.save.epoch"}
+        assert hists["halo.wait.pages"]["per_rank"][0]["sum"] == 10
+        assert hists["halo.wait.pages"]["all"]["mean"] == 5
 
-class TestMetricsRegistry:
-    def test_record_and_snapshot_per_rank(self):
-        registry = MetricsRegistry()
-        registry.record("halo.wait_ns", 100, rank=0)
-        registry.record("halo.wait_ns", 300, rank=1)
-        registry.count("exchanges", 2, rank=1)
-        snap = registry.snapshot()
-        hist = snap["histograms"]["halo.wait_ns"]
-        assert hist["all"]["count"] == 2
-        assert set(hist["per_rank"]) == {0, 1}
-        assert hist["per_rank"][1]["sum"] == 300
-        assert snap["counters"]["exchanges"]["all"] == 2
-
-    def test_export_and_merge_state(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.record("m", 1, rank=0)
-        b.record("m", 3, rank=1)
-        b.count("c", 5, rank=1)
-        a.merge_state(b.export_state())
-        snap = a.snapshot()
-        assert snap["histograms"]["m"]["all"]["count"] == 2
-        assert snap["histograms"]["m"]["per_rank"][1]["max"] == 3
-        assert snap["counters"]["c"]["per_rank"][1] == 5
-
-    def test_default_rank_comes_from_task_context(self):
-        registry = MetricsRegistry()
-        with task_scope(TaskContext(mpi_rank=2, mpi_size=4)):
-            registry.record("m", 7)
-        assert registry.snapshot()["histograms"]["m"]["per_rank"] == {
-            2: registry.snapshot()["histograms"]["m"]["per_rank"][2]
-        }
+    def test_empty_timeline_gives_nothing(self):
+        assert span_metrics([]) == {}
 
 
 def _traced_events():

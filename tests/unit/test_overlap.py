@@ -113,7 +113,6 @@ class TestAsyncStatsCountOnce:
         stats = world.network.stats
         assert stats.bulk_fetches == 2  # one batch per rank
         assert stats.bulk_pages == 2
-        assert stats.page_fetches == 2
         # Per-neighbor attribution: each direction carries exactly one
         # request and one reply message, not two of either.
         for entry in stats.per_neighbor.values():
@@ -222,8 +221,7 @@ class TestInstallPages:
         env = _InstallEnv()
         _install_pages(env, *_exchange(), trace)
         assert [key for key, _ in env.installed] == [PageKey(7, 0)]
-        assert trace.pages_fetched == trace.comm_plan_pages == 1
-        assert trace.comm_plan_exchanges == 1
+        assert trace.pages_fetched == 1
         assert trace.messages == 2
         assert trace.halo_wait_ns >= 0
 
@@ -231,7 +229,7 @@ class TestInstallPages:
         trace = TaskCounters()
         with pytest.raises(PageFetchError, match=r"halo exchange of pages PageKey\(block=7"):
             _install_pages(_InstallEnv(), *_exchange(fail=True), trace)
-        assert trace.comm_plan_exchanges == 0  # nothing accounted on failure
+        assert trace.messages == trace.pages_fetched == 0  # nothing accounted on failure
 
 
 # ----------------------------------------------------------------------
@@ -266,7 +264,7 @@ class TestRefreshCompletesItsExchange:
             PrefetchProbe, config=config
         )
         assert run.app.installed == (True,) * (config["loops"] + 1)  # warm-up too
-        assert run.counters[(0, 0)].comm_plan_exchanges > 0
+        assert run.counters[(0, 0)].pages_fetched > 0
 
 
 # ----------------------------------------------------------------------
