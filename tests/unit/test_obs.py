@@ -150,6 +150,29 @@ class TestSpanMetrics:
         assert hists["halo.wait.pages"]["per_rank"][0]["sum"] == 10
         assert hists["halo.wait.pages"]["all"]["mean"] == 5
 
+    def test_overall_combines_every_rank(self):
+        events = [self._event("refresh", 0, d) for d in (1, 2)]
+        events += [self._event("refresh", 1, d) for d in (10, 20)]
+        hist = span_metrics(events)["histograms"]["refresh.ns"]
+        assert hist["all"]["count"] == 4
+        assert hist["all"]["sum"] == 33 and hist["all"]["mean"] == 8.25
+        assert hist["all"]["min"] == 1 and hist["all"]["max"] == 20
+        assert hist["per_rank"][0]["max"] == 2 and hist["per_rank"][1]["min"] == 10
+
+    def test_span_without_attributes_gives_only_its_duration(self):
+        events = [self._event("plan.compile", 3, 40)]
+        del events[0]["args"]
+        events.append(self._event("plan.compile", 3, 60))
+        hists = span_metrics(events)["histograms"]
+        assert set(hists) == {"plan.compile.ns"}
+        stats = hists["plan.compile.ns"]["per_rank"][3]
+        assert stats["count"] == 2 and stats["p50"] == 50
+
+    def test_one_sample_is_every_percentile(self):
+        stats = span_metrics([self._event("ckpt.save", 0, 17)])["histograms"]["ckpt.save.ns"]["all"]
+        assert stats["min"] == stats["max"] == stats["mean"] == 17
+        assert stats["p50"] == stats["p95"] == stats["p99"] == 17
+
     def test_empty_timeline_gives_nothing(self):
         assert span_metrics([]) == {}
 
