@@ -43,7 +43,8 @@ from ..obs import (
     span_metrics,
     widest_spans,
 )
-from ..runtime.backends import DEFAULT_TIMEOUT, BackendError, get_backend
+from ..runtime.backends import DEFAULT_BACKEND, DEFAULT_TIMEOUT, BackendError, get_backend
+from ..runtime.network import NetworkStats
 from ..runtime.tracing import TaskCounters, global_trace
 from .target import TargetApplication
 
@@ -69,8 +70,9 @@ class PlatformRun:
     #: Whether the run went through the weaver ("Platform NOP" and up);
     #: False for the plain "Platform" (serial) configuration.
     transcompiled: bool = False
-    #: Name of the execution backend that ran the distributed layer
-    #: ("serial" | "threads" | "process" | custom); None when no
+    #: Name of the execution backend the distributed layer ran on
+    #: ("serial" | "threads" | "process" | custom; a world of one rank
+    #: is the serial world whatever the name); None when no
     #: distributed-memory world was created.
     backend: Optional[str] = None
     #: MMAT / access-plan statistics of the master task's Env
@@ -470,9 +472,10 @@ class Platform:
     backend:
         Execution backend of the distributed-memory layer (``"serial"``
         | ``"threads"`` | ``"process"`` | a backend registered via
-        :func:`repro.runtime.backends.register_backend`).  ``None``
-        runs the default ``threads`` simulation; naming one requires a
-        distributed-memory (``layer == "mpi"``) aspect.
+        :func:`repro.runtime.backends.register_backend`) of a world of
+        two or more ranks; one rank always runs the serial world.
+        ``None`` runs the default ``threads`` simulation; naming one
+        requires a distributed-memory (``layer == "mpi"``) aspect.
     tracing:
         Record a span timeline for every run
         (:mod:`repro.obs`); adds a :class:`~repro.obs.MonitoringAspect`
@@ -699,9 +702,13 @@ class Platform:
         world = self.context.get("mpi_world")
         if world is not None:
             # Every backend's world exposes the same NetworkStats keys, so
-            # run.network reads uniformly across serial/threads/process.
-            network = world.traffic_summary()
-            backend_name = getattr(world, "backend_name", None)
+            # run.network reads uniformly across serial/threads/process; a
+            # recovered run adds the traffic of the worlds it gave up.
+            traffic = NetworkStats(**world.traffic_summary())
+            if self.resilience is not None:
+                traffic.merge(self.resilience.lost_traffic)
+            network = traffic.as_dict()
+            backend_name = self.backend or DEFAULT_BACKEND
         return PlatformRun(
             app=app,
             elapsed=elapsed,

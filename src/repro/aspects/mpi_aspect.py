@@ -69,7 +69,7 @@ from ..memory.block import BufferOnlyBlock, DataBlock
 from ..memory.mmat import sorted_unique
 from ..memory.page import PageKey
 from ..obs.spans import global_tracer
-from ..runtime.backends import DEFAULT_BACKEND, get_backend
+from ..runtime.backends import DEFAULT_BACKEND, create_world
 from ..runtime.backends.base import CommHandle, ExecutionWorld, HaloLink
 from ..runtime.errors import CollectiveError, NetworkError, PageFetchError
 from ..runtime.shm import protocol_checks
@@ -209,8 +209,9 @@ class DistributedMemoryAspect(LayerAspect):
 
     The runtime itself is pluggable: the Platform's ``backend`` selects
     an execution backend from :mod:`repro.runtime.backends` (``serial``
-    | ``threads`` | ``process`` | any registered custom backend), and
-    its ``comm_timeout`` bounds every wait of the world.
+    | ``threads`` | ``process`` | any registered custom backend) for a
+    world of two or more ranks — a world of one is always the serial
+    world — and its ``comm_timeout`` bounds every wait of the world.
     """
 
     layer = "mpi"
@@ -256,10 +257,10 @@ class DistributedMemoryAspect(LayerAspect):
         again gets a new world, of the size ``parallelism`` says then.
         """
         platform = self.platform
-        backend = get_backend(getattr(platform, "backend", None) or DEFAULT_BACKEND)
+        backend = getattr(platform, "backend", None) or DEFAULT_BACKEND
         omp_threads = platform.parallelism_of("omp") if platform is not None else 1
         entry = jp.continuation()
-        world = backend.create_world(self.parallelism, timeout=self.comm_timeout())
+        world = create_world(backend, self.parallelism, timeout=self.comm_timeout())
         self.bind_world(world)
         if platform is not None:
             platform.context["mpi_world"] = world

@@ -254,7 +254,6 @@ class BlockKernel:
         self._reads += 1
         self._widest = max(self._widest, plan.n_sites // self.elements)
         self.env.mmat.note_execution(plan)
-        self._trace.plan_gathers += 1
         self._trace.plan_sites += plan.n_sites
         return out
 

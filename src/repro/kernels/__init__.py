@@ -1,12 +1,11 @@
 """Fused sweep kernels.
 
-The fusion pass (:mod:`repro.kernels.fused`) compiles an offsets
+The fusion pass (:mod:`repro.kernels.fused`) binds an offsets
 :class:`~repro.memory.mmat.AccessPlan` plus an elementwise kernel ``fn``
-into one generated function that gathers, applies and scatters without
-materialising the intermediate ``(n_offsets, n_elem)`` tensor.  The
-function is NumPy source specialised to the plan's shape and stencil and
-``exec``-compiled (:mod:`repro.kernels.numpy_src`; no dependencies
-beyond NumPy).
+into one kernel that gathers, applies and scatters without
+materialising the intermediate ``(n_offsets, n_elem)`` tensor; its
+slices, shapes and ring tables are precomputed from the plan's shape
+and stencil (plain NumPy, no dependencies beyond it).
 """
 
 from __future__ import annotations

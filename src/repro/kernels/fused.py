@@ -12,8 +12,8 @@ n_elem)`` gather tensor and re-indexing it per offset:
 * only the out-of-block plan sites — the boundary "ring": mirror
   boundaries, neighbour blocks, halo pages, compile-time constants,
   which are all an offsets plan's segments hold — are filled through
-  precomputed (deduplicated) gather tables, one per image class (the
-  generated fill of :mod:`repro.kernels.numpy_src`);
+  precomputed (deduplicated) gather tables, one per image class
+  (:meth:`FusedKernel._fill`);
 * ``fn`` is applied once, to one contiguous 1-D slice of ``P``'s flat
   buffer per offset: each slice starts at the first interior cell
   shifted by the offset's flat distance and covers whole padded rows of
@@ -38,13 +38,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..obs.spans import global_tracer
-from .numpy_src import compile_module
 
 __all__ = ["FusedKernel", "fused_kernel_for"]
 
 
 class FusedKernel:
-    """One plan + fn fused into a generated fill, one flat compute and one store."""
+    """One plan + fn fused into one fill, one flat compute and one store."""
 
     def __init__(self, block, plan) -> None:
         if plan.kind != "offsets" or plan.components != 1:
@@ -71,6 +70,11 @@ class FusedKernel:
         pstride = np.cumprod((1,) + self.pshape[:0:-1])[::-1]
         shifts = off_arr @ pstride
         start = int(np.dot(pad_lo, pstride))
+        #: The first interior cell: its value stamps the unfilled cells.
+        self._start = start
+        #: ``P`` is the head of the flat buffer; the block fills its interior.
+        self._psize = int(np.prod(self.pshape))
+        self._interior = tuple(slice(a, a + n) for a, n in zip(pad_lo, shape))
         #: Lanes of the flat result: whole padded rows of axis 0.
         self._span = shape[0] * int(pstride[0])
         self._slices = [slice(start + k, start + k + self._span) for k in shifts.tolist()]
@@ -79,7 +83,7 @@ class FusedKernel:
         self._keep = (slice(None),) + tuple(slice(0, n) for n in shape[1:])
         #: The flat buffer's length: the padded field and one padded row of
         #: trailing margin, which the last row's shifted reads may reach.
-        self._flat = int(np.prod(self.pshape)) + int(pstride[0])
+        self._flat = self._psize + int(pstride[0])
 
         # -- ring-fill tables (the plan's segments and constants are ----
         #    exactly its out-of-block sites)
@@ -100,12 +104,6 @@ class FusedKernel:
             self.const_vals = None
         #: Cells to stamp before the compute.
         self.stamps = self._stamp_positions()
-
-        # -- generated code --------------------------------------------
-        module = compile_module(
-            (shape, pad_lo, self.pshape, plan.offsets, self._flat, start)
-        )
-        self._fill = module["fill"]
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -135,23 +133,32 @@ class FusedKernel:
         unfilled = np.zeros(self._flat, dtype=bool)
         for sl in self._slices:
             unfilled[sl] = True
-        interior = tuple(slice(a, a + n) for a, n in zip(self.pad_lo, self.shape))
-        unfilled[: int(np.prod(self.pshape))].reshape(self.pshape)[interior] = False
+        unfilled[: self._psize].reshape(self.pshape)[self._interior] = False
         for seg in self.ring_tables:
             unfilled[seg.dst_idx] = False
         if self.const_pos is not None:
             unfilled[self.const_pos] = False
         return np.flatnonzero(unfilled)
 
-    def padded(self, env) -> np.ndarray:
-        """The calling thread's flat padded field (called from the generated
-        code), this kernel's constant ring cells stamped: all kernels of a
-        padded shape and dtype compute in it, one after the other.  Per
-        *thread*: hybrid threads sweep one signature concurrently."""
+    def _fill(self, env):
+        """Make the plan's ghost rows current and fill the calling thread's
+        flat padded field: the block's read buffer (a slice of the dense
+        image) into the interior, the constant ring cells, an interior value
+        into the stamps, and every other ring cell through one gather table
+        per image class.  All kernels of a padded shape and dtype compute in
+        that field, one after the other; it is per *thread* because hybrid
+        threads sweep one signature concurrently.  Returns ``(F, missing)``."""
+        missing = env.fill_ghosts(self.plan)
         F = env.mmat.scratch("padded", (self._flat,), self.dtype)
         if self.const_pos is not None:
             F[self.const_pos] = self.const_vals
-        return F
+        own = env.dense_read(self.block)[:, 0].reshape(self.shape)
+        F[: self._psize].reshape(self.pshape)[self._interior] = own
+        F[self.stamps] = F[self._start]
+        ring = F.reshape(self._flat, 1)
+        for table in self.ring_tables:
+            table.gather(env, ring)
+        return F, missing
 
     @property
     def nbytes(self) -> int:
@@ -168,11 +175,10 @@ class FusedKernel:
         """One fused whole-block sweep, accounted as a plan execution."""
         plan = self.plan
         with global_tracer().span("sweep"):
-            F, missing = self._fill(self, env)
+            F, missing = self._fill(env)
             self._store(self._compute(F, fn))
         plan.account(env, missing)
         env.mmat.note_execution(plan)
-        trace.plan_gathers += 1
         trace.plan_sites += plan.n_sites
         trace.kernel_fused_calls += 1
         trace.updates += work * self.n_elem

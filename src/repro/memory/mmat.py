@@ -900,9 +900,9 @@ class MMAT:
         #: Offsets plans a sibling's compile pass made, keyed by ``(block
         #: id, offsets)``: not plans of this MMAT until their Block asks.
         self._staged: Dict[tuple, AccessPlan] = {}
-        #: Fused kernels (plan + elementwise fn compiled into one
-        #: generated function), keyed by ``(plan version, fn identity,
-        #: dtype)``; cleared together with the plans.
+        #: Fused kernels (plan + elementwise fn bound into one kernel),
+        #: keyed by ``(plan version, fn identity, dtype)``; cleared
+        #: together with the plans.
         self._fused: Dict[tuple, object] = {}
         #: Output arrays of :meth:`AccessPlan.execute`, one per calling
         #: thread, n-th batched read of a kernel body and ``(n_sites,
@@ -1010,7 +1010,7 @@ class MMAT:
         self.plan_compiles_uncached += 1
 
     # ------------------------------------------------------------------
-    # fused kernels (plan + fn compiled into one generated function)
+    # fused kernels (plan + fn bound into one kernel)
     # ------------------------------------------------------------------
     def fused_lookup(self, key: tuple):
         """Return the cached fused kernel for ``key``, or None."""
@@ -1039,8 +1039,8 @@ class MMAT:
         self._memo.clear()
         self._plans.clear()
         self._staged.clear()
-        # Fused kernels bake a specific plan's gather tables into
-        # generated code, so they die with the plans they wrap.
+        # Fused kernels hold a specific plan's gather tables, so they
+        # die with the plans they wrap.
         self._fused.clear()
         self._scratch.clear()
         self.resets += 1

@@ -29,6 +29,7 @@ from ..memory.zorder import morton_encode
 from ..runtime.backends import DEFAULT_BACKEND
 from ..runtime.backends.base import SpmdFailure
 from ..runtime.errors import DeadRankError, InjectedFault
+from ..runtime.network import NetworkStats
 from ..runtime.tracing import global_trace
 from .checkpoint import CheckpointAspect, DiskCheckpointStore, MemoryCheckpointStore, RankPages
 from .rebalance import plan_recovery_ownership
@@ -149,6 +150,9 @@ class RecoveryManager:
         self.ownership: Optional[Dict[Any, int]] = None
         #: One :class:`RecoveryEvent` per diagnosed failure, in order.
         self.events: List[RecoveryEvent] = []
+        #: Traffic of the worlds given up: ``run.network`` adds it to the
+        #: last world's, as ``run.counters`` add every attempt's work.
+        self.lost_traffic = NetworkStats()
         self._epochs: Dict[int, int] = {}
         self._replay: Dict[int, int] = {}
         self._lock = threading.Lock()
@@ -187,6 +191,7 @@ class RecoveryManager:
         """Forget the previous run; open the store for a run of ``size`` ranks."""
         self.size, self.attempt, self.resume_epoch = size, 0, 0
         self.restore_pages, self.ownership, self.events = {}, None, []
+        self.lost_traffic = NetworkStats()
         store = self.policy.store
         if store == "auto":
             store = "disk" if backend == "process" else "memory"
@@ -275,6 +280,7 @@ class RecoveryManager:
             description=str(failure),
         )
         self.events.append(event)
+        self.lost_traffic.merge(NetworkStats(**world.traffic_summary()))
         self.size = new_size
 
 

@@ -6,8 +6,9 @@ backends*, says which world to run when):
 
 * :mod:`repro.runtime.backends` — pluggable execution backends for the
   distributed layer (``serial`` inline, ``threads`` simulated,
-  ``process`` real forked ranks), resolved by name via
-  :func:`get_backend`;
+  ``process`` real forked ranks): a backend is its world class, built
+  by name via :func:`create_world` (a world of one rank is always the
+  serial world);
 * :class:`MPIWorld` / :class:`SimNetwork` — threaded SPMD ranks with an
   in-memory interconnect that counts messages and bytes (the
   ``threads`` backend);
@@ -24,10 +25,10 @@ from .backends import (
     BulkFetchResult,
     CommHandle,
     CompletedCommHandle,
-    ExecutionBackend,
     ExecutionWorld,
     SpmdFailure,
     available_backends,
+    create_world,
     get_backend,
     register_backend,
 )
@@ -55,9 +56,9 @@ __all__ = [
     "CommHandle",
     "CompletedCommHandle",
     "DEFAULT_BACKEND",
-    "ExecutionBackend",
     "ExecutionWorld",
     "available_backends",
+    "create_world",
     "get_backend",
     "register_backend",
     "CostBreakdown",

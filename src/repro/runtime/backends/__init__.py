@@ -1,17 +1,23 @@
 """Execution-backend registry.
 
-Backends are registered by name and resolved lazily, so importing the
-registry never drags in heavyweight runtime machinery (and custom
-backends can be registered without touching platform code)::
+A backend is its world class: the registry maps a name to an
+:class:`ExecutionWorld` subclass (keyed by its ``backend_name``),
+resolved lazily, so importing the registry never drags in heavyweight
+runtime machinery (and custom worlds can be registered without touching
+platform code)::
 
-    from repro.runtime.backends import get_backend, register_backend
+    from repro.runtime.backends import create_world, register_backend
 
-    world = get_backend("process").create_world(4)
+    world = create_world("process", 4)
 
-    class MyBackend(ExecutionBackend):
-        name = "asyncio"
-        def create_world(self, size, *, timeout=60.0): ...
-    register_backend(MyBackend())
+    class AsyncioWorld(ExecutionWorld):
+        backend_name = "asyncio"
+        def __init__(self, size, *, timeout=60.0): ...
+    register_backend(AsyncioWorld)
+
+A world of one rank is the serial world: :func:`create_world` returns a
+:class:`~repro.runtime.backends.serial.SerialWorld` whenever ``size ==
+1``, whatever the name, so every other world has at least two ranks.
 
 The three built-in backends:
 
@@ -27,14 +33,13 @@ The three built-in backends:
 from __future__ import annotations
 
 import importlib
-from typing import Dict, List
+from typing import Dict, List, Type
 
 from .base import (
     BackendError,
     BulkFetchResult,
     CommHandle,
     CompletedCommHandle,
-    ExecutionBackend,
     ExecutionWorld,
     RankResult,
     SpmdFailure,
@@ -48,11 +53,11 @@ __all__ = [
     "CompletedCommHandle",
     "DEFAULT_BACKEND",
     "DEFAULT_TIMEOUT",
-    "ExecutionBackend",
     "ExecutionWorld",
     "RankResult",
     "SpmdFailure",
     "available_backends",
+    "create_world",
     "get_backend",
     "raise_spmd_failures",
     "register_backend",
@@ -67,36 +72,38 @@ DEFAULT_BACKEND = "threads"
 #: Platform waits.
 DEFAULT_TIMEOUT = 60.0
 
-#: Built-in backends, resolved lazily: name -> (module, factory attribute).
+#: Built-in backends, resolved lazily: name -> (module, world class).
 _BUILTIN = {
-    "serial": ("repro.runtime.backends.serial", "SerialBackend"),
-    "threads": ("repro.runtime.backends.threads", "ThreadsBackend"),
-    "process": ("repro.runtime.backends.process", "ProcessBackend"),
+    "serial": ("repro.runtime.backends.serial", "SerialWorld"),
+    "threads": ("repro.runtime.simmpi", "MPIWorld"),
+    "process": ("repro.runtime.backends.process", "ProcessWorld"),
 }
 
-_REGISTRY: Dict[str, ExecutionBackend] = {}
+_REGISTRY: Dict[str, Type[ExecutionWorld]] = {}
 
 
-def register_backend(backend: ExecutionBackend, *, replace: bool = False) -> ExecutionBackend:
-    """Register a backend instance under its ``name``.
+def register_backend(world_cls: Type[ExecutionWorld], *, replace: bool = False):
+    """Register a world class under its ``backend_name``; returns it.
 
-    Re-registering a name raises unless ``replace=True`` (shadowing a
-    built-in is allowed that way, e.g. to instrument it in tests).
+    The class is built as ``world_cls(size, timeout=...)`` for every
+    world of two or more ranks.  Re-registering a name raises unless
+    ``replace=True`` (shadowing a built-in is allowed that way, e.g. to
+    instrument it in tests).
     """
-    name = getattr(backend, "name", None)
-    if not name or not isinstance(name, str):
-        raise BackendError(f"backend {backend!r} has no usable 'name'")
+    name = getattr(world_cls, "backend_name", None)
+    if not name or not isinstance(name, str) or name == ExecutionWorld.backend_name:
+        raise BackendError(f"world class {world_cls!r} has no usable 'backend_name'")
     if not replace and (name in _REGISTRY or name in _BUILTIN):
         raise BackendError(f"backend {name!r} is already registered")
-    _REGISTRY[name] = backend
-    return backend
+    _REGISTRY[name] = world_cls
+    return world_cls
 
 
-def get_backend(name: str) -> ExecutionBackend:
-    """Resolve a backend by name (loading built-ins on first use)."""
-    backend = _REGISTRY.get(name)
-    if backend is not None:
-        return backend
+def get_backend(name: str) -> Type[ExecutionWorld]:
+    """Resolve a backend's world class by name (importing built-ins on first use)."""
+    world_cls = _REGISTRY.get(name)
+    if world_cls is not None:
+        return world_cls
     builtin = _BUILTIN.get(name)
     if builtin is None:
         raise BackendError(
@@ -104,10 +111,19 @@ def get_backend(name: str) -> ExecutionBackend:
             f"(available: {', '.join(available_backends())})"
         )
     module_name, attr = builtin
-    backend_cls = getattr(importlib.import_module(module_name), attr)
-    backend = backend_cls()
-    _REGISTRY[name] = backend
-    return backend
+    world_cls = _REGISTRY[name] = getattr(importlib.import_module(module_name), attr)
+    return world_cls
+
+
+def create_world(name: str, size: int, *, timeout: float = DEFAULT_TIMEOUT) -> ExecutionWorld:
+    """A world of ``size`` ranks of backend ``name``: the serial world when
+    ``size == 1``, whatever the name."""
+    world_cls = get_backend(name)
+    if size == 1:
+        from .serial import SerialWorld
+
+        return SerialWorld(timeout=timeout)
+    return world_cls(size, timeout=timeout)
 
 
 def available_backends() -> List[str]:

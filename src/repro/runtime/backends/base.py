@@ -2,9 +2,10 @@
 
 The distributed-memory aspect module does not construct a runtime
 directly; it asks the backend registry (:mod:`repro.runtime.backends`)
-for an :class:`ExecutionBackend` and lets it create an
-:class:`ExecutionWorld`.  A world bundles the four capabilities the
-aspect module needs:
+to create an :class:`ExecutionWorld` of the backend the run names — a
+backend *is* its world class, and a world of one rank is always the
+serial world.  A world bundles the four capabilities the aspect module
+needs:
 
 * **SPMD launch** — run the whole end-user program once per rank
   (:meth:`ExecutionWorld.run_spmd`), each rank with its own Env replica;
@@ -24,7 +25,8 @@ aspect module needs:
 
 Implementations shipped with the platform: ``serial`` (inline, world of
 one), ``threads`` (one OS thread per rank — the original simulated
-runtime), ``process`` (one real ``multiprocessing`` process per rank).
+runtime), ``process`` (one real ``multiprocessing`` process per rank);
+the last two take two ranks or more.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ __all__ = [
     "BulkFetchResult",
     "CommHandle",
     "CompletedCommHandle",
-    "ExecutionBackend",
     "ExecutionWorld",
     "HaloLink",
     "RankResult",
@@ -53,7 +54,6 @@ __all__ = [
     "and_bits",
     "group_requests_by_owner",
     "raise_spmd_failures",
-    "serve_bulk_locally",
 ]
 
 
@@ -144,36 +144,6 @@ def group_requests_by_owner(
         owner, block_id = resolved
         grouped.setdefault(owner, []).append((logical_key, page_index, block_id))
     return grouped
-
-
-def serve_bulk_locally(world: "ExecutionWorld", requester: int, requests) -> "CommHandle":
-    """A batched fetch whose owners are all in this address space.
-
-    For the single-rank worlds (``serial``, a ``process`` world of one):
-    one accounted exchange per owner, read straight out of the owner's
-    Env, returned as an already-completed handle.
-    """
-    from ...memory.page import PageKey  # local import to avoid a cycle
-
-    stats = world.stats
-    result = BulkFetchResult()
-    for owner, items in sorted(group_requests_by_owner(world.directory, requests).items()):
-        env = world.env_of(owner)
-        payload_bytes = 0
-        for logical_key, page_index, block_id in items:
-            data = env.page_snapshot(PageKey(block_id, page_index))
-            result.pages.append((logical_key, page_index, data))
-            payload_bytes += int(data.nbytes)
-        manifest_bytes = 32 + 16 * len(items)
-        stats.bulk_fetches += 1
-        stats.bulk_pages += len(items)
-        stats.messages += 2
-        stats.bytes_moved += payload_bytes + manifest_bytes
-        stats.record_neighbor(requester, owner, 1, manifest_bytes)
-        stats.record_neighbor(owner, requester, 1, payload_bytes)
-        result.exchanges += 1
-        result.nbytes += payload_bytes
-    return CompletedCommHandle(result)
 
 
 def and_bits(values: Sequence[int]) -> int:
@@ -300,9 +270,14 @@ class _StampHandle(CommHandle):
 
 
 class ExecutionWorld(abc.ABC):
-    """One SPMD world: ranks, collectives, block directory, page transport."""
+    """One SPMD world: ranks, collectives, block directory, page transport.
 
-    #: Registry name of the backend that created this world.
+    A subclass is a backend: registered by its :attr:`backend_name`
+    (:func:`~repro.runtime.backends.register_backend`), it is built as
+    ``cls(size, timeout=...)`` for every world of two or more ranks.
+    """
+
+    #: Registry name (``Platform(backend=name)`` selects this class).
     backend_name: str = "?"
     #: Number of ranks.
     size: int
@@ -310,6 +285,10 @@ class ExecutionWorld(abc.ABC):
     #: plan is duck-typed (see :class:`repro.resilience.FaultPlan`) so
     #: the runtime substrate never imports the resilience package.
     fault_plan: Any = None
+    #: The Env each rank registered (:meth:`register_env`).
+    rank_envs: Dict[int, Any]
+    #: Whether :meth:`finalize` ran (it releases the Env replicas).
+    finalized: bool = False
 
     # -- failure injection ---------------------------------------------
     def install_fault_plan(self, plan: Any) -> None:
@@ -364,9 +343,12 @@ class ExecutionWorld(abc.ABC):
     def register_env(self, rank: int, env: Any) -> None:
         """Attach a rank's Env replica as its page-serving endpoint."""
 
-    @abc.abstractmethod
     def env_of(self, rank: int) -> Any:
         """Return the Env registered by ``rank`` (NetworkError if absent)."""
+        try:
+            return self.rank_envs[rank]
+        except KeyError:
+            raise NetworkError(f"rank {rank} has not registered an Env") from None
 
     @abc.abstractmethod
     def register_block(self, logical_key: Any, rank: int, block_id: int, *, owner: bool) -> None:
@@ -496,22 +478,3 @@ class ExecutionWorld(abc.ABC):
     @abc.abstractmethod
     def traffic_summary(self) -> dict:
         """Aggregate traffic counters with :class:`~repro.runtime.network.NetworkStats` keys."""
-
-
-class ExecutionBackend(abc.ABC):
-    """Factory for :class:`ExecutionWorld` instances of one execution strategy."""
-
-    #: Registry name (``Platform(backend=name)`` selects it).
-    name: str = "?"
-
-    @abc.abstractmethod
-    def create_world(self, size: int, *, timeout: float = 60.0) -> ExecutionWorld:
-        """Create a world of ``size`` ranks.
-
-        The world picks its own page data plane from what it can observe
-        (see :class:`~repro.runtime.backends.process.ProcessWorld`).
-        """
-
-    def available(self) -> bool:
-        """Whether this backend can run on the current interpreter/OS."""
-        return True

@@ -40,9 +40,10 @@ Messages are small tuples:
 The shared-memory data plane
 ----------------------------
 
-A world of more than one rank needs POSIX named shared memory, the
-``_posixshmem`` module :mod:`multiprocessing.shared_memory` is built on
-(:meth:`ProcessBackend.create_world` refuses it otherwise).  Every rank
+A process world (two ranks or more: a world of one is the ``serial``
+one) needs POSIX named shared memory, the ``_posixshmem`` module
+:mod:`multiprocessing.shared_memory` is built on (constructing a
+:class:`ProcessWorld` raises otherwise).  Every rank
 lazily creates a :class:`~repro.runtime.shm.SharedPageArena` — named
 segments holding one seqlock-stamped slot per served page — on its
 first serve.  An object-dtype page has no bytes to share: its owner
@@ -52,7 +53,7 @@ as descriptors.  Segment hygiene: each rank unlinks its own arena
 when its transport closes; :meth:`ProcessWorld.finalize` probe-unlinks
 the deterministically named segments of ranks that died before closing
 (see :func:`~repro.runtime.shm.cleanup_rank_segments`) and the control
-segment; :meth:`ProcessBackend.create_world` first unlinks what a
+segment; a new :class:`ProcessWorld` first unlinks what a
 *killed parent* left behind (names carry the creating pid).  Those are
 the whole cleanup: no ``multiprocessing`` resource tracker is started.
 
@@ -129,17 +130,15 @@ from .base import (
     BackendError,
     BulkFetchResult,
     CommHandle,
-    ExecutionBackend,
     ExecutionWorld,
     HaloLink,
     RankResult,
     and_bits,
     group_requests_by_owner,
     raise_spmd_failures,
-    serve_bulk_locally,
 )
 
-__all__ = ["ProcessBackend", "ProcessTransport", "ProcessWorld"]
+__all__ = ["ProcessTransport", "ProcessWorld"]
 
 #: ``sched_yield`` polls of a shared word before a forked rank starts
 #: sleeping between polls (see :func:`~repro.runtime.shm.spin_until`):
@@ -524,19 +523,6 @@ class ProcessTransport:
         self.collective("exit", None, lambda values: None)
 
     # -- page transport -------------------------------------------------
-    def _local_batch(self, items: List[Tuple[int, int]]) -> List[Any]:
-        """Serve a batch out of the rank's own Env (no messages, counted as bulk)."""
-        from ...memory.page import PageKey  # local import to avoid a cycle
-
-        if self.endpoint is None:
-            raise NetworkError(f"rank {self.rank} has no registered Env")
-        datas: List[Any] = [
-            self.endpoint.page_snapshot(PageKey(block_id, page_index))
-            for block_id, page_index in items
-        ]
-        self._account_batch(datas)
-        return datas
-
     def issue_batch(self, owner: int, items: List[Tuple[int, int]]) -> int:
         """Send the batched page request *now*; returns the request id.
 
@@ -545,8 +531,14 @@ class ProcessTransport:
         batch costs one request and one reply regardless of page count.
         The ``breq`` leaves immediately (the owner's receiver thread
         serves it while this rank computes) and :meth:`await_batch`
-        drains the reply later.
+        drains the reply later.  ``owner`` is a peer: a rank reads its
+        own pages in place.
         """
+        if owner not in self.conns:
+            raise NetworkError(
+                f"rank {self.rank} asked rank {owner} for pages: a rank asks only "
+                "its peers and reads its own pages in place"
+            )
         self._next_req += 1
         req_id = self._next_req
         self._outstanding[(owner, req_id)] = (
@@ -578,22 +570,20 @@ class ProcessTransport:
                 f"bulk page reply {req_id} from rank {owner} failed its integrity check: {exc}"
             ) from None
         payload_bytes = sum(int(d.nbytes) for d in datas)
-        # Logical accounting, the same shape as the threads backend's; the
+        manifest_bytes = 32 + 16 * len(items)
+        # Logical accounting, the same shape as SimNetwork.fetch_pages:
+        # payload plus request header plus per-page manifest entries; the
         # shm_* counters record that the page bytes crossed mapped segments.
-        self.stats.messages += 1  # the reply (the request was counted by _send)
-        self.stats.record_neighbor(self.rank, owner, 1, 32 + 16 * len(items))
-        self.stats.record_neighbor(owner, self.rank, 1, payload_bytes)
-        self._account_batch(datas)
-        self.stats.shm_fetches += len(datas)
-        self.stats.shm_bytes += payload_bytes
+        stats = self.stats
+        stats.messages += 1  # the reply (the request was counted by _send)
+        stats.record_neighbor(self.rank, owner, 1, manifest_bytes)
+        stats.record_neighbor(owner, self.rank, 1, payload_bytes)
+        stats.bulk_fetches += 1
+        stats.bulk_pages += len(datas)
+        stats.bytes_moved += payload_bytes + manifest_bytes
+        stats.shm_fetches += len(datas)
+        stats.shm_bytes += payload_bytes
         return datas
-
-    def _account_batch(self, datas: List[Any]) -> None:
-        self.stats.bulk_fetches += 1
-        self.stats.bulk_pages += len(datas)
-        # Payload plus request header plus per-page manifest entries —
-        # the same accounting shape as SimNetwork.fetch_pages.
-        self.stats.bytes_moved += sum(int(d.nbytes) for d in datas) + 32 + 16 * len(datas)
 
     def close(self) -> None:
         """Flush the sender, wake and stop the receiver, close the pipes
@@ -639,13 +629,35 @@ class ProcessTransport:
 
 
 class ProcessWorld(ExecutionWorld):
-    """SPMD world whose ranks are real forked processes."""
+    """SPMD world whose ranks are real forked processes (two or more)."""
 
     backend_name = "process"
 
+    @classmethod
+    def available(cls) -> bool:
+        """Whether the interpreter can fork ranks (the 'fork' start method)."""
+        return "fork" in multiprocessing.get_all_start_methods()
+
     def __init__(self, size: int, *, timeout: float = 60.0) -> None:
-        if size < 1:
-            raise TaskError("MPI world size must be >= 1")
+        if size < 2:
+            raise TaskError(
+                f"a 'process' world needs at least two ranks (requested {size}); "
+                "create_world() gives a world of one the serial world"
+            )
+        if not self.available():
+            raise BackendError(
+                "the 'process' backend needs the 'fork' multiprocessing start "
+                "method (woven applications are inherited by forked ranks, not "
+                "pickled); use the 'threads' backend on this platform"
+            )
+        if not shm_available():
+            raise BackendError(
+                f"a 'process' world of {size} ranks moves its pages through named "
+                "shared memory, and multiprocessing.shared_memory cannot be "
+                "imported on this interpreter; use the 'threads' backend or one rank"
+            )
+        # A parent killed mid-run never unlinked its segments: do it for it.
+        sweep_stale_segments()
         self.size = size
         self.timeout = timeout
         #: Namespace of this world's shared-memory segment names —
@@ -658,7 +670,6 @@ class ProcessWorld(ExecutionWorld):
         self.stats = NetworkStats()
         self._transport: Optional[ProcessTransport] = None
         self._pending_blocks: List[Tuple[Any, int, int, bool]] = []
-        self._finalized = False
         #: True inside a forked rank process (set in _child_main).  An
         #: injected kill there is a *real* process death (``os._exit``),
         #: so peers and the parent exercise genuine dead-pipe detection.
@@ -687,11 +698,6 @@ class ProcessWorld(ExecutionWorld):
         self, body: Callable[[TaskContext], Any], *, omp_threads: int = 1
     ) -> List[RankResult]:
         results = [RankResult(rank=r) for r in range(self.size)]
-        if self.size == 1:
-            self._run_rank_inline(results[0], body, omp_threads)
-            raise_spmd_failures(results)
-            return results
-
         # The control words are mapped before the fork so every child
         # inherits them.
         self._offer_slots(ControlWords.shared(self.shm_uid, self.size))
@@ -731,7 +737,7 @@ class ProcessWorld(ExecutionWorld):
             shm_uid=self.shm_uid,
         )
         try:
-            self._run_rank_inline(results[0], body, omp_threads, mpi_size=self.size)
+            self._run_rank(results[0], body, omp_threads)
             self._collect_children(results, result_pipes, procs)
         finally:
             self.stats.merge(transport.stats)
@@ -748,16 +754,12 @@ class ProcessWorld(ExecutionWorld):
         raise_spmd_failures(results, note=self._send_notes[0] if self._send_notes else None)
         return results
 
-    def _run_rank_inline(
-        self,
-        result: RankResult,
-        body: Callable[[TaskContext], Any],
-        omp_threads: int,
-        *,
-        mpi_size: int = 1,
+    def _run_rank(
+        self, result: RankResult, body: Callable[[TaskContext], Any], omp_threads: int
     ) -> None:
+        """Run this process's rank, then the exit drain barrier."""
         context = TaskContext(
-            mpi_rank=result.rank, mpi_size=mpi_size, omp_thread=0, omp_threads=omp_threads
+            mpi_rank=result.rank, mpi_size=self.size, omp_thread=0, omp_threads=omp_threads
         )
         try:
             with task_scope(context):
@@ -765,12 +767,11 @@ class ProcessWorld(ExecutionWorld):
         except BaseException as exc:  # noqa: BLE001 - propagated by caller
             result.error = exc
         finally:
-            if self._transport is not None:
-                try:
-                    self._transport.exit_barrier()
-                except Exception as exc:  # noqa: BLE001 - secondary failure
-                    if result.error is None:
-                        result.error = exc
+            try:
+                self._transport.exit_barrier()
+            except Exception as exc:  # noqa: BLE001 - secondary failure
+                if result.error is None:
+                    result.error = exc
 
     def _child_main(
         self,
@@ -804,7 +805,7 @@ class ProcessWorld(ExecutionWorld):
         tracer = global_tracer()
         tracer.reset()
         result = RankResult(rank=rank)
-        self._run_rank_inline(result, body, omp_threads, mpi_size=self.size)
+        self._run_rank(result, body, omp_threads)
         payload = {
             # Rank results cross a process boundary here; values that do
             # not pickle (e.g. woven application instances) degrade to
@@ -878,14 +879,7 @@ class ProcessWorld(ExecutionWorld):
     # -- Env / block registration --------------------------------------
     def register_env(self, rank: int, env: Any) -> None:
         self.rank_envs[rank] = env
-        if self._transport is not None:
-            self._transport.endpoint = env
-
-    def env_of(self, rank: int) -> Any:
-        try:
-            return self.rank_envs[rank]
-        except KeyError:
-            raise NetworkError(f"rank {rank} has not registered an Env") from None
+        self._require_transport().endpoint = env
 
     def register_block(self, logical_key: Any, rank: int, block_id: int, *, owner: bool) -> None:
         self.directory.register(logical_key, rank, block_id, owner=owner)
@@ -896,9 +890,7 @@ class ProcessWorld(ExecutionWorld):
         transport = self._require_transport()
         pending, self._pending_blocks = self._pending_blocks, []
         if self.fault_plan is not None:
-            self.fault_point(transport.rank if transport is not None else 0, "register")
-        if transport is None:
-            return  # single-rank world: the local directory is complete
+            self.fault_point(transport.rank, "register")
         own_rank = transport.rank
         for logical_key, rank, block_id, owner in transport.collective("reg", pending, _concat):
             if rank == own_rank:
@@ -908,29 +900,25 @@ class ProcessWorld(ExecutionWorld):
     # -- collectives ----------------------------------------------------
     def barrier(self) -> None:
         transport = self._require_transport()
-        if transport is None:
-            self.stats.barriers += 1
-            return
         transport.stats.barriers += 1
         transport.collective("bar", None, lambda values: None)
 
     def allreduce(self, value: Any, op: Callable[[List[Any]], Any]) -> Any:
         transport = self._require_transport()
-        if transport is None:
-            self.stats.allreduces += 1
-            return op([value])
         transport.stats.allreduces += 1
         if op is and_bits and self.control is not None:
             # The per-step agreement: shared words, no messages.
             return self._agree(transport.rank, value)
         return transport.collective("red", value, op)
 
-    def _require_transport(self) -> Optional[ProcessTransport]:
-        if self._transport is None and self.size > 1:
+    def _require_transport(self) -> ProcessTransport:
+        """This rank's transport; it exists only inside :meth:`run_spmd`."""
+        transport = self._transport
+        if transport is None:
             raise NetworkError(
                 "process-backend collectives are only available inside run_spmd()"
             )
-        return self._transport
+        return transport
 
     # -- page transport -------------------------------------------------
     def fetch_pages_bulk_async(
@@ -938,23 +926,17 @@ class ProcessWorld(ExecutionWorld):
     ) -> CommHandle:
         """Nonblocking batched fetch: every ``breq`` leaves immediately.
 
-        One aggregated request per owning rank is sent right away (pages
-        owned by this rank are snapshotted inline); the returned handle
-        drains the replies — the receiver thread serves peers meanwhile —
-        only when waited.  Owner resolution failures raise here, at
-        issue time.
+        One aggregated request per owning rank — always another rank: a
+        rank reads its own Blocks in place — is sent right away; the
+        returned handle drains the replies — the receiver thread serves
+        peers meanwhile — only when waited.  Owner resolution failures
+        raise here, at issue time.
         """
-        transport = self._transport
-        if transport is None:  # single-rank world: synchronous local serve
-            return serve_bulk_locally(self, requester, requests)
-        grouped = sorted(group_requests_by_owner(self.directory, requests).items())
-        pending: List[Tuple[int, list, Optional[int], Optional[List[Any]]]] = []
-        for owner, items in grouped:
-            keyed = [(block_id, page) for _, page, block_id in items]
-            if owner == transport.rank:
-                pending.append((owner, items, None, transport._local_batch(keyed)))
-            else:
-                pending.append((owner, items, transport.issue_batch(owner, keyed), None))
+        transport = self._require_transport()
+        pending = [
+            (owner, items, transport.issue_batch(owner, [(bid, page) for _, page, bid in items]))
+            for owner, items in sorted(group_requests_by_owner(self.directory, requests).items())
+        ]
         return _ProcessBulkHandle(transport, pending)
 
     # -- halo slots (publish protocol) -----------------------------------
@@ -980,28 +962,20 @@ class ProcessWorld(ExecutionWorld):
 
     # -- lifecycle / accounting -----------------------------------------
     def stats_of(self, rank: int) -> NetworkStats:
-        return self._transport.stats if self._transport is not None else self.stats
+        return self._require_transport().stats
 
     def finalize(self) -> None:
         self.rank_envs.clear()
         self._pending_blocks = []
-        if self._transport is not None:  # pragma: no cover - defensive
-            self._transport.close()
-            self._transport = None
         self._close_control()
         # Dead-child shared-memory sweep: ranks that closed cleanly
         # already unlinked their own arenas (the probe finds nothing);
         # ranks that died mid-run left deterministically named segments
         # the parent can still unlink — keeping /dev/shm free of leaks
         # no matter how the run ended.
-        if self.size > 1:
-            for rank in range(self.size):
-                cleanup_rank_segments(self.shm_uid, rank)
-        self._finalized = True
-
-    @property
-    def finalized(self) -> bool:
-        return self._finalized
+        for rank in range(self.size):
+            cleanup_rank_segments(self.shm_uid, rank)
+        self.finalized = True
 
     def traffic_summary(self) -> dict:
         return self.stats.as_dict()
@@ -1018,17 +992,15 @@ class _ProcessBulkHandle(CommHandle):
     def __init__(self, transport: ProcessTransport, pending) -> None:
         super().__init__()
         self._transport = transport
-        #: ``(owner, manifest items, req_id | None, local datas | None)``
-        #: per owner, in owner order (req_id None means served locally).
+        #: ``(owner, manifest items, req_id)`` per owner, in owner order.
         self._pending = pending
 
     def _wait(self) -> BulkFetchResult:
         result = BulkFetchResult()
-        for owner, items, req_id, datas in self._pending:
-            if datas is None:
-                datas = self._transport.await_batch(
-                    owner, req_id, [(block_id, page) for _, page, block_id in items]
-                )
+        for owner, items, req_id in self._pending:
+            datas = self._transport.await_batch(
+                owner, req_id, [(block_id, page) for _, page, block_id in items]
+            )
             result.pages.extend(
                 (logical_key, page, data)
                 for (logical_key, page, _), data in zip(items, datas)
@@ -1036,29 +1008,3 @@ class _ProcessBulkHandle(CommHandle):
             result.exchanges += 1
             result.nbytes += sum(int(d.nbytes) for d in datas)
         return result
-
-
-class ProcessBackend(ExecutionBackend):
-    """Backend producing :class:`ProcessWorld` instances (fork start method)."""
-
-    name = "process"
-
-    def available(self) -> bool:
-        return "fork" in multiprocessing.get_all_start_methods()
-
-    def create_world(self, size: int, *, timeout: float = 60.0) -> ProcessWorld:
-        if not self.available():
-            raise BackendError(
-                "the 'process' backend needs the 'fork' multiprocessing start "
-                "method (woven applications are inherited by forked ranks, not "
-                "pickled); use the 'threads' backend on this platform"
-            )
-        if size > 1 and not shm_available():
-            raise BackendError(
-                f"a 'process' world of {size} ranks moves its pages through named "
-                "shared memory, and multiprocessing.shared_memory cannot be "
-                "imported on this interpreter; use the 'threads' backend or one rank"
-            )
-        # A parent killed mid-run never unlinked its segments: do it for it.
-        sweep_stale_segments()
-        return ProcessWorld(size, timeout=timeout)

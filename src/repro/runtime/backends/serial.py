@@ -1,8 +1,10 @@
-"""The ``serial`` backend: a world of exactly one rank, run inline.
+"""The ``serial`` world: a world of exactly one rank, run inline.
 
 No threads, no processes, no blocking machinery — collectives are
 trivial with a single participant and page "transport" is a local
-snapshot copy.  This is both the cheapest way to execute a
+snapshot copy.  Every world of one rank is this one, whatever backend
+the run names (:func:`~repro.runtime.backends.create_world`): it is
+both the cheapest way to execute a
 ``DistributedMemoryAspect(processes=1)`` configuration and the
 reference implementation every other backend must agree with
 numerically (see tests/integration/test_backend_conformance.py).
@@ -17,15 +19,16 @@ from ..network import NetworkStats
 from ..simmpi import BlockDirectory
 from ..task import TaskContext, task_scope
 from .base import (
+    BulkFetchResult,
     CommHandle,
-    ExecutionBackend,
+    CompletedCommHandle,
     ExecutionWorld,
     RankResult,
+    group_requests_by_owner,
     raise_spmd_failures,
-    serve_bulk_locally,
 )
 
-__all__ = ["SerialBackend", "SerialWorld"]
+__all__ = ["SerialWorld"]
 
 
 class SerialWorld(ExecutionWorld):
@@ -33,13 +36,17 @@ class SerialWorld(ExecutionWorld):
 
     backend_name = "serial"
 
-    def __init__(self, *, timeout: float = 60.0) -> None:
+    def __init__(self, size: int = 1, *, timeout: float = 60.0) -> None:
+        if size != 1:
+            raise TaskError(
+                f"the 'serial' backend runs exactly one rank (requested {size}); "
+                "use the 'threads' or 'process' backend for multi-rank worlds"
+            )
         self.size = 1
         self.timeout = timeout
         self.directory = BlockDirectory()
         self.stats = NetworkStats()
         self.rank_envs: Dict[int, Any] = {}
-        self._finalized = False
 
     # -- SPMD launch ----------------------------------------------------
     def run_spmd(
@@ -57,22 +64,12 @@ class SerialWorld(ExecutionWorld):
 
     def finalize(self) -> None:
         self.rank_envs.clear()
-        self._finalized = True
-
-    @property
-    def finalized(self) -> bool:
-        return self._finalized
+        self.finalized = True
 
     # -- Env / block registration --------------------------------------
     def register_env(self, rank: int, env: Any) -> None:
         self._check_rank(rank)
         self.rank_envs[rank] = env
-
-    def env_of(self, rank: int) -> Any:
-        try:
-            return self.rank_envs[rank]
-        except KeyError:
-            raise NetworkError(f"rank {rank} has not registered an Env") from None
 
     def register_block(self, logical_key: Any, rank: int, block_id: int, *, owner: bool) -> None:
         self.directory.register(logical_key, rank, block_id, owner=owner)
@@ -95,9 +92,23 @@ class SerialWorld(ExecutionWorld):
     def fetch_pages_bulk_async(
         self, requester: int, requests: Sequence[Tuple[Any, int]]
     ) -> CommHandle:
-        """Batched fetch: one accounted exchange per owner (always rank 0 here)."""
+        """Batched fetch, served at once out of the one Env: one accounted
+        exchange per owner (always rank 0 here)."""
+        from ...memory.page import PageKey  # local import to avoid a cycle
+
         self._check_rank(requester)
-        return serve_bulk_locally(self, requester, requests)
+        result = BulkFetchResult()
+        for owner, items in sorted(group_requests_by_owner(self.directory, requests).items()):
+            env = self.env_of(owner)
+            datas = [env.page_snapshot(PageKey(block_id, page)) for _, page, block_id in items]
+            result.pages.extend(
+                (logical_key, page, data) for (logical_key, page, _), data in zip(items, datas)
+            )
+            payload_bytes = sum(int(d.nbytes) for d in datas)
+            self.stats.record_bulk(requester, owner, len(datas), payload_bytes)
+            result.exchanges += 1
+            result.nbytes += payload_bytes
+        return CompletedCommHandle(result)
 
     # -- accounting -----------------------------------------------------
     def stats_of(self, rank: int) -> NetworkStats:
@@ -113,17 +124,3 @@ class SerialWorld(ExecutionWorld):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SerialWorld(stats={self.stats.as_dict()})"
-
-
-class SerialBackend(ExecutionBackend):
-    """Backend producing :class:`SerialWorld` instances (size must be 1)."""
-
-    name = "serial"
-
-    def create_world(self, size: int, *, timeout: float = 60.0) -> SerialWorld:
-        if size != 1:
-            raise TaskError(
-                f"the 'serial' backend runs exactly one rank (requested {size}); "
-                "use the 'threads' or 'process' backend for multi-rank worlds"
-            )
-        return SerialWorld(timeout=timeout)

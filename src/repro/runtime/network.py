@@ -82,6 +82,17 @@ class NetworkStats:
         entry["messages"] += int(messages)
         entry["bytes"] += int(nbytes)
 
+    def record_bulk(self, requester: int, owner: int, pages: int, payload_bytes: int) -> None:
+        """Account one bulk page exchange: a manifest out (header plus one
+        entry per page), every page back."""
+        manifest_bytes = 32 + 16 * pages
+        self.bulk_fetches += 1
+        self.bulk_pages += pages
+        self.messages += 2
+        self.bytes_moved += payload_bytes + manifest_bytes
+        self.record_neighbor(requester, owner, 1, manifest_bytes)
+        self.record_neighbor(owner, requester, 1, payload_bytes)
+
     def record_push(self, owner: int, consumer: int, sites: int, nbytes: int) -> None:
         """Account one published halo slot (a message of ``nbytes``)."""
         self.halo_pushes += 1
@@ -134,8 +145,8 @@ class SimNetwork:
     """In-memory interconnect between the ranks of one simulated MPI world."""
 
     def __init__(self, size: int, *, timeout: float = 30.0) -> None:
-        if size < 1:
-            raise NetworkError("network size must be >= 1")
+        if size < 2:
+            raise NetworkError(f"a simulated network joins at least two ranks, not {size}")
         self.size = size
         self.timeout = timeout
         self.stats = NetworkStats()
@@ -222,8 +233,6 @@ class SimNetwork:
     def barrier(self) -> None:
         """Synchronise all ranks."""
         self.stats.barriers += 1
-        if self.size == 1:
-            return
         self._raise_if_dead()
         try:
             self._barrier.wait(timeout=self.timeout)
@@ -236,9 +245,7 @@ class SimNetwork:
     def allreduce(self, value: Any, op: Callable[[List[Any]], Any]) -> Any:
         """All-to-all reduction: every rank contributes ``value``, all get ``op(values)``."""
         self.stats.allreduces += 1
-        self.stats.messages += max(self.size - 1, 0) * 2
-        if self.size == 1:
-            return op([value])
+        self.stats.messages += (self.size - 1) * 2
         self._raise_if_dead()
         with self._allreduce_cond:
             generation = self._allreduce_generation
@@ -259,14 +266,6 @@ class SimNetwork:
                     if not woke and self._allreduce_generation == generation:
                         raise CollectiveError("allreduce timed out")
             return self._allreduce_result
-
-    def allreduce_and(self, flag: bool) -> bool:
-        """Logical-AND allreduce (used to agree on refresh success)."""
-        return bool(self.allreduce(bool(flag), lambda values: all(values)))
-
-    def allreduce_sum(self, value: float) -> float:
-        """Sum allreduce (used by examples for residual norms)."""
-        return float(self.allreduce(float(value), lambda values: sum(values)))
 
     # ------------------------------------------------------------------
     # one-sided page access
@@ -295,15 +294,8 @@ class SimNetwork:
             endpoint.page_snapshot(PageKey(block_id, page_index))
             for block_id, page_index in pages
         ]
-        payload_bytes = sum(int(d.nbytes) for d in datas)
-        manifest_bytes = 32 + 16 * len(pages)
         with self._lock:
-            self.stats.bulk_fetches += 1
-            self.stats.bulk_pages += len(datas)
-            self.stats.messages += 2
-            self.stats.bytes_moved += payload_bytes + manifest_bytes
-            self.stats.record_neighbor(requester, owner, 1, manifest_bytes)
-            self.stats.record_neighbor(owner, requester, 1, payload_bytes)
+            self.stats.record_bulk(requester, owner, len(datas), sum(int(d.nbytes) for d in datas))
         return datas
 
     # ------------------------------------------------------------------

@@ -16,9 +16,10 @@ own OS thread; the GIL prevents real speed-up, which is irrelevant
 because scaling numbers come from the cost model, not wall-clock
 (:mod:`repro.runtime.costmodel`; README.md, *Execution backends*).
 
-MPIWorld is the ``threads`` implementation of the execution-backend
-interface (:mod:`repro.runtime.backends`); the ``process`` backend
-provides the same world contract on real forked processes.
+MPIWorld is the ``threads`` backend of the execution-backend registry
+(:mod:`repro.runtime.backends`), a world of two ranks or more (a world
+of one is the ``serial`` one); the ``process`` backend provides the
+same world contract on real forked processes.
 """
 
 from __future__ import annotations
@@ -110,30 +111,25 @@ class MPIWorld(ExecutionWorld):
     backend_name = "threads"
 
     def __init__(self, size: int, *, timeout: float = 60.0) -> None:
-        if size < 1:
-            raise TaskError("MPI world size must be >= 1")
+        if size < 2:
+            raise TaskError(
+                f"a 'threads' world needs at least two ranks (requested {size}); "
+                "create_world() gives a world of one the serial world"
+            )
         self.size = size
         self.network = SimNetwork(size, timeout=timeout)
         self.directory = BlockDirectory()
         #: Env registered by each rank (also the network endpoint).
         self.rank_envs: Dict[int, Any] = {}
-        self._finalized = False
-        if size > 1:
-            # Rank threads share one address space: the control words and
-            # the halo slots of the publish protocol are plain arrays.
-            self._offer_slots(ControlWords(size))
+        # Rank threads share one address space: the control words and
+        # the halo slots of the publish protocol are plain arrays.
+        self._offer_slots(ControlWords(size))
 
     # ------------------------------------------------------------------
     def register_env(self, rank: int, env: Any) -> None:
         """Attach a rank's Env replica as its communication endpoint."""
         self.rank_envs[rank] = env
         self.network.register_endpoint(rank, env)
-
-    def env_of(self, rank: int) -> Any:
-        try:
-            return self.rank_envs[rank]
-        except KeyError:
-            raise NetworkError(f"rank {rank} has not registered an Env") from None
 
     def register_block(self, logical_key: Any, rank: int, block_id: int, *, owner: bool) -> None:
         """Record a rank's materialisation of ``logical_key`` (shared directory)."""
@@ -225,18 +221,12 @@ class MPIWorld(ExecutionWorld):
 
     # ------------------------------------------------------------------
     def run_spmd(
-        self,
-        body: Callable[[TaskContext], Any],
-        *,
-        omp_threads: int = 1,
-        use_threads: bool = True,
+        self, body: Callable[[TaskContext], Any], *, omp_threads: int = 1
     ) -> List[RankResult]:
         """Execute ``body`` once per rank (SPMD).
 
-        ``body`` receives the rank's :class:`TaskContext`.  With
-        ``use_threads=True`` (default) every rank runs on its own OS
-        thread so that blocking collectives work; a world of size 1
-        runs inline to keep serial runs cheap and easy to debug.
+        ``body`` receives the rank's :class:`TaskContext`; every rank
+        runs on its own OS thread so that blocking collectives work.
         """
         results = [RankResult(rank=r) for r in range(self.size)]
 
@@ -250,20 +240,16 @@ class MPIWorld(ExecutionWorld):
             except BaseException as exc:  # noqa: BLE001 - propagated below
                 results[rank].error = exc
 
-        if self.size == 1 or not use_threads:
-            for rank in range(self.size):
-                rank_main(rank)
-        else:
-            threads = [
-                threading.Thread(
-                    target=rank_main, args=(rank,), name=f"sim-mpi-rank-{rank}", daemon=True
-                )
-                for rank in range(self.size)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+        threads = [
+            threading.Thread(
+                target=rank_main, args=(rank,), name=f"sim-mpi-rank-{rank}", daemon=True
+            )
+            for rank in range(self.size)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
 
         raise_spmd_failures(results)
         return results
@@ -280,11 +266,7 @@ class MPIWorld(ExecutionWorld):
         """
         self.rank_envs.clear()
         self.network.release_endpoints()
-        self._finalized = True
-
-    @property
-    def finalized(self) -> bool:
-        return self._finalized
+        self.finalized = True
 
     def traffic_summary(self) -> dict:
         """Network counters, consumed by the scaling benchmarks."""

@@ -56,11 +56,10 @@ class TaskCounters:
     paper_pages: int = 0
     paper_bytes: int = 0
     #: Access-plan activity (MMAT §III-B6 pushed into compiled bulk
-    #: gathers): how many batched gathers executed a compiled plan, how
-    #: many element accesses those plans served, how many plans were
-    #: compiled, and how many batched accesses fell back to the scalar
-    #: path (MMAT disabled or plan invalidated mid-run).
-    plan_gathers: int = 0
+    #: gathers): how many element accesses compiled plans served, how
+    #: many plans were compiled, and how many batched accesses fell back
+    #: to the scalar path (MMAT disabled or plan invalidated mid-run).
+    #: How many plans executed is ``MMAT.stats()["plan_executions"]``.
     plan_sites: int = 0
     plan_compiles: int = 0
     #: Per-call plan compiles for uncached ``gather_global`` (no ``key=``):
@@ -68,8 +67,8 @@ class TaskCounters:
     #: so plan-coverage numbers are not skewed by dynamic address tables.
     plan_compiles_uncached: int = 0
     plan_fallback_sites: int = 0
-    #: Fused-kernel activity (plan + fn compiled into one generated
-    #: function): how many fusions were compiled and how many sweeps ran
+    #: Fused-kernel activity (plan + fn bound into one kernel): how
+    #: many fusions were built and how many sweeps ran
     #: through a fused kernel instead of the gather/apply/scatter path.
     kernel_fuse: int = 0
     kernel_fused_calls: int = 0

@@ -15,7 +15,7 @@ import pytest
 
 from repro import Platform
 from repro.apps import JacobiSGrid, JacobiUSGrid, ParticleSimulation
-from repro.runtime import get_backend
+from repro.runtime import NetworkError, create_world
 
 #: (backend name, world sizes it supports in this suite).
 BACKEND_SIZES = [
@@ -34,7 +34,7 @@ TIMEOUT = 15.0
 
 
 def make_world(backend: str, size: int):
-    return get_backend(backend).create_world(size, timeout=TIMEOUT)
+    return create_world(backend, size, timeout=TIMEOUT)
 
 
 # ----------------------------------------------------------------------
@@ -209,19 +209,29 @@ class TestAsyncBulkFetch:
 
     @pytest.mark.parametrize("backend,size", CASES)
     def test_self_rank_request(self, backend, size):
+        """Worlds whose ranks share an address space serve a rank's own
+        pages; a process rank reads them in place and may not ask itself."""
         world = make_world(backend, size)
+        refused = backend == "process" and size > 1
 
         def body(ctx):
             rank = self._register(world, ctx)
-            handle = world.fetch_pages_bulk_async(
-                rank, [(("blk", rank), 0), (("blk", rank), 2)]
-            )
-            result = handle.wait()
-            world.barrier()
-            return (result.exchanges, [list(data) for _, _, data in result.pages])
+            requests = [(("blk", rank), 0), (("blk", rank), 2)]
+            try:
+                if refused:
+                    with pytest.raises(NetworkError, match="asks only its peers"):
+                        world.fetch_pages_bulk_async(rank, requests)
+                    return None
+                result = world.fetch_pages_bulk_async(rank, requests).wait()
+                return (result.exchanges, [list(data) for _, _, data in result.pages])
+            finally:
+                world.barrier()
 
         results = world.run_spmd(body)
         for rank, result in enumerate(results):
+            if refused:
+                assert result.value is None
+                continue
             exchanges, pages = result.value
             assert exchanges == 1  # one owner (the rank itself) -> one exchange
             base = 1000.0 * rank + 10.0 * (7 + rank)
@@ -231,10 +241,11 @@ class TestAsyncBulkFetch:
     @pytest.mark.parametrize("backend,size", CASES)
     def test_mixed_owner_batch(self, backend, size):
         world = make_world(backend, size)
+        peers = size - 1
 
         def body(ctx):
             rank = self._register(world, ctx)
-            requests = [(("blk", owner), 1) for owner in range(size)]
+            requests = [(("blk", owner), 1) for owner in range(size) if owner != rank]
             result = world.fetch_pages_bulk_async(rank, requests).wait()
             world.barrier()  # keep every rank serving until all fetched
             return (
@@ -244,19 +255,19 @@ class TestAsyncBulkFetch:
             )
 
         results = world.run_spmd(body)
-        for result in results:
+        for rank, result in enumerate(results):
             exchanges, nbytes, pages = result.value
-            assert exchanges == size  # one aggregated exchange per owner
-            assert nbytes == size * 4 * 8
+            assert exchanges == peers  # one aggregated exchange per owner
+            assert nbytes == peers * 4 * 8
             assert [(key, page) for key, page, _ in pages] == [
-                (("blk", o), 1) for o in range(size)
+                (("blk", o), 1) for o in range(size) if o != rank
             ]
             for (_, owner), _, values in pages:
                 expected = np.arange(4) + 1000.0 * owner + 10.0 * (7 + owner) + 1
                 np.testing.assert_allclose(values, expected)
         stats = world.traffic_summary()
-        assert stats["bulk_fetches"] == size * size  # size exchanges per rank
-        assert stats["bulk_pages"] == size * size
+        assert stats["bulk_fetches"] == size * peers  # one exchange per peer per rank
+        assert stats["bulk_pages"] == size * peers
 
     @pytest.mark.parametrize("backend,size", CASES)
     def test_wait_before_send_completes(self, backend, size):
@@ -302,7 +313,7 @@ class TestAsyncBulkFetch:
 
         def body(ctx):
             rank = self._register(world, ctx)
-            requests = [(("blk", owner), 2) for owner in range(size)]
+            requests = [(("blk", owner), 2) for owner in range(size) if owner != rank]
             handle = world.fetch_pages_bulk_async(rank, requests)
             first = handle.wait()
             second = handle.wait()
@@ -313,12 +324,10 @@ class TestAsyncBulkFetch:
         assert [r.value for r in results] == [(True, True)] * size
         stats = world.traffic_summary()
         # Counted once per rank's batch despite the double wait.
-        assert stats["bulk_pages"] == size * size
+        assert stats["bulk_pages"] == size * (size - 1)
 
     @pytest.mark.parametrize("backend,size", CASES)
     def test_unresolvable_owner_raises_at_issue(self, backend, size):
-        from repro.runtime import NetworkError
-
         world = make_world(backend, size)
 
         def body(ctx):

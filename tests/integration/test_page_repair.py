@@ -24,7 +24,7 @@ from repro.apps import JacobiSGrid
 from repro.aspects import DistributedMemoryAspect
 from repro.memory.page import PageKey
 from repro.resilience import FaultPlan
-from repro.runtime import PageFetchError, get_backend
+from repro.runtime import PageFetchError, create_world
 from repro.runtime.tracing import TaskCounters, global_trace
 
 CONFIG = dict(
@@ -108,7 +108,7 @@ class _Env:
 @pytest.mark.parametrize("backend", WORLDS)
 def test_a_dropped_repair_reply_names_the_outstanding_pages(backend):
     timeout = 1.0
-    world = get_backend(backend).create_world(2, timeout=timeout)
+    world = create_world(backend, 2, timeout=timeout)
     world.install_fault_plan(FaultPlan().drop_reply(1, peer=0))
     aspect = DistributedMemoryAspect(processes=2)
     aspect.world = world

@@ -26,7 +26,7 @@ import pytest
 from repro import Platform
 from repro.apps import JacobiSGrid
 from repro.resilience import FaultPlan, ResiliencePolicy
-from repro.runtime import BackendError, NetworkError, get_backend, shm
+from repro.runtime import BackendError, NetworkError, create_world, get_backend, shm
 from repro.runtime.backends import process
 from repro.runtime.shm import shm_available
 
@@ -42,7 +42,7 @@ SIZES = [2, 3]
 
 
 def make_world(size: int):
-    return get_backend("process").create_world(size, timeout=TIMEOUT)
+    return create_world("process", size, timeout=TIMEOUT)
 
 
 def page_values(rank: int, block_id: int, page_index: int) -> list:
@@ -138,20 +138,23 @@ class TestBulkFetchContract:
         assert world.traffic_summary()["shm_fetches"] == 0
 
     @pytest.mark.parametrize("size", SIZES)
-    def test_self_rank_request_never_uses_segments(self, size):
+    def test_a_self_rank_request_is_refused_at_issue(self, size):
+        """A rank reads its own pages in place: asking itself is an error,
+        raised before anything is sent, so no segment is read."""
         world = make_world(size)
 
         def body(ctx):
             rank = ctx.mpi_rank
             register(world, rank)
-            result, _ = fetch(world, rank, [(("blk", rank), 0), (("blk", rank), 2)])
+            result, error = fetch(world, rank, [(("blk", rank), 0), (("blk", rank), 2)])
             world.barrier()
-            return [data.tolist() for _, _, data in result.pages]
+            return result, error
 
-        for rank, value in enumerate(spmd(world, body)):
-            assert value == [page_values(rank, 7 + rank, 0), page_values(rank, 7 + rank, 2)]
-        # Local pages never travel, so no segment is read.
-        assert world.traffic_summary()["shm_fetches"] == 0
+        for rank, (result, error) in enumerate(spmd(world, body)):
+            assert result is None
+            assert f"rank {rank} asked rank {rank} for pages" in error
+        stats = world.traffic_summary()
+        assert stats["shm_fetches"] == stats["bulk_fetches"] == 0
 
     @pytest.mark.parametrize("size", SIZES)
     def test_mixed_owner_pages_are_the_owners_pages(self, size):
@@ -272,17 +275,28 @@ class TestDataPlaneRule:
     def test_a_corrupt_reply_fails_the_seqlock_check(self):
         world = make_world(2)
         world.install_fault_plan(FaultPlan().corrupt_reply(1, peer=0))
-        (control, error, segments), served_itself = probe(world, lambda rank: 1)
+        (control, error, segments), served_back = probe(world, lambda rank: 1 - rank)
         assert control and segments  # the reply came over shared memory …
         assert "bulk page reply 1 from rank 1 failed its integrity check: slot " in error
         assert "descriptor promised" in error  # … and named a version its slot lacks
-        assert served_itself[:2] == (True, None)
+        assert served_back[:2] == (True, None)  # the 0 -> 1 reply was not corrupted
         assert leftover_segments(f"repro_shm_{world.shm_uid}*") == []
 
     def test_one_rank_world_creates_no_segment(self):
+        """A process world of one is the serial world: it reads its pages in
+        place, so it names, maps and leaves no segment."""
+        mine = f"repro_shm_{os.getpid()}x*"
+        before = set(leftover_segments(mine))
         world = make_world(1)
-        assert probe(world, lambda rank: rank) == [(False, None, [])]
-        assert leftover_segments(f"repro_shm_{world.shm_uid}*") == []
+        assert not hasattr(world, "shm_uid")
+
+        def body(ctx):
+            register(world, 0)
+            _, error = fetch(world, 0, [(("blk", 0), 0)])
+            return world.control, error, set(leftover_segments(mine))
+
+        assert spmd(world, body) == [(None, None, before)]
+        assert set(leftover_segments(mine)) == before
 
 
 # ----------------------------------------------------------------------

@@ -20,8 +20,7 @@ import errno
 import numpy as np
 
 from repro.apps import JacobiSGrid
-from repro.runtime import register_backend, shm
-from repro.runtime.backends.threads import ThreadsBackend
+from repro.runtime import MPIWorld, register_backend, shm
 
 
 def read_remote_scalar(env) -> None:
@@ -70,21 +69,20 @@ class MidRunResetJacobi(JacobiSGrid):
             self.run(self.kernel)       # repaired, then pages from here on
 
 
-class SlotlessBackend(ThreadsBackend):
-    """Threaded worlds whose ranks agree and exchange pages over messages
+class SlotlessWorld(MPIWorld):
+    """A threaded world whose ranks agree and exchange pages over messages
     only, as a custom backend without shared words would."""
 
-    name = "slotless"
+    backend_name = "slotless"
 
-    def create_world(self, size: int, *, timeout: float = 60.0):
-        world = super().create_world(size, timeout=timeout)
-        world.control = None
-        return world
+    def __init__(self, size: int, *, timeout: float = 60.0) -> None:
+        super().__init__(size, timeout=timeout)
+        self.control = None
 
 
 def slotless() -> str:
-    """Register :class:`SlotlessBackend`; returns its name."""
-    return register_backend(SlotlessBackend(), replace=True).name
+    """Register :class:`SlotlessWorld`; returns its backend name."""
+    return register_backend(SlotlessWorld, replace=True).backend_name
 
 
 def no_space(*args, _shared_memory=shm.SharedMemory, **kwargs):

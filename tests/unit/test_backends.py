@@ -1,9 +1,10 @@
 """Unit tests for the execution-backend subsystem.
 
-Covers the registry (lazy built-ins, custom registration, unknown-name
-errors), the serial world's inline semantics, the threads world's
-interface conformance (plus the finalize() resource-release fix) and
-the process world's transport plumbing.  Cross-backend behavioural
+Covers the registry (lazy built-ins, custom world classes, unknown-name
+errors, a world of one rank is the serial world whatever the name), the
+serial world's inline semantics, the threads world's interface
+conformance (plus the finalize() resource-release fix) and the process
+world's transport plumbing.  Cross-backend behavioural
 equivalence lives in tests/integration/test_backend_conformance.py.
 """
 
@@ -24,11 +25,12 @@ from repro.runtime import (
     NetworkError,
     TaskError,
     available_backends,
+    create_world,
     get_backend,
     register_backend,
 )
 from repro.runtime.backends import _REGISTRY, process
-from repro.runtime.backends.base import ExecutionBackend, ExecutionWorld
+from repro.runtime.backends.base import ExecutionWorld
 from repro.runtime.backends.process import ProcessWorld
 from repro.runtime.backends.serial import SerialWorld
 
@@ -50,56 +52,79 @@ class TestRegistry:
     def test_default_backend_is_threads(self):
         assert DEFAULT_BACKEND == "threads"
 
-    def test_get_backend_is_cached(self):
-        assert get_backend("threads") is get_backend("threads")
+    def test_a_backend_is_its_world_class(self):
+        assert get_backend("threads") is MPIWorld
+        assert get_backend("process") is ProcessWorld
+        assert get_backend("serial") is SerialWorld
 
     def test_unknown_backend_error_lists_available(self):
         with pytest.raises(BackendError, match="serial"):
             get_backend("quantum")
 
     def test_threads_backend_creates_mpiworld(self):
-        world = get_backend("threads").create_world(3, timeout=1.0)
+        world = create_world("threads", 3, timeout=1.0)
         assert isinstance(world, MPIWorld)
         assert world.size == 3
         assert world.backend_name == "threads"
 
-    def test_register_custom_backend(self):
-        class EchoWorld(SerialWorld):
+    def test_register_custom_world_class(self):
+        class EchoWorld(MPIWorld):
             backend_name = "echo"
 
-        class EchoBackend(ExecutionBackend):
-            name = "echo"
-
-            def create_world(self, size, *, timeout=60.0):
-                return EchoWorld(timeout=timeout)
-
         try:
-            register_backend(EchoBackend())
+            assert register_backend(EchoWorld) is EchoWorld
             assert "echo" in available_backends()
-            assert isinstance(get_backend("echo").create_world(1), EchoWorld)
+            world = create_world("echo", 2, timeout=1.0)
+            assert isinstance(world, EchoWorld) and world.size == 2
+            assert isinstance(create_world("echo", 1), SerialWorld)
             with pytest.raises(BackendError, match="already registered"):
-                register_backend(EchoBackend())
+                register_backend(EchoWorld)
         finally:
             _REGISTRY.pop("echo", None)
 
-    def test_register_rejects_nameless_backend(self):
-        class Anonymous(ExecutionBackend):
-            name = ""
+    @pytest.mark.parametrize("name", ["", "?"])
+    def test_register_rejects_nameless_world_class(self, name):
+        class Anonymous(SerialWorld):
+            backend_name = name
 
-            def create_world(self, size, *, timeout=60.0):  # pragma: no cover
-                raise NotImplementedError
+        with pytest.raises(BackendError, match="backend_name"):
+            register_backend(Anonymous)
 
-        with pytest.raises(BackendError, match="name"):
-            register_backend(Anonymous())
+
+class TestWorldOfOne:
+    """A world of one rank is the serial world, whatever the backend's name."""
+
+    CONFIG64 = dict(region=64, block_size=16, page_elements=16, loops=5,
+                    init=lambda x, y: 0.01 * x * x - 0.02 * y + 1.0)
+
+    @pytest.mark.parametrize("name", ["serial", "threads", "process"])
+    def test_one_rank_is_the_serial_world(self, name):
+        world = create_world(name, 1, timeout=5.0)
+        assert type(world) is SerialWorld and world.timeout == 5.0
+        serial = Platform.builder().mpi(1, backend="serial").mmat().run(
+            JacobiSGrid, config=dict(self.CONFIG64)
+        )
+        run = Platform.builder().mpi(1, backend=name).mmat().run(
+            JacobiSGrid, config=dict(self.CONFIG64)
+        )
+        assert run.backend == name
+        assert np.array_equal(run.result, serial.result)
+        assert run.network == serial.network
+        assert run.network["barriers"] == 6
+
+    @pytest.mark.parametrize("world_cls", [MPIWorld, ProcessWorld])
+    def test_other_worlds_take_two_ranks_or_more(self, world_cls):
+        with pytest.raises(TaskError, match="at least two ranks"):
+            world_cls(1)
 
 
 class TestSerialWorld:
     def test_requires_size_one(self):
         with pytest.raises(TaskError, match="exactly one rank"):
-            get_backend("serial").create_world(2)
+            create_world("serial", 2)
 
     def test_run_spmd_inline(self):
-        world = get_backend("serial").create_world(1)
+        world = create_world("serial", 1)
         results = world.run_spmd(lambda ctx: (ctx.mpi_rank, ctx.mpi_size))
         assert [r.value for r in results] == [(0, 1)]
 
@@ -137,18 +162,29 @@ class TestThreadsWorldInterface:
         assert issubclass(MPIWorld, ExecutionWorld)
 
     def test_world_level_collectives_delegate_to_network(self):
-        world = MPIWorld(1)
-        assert world.allreduce_and(True) is True
-        assert world.allreduce_sum(3.0) == 3.0
-        world.barrier()
-        assert world.traffic_summary()["barriers"] == 1
+        world = MPIWorld(2)
+        results = world.run_spmd(
+            lambda ctx: (
+                world.allreduce_and(ctx.mpi_rank == 0),
+                world.allreduce_sum(1.5 * ctx.mpi_rank),
+                world.barrier(),
+            )
+        )
+        assert [r.value for r in results] == [(False, 1.5, None)] * 2
+        stats = world.traffic_summary()
+        assert stats == world.network.stats.as_dict()
+        assert (stats["allreduces"], stats["barriers"]) == (4, 2)
 
     def test_register_block_and_commit(self):
-        world = MPIWorld(1)
-        world.register_block("key", 0, 42, owner=True)
-        world.commit_registration()
-        assert world.directory.owner_of("key") == 0
-        assert world.directory.block_id_on("key", 0) == 42
+        world = MPIWorld(2)
+
+        def body(ctx):
+            rank = ctx.mpi_rank
+            world.register_block("key", rank, 42 + rank, owner=rank == 1)
+            world.commit_registration()
+            return world.directory.owner_of("key"), world.directory.block_id_on("key", 0)
+
+        assert [r.value for r in world.run_spmd(body)] == [(1, 42)] * 2
 
     def test_finalize_releases_envs_and_endpoints(self):
         # Satellite fix: finalize() used to only flip a flag, leaking one
@@ -190,19 +226,20 @@ class TestThreadsWorldInterface:
 
 
 class TestProcessWorld:
-    def test_size_one_runs_inline(self):
-        world = get_backend("process").create_world(1)
+    def test_size_one_runs_inline_in_the_serial_world(self):
+        world = create_world("process", 1)
         results = world.run_spmd(lambda ctx: ctx.mpi_rank * 10)
         assert results[0].value == 0
         assert world.allreduce_sum(1.5) == 1.5
+        assert isinstance(world, SerialWorld)
 
     def test_spmd_returns_picklable_rank_values(self):
-        world = get_backend("process").create_world(2, timeout=15.0)
+        world = create_world("process", 2, timeout=15.0)
         results = world.run_spmd(lambda ctx: ctx.mpi_rank * 10)
         assert [r.value for r in results] == [0, 10]
 
     def test_unpicklable_rank_values_degrade_to_none(self):
-        world = get_backend("process").create_world(2, timeout=15.0)
+        world = create_world("process", 2, timeout=15.0)
         results = world.run_spmd(lambda ctx: lambda: ctx.mpi_rank)  # lambdas don't pickle
         assert callable(results[0].value)  # rank 0 lives in the parent
         assert results[1].value is None
@@ -216,7 +253,7 @@ class TestProcessWorld:
             return real_wait(object_list, timeout=None)
 
         monkeypatch.setattr(process, "connection_wait", blocking)
-        world = get_backend("process").create_world(2, timeout=15.0)
+        world = create_world("process", 2, timeout=15.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             start = time.monotonic()
@@ -235,7 +272,7 @@ class TestProcessWorld:
             world.commit_registration()
 
     def test_traffic_summary_aggregates_all_ranks(self):
-        world = get_backend("process").create_world(2, timeout=15.0)
+        world = create_world("process", 2, timeout=15.0)
         world.run_spmd(lambda ctx: world.allreduce_sum(float(ctx.mpi_rank)))
         stats = world.traffic_summary()
         # Both ranks count their own allreduce call, like the threads

@@ -14,9 +14,11 @@ from repro.runtime import (
     SimNetwork,
     TaskContext,
     ThreadTeam,
+    create_world,
     current_task,
     task_scope,
 )
+from repro.runtime.backends.serial import SerialWorld
 from repro.runtime.errors import CollectiveError, DeadRankError, NetworkError, TaskError
 from repro.runtime.network import _payload_nbytes
 
@@ -34,9 +36,10 @@ class TestSimNetwork:
         with pytest.raises(NetworkError):
             net.mark_dead(-1)
 
-    def test_size_must_be_positive(self):
-        with pytest.raises(NetworkError):
-            SimNetwork(0)
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_size_must_be_at_least_two(self, size):
+        with pytest.raises(NetworkError, match="at least two ranks"):
+            SimNetwork(size)
 
     @pytest.mark.parametrize(
         "payload,nbytes",
@@ -74,7 +77,7 @@ class TestSimNetworkDeadRanks:
             net.barrier()
         assert barrier_err.value.rank == 1
         with pytest.raises(DeadRankError):
-            net.allreduce_sum(1.0)
+            net.allreduce(1.0, sum)
 
     def test_mark_dead_wakes_a_blocked_barrier_waiter(self):
         net = SimNetwork(2, timeout=30.0)
@@ -104,17 +107,17 @@ class TestSimNetworkDeadRanks:
 
 class TestSimNetworkCollectives:
     def test_single_rank_collectives_are_trivial(self):
-        net = SimNetwork(1)
-        net.barrier()
-        assert net.allreduce_and(True) is True
-        assert net.allreduce_sum(2.5) == 2.5
+        world = SerialWorld()
+        world.barrier()
+        assert world.allreduce_and(True) is True
+        assert world.allreduce_sum(2.5) == 2.5
 
     def test_allreduce_and_across_threads(self):
         net = SimNetwork(3)
         results = [None] * 3
 
         def worker(rank, flag):
-            results[rank] = net.allreduce_and(flag)
+            results[rank] = net.allreduce(flag, all)
 
         threads = [
             threading.Thread(target=worker, args=(r, r != 1)) for r in range(3)
@@ -130,7 +133,7 @@ class TestSimNetworkCollectives:
         results = [None] * 4
 
         def worker(rank):
-            results[rank] = net.allreduce_sum(float(rank))
+            results[rank] = net.allreduce(float(rank), sum)
 
         threads = [threading.Thread(target=worker, args=(r,)) for r in range(4)]
         for t in threads:
@@ -140,10 +143,18 @@ class TestSimNetworkCollectives:
         assert results == [6.0] * 4
 
     def test_barrier_counts(self):
-        net = SimNetwork(1)
-        net.barrier()
-        net.barrier()
-        assert net.stats.barriers == 2
+        net = SimNetwork(2)
+
+        def worker():
+            net.barrier()
+            net.barrier()
+
+        threads = [threading.Thread(target=worker) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert net.stats.barriers == 4  # every rank counts its own call
 
 
 class TestPageFetch:
@@ -195,14 +206,16 @@ class TestBlockDirectory:
 
 
 class TestMPIWorld:
-    def test_size_validation(self):
-        with pytest.raises(TaskError):
-            MPIWorld(0)
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_size_validation(self, size):
+        with pytest.raises(TaskError, match="at least two ranks"):
+            MPIWorld(size)
 
-    def test_run_spmd_serial_world_runs_inline(self):
-        world = MPIWorld(1)
-        results = world.run_spmd(lambda ctx: ctx.mpi_rank)
-        assert [r.value for r in results] == [0]
+    def test_a_threads_world_of_one_is_the_serial_world_inline(self):
+        world = create_world("threads", 1)
+        assert isinstance(world, SerialWorld)
+        results = world.run_spmd(lambda ctx: (ctx.mpi_rank, threading.current_thread()))
+        assert [r.value for r in results] == [(0, threading.current_thread())]
 
     def test_run_spmd_sets_task_context(self):
         world = MPIWorld(3)
@@ -240,10 +253,10 @@ class TestMPIWorld:
 
     def test_env_of_unknown_rank(self):
         with pytest.raises(NetworkError):
-            MPIWorld(1).env_of(0)
+            MPIWorld(2).env_of(0)
 
     def test_finalize_and_traffic_summary(self):
-        world = MPIWorld(1)
+        world = MPIWorld(2)
         world.finalize()
         assert world.finalized
         assert "messages" in world.traffic_summary()

@@ -30,7 +30,7 @@ from repro.runtime import (
     NetworkError,
     NetworkStats,
     PageFetchError,
-    get_backend,
+    create_world,
 )
 from repro.runtime.tracing import TaskCounters
 
@@ -88,7 +88,7 @@ class TestAsyncStatsCountOnce:
     """Issued bulk fetches hit NetworkStats exactly once."""
 
     def _threads_world_with_fetch(self):
-        world = get_backend("threads").create_world(2, timeout=10.0)
+        world = create_world("threads", 2, timeout=10.0)
 
         class Endpoint:
             def page_snapshot(self, key):
@@ -276,7 +276,7 @@ class TestAsyncIssueErrors:
     def test_unresolvable_owner_raises_page_fetch_error(self):
         """The issue wraps transport errors as PageFetchError."""
         aspect = DistributedMemoryAspect(processes=1)
-        aspect.world = get_backend("serial").create_world(1)
+        aspect.world = create_world("serial", 1)
 
         class _Keyed:
             name = "ghost-block"
@@ -293,7 +293,7 @@ class TestAsyncIssueErrors:
     def test_threads_reply_fault_raises_at_issue(self, fault):
         """The threads world serves a batch when it is issued, so a faulty
         reply fails the issue itself, not a later wait."""
-        world = get_backend("threads").create_world(2, timeout=10.0)
+        world = create_world("threads", 2, timeout=10.0)
         world.install_fault_plan(getattr(FaultPlan(), fault)(1, peer=0))
 
         class Endpoint:

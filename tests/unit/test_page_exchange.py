@@ -13,7 +13,7 @@ import pytest
 from repro.aspects import DistributedMemoryAspect
 from repro.memory import DataBlock, Env, MemoryPool, PoolGroup
 from repro.memory.page import PageKey
-from repro.runtime import NetworkStats, PageFetchError, get_backend
+from repro.runtime import NetworkStats, PageFetchError, create_world
 from repro.runtime.backends.base import ExecutionWorld, group_requests_by_owner
 from repro.runtime.simmpi import BlockDirectory
 from repro.runtime.tracing import TaskCounters
@@ -40,7 +40,7 @@ class _StubEnv:
 
 def _aspect_with_world(size=1):
     aspect = DistributedMemoryAspect(processes=size)
-    aspect.world = get_backend("serial").create_world(1)
+    aspect.world = create_world("serial", 1)
     return aspect
 
 

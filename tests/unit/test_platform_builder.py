@@ -20,7 +20,7 @@ from repro.aop.registry import TAG_KERNEL
 from repro.apps import JacobiSGrid
 from repro.aspects import DistributedMemoryAspect, SharedMemoryAspect
 from repro.resilience import RecoveryAspect, ResiliencePolicy
-from repro.runtime import get_backend
+from repro.runtime import create_world, get_backend
 
 
 CONFIG = dict(
@@ -160,10 +160,8 @@ KNOB_HOMES = {
     "DistributedMemoryAspect": DistributedMemoryAspect,
     "SharedMemoryAspect": SharedMemoryAspect,
     "RecoveryAspect.elastic_run": RecoveryAspect.elastic_run,
-    **{
-        f"{name}.create_world": type(get_backend(name)).create_world
-        for name in ("serial", "threads", "process")
-    },
+    "create_world": create_world,
+    **{f"{name} world": get_backend(name) for name in ("serial", "threads", "process")},
 }
 
 

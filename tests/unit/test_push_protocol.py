@@ -31,6 +31,7 @@ from repro.runtime import (
     NetworkStats,
     PageFetchError,
     SpmdFailure,
+    create_world,
     get_backend,
 )
 from repro.runtime import shm
@@ -269,7 +270,7 @@ WORLDS = ["threads", pytest.param("process", marks=needs_process)]
 class TestWorldAgreement:
     @pytest.mark.parametrize("backend", WORLDS)
     def test_bits_agreement_uses_the_words_and_counts_as_an_allreduce(self, backend):
-        world = get_backend(backend).create_world(3, timeout=10.0)
+        world = create_world(backend, 3, timeout=10.0)
         try:
             results = world.run_spmd(
                 lambda ctx: [world.allreduce_bits(0b111 ^ (1 << ctx.mpi_rank)) for _ in range(4)]
@@ -283,7 +284,7 @@ class TestWorldAgreement:
         assert summary["messages"] == (6 if backend == "process" else 0)
 
     def test_a_world_without_slots_agrees_over_allreduce(self):
-        world = get_backend("serial").create_world(1)
+        world = create_world("serial", 1)
         assert world.control is None
         assert world.run_spmd(lambda ctx: world.allreduce_bits(0b101))[0].value == 0b101
         assert world.traffic_summary()["allreduces"] == 1
@@ -291,7 +292,7 @@ class TestWorldAgreement:
     def test_slotless_worlds_offer_no_slots(self):
         """A registered world without control words agrees over messages,
         computes what serial does and says why it never published."""
-        world = get_backend(slotless()).create_world(2, timeout=10.0)
+        world = create_world(slotless(), 2, timeout=10.0)
         bits = world.run_spmd(lambda ctx: (world.control, world.allreduce_bits(3 - ctx.mpi_rank)))
         world.finalize()
         assert [r.value for r in bits] == [(None, 2), (None, 2)]
@@ -304,7 +305,7 @@ class TestWorldAgreement:
         assert "open: no slots x" in run.summary()
 
     def test_threads_survivor_sees_the_dead_rank_not_the_timeout(self):
-        world = get_backend("threads").create_world(2, timeout=30.0)
+        world = create_world("threads", 2, timeout=30.0)
 
         def body(ctx):
             if ctx.mpi_rank == 1:
@@ -323,7 +324,7 @@ class TestWorldAgreement:
 
     @needs_process
     def test_process_survivor_sees_the_dead_rank_not_the_timeout(self):
-        world = get_backend("process").create_world(2, timeout=30.0)
+        world = create_world("process", 2, timeout=30.0)
 
         def body(ctx):
             if ctx.mpi_rank == 1:
@@ -344,7 +345,7 @@ class TestWorldAgreement:
         """Regression: the poll raised for *any* peer whose exit was queued,
         so a rank that stored its last word and left failed the ranks
         still waiting for somebody else's."""
-        world = get_backend("process").create_world(3, timeout=30.0)
+        world = create_world("process", 3, timeout=30.0)
 
         def body(ctx):
             world.allreduce_bits(1)
@@ -364,7 +365,7 @@ class TestWorldAgreement:
 
     @pytest.mark.parametrize("backend", WORLDS)
     def test_a_stuck_peer_times_the_wait_out_by_name(self, backend):
-        world = get_backend(backend).create_world(2, timeout=0.3)
+        world = create_world(backend, 2, timeout=0.3)
 
         def body(ctx):
             if ctx.mpi_rank == 1:
@@ -422,7 +423,7 @@ class TestSegmentHygiene:
         assert shm.sweep_stale_segments(str(tmp_path / "missing")) == 0
 
     def test_control_segment_lives_from_launch_to_finalize(self):
-        world = get_backend("process").create_world(2, timeout=10.0)
+        world = create_world("process", 2, timeout=10.0)
         seen = world.run_spmd(lambda ctx: our_segments(os.getppid() if ctx.mpi_rank else None))
         assert shm.control_segment_name(world.shm_uid) in seen[0].value
         world.finalize()
@@ -470,7 +471,7 @@ class TestSegmentHygiene:
         finally:
             parent.kill()
             parent.stdout.close()
-        world = get_backend("process").create_world(2, timeout=10.0)
+        world = create_world("process", 2, timeout=10.0)
         world.finalize()
         assert our_segments(parent.pid) == []
 
@@ -597,7 +598,7 @@ class TestPushedRows:
         assert image.fresh == {remote.block_id}
         env.invalidate_buffer_only()
         # The closed step: the owner (rank 1) stores its rows and stamps.
-        world = get_backend("threads").create_world(2)
+        world = create_world("threads", 2)
         link = world.open_halo_link(1, 0, nbytes=32)
         push = PushPlan(generation=env.plan_generation, pages=frozenset())
         push.inbound.append((link, [(image, rows, 0, 32)]))
@@ -619,7 +620,7 @@ class TestPushedRows:
         """A one-owner push plan of ``env``'s halo rows, its slot filled with
         7.0 and, with ``stamp``, stamped round 1 by the owner (rank 1)."""
         image, rows = env.plan_halo_rows()[0]
-        world = get_backend("threads").create_world(2, timeout=0.2)
+        world = create_world("threads", 2, timeout=0.2)
         link = world.open_halo_link(1, 0, nbytes=32)
         push = PushPlan(generation=env.plan_generation, pages=frozenset())
         push.inbound.append((link, [(image, rows, 0, 32)]))

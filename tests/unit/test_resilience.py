@@ -301,9 +301,9 @@ class TestCommTimeoutPlumbing:
         assert self._mpi_aspect(platform).comm_timeout() == 60.0
 
     def test_timeout_reaches_created_world(self):
-        from repro.runtime.backends import get_backend
+        from repro.runtime.backends import create_world
 
-        world = get_backend("threads").create_world(2, timeout=4.5)
+        world = create_world("threads", 2, timeout=4.5)
         try:
             assert world.network.timeout == 4.5
         finally:

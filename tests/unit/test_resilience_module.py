@@ -12,12 +12,13 @@ from __future__ import annotations
 import pathlib
 
 import numpy as np
+import pytest
 
 from repro.annotation import Platform, TargetApplication
 from repro.apps import JacobiSGrid
-from repro.aspects import DistributedMemoryAspect
+from repro.aspects import DistributedMemoryAspect, mpi_aspect
 from repro.resilience import FaultPlan, RecoveryAspect, ResiliencePolicy
-from repro.runtime.backends import get_backend
+from repro.runtime.backends import create_world
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -55,15 +56,13 @@ def test_resilience_weaves_one_aspect():
 
 
 def test_recovered_run_leaves_only_the_world_in_context(monkeypatch):
-    backend = get_backend("threads")
-    create = type(backend).create_world
     worlds = []
 
-    def recording_create(self, size, **kwargs):
-        worlds.append(create(self, size, **kwargs))
+    def recording_create(*args, **kwargs):
+        worlds.append(create_world(*args, **kwargs))
         return worlds[-1]
 
-    monkeypatch.setattr(type(backend), "create_world", recording_create)
+    monkeypatch.setattr(mpi_aspect, "create_world", recording_create)
     platform = resilient(4, FaultPlan().kill(1, phase="refresh", epoch=2))
     run = platform.run(JacobiSGrid, config=dict(CONFIG))
     assert run.restarts == 1
@@ -73,6 +72,19 @@ def test_recovered_run_leaves_only_the_world_in_context(monkeypatch):
     assert [w.size for w in worlds] == [4, 3]
     assert all(w.finalized for w in worlds)
     assert platform.context["mpi_world"] is worlds[-1]
+
+
+@pytest.mark.parametrize("backend", ["threads", "process"])
+def test_a_recovered_run_reports_the_traffic_of_every_world(backend):
+    """``run.network`` adds the given-up world's traffic to the last one's,
+    as ``run.counters`` add every attempt's work: each page a rank counted
+    as fetched is one the worlds counted as moved."""
+    plan = FaultPlan().kill(1, phase="refresh", epoch=2)
+    run = resilient(4, plan, backend=backend).run(JacobiSGrid, config=dict(CONFIG, page_elements=4))
+    assert run.restarts == 1
+    fetched = sum(c.pages_fetched for c in run.counters.values())
+    assert fetched == run.network["bulk_pages"] > 0
+    assert f"comm={run.network['bulk_fetches']}ex/{fetched}pg" in run.summary()
 
 
 def test_shrunk_run_reports_the_configured_layers():
@@ -104,7 +116,7 @@ def test_resilient_plain_target_weaves_and_runs():
 
 
 def test_fault_plan_installed_in_rank_context_reaches_the_transport():
-    world = get_backend("process").create_world(2, timeout=10.0)
+    world = create_world("process", 2, timeout=10.0)
     plan = FaultPlan()
 
     def body(_ctx):

@@ -52,7 +52,7 @@ MARKDOWN_FILES = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
 #: a new user-facing class lands.
 PUBLIC_SURFACE = {
     "repro.annotation.driver": ["Platform", "PlatformBuilder", "PlatformRun"],
-    "repro.runtime.backends.base": ["ExecutionBackend", "ExecutionWorld"],
+    "repro.runtime.backends.base": ["ExecutionWorld"],
     "repro.memory.mmat": ["MMAT", "AccessPlan"],
     "repro.resilience.faults": ["FaultPlan"],
     "repro.resilience.recovery": ["ResiliencePolicy"],
