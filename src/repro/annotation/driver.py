@@ -704,10 +704,11 @@ class Platform:
             # Every backend's world exposes the same NetworkStats keys, so
             # run.network reads uniformly across serial/threads/process; a
             # recovered run adds the traffic of the worlds it gave up.
-            traffic = NetworkStats(**world.traffic_summary())
-            if self.resilience is not None:
+            network = world.traffic_summary()
+            if self.resilience is not None and self.resilience.events:
+                traffic = NetworkStats(**network)
                 traffic.merge(self.resilience.lost_traffic)
-            network = traffic.as_dict()
+                network = traffic.as_dict()
             backend_name = self.backend or DEFAULT_BACKEND
         return PlatformRun(
             app=app,

@@ -570,19 +570,12 @@ class ProcessTransport:
                 f"bulk page reply {req_id} from rank {owner} failed its integrity check: {exc}"
             ) from None
         payload_bytes = sum(int(d.nbytes) for d in datas)
-        manifest_bytes = 32 + 16 * len(items)
-        # Logical accounting, the same shape as SimNetwork.fetch_pages:
-        # payload plus request header plus per-page manifest entries; the
-        # shm_* counters record that the page bytes crossed mapped segments.
-        stats = self.stats
-        stats.messages += 1  # the reply (the request was counted by _send)
-        stats.record_neighbor(self.rank, owner, 1, manifest_bytes)
-        stats.record_neighbor(owner, self.rank, 1, payload_bytes)
-        stats.bulk_fetches += 1
-        stats.bulk_pages += len(datas)
-        stats.bytes_moved += payload_bytes + manifest_bytes
-        stats.shm_fetches += len(datas)
-        stats.shm_bytes += payload_bytes
+        # Logical accounting, the same as SimNetwork.fetch_pages' (the
+        # request message was counted by _send); the shm_* counters record
+        # that the page bytes crossed mapped segments.
+        self.stats.record_bulk(self.rank, owner, len(datas), payload_bytes, messages=1)
+        self.stats.shm_fetches += len(datas)
+        self.stats.shm_bytes += payload_bytes
         return datas
 
     def close(self) -> None:

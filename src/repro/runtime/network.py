@@ -82,13 +82,17 @@ class NetworkStats:
         entry["messages"] += int(messages)
         entry["bytes"] += int(nbytes)
 
-    def record_bulk(self, requester: int, owner: int, pages: int, payload_bytes: int) -> None:
+    def record_bulk(
+        self, requester: int, owner: int, pages: int, payload_bytes: int, messages: int = 2
+    ) -> None:
         """Account one bulk page exchange: a manifest out (header plus one
-        entry per page), every page back."""
+        entry per page), every page back.  ``messages`` of the pair are
+        counted here; a transport that counted its request when sending
+        it passes 1."""
         manifest_bytes = 32 + 16 * pages
         self.bulk_fetches += 1
         self.bulk_pages += pages
-        self.messages += 2
+        self.messages += messages
         self.bytes_moved += payload_bytes + manifest_bytes
         self.record_neighbor(requester, owner, 1, manifest_bytes)
         self.record_neighbor(owner, requester, 1, payload_bytes)

@@ -37,6 +37,17 @@ def make_world(backend: str, size: int):
     return create_world(backend, size, timeout=TIMEOUT)
 
 
+def refuses_self(backend: str, size: int) -> bool:
+    """Whether a rank of this world may not ask itself for pages: a
+    process rank of a world of two or more reads its own in place."""
+    return backend == "process" and size > 1
+
+
+def asked_owners(backend: str, size: int, rank: int) -> list:
+    """Every owner ``rank`` may ask for pages in one batch."""
+    return [o for o in range(size) if o != rank or not refuses_self(backend, size)]
+
+
 # ----------------------------------------------------------------------
 # SPMD launch
 # ----------------------------------------------------------------------
@@ -212,7 +223,7 @@ class TestAsyncBulkFetch:
         """Worlds whose ranks share an address space serve a rank's own
         pages; a process rank reads them in place and may not ask itself."""
         world = make_world(backend, size)
-        refused = backend == "process" and size > 1
+        refused = refuses_self(backend, size)
 
         def body(ctx):
             rank = self._register(world, ctx)
@@ -240,12 +251,14 @@ class TestAsyncBulkFetch:
 
     @pytest.mark.parametrize("backend,size", CASES)
     def test_mixed_owner_batch(self, backend, size):
+        """One batch over every owner; a process rank (which may not ask
+        itself, see above) leaves its own pages out."""
         world = make_world(backend, size)
-        peers = size - 1
+        owners = size - 1 if refuses_self(backend, size) else size
 
         def body(ctx):
             rank = self._register(world, ctx)
-            requests = [(("blk", owner), 1) for owner in range(size) if owner != rank]
+            requests = [(("blk", owner), 1) for owner in asked_owners(backend, size, rank)]
             result = world.fetch_pages_bulk_async(rank, requests).wait()
             world.barrier()  # keep every rank serving until all fetched
             return (
@@ -257,17 +270,17 @@ class TestAsyncBulkFetch:
         results = world.run_spmd(body)
         for rank, result in enumerate(results):
             exchanges, nbytes, pages = result.value
-            assert exchanges == peers  # one aggregated exchange per owner
-            assert nbytes == peers * 4 * 8
+            assert exchanges == owners  # one aggregated exchange per owner
+            assert nbytes == owners * 4 * 8
             assert [(key, page) for key, page, _ in pages] == [
-                (("blk", o), 1) for o in range(size) if o != rank
+                (("blk", o), 1) for o in asked_owners(backend, size, rank)
             ]
             for (_, owner), _, values in pages:
                 expected = np.arange(4) + 1000.0 * owner + 10.0 * (7 + owner) + 1
                 np.testing.assert_allclose(values, expected)
         stats = world.traffic_summary()
-        assert stats["bulk_fetches"] == size * peers  # one exchange per peer per rank
-        assert stats["bulk_pages"] == size * peers
+        assert stats["bulk_fetches"] == size * owners  # one exchange per owner per rank
+        assert stats["bulk_pages"] == size * owners
 
     @pytest.mark.parametrize("backend,size", CASES)
     def test_wait_before_send_completes(self, backend, size):
@@ -313,7 +326,7 @@ class TestAsyncBulkFetch:
 
         def body(ctx):
             rank = self._register(world, ctx)
-            requests = [(("blk", owner), 2) for owner in range(size) if owner != rank]
+            requests = [(("blk", owner), 2) for owner in asked_owners(backend, size, rank)]
             handle = world.fetch_pages_bulk_async(rank, requests)
             first = handle.wait()
             second = handle.wait()
@@ -324,7 +337,8 @@ class TestAsyncBulkFetch:
         assert [r.value for r in results] == [(True, True)] * size
         stats = world.traffic_summary()
         # Counted once per rank's batch despite the double wait.
-        assert stats["bulk_pages"] == size * (size - 1)
+        owners = size - 1 if refuses_self(backend, size) else size
+        assert stats["bulk_pages"] == size * owners
 
     @pytest.mark.parametrize("backend,size", CASES)
     def test_unresolvable_owner_raises_at_issue(self, backend, size):

@@ -82,6 +82,25 @@ class TestRegistry:
         finally:
             _REGISTRY.pop("echo", None)
 
+    def test_a_custom_world_reports_its_own_traffic_keys(self):
+        """run.network is the world's traffic summary as it stands, so a
+        custom world may report keys NetworkStats does not know."""
+
+        class WiredWorld(MPIWorld):
+            backend_name = "wired"
+
+            def traffic_summary(self):
+                return {**super().traffic_summary(), "wire_seconds": 0.5}
+
+        try:
+            register_backend(WiredWorld)
+            run = Platform.builder().mpi(2, backend="wired").run(JacobiSGrid, config=dict(CONFIG))
+        finally:
+            _REGISTRY.pop("wired", None)
+        assert run.backend == "wired"
+        assert run.network["wire_seconds"] == 0.5
+        assert run.network["bulk_pages"] > 0
+
     @pytest.mark.parametrize("name", ["", "?"])
     def test_register_rejects_nameless_world_class(self, name):
         class Anonymous(SerialWorld):
