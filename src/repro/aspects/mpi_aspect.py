@@ -45,7 +45,7 @@ This module weaves the distributed-memory layer into an application:
   the state table and the ordering argument.
 
 The module also registers every rank's Env and Blocks in the world's
-:class:`~repro.runtime.simmpi.BlockDirectory` (after ``Initialize``),
+:class:`~repro.runtime.backends.base.BlockDirectory` (after ``Initialize``),
 which is what lets page fetches name remote Blocks by logical key.
 
 Pointcuts are declared in the textual pointcut language

@@ -9,9 +9,9 @@ backends*, says which world to run when):
   ``process`` real forked ranks): a backend is its world class, built
   by name via :func:`create_world` (a world of one rank is always the
   serial world);
-* :class:`MPIWorld` / :class:`SimNetwork` — threaded SPMD ranks with an
-  in-memory interconnect that counts messages and bytes (the
-  ``threads`` backend);
+* :class:`MPIWorld` — threaded SPMD ranks sharing one address space
+  (the ``threads`` backend); every world counts its messages and bytes
+  in a :class:`NetworkStats`;
 * :class:`ThreadTeam` — shared-memory task team with barrier/single;
 * :class:`TaskContext` — hierarchical task ids;
 * :class:`TraceRecorder` — per-task work/traffic counters;
@@ -22,6 +22,7 @@ backends*, says which world to run when):
 from .backends import (
     DEFAULT_BACKEND,
     BackendError,
+    BlockDirectory,
     BulkFetchResult,
     CommHandle,
     CompletedCommHandle,
@@ -44,8 +45,8 @@ from .errors import (
     TaskError,
 )
 from .machine import OAKBRIDGE_CX_LIKE, MachineSpec
-from .network import NetworkStats, SimNetwork
-from .simmpi import BlockDirectory, MPIWorld, RankResult
+from .network import NetworkStats
+from .simmpi import MPIWorld, RankResult
 from .simomp import ThreadTeam
 from .task import SERIAL_TASK, TaskContext, current_task, task_scope
 from .tracing import TaskCounters, TraceRecorder, global_trace
@@ -66,7 +67,6 @@ __all__ = [
     "MachineSpec",
     "OAKBRIDGE_CX_LIKE",
     "NetworkStats",
-    "SimNetwork",
     "BlockDirectory",
     "MPIWorld",
     "RankResult",

@@ -12,7 +12,8 @@ platform code)::
 
     class AsyncioWorld(ExecutionWorld):
         backend_name = "asyncio"
-        def __init__(self, size, *, timeout=60.0): ...
+        # run_spmd, commit_registration, barrier, allreduce and
+        # fetch_pages_bulk_async; the base holds the shared state.
     register_backend(AsyncioWorld)
 
 A world of one rank is the serial world: :func:`create_world` returns a
@@ -37,6 +38,7 @@ from typing import Dict, List, Type
 
 from .base import (
     BackendError,
+    BlockDirectory,
     BulkFetchResult,
     CommHandle,
     CompletedCommHandle,
@@ -48,6 +50,7 @@ from .base import (
 
 __all__ = [
     "BackendError",
+    "BlockDirectory",
     "BulkFetchResult",
     "CommHandle",
     "CompletedCommHandle",

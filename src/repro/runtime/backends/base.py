@@ -39,11 +39,13 @@ from operator import and_
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import CollectiveError, InjectedFault, NetworkError
+from ..network import NetworkStats
 from ..shm import ControlWords
 from ..task import TaskContext
 
 __all__ = [
     "BackendError",
+    "BlockDirectory",
     "BulkFetchResult",
     "CommHandle",
     "CompletedCommHandle",
@@ -122,16 +124,75 @@ class BulkFetchResult:
     nbytes: int = 0
 
 
+class BlockDirectory:
+    """Cross-rank registry: logical block key -> (owner rank, per-rank block ids).
+
+    DSL layers give every Data Block a *logical key* (for the grids this
+    is the block's origin in units of blocks) that is identical on every
+    rank.  The directory lets the communication advice translate a local
+    Buffer-only Block's page into the owning rank's Data Block page.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._owner: Dict[Any, int] = {}
+        self._block_ids: Dict[Tuple[Any, int], int] = {}
+
+    def register(self, logical_key: Any, rank: int, block_id: int, *, owner: bool) -> None:
+        """Record that ``rank`` materialised ``logical_key`` as ``block_id``."""
+        with self._lock:
+            self._block_ids[(logical_key, rank)] = block_id
+            if owner:
+                existing = self._owner.get(logical_key)
+                if existing is not None and existing != rank:
+                    raise NetworkError(
+                        f"block {logical_key!r} claimed by ranks {existing} and {rank}"
+                    )
+                self._owner[logical_key] = rank
+
+    def owner_of(self, logical_key: Any) -> int:
+        with self._lock:
+            try:
+                return self._owner[logical_key]
+            except KeyError:
+                raise NetworkError(f"no owner registered for block {logical_key!r}") from None
+
+    def block_id_on(self, logical_key: Any, rank: int) -> int:
+        with self._lock:
+            try:
+                return self._block_ids[(logical_key, rank)]
+            except KeyError:
+                raise NetworkError(
+                    f"block {logical_key!r} not materialised on rank {rank}"
+                ) from None
+
+    def known_blocks(self) -> List[Any]:
+        with self._lock:
+            return list(self._owner)
+
+    def owners(self) -> Dict[Any, int]:
+        """Snapshot of the full ``logical_key -> owner rank`` map.
+
+        The recovery layer reads this post-mortem to learn which blocks
+        the dead rank owned and in what order the survivors should deal
+        them out again.
+        """
+        with self._lock:
+            return dict(self._owner)
+
+
 def group_requests_by_owner(
-    directory: Any, requests: Sequence[Tuple[Any, int]]
+    directory: BlockDirectory, requests: Sequence[Tuple[Any, int]], requester: int
 ) -> Dict[int, List[Tuple[Any, int, int]]]:
-    """Resolve page requests against a block directory, grouped by owner.
+    """Resolve ``requester``'s page requests against a block directory,
+    grouped by owner.
 
     ``requests`` is a sequence of ``(logical_key, page_index)`` pairs;
     the result maps each owning rank to ``(logical_key, page_index,
     owner-local block id)`` triples, preserving request order within
     each owner.  Raises :class:`~repro.runtime.errors.NetworkError` when
-    a key has no registered owner.
+    a key has no registered owner, or when its owner is ``requester``:
+    a rank asks only its peers and reads its own pages in place.
     """
     grouped: Dict[int, List[Tuple[Any, int, int]]] = {}
     block_ids: Dict[Any, Tuple[int, int]] = {}
@@ -139,6 +200,12 @@ def group_requests_by_owner(
         resolved = block_ids.get(logical_key)
         if resolved is None:
             owner = directory.owner_of(logical_key)
+            if owner == requester:
+                raise NetworkError(
+                    f"rank {requester} asked rank {owner} for pages of block "
+                    f"{logical_key!r}: a rank asks only its peers and reads its own "
+                    "pages in place"
+                )
             resolved = (owner, directory.block_id_on(logical_key, owner))
             block_ids[logical_key] = resolved
         owner, block_id = resolved
@@ -176,7 +243,7 @@ class HaloLink:
         self.descriptor = descriptor
 
 
-#: Guards the halo accounting of worlds whose ranks share one stats object.
+#: Guards the counters of worlds whose ranks share one stats object.
 _ACCOUNT_LOCK = threading.Lock()
 
 
@@ -275,20 +342,31 @@ class ExecutionWorld(abc.ABC):
     A subclass is a backend: registered by its :attr:`backend_name`
     (:func:`~repro.runtime.backends.register_backend`), it is built as
     ``cls(size, timeout=...)`` for every world of two or more ranks.
+    The state every world shares — the directory, the Env each rank
+    registered, the traffic counters — lives here; a subclass overrides
+    a method of it only to add to it.
     """
 
     #: Registry name (``Platform(backend=name)`` selects this class).
     backend_name: str = "?"
-    #: Number of ranks.
-    size: int
     #: Installed fault plan (``None`` when no faults are injected).  The
     #: plan is duck-typed (see :class:`repro.resilience.FaultPlan`) so
     #: the runtime substrate never imports the resilience package.
     fault_plan: Any = None
-    #: The Env each rank registered (:meth:`register_env`).
-    rank_envs: Dict[int, Any]
     #: Whether :meth:`finalize` ran (it releases the Env replicas).
     finalized: bool = False
+
+    def __init__(self, size: int, *, timeout: float = 60.0) -> None:
+        #: Number of ranks.
+        self.size = size
+        #: Bound (seconds) on every wait of the world.
+        self.timeout = timeout
+        #: Logical block key -> owner rank and per-rank block ids.
+        self.directory = BlockDirectory()
+        #: The Env each rank registered (:meth:`register_env`).
+        self.rank_envs: Dict[int, Any] = {}
+        #: The world's traffic counters (:meth:`traffic_summary`).
+        self.stats = NetworkStats()
 
     # -- failure injection ---------------------------------------------
     def install_fault_plan(self, plan: Any) -> None:
@@ -297,7 +375,8 @@ class ExecutionWorld(abc.ABC):
         Call it before :meth:`run_spmd` (the process backend ships the
         plan to child ranks over ``fork``), or from every rank's context
         before registration commits: then each rank's own copy of the
-        world, and the transport serving its page replies, takes it.
+        world takes it.  The page serve that consumes reply faults reads
+        the plan off the world.
         """
         self.fault_plan = plan
 
@@ -334,14 +413,21 @@ class ExecutionWorld(abc.ABC):
     ) -> List[RankResult]:
         """Execute ``body`` once per rank; raise if any rank failed."""
 
-    @abc.abstractmethod
     def finalize(self) -> None:
-        """Release per-run resources (Env replicas, endpoints); idempotent."""
+        """Release the Env replicas (idempotent); the counters stay.
+
+        A long-lived process running many platform configurations back
+        to back must not keep one full set of Env replicas (pools, pages,
+        MMAT memos) per finished run.
+        """
+        self.rank_envs.clear()
+        self.finalized = True
 
     # -- Env / block registration --------------------------------------
-    @abc.abstractmethod
     def register_env(self, rank: int, env: Any) -> None:
         """Attach a rank's Env replica as its page-serving endpoint."""
+        self._check_rank(rank)
+        self.rank_envs[rank] = env
 
     def env_of(self, rank: int) -> Any:
         """Return the Env registered by ``rank`` (NetworkError if absent)."""
@@ -350,9 +436,13 @@ class ExecutionWorld(abc.ABC):
         except KeyError:
             raise NetworkError(f"rank {rank} has not registered an Env") from None
 
-    @abc.abstractmethod
     def register_block(self, logical_key: Any, rank: int, block_id: int, *, owner: bool) -> None:
         """Record that ``rank`` materialised ``logical_key`` as ``block_id``."""
+        self.directory.register(logical_key, rank, block_id, owner=owner)
+
+    def _check_rank(self, rank: int) -> None:
+        if not 0 <= rank < self.size:
+            raise NetworkError(f"rank {rank} outside world of size {self.size}")
 
     @abc.abstractmethod
     def commit_registration(self) -> None:
@@ -370,13 +460,8 @@ class ExecutionWorld(abc.ABC):
 
     @abc.abstractmethod
     def allreduce(self, value: Any, op: Callable[[List[Any]], Any]) -> Any:
-        """Every rank contributes ``value``; all receive ``op(values)``.
-
-        The ``serial`` and ``process`` backends deliver ``values``
-        ordered by contributing rank; the ``threads`` backend delivers
-        them in arrival order — ``op`` must therefore be commutative
-        (and/or/sum/min/max and friends), as real MPI reductions are.
-        """
+        """Every rank contributes ``value``; all receive ``op(values)``,
+        ``values`` ordered by contributing rank."""
 
     def allreduce_and(self, flag: bool) -> bool:
         """Logical-AND allreduce."""
@@ -393,7 +478,7 @@ class ExecutionWorld(abc.ABC):
         return int(self.allreduce(int(flags), and_bits))
 
     def allreduce_sum(self, value: float) -> float:
-        """Sum allreduce (used by examples for residual norms)."""
+        """Sum allreduce (a convenience for user programs; no shipped app calls it)."""
         return float(self.allreduce(float(value), lambda values: sum(values)))
 
     # -- page transport -------------------------------------------------
@@ -409,7 +494,9 @@ class ExecutionWorld(abc.ABC):
         back).  The refresh protocol issues its prefetch right after the
         step barrier, and its repair before it, and waits the handle before
         the refresh returns.  Owner resolution failures surface at *issue*
-        time.  This is the platform's only page op.
+        time, and so does a self-request: a rank asks only its peers
+        (:func:`group_requests_by_owner`).  This is the platform's only
+        page op.
         """
 
     # -- halo slots (publish protocol) -----------------------------------
@@ -466,15 +553,18 @@ class ExecutionWorld(abc.ABC):
         return _StampHandle(self, consumer, list(links), self.halo_round(consumer))
 
     # -- accounting -----------------------------------------------------
-    @abc.abstractmethod
-    def stats_of(self, rank: int) -> Any:
+    def stats_of(self, rank: int) -> NetworkStats:
         """The :class:`~repro.runtime.network.NetworkStats` ``rank`` counts into."""
+        return self.stats
 
     def record_open_step(self, rank: int, reason: str) -> None:
         """Count one step ``rank`` could not take through the publish protocol."""
         with _ACCOUNT_LOCK:
             self.stats_of(rank).record_open(reason)
 
-    @abc.abstractmethod
     def traffic_summary(self) -> dict:
         """Aggregate traffic counters with :class:`~repro.runtime.network.NetworkStats` keys."""
+        return self.stats.as_dict()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"{type(self).__name__}(size={self.size}, stats={self.stats.as_dict()})"

@@ -123,7 +123,6 @@ from ..shm import (
     spin_until,
     sweep_stale_segments,
 )
-from ..simmpi import BlockDirectory
 from ..task import TaskContext, task_scope
 from ..tracing import global_trace
 from .base import (
@@ -176,28 +175,18 @@ class ProcessTransport:
     #: children inherit the class attribute.  Never set in production.
     reply_shim = None
 
-    def __init__(
-        self,
-        rank: int,
-        size: int,
-        conns: Dict[int, Any],
-        timeout: float,
-        *,
-        fault_plan: Any = None,
-        shm_uid: str = "",
-    ) -> None:
+    def __init__(self, world: "ProcessWorld", rank: int, conns: Dict[int, Any]) -> None:
+        #: The world this rank runs in (its copy, in a forked rank): the
+        #: transport reads the timeout, the fault plan, the segment
+        #: namespace and the rank's registered Env there.
+        self.world = world
         self.rank = rank
-        self.size = size
         self.conns = conns  # peer rank -> Connection
-        self.timeout = timeout
         self.stats = NetworkStats()
-        #: The rank's Env replica, served to peers (set by register_env).
-        self.endpoint: Any = None
         #: Bulk replies publish pages into this rank's shared-memory
         #: arena and ship descriptors.  The arena is created lazily on
         #: the first serve, so worlds that never bulk-fetch create no
         #: page segments at all.
-        self._shm_uid = shm_uid
         self._arena: Optional[SharedPageArena] = None
         #: The receiver thread (page serves) and the main thread (halo
         #: slots) both create the arena on first use.
@@ -205,8 +194,6 @@ class ProcessTransport:
         self._segcache = SegmentCache()
         #: Halo links handed out; their slot views die with the transport.
         self._links: List[HaloLink] = []
-        #: Installed fault plan (reply faults act in ``_post_reply``).
-        self.fault_plan = fault_plan
         #: First outbound send that failed because the peer's pipe was
         #: already dead — surfaced in the error raised at collect time so
         #: the failure is diagnosable instead of silently swallowed.
@@ -318,12 +305,11 @@ class ProcessTransport:
 
     def _serve_page_batch_inner(self, peer: int, req_id, items) -> None:
         try:
-            if self.endpoint is None:
-                raise NetworkError(f"rank {self.rank} has no registered Env")
+            env = self.world.env_of(self.rank)
             from ...memory.page import PageKey  # local import to avoid a cycle
 
             manifest = [
-                self._publish_page(PageKey(block_id, page_index))
+                self._publish_page(env, PageKey(block_id, page_index))
                 for block_id, page_index in items
             ]
             reply = ("brep", req_id, manifest)
@@ -331,23 +317,24 @@ class ProcessTransport:
             reply = ("perr", req_id, f"rank {self.rank} could not serve page batch "
                                      f"of {len(items)} pages: {exc!r}")
         # Uncounted send: the requester accounts the exchange (one request
-        # plus one reply), mirroring SimNetwork.fetch_pages.
+        # plus one reply), as a threads world's fetch does.
         self._post_reply(peer, reply)
 
-    def _publish_page(self, key) -> tuple:
-        """Publish one page into the shm arena; return its descriptor 8-tuple.
+    def _publish_page(self, env, key) -> tuple:
+        """Publish one page of ``env`` into the shm arena; return its
+        descriptor 8-tuple.
 
-        The endpoint's :meth:`~repro.memory.env.Env.page_export`
-        supplies a no-copy view plus the content generation used to
-        reuse the published slot across repeat serves of an unchanged
-        buffer; endpoints exposing only ``page_snapshot`` publish the
-        snapshot with no generation, forcing a fresh slot per serve.
+        The Env's :meth:`~repro.memory.env.Env.page_export` supplies a
+        no-copy view plus the content generation used to reuse the
+        published slot across repeat serves of an unchanged buffer;
+        endpoints exposing only ``page_snapshot`` publish the snapshot
+        with no generation, forcing a fresh slot per serve.
         """
-        exporter = getattr(self.endpoint, "page_export", None)
+        exporter = getattr(env, "page_export", None)
         if exporter is not None:
             data, generation = exporter(key)
         else:
-            data, generation = self.endpoint.page_snapshot(key), None
+            data, generation = env.page_snapshot(key), None
         data = np.asarray(data)
         if not shm_eligible(data):
             raise NetworkError(
@@ -369,7 +356,7 @@ class ProcessTransport:
     def _own_arena(self) -> SharedPageArena:
         with self._arena_lock:
             if self._arena is None:
-                self._arena = SharedPageArena(self._shm_uid, self.rank)
+                self._arena = SharedPageArena(self.world.shm_uid, self.rank)
             return self._arena
 
     def open_halo_link(self, owner: int, consumer: int, nbytes: int, descriptor) -> HaloLink:
@@ -405,7 +392,7 @@ class ProcessTransport:
 
     def _post_reply(self, peer: int, reply: tuple) -> None:
         """Enqueue a page reply, via the fault plan / interleaving shim."""
-        plan = self.fault_plan
+        plan = self.world.fault_plan
         if plan is not None and reply[0] == "brep":
             fault = plan.take_reply(self.rank, peer)
             if fault is not None:
@@ -449,7 +436,8 @@ class ProcessTransport:
         The receiver thread does all the pumping (and page serving);
         this just consumes from the peer's inbox under the condition.
         """
-        deadline = time.monotonic() + self.timeout
+        timeout = self.world.timeout
+        deadline = time.monotonic() + timeout
         with self._inbox_cond:
             while True:
                 queue = self._inbox[peer]
@@ -472,7 +460,7 @@ class ProcessTransport:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise CollectiveError(
-                        f"rank {self.rank} timed out after {self.timeout}s waiting "
+                        f"rank {self.rank} timed out after {timeout}s waiting "
                         f"for {what} from rank {peer}{self._pending_manifest(peer)}"
                     )
                 self._inbox_cond.wait(min(remaining, 0.25))
@@ -531,14 +519,10 @@ class ProcessTransport:
         batch costs one request and one reply regardless of page count.
         The ``breq`` leaves immediately (the owner's receiver thread
         serves it while this rank computes) and :meth:`await_batch`
-        drains the reply later.  ``owner`` is a peer: a rank reads its
-        own pages in place.
+        drains the reply later.  ``owner`` is a peer
+        (:func:`~repro.runtime.backends.base.group_requests_by_owner`
+        refuses a self-request).
         """
-        if owner not in self.conns:
-            raise NetworkError(
-                f"rank {self.rank} asked rank {owner} for pages: a rank asks only "
-                "its peers and reads its own pages in place"
-            )
         self._next_req += 1
         req_id = self._next_req
         self._outstanding[(owner, req_id)] = (
@@ -570,7 +554,7 @@ class ProcessTransport:
                 f"bulk page reply {req_id} from rank {owner} failed its integrity check: {exc}"
             ) from None
         payload_bytes = sum(int(d.nbytes) for d in datas)
-        # Logical accounting, the same as SimNetwork.fetch_pages' (the
+        # Logical accounting, the same as a threads world's fetch (the
         # request message was counted by _send); the shm_* counters record
         # that the page bytes crossed mapped segments.
         self.stats.record_bulk(self.rank, owner, len(datas), payload_bytes, messages=1)
@@ -651,16 +635,13 @@ class ProcessWorld(ExecutionWorld):
             )
         # A parent killed mid-run never unlinked its segments: do it for it.
         sweep_stale_segments()
-        self.size = size
-        self.timeout = timeout
+        super().__init__(size, timeout=timeout)
         #: Namespace of this world's shared-memory segment names —
         #: created pre-fork so the parent can probe-unlink any segment a
         #: dead child leaked (deterministic names, contiguous sequence).
         self.shm_uid = new_shm_uid()
-        self.directory = BlockDirectory()
-        self.rank_envs: Dict[int, Any] = {}
-        #: Parent-side aggregate of every rank's transport counters.
-        self.stats = NetworkStats()
+        # ``stats`` is the parent-side aggregate of every rank's transport
+        # counters; a rank counts into its transport's (:meth:`stats_of`).
         self._transport: Optional[ProcessTransport] = None
         self._pending_blocks: List[Tuple[Any, int, int, bool]] = []
         #: True inside a forked rank process (set in _child_main).  An
@@ -672,12 +653,6 @@ class ProcessWorld(ExecutionWorld):
         self._send_notes: List[str] = []
 
     # -- failure injection ----------------------------------------------
-    def install_fault_plan(self, plan: Any) -> None:
-        super().install_fault_plan(plan)
-        # From rank context: reply faults act in the rank's live transport.
-        if self._transport is not None:
-            self._transport.fault_plan = plan
-
     def _execute_kill(self, fault: Any, rank: int) -> None:
         if self._forked_child:
             # Hard exit: no exit barrier, no result payload, every pipe
@@ -721,14 +696,7 @@ class ProcessWorld(ExecutionWorld):
             for conn in conns_of[rank].values():
                 conn.close()
             result_pipes[rank][1].close()
-        self._transport = transport = ProcessTransport(
-            0,
-            self.size,
-            conns_of[0],
-            self.timeout,
-            fault_plan=self.fault_plan,
-            shm_uid=self.shm_uid,
-        )
+        self._transport = transport = ProcessTransport(self, 0, conns_of[0])
         try:
             self._run_rank(results[0], body, omp_threads)
             self._collect_children(results, result_pipes, procs)
@@ -781,14 +749,7 @@ class ProcessWorld(ExecutionWorld):
                 for conn in conns.values():
                     conn.close()
         self._forked_child = True
-        self._transport = transport = ProcessTransport(
-            rank,
-            self.size,
-            conns_of[rank],
-            self.timeout,
-            fault_plan=self.fault_plan,
-            shm_uid=self.shm_uid,
-        )
+        self._transport = transport = ProcessTransport(self, rank, conns_of[rank])
         # The child's fork-copied trace may contain pre-fork counters;
         # reset so only this rank's tasks are shipped back to the parent.
         # Likewise for the span buffers: the fork copied rank 0's
@@ -870,12 +831,8 @@ class ProcessWorld(ExecutionWorld):
             global_tracer().merge_events(payload.get("spans", ()))
 
     # -- Env / block registration --------------------------------------
-    def register_env(self, rank: int, env: Any) -> None:
-        self.rank_envs[rank] = env
-        self._require_transport().endpoint = env
-
     def register_block(self, logical_key: Any, rank: int, block_id: int, *, owner: bool) -> None:
-        self.directory.register(logical_key, rank, block_id, owner=owner)
+        super().register_block(logical_key, rank, block_id, owner=owner)
         self._pending_blocks.append((logical_key, rank, block_id, owner))
 
     def commit_registration(self) -> None:
@@ -926,9 +883,10 @@ class ProcessWorld(ExecutionWorld):
         raise here, at issue time.
         """
         transport = self._require_transport()
+        grouped = group_requests_by_owner(self.directory, requests, requester)
         pending = [
             (owner, items, transport.issue_batch(owner, [(bid, page) for _, page, bid in items]))
-            for owner, items in sorted(group_requests_by_owner(self.directory, requests).items())
+            for owner, items in sorted(grouped.items())
         ]
         return _ProcessBulkHandle(transport, pending)
 
@@ -955,6 +913,7 @@ class ProcessWorld(ExecutionWorld):
 
     # -- lifecycle / accounting -----------------------------------------
     def stats_of(self, rank: int) -> NetworkStats:
+        """The calling rank's transport counters (merged into ``stats`` at the end)."""
         return self._require_transport().stats
 
     def finalize(self) -> None:
@@ -969,12 +928,6 @@ class ProcessWorld(ExecutionWorld):
         for rank in range(self.size):
             cleanup_rank_segments(self.shm_uid, rank)
         self.finalized = True
-
-    def traffic_summary(self) -> dict:
-        return self.stats.as_dict()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ProcessWorld(size={self.size}, stats={self.stats.as_dict()})"
 
 
 class _ProcessBulkHandle(CommHandle):

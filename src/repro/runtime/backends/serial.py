@@ -1,22 +1,20 @@
 """The ``serial`` world: a world of exactly one rank, run inline.
 
 No threads, no processes, no blocking machinery — collectives are
-trivial with a single participant and page "transport" is a local
-snapshot copy.  Every world of one rank is this one, whatever backend
-the run names (:func:`~repro.runtime.backends.create_world`): it is
-both the cheapest way to execute a
-``DistributedMemoryAspect(processes=1)`` configuration and the
-reference implementation every other backend must agree with
+trivial with a single participant, and no page ever moves: the one rank
+owns every Block and reads them in place.  Every world of one rank is
+this one, whatever backend the run names
+(:func:`~repro.runtime.backends.create_world`): it is both the cheapest
+way to execute a ``DistributedMemoryAspect(processes=1)`` configuration
+and the reference implementation every other backend must agree with
 numerically (see tests/integration/test_backend_conformance.py).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Callable, List, Sequence, Tuple
 
-from ..errors import NetworkError, TaskError
-from ..network import NetworkStats
-from ..simmpi import BlockDirectory
+from ..errors import TaskError
 from ..task import TaskContext, task_scope
 from .base import (
     BulkFetchResult,
@@ -32,7 +30,7 @@ __all__ = ["SerialWorld"]
 
 
 class SerialWorld(ExecutionWorld):
-    """Inline single-rank world (collectives short-circuit, fetches are local)."""
+    """Inline single-rank world (collectives short-circuit, no page moves)."""
 
     backend_name = "serial"
 
@@ -42,11 +40,7 @@ class SerialWorld(ExecutionWorld):
                 f"the 'serial' backend runs exactly one rank (requested {size}); "
                 "use the 'threads' or 'process' backend for multi-rank worlds"
             )
-        self.size = 1
-        self.timeout = timeout
-        self.directory = BlockDirectory()
-        self.stats = NetworkStats()
-        self.rank_envs: Dict[int, Any] = {}
+        super().__init__(1, timeout=timeout)
 
     # -- SPMD launch ----------------------------------------------------
     def run_spmd(
@@ -61,18 +55,6 @@ class SerialWorld(ExecutionWorld):
             result.error = exc
         raise_spmd_failures([result])
         return [result]
-
-    def finalize(self) -> None:
-        self.rank_envs.clear()
-        self.finalized = True
-
-    # -- Env / block registration --------------------------------------
-    def register_env(self, rank: int, env: Any) -> None:
-        self._check_rank(rank)
-        self.rank_envs[rank] = env
-
-    def register_block(self, logical_key: Any, rank: int, block_id: int, *, owner: bool) -> None:
-        self.directory.register(logical_key, rank, block_id, owner=owner)
 
     def commit_registration(self) -> None:
         # A single rank's directory is complete by construction; only the
@@ -92,35 +74,9 @@ class SerialWorld(ExecutionWorld):
     def fetch_pages_bulk_async(
         self, requester: int, requests: Sequence[Tuple[Any, int]]
     ) -> CommHandle:
-        """Batched fetch, served at once out of the one Env: one accounted
-        exchange per owner (always rank 0 here)."""
-        from ...memory.page import PageKey  # local import to avoid a cycle
-
+        """Resolve the requests, and return an empty completed handle: the
+        one rank owns every Block, so any page it asks for is a
+        self-request, which :func:`group_requests_by_owner` refuses."""
         self._check_rank(requester)
-        result = BulkFetchResult()
-        for owner, items in sorted(group_requests_by_owner(self.directory, requests).items()):
-            env = self.env_of(owner)
-            datas = [env.page_snapshot(PageKey(block_id, page)) for _, page, block_id in items]
-            result.pages.extend(
-                (logical_key, page, data) for (logical_key, page, _), data in zip(items, datas)
-            )
-            payload_bytes = sum(int(d.nbytes) for d in datas)
-            self.stats.record_bulk(requester, owner, len(datas), payload_bytes)
-            result.exchanges += 1
-            result.nbytes += payload_bytes
-        return CompletedCommHandle(result)
-
-    # -- accounting -----------------------------------------------------
-    def stats_of(self, rank: int) -> NetworkStats:
-        return self.stats
-
-    def traffic_summary(self) -> dict:
-        return self.stats.as_dict()
-
-    # ------------------------------------------------------------------
-    def _check_rank(self, rank: int) -> None:
-        if rank != 0:
-            raise NetworkError(f"rank {rank} outside serial world of size 1")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SerialWorld(stats={self.stats.as_dict()})"
+        group_requests_by_owner(self.directory, requests, requester)
+        return CompletedCommHandle(BulkFetchResult())

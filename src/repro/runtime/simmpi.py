@@ -10,11 +10,15 @@ needs a runtime that can
 * map "the Block at logical position X" to the concrete Block object of
   whichever rank owns it.
 
-:class:`MPIWorld` provides all four on top of the in-memory
-:class:`~repro.runtime.network.SimNetwork`.  Each rank executes on its
-own OS thread; the GIL prevents real speed-up, which is irrelevant
-because scaling numbers come from the cost model, not wall-clock
-(:mod:`repro.runtime.costmodel`; README.md, *Execution backends*).
+:class:`MPIWorld` provides all four in one address space.  Each rank
+executes on its own OS thread; collectives are a ``threading.Barrier``
+and a reduction under one condition, a page fetch reads the owner's
+Env directly (one-sided, like MPI RMA ``Get``), and every message and
+byte is counted in the world's
+:class:`~repro.runtime.network.NetworkStats`.  The GIL prevents real
+speed-up, which is irrelevant because scaling numbers come from the
+cost model, not wall-clock (:mod:`repro.runtime.costmodel`; README.md,
+*Execution backends*).
 
 MPIWorld is the ``threads`` backend of the execution-backend registry
 (:mod:`repro.runtime.backends`), a world of two ranks or more (a world
@@ -25,11 +29,13 @@ same world contract on real forked processes.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+import time
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .backends.base import (
+    _ACCOUNT_LOCK,
     BulkFetchResult,
     CommHandle,
     CompletedCommHandle,
@@ -40,73 +46,15 @@ from .backends.base import (
     group_requests_by_owner,
     raise_spmd_failures,
 )
-from .errors import InjectedFault, NetworkError, TaskError
-from .network import NetworkStats, SimNetwork
+from .errors import CollectiveError, DeadRankError, InjectedFault, NetworkError, TaskError
 from .shm import ControlWords, spin_until
 from .task import TaskContext, current_task, task_scope
 
-__all__ = ["BlockDirectory", "MPIWorld", "RankResult"]
-
-
-class BlockDirectory:
-    """Cross-rank registry: logical block key -> (owner rank, per-rank block ids).
-
-    DSL layers give every Data Block a *logical key* (for the grids this
-    is the block's origin in units of blocks) that is identical on every
-    rank.  The directory lets the communication advice translate a local
-    Buffer-only Block's page into the owning rank's Data Block page.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._owner: Dict[Any, int] = {}
-        self._block_ids: Dict[Tuple[Any, int], int] = {}
-
-    def register(self, logical_key: Any, rank: int, block_id: int, *, owner: bool) -> None:
-        """Record that ``rank`` materialised ``logical_key`` as ``block_id``."""
-        with self._lock:
-            self._block_ids[(logical_key, rank)] = block_id
-            if owner:
-                existing = self._owner.get(logical_key)
-                if existing is not None and existing != rank:
-                    raise NetworkError(
-                        f"block {logical_key!r} claimed by ranks {existing} and {rank}"
-                    )
-                self._owner[logical_key] = rank
-
-    def owner_of(self, logical_key: Any) -> int:
-        with self._lock:
-            try:
-                return self._owner[logical_key]
-            except KeyError:
-                raise NetworkError(f"no owner registered for block {logical_key!r}") from None
-
-    def block_id_on(self, logical_key: Any, rank: int) -> int:
-        with self._lock:
-            try:
-                return self._block_ids[(logical_key, rank)]
-            except KeyError:
-                raise NetworkError(
-                    f"block {logical_key!r} not materialised on rank {rank}"
-                ) from None
-
-    def known_blocks(self) -> List[Any]:
-        with self._lock:
-            return list(self._owner)
-
-    def owners(self) -> Dict[Any, int]:
-        """Snapshot of the full ``logical_key -> owner rank`` map.
-
-        The recovery layer reads this post-mortem to learn which blocks
-        the dead rank owned and in what order the survivors should deal
-        them out again.
-        """
-        with self._lock:
-            return dict(self._owner)
+__all__ = ["MPIWorld", "RankResult"]
 
 
 class MPIWorld(ExecutionWorld):
-    """One simulated MPI world: ranks, network, block directory."""
+    """One simulated MPI world: rank threads sharing one address space."""
 
     backend_name = "threads"
 
@@ -116,24 +64,75 @@ class MPIWorld(ExecutionWorld):
                 f"a 'threads' world needs at least two ranks (requested {size}); "
                 "create_world() gives a world of one the serial world"
             )
-        self.size = size
-        self.network = SimNetwork(size, timeout=timeout)
-        self.directory = BlockDirectory()
-        #: Env registered by each rank (also the network endpoint).
-        self.rank_envs: Dict[int, Any] = {}
+        super().__init__(size, timeout=timeout)
+        #: Guards the dead set and the reduction in progress; notified when
+        #: a reduction completes or a rank dies.  The counters, which all
+        #: ranks share, are guarded by the accounting lock of the base.
+        self._cond = threading.Condition()
+        self._barrier = threading.Barrier(size)
+        #: Ranks declared dead (rank -> reason).  A wait that still misses
+        #: one of them fails fast with :class:`DeadRankError` instead of
+        #: blocking until the timeout.
+        self._dead: Dict[int, str] = {}
+        #: The reduction in progress: each rank's contribution by rank.
+        self._contributions: Dict[int, Any] = {}
+        self._reduced: Any = None
+        self._generation = 0
         # Rank threads share one address space: the control words and
         # the halo slots of the publish protocol are plain arrays.
         self._offer_slots(ControlWords(size))
 
     # ------------------------------------------------------------------
-    def register_env(self, rank: int, env: Any) -> None:
-        """Attach a rank's Env replica as its communication endpoint."""
-        self.rank_envs[rank] = env
-        self.network.register_endpoint(rank, env)
+    # failure handling
+    # ------------------------------------------------------------------
+    def mark_dead(self, rank: int, reason: str = "") -> None:
+        """Declare ``rank`` dead and wake every blocked waiter.
 
-    def register_block(self, logical_key: Any, rank: int, block_id: int, *, owner: bool) -> None:
-        """Record a rank's materialisation of ``logical_key`` (shared directory)."""
-        self.directory.register(logical_key, rank, block_id, owner=owner)
+        The barrier is aborted (everyone inside or arriving later gets a
+        ``BrokenBarrierError`` converted in :meth:`_sync`) and the
+        reduction's waiters are notified so they re-check and fail fast —
+        peers detect the death immediately instead of burning the full
+        communication timeout.
+        """
+        self._check_rank(rank)
+        with self._cond:
+            self._dead[rank] = reason or "marked dead"
+            self._cond.notify_all()
+        self._barrier.abort()
+
+    def _execute_kill(self, fault: Any, rank: int) -> None:
+        # Mark the rank dead *before* raising so peers blocked in (or
+        # arriving at) collectives fail fast instead of waiting out the
+        # full communication timeout.
+        self.mark_dead(rank, str(fault))
+        raise InjectedFault(rank, str(fault))
+
+    def _raise_if_dead(self, ranks: Optional[Iterable[int]] = None, what: str = "") -> None:
+        """Raise :class:`DeadRankError` naming the lowest dead rank among
+        ``ranks`` — the ranks a wait still misses; every rank by default."""
+        if not self._dead:
+            return
+        with self._cond:
+            dead = sorted(self._dead if ranks is None else set(ranks) & self._dead.keys())
+            if dead:
+                raise DeadRankError(dead[0], what + self._dead[dead[0]])
+
+    # ------------------------------------------------------------------
+    # collectives
+    # ------------------------------------------------------------------
+    def barrier(self) -> None:
+        self._sync()
+
+    def _sync(self) -> None:
+        """The barrier of :meth:`barrier` and :meth:`commit_registration`."""
+        with _ACCOUNT_LOCK:
+            self.stats.barriers += 1
+        self._raise_if_dead()
+        try:
+            self._barrier.wait(timeout=self.timeout)
+        except threading.BrokenBarrierError as exc:
+            self._raise_if_dead(what="barrier aborted: ")
+            raise CollectiveError("barrier broken (a rank died or timed out)") from exc
 
     def commit_registration(self) -> None:
         """Close the registration phase.
@@ -144,47 +143,51 @@ class MPIWorld(ExecutionWorld):
         """
         if self.fault_plan is not None:
             self.fault_point(current_task().mpi_rank, "register")
-        self.network.barrier()
-
-    # ------------------------------------------------------------------
-    # failure injection
-    # ------------------------------------------------------------------
-    def install_fault_plan(self, plan: Any) -> None:
-        super().install_fault_plan(plan)
-        # Reply faults (delay/drop/corrupt) act in the page-serving path.
-        self.network.fault_plan = plan
-
-    def _execute_kill(self, fault: Any, rank: int) -> None:
-        # Mark the rank dead *before* raising so peers blocked in (or
-        # arriving at) collectives fail fast instead of waiting out the
-        # full communication timeout.
-        self.network.mark_dead(rank, str(fault))
-        raise InjectedFault(rank, str(fault))
-
-    # ------------------------------------------------------------------
-    # collectives (delegated to the simulated interconnect)
-    # ------------------------------------------------------------------
-    def barrier(self) -> None:
-        self.network.barrier()
+        self._sync()
 
     def allreduce(self, value: Any, op: Callable[[List[Any]], Any]) -> Any:
+        rank = current_task().mpi_rank
         if op is and_bits and self.control is not None:
             # The per-step agreement: shared words, no messages.
-            network = self.network
-            network._raise_if_dead()
-            with network._lock:
-                network.stats.allreduces += 1
-            return self._agree(current_task().mpi_rank, value)
-        return self.network.allreduce(value, op)
+            with _ACCOUNT_LOCK:
+                self.stats.allreduces += 1
+            return self._agree(rank, value)
+        with _ACCOUNT_LOCK:
+            self.stats.allreduces += 1
+            self.stats.messages += (self.size - 1) * 2
+        with self._cond:
+            generation = self._generation
+            self._contributions[rank] = value
+            if len(self._contributions) == self.size:
+                contributions, self._contributions = self._contributions, {}
+                self._reduced = op([contributions[r] for r in range(self.size)])
+                self._generation += 1
+                self._cond.notify_all()
+                return self._reduced
+            deadline = time.monotonic() + self.timeout
+            while self._generation == generation:
+                self._raise_if_dead(
+                    (r for r in range(self.size) if r not in self._contributions),
+                    "allreduce will never complete: ",
+                )
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise CollectiveError("allreduce timed out")
+                self._cond.wait(remaining)
+            return self._reduced
 
     # ------------------------------------------------------------------
     # halo slots (publish protocol)
     # ------------------------------------------------------------------
     def _halo_wait(self, ready, late, behind):
-        network = self.network
-        timeout = threading.TIMEOUT_MAX if network.timeout is None else network.timeout
+        def poll() -> None:
+            # Only the ranks the wait still misses can fail it: a rank
+            # that stored its word and died later fails nobody else.
+            if self._dead:
+                self._raise_if_dead(behind())
+
         # No busy spinning: the awaited rank needs the GIL to get there.
-        return spin_until(ready, timeout=timeout, late=late, poll=network._raise_if_dead)
+        return spin_until(ready, timeout=self.timeout, late=late, poll=poll)
 
     def open_halo_link(
         self, owner: int, consumer: int, *, nbytes: int = 0, descriptor: Any = None
@@ -193,31 +196,67 @@ class MPIWorld(ExecutionWorld):
         slot = np.empty(nbytes, dtype=np.uint8) if descriptor is None else descriptor
         return HaloLink(owner, consumer, slot, slot)
 
-    def stats_of(self, rank: int) -> NetworkStats:
-        return self.network.stats
-
+    # ------------------------------------------------------------------
+    # one-sided page access
     # ------------------------------------------------------------------
     def fetch_pages_bulk_async(
         self, requester: int, requests: Sequence[Tuple[Any, int]]
     ) -> CommHandle:
-        """Batched fetch, served at issue: one network exchange per owning rank.
+        """Batched fetch, served at issue: one exchange per owning rank.
 
-        Rank threads share the GIL, so a background transfer would hide
-        nothing; the one-sided reads happen here, after the step barrier
-        that orders them, and the handle returned is already complete.
+        Each owner's pages are read straight out of its Env — safe,
+        because owners never mutate their *read* buffers between the
+        synchronisation points of the refresh protocol — and the batch
+        is accounted as one request/reply pair (a manifest out, every
+        page back).  Rank threads share the GIL, so a background transfer
+        would hide nothing: the handle returned is already complete.
         """
+        from ..memory.page import PageKey  # local import to avoid a cycle
+
         result = BulkFetchResult()
-        for owner, items in sorted(group_requests_by_owner(self.directory, requests).items()):
-            datas = self.network.fetch_pages(
-                requester, owner, [(block_id, page) for _, page, block_id in items]
-            )
+        for owner, items in sorted(
+            group_requests_by_owner(self.directory, requests, requester).items()
+        ):
+            self._raise_if_dead((owner,), f"bulk page fetch by rank {requester}: ")
+            self._apply_reply_fault(owner, requester)
+            env = self.env_of(owner)
+            datas = [env.page_snapshot(PageKey(block_id, page)) for _, page, block_id in items]
+            payload_bytes = sum(int(d.nbytes) for d in datas)
+            with _ACCOUNT_LOCK:
+                self.stats.record_bulk(requester, owner, len(datas), payload_bytes)
             result.pages.extend(
-                (logical_key, page, data)
-                for (logical_key, page, _), data in zip(items, datas)
+                (logical_key, page, data) for (logical_key, page, _), data in zip(items, datas)
             )
             result.exchanges += 1
-            result.nbytes += sum(int(d.nbytes) for d in datas)
+            result.nbytes += payload_bytes
         return CompletedCommHandle(result)
+
+    def _apply_reply_fault(self, owner: int, requester: int) -> None:
+        """Consume one scheduled reply fault on the owner→requester reply.
+
+        The fetch is one-sided (no real wire), so a dropped reply
+        surfaces as the timeout the requester would eventually hit and a
+        corrupted reply as the integrity-check rejection the process
+        transport performs — both as :class:`NetworkError`, immediately.
+        """
+        plan = self.fault_plan
+        if plan is None:
+            return
+        fault = plan.take_reply(owner, requester)
+        if fault is None:
+            return
+        if fault.kind == "delay_reply":
+            time.sleep(fault.seconds)
+        elif fault.kind == "drop_reply":
+            raise NetworkError(
+                f"injected fault dropped the page reply {owner}->{requester}; "
+                "requester timed out"
+            )
+        elif fault.kind == "corrupt_reply":
+            raise NetworkError(
+                f"page reply {owner}->{requester} failed its integrity check "
+                "(injected corruption)"
+            )
 
     # ------------------------------------------------------------------
     def run_spmd(
@@ -253,21 +292,3 @@ class MPIWorld(ExecutionWorld):
 
         raise_spmd_failures(results)
         return results
-
-    # ------------------------------------------------------------------
-    def finalize(self) -> None:
-        """Tear the world down (idempotent).
-
-        Releases every rank's Env replica and the network's endpoint
-        registry: a long-lived process running many platform
-        configurations back to back must not accumulate one full set of
-        Env replicas (pools, pages, MMAT memos) per finished run.
-        Traffic statistics survive so post-run reporting keeps working.
-        """
-        self.rank_envs.clear()
-        self.network.release_endpoints()
-        self.finalized = True
-
-    def traffic_summary(self) -> dict:
-        """Network counters, consumed by the scaling benchmarks."""
-        return self.network.stats.as_dict()

@@ -10,6 +10,8 @@ produces numerically identical results to the ``serial`` reference.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -37,15 +39,20 @@ def make_world(backend: str, size: int):
     return create_world(backend, size, timeout=TIMEOUT)
 
 
-def refuses_self(backend: str, size: int) -> bool:
-    """Whether a rank of this world may not ask itself for pages: a
-    process rank of a world of two or more reads its own in place."""
-    return backend == "process" and size > 1
+def owners_asked(size: int, rank: int) -> list:
+    """The owners ``rank`` asks for pages: every peer — in a world of one,
+    the rank itself, whose request every world refuses."""
+    return [o for o in range(size) if o != rank] or [rank]
 
 
-def asked_owners(backend: str, size: int, rank: int) -> list:
-    """Every owner ``rank`` may ask for pages in one batch."""
-    return [o for o in range(size) if o != rank or not refuses_self(backend, size)]
+def issue(world, rank: int, requests):
+    """``rank``'s bulk fetch handle, or ``None`` where the requests name the
+    rank's own Block (a world of one): every world refuses that at issue."""
+    if world.size > 1:
+        return world.fetch_pages_bulk_async(rank, requests)
+    with pytest.raises(NetworkError, match="asks only its peers"):
+        world.fetch_pages_bulk_async(rank, requests)
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -120,6 +127,18 @@ class TestCollectives:
         assert [r.value for r in results] == [(float(size), 2.0 * size)] * size
         assert world.traffic_summary()["barriers"] >= 1
 
+    @pytest.mark.parametrize("backend,size", CASES)
+    def test_allreduce_gives_values_in_rank_order(self, backend, size):
+        """Whatever order the ranks contribute in (here the last one first)."""
+        world = make_world(backend, size)
+
+        def body(ctx):
+            time.sleep(0.05 * (size - 1 - ctx.mpi_rank))
+            return world.allreduce(ctx.mpi_rank, list)
+
+        results = world.run_spmd(body)
+        assert [r.value for r in results] == [list(range(size))] * size
+
 
 # ----------------------------------------------------------------------
 # page fetch
@@ -147,19 +166,24 @@ class TestPageFetch:
             world.register_env(rank, PageEndpoint(rank))
             world.register_block(("blk", rank), rank, 7 + rank, owner=True)
             world.commit_registration()
-            owner = (rank + 1) % size
-            fetched = world.fetch_pages_bulk_async(rank, [(("blk", owner), 3)]).wait()
+            handle = issue(world, rank, [(("blk", (rank + 1) % size), 3)])
+            fetched = handle and handle.wait()
             world.barrier()  # keep every rank serving until all fetched
+            if fetched is None:
+                return None
             ((key, page, data),) = fetched.pages
             return key, page, fetched.exchanges, list(data)
 
         results = world.run_spmd(body)
+        summary = world.traffic_summary()
+        if size == 1:
+            assert results[0].value is None and summary["bulk_fetches"] == 0
+            return
         for rank, result in enumerate(results):
             owner = (rank + 1) % size
             expected = np.arange(4) + 1000.0 * owner + 10.0 * (7 + owner) + 3
             assert result.value[:3] == (("blk", owner), 3, 1)
             np.testing.assert_allclose(result.value[3], expected)
-        summary = world.traffic_summary()
         assert summary["bulk_pages"] == summary["bulk_fetches"] == size
 
     @pytest.mark.parametrize("backend,size", CASES)
@@ -220,47 +244,37 @@ class TestAsyncBulkFetch:
 
     @pytest.mark.parametrize("backend,size", CASES)
     def test_self_rank_request(self, backend, size):
-        """Worlds whose ranks share an address space serve a rank's own
-        pages; a process rank reads them in place and may not ask itself."""
+        """A rank reads its own pages in place: every world refuses a rank
+        asking itself, at issue, and accounts nothing."""
         world = make_world(backend, size)
-        refused = refuses_self(backend, size)
 
         def body(ctx):
             rank = self._register(world, ctx)
-            requests = [(("blk", rank), 0), (("blk", rank), 2)]
             try:
-                if refused:
-                    with pytest.raises(NetworkError, match="asks only its peers"):
-                        world.fetch_pages_bulk_async(rank, requests)
-                    return None
-                result = world.fetch_pages_bulk_async(rank, requests).wait()
-                return (result.exchanges, [list(data) for _, _, data in result.pages])
+                with pytest.raises(NetworkError, match=f"rank {rank} asked rank {rank} for"):
+                    world.fetch_pages_bulk_async(rank, [(("blk", rank), 0), (("blk", rank), 2)])
             finally:
                 world.barrier()
+            return "refused"
 
         results = world.run_spmd(body)
-        for rank, result in enumerate(results):
-            if refused:
-                assert result.value is None
-                continue
-            exchanges, pages = result.value
-            assert exchanges == 1  # one owner (the rank itself) -> one exchange
-            base = 1000.0 * rank + 10.0 * (7 + rank)
-            np.testing.assert_allclose(pages[0], np.arange(4) + base + 0)
-            np.testing.assert_allclose(pages[1], np.arange(4) + base + 2)
+        assert [r.value for r in results] == ["refused"] * size
+        assert world.traffic_summary()["bulk_fetches"] == 0
 
     @pytest.mark.parametrize("backend,size", CASES)
     def test_mixed_owner_batch(self, backend, size):
-        """One batch over every owner; a process rank (which may not ask
-        itself, see above) leaves its own pages out."""
+        """One batch over every peer: one exchange per owner, pages in
+        request order.  A world of one has no peer and refuses the batch."""
         world = make_world(backend, size)
-        owners = size - 1 if refuses_self(backend, size) else size
+        owners = size - 1
 
         def body(ctx):
             rank = self._register(world, ctx)
-            requests = [(("blk", owner), 1) for owner in asked_owners(backend, size, rank)]
-            result = world.fetch_pages_bulk_async(rank, requests).wait()
+            handle = issue(world, rank, [(("blk", o), 1) for o in owners_asked(size, rank)])
+            result = handle and handle.wait()
             world.barrier()  # keep every rank serving until all fetched
+            if result is None:
+                return None
             return (
                 result.exchanges,
                 result.nbytes,
@@ -269,11 +283,14 @@ class TestAsyncBulkFetch:
 
         results = world.run_spmd(body)
         for rank, result in enumerate(results):
+            if size == 1:
+                assert result.value is None
+                continue
             exchanges, nbytes, pages = result.value
             assert exchanges == owners  # one aggregated exchange per owner
             assert nbytes == owners * 4 * 8
             assert [(key, page) for key, page, _ in pages] == [
-                (("blk", o), 1) for o in asked_owners(backend, size, rank)
+                (("blk", o), 1) for o in owners_asked(size, rank)
             ]
             for (_, owner), _, values in pages:
                 expected = np.arange(4) + 1000.0 * owner + 10.0 * (7 + owner) + 1
@@ -289,14 +306,16 @@ class TestAsyncBulkFetch:
 
         def body(ctx):
             rank = self._register(world, ctx)
-            owner = (rank + 1) % size
-            handle = world.fetch_pages_bulk_async(rank, [(("blk", owner), 3)])
-            result = handle.wait()  # the reply may not even have left yet
+            handle = issue(world, rank, [(("blk", (rank + 1) % size), 3)])
+            result = handle and handle.wait()  # the reply may not even have left yet
             world.barrier()
-            return [list(data) for _, _, data in result.pages]
+            return result and [list(data) for _, _, data in result.pages]
 
         results = world.run_spmd(body)
         for rank, result in enumerate(results):
+            if size == 1:
+                assert result.value is None
+                continue
             owner = (rank + 1) % size
             expected = np.arange(4) + 1000.0 * owner + 10.0 * (7 + owner) + 3
             np.testing.assert_allclose(result.value[0], expected)
@@ -309,36 +328,41 @@ class TestAsyncBulkFetch:
 
         def body(ctx):
             rank = self._register(world, ctx)
-            handle = world.fetch_pages_bulk_async(rank, [(("blk", (rank + 1) % size), 0)])
+            handle = issue(world, rank, [(("blk", (rank + 1) % size), 0)])
+            if handle is None:
+                world.barrier()
+                return None
             served_at_issue = handle.done
             handle.wait()
             world.barrier()
             return served_at_issue
 
         results = world.run_spmd(body)
-        remote = backend == "process" and size > 1
-        assert [r.value for r in results] == [not remote] * size
+        expected = None if size == 1 else backend != "process"
+        assert [r.value for r in results] == [expected] * size
 
     @pytest.mark.parametrize("backend,size", CASES)
     def test_double_wait_is_idempotent(self, backend, size):
-        """A second wait() returns the same result and recounts nothing."""
+        """A second wait() returns the same result and recounts nothing.
+        A world of one has no peer and refuses the batch."""
         world = make_world(backend, size)
 
         def body(ctx):
             rank = self._register(world, ctx)
-            requests = [(("blk", owner), 2) for owner in asked_owners(backend, size, rank)]
-            handle = world.fetch_pages_bulk_async(rank, requests)
+            handle = issue(world, rank, [(("blk", o), 2) for o in owners_asked(size, rank)])
+            if handle is None:
+                world.barrier()
+                return None
             first = handle.wait()
             second = handle.wait()
             world.barrier()
             return (first is second, handle.done)
 
         results = world.run_spmd(body)
-        assert [r.value for r in results] == [(True, True)] * size
-        stats = world.traffic_summary()
+        expected = None if size == 1 else (True, True)
+        assert [r.value for r in results] == [expected] * size
         # Counted once per rank's batch despite the double wait.
-        owners = size - 1 if refuses_self(backend, size) else size
-        assert stats["bulk_pages"] == size * owners
+        assert world.traffic_summary()["bulk_pages"] == size * (size - 1)
 
     @pytest.mark.parametrize("backend,size", CASES)
     def test_unresolvable_owner_raises_at_issue(self, backend, size):

@@ -284,7 +284,8 @@ class TestDataPlaneRule:
 
     def test_one_rank_world_creates_no_segment(self):
         """A process world of one is the serial world: it reads its pages in
-        place, so it names, maps and leaves no segment."""
+        place (asking itself is refused), so it names, maps and leaves no
+        segment."""
         mine = f"repro_shm_{os.getpid()}x*"
         before = set(leftover_segments(mine))
         world = make_world(1)
@@ -295,7 +296,9 @@ class TestDataPlaneRule:
             _, error = fetch(world, 0, [(("blk", 0), 0)])
             return world.control, error, set(leftover_segments(mine))
 
-        assert spmd(world, body) == [(None, None, before)]
+        ((control, error, segments),) = spmd(world, body)
+        assert control is None and segments == before
+        assert "a rank asks only its peers" in error
         assert set(leftover_segments(mine)) == before
 
 

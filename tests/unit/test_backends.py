@@ -180,7 +180,7 @@ class TestThreadsWorldInterface:
     def test_mpiworld_implements_execution_world(self):
         assert issubclass(MPIWorld, ExecutionWorld)
 
-    def test_world_level_collectives_delegate_to_network(self):
+    def test_world_level_collectives_count_into_the_world(self):
         world = MPIWorld(2)
         results = world.run_spmd(
             lambda ctx: (
@@ -191,7 +191,7 @@ class TestThreadsWorldInterface:
         )
         assert [r.value for r in results] == [(False, 1.5, None)] * 2
         stats = world.traffic_summary()
-        assert stats == world.network.stats.as_dict()
+        assert stats == world.stats.as_dict() == world.stats_of(1).as_dict()
         assert (stats["allreduces"], stats["barriers"]) == (4, 2)
 
     def test_register_block_and_commit(self):
@@ -205,7 +205,7 @@ class TestThreadsWorldInterface:
 
         assert [r.value for r in world.run_spmd(body)] == [(1, 42)] * 2
 
-    def test_finalize_releases_envs_and_endpoints(self):
+    def test_finalize_releases_envs(self):
         # Satellite fix: finalize() used to only flip a flag, leaking one
         # full Env replica per rank per finished run.
         world = MPIWorld(2)
@@ -214,8 +214,8 @@ class TestThreadsWorldInterface:
         world.finalize()
         assert world.finalized
         assert world.rank_envs == {}
-        with pytest.raises(NetworkError):
-            world.network.endpoint(0)
+        with pytest.raises(NetworkError, match="rank 0 has not registered an Env"):
+            world.env_of(0)
         # Stats survive finalisation for post-run reporting.
         assert "messages" in world.traffic_summary()
 

@@ -1,8 +1,10 @@
-"""Unit tests for the simulated interconnect, MPI world and thread team."""
+"""Unit tests for the threads world (MPIWorld), traffic sizes and thread team."""
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from repro.memory import DataBlock, Env, PageKey
 from repro.runtime import (
     BlockDirectory,
     MPIWorld,
-    SimNetwork,
     TaskContext,
     ThreadTeam,
     create_world,
@@ -23,23 +24,15 @@ from repro.runtime.errors import CollectiveError, DeadRankError, NetworkError, T
 from repro.runtime.network import _payload_nbytes
 
 
-class TestSimNetwork:
+def spmd_values(world, body) -> list:
+    return [r.value for r in world.run_spmd(body)]
+
+
+class TestPayloadSize:
     def test_numpy_payload_counts_bytes(self):
         payload = np.zeros(100, dtype=np.float64)
         assert _payload_nbytes(payload) == payload.nbytes
         assert _payload_nbytes(("page", payload)) >= payload.nbytes
-
-    def test_bad_rank_rejected(self):
-        net = SimNetwork(2)
-        with pytest.raises(NetworkError):
-            net.register_endpoint(5, object())
-        with pytest.raises(NetworkError):
-            net.mark_dead(-1)
-
-    @pytest.mark.parametrize("size", [0, 1])
-    def test_size_must_be_at_least_two(self, size):
-        with pytest.raises(NetworkError, match="at least two ranks"):
-            SimNetwork(size)
 
     @pytest.mark.parametrize(
         "payload,nbytes",
@@ -49,63 +42,114 @@ class TestSimNetwork:
     def test_payload_size_by_kind(self, payload, nbytes):
         assert _payload_nbytes(payload) == nbytes
 
-    def test_endpoint_registry_and_release(self):
-        net = SimNetwork(2)
-        env = object()
-        net.register_endpoint(1, env)
-        assert net.endpoint(1) is env
-        with pytest.raises(NetworkError, match="rank 0 has no registered endpoint"):
-            net.endpoint(0)
-        net.release_endpoints()
+
+class TestMPIWorldRanks:
+    def test_bad_rank_rejected(self):
+        world = MPIWorld(2)
+        with pytest.raises(NetworkError, match="rank 5 outside world of size 2"):
+            world.register_env(5, object())
         with pytest.raises(NetworkError):
-            net.endpoint(1)
+            world.mark_dead(-1)
+
+    def test_env_registry_and_release(self):
+        world = MPIWorld(2)
+        env = object()
+        world.register_env(1, env)
+        assert world.env_of(1) is env
+        with pytest.raises(NetworkError, match="rank 0 has not registered an Env"):
+            world.env_of(0)
+        world.finalize()
+        with pytest.raises(NetworkError):
+            world.env_of(1)
 
 
-class TestSimNetworkDeadRanks:
+class TestMPIWorldDeadRanks:
     def test_mark_dead_records_the_reason(self):
-        net = SimNetwork(3)
-        assert net.dead_ranks() == {}
-        net.mark_dead(2, "exit 9")
-        net.mark_dead(1)
-        assert net.dead_ranks() == {1: "marked dead", 2: "exit 9"}
+        world = MPIWorld(3)
+        world.mark_dead(2, "exit 9")
+        with pytest.raises(DeadRankError, match="rank 2 is dead: exit 9"):
+            world.barrier()
+        world.mark_dead(1)
+        with pytest.raises(DeadRankError, match="rank 1 is dead: marked dead"):
+            world.barrier()
 
     def test_collectives_fail_fast_naming_the_lowest_dead_rank(self):
-        net = SimNetwork(3, timeout=30.0)
-        net.mark_dead(2)
-        net.mark_dead(1)
+        world = MPIWorld(3, timeout=30.0)
+        world.mark_dead(2)
+        world.mark_dead(1)
         with pytest.raises(DeadRankError) as barrier_err:
-            net.barrier()
+            world.barrier()
         assert barrier_err.value.rank == 1
-        with pytest.raises(DeadRankError):
-            net.allreduce(1.0, sum)
+        with pytest.raises(DeadRankError, match="allreduce will never complete"):
+            world.allreduce(1.0, sum)
 
     def test_mark_dead_wakes_a_blocked_barrier_waiter(self):
-        net = SimNetwork(2, timeout=30.0)
+        world = MPIWorld(2, timeout=30.0)
         caught = []
 
         def waiter():
             try:
-                net.barrier()
+                world.barrier()
             except DeadRankError as exc:
                 caught.append(exc.rank)
 
         thread = threading.Thread(target=waiter)
         thread.start()
-        net.mark_dead(1, "killed")
+        world.mark_dead(1, "killed")
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert caught == [1]
+
+    def test_mark_dead_wakes_a_blocked_allreduce_waiter(self):
+        world = MPIWorld(2, timeout=30.0)
+        caught = []
+
+        def waiter():
+            with task_scope(TaskContext(mpi_rank=0, mpi_size=2)):
+                try:
+                    world.allreduce(1.0, sum)
+                except DeadRankError as exc:
+                    caught.append(exc.rank)
+
+        thread = threading.Thread(target=waiter)
+        thread.start()
+        time.sleep(0.05)
+        world.mark_dead(1, "killed")
         thread.join(timeout=5.0)
         assert not thread.is_alive()
         assert caught == [1]
 
     def test_a_dead_owner_serves_no_pages(self):
-        net = SimNetwork(2)
-        net.register_endpoint(1, object())
-        net.mark_dead(1)
+        world = MPIWorld(2)
+        world.register_env(1, object())
+        world.register_block(("b", 1), 1, 1, owner=True)
+        world.mark_dead(1)
         with pytest.raises(DeadRankError, match="rank 1 is dead"):
-            net.fetch_pages(0, 1, [(1, 0)])
-        assert net.stats.bulk_pages == 0 and net.stats.messages == 0
+            world.fetch_pages_bulk_async(0, [(("b", 1), 0)])
+        assert world.stats.bulk_pages == 0 and world.stats.messages == 0
+
+    def test_a_wait_fails_only_for_the_ranks_it_misses(self):
+        """A rank that died fails the waits still missing its word, not a
+        wait for somebody else (the rule the process world keeps too)."""
+        world = MPIWorld(3, timeout=5.0)
+        world.mark_dead(2, "killed at epoch 3")
+        polls = []
+
+        def ready():
+            polls.append(None)
+            return True if len(polls) > 3 else None
+
+        def late():
+            return CollectiveError("timed out")
+
+        assert world._halo_wait(ready, late, lambda: {1: 1}) is True
+        assert len(polls) == 4
+        with pytest.raises(DeadRankError, match="killed at epoch 3") as err:
+            world._halo_wait(lambda: None, late, lambda: {1: 1, 2: 1})
+        assert err.value.rank == 2
 
 
-class TestSimNetworkCollectives:
+class TestMPIWorldCollectives:
     def test_single_rank_collectives_are_trivial(self):
         world = SerialWorld()
         world.barrier()
@@ -113,48 +157,51 @@ class TestSimNetworkCollectives:
         assert world.allreduce_sum(2.5) == 2.5
 
     def test_allreduce_and_across_threads(self):
-        net = SimNetwork(3)
-        results = [None] * 3
-
-        def worker(rank, flag):
-            results[rank] = net.allreduce(flag, all)
-
-        threads = [
-            threading.Thread(target=worker, args=(r, r != 1)) for r in range(3)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert results == [False, False, False]
+        world = MPIWorld(3)
+        values = spmd_values(world, lambda ctx: world.allreduce(ctx.mpi_rank != 1, all))
+        assert values == [False, False, False]
 
     def test_allreduce_sum_across_threads(self):
-        net = SimNetwork(4)
-        results = [None] * 4
-
-        def worker(rank):
-            results[rank] = net.allreduce(float(rank), sum)
-
-        threads = [threading.Thread(target=worker, args=(r,)) for r in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert results == [6.0] * 4
+        world = MPIWorld(4)
+        values = spmd_values(world, lambda ctx: world.allreduce(float(ctx.mpi_rank), sum))
+        assert values == [6.0] * 4
+        assert world.stats.allreduces == 4  # every rank counts its own call
+        assert world.stats.messages == 4 * 3 * 2
 
     def test_barrier_counts(self):
-        net = SimNetwork(2)
+        world = MPIWorld(2)
+        spmd_values(world, lambda ctx: (world.barrier(), world.barrier()))
+        assert world.stats.barriers == 4  # every rank counts its own call
 
-        def worker():
-            net.barrier()
-            net.barrier()
+    def test_reductions_and_barriers_under_frequent_thread_switches(self):
+        """Stress, more ranks than cores: every reduction sees each rank's
+        value of its own round, in rank order, and no count is lost."""
+        size, rounds = 4, 200
+        world = MPIWorld(size, timeout=30.0)
 
-        threads = [threading.Thread(target=worker) for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert net.stats.barriers == 4  # every rank counts its own call
+        def body(ctx):
+            seen = []
+            for round_no in range(rounds):
+                seen.append(world.allreduce((round_no, ctx.mpi_rank), list))
+                world.barrier()
+            return seen
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            values = spmd_values(world, body)
+        finally:
+            sys.setswitchinterval(interval)
+        expected = [[(round_no, r) for r in range(size)] for round_no in range(rounds)]
+        assert values == [expected] * size
+        assert world.stats.allreduces == world.stats.barriers == size * rounds
+
+    def test_a_lone_rank_times_out(self):
+        world = MPIWorld(2, timeout=0.1)
+        with pytest.raises(CollectiveError, match="allreduce timed out"):
+            world.allreduce(1.0, sum)
+        with pytest.raises(CollectiveError, match="barrier broken"):
+            world.barrier()
 
 
 class TestPageFetch:
@@ -168,18 +215,21 @@ class TestPageFetch:
         return env, block
 
     def test_fetch_page_reads_remote_env(self):
-        net = SimNetwork(2)
+        world = MPIWorld(2)
         env, block = self.make_env_with_block(3.0)
-        net.register_endpoint(1, env)
-        first, second = net.fetch_pages(0, 1, [(block.block_id, 0), (block.block_id, 1)])
+        world.register_env(1, env)
+        world.register_block(("b", 0), 1, block.block_id, owner=True)
+        result = world.fetch_pages_bulk_async(0, [(("b", 0), 0), (("b", 0), 1)]).wait()
+        (_, _, first), (_, _, second) = result.pages
         assert first[0, 0] == 3.0 and second.shape == first.shape
-        assert net.stats.bulk_pages == 2
-        assert net.stats.messages == 2  # one request/reply pair for the batch
+        assert world.stats.bulk_pages == 2
+        assert world.stats.messages == 2  # one request/reply pair for the batch
 
-    def test_fetch_without_endpoint_raises(self):
-        net = SimNetwork(2)
-        with pytest.raises(NetworkError):
-            net.fetch_pages(0, 1, [(1, 0)])
+    def test_fetch_without_env_raises(self):
+        world = MPIWorld(2)
+        world.register_block(("b", 0), 1, 1, owner=True)
+        with pytest.raises(NetworkError, match="rank 1 has not registered an Env"):
+            world.fetch_pages_bulk_async(0, [(("b", 0), 0)])
 
 
 class TestBlockDirectory:

@@ -110,7 +110,7 @@ class TestAsyncStatsCountOnce:
 
     def test_threads_async_counts_each_batch_once(self):
         world = self._threads_world_with_fetch()
-        stats = world.network.stats
+        stats = world.stats
         assert stats.bulk_fetches == 2  # one batch per rank
         assert stats.bulk_pages == 2
         # Per-neighbor attribution: each direction carries exactly one
@@ -121,11 +121,11 @@ class TestAsyncStatsCountOnce:
     def test_merge_preserves_single_counting(self):
         world = self._threads_world_with_fetch()
         merged = NetworkStats()
-        merged.merge(world.network.stats)
+        merged.merge(world.stats)
         merged.merge(NetworkStats())  # merging empties must change nothing
-        assert merged.bulk_fetches == world.network.stats.bulk_fetches
-        assert merged.bulk_pages == world.network.stats.bulk_pages
-        assert merged.per_neighbor == world.network.stats.per_neighbor
+        assert merged.bulk_fetches == world.stats.bulk_fetches
+        assert merged.bulk_pages == world.stats.bulk_pages
+        assert merged.per_neighbor == world.stats.per_neighbor
 
 
 # ----------------------------------------------------------------------

@@ -14,8 +14,7 @@ from repro.aspects import DistributedMemoryAspect
 from repro.memory import DataBlock, Env, MemoryPool, PoolGroup
 from repro.memory.page import PageKey
 from repro.runtime import NetworkStats, PageFetchError, create_world
-from repro.runtime.backends.base import ExecutionWorld, group_requests_by_owner
-from repro.runtime.simmpi import BlockDirectory
+from repro.runtime.backends.base import BlockDirectory, ExecutionWorld, group_requests_by_owner
 from repro.runtime.tracing import TaskCounters
 
 
@@ -121,6 +120,7 @@ class TestGroupRequestsByOwner:
         grouped = group_requests_by_owner(
             self._directory(),
             [(("blk", 0), 0), (("blk", 1), 2), (("blk", 0), 1)],
+            2,
         )
         assert grouped == {
             0: [(("blk", 0), 0, 10), (("blk", 0), 1, 10)],
@@ -131,7 +131,18 @@ class TestGroupRequestsByOwner:
         from repro.runtime import NetworkError
 
         with pytest.raises(NetworkError, match="no owner registered"):
-            group_requests_by_owner(self._directory(), [(("nope",), 0)])
+            group_requests_by_owner(self._directory(), [(("nope",), 0)], 0)
+
+    @pytest.mark.parametrize("requester", [0, 1])
+    def test_a_self_request_raises(self, requester):
+        """A rank asks only its peers, even inside a batch for both."""
+        from repro.runtime import NetworkError
+
+        with pytest.raises(NetworkError, match=f"rank {requester} asked rank {requester} for"):
+            group_requests_by_owner(
+                self._directory(), [(("blk", 1 - requester), 0), (("blk", requester), 0)],
+                requester,
+            )
 
 
 class TestPageInstallMany:

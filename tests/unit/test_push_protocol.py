@@ -310,7 +310,7 @@ class TestWorldAgreement:
         def body(ctx):
             if ctx.mpi_rank == 1:
                 time.sleep(0.1)
-                world.network.mark_dead(1, "test kill")
+                world.mark_dead(1, "test kill")
                 return None
             return world.allreduce_bits(1)
 

@@ -32,7 +32,7 @@ from repro.resilience import (
 from repro.resilience.recovery import _dead_rank_of, _zorder_sorted
 from repro.runtime import DeadRankError, InjectedFault, PageFetchError, SpmdFailure
 from repro.runtime.backends.base import RankResult
-from repro.runtime.backends.process import ProcessTransport
+from repro.runtime.backends.process import ProcessTransport, ProcessWorld
 from repro.runtime.errors import CollectiveError
 
 
@@ -222,8 +222,9 @@ class TestRecoveryManager:
 @pytest.fixture
 def transport_pair():
     a, b = multiprocessing.Pipe()
-    t0 = ProcessTransport(0, 2, {1: a}, timeout=0.3)
-    t1 = ProcessTransport(1, 2, {0: b}, timeout=0.3)
+    world = ProcessWorld(2, timeout=0.3)
+    t0 = ProcessTransport(world, 0, {1: a})
+    t1 = ProcessTransport(world, 1, {0: b})
     yield t0, t1
     for t in (t0, t1):
         t.close()
@@ -305,6 +306,6 @@ class TestCommTimeoutPlumbing:
 
         world = create_world("threads", 2, timeout=4.5)
         try:
-            assert world.network.timeout == 4.5
+            assert world.timeout == 4.5
         finally:
             world.finalize()

@@ -18,6 +18,7 @@ from repro.annotation import Platform, TargetApplication
 from repro.apps import JacobiSGrid
 from repro.aspects import DistributedMemoryAspect, mpi_aspect
 from repro.resilience import FaultPlan, RecoveryAspect, ResiliencePolicy
+from repro.runtime import NetworkError
 from repro.runtime.backends import create_world
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -116,16 +117,32 @@ def test_resilient_plain_target_weaves_and_runs():
 
 
 def test_fault_plan_installed_in_rank_context_reaches_the_transport():
+    """Each rank installs the plan in its own copy of the world, and its
+    transport's page serve reads it there: rank 1's reply is corrupted."""
     world = create_world("process", 2, timeout=10.0)
-    plan = FaultPlan()
 
-    def body(_ctx):
-        world.install_fault_plan(plan)
-        return world._transport.fault_plan is world.fault_plan is not None
+    class Endpoint:
+        def page_snapshot(self, key):
+            return np.arange(4.0)
+
+    def body(ctx):
+        rank = ctx.mpi_rank
+        world.install_fault_plan(FaultPlan().corrupt_reply(1, peer=0))
+        world.register_env(rank, Endpoint())
+        world.register_block(("blk", rank), rank, 7 + rank, owner=True)
+        world.commit_registration()
+        try:
+            world.fetch_pages_bulk_async(rank, [(("blk", 1 - rank), 0)]).wait()
+            return None
+        except NetworkError as exc:
+            return str(exc)
+        finally:
+            world.barrier()
 
     try:
         results = world.run_spmd(body)
     finally:
         world.finalize()
-    assert [r.value for r in results] == [True, True]
-    assert world.fault_plan is plan
+    assert "from rank 1 failed its integrity check" in results[0].value
+    assert results[1].value is None
+    assert world.fault_plan is not None
