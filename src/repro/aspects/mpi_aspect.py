@@ -512,9 +512,9 @@ class DistributedMemoryAspect(LayerAspect):
             plan.inbound.append((link, tables))
             offer[owner] = (link.descriptor, classes)
         # -- the one collective ---------------------------------------------
-        offers = world.allreduce((rank, offer), list)
+        offers = world.allreduce(offer, list)  # every world: in rank order
         # -- owner side: (block key, elements) -> rows of my read image -----
-        for consumer, offered in sorted(offers, key=lambda item: item[0]):
+        for consumer, offered in enumerate(offers):
             if rank not in offered:
                 continue
             descriptor, classes = offered[rank]

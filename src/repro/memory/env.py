@@ -67,8 +67,9 @@ class EnvStats:
     refreshes: int = 0
     failed_refreshes: int = 0
     buffer_swaps: int = 0
-    #: Buffer-only Blocks' valid pages copied into the image's ghost tail
-    #: (open steps; owned Blocks' pages *are* image rows).
+    #: Copies of Buffer-only pages into the image's ghost tail: a plan
+    #: table's rows, or a Block's (open steps; owned Blocks' pages *are*
+    #: image rows).
     dense_assemblies: int = 0
     #: Times owned rows of the dense image moved, by reason: a Block added
     #: with pages of its own, a class outgrowing its slabs.  Set-up only.
@@ -107,7 +108,8 @@ class DenseImage:
       slab ``g + 1``).  In the ``read`` slab's, placed by :meth:`ghost_index`,
       they are what this step's plans read, written only between its halo
       wait and the next swap: slots copied in (:meth:`Env.copy_pushes`), or
-      valid pages (:meth:`Env.fill_ghosts`; ``fresh``: the Blocks copied).
+      the rows of valid pages a plan reads, no other (:meth:`Env.fill_ghosts`),
+      or a whole Block's valid pages (``fresh``: the Blocks so copied).
 
     Row bases and halo rows never move; outgrowing the slabs moves
     ``ghost_base``.  That and every renumbering (:meth:`number`) count
@@ -141,7 +143,9 @@ class DenseImage:
         #: Tail rows, from its start, that the owners' pushes fill.
         self.pushed = 0
         self.layout = 0
-        #: Ids of the Buffer-only Blocks whose valid pages the tail holds.
+        #: Ids of the Buffer-only Blocks whose valid pages the tail holds
+        #: whole (a ``dense_read`` copied them); a plan's fill copies only
+        #: the rows it reads and adds no Block here.
         self.fresh: Set[int] = set()
 
     @property
@@ -771,26 +775,56 @@ class Env:
 
     def fill_ghosts(self, plan) -> int:
         """Make the ghost rows ``plan`` reads current: unless the pushes are
-        in and cover the plan, its pages checked once — valid ones of Blocks
-        not ``fresh`` copied in, invalid ones recorded missing (the step is
-        re-executed) and counted."""
+        in and cover the plan, its pages checked once — invalid ones
+        recorded missing (the step is re-executed) and counted — and the
+        rows it reads, and no other, written in one pass per table
+        (:attr:`~repro.memory.mmat.PlanSegment.ghost_fill`): the valid
+        pages' rows copied, a field value (:meth:`_placeholder`) in the
+        others that no push of this step filled (its ``fn`` never computes
+        on what the tail held).  Pages valid by birth that
+        :meth:`_fill_unfilled` has not filled yet count as not valid."""
         if not plan.has_halo:
             return 0
         pushed = self._pushes_in and plan.covered()
-        missing = 0
-        for key, block in () if pushed else plan.pages:
-            if not (block.buffer.read_buffer.pages[key.page_index].valid or block.is_valid):
-                self.missing_pages.add(key)
-                missing += 1
-            image = self._slots[block.block_id][0]
-            if block.block_id not in image.fresh:
-                self._fill_ghosts(image, block)
+        missing: List[PageKey] = []
+        if not pushed:
+            pages = plan.pages
+            valid = [block.is_valid or block.buffer.read_buffer.pages[key.page_index].valid
+                     for key, block in pages]
+            missing = [key for (key, _), ok in zip(pages, valid) if not ok]
+            self.missing_pages.update(missing)
+            unfilled = self._unfilled
+            if unfilled:
+                valid = [ok and b.block_id not in unfilled for ok, (_, b) in zip(valid, pages)]
+            valid = np.array(valid, dtype=bool)
+            for seg in plan.halo_segments:
+                self._fill_rows(seg.image, *seg.ghost_fill, valid)
         from ..runtime.shm import protocol_checks  # memory sits below runtime
         for seg in plan.halo_segments if protocol_checks() else ():
             filled = seg.image.pushed if pushed else seg.image.halo_rows
             if seg.rows()[0].max() >= seg.image.ghost_base + filled:
                 raise EnvError(f"Env {self.name!r}: a compiled table reads past the filled tail")
-        return missing
+        return len(missing)
+
+    def _fill_rows(self, image: DenseImage, halo: np.ndarray, page_of: np.ndarray,
+                   valid: np.ndarray) -> None:
+        """Write the halo rows ``halo`` (sorted) of the read slab: the rows
+        of valid pages (``valid[page_of]``) copied from the pages — in the
+        next slab's tail, or apart in a single-buffered class — a field
+        value into the others, unless this step's pushes filled them."""
+        ok = valid[page_of]
+        rows = image.ghost_index(halo)
+        if image.depth > 1:
+            pages = image.next[image.ghost_base + halo[ok]]
+        else:
+            dense = [block.buffer.read_buffer.dense() for block in image.remote]
+            pages = np.concatenate(dense)[halo[ok]]
+        image.read[rows[ok]] = pages
+        stale = rows[~ok]
+        if self._pushes_in:  # rows this step's pushes filled stay
+            stale = stale[stale >= image.ghost_base + image.pushed]
+        image.read[stale] = self._placeholder(image)
+        self.stats.dense_assemblies += 1
 
     def _ghost_rows(self, block: DataBlock) -> Tuple[np.ndarray, np.ndarray]:
         """``(read-slab rows, valid)`` of Buffer-only ``block``'s ghost rows:

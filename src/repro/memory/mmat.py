@@ -98,7 +98,7 @@ class PlanSegment:
     placeholder row, patched afterwards).
     """
 
-    __slots__ = ("image", "sources", "src_idx", "dst_idx", "ghost_sites", "_aim")
+    __slots__ = ("image", "sources", "src_idx", "dst_idx", "ghost_sites", "ghost_fill", "_aim")
 
     def __init__(self, image, sources, src_idx, dst_idx=None):
         self.image = image
@@ -107,6 +107,10 @@ class PlanSegment:
         self.src_idx = np.ascontiguousarray(src_idx, dtype=np.intp)
         self.dst_idx = None if dst_idx is None else np.ascontiguousarray(dst_idx, dtype=np.intp)
         self.ghost_sites = np.flatnonzero(self.src_idx < 0)
+        #: ``(distinct halo rows the ghost sites read, sorted; per row, the
+        #: position of its page in the plan's pages)`` — what
+        #: :meth:`~repro.memory.env.Env.fill_ghosts` copies; set with them.
+        self.ghost_fill: Optional[Tuple[np.ndarray, np.ndarray]] = None
         #: ``(image layout, rows, covered)`` of :meth:`rows`.
         self._aim: tuple = (None, self.src_idx, False)
 
@@ -559,13 +563,21 @@ def _distinct(addrs: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarr
 
 def _ghost_pages(env, segments: List[PlanSegment]) -> list:
     """``(PageKey, Block)`` of every Buffer-only page the ghost sites of
-    ``segments`` read."""
+    ``segments`` read, in ``(Block, page)`` order per segment; sets each
+    halo segment's :attr:`~PlanSegment.ghost_fill`."""
     pages = []
     for seg in (seg for seg in segments if seg.halo):
-        blocks, which, elements = env.halo_row_blocks(seg.image, seg.ghost_halo)
+        halo = sorted_unique(seg.ghost_halo)
+        blocks, which, elements = env.halo_row_blocks(seg.image, halo)
         page_elements = np.array([b.page_elements for b in blocks], dtype=np.intp)
         stride = max(b.page_count() for b in blocks)
-        for code in sorted_unique(which * stride + elements // page_elements[which]).tolist():
+        # Halo rows follow their Blocks' order, so the codes are sorted.
+        codes = which * stride + elements // page_elements[which]
+        first = np.empty(codes.size, dtype=bool)
+        first[:1] = True
+        first[1:] = codes[1:] != codes[:-1]
+        seg.ghost_fill = (halo, len(pages) + np.cumsum(first) - 1)
+        for code in codes[first].tolist():
             block = blocks[code // stride]
             pages.append((PageKey(block.block_id, code % stride), block))
     return pages

@@ -26,8 +26,8 @@ The three built-in backends:
 ``serial``  world of one rank, runs inline (no threading machinery)
 ``threads`` one OS thread per rank — the original simulated runtime
             (GIL-bound; scaling numbers come from the cost model)
-``process`` one forked ``multiprocessing`` process per rank with a
-            pipe-mesh transport — real measured parallelism
+``process`` one ``os.fork`` process per rank with a raw-pipe
+            mesh transport — real measured parallelism
 ==========  ==========================================================
 """
 

@@ -25,7 +25,7 @@ needs:
 
 Implementations shipped with the platform: ``serial`` (inline, world of
 one), ``threads`` (one OS thread per rank — the original simulated
-runtime), ``process`` (one real ``multiprocessing`` process per rank);
+runtime), ``process`` (one real forked process per rank);
 the last two take two ranks or more.
 """
 

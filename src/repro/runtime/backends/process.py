@@ -1,18 +1,25 @@
 """The ``process`` backend: one real OS process per rank.
 
 Unlike the ``threads`` backend (GIL-bound, scaling numbers modelled),
-this backend forks one ``multiprocessing`` process per rank, so rank
+this backend forks one process per rank with :func:`os.fork`, so rank
 compute genuinely overlaps and ``benchmarks/bench_backend_scaling.py``
-can report *measured* wall-clock speed-up.
+can report *measured* wall-clock speed-up.  It imports nothing of
+:mod:`multiprocessing`: ranks are forked directly (after a flush of the
+standard streams, so :func:`os.register_at_fork` hooks fire as usual),
+joined with :func:`os.waitpid` under a deadline and, if still alive
+then, ended with :func:`os.kill`; a forked rank always leaves by
+:func:`os._exit`.
 
 Topology and transport
 ----------------------
 
 Rank 0 runs inline in the parent process (so the master application
 instance, its Env and its trace counters stay native objects); ranks
-1..N-1 are forked children.  Every pair of ranks is connected by one
-duplex :func:`multiprocessing.Pipe`; there is no coordinator —
-collectives are allgathers over the pipe mesh.  The ranks additionally
+1..N-1 are forked children.  Every pair of ranks is connected by two
+:func:`os.pipe` pipes, one each way (:func:`channel_pair`); a message is
+one pickle behind an 8-byte length, and a peer that closed its end reads
+as end-of-file.  There is no coordinator — collectives are allgathers
+over the pipe mesh.  The ranks additionally
 share one segment of *control words*
 (:class:`~repro.runtime.shm.ControlWords`, mapped before the fork): the
 refresh protocol's per-step agreement runs over those words instead of
@@ -42,8 +49,7 @@ The shared-memory data plane
 
 A process world (two ranks or more: a world of one is the ``serial``
 one) needs POSIX named shared memory, the ``_posixshmem`` module
-:mod:`multiprocessing.shared_memory` is built on (constructing a
-:class:`ProcessWorld` raises otherwise).  Every rank
+(constructing a :class:`ProcessWorld` raises without it).  Every rank
 lazily creates a :class:`~repro.runtime.shm.SharedPageArena` — named
 segments holding one seqlock-stamped slot per served page — on its
 first serve.  An object-dtype page has no bytes to share: its owner
@@ -55,13 +61,13 @@ the deterministically named segments of ranks that died before closing
 (see :func:`~repro.runtime.shm.cleanup_rank_segments`) and the control
 segment; a new :class:`ProcessWorld` first unlinks what a
 *killed parent* left behind (names carry the creating pid).  Those are
-the whole cleanup: no ``multiprocessing`` resource tracker is started.
+the whole cleanup: no resource tracker process is started.
 
 The page-serving protocol
 -------------------------
 
 Each rank runs a dedicated **receiver thread** that continuously pumps
-every connection: incoming page requests (``breq``) are served
+every pipe: incoming page requests (``breq``) are served
 immediately out of the rank's registered Env snapshot — even while the
 rank's main thread is deep in kernel computation — and everything else
 is buffered into per-peer inboxes that the main thread's blocking waits
@@ -79,11 +85,11 @@ waits for it before it returns).  After the program body finishes (or raises), e
 enters a final ``exit`` drain barrier so late prefetch requests of
 slower peers are still served before the process tears down.
 
-The receiver blocks, without a timeout, on the peers' pipes and on a
-*wake pipe* of its own.  :meth:`ProcessTransport.close` flushes the
-sender thread, then writes to the wake pipe: the receiver returns at
-once, and a run's teardown waits for no poll interval.  ``close`` is
-idempotent.
+The receiver blocks in :func:`select.poll`, without a timeout, on the
+peers' pipes and on a *wake pipe* of its own.
+:meth:`ProcessTransport.close` flushes the sender thread, then writes
+to the wake pipe: the receiver returns at once, and a run's teardown
+waits for no poll interval.  ``close`` is idempotent.
 
 Every rank counts its own traffic in a local
 :class:`~repro.runtime.network.NetworkStats`; children ship their
@@ -95,15 +101,16 @@ a ``threads`` run's.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
 import queue
+import select
+import struct
+import sys
 import threading
 import time
 import warnings
 from collections import deque
-from multiprocessing.connection import wait as connection_wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -137,7 +144,7 @@ from .base import (
     raise_spmd_failures,
 )
 
-__all__ = ["ProcessTransport", "ProcessWorld"]
+__all__ = ["ProcessTransport", "ProcessWorld", "channel_pair"]
 
 #: ``sched_yield`` polls of a shared word before a forked rank starts
 #: sleeping between polls (see :func:`~repro.runtime.shm.spin_until`):
@@ -163,6 +170,108 @@ def _force_picklable(obj: Any, fallback: Callable[[Any], Any]):
         return fallback(obj)
 
 
+def _flush_stdio() -> None:
+    """Flush stdout and stderr, so buffered text is neither written twice
+    (by a parent and its fork) nor lost (by ``os._exit``)."""
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, ValueError):  # no stream, or a closed one
+            pass
+
+
+#: A message's length, ahead of its pickle.
+_LENGTH = struct.Struct("!Q")
+
+
+def _read_exact(fd: int, size: int) -> bytes:
+    """``size`` bytes of ``fd``; ``EOFError`` if the writer closed first."""
+    parts, left = [], size
+    while left:
+        part = os.read(fd, left)
+        if not part:
+            raise EOFError(f"pipe closed with {left} of {size} bytes unread")
+        parts.append(part)
+        left -= len(part)
+    return b"".join(parts)
+
+
+class _Channel:
+    """One rank's end of a pipe pair: it reads one pipe and writes the
+    other (either may be absent), a message being one pickle behind its
+    8-byte length."""
+
+    __slots__ = ("rfd", "wfd")
+
+    def __init__(self, rfd: Optional[int], wfd: Optional[int]) -> None:
+        self.rfd = rfd
+        self.wfd = wfd
+
+    def fileno(self) -> int:
+        return self.rfd
+
+    def send(self, obj: Any) -> None:
+        data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+        view = memoryview(_LENGTH.pack(len(data)) + data)
+        while view:
+            view = view[os.write(self.wfd, view):]
+
+    def recv(self) -> Any:
+        (size,) = _LENGTH.unpack(_read_exact(self.rfd, _LENGTH.size))
+        return pickle.loads(_read_exact(self.rfd, size))
+
+    def poll(self, timeout: float) -> bool:
+        """Whether a message (or the writer's close) arrives within
+        ``timeout`` seconds."""
+        poller = select.poll()
+        poller.register(self.rfd, select.POLLIN)
+        return bool(poller.poll(max(int(timeout * 1000), 0)))
+
+    def close(self) -> None:
+        """Close both ends; a closed channel's reads and writes raise ``OSError``."""
+        for fd in (self.rfd, self.wfd):
+            if fd is not None and fd >= 0:
+                os.close(fd)
+        self.rfd = self.wfd = -1
+
+
+def channel_pair() -> Tuple[_Channel, _Channel]:
+    """Two connected channels over two fresh pipes, one each way."""
+    a_to_b, b_to_a = os.pipe(), os.pipe()
+    return _Channel(b_to_a[0], a_to_b[1]), _Channel(a_to_b[0], b_to_a[1])
+
+
+class _Child:
+    """A forked rank, as the parent sees it: its pid and, once reaped, its
+    exit code (minus the signal number if a signal ended it)."""
+
+    __slots__ = ("pid", "exitcode")
+
+    def __init__(self, pid: int) -> None:
+        self.pid = pid
+        self.exitcode: Optional[int] = None
+
+    def join(self, timeout: float) -> Optional[int]:
+        """Reap the rank if it exits within ``timeout`` seconds; its exit code
+        (None: still running)."""
+        deadline = time.monotonic() + timeout
+        while self.exitcode is None:
+            pid, status = os.waitpid(self.pid, os.WNOHANG)
+            if pid:
+                self.exitcode = os.waitstatus_to_exitcode(status)
+            elif time.monotonic() >= deadline:
+                break
+            else:
+                time.sleep(0.001)
+        return self.exitcode
+
+    def terminate(self) -> None:
+        if self.exitcode is None:
+            import signal  # only a rank that outlived its join needs it
+
+            os.kill(self.pid, signal.SIGTERM)
+
+
 class ProcessTransport:
     """Per-process endpoint of the pipe mesh (one instance per rank)."""
 
@@ -175,13 +284,13 @@ class ProcessTransport:
     #: children inherit the class attribute.  Never set in production.
     reply_shim = None
 
-    def __init__(self, world: "ProcessWorld", rank: int, conns: Dict[int, Any]) -> None:
+    def __init__(self, world: "ProcessWorld", rank: int, conns: Dict[int, _Channel]) -> None:
         #: The world this rank runs in (its copy, in a forked rank): the
         #: transport reads the timeout, the fault plan, the segment
         #: namespace and the rank's registered Env there.
         self.world = world
         self.rank = rank
-        self.conns = conns  # peer rank -> Connection
+        self.conns = conns  # peer rank -> its channel
         self.stats = NetworkStats()
         #: Bulk replies publish pages into this rank's shared-memory
         #: arena and ship descriptors.  The arena is created lazily on
@@ -202,7 +311,6 @@ class ProcessTransport:
         #: req_id) -> description``, included in ``_await`` timeout
         #: messages so a hang names exactly what never arrived.
         self._outstanding: Dict[Tuple[int, int], str] = {}
-        self._peer_of = {id(conn): peer for peer, conn in conns.items()}
         self._inbox: Dict[int, deque] = {peer: deque() for peer in conns}
         #: Guards the inboxes and the dead-peer set; the receiver thread
         #: notifies it whenever a buffered message (or an EOF) arrives.
@@ -215,7 +323,7 @@ class ProcessTransport:
         #: peer is fatal only when a wait for it comes up empty.
         self._dead: set = set()
         # All outbound traffic goes through a dedicated sender thread:
-        # Connection.send blocks without timeout when the pipe buffer is
+        # a pipe write blocks without timeout when the pipe buffer is
         # full, and two ranks fanning out a large collective payload to
         # each other (e.g. the registration allgather of a many-block
         # Env) would deadlock if anything else ever blocked in send.
@@ -229,7 +337,7 @@ class ProcessTransport:
         # main thread computes or waits — what keeps the exchange
         # deadlock-free), everything else lands in the per-peer inboxes above.  It waits
         # on the peers' pipes and on a wake pipe that close() writes to.
-        self._wake_recv, self._wake_send = multiprocessing.Pipe(duplex=False)
+        self._wake_recv, self._wake_send = os.pipe()
         self._closed = False
         self._receiver = threading.Thread(
             target=self._receiver_main, name=f"proc-mpi-recv-{rank}", daemon=True
@@ -267,18 +375,25 @@ class ProcessTransport:
 
     # -- receiving ------------------------------------------------------
     def _receiver_main(self) -> None:
-        """Pump every connection until close() wakes it, serving page
-        requests eagerly."""
+        """Pump every pipe until close() wakes it, serving page requests
+        eagerly."""
+        poller = select.poll()
+        peer_of = {}
+        for peer, conn in self.conns.items():
+            poller.register(conn.fileno(), select.POLLIN)
+            peer_of[conn.fileno()] = peer
+        poller.register(self._wake_recv, select.POLLIN)
         while True:
-            conns = [conn for peer, conn in self.conns.items() if peer not in self._dead]
-            ready = connection_wait(conns + [self._wake_recv])
-            for conn in ready:
-                if conn is self._wake_recv:
+            woken = False
+            for fd, _events in poller.poll():
+                if fd == self._wake_recv:
+                    woken = True
                     continue
-                peer = self._peer_of[id(conn)]
+                peer = peer_of[fd]
                 try:
-                    msg = conn.recv()
+                    msg = self.conns[peer].recv()
                 except (EOFError, OSError):
+                    poller.unregister(fd)
                     with self._inbox_cond:
                         self._dead.add(peer)
                         self._inbox_cond.notify_all()
@@ -289,7 +404,7 @@ class ProcessTransport:
                     with self._inbox_cond:
                         self._inbox[peer].append(msg)
                         self._inbox_cond.notify_all()
-            if self._wake_recv in ready:
+            if woken:
                 return
 
     def _serve_page_batch(self, peer: int, msg: tuple) -> None:
@@ -574,7 +689,7 @@ class ProcessTransport:
         self._outbox.put(None)
         self._sender.join(timeout=5.0)
         # Stop the receiver before closing the pipes out from under it.
-        self._wake_send.send_bytes(b"")
+        os.write(self._wake_send, b"\0")
         self._receiver.join(timeout=5.0)
         # A transport thread still alive after its join timeout is stuck
         # in a blocking pipe operation; warn so CI hangs are diagnosable
@@ -588,11 +703,10 @@ class ProcessTransport:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        for conn in (*self.conns.values(), self._wake_recv, self._wake_send):
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - teardown best effort
-                pass
+        for conn in self.conns.values():
+            conn.close()
+        os.close(self._wake_recv)
+        os.close(self._wake_send)
         # Shared-memory hygiene: drop the halo slot views (a mapped
         # segment with a live view cannot be closed), detach peer segments
         # (their owners unlink them), then unlink our own arena.
@@ -612,8 +726,8 @@ class ProcessWorld(ExecutionWorld):
 
     @classmethod
     def available(cls) -> bool:
-        """Whether the interpreter can fork ranks (the 'fork' start method)."""
-        return "fork" in multiprocessing.get_all_start_methods()
+        """Whether the interpreter can fork ranks."""
+        return hasattr(os, "fork")
 
     def __init__(self, size: int, *, timeout: float = 60.0) -> None:
         if size < 2:
@@ -623,9 +737,9 @@ class ProcessWorld(ExecutionWorld):
             )
         if not self.available():
             raise BackendError(
-                "the 'process' backend needs the 'fork' multiprocessing start "
-                "method (woven applications are inherited by forked ranks, not "
-                "pickled); use the 'threads' backend on this platform"
+                "the 'process' backend needs os.fork (woven applications are "
+                "inherited by forked ranks, not pickled); use the 'threads' "
+                "backend on this platform"
             )
         if not shm_available():
             raise BackendError(
@@ -669,48 +783,44 @@ class ProcessWorld(ExecutionWorld):
         # The control words are mapped before the fork so every child
         # inherits them.
         self._offer_slots(ControlWords.shared(self.shm_uid, self.size))
-        ctx = multiprocessing.get_context("fork")
-        # One duplex pipe per unordered rank pair, created before forking
-        # so every process inherits its ends.
-        conns_of: Dict[int, Dict[int, Any]] = {r: {} for r in range(self.size)}
+        # One channel pair per unordered rank pair and a result pipe per
+        # child, created before forking so every process inherits its ends.
+        conns_of: Dict[int, Dict[int, _Channel]] = {r: {} for r in range(self.size)}
         for i in range(self.size):
             for j in range(i + 1, self.size):
-                end_i, end_j = ctx.Pipe(duplex=True)
-                conns_of[i][j] = end_i
-                conns_of[j][i] = end_j
-        result_pipes = {r: ctx.Pipe(duplex=False) for r in range(1, self.size)}
+                conns_of[i][j], conns_of[j][i] = channel_pair()
+        result_pipes = {r: os.pipe() for r in range(1, self.size)}
 
-        procs = {}
+        children: Dict[int, _Child] = {}
         for rank in range(1, self.size):
-            proc = ctx.Process(
-                target=self._child_main,
-                args=(rank, conns_of, result_pipes[rank][1], body, omp_threads),
-                name=f"proc-mpi-rank-{rank}",
-                daemon=True,
-            )
-            proc.start()
-            procs[rank] = proc
+            _flush_stdio()
+            pid = os.fork()
+            if pid == 0:
+                self._child_exit(rank, conns_of, result_pipes, body, omp_threads)
+            children[rank] = _Child(pid)
 
         # The parent is rank 0: drop the ends belonging to other ranks.
         for rank in range(1, self.size):
             for conn in conns_of[rank].values():
                 conn.close()
-            result_pipes[rank][1].close()
+            os.close(result_pipes[rank][1])
+        results_in = {rank: _Channel(rfd, None) for rank, (rfd, _) in result_pipes.items()}
         self._transport = transport = ProcessTransport(self, 0, conns_of[0])
         try:
             self._run_rank(results[0], body, omp_threads)
-            self._collect_children(results, result_pipes, procs)
+            self._collect_children(results, results_in, children)
         finally:
+            for chan in results_in.values():
+                chan.close()
             self.stats.merge(transport.stats)
             if transport.first_send_error is not None:
                 self._send_notes.insert(0, transport.first_send_error)
             transport.close()
             self._transport = None
-            for rank, proc in procs.items():
-                proc.join(timeout=5.0)
-                if proc.is_alive():  # pragma: no cover - defensive teardown
-                    proc.terminate()
-                    proc.join(timeout=5.0)
+            for child in children.values():
+                if child.join(5.0) is None:  # pragma: no cover - defensive teardown
+                    child.terminate()
+                    child.join(5.0)
             self._close_control()
         raise_spmd_failures(results, note=self._send_notes[0] if self._send_notes else None)
         return results
@@ -734,22 +844,43 @@ class ProcessWorld(ExecutionWorld):
                 if result.error is None:
                     result.error = exc
 
+    def _child_exit(self, rank: int, conns_of, result_pipes, body, omp_threads) -> None:
+        """A forked rank's whole life: run it, then leave by ``os._exit`` —
+        status 0, or 1 after printing what escaped it — never returning
+        into the parent's stack."""
+        status = 1
+        try:
+            # Drop inherited pipe ends belonging to other ranks, so a dead
+            # peer is observable as EOF rather than a silent hang.
+            for other, conns in conns_of.items():
+                if other != rank:
+                    for conn in conns.values():
+                        conn.close()
+            for other, (rfd, wfd) in result_pipes.items():
+                os.close(rfd)
+                if other != rank:
+                    os.close(wfd)
+            self._child_main(rank, conns_of[rank], _Channel(None, result_pipes[rank][1]),
+                             body, omp_threads)
+            status = 0
+        except Exception:  # noqa: BLE001 - the rank's last boundary: report, exit 1
+            import traceback
+
+            traceback.print_exc()
+        finally:
+            _flush_stdio()
+            os._exit(status)
+
     def _child_main(
         self,
         rank: int,
-        conns_of: Dict[int, Dict[int, Any]],
-        result_conn,
+        conns: Dict[int, _Channel],
+        result_conn: _Channel,
         body: Callable[[TaskContext], Any],
         omp_threads: int,
     ) -> None:
-        # Forked child: drop inherited pipe ends belonging to other ranks
-        # so a dead peer is observable as EOF rather than a silent hang.
-        for other, conns in conns_of.items():
-            if other != rank:
-                for conn in conns.values():
-                    conn.close()
         self._forked_child = True
-        self._transport = transport = ProcessTransport(self, rank, conns_of[rank])
+        self._transport = transport = ProcessTransport(self, rank, conns)
         # The child's fork-copied trace may contain pre-fork counters;
         # reset so only this rank's tasks are shipped back to the parent.
         # Likewise for the span buffers: the fork copied rank 0's
@@ -783,21 +914,18 @@ class ProcessWorld(ExecutionWorld):
             result_conn.close()
             transport.close()
 
-    def _collect_children(self, results, result_pipes, procs) -> None:
+    def _collect_children(self, results, results_in, children) -> None:
         trace = global_trace()
         deadline = time.monotonic() + self.timeout + 10.0
         for rank in range(1, self.size):
-            recv_conn = result_pipes[rank][0]
+            recv_conn = results_in[rank]
             remaining = max(deadline - time.monotonic(), 0.1)
-            proc = procs.get(rank)
-            exitcode = proc.exitcode if proc is not None else None
+            child = children[rank]
             try:
                 if recv_conn.poll(remaining):
                     payload = recv_conn.recv()
                 else:
-                    if proc is not None:
-                        proc.join(timeout=0.5)
-                        exitcode = proc.exitcode
+                    exitcode = child.join(0.5)
                     if exitcode is not None and exitcode != 0:
                         raise DeadRankError(
                             rank, f"process exited with code {exitcode} before reporting"
@@ -808,9 +936,7 @@ class ProcessWorld(ExecutionWorld):
             except (EOFError, OSError):
                 # Dead result pipe: the child died (crash or injected
                 # os._exit) without shipping its payload.
-                if proc is not None:
-                    proc.join(timeout=5.0)
-                    exitcode = proc.exitcode
+                exitcode = child.join(5.0)
                 results[rank].error = DeadRankError(
                     rank,
                     "died without reporting a result"
@@ -820,8 +946,6 @@ class ProcessWorld(ExecutionWorld):
             except NetworkError as exc:
                 results[rank].error = exc
                 continue
-            finally:
-                recv_conn.close()
             results[rank].value = payload["value"]
             results[rank].error = payload["error"]
             if payload.get("send_error"):

@@ -32,9 +32,9 @@ The ``uid`` starts with the creating process id
 what a *killed parent* left behind (:func:`sweep_stale_segments`).
 Those three paths — the owner's unlink on close, the parent's probe
 and the next world's sweep — are the whole cleanup: segments are
-opened with ``shm_open`` and ``mmap`` directly (:class:`SharedMemory`),
-registered with no ``multiprocessing`` resource tracker, so no tracker
-process is started.
+opened with ``shm_open`` and ``mmap`` directly (:class:`SharedMemory`)
+by ranks that ``os.fork`` made: nothing of ``multiprocessing`` is
+imported, so no resource tracker process stands behind them.
 
 The module also holds the **control words** of the publish protocol
 (:class:`ControlWords`): per rank a pair of step-agreement words and per

@@ -1,11 +1,12 @@
-"""A process world cleans up its own segments: no resource tracker.
+"""A process world needs no ``multiprocessing`` and cleans up its own segments.
 
-The named segments of a process world are opened with ``shm_open`` and
-``mmap`` directly, so no ``multiprocessing`` resource tracker process
-is ever started; the owner's unlink on close, the parent's probe sweep
-in ``finalize`` and the next world's stale sweep are the whole cleanup.
-The run below is a fresh interpreter, so nothing an earlier test did
-can have started a tracker for it.
+Ranks are forked with ``os.fork`` and talk over raw pipes, and the named
+segments are opened with ``shm_open`` and ``mmap`` directly: a run never
+imports :mod:`multiprocessing`, and no resource tracker stands behind
+the segments.  The owner's unlink on close, the parent's probe sweep in
+``finalize`` and the next world's stale sweep are the whole cleanup.
+The run below is a fresh interpreter, so nothing an earlier test
+imported can hide an import of the run.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ pytestmark = pytest.mark.skipif(
 SRC = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
 SCRIPT = """
-import json, os
-from multiprocessing import resource_tracker
+import json, os, sys
 import numpy as np
 from repro import Platform
 from repro.apps import JacobiSGrid
@@ -39,14 +39,14 @@ run = Platform.builder().mpi(2, backend="process").mmat().run(JacobiSGrid, confi
 owned = ~np.isnan(run.result)
 print(json.dumps(dict(
     pid=os.getpid(),
-    tracker=resource_tracker._resource_tracker._pid,
+    imported=sorted(name for name in sys.modules if name.startswith("multiprocessing")),
     equal=bool(owned.any() and np.array_equal(run.result[owned], plain.result[owned])),
     pushes=run.network["halo_pushes"],
 )))
 """
 
 
-def test_a_two_rank_process_run_starts_no_tracker_and_leaves_no_segment():
+def test_a_two_rank_process_run_imports_no_multiprocessing_and_leaves_no_segment():
     done = subprocess.run(
         [sys.executable, "-c", SCRIPT],
         env=dict(os.environ, PYTHONPATH=SRC),
@@ -55,7 +55,7 @@ def test_a_two_rank_process_run_starts_no_tracker_and_leaves_no_segment():
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout.strip().splitlines()[-1])
     assert report["equal"] and report["pushes"] > 0, report
-    assert report["tracker"] is None, report
+    assert report["imported"] == [], report
     prefix = f"repro_shm_{report['pid']}x"
     assert [name for name in os.listdir("/dev/shm") if name.startswith(prefix)] == []
     assert "resource_tracker" not in done.stderr, done.stderr

@@ -16,7 +16,6 @@ leaked ``/dev/shm`` entries lives in ``TestSegmentHygiene``).
 from __future__ import annotations
 
 import glob
-import multiprocessing
 import os
 from unittest import mock
 
@@ -246,13 +245,13 @@ class TestDataPlaneRule:
 
     @pytest.mark.parametrize("size", [2, 3, 4])
     def test_without_shm_a_multi_rank_world_is_refused(self, size):
-        children = len(multiprocessing.active_children())
         with mock.patch.object(process, "shm_available", lambda: False):
             with pytest.raises(BackendError, match=f"of {size} ranks .*shared_memory cannot"):
                 make_world(size)
             one = make_world(1)  # one rank needs no shared memory
         assert spmd(one, lambda ctx: one.control) == [None]
-        assert len(multiprocessing.active_children()) == children  # nothing forked
+        with pytest.raises(ChildProcessError):  # nothing forked, nothing left to reap
+            os.waitpid(-1, os.WNOHANG)
 
     def test_two_rank_world_shares_memory(self):
         world = make_world(2)
@@ -390,3 +389,37 @@ class TestSegmentHygiene:
         # The shm plane actually carried pages before/after the kill.
         assert run.network["shm_fetches"] > 0
         assert set(leftover_segments(mine)) == before
+
+
+# ----------------------------------------------------------------------
+# descriptor hygiene
+# ----------------------------------------------------------------------
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+class TestFdHygiene:
+    """The pipe mesh, the result pipes and the wake pipes are all closed
+    again in the parent, whether every rank reports or one is killed."""
+
+    CONFIG = dict(region=16, block_size=4, page_elements=8, loops=4,
+                  init=lambda x, y: 0.05 * x - 0.04 * y + 1.25)
+
+    def test_a_clean_run_leaves_no_fd(self):
+        before = open_fds()
+        run = Platform.builder().mpi(2, backend="process").mmat().run(JacobiSGrid, config=self.CONFIG)
+        assert run.network["halo_pushes"] > 0
+        assert open_fds() == before
+
+    def test_a_run_with_a_killed_rank_leaves_no_fd(self):
+        before = open_fds()
+        policy = ResiliencePolicy(fault_plan=FaultPlan().kill(1, phase="refresh", epoch=2))
+        platform = (Platform.builder().mpi(2, backend="process").mmat().resilience(policy)
+                    .comm_timeout(20.0).build())
+        run = platform.run(JacobiSGrid, config=self.CONFIG)
+        assert run.restarts == 1
+        assert np.isfinite(np.asarray(run.result)[~np.isnan(np.asarray(run.result))]).all()
+        assert open_fds() == before

@@ -10,7 +10,9 @@ equivalence lives in tests/integration/test_backend_conformance.py.
 
 from __future__ import annotations
 
+import select
 import time
+import types
 import warnings
 
 import numpy as np
@@ -264,14 +266,19 @@ class TestProcessWorld:
         assert results[1].value is None
 
     def test_teardown_wakes_the_receivers_without_a_poll(self, monkeypatch):
-        # Every receiver wait blocks for good: only the wake pipe that
-        # close() writes to can end it (the forked rank inherits the patch).
-        real_wait = process.connection_wait
+        # Every poll blocks for good: only the wake pipe that close()
+        # writes to can end a receiver's wait (the forked rank inherits
+        # the patch).
+        class Blocking:
+            def __init__(self):
+                self._poll = select.poll()
+                self.register, self.unregister = self._poll.register, self._poll.unregister
 
-        def blocking(object_list, timeout=None):
-            return real_wait(object_list, timeout=None)
+            def poll(self, timeout=None):
+                return self._poll.poll(None)
 
-        monkeypatch.setattr(process, "connection_wait", blocking)
+        monkeypatch.setattr(process, "select", types.SimpleNamespace(
+            poll=Blocking, POLLIN=select.POLLIN))
         world = create_world("process", 2, timeout=15.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -595,7 +595,7 @@ class TestPushedRows:
             env.page_install(PageKey(remote.block_id, page), np.full((4, 1), 3.0))
         assert np.all(plan.execute(env).reshape(2, 4, 4)[1][3] == 3.0)
         image, rows = env.plan_halo_rows()[0]
-        assert image.fresh == {remote.block_id}
+        assert not image.fresh  # the rows the plan reads were copied, not its Block
         env.invalidate_buffer_only()
         # The closed step: the owner (rank 1) stores its rows and stamps.
         world = create_world("threads", 2)

@@ -11,7 +11,6 @@ Platform down to the world.
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
 
 import numpy as np
@@ -32,7 +31,7 @@ from repro.resilience import (
 from repro.resilience.recovery import _dead_rank_of, _zorder_sorted
 from repro.runtime import DeadRankError, InjectedFault, PageFetchError, SpmdFailure
 from repro.runtime.backends.base import RankResult
-from repro.runtime.backends.process import ProcessTransport, ProcessWorld
+from repro.runtime.backends.process import ProcessTransport, ProcessWorld, channel_pair
 from repro.runtime.errors import CollectiveError
 
 
@@ -221,7 +220,7 @@ class TestRecoveryManager:
 # ---------------------------------------------------------------------------
 @pytest.fixture
 def transport_pair():
-    a, b = multiprocessing.Pipe()
+    a, b = channel_pair()
     world = ProcessWorld(2, timeout=0.3)
     t0 = ProcessTransport(world, 0, {1: a})
     t1 = ProcessTransport(world, 1, {0: b})
