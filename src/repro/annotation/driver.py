@@ -59,6 +59,10 @@ class PlatformRun:
     app: TargetApplication
     #: Wall-clock of the whole run (seconds, measured with perf_counter).
     elapsed: float
+    #: The run's answer: every rank's ``app.result`` put together by
+    #: ``app.assemble`` — for the DSL apps the whole field (every rank's
+    #: particle rows), with no NaN where every rank reported.
+    result: Any = None
     #: Per-task work/traffic counters captured during the run.
     counters: Dict[tuple, TaskCounters] = field(default_factory=dict)
     #: Env statistics of the master task's Env.
@@ -87,11 +91,6 @@ class PlatformRun:
     #: failure (:class:`repro.resilience.RecoveryEvent`); empty when no
     #: resilience policy was configured or nothing failed.
     recovery_events: List[Any] = field(default_factory=list)
-
-    @property
-    def result(self) -> Any:
-        """The application's declared result (``app.result``)."""
-        return self.app.result
 
     @functools.cached_property
     def memory(self) -> dict:
@@ -713,6 +712,8 @@ class Platform:
         return PlatformRun(
             app=app,
             elapsed=elapsed,
+            # A distributed layer leaves every rank's result in the context.
+            result=app.assemble(self.context.get("rank_results", [app.result])),
             counters=trace.all_counters(),
             env_stats=env_stats,
             network=network,

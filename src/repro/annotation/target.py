@@ -59,7 +59,8 @@ class TargetApplication:
         self.platform = None
         #: The Env built by the DSL layer during ``initialize``.
         self.env: Optional[Env] = None
-        #: Result slot: whatever the application wants to expose after the run.
+        #: Result slot: this rank's answer, set by the application's run;
+        #: the platform assembles every rank's (:meth:`assemble`).
         self.result: Any = None
 
     # ------------------------------------------------------------------
@@ -110,6 +111,11 @@ class TargetApplication:
     def finalize(self) -> None:
         """Post-process / release resources."""
         # Default: nothing to do.
+
+    def assemble(self, parts: list) -> Any:
+        """The run's answer from every rank's ``result``, in rank order
+        (``PlatformRun.result``).  Default: rank 0's."""
+        return parts[0]
 
     @annotate(TAG_ASSIGN_BLOCKS)
     def assign_tasks(self, specs: list) -> list:

@@ -265,15 +265,22 @@ class DistributedMemoryAspect(LayerAspect):
         if platform is not None:
             platform.context["mpi_world"] = world
 
+        def rank_main(ctx):
+            # A rank's answer rides its result channel: rank 0 hands back
+            # its application instance, every other rank its ``result``.
+            app = entry()
+            return app if ctx.mpi_rank == 0 else app.result
+
         try:
-            results = world.run_spmd(lambda _ctx: entry(), omp_threads=omp_threads)
+            results = world.run_spmd(rank_main, omp_threads=omp_threads)
         finally:
             # Finalise on failure too: an un-finalised world would keep
             # every rank's Env replica alive until the next run.
             world.finalize()
-        # The "result" of the program is rank 0's application instance,
-        # mirroring how the paper's benchmarks report from process 0.
-        return results[0].value
+        app = results[0].value
+        if platform is not None:
+            platform.context["rank_results"] = [app.result] + [r.value for r in results[1:]]
+        return app
 
     # ------------------------------------------------------------------
     # Env / Block registration (runs after the DSL built each rank's Env)
@@ -476,9 +483,10 @@ class DistributedMemoryAspect(LayerAspect):
         wanted: Dict[int, list] = {}  # owner -> [(image, rows, [(key, elements), …]), …]
         for image, rows in pushed:
             blocks, which, elements = env.halo_row_blocks(image, rows)
-            owners = np.array(
-                [directory.owner_of(self._logical_key(rank, block)) for block in blocks]
-            )
+            # Only the Blocks a row is read from need an owner.
+            owners = np.zeros(len(blocks), dtype=np.intp)
+            for b in sorted_unique(which).tolist():
+                owners[b] = directory.owner_of(self._logical_key(rank, blocks[b]))
             row_owner = owners[which]
             for owner in sorted_unique(row_owner).tolist():
                 sel = np.flatnonzero(row_owner == owner)

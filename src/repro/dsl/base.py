@@ -540,6 +540,12 @@ class DslTarget(TargetApplication):
         self.register_access_profile()
         self.build_env()
 
+    def owned_part(self) -> list:
+        """``(origin, shape, values)`` of every Data Block this rank owns:
+        its answer, which the DSL's ``finalize`` keeps as ``result``."""
+        assert self.env is not None
+        return [(b.origin, b.shape, self.env.dense_read(b)) for b in self.env.data_blocks()]
+
     def kernel_for(self, block) -> BlockKernel:
         """Return the kernel accessor for ``block`` or a tile (InitKernelMacros)."""
         assert self.env is not None, "initialize() must build the Env first"

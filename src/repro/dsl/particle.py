@@ -257,8 +257,8 @@ class ParticleTarget(DslTarget):
         return BucketView(raw, self.bucket_capacity)
 
     # ------------------------------------------------------------------
-    def local_particles(self) -> np.ndarray:
-        """Gather (id, px, py, pz, vx, vy, vz) rows for locally-owned particles."""
+    def owned_part(self) -> np.ndarray:
+        """(id, px, py, pz, vx, vy, vz) rows of this rank's particles, by id."""
         assert self.env is not None
         rows = []
         for block in self.env.data_blocks():
@@ -273,4 +273,9 @@ class ParticleTarget(DslTarget):
         return np.array(sorted(rows, key=lambda r: r[0]))
 
     def finalize(self) -> None:
-        self.result = self.local_particles()
+        self.result = self.owned_part()
+
+    def assemble(self, parts: list) -> np.ndarray:
+        """Every rank's particle rows, by id."""
+        rows = np.concatenate(parts)
+        return rows[np.argsort(rows[:, 0], kind="stable")]

@@ -147,18 +147,14 @@ class SGrid2DTarget(DslTarget):
                 buf.load_dense(flat)
 
     # ------------------------------------------------------------------
-    # result gathering (post-processing helpers, serial-friendly)
-    # ------------------------------------------------------------------
-    def local_field(self) -> np.ndarray:
-        """Assemble this rank's Data Blocks into a dense array (NaN elsewhere)."""
-        assert self.env is not None
-        field = np.full((self.region, self.region), np.nan, dtype=np.float64)
-        for block in self.env.data_blocks():
-            x0, y0 = block.origin
-            sx, sy = block.shape
-            field[x0 : x0 + sx, y0 : y0 + sy] = self.env.dense_read(block).reshape(sx, sy)
-        return field
-
     def finalize(self) -> None:
-        """Expose the locally-owned part of the field as the run result."""
-        self.result = self.local_field()
+        self.result = self.owned_part()
+
+    def assemble(self, parts: list) -> np.ndarray:
+        """The ``(region, region)`` field from every rank's owned Blocks
+        (NaN on a site no part holds)."""
+        field = np.full((self.region, self.region), np.nan, dtype=np.float64)
+        for part in parts:
+            for (x0, y0), (sx, sy), values in part:
+                field[x0 : x0 + sx, y0 : y0 + sy] = values.reshape(sx, sy)
+        return field

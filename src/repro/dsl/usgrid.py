@@ -215,18 +215,14 @@ class USGrid2DTarget(DslTarget):
             block.static_fields["neighbors"] = neighbours
 
     # ------------------------------------------------------------------
-    def local_field(self) -> np.ndarray:
-        """Assemble this rank's cells back onto the (region, region) grid."""
-        assert self.env is not None
-        index_map = self.cell_index_map()
-        field = np.full((self.region, self.region), np.nan, dtype=np.float64)
-        flat = np.full(self.cell_count + self.boundary_cells, np.nan)
-        for block in self.env.data_blocks():
-            start = block.origin[0]
-            count = block.shape[0]
-            flat[start : start + count] = self.env.dense_read(block)[:, 0]
-        field[...] = flat[index_map]
-        return field
-
     def finalize(self) -> None:
-        self.result = self.local_field()
+        self.result = self.owned_part()
+
+    def assemble(self, parts: list) -> np.ndarray:
+        """Every rank's owned cells back on the ``(region, region)`` grid
+        (NaN on a cell no part holds)."""
+        flat = np.full(self.cell_count, np.nan)
+        for part in parts:
+            for (start,), (count,), values in part:
+                flat[start : start + count] = values[:, 0]
+        return flat[self.cell_index_map()]

@@ -463,10 +463,6 @@ class ExecutionWorld(abc.ABC):
         """Every rank contributes ``value``; all receive ``op(values)``,
         ``values`` ordered by contributing rank."""
 
-    def allreduce_and(self, flag: bool) -> bool:
-        """Logical-AND allreduce."""
-        return bool(self.allreduce(bool(flag), lambda values: all(values)))
-
     def allreduce_bits(self, flags: int) -> int:
         """Bitwise-AND allreduce: the refresh protocol's per-step agreement.
 
@@ -476,10 +472,6 @@ class ExecutionWorld(abc.ABC):
         :attr:`control` words serve it from them (see :func:`and_bits`).
         """
         return int(self.allreduce(int(flags), and_bits))
-
-    def allreduce_sum(self, value: float) -> float:
-        """Sum allreduce (a convenience for user programs; no shipped app calls it)."""
-        return float(self.allreduce(float(value), lambda values: sum(values)))
 
     # -- page transport -------------------------------------------------
     @abc.abstractmethod

@@ -892,10 +892,9 @@ class ProcessWorld(ExecutionWorld):
         result = RankResult(rank=rank)
         self._run_rank(result, body, omp_threads)
         payload = {
-            # Rank results cross a process boundary here; values that do
-            # not pickle (e.g. woven application instances) degrade to
-            # None — the aspect only consumes rank 0's value, which lives
-            # in the parent and never crosses this boundary.
+            # Rank results cross a process boundary here (the
+            # distributed aspect's: a rank's owned part of the answer);
+            # values that do not pickle degrade to None.
             "value": _force_picklable(result.value, lambda _v: None),
             "error": _force_picklable(
                 result.error, lambda e: RuntimeError(f"rank {rank} failed: {e!r}")

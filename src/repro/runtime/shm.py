@@ -351,6 +351,13 @@ class SharedPageArena:
                 elif slot_gen == generation:
                     seg = self._segments[seg_index]
                     return (seg.name, offset, nbytes, version)
+                elif _protocol_checks and slot_gen is not None and generation < slot_gen:
+                    # REPRO_CHECK: a slot never takes a page older than
+                    # the generation it holds.
+                    raise ShmVersionError(
+                        f"page {key!r} of generation {generation} would overwrite "
+                        f"generation {slot_gen} in its slot"
+                    )
             if slot is None:
                 seg_index, offset = self._allocate(_HEADER + nbytes)
                 version = 0
@@ -422,6 +429,8 @@ class SegmentCache:
 
     def __init__(self) -> None:
         self._attached: Dict[str, Any] = {}
+        #: REPRO_CHECK: ``(segment, offset)`` -> the highest version read there.
+        self._versions: Dict[Tuple[str, int], int] = {}
 
     def _segment(self, name: str) -> Any:
         shm = self._attached.get(name)
@@ -448,6 +457,14 @@ class SegmentCache:
         dtype_str: str,
     ) -> np.ndarray:
         """Copy one slot out of a peer's arena, seqlock-checked."""
+        if _protocol_checks:
+            # REPRO_CHECK: a slot's versions only grow.
+            seen = self._versions.get((name, offset), 0)
+            if version < seen:
+                raise ShmVersionError(
+                    f"slot {name!r}+{offset} went back from version {seen} to {version}"
+                )
+            self._versions[(name, offset)] = version
         shm = self._segment(name)
         buf = shm.buf
         header = np.frombuffer(buf, dtype=np.uint64, count=1, offset=offset)

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.memory import Env, MemoryPool, PoolGroup
 from repro.runtime.tracing import global_trace
+
+#: The same examples on every run (CI: ``--hypothesis-profile=derandomized``).
+settings.register_profile("derandomized", derandomize=True)
 
 
 @pytest.fixture(autouse=True)

@@ -2,15 +2,12 @@
 halo slots, and a full ``/dev/shm``.
 
 Where ranks share memory the refresh protocol *publishes* the halo once
-the compiled plans are negotiated, and from then on moves no page.  The
-suites that pin the page protocol itself — page exchange ≡ scalar
-serial, with page counts and the Buffer-only pages left behind —
-therefore run an app that is observably open: one
-scalar read of a remote element per step is remote data the pushed rows
-do not cover, so every rank agrees to take that step through the page
-exchange (``open: scalar halo read`` in ``PlatformRun.summary()``).  The
-element is one the plans prefetch anyway, so the read adds no traffic
-and never fails.
+the compiled plans are negotiated, and from then on moves no page.  A
+test that pins the page protocol itself therefore runs an app that is
+observably open: one scalar read of a remote element per step is remote
+data the pushed rows do not cover, so every rank takes that step through
+the page exchange.  The element is one the plans prefetch anyway, so the
+read adds no traffic and never fails.
 """
 
 from __future__ import annotations
@@ -19,7 +16,6 @@ import errno
 
 import numpy as np
 
-from repro.apps import JacobiSGrid
 from repro.runtime import MPIWorld, register_backend, shm
 
 
@@ -45,28 +41,6 @@ def kept_open(app_cls):
 
     KeptOpen.__name__ = f"KeptOpen{app_cls.__name__}"
     return KeptOpen
-
-
-class MidRunResetJacobi(JacobiSGrid):
-    """Vectorized Jacobi that drops every compiled plan halfway through.
-
-    The reset forces a recompile and a renegotiation; MMAT is then
-    disabled entirely, so the next step's scalar reads find the halo
-    pages invalid (a repair and a recomputed step) and every later step
-    prefetches the Dry-run record the repair left.
-    """
-
-    def processing(self) -> None:
-        self.warm_up(self.kernel)
-        half = max(self.loops // 2, 1)
-        for _ in range(half):
-            self.run(self.kernel)
-        self.env.mmat.reset()           # drop plans: recompiled next sweep
-        self.run(self.kernel)
-        self.env.mmat.enabled = False   # stop compiling plans …
-        self.env.mmat.reset()           # … and drop the cached ones:
-        for _ in range(self.loops - half - 1):
-            self.run(self.kernel)       # repaired, then pages from here on
 
 
 class SlotlessWorld(MPIWorld):

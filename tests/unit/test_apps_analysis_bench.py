@@ -175,7 +175,7 @@ class TestBenchHarness:
         work = sgrid_workload(16, loops=2)
         _elapsed, hw_result, _bytes = run_handwritten(work)
         run = run_platform(work)
-        np.testing.assert_allclose(run.app.result, hw_result, atol=1e-12)
+        np.testing.assert_allclose(run.result, hw_result, atol=1e-12)
 
     def test_scale_counters_scaling_laws(self):
         counters = TaskCounters(

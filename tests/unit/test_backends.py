@@ -151,9 +151,9 @@ class TestSerialWorld:
 
     def test_collectives_are_trivial_and_counted(self):
         world = SerialWorld()
-        assert world.allreduce_and(True) is True
-        assert world.allreduce_and(False) is False
-        assert world.allreduce_sum(2.5) == 2.5
+        assert world.allreduce_bits(3) == 3
+        assert world.allreduce_bits(0) == 0
+        assert world.allreduce(2.5, sum) == 2.5
         world.barrier()
         stats = world.traffic_summary()
         assert stats["allreduces"] == 3
@@ -186,12 +186,12 @@ class TestThreadsWorldInterface:
         world = MPIWorld(2)
         results = world.run_spmd(
             lambda ctx: (
-                world.allreduce_and(ctx.mpi_rank == 0),
-                world.allreduce_sum(1.5 * ctx.mpi_rank),
+                world.allreduce_bits(int(ctx.mpi_rank == 0)),
+                world.allreduce(1.5 * ctx.mpi_rank, sum),
                 world.barrier(),
             )
         )
-        assert [r.value for r in results] == [(False, 1.5, None)] * 2
+        assert [r.value for r in results] == [(0, 1.5, None)] * 2
         stats = world.traffic_summary()
         assert stats == world.stats.as_dict() == world.stats_of(1).as_dict()
         assert (stats["allreduces"], stats["barriers"]) == (4, 2)
@@ -251,7 +251,7 @@ class TestProcessWorld:
         world = create_world("process", 1)
         results = world.run_spmd(lambda ctx: ctx.mpi_rank * 10)
         assert results[0].value == 0
-        assert world.allreduce_sum(1.5) == 1.5
+        assert world.allreduce(1.5, sum) == 1.5
         assert isinstance(world, SerialWorld)
 
     def test_spmd_returns_picklable_rank_values(self):
@@ -283,7 +283,7 @@ class TestProcessWorld:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             start = time.monotonic()
-            results = world.run_spmd(lambda ctx: world.allreduce_sum(float(ctx.mpi_rank)))
+            results = world.run_spmd(lambda ctx: world.allreduce(float(ctx.mpi_rank), sum))
             elapsed = time.monotonic() - start
         assert [r.value for r in results] == [1.0, 1.0]
         assert elapsed < 2.0
@@ -292,14 +292,14 @@ class TestProcessWorld:
     def test_collective_outside_run_spmd_is_an_error(self):
         world = ProcessWorld(2)
         with pytest.raises(NetworkError, match="run_spmd"):
-            world.allreduce_sum(1.0)
+            world.allreduce(1.0, sum)
         world.register_block("key", 0, 1, owner=True)
         with pytest.raises(NetworkError, match="run_spmd"):
             world.commit_registration()
 
     def test_traffic_summary_aggregates_all_ranks(self):
         world = create_world("process", 2, timeout=15.0)
-        world.run_spmd(lambda ctx: world.allreduce_sum(float(ctx.mpi_rank)))
+        world.run_spmd(lambda ctx: world.allreduce(float(ctx.mpi_rank), sum))
         stats = world.traffic_summary()
         # Both ranks count their own allreduce call, like the threads
         # backend's shared-network accounting.

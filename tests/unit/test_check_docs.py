@@ -23,7 +23,7 @@ _spec.loader.exec_module(check_docs)
         ("ExecutionWorld.control", None),  # a class-level annotation
         ("MPIWorld.control", None),  # inherited from ExecutionWorld
         ("ShmVersionError.args", None),  # inherited from a builtin base
-        ("ProcessWorld.allreduce_sum(2.0)", None),  # a call
+        ("ProcessWorld.allreduce_bits(2)", None),  # a call
         ("SharedPageArena.reserve", None),
         ("SharedMemory.nothing", None),  # not a class under src/repro
         ("repro.runtime.ProcessWorld.nothing", None),  # a dotted path, not Class.member

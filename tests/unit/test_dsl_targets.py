@@ -173,7 +173,7 @@ class TestSGridTarget:
             (x0, y0), (sx, sy) = block.origin, block.shape
             expected += [(x0 + i, y0 + j) for j in range(sy) for i in range(sx)]
         assert calls == expected
-        field = app.local_field()
+        field = app.assemble([app.owned_part()])
         assert all(field[x, y] == (0.5 * x if x < 5 else -0.25 * y) for x, y in calls)
 
     def test_elementwise_init_called_once_per_block_on_int64_arrays(self):
@@ -198,7 +198,7 @@ class TestSGridTarget:
         init = CONTRACT_INITS[name]
         app = self.make_app(init=init)
         app.initialize()
-        assert np.array_equal(app.local_field(), per_site_field(init, app.region))
+        assert np.array_equal(app.assemble([app.owned_part()]), per_site_field(init, app.region))
 
     @pytest.mark.parametrize("name", list(UNFIT_ARRAY_RESULTS))
     def test_unfit_array_result_falls_back_to_per_site_calls(self, name):
@@ -207,7 +207,7 @@ class TestSGridTarget:
         app.initialize()
         blocks = len(app.env.data_blocks())
         assert calls == {"array": blocks, "site": app.region * app.region}
-        assert np.array_equal(app.local_field(), per_site_field(init, app.region))
+        assert np.array_equal(app.assemble([app.owned_part()]), per_site_field(init, app.region))
 
     def test_division_by_zero_still_raises(self):
         app = self.make_app(init=lambda x, y: 1.0 / (x - 3))
@@ -217,7 +217,7 @@ class TestSGridTarget:
     def test_no_init_loads_zeros(self):
         app = self.make_app(init=None)
         app.initialize()
-        assert np.array_equal(app.local_field(), np.zeros((16, 16)))
+        assert np.array_equal(app.assemble([app.owned_part()]), np.zeros((16, 16)))
 
     def test_neumann_boundary_option(self):
         app = self.make_app(boundary="neumann")
@@ -237,7 +237,7 @@ class TestSGridTarget:
     def test_local_field_assembles_dense_grid(self):
         app = self.make_app()
         app.initialize()
-        field = app.local_field()
+        field = app.assemble([app.owned_part()])
         assert field.shape == (16, 16)
         assert field[3, 4] == 7.0
 
@@ -352,7 +352,7 @@ class TestUSGridTarget:
     def test_local_field_matches_init(self):
         app = self.make_app()
         app.initialize()
-        field = app.local_field()
+        field = app.assemble([app.owned_part()])
         assert field.shape == (8, 8)
         np.testing.assert_allclose(field[3, :], 3.0)
 
@@ -378,7 +378,7 @@ class TestUSGridTarget:
         init = CONTRACT_INITS[name]
         app = self.make_app("R", region=16, block_cells=32, init=init)
         app.initialize()
-        assert np.array_equal(app.local_field(), per_site_field(init, app.region))
+        assert np.array_equal(app.assemble([app.owned_part()]), per_site_field(init, app.region))
 
     @pytest.mark.parametrize("name", list(UNFIT_ARRAY_RESULTS))
     def test_unfit_array_result_falls_back_to_per_site_calls(self, name):
@@ -387,7 +387,7 @@ class TestUSGridTarget:
         app.initialize()
         blocks = len(app.env.data_blocks())
         assert calls == {"array": blocks, "site": app.cell_count}
-        assert np.array_equal(app.local_field(), per_site_field(init, app.region))
+        assert np.array_equal(app.assemble([app.owned_part()]), per_site_field(init, app.region))
 
     def test_division_by_zero_still_raises(self):
         app = self.make_app("R", init=lambda x, y: 1.0 / (x - 3))
@@ -397,7 +397,7 @@ class TestUSGridTarget:
     def test_no_init_loads_zeros(self):
         app = self.make_app("R", init=None)
         app.initialize()
-        assert np.array_equal(app.local_field(), np.zeros((8, 8)))
+        assert np.array_equal(app.assemble([app.owned_part()]), np.zeros((8, 8)))
 
 
 class TestParticleTarget:

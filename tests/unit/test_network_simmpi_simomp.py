@@ -153,8 +153,8 @@ class TestMPIWorldCollectives:
     def test_single_rank_collectives_are_trivial(self):
         world = SerialWorld()
         world.barrier()
-        assert world.allreduce_and(True) is True
-        assert world.allreduce_sum(2.5) == 2.5
+        assert world.allreduce_bits(3) == 3
+        assert world.allreduce(2.5, sum) == 2.5
 
     def test_allreduce_and_across_threads(self):
         world = MPIWorld(3)

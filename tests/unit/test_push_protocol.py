@@ -1,6 +1,6 @@
 """Unit tests for the publish protocol's building blocks.
 
-Below the property suite (``test_property_push_halo.py``): the control
+Below the lattice (``test_property_lattice.py``): the control
 words (agreement, stamps, the ``REPRO_CHECK`` invariants), the spin wait
 and what it says when it gives up, dead peers surfacing inside a wait,
 segment hygiene after a killed parent, and the Env's pushed-row state.

@@ -204,6 +204,39 @@ class TestSeqlockChecks:
         arena.close(unlink=True)
         assert leftover_segments(uid) == []
 
+    def test_repro_check_refuses_a_slot_version_that_goes_back(self, uid):
+        arena = SharedPageArena(uid, 0)
+        cache = SegmentCache()
+        previous = shm_mod.set_protocol_checks(True)
+        try:
+            data = np.arange(8, dtype=np.float64)
+            name, offset, nbytes, first = arena.publish(("blk", 0), data, generation=1)
+            cache.read(name, offset, nbytes, first, (8,), "<f8")
+            newer = arena.publish(("blk", 0), data + 1, generation=2)[3]
+            cache.read(name, offset, nbytes, newer, (8,), "<f8")
+            # A writer that reset the slot's seqlock word to an old version.
+            header = np.frombuffer(arena._segments[0].shm.buf, np.uint64, 1, offset)
+            header[0] = first
+            del header
+            with pytest.raises(ShmVersionError, match="went back"):
+                cache.read(name, offset, nbytes, first, (8,), "<f8")
+        finally:
+            shm_mod.set_protocol_checks(previous)
+            cache.close_all()
+            arena.close(unlink=True)
+
+    def test_repro_check_refuses_an_install_older_than_the_slot_holds(self, uid):
+        arena = SharedPageArena(uid, 0)
+        previous = shm_mod.set_protocol_checks(True)
+        try:
+            data = np.arange(8, dtype=np.float64)
+            arena.publish(("blk", 0), data, generation=3)
+            with pytest.raises(ShmVersionError, match="generation 2 would overwrite"):
+                arena.publish(("blk", 0), data - 1, generation=2)
+        finally:
+            shm_mod.set_protocol_checks(previous)
+            arena.close(unlink=True)
+
     def test_missing_segment_raises_network_error(self, uid):
         cache = SegmentCache()
         with pytest.raises(NetworkError):
