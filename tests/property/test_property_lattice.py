@@ -20,6 +20,10 @@ point of the configuration lattice and runs it:
   joint, and for USGrid a swept float32 one), a whole-Block ``scatter``
   overwritten by scalar ``set`` calls, an install into an owned page.
 
+Besides the drawn points, every world runs every app at a default point
+and with each axis varied alone, so that no axis depends on a draw to
+meet any world.
+
 Every point runs under ``REPRO_CHECK`` (the refresh advice asserts the
 push invariants and ``Env.check_dense_image()`` at every step) with
 RuntimeWarnings as errors, and its assembled ``run.result`` — every
@@ -376,6 +380,11 @@ WORLDS = [("serial", 1, 1), ("threads", 2, 1), ("threads", 3, 1), ("threads", 2,
           ("threads", 1, 2), ("process", 2, 1), ("process", 3, 1)]
 if not get_backend("process").available():
     WORLDS = [w for w in WORLDS if w[0] != "process"]
+#: SGrid's Block side × page size, ragged pages included.
+SGRID_GEOMETRIES = [(4, 8), (2, 4), (8, 16), (4, 6), (8, 2)]
+USGRID_AXES = dict(case=["R", "C"], block_cells=[16, 8, 32], page_elements=[8, 5],
+                   # Gathered bytes a tile may hold: the constant, or two Blocks' table.
+                   budget=[None, 2])
 
 
 @st.composite
@@ -400,15 +409,11 @@ def lattice(draw):
             sweeps = [(weighted, tuple(dict.fromkeys(STENCIL + tuple(drawn))))]
         if stencil == "one-sided":  # some ranks read no halo: nothing to read by scalar
             point["read"] = None
-        block, page = draw(st.sampled_from([(4, 8), (2, 4), (8, 16), (4, 6), (8, 2)]))
+        block, page = draw(st.sampled_from(SGRID_GEOMETRIES))
         point.update(stencil=stencil, sweeps=sweeps, block_size=block, page_elements=page,
                      boundary=draw(st.sampled_from(["dirichlet", "neumann"])))
     elif app == "usgrid":
-        point.update(case=draw(st.sampled_from("CR")),
-                     block_cells=draw(st.sampled_from([8, 16, 32])),
-                     page_elements=draw(st.sampled_from([8, 5])),
-                     # Gathered bytes a tile may hold: the constant, or two Blocks' table.
-                     budget=draw(st.sampled_from([None, 2])))
+        point.update({axis: draw(st.sampled_from(values)) for axis, values in USGRID_AXES.items()})
     return point
 
 
@@ -628,9 +633,34 @@ def lattice_point(**point) -> dict:
     defaults = dict(UNDISTURBED, backend="threads", ranks=2, omp=1, mmat=True)
     apps = dict(sgrid=dict(stencil="jacobi", sweeps=None, block_size=4, page_elements=8,
                            boundary="dirichlet"),
-                usgrid=dict(case="R", block_cells=16, page_elements=8, budget=None),
+                usgrid={axis: values[0] for axis, values in USGRID_AXES.items()},
                 particle={})
     return {**defaults, **apps[point["app"]], **point}
+
+
+def axes_alone() -> list:
+    """Every world × app at the default point and with each lattice axis
+    varied alone: the spine the drawn points' combinations grow from."""
+    shared = [dict(mmat=False), dict(interleave=True), dict(reset_at=1), dict(reset_at=3),
+              dict(off_at=4), dict(read="once"), dict(read="always"),
+              dict(grow_at=2), dict(hazards=True)]
+    own = dict(
+        sgrid=[dict(keyless=True), dict(boundary="neumann")]
+        + [dict(stencil=name, sweeps=sweeps) for name, sweeps in STENCILS.items() if sweeps]
+        + [dict(block_size=b, page_elements=p) for b, p in SGRID_GEOMETRIES[1:]],
+        usgrid=[{axis: value} for axis, values in USGRID_AXES.items() for value in values[1:]],
+        particle=[])
+    points = []
+    for backend, ranks, omp in WORLDS:
+        for app in APPS:
+            for change in [{}] + shared + own[app]:
+                if omp > 1 and ("grow_at" in change or "hazards" in change):
+                    continue  # a team may not grow or overwrite an Env it sweeps
+                axes = "-".join(f"{k}={v}" for k, v in change.items() if k != "sweeps")
+                points.append(pytest.param(
+                    lattice_point(app=app, backend=backend, ranks=ranks, omp=omp, **change),
+                    id=f"{app}-{backend}-{ranks}x{omp}-{axes or 'default'}"))
+    return points
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=list(HealthCheck))
@@ -645,6 +675,11 @@ def lattice_point(**point) -> dict:
 @example(lattice_point(app="particle", backend="process", ranks=3, read="always"))
 @example(lattice_point(app="particle", omp=2, reset_at=3))
 def test_every_rank_answers_what_serial_does(point):
+    check(point, run_point(point))
+
+
+@pytest.mark.parametrize("point", axes_alone())
+def test_each_axis_alone_on_every_world(point):
     check(point, run_point(point))
 
 
