@@ -712,8 +712,10 @@ class Platform:
         return PlatformRun(
             app=app,
             elapsed=elapsed,
-            # A distributed layer leaves every rank's result in the context.
-            result=app.assemble(self.context.get("rank_results", [app.result])),
+            # A distributed layer leaves every rank's result in the context;
+            # they live only until assembled (a thread rank's part is a view
+            # of its memory pool).
+            result=app.assemble(self.context.pop("rank_results", [app.result])),
             counters=trace.all_counters(),
             env_stats=env_stats,
             network=network,

@@ -182,6 +182,8 @@ def _flush_stdio() -> None:
 
 #: A message's length, ahead of its pickle.
 _LENGTH = struct.Struct("!Q")
+#: How long ``ProcessTransport.close`` waits for each of its threads.
+_CLOSE_TIMEOUT = 5.0
 
 
 def _read_exact(fd: int, size: int) -> bytes:
@@ -687,10 +689,10 @@ class ProcessTransport:
         # sender flushes everything (e.g. the exit-barrier contribution
         # a slower peer is still waiting for) before the pipes close.
         self._outbox.put(None)
-        self._sender.join(timeout=5.0)
+        self._sender.join(timeout=_CLOSE_TIMEOUT)
         # Stop the receiver before closing the pipes out from under it.
         os.write(self._wake_send, b"\0")
-        self._receiver.join(timeout=5.0)
+        self._receiver.join(timeout=_CLOSE_TIMEOUT)
         # A transport thread still alive after its join timeout is stuck
         # in a blocking pipe operation; warn so CI hangs are diagnosable
         # instead of silently leaking the thread.
@@ -698,7 +700,7 @@ class ProcessTransport:
         if leaked:
             warnings.warn(
                 f"rank {self.rank} transport leaked thread(s) {', '.join(leaked)} "
-                "(still alive after the 5s close timeout; likely blocked on a "
+                f"(still alive after the {_CLOSE_TIMEOUT:g}s close timeout; likely blocked on a "
                 "full or dead pipe)",
                 RuntimeWarning,
                 stacklevel=2,
@@ -893,9 +895,8 @@ class ProcessWorld(ExecutionWorld):
         self._run_rank(result, body, omp_threads)
         payload = {
             # Rank results cross a process boundary here (the
-            # distributed aspect's: a rank's owned part of the answer);
-            # values that do not pickle degrade to None.
-            "value": _force_picklable(result.value, lambda _v: None),
+            # distributed aspect's: a rank's owned part of the answer).
+            "value": result.value,
             "error": _force_picklable(
                 result.error, lambda e: RuntimeError(f"rank {rank} failed: {e!r}")
             ),
@@ -908,7 +909,14 @@ class ProcessWorld(ExecutionWorld):
             "send_error": transport.first_send_error,
         }
         try:
-            result_conn.send(payload)
+            try:
+                result_conn.send(payload)  # pickles before it writes a byte
+            except OSError:
+                raise
+            except Exception as exc:  # noqa: BLE001 - the value does not pickle
+                payload.update(value=None, error=RuntimeError(
+                    f"rank {rank}'s result does not pickle: {exc!r}"))
+                result_conn.send(payload)
         finally:
             result_conn.close()
             transport.close()

@@ -11,11 +11,14 @@ point of the configuration lattice and runs it:
   field), USGrid (CaseC or CaseR; Block size, page size and a tile
   budget small enough to cut every run of Blocks) or Particle;
 * the world: serial, 2 and 3 thread or process ranks, 2 × 2 hybrid, a
-  team of two threads;
+  team of two threads (and, at a default point, teams of three threads
+  and of two and three in forked ranks);
 * MMAT on or off, and what disturbs the run: a mid-run ``MMAT.reset()``,
   MMAT switched off mid-run, a scalar read of a halo element (once on
   rank 1, or on every rank at every step: the run stays on the page
-  protocol), a key-less ``gather_global``, Blocks dealt round-robin so
+  protocol), a key-less ``gather_global`` (of rank 0's own cells; at the
+  default point on two ranks also of a cell one row past the line they
+  split the region at), Blocks dealt round-robin so
   that owners interleave, late Blocks (Buffer-only, owned off the data
   joint, and for USGrid a swept float32 one), a whole-Block ``scatter``
   overwritten by scalar ``set`` calls, an install into an owned page.
@@ -66,6 +69,15 @@ LATE_ORIGIN = 10**6
 #: What every ghost row holds before the warm-up: a row read before any
 #: install or push filled it spoils the answer.
 SENTINEL = -12345.0
+#: What a key-less ``gather_global`` reads: rank 0's own cells, or also
+#: ``[0, 9]`` and ``[9, 0]``.  Two ranks split the default point's region
+#: at 8, so one of those is rank 0's and the other lies one row past the
+#: line, in a page the plans prefetch but a row no rank pushes.  Only the
+#: default point on one or two ranks of one thread reads them: elsewhere
+#: the page may be one no plan reads, which joins the Dry-run record and
+#: keeps every later step open, and a team member reading ahead of its
+#: master would spoil the master's per-step log.
+KEYLESS_CELLS = {"own": [[0, 0], [1, 1]], "behind": [[0, 0], [1, 1], [0, 9], [9, 0]]}
 
 
 def _init(x, y):
@@ -186,10 +198,10 @@ class Disturbed:
             if not warmup:
                 self.far_log.append(far.reshape(-1).copy())
         if self.keyless and not warmup:
-            # A plan compiled per call, of rank 0's own cells: no
-            # negotiation can have covered it.
+            # A plan compiled per call: no negotiation can have covered it.
             k = next(iter(self.block_kernels(warmup)))[1]
-            self.own_cells = k.gather_global(np.array([[0, 0], [1, 1]])).copy()
+            cells = np.array(KEYLESS_CELLS[self.config["keyless"]])
+            self.keyless_cells = k.gather_global(cells).reshape(-1).copy()
         return super().kernel(warmup)
 
     def refresh(self, warmup: bool = False) -> bool:
@@ -378,8 +390,11 @@ UNDISTURBED = dict(interleave=False, reset_at=None, off_at=None, read=None, keyl
                    grow_at=None, hazards=False)
 WORLDS = [("serial", 1, 1), ("threads", 2, 1), ("threads", 3, 1), ("threads", 2, 2),
           ("threads", 1, 2), ("process", 2, 1), ("process", 3, 1)]
+#: Teams beside the lattice's 2 × 2: of three threads, and in forked ranks.
+TEAMS = [("threads", 2, 3), ("process", 2, 2), ("process", 2, 3)]
 if not get_backend("process").available():
     WORLDS = [w for w in WORLDS if w[0] != "process"]
+    TEAMS = [w for w in TEAMS if w[0] != "process"]
 #: SGrid's Block side × page size, ragged pages included.
 SGRID_GEOMETRIES = [(4, 8), (2, 4), (8, 16), (4, 6), (8, 2)]
 USGRID_AXES = dict(case=["R", "C"], block_cells=[16, 8, 32], page_elements=[8, 5],
@@ -396,7 +411,7 @@ def lattice(draw):
                  reset_at=draw(st.sampled_from([None, 1, 3])),
                  off_at=draw(st.sampled_from([None, 4])),
                  read=draw(st.sampled_from([None, "once", "always"])),
-                 keyless=app == "sgrid" and draw(st.booleans()),
+                 keyless=app == "sgrid" and draw(st.sampled_from([False, "own"])),
                  # Growing an Env its team is sweeping is not something apps may do.
                  grow_at=draw(st.sampled_from([None, 2])) if omp == 1 else None,
                  hazards=omp == 1 and draw(st.booleans()))
@@ -454,8 +469,8 @@ def check(point: dict, run) -> None:
     """Everything a point's run must show."""
     assert_every_rank_answers(point, run)
     if point["keyless"]:  # read at step 3: the field of three steps
-        cells = reference(point, loops=3)[[0, 1], [0, 1]]
-        assert np.array_equal(run.app.own_cells.reshape(-1), cells)
+        cells = np.array(KEYLESS_CELLS[point["keyless"]]).T
+        assert np.array_equal(run.app.keyless_cells, reference(point, loops=3)[tuple(cells)])
     for step, far in enumerate(run.app.far_log):  # read before the step's sweep
         assert np.array_equal(far, reference(point, loops=step)[[15, 12, 9], [15, 14, 13]])
     check_protocol(point, run)
@@ -523,16 +538,21 @@ def check_protocol(point: dict, run) -> None:
             assert pushes == 0, (step, log)
     if point["read"] == "once" and 1 not in opened:
         assert log[2][2] == 1  # rank 1 read an unpushed page: every rank recomputed
+    if point["keyless"] == "behind" and point["ranks"] == 2:
+        assert log[3][2] == 1  # rank 0 read a row nobody pushed: repair, recompute
+    # Dealt round-robin, a one-sided stencil's Blocks may read no remote
+    # row: then nothing is pushed to rank 0 and nothing it reads goes stale.
+    reads = any(owners for *_, owners in log)
     off = point["off_at"]
     if off is not None and point["mmat"] and point["read"] != "always" \
-            and off - 1 not in opened:
+            and off - 1 not in opened and reads:
         assert log[off][2] == 1  # the scalar reads find the pushed halo's pages invalid
     reset = point["reset_at"]
     if reset in opened and reset - 1 not in opened and not (point["keyless"] and reset == 3):
         assert log[reset][2] == 0  # the recompiled tables read pushed rows
     if not opened:
-        assert " push=" in run.summary() and " open: " not in run.summary()
-        assert counter(run, "halo_wait_ns") > 0
+        assert " open: " not in run.summary()
+        assert not reads or (" push=" in run.summary() and counter(run, "halo_wait_ns") > 0)
     if point["interleave"] and point["app"] == "usgrid" and point["case"] == "R" \
             and point["ranks"] >= 3 and point["reset_at"] and point["mmat"] \
             and point["read"] is None and point["off_at"] is None:
@@ -618,6 +638,16 @@ def check_image(point: dict, run) -> None:
                     written[first : first + block.buffer.read_buffer.pages[key.page_index].elements] = True
             for slab in image.slabs:
                 assert np.all(slab[image.ghost_base :][~written] == SENTINEL)
+    if point["read"] == "always" and point["mmat"] and point["ranks"] > 1 \
+            and point["omp"] == 1 and point["keyless"] != "behind":
+        # On the page protocol each sweep of a step re-assembles at most
+        # the Buffer-only Blocks it installed pages into (a read past the
+        # line installs one no plan reads).
+        installed = {key.block_id for key in env.plan_page_requirements()}
+        assert all(isinstance(env.block(b), BufferOnlyBlock) for b in installed)
+        per_step = [assembled for *_, assembled, _ in run.app.log]
+        sweeps = len(point.get("sweeps") or [None])
+        assert 0 < max(per_step) <= sweeps * len(installed), (per_step, installed)
     if point["grow_at"] is None and point["ranks"] == 1:
         # No owned Block is ever assembled, and the pool holds the slabs
         # and nothing else: what the pages took before.
@@ -640,22 +670,25 @@ def lattice_point(**point) -> dict:
 
 def axes_alone() -> list:
     """Every world × app at the default point and with each lattice axis
-    varied alone: the spine the drawn points' combinations grow from."""
+    varied alone: the spine the drawn points' combinations grow from;
+    the other teams at the default point alone."""
     shared = [dict(mmat=False), dict(interleave=True), dict(reset_at=1), dict(reset_at=3),
               dict(off_at=4), dict(read="once"), dict(read="always"),
               dict(grow_at=2), dict(hazards=True)]
     own = dict(
-        sgrid=[dict(keyless=True), dict(boundary="neumann")]
+        sgrid=[dict(keyless="own"), dict(keyless="behind"), dict(boundary="neumann")]
         + [dict(stencil=name, sweeps=sweeps) for name, sweeps in STENCILS.items() if sweeps]
         + [dict(block_size=b, page_elements=p) for b, p in SGRID_GEOMETRIES[1:]],
         usgrid=[{axis: value} for axis, values in USGRID_AXES.items() for value in values[1:]],
         particle=[])
     points = []
-    for backend, ranks, omp in WORLDS:
+    for backend, ranks, omp in WORLDS + TEAMS:
         for app in APPS:
-            for change in [{}] + shared + own[app]:
+            for change in [{}] + (shared + own[app] if (backend, ranks, omp) in WORLDS else []):
                 if omp > 1 and ("grow_at" in change or "hazards" in change):
                     continue  # a team may not grow or overwrite an Env it sweeps
+                if change.get("keyless") == "behind" and (ranks > 2 or omp > 1):
+                    continue  # see KEYLESS_CELLS
                 axes = "-".join(f"{k}={v}" for k, v in change.items() if k != "sweeps")
                 points.append(pytest.param(
                     lattice_point(app=app, backend=backend, ranks=ranks, omp=omp, **change),

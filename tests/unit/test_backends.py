@@ -25,6 +25,7 @@ from repro.runtime import (
     BackendError,
     MPIWorld,
     NetworkError,
+    SpmdFailure,
     TaskError,
     available_backends,
     create_world,
@@ -259,11 +260,13 @@ class TestProcessWorld:
         results = world.run_spmd(lambda ctx: ctx.mpi_rank * 10)
         assert [r.value for r in results] == [0, 10]
 
-    def test_unpicklable_rank_values_degrade_to_none(self):
+    def test_an_unpicklable_rank_value_is_that_ranks_error(self):
         world = create_world("process", 2, timeout=15.0)
-        results = world.run_spmd(lambda ctx: lambda: ctx.mpi_rank)  # lambdas don't pickle
-        assert callable(results[0].value)  # rank 0 lives in the parent
-        assert results[1].value is None
+        with pytest.raises(SpmdFailure, match="on rank 1") as failure:
+            world.run_spmd(lambda ctx: lambda: ctx.mpi_rank)  # lambdas don't pickle
+        results = failure.value.results
+        assert callable(results[0].value) and results[0].error is None  # rank 0 lives in the parent
+        assert results[1].value is None and "does not pickle" in str(results[1].error)
 
     def test_teardown_wakes_the_receivers_without_a_poll(self, monkeypatch):
         # Every poll blocks for good: only the wake pipe that close()

@@ -31,6 +31,7 @@ from repro.resilience import (
 from repro.resilience.recovery import _dead_rank_of, _zorder_sorted
 from repro.runtime import DeadRankError, InjectedFault, PageFetchError, SpmdFailure
 from repro.runtime.backends.base import RankResult
+from repro.runtime.backends import process
 from repro.runtime.backends.process import ProcessTransport, ProcessWorld, channel_pair
 from repro.runtime.errors import CollectiveError
 
@@ -274,6 +275,7 @@ class TestTransportSatellites:
         stuck.start()
         real_sender = t0._sender
         monkeypatch.setattr(t0, "_sender", stuck)
+        monkeypatch.setattr(process, "_CLOSE_TIMEOUT", 0.2)  # the stuck thread outlives it
         try:
             with pytest.warns(RuntimeWarning, match="leaked thread"):
                 t0.close()

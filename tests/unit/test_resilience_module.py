@@ -3,8 +3,8 @@
 The elastic run loop, the fault-plan install and the survivors' Block
 deal are advice of :class:`repro.resilience.RecoveryAspect`; the
 distributed-memory aspect, the DSL layers and the memory library do not
-know that a run can recover, and a run leaves only the world and its
-ranks' results in ``platform.context``.
+know that a run can recover, and a run leaves only the world in
+``platform.context``.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def test_resilience_weaves_one_aspect():
     ]
 
 
-def test_recovered_run_leaves_only_the_world_and_its_results_in_context(monkeypatch):
+def test_recovered_run_leaves_only_the_world_in_context(monkeypatch):
     worlds = []
 
     def recording_create(*args, **kwargs):
@@ -67,7 +67,7 @@ def test_recovered_run_leaves_only_the_world_and_its_results_in_context(monkeypa
     platform = resilient(4, FaultPlan().kill(1, phase="refresh", epoch=2))
     run = platform.run(JacobiSGrid, config=dict(CONFIG))
     assert run.restarts == 1
-    assert set(platform.context) == {"mpi_world", "rank_results"}
+    assert set(platform.context) == {"mpi_world"}
     # Every attempt's world went through the distributed-memory aspect's
     # one lifecycle: created at the attempt's size, then finalized.
     assert [w.size for w in worlds] == [4, 3]
