@@ -63,7 +63,7 @@ class PlatformRun:
     #: ``app.assemble`` — for the DSL apps the whole field (every rank's
     #: particle rows), with no NaN where every rank reported.
     result: Any = None
-    #: Per-task work/traffic counters captured during the run.
+    #: Per-task work counters captured during the run (traffic: ``network``).
     counters: Dict[tuple, TaskCounters] = field(default_factory=dict)
     #: Env statistics of the master task's Env.
     env_stats: Optional[EnvStats] = None
@@ -198,7 +198,7 @@ class PlatformRun:
         Example::
 
             mpi=2,omp=2 tasks=4 elapsed=0.041s steps=8 updates=4096
-            fetched=12pg/3.1KiB collectives=10 plans=16/7680sites vec=100% img=pool asm=4
+            fetched=12pg collectives=10 plans=16/7680sites vec=100% img=pool asm=4
             tiles=2×8(budget) comm=2ex/12pg push=6ex/192sites
         """
         layers = ",".join(f"{k}={v}" for k, v in sorted(self.layers.items()))
@@ -210,12 +210,11 @@ class PlatformRun:
         steps = sum(c.steps for c in self.counters.values())
         updates = sum(c.updates for c in self.counters.values())
         pages = sum(c.pages_fetched for c in self.counters.values())
-        nbytes = sum(c.bytes_fetched for c in self.counters.values())
         collectives = sum(c.collectives for c in self.counters.values())
         line = (
             f"{layers} tasks={tasks} elapsed={self.elapsed:.3f}s "
             f"steps={steps} updates={updates} "
-            f"fetched={pages}pg/{nbytes / 1024:.1f}KiB collectives={collectives}"
+            f"fetched={pages}pg collectives={collectives}"
         )
         plan_sites = sum(c.plan_sites for c in self.counters.values())
         fallback = sum(c.plan_fallback_sites for c in self.counters.values())
@@ -254,7 +253,6 @@ class PlatformRun:
             line += f" tiles={tiles}×{self.mmat_stats['tile_blocks'] / tiles:g}"
             line += f"({why})" if why else ""
         line += self._comm_summary()
-        line += self._shm_summary()
         line += self._imbalance_summary()
         return line
 
@@ -296,18 +294,6 @@ class PlatformRun:
                 f"{reason} x{count}" for reason, count in sorted(open_steps.items())
             )
         return part
-
-    def _shm_summary(self) -> str:
-        """The ``shm=…`` section of :meth:`summary` (zero-copy data plane).
-
-        Reports how many pages arrived as shared-memory descriptors and
-        how many bytes therefore never crossed a pipe; present only when
-        a multi-rank process world fetched pages.
-        """
-        fetches = self.network.get("shm_fetches", 0)
-        if not fetches:
-            return ""
-        return f" shm={fetches}pg/{self.network['shm_bytes'] / 1024:.1f}KiB"
 
 
 class PlatformBuilder:

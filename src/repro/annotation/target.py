@@ -151,19 +151,17 @@ class TargetApplication:
     def run(self, kernel: KernelFn) -> None:
         """Execute one step: re-run the kernel until its refresh succeeds.
 
-        The successful attempt's work and traffic deltas are credited to
-        the ``productive_*`` trace counters: they represent the
-        steady-state cost per step (what dominates a long run), which is
+        The successful attempt's updates are credited to the
+        ``productive_updates`` trace counter: they represent the
+        steady-state work per step (what dominates a long run), which is
         what the scaling cost model uses.
         """
         trace = global_trace().for_task()
         for attempt in range(self.MAX_STEP_RETRIES):
-            before = (trace.updates, trace.bytes_fetched, trace.messages)
+            before = trace.updates
             if kernel(False):
                 trace.steps += 1
-                trace.productive_updates += trace.updates - before[0]
-                trace.productive_bytes += trace.bytes_fetched - before[1]
-                trace.productive_messages += trace.messages - before[2]
+                trace.productive_updates += trace.updates - before
                 if attempt:
                     trace.recomputed_steps += attempt
                 return

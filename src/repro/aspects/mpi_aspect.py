@@ -132,8 +132,6 @@ def _install_pages(env, manifest: Dict[Tuple[Any, int], PageKey], handle: CommHa
                         pages=len(manifest))
     env.page_install_many((manifest[lk, page], data) for lk, page, data in result.pages)
     trace.pages_fetched += len(result.pages)
-    trace.bytes_fetched += result.nbytes
-    trace.messages += 2 * result.exchanges
 
 
 def _copy_pushes(env, plan: PushPlan, world, rank: int, trace) -> None:
@@ -141,7 +139,7 @@ def _copy_pushes(env, plan: PushPlan, world, rank: int, trace) -> None:
     ``CommHandle.wait``, so halo waiting is measured in one place — copy
     each owner's slot, one contiguous copy, into its run of the ghost tail
     (:meth:`~repro.memory.env.Env.copy_pushes`), which the plans then read
-    until the next swap, and account the traffic."""
+    until the next swap, and count the slots."""
     round = world.halo_round(rank)
     handle = world.await_halo(rank, [link for link, _ in plan.inbound])
     result = _wait_halo(handle, lambda: f"published halo of {plan.inbound_sites} sites", trace,
@@ -157,10 +155,7 @@ def _copy_pushes(env, plan: PushPlan, world, rank: int, trace) -> None:
             for _, _, lo, hi in tables:
                 crc = zlib.crc32(link.slot[lo:hi], crc)
             world.control.acknowledge(link.owner, link.consumer, round, crc)
-    trace.bytes_fetched += result.nbytes
-    trace.messages += result.exchanges
     trace.halo_pushes += result.exchanges
-    trace.halo_sites += plan.inbound_sites
 
 
 def _slot_rows(link: HaloLink, image, lo: int, hi: int) -> np.ndarray:

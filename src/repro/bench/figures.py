@@ -7,7 +7,7 @@ dict rows; the ``benchmarks/`` suite prints them with
 
 Wall-clock figures (Fig. 6) are measured directly; scaling figures
 (Figs. 7–11) are produced by executing the platform on the simulated
-runtime and converting the measured per-task work/traffic counters to
+runtime and converting the measured per-task work and halo-page counts to
 time with the shared cost model (:mod:`repro.runtime.costmodel` and
 ``harness.scale_counters``; README.md, *The page exchange*, says which
 traffic the MPI rows model).

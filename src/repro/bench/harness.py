@@ -15,7 +15,7 @@ a cluster.  A pure-Python per-point interpreter cannot execute those
 sizes in benchmark time, so every workload here carries both its *run*
 size (what is actually executed) and its *paper* size; the
 :func:`scale_counters` helper rescales the measured per-task work and
-traffic to the paper size using the natural scaling laws (area for
+halo pages to the paper size using the natural scaling laws (area for
 element updates, perimeter for halo traffic) before the cost model
 converts them to time.  This preserves the compute/communication ratios
 that give the paper's scaling figures their shape.
@@ -221,21 +221,17 @@ def run_platform(
 # ----------------------------------------------------------------------
 
 def scale_counters(counters: TaskCounters, linear_scale: float) -> TaskCounters:
-    """Rescale measured per-task work/traffic to the paper's problem size.
+    """Rescale measured per-task work and halo pages to the paper's problem size.
 
     Element updates grow with the domain *area* (``linear_scale**2``);
-    halo pages/bytes/messages grow with the domain *perimeter*
+    halo pages and their bytes grow with the domain *perimeter*
     (``linear_scale``); synchronisation counts are unchanged.
     """
     area = linear_scale ** 2
     scaled = TaskCounters(**counters.as_dict())
     scaled.updates = int(counters.updates * area)
     scaled.pages_fetched = int(counters.pages_fetched * linear_scale)
-    scaled.bytes_fetched = int(counters.bytes_fetched * linear_scale)
-    scaled.messages = int(counters.messages * linear_scale)
     scaled.productive_updates = int(counters.productive_updates * area)
-    scaled.productive_bytes = int(counters.productive_bytes * linear_scale)
-    scaled.productive_messages = int(counters.productive_messages * linear_scale)
     scaled.paper_pages = int(counters.paper_pages * linear_scale)
     scaled.paper_bytes = int(counters.paper_bytes * linear_scale)
     return scaled
@@ -252,8 +248,6 @@ def amplify_steps(counters: TaskCounters, factor: float) -> TaskCounters:
     """
     scaled = TaskCounters(**counters.as_dict())
     scaled.productive_updates = int(counters.productive_updates * factor)
-    scaled.productive_bytes = int(counters.productive_bytes * factor)
-    scaled.productive_messages = int(counters.productive_messages * factor)
     scaled.paper_pages = int(counters.paper_pages * factor)
     scaled.paper_bytes = int(counters.paper_bytes * factor)
     scaled.collectives = int(counters.collectives * factor)
@@ -289,7 +283,13 @@ def modelled_time(
     if nominal_steps and measured_steps:
         factor = nominal_steps / measured_steps
         counters = {key: amplify_steps(value, factor) for key, value in counters.items()}
-    return model.run_time(counters, mpi_size=mpi, omp_threads=omp)
+    return model.run_time(
+        counters,
+        mpi_size=mpi,
+        omp_threads=omp,
+        access_pattern=run.app.ACCESS_PATTERN,
+        bytes_per_update=run.app.BYTES_PER_UPDATE,
+    )
 
 
 # ----------------------------------------------------------------------

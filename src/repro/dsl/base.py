@@ -524,20 +524,12 @@ class DslTarget(TargetApplication):
         return created
 
     # ------------------------------------------------------------------
-    def register_access_profile(self) -> None:
-        """Record the workload's qualitative access profile for the cost model."""
-        counters = global_trace().for_task()
-        counters.access_pattern = self.ACCESS_PATTERN
-        counters.bytes_per_update = self.BYTES_PER_UPDATE
-
-    # ------------------------------------------------------------------
     def build_env(self) -> Env:  # pragma: no cover - abstract
         """Build and return this target's Env (implemented by each DSL)."""
         raise NotImplementedError
 
     def initialize(self) -> None:
-        """Default initialise: build the Env and record the access profile."""
-        self.register_access_profile()
+        """Default initialise: build the Env."""
         self.build_env()
 
     def owned_part(self) -> list:

@@ -147,8 +147,8 @@ class FusedKernel:
         into the stamps, and every other ring cell through one gather table
         per image class.  All kernels of a padded shape and dtype compute in
         that field, one after the other; it is per *thread* because hybrid
-        threads sweep one signature concurrently.  Returns ``(F, missing)``."""
-        missing = env.fill_ghosts(self.plan)
+        threads sweep one signature concurrently.  Returns ``F``."""
+        env.fill_ghosts(self.plan)
         F = env.mmat.scratch("padded", (self._flat,), self.dtype)
         if self.const_pos is not None:
             F[self.const_pos] = self.const_vals
@@ -158,7 +158,7 @@ class FusedKernel:
         ring = F.reshape(self._flat, 1)
         for table in self.ring_tables:
             table.gather(env, ring)
-        return F, missing
+        return F
 
     @property
     def nbytes(self) -> int:
@@ -175,9 +175,8 @@ class FusedKernel:
         """One fused whole-block sweep, accounted as a plan execution."""
         plan = self.plan
         with global_tracer().span("sweep"):
-            F, missing = self._fill(env)
-            self._store(self._compute(F, fn))
-        plan.account(env, missing)
+            self._store(self._compute(self._fill(env), fn))
+        plan.account(env)
         env.mmat.note_execution(plan)
         trace.plan_sites += plan.n_sites
         trace.kernel_fused_calls += 1

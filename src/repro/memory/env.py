@@ -50,23 +50,14 @@ __all__ = ["Env", "EnvStats", "DenseImage"]
 
 @dataclass
 class EnvStats:
-    """Counters describing how the Env was exercised.
+    """Counters describing how the Env was exercised: the searches and
+    MMAT hits behind the MMAT effectiveness numbers of the Fig. 6 bench,
+    and the dense image's assemblies and re-homes that
+    ``PlatformRun.summary()`` reports."""
 
-    These feed three places: the MMAT effectiveness numbers in the
-    Fig. 6 bench, the communication volumes used by the cost model for
-    the scaling figures, and the working-memory estimate of Fig. 12.
-    """
-
-    reads: int = 0
-    in_block_reads: int = 0
-    out_of_block_reads: int = 0
     searches: int = 0
     search_steps: int = 0
     mmat_hits: int = 0
-    missing_recorded: int = 0
-    refreshes: int = 0
-    failed_refreshes: int = 0
-    buffer_swaps: int = 0
     #: Copies of Buffer-only pages into the image's ghost tail: a plan
     #: table's rows, or a Block's (open steps; owned Blocks' pages *are*
     #: image rows).
@@ -227,12 +218,11 @@ class DenseImage:
         places[np.flatnonzero(~kept)] = np.sort(pushed[pushed >= pushed.size])
         self.ghost_places = places if pushed.size else None
 
-    def swap(self) -> int:
+    def swap(self) -> None:
         """Swap ``read`` and ``next`` (the new one's tail empty) and, with
-        them, every owned Block's buffers; returns how many Blocks swapped."""
+        them, every owned Block's buffers."""
         self.generation += 1
         self.fresh.clear()
-        return len(self.owned)
 
 
 def _address(array: np.ndarray) -> int:
@@ -451,11 +441,9 @@ class Env:
         warm-up pass only gathers communication information and its
         numerical results are discarded.
         """
-        self.stats.refreshes += 1
         if self.missing_pages:
             self.last_failed_pages = set(self.missing_pages)
             self.missing_pages.clear()
-            self.stats.failed_refreshes += 1
             return False
         self.last_failed_pages = set()
         if warmup:
@@ -463,7 +451,7 @@ class Env:
         # The one place buffers swap: every owned Block's and, with them,
         # the slabs they are rows of.
         for image in self._images.values():
-            self.stats.buffer_swaps += image.swap()
+            image.swap()
         self.step += 1
         self._pushes_in = False  # every owner's data just moved on
         return True
@@ -484,13 +472,10 @@ class Env:
         "the data is undoubtedly contained in the start Block": the Env
         search is skipped entirely.
         """
-        # This is the hottest scalar path of the platform; localise the
-        # stats object and skip the relative-tuple construction entirely
-        # when MMAT is disabled (it is only ever used as a memo key).
-        stats = self.stats
-        stats.reads += 1
+        # This is the hottest scalar path of the platform: skip the
+        # relative-tuple construction entirely when MMAT is disabled (it
+        # is only ever used as a memo key).
         if assume_inside:
-            stats.in_block_reads += 1
             return start.read(addr)
 
         mmat = self.mmat
@@ -498,18 +483,16 @@ class Env:
             relative = tuple(a - o for a, o in zip(addr, start.origin))
             memo_block = mmat.lookup(start.block_id, relative)
             if memo_block is not None:
-                stats.mmat_hits += 1
+                self.stats.mmat_hits += 1
                 return self._read_resolved(memo_block, addr)
         else:
             relative = None
 
         if start.holds_data and start.contains(addr):
-            stats.in_block_reads += 1
             if relative is not None:
                 mmat.remember(start.block_id, relative, start)
             return start.read(addr)
 
-        stats.out_of_block_reads += 1
         target = self.find_block(addr, start=start)
         if target is None:
             raise AddressError(
@@ -529,7 +512,6 @@ class Env:
             if not (block.is_valid or page.valid):
                 key = PageKey(block.block_id, page.index)
                 self.missing_pages.add(key)
-                self.stats.missing_recorded += 1
                 # The step's results will be discarded (refresh fails): a
                 # field value stands in, so ``fn`` never sees a made-up zero.
                 value = self._placeholder(self._slots[block.block_id][0])
@@ -773,10 +755,10 @@ class Env:
                 raise EnvError(f"Env {self.name!r}: a ghost run differs from its slot")
         self._pushes_in = True
 
-    def fill_ghosts(self, plan) -> int:
+    def fill_ghosts(self, plan) -> None:
         """Make the ghost rows ``plan`` reads current: unless the pushes are
         in and cover the plan, its pages checked once — invalid ones
-        recorded missing (the step is re-executed) and counted — and the
+        recorded missing (the step is re-executed) — and the
         rows it reads, and no other, written in one pass per table
         (:attr:`~repro.memory.mmat.PlanSegment.ghost_fill`): the valid
         pages' rows copied, a field value (:meth:`_placeholder`) in the
@@ -784,15 +766,13 @@ class Env:
         on what the tail held).  Pages valid by birth that
         :meth:`_fill_unfilled` has not filled yet count as not valid."""
         if not plan.has_halo:
-            return 0
+            return
         pushed = self._pushes_in and plan.covered()
-        missing: List[PageKey] = []
         if not pushed:
             pages = plan.pages
             valid = [block.is_valid or block.buffer.read_buffer.pages[key.page_index].valid
                      for key, block in pages]
-            missing = [key for (key, _), ok in zip(pages, valid) if not ok]
-            self.missing_pages.update(missing)
+            self.missing_pages.update(key for (key, _), ok in zip(pages, valid) if not ok)
             unfilled = self._unfilled
             if unfilled:
                 valid = [ok and b.block_id not in unfilled for ok, (_, b) in zip(valid, pages)]
@@ -804,7 +784,6 @@ class Env:
             filled = seg.image.pushed if pushed else seg.image.halo_rows
             if seg.rows()[0].max() >= seg.image.ghost_base + filled:
                 raise EnvError(f"Env {self.name!r}: a compiled table reads past the filled tail")
-        return len(missing)
 
     def _fill_rows(self, image: DenseImage, halo: np.ndarray, page_of: np.ndarray,
                    valid: np.ndarray) -> None:

@@ -178,9 +178,7 @@ class AccessPlan:
         "segments",
         "const_dst",
         "const_vals",
-        "in_block_sites",
         "resolved_sites",
-        "out_of_block_sites",
         "kind",
         "version",
         "offsets",
@@ -199,9 +197,7 @@ class AccessPlan:
         segments: List[PlanSegment],
         const_dst: Optional[np.ndarray],
         const_vals: Optional[np.ndarray],
-        in_block_sites: int,
         resolved_sites: int,
-        out_of_block_sites: int,
         kind: str = "offsets",
         offsets: Optional[Tuple[Tuple[int, ...], ...]] = None,
         slices: Tuple[Optional[Tuple[tuple, tuple]], ...] = (),
@@ -224,13 +220,9 @@ class AccessPlan:
         self.pages = list(pages)
         self.const_dst = const_dst
         self.const_vals = const_vals
-        #: Sites served by the start Block itself (the scalar path's
-        #: "surely inside" / in-block reads).
-        self.in_block_sites = int(in_block_sites)
         #: Sites that required an Env resolution at compile time — the
         #: sites the scalar path would serve from the MMAT memo.
         self.resolved_sites = int(resolved_sites)
-        self.out_of_block_sites = int(out_of_block_sites)
         #: How the plan was compiled: ``"offsets"`` (site order is
         #: offset-major over the block's elements) or ``"addresses"``
         #: (the sites of an indirect address table, a 2-D one's column by
@@ -293,10 +285,10 @@ class AccessPlan:
         if self.own_rows is not None:
             out = self.segments[0].image.read[self.own_rows]
             out.flags.writeable = False
-            self.account(env, 0)
+            self.account(env)
             return out
         out = env.mmat.scratch(read, (self.n_sites, self.components), self.dtype)
-        missing = env.fill_ghosts(self)
+        env.fill_ghosts(self)
         # A dense table (first) writes every site; the constants and the
         # other tables then overwrite theirs.
         for seg in self.segments:
@@ -310,16 +302,13 @@ class AccessPlan:
             for oi, pair in enumerate(self.slices):
                 if pair is not None:
                     dst[oi][pair[0]] = src[pair[1]]
-        self.account(env, missing)
+        self.account(env)
         return out
 
-    def account(self, env, missing: int) -> None:
-        """Credit one full execution of this plan to the Env's counters."""
-        stats = env.stats
-        stats.reads += self.n_sites
-        stats.in_block_reads += self.in_block_sites
-        stats.mmat_hits += self.resolved_sites
-        stats.missing_recorded += missing
+    def account(self, env) -> None:
+        """Credit one full execution of this plan to the Env's MMAT hits:
+        the sites the scalar path would have served from the memo."""
+        env.stats.mmat_hits += self.resolved_sites
 
     # ------------------------------------------------------------------
     def remote_pages(self) -> List[PageKey]:
@@ -589,9 +578,8 @@ def _compile(env, starts, cuts, plans, addrs: np.ndarray, sites: Optional[np.nda
     end)`` of the start Blocks ``starts`` its sites start from: the listed
     ``sites`` (None: every output, in order) read the global ``addrs``,
     those in ``cuts[b]:cuts[b + 1]`` from ``starts[b]``.  Returns per plan
-    the :class:`AccessPlan` keywords of its tables, ``in_block`` the sites
-    that read their own start Block.  ``columns`` ``(elements, k)`` lays a
-    one-plan pass's table out column-major.
+    the :class:`AccessPlan` keywords of its tables.  ``columns``
+    ``(elements, k)`` lays a one-plan pass's table out column-major.
 
     A site whose address lies in its own start Block reads it without a
     search (checked a Block at a time, as one comparison).  The addresses
@@ -660,7 +648,6 @@ def _compile(env, starts, cuts, plans, addrs: np.ndarray, sites: Optional[np.nda
             table = np.full(len(found) + 1, -1, dtype=np.int8)
             for g, k in met.items():
                 table[g] = table_of[k]
-        in_block = 0
         for k, (block, (a, b)) in enumerate(zip(tile, spans)):
             here, rows, tabs = home[a:b], site_row[a:b], site_table[a:b]
             if resolved:
@@ -668,15 +655,13 @@ def _compile(env, starts, cuts, plans, addrs: np.ndarray, sites: Optional[np.nda
                 keys = rows[away]
                 tabs[away] = table[group[keys]]
                 rows[away] = key_row[keys]
-            (_, row0, row1, halo), mine = slots[k], table_of[k]
+            (_, row0, _, halo), mine = slots[k], table_of[k]
             cells = addrs[a:b][here] - np.asarray(block.origin, dtype=np.int64)
             home_rows = row0 + np.ravel_multi_index(tuple(cells.T), block.shape)
             rows[here] = -1 - home_rows if halo else home_rows
             tabs[here] = mine
             if home_rows.size:
                 read.add(k)
-            # Own rows: the home sites, and any a Reference maps back home.
-            in_block += int(np.count_nonzero((tabs == mine) & (rows >= row0) & (rows < row1)))
         rows, tabs = site_row[lo:hi], site_table[lo:hi]
         if columns is not None:  # resolved element-major, laid out column-major
             rows = rows.reshape(columns).T.ravel()
@@ -684,8 +669,7 @@ def _compile(env, starts, cuts, plans, addrs: np.ndarray, sites: Optional[np.nda
         out = None if sites is None else sites[lo:hi]
         sel = np.flatnonzero(tabs == -1)
         const_dst = const_arr = None
-        n_const = sel.size
-        if n_const:
+        if sel.size:
             const_dst = sel if out is None else np.ascontiguousarray(out[sel], dtype=np.intp)
             const_arr = const_all[rows[sel]].astype(tile[0].buffer.read_buffer.dtype)
         # Address plans (``sites`` None) read the tile's own class densely:
@@ -709,8 +693,6 @@ def _compile(env, starts, cuts, plans, addrs: np.ndarray, sites: Optional[np.nda
             segments=segments,
             const_dst=const_dst,
             const_vals=const_arr,
-            in_block=in_block,
-            out_of_block_sites=rows.size - n_const - in_block,
             pages=_ghost_pages(env, segments),
         ))
     return compiled
@@ -738,7 +720,7 @@ def _outside(shape: Sequence[int], bounds: Sequence[Tuple[int, int]]) -> np.ndar
 
 
 def _ring(shape: Tuple[int, ...], offsets) -> tuple:
-    """``(sites, cells, slices, slice_sites)`` of a stencil sweep over a
+    """``(sites, cells, slices)`` of a stencil sweep over a
     Block of ``shape``: per offset, the sites that stay inside the Block
     form a box, kept as one ``(dst_slices, src_slices)`` pair (None: no
     such site); only the ring of sites outside it is listed, with the
@@ -747,7 +729,6 @@ def _ring(shape: Tuple[int, ...], offsets) -> tuple:
     slices: List[Optional[Tuple[tuple, tuple]]] = []
     ring_sites = [np.empty(0, dtype=np.intp)]
     ring_cells = [np.empty((0, nd), dtype=np.int64)]
-    slice_sites = 0
     for oi, off in enumerate(offsets):
         if len(off) != nd:
             raise AddressError(
@@ -758,7 +739,6 @@ def _ring(shape: Tuple[int, ...], offsets) -> tuple:
             dst = tuple(slice(lo, hi) for lo, hi in bounds)
             src = tuple(slice(lo + o, hi + o) for (lo, hi), o in zip(bounds, off))
             slices.append((dst, src))
-            slice_sites += math.prod(hi - lo for lo, hi in bounds)
         else:
             slices.append(None)
         elems = _outside(shape, bounds)
@@ -766,7 +746,7 @@ def _ring(shape: Tuple[int, ...], offsets) -> tuple:
             ring_sites.append(oi * n_elem + elems)
             coords = np.stack(np.unravel_index(elems, shape), axis=1)
             ring_cells.append(coords + np.asarray(off, dtype=np.int64))
-    return np.concatenate(ring_sites), np.concatenate(ring_cells), tuple(slices), slice_sites
+    return np.concatenate(ring_sites), np.concatenate(ring_cells), tuple(slices)
 
 
 def compile_offsets_plan(env, block, offsets: Sequence[Tuple[int, ...]], *,
@@ -817,14 +797,13 @@ def compile_offsets_plan(env, block, offsets: Sequence[Tuple[int, ...]], *,
         AccessPlan(
             block=start,
             n_sites=len(offsets) * start.element_count,
-            in_block_sites=slice_sites + parts.pop("in_block"),
             resolved_sites=sites.size,
             kind="offsets",
             offsets=offsets,
             slices=slices,
             **parts,
         )
-        for start, (sites, _, slices, slice_sites), parts in zip(starts, rings, compiled)
+        for start, (sites, _, slices), parts in zip(starts, rings, compiled)
     ]
     for start, plan in zip(siblings, plans[1:]):
         env.mmat.stage(start.block_id, offsets, plan)
@@ -871,7 +850,6 @@ def compile_address_plan(env, block, addresses) -> AccessPlan:
     return AccessPlan(
         block=blocks[0],
         n_sites=n_sites,
-        in_block_sites=parts.pop("in_block"),
         resolved_sites=n_sites,
         kind="addresses",
         **parts,

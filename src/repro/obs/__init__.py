@@ -28,9 +28,6 @@ from .spans import (
     Tracer,
     env_tracing_default,
     global_tracer,
-    set_tracing,
-    span,
-    tracing_enabled,
 )
 
 __all__ = [
@@ -38,9 +35,6 @@ __all__ = [
     "Tracer",
     "SpanBuffer",
     "global_tracer",
-    "span",
-    "tracing_enabled",
-    "set_tracing",
     "env_tracing_default",
     "chrome_trace_document",
     "save_chrome_trace",

@@ -41,9 +41,6 @@ __all__ = [
     "Tracer",
     "SpanBuffer",
     "global_tracer",
-    "span",
-    "tracing_enabled",
-    "set_tracing",
     "DEFAULT_CAPACITY",
 ]
 
@@ -251,21 +248,3 @@ _GLOBAL = Tracer()
 def global_tracer() -> Tracer:
     """Return the process-wide span tracer."""
     return _GLOBAL
-
-
-def span(name: str, **attrs: Any):
-    """Module-level shorthand for ``global_tracer().span(...)``."""
-    tracer = _GLOBAL
-    if not tracer.enabled:
-        return _NULL_SPAN
-    return _Span(tracer.buffer_for(), name, attrs or None)
-
-
-def tracing_enabled() -> bool:
-    """Whether the process-wide tracer is currently recording."""
-    return _GLOBAL.enabled
-
-
-def set_tracing(enabled: bool) -> None:
-    """Enable/disable the process-wide tracer (the Platform does this per run)."""
-    _GLOBAL.set_enabled(enabled)

@@ -10,15 +10,15 @@ are chosen so the **modelled** per-rank time is as even as possible.
 The per-key weights come from the run that died: the PR 6 obs layer
 recorded each rank's :class:`~repro.runtime.tracing.TaskCounters`, and
 :class:`~repro.runtime.costmodel.CostModel` converts them into modelled
-seconds — a rank that measured twice the updates/traffic contributes
-twice the weight to each of its keys.  Without measurements (death
+seconds — a rank that measured twice the updates/halo pages contributes
+twice the weight to each of its keys (at the cost model's default access
+profile: the app's own would scale every rank's compute term alike).  Without measurements (death
 before the first refresh) every key weighs the same and the plan
 degrades to the DSL's own even contiguous deal.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..runtime.costmodel import CostModel
@@ -37,12 +37,8 @@ def merge_rank_counters(
         mine = merged.get(rank)
         if mine is None:
             mine = merged[rank] = TaskCounters()
-        for spec in fields(TaskCounters):
-            value = getattr(task_counters, spec.name)
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                setattr(mine, spec.name, getattr(mine, spec.name) + value)
-            elif getattr(mine, spec.name) == spec.default:
-                setattr(mine, spec.name, value)
+        for name, value in task_counters.as_dict().items():
+            setattr(mine, name, getattr(mine, name) + value)
     return merged
 
 

@@ -14,7 +14,7 @@ backends*, says which world to run when):
   in a :class:`NetworkStats`;
 * :class:`ThreadTeam` — shared-memory task team with barrier/single;
 * :class:`TaskContext` — hierarchical task ids;
-* :class:`TraceRecorder` — per-task work/traffic counters;
+* :class:`TraceRecorder` — per-task work counters (traffic: :class:`NetworkStats`);
 * :class:`MachineSpec` / :class:`CostModel` — analytic conversion of the
   counters into modelled wall-clock for the scaling figures.
 """

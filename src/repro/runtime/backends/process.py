@@ -54,9 +54,10 @@ lazily creates a :class:`~repro.runtime.shm.SharedPageArena` — named
 segments holding one seqlock-stamped slot per served page — on its
 first serve.  An object-dtype page has no bytes to share: its owner
 answers the request with a ``perr`` naming the page and the dtype.
-``shm_fetches``/``shm_bytes`` record the pages and bytes that arrived
-as descriptors.  Segment hygiene: each rank unlinks its own arena
-when its transport closes; :meth:`ProcessWorld.finalize` probe-unlinks
+Every page of a multi-rank process world arrives as a descriptor, so
+``bulk_pages`` counts the descriptor pages.  Segment hygiene: each rank
+unlinks its own arena when its transport closes;
+:meth:`ProcessWorld.finalize` probe-unlinks
 the deterministically named segments of ranks that died before closing
 (see :func:`~repro.runtime.shm.cleanup_rank_segments`) and the control
 segment; a new :class:`ProcessWorld` first unlinks what a
@@ -357,10 +358,9 @@ class ProcessTransport:
                 self.conns[peer].send(msg)
             except Exception as exc:  # noqa: BLE001 - a failed send means the peer died;
                 # waits on that peer notice via _dead and fail fast.  The
-                # failure itself is recorded (counter + first description)
-                # so it surfaces in the error raised at collect time
-                # instead of being silently swallowed here.
-                self.stats.peer_dead += 1
+                # first failure's description is kept so it surfaces in
+                # the error raised at collect time instead of being
+                # silently swallowed here.
                 if self.first_send_error is None:
                     self.first_send_error = (
                         f"rank {self.rank} could not send {msg[0]!r} to rank "
@@ -672,11 +672,8 @@ class ProcessTransport:
             ) from None
         payload_bytes = sum(int(d.nbytes) for d in datas)
         # Logical accounting, the same as a threads world's fetch (the
-        # request message was counted by _send); the shm_* counters record
-        # that the page bytes crossed mapped segments.
+        # request message was counted by _send).
         self.stats.record_bulk(self.rank, owner, len(datas), payload_bytes, messages=1)
-        self.stats.shm_fetches += len(datas)
-        self.stats.shm_bytes += payload_bytes
         return datas
 
     def close(self) -> None:

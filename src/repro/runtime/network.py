@@ -2,9 +2,11 @@
 
 Every execution world counts its messages and bytes in one
 :class:`NetworkStats` (a process world in one per rank, merged in the
-parent), because those counts (not Python wall-clock) are what the cost
-model converts into the modelled communication time of the scaling
-figures, and what ``PlatformRun.network`` reports on every backend.
+parent): the one place a run's traffic is counted, reported by
+``PlatformRun.network`` with the same keys on every backend.  The
+scaling figures' cost model charges the halo the paper's prototype
+would move (``TaskCounters.paper_pages``), not these counts, so a
+protocol that moves the halo differently leaves the figures alone.
 The worlds themselves — collectives, page transport, dead-rank
 bookkeeping — live in :mod:`repro.runtime.simmpi` (``threads``) and
 :mod:`repro.runtime.backends` (``serial``, ``process``).
@@ -39,15 +41,6 @@ class NetworkStats:
     #: of pages, and how many pages those batches carried.
     bulk_fetches: int = 0
     bulk_pages: int = 0
-    #: Replies that could not be delivered because the peer was already
-    #: dead (process backend: broken pipe in the sender thread).
-    peer_dead: int = 0
-    #: Shared-memory data-plane activity (multi-rank process worlds):
-    #: pages whose bytes travelled as mapped-segment descriptors, and the
-    #: page bytes those descriptors covered (a subset of ``bytes_moved``,
-    #: which stays *logical*, the same shape on every backend).
-    shm_fetches: int = 0
-    shm_bytes: int = 0
     #: Always 0 (no page leaves shared memory); ``benchmarks/e2e/workloads.py`` reads it.
     shm_fallbacks: int = 0
     #: Publish protocol: halo slots an owner stamped (one message of the

@@ -1,16 +1,14 @@
-"""Execution tracing: per-task counters feeding the cost model and reports.
+"""Execution tracing: per-task counts feeding the cost model and reports.
 
 The paper's evaluation relies on measurements of a real cluster.  Our
-substitute collects, for every task of a simulated run, the quantities
-that determine performance on such a cluster:
-
-* how many element updates the task performed,
-* how many pages/bytes it pulled from other tasks (and how many
-  messages that corresponds to),
-* how many refresh rounds failed (forcing recomputation).
-
-Env searches and MMAT hits are counted per Env, by
-:class:`repro.memory.EnvStats`.
+substitute counts, for every task of a simulated run, the work that
+determines performance on such a cluster: element updates, the halo
+pages the paper's prototype would fetch, collectives entered, steps
+re-executed.  Each fact is counted in one place: the bytes and messages
+a world moved are :class:`repro.runtime.network.NetworkStats`' (one per
+world, ``PlatformRun.network``), Env searches and MMAT hits are
+:class:`repro.memory.EnvStats`', and what describes the application
+rather than its run (access pattern, bytes per update) is the app's.
 
 The :class:`repro.runtime.costmodel.CostModel` converts these counters
 into modelled wall-clock times for the scaling figures, and the
@@ -21,7 +19,7 @@ the single-task overhead figure.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .task import TaskContext, current_task
@@ -36,18 +34,15 @@ class TaskCounters:
     updates: int = 0
     steps: int = 0
     recomputed_steps: int = 0
+    #: Halo pages this task installed from page exchanges.
     pages_fetched: int = 0
-    bytes_fetched: int = 0
-    messages: int = 0
     collectives: int = 0
-    #: Steady-state ("productive") work and traffic: the deltas accumulated by
-    #: the *successful* attempt of each step only, excluding warm-up passes
-    #: and re-executed failed attempts.  The paper's scaling figures measure
-    #: long runs where warm-up is amortised away, so the cost model prefers
-    #: these when they are non-zero.
+    #: Steady-state ("productive") work: the updates of the *successful*
+    #: attempt of each step only, excluding warm-up passes and re-executed
+    #: failed attempts.  The paper's scaling figures measure long runs
+    #: where warm-up is amortised away, so the cost model prefers it when
+    #: it is non-zero.
     productive_updates: int = 0
-    productive_bytes: int = 0
-    productive_messages: int = 0
     #: The halo pages the paper's prototype would fetch — one request/reply
     #: pair each — at the successful non-warm-up refreshes, and their
     #: payload bytes: the Dry-run record united with the compiled plans'
@@ -74,20 +69,13 @@ class TaskCounters:
     kernel_fused_calls: int = 0
     #: Halo completion: the time spent blocked in ``CommHandle.wait`` by
     #: every halo exchange the refresh advice waited for (ns) — page
-    #: exchanges and published slots alike.  ``halo_pushes`` /
-    #: ``halo_sites`` count the slots this task copied out and the element
-    #: rows they carried (each slot one message of its bytes in
-    #: ``messages`` / ``bytes_fetched``) — over the run they equal what
-    #: the owners' ``NetworkStats`` published.
+    #: exchanges and published slots alike.  ``halo_pushes`` counts the
+    #: slots this task copied out: over the run, what the owners'
+    #: ``NetworkStats`` published.
     halo_pushes: int = 0
-    halo_sites: int = 0
     halo_wait_ns: int = 0
     #: Resilience activity: epoch checkpoints saved.
     checkpoints: int = 0
-    #: Qualitative access pattern of the workload ('contiguous'|'random'|'bucketed')
-    #: recorded by the DSL layer, consumed by the shared-memory contention model.
-    access_pattern: str = "contiguous"
-    bytes_per_update: int = 40
 
     def as_dict(self) -> dict:
         return dict(self.__dict__)
@@ -121,19 +109,8 @@ class TraceRecorder:
             return dict(self._counters)
 
     def merge_counters(self, counters: Dict[Tuple[int, int], TaskCounters]) -> None:
-        """Fold another recorder's counters in (process-backend rank results).
-
-        Numeric fields are added.  Descriptive fields (access pattern,
-        bytes per update) are *not* additive: they are set once by the
-        DSL layer that ran the task, so the merge keeps the first value
-        that differs from the dataclass default instead of letting
-        whichever rank merges last clobber an already-recorded profile
-        with its default.
-        """
-        descriptive = {
-            "access_pattern": TaskCounters.access_pattern,
-            "bytes_per_update": TaskCounters.bytes_per_update,
-        }
+        """Fold another recorder's counters in (process-backend rank
+        results): every field is a count, so they add."""
         with self._lock:
             for key, incoming in counters.items():
                 mine = self._counters.get(key)
@@ -141,11 +118,7 @@ class TraceRecorder:
                     self._counters[key] = incoming
                     continue
                 for attr, value in incoming.as_dict().items():
-                    if attr in descriptive:
-                        if getattr(mine, attr) == descriptive[attr]:
-                            setattr(mine, attr, value)
-                    else:
-                        setattr(mine, attr, getattr(mine, attr) + value)
+                    setattr(mine, attr, getattr(mine, attr) + value)
 
 
 #: Process-wide recorder.  The Platform driver resets it at the start of

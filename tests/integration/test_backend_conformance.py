@@ -484,13 +484,14 @@ class TestNumericalEquivalence:
         np.testing.assert_array_equal(runs["threads"].result, runs["process"].result)
         # Logically the same exchanges: the pages just crossed segments.
         logical = {
-            backend: [sum(getattr(c, name) for c in run.counters.values())
-                      for name in ("messages", "pages_fetched", "bytes_fetched")]
+            backend: [run.network[name] for name in (
+                "bulk_fetches", "bulk_pages", "halo_pushes", "halo_sites", "per_neighbor")]
+            + [sum(c.pages_fetched for c in run.counters.values())]
             for backend, run in runs.items()
         }
         assert logical["threads"] == logical["process"]
         if kept:
-            assert runs["process"].network["shm_fetches"] > 0
+            assert runs["process"].network["bulk_pages"] > 0
             contents = {
                 backend: {b.logical_key: b.buffer.read_buffer.dense()
                           for b in run.app.env.data_blocks(include_buffer_only=True)}
@@ -512,13 +513,12 @@ class TestNumericalEquivalence:
         run = Platform.preset("mpi", ranks=ranks, backend=backend).run(
             JacobiSGrid, config=dict(SGRID_CONFIG)
         )
+        # The keys benchmarks/e2e/workloads.py reads are among them.
         assert set(run.network) == {
             "messages", "bytes_moved", "barriers", "allreduces",
-            "bulk_fetches", "bulk_pages", "per_neighbor", "peer_dead",
-            "shm_fetches", "shm_bytes", "shm_fallbacks",
+            "bulk_fetches", "bulk_pages", "per_neighbor", "shm_fallbacks",
             "halo_pushes", "halo_sites", "open_steps",
         }
-        assert run.network["peer_dead"] == 0  # healthy run: no dead peers
         if ranks > 1:
             assert run.network["bulk_pages"] > 0
             assert run.network["bytes_moved"] > 0

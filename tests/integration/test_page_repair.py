@@ -35,7 +35,7 @@ WORLDS = ["threads", "process"]
 
 class WithheldSGrid(JacobiSGrid):
     """Jacobi whose rank 0 withholds the halo pages of two owners before
-    step 0 and logs, per failed refresh, the messages and pages it cost."""
+    step 0 and logs, per failed refresh, the pages it installed."""
 
     def processing(self) -> None:
         self.warm_up(self.kernel)
@@ -60,11 +60,10 @@ class WithheldSGrid(JacobiSGrid):
 
     def refresh(self, warmup: bool = False) -> bool:
         trace = global_trace().for_task()
-        before = (trace.messages, trace.pages_fetched)
+        before = trace.pages_fetched
         done = super().refresh(warmup)
         if not done and not warmup:
-            after = (trace.messages, trace.pages_fetched)
-            self.repairs.append(tuple(b - a for a, b in zip(before, after)))
+            self.repairs.append(trace.pages_fetched - before)
         return done
 
 
@@ -79,8 +78,21 @@ def test_repair_moves_one_pair_per_owner(backend):
     run = platform.run(WithheldSGrid, config=dict(CONFIG))
     app = run.app
     assert len(app.owners) == 2 and len(app.pages) > len(app.owners)
-    # One failed refresh on rank 0: one request/reply pair per owner, every page.
-    assert app.repairs == [(2 * len(app.owners), len(app.pages))]
+    # One failed refresh on rank 0, which installs every page ...
+    assert app.repairs == [len(app.pages)]
+    # ... moved by one request/reply pair per owner: beyond a run that
+    # withheld nothing, the world moved one message each way on exactly
+    # rank 0's links to those owners.
+    plain = platform.run(JacobiSGrid, config=dict(CONFIG)).network
+    assert run.network["bulk_fetches"] - plain["bulk_fetches"] == len(app.owners)
+    assert run.network["bulk_pages"] - plain["bulk_pages"] == len(app.pages)
+    extra = {
+        link: entry["messages"] - plain["per_neighbor"].get(link, {"messages": 0})["messages"]
+        for link, entry in run.network["per_neighbor"].items()
+    }
+    assert {link: n for link, n in extra.items() if n} == {
+        link: 1 for owner in app.owners for link in (f"0->{owner}", f"{owner}->0")
+    }
     assert run.counters[(0, 0)].recomputed_steps == 1
     result = np.asarray(run.result, dtype=np.float64)
     mine = ~np.isnan(result)

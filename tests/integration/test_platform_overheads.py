@@ -129,7 +129,7 @@ class TestEnvSearchRelationships:
 
     def test_inside_hint_avoids_searches_entirely_for_interior_points(self):
         run = Platform().run(JacobiSGrid, config=dict(CONFIG))
-        stats = run.env_stats
-        # Most stencil reads carry the "inside" hint (i>0, j>0, ...), so
-        # in-block reads must dominate out-of-block ones.
-        assert stats.in_block_reads > stats.out_of_block_reads
+        reads = sum(c.plan_sites + c.plan_fallback_sites for c in run.counters.values())
+        # Most stencil reads carry the "inside" hint (i>0, j>0, ...) and
+        # skip the Env search, so searched reads are the minority.
+        assert 0 < run.env_stats.searches < reads / 2

@@ -95,3 +95,80 @@ class TestHybrid:
         assert seen == set(combos)
         # 4 tasks in any split beat the single-task baseline.
         assert all(row["relative_pct"] < 100.0 for row in rows)
+
+
+#: Each row of Figs. 7–11 over ``tiny_series``: ``(modelled_time_s,
+#: communication_s, pages_fetched)`` by ``(series, tasks)`` (Fig. 11:
+#: ``(series, (processes, threads))``, which has no ``pages_fetched``).
+#: The cost model is deterministic in the counts, so a change that moves
+#: any of these moved a figure.
+PINNED_ROWS = {
+    "fig7": {
+        ("SGrid", 1): (10.0663296, 0.0, 0),
+        ("SGrid", 2): (5.494661904137423, 0.410648576, 16),
+        ("SGrid", 4): (2.9784309759999994, 0.410648576, 32),
+        ("USGrid CaseR", 1): (25.165823999999997, 0.0, 0),
+        ("USGrid CaseR", 2): (13.045457680137423, 0.41169715199999996, 16),
+        ("USGrid CaseR", 4): (6.960201727999999, 0.617545728, 48),
+    },
+    "fig8": {
+        ("SGrid", 1): (10.0663296, 0.0, 0),
+        ("SGrid", 4): (10.938826752, 0.821297152, 64),
+        ("USGrid CaseR", 1): (25.165823999999997, 0.0, 0),
+        ("USGrid CaseR", 4): (27.687206911999997, 2.470182912, 192),
+    },
+    "fig9": {
+        ("SGrid", 1): (10.0663296, 0.0, 0),
+        ("SGrid", 2): (5.364087676788782, 0.0, 0),
+        ("SGrid", 4): (3.0129046210285715, 0.0, 0),
+        ("USGrid CaseR", 1): (25.165823999999997, 0.0, 0),
+        ("USGrid CaseR", 2): (13.090474993817352, 0.0, 0),
+        ("USGrid CaseR", 4): (7.052738396571428, 0.0, 0),
+    },
+    "fig10": {
+        ("SGrid", 1): (10.0663296, 0.0, 0),
+        ("SGrid", 4): (12.048873484114285, 0.0, 0),
+        ("USGrid CaseR", 1): (25.165823999999997, 0.0, 0),
+        ("USGrid CaseR", 4): (28.208208586285714, 0.0, 0),
+    },
+    "fig11": {
+        ("SGrid", (1, 4)): (3.0147046210285713, 0.0),
+        ("SGrid", (2, 2)): (3.144481716342857, 0.410648576),
+        ("SGrid", (4, 1)): (2.9784309759999994, 0.410648576),
+        ("USGrid CaseR", (1, 4)): (7.054538396571428, 0.0),
+        ("USGrid CaseR", (2, 2)): (7.008723950857143, 0.41169715199999996),
+        ("USGrid CaseR", (4, 1)): (6.960201727999999, 0.617545728),
+    },
+}
+
+
+class TestPinnedRows:
+    """Every figure row's modelled time, communication term and paper
+    pages, to 1e-12: a refactor of the counters or the cost model that
+    keeps these keeps the figures."""
+
+    @pytest.mark.parametrize("figure", sorted(PINNED_ROWS))
+    def test_rows_match_the_pinned_values(self, figure, tiny_series):
+        if figure == "fig11":
+            rows = fig11_hybrid(combinations=((1, 4), (2, 2), (4, 1)), series=tiny_series)
+            got = {
+                (row["series"], (row["processes"], row["threads"])):
+                    (row["modelled_time_s"], row["communication_s"])
+                for row in rows
+            }
+        else:
+            make, counts = {
+                "fig7": (fig7_strong_scaling_mpi, (1, 2, 4)),
+                "fig8": (fig8_weak_scaling_mpi, (1, 4)),
+                "fig9": (fig9_strong_scaling_omp, (1, 2, 4)),
+                "fig10": (fig10_weak_scaling_omp, (1, 4)),
+            }[figure]
+            got = {
+                (row["series"], row["tasks"]):
+                    (row["modelled_time_s"], row["communication_s"], row["pages_fetched"])
+                for row in make(counts=counts, series=tiny_series)
+            }
+        expected = PINNED_ROWS[figure]
+        assert set(got) == set(expected)
+        for key, values in expected.items():
+            assert got[key] == pytest.approx(values, rel=1e-12, abs=0.0), key

@@ -134,7 +134,7 @@ class TestBulkFetchContract:
             return (len(result.pages), result.exchanges, result.nbytes)
 
         assert spmd(world, body) == [(0, 0, 0)] * size
-        assert world.traffic_summary()["shm_fetches"] == 0
+        assert world.traffic_summary()["bulk_pages"] == 0
 
     @pytest.mark.parametrize("size", SIZES)
     def test_a_self_rank_request_is_refused_at_issue(self, size):
@@ -153,7 +153,7 @@ class TestBulkFetchContract:
             assert result is None
             assert f"rank {rank} asked rank {rank} for pages" in error
         stats = world.traffic_summary()
-        assert stats["shm_fetches"] == stats["bulk_fetches"] == 0
+        assert stats["bulk_pages"] == stats["bulk_fetches"] == 0
 
     @pytest.mark.parametrize("size", SIZES)
     def test_mixed_owner_pages_are_the_owners_pages(self, size):
@@ -172,9 +172,9 @@ class TestBulkFetchContract:
         world, _ = run_fetch(size)
         stats = world.traffic_summary()
         remote_pages = 2 * size * (size - 1)
-        assert stats["bulk_pages"] == stats["shm_fetches"] == remote_pages
+        assert stats["bulk_pages"] == remote_pages
         assert stats["bulk_fetches"] == size * (size - 1)
-        assert stats["shm_bytes"] == remote_pages * 32 and stats["shm_fallbacks"] == 0
+        assert stats["shm_fallbacks"] == 0
         # Each directed link carries one request (32 + 16 bytes per page)
         # and one reply (the two pages' bytes).
         assert stats["per_neighbor"] == {
@@ -192,7 +192,15 @@ class TestBulkFetchContract:
                    if key[1] == 1)
         stats = world.traffic_summary()
         per_page = size * (size - 1)  # of page 0 (four floats) and of page 1 (empty)
-        assert stats["shm_fetches"] == 2 * per_page and stats["shm_bytes"] == 32 * per_page
+        assert stats["bulk_pages"] == 2 * per_page
+        # Each directed link: a two-page request (32 + 16 bytes per page)
+        # and the reply of page 0's 32 bytes.
+        assert stats["per_neighbor"] == {
+            f"{a}->{b}": {"messages": 2, "bytes": 64 + 32}
+            for a in range(size)
+            for b in range(size)
+            if a != b
+        }
 
     @pytest.mark.parametrize("size", SIZES)
     def test_an_object_dtype_page_is_refused_by_name(self, size):
@@ -258,7 +266,7 @@ class TestDataPlaneRule:
         values = probe(world, lambda rank: 1 - rank)
         assert [(control, error) for control, error, _ in values] == [(True, None)] * 2
         assert values[0][2]  # the control words and the arenas are named segments
-        assert world.traffic_summary()["shm_fetches"] == 2  # replies were descriptors
+        assert world.traffic_summary()["bulk_pages"] == 2  # replies were descriptors
 
     def test_a_slotless_world_stays_bit_identical_and_says_why(self):
         serial = np.asarray(Platform().run(JacobiSGrid, config=dict(SGRID)).result)
@@ -387,7 +395,7 @@ class TestSegmentHygiene:
         )
         assert np.isfinite(np.asarray(run.result)[~np.isnan(np.asarray(run.result))]).all()
         # The shm plane actually carried pages before/after the kill.
-        assert run.network["shm_fetches"] > 0
+        assert run.network["bulk_pages"] > 0
         assert set(leftover_segments(mine)) == before
 
 

@@ -148,4 +148,3 @@ class TestEnvProperties:
         for _ in range(steps):
             assert env.refresh() is True
         assert env.step == steps
-        assert env.stats.refreshes == steps

@@ -566,14 +566,12 @@ def check_traffic(point: dict, run) -> None:
     if point["ranks"] == 1:
         return
     # Pages move only in bulk exchanges of one message pair each, a push
-    # is one message, and the consumers' counters agree with the world's.
+    # is one message on its link, and what the consumers installed and
+    # copied is what the world moved.
+    links = net["per_neighbor"].values()
+    assert sum(link["messages"] for link in links) == 2 * net["bulk_fetches"] + net["halo_pushes"]
     assert counter(run, "pages_fetched") == net["bulk_pages"]
-    assert counter(run, "messages") == 2 * net["bulk_fetches"] + net["halo_pushes"]
     assert net["halo_pushes"] == counter(run, "halo_pushes")
-    assert net["halo_sites"] == counter(run, "halo_sites")
-    # A process world's pages cross shared segments, and its summary says so.
-    assert net["shm_fetches"] == (net["bulk_pages"] if point["backend"] == "process" else 0)
-    assert (" shm=" in run.summary()) == (net["shm_fetches"] > 0)
 
 
 def check_kernels(point: dict, run) -> None:

@@ -91,7 +91,6 @@ class TestOffsetsPlanCompilation:
         assert segments == [] and consts.size == 0
         assert np.array_equal(plan.execute(plan_env)[:, 0], np.arange(16.0))
         assert plan.n_sites == block.element_count
-        assert plan.in_block_sites == block.element_count
         assert plan.resolved_sites == 0  # all sites statically inside
 
     def test_execution_matches_scalar_reads(self, plan_env):

@@ -33,6 +33,7 @@ from repro.bench import (
     workload,
 )
 from repro.bench.harness import amplify_steps
+from repro.runtime.machine import OAKBRIDGE_CX_LIKE
 from repro.runtime.tracing import TaskCounters
 
 
@@ -178,24 +179,19 @@ class TestBenchHarness:
         np.testing.assert_allclose(run.result, hw_result, atol=1e-12)
 
     def test_scale_counters_scaling_laws(self):
-        counters = TaskCounters(
-            updates=100, pages_fetched=10, bytes_fetched=1000, messages=20,
-            productive_updates=50, productive_bytes=500,
-            productive_messages=10,
-        )
+        counters = TaskCounters(updates=100, pages_fetched=10, productive_updates=50)
         scaled = scale_counters(counters, 4.0)
         assert scaled.updates == 1600          # area
         assert scaled.pages_fetched == 40      # perimeter
         assert scaled.productive_updates == 800
-        assert scaled.productive_bytes == 2000
 
-    def test_paper_pages_scale_like_productive_bytes(self):
-        counters = TaskCounters(productive_bytes=500, paper_pages=6, paper_bytes=600)
+    def test_paper_pages_scale_with_the_perimeter_and_the_steps(self):
+        counters = TaskCounters(productive_updates=50, paper_pages=6, paper_bytes=600)
         scaled = scale_counters(counters, 4.0)  # perimeter
         assert (scaled.paper_pages, scaled.paper_bytes) == (24, 2400)
         amplified = amplify_steps(scaled, 50.0)  # step count
         assert (amplified.paper_pages, amplified.paper_bytes) == (1200, 120000)
-        assert amplified.productive_bytes == 2000 * 50
+        assert amplified.productive_updates == 800 * 50
 
     @pytest.mark.parametrize("label", ["serial", "omp"])
     def test_runs_without_a_distributed_layer_count_no_paper_pages(self, label):
@@ -225,6 +221,16 @@ class TestBenchHarness:
         small = modelled_time(run, work, scale_to_paper=False)
         big = modelled_time(run, work, scale_to_paper=True)
         assert 0 < small.total < big.total
+
+    def test_modelled_time_takes_the_access_profile_from_the_app_instance(self):
+        """CaseR sets a random access pattern on its instance, not its class."""
+        work = usgrid_workload(16, case="R", block_cells=32, loops=2)
+        run = run_platform(work, "omp", threads=2, mmat=True)
+        assert run.app.ACCESS_PATTERN == "random" != type(run.app).ACCESS_PATTERN
+        machine = OAKBRIDGE_CX_LIKE
+        breakdown = modelled_time(run, work, scale_to_paper=False, nominal_steps=0)
+        updates = max(c.productive_updates for c in run.counters.values())
+        assert breakdown.compute == pytest.approx(updates * machine.update_cost("random"))
 
     def test_format_table(self):
         text = format_table([{"a": 1, "b": 0.5}, {"a": 2, "b": 1e-9}], title="T")

@@ -102,7 +102,7 @@ class TestEnvReadWrite:
         a.write((1, 1), 3.0)
         env.refresh()
         assert env.read_from(a, (1, 1)) == 3.0
-        assert env.stats.in_block_reads >= 1
+        assert env.stats.searches == 0  # the start Block holds it: no search
 
     def test_read_with_inside_hint_skips_search(self, env):
         a = add_block(env, (0, 0))
@@ -117,7 +117,7 @@ class TestEnvReadWrite:
         b.write((4, 0), 8.0)
         env.refresh()
         assert env.read_from(a, (4, 0)) == 8.0
-        assert env.stats.out_of_block_reads == 1
+        assert env.stats.searches == 1  # another Block holds it: one search
 
     def test_read_boundary_value(self, env):
         a = add_block(env, (0, 0))
@@ -144,7 +144,6 @@ class TestMissingPagesAndRefresh:
         value = env.read_from(a, (5, 0))
         assert value == 0.0
         assert len(env.missing_pages) == 1
-        assert env.stats.missing_recorded == 1
 
     def test_refresh_fails_and_records_failed_pages(self, env):
         a = add_block(env, (0, 0))
@@ -154,7 +153,6 @@ class TestMissingPagesAndRefresh:
         assert env.refresh() is False
         assert env.missing_pages == set()
         assert len(env.last_failed_pages) == 1
-        assert env.stats.failed_refreshes == 1
 
     def test_refresh_success_swaps_buffers(self, env):
         a = add_block(env, (0, 0))
@@ -310,7 +308,7 @@ class TestImageIsThePool:
             assert np.all(env.dense_read(blocks[1]) == float(step))
             assert all(b.buffer.read_index == step % depth for b in blocks)
             assert all(b.content_generation == step for b in blocks)
-        assert env.stats.dense_assemblies == 0 and env.stats.buffer_swaps == 3 * 2 * depth
+        assert env.stats.dense_assemblies == 0
         pool.check_invariants()
 
     def test_a_late_block_moves_in_and_gives_its_own_chunks_back(self):

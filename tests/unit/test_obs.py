@@ -259,29 +259,18 @@ class TestReports:
         assert all(len(spans) == 1 for spans in top.values())
 
 
-class TestMergeCountersDescriptiveFields:
-    def test_first_non_default_value_wins(self):
+class TestMergeCounters:
+    def test_every_field_adds(self):
+        """Every task counter is a count: a merge adds each field, and a
+        task only the incoming recorder saw is taken as it is."""
         recorder = TraceRecorder()
         with task_scope(TaskContext(mpi_rank=0, mpi_size=2)):
             mine = recorder.for_task()
-        mine.access_pattern = "random"
-        mine.bytes_per_update = 64
-        mine.updates = 10
-        # An incoming rank that never set its profile (defaults) must not
-        # clobber the recorded one, regardless of merge order.
-        incoming = {(0, 0): TaskCounters(updates=5)}
-        recorder.merge_counters(incoming)
-        merged = recorder.all_counters()[(0, 0)]
-        assert merged.updates == 15
-        assert merged.access_pattern == "random"
-        assert merged.bytes_per_update == 64
-
-    def test_default_mine_adopts_incoming_profile(self):
-        recorder = TraceRecorder()
-        with task_scope(TaskContext(mpi_rank=0, mpi_size=2)):
-            recorder.for_task().updates = 1
-        incoming = {(0, 0): TaskCounters(access_pattern="bucketed", bytes_per_update=96)}
-        recorder.merge_counters(incoming)
-        merged = recorder.all_counters()[(0, 0)]
-        assert merged.access_pattern == "bucketed"
-        assert merged.bytes_per_update == 96
+        mine.updates, mine.paper_pages = 10, 3
+        recorder.merge_counters({
+            (0, 0): TaskCounters(updates=5, paper_pages=4, halo_pushes=1),
+            (1, 0): TaskCounters(steps=2),
+        })
+        merged = recorder.all_counters()
+        assert merged[(0, 0)] == TaskCounters(updates=15, paper_pages=7, halo_pushes=1)
+        assert merged[(1, 0)] == TaskCounters(steps=2)

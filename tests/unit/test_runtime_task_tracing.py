@@ -118,7 +118,7 @@ class TestMachineSpec:
 
 class TestCostModel:
     def make_counters(self, **kwargs) -> TaskCounters:
-        defaults = dict(updates=1_000_000, bytes_per_update=40, access_pattern="contiguous")
+        defaults = dict(updates=1_000_000)
         defaults.update(kwargs)
         return TaskCounters(**defaults)
 
@@ -130,7 +130,7 @@ class TestCostModel:
 
     def test_communication_term(self):
         model = CostModel()
-        counters = self.make_counters(messages=100, bytes_fetched=10 ** 6)
+        counters = self.make_counters(paper_pages=100, paper_bytes=10 ** 6)
         breakdown = model.task_time(counters, mpi_size=2, omp_threads=1)
         assert breakdown.communication > 0
         assert breakdown.total >= breakdown.communication
@@ -146,38 +146,39 @@ class TestCostModel:
     def test_contiguous_thrashes_more_than_random(self):
         model = CostModel()
         contiguous = model.task_time(
-            self.make_counters(access_pattern="contiguous"), mpi_size=1, omp_threads=16
+            self.make_counters(), mpi_size=1, omp_threads=16, access_pattern="contiguous"
         )
         random = model.task_time(
-            self.make_counters(access_pattern="random"), mpi_size=1, omp_threads=16
+            self.make_counters(), mpi_size=1, omp_threads=16, access_pattern="random"
         )
         assert contiguous.contention / contiguous.compute > random.contention / random.compute
 
-    def test_paper_pages_are_one_request_reply_pair_each(self):
-        """The pages the paper's prototype would move replace whatever
-        traffic the run's own protocol counted."""
-        machine = OAKBRIDGE_CX_LIKE
-        counters = self.make_counters(
-            messages=3, bytes_fetched=70, productive_messages=5, productive_bytes=110,
-            paper_pages=40, paper_bytes=40 * 512,
+    def test_contention_streams_the_apps_bytes_per_update(self):
+        """Only the bandwidth share depends on the bytes an update streams:
+        more of them, more contention; the thrash term stays."""
+        model = CostModel()
+        light, heavy = (
+            model.task_time(self.make_counters(), mpi_size=1, omp_threads=8, bytes_per_update=b)
+            for b in (40, 80)
         )
+        assert heavy.compute == light.compute
+        assert heavy.contention > light.contention
+
+    def test_paper_pages_are_one_request_reply_pair_each(self):
+        """The pages the paper's prototype would move are the traffic the
+        model charges, whatever protocol the run moved its halo by."""
+        machine = OAKBRIDGE_CX_LIKE
+        counters = self.make_counters(paper_pages=40, paper_bytes=40 * 512)
         breakdown = CostModel(machine).task_time(counters, mpi_size=4, omp_threads=1)
         assert breakdown.communication == pytest.approx(
             2 * 40 * machine.network_latency + 40 * 512 / machine.network_bandwidth
         )
 
-    @pytest.mark.parametrize("productive", [True, False])
-    def test_without_paper_pages_the_run_models_its_own_traffic(self, productive):
+    def test_without_paper_pages_no_communication_is_charged(self):
         machine = OAKBRIDGE_CX_LIKE
-        counters = self.make_counters(messages=30, bytes_fetched=7000, collectives=9)
-        if productive:
-            counters.productive_messages, counters.productive_bytes = 6, 1400
-        messages = counters.productive_messages or counters.messages
-        nbytes = counters.productive_bytes or counters.bytes_fetched
+        counters = self.make_counters(pages_fetched=30, halo_pushes=6, collectives=9)
         breakdown = CostModel(machine).task_time(counters, mpi_size=2, omp_threads=2)
-        assert breakdown.communication == pytest.approx(
-            messages * machine.network_latency + nbytes / machine.network_bandwidth
-        )
+        assert breakdown.communication == 0.0
         assert breakdown.synchronisation == pytest.approx(9 * machine.barrier_cost * 2.0)
 
     def test_productive_counters_preferred(self):
